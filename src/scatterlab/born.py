@@ -20,7 +20,6 @@ amplitudes at small angle is a genuine cross-check of both pipelines.
 """
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,21 +64,23 @@ def born1_amplitude(p, kin, theta):
 
 
 def _z_profile(p, b, settings):
-    """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz, by direct quadrature."""
+    """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz at each impact parameter
+    of the 1-d array b, by one row-batched quadrature."""
     # relative-tolerance driven for the same reason as the eikonal phase:
     # the tail values are tiny and the callers divide by them
     settings = dataclasses.replace(settings, abs_tol=1e-300)
+    bb = b * b
+
+    def f(i, z):
+        return evaluate(p, np.sqrt(bb[i, None] + z * z))
+
     if isinstance(p, TabulatedRadial):
+        # rows at or beyond the table's end get a zero-width z interval
         r_hi = p.r[-1]
-        if b >= r_hi:
-            return 0.0
-        z_hi = math.sqrt(r_hi * r_hi - b * b)
-        res = integrate_adaptive(
-            lambda z: evaluate(p, np.sqrt(b * b + z * z)), 0.0, z_hi,
-            settings)
+        z_hi = np.sqrt(np.where(b < r_hi, r_hi * r_hi - bb, 0.0))
+        res = integrate_adaptive(f, 0.0, z_hi, settings, rows=b.size)
     else:
-        res = integrate_semi_infinite(
-            lambda z: evaluate(p, np.sqrt(b * b + z * z)), settings)
+        res = integrate_semi_infinite(f, settings, rows=b.size)
     return 2.0 * res.value
 
 
@@ -122,8 +123,7 @@ def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_BORN, *,
     spatial = settings.spatial
 
     def g(b):
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        w = np.array([_z_profile(p, float(bi), spatial) for bi in b])
+        w = _z_profile(p, np.atleast_1d(np.asarray(b, dtype=float)), spatial)
         x = -w / hv
         if lambda_numeric:
             lam = _lambda_factor_numeric(x, settings.lambda_nodes)

@@ -55,7 +55,7 @@ import numpy as np
 from .cross_sections import SOURCES
 from .eikonal import Kinematics
 from .errors import ConfigError, DomainError
-from .potentials import Gauss, TabulatedRadial, Yukawa
+from .potentials import Gauss, Yukawa, load_radial_table
 from .quadrature import QuadratureSettings
 
 _SECTION_KEYS = {
@@ -214,17 +214,6 @@ def _as_bool(section, key, raw):
     return state
 
 
-def _load_table(path):
-    try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError:
-        data = np.loadtxt(path, comments="#", ndmin=2)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ConfigError(f"{path}: expected two columns r, V",
-                          key="potential.file")
-    return data[:, 0], data[:, 1]
-
-
 def _build_potential(sec, base_dir):
     model = sec.get("model")
     if model is None:
@@ -264,8 +253,7 @@ def _build_potential(sec, base_dir):
         interp = sec.get("interpolation", "cubic").strip().lower()
         if interp not in ("cubic", "linear"):
             _fail("potential", "interpolation", "cubic or linear", interp)
-        r, v = _load_table(path)
-        return TabulatedRadial(r, v, interpolation=interp)
+        return load_radial_table(path, interpolation=interp)
     except DomainError as exc:
         raise ConfigError(f"[potential] {exc}", key="potential") from exc
 

@@ -9,7 +9,6 @@ Vtilde(q) = integral d^3r e^{-i q.r} V(r) = (4 pi / q) int_0^inf
 sin(q r) V(r) r dr, real for radial V.
 """
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -174,16 +173,32 @@ def origin_expansion(potential):
 
 
 def load_radial_table(source, interpolation="cubic"):
-    """Read a two-column (r, V) whitespace table; '#' starts a comment."""
+    """Read a two-column (r, V) table from a path or file object.
+
+    Columns are separated by commas or by whitespace; '#' starts a comment.
+    """
     if isinstance(source, (str, bytes)):
-        data = np.loadtxt(source, comments="#", ndmin=2)
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = np.loadtxt(source, comments="#", ndmin=2)
+        name = source
+    elif hasattr(source, "read"):
+        name = getattr(source, "name", "<stream>")
     else:
         raise ConfigError("radial table source must be a path or file "
-                          "object", key="potential.table")
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ConfigError("radial table must have exactly two columns "
-                          "(r, V)", key="potential.table")
+                          "object", key="potential.file")
+    try:
+        if isinstance(source, (str, bytes)):
+            with open(source, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        else:
+            lines = source.read().splitlines()
+        try:
+            data = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            data = np.loadtxt(lines, comments="#", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"radial table {name}: {exc}",
+                          key="potential.file") from exc
+    if data.shape[1] != 2:
+        raise ConfigError(f"radial table {name}: expected two columns r, V",
+                          key="potential.file")
     return TabulatedRadial(r=data[:, 0], v=data[:, 1],
                            interpolation=interpolation)

@@ -23,7 +23,6 @@ from .errors import DomainError
 
 __all__ = [
     "AccuracySpec",
-    "DEFAULT_ACCURACY",
     "bessel_j0",
     "bessel_k0",
     "legendre_p",
@@ -52,9 +51,6 @@ class AccuracySpec:
             raise DomainError("AccuracySpec rel_tol must lie in (0, 1e-6]")
         if not 0 <= self.abs_tol <= 1e-6:
             raise DomainError("AccuracySpec abs_tol must lie in [0, 1e-6]")
-
-
-DEFAULT_ACCURACY = AccuracySpec()
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +119,7 @@ def _j0_asymptotic(x):
     return _SQ2OPI * p / np.sqrt(x)
 
 
-def bessel_j0(x, spec=DEFAULT_ACCURACY):
+def bessel_j0(x):
     """Bessel function of the first kind, order zero. Even in x."""
     if np.isscalar(x):
         xf = float(x)
@@ -185,7 +181,7 @@ def _k0_scaled_tail(x):
     return 2.0 * np.exp(-xs) / np.sqrt(xs) * val
 
 
-def bessel_k0(x, spec=DEFAULT_ACCURACY):
+def bessel_k0(x):
     """Modified Bessel function of the second kind, order zero. x > 0."""
     scalar = np.isscalar(x)
     xa = np.asarray(x, dtype=float)

@@ -171,7 +171,7 @@ max = 0.3
 count = 10
 
 [run]
-sources = eikonal, born1, partial_wave, paper_closed
+sources = eikonal, born1, born_resummed, partial_wave, paper_closed
 threads = {threads}
 
 [output]
@@ -184,7 +184,7 @@ directory = {out}
             assert not manifest.failed
         names = [p.name for p in (tmp_path / "a1").iterdir()
                  if p.suffix == ".csv"]
-        assert len(names) == 9  # 4 sources x 2 k + summary
+        assert len(names) == 11  # 5 sources x 2 k + summary
         for other in ("b1", "c4"):
             for name in names:
                 assert filecmp.cmp(tmp_path / "a1" / name,

@@ -207,6 +207,13 @@ class TestTabulated:
         with pytest.raises(ConfigError):
             parse_config(self._table_config(str(f)))
 
+    def test_unparsable_table(self, tmp_path):
+        f = tmp_path / "garbage.dat"
+        f.write_text("0.0 1.0\n1.0 half\n2.0 0.1\n3.0 0.0\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(self._table_config(str(f)))
+        assert err.value.key == "potential.file"
+
 
 class TestRunConfigDirect:
     def test_output_dir_joined(self, tmp_path):

@@ -11,8 +11,8 @@ from scatterlab.eikonal import (Amplitude, Kinematics, PhaseProfile,
                                 amplitude_eikonal, amplitude_paper_closed,
                                 chi, chi_closed, momentum_transfer,
                                 phase_profile)
-from scatterlab.errors import (DomainError, PoleError, SingularityError,
-                               UnsupportedModelError)
+from scatterlab.errors import (ConvergenceError, DomainError, PoleError,
+                               SingularityError, UnsupportedModelError)
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
 from scatterlab.quadrature import QuadratureSettings
 
@@ -83,6 +83,8 @@ class TestChi:
     def test_yukawa_origin_diverges(self):
         with pytest.raises(SingularityError):
             chi(Yukawa(1.0, 1.0), KIN1, 0.0)
+        with pytest.raises(SingularityError):
+            chi(Yukawa(1.0, 1.0), KIN1, np.array([1.0, 0.0, 2.0]))
         with pytest.raises(SingularityError):
             chi_closed(Yukawa(1.0, 1.0), KIN1, 0.0)
 
@@ -221,6 +223,22 @@ class TestAmplitudeEikonal:
             amplitude_eikonal(Gauss(1.0, 1.0), KIN1, np.pi)
         with pytest.raises(DomainError):
             amplitude_eikonal(Gauss(1.0, 1.0), KIN1, -0.01)
+
+    def test_tail_cut_ignores_block_quadrature_error(self):
+        # the blocks' summed quadrature error (9.17e-12) is above the
+        # tolerance here, but the tail beyond b = 60 is only ~3.6e-22
+        p = Yukawa(0.5, 1.040)
+        got = amplitude_eikonal(p, KIN10, 0.0125)
+        tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-14,
+                                   max_subdivisions=2000)
+        ref = amplitude_eikonal(p, KIN10, 0.0125, tight)
+        assert abs(got.value - ref.value) <= got.error_estimate < 1e-9
+
+    def test_tail_cut_refuses_a_live_tail(self):
+        # range ~32: the tail beyond b = 60 still contributes ~1.1e1
+        with pytest.raises(ConvergenceError) as exc:
+            amplitude_eikonal(Gauss(0.5, 0.001), KIN10, 0.01)
+        assert "tail beyond b = 60" in str(exc.value)
 
     def test_error_estimate_reported(self):
         got = amplitude_eikonal(Yukawa(0.5, 1.0), KIN10, 0.1)

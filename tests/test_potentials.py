@@ -150,6 +150,21 @@ def test_load_radial_table():
         load_radial_table(12345)
 
 
+def test_load_radial_table_separators_and_garbage(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("# r, V\n0.1, 1.0\n0.2,0.8\n0.4, 0.5\n0.9, 0.0\n")
+    tab = load_radial_table(str(path))
+    assert tab.r.tolist() == [0.1, 0.2, 0.4, 0.9]
+    assert tab.v.tolist() == [1.0, 0.8, 0.5, 0.0]
+    for text in ("r V\n0.1 one\n", "0.1, 1.0\n0.2; 0.8\n"):
+        with pytest.raises(ConfigError) as err:
+            load_radial_table(io.StringIO(text))
+        assert err.value.key == "potential.file"
+    with pytest.raises(ConfigError) as err:
+        load_radial_table(str(tmp_path / "missing.txt"))
+    assert err.value.key == "potential.file"
+
+
 def test_scalar_array_round_trip():
     p = Gauss(g=1.0, alpha=1.0)
     assert isinstance(evaluate(p, 1.0), float)

@@ -1,10 +1,13 @@
 """Quadrature routines against closed-form integrals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _oracles import ESTIMATOR_CORPUS
 from scatterlab.errors import ConvergenceError, DivergenceError, DomainError
+from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa, evaluate
 from scatterlab.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
                                    hankel0, integrate_adaptive,
                                    integrate_semi_infinite)
@@ -240,3 +243,85 @@ def test_default_settings_frozen():
     assert DEFAULT_SETTINGS.rel_tol == 1e-10
     with pytest.raises(Exception):
         DEFAULT_SETTINGS.rel_tol = 1e-3
+
+
+# The z-profile routes run with the absolute floor pushed out of the way.
+Z_SETTINGS = dataclasses.replace(DEFAULT_SETTINGS, abs_tol=1e-300)
+
+
+def _z_integrand(p, b):
+    """V(sqrt(b^2 + z^2)) at one impact parameter b."""
+    return lambda z: evaluate(p, np.sqrt(b * b + z * z))
+
+
+def _z_integrand_rows(p, b):
+    """The same integrand, row-batched over the array b."""
+    bb = b * b
+    return lambda i, z: evaluate(p, np.sqrt(bb[i, None] + z * z))
+
+
+def _assert_rows_are_scalar_calls(rows, scalars):
+    assert rows.value.tobytes() == \
+        np.array([s.value for s in scalars]).tobytes()
+    assert rows.error_estimate.tobytes() == \
+        np.array([s.error_estimate for s in scalars], dtype=float).tobytes()
+    assert rows.evaluations == sum(s.evaluations for s in scalars)
+
+
+@pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Yukawa(-1.2, 0.4),
+                               Gauss(0.8, 0.5), Gauss(-0.01, 2.0)])
+def test_semi_infinite_rows_match_scalar_calls(p):
+    b = np.array([0.05, 0.3, 1.0, 2.5, 7.0, 0.3])
+    scalars = [integrate_semi_infinite(_z_integrand(p, bi), Z_SETTINGS)
+               for bi in b]
+    rows = integrate_semi_infinite(_z_integrand_rows(p, b), Z_SETTINGS,
+                                   rows=b.size)
+    _assert_rows_are_scalar_calls(rows, scalars)
+
+
+def test_finite_rows_match_scalar_calls():
+    # per-row limits [0, sqrt(r_hi^2 - b^2)], zero width at and beyond the
+    # end of the table, where the scalar call evaluates nothing
+    r = np.linspace(0.0, 6.0, 400)
+    v = 0.5 * np.exp(-r) / np.sqrt(r * r + 0.25)
+    v[-1] = 0.0
+    p = TabulatedRadial(r, v)
+    b = np.array([0.0, 0.7, 3.0, 5.99, 6.0, 8.0])
+    z_hi = np.sqrt(np.maximum(36.0 - b * b, 0.0))
+    scalars = [integrate_adaptive(_z_integrand(p, bi), 0.0, zi, Z_SETTINGS)
+               for bi, zi in zip(b, z_hi)]
+    rows = integrate_adaptive(_z_integrand_rows(p, b), 0.0, z_hi, Z_SETTINGS,
+                              rows=b.size)
+    _assert_rows_are_scalar_calls(rows, scalars)
+
+
+def test_rows_beyond_the_table_evaluate_nothing():
+    def never(i, x):
+        raise AssertionError("zero-width rows must not be evaluated")
+
+    res = integrate_adaptive(never, 0.0, np.zeros(3), rows=3)
+    assert res.value.tolist() == [0.0, 0.0, 0.0]
+    assert res.error_estimate.tolist() == [0.0, 0.0, 0.0]
+    assert res.evaluations == 0
+
+
+def test_rows_raise_the_scalar_error_types():
+    def spiky(i, x):  # row 1 has an integrable spike the budget cannot fit
+        return np.where(i[:, None] == 1, np.abs(x - 1.0 / 3.0) ** -0.4,
+                        np.exp(-x))
+
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_adaptive(spiky, 0.0, 1.0,
+                           QuadratureSettings(max_subdivisions=8), rows=3)
+    assert type(exc.value) is ConvergenceError
+    assert "row 1" in str(exc.value)
+    assert exc.value.error_estimate > 0.0
+
+    def flat(i, x):  # row 2 decays like 1/x
+        return np.where(i[:, None] == 2, 1.0 / (1.0 + x), np.exp(-x))
+
+    with pytest.raises(DivergenceError):
+        integrate_semi_infinite(flat, rows=3)
+    with pytest.raises(DomainError):
+        integrate_adaptive(lambda i, x: x, 1.0, np.array([2.0, 0.5]), rows=2)
+
