@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eikonal import Amplitude, momentum_transfer
+from .eikonal import (Amplitude, _amplitude, _check_theta,
+                      momentum_transfer)
 from .errors import DomainError
 from .potentials import TabulatedRadial, evaluate, fourier3d
 from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings, hankel0,
@@ -110,28 +111,28 @@ def _lambda_factor_numeric(x, nodes):
 
 def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_BORN, *,
                             lambda_numeric=False):
-    """Resummed Born amplitude at one (small) angle.
+    """Resummed Born amplitude at one (small) angle, or at every angle of a
+    1-d theta array in one Hankel pass (fields are then arrays).
 
     lambda_numeric swaps the closed-form lambda integral for an explicit
     lambda_nodes-point rule; the two must agree to quadrature accuracy.
     """
-    theta = float(theta)
-    if not 0.0 <= theta < np.pi:
-        raise DomainError("theta must lie in [0, pi)")
-    q = float(momentum_transfer(kin.k, theta))
+    th = _check_theta(theta)
+    q = momentum_transfer(kin.k, th)
     hv = kin.hbar * kin.v
     spatial = settings.spatial
 
     def g(b):
-        w = _z_profile(p, np.atleast_1d(np.asarray(b, dtype=float)), spatial)
+        b = np.asarray(b, dtype=float)
+        w = _z_profile(p, b.ravel(), spatial)
         x = -w / hv
         if lambda_numeric:
             lam = _lambda_factor_numeric(x, settings.lambda_nodes)
         else:
             lam = _lambda_factor(x)
-        return w * lam
+        return (w * lam).reshape(b.shape)
 
     res = hankel0(g, q, spatial)
-    value = -(kin.mass / kin.hbar**2) * complex(res.value)
+    value = -(kin.mass / kin.hbar**2) * np.asarray(res.value, dtype=complex)
     err = (kin.mass / kin.hbar**2) * res.error_estimate
-    return Amplitude(theta=theta, q=q, value=value, error_estimate=err)
+    return _amplitude(theta, th, q, value, err)

@@ -225,25 +225,42 @@ def _phase_function(p, kin, phase, settings):
 
 def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS, *,
                       phase="auto", small_angle_q=False):
-    """Glauber amplitude at one angle.
+    """Glauber amplitude at one angle, or at every angle of a 1-d theta
+    array in one Hankel pass (fields are then arrays over the grid).
 
     phase selects the chi route ("auto" prefers the closed form when the
     model has one); small_angle_q switches the J0 argument from
     2k sin(theta/2) to k*theta for approximation-provenance studies.
     """
-    theta = float(theta)
-    if not 0.0 <= theta < np.pi:
-        raise DomainError("theta must lie in [0, pi)")
-    q = float(momentum_transfer(kin.k, theta, small_angle=small_angle_q))
+    th = _check_theta(theta)
+    q = momentum_transfer(kin.k, th, small_angle=small_angle_q)
     chi_fn = _phase_function(p, kin, phase, settings)
 
     def g(b):
         return np.exp(1j * np.asarray(chi_fn(b))) - 1.0
 
     res = hankel0(g, q, settings)
-    value = -1j * kin.k * complex(res.value)
-    return Amplitude(theta=theta, q=q, value=value,
-                     error_estimate=kin.k * res.error_estimate)
+    value = -1j * kin.k * np.asarray(res.value, dtype=complex)
+    return _amplitude(theta, th, q, value, kin.k * res.error_estimate)
+
+
+def _check_theta(theta):
+    """theta as a float array, checked to lie in [0, pi)."""
+    th = np.asarray(theta, dtype=float)
+    if th.ndim > 1:
+        raise DomainError("theta must be a scalar or a 1-d array")
+    if not np.all((th >= 0.0) & (th < np.pi)):
+        raise DomainError("theta must lie in [0, pi)")
+    return th
+
+
+def _amplitude(theta, th, q, value, error_estimate):
+    """Amplitude with scalar fields for a scalar theta, else arrays."""
+    if np.ndim(theta) == 0:
+        return Amplitude(theta=float(th), q=float(q), value=complex(value),
+                         error_estimate=float(error_estimate))
+    return Amplitude(theta=th, q=q, value=value,
+                     error_estimate=error_estimate)
 
 
 def amplitude_paper_closed(p, kin, theta):

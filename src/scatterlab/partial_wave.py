@@ -114,6 +114,12 @@ def _auto_r_max(p, kin, r_eff):
 
 def _numerov_deltas(p, kin, l_arr, r_max, dr):
     """Phase shifts for the given array of l values, one radial sweep."""
+    return _numerov_sweep(p, kin, l_arr, r_max, dr)(np.arange(len(l_arr)))
+
+
+def _numerov_sweep(p, kin, l_arr, r_max, dr):
+    """Integrate every l of l_arr outward in one radial sweep; return
+    deltas(idx), the phase shifts of l_arr[idx], matched on demand."""
     k = kin.k
     h = dr
     h2 = h * h
@@ -133,7 +139,7 @@ def _numerov_deltas(p, kin, l_arr, r_max, dr):
 
     if np.all(base[1:] == -k * k):
         # free equation: nothing scatters
-        return np.zeros(l_arr.shape[0])
+        return lambda idx: np.zeros(len(idx))
 
     la = np.asarray(l_arr, dtype=float)
     ll1 = la * (la + 1.0)
@@ -184,18 +190,23 @@ def _numerov_deltas(p, kin, l_arr, r_max, dr):
 
     r_a, r_b = r[i_a], r[i_b]
     w_a, w_b = u_a / r_a, u_b / r_b
-    deltas = np.empty(la.shape[0])
-    for idx, l in enumerate(l_arr):
-        j_a, n_a = spherical_bessel(int(l), k * r_a)
-        j_b, n_b = spherical_bessel(int(l), k * r_b)
-        num = w_a[idx] * j_b - w_b[idx] * j_a
-        den = w_a[idx] * n_b - w_b[idx] * n_a
-        d = math.atan2(num, den)
-        if d > np.pi / 2:
-            d -= np.pi
-        elif d <= -np.pi / 2:
-            d += np.pi
-        deltas[idx] = d
+
+    def deltas(idx):
+        out = np.empty(len(idx))
+        for n, i in enumerate(idx):
+            l = int(l_arr[i])
+            j_a, n_a = spherical_bessel(l, k * r_a)
+            j_b, n_b = spherical_bessel(l, k * r_b)
+            num = w_a[i] * j_b - w_b[i] * j_a
+            den = w_a[i] * n_b - w_b[i] * n_a
+            d = math.atan2(num, den)
+            if d > np.pi / 2:
+                d -= np.pi
+            elif d <= -np.pi / 2:
+                d += np.pi
+            out[n] = d
+        return out
+
     return deltas
 
 
@@ -211,17 +222,6 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
         raise DomainError("kin must be a Kinematics instance")
     k = kin.k
     r_eff = effective_radius(p)
-
-    if r_max is None:
-        r_max = _auto_r_max(p, kin, r_eff)
-    else:
-        r_max = float(r_max)
-        if r_max <= 0:
-            raise DomainError("r_max must be positive")
-        if _reduced_strength(p, kin, r_max) > _DECAY * k * k:
-            raise RangeError(
-                f"potential has not decayed at r_max = {r_max:g}: "
-                f"|V| 2m/hbar^2 exceeds 1e-12 k^2 there")
     if dr is None:
         dr = min(0.01 / k, 0.005)
     else:
@@ -230,8 +230,20 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
             raise DomainError("dr must be positive")
         if k * dr >= 0.1:
             raise DomainError("k dr must stay below 0.1")
-    # keep the matching radius on the grid
-    r_max = round(r_max / dr) * dr
+
+    if r_max is None:
+        # up onto the dr grid, so that passing the result back is accepted
+        r_max = math.ceil(_auto_r_max(p, kin, r_eff) / dr) * dr
+    else:
+        r_max = float(r_max)
+        if r_max <= 0:
+            raise DomainError("r_max must be positive")
+        if _reduced_strength(p, kin, r_max) > _DECAY * k * k:
+            raise RangeError(
+                f"potential has not decayed at r_max = {r_max:g}: "
+                f"|V| 2m/hbar^2 exceeds 1e-12 k^2 there")
+        # keep the matching radius on the grid
+        r_max = round(r_max / dr) * dr
 
     if l_max is not None:
         if l_max < 0 or l_max != int(l_max):
@@ -241,9 +253,17 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
         return PhaseShiftSet(k=k, l_max=int(l_max), delta=deltas,
                              r_max=r_max, dr=dr)
 
+    # One sweep to l0 + 64 covers the usual tail; it is cut at the first
+    # l0 + 16 j whose |delta| is converged, which gives the l_max and the
+    # bits of extending 16 waves at a time, each l being integrated on its
+    # own. Waves beyond the cut are never matched. Only a longer tail needs
+    # further sweeps.
     l0 = int(np.ceil(k * r_eff)) + 10
-    l_arr = np.arange(0, l0 + 1)
-    deltas = _numerov_deltas(p, kin, l_arr, r_max, dr)
+    match = _numerov_sweep(p, kin, np.arange(0, l0 + 65), r_max, dr)
+    l_cut = next((l for l in range(l0, l0 + 64, 16)
+                  if abs(match([l])[0]) < _TAIL_TOL), l0 + 64)
+    l_arr = np.arange(0, l_cut + 1)
+    deltas = match(l_arr)
     while abs(deltas[-1]) >= _TAIL_TOL:
         if l_arr[-1] > l0 + 400:
             raise ConvergenceError(

@@ -187,14 +187,24 @@ def load_radial_table(source, interpolation="cubic"):
     try:
         if isinstance(source, (str, bytes)):
             with open(source, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+                text = fh.read()
         else:
-            lines = source.read().splitlines()
+            text = source.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"radial table {name}: {exc}",
+                          key="potential.file") from exc
+    lines = text.splitlines()
+    if not any(ln.split("#", 1)[0].strip() for ln in lines):
+        raise ConfigError(f"radial table {name}: no data rows",
+                          key="potential.file")
+    try:
         try:
             data = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
         except ValueError:
             data = np.loadtxt(lines, comments="#", ndmin=2)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"radial table {name}: {exc}",
                           key="potential.file") from exc
     if data.shape[1] != 2:

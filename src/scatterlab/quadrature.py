@@ -18,13 +18,18 @@ integrate_adaptive and integrate_semi_infinite also take rows=m: the call
 then computes m independent integrals of a row-batched integrand
 f(i, x) -> y, where i is an int array of row indices of shape (P,) and x,
 y have shape (P, n); row i of y is the integrand of integral i at the
-points in row i of x. Every row is bisected exactly as the scalar call
-would bisect it (same worst-interval choice, error rule, stopping test,
-subdivision budget and tail-decay check) and returns the same bits, but
-the new panels of one bisection round, across all rows, go to f in one
-call. The result carries per-row value and error_estimate arrays and the
-summed evaluation count; the first failing row raises the scalar call's
-error.
+points in row i of x. Every row keeps its own interval list, so it is
+bisected exactly as a call for that row alone would bisect it (same
+worst-interval choice, error rule, stopping test, subdivision budget and
+tail-decay check) and returns the same bits, but the new panels of one
+bisection round, across all rows, go to f in one call. The result carries
+per-row value and error_estimate arrays and the summed evaluation count;
+the first failing row raises the error of a call for that row alone. A
+scalar call is the one-row case of the same loop.
+
+hankel0 batches the same way over a 1-d array of q: each q keeps its own
+block series, and one round integrates the current block of every q in
+one row-batched call. A scalar q is the one-row case of that loop.
 """
 
 from dataclasses import dataclass
@@ -117,53 +122,54 @@ def _qk_error(resk, resg, resabs, resasc):
     """QUADPACK error estimate of one GK15 panel from its K15 and G7 sums
     and its |f| and |f - mean| moments."""
     # Scalar arithmetic on purpose: numpy's vectorised power differs from
-    # the scalar one in the last bit for some arguments, so the batched
-    # path maps this over its panels to stay bit-identical.
+    # the scalar one in the last bit for some arguments, so this is mapped
+    # over the panels to keep the bits of the scalar formula.
     err = abs(resk - resg)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     return max(err, 50.0 * _EPS * resabs)
 
 
-def _gk15(f, a, b):
-    """One Gauss-Kronrod panel: (K15 value, error estimate, evaluations)."""
-    center = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    y = np.asarray(f(center + hw * _NODES))
-    if y.shape != _NODES.shape:
-        raise DomainError("integrand must map an ndarray to an ndarray "
-                          "of the same shape")
-    if not np.all(np.isfinite(np.abs(y))):
-        raise DomainError(f"integrand returned non-finite values on "
-                          f"[{a!r}, {b!r}]")
-    resk = hw * np.sum(_WK * y)
-    resg = hw * np.sum(_WG * y[1::2])
-    resabs = abs(hw) * np.sum(_WK * np.abs(y))
-    mean = resk / (b - a) if b != a else 0.0
-    resasc = abs(hw) * np.sum(_WK * np.abs(y - mean))
-    return resk, _qk_error(resk, resg, resabs, resasc), 15
+def _row_label(row):
+    return f" in row {row}"
 
 
-def _gk15_rows(f, rows, a, b):
+def _no_label(row):
+    return ""
+
+
+def _one_row(f):
+    """The integrand f(x) of a scalar call as the row-batched integrand of
+    a one-row call: f still sees the nodes of one panel at a time."""
+    def f_rows(i, x):
+        y = [np.asarray(f(xr)) for xr in x]
+        if any(yr.shape != xr.shape for yr, xr in zip(y, x)):
+            raise DomainError("integrand must map an ndarray to an ndarray "
+                              "of the same shape")
+        return np.array(y)
+    return f_rows
+
+
+def _gk15_rows(f, rows, a, b, label=_row_label):
     """GK15 panels [a[j], b[j]] of the row-batched f, row rows[j], in one
-    call to f: (K15 values, error estimates), each as _gk15 computes it."""
+    call to f: (K15 values, error estimates)."""
     center = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     y = np.asarray(f(rows, center[:, None] + hw[:, None] * _NODES))
     if y.shape != (len(a), _NODES.size):
         raise DomainError("row-batched integrand must map (P, n) points to "
                           "a (P, n) ndarray")
-    finite = np.all(np.isfinite(np.abs(y)), axis=1)
+    finite = np.isfinite(np.abs(y)).all(axis=1)
     if not finite.all():
         j = np.argmin(finite)
         raise DomainError(f"integrand returned non-finite values on "
-                          f"[{float(a[j])!r}, {float(b[j])!r}] in row "
-                          f"{rows[j]}")
-    resk = hw * np.sum(_WK * y, axis=1)
-    resg = hw * np.sum(_WG * y[:, 1::2], axis=1)
-    resabs = np.abs(hw) * np.sum(_WK * np.abs(y), axis=1)
+                          f"[{float(a[j])!r}, {float(b[j])!r}]"
+                          f"{label(rows[j])}")
+    resk = hw * (_WK * y).sum(axis=1)
+    resg = hw * (_WG * y[:, 1::2]).sum(axis=1)
+    resabs = np.abs(hw) * (_WK * np.abs(y)).sum(axis=1)
     mean = np.divide(resk, b - a, out=np.zeros_like(resk), where=b != a)
-    resasc = np.abs(hw) * np.sum(_WK * np.abs(y - mean[:, None]), axis=1)
+    resasc = np.abs(hw) * (_WK * np.abs(y - mean[:, None])).sum(axis=1)
     err = np.array(list(map(_qk_error, resk, resg, resabs, resasc)))
     return resk, err
 
@@ -176,42 +182,19 @@ def _split_worst(intervals):
     return wa, 0.5 * (wa + wb), wb
 
 
-def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions):
-    """Worst-interval bisection. Returns (value, error, evaluations)."""
-    val, err, neval = _gk15(f, a, b)
-    intervals = [(err, a, b, val)]
-    splits = 0
-    total = val
-    total_err = err
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if splits >= max_subdivisions:
-            raise ConvergenceError(
-                f"quadrature budget of {max_subdivisions} subdivisions "
-                f"exhausted (error estimate {total_err:.3e})",
-                estimate=total, error_estimate=total_err)
-        wa, mid, wb = _split_worst(intervals)
-        v1, e1, n1 = _gk15(f, wa, mid)
-        v2, e2, n2 = _gk15(f, mid, wb)
-        intervals.append((e1, wa, mid, v1))
-        intervals.append((e2, mid, wb, v2))
-        neval += n1 + n2
-        splits += 1
-        total = sum(iv[3] for iv in intervals)
-        total_err = sum(iv[0] for iv in intervals)
-    return total, total_err, neval
+def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
+                   label=_row_label):
+    """Worst-interval bisection of the row-batched f over [a[j], b[j]] for
+    row rows[j].
 
-
-def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions):
-    """_adaptive of the row-batched f over [a[j], b[j]] for row rows[j].
-
-    Each row keeps its own interval list and is bisected exactly as
-    _adaptive would bisect it; one round bisects the worst interval of
-    every unfinished row, evaluating all new panels in one call. Returns
-    (values, errors, evaluations), the last summed over rows.
+    Each row keeps its own interval list; one round bisects the worst
+    interval of every unfinished row, evaluating all new panels in one
+    call. Returns (values, errors, evaluations), the last summed over rows.
+    label(row) names a failing row in the error message.
     """
     if len(a) == 0:
         return np.zeros(0), np.zeros(0), 0
-    vals, errs = _gk15_rows(f, rows, a, b)
+    vals, errs = _gk15_rows(f, rows, a, b, label)
     intervals = [[iv] for iv in zip(errs, a, b, vals)]
     totals = list(vals)
     total_errs = list(errs)
@@ -227,13 +210,13 @@ def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions):
             j = live[0]
             raise ConvergenceError(
                 f"quadrature budget of {max_subdivisions} subdivisions "
-                f"exhausted in row {rows[j]} (error estimate "
+                f"exhausted{label(rows[j])} (error estimate "
                 f"{total_errs[j]:.3e})",
                 estimate=totals[j], error_estimate=total_errs[j])
         cuts = [_split_worst(intervals[j]) for j in live]
         lo = np.array([x for wa, mid, _ in cuts for x in (wa, mid)])
         hi = np.array([x for _, mid, wb in cuts for x in (mid, wb)])
-        v, e = _gk15_rows(f, rows[np.repeat(live, 2)], lo, hi)
+        v, e = _gk15_rows(f, rows[np.repeat(live, 2)], lo, hi, label)
         for n, j in enumerate(live):
             iv = intervals[j]
             iv.append((e[2 * n], lo[2 * n], hi[2 * n], v[2 * n]))
@@ -245,28 +228,32 @@ def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions):
         splits += 1
 
 
-def integrate_adaptive(f, a, b, settings=DEFAULT_SETTINGS, *, rows=None):
+def integrate_adaptive(f, a, b, settings=DEFAULT_SETTINGS, *, rows=None,
+                       label=_row_label):
     """Integrate f over the finite interval [a, b] (a <= b).
 
     rows=m integrates the row-batched f(i, x) over [a[i], b[i]] for each
     i < m, with a and b broadcast to shape (m,); see the module docstring.
+    label(i) names row i in error messages.
     """
-    if rows is not None:
-        a, b = (np.broadcast_to(np.asarray(e, dtype=float), (rows,))
-                for e in (a, b))
+    if rows is None:
+        res = integrate_adaptive(_one_row(f), a, b, settings, rows=1,
+                                 label=_no_label)
+        return QuadratureResult(res.value[0], res.error_estimate[0],
+                                res.evaluations)
+    a, b = (np.broadcast_to(np.asarray(e, dtype=float), (rows,))
+            for e in (a, b))
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("integrate_adaptive requires finite endpoints")
     if np.any(a > b):
-        raise DomainError(f"interval endpoints out of order: {a!r} > {b!r}")
+        j = np.argmax(a > b)
+        raise DomainError(f"interval endpoints out of order: "
+                          f"{float(a[j])!r} > {float(b[j])!r}{label(j)}")
     tols = (settings.abs_tol, settings.rel_tol, settings.max_subdivisions)
-    if rows is None:
-        if a == b:
-            return QuadratureResult(0.0, 0.0, 0)
-        return QuadratureResult(*_adaptive(f, a, b, *tols))
-    # zero-width rows integrate to 0 without evaluations, as in the scalar
-    # call
+    # zero-width rows integrate to 0 without evaluations
     live = np.flatnonzero(a != b)
-    val, err, neval = _adaptive_rows(f, live, a[live], b[live], *tols)
+    val, err, neval = _adaptive_rows(f, live, a[live], b[live], *tols,
+                                     label)
     value = np.zeros(rows, dtype=val.dtype)
     value[live] = val
     error = np.zeros(rows)
@@ -274,15 +261,12 @@ def integrate_adaptive(f, a, b, settings=DEFAULT_SETTINGS, *, rows=None):
     return QuadratureResult(value, error, neval)
 
 
-def _check_tail_decay(f, settings, rows=None):
+def _check_tail_decay(f, settings, rows, label):
     # |x f(x)| must shrink along tail_cut * (1, 2, 4); anything flatter makes
     # the improper integral look divergent (covers 1/x and slower decay).
     t = settings.tail_cut
     pts = np.array([t, 2.0 * t, 4.0 * t])
-    if rows is None:
-        y = np.asarray(f(pts))[None]
-    else:
-        y = np.asarray(f(np.arange(rows), np.tile(pts, (rows, 1))))
+    y = np.asarray(f(np.arange(rows), np.tile(pts, (rows, 1))))
     s = np.abs(y) * pts
     flat = s[:, 2] > np.maximum(0.9 * s[:, 0], settings.abs_tol)
     if flat.any():
@@ -290,29 +274,31 @@ def _check_tail_decay(f, settings, rows=None):
         raise DivergenceError(
             f"integrand tail does not decay: |x f(x)| at x = "
             f"({t:g}, {2*t:g}, {4*t:g}) is ({s[j, 0]:.3e}, {s[j, 1]:.3e}, "
-            f"{s[j, 2]:.3e})" + ("" if rows is None else f" in row {j}"))
+            f"{s[j, 2]:.3e}){label(j)}")
     return 3 * len(s)
 
 
-def integrate_semi_infinite(f, settings=DEFAULT_SETTINGS, *, rows=None):
+def integrate_semi_infinite(f, settings=DEFAULT_SETTINGS, *, rows=None,
+                            label=_row_label):
     """Integrate f over [0, inf) after mapping x = t/(1-t) onto [0, 1).
 
     rows=m integrates the row-batched f(i, x) for each i < m; see the
-    module docstring.
+    module docstring. label(i) names row i in error messages.
     """
-    neval = _check_tail_decay(f, settings, rows)
+    if rows is None:
+        res = integrate_semi_infinite(_one_row(f), settings, rows=1,
+                                      label=_no_label)
+        return QuadratureResult(res.value[0], res.error_estimate[0],
+                                res.evaluations)
+    neval = _check_tail_decay(f, settings, rows, label)
 
-    def mapped(*args):  # (t), or (i, t) for a row-batched f
-        *head, t = args
+    def mapped(i, t):
         u = 1.0 - t
-        return np.asarray(f(*head, t / u)) / (u * u)
+        return np.asarray(f(i, t / u)) / (u * u)
 
     tols = (settings.abs_tol, settings.rel_tol, settings.max_subdivisions)
-    if rows is None:
-        val, err, n = _adaptive(mapped, 0.0, 1.0, *tols)
-    else:
-        val, err, n = _adaptive_rows(mapped, np.arange(rows), np.zeros(rows),
-                                     np.ones(rows), *tols)
+    val, err, n = _adaptive_rows(mapped, np.arange(rows), np.zeros(rows),
+                                 np.ones(rows), *tols, label)
     return QuadratureResult(val, err, neval + n)
 
 
@@ -330,96 +316,170 @@ def _euler_diagonal(terms):
     return diag
 
 
-def hankel0(g, q, settings=DEFAULT_SETTINGS):
-    """Evaluate int_0^inf g(b) J0(q b) b db.
+class _BlockSeries:
+    """hankel0's oscillatory route for one q, fed one block at a time.
 
-    The axis is cut at the zeros of J0(q b); blocks are integrated adaptively
-    and summed directly for settings.oscillatory_blocks blocks, after which
-    the alternating block series is Euler-accelerated. Truncation beyond
-    settings.tail_cut assumes a decaying envelope and is folded into the
-    reported error. q at or below 1e-12/tail_cut is treated as
-    non-oscillatory.
+    The axis is cut at the zeros of J0(q b). The head block [0, first zero]
+    comes first; the next settings.oscillatory_blocks blocks are summed
+    directly, after which the alternating block series is Euler-accelerated.
+    next_block() names the block to integrate next, or returns None once
+    the series has converged or reached settings.tail_cut.
     """
-    if q < 0:
-        raise DomainError("hankel0 requires q >= 0")
-    if q <= 1e-12 / settings.tail_cut:
-        return integrate_semi_infinite(lambda b: np.asarray(g(b)) * b,
-                                       settings)
 
-    def integrand(b):
-        return np.asarray(g(b)) * bessel_j0(q * b) * b
+    def __init__(self, q, settings):
+        self.q = q
+        self.settings = settings
+        self.zeros = j0_zeros(int(q * settings.tail_cut / 3.0) + 2) / q
+        self.head = None
+        self.blocks = []
+        self.tail_terms = []
+        self.value_direct = 0.0
+        self.tail_value = 0.0
+        self.quad_err = 0.0
+        self.acc_err = 0.0
+        self.trunc_err = 0.0
+        self.small_streak = 0
+        self.done = False
 
-    first_zero = j0_zeros(1)[0] / q
-    if first_zero >= settings.tail_cut:
-        return integrate_semi_infinite(integrand, settings)
+    def next_block(self):
+        if self.head is None:
+            return 0.0, self.zeros[0]
+        s = self.settings
+        i = len(self.blocks)
+        if i + 1 >= len(self.zeros):
+            self.zeros = j0_zeros(len(self.zeros) + 64) / self.q
+        lo, hi = self.zeros[i], self.zeros[i + 1]
+        if lo < s.tail_cut:
+            return lo, hi
+        # Decaying envelope: the untouched alternating tail is bounded by
+        # the last block. If that bound (plus acceleration error) exceeds
+        # the requested tolerance, the cut is refusing work the caller
+        # asked for, so fail loudly instead of degrading. The blocks' own
+        # quadrature error says nothing about the tail: it is reported,
+        # not tested here.
+        last = abs(self.blocks[-1]) if self.blocks else abs(self.head)
+        best = self.value_direct + self.tail_value
+        tol_eff = max(s.abs_tol, s.rel_tol * abs(best))
+        if self.acc_err + last > tol_eff:
+            raise ConvergenceError(
+                f"hankel0 tail beyond b = {s.tail_cut:g} still contributes "
+                f"~{last:.3e} at q = {float(self.q)!r}; raise tail_cut or "
+                f"oscillatory_blocks",
+                estimate=best,
+                error_estimate=self.quad_err + self.acc_err + last,
+                partial_sums=list(np.cumsum([self.head] + self.blocks)))
+        self.trunc_err = last
+        self.done = True
+        return None
 
-    boundaries = j0_zeros(int(q * settings.tail_cut / 3.0) + 2) / q
-    block_abs = 0.25 * settings.abs_tol
-    head_val, head_err, neval = _adaptive(
-        integrand, 0.0, boundaries[0], block_abs, settings.rel_tol,
-        settings.max_subdivisions)
-
-    direct_target = settings.oscillatory_blocks
-    value_direct = head_val
-    quad_err = head_err
-    blocks = []
-    tail_terms = []
-    tail_value = 0.0
-    acc_err = 0.0
-    trunc_err = 0.0
-    small_streak = 0
-    i = 0
-    while True:
-        if i + 1 >= len(boundaries):
-            boundaries = j0_zeros(len(boundaries) + 64) / q
-        lo, hi = boundaries[i], boundaries[i + 1]
-        if lo >= settings.tail_cut:
-            # Decaying envelope: the untouched alternating tail is bounded
-            # by the last block. If that bound (plus acceleration error)
-            # exceeds the requested tolerance, the cut is refusing work the
-            # caller asked for, so fail loudly instead of degrading. The
-            # blocks' own quadrature error says nothing about the tail: it
-            # is reported, not tested here.
-            last = abs(blocks[-1]) if blocks else abs(head_val)
-            best = value_direct + tail_value
-            tol_eff = max(settings.abs_tol, settings.rel_tol * abs(best))
-            if acc_err + last > tol_eff:
-                partial = list(np.cumsum([head_val] + blocks))
-                raise ConvergenceError(
-                    f"hankel0 tail beyond b = {settings.tail_cut:g} still "
-                    f"contributes ~{last:.3e}; raise tail_cut or "
-                    f"oscillatory_blocks",
-                    estimate=best, error_estimate=quad_err + acc_err + last,
-                    partial_sums=partial)
-            trunc_err = last
-            break
-        val, err, n = _adaptive(integrand, lo, hi, block_abs,
-                                settings.rel_tol, settings.max_subdivisions)
-        blocks.append(val)
-        quad_err += err
-        neval += n
-        i += 1
-        if len(blocks) <= direct_target:
-            value_direct += val
+    def add(self, val, err):
+        """Fold in the integral of the block next_block() named."""
+        self.quad_err += err
+        if self.head is None:
+            self.head = self.value_direct = val
+            return
+        s = self.settings
+        self.blocks.append(val)
+        if len(self.blocks) <= s.oscillatory_blocks:
+            self.value_direct += val
         else:
-            tail_terms.append(val)
-            diag = _euler_diagonal(tail_terms)
-            tail_value = diag[-1]
+            self.tail_terms.append(val)
+            diag = _euler_diagonal(self.tail_terms)
+            self.tail_value = diag[-1]
             if len(diag) >= 2:
-                acc_err = abs(diag[-1] - diag[-2])
-        scale = abs(value_direct + tail_value)
-        tol_eff = max(settings.abs_tol, settings.rel_tol * scale)
+                self.acc_err = abs(diag[-1] - diag[-2])
+        scale = abs(self.value_direct + self.tail_value)
+        tol_eff = max(s.abs_tol, s.rel_tol * scale)
         if abs(val) <= 0.05 * tol_eff:
-            small_streak += 1
-            if small_streak >= 2:
-                if tail_terms:
-                    tail_value = sum(tail_terms)
-                    acc_err = abs(val)
-                break
+            self.small_streak += 1
+            if self.small_streak >= 2:
+                if self.tail_terms:
+                    self.tail_value = sum(self.tail_terms)
+                    self.acc_err = abs(val)
+                self.done = True
+                return
         else:
-            small_streak = 0
-        if tail_terms and len(diag) >= 3 and acc_err <= 0.5 * tol_eff:
-            break
+            self.small_streak = 0
+        if len(self.tail_terms) >= 3 and self.acc_err <= 0.5 * tol_eff:
+            self.done = True
 
-    value = value_direct + tail_value
-    return QuadratureResult(value, quad_err + acc_err + trunc_err, neval)
+    def result(self):
+        return (self.value_direct + self.tail_value,
+                self.quad_err + self.acc_err + self.trunc_err)
+
+
+def hankel0(g, q, settings=DEFAULT_SETTINGS):
+    """Evaluate int_0^inf g(b) J0(q b) b db for a scalar q, or for each q
+    of a 1-d array in one pass.
+
+    For each q the axis is cut at the zeros of J0(q b); blocks are
+    integrated adaptively and summed directly for settings.oscillatory_blocks
+    blocks, after which the alternating block series is Euler-accelerated.
+    Truncation beyond settings.tail_cut assumes a decaying envelope and is
+    folded into the reported error. q at or below 1e-12/tail_cut, and q
+    whose first zero lies beyond tail_cut, are integrated as plain
+    semi-infinite integrals instead.
+
+    g must act elementwise on an ndarray of any shape: each round hands it
+    the nodes of the current block of every q at once. Row j of an array
+    call carries the bits of the scalar call at q[j]; value and
+    error_estimate are then (n,) arrays and evaluations the sum over rows.
+    The first failing q raises the scalar call's error, naming that q.
+    """
+    scalar = np.ndim(q) == 0
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    if qs.ndim != 1:
+        raise DomainError("hankel0 takes a scalar q or a 1-d array of q")
+    if not np.all(qs >= 0.0) or not np.all(np.isfinite(qs)):
+        raise DomainError("hankel0 requires finite q >= 0")
+    tiny = qs <= 1e-12 / settings.tail_cut
+
+    def integrand(i, b):
+        y = np.asarray(g(b))
+        osc = ~tiny[i]
+        if osc.all():
+            return y * bessel_j0(qs[i, None] * b) * b
+        # rows with q ~ 0 integrate g(b) b, without J0
+        j0 = np.ones(b.shape)
+        j0[osc] = bessel_j0(qs[i[osc], None] * b[osc])
+        return np.where(osc[:, None], y * j0, y) * b
+
+    def label(i):
+        return f" at q = {float(qs[i])!r}"
+
+    with np.errstate(divide="ignore"):
+        semi = tiny | (j0_zeros(1)[0] / qs >= settings.tail_cut)
+    value = [0.0] * qs.size
+    error = [0.0] * qs.size
+    neval = 0
+
+    rows = np.flatnonzero(semi)
+    if rows.size:
+        res = integrate_semi_infinite(
+            lambda i, b: integrand(rows[i], b), settings, rows=rows.size,
+            label=lambda i: label(rows[i]))
+        for n, j in enumerate(rows):
+            value[j], error[j] = res.value[n], res.error_estimate[n]
+        neval += res.evaluations
+
+    series = {j: _BlockSeries(qs[j], settings) for j in np.flatnonzero(~semi)}
+    block_abs = 0.25 * settings.abs_tol
+    while series:
+        todo = [(j, blk) for j, s in series.items()
+                if (blk := s.next_block()) is not None]
+        live = np.array([j for j, _ in todo], dtype=int)
+        lo, hi = np.reshape([blk for _, blk in todo], (-1, 2)).T
+        val, err, n = _adaptive_rows(integrand, live, lo, hi, block_abs,
+                                     settings.rel_tol,
+                                     settings.max_subdivisions, label)
+        neval += n
+        for m, j in enumerate(live):
+            series[j].add(val[m], err[m])
+        for j in list(series):
+            if series[j].done:
+                value[j], error[j] = series.pop(j).result()
+
+    if scalar:
+        return QuadratureResult(value[0], error[0], neval)
+    return QuadratureResult(np.array(value), np.array(error, dtype=float),
+                            neval)

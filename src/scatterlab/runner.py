@@ -78,12 +78,6 @@ def _csv_name(source, k):
 
 def _amplitude_rows(cfg, source, kin, theta):
     """Per-angle amplitudes as (q, value, err) arrays plus row warnings."""
-    n = theta.size
-    q = np.empty(n)
-    value = np.empty(n, dtype=complex)
-    err = np.zeros(n)
-    warnings = []
-
     if source == "partial_wave":
         ps = phase_shifts(cfg.potential, kin,
                           l_max=cfg.partial_wave.l_max,
@@ -92,20 +86,28 @@ def _amplitude_rows(cfg, source, kin, theta):
         amp = amplitude_partial_wave(ps, theta)
         return (np.asarray(amp.q, dtype=float),
                 np.asarray(amp.value, dtype=complex),
-                np.full(n, float(np.max(np.atleast_1d(amp.error_estimate)))),
-                warnings)
+                np.full(theta.size,
+                        float(np.max(np.atleast_1d(amp.error_estimate)))),
+                [])
+    if source == "eikonal":
+        amp = amplitude_eikonal(cfg.potential, kin, theta,
+                                settings=cfg.quadrature)
+        return amp.q, amp.value, amp.error_estimate, []
+    if source == "born_resummed":
+        amp = born_resummed_amplitude(cfg.potential, kin, theta,
+                                      settings=BornSettings(
+                                          spatial=cfg.quadrature))
+        return amp.q, amp.value, amp.error_estimate, []
 
-    born_settings = BornSettings(spatial=cfg.quadrature)
+    n = theta.size
+    q = np.empty(n)
+    value = np.empty(n, dtype=complex)
+    err = np.zeros(n)
+    warnings = []
     for i, t in enumerate(theta):
         t = float(t)
-        if source == "eikonal":
-            a = amplitude_eikonal(cfg.potential, kin, t,
-                                  settings=cfg.quadrature)
-        elif source == "born1":
+        if source == "born1":
             a = born1_amplitude(cfg.potential, kin, t)
-        elif source == "born_resummed":
-            a = born_resummed_amplitude(cfg.potential, kin, t,
-                                        settings=born_settings)
         else:  # paper_closed
             try:
                 a = amplitude_paper_closed(cfg.potential, kin, t)

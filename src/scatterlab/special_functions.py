@@ -54,13 +54,23 @@ class AccuracySpec:
 
 
 # ---------------------------------------------------------------------------
-# J0: power series below the branch point, Hankel-form rational fit beyond.
-# The |x| >= 8 branch uses the Cephes (Moshier) rational coefficients for the
-# modulus/phase functions; the series branch is summed exactly with fsum so
-# the x = 8 seam agrees to well under 1e-12.
+# J0: the Cephes (Moshier) approximations. For |x| <= 5 a rational in
+# z = x^2 with the first two zeros j_{0,1}^2, j_{0,2}^2 factored out; beyond,
+# the Hankel asymptotic form with rational fits of its modulus and phase
+# functions in 25/x^2. Both are plain arithmetic plus numpy's cos/sin/sqrt,
+# so a Python float and an ndarray element get the same bits.
 # ---------------------------------------------------------------------------
 
-_J0_BRANCH = 8.0
+_J0_BRANCH = 5.0
+
+_RP = (-4.79443220978201773821e9, 1.95617491946556577543e12,
+       -2.49248344360967716204e14, 9.70862251047306323952e15)
+_RQ = (4.99563147152651017219e2, 1.73785401676374683123e5,
+       4.84409658339962045305e7, 1.11855537045356834862e10,
+       2.11277520115489217587e12, 3.10518229857422583814e14,
+       3.18121955943204943306e16, 1.71086294081043136091e18)
+_DR1 = 5.78318596294678452118e0
+_DR2 = 3.04712623436620863991e1
 
 _PP = (7.96936729297347051624e-4, 8.28352392107440799803e-2,
        1.23953371646414299388e0, 5.44725003058768775090e0,
@@ -96,18 +106,9 @@ def _p1evl(x, coeffs):
     return r
 
 
-def _j0_series(x):
-    # Sum_{n} (-x^2/4)^n / (n!)^2, exact accumulation. Largest intermediate
-    # term at x=8 is ~114, so fsum keeps the cancellation at the eps level.
-    w = -0.25 * x * x
-    term = 1.0
-    terms = [term]
-    n = 0
-    while abs(term) > 1e-20 and n < 60:
-        n += 1
-        term *= w / (n * n)
-        terms.append(term)
-    return math.fsum(terms)
+def _j0_rational(x):
+    z = x * x
+    return (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _p1evl(z, _RQ)
 
 
 def _j0_asymptotic(x):
@@ -122,22 +123,19 @@ def _j0_asymptotic(x):
 def bessel_j0(x):
     """Bessel function of the first kind, order zero. Even in x."""
     if np.isscalar(x):
-        xf = float(x)
-        if not math.isfinite(xf):
+        ax = abs(float(x))
+        if not math.isfinite(ax):
             raise DomainError("bessel_j0 requires finite input")
-        ax = abs(xf)
-        if ax < _J0_BRANCH:
-            return _j0_series(ax)
+        if ax <= _J0_BRANCH:
+            return _j0_rational(ax)
         return float(_j0_asymptotic(ax))
     ax = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(ax)):
         raise DomainError("bessel_j0 requires finite input")
     out = np.empty_like(ax)
-    small = ax < _J0_BRANCH
-    if small.any():
-        out[small] = [_j0_series(v) for v in ax[small]]
-    if (~small).any():
-        out[~small] = _j0_asymptotic(ax[~small])
+    small = ax <= _J0_BRANCH
+    out[small] = _j0_rational(ax[small])
+    out[~small] = _j0_asymptotic(ax[~small])
     return out
 
 
@@ -296,10 +294,10 @@ _J0_ZEROS_LOCK = threading.Lock()
 
 
 def _bisect_j0(lo, hi):
-    flo = _j0_series(lo) if lo < _J0_BRANCH else float(_j0_asymptotic(lo))
+    flo = bessel_j0(lo)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fmid = _j0_series(mid) if mid < _J0_BRANCH else float(_j0_asymptotic(mid))
+        fmid = bessel_j0(mid)
         if flo * fmid <= 0.0:
             hi = mid
         else:

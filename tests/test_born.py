@@ -90,6 +90,21 @@ class TestBornResummed:
         fr = born_resummed_amplitude(p, KIN10, 0.05)
         assert abs(fr.value - fe.value) / abs(fe.value) < 1e-6
 
+    @pytest.mark.parametrize("p, lambda_numeric", [
+        (Yukawa(0.5, 1.0), False),
+        (Gauss(0.8, 0.5), True),
+    ])
+    def test_theta_array_equals_per_angle_calls(self, p, lambda_numeric):
+        theta = np.array([0.0, 0.02, 0.1, 0.3])
+        kw = dict(lambda_numeric=lambda_numeric)
+        got = born_resummed_amplitude(p, KIN10, theta, **kw)
+        each = [born_resummed_amplitude(p, KIN10, float(t), **kw)
+                for t in theta]
+        assert got.q.tolist() == [a.q for a in each]
+        assert got.value.tolist() == [a.value for a in each]
+        assert got.error_estimate.tolist() == [a.error_estimate
+                                               for a in each]
+
     def test_lambda_numeric_cross_check(self):
         p = Yukawa(0.5, 1.0)
         f1 = born_resummed_amplitude(p, KIN10, 0.05)

@@ -245,6 +245,29 @@ class TestAmplitudeEikonal:
         assert got.error_estimate > 0.0
         assert got.error_estimate < 1e-8
 
+    @pytest.mark.parametrize("p, phase, small_angle_q", [
+        (Yukawa(0.5, 1.0), "auto", False),
+        (Yukawa(0.5, 1.0), "auto", True),
+        (Gauss(0.8, 0.5), "quadrature", False),
+    ])
+    def test_theta_array_equals_per_angle_calls(self, p, phase,
+                                                small_angle_q):
+        theta = np.array([0.0, 0.01, 0.05, 0.2, 0.6])
+        kw = dict(phase=phase, small_angle_q=small_angle_q)
+        got = amplitude_eikonal(p, KIN10, theta, **kw)
+        each = [amplitude_eikonal(p, KIN10, float(t), **kw) for t in theta]
+        assert got.theta.tolist() == theta.tolist()
+        assert got.q.tolist() == [a.q for a in each]
+        assert got.value.tolist() == [a.value for a in each]
+        assert got.error_estimate.tolist() == [a.error_estimate
+                                               for a in each]
+
+    def test_theta_array_domain(self):
+        with pytest.raises(DomainError):
+            amplitude_eikonal(Gauss(1.0, 1.0), KIN1, np.array([0.1, np.pi]))
+        with pytest.raises(DomainError):
+            amplitude_eikonal(Gauss(1.0, 1.0), KIN1, np.zeros((2, 2)))
+
 
 class TestPaperClosedForms:
     def test_yukawa_magnitude_matches_weak_coupling(self):

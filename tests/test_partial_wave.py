@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
+from scatterlab import partial_wave
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.errors import DomainError, RangeError
 from scatterlab.partial_wave import (PhaseShiftSet, amplitude_partial_wave,
@@ -140,6 +141,45 @@ class TestPhaseShifts:
         with pytest.raises(DomainError):
             phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0),
                          l_max=20)
+
+    def test_auto_r_max_round_trips(self):
+        # the automatic r_max lands on the dr grid at or beyond the decay
+        # point, so passing it back is accepted and changes nothing
+        p, kin = Yukawa(0.48829, 1.0), Kinematics(mass=1.0, k=10.0)
+        ps = phase_shifts(p, kin)
+        again = phase_shifts(p, kin, r_max=ps.r_max, dr=ps.dr)
+        assert again.r_max == ps.r_max
+        assert again.l_max == ps.l_max
+        assert again.delta.tobytes() == ps.delta.tobytes()
+
+    @pytest.mark.parametrize("p, k, sweeps", [
+        (Yukawa(0.5, 1.0), 10.0, 1),
+        (Yukawa(5.0, 0.5), 10.0, 3),  # tail beyond l0 + 64
+    ])
+    def test_auto_l_max_sweeps_once_and_trims(self, monkeypatch, p, k,
+                                              sweeps):
+        # l_max is the first l0 + 16 j with a converged |delta|, found in
+        # one sweep to l0 + 64; only a longer tail adds 16-wave sweeps
+        calls = []
+        sweep = partial_wave._numerov_sweep
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return sweep(*args)
+
+        monkeypatch.setattr(partial_wave, "_numerov_sweep", counted)
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        assert len(calls) == sweeps
+        l0 = math.ceil(k * effective_radius(p)) + 10
+        assert (ps.l_max - l0) % 16 == 0
+        assert all(abs(ps.delta[l]) >= partial_wave._TAIL_TOL
+                   for l in range(l0, ps.l_max, 16))
+        if sweeps == 1:
+            # each l is integrated on its own: trimming keeps its bits
+            same = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
+                                dr=ps.dr)
+            assert same.delta.tobytes() == ps.delta.tobytes()
 
     def test_explicit_l_max_accepted_when_converged(self):
         ps_auto = phase_shifts(Yukawa(0.5, 1.0), KIN2)

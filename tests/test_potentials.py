@@ -1,6 +1,7 @@
 """Potential models, transforms, and table ingestion."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -171,3 +172,12 @@ def test_scalar_array_round_trip():
     assert evaluate(p, np.array([1.0])).shape == (1,)
     assert isinstance(fourier3d(p, 1.0), float)
     assert fourier3d(p, np.array([0.5, 1.0])).shape == (2,)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# r V\n# nothing yet\n"])
+def test_load_radial_table_without_data_rows(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="no data rows") as err:
+            load_radial_table(io.StringIO(text))
+    assert err.value.key == "potential.file"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import ESTIMATOR_CORPUS
+from scatterlab.eikonal import Kinematics, chi, chi_closed
 from scatterlab.errors import ConvergenceError, DivergenceError, DomainError
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa, evaluate
 from scatterlab.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
@@ -325,3 +326,76 @@ def test_rows_raise_the_scalar_error_types():
     with pytest.raises(DomainError):
         integrate_adaptive(lambda i, x: x, 1.0, np.array([2.0, 0.5]), rows=2)
 
+
+# hankel0 over an array of q: q = 0 and 1e-15 take the non-oscillatory
+# route, 0.03 has its first J0 zero beyond tail_cut = 60, and at 5.9 the
+# series runs well past oscillatory_blocks, so Euler acceleration engages.
+HANKEL_Q = np.array([0.0, 1e-15, 0.03, 0.4, 2.0, 5.9])
+
+
+def _eikonal_profile(p, kin, phase):
+    phase_fn = chi_closed if phase == "closed" else chi
+    return lambda b: np.exp(1j * phase_fn(p, kin, b)) - 1.0
+
+
+def _table(r_hi=8.0, n=300):
+    r = np.linspace(0.0, r_hi, n)
+    v = 0.5 * np.exp(-r) / np.sqrt(r * r + 0.25)
+    v[-1] = 0.0
+    return TabulatedRadial(r, v)
+
+
+@pytest.mark.parametrize("p, k, phase, q", [
+    (Yukawa(0.5, 1.0), 10.0, "closed", HANKEL_Q),
+    (Gauss(0.5, 0.7), 4.0, "closed", HANKEL_Q),
+    (_table(), 3.0, "quadrature", HANKEL_Q[[0, 2, 4, 5]]),
+])
+def test_hankel_rows_match_scalar_calls(p, k, phase, q):
+    g = _eikonal_profile(p, Kinematics(1.0, k), phase)
+    scalars = [hankel0(g, float(x)) for x in q]
+    rows = hankel0(g, q)
+    _assert_rows_are_scalar_calls(rows, scalars)
+
+
+def test_hankel_euler_acceleration_engages_at_large_q():
+    # with the Euler stage pushed out of reach the q = 5.9 bits change, so
+    # that row of the test above does exercise it, and the q = 0.4 row not
+    g = _eikonal_profile(Yukawa(0.5, 1.0), Kinematics(1.0, 10.0), "closed")
+    direct = QuadratureSettings(oscillatory_blocks=10_000)
+    assert hankel0(g, 5.9).value != hankel0(g, 5.9, direct).value
+    assert hankel0(g, 0.4).value == hankel0(g, 0.4, direct).value
+
+
+def test_hankel_rows_raise_the_scalar_error_naming_q():
+    # non-finite beyond b = 40: q = 1 stops before it, while q = 0.1
+    # (oscillatory, blocks ~31 wide) and q = 0 (semi-infinite) reach it
+    def g(b):
+        return np.where(b < 40.0, np.exp(-b), np.nan)
+
+    hankel0(g, 1.0)
+    for bad in (0.1, 0.0):
+        with pytest.raises(DomainError):
+            hankel0(g, bad)
+        with pytest.raises(DomainError) as exc:
+            hankel0(g, np.array([1.0, bad]))
+        assert f"q = {bad!r}" in str(exc.value)
+
+    # the tail check of one row: a slow envelope refuses at q = 0.8 first
+    slow = lambda b: 1.0 / np.sqrt(1.0 + b * b)
+    with pytest.raises(ConvergenceError) as exc:
+        hankel0(slow, np.array([3.0, 0.8]))
+    assert type(exc.value) is ConvergenceError
+    assert "q = 0.8" in str(exc.value)
+    assert exc.value.partial_sums is not None
+
+
+def test_hankel_array_q_validation():
+    g = lambda b: np.exp(-b)
+    with pytest.raises(DomainError):
+        hankel0(g, np.array([1.0, -0.5]))
+    with pytest.raises(DomainError):
+        hankel0(g, np.array([1.0, np.nan]))
+    with pytest.raises(DomainError):
+        hankel0(g, np.ones((2, 2)))
+    res = hankel0(g, np.array([0.5]))
+    assert res.value.shape == (1,) and res.error_estimate.shape == (1,)

@@ -30,8 +30,12 @@ def test_accuracy_spec_validation():
 
 
 def test_j0_against_mpmath():
+    # a dense [0, 12] grid with the x = 5 seam between the rational and the
+    # asymptotic form, and the first three zeros, where hankel0 cuts blocks
+    zeros = [float(mpmath.besseljzero(0, n)) for n in (1, 2, 3)]
     xs = np.concatenate([
-        np.linspace(0.0, 7.9, 41),
+        np.linspace(0.0, 12.0, 1201),
+        np.array([5.0 - 1e-12, 5.0, 5.0 + 1e-12, *zeros]),
         np.array([7.999, 8.0, 8.001, 9.0, 12.5, 20.0, 50.0, 137.0,
                   1000.0, 12345.6]),
     ])
@@ -42,15 +46,16 @@ def test_j0_against_mpmath():
 
 def test_j0_seam_and_symmetry():
     eps = 1e-13
-    below = bessel_j0(8.0 - eps)
-    above = bessel_j0(8.0 + eps)
-    assert abs(below - above) < 1e-12
+    for seam in (5.0, 8.0):
+        below = bessel_j0(seam - eps)
+        above = bessel_j0(seam + eps)
+        assert abs(below - above) < 1e-12
     xs = np.array([0.3, 2.7, 9.4])
     assert np.allclose(bessel_j0(-xs), bessel_j0(xs), rtol=0, atol=0)
 
 
 def test_j0_scalar_and_array_agree():
-    xs = np.array([0.0, 1.0, 8.0, 30.0])
+    xs = np.array([0.0, 1.0, 4.999, 5.0, 5.001, 8.0, 30.0])
     arr = bessel_j0(xs)
     for x, v in zip(xs, arr):
         assert bessel_j0(float(x)) == v
