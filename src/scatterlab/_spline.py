@@ -28,8 +28,8 @@ class CubicSpline1D:
         self.y = y
         n = x.size
         m = np.zeros(n, dtype=y.dtype)
+        h = np.diff(x)
         if n > 2:
-            h = np.diff(x)
             dy = np.diff(y) / h
             # tridiagonal system for interior second derivatives, natural
             # ends pinned at zero; Thomas elimination
@@ -49,7 +49,11 @@ class CubicSpline1D:
             m[k] = dp[k - 1]
             for i in range(k - 2, -1, -1):
                 m[i + 1] = dp[i] - cp[i] * m[i + 2]
-        self._m = m
+        # per-interval cubic y0 + s (b + s (c + s d)), s = x - x0
+        m0, m1 = m[:-1], m[1:]
+        self._b = (y[1:] - y[:-1]) / h - h * (2.0 * m0 + m1) / 6.0
+        self._c = m0 / 2.0
+        self._d = (m1 - m0) / (6.0 * h)
 
     def __call__(self, xq):
         xq = np.asarray(xq, dtype=float)
@@ -57,16 +61,7 @@ class CubicSpline1D:
         xq = np.atleast_1d(xq)
         idx = np.clip(np.searchsorted(self.x, xq, side="right") - 1,
                       0, self.x.size - 2)
-        x0 = self.x[idx]
-        h = self.x[idx + 1] - x0
-        m0 = self._m[idx]
-        m1 = self._m[idx + 1]
-        y0 = self.y[idx]
-        y1 = self.y[idx + 1]
-        a = y0
-        b = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0
-        c = m0 / 2.0
-        d = (m1 - m0) / (6.0 * h)
-        s = xq - x0
-        out = a + s * (b + s * (c + s * d))
+        s = xq - self.x[idx]
+        out = self.y[idx] + s * (self._b[idx]
+                                 + s * (self._c[idx] + s * self._d[idx]))
         return out[0] if scalar else out

@@ -14,21 +14,24 @@ born_resummed_amplitude evaluates the resummed series
 which for a radial potential collapses to a Hankel integral over the
 impact parameter of w(b) * Lambda(chi(b)), where w(b) = int_-inf^inf V dz,
 chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
-of the lambda integral. w(b) is integrated here, independently of the
-eikonal module's phase routes, so the documented equality of the two
-amplitudes at small angle is a genuine cross-check of both pipelines.
+of the lambda integral. w(b) is the z-profile that the eikonal module's
+quadrature phase integrates too, so the documented equality of the two
+amplitudes at small angle checks the Lambda algebra and the two Hankel
+integrands against each other.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eikonal import (Amplitude, _amplitude, _check_theta,
+from .eikonal import (Amplitude, _amplitude, _check_theta, _z_profile,
                       momentum_transfer)
 from .errors import DomainError
-from .potentials import TabulatedRadial, evaluate, fourier3d
-from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings, hankel0,
+# The z-profile integrals run in eikonal._z_profile; evaluate and the two
+# integrators are bound here only because perfbench/tracer.py rebinds them
+# in born's namespace as well.
+from .potentials import evaluate, fourier3d  # noqa: F401
+from .quadrature import (QuadratureSettings, hankel0,  # noqa: F401
                          integrate_adaptive, integrate_semi_infinite)
 
 __all__ = [
@@ -62,27 +65,6 @@ def born1_amplitude(p, kin, theta):
     value = -(kin.mass / (2.0 * np.pi * kin.hbar**2)) * vt
     return Amplitude(theta=theta, q=q, value=complex(value),
                      error_estimate=0.0)
-
-
-def _z_profile(p, b, settings):
-    """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz at each impact parameter
-    of the 1-d array b, by one row-batched quadrature."""
-    # relative-tolerance driven for the same reason as the eikonal phase:
-    # the tail values are tiny and the callers divide by them
-    settings = dataclasses.replace(settings, abs_tol=1e-300)
-    bb = b * b
-
-    def f(i, z):
-        return evaluate(p, np.sqrt(bb[i, None] + z * z))
-
-    if isinstance(p, TabulatedRadial):
-        # rows at or beyond the table's end get a zero-width z interval
-        r_hi = p.r[-1]
-        z_hi = np.sqrt(np.where(b < r_hi, r_hi * r_hi - bb, 0.0))
-        res = integrate_adaptive(f, 0.0, z_hi, settings, rows=b.size)
-    else:
-        res = integrate_semi_infinite(f, settings, rows=b.size)
-    return 2.0 * res.value
 
 
 def _lambda_factor(x):

@@ -128,38 +128,43 @@ def momentum_transfer(k, theta, small_angle=False):
     return 2.0 * k * np.sin(0.5 * np.asarray(theta))
 
 
-def chi(p, kin, b, settings=DEFAULT_SETTINGS):
-    """Eikonal phase by direct quadrature of the z-integral (any model).
-
-    An array b is integrated in one row-batched quadrature, which gives
-    each element the same bits as integrating at that b alone.
-    """
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(b_arr < 0.0):
-        raise DomainError("impact parameter b must be non-negative")
-    flat = b_arr.ravel()
-    # chi must hold a RELATIVE tolerance even when the tail value is tiny
+def _z_profile(p, b, settings):
+    """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz at each impact parameter
+    of the 1-d array b, by one row-batched quadrature, which gives each
+    element the bits of integrating at that b alone. A tabulated potential
+    is cut at its last radius: rows there or beyond integrate to 0."""
+    # w must hold a RELATIVE tolerance even when the tail value is tiny
     # (chi ~ 1e-12 at large b), so the absolute floor is pushed out of the
     # way instead of letting it stop the refinement early.
     settings = dataclasses.replace(settings, abs_tol=1e-300)
-    hv = kin.hbar * kin.v
-    bb = flat * flat
+    bb = b * b
 
     def f(i, z):
         return evaluate(p, np.sqrt(bb[i, None] + z * z))
 
     if isinstance(p, TabulatedRadial):
         r_hi = p.r[-1]
-        inside = flat < r_hi
-        z_hi = np.sqrt(np.where(inside, r_hi * r_hi - bb, 0.0))
-        res = integrate_adaptive(f, 0.0, z_hi, settings, rows=flat.size)
-        out = np.where(inside, -2.0 * res.value / hv, 0.0)
+        z_hi = np.sqrt(np.where(b < r_hi, r_hi * r_hi - bb, 0.0))
+        res = integrate_adaptive(f, 0.0, z_hi, settings, rows=b.size)
     else:
-        if isinstance(p, Yukawa) and np.any(flat == 0.0):
-            raise SingularityError(
-                "chi diverges logarithmically at b = 0 for a 1/r core")
-        res = integrate_semi_infinite(f, settings, rows=flat.size)
-        out = -2.0 * res.value / hv
+        res = integrate_semi_infinite(f, settings, rows=b.size)
+    return 2.0 * res.value
+
+
+def chi(p, kin, b, settings=DEFAULT_SETTINGS):
+    """Eikonal phase -w(b)/(hbar v) by direct quadrature of the z-integral
+    (any model); an array b is integrated in one row-batched quadrature."""
+    b_arr = np.asarray(b, dtype=float)
+    if np.any(b_arr < 0.0):
+        raise DomainError("impact parameter b must be non-negative")
+    flat = b_arr.ravel()
+    if isinstance(p, Yukawa) and np.any(flat == 0.0):
+        raise SingularityError(
+            "chi diverges logarithmically at b = 0 for a 1/r core")
+    out = -_z_profile(p, flat, settings) / (kin.hbar * kin.v)
+    if isinstance(p, TabulatedRadial):
+        # +0.0, not -0.0, beyond the table
+        out = np.where(flat < p.r[-1], out, 0.0)
     return float(out[0]) if b_arr.ndim == 0 else out.reshape(b_arr.shape)
 
 

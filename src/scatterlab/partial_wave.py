@@ -33,6 +33,7 @@ __all__ = [
 # decay criterion on the reduced potential: |V(r_max)| 2m/hbar^2 <= DECAY k^2
 _DECAY = 1e-12
 _TAIL_TOL = 1e-8  # |delta_{l_max}| below this counts as converged
+_CHUNK = 128  # Numerov steps whose coefficient rows are formed at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,22 +165,27 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr):
     y_curr = (1.0 - h2 / 12.0 * f_curr) * u_curr
 
     u_a = None
-    for n in range(2, n_pts):
-        y_next = 2.0 * y_curr - y_prev + h2 * f_curr * u_curr
-        f_next = base[n + 1] + ll1 * inv_r2[n + 1]
-        u_next = y_next / (1.0 - h2 / 12.0 * f_next)
-        if n + 1 < i_a and np.abs(u_next).max() > 1e250:
-            # forbidden-region growth: rescale per l, ratios are preserved
-            mask = np.abs(u_next) > 1e250
-            scale = np.where(mask, 1e-250, 1.0)
-            y_curr = y_curr * scale
-            y_next = y_next * scale
-            u_next = u_next * scale
-        if n + 1 == i_a:
-            u_a = u_next.copy()
-        y_prev, y_curr = y_curr, y_next
-        f_curr = f_next
-        u_curr = u_next
+    for n0 in range(2, n_pts, _CHUNK):
+        n1 = min(n0 + _CHUNK, n_pts)
+        # f_n, h2 f_n and 1 - h2/12 f_n for n = n0..n1 at once: each
+        # element is the arithmetic of forming it within its step
+        f = base[n0:n1 + 1, None] + ll1 * inv_r2[n0:n1 + 1, None]
+        h2f = h2 * f
+        den = 1.0 - h2 / 12.0 * f
+        for n in range(n0, n1):
+            y_next = 2.0 * y_curr - y_prev + h2f[n - n0] * u_curr
+            u_next = y_next / den[n + 1 - n0]
+            if n + 1 < i_a and np.abs(u_next).max() > 1e250:
+                # forbidden-region growth: rescale per l, ratios are kept
+                mask = np.abs(u_next) > 1e250
+                scale = np.where(mask, 1e-250, 1.0)
+                y_curr = y_curr * scale
+                y_next = y_next * scale
+                u_next = u_next * scale
+            if n + 1 == i_a:
+                u_a = u_next.copy()
+            y_prev, y_curr = y_curr, y_next
+            u_curr = u_next
     u_b = u_curr
 
     if u_a is None or not (np.all(np.isfinite(u_a))

@@ -12,20 +12,24 @@ Integrands must accept ndarray arguments (they are evaluated on 15-point
 node batches) and may return complex values. Error estimation follows the
 QUADPACK scheme: err = resasc * min(1, (200 |K15 - G7| / resasc)^1.5) with a
 roundoff floor, which the test suite calibrates against a corpus of
-closed-form integrals.
+closed-form integrals. It is evaluated with numpy over all panels of a
+round, except the power, which is libm pow on Python floats: numpy's
+vectorised power differs from it in the last bit for some arguments on
+AVX-512 hosts, and so would the bisection that follows.
 
 integrate_adaptive and integrate_semi_infinite also take rows=m: the call
 then computes m independent integrals of a row-batched integrand
 f(i, x) -> y, where i is an int array of row indices of shape (P,) and x,
 y have shape (P, n); row i of y is the integrand of integral i at the
-points in row i of x. Every row keeps its own interval list, so it is
-bisected exactly as a call for that row alone would bisect it (same
-worst-interval choice, error rule, stopping test, subdivision budget and
-tail-decay check) and returns the same bits, but the new panels of one
-bisection round, across all rows, go to f in one call. The result carries
-per-row value and error_estimate arrays and the summed evaluation count;
-the first failing row raises the error of a call for that row alone. A
-scalar call is the one-row case of the same loop.
+points in row i of x. The intervals of all rows are held in (row, slot)
+arrays (see _adaptive_rows), and each row is bisected exactly as a call
+for that row alone would bisect it (same worst-interval choice, error
+rule, stopping test, subdivision budget and tail-decay check) and returns
+the same bits, but the new panels of one bisection round, across all
+rows, go to f in one call. The result carries per-row value and
+error_estimate arrays and the summed evaluation count; the first failing
+row raises the error of a call for that row alone. A scalar call is the
+one-row case of the same loop.
 
 hankel0 batches the same way over a 1-d array of q: each q keeps its own
 block series, and one round integrates the current block of every q in
@@ -118,16 +122,24 @@ _WG = np.array(list(_WGH) + [_WG_CENTER] + list(reversed(_WGH)))
 _EPS = np.finfo(float).eps
 
 
-def _qk_error(resk, resg, resabs, resasc):
-    """QUADPACK error estimate of one GK15 panel from its K15 and G7 sums
-    and its |f| and |f - mean| moments."""
-    # Scalar arithmetic on purpose: numpy's vectorised power differs from
-    # the scalar one in the last bit for some arguments, so this is mapped
-    # over the panels to keep the bits of the scalar formula.
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return max(err, 50.0 * _EPS * resabs)
+def _abs(z):
+    """|z| elementwise; complex moduli by hypot, which has the bits of the
+    scalar abs (numpy's vectorised complex abs differs in the last bit)."""
+    return np.hypot(z.real, z.imag) if np.iscomplexobj(z) else np.abs(z)
+
+
+def _qk_errors(resk, resg, resabs, resasc):
+    """QUADPACK error estimates of GK15 panels from their K15 and G7 sums
+    and their |f| and |f - mean| moments (1-d arrays)."""
+    err = _abs(resk - resg)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    ratio = np.minimum(200.0 * err[scaled] / resasc[scaled], 1.0)
+    # x ** 1.5 on Python floats is libm pow, the bits of the scalar
+    # formula; numpy's vectorised power differs in the last bit for some
+    # arguments on AVX-512 hosts. min(1, r^1.5) = min(1, r)^1.5 for r >= 0.
+    err[scaled] = resasc[scaled] * np.array([r ** 1.5
+                                             for r in ratio.tolist()])
+    return np.maximum(err, 50.0 * _EPS * resabs)
 
 
 def _row_label(row):
@@ -170,16 +182,7 @@ def _gk15_rows(f, rows, a, b, label=_row_label):
     resabs = np.abs(hw) * (_WK * np.abs(y)).sum(axis=1)
     mean = np.divide(resk, b - a, out=np.zeros_like(resk), where=b != a)
     resasc = np.abs(hw) * (_WK * np.abs(y - mean[:, None])).sum(axis=1)
-    err = np.array(list(map(_qk_error, resk, resg, resabs, resasc)))
-    return resk, err
-
-
-def _split_worst(intervals):
-    """Pop the interval of largest error (the first on ties) from the
-    (error, a, b, value) list; return its (a, midpoint, b)."""
-    worst = max(range(len(intervals)), key=lambda i: intervals[i][0])
-    _, wa, wb, _ = intervals.pop(worst)
-    return wa, 0.5 * (wa + wb), wb
+    return resk, _qk_errors(resk, resg, resabs, resasc)
 
 
 def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
@@ -187,25 +190,40 @@ def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
     """Worst-interval bisection of the row-batched f over [a[j], b[j]] for
     row rows[j].
 
-    Each row keeps its own interval list; one round bisects the worst
-    interval of every unfinished row, evaluating all new panels in one
-    call. Returns (values, errors, evaluations), the last summed over rows.
-    label(row) names a failing row in the error message.
+    One round bisects the worst interval of every unfinished row,
+    evaluating all new panels in one call. Returns (values, errors,
+    evaluations), the last summed over rows. label(row) names a failing
+    row in the error message.
+
+    The intervals of the unfinished rows live in (row, slot) arrays, one
+    slot per interval in the order it was made; a bisected interval's slot
+    is dead (error -inf, value +0.0). Every unfinished row has made the
+    same number of slots, and arrays grow by doubling. The first slot of
+    largest error is bisected, and a row's totals are the running sum
+    over its slots in order: its live intervals added one by one to +0.0,
+    the dead root slot. So each row is bisected and summed exactly as a
+    call for that row alone would be.
     """
     if len(a) == 0:
         return np.zeros(0), np.zeros(0), 0
-    vals, errs = _gk15_rows(f, rows, a, b, label)
-    intervals = [[iv] for iv in zip(errs, a, b, vals)]
-    totals = list(vals)
-    total_errs = list(errs)
+    totals, total_errs = _gk15_rows(f, rows, a, b, label)
     neval = 15 * len(a)
-    live = range(len(a))
+    live = np.arange(len(a))
+    err = np.full((len(a), 8), -np.inf)
+    val = np.zeros((len(a), 8), dtype=totals.dtype)
+    lo = np.zeros((len(a), 8))
+    hi = np.zeros((len(a), 8))
+    err[:, 0], val[:, 0], lo[:, 0], hi[:, 0] = total_errs, totals, a, b
+    n = 1
     splits = 0
     while True:
-        live = [j for j in live
-                if total_errs[j] > max(abs_tol, rel_tol * abs(totals[j]))]
-        if not live:
-            return np.array(totals), np.array(total_errs), neval
+        going = total_errs[live] > np.maximum(
+            abs_tol, rel_tol * _abs(totals[live]))
+        if not going.all():
+            live = live[going]
+            err, val, lo, hi = err[going], val[going], lo[going], hi[going]
+        if not live.size:
+            return totals, total_errs, neval
         if splits >= max_subdivisions:
             j = live[0]
             raise ConvergenceError(
@@ -213,18 +231,30 @@ def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
                 f"exhausted{label(rows[j])} (error estimate "
                 f"{total_errs[j]:.3e})",
                 estimate=totals[j], error_estimate=total_errs[j])
-        cuts = [_split_worst(intervals[j]) for j in live]
-        lo = np.array([x for wa, mid, _ in cuts for x in (wa, mid)])
-        hi = np.array([x for _, mid, wb in cuts for x in (mid, wb)])
-        v, e = _gk15_rows(f, rows[np.repeat(live, 2)], lo, hi, label)
-        for n, j in enumerate(live):
-            iv = intervals[j]
-            iv.append((e[2 * n], lo[2 * n], hi[2 * n], v[2 * n]))
-            iv.append((e[2 * n + 1], lo[2 * n + 1], hi[2 * n + 1],
-                       v[2 * n + 1]))
-            totals[j] = sum(t[3] for t in iv)
-            total_errs[j] = sum(t[0] for t in iv)
-        neval += 30 * len(live)
+        if n + 2 > err.shape[1]:
+            pad = ((0, 0), (0, err.shape[1]))
+            err = np.pad(err, pad, constant_values=-np.inf)
+            val, lo, hi = (np.pad(x, pad) for x in (val, lo, hi))
+        k = np.arange(live.size)
+        worst = np.argmax(err[:, :n], axis=1)
+        wa, wb = lo[k, worst], hi[k, worst]
+        mid = 0.5 * (wa + wb)
+        err[k, worst] = -np.inf
+        val[k, worst] = 0.0
+        lo[:, n], hi[:, n], lo[:, n + 1], hi[:, n + 1] = wa, mid, mid, wb
+        v, e = _gk15_rows(f, rows[np.repeat(live, 2)],
+                          lo[:, n:n + 2].ravel(), hi[:, n:n + 2].ravel(),
+                          label)
+        if v.dtype != val.dtype:
+            val = val.astype(np.result_type(val, v))
+            totals = totals.astype(val.dtype)
+        val[:, n:n + 2] = v.reshape(-1, 2)
+        err[:, n:n + 2] = e.reshape(-1, 2)
+        n += 2
+        totals[live] = np.cumsum(val[:, :n], axis=1)[:, -1]
+        total_errs[live] = np.cumsum(np.maximum(err[:, :n], 0.0),
+                                     axis=1)[:, -1]
+        neval += 30 * live.size
         splits += 1
 
 

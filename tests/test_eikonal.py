@@ -107,6 +107,17 @@ class TestChi:
         with pytest.raises(UnsupportedModelError):
             chi_closed(TabulatedRadial(r, v), KIN1, 1.0)
 
+    def test_tabulated_phase_is_plus_zero_beyond_the_table(self):
+        r = np.linspace(0.0, 4.0, 200)
+        v = np.exp(-r * r)
+        v[-1] = 0.0
+        p = TabulatedRadial(r, v)
+        out = chi(p, KIN1, np.array([1.0, 4.0, 6.0]))
+        assert out[0] < 0.0
+        assert out[1:].tolist() == [0.0, 0.0]
+        assert not np.signbit(out[1:]).any()
+        assert math.copysign(1.0, chi(p, KIN1, 6.0)) == 1.0
+
     def test_coupling_scales_linearly(self):
         c1 = chi_closed(Yukawa(0.25, 1.0), KIN1, 0.7)
         c2 = chi_closed(Yukawa(0.75, 1.0), KIN1, 0.7)

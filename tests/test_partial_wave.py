@@ -14,6 +14,7 @@ from scatterlab.partial_wave import (PhaseShiftSet, amplitude_partial_wave,
                                      effective_radius, phase_shifts)
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
 
+import _oracles
 from _oracles import square_well_delta0
 
 KIN2 = Kinematics(mass=1.0, k=2.0)
@@ -180,6 +181,41 @@ class TestPhaseShifts:
             same = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
                                 dr=ps.dr)
             assert same.delta.tobytes() == ps.delta.tobytes()
+
+    @pytest.mark.parametrize("k, rescales", [(10.0, 100), (30.0, 500)])
+    def test_sweep_keeps_the_bits_of_per_step_coefficients(
+            self, monkeypatch, k, rescales):
+        # against the sweep that forms each step's coefficients in the step
+        # loop; the high waves rescale hundreds of times on the way out
+        p, kin = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        events = []
+
+        def oracle(*args):
+            return _oracles._numerov_sweep(*args, events=events)
+
+        monkeypatch.setattr(partial_wave, "_numerov_sweep", oracle)
+        ref = phase_shifts(p, kin)
+        assert len(events) >= rescales
+        assert ref.l_max == ps.l_max
+        assert ref.delta.tobytes() == ps.delta.tobytes()
+
+    def test_rescale_one_step_before_the_matching_radius(self):
+        # l = 300 at k = 10 grows until r ~ 30; the matching radius is put
+        # one step past its last rescale before r = 20
+        p, kin, dr = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0), 1e-3
+        l_arr = np.array([0, 1, 7, 40, 300])
+        idx = np.arange(l_arr.size)
+        events = []
+        _oracles._numerov_sweep(p, kin, l_arr, 20.0, dr, events=events)
+        i_a = events[-1] + 1
+        events = []
+        old = _oracles._numerov_sweep(p, kin, l_arr, i_a * dr, dr,
+                                      events=events)(idx)
+        assert events[-1] == i_a - 1
+        new = partial_wave._numerov_sweep(p, kin, l_arr, i_a * dr, dr)(idx)
+        assert np.all(np.isfinite(new))
+        assert new.tobytes() == old.tobytes()
 
     def test_explicit_l_max_accepted_when_converged(self):
         ps_auto = phase_shifts(Yukawa(0.5, 1.0), KIN2)

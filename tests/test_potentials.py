@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import _oracles
+from scatterlab._spline import CubicSpline1D
 from scatterlab.errors import (ConfigError, DomainError, SingularityError,
                                UnsupportedModelError)
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
@@ -181,3 +183,25 @@ def test_load_radial_table_without_data_rows(text):
         with pytest.raises(ConfigError, match="no data rows") as err:
             load_radial_table(io.StringIO(text))
     assert err.value.key == "potential.file"
+
+
+@pytest.mark.parametrize("n", [2, 3, 40])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_spline_coefficients_at_construction_keep_the_bits(n, dtype):
+    # against the spline that forms each interval's coefficients per call:
+    # knots, midpoints, both ends and points extrapolated beyond them
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    y = (np.sin(x) + 0.1 * rng.standard_normal(n)).astype(dtype)
+    if dtype is complex:
+        y += 1j * np.cos(3.0 * x)
+    new, old = CubicSpline1D(x, y), _oracles.CubicSpline1D(x, y)
+    xq = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                         [x[0] - 2.0, x[0] - 1e-12, x[-1] + 1e-12,
+                          x[-1] + 3.0],
+                         rng.uniform(x[0] - 1.0, x[-1] + 1.0, 500)])
+    assert new(xq).dtype == old(xq).dtype
+    assert new(xq).tobytes() == old(xq).tobytes()
+    for xs in (x[0], x[-1], 0.5 * (x[0] + x[1]), x[-1] + 1.0):
+        assert np.asarray(new(xs)).tobytes() == np.asarray(old(xs)).tobytes()
+

@@ -5,9 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import _oracles
 from _oracles import ESTIMATOR_CORPUS
+from scatterlab import quadrature
 from scatterlab.eikonal import Kinematics, chi, chi_closed
-from scatterlab.errors import ConvergenceError, DivergenceError, DomainError
+from scatterlab.errors import (ConvergenceError, DivergenceError, DomainError,
+                               ScatterError)
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa, evaluate
 from scatterlab.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
                                    hankel0, integrate_adaptive,
@@ -399,3 +402,163 @@ def test_hankel_array_q_validation():
         hankel0(g, np.ones((2, 2)))
     res = hankel0(g, np.array([0.5]))
     assert res.value.shape == (1,) and res.error_estimate.shape == (1,)
+
+
+# The (row, slot) array kernel against the list-based bisection it
+# replaced (_oracles._adaptive_rows): same values, errors, evaluation
+# counts and errors raised, bit for bit.
+
+def _outcome(call):
+    try:
+        res = call()
+    except ScatterError as exc:
+        return (type(exc), str(exc), np.asarray(exc.estimate).tobytes(),
+                np.asarray(exc.error_estimate).tobytes())
+    value = np.asarray(res.value)
+    return (value.dtype, value.tobytes(),
+            np.asarray(res.error_estimate, dtype=float).tobytes(),
+            res.evaluations)
+
+
+def _assert_kernel_matches_oracle(monkeypatch, call):
+    new = _outcome(call)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_adaptive_rows", _oracles._adaptive_rows)
+        old = _outcome(call)
+    assert new == old
+    return new
+
+
+def _wavy(i, x):
+    c = 1.0 + (i % 5)[:, None]
+    return np.exp(-c * x) * np.sin(30.0 * x / c) + np.abs(x - 0.3 * c)
+
+
+def _wavy_complex(i, x):
+    c = 1.0 + (i % 5)[:, None]
+    return np.exp(20j * c * x) / (0.01 + x) + 1j * np.sqrt(np.abs(x - 0.5))
+
+
+def _real_then_complex():
+    calls = []
+
+    def f(i, x):
+        calls.append(1)
+        return _wavy(i, x) if len(calls) == 1 else _wavy_complex(i, x)
+    return f
+
+
+@pytest.mark.parametrize("make_f, dtype", [
+    (lambda: _wavy, float),
+    (lambda: _wavy_complex, complex),
+    (_real_then_complex, complex),
+])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+def test_kernel_finite_rows_match_oracle(monkeypatch, make_f, dtype,
+                                         rel_tol):
+    # rows of different lengths finish in different rounds; rows 1 and 4
+    # have zero width
+    a = np.array([0.0, 0.3, 0.1, 1.0, 2.0, 2.0, 0.7])
+    b = np.array([1.0, 0.3, 3.5, 1.7, 2.0, 2.25, 4.0])
+    settings = QuadratureSettings(rel_tol=rel_tol, abs_tol=1e-300)
+    out = _assert_kernel_matches_oracle(
+        monkeypatch,
+        lambda: integrate_adaptive(make_f(), a, b, settings, rows=7))
+    assert out[0] == dtype
+
+
+@pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(-0.01, 2.0)])
+def test_kernel_semi_infinite_rows_match_oracle(monkeypatch, p):
+    b = np.array([0.05, 0.3, 1.0, 2.5, 7.0, 0.3])
+    f = _z_integrand_rows(p, b)
+    _assert_kernel_matches_oracle(
+        monkeypatch, lambda: integrate_semi_infinite(f, Z_SETTINGS,
+                                                     rows=b.size))
+
+
+def test_kernel_hankel_rows_match_oracle(monkeypatch):
+    g = _eikonal_profile(Yukawa(0.5, 1.0), Kinematics(1.0, 10.0), "closed")
+    _assert_kernel_matches_oracle(monkeypatch, lambda: hankel0(g, HANKEL_Q))
+
+
+_PATTERN = np.cos(3.0 * np.arange(15.0))
+
+
+def _tied(scale, power, unit=1.0):
+    """Row-batched integrand equal on every panel of [0, 1] to a fixed
+    pattern over its 15 nodes times unit * scale[row] * hw^power[row].
+    hw, the panel's half-width, is the lowest set bit of its (dyadic)
+    centre node. Panels of equal width have exactly equal errors."""
+    def f(i, x):
+        n = (x[:, 7] * 2.0**52).astype(np.int64)
+        hw = (n & -n) / 2.0**52
+        return unit * _PATTERN * (scale[i] * hw ** power[i])[:, None]
+    return f
+
+
+@pytest.mark.parametrize("unit, rounds", [(1.0, 13 + 27 + 54 + 108),
+                                          (1.0 - 2.0j, 281)])
+def test_kernel_breaks_equal_error_ties_like_the_oracle(monkeypatch, unit,
+                                                       rounds):
+    # error ~ hw^3 per panel: every round faces a tie between all panels of
+    # the coarsest level, and the four rows finish in different rounds (13,
+    # 27, 54 and 108 for the real unit)
+    scale = np.array([1.0, 4.0, 16.0, 64.0])
+    settings = QuadratureSettings(rel_tol=1e-15, abs_tol=1e-3)
+    f = _tied(scale, np.full(4, 2.0), unit)
+    out = _assert_kernel_matches_oracle(
+        monkeypatch, lambda: integrate_adaptive(f, 0.0, 1.0, settings,
+                                                rows=4))
+    assert out[3] == 15 * 4 + 30 * rounds
+
+
+def test_kernel_splits_the_first_of_two_tied_intervals(monkeypatch):
+    # [0, 1/2] and [1/2, 1] tie, and the row stops once one of them is
+    # split; their children differ, so the choice shows in the value
+    tied = _tied(np.ones(1), np.full(1, 2.0))
+
+    def f(i, x):
+        c = x[:, 7:8]
+        return tied(i, x) * (1.0 + c * (c - 0.25) * (c - 0.75))
+
+    one_panel = QuadratureSettings(abs_tol=1.0)
+    halves = [integrate_adaptive(f, lo, lo + 0.5, one_panel, rows=1)
+              for lo in (0.0, 0.5)]
+    tied_err = halves[0].error_estimate[0]
+    assert halves[1].error_estimate[0] == tied_err
+    settings = QuadratureSettings(rel_tol=1e-15, abs_tol=1.6 * tied_err)
+    out = _assert_kernel_matches_oracle(
+        monkeypatch, lambda: integrate_adaptive(f, 0.0, 1.0, settings,
+                                                rows=1))
+    assert out[3] == 15 + 2 * 30
+
+
+def test_kernel_budget_exhaustion_names_the_first_live_row(monkeypatch):
+    # rows 1 and 3 have an error that no bisection reduces; row 0 finishes
+    f = _tied(np.ones(4), np.array([2.0, 0.0, 2.0, 0.0]))
+    settings = QuadratureSettings(rel_tol=1e-15, abs_tol=1e-3,
+                                  max_subdivisions=40)
+    out = _assert_kernel_matches_oracle(
+        monkeypatch, lambda: integrate_adaptive(f, 0.0, 1.0, settings,
+                                                rows=4))
+    assert out[0] is ConvergenceError
+    assert "exhausted in row 1 " in out[1]
+
+
+def test_vectorised_error_rule_matches_the_scalar_one():
+    rng = np.random.default_rng(7)
+    n = 100_000
+    resk = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 6, n)
+    resg = resk * (1.0 + rng.standard_normal(n)
+                   * 10.0 ** rng.uniform(-17, 0.5, n))
+    resasc = np.abs(resk) * 10.0 ** rng.uniform(-4, 1, n)
+    resabs = np.abs(resk) * 10.0 ** rng.uniform(0, 2, n)
+    resasc[::97] = 0.0
+    resg[::89] = resk[::89]
+    resabs[::83] = 0.0
+    for unit in (1.0, np.exp(0.3j)):
+        k, g = unit * resk, unit * resg
+        old = np.array(list(map(_oracles._qk_error, k, g, resabs, resasc)))
+        new = quadrature._qk_errors(k, g, resabs, resasc)
+        assert new.tobytes() == old.tobytes()
+

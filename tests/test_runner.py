@@ -1,5 +1,8 @@
 """Tests for scan orchestration, file emission, and determinism."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -250,3 +253,18 @@ class TestDeterminism:
                      "paper_closed_k4.csv", "summary.csv", "report.txt"):
             assert (tmp_path / "t1" / name).read_bytes() == \
                 (tmp_path / "t4" / name).read_bytes()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["yukawa_flagship.ini", "gauss_weak.ini"])
+def test_shipped_configs_raise_no_runtime_warning(tmp_path, name):
+    # dead bisection slots hold -inf and Numerov coefficients are formed a
+    # chunk at a time: neither may leak a numpy warning into a run
+    cfg = parse_config((CONFIGS / name).read_text(), base_dir=str(CONFIGS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        manifest = run_scan(cfg, out_dir=str(tmp_path / "out"))
+    assert not manifest.failed
+
