@@ -14,18 +14,19 @@ born_resummed_amplitude evaluates the resummed series
 which for a radial potential collapses to a Hankel integral over the
 impact parameter of w(b) * Lambda(chi(b)), where w(b) = int_-inf^inf V dz,
 chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
-of the lambda integral. w(b) is the z-profile that the eikonal module's
-quadrature phase integrates too, so the documented equality of the two
-amplitudes at small angle checks the Lambda algebra and the two Hankel
-integrands against each other.
+of the lambda integral. w(b) is read from eikonal._z_profile, which
+integrates it once per potential and impact parameter and shares each
+value with the eikonal route's quadrature phase (with threads > 1,
+concurrent tasks may integrate the same b, to the same bits). So the
+documented equality of the two amplitudes at small angle checks the
+Lambda algebra and the two Hankel integrands against each other.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eikonal import (Amplitude, _amplitude, _check_theta, _z_profile,
-                      momentum_transfer)
+from .eikonal import _amplitude, _check_theta, _z_profile, momentum_transfer
 from .errors import DomainError
 # The z-profile integrals run in eikonal._z_profile; evaluate and the two
 # integrators are bound here only because perfbench/tracer.py rebinds them
@@ -58,13 +59,16 @@ DEFAULT_BORN = BornSettings()
 
 
 def born1_amplitude(p, kin, theta):
-    """First Born amplitude at one angle, q = 2k sin(theta/2)."""
-    theta = float(theta)
-    q = float(momentum_transfer(kin.k, theta))
-    vt = fourier3d(p, q)
-    value = -(kin.mass / (2.0 * np.pi * kin.hbar**2)) * vt
-    return Amplitude(theta=theta, q=q, value=complex(value),
-                     error_estimate=0.0)
+    """First Born amplitude at one angle, or at every angle of a 1-d theta
+    array in one fourier3d call (fields are then arrays), q = 2k sin(theta/2).
+    """
+    th = np.asarray(theta, dtype=float)
+    if th.ndim > 1:
+        raise DomainError("theta must be a scalar or a 1-d array")
+    q = momentum_transfer(kin.k, th)
+    value = -(kin.mass / (2.0 * np.pi * kin.hbar**2)) * fourier3d(p, q)
+    return _amplitude(theta, th, q, np.asarray(value, dtype=complex),
+                      np.zeros(th.shape))
 
 
 def _lambda_factor(x):

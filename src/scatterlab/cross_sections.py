@@ -253,8 +253,7 @@ def paper_formula_checks(p, kin, theta_max=0.2, n_theta=21):
     q = 2.0 * kin.k * np.sin(theta / 2.0)
     hv = kin.hbar * kin.v
     k = kin.k
-    born = np.array([differential(born1_amplitude(p, kin, t))
-                     for t in theta])
+    born = differential(born1_amplitude(p, kin, theta))
 
     if isinstance(p, Yukawa):
         c2 = (2.0 * p.g * k / hv) ** 2
@@ -314,8 +313,7 @@ def paper_formula_checks(p, kin, theta_max=0.2, n_theta=21):
 def _born_total_grid(p, kin):
     """First Born total by quadrature of |f_B|^2 over the full sphere."""
     theta = np.linspace(0.0, np.pi, 801)
-    vals = np.array([differential(born1_amplitude(p, kin, t))
-                     for t in theta])
+    vals = differential(born1_amplitude(p, kin, theta))
     rows = np.column_stack([theta, theta, np.sqrt(vals),
                             np.zeros_like(theta), vals])
     return total_integrated(rows, kin.k)

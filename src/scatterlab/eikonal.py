@@ -15,10 +15,19 @@ chi has two routes: chi_closed (K0 / Gaussian closed forms, analytic models
 only) and chi (direct quadrature of the z-integral, any model). They are
 verified against each other; amplitude_eikonal picks the closed route when
 one exists unless told otherwise.
+
+The z-profile w(b) = int V dz of the quadrature route is the one that
+born.born_resummed_amplitude integrates too, and _z_profile integrates it
+once per potential and impact parameter: it keeps the values of the
+potential last used, keyed by the exact b, so the two routes share each
+w(b) across angles and k. Each value has the bits of integrating at that
+b alone. With threads > 1, concurrent tasks may integrate the same b, to
+the same bits, so the output bytes do not change.
 """
 
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,15 +137,55 @@ def momentum_transfer(k, theta, small_angle=False):
     return 2.0 * k * np.sin(0.5 * np.asarray(theta))
 
 
+# The z-profile store: (potential, settings, {b: w(b)}) for the potential
+# last integrated, keyed by the exact float b. The potential is held by
+# identity and kept alive, so its id cannot be reused; a call for another
+# potential or setting starts a new store, and a store is emptied once it
+# would hold more than _PROFILE_ENTRIES values. Lookups and inserts take
+# the lock; integrating the misses does not, so two threads may integrate
+# the same b, to the same bits.
+_PROFILE_ENTRIES = 1 << 16
+_profile_lock = threading.Lock()
+_profile = (None, None, {})
+
+
 def _z_profile(p, b, settings):
     """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz at each impact parameter
-    of the 1-d array b, by one row-batched quadrature, which gives each
-    element the bits of integrating at that b alone. A tabulated potential
-    is cut at its last radius: rows there or beyond integrate to 0."""
+    of the 1-d array b. Values already integrated for this potential and
+    setting come from the store; the other distinct b are integrated in
+    one row-batched quadrature, which gives each the bits of integrating
+    at that b alone, and stored. A tabulated potential is cut at its last
+    radius: rows there or beyond integrate to 0."""
+    global _profile
     # w must hold a RELATIVE tolerance even when the tail value is tiny
     # (chi ~ 1e-12 at large b), so the absolute floor is pushed out of the
     # way instead of letting it stop the refinement early.
     settings = dataclasses.replace(settings, abs_tol=1e-300)
+    keys = b.tolist()
+    with _profile_lock:
+        if _profile[0] is not p or _profile[1] != settings:
+            _profile = (p, settings, {})
+        store = _profile[2]
+        w = [store.get(x) for x in keys]
+    miss = {}  # b -> index of its first occurrence in the caller's array
+    for j, (x, v) in enumerate(zip(keys, w)):
+        if v is None and x not in miss:
+            miss[x] = j
+    if miss:
+        rows = np.fromiter(miss.values(), dtype=int, count=len(miss))
+        found = dict(zip(miss, _integrate_z_profile(
+            p, b[rows], settings, lambda m: f" in row {rows[m]}").tolist()))
+        with _profile_lock:
+            if len(store) + len(found) > _PROFILE_ENTRIES:
+                store.clear()
+            store.update(found)
+        w = [found[x] if v is None else v for x, v in zip(keys, w)]
+    return np.array(w, dtype=float)
+
+
+def _integrate_z_profile(p, b, settings, label):
+    """w(b) for each b of the 1-d array b, uncached, in one row-batched
+    quadrature; label(j) names row j in error messages."""
     bb = b * b
 
     def f(i, z):
@@ -145,15 +194,17 @@ def _z_profile(p, b, settings):
     if isinstance(p, TabulatedRadial):
         r_hi = p.r[-1]
         z_hi = np.sqrt(np.where(b < r_hi, r_hi * r_hi - bb, 0.0))
-        res = integrate_adaptive(f, 0.0, z_hi, settings, rows=b.size)
+        res = integrate_adaptive(f, 0.0, z_hi, settings, rows=b.size,
+                                 label=label)
     else:
-        res = integrate_semi_infinite(f, settings, rows=b.size)
+        res = integrate_semi_infinite(f, settings, rows=b.size, label=label)
     return 2.0 * res.value
 
 
 def chi(p, kin, b, settings=DEFAULT_SETTINGS):
     """Eikonal phase -w(b)/(hbar v) by direct quadrature of the z-integral
-    (any model); an array b is integrated in one row-batched quadrature."""
+    (any model); w(b) is the z-profile that born_resummed_amplitude reads
+    too, integrated once per potential and b (see _z_profile)."""
     b_arr = np.asarray(b, dtype=float)
     if np.any(b_arr < 0.0):
         raise DomainError("impact parameter b must be non-negative")

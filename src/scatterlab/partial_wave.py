@@ -98,6 +98,21 @@ def effective_radius(p, fraction=0.9999):
     return hi
 
 
+# (potential, effective_radius) of the last potential, held by identity so
+# that an energy scan pays it once; one tuple, read and rebound atomically.
+_r_eff = (None, None)
+
+
+def _effective_radius_once(p):
+    """effective_radius(p), computed once per potential object."""
+    global _r_eff
+    held, r = _r_eff
+    if held is not p:
+        r = effective_radius(p)
+        _r_eff = (p, r)
+    return r
+
+
 def _reduced_strength(p, kin, r):
     return abs(float(evaluate(p, r))) * 2.0 * kin.mass / kin.hbar**2
 
@@ -227,7 +242,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     if not isinstance(kin, Kinematics):
         raise DomainError("kin must be a Kinematics instance")
     k = kin.k
-    r_eff = effective_radius(p)
+    r_eff = _effective_radius_once(p)
     if dr is None:
         dr = min(0.01 / k, 0.005)
     else:

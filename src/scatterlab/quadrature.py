@@ -185,6 +185,13 @@ def _gk15_rows(f, rows, a, b, label=_row_label):
     return resk, _qk_errors(resk, resg, resabs, resasc)
 
 
+def _widen(x, fill):
+    """x with twice its slots, the new ones set to fill."""
+    out = np.full((x.shape[0], 2 * x.shape[1]), fill, dtype=x.dtype)
+    out[:, :x.shape[1]] = x
+    return out
+
+
 def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
                    label=_row_label):
     """Worst-interval bisection of the row-batched f over [a[j], b[j]] for
@@ -232,9 +239,8 @@ def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
                 f"{total_errs[j]:.3e})",
                 estimate=totals[j], error_estimate=total_errs[j])
         if n + 2 > err.shape[1]:
-            pad = ((0, 0), (0, err.shape[1]))
-            err = np.pad(err, pad, constant_values=-np.inf)
-            val, lo, hi = (np.pad(x, pad) for x in (val, lo, hi))
+            err = _widen(err, -np.inf)
+            val, lo, hi = (_widen(x, 0.0) for x in (val, lo, hi))
         k = np.arange(live.size)
         worst = np.argmax(err[:, :n], axis=1)
         wa, wb = lo[k, worst], hi[k, worst]

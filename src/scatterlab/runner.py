@@ -98,26 +98,26 @@ def _amplitude_rows(cfg, source, kin, theta):
                                       settings=BornSettings(
                                           spatial=cfg.quadrature))
         return amp.q, amp.value, amp.error_estimate, []
+    if source == "born1":
+        amp = born1_amplitude(cfg.potential, kin, theta)
+        return amp.q, amp.value, amp.error_estimate, []
 
-    n = theta.size
+    n = theta.size  # paper_closed, one angle at a time for its poles
     q = np.empty(n)
     value = np.empty(n, dtype=complex)
     err = np.zeros(n)
     warnings = []
     for i, t in enumerate(theta):
         t = float(t)
-        if source == "born1":
-            a = born1_amplitude(cfg.potential, kin, t)
-        else:  # paper_closed
-            try:
-                a = amplitude_paper_closed(cfg.potential, kin, t)
-            except PoleError:
-                q[i] = momentum_transfer(kin.k, t)
-                value[i] = complex(float("nan"), float("nan"))
-                warnings.append(
-                    f"{source} k={_k_tag(kin.k)}: pole at "
-                    f"theta={t:.6g}, row recorded as nan")
-                continue
+        try:
+            a = amplitude_paper_closed(cfg.potential, kin, t)
+        except PoleError:
+            q[i] = momentum_transfer(kin.k, t)
+            value[i] = complex(float("nan"), float("nan"))
+            warnings.append(
+                f"{source} k={_k_tag(kin.k)}: pole at "
+                f"theta={t:.6g}, row recorded as nan")
+            continue
         q[i] = a.q
         value[i] = a.value
         err[i] = a.error_estimate

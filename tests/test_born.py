@@ -73,6 +73,23 @@ class TestBorn1:
         got = born1_amplitude(TabulatedRadial(r, v), KIN10, 0.2)
         assert abs(got.value - ref.value) / abs(ref.value) < 1e-6
 
+    @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.8, 0.5)])
+    @pytest.mark.parametrize("k", [1.0, 2.0, 5.0, 10.0, 30.0])
+    def test_theta_array_equals_per_angle_calls(self, p, k):
+        # the reference-formula checks build their first-Born grids, up to
+        # theta = pi, in one call; the report needs the per-angle bits
+        kin = Kinematics(mass=1.0, k=k)
+        theta = np.linspace(0.0, math.pi, 801)
+        got = born1_amplitude(p, kin, theta)
+        each = [born1_amplitude(p, kin, float(t)) for t in theta]
+        assert got.q.tolist() == [a.q for a in each]
+        assert got.value.tolist() == [a.value for a in each]
+        assert not got.error_estimate.any()
+
+    def test_theta_array_must_be_1d(self):
+        with pytest.raises(DomainError):
+            born1_amplitude(Yukawa(0.5, 1.0), KIN10, np.zeros((2, 2)))
+
 
 class TestBornResummed:
     def test_matches_eikonal_at_small_angle(self):
