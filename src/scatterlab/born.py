@@ -16,8 +16,8 @@ impact parameter of w(b) * Lambda(chi(b)), where w(b) = int_-inf^inf V dz,
 chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
 of the lambda integral. w(b) is read from eikonal._z_profile, which
 integrates it once per potential and impact parameter and shares each
-value with the eikonal route's quadrature phase (with threads > 1,
-concurrent tasks may integrate the same b, to the same bits). So the
+value with the eikonal route's quadrature phase (callers on several
+threads may integrate the same b, to the same bits). So the
 documented equality of the two amplitudes at small angle checks the
 Lambda algebra and the two Hankel integrands against each other.
 """

@@ -1,9 +1,9 @@
-"""Cross sections from amplitudes, plus the reference closed-form totals.
+"""Cross sections from amplitudes, plus the reference-formula checks.
 
-The reference closed forms (the paper_closed source) are quarantined here
-and in eikonal.amplitude_paper_closed: they are evaluated verbatim for the
-comparison report, never asserted as truth. Each comparison carries a
-verdict tag:
+The reference closed forms (the paper_closed source) are written once, in
+paper_forms: they are evaluated verbatim for the comparison report, never
+asserted as truth. paper_totals is paper_forms.total under its public
+name. Each comparison carries a verdict tag:
 
     CONSISTENT      verbatim form matches the oracle to 1%
     SUSPECTED_TYPO  a single documented edit (sign flip, factor, exponent
@@ -12,16 +12,17 @@ verdict tag:
     DIVERGES        neither the verbatim nor the edited form matches
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import paper_forms
 from ._spline import CubicSpline1D
 from .born import born1_amplitude
-from .eikonal import Amplitude, Kinematics
+from .eikonal import Amplitude, momentum_transfer
 from .errors import (ConvergenceError, DomainError, PoleError, RangeError,
                      UnsupportedModelError)
+from .paper_forms import total as paper_totals
 from .potentials import Gauss, Yukawa
 from .quadrature import QuadratureSettings, integrate_adaptive
 
@@ -171,24 +172,6 @@ def table_from_amplitudes(source, amp, k):
                              total_optical=tot_opt, source=source)
 
 
-def paper_totals(p, kin):
-    """The reference closed-form total cross sections, verbatim, eps = 0."""
-    hv = kin.hbar * kin.v
-    k = kin.k
-    if isinstance(p, Yukawa):
-        denom = p.mu**2 - 4.0 * k * k
-        if abs(denom) <= 1e-9 * (p.mu**2 + 4.0 * k * k):
-            raise PoleError("reference total has a pole at mu^2 = 4 k^2")
-        return (16.0 * np.pi * (p.g * k) ** 2
-                / (kin.v**2 * p.mu**2 * denom))
-    if isinstance(p, Gauss):
-        # -expm1 keeps the low-k limit finite instead of 0/0 noise
-        return (np.pi**2 / (2.0 * p.alpha**2)) * (p.g / hv) ** 2 * (
-            -math.expm1(-k * k / p.alpha))
-    raise UnsupportedModelError(
-        "reference closed-form totals exist for Yukawa and Gauss only")
-
-
 # ---------------------------------------------------------------------------
 # Formula comparisons for the report. Each check evaluates the verbatim
 # reference form against an oracle, and, when the verbatim form misses, a
@@ -214,21 +197,34 @@ class PaperComparison:
     ratio: float = float("nan")
 
 
-def _grade(name, dev_verbatim, dev_corrected, mutation, ratio=float("nan")):
+# The single documented edit each check tries when the verbatim form misses.
+_EDITS = {
+    "closed_form_amplitude_yukawa":
+        "denominator mu^2 - 4k^2 sin^2(theta/2) -> "
+        "mu^2 + 4k^2 sin^2(theta/2) (sign of the q^2 term)",
+    "closed_form_total_yukawa":
+        "denominator mu^2 - 4k^2 -> mu^2 + 4k^2 (sign of the k^2 term)",
+    "closed_form_amplitude_gauss":
+        "decay rate -k^2 theta^2/(4 alpha) -> -q^2/(2 alpha) "
+        "(amplitude exponent -k^2 theta^2/(8 alpha) -> -q^2/(4 alpha))",
+    "closed_form_total_gauss":
+        "prefactor pi^2/(2 alpha^2) -> pi^2/alpha^2 (factor 2): direct "
+        "integration of the printed differential form gives twice the "
+        "printed total",
+}
+
+
+def _grade(name, dev_verbatim, dev_corrected, ratio=float("nan")):
     if dev_verbatim <= _VERDICT_TOL:
         return PaperComparison(name=name, verdict=VERDICT_CONSISTENT,
                                verbatim_deviation=dev_verbatim,
                                corrected_deviation=dev_verbatim,
                                mutation="", ratio=ratio)
-    if dev_corrected <= _VERDICT_TOL:
-        return PaperComparison(name=name, verdict=VERDICT_SUSPECTED_TYPO,
-                               verbatim_deviation=dev_verbatim,
-                               corrected_deviation=dev_corrected,
-                               mutation=mutation, ratio=ratio)
-    return PaperComparison(name=name, verdict=VERDICT_DIVERGES,
-                           verbatim_deviation=dev_verbatim,
-                           corrected_deviation=dev_corrected,
-                           mutation=mutation, ratio=ratio)
+    return PaperComparison(
+        name=name, verdict=VERDICT_SUSPECTED_TYPO
+        if dev_corrected <= _VERDICT_TOL else VERDICT_DIVERGES,
+        verbatim_deviation=dev_verbatim, corrected_deviation=dev_corrected,
+        mutation=_EDITS[name], ratio=ratio)
 
 
 def _max_rel_dev(got, ref):
@@ -246,68 +242,38 @@ def paper_formula_checks(p, kin, theta_max=0.2, n_theta=21):
     """Run the reference-formula checks for one potential.
 
     Returns two PaperComparison records: the differential form against
-    born1 on theta <= theta_max, and the closed-form total against a
-    direct numerical integration.
+    born1 on theta <= theta_max, and the closed-form total against an
+    oracle (the Born total for Yukawa, a direct integration of the printed
+    differential form for Gauss).
     """
+    if not isinstance(p, (Yukawa, Gauss)):
+        raise UnsupportedModelError(
+            "reference-formula checks exist for Yukawa and Gauss only")
+    model = "yukawa" if isinstance(p, Yukawa) else "gauss"
     theta = np.linspace(0.0, theta_max, n_theta)
-    q = 2.0 * kin.k * np.sin(theta / 2.0)
-    hv = kin.hbar * kin.v
-    k = kin.k
+    q = momentum_transfer(kin.k, theta)
     born = differential(born1_amplitude(p, kin, theta))
+    amp_check = _grade(
+        f"closed_form_amplitude_{model}",
+        _max_rel_dev(paper_forms.dsigma(p, kin, theta, q), born),
+        _max_rel_dev(paper_forms.dsigma_corrected(p, kin, q), born))
 
-    if isinstance(p, Yukawa):
-        c2 = (2.0 * p.g * k / hv) ** 2
-        with np.errstate(divide="ignore"):
-            verbatim = c2 / (p.mu**2 - q * q) ** 2
-            corrected = c2 / (p.mu**2 + q * q) ** 2
-        amp_check = _grade(
-            "closed_form_amplitude_yukawa",
-            _max_rel_dev(verbatim, born),
-            _max_rel_dev(corrected, born),
-            "denominator mu^2 - 4k^2 sin^2(theta/2) -> "
-            "mu^2 + 4k^2 sin^2(theta/2) (sign of the q^2 term)")
-
-        sigma_born = _born_total_grid(p, kin)
-        sigma_verbatim = _yukawa_total_verbatim(p, kin)
-        denom_fixed = p.mu**2 + 4.0 * k * k
-        sigma_corrected = (16.0 * np.pi * (p.g * k) ** 2
-                           / (kin.v**2 * p.mu**2 * denom_fixed))
-        tot_check = _grade(
-            "closed_form_total_yukawa",
-            _max_rel_dev(sigma_verbatim, sigma_born),
-            _max_rel_dev(sigma_corrected, sigma_born),
-            "denominator mu^2 - 4k^2 -> mu^2 + 4k^2 (sign of the k^2 term)",
-            ratio=sigma_verbatim / sigma_corrected
-            if sigma_corrected != 0 else float("nan"))
-        return [amp_check, tot_check]
-
-    if isinstance(p, Gauss):
-        pref = (np.pi / (4.0 * p.alpha**3)) * (p.g * k / hv) ** 2
-        verbatim = pref * np.exp(-(k * theta) ** 2 / (4.0 * p.alpha))
-        corrected = pref * np.exp(-q * q / (2.0 * p.alpha))
-        amp_check = _grade(
-            "closed_form_amplitude_gauss",
-            _max_rel_dev(verbatim, born),
-            _max_rel_dev(corrected, born),
-            "decay rate -k^2 theta^2/(4 alpha) -> -q^2/(2 alpha) "
-            "(amplitude exponent -k^2 theta^2/(8 alpha) -> -q^2/(4 alpha))")
-
-        sigma_direct = _gauss_total_direct(p, kin)
-        sigma_verbatim = paper_totals(p, kin)
-        sigma_corrected = 2.0 * sigma_verbatim
-        tot_check = _grade(
-            "closed_form_total_gauss",
-            _max_rel_dev(sigma_verbatim, sigma_direct),
-            _max_rel_dev(sigma_corrected, sigma_direct),
-            "prefactor pi^2/(2 alpha^2) -> pi^2/alpha^2 (factor 2): direct "
-            "integration of the printed differential form gives twice the "
-            "printed total",
-            ratio=sigma_direct / sigma_verbatim
-            if sigma_verbatim != 0 else float("nan"))
-        return [amp_check, tot_check]
-
-    raise UnsupportedModelError(
-        "reference-formula checks exist for Yukawa and Gauss only")
+    corrected = paper_forms.total_corrected(p, kin)
+    if model == "yukawa":
+        oracle = _born_total_grid(p, kin)
+        try:
+            verbatim = paper_totals(p, kin)
+        except PoleError:
+            verbatim = float("inf")
+        ratio = verbatim / corrected if corrected != 0 else float("nan")
+    else:
+        oracle = _gauss_total_direct(p, kin)
+        verbatim = paper_totals(p, kin)
+        ratio = oracle / verbatim if verbatim != 0 else float("nan")
+    tot_check = _grade(
+        f"closed_form_total_{model}", _max_rel_dev(verbatim, oracle),
+        _max_rel_dev(corrected, oracle), ratio=ratio)
+    return [amp_check, tot_check]
 
 
 def _born_total_grid(p, kin):
@@ -319,23 +285,14 @@ def _born_total_grid(p, kin):
     return total_integrated(rows, kin.k)
 
 
-def _yukawa_total_verbatim(p, kin):
-    try:
-        return paper_totals(p, kin)
-    except PoleError:
-        return float("inf")
-
-
 def _gauss_total_direct(p, kin):
     """2 pi int_0^2 (verbatim differential form) theta dtheta.
 
     The printed total's bracket 1 - e^{-k^2/alpha} corresponds exactly to
     cutting the small-angle integration at theta = 2.
     """
-    pref = (np.pi / (4.0 * p.alpha**3)) * (
-        p.g * kin.k / (kin.hbar * kin.v)) ** 2
-    k2a = kin.k**2 / (4.0 * p.alpha)
     settings = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-300)
     res = integrate_adaptive(
-        lambda t: pref * np.exp(-k2a * t * t) * t, 0.0, 2.0, settings)
+        lambda t: paper_forms.dsigma(p, kin, t, None) * t, 0.0, 2.0,
+        settings)
     return 2.0 * np.pi * res.value

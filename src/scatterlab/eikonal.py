@@ -6,8 +6,9 @@ The amplitude engine implements
     chi(b)   = -(1/(hbar v)) int_{-inf}^{inf} V(sqrt(b^2 + z^2)) dz,
 
 with q = 2 k sin(theta/2). The sign convention is the minus in chi,
-uniformly; reference closed forms that differ are evaluated verbatim in
-amplitude_paper_closed and compared in reports, never silently corrected.
+uniformly; reference closed forms that differ are evaluated verbatim (by
+paper_forms, through amplitude_paper_closed) and compared in reports,
+never silently corrected.
 The small-angle substitute q = k theta sits behind a flag so its effect can
 be isolated.
 
@@ -21,8 +22,9 @@ born.born_resummed_amplitude integrates too, and _z_profile integrates it
 once per potential and impact parameter: it keeps the values of the
 potential last used, keyed by the exact b, so the two routes share each
 w(b) across angles and k. Each value has the bits of integrating at that
-b alone. With threads > 1, concurrent tasks may integrate the same b, to
-the same bits, so the output bytes do not change.
+b alone. The store is safe to call from several threads: two callers may
+integrate the same b, to the same bits, so results do not depend on who
+integrated it first.
 """
 
 import dataclasses
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import paper_forms
 from .errors import (DomainError, PoleError, SingularityError,
                      UnsupportedModelError)
 from .potentials import Gauss, TabulatedRadial, Yukawa, evaluate
@@ -320,32 +323,17 @@ def _amplitude(theta, th, q, value, error_estimate):
 
 
 def amplitude_paper_closed(p, kin, theta):
-    """Reference closed forms, evaluated verbatim (epsilon factors dropped).
-
-    These are comparison targets for the report, not ground truth: the
-    Yukawa form carries a -k^2 theta^2 denominator term with a suspected
-    sign typo and a pole at k*theta = mu, and both use the small-angle q.
+    """Reference closed forms (paper_forms.amplitude) at one angle or at
+    every angle of a 1-d theta array: comparison targets, not ground truth.
+    The Yukawa form has a pole at k*theta = mu: a scalar theta there raises
+    PoleError, an array row there is nan.
     """
-    theta = float(theta)
-    if not 0.0 <= theta < np.pi:
-        raise DomainError("theta must lie in [0, pi)")
-    q = float(momentum_transfer(kin.k, theta))
-    hv = kin.hbar * kin.v
-    kt2 = (kin.k * theta) ** 2
-    if isinstance(p, Yukawa):
-        denom = p.mu**2 - kt2
-        if abs(denom) <= 1e-9 * (p.mu**2 + kt2):
-            raise PoleError(
-                f"reference Yukawa form has a pole at k*theta = mu "
-                f"(theta = {p.mu / kin.k:.6g}); cannot evaluate at "
-                f"theta = {theta:.6g}")
-        value = (2.0 * p.g * kin.k / hv) / denom
-    elif isinstance(p, Gauss):
-        a = p.alpha
-        value = (0.5 / a) * math.sqrt(np.pi / a) * (p.g * kin.k / hv) \
-            * math.exp(-kt2 / (8.0 * a))
-    else:
-        raise UnsupportedModelError(
-            "reference closed forms exist only for Yukawa and Gauss")
-    return Amplitude(theta=theta, q=q, value=complex(value),
-                     error_estimate=0.0)
+    th = _check_theta(theta)
+    value = paper_forms.amplitude(p, kin, th)
+    if np.ndim(theta) == 0 and np.isnan(value):
+        raise PoleError(
+            f"reference Yukawa form has a pole at k*theta = mu "
+            f"(theta = {p.mu / kin.k:.6g}); cannot evaluate at "
+            f"theta = {float(th):.6g}")
+    return _amplitude(theta, th, momentum_transfer(kin.k, th), value,
+                      np.zeros(th.shape))

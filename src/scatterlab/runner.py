@@ -1,25 +1,25 @@
 """Scan orchestration: one config in, CSV/report/manifest files out.
 
-Work is split into independent (source, k) tasks that may run on a thread
-pool; results are assembled and written in a fixed canonical order so the
-emitted bytes do not depend on scheduling.
+Work is split into independent (source, k) tasks, run one after another
+in a fixed canonical order. run.threads is parsed, checked and echoed but
+changes neither speed nor output: the tasks hold the interpreter lock, so
+a thread pool never ran them faster.
 """
 
+import dataclasses
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, paper_forms
 from .born import BornSettings, born1_amplitude, born_resummed_amplitude
 from .config import echo_lines
 from .cross_sections import paper_formula_checks, table_from_amplitudes
-from .eikonal import (Amplitude, amplitude_eikonal, amplitude_paper_closed,
-                      momentum_transfer)
-from .errors import DomainError, PoleError, ScatterError
+from .eikonal import amplitude_eikonal, amplitude_paper_closed
+from .errors import DomainError, ScatterError
 from .partial_wave import amplitude_partial_wave, phase_shifts
 from .potentials import Gauss, Yukawa
 
@@ -77,51 +77,23 @@ def _csv_name(source, k):
 
 
 def _amplitude_rows(cfg, source, kin, theta):
-    """Per-angle amplitudes as (q, value, err) arrays plus row warnings."""
+    """The source's Amplitude over the theta grid, plus row warnings."""
+    p = cfg.potential
     if source == "partial_wave":
-        ps = phase_shifts(cfg.potential, kin,
-                          l_max=cfg.partial_wave.l_max,
+        ps = phase_shifts(p, kin, l_max=cfg.partial_wave.l_max,
                           r_max=cfg.partial_wave.r_max,
                           dr=cfg.partial_wave.dr)
-        amp = amplitude_partial_wave(ps, theta)
-        return (np.asarray(amp.q, dtype=float),
-                np.asarray(amp.value, dtype=complex),
-                np.full(theta.size,
-                        float(np.max(np.atleast_1d(amp.error_estimate)))),
-                [])
+        return amplitude_partial_wave(ps, theta), []
     if source == "eikonal":
-        amp = amplitude_eikonal(cfg.potential, kin, theta,
-                                settings=cfg.quadrature)
-        return amp.q, amp.value, amp.error_estimate, []
+        return amplitude_eikonal(p, kin, theta, settings=cfg.quadrature), []
     if source == "born_resummed":
-        amp = born_resummed_amplitude(cfg.potential, kin, theta,
-                                      settings=BornSettings(
-                                          spatial=cfg.quadrature))
-        return amp.q, amp.value, amp.error_estimate, []
+        return born_resummed_amplitude(p, kin, theta, settings=BornSettings(
+            spatial=cfg.quadrature)), []
     if source == "born1":
-        amp = born1_amplitude(cfg.potential, kin, theta)
-        return amp.q, amp.value, amp.error_estimate, []
-
-    n = theta.size  # paper_closed, one angle at a time for its poles
-    q = np.empty(n)
-    value = np.empty(n, dtype=complex)
-    err = np.zeros(n)
-    warnings = []
-    for i, t in enumerate(theta):
-        t = float(t)
-        try:
-            a = amplitude_paper_closed(cfg.potential, kin, t)
-        except PoleError:
-            q[i] = momentum_transfer(kin.k, t)
-            value[i] = complex(float("nan"), float("nan"))
-            warnings.append(
-                f"{source} k={_k_tag(kin.k)}: pole at "
-                f"theta={t:.6g}, row recorded as nan")
-            continue
-        q[i] = a.q
-        value[i] = a.value
-        err[i] = a.error_estimate
-    return q, value, err, warnings
+        return born1_amplitude(p, kin, theta), []
+    amp = amplitude_paper_closed(p, kin, theta)
+    return amp, [f"{source} k={_k_tag(kin.k)}: pole at theta={t:.6g}, row "
+                 f"recorded as nan" for t in theta[np.isnan(amp.value)]]
 
 
 def _quadrature_warning(source, k, err, value, settings):
@@ -143,7 +115,7 @@ def _run_task(cfg, source, k):
     kin = cfg.kinematics(k)
     theta = cfg.theta.points()
     try:
-        q, value, err, warnings = _amplitude_rows(cfg, source, kin, theta)
+        amp, warnings = _amplitude_rows(cfg, source, kin, theta)
     except ScatterError as exc:
         wall = time.perf_counter() - start
         outcome = SourceOutcome(source=source, k=k, csv_file=None,
@@ -154,11 +126,11 @@ def _run_task(cfg, source, k):
         return outcome, None, []
 
     if source in _QUADRATURE_SOURCES:
-        loose = _quadrature_warning(source, k, err, value, cfg.quadrature)
+        loose = _quadrature_warning(source, k, amp.error_estimate,
+                                    amp.value, cfg.quadrature)
         if loose is not None:
             warnings.append(loose)
 
-    amp = Amplitude(theta=theta, q=q, value=value, error_estimate=err)
     table = table_from_amplitudes(source, amp, kin.k)
     if math.isnan(table.total_integrated):
         warnings.append(
@@ -194,26 +166,9 @@ def _summary_text(outcomes):
     return "\n".join(lines) + "\n"
 
 
-def _reference_dsigma(p, kin, theta, q):
-    """|f|^2 of the reference closed form with the exact q substituted."""
-    hv = kin.hbar * kin.v
-    if isinstance(p, Yukawa):
-        denom = (p.mu**2 - q * q) ** 2
-        out = np.where(denom > 0.0,
-                       4.0 * (p.g * kin.k / hv) ** 2
-                       / np.where(denom > 0.0, denom, 1.0),
-                       float("nan"))
-        return out
-    if isinstance(p, Gauss):
-        pref = (np.pi / (4.0 * p.alpha**3)) * (p.g * kin.k / hv) ** 2
-        return pref * np.exp(-((kin.k * theta) ** 2) / (4.0 * p.alpha))
-    return None
-
-
 def _report_text(cfg, tables, verdicts):
     lines = ["pairwise comparison of dsigma/dOmega", ""]
     for k in cfg.k_values:
-        kin = cfg.kinematics(k)
         present = [s for s in cfg.sources if (s, k) in tables]
         lines.append(f"[k = {_k_tag(k)}]")
         if not present:
@@ -224,15 +179,13 @@ def _report_text(cfg, tables, verdicts):
         q = tables[(present[0], k)].rows[:, 1]
 
         columns = {s: tables[(s, k)].rows[:, 4] for s in present}
-        ref = None
-        if "paper_closed" in present:
-            ref = _reference_dsigma(cfg.potential, kin, theta, q)
-            if ref is not None:
-                lines.append(
-                    "  reference_form: closed |f|^2 with q = "
-                    "2 k sin(theta/2) substituted (exact-q variant of the "
-                    "paper_closed column)")
-                columns["reference_form"] = ref
+        if "paper_closed" in present:  # so the model has closed forms
+            lines.append(
+                "  reference_form: closed |f|^2 with q = "
+                "2 k sin(theta/2) substituted (exact-q variant of the "
+                "paper_closed column)")
+            columns["reference_form"] = paper_forms.dsigma(
+                cfg.potential, cfg.kinematics(k), theta, q)
 
         names = list(columns)
         for i in range(len(names)):
@@ -334,28 +287,22 @@ def _manifest_text(manifest):
 
 
 def run_scan(cfg, out_dir=None):
-    """Execute every (source, k) task and write the artifact files.
+    """Execute every (source, k) task, one after another, and write the
+    artifact files.
 
-    out_dir overrides cfg.output.directory when given. Returns the
-    RunManifest; per-source failures are recorded there rather than
-    raised, so partial results still land on disk.
+    out_dir overrides cfg.output.directory when given; the manifest
+    echoes the directory actually written. Returns the RunManifest;
+    per-source failures are recorded there rather than raised, so partial
+    results still land on disk.
     """
     out_dir = cfg.output.directory if out_dir is None else out_dir
+    cfg = dataclasses.replace(cfg, output=dataclasses.replace(
+        cfg.output, directory=out_dir))
     tasks = [(source, k) for source in cfg.sources for k in cfg.k_values]
 
-    results = {}
-    if cfg.threads == 1:
-        for source, k in tasks:
-            results[(source, k)] = _run_task(cfg, source, k)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {key: pool.submit(_run_task, cfg, *key)
-                       for key in tasks}
-        results = {key: fut.result() for key, fut in futures.items()}
-
     outcomes, tables, warnings = [], {}, []
-    for key in tasks:  # canonical order, not completion order
-        outcome, table, task_warnings = results[key]
+    for key in tasks:
+        outcome, table, task_warnings = _run_task(cfg, *key)
         outcomes.append(outcome)
         warnings.extend(task_warnings)
         if table is not None:

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 
-from scatterlab.errors import ConvergenceError, DomainError
-from scatterlab.potentials import evaluate, origin_expansion
+from scatterlab.eikonal import Amplitude, momentum_transfer
+from scatterlab.errors import (ConvergenceError, DomainError, PoleError,
+                               UnsupportedModelError)
+from scatterlab.potentials import Gauss, Yukawa, evaluate, origin_expansion
 from scatterlab.quadrature import _EPS, _NODES, _WG, _WK
 from scatterlab.special_functions import spherical_bessel
 
@@ -335,3 +337,40 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr, events=None):
         return out
 
     return deltas
+
+
+# The reference closed-form amplitude at one angle, as eikonal evaluated it
+# before paper_forms.amplitude took theta arrays. Reference for
+# eikonal.amplitude_paper_closed.
+
+
+def amplitude_paper_closed(p, kin, theta):
+    """Reference closed forms, evaluated verbatim (epsilon factors dropped).
+
+    These are comparison targets for the report, not ground truth: the
+    Yukawa form carries a -k^2 theta^2 denominator term with a suspected
+    sign typo and a pole at k*theta = mu, and both use the small-angle q.
+    """
+    theta = float(theta)
+    if not 0.0 <= theta < np.pi:
+        raise DomainError("theta must lie in [0, pi)")
+    q = float(momentum_transfer(kin.k, theta))
+    hv = kin.hbar * kin.v
+    kt2 = (kin.k * theta) ** 2
+    if isinstance(p, Yukawa):
+        denom = p.mu**2 - kt2
+        if abs(denom) <= 1e-9 * (p.mu**2 + kt2):
+            raise PoleError(
+                f"reference Yukawa form has a pole at k*theta = mu "
+                f"(theta = {p.mu / kin.k:.6g}); cannot evaluate at "
+                f"theta = {theta:.6g}")
+        value = (2.0 * p.g * kin.k / hv) / denom
+    elif isinstance(p, Gauss):
+        a = p.alpha
+        value = (0.5 / a) * math.sqrt(np.pi / a) * (p.g * kin.k / hv) \
+            * math.exp(-kt2 / (8.0 * a))
+    else:
+        raise UnsupportedModelError(
+            "reference closed forms exist only for Yukawa and Gauss")
+    return Amplitude(theta=theta, q=q, value=complex(value),
+                     error_estimate=0.0)

@@ -67,6 +67,9 @@ class TestRun:
                      str(tmp_path / "flagged"), "--quiet"]) == 0
         assert (tmp_path / "flagged" / "summary.csv").exists()
         assert not (tmp_path / "cfgout").exists()
+        manifest = (tmp_path / "flagged" / "manifest.txt").read_text()
+        assert f"directory = {tmp_path / 'flagged'}" in manifest
+        assert "cfgout" not in manifest
 
     def test_env_var_honored(self, config_file, tmp_path, monkeypatch):
         monkeypatch.setenv("SCATTER_OUT", str(tmp_path / "env_out"))

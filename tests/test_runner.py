@@ -101,6 +101,14 @@ class TestManifest:
         assert "version: " in text
         assert "[config]" in text
 
+    def test_config_echoes_directory_written(self, tmp_path):
+        cfg = _cfg(FAST, tmp_path / "configured")
+        m = run_scan(cfg, out_dir=str(tmp_path / "written"))
+        text = (tmp_path / "written" / "manifest.txt").read_text()
+        assert f"directory = {tmp_path / 'written'}" in text
+        assert "configured" not in text
+        assert m.output_dir == str(tmp_path / "written")
+
     def test_duplicate_csv_rejected(self):
         with pytest.raises(DomainError):
             RunManifest(version="0", config_lines=(), outcomes=(),
@@ -142,7 +150,10 @@ class TestErrorsAndWarnings:
                           tmp_path / "out"))
         rows = _read_rows(tmp_path / "out" / "paper_closed_k2.csv")
         assert np.isnan(rows[5, 2])  # theta = 0.5
-        assert any("pole" in w for w in m.warnings)
+        assert np.count_nonzero(np.isnan(rows[:, 2])) == 1
+        poles = [w for w in m.warnings if "pole at theta=" in w]
+        assert poles == ["paper_closed k=2: pole at theta=0.5, row "
+                         "recorded as nan"]
 
     def test_totals_nan_warning_without_coverage(self, tmp_path):
         m = run_scan(_cfg(FAST, tmp_path / "out"))
