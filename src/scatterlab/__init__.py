@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .born import (BornSettings, born1_amplitude,
-                   born_resummed_amplitude)
+from .born import born1_amplitude, born_resummed_amplitude
 from .config import (OutputOptions, PartialWaveOptions, RunConfig,
                      ThetaGrid, parse_config)
 from .cross_sections import (SOURCES, CrossSectionTable, PaperComparison,
@@ -26,7 +25,7 @@ __all__ = [
     "__version__",
     "Amplitude", "Kinematics", "momentum_transfer", "chi", "chi_closed",
     "phase_profile", "amplitude_eikonal", "amplitude_paper_closed",
-    "BornSettings", "born1_amplitude", "born_resummed_amplitude",
+    "born1_amplitude", "born_resummed_amplitude",
     "PhaseShiftSet", "phase_shifts", "amplitude_partial_wave",
     "effective_radius",
     "SOURCES", "CrossSectionTable", "PaperComparison", "differential",

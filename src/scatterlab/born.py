@@ -22,8 +22,6 @@ documented equality of the two amplitudes at small angle checks the
 Lambda algebra and the two Hankel integrands against each other.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .eikonal import _amplitude, _check_theta, _z_profile, momentum_transfer
@@ -32,30 +30,16 @@ from .errors import DomainError
 # integrators are bound here only because perfbench/tracer.py rebinds them
 # in born's namespace as well.
 from .potentials import evaluate, fourier3d  # noqa: F401
-from .quadrature import (QuadratureSettings, hankel0,  # noqa: F401
+from .quadrature import (DEFAULT_SETTINGS, hankel0,  # noqa: F401
                          integrate_adaptive, integrate_semi_infinite)
 
 __all__ = [
-    "BornSettings",
     "born1_amplitude",
     "born_resummed_amplitude",
 ]
 
-
-@dataclass(frozen=True)
-class BornSettings:
-    """lambda_nodes sets the Gauss-Legendre order for the numeric-lambda
-    cross-check mode; spatial carries the quadrature tolerances."""
-
-    lambda_nodes: int = 12
-    spatial: QuadratureSettings = field(default_factory=QuadratureSettings)
-
-    def __post_init__(self):
-        if self.lambda_nodes < 4:
-            raise DomainError("lambda_nodes must be >= 4")
-
-
-DEFAULT_BORN = BornSettings()
+# Gauss-Legendre order of the numeric-lambda cross-check mode
+_LAMBDA_NODES = 12
 
 
 def born1_amplitude(p, kin, theta):
@@ -95,30 +79,29 @@ def _lambda_factor_numeric(x, nodes):
     return np.sum(wl * np.exp(1j * np.outer(x, lam)), axis=-1)
 
 
-def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_BORN, *,
+def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS, *,
                             lambda_numeric=False):
     """Resummed Born amplitude at one (small) angle, or at every angle of a
     1-d theta array in one Hankel pass (fields are then arrays).
 
     lambda_numeric swaps the closed-form lambda integral for an explicit
-    lambda_nodes-point rule; the two must agree to quadrature accuracy.
+    _LAMBDA_NODES-point rule; the two must agree to quadrature accuracy.
     """
     th = _check_theta(theta)
     q = momentum_transfer(kin.k, th)
     hv = kin.hbar * kin.v
-    spatial = settings.spatial
 
     def g(b):
         b = np.asarray(b, dtype=float)
-        w = _z_profile(p, b.ravel(), spatial)
+        w = _z_profile(p, b.ravel(), settings)
         x = -w / hv
         if lambda_numeric:
-            lam = _lambda_factor_numeric(x, settings.lambda_nodes)
+            lam = _lambda_factor_numeric(x, _LAMBDA_NODES)
         else:
             lam = _lambda_factor(x)
         return (w * lam).reshape(b.shape)
 
-    res = hankel0(g, q, spatial)
+    res = hankel0(g, q, settings)
     value = -(kin.mass / kin.hbar**2) * np.asarray(res.value, dtype=complex)
     err = (kin.mass / kin.hbar**2) * res.error_estimate
     return _amplitude(theta, th, q, value, err)

@@ -6,7 +6,7 @@ import os
 import sys
 
 from . import __version__
-from .config import parse_config
+from .config import parse_config, split_list
 from .errors import ConfigError, ScatterError
 from .runner import run_scan
 
@@ -64,9 +64,8 @@ def _cmd_run(args):
     try:
         cfg = _load_config(args.config)
         if args.sources is not None:
-            requested = tuple(p for chunk in args.sources.split(",")
-                              for p in chunk.split())
-            cfg = dataclasses.replace(cfg, sources=requested)
+            cfg = dataclasses.replace(cfg,
+                                      sources=split_list(args.sources))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,25 +1,29 @@
 """Run configuration: sectioned INI text parsed into a validated RunConfig.
 
-Grammar (all sections optional except [potential] and [kinematics]):
+Grammar. [potential] and [kinematics] are required, and so are the keys
+marked so; every other key may be left out and then takes the value shown,
+which is the default of the dataclass field it sets:
 
     [potential]
-    model = yukawa | gauss | tabulated
-    g = 0.5            # yukawa, gauss
-    mu = 1.0           # yukawa
-    alpha = 1.0        # gauss
-    file = table.csv   # tabulated: two columns r, V (comma or whitespace)
-    interpolation = cubic | linear   # tabulated only
+    model = yukawa | gauss | tabulated   # required
+    g = 0.5            # yukawa, gauss: required
+    mu = 1.0           # yukawa: required
+    alpha = 1.0        # gauss: required
+    file = table.csv   # tabulated: required; two columns r, V (comma or
+                       # whitespace)
+    interpolation = cubic              # tabulated only; or linear
 
     [kinematics]
-    mass = 1.0
-    k = 10.0           # or a comma-separated list for an energy scan
+    mass = 1.0         # required
+    k = 10.0           # required; or a comma- or space-separated list for
+                       # an energy scan
     hbar = 1.0
 
     [theta_grid]
     min = 0.0
     max = 0.5          # must stay strictly below pi
     count = 64
-    spacing = linear | log
+    spacing = linear   # or log
 
     [run]
     sources = eikonal, born1
@@ -42,10 +46,13 @@ Grammar (all sections optional except [potential] and [kinematics]):
     emit_plot_script = true
 
 Unknown sections or keys are rejected by name rather than ignored, so a
-typo cannot silently fall back to a default.
+typo cannot silently fall back to a default. _SECTIONS below is the one
+table of keys: parse_config, the unknown-key check and echo_lines all read
+it.
 """
 
 import configparser
+import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -55,25 +62,8 @@ import numpy as np
 from .cross_sections import SOURCES
 from .eikonal import Kinematics
 from .errors import ConfigError, DomainError
-from .potentials import Gauss, Yukawa, load_radial_table
+from .potentials import Gauss, TabulatedRadial, Yukawa, load_radial_table
 from .quadrature import QuadratureSettings
-
-_SECTION_KEYS = {
-    "potential": ("model", "g", "mu", "alpha", "file", "interpolation"),
-    "kinematics": ("mass", "k", "hbar"),
-    "theta_grid": ("min", "max", "count", "spacing"),
-    "run": ("sources", "threads"),
-    "quadrature": ("rel_tol", "abs_tol", "max_subdivisions", "tail_cut",
-                   "oscillatory_blocks"),
-    "partial_wave": ("l_max", "r_max", "dr"),
-    "output": ("directory", "emit_plot_script"),
-}
-
-_MODEL_KEYS = {
-    "yukawa": {"required": ("g", "mu"), "optional": ()},
-    "gauss": {"required": ("g", "alpha"), "optional": ()},
-    "tabulated": {"required": ("file",), "optional": ("interpolation",)},
-}
 
 _BOOL_STATES = configparser.ConfigParser.BOOLEAN_STATES
 
@@ -182,10 +172,15 @@ class RunConfig:
                 Kinematics(mass=self.mass, k=kk, hbar=self.hbar)
             except DomainError as exc:
                 raise ConfigError(f"kinematics: {exc}",
-                                  key="kinematics.k") from exc
+                                  key=f"kinematics.{exc.key}") from exc
 
     def kinematics(self, k):
         return Kinematics(mass=self.mass, k=k, hbar=self.hbar)
+
+
+def split_list(raw):
+    """The items of a comma- and/or whitespace-separated list."""
+    return tuple(p for chunk in raw.split(",") for p in chunk.split())
 
 
 def _fail(section, key, what, raw):
@@ -208,66 +203,141 @@ def _as_int(section, key, raw):
 
 
 def _as_bool(section, key, raw):
-    state = _BOOL_STATES.get(raw.strip().lower())
+    state = _BOOL_STATES.get(raw.lower())
     if state is None:
         _fail(section, key, "a boolean", raw)
     return state
 
 
+def _as_word(section, key, raw):
+    return raw.lower()
+
+
+def _as_words(section, key, raw):
+    return split_list(raw)
+
+
+def _as_text(section, key, raw):
+    if not raw:
+        raise ConfigError(f"[{section}] {key} must not be empty",
+                          key=f"{section}.{key}")
+    return raw
+
+
+def _as_floats(section, key, raw):
+    parts = split_list(raw)
+    if not parts:
+        raise ConfigError(f"[{section}] {key}: no values given",
+                          key=f"{section}.{key}")
+    return tuple(_as_float(section, key, p) for p in parts)
+
+
+def _auto_or(conv):
+    def parse(section, key, raw):
+        if raw.lower() == "auto":
+            return None
+        return conv(section, key, raw)
+    return parse
+
+
+def _auto_text(val):
+    return "auto" if val is None else repr(val)
+
+
+# section -> (RunConfig field holding the section's dataclass, or None when
+# the keys set RunConfig's own fields; that dataclass; key -> (field, parse,
+# echo)). The dataclasses alone hold the defaults.
+_SECTIONS = {
+    "kinematics": (None, RunConfig, {
+        "mass": ("mass", _as_float, repr),
+        "k": ("k_values", _as_floats, lambda ks: ", ".join(map(repr, ks))),
+        "hbar": ("hbar", _as_float, repr)}),
+    "theta_grid": ("theta", ThetaGrid, {
+        "min": ("min", _as_float, repr),
+        "max": ("max", _as_float, repr),
+        "count": ("count", _as_int, repr),
+        "spacing": ("spacing", _as_word, str)}),
+    "run": (None, RunConfig, {
+        "sources": ("sources", _as_words, ", ".join),
+        "threads": ("threads", _as_int, repr)}),
+    "quadrature": ("quadrature", QuadratureSettings, {
+        "rel_tol": ("rel_tol", _as_float, repr),
+        "abs_tol": ("abs_tol", _as_float, repr),
+        "max_subdivisions": ("max_subdivisions", _as_int, repr),
+        "tail_cut": ("tail_cut", _as_float, repr),
+        "oscillatory_blocks": ("oscillatory_blocks", _as_int, repr)}),
+    "partial_wave": ("partial_wave", PartialWaveOptions, {
+        "l_max": ("l_max", _auto_or(_as_int), _auto_text),
+        "r_max": ("r_max", _auto_or(_as_float), _auto_text),
+        "dr": ("dr", _auto_or(_as_float), _auto_text)}),
+    "output": ("output", OutputOptions, {
+        "directory": ("directory", _as_text, str),
+        "emit_plot_script": ("emit_plot_script", _as_bool,
+                             lambda b: str(b).lower())}),
+}
+
+# RunConfig fields without a default; their keys must be given
+_REQUIRED = {f.name for f in dataclasses.fields(RunConfig)
+             if f.default is f.default_factory is dataclasses.MISSING}
+
+# model -> (potential class, required keys, optional keys); the analytic
+# models take their keys as numbers, a table reads its file
+_MODELS = {
+    "yukawa": (Yukawa, ("g", "mu"), ()),
+    "gauss": (Gauss, ("g", "alpha"), ()),
+    "tabulated": (TabulatedRadial, ("file",), ("interpolation",)),
+}
+_POTENTIAL_KEYS = {"model"}.union(*(req + opt
+                                    for _, req, opt in _MODELS.values()))
+
+
 def _build_potential(sec, base_dir):
-    model = sec.get("model")
-    if model is None:
+    if "model" not in sec:
         raise ConfigError("[potential] model is required",
                           key="potential.model")
-    model = model.strip().lower()
-    spec = _MODEL_KEYS.get(model)
-    if spec is None:
+    model = sec["model"].lower()
+    if model not in _MODELS:
         raise ConfigError(
             f"[potential] model: unknown model {model!r}; choose from "
-            f"{', '.join(sorted(_MODEL_KEYS))}", key="potential.model")
-    allowed = set(spec["required"]) | set(spec["optional"]) | {"model"}
+            f"{', '.join(sorted(_MODELS))}", key="potential.model")
+    cls, required, optional = _MODELS[model]
     for key in sec:
-        if key not in allowed:
+        if key not in ("model", *required, *optional):
             raise ConfigError(
                 f"[potential] {key}: not valid for model {model!r}",
                 key=f"potential.{key}")
-    for key in spec["required"]:
+    for key in required:
         if key not in sec:
             raise ConfigError(
                 f"[potential] {key}: required for model {model!r}",
                 key=f"potential.{key}")
     try:
-        if model == "yukawa":
-            return Yukawa(g=_as_float("potential", "g", sec["g"]),
-                          mu=_as_float("potential", "mu", sec["mu"]))
-        if model == "gauss":
-            return Gauss(g=_as_float("potential", "g", sec["g"]),
-                         alpha=_as_float("potential", "alpha",
-                                         sec["alpha"]))
-        path = sec["file"].strip()
+        if cls is not TabulatedRadial:
+            return cls(**{key: _as_float("potential", key, sec[key])
+                          for key in required})
+        path = sec["file"]
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         if not os.path.exists(path):
             raise ConfigError(f"[potential] file: {path} does not exist",
                               key="potential.file")
-        interp = sec.get("interpolation", "cubic").strip().lower()
-        if interp not in ("cubic", "linear"):
-            _fail("potential", "interpolation", "cubic or linear", interp)
-        return load_radial_table(path, interpolation=interp)
+        options = {}
+        if "interpolation" in sec:
+            interp = sec["interpolation"].lower()
+            if interp not in ("cubic", "linear"):
+                _fail("potential", "interpolation", "cubic or linear", interp)
+            options["interpolation"] = interp
+        return load_radial_table(path, **options)
     except DomainError as exc:
         raise ConfigError(f"[potential] {exc}", key="potential") from exc
 
 
-def _parse_k_list(raw):
-    parts = [p for chunk in raw.split(",") for p in chunk.split()]
-    if not parts:
-        raise ConfigError("[kinematics] k: no values given",
-                          key="kinematics.k")
-    return tuple(_as_float("kinematics", "k", p) for p in parts)
-
-
 def parse_config(text, base_dir=None):
-    """Parse INI text into a RunConfig; every problem raises ConfigError."""
+    """Parse INI text into a RunConfig; every problem raises ConfigError.
+
+    Only the keys present are parsed: every other value is the default of
+    the dataclass field it would set.
+    """
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
                                    inline_comment_prefixes=("#", ";"),
                                    strict=True)
@@ -281,10 +351,14 @@ def parse_config(text, base_dir=None):
                           key=key)
 
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section == "potential":
+            known = _POTENTIAL_KEYS
+        elif section in _SECTIONS:
+            known = _SECTIONS[section][2]
+        else:
             raise ConfigError(f"unknown section [{section}]", key=section)
         for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in known:
                 raise ConfigError(f"[{section}] unknown key {key!r}",
                                   key=f"{section}.{key}")
 
@@ -293,129 +367,44 @@ def parse_config(text, base_dir=None):
             raise ConfigError(f"section [{required}] is required",
                               key=required)
 
-    potential = _build_potential(cp["potential"], base_dir)
+    values = {"potential": _build_potential(cp["potential"], base_dir)}
+    for section, (owner, cls, keys) in _SECTIONS.items():
+        sec = cp[section] if section in cp else {}
+        given = {}
+        for key, (name, parse, _) in keys.items():
+            if key in sec:
+                given[name] = parse(section, key, sec[key])
+            elif owner is None and name in _REQUIRED:
+                raise ConfigError(f"[{section}] {key} is required",
+                                  key=f"{section}.{key}")
+        if owner is None:
+            values.update(given)
+            continue
+        try:
+            values[owner] = cls(**given)
+        except DomainError as exc:
+            raise ConfigError(f"[{section}] {exc}",
+                              key=f"{section}.{exc.key}") from exc
 
-    kin = cp["kinematics"]
-    if "mass" not in kin:
-        raise ConfigError("[kinematics] mass is required",
-                          key="kinematics.mass")
-    if "k" not in kin:
-        raise ConfigError("[kinematics] k is required", key="kinematics.k")
-    mass = _as_float("kinematics", "mass", kin["mass"])
-    k_values = _parse_k_list(kin["k"])
-    hbar = _as_float("kinematics", "hbar", kin.get("hbar", "1.0"))
-
-    grid_sec = cp["theta_grid"] if "theta_grid" in cp else {}
-    theta = ThetaGrid(
-        min=_as_float("theta_grid", "min", grid_sec.get("min", "0.0")),
-        max=_as_float("theta_grid", "max", grid_sec.get("max", "0.5")),
-        count=_as_int("theta_grid", "count", grid_sec.get("count", "64")),
-        spacing=grid_sec.get("spacing", "linear").strip().lower())
-
-    run_sec = cp["run"] if "run" in cp else {}
-    raw_sources = run_sec.get("sources", "eikonal, born1")
-    sources = tuple(p for chunk in raw_sources.split(",")
-                    for p in chunk.split())
-    threads = _as_int("run", "threads", run_sec.get("threads", "1"))
-
-    quad_sec = cp["quadrature"] if "quadrature" in cp else {}
-    try:
-        quadrature = QuadratureSettings(
-            rel_tol=_as_float("quadrature", "rel_tol",
-                              quad_sec.get("rel_tol", "1e-10")),
-            abs_tol=_as_float("quadrature", "abs_tol",
-                              quad_sec.get("abs_tol", "1e-12")),
-            max_subdivisions=_as_int("quadrature", "max_subdivisions",
-                                     quad_sec.get("max_subdivisions",
-                                                  "200")),
-            tail_cut=_as_float("quadrature", "tail_cut",
-                               quad_sec.get("tail_cut", "60.0")),
-            oscillatory_blocks=_as_int("quadrature", "oscillatory_blocks",
-                                       quad_sec.get("oscillatory_blocks",
-                                                    "6")))
-    except DomainError as exc:
-        raise ConfigError(f"[quadrature] {exc}", key="quadrature") from exc
-
-    pw_sec = cp["partial_wave"] if "partial_wave" in cp else {}
-
-    def _auto_or(section, key, raw, conv):
-        if raw is None or raw.strip().lower() == "auto":
-            return None
-        return conv(section, key, raw)
-
-    pw = PartialWaveOptions(
-        l_max=_auto_or("partial_wave", "l_max", pw_sec.get("l_max"),
-                       _as_int),
-        r_max=_auto_or("partial_wave", "r_max", pw_sec.get("r_max"),
-                       _as_float),
-        dr=_auto_or("partial_wave", "dr", pw_sec.get("dr"), _as_float))
-
-    out_sec = cp["output"] if "output" in cp else {}
-    directory = out_sec.get("directory", "scatter_out").strip()
-    if not directory:
-        raise ConfigError("[output] directory must not be empty",
-                          key="output.directory")
-    if base_dir is not None and not os.path.isabs(directory):
-        directory = os.path.join(base_dir, directory)
-    output = OutputOptions(
-        directory=directory,
-        emit_plot_script=_as_bool(
-            "output", "emit_plot_script",
-            out_sec.get("emit_plot_script", "true")))
-
-    return RunConfig(potential=potential, mass=mass, k_values=k_values,
-                     hbar=hbar, theta=theta, sources=sources,
-                     quadrature=quadrature, partial_wave=pw, output=output,
-                     threads=threads)
+    out = values["output"]
+    if base_dir is not None and not os.path.isabs(out.directory):
+        values["output"] = dataclasses.replace(
+            out, directory=os.path.join(base_dir, out.directory))
+    return RunConfig(**values)
 
 
 def echo_lines(cfg):
     """Effective config as INI lines, defaults filled, for the manifest."""
     p = cfg.potential
-    if isinstance(p, Yukawa):
-        pot = [f"model = yukawa", f"g = {p.g!r}", f"mu = {p.mu!r}"]
-    elif isinstance(p, Gauss):
-        pot = [f"model = gauss", f"g = {p.g!r}", f"alpha = {p.alpha!r}"]
+    model = next(m for m, (cls, _, _) in _MODELS.items() if isinstance(p, cls))
+    if model == "tabulated":
+        pot = [f"samples = {p.r.size}", f"interpolation = {p.interpolation}"]
     else:
-        pot = [f"model = tabulated", f"samples = {p.r.size}",
-               f"interpolation = {p.interpolation}"]
-    q = cfg.quadrature
-    pw = cfg.partial_wave
-
-    def opt(v):
-        return "auto" if v is None else repr(v)
-
-    lines = ["[potential]"] + pot + [
-        "",
-        "[kinematics]",
-        f"mass = {cfg.mass!r}",
-        "k = " + ", ".join(repr(k) for k in cfg.k_values),
-        f"hbar = {cfg.hbar!r}",
-        "",
-        "[theta_grid]",
-        f"min = {cfg.theta.min!r}",
-        f"max = {cfg.theta.max!r}",
-        f"count = {cfg.theta.count}",
-        f"spacing = {cfg.theta.spacing}",
-        "",
-        "[run]",
-        "sources = " + ", ".join(cfg.sources),
-        f"threads = {cfg.threads}",
-        "",
-        "[quadrature]",
-        f"rel_tol = {q.rel_tol!r}",
-        f"abs_tol = {q.abs_tol!r}",
-        f"max_subdivisions = {q.max_subdivisions}",
-        f"tail_cut = {q.tail_cut!r}",
-        f"oscillatory_blocks = {q.oscillatory_blocks}",
-        "",
-        "[partial_wave]",
-        f"l_max = {opt(pw.l_max)}",
-        f"r_max = {opt(pw.r_max)}",
-        f"dr = {opt(pw.dr)}",
-        "",
-        "[output]",
-        f"directory = {cfg.output.directory}",
-        f"emit_plot_script = {str(cfg.output.emit_plot_script).lower()}",
-    ]
+        pot = [f"{key} = {getattr(p, key)!r}" for key in _MODELS[model][1]]
+    lines = ["[potential]", f"model = {model}", *pot]
+    for section, (owner, _, keys) in _SECTIONS.items():
+        obj = cfg if owner is None else getattr(cfg, owner)
+        lines += ["", f"[{section}]"] + [
+            f"{key} = {echo(getattr(obj, name))}"
+            for key, (name, _, echo) in keys.items()]
     return lines

@@ -68,7 +68,7 @@ class Kinematics:
             val = getattr(self, name)
             if not math.isfinite(val) or val <= 0.0:
                 raise DomainError(f"{name} must be positive and finite, "
-                                  f"got {val!r}")
+                                  f"got {val!r}", key=name)
 
     @property
     def v(self):

@@ -2,7 +2,14 @@
 
 
 class ScatterError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    key names the offending parameter when one is to blame, else None.
+    """
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class DomainError(ScatterError, ValueError):
@@ -27,10 +34,6 @@ class UnsupportedModelError(ScatterError, TypeError):
 
 class ConfigError(ScatterError, ValueError):
     """A run configuration is malformed; the message names the offending key."""
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
 
 
 class ConvergenceError(ScatterError, RuntimeError):

@@ -36,6 +36,7 @@ block series, and one round integrates the current block of every q in
 one row-batched call. A scalar q is the one-row case of that loop.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,14 +74,23 @@ class QuadratureSettings:
     oscillatory_blocks: int = 6
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
+        for name in ("rel_tol", "abs_tol", "tail_cut"):
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise DomainError(f"{name} must be finite, got {val!r}",
+                                  key=name)
+        for name in ("rel_tol", "abs_tol"):
+            if getattr(self, name) <= 0:
+                raise DomainError("quadrature tolerances must be positive",
+                                  key=name)
         if self.max_subdivisions < 8:
-            raise DomainError("max_subdivisions must be >= 8")
+            raise DomainError("max_subdivisions must be >= 8",
+                              key="max_subdivisions")
         if self.tail_cut <= 0:
-            raise DomainError("tail_cut must be positive")
+            raise DomainError("tail_cut must be positive", key="tail_cut")
         if self.oscillatory_blocks < 1:
-            raise DomainError("oscillatory_blocks must be >= 1")
+            raise DomainError("oscillatory_blocks must be >= 1",
+                              key="oscillatory_blocks")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, paper_forms
-from .born import BornSettings, born1_amplitude, born_resummed_amplitude
+from .born import born1_amplitude, born_resummed_amplitude
 from .config import echo_lines
 from .cross_sections import paper_formula_checks, table_from_amplitudes
 from .eikonal import amplitude_eikonal, amplitude_paper_closed
@@ -87,8 +87,8 @@ def _amplitude_rows(cfg, source, kin, theta):
     if source == "eikonal":
         return amplitude_eikonal(p, kin, theta, settings=cfg.quadrature), []
     if source == "born_resummed":
-        return born_resummed_amplitude(p, kin, theta, settings=BornSettings(
-            spatial=cfg.quadrature)), []
+        return born_resummed_amplitude(p, kin, theta,
+                                       settings=cfg.quadrature), []
     if source == "born1":
         return born1_amplitude(p, kin, theta), []
     amp = amplitude_paper_closed(p, kin, theta)

@@ -4,25 +4,22 @@ Everything here is plain float64 built on math/numpy. Each routine carries an
 accuracy contract checked by the test suite against extended-precision
 references (which live in the tests only):
 
-    bessel_j0        |err| <= max(abs_tol, rel_tol*|J0|) for |x| <= 1e4
+    bessel_j0        |err| <= max(1e-13, 1e-12*|J0|) for |x| <= 1e4
     bessel_k0        same form, x > 0 up to the underflow point of e^{-x}
     legendre_p       exact recurrence, |x| <= 1
     spherical_bessel relative 1e-10 class away from zeros, via the Wronskian
 
-The default profile is rel_tol 1e-12 / abs_tol 1e-13. Scalar in, scalar out;
-ndarray in, ndarray out.
+Scalar in, scalar out; ndarray in, ndarray out.
 """
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "AccuracySpec",
     "bessel_j0",
     "bessel_k0",
     "legendre_p",
@@ -32,25 +29,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.57721566490153286061
-
-
-@dataclass(frozen=True)
-class AccuracySpec:
-    """Error budget a special-function evaluation promises to meet.
-
-    The guarantee is |error| <= max(abs_tol, rel_tol * |true value|), so the
-    relative bound applies away from zeros of the function and the absolute
-    floor takes over near them.
-    """
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-13
-
-    def __post_init__(self):
-        if not 0 < self.rel_tol <= 1e-6:
-            raise DomainError("AccuracySpec rel_tol must lie in (0, 1e-6]")
-        if not 0 <= self.abs_tol <= 1e-6:
-            raise DomainError("AccuracySpec abs_tol must lie in [0, 1e-6]")
 
 
 # ---------------------------------------------------------------------------

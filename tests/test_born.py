@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from scatterlab.born import (BornSettings, _lambda_factor, born1_amplitude,
+from scatterlab.born import (_lambda_factor, born1_amplitude,
                              born_resummed_amplitude)
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.errors import DomainError
@@ -13,17 +13,6 @@ from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
 
 KIN1 = Kinematics(mass=1.0, k=1.0)
 KIN10 = Kinematics(mass=1.0, k=10.0)
-
-
-class TestBornSettings:
-    def test_defaults(self):
-        s = BornSettings()
-        assert s.lambda_nodes == 12
-
-    def test_minimum_nodes(self):
-        BornSettings(lambda_nodes=4)
-        with pytest.raises(DomainError):
-            BornSettings(lambda_nodes=3)
 
 
 class TestBorn1:

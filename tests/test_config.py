@@ -10,6 +10,7 @@ from scatterlab.config import (OutputOptions, PartialWaveOptions, RunConfig,
                                ThetaGrid, echo_lines, parse_config)
 from scatterlab.errors import ConfigError
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
+from scatterlab.quadrature import QuadratureSettings
 
 MINIMAL = """
 [potential]
@@ -20,6 +21,46 @@ mu = 1.0
 [kinematics]
 mass = 1.0
 k = 5
+"""
+
+# Every key set away from its default, in the spellings the grammar allows
+# besides the canonical one: upper-case words, a space-separated k list.
+ALL_KEYS = """
+[potential]
+model = gauss
+g = 0.25
+alpha = 2.0
+
+[kinematics]
+mass = 2.0
+k = 1 2.5  3
+hbar = 0.5
+
+[theta_grid]
+min = 0.01
+max = 1.5
+count = 17
+spacing = LOG
+
+[run]
+sources = born1 partial_wave, eikonal
+threads = 3
+
+[quadrature]
+rel_tol = 1e-9
+abs_tol = 1e-11
+max_subdivisions = 100
+tail_cut = 40
+oscillatory_blocks = 4
+
+[partial_wave]
+l_max = 30
+r_max = 25
+dr = AUTO
+
+[output]
+directory = results
+emit_plot_script = no
 """
 
 
@@ -43,6 +84,246 @@ class TestDefaults:
         cfg = parse_config(MINIMAL)
         again = parse_config("\n".join(echo_lines(cfg)))
         assert again == cfg
+
+
+class TestEchoGolden:
+    """The manifest's [config] block, frozen line for line."""
+
+    def test_minimal(self):
+        assert echo_lines(parse_config(MINIMAL)) == [
+            "[potential]", "model = yukawa", "g = 1.0", "mu = 1.0", "",
+            "[kinematics]", "mass = 1.0", "k = 5.0", "hbar = 1.0", "",
+            "[theta_grid]", "min = 0.0", "max = 0.5", "count = 64",
+            "spacing = linear", "",
+            "[run]", "sources = eikonal, born1", "threads = 1", "",
+            "[quadrature]", "rel_tol = 1e-10", "abs_tol = 1e-12",
+            "max_subdivisions = 200", "tail_cut = 60.0",
+            "oscillatory_blocks = 6", "",
+            "[partial_wave]", "l_max = auto", "r_max = auto", "dr = auto",
+            "",
+            "[output]", "directory = scatter_out", "emit_plot_script = true",
+        ]
+
+    def test_all_keys(self):
+        assert echo_lines(parse_config(ALL_KEYS)) == [
+            "[potential]", "model = gauss", "g = 0.25", "alpha = 2.0", "",
+            "[kinematics]", "mass = 2.0", "k = 1.0, 2.5, 3.0", "hbar = 0.5",
+            "",
+            "[theta_grid]", "min = 0.01", "max = 1.5", "count = 17",
+            "spacing = log", "",
+            "[run]", "sources = born1, partial_wave, eikonal", "threads = 3",
+            "",
+            "[quadrature]", "rel_tol = 1e-09", "abs_tol = 1e-11",
+            "max_subdivisions = 100", "tail_cut = 40.0",
+            "oscillatory_blocks = 4", "",
+            "[partial_wave]", "l_max = 30", "r_max = 25.0", "dr = auto", "",
+            "[output]", "directory = results", "emit_plot_script = false",
+        ]
+
+    def test_all_keys_round_trip(self):
+        cfg = parse_config(ALL_KEYS)
+        assert parse_config("\n".join(echo_lines(cfg))) == cfg
+
+    def test_defaults_are_the_dataclasses(self):
+        cfg = parse_config(MINIMAL)
+        assert cfg.theta == ThetaGrid()
+        assert cfg.quadrature == QuadratureSettings()
+        assert cfg.partial_wave == PartialWaveOptions()
+        assert cfg.output == OutputOptions()
+
+
+def _with(old, new):
+    return MINIMAL.replace(old, new)
+
+
+def _plus(section):
+    return MINIMAL + "\n" + section + "\n"
+
+
+_TABLE = "[potential]\nmodel = tabulated\nfile = {table}\n%s\n" \
+         "[kinematics]\nmass = 1.0\nk = 2\n"
+_GAUSS = _with("model = yukawa", "model = gauss")
+
+# (input, ConfigError key, message) for one fault each; {table} stands for
+# a valid four-row radial table.
+FAULTS = {
+    "default_section": ("[DEFAULT]\nstray = 1\n" + MINIMAL, "stray",
+                        "key 'stray' appears outside any section"),
+    "unknown_section": (_plus("[plotting]\nx = 1"), "plotting",
+                        "unknown section [plotting]"),
+    "unknown_key": (_plus("[run]\nthreds = 2"), "run.threds",
+                    "[run] unknown key 'threds'"),
+    "unknown_potential_key": (_with("mu = 1.0", "mu = 1.0\nbeta = 2"),
+                              "potential.beta",
+                              "[potential] unknown key 'beta'"),
+    "missing_potential": ("[kinematics]\nmass = 1.0\nk = 5\n", "potential",
+                          "section [potential] is required"),
+    "missing_kinematics": ("[potential]\nmodel = yukawa\ng = 1.0\n"
+                           "mu = 1.0\n", "kinematics",
+                           "section [kinematics] is required"),
+    "missing_model": (_with("model = yukawa\n", ""), "potential.model",
+                      "[potential] model is required"),
+    "unknown_model": (_with("yukawa", "woodsaxon"), "potential.model",
+                      "[potential] model: unknown model 'woodsaxon'; "
+                      "choose from gauss, tabulated, yukawa"),
+    "wrong_model_key": (_with("mu = 1.0", "mu = 1.0\nalpha = 2"),
+                        "potential.alpha",
+                        "[potential] alpha: not valid for model 'yukawa'"),
+    "wrong_model_file": (_with("mu = 1.0", "mu = 1.0\nfile = t.csv"),
+                         "potential.file",
+                         "[potential] file: not valid for model 'yukawa'"),
+    "missing_mu": (_with("mu = 1.0\n", ""), "potential.mu",
+                   "[potential] mu: required for model 'yukawa'"),
+    "gauss_missing_alpha": (_GAUSS.replace("mu = 1.0\n", ""),
+                            "potential.alpha",
+                            "[potential] alpha: required for model 'gauss'"),
+    "tabulated_missing_file": ("[potential]\nmodel = tabulated\n"
+                               "[kinematics]\nmass = 1.0\nk = 2\n",
+                               "potential.file", "[potential] file: "
+                               "required for model 'tabulated'"),
+    "bad_g": (_with("g = 1.0", "g = abc"), "potential.g",
+              "[potential] g: expected a number, got 'abc'"),
+    "nan_g": (_with("g = 1.0", "g = nan"), "potential",
+              "[potential] g must be finite, got nan"),
+    "zero_mu": (_with("mu = 1.0", "mu = 0"), "potential",
+                "[potential] Yukawa screening mu must be positive"),
+    "gauss_zero_alpha": (_GAUSS.replace("mu = 1.0", "alpha = -1"),
+                         "potential",
+                         "[potential] Gauss width alpha must be positive"),
+    "no_such_table": (_TABLE.replace("{table}", "nope.csv") % "",
+                      "potential.file",
+                      "[potential] file: nope.csv does not exist"),
+    "bad_interpolation": (_TABLE % "interpolation = quadratic",
+                          "potential.interpolation",
+                          "[potential] interpolation: expected cubic or "
+                          "linear, got 'quadratic'"),
+    "missing_mass": (_with("mass = 1.0\n", ""), "kinematics.mass",
+                     "[kinematics] mass is required"),
+    "missing_k": (_with("k = 5\n", ""), "kinematics.k",
+                  "[kinematics] k is required"),
+    "bad_mass": (_with("mass = 1.0", "mass = heavy"), "kinematics.mass",
+                 "[kinematics] mass: expected a number, got 'heavy'"),
+    "bad_k": (_with("k = 5", "k = five"), "kinematics.k",
+              "[kinematics] k: expected a number, got 'five'"),
+    "bad_k_item": (_with("k = 5", "k = 1, 2x, 3"), "kinematics.k",
+                   "[kinematics] k: expected a number, got '2x'"),
+    "empty_k": (_with("k = 5", "k = , "), "kinematics.k",
+                "[kinematics] k: no values given"),
+    "bad_hbar": (_with("mass = 1.0", "mass = 1.0\nhbar = one"),
+                 "kinematics.hbar",
+                 "[kinematics] hbar: expected a number, got 'one'"),
+    "negative_mass": (_with("mass = 1.0", "mass = -1.0"), "kinematics.mass",
+                      "kinematics: mass must be positive and finite, "
+                      "got -1.0"),
+    "inf_mass": (_with("mass = 1.0", "mass = inf"), "kinematics.mass",
+                 "kinematics: mass must be positive and finite, got inf"),
+    "zero_hbar": (_with("mass = 1.0", "mass = 1.0\nhbar = 0"),
+                  "kinematics.hbar",
+                  "kinematics: hbar must be positive and finite, got 0.0"),
+    "negative_k": (_with("k = 5", "k = -5"), "kinematics.k",
+                   "kinematics: k must be positive and finite, got -5.0"),
+    "duplicate_k": (_with("k = 5", "k = 5, 5"), "kinematics.k",
+                    "k values must not repeat"),
+    "bad_theta_min": (_plus("[theta_grid]\nmin = zero"), "theta_grid.min",
+                      "[theta_grid] min: expected a number, got 'zero'"),
+    "bad_count": (_plus("[theta_grid]\ncount = 2.5"), "theta_grid.count",
+                  "[theta_grid] count: expected an integer, got '2.5'"),
+    "theta_max_pi": (_plus("[theta_grid]\nmax = 3.2"), "theta_grid.max",
+                     "theta_grid.max must be strictly below pi"),
+    "theta_min_negative": (_plus("[theta_grid]\nmin = -0.1"),
+                           "theta_grid.min", "theta_grid.min must be >= 0"),
+    "theta_min_inf": (_plus("[theta_grid]\nmin = inf"), "theta_grid.min",
+                      "theta_grid bounds must be finite"),
+    "theta_max_below_min": (_plus("[theta_grid]\nmin = 0.4\nmax = 0.3"),
+                            "theta_grid.max",
+                            "theta_grid.max must exceed theta_grid.min"),
+    "count_floor": (_plus("[theta_grid]\ncount = 1"), "theta_grid.count",
+                    "theta_grid.count must be >= 2"),
+    "bad_spacing": (_plus("[theta_grid]\nspacing = cubic"),
+                    "theta_grid.spacing",
+                    "theta_grid.spacing must be linear or log"),
+    "log_needs_min": (_plus("[theta_grid]\nspacing = log"),
+                      "theta_grid.spacing",
+                      "log spacing needs theta_grid.min > 0"),
+    "empty_sources": (_plus("[run]\nsources ="), "run.sources",
+                      "at least one source is required"),
+    "unknown_source": (_plus("[run]\nsources = telepathy"), "run.sources",
+                       "unknown source 'telepathy'; choose from eikonal, "
+                       "born1, born_resummed, partial_wave, paper_closed"),
+    "duplicate_source": (_plus("[run]\nsources = born1, born1"),
+                         "run.sources", "sources must not repeat"),
+    "bad_threads": (_plus("[run]\nthreads = two"), "run.threads",
+                    "[run] threads: expected an integer, got 'two'"),
+    "threads_floor": (_plus("[run]\nthreads = 0"), "run.threads",
+                      "run.threads must be >= 1"),
+    "bad_rel_tol": (_plus("[quadrature]\nrel_tol = tight"),
+                    "quadrature.rel_tol",
+                    "[quadrature] rel_tol: expected a number, got 'tight'"),
+    "bad_max_subdivisions": (_plus("[quadrature]\nmax_subdivisions = 1e3"),
+                             "quadrature.max_subdivisions",
+                             "[quadrature] max_subdivisions: expected an "
+                             "integer, got '1e3'"),
+    "negative_rel_tol": (_plus("[quadrature]\nrel_tol = -1"),
+                         "quadrature.rel_tol", "[quadrature] quadrature "
+                         "tolerances must be positive"),
+    "zero_abs_tol": (_plus("[quadrature]\nabs_tol = 0"), "quadrature.abs_tol",
+                     "[quadrature] quadrature tolerances must be positive"),
+    "max_subdivisions_floor": (_plus("[quadrature]\nmax_subdivisions = 4"),
+                               "quadrature.max_subdivisions",
+                               "[quadrature] max_subdivisions must be >= 8"),
+    "zero_tail_cut": (_plus("[quadrature]\ntail_cut = 0"),
+                      "quadrature.tail_cut",
+                      "[quadrature] tail_cut must be positive"),
+    "oscillatory_blocks_floor": (_plus("[quadrature]\noscillatory_blocks = 0"),
+                                 "quadrature.oscillatory_blocks",
+                                 "[quadrature] oscillatory_blocks must be "
+                                 ">= 1"),
+    "nan_rel_tol": (_plus("[quadrature]\nrel_tol = nan"),
+                    "quadrature.rel_tol",
+                    "[quadrature] rel_tol must be finite, got nan"),
+    "inf_rel_tol": (_plus("[quadrature]\nrel_tol = inf"),
+                    "quadrature.rel_tol",
+                    "[quadrature] rel_tol must be finite, got inf"),
+    "inf_abs_tol": (_plus("[quadrature]\nabs_tol = inf"),
+                    "quadrature.abs_tol",
+                    "[quadrature] abs_tol must be finite, got inf"),
+    "nan_tail_cut": (_plus("[quadrature]\ntail_cut = nan"),
+                     "quadrature.tail_cut",
+                     "[quadrature] tail_cut must be finite, got nan"),
+    "inf_tail_cut": (_plus("[quadrature]\ntail_cut = inf"),
+                     "quadrature.tail_cut",
+                     "[quadrature] tail_cut must be finite, got inf"),
+    "bad_l_max": (_plus("[partial_wave]\nl_max = many"),
+                  "partial_wave.l_max",
+                  "[partial_wave] l_max: expected an integer, got 'many'"),
+    "negative_l_max": (_plus("[partial_wave]\nl_max = -1"),
+                       "partial_wave.l_max",
+                       "partial_wave.l_max must be >= 0 or auto"),
+    "negative_r_max": (_plus("[partial_wave]\nr_max = -5"),
+                       "partial_wave.r_max",
+                       "partial_wave.r_max must be positive"),
+    "nan_r_max": (_plus("[partial_wave]\nr_max = nan"), "partial_wave.r_max",
+                  "partial_wave.r_max must be positive"),
+    "negative_dr": (_plus("[partial_wave]\ndr = -0.01"), "partial_wave.dr",
+                    "partial_wave.dr must be positive"),
+    "bad_bool": (_plus("[output]\nemit_plot_script = maybe"),
+                 "output.emit_plot_script",
+                 "[output] emit_plot_script: expected a boolean, "
+                 "got 'maybe'"),
+    "empty_directory": (_plus("[output]\ndirectory ="), "output.directory",
+                        "[output] directory must not be empty"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_single_fault_golden(name, tmp_path):
+    text, key, message = FAULTS[name]
+    table = tmp_path / "table.csv"
+    table.write_text("0.0 1.0\n1.0 0.5\n2.0 0.1\n3.0 0.0\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("{table}", str(table)))
+    assert type(err.value) is ConfigError
+    assert (err.value.key, str(err.value)) == (key, message)
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Quadrature routines against closed-form integrals."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ def test_settings_validation():
     with pytest.raises(DomainError):
         QuadratureSettings(oscillatory_blocks=0)
     QuadratureSettings(max_subdivisions=8)
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "tail_cut"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_settings_reject_non_finite(name, value):
+    # a nan or inf tolerance once let integrate_adaptive stop after one
+    # panel, and a nan tail_cut reached int() inside the Hankel transform
+    with pytest.raises(DomainError) as err:
+        QuadratureSettings(**{name: value})
+    assert err.value.key == name
+    assert str(err.value) == f"{name} must be finite, got {value!r}"
 
 
 def test_single_panel_polynomial_exactness():

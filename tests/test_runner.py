@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scatterlab.config import parse_config
-from scatterlab.errors import DomainError
+from scatterlab.errors import ConfigError, DomainError, ScatterError
 from scatterlab.quadrature import QuadratureSettings
 from scatterlab.runner import RunManifest, _quadrature_warning, run_scan
 
@@ -185,6 +185,19 @@ class TestErrorsAndWarnings:
         assert by_source["eikonal"].error is not None
         assert "ConvergenceError" in by_source["eikonal"].error
         assert by_source["born1"].error is None
+
+    @pytest.mark.parametrize("setting", ["rel_tol = nan", "rel_tol = inf",
+                                         "abs_tol = inf", "tail_cut = nan",
+                                         "tail_cut = inf"])
+    def test_non_finite_quadrature_raises_only_scatter_errors(self, tmp_path,
+                                                              setting):
+        text = FAST.replace("sources = born1, paper_closed",
+                            "sources = eikonal, born_resummed")
+        with pytest.raises(ScatterError) as err:
+            run_scan(_cfg(text + f"\n[quadrature]\n{setting}\n",
+                          tmp_path / "out"))
+        assert type(err.value) is ConfigError
+        assert err.value.key == "quadrature." + setting.split()[0]
 
     def test_formula_checks_in_manifest(self, tmp_path):
         m = run_scan(_cfg(FAST, tmp_path / "out"))

@@ -8,25 +8,14 @@ import pytest
 import scipy.special as sp
 
 from scatterlab.errors import DomainError
-from scatterlab.special_functions import (AccuracySpec, bessel_j0, bessel_k0,
-                                          j0_zeros, legendre_p,
-                                          legendre_p_row, spherical_bessel)
+from scatterlab.special_functions import (bessel_j0, bessel_k0, j0_zeros,
+                                          legendre_p, legendre_p_row,
+                                          spherical_bessel)
 
 mpmath.mp.dps = 40
 
 # First zero of J0, frozen from mpmath.findroot(mpmath.j0, 2.4).
 J0_ZERO_1 = 2.404825557695773
-
-
-def test_accuracy_spec_validation():
-    AccuracySpec(rel_tol=1e-12, abs_tol=1e-13)
-    AccuracySpec(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        AccuracySpec(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        AccuracySpec(abs_tol=1e-3)
-    with pytest.raises(DomainError):
-        AccuracySpec(rel_tol=1e-3)
 
 
 def test_j0_against_mpmath():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scatterlab import born, eikonal, partial_wave
-from scatterlab.born import BornSettings, born_resummed_amplitude
+from scatterlab.born import born_resummed_amplitude
 from scatterlab.config import parse_config
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.errors import ConvergenceError
@@ -118,7 +118,7 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
     monkeypatch.setattr(born, "_z_profile", asked("born", born._z_profile))
     monkeypatch.setattr(eikonal, "integrate_adaptive", counted)
     amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
-    born_resummed_amplitude(p, kin, theta, BornSettings(spatial=SETTINGS))
+    born_resummed_amplitude(p, kin, theta, SETTINGS)
 
     def distinct(route):
         return {x for r, b in requested if r == route for x in b}
