@@ -78,9 +78,10 @@ class ThetaGrid:
     spacing: str = "linear"
 
     def __post_init__(self):
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise ConfigError("theta_grid bounds must be finite",
-                              key="theta_grid.min")
+        for name in ("min", "max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError("theta_grid bounds must be finite",
+                                  key=f"theta_grid.{name}")
         if self.min < 0.0:
             raise ConfigError("theta_grid.min must be >= 0",
                               key="theta_grid.min")
@@ -329,7 +330,8 @@ def _build_potential(sec, base_dir):
             options["interpolation"] = interp
         return load_radial_table(path, **options)
     except DomainError as exc:
-        raise ConfigError(f"[potential] {exc}", key="potential") from exc
+        key = "potential" if exc.key is None else f"potential.{exc.key}"
+        raise ConfigError(f"[potential] {exc}", key=key) from exc
 
 
 def parse_config(text, base_dir=None):

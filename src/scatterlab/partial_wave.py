@@ -7,6 +7,12 @@ extracts tan(delta_l) by matching u_l/r against the free combination
 cos(delta) j_l(kr) - sin(delta) n_l(kr) at two radii a quarter local
 wavelength apart.
 
+The sweep runs Numerov's scheme in summed form: it carries y_n and the
+first difference y_n - y_{n-1} and adds g_n y_n to the difference at each
+step, three in-place operations on the wave vector. Growth in the
+classically forbidden region is held in range by scaling each wave's
+state by exact powers of two, which cannot change a phase shift's bits.
+
 The reported delta_l live in (-pi/2, pi/2]; the amplitude only ever uses
 e^{2 i delta}, for which the mod-pi reduction is exact.
 """
@@ -21,7 +27,8 @@ from .errors import ConvergenceError, DomainError, RangeError
 from .potentials import TabulatedRadial, evaluate, origin_expansion
 from .quadrature import (QuadratureSettings, integrate_adaptive,
                          integrate_semi_infinite)
-from .special_functions import legendre_p_row, spherical_bessel
+from .special_functions import (legendre_p_row, spherical_bessel,
+                                spherical_bessel_row)
 
 __all__ = [
     "PhaseShiftSet",
@@ -91,6 +98,8 @@ def effective_radius(p, fraction=0.9999):
     lo, hi = 0.0, r_hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: no further step can move the bracket
         if integrate_adaptive(w, 0.0, mid, settings).value < target:
             lo = mid
         else:
@@ -133,24 +142,135 @@ def _numerov_deltas(p, kin, l_arr, r_max, dr):
     return _numerov_sweep(p, kin, l_arr, r_max, dr)(np.arange(len(l_arr)))
 
 
+def _normalise(y, d):
+    """Scale each wave's (y, d) in place by the power of two 2^-e that puts
+    max(|y|, |d|) into [1/2, 1); exact, so every ratio keeps its bits."""
+    e = np.frexp(np.maximum(np.abs(y), np.abs(d)))[1]
+    np.ldexp(y, -e, out=y)
+    np.ldexp(d, -e, out=d)
+
+
+def _advance(g, y, d, t, every_step=False):
+    """Step (y, d) in place through the rows of g: d += g_n y, y += d.
+    every_step normalises before each step."""
+    for g_n in g:
+        if every_step:
+            _normalise(y, d)
+        np.multiply(g_n, y, out=t)
+        np.add(d, t, out=d)
+        np.add(y, d, out=y)
+
+
+def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b):
+    """Carry (y, d) in place from grid index 2 to i_b; return y at i_a.
+
+    g_n = h2 f_n / (1 - h2 f_n/12), f_n = base_n + l(l+1)/r_n^2, is formed
+    _CHUNK rows at a time into buffers allocated once. Before i_a each
+    chunk starts from a normalised state; a chunk that still overflows
+    (the steep growth of a high wave near the origin) is redone from its
+    start, normalised at every step. From i_a on nothing is scaled, so y
+    at i_a and at i_b carry one common factor.
+    """
+    t = np.empty_like(y)
+    f_buf = np.empty((_CHUNK, y.size))
+    g_buf = np.empty((_CHUNK, y.size))
+    y_a = None
+    # chunk [n0, n1) takes the state from y_{n0} to y_{n1}; i_a is a cut
+    cuts = sorted({*range(2, i_b, _CHUNK), i_a, i_b})
+    # overflow is caught by the finiteness checks, not by numpy
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n0, n1 in zip(cuts, cuts[1:]):
+            if n0 == i_a:
+                y_a = y.copy()
+            f, g = f_buf[:n1 - n0], g_buf[:n1 - n0]
+            np.multiply(ll1, inv_r2[n0:n1, None], out=f)
+            np.add(base[n0:n1, None], f, out=f)
+            np.multiply(h2 / 12.0, f, out=g)
+            np.subtract(1.0, g, out=g)
+            np.multiply(h2, f, out=f)
+            np.divide(f, g, out=g)
+            if n0 >= i_a:
+                _advance(g, y, d, t)
+                continue
+            _normalise(y, d)
+            start = y.copy(), d.copy()
+            _advance(g, y, d, t)
+            if not np.isfinite(y).all():
+                # a non-finite d reaches y in the same step and stays there
+                y[:], d[:] = start
+                _advance(g, y, d, t, every_step=True)
+    return y_a
+
+
+def _matcher(l_arr, k, r_a, r_b, w_a, w_b):
+    """deltas(idx): the phase shifts of l_arr[idx] from u/r at r_a and r_b.
+
+    Each wave's pair (w_a, w_b) is scaled by one power of two, which keeps
+    the products with n_l finite and leaves the bits of atan2 as they are.
+    The Bessel pairs come from one upward row per radius; only a j_l in
+    the forbidden region x < l + 1 takes the per-l Miller recurrence.
+    """
+    e = np.frexp(np.maximum(np.abs(w_a), np.abs(w_b)))[1]
+    w_a, w_b = np.ldexp(w_a, -e).tolist(), np.ldexp(w_b, -e).tolist()
+    x_a, x_b = k * r_a, k * r_b
+    l_top = int(np.max(l_arr))
+    rows = spherical_bessel_row(l_top, x_a), spherical_bessel_row(l_top, x_b)
+
+    def pair(l, x, row):
+        j, n = row
+        if l < len(j):
+            return j[l], n[l]
+        return spherical_bessel(l, x)
+
+    def deltas(idx):
+        out = np.empty(len(idx))
+        for n, i in enumerate(idx):
+            l = int(l_arr[i])
+            j_a, n_a = pair(l, x_a, rows[0])
+            j_b, n_b = pair(l, x_b, rows[1])
+            num = w_a[i] * j_b - w_b[i] * j_a
+            den = w_a[i] * n_b - w_b[i] * n_a
+            delta = math.atan2(num, den)
+            if delta > np.pi / 2:
+                delta -= np.pi
+            elif delta <= -np.pi / 2:
+                delta += np.pi
+            out[n] = delta
+        return out
+
+    return deltas
+
+
 def _numerov_sweep(p, kin, l_arr, r_max, dr):
     """Integrate every l of l_arr outward in one radial sweep; return
-    deltas(idx), the phase shifts of l_arr[idx], matched on demand."""
+    deltas(idx), the phase shifts of l_arr[idx], matched on demand.
+
+    Numerov in summed form: with y_n = (1 - h^2 f_n/12) u_n the scheme
+    y_{n+1} - 2 y_n + y_{n-1} = h^2 f_n u_n reads d_{n+1} = d_n + g_n y_n,
+    y_{n+1} = y_n + d_{n+1}, where d_n = y_n - y_{n-1} and
+    g_n = h^2 f_n / (1 - h^2 f_n/12). Carrying the first difference
+    instead of two levels costs three in-place operations a step and
+    accumulates far less rounding error; u = y/(1 - h^2 f/12) is formed
+    only at the two matching radii. Each wave's state is scaled by exact
+    powers of two on the way out, never past the first matching radius;
+    the match is homogeneous in (u_a, u_b), so the phase shifts do not
+    depend on when or how often that happens.
+    """
     k = kin.k
-    h = dr
-    h2 = h * h
+    h2 = dr * dr
     two_m = 2.0 * kin.mass / kin.hbar**2
 
     i_a = int(round(r_max / dr))
-    i_delta = max(1, int(round((np.pi / (2.0 * k)) / dr)))
-    i_b = i_a + i_delta
-    n_pts = i_b  # the loop's final step lands exactly on r = i_b dr
+    if i_a < 2:
+        raise DomainError("r_max must lie at least 2 dr from the origin")
+    # the last step lands exactly on r_b = i_b dr
+    i_b = i_a + max(1, int(round((np.pi / (2.0 * k)) / dr)))
 
-    r = dr * np.arange(0, n_pts + 1, dtype=float)  # r[0] = 0 never used
-    base = np.empty(n_pts + 1)
+    r = dr * np.arange(0, i_b + 1, dtype=float)  # r[0] = 0 never used
+    base = np.empty(i_b + 1)
     base[0] = 0.0
     base[1:] = two_m * np.asarray(evaluate(p, r[1:]), dtype=float) - k * k
-    inv_r2 = np.zeros(n_pts + 1)
+    inv_r2 = np.zeros(i_b + 1)
     inv_r2[1:] = 1.0 / (r[1:] * r[1:])
 
     if np.all(base[1:] == -k * k):
@@ -159,6 +279,9 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr):
 
     la = np.asarray(l_arr, dtype=float)
     ll1 = la * (la + 1.0)
+
+    def den_at(n):
+        return 1.0 - h2 / 12.0 * (base[n] + ll1 * inv_r2[n])
 
     # series start u = (r/r_1)^{l+1} (1 + c1 r + c2 r^2 + c3 r^3) from the
     # origin expansion V ~ v_m1/r + v_0 + v_1 r
@@ -171,64 +294,17 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr):
     def series(rv, scale_pow):
         return scale_pow * (1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3)
 
-    u_prev = series(r[1], 1.0)
-    u_curr = series(r[2], 2.0 ** (la + 1.0))
+    y = den_at(2) * series(r[2], 2.0 ** (la + 1.0))
+    d = y - den_at(1) * series(r[1], 1.0)
+    y_a = _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b)
 
-    f_prev = base[1] + ll1 * inv_r2[1]
-    f_curr = base[2] + ll1 * inv_r2[2]
-    y_prev = (1.0 - h2 / 12.0 * f_prev) * u_prev
-    y_curr = (1.0 - h2 / 12.0 * f_curr) * u_curr
-
-    u_a = None
-    for n0 in range(2, n_pts, _CHUNK):
-        n1 = min(n0 + _CHUNK, n_pts)
-        # f_n, h2 f_n and 1 - h2/12 f_n for n = n0..n1 at once: each
-        # element is the arithmetic of forming it within its step
-        f = base[n0:n1 + 1, None] + ll1 * inv_r2[n0:n1 + 1, None]
-        h2f = h2 * f
-        den = 1.0 - h2 / 12.0 * f
-        for n in range(n0, n1):
-            y_next = 2.0 * y_curr - y_prev + h2f[n - n0] * u_curr
-            u_next = y_next / den[n + 1 - n0]
-            if n + 1 < i_a and np.abs(u_next).max() > 1e250:
-                # forbidden-region growth: rescale per l, ratios are kept
-                mask = np.abs(u_next) > 1e250
-                scale = np.where(mask, 1e-250, 1.0)
-                y_curr = y_curr * scale
-                y_next = y_next * scale
-                u_next = u_next * scale
-            if n + 1 == i_a:
-                u_a = u_next.copy()
-            y_prev, y_curr = y_curr, y_next
-            u_curr = u_next
-    u_b = u_curr
-
-    if u_a is None or not (np.all(np.isfinite(u_a))
-                           and np.all(np.isfinite(u_b))):
+    if not (np.all(np.isfinite(y_a)) and np.all(np.isfinite(y))):
         raise ConvergenceError(
             "radial integration overflowed despite rescaling",
             estimate=np.nan, error_estimate=np.inf)
-
     r_a, r_b = r[i_a], r[i_b]
-    w_a, w_b = u_a / r_a, u_b / r_b
-
-    def deltas(idx):
-        out = np.empty(len(idx))
-        for n, i in enumerate(idx):
-            l = int(l_arr[i])
-            j_a, n_a = spherical_bessel(l, k * r_a)
-            j_b, n_b = spherical_bessel(l, k * r_b)
-            num = w_a[i] * j_b - w_b[i] * j_a
-            den = w_a[i] * n_b - w_b[i] * n_a
-            d = math.atan2(num, den)
-            if d > np.pi / 2:
-                d -= np.pi
-            elif d <= -np.pi / 2:
-                d += np.pi
-            out[n] = d
-        return out
-
-    return deltas
+    return _matcher(l_arr, k, r_a, r_b, y_a / den_at(i_a) / r_a,
+                    y / den_at(i_b) / r_b)
 
 
 def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):

@@ -32,7 +32,7 @@ __all__ = [
 
 def _require_finite(name, value):
     if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+        raise DomainError(f"{name} must be finite, got {value!r}", key=name)
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ class Yukawa:
         _require_finite("g", self.g)
         _require_finite("mu", self.mu)
         if self.mu <= 0.0:
-            raise DomainError("Yukawa screening mu must be positive")
+            raise DomainError("Yukawa screening mu must be positive",
+                              key="mu")
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,8 @@ class Gauss:
         _require_finite("g", self.g)
         _require_finite("alpha", self.alpha)
         if self.alpha <= 0.0:
-            raise DomainError("Gauss width alpha must be positive")
+            raise DomainError("Gauss width alpha must be positive",
+                              key="alpha")
 
 
 @dataclass(frozen=True, eq=False)

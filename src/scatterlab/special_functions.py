@@ -25,6 +25,7 @@ __all__ = [
     "legendre_p",
     "legendre_p_row",
     "spherical_bessel",
+    "spherical_bessel_row",
     "j0_zeros",
 ]
 
@@ -206,6 +207,32 @@ def legendre_p_row(l_max, x):
     return out
 
 
+def spherical_bessel_row(l_max, x):
+    """Rows (j, n) of spherical Bessel values at x > 0, from one pass of
+    each upward recurrence.
+
+    n holds n_l(x) for l = 0..l_max; the upward recurrence is always
+    stable for it. j holds j_l(x) for l = 0..l_max as far as the upward
+    recurrence is stable, which is l <= 1 or x >= l + 1; the j_l beyond
+    len(j) come from spherical_bessel's Miller recurrence.
+    """
+    if l_max < 0 or l_max != int(l_max):
+        raise DomainError("spherical Bessel order must be an integer >= 0")
+    l_max = int(l_max)
+    x = float(x)
+    if x <= 0:
+        raise DomainError("spherical Bessel argument x must be > 0")
+    sin_x = math.sin(x)
+    cos_x = math.cos(x)
+    n = [-cos_x / x, -cos_x / (x * x) - sin_x / x]
+    for i in range(1, l_max):
+        n.append((2 * i + 1) / x * n[i] - n[i - 1])
+    j = [sin_x / x, sin_x / (x * x) - cos_x / x]
+    for i in range(1, min(l_max, int(x - 1.0))):
+        j.append((2 * i + 1) / x * j[i] - j[i - 1])
+    return j[:l_max + 1], n[:l_max + 1]
+
+
 def spherical_bessel(l, x):
     """Spherical Bessel pair (j_l(x), n_l(x)) for x > 0, integer l >= 0.
 
@@ -214,35 +241,10 @@ def spherical_bessel(l, x):
     against j_0) in the classically forbidden region x < l where the upward
     direction is unstable.
     """
-    if l < 0 or l != int(l):
-        raise DomainError("spherical_bessel requires integer l >= 0")
-    l = int(l)
-    x = float(x)
-    if x <= 0:
-        raise DomainError("spherical_bessel requires x > 0")
-
-    sin_x = math.sin(x)
-    cos_x = math.cos(x)
-    n0 = -cos_x / x
-    j0 = sin_x / x
-    if l == 0:
-        return j0, n0
-
-    n1 = -cos_x / (x * x) - sin_x / x
-    n_prev, n_cur = n0, n1
-    for i in range(1, l):
-        n_prev, n_cur = n_cur, (2 * i + 1) / x * n_cur - n_prev
-    nl = n_cur
-
-    j1 = sin_x / (x * x) - cos_x / x
-    if l == 1:
-        return j1, nl
-
-    if x >= l + 1:
-        j_prev, j_cur = j0, j1
-        for i in range(1, l):
-            j_prev, j_cur = j_cur, (2 * i + 1) / x * j_cur - j_prev
-        return j_cur, nl
+    j, n = spherical_bessel_row(l, x)
+    l, x = int(l), float(x)
+    if l < len(j):
+        return j[l], n[l]
 
     # Miller's algorithm: seed high above l, recur down, scale to j_0.
     start = l + 30 + int(x)
@@ -258,7 +260,7 @@ def spherical_bessel(l, x):
             f_cur *= 1e-250
             f_next *= 1e-250
             f_l *= 1e-250
-    return f_l * (j0 / f_cur), nl
+    return f_l * (j[0] / f_cur), n[l]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Shared closed-form oracles used by several test modules.
 
 Exact values come from pencil-and-paper antiderivatives, mpmath, or scipy.
-The reference kernels at the end are frozen copies of earlier, plainer
-implementations in the package; the optimised ones must keep their bits.
+The reference kernels at the end are plainer implementations of what the
+package computes, most of them frozen copies of earlier code; the optimised
+ones must keep their bits. The classic Numerov sweep is kept for comparison
+only: the summed form that replaced it rounds differently, and more finely.
 """
 
 import math
@@ -12,9 +14,11 @@ import numpy as np
 from scatterlab.eikonal import Amplitude, momentum_transfer
 from scatterlab.errors import (ConvergenceError, DomainError, PoleError,
                                UnsupportedModelError)
-from scatterlab.potentials import Gauss, Yukawa, evaluate, origin_expansion
-from scatterlab.quadrature import _EPS, _NODES, _WG, _WK
-from scatterlab.special_functions import spherical_bessel
+from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
+                                   origin_expansion)
+from scatterlab.quadrature import (_EPS, _NODES, _WG, _WK, QuadratureSettings,
+                                   integrate_adaptive,
+                                   integrate_semi_infinite)
 
 # Corpus for calibrating the quadrature error estimator: (name, f, a, b,
 # exact). b = None marks a semi-infinite integral over [0, inf). Entries mix
@@ -176,10 +180,54 @@ def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
         splits += 1
 
 
+# Spherical Bessel pair of one order, each recurrence run to that order.
+# Reference for special_functions.spherical_bessel and spherical_bessel_row.
+
+
+def spherical_bessel(l, x):
+    """Spherical Bessel pair (j_l(x), n_l(x)) for x > 0, integer l >= 0."""
+    sin_x = math.sin(x)
+    cos_x = math.cos(x)
+    n0 = -cos_x / x
+    j0 = sin_x / x
+    if l == 0:
+        return j0, n0
+
+    n1 = -cos_x / (x * x) - sin_x / x
+    n_prev, n_cur = n0, n1
+    for i in range(1, l):
+        n_prev, n_cur = n_cur, (2 * i + 1) / x * n_cur - n_prev
+    nl = n_cur
+
+    j1 = sin_x / (x * x) - cos_x / x
+    if l == 1:
+        return j1, nl
+
+    if x >= l + 1:
+        j_prev, j_cur = j0, j1
+        for i in range(1, l):
+            j_prev, j_cur = j_cur, (2 * i + 1) / x * j_cur - j_prev
+        return j_cur, nl
+
+    # Miller's algorithm: seed high above l, recur down, scale to j_0.
+    start = l + 30 + int(x)
+    f_next = 0.0
+    f_cur = 1e-300
+    f_l = 0.0
+    for i in range(start, 0, -1):
+        f_prev = (2 * i + 1) / x * f_cur - f_next
+        f_next, f_cur = f_cur, f_prev
+        if i - 1 == l:
+            f_l = f_cur
+        if abs(f_cur) > 1e250:
+            f_cur *= 1e-250
+            f_next *= 1e-250
+            f_l *= 1e-250
+    return f_l * (j0 / f_cur), nl
+
+
 # Natural cubic spline that forms each interval's coefficients at every
-# evaluation, and the Numerov sweep that forms each step's coefficients
-# inside the step loop. References for _spline.CubicSpline1D and
-# partial_wave._numerov_sweep.
+# evaluation. Reference for _spline.CubicSpline1D.
 
 
 class CubicSpline1D:
@@ -243,36 +291,72 @@ class CubicSpline1D:
         return out[0] if scalar else out
 
 
-def _numerov_sweep(p, kin, l_arr, r_max, dr, events=None):
-    """Integrate every l of l_arr outward in one radial sweep; return
-    deltas(idx), the phase shifts of l_arr[idx], matched on demand.
-    events, if a list, receives the grid index of every rescale."""
-    k = kin.k
-    h = dr
-    h2 = h * h
-    two_m = 2.0 * kin.mass / kin.hbar**2
+# Effective radius by a fixed 80 bisection steps. Reference for
+# partial_wave.effective_radius.
 
+
+def effective_radius(p, fraction=0.9999):
+    """Radius enclosing the given fraction of the weight int |V| r^2 dr."""
+    settings = QuadratureSettings(rel_tol=1e-9, abs_tol=1e-300)
+
+    def w(r):
+        return np.abs(evaluate(p, r)) * r * r
+
+    if isinstance(p, TabulatedRadial):
+        r_hi = float(p.r[-1])
+        total = integrate_adaptive(w, 0.0, r_hi, settings).value
+    else:
+        r_hi = 1.0
+        total = integrate_semi_infinite(w, settings).value
+        if total > 0.0:
+            while integrate_adaptive(w, 0.0, r_hi, settings).value \
+                    < fraction * total:
+                r_hi *= 2.0
+    if total <= 0.0:
+        return 0.0
+    target = fraction * total
+    lo, hi = 0.0, r_hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if integrate_adaptive(w, 0.0, mid, settings).value < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+# Numerov sweeps that form each step's coefficients inside the step loop:
+# the summed form normalised at every step (reference for
+# partial_wave._numerov_sweep, bit for bit), the classic two-level form
+# that preceded it, and the summed form in any float dtype (in np.longdouble
+# the reference for the rounding error of the other two).
+
+
+def _sweep_start(p, kin, l_arr, r_max, dr, dtype):
+    """(i_a, i_b, r, h2, f, u_1, u_2) of a sweep in dtype: the matching
+    indices, the float radii, h^2, f(n) = l(l+1)/r_n^2 + 2mV(r_n)/hbar^2
+    - k^2 for every wave, and the series start at r_1 and r_2; None for the
+    free equation."""
+    k = dtype(kin.k)
+    h = dtype(dr)
+    two_m = dtype(2.0 * kin.mass / kin.hbar**2)
     i_a = int(round(r_max / dr))
-    i_delta = max(1, int(round((np.pi / (2.0 * k)) / dr)))
-    i_b = i_a + i_delta
-    n_pts = i_b  # the loop's final step lands exactly on r = i_b dr
-
-    r = dr * np.arange(0, n_pts + 1, dtype=float)  # r[0] = 0 never used
-    base = np.empty(n_pts + 1)
-    base[0] = 0.0
-    base[1:] = two_m * np.asarray(evaluate(p, r[1:]), dtype=float) - k * k
-    inv_r2 = np.zeros(n_pts + 1)
-    inv_r2[1:] = 1.0 / (r[1:] * r[1:])
-
+    i_b = i_a + max(1, int(round((np.pi / (2.0 * kin.k)) / dr)))
+    r = dr * np.arange(0, i_b + 1, dtype=float)
+    rd = r.astype(dtype)
+    base = np.zeros(i_b + 1, dtype=dtype)
+    base[1:] = two_m * np.asarray(evaluate(p, r[1:]),
+                                  dtype=float).astype(dtype) - k * k
     if np.all(base[1:] == -k * k):
-        # free equation: nothing scatters
-        return lambda idx: np.zeros(len(idx))
-
-    la = np.asarray(l_arr, dtype=float)
+        return None
+    inv_r2 = np.zeros(i_b + 1, dtype=dtype)
+    inv_r2[1:] = 1.0 / (rd[1:] * rd[1:])
+    la = np.asarray(l_arr, dtype=dtype)
     ll1 = la * (la + 1.0)
 
-    # series start u = (r/r_1)^{l+1} (1 + c1 r + c2 r^2 + c3 r^3) from the
-    # origin expansion V ~ v_m1/r + v_0 + v_1 r
+    def f(n):
+        return base[n] + ll1 * inv_r2[n]
+
     v_m1, v_0, v_1 = origin_expansion(p)
     um1, u0, u1c = two_m * v_m1, two_m * v_0 - k * k, two_m * v_1
     c1 = um1 / (2.0 * la + 2.0)
@@ -282,43 +366,22 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr, events=None):
     def series(rv, scale_pow):
         return scale_pow * (1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3)
 
-    u_prev = series(r[1], 1.0)
-    u_curr = series(r[2], 2.0 ** (la + 1.0))
+    u_1 = series(rd[1], 1.0)
+    u_2 = series(rd[2], 2.0 ** (la + 1.0))
+    return i_a, i_b, r, h * h, f, u_1, u_2
 
-    f_prev = base[1] + ll1 * inv_r2[1]
-    f_curr = base[2] + ll1 * inv_r2[2]
-    y_prev = (1.0 - h2 / 12.0 * f_prev) * u_prev
-    y_curr = (1.0 - h2 / 12.0 * f_curr) * u_curr
 
-    u_a = None
-    for n in range(2, n_pts):
-        y_next = 2.0 * y_curr - y_prev + h2 * f_curr * u_curr
-        f_next = base[n + 1] + ll1 * inv_r2[n + 1]
-        u_next = y_next / (1.0 - h2 / 12.0 * f_next)
-        if n + 1 < i_a and np.abs(u_next).max() > 1e250:
-            # forbidden-region growth: rescale per l, ratios are preserved
-            if events is not None:
-                events.append(n + 1)
-            mask = np.abs(u_next) > 1e250
-            scale = np.where(mask, 1e-250, 1.0)
-            y_curr = y_curr * scale
-            y_next = y_next * scale
-            u_next = u_next * scale
-        if n + 1 == i_a:
-            u_a = u_next.copy()
-        y_prev, y_curr = y_curr, y_next
-        f_curr = f_next
-        u_curr = u_next
-    u_b = u_curr
-
-    if u_a is None or not (np.all(np.isfinite(u_a))
-                           and np.all(np.isfinite(u_b))):
+def _match(l_arr, k, r_a, r_b, u_a, u_b):
+    """deltas(idx) from u at r_a and r_b: each wave's pair scaled by one
+    power of two, rounded to float, matched with the scalar Bessel pair."""
+    if not (np.all(np.isfinite(u_a)) and np.all(np.isfinite(u_b))):
         raise ConvergenceError(
             "radial integration overflowed despite rescaling",
             estimate=np.nan, error_estimate=np.inf)
-
-    r_a, r_b = r[i_a], r[i_b]
     w_a, w_b = u_a / r_a, u_b / r_b
+    e = np.frexp(np.maximum(np.abs(w_a), np.abs(w_b)))[1]
+    w_a = np.ldexp(w_a, -e).astype(float).tolist()
+    w_b = np.ldexp(w_b, -e).astype(float).tolist()
 
     def deltas(idx):
         out = np.empty(len(idx))
@@ -337,6 +400,72 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr, events=None):
         return out
 
     return deltas
+
+
+def _no_shifts(idx):
+    return np.zeros(len(idx))
+
+
+def _numerov_sweep(p, kin, l_arr, r_max, dr, dtype=float):
+    """Summed-form sweep: d_{n+1} = d_n + g_n y_n, y_{n+1} = y_n + d_{n+1}
+    with g_n = h^2 f_n / (1 - h^2 f_n/12); before the matching radius each
+    wave's (y, d) is scaled by a power of two at every step."""
+    start = _sweep_start(p, kin, l_arr, r_max, dr, dtype)
+    if start is None:
+        return _no_shifts
+    i_a, i_b, r, h2, f, u_1, u_2 = start
+
+    def den(n):
+        return 1.0 - h2 / 12.0 * f(n)
+
+    y = den(2) * u_2
+    d = y - den(1) * u_1
+    y_a = None
+    for n in range(2, i_b):
+        if n == i_a:
+            y_a = y
+        if n < i_a:
+            e = np.frexp(np.maximum(np.abs(y), np.abs(d)))[1]
+            y, d = np.ldexp(y, -e), np.ldexp(d, -e)
+        f_n = f(n)
+        d = d + h2 * f_n / (1.0 - h2 / 12.0 * f_n) * y
+        y = y + d
+    return _match(l_arr, kin.k, r[i_a], r[i_b], y_a / den(i_a),
+                  y / den(i_b))
+
+
+def _numerov_sweep_classic(p, kin, l_arr, r_max, dr, events=None):
+    """Two-level sweep y_{n+1} = 2 y_n - y_{n-1} + h^2 f_n u_n, u = y/(1 -
+    h^2 f/12), rescaled by 1e-250 where |u| passes 1e250. events, if a
+    list, receives the grid index of every rescale."""
+    start = _sweep_start(p, kin, l_arr, r_max, dr, float)
+    if start is None:
+        return _no_shifts
+    i_a, i_b, r, h2, f, u_prev, u_curr = start
+    f_prev, f_curr = f(1), f(2)
+    y_prev = (1.0 - h2 / 12.0 * f_prev) * u_prev
+    y_curr = (1.0 - h2 / 12.0 * f_curr) * u_curr
+
+    u_a = None
+    for n in range(2, i_b):
+        y_next = 2.0 * y_curr - y_prev + h2 * f_curr * u_curr
+        f_next = f(n + 1)
+        u_next = y_next / (1.0 - h2 / 12.0 * f_next)
+        if n + 1 < i_a and np.abs(u_next).max() > 1e250:
+            # forbidden-region growth: rescale per l, ratios are preserved
+            if events is not None:
+                events.append(n + 1)
+            mask = np.abs(u_next) > 1e250
+            scale = np.where(mask, 1e-250, 1.0)
+            y_curr = y_curr * scale
+            y_next = y_next * scale
+            u_next = u_next * scale
+        if n + 1 == i_a:
+            u_a = u_next.copy()
+        y_prev, y_curr = y_curr, y_next
+        f_curr = f_next
+        u_curr = u_next
+    return _match(l_arr, kin.k, r[i_a], r[i_b], u_a, u_curr)
 
 
 # The reference closed-form amplitude at one angle, as eikonal evaluated it

@@ -183,12 +183,12 @@ FAULTS = {
                                "required for model 'tabulated'"),
     "bad_g": (_with("g = 1.0", "g = abc"), "potential.g",
               "[potential] g: expected a number, got 'abc'"),
-    "nan_g": (_with("g = 1.0", "g = nan"), "potential",
+    "nan_g": (_with("g = 1.0", "g = nan"), "potential.g",
               "[potential] g must be finite, got nan"),
-    "zero_mu": (_with("mu = 1.0", "mu = 0"), "potential",
+    "zero_mu": (_with("mu = 1.0", "mu = 0"), "potential.mu",
                 "[potential] Yukawa screening mu must be positive"),
     "gauss_zero_alpha": (_GAUSS.replace("mu = 1.0", "alpha = -1"),
-                         "potential",
+                         "potential.alpha",
                          "[potential] Gauss width alpha must be positive"),
     "no_such_table": (_TABLE.replace("{table}", "nope.csv") % "",
                       "potential.file",
@@ -233,6 +233,10 @@ FAULTS = {
     "theta_min_negative": (_plus("[theta_grid]\nmin = -0.1"),
                            "theta_grid.min", "theta_grid.min must be >= 0"),
     "theta_min_inf": (_plus("[theta_grid]\nmin = inf"), "theta_grid.min",
+                      "theta_grid bounds must be finite"),
+    "theta_max_inf": (_plus("[theta_grid]\nmax = inf"), "theta_grid.max",
+                      "theta_grid bounds must be finite"),
+    "theta_max_nan": (_plus("[theta_grid]\nmax = nan"), "theta_grid.max",
                       "theta_grid bounds must be finite"),
     "theta_max_below_min": (_plus("[theta_grid]\nmin = 0.4\nmax = 0.3"),
                             "theta_grid.max",

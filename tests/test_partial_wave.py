@@ -70,6 +70,25 @@ class TestEffectiveRadius:
         got = effective_radius(TabulatedRadial(r, v))
         assert 0.0 < got <= 6.0
 
+    @pytest.mark.parametrize("p", [
+        Yukawa(0.5, 1.0), Gauss(1.0, 1.0),
+        TabulatedRadial(np.linspace(0.0, 6.0, 13),
+                        np.r_[np.exp(-np.linspace(0.0, 5.5, 12) ** 2), 0.0]),
+    ])
+    def test_early_stop_keeps_the_bits_of_80_steps(self, monkeypatch, p):
+        # the bisection stops once the bracket is two adjacent floats
+        calls = []
+        integrate = partial_wave.integrate_adaptive
+
+        def counted(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        want = _oracles.effective_radius(p)
+        monkeypatch.setattr(partial_wave, "integrate_adaptive", counted)
+        assert effective_radius(p) == want
+        assert len(calls) < 80
+
 
 class TestPhaseShifts:
     def test_zero_potential_gives_zero_shifts(self):
@@ -182,40 +201,86 @@ class TestPhaseShifts:
                                 dr=ps.dr)
             assert same.delta.tobytes() == ps.delta.tobytes()
 
-    @pytest.mark.parametrize("k, rescales", [(10.0, 100), (30.0, 500)])
-    def test_sweep_keeps_the_bits_of_per_step_coefficients(
-            self, monkeypatch, k, rescales):
-        # against the sweep that forms each step's coefficients in the step
-        # loop; the high waves rescale hundreds of times on the way out
+    @pytest.mark.parametrize("k", [10.0, 30.0])
+    def test_sweep_keeps_the_bits_of_the_per_step_summed_form(
+            self, monkeypatch, k):
+        # against the summed form that forms each step's coefficients in
+        # the step loop and normalises at every step before the matching
+        # radius: power-of-two scaling is exact, so the schedule of the
+        # scaling cannot show in the bits
         p, kin = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
-        events = []
-
-        def oracle(*args):
-            return _oracles._numerov_sweep(*args, events=events)
-
-        monkeypatch.setattr(partial_wave, "_numerov_sweep", oracle)
+        monkeypatch.setattr(partial_wave, "_numerov_sweep",
+                            _oracles._numerov_sweep)
         ref = phase_shifts(p, kin)
-        assert len(events) >= rescales
         assert ref.l_max == ps.l_max
         assert ref.delta.tobytes() == ps.delta.tobytes()
 
-    def test_rescale_one_step_before_the_matching_radius(self):
-        # l = 300 at k = 10 grows until r ~ 30; the matching radius is put
-        # one step past its last rescale before r = 20
+    @pytest.mark.parametrize("chunk, i_a, l_top, redone", [
+        (128, 100, 120, False),  # matching radius inside the first chunk
+        (128, 2 + 128 + 1, 120, False),  # one step past a chunk boundary
+        (4096, 2 + 4096 + 1, 300, True),  # l = 300 overflows the chunk
+    ])
+    def test_sweep_bits_at_chunk_edges(self, monkeypatch, chunk, i_a, l_top,
+                                       redone):
         p, kin, dr = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0), 1e-3
-        l_arr = np.array([0, 1, 7, 40, 300])
+        l_arr = np.array([0, 1, 7, 40, l_top])
         idx = np.arange(l_arr.size)
-        events = []
-        _oracles._numerov_sweep(p, kin, l_arr, 20.0, dr, events=events)
-        i_a = events[-1] + 1
-        events = []
-        old = _oracles._numerov_sweep(p, kin, l_arr, i_a * dr, dr,
-                                      events=events)(idx)
-        assert events[-1] == i_a - 1
+        redos = []
+        advance = partial_wave._advance
+
+        def counted(g, y, d, t, every_step=False):
+            redos.append(every_step)
+            advance(g, y, d, t, every_step)
+
+        monkeypatch.setattr(partial_wave, "_CHUNK", chunk)
+        monkeypatch.setattr(partial_wave, "_advance", counted)
         new = partial_wave._numerov_sweep(p, kin, l_arr, i_a * dr, dr)(idx)
+        old = _oracles._numerov_sweep(p, kin, l_arr, i_a * dr, dr)(idx)
+        assert any(redos) == redone
         assert np.all(np.isfinite(new))
         assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("p, k", [
+        (Yukawa(0.5, 1.0), 1.0), (Yukawa(0.5, 1.0), 10.0),
+        (Yukawa(0.5, 1.0), 30.0), (Gauss(1.0, 1.0), 2.0),
+        (Gauss(1.0, 1.0), 5.0), (Yukawa(100.0, 1.0), 10.0),
+        (Yukawa(-20.0, 1.0), 10.0),
+    ])
+    def test_summed_form_moves_shifts_at_rounding_level(self, monkeypatch,
+                                                        p, k):
+        # against the two-level form it replaced
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        monkeypatch.setattr(partial_wave, "_numerov_sweep",
+                            _oracles._numerov_sweep_classic)
+        ref = phase_shifts(p, kin)
+        assert ref.l_max == ps.l_max
+        assert np.max(np.abs(ps.delta - ref.delta)) <= 1e-10
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="np.longdouble is no wider than double here")
+    @pytest.mark.parametrize("p, k", [(Yukawa(0.5, 1.0), 10.0),
+                                      (Gauss(1.0, 1.0), 5.0)])
+    def test_summed_form_rounds_no_worse_than_classic(self, p, k):
+        # rounding error of both forms against the same sweep in extended
+        # precision, at the same dr
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        l_arr = np.arange(ps.l_max + 1)
+        args = (p, kin, l_arr, ps.r_max, ps.dr)
+        exact = _oracles._numerov_sweep(*args, dtype=np.longdouble)(l_arr)
+        new = partial_wave._numerov_sweep(*args)(l_arr)
+        old = _oracles._numerov_sweep_classic(*args)(l_arr)
+        assert np.max(np.abs(new - exact)) <= np.max(np.abs(old - exact))
+
+    @pytest.mark.parametrize("l_max", [81, 200])
+    def test_matching_does_not_overflow(self, l_max):
+        # n_l(k r) of the high waves is huge at these radii; the parent
+        # overflowed in w_a n_b, which the suite turns into an error
+        ps = phase_shifts(Gauss(0.01, 1.0), KIN2, l_max=l_max, dr=0.00125)
+        assert ps.l_max == l_max
+        assert np.all(np.isfinite(ps.delta))
 
     def test_explicit_l_max_accepted_when_converged(self):
         ps_auto = phase_shifts(Yukawa(0.5, 1.0), KIN2)

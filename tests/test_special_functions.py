@@ -10,7 +10,10 @@ import scipy.special as sp
 from scatterlab.errors import DomainError
 from scatterlab.special_functions import (bessel_j0, bessel_k0, j0_zeros,
                                           legendre_p, legendre_p_row,
-                                          spherical_bessel)
+                                          spherical_bessel,
+                                          spherical_bessel_row)
+
+import _oracles
 
 mpmath.mp.dps = 40
 
@@ -206,6 +209,28 @@ def test_spherical_bessel_domain():
         spherical_bessel(2, 0.0)
     with pytest.raises(DomainError):
         spherical_bessel(-1, 1.0)
+    with pytest.raises(DomainError):
+        spherical_bessel_row(2, 0.0)
+    with pytest.raises(DomainError):
+        spherical_bessel_row(-1, 1.0)
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.5, 12.0, 37.3, 60.9, 202.57,
+                               204.14])
+@pytest.mark.parametrize("l_max", [0, 1, 60, 192])
+def test_spherical_bessel_row_keeps_scalar_bits(x, l_max):
+    # against recurrences run separately for each order: n_l for every l,
+    # j_l as far as the upward recurrence serves it (l <= 1 or
+    # x >= l + 1), on both sides of that edge; the scalar function keeps
+    # its bits for every l
+    j, n = spherical_bessel_row(l_max, x)
+    ref = [_oracles.spherical_bessel(l, x) for l in range(l_max + 1)]
+    got = [spherical_bessel(l, x) for l in range(l_max + 1)]
+    assert len(j) == min(l_max + 1, max(2, int(x)))
+    assert np.array(n).tobytes() == np.array([s[1] for s in ref]).tobytes()
+    assert np.array(j).tobytes() == np.array(
+        [s[0] for s in ref[:len(j)]]).tobytes()
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
 
 
 def test_j0_zeros_values():
