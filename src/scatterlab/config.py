@@ -400,7 +400,7 @@ def echo_lines(cfg):
     p = cfg.potential
     model = next(m for m, (cls, _, _) in _MODELS.items() if isinstance(p, cls))
     if model == "tabulated":
-        pot = [f"samples = {p.r.size}", f"interpolation = {p.interpolation}"]
+        pot = [f"file = {p.file}", f"interpolation = {p.interpolation}"]
     else:
         pot = [f"{key} = {getattr(p, key)!r}" for key in _MODELS[model][1]]
     lines = ["[potential]", f"model = {model}", *pot]

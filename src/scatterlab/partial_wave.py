@@ -40,6 +40,8 @@ __all__ = [
 # decay criterion on the reduced potential: |V(r_max)| 2m/hbar^2 <= DECAY k^2
 _DECAY = 1e-12
 _TAIL_TOL = 1e-8  # |delta_{l_max}| below this counts as converged
+# auto l_max: the widths top - l0 of the sweeps, tried in turn
+_WIDTHS = (64, 128, 256, 416)
 _CHUNK = 128  # Numerov steps whose coefficient rows are formed at once
 
 
@@ -135,11 +137,6 @@ def _auto_r_max(p, kin, r_eff):
             raise RangeError("potential does not decay below the matching "
                              "threshold within r = 500")
     return r
-
-
-def _numerov_deltas(p, kin, l_arr, r_max, dr):
-    """Phase shifts for the given array of l values, one radial sweep."""
-    return _numerov_sweep(p, kin, l_arr, r_max, dr)(np.arange(len(l_arr)))
 
 
 def _normalise(y, d):
@@ -283,19 +280,20 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr):
     def den_at(n):
         return 1.0 - h2 / 12.0 * (base[n] + ll1 * inv_r2[n])
 
-    # series start u = (r/r_1)^{l+1} (1 + c1 r + c2 r^2 + c3 r^3) from the
-    # origin expansion V ~ v_m1/r + v_0 + v_1 r
+    # series start u = (r/r_2)^{l+1} (1 + c1 r + c2 r^2 + c3 r^3) from the
+    # origin expansion V ~ v_m1/r + v_0 + v_1 r; its power is 1 at r_2 and
+    # 2^-(l+1) at r_1 = r_2/2, so the start is finite at every l
     v_m1, v_0, v_1 = origin_expansion(p)
     um1, u0, u1c = two_m * v_m1, two_m * v_0 - k * k, two_m * v_1
     c1 = um1 / (2.0 * la + 2.0)
     c2 = (um1 * c1 + u0) / (2.0 * (2.0 * la + 3.0))
     c3 = (um1 * c2 + u0 * c1 + u1c) / (3.0 * (2.0 * la + 4.0))
 
-    def series(rv, scale_pow):
-        return scale_pow * (1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3)
+    def series(rv):
+        return 1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3
 
-    y = den_at(2) * series(r[2], 2.0 ** (la + 1.0))
-    d = y - den_at(1) * series(r[1], 1.0)
+    y = den_at(2) * series(r[2])
+    d = y - den_at(1) * np.ldexp(series(r[1]), -1 - la.astype(int))
     y_a = _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b)
 
     if not (np.all(np.isfinite(y_a)) and np.all(np.isfinite(y))):
@@ -310,10 +308,14 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr):
 def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     """Solve for delta_l, l = 0..l_max, with auto defaults for all knobs.
 
-    l_max=None keeps adding partial waves until |delta_l| drops below the
-    tail threshold; r_max=None places the matching radius where the
-    reduced potential falls below 1e-12 k^2; dr=None picks a step that
-    holds the discretization error well under the tail threshold.
+    l_max=None cuts the waves at the first l0 + 16 j, l0 = ceil(k r_eff)
+    + 10, whose |delta| is below the tail threshold. It sweeps waves 0..top
+    for top = l0 + 64, l0 + 128, l0 + 256 and l0 + 416 in turn, stopping
+    at the first sweep that holds a converged candidate; past l0 + 416 it
+    raises ConvergenceError. An explicit l_max is one sweep to l_max.
+    r_max=None places the matching radius where the reduced potential
+    falls below 1e-12 k^2; dr=None picks a step that holds the
+    discretization error well under the tail threshold.
     """
     if not isinstance(kin, Kinematics):
         raise DomainError("kin must be a Kinematics instance")
@@ -342,37 +344,31 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
         # keep the matching radius on the grid
         r_max = round(r_max / dr) * dr
 
-    if l_max is not None:
+    if l_max is None:
+        l0 = int(np.ceil(k * r_eff)) + 10
+        tops = [l0 + w for w in _WIDTHS]
+    else:
         if l_max < 0 or l_max != int(l_max):
             raise DomainError("l_max must be an integer >= 0")
-        l_arr = np.arange(0, int(l_max) + 1)
-        deltas = _numerov_deltas(p, kin, l_arr, r_max, dr)
-        return PhaseShiftSet(k=k, l_max=int(l_max), delta=deltas,
-                             r_max=r_max, dr=dr)
-
-    # One sweep to l0 + 64 covers the usual tail; it is cut at the first
-    # l0 + 16 j whose |delta| is converged, which gives the l_max and the
-    # bits of extending 16 waves at a time, each l being integrated on its
-    # own. Waves beyond the cut are never matched. Only a longer tail needs
-    # further sweeps.
-    l0 = int(np.ceil(k * r_eff)) + 10
-    match = _numerov_sweep(p, kin, np.arange(0, l0 + 65), r_max, dr)
-    l_cut = next((l for l in range(l0, l0 + 64, 16)
-                  if abs(match([l])[0]) < _TAIL_TOL), l0 + 64)
-    l_arr = np.arange(0, l_cut + 1)
-    deltas = match(l_arr)
-    while abs(deltas[-1]) >= _TAIL_TOL:
-        if l_arr[-1] > l0 + 400:
-            raise ConvergenceError(
-                "partial-wave tail refuses to converge; the potential may "
-                "be too long-ranged for this oracle",
-                estimate=float(deltas[-1]), error_estimate=abs(deltas[-1]))
-        ext = np.arange(l_arr[-1] + 1, l_arr[-1] + 17)
-        deltas = np.concatenate([deltas,
-                                 _numerov_deltas(p, kin, ext, r_max, dr)])
-        l_arr = np.concatenate([l_arr, ext])
-    return PhaseShiftSet(k=k, l_max=int(l_arr[-1]), delta=deltas,
-                         r_max=r_max, dr=dr)
+        l0 = int(l_max)
+        tops = [l0]
+    # Each pass sweeps waves 0..top once and tests the candidates l0 + 16 j
+    # up to top; each l is integrated and matched on its own, so a wave's
+    # bits do not depend on top, and waves beyond the cut are never matched.
+    # An explicit l_max is kept as given; PhaseShiftSet checks its tail.
+    l_cut = l0
+    for top in tops:
+        match = _numerov_sweep(p, kin, np.arange(top + 1), r_max, dr)
+        while abs(tail := match([l_cut])[0]) >= _TAIL_TOL and l_cut < top:
+            l_cut += 16
+        if abs(tail) < _TAIL_TOL or l_max is not None:
+            return PhaseShiftSet(k=k, l_max=l_cut,
+                                 delta=match(np.arange(l_cut + 1)),
+                                 r_max=r_max, dr=dr)
+    raise ConvergenceError(
+        "partial-wave tail refuses to converge; the potential may be too "
+        "long-ranged for this oracle",
+        estimate=float(tail), error_estimate=abs(tail))
 
 
 def amplitude_partial_wave(ps, theta):

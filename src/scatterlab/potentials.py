@@ -71,12 +71,15 @@ class TabulatedRadial:
 
     Below the first sample the value clamps to v[0]; beyond the last it is
     identically zero (the table is taken to cover the interaction region).
-    interpolation is "cubic" (natural spline) or "linear".
+    interpolation is "cubic" (natural spline) or "linear". file names the
+    path or stream the table was read from, None for a table built in
+    memory.
     """
 
     r: np.ndarray
     v: np.ndarray
     interpolation: str = "cubic"
+    file: str | None = None
     _interp: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -213,4 +216,4 @@ def load_radial_table(source, interpolation="cubic"):
         raise ConfigError(f"radial table {name}: expected two columns r, V",
                           key="potential.file")
     return TabulatedRadial(r=data[:, 0], v=data[:, 1],
-                           interpolation=interpolation)
+                           interpolation=interpolation, file=name)

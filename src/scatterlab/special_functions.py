@@ -179,20 +179,15 @@ def bessel_k0(x):
 
 
 def legendre_p(l, x):
-    """Legendre polynomial P_l(x) for |x| <= 1, by upward recurrence."""
+    """Legendre polynomial P_l(x) for |x| <= 1: row l of legendre_p_row."""
     if l < 0 or l != int(l):
         raise DomainError("legendre_p requires integer l >= 0")
     scalar = np.isscalar(x)
     xa = np.asarray(x, dtype=float)
     if (np.abs(xa) > 1.0 + 1e-12).any():
         raise DomainError("legendre_p requires |x| <= 1")
-    p_prev = np.ones_like(xa)
-    if l == 0:
-        return float(p_prev) if scalar else p_prev
-    p_cur = xa.copy()
-    for n in range(1, int(l)):
-        p_prev, p_cur = p_cur, ((2 * n + 1) * xa * p_cur - n * p_prev) / (n + 1)
-    return float(p_cur) if scalar else p_cur
+    p_l = legendre_p_row(int(l), xa)[int(l)].reshape(xa.shape)
+    return float(p_l) if scalar else p_l
 
 
 def legendre_p_row(l_max, x):

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from scatterlab import partial_wave
 from scatterlab.eikonal import Amplitude, momentum_transfer
 from scatterlab.errors import (ConvergenceError, DomainError, PoleError,
                                UnsupportedModelError)
@@ -466,6 +467,55 @@ def _numerov_sweep_classic(p, kin, l_arr, r_max, dr, events=None):
         f_curr = f_next
         u_curr = u_next
     return _match(l_arr, kin.k, r[i_a], r[i_b], u_a, u_curr)
+
+
+# The automatic l_max plan of partial_wave.phase_shifts before the width
+# schedule: one sweep to l0 + 64 cut at the first converged l0 + 16 j, then
+# one 16-wave sweep per extension up to l0 + 416. Reference for the width
+# schedule, which must keep its l_max and its bits.
+
+
+def phase_shifts_by_extension(p, kin, r_max, dr):
+    """(l_max, delta, sweeps) of the 16-wave extension plan at the r_max and
+    dr phase_shifts resolved; raises the plan's ConvergenceError."""
+    tol = partial_wave._TAIL_TOL
+    l0 = int(np.ceil(kin.k * partial_wave.effective_radius(p))) + 10
+    match = partial_wave._numerov_sweep(p, kin, np.arange(0, l0 + 65),
+                                        r_max, dr)
+    l_cut = next((l for l in range(l0, l0 + 64, 16)
+                  if abs(match([l])[0]) < tol), l0 + 64)
+    l_arr = np.arange(0, l_cut + 1)
+    deltas = match(l_arr)
+    sweeps = 1
+    while abs(deltas[-1]) >= tol:
+        if l_arr[-1] > l0 + 400:
+            raise ConvergenceError(
+                "partial-wave tail refuses to converge; the potential may "
+                "be too long-ranged for this oracle",
+                estimate=float(deltas[-1]), error_estimate=abs(deltas[-1]))
+        ext = np.arange(l_arr[-1] + 1, l_arr[-1] + 17)
+        ext_match = partial_wave._numerov_sweep(p, kin, ext, r_max, dr)
+        deltas = np.concatenate([deltas, ext_match(np.arange(16))])
+        l_arr = np.concatenate([l_arr, ext])
+        sweeps += 1
+    return int(l_arr[-1]), deltas, sweeps
+
+
+# Legendre polynomial of one order by its own upward recurrence, as
+# special_functions.legendre_p computed it. Reference for legendre_p_row.
+
+
+def legendre_p(l, x):
+    """P_l(x) at an array x, |x| <= 1, by upward recurrence to l."""
+    xa = np.asarray(x, dtype=float)
+    p_prev = np.ones_like(xa)
+    if l == 0:
+        return p_prev
+    p_cur = xa.copy()
+    for n in range(1, l):
+        p_prev, p_cur = p_cur, ((2 * n + 1) * xa * p_cur
+                                - n * p_prev) / (n + 1)
+    return p_cur
 
 
 # The reference closed-form amplitude at one angle, as eikonal evaluated it

@@ -480,6 +480,20 @@ class TestTabulated:
             self._table_config(str(f), extra="interpolation = linear"))
         assert cfg.potential.interpolation == "linear"
 
+    def test_echo_names_the_table_and_round_trips(self, tmp_path):
+        f = tmp_path / "table.dat"
+        f.write_text("0.0 1.0\n1.0 0.5\n2.0 0.1\n3.0 0.0\n")
+        cfg = parse_config(self._table_config("table.dat",
+                                              "interpolation = linear"),
+                           base_dir=str(tmp_path))
+        lines = echo_lines(cfg)
+        assert lines[:4] == ["[potential]", "model = tabulated",
+                             f"file = {f}", "interpolation = linear"]
+        again = parse_config("\n".join(lines))
+        assert echo_lines(again) == lines
+        assert again.potential.r.tobytes() == cfg.potential.r.tobytes()
+        assert again.potential.v.tobytes() == cfg.potential.v.tobytes()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_config(self._table_config("nope.csv"),

@@ -1,6 +1,7 @@
 """Tests for the partial-wave phase-shift oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import spherical_jn
 
 from scatterlab import partial_wave
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
-from scatterlab.errors import DomainError, RangeError
+from scatterlab.errors import ConvergenceError, DomainError, RangeError
 from scatterlab.partial_wave import (PhaseShiftSet, amplitude_partial_wave,
                                      effective_radius, phase_shifts)
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
@@ -18,6 +19,19 @@ import _oracles
 from _oracles import square_well_delta0
 
 KIN2 = Kinematics(mass=1.0, k=2.0)
+
+
+def _count_sweeps(monkeypatch):
+    """The wave count of every _numerov_sweep call from here on."""
+    calls = []
+    sweep = partial_wave._numerov_sweep
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return sweep(*args)
+
+    monkeypatch.setattr(partial_wave, "_numerov_sweep", counted)
+    return calls
 
 
 class TestPhaseShiftSet:
@@ -174,32 +188,80 @@ class TestPhaseShifts:
 
     @pytest.mark.parametrize("p, k, sweeps", [
         (Yukawa(0.5, 1.0), 10.0, 1),
-        (Yukawa(5.0, 0.5), 10.0, 3),  # tail beyond l0 + 64
+        (Yukawa(5.0, 0.5), 10.0, 2),  # tail beyond l0 + 64
     ])
     def test_auto_l_max_sweeps_once_and_trims(self, monkeypatch, p, k,
                                               sweeps):
         # l_max is the first l0 + 16 j with a converged |delta|, found in
-        # one sweep to l0 + 64; only a longer tail adds 16-wave sweeps
-        calls = []
-        sweep = partial_wave._numerov_sweep
-
-        def counted(*args):
-            calls.append(args[2].size)
-            return sweep(*args)
-
-        monkeypatch.setattr(partial_wave, "_numerov_sweep", counted)
+        # one sweep to l0 + 64; only a longer tail sweeps again, wider
+        calls = _count_sweeps(monkeypatch)
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
         assert len(calls) == sweeps
         l0 = math.ceil(k * effective_radius(p)) + 10
+        assert calls == [l0 + w + 1 for w in partial_wave._WIDTHS[:sweeps]]
         assert (ps.l_max - l0) % 16 == 0
         assert all(abs(ps.delta[l]) >= partial_wave._TAIL_TOL
                    for l in range(l0, ps.l_max, 16))
-        if sweeps == 1:
-            # each l is integrated on its own: trimming keeps its bits
-            same = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
-                                dr=ps.dr)
-            assert same.delta.tobytes() == ps.delta.tobytes()
+        # each l is integrated on its own: trimming keeps its bits
+        same = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
+                            dr=ps.dr)
+        assert same.delta.tobytes() == ps.delta.tobytes()
+
+    @pytest.mark.parametrize("p, k, l_max, sweeps_then, sweeps_now", [
+        (Yukawa(5.0, 0.5), 10.0, 342, 3, 2),
+        (Yukawa(5.0, 0.5), 30.0, 940, 11, 3),
+        (Yukawa(5.0, 0.3), 5.0, 302, 3, None),
+        (Yukawa(50.0, 0.5), 5.0, 208, 2, None),
+        (Yukawa(0.5, 1.0), 1.0, None, None, None),
+        (Yukawa(0.5, 1.0), 5.0, None, None, None),
+        (Yukawa(0.5, 1.0), 10.0, None, None, None),
+        (Yukawa(0.5, 1.0), 30.0, None, None, None),
+    ])
+    def test_width_schedule_keeps_the_bits_of_16_wave_extensions(
+            self, monkeypatch, p, k, l_max, sweeps_then, sweeps_now):
+        calls = _count_sweeps(monkeypatch)
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        now = len(calls)
+        ref_l_max, ref_delta, then = _oracles.phase_shifts_by_extension(
+            p, kin, ps.r_max, ps.dr)
+        assert ps.l_max == ref_l_max
+        assert ps.delta.tobytes() == ref_delta.tobytes()
+        assert now <= 4
+        for want, got in ((l_max, ps.l_max), (sweeps_then, then),
+                          (sweeps_now, now)):
+            assert want is None or got == want
+
+    def test_unconverged_tail_raises_the_estimate_at_the_cap(self,
+                                                             monkeypatch):
+        # a threshold no |delta| meets: every width is swept, and the error
+        # carries delta at l0 + 416, as the extension plan's did; r_max is
+        # wide enough that n_l(k r_max) stays finite up to there
+        p, kin = Gauss(1.0, 1.0), Kinematics(mass=1.0, k=5.0)
+        ps = phase_shifts(p, kin, r_max=20.0)
+        monkeypatch.setattr(partial_wave, "_TAIL_TOL", 0.0)
+        calls = _count_sweeps(monkeypatch)
+        with pytest.raises(ConvergenceError) as new:
+            phase_shifts(p, kin, r_max=ps.r_max, dr=ps.dr)
+        l0 = math.ceil(kin.k * effective_radius(p)) + 10
+        assert len(calls) == 4 and calls[-1] == l0 + 416 + 1
+        with pytest.raises(ConvergenceError) as ref:
+            _oracles.phase_shifts_by_extension(p, kin, ps.r_max, ps.dr)
+        assert str(new.value) == str(ref.value)
+        # signed zeros: the bits tell which wave was reported
+        assert repr(new.value.estimate) == repr(ref.value.estimate)
+        assert new.value.error_estimate == ref.value.error_estimate
+
+    def test_high_waves_start_finite(self):
+        # the start 2^(l+1) at r_2 overflowed for l >~ 1008; l_max is
+        # above 1100 here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ps = phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=80.0),
+                              dr=0.001)
+        assert ps.l_max > 1100
+        assert np.all(np.isfinite(ps.delta))
 
     @pytest.mark.parametrize("k", [10.0, 30.0])
     def test_sweep_keeps_the_bits_of_the_per_step_summed_form(

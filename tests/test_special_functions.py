@@ -156,11 +156,17 @@ def test_legendre_against_scipy():
 
 
 def test_legendre_row_matches_single():
-    xs = np.linspace(-1.0, 1.0, 11)
-    rows = legendre_p_row(25, xs)
-    assert rows.shape == (26, 11)
-    for l in range(26):
-        assert np.array_equal(rows[l], legendre_p(l, xs))
+    # bit for bit against the recurrence run to each order on its own
+    xs = np.linspace(-1.0, 1.0, 1001)
+    rows = legendre_p_row(59, xs)
+    assert rows.shape == (60, 1001)
+    for l in range(60):
+        ref = _oracles.legendre_p(l, xs)
+        assert rows[l].tobytes() == ref.tobytes()
+        assert legendre_p(l, xs).tobytes() == ref.tobytes()
+        assert legendre_p(l, float(xs[l])) == ref[l]
+    assert isinstance(legendre_p(3, 0.5), float)
+    assert legendre_p(3, np.array(0.5)).shape == ()
 
 
 def test_legendre_domain():
