@@ -14,11 +14,12 @@ born_resummed_amplitude evaluates the resummed series
 which for a radial potential collapses to a Hankel integral over the
 impact parameter of w(b) * Lambda(chi(b)), where w(b) = int_-inf^inf V dz,
 chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
-of the lambda integral. w(b) is read from eikonal._z_profile, which
-integrates it once per potential and impact parameter and shares each
-value with the eikonal route's quadrature phase (callers on several
-threads may integrate the same b, to the same bits). So the
-documented equality of the two amplitudes at small angle checks the
+of the lambda integral. w(b) is read from eikonal._z_profile, the one
+profile per potential and setting that the eikonal route's quadrature
+phase reads too: for Yukawa and Gauss a piecewise-Chebyshev interpolant on
+[0, tail_cut], whose bound joins the amplitude's error_estimate, and
+otherwise per-b integrals with the bits of integrating at that b alone.
+So the documented equality of the two amplitudes at small angle checks the
 Lambda algebra and the two Hankel integrands against each other.
 """
 
@@ -91,9 +92,11 @@ def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS, *,
     q = momentum_transfer(kin.k, th)
     hv = kin.hbar * kin.v
 
+    profile = _z_profile(p, settings)
+
     def g(b):
         b = np.asarray(b, dtype=float)
-        w = _z_profile(p, b.ravel(), settings)
+        w = profile(b.ravel())
         x = -w / hv
         if lambda_numeric:
             lam = _lambda_factor_numeric(x, _LAMBDA_NODES)
@@ -103,5 +106,7 @@ def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS, *,
 
     res = hankel0(g, q, settings)
     value = -(kin.mass / kin.hbar**2) * np.asarray(res.value, dtype=complex)
-    err = (kin.mass / kin.hbar**2) * res.error_estimate
+    # d(w Lambda(-w/(hbar v)))/dw = e^{i chi}, of modulus 1
+    err = (kin.mass / kin.hbar**2) * (res.error_estimate
+                                      + profile.hankel_error(q))
     return _amplitude(theta, th, q, value, err)

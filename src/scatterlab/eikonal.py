@@ -18,13 +18,17 @@ verified against each other; amplitude_eikonal picks the closed route when
 one exists unless told otherwise.
 
 The z-profile w(b) = int V dz of the quadrature route is the one that
-born.born_resummed_amplitude integrates too, and _z_profile integrates it
-once per potential and impact parameter: it keeps the values of the
-potential last used, keyed by the exact b, so the two routes share each
-w(b) across angles and k. Each value has the bits of integrating at that
-b alone. The store is safe to call from several threads: two callers may
-integrate the same b, to the same bits, so results do not depend on who
-integrated it first.
+born.born_resummed_amplitude integrates too. _z_profile holds one
+_ZProfile, of the potential and setting last used, so the two routes share
+it across angles and k. For Yukawa and Gauss it serves b <= tail_cut from
+piecewise-Chebyshev interpolants built once, at rounding level of the
+profile, and both amplitudes add the interpolant's bound to their
+error_estimate. Other b (beyond tail_cut, and every b of a tabulated
+potential) are integrated at that b alone and stored by the exact b, so
+each has the bits of integrating at that b alone. Either way a value does
+not depend on which route or call asked for it first. The store is safe
+to call from several threads: two callers may integrate the same b, to
+the same bits.
 """
 
 import dataclasses
@@ -35,9 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paper_forms
-from .errors import (DomainError, PoleError, SingularityError,
-                     UnsupportedModelError)
-from .potentials import Gauss, TabulatedRadial, Yukawa, evaluate
+from .errors import (ConvergenceError, DomainError, PoleError,
+                     SingularityError, UnsupportedModelError)
+from .potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
+                         origin_expansion)
 from .quadrature import (DEFAULT_SETTINGS, hankel0, integrate_adaptive,
                          integrate_semi_infinite)
 from .special_functions import bessel_k0
@@ -140,50 +145,227 @@ def momentum_transfer(k, theta, small_angle=False):
     return 2.0 * k * np.sin(0.5 * np.asarray(theta))
 
 
-# The z-profile store: (potential, settings, {b: w(b)}) for the potential
-# last integrated, keyed by the exact float b. The potential is held by
-# identity and kept alive, so its id cannot be reused; a call for another
-# potential or setting starts a new store, and a store is emptied once it
-# would hold more than _PROFILE_ENTRIES values. Lookups and inserts take
-# the lock; integrating the misses does not, so two threads may integrate
-# the same b, to the same bits.
+# Piecewise-Chebyshev z-profile of an analytic potential on [0, tail_cut]
+# (Trefethen, Approximation Theory and Approximation Practice, 2013): each
+# piece interpolates w at _CHEB_N first-kind nodes, so b = 0 is never
+# sampled. A piece is accepted when its last three coefficients, and its
+# deviation from a direct integral at two off-grid points, are at most
+# _CHEB_TAIL times max(its largest |w|, W), W the largest |w| of the first
+# round: rounding level of the profile, not rel_tol. Otherwise it is
+# bisected, within the max_subdivisions budget.
+_CHEB_N = 32
+_CHEB_TAIL = 1e-14
+# relative target of the node integrals: at rel_tol = 1e-10 a Yukawa node
+# can be off by 3e-12 relative, a noise no rounding-level tail can pass
+_CHEB_REL_TOL = 1e-13
+_CHEB_X = np.cos((2 * np.arange(_CHEB_N) + 1) * np.pi / (2 * _CHEB_N))
+# values at _CHEB_X (rows) @ _CHEB_T -> Chebyshev coefficients
+_CHEB_T = (2.0 / _CHEB_N) * np.cos(np.outer(np.arccos(_CHEB_X),
+                                            np.arange(_CHEB_N)))
+_CHEB_T[:, 0] *= 0.5
+# halfway, in angle, between the two outermost nodes at either end
+_CHEB_CHECK = np.cos(np.pi / _CHEB_N) * np.array([-1.0, 1.0])
+_EPS = np.finfo(float).eps
+
+# The z-profile held: the _ZProfile of the potential last used. A call for
+# another potential or setting replaces it; a store of per-b values is
+# emptied once it would hold more than _PROFILE_ENTRIES values. Swaps,
+# lookups and inserts take the lock; integrating does not, so two threads
+# may integrate the same b, to the same bits.
 _PROFILE_ENTRIES = 1 << 16
 _profile_lock = threading.Lock()
-_profile = (None, None, {})
+_profile = None
 
 
-def _z_profile(p, b, settings):
-    """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz at each impact parameter
-    of the 1-d array b. Values already integrated for this potential and
-    setting come from the store; the other distinct b are integrated in
-    one row-batched quadrature, which gives each the bits of integrating
-    at that b alone, and stored. A tabulated potential is cut at its last
-    radius: rows there or beyond integrate to 0."""
+def _z_profile(p, settings):
+    """The _ZProfile of p under settings: the one held, or a new one (built
+    before it is held, so a failed build leaves nothing behind)."""
     global _profile
-    # w must hold a RELATIVE tolerance even when the tail value is tiny
-    # (chi ~ 1e-12 at large b), so the absolute floor is pushed out of the
-    # way instead of letting it stop the refinement early.
-    settings = dataclasses.replace(settings, abs_tol=1e-300)
-    keys = b.tolist()
     with _profile_lock:
-        if _profile[0] is not p or _profile[1] != settings:
-            _profile = (p, settings, {})
-        store = _profile[2]
-        w = [store.get(x) for x in keys]
-    miss = {}  # b -> index of its first occurrence in the caller's array
-    for j, (x, v) in enumerate(zip(keys, w)):
-        if v is None and x not in miss:
-            miss[x] = j
-    if miss:
-        rows = np.fromiter(miss.values(), dtype=int, count=len(miss))
-        found = dict(zip(miss, _integrate_z_profile(
-            p, b[rows], settings, lambda m: f" in row {rows[m]}").tolist()))
+        held = _profile
+    if held is not None and held.p is p and held.settings == settings:
+        return held
+    held = _ZProfile(p, settings)
+    with _profile_lock:
+        _profile = held
+    return held
+
+
+def _floored(settings, scale):
+    """settings with an absolute floor at rounding level of a profile whose
+    largest value is about scale: w can then hold its relative target where
+    it is large and stop at rounding where it is not."""
+    return dataclasses.replace(
+        settings, abs_tol=max(_EPS * scale, np.finfo(float).tiny))
+
+
+def _clenshaw(coef, x):
+    """sum_k coef[j, k] T_k(x[j]) for each row j."""
+    b1 = b2 = np.zeros(x.shape)
+    x2 = 2.0 * x
+    for c in coef[:, :0:-1].T:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return coef[:, 0] + x * b1 - b2
+
+
+class _ZProfile:
+    """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz of one potential under
+    one setting; call it with a 1-d array of b.
+
+    For Yukawa and Gauss, b <= tail_cut reads the piecewise-Chebyshev
+    interpolant built at construction. On pieces starting at b = 0 it
+    interpolates w plus the log b terms of w there, (2 c_m1 + c_1 b^2)
+    log b from origin_expansion, which are added back exactly.
+    hankel_error(q) bounds what the interpolation error adds to a Hankel
+    integral of w at q.
+
+    Other b (beyond tail_cut, and every b of a tabulated potential, whose
+    w is only C^3 at each knot) are integrated at that b alone and stored
+    by the exact float b, so each has the bits of integrating at that b
+    alone. Their absolute floor is _EPS * W, with W the largest |w| of the
+    build's first round, or max|v| r[-1] for a table: computed once per
+    profile, never from the b asked for. A table is cut at its last
+    radius: rows there or beyond integrate to 0.
+    """
+
+    def __init__(self, p, settings):
+        self.p = p
+        self.settings = settings
+        self._store = {}
+        if isinstance(p, TabulatedRadial):
+            self._coef = None
+            scale = float(np.max(np.abs(p.v))) * p.r[-1]
+        else:
+            c_m1, _, c_1 = origin_expansion(p)
+            self._logs = (2.0 * c_m1, c_1) if c_m1 or c_1 else None
+            scale = self._build()
+        self._direct = _floored(settings, scale)
+
+    def _core(self, b):
+        """The log b terms of w at small b, from V ~ c_m1/r + c_0 + c_1 r."""
+        two_c_m1, c_1 = self._logs
+        return -(two_c_m1 + c_1 * b * b) * np.log(b)
+
+    def _sample(self, lo, hi, x, settings):
+        """(w, w less the core on pieces at b = 0) at the points x of the
+        pieces [lo, hi], one row per piece, in one row-batched quadrature."""
+        b = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x
+        flat = b.ravel()
+        w = _integrate_z_profile(self.p, flat, settings,
+                                 lambda m: f" at b = {float(flat[m])!r}")
+        w = w.reshape(b.shape)
+        if self._logs is None:
+            return w, w
+        at0 = (lo == 0.0)[:, None]
+        return w, w - np.where(at0, self._core(np.where(at0, b, 1.0)), 0.0)
+
+    def _build(self):
+        """Bisect [0, tail_cut] into accepted pieces; return W."""
+        s = self.settings
+        lo, hi = np.array([0.0]), np.array([s.tail_cut])
+        pieces = []
+        big = None
+        splits = 0
+        while lo.size:
+            direct = dataclasses.replace(
+                _floored(s, 0.0 if big is None else big),
+                rel_tol=min(s.rel_tol, _CHEB_REL_TOL))
+            w, f = self._sample(lo, hi, _CHEB_X, direct)
+            if big is None:
+                big = float(np.max(np.abs(w)))
+            coef = f @ _CHEB_T
+            scale = np.maximum(np.max(np.abs(w), axis=1), big)
+            tol = _CHEB_TAIL * scale
+            tail = np.max(np.abs(coef[:, -3:]), axis=1)
+            dev = np.full(lo.size, np.inf)
+            ok = tail <= tol
+            if ok.any():
+                _, f_off = self._sample(lo[ok], hi[ok], _CHEB_CHECK, direct)
+                got = _clenshaw(np.repeat(coef[ok], 2, axis=0),
+                                np.tile(_CHEB_CHECK, int(ok.sum())))
+                dev[ok] = np.max(np.abs(got.reshape(-1, 2) - f_off), axis=1)
+                ok &= dev <= tol
+            # the interpolation error, plus rounding and the quadrature
+            # floor of the node values
+            bound = np.maximum(dev, _CHEB_N * tail) + _CHEB_N * _EPS * scale
+            pieces += zip(lo[ok], hi[ok], coef[ok], bound[ok])
+            lo, hi = lo[~ok], hi[~ok]
+            splits += lo.size
+            if splits > s.max_subdivisions:
+                j = np.argmax(tail[~ok] - tol[~ok])
+                raise ConvergenceError(
+                    f"z-profile interpolant: budget of {s.max_subdivisions} "
+                    f"subdivisions exhausted on [{lo[j]!r}, {hi[j]!r}] "
+                    f"(coefficient tail {tail[~ok][j]:.3e}, off-grid "
+                    f"deviation {dev[~ok][j]:.3e}, target {tol[~ok][j]:.3e})")
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        pieces.sort(key=lambda piece: piece[0])
+        lo, hi, coef, bound = (np.array(c) for c in zip(*pieces))
+        self._lo, self._hi, self._coef, self._bound = lo, hi, coef, bound
+        return big
+
+    def hankel_error(self, q):
+        """A bound on int_0^tail_cut |interpolation error| |J0(q b)| b db
+        at q (any shape), from |J0(x)| <= min(1, sqrt(2/(pi x))) and each
+        piece's bound; 0 for a table."""
+        q = np.asarray(q, dtype=float)[..., None]
+        if self._coef is None:
+            return np.zeros(q.shape[:-1])
+        # J0's envelope is 1 up to c = 2/(pi q), capped at tail_cut
+        q_min = 2.0 / (np.pi * self.settings.tail_cut)
+        c = 2.0 / (np.pi * np.maximum(q, q_min))
+
+        def moment(b):  # int_0^b min(1, sqrt(c/t)) t dt
+            far = 0.5 * c * c + (2.0 / 3.0) * np.sqrt(c) * (
+                b * np.sqrt(b) - c * np.sqrt(c))
+            return np.where(b <= c, 0.5 * b * b, far)
+
+        return np.sum(self._bound * (moment(self._hi) - moment(self._lo)),
+                      axis=-1)
+
+    def __call__(self, b):
+        if self._coef is None:
+            return self._integrated(b, np.arange(b.size))
+        inside = b <= self.settings.tail_cut
+        if inside.all():
+            return self._interpolate(b)
+        out = np.empty(b.shape)
+        out[inside] = self._interpolate(b[inside])
+        out[~inside] = self._integrated(b[~inside], np.flatnonzero(~inside))
+        return out
+
+    def _interpolate(self, b):
+        i = np.searchsorted(self._hi, b)
+        lo, hi = self._lo[i], self._hi[i]
+        w = _clenshaw(self._coef[i], (2.0 * b - lo - hi) / (hi - lo))
+        if self._logs is not None:
+            at0 = lo == 0.0
+            w[at0] += self._core(b[at0])
+        return w
+
+    def _integrated(self, b, where):
+        """w at each b from the store, integrating the distinct misses in one
+        row-batched quadrature; where[j] is b[j]'s row in the caller's
+        array, for error messages."""
+        keys = b.tolist()
         with _profile_lock:
-            if len(store) + len(found) > _PROFILE_ENTRIES:
-                store.clear()
-            store.update(found)
-        w = [found[x] if v is None else v for x, v in zip(keys, w)]
-    return np.array(w, dtype=float)
+            w = [self._store.get(x) for x in keys]
+        miss = {}  # b -> index of its first occurrence
+        for j, (x, v) in enumerate(zip(keys, w)):
+            if v is None and x not in miss:
+                miss[x] = j
+        if miss:
+            rows = np.fromiter(miss.values(), dtype=int, count=len(miss))
+            found = dict(zip(miss, _integrate_z_profile(
+                self.p, b[rows], self._direct,
+                lambda m: f" in row {where[rows[m]]}").tolist()))
+            with _profile_lock:
+                if len(self._store) + len(found) > _PROFILE_ENTRIES:
+                    self._store.clear()
+                self._store.update(found)
+            w = [found[x] if v is None else v for x, v in zip(keys, w)]
+        return np.array(w, dtype=float)
 
 
 def _integrate_z_profile(p, b, settings, label):
@@ -205,9 +387,9 @@ def _integrate_z_profile(p, b, settings, label):
 
 
 def chi(p, kin, b, settings=DEFAULT_SETTINGS):
-    """Eikonal phase -w(b)/(hbar v) by direct quadrature of the z-integral
-    (any model); w(b) is the z-profile that born_resummed_amplitude reads
-    too, integrated once per potential and b (see _z_profile)."""
+    """Eikonal phase -w(b)/(hbar v) from the z-integral (any model); w(b)
+    is the z-profile that born_resummed_amplitude reads too, one per
+    potential and setting (see _ZProfile)."""
     b_arr = np.asarray(b, dtype=float)
     if np.any(b_arr < 0.0):
         raise DomainError("impact parameter b must be non-negative")
@@ -215,7 +397,7 @@ def chi(p, kin, b, settings=DEFAULT_SETTINGS):
     if isinstance(p, Yukawa) and np.any(flat == 0.0):
         raise SingularityError(
             "chi diverges logarithmically at b = 0 for a 1/r core")
-    out = -_z_profile(p, flat, settings) / (kin.hbar * kin.v)
+    out = -_z_profile(p, settings)(flat) / (kin.hbar * kin.v)
     if isinstance(p, TabulatedRadial):
         # +0.0, not -0.0, beyond the table
         out = np.where(flat < p.r[-1], out, 0.0)
@@ -273,12 +455,15 @@ def phase_profile(p, kin, b_grid, provenance="auto",
 
 
 def _phase_function(p, kin, phase, settings):
+    """(chi as a function of b, the bound on what the route's w adds to
+    the Hankel integral of w at q, as a function of q)."""
     if phase == "auto":
         phase = "quadrature" if isinstance(p, TabulatedRadial) else "closed"
     if phase == "closed":
-        return lambda b: chi_closed(p, kin, b)
+        return (lambda b: chi_closed(p, kin, b)), (lambda q: 0.0)
     if phase == "quadrature":
-        return lambda b: chi(p, kin, b, settings)
+        return (lambda b: chi(p, kin, b, settings)), \
+            _z_profile(p, settings).hankel_error
     raise DomainError("phase must be 'auto', 'closed', or 'quadrature'")
 
 
@@ -293,14 +478,16 @@ def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS, *,
     """
     th = _check_theta(theta)
     q = momentum_transfer(kin.k, th, small_angle=small_angle_q)
-    chi_fn = _phase_function(p, kin, phase, settings)
+    chi_fn, w_error = _phase_function(p, kin, phase, settings)
 
     def g(b):
         return np.exp(1j * np.asarray(chi_fn(b))) - 1.0
 
     res = hankel0(g, q, settings)
     value = -1j * kin.k * np.asarray(res.value, dtype=complex)
-    return _amplitude(theta, th, q, value, kin.k * res.error_estimate)
+    # |d(e^{i chi} - 1)| <= |d chi| = |dw|/(hbar v)
+    err = kin.k * (res.error_estimate + w_error(q) / (kin.hbar * kin.v))
+    return _amplitude(theta, th, q, value, err)
 
 
 def _check_theta(theta):

@@ -227,6 +227,11 @@ def _matcher(l_arr, k, r_a, r_b, w_a, w_b):
             j_b, n_b = pair(l, x_b, rows[1])
             num = w_a[i] * j_b - w_b[i] * j_a
             den = w_a[i] * n_b - w_b[i] * n_a
+            if math.isnan(den):
+                # n_l overflowed at both radii (inf - inf); tan delta is
+                # O(j_l/n_l) there, so delta takes its limit 0
+                out[n] = 0.0
+                continue
             delta = math.atan2(num, den)
             if delta > np.pi / 2:
                 delta -= np.pi

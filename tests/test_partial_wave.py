@@ -344,6 +344,19 @@ class TestPhaseShifts:
         assert ps.l_max == l_max
         assert np.all(np.isfinite(ps.delta))
 
+    @pytest.mark.parametrize("k, l_max, first", [(2.0, 300, 251),
+                                                 (5.0, 360, 326)])
+    def test_overflowed_n_l_gives_delta_zero(self, k, l_max, first):
+        # from l = first on, n_l(k r) is inf at both matching radii and the
+        # matching's denominator was inf - inf = nan
+        ps = phase_shifts(Gauss(1.0, 1.0), Kinematics(mass=1.0, k=k),
+                          l_max=l_max)
+        assert np.all(np.isfinite(ps.delta))
+        assert not np.any(ps.delta[first:])
+        below = phase_shifts(Gauss(1.0, 1.0), Kinematics(mass=1.0, k=k),
+                             l_max=first - 1)
+        assert ps.delta[:first].tobytes() == below.delta.tobytes()
+
     def test_explicit_l_max_accepted_when_converged(self):
         ps_auto = phase_shifts(Yukawa(0.5, 1.0), KIN2)
         ps = phase_shifts(Yukawa(0.5, 1.0), KIN2, l_max=ps_auto.l_max + 5)

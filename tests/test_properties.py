@@ -1,0 +1,46 @@
+"""Property sweep: the resummed Born amplitude's reported error, which
+includes the z-profile interpolant's bound, covers its deviation from a
+tight reference over model, sign and size of the coupling, and range."""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scatterlab.born import born_resummed_amplitude
+from scatterlab.eikonal import Kinematics, amplitude_eikonal
+from scatterlab.potentials import Gauss, Yukawa
+from scatterlab.quadrature import DEFAULT_SETTINGS
+
+THETA = np.array([0.0, 0.03, 0.1, 0.25])
+# the benchmark's reference: tolerances 100x tighter, 10x the budget
+TIGHT = dataclasses.replace(
+    DEFAULT_SETTINGS, rel_tol=DEFAULT_SETTINGS.rel_tol / 100.0,
+    abs_tol=DEFAULT_SETTINGS.abs_tol / 100.0,
+    max_subdivisions=10 * DEFAULT_SETTINGS.max_subdivisions)
+
+
+@st.composite
+def potentials(draw):
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    g = sign * 10.0 ** draw(st.floats(-2.5, 0.0))
+    if draw(st.booleans()):
+        return Yukawa(g, 10.0 ** draw(st.floats(-0.5, 0.5)))
+    return Gauss(g, 10.0 ** draw(st.floats(-1.0, 0.7)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=potentials(), k=st.sampled_from([1.0, 2.0, 5.0]))
+def test_born_resummed_error_covers_the_tight_closed_phase_eikonal(p, k):
+    kin = Kinematics(mass=1.0, k=k)
+    # tail_cut is absolute, not scaled with the range: a long-range Yukawa
+    # needs it raised, as hankel0's tail error asks (the tight reference
+    # first, whose smaller abs_tol its tail check reads)
+    cut = max(DEFAULT_SETTINGS.tail_cut, 60.0 / p.mu) \
+        if isinstance(p, Yukawa) else DEFAULT_SETTINGS.tail_cut
+    base = dataclasses.replace(DEFAULT_SETTINGS, tail_cut=cut)
+    tight = dataclasses.replace(TIGHT, tail_cut=cut)
+    got = born_resummed_amplitude(p, kin, THETA, base)
+    tight = amplitude_eikonal(p, kin, THETA, tight, phase="closed")
+    assert np.all(np.abs(got.value - tight.value) <= got.error_estimate)

@@ -261,7 +261,8 @@ def test_default_settings_frozen():
         DEFAULT_SETTINGS.rel_tol = 1e-3
 
 
-# The z-profile routes run with the absolute floor pushed out of the way.
+# The absolute floor pushed out of the way: each row holds its relative
+# target however small its value.
 Z_SETTINGS = dataclasses.replace(DEFAULT_SETTINGS, abs_tol=1e-300)
 
 

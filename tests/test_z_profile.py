@@ -1,26 +1,34 @@
-"""The z-profile store: eikonal's quadrature phase and born_resummed read
-one w(b) per potential, with the bits of an uncached integration."""
+"""The z-profile: eikonal's quadrature phase and born_resummed read one w(b)
+per potential and setting. Yukawa and Gauss serve b <= tail_cut from a
+piecewise-Chebyshev interpolant within its reported bound; b beyond
+tail_cut, and every b of a table, come from a store of per-b integrals with
+the bits of an uncached integration."""
 
-import dataclasses
 import filecmp
+import re
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from scatterlab import born, eikonal, partial_wave
 from scatterlab.born import born_resummed_amplitude
 from scatterlab.config import parse_config
-from scatterlab.eikonal import Kinematics, amplitude_eikonal
+from scatterlab.eikonal import Kinematics, amplitude_eikonal, chi, chi_closed
 from scatterlab.errors import ConvergenceError
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
 from scatterlab.quadrature import QuadratureSettings
-from scatterlab.runner import run_scan
+from scatterlab.runner import _quadrature_warning, run_scan
 
 SETTINGS = QuadratureSettings()
-# _z_profile integrates with the absolute floor pushed out of the way
-Z_SETTINGS = dataclasses.replace(SETTINGS, abs_tol=1e-300)
-# repeated b, and (for the table) b at and beyond its last radius 4
+# repeated b, and (for the table) b at and beyond its last radius 4; with
+# CUT, the analytic profiles serve 0.3 and 1.2 from the interpolant and the
+# rest from the store
 B = np.array([0.3, 1.2, 0.3, 4.0, 5.5, 1.2, 2.7, 4.0])
+CUT = QuadratureSettings(tail_cut=2.0)
+EPS = np.finfo(float).eps
+ANALYTIC = [Yukawa(0.5, 1.0), Yukawa(-1.2, 0.4), Gauss(0.3, 0.7),
+            Gauss(0.01, 1.0)]
 
 
 def _table():
@@ -30,7 +38,15 @@ def _table():
     return TabulatedRadial(r, v)
 
 
-def _uncached(p, b, settings=Z_SETTINGS):
+def _soft_core_table(r_hi):
+    # the benchmark's table shape: g exp(-mu r)/sqrt(r^2 + a^2), cut to 0
+    r = np.linspace(0.0, r_hi, 3000)
+    v = 0.5 * np.exp(-r) / np.sqrt(r * r + 0.25)
+    v[-1] = 0.0
+    return TabulatedRadial(r, v)
+
+
+def _uncached(p, b, settings):
     return eikonal._integrate_z_profile(p, np.asarray(b, dtype=float),
                                         settings, lambda j: f" in row {j}")
 
@@ -39,19 +55,28 @@ def _same_bits(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def _piece_bound(profile, b):
+    return profile._bound[np.searchsorted(profile._hi, b)]
+
+
 @pytest.mark.parametrize("make_p", [lambda: Yukawa(0.5, 1.0),
                                     lambda: Gauss(0.3, 0.7), _table],
                          ids=["yukawa", "gauss", "table"])
 def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
     p = make_p()
-    cold = eikonal._z_profile(p, B[:3], SETTINGS)
-    warm = eikonal._z_profile(p, B, SETTINGS)  # hits, misses and repeats
-    again = eikonal._z_profile(p, B[::-1], SETTINGS)  # hits only
-    _same_bits(cold, _uncached(p, B[:3]))
-    _same_bits(warm, _uncached(p, B))
-    _same_bits(again, _uncached(p, B[::-1]))
+    profile = eikonal._z_profile(p, CUT)
+    cold = profile(B[:3])
+    warm = profile(B)  # hits, misses and repeats
+    again = profile(B[::-1])  # hits only
+    # every value has the bits of asking for that b alone
     for b, w in zip(B, warm):
-        _same_bits(w, _uncached(p, [b])[0])
+        _same_bits(w, profile(np.array([b]))[0])
+    _same_bits(cold, warm[:3])
+    _same_bits(again, warm[::-1])
+    stored = B > CUT.tail_cut if profile._coef is not None \
+        else np.ones(B.size, dtype=bool)
+    _same_bits(warm[stored], _uncached(p, B[stored], profile._direct))
+    assert set(profile._store) == set(B[stored].tolist())
     if isinstance(p, TabulatedRadial):
         beyond = warm[B >= 4.0]
         assert beyond.tolist() == [0.0, 0.0, 0.0]
@@ -102,11 +127,19 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
     theta = np.array([0.0, 0.1, 0.2])
     requested, integrated = [], []
 
+    class Asked:
+        """A profile that records the b each route asks it for."""
+
+        def __init__(self, route, profile):
+            self.route, self.profile = route, profile
+            self.hankel_error = profile.hankel_error
+
+        def __call__(self, b):
+            requested.append((self.route, b.tolist()))
+            return self.profile(b)
+
     def asked(route, z_profile):
-        def wrapped(p, b, settings):
-            requested.append((route, b.tolist()))
-            return z_profile(p, b, settings)
-        return wrapped
+        return lambda p, settings: Asked(route, z_profile(p, settings))
 
     def counted(*args, rows, **kwargs):
         integrated.append(rows)
@@ -129,35 +162,37 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
 
 
 def test_failing_miss_row_names_the_callers_row():
-    p = Yukawa(0.5, 1.0)
+    p = _table()
     settings = QuadratureSettings(max_subdivisions=8)
-    b = np.array([0.5, 1.0, 1e-3])
-    eikonal._z_profile(p, b[:2], settings)
+    b = np.array([0.5, 1.0, 0.05])
+    profile = eikonal._z_profile(p, settings)
+    profile(b[:2])
     with pytest.raises(ConvergenceError) as cached:
-        eikonal._z_profile(p, b, settings)
+        profile(b)
     with pytest.raises(ConvergenceError) as uncached:
-        _uncached(p, b, dataclasses.replace(settings, abs_tol=1e-300))
+        _uncached(p, b, profile._direct)
     assert "in row 2 " in str(cached.value)
     assert str(cached.value) == str(uncached.value)
     # nothing of the failed row was stored: it fails again
     with pytest.raises(ConvergenceError, match="in row 1 "):
-        eikonal._z_profile(p, b[1:], settings)
+        profile(b[1:])
 
 
 def test_store_holds_one_potential_and_a_bounded_count(monkeypatch):
-    p1, p2 = Gauss(0.3, 0.7), Gauss(0.3, 0.7)  # equal, not the same
-    eikonal._z_profile(p1, B, SETTINGS)
-    w2 = eikonal._z_profile(p2, B[:2], SETTINGS)
-    held, _, store = eikonal._profile
-    assert held is p2
-    assert set(store) == set(B[:2].tolist())
-    _same_bits(w2, _uncached(p2, B[:2]))
+    p1, p2 = _table(), _table()  # equal, not the same
+    eikonal._z_profile(p1, SETTINGS)(B)
+    w2 = eikonal._z_profile(p2, SETTINGS)(B[:2])
+    held = eikonal._profile
+    assert held.p is p2
+    assert set(held._store) == set(B[:2].tolist())
+    _same_bits(w2, _uncached(p2, B[:2], held._direct))
 
     monkeypatch.setattr(eikonal, "_PROFILE_ENTRIES", 4)
     for start in range(0, 8, 3):
-        b = np.linspace(1.0, 4.5, 8)[start:start + 3]
-        _same_bits(eikonal._z_profile(p2, b, SETTINGS), _uncached(p2, b))
-        assert len(eikonal._profile[2]) <= 4
+        b = np.linspace(1.0, 3.5, 8)[start:start + 3]
+        _same_bits(held(b), _uncached(p2, b, held._direct))
+        assert len(held._store) <= 4
+    assert eikonal._z_profile(p2, SETTINGS) is held
 
 
 def test_effective_radius_is_computed_once_per_potential(monkeypatch):
@@ -180,3 +215,190 @@ def test_effective_radius_is_computed_once_per_potential(monkeypatch):
     _same_bits(fresh.delta, first[0].delta)
     # only the last potential is held
     assert partial_wave._r_eff[0] is not p
+
+
+def _off_grid(p, rng):
+    """Random b on [0, tail_cut], b near tail_cut, and for Yukawa b -> 0."""
+    cut = SETTINGS.tail_cut
+    b = [rng.uniform(0.0, cut, 40), cut - np.logspace(-12, 0, 7), [cut]]
+    if isinstance(p, Yukawa):
+        b.append(np.logspace(-10, -1, 10))
+    return np.concatenate(b)
+
+
+@pytest.mark.parametrize("p", ANALYTIC, ids=str)
+def test_interpolant_is_within_its_bound_of_direct_integrals(p):
+    profile = eikonal._z_profile(p, SETTINGS)
+    b = _off_grid(p, np.random.default_rng(7))
+    tight = QuadratureSettings(rel_tol=1e-13, abs_tol=profile._direct.abs_tol,
+                               max_subdivisions=2000)
+    direct = _uncached(p, b, tight)
+    got = profile(b)
+    # the piece's bound, plus rounding of the value itself
+    slack = _piece_bound(profile, b) + 8.0 * EPS * np.abs(direct)
+    assert np.all(np.abs(got - direct) <= slack)
+
+
+def test_j0_envelope():
+    x = np.linspace(0.0, 400.0, 400_001)
+    assert np.all(np.abs(sps.j0(x)) * np.sqrt(np.pi * x / 2.0) <= 1.0)
+
+
+@pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.3, 0.7)], ids=str)
+def test_hankel_error_bounds_the_j0_weighted_piece_bounds(p):
+    profile = eikonal._z_profile(p, SETTINGS)
+    lo, hi, bound = profile._lo, profile._hi, profile._bound
+    at_zero = profile.hankel_error(0.0)
+    assert at_zero == pytest.approx(
+        float(np.sum(bound * 0.5 * (hi * hi - lo * lo))), rel=1e-12)
+    q = np.array([0.0, 0.01, 0.3, 2.0, 10.0])
+    got = profile.hankel_error(q)
+    # q = 0.01: J0's envelope is 1 out to 2/(pi q) > tail_cut
+    assert got[0] == at_zero == got[1]
+    assert np.all(np.diff(got[1:]) < 0.0)
+    # against int |J0(q b)| times the piecewise bound, on a fine midpoint grid
+    edges = np.linspace(0.0, SETTINGS.tail_cut, 600_001)
+    b = 0.5 * (edges[1:] + edges[:-1])
+    weight = _piece_bound(profile, b) * b * (edges[1] - edges[0])
+    for qi, gi in zip(q, got):
+        # (the grid does not fall on every piece edge: 1e-6 of slack)
+        assert np.sum(weight * np.abs(sps.j0(qi * b))) <= gi * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("p", ANALYTIC, ids=str)
+def test_quadrature_chi_matches_chi_closed(p):
+    kin = Kinematics(mass=1.0, k=2.0)
+    b = _off_grid(p, np.random.default_rng(11))
+    profile = eikonal._z_profile(p, SETTINGS)
+    closed = chi_closed(p, kin, b)
+    hv = kin.hbar * kin.v
+    slack = (_piece_bound(profile, b) + 16.0 * EPS * np.abs(closed * hv)) / hv
+    dev = np.abs(chi(p, kin, b, SETTINGS) - closed)
+    assert np.all(dev <= slack)
+    assert np.max(dev) <= 1e-13 * np.max(np.abs(closed))  # rounding level
+
+
+def test_interpolant_is_built_once_from_a_few_hundred_integrals(monkeypatch):
+    counts = []
+    integrate = eikonal._integrate_z_profile
+
+    def counted(p, b, settings, label):
+        counts.append(b.size)
+        return integrate(p, b, settings, label)
+
+    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
+    p = Gauss(0.01, 1.0)
+    kin = Kinematics(mass=1.0, k=2.0)
+    theta = np.linspace(0.0, 0.2, 33)
+    born_resummed_amplitude(p, kin, theta, SETTINGS)
+    amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
+    born_resummed_amplitude(p, Kinematics(mass=1.0, k=5.0), theta, SETTINGS)
+    # one build for every angle, route and k, plus the few b beyond
+    # tail_cut of the q = 0 rows
+    assert sum(counts) <= 700
+    assert len(eikonal._z_profile(p, SETTINGS)._lo) <= 8
+    # with the c_1 b^2 log b term subtracted as well as 2 c_m1 log b, the
+    # piece at 0 for Yukawa(0.5, 1) is 0.47 wide, not 0.0009 (17 pieces)
+    assert len(eikonal._z_profile(Yukawa(0.5, 1.0), SETTINGS)._lo) <= 10
+
+
+def test_failing_node_integral_names_its_b_and_stores_nothing():
+    p = Yukawa(0.5, 1.0)
+    settings = QuadratureSettings(max_subdivisions=8)
+    before = eikonal._profile
+    with pytest.raises(ConvergenceError, match="at b = ") as failed:
+        eikonal._z_profile(p, settings)
+    assert eikonal._profile is before
+    b = float(re.search(r"at b = (\S+) ", str(failed.value)).group(1))
+    # a node of one of the pieces [0, tail_cut / 2^m] bisection makes
+    halves = 0.5 * settings.tail_cut / 2.0 ** np.arange(12)
+    assert np.any(halves[:, None] + halves[:, None] * eikonal._CHEB_X == b)
+    with pytest.raises(ConvergenceError, match="at b = "):
+        chi(p, Kinematics(mass=1.0, k=1.0), 1.0, settings)
+
+
+def test_interpolant_budget_exhaustion_is_typed(monkeypatch):
+    monkeypatch.setattr(eikonal, "_CHEB_TAIL", 0.0)
+    with pytest.raises(ConvergenceError, match="z-profile interpolant: "
+                       "budget of 8 subdivisions exhausted on"):
+        eikonal._z_profile(Gauss(0.3, 0.7),
+                           QuadratureSettings(max_subdivisions=8))
+
+
+@pytest.mark.parametrize("r_hi", [12.0, 30.0])
+def test_tabulated_chi_converges_near_the_last_radius(r_hi):
+    # with no absolute floor, w ~ 1e-20 there could never reach its
+    # relative target and the subdivision budget ran out
+    p = _soft_core_table(r_hi)
+    b = r_hi - np.logspace(-12, -3, 400)
+    kin = Kinematics(mass=1.0, k=5.0)
+    w = -chi(p, kin, b, SETTINGS) * kin.hbar * kin.v
+    # the floor is eps max|v| r[-1], and |w| <= 2 max|v| sqrt(r_hi^2 - b^2)
+    big = float(np.max(np.abs(p.v)))
+    assert eikonal._z_profile(p, SETTINGS)._direct.abs_tol == EPS * big * r_hi
+    assert np.all(np.abs(w) <= 2.0 * big * np.sqrt(r_hi**2 - b * b))
+
+
+def test_repeated_runs_give_byte_identical_csvs(tmp_path):
+    text = """
+[potential]
+model = {model}
+
+[kinematics]
+mass = 1.0
+k = 2, 5
+
+[theta_grid]
+min = 0.0
+max = 0.2
+count = 9
+
+[run]
+sources = born_resummed
+
+[output]
+directory = {out}
+"""
+    models = {"gauss": "gauss\ng = 0.01\nalpha = 1.0",
+              "yukawa": "yukawa\ng = -0.5\nmu = 1.0"}
+    for name, model in models.items():
+        runs = []
+        for tag in ("a", "b"):
+            # a fresh parse is a fresh potential object, so a fresh build
+            cfg = parse_config(text.format(model=model,
+                                           out=tmp_path / name / tag))
+            assert not run_scan(cfg).failed
+            runs.append(tmp_path / name / tag)
+        # the same potential again reads the profile already built
+        assert not run_scan(cfg, out_dir=str(tmp_path / name / "c")).failed
+        runs.append(tmp_path / name / "c")
+        for csv in ("born_resummed_k2.csv", "born_resummed_k5.csv",
+                    "summary.csv"):
+            for other in runs[1:]:
+                assert filecmp.cmp(runs[0] / csv, other / csv,
+                                   shallow=False), (name, csv)
+
+
+@pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.3, 0.7)], ids=str)
+def test_amplitude_error_includes_the_interpolation_bound(p):
+    kin = Kinematics(mass=1.0, k=2.0)
+    theta = np.array([0.0, 0.1])
+    res = born_resummed_amplitude(p, kin, theta, SETTINGS)
+    eik = amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
+    floor = kin.mass / kin.hbar**2 \
+        * eikonal._z_profile(p, SETTINGS).hankel_error(res.q)
+    assert np.all(floor > 0.0)
+    assert np.all(res.error_estimate >= floor)
+    assert np.all(eik.error_estimate >= floor * (1.0 - 1e-12))
+
+
+def test_interpolation_bound_keeps_errors_within_the_warning_target():
+    # Yukawa at k = 10 out to theta = 0.6, where |f| is 30x below its
+    # forward value: the runner warns when an error exceeds 10x its target
+    p, kin = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0)
+    theta = np.linspace(0.0, 0.6, 13)
+    for amp in (born_resummed_amplitude(p, kin, theta, SETTINGS),
+                amplitude_eikonal(p, kin, theta, SETTINGS,
+                                  phase="quadrature")):
+        assert _quadrature_warning("source", kin.k, amp.error_estimate,
+                                   amp.value, SETTINGS) is None
