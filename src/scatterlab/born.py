@@ -16,11 +16,12 @@ impact parameter of w(b) * Lambda(chi(b)), where w(b) = int_-inf^inf V dz,
 chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
 of the lambda integral. w(b) is read from eikonal._z_profile, the one
 profile per potential and setting that the eikonal route's quadrature
-phase reads too: for Yukawa and Gauss a piecewise-Chebyshev interpolant on
-[0, tail_cut], whose bound joins the amplitude's error_estimate, and
-otherwise per-b integrals with the bits of integrating at that b alone.
-So the documented equality of the two amplitudes at small angle checks the
-Lambda algebra and the two Hankel integrands against each other.
+phase reads too: for Yukawa and Gauss a piecewise-Chebyshev interpolant,
+otherwise per-b integrals with the bits of integrating at that b alone,
+each w with a bound on its error (see eikonal). So the documented equality
+of the two amplitudes at small angle checks the Lambda algebra and the two
+Hankel integrands against each other. On a table born1_amplitude reports
+the error estimate of fourier3d's quadrature.
 """
 
 import numpy as np
@@ -51,9 +52,10 @@ def born1_amplitude(p, kin, theta):
     if th.ndim > 1:
         raise DomainError("theta must be a scalar or a 1-d array")
     q = momentum_transfer(kin.k, th)
-    value = -(kin.mass / (2.0 * np.pi * kin.hbar**2)) * fourier3d(p, q)
-    return _amplitude(theta, th, q, np.asarray(value, dtype=complex),
-                      np.zeros(th.shape))
+    vt, vt_err = fourier3d(p, q, with_error=True)
+    scale = kin.mass / (2.0 * np.pi * kin.hbar**2)
+    return _amplitude(theta, th, q, np.asarray(-scale * vt, dtype=complex),
+                      scale * np.asarray(vt_err))
 
 
 def _lambda_factor(x):
@@ -95,18 +97,17 @@ def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS, *,
     profile = _z_profile(p, settings)
 
     def g(b):
-        b = np.asarray(b, dtype=float)
-        w = profile(b.ravel())
+        w, err = profile(b.ravel())
         x = -w / hv
         if lambda_numeric:
             lam = _lambda_factor_numeric(x, _LAMBDA_NODES)
         else:
             lam = _lambda_factor(x)
-        return (w * lam).reshape(b.shape)
+        # d(w Lambda(-w/(hbar v)))/dw = e^{i chi}, of modulus 1
+        return (w * lam).reshape(b.shape), err.reshape(b.shape)
 
-    res = hankel0(g, q, settings)
+    res = hankel0(g, q, profile.reach, settings)
     value = -(kin.mass / kin.hbar**2) * np.asarray(res.value, dtype=complex)
-    # d(w Lambda(-w/(hbar v)))/dw = e^{i chi}, of modulus 1
-    err = (kin.mass / kin.hbar**2) * (res.error_estimate
-                                      + profile.hankel_error(q))
+    # beyond reach, |w Lambda| <= |w|
+    err = (kin.mass / kin.hbar**2) * (res.error_estimate + profile.tail)
     return _amplitude(theta, th, q, value, err)

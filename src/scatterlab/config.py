@@ -33,8 +33,6 @@ which is the default of the dataclass field it sets:
     rel_tol = 1e-10
     abs_tol = 1e-12
     max_subdivisions = 200
-    tail_cut = 60.0
-    oscillatory_blocks = 6
 
     [partial_wave]
     l_max = auto       # or a non-negative integer
@@ -264,9 +262,7 @@ _SECTIONS = {
     "quadrature": ("quadrature", QuadratureSettings, {
         "rel_tol": ("rel_tol", _as_float, repr),
         "abs_tol": ("abs_tol", _as_float, repr),
-        "max_subdivisions": ("max_subdivisions", _as_int, repr),
-        "tail_cut": ("tail_cut", _as_float, repr),
-        "oscillatory_blocks": ("oscillatory_blocks", _as_int, repr)}),
+        "max_subdivisions": ("max_subdivisions", _as_int, repr)}),
     "partial_wave": ("partial_wave", PartialWaveOptions, {
         "l_max": ("l_max", _auto_or(_as_int), _auto_text),
         "r_max": ("r_max", _auto_or(_as_float), _auto_text),

@@ -20,15 +20,17 @@ one exists unless told otherwise.
 The z-profile w(b) = int V dz of the quadrature route is the one that
 born.born_resummed_amplitude integrates too. _z_profile holds one
 _ZProfile, of the potential and setting last used, so the two routes share
-it across angles and k. For Yukawa and Gauss it serves b <= tail_cut from
-piecewise-Chebyshev interpolants built once, at rounding level of the
-profile, and both amplitudes add the interpolant's bound to their
-error_estimate. Other b (beyond tail_cut, and every b of a tabulated
-potential) are integrated at that b alone and stored by the exact b, so
-each has the bits of integrating at that b alone. Either way a value does
-not depend on which route or call asked for it first. The store is safe
-to call from several threads: two callers may integrate the same b, to
-the same bits.
+it across angles and k. Every value comes with a bound on its error. For
+Yukawa and Gauss the profile serves b <= R from piecewise-Chebyshev
+interpolants built once, at rounding level of the profile, each piece
+with its bound. A tabulated potential's b are integrated at that b alone
+and stored by the exact b, with the quadrature's error estimate, so each
+has the bits of integrating at that b alone. Either way a value does not
+depend on which route or call asked for it first. The store is safe to
+call from several threads: two callers may integrate the same b, to the
+same bits. Both amplitudes integrate over [0, R], R the potential's own
+range (_reach), and add the bound on the tail beyond R and the J0-weighted
+integral of w's bounds to their error_estimate.
 """
 
 import dataclasses
@@ -145,7 +147,7 @@ def momentum_transfer(k, theta, small_angle=False):
     return 2.0 * k * np.sin(0.5 * np.asarray(theta))
 
 
-# Piecewise-Chebyshev z-profile of an analytic potential on [0, tail_cut]
+# Piecewise-Chebyshev z-profile of an analytic potential on [0, R]
 # (Trefethen, Approximation Theory and Approximation Practice, 2013): each
 # piece interpolates w at _CHEB_N first-kind nodes, so b = 0 is never
 # sampled. A piece is accepted when its last three coefficients, and its
@@ -208,29 +210,62 @@ def _clenshaw(coef, x):
     return coef[:, 0] + x * b1 - b2
 
 
+def _tail_factor(x):
+    """A bound on int_x^inf K0(t) t dt / e^{-x}, from K0(t) <=
+    sqrt(pi/(2t)) e^{-t} and int_x^inf sqrt(t) e^{-t} dt <=
+    (sqrt(x) + 1/(2 sqrt(x))) e^{-x}."""
+    return math.sqrt(0.5 * math.pi) * (math.sqrt(x) + 0.5 / math.sqrt(x))
+
+
+def _reach(p):
+    """(R, T) of the z-profile w of p: the Hankel transforms of w stop at
+    R, and T bounds int_R^inf |w(b)| b db. A table's w is exactly 0 from
+    its last radius on. For Yukawa and Gauss, R is where the closed-form
+    bound on that tail falls to eps int_0^inf |w| b db: about 38/mu and
+    6/sqrt(alpha)."""
+    if isinstance(p, TabulatedRadial):
+        return float(p.r[-1]), 0.0
+    if isinstance(p, Yukawa):
+        # w = 2 g K0(mu b), and int_0^inf |w| b db = 2|g|/mu^2
+        x = -math.log(_EPS)
+        for _ in range(4):  # the fixed point of _tail_factor(x) e^{-x} = eps
+            x = math.log(_tail_factor(x) / _EPS)
+        return x / p.mu, 2.0 * abs(p.g) / p.mu**2 * _tail_factor(x) \
+            * math.exp(-x)
+    if isinstance(p, Gauss):
+        # w = g sqrt(pi/alpha) e^{-alpha b^2}: the tail beyond R is
+        # e^{-alpha R^2} of int_0^inf |w| b db = |g| sqrt(pi/alpha)/(2 alpha)
+        x = -math.log(_EPS)
+        return math.sqrt(x / p.alpha), abs(p.g) * math.sqrt(
+            math.pi / p.alpha) / (2.0 * p.alpha) * math.exp(-x)
+    raise UnsupportedModelError(
+        f"unknown potential model {type(p).__name__!r}")
+
+
 class _ZProfile:
     """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz of one potential under
-    one setting; call it with a 1-d array of b.
+    one setting; call it with a 1-d array of b for (w, a bound on the
+    error of each w). reach and tail are _reach(p).
 
-    For Yukawa and Gauss, b <= tail_cut reads the piecewise-Chebyshev
-    interpolant built at construction. On pieces starting at b = 0 it
-    interpolates w plus the log b terms of w there, (2 c_m1 + c_1 b^2)
-    log b from origin_expansion, which are added back exactly.
-    hankel_error(q) bounds what the interpolation error adds to a Hankel
-    integral of w at q.
+    For Yukawa and Gauss, b <= reach reads the piecewise-Chebyshev
+    interpolant built at construction, with its piece's bound. On pieces
+    starting at b = 0 it interpolates w plus the log b terms of w there,
+    (2 c_m1 + c_1 b^2) log b from origin_expansion, which are added back
+    exactly. b beyond reach is integrated directly, uncached, with the
+    absolute floor _EPS * W, W the largest |w| of the build's first round.
 
-    Other b (beyond tail_cut, and every b of a tabulated potential, whose
-    w is only C^3 at each knot) are integrated at that b alone and stored
-    by the exact float b, so each has the bits of integrating at that b
-    alone. Their absolute floor is _EPS * W, with W the largest |w| of the
-    build's first round, or max|v| r[-1] for a table: computed once per
-    profile, never from the b asked for. A table is cut at its last
-    radius: rows there or beyond integrate to 0.
+    Every b of a tabulated potential, whose w is only C^3 at each knot, is
+    integrated at that b alone and stored by the exact float b with its
+    error estimate, so each has the bits of integrating at that b alone.
+    The absolute floor is _EPS max|v| r[-1]: computed once per profile,
+    never from the b asked for. Rows at or beyond the last radius
+    integrate to 0.
     """
 
     def __init__(self, p, settings):
         self.p = p
         self.settings = settings
+        self.reach, self.tail = _reach(p)
         self._store = {}
         if isinstance(p, TabulatedRadial):
             self._coef = None
@@ -251,8 +286,8 @@ class _ZProfile:
         pieces [lo, hi], one row per piece, in one row-batched quadrature."""
         b = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x
         flat = b.ravel()
-        w = _integrate_z_profile(self.p, flat, settings,
-                                 lambda m: f" at b = {float(flat[m])!r}")
+        w, _ = _integrate_z_profile(self.p, flat, settings,
+                                    lambda m: f" at b = {float(flat[m])!r}")
         w = w.reshape(b.shape)
         if self._logs is None:
             return w, w
@@ -260,9 +295,9 @@ class _ZProfile:
         return w, w - np.where(at0, self._core(np.where(at0, b, 1.0)), 0.0)
 
     def _build(self):
-        """Bisect [0, tail_cut] into accepted pieces; return W."""
+        """Bisect [0, reach] into accepted pieces; return W."""
         s = self.settings
-        lo, hi = np.array([0.0]), np.array([s.tail_cut])
+        lo, hi = np.array([0.0]), np.array([self.reach])
         pieces = []
         big = None
         splits = 0
@@ -305,35 +340,18 @@ class _ZProfile:
         self._lo, self._hi, self._coef, self._bound = lo, hi, coef, bound
         return big
 
-    def hankel_error(self, q):
-        """A bound on int_0^tail_cut |interpolation error| |J0(q b)| b db
-        at q (any shape), from |J0(x)| <= min(1, sqrt(2/(pi x))) and each
-        piece's bound; 0 for a table."""
-        q = np.asarray(q, dtype=float)[..., None]
-        if self._coef is None:
-            return np.zeros(q.shape[:-1])
-        # J0's envelope is 1 up to c = 2/(pi q), capped at tail_cut
-        q_min = 2.0 / (np.pi * self.settings.tail_cut)
-        c = 2.0 / (np.pi * np.maximum(q, q_min))
-
-        def moment(b):  # int_0^b min(1, sqrt(c/t)) t dt
-            far = 0.5 * c * c + (2.0 / 3.0) * np.sqrt(c) * (
-                b * np.sqrt(b) - c * np.sqrt(c))
-            return np.where(b <= c, 0.5 * b * b, far)
-
-        return np.sum(self._bound * (moment(self._hi) - moment(self._lo)),
-                      axis=-1)
-
     def __call__(self, b):
         if self._coef is None:
-            return self._integrated(b, np.arange(b.size))
-        inside = b <= self.settings.tail_cut
+            return self._integrated(b)
+        inside = b <= self.reach
         if inside.all():
             return self._interpolate(b)
-        out = np.empty(b.shape)
-        out[inside] = self._interpolate(b[inside])
-        out[~inside] = self._integrated(b[~inside], np.flatnonzero(~inside))
-        return out
+        w, err = np.empty(b.shape), np.empty(b.shape)
+        w[inside], err[inside] = self._interpolate(b[inside])
+        far = np.flatnonzero(~inside)
+        w[far], err[far] = _integrate_z_profile(
+            self.p, b[far], self._direct, lambda m: f" in row {far[m]}")
+        return w, err
 
     def _interpolate(self, b):
         i = np.searchsorted(self._hi, b)
@@ -342,35 +360,35 @@ class _ZProfile:
         if self._logs is not None:
             at0 = lo == 0.0
             w[at0] += self._core(b[at0])
-        return w
+        return w, self._bound[i]
 
-    def _integrated(self, b, where):
-        """w at each b from the store, integrating the distinct misses in one
-        row-batched quadrature; where[j] is b[j]'s row in the caller's
-        array, for error messages."""
+    def _integrated(self, b):
+        """(w, error) at each b from the store, integrating the distinct
+        misses in one row-batched quadrature."""
         keys = b.tolist()
         with _profile_lock:
-            w = [self._store.get(x) for x in keys]
+            got = [self._store.get(x) for x in keys]
         miss = {}  # b -> index of its first occurrence
-        for j, (x, v) in enumerate(zip(keys, w)):
+        for j, (x, v) in enumerate(zip(keys, got)):
             if v is None and x not in miss:
                 miss[x] = j
         if miss:
             rows = np.fromiter(miss.values(), dtype=int, count=len(miss))
-            found = dict(zip(miss, _integrate_z_profile(
-                self.p, b[rows], self._direct,
-                lambda m: f" in row {where[rows[m]]}").tolist()))
+            w, err = _integrate_z_profile(self.p, b[rows], self._direct,
+                                          lambda m: f" in row {rows[m]}")
+            found = dict(zip(miss, zip(w.tolist(), err.tolist())))
             with _profile_lock:
                 if len(self._store) + len(found) > _PROFILE_ENTRIES:
                     self._store.clear()
                 self._store.update(found)
-            w = [found[x] if v is None else v for x, v in zip(keys, w)]
-        return np.array(w, dtype=float)
+            got = [found[x] if v is None else v for x, v in zip(keys, got)]
+        return np.array(got, dtype=float).reshape(-1, 2).T
 
 
 def _integrate_z_profile(p, b, settings, label):
-    """w(b) for each b of the 1-d array b, uncached, in one row-batched
-    quadrature; label(j) names row j in error messages."""
+    """(w(b), its error estimate) for each b of the 1-d array b, uncached,
+    in one row-batched quadrature; label(j) names row j in error
+    messages."""
     bb = b * b
 
     def f(i, z):
@@ -383,7 +401,7 @@ def _integrate_z_profile(p, b, settings, label):
                                  label=label)
     else:
         res = integrate_semi_infinite(f, settings, rows=b.size, label=label)
-    return 2.0 * res.value
+    return 2.0 * res.value, 2.0 * res.error_estimate
 
 
 def chi(p, kin, b, settings=DEFAULT_SETTINGS):
@@ -397,7 +415,7 @@ def chi(p, kin, b, settings=DEFAULT_SETTINGS):
     if isinstance(p, Yukawa) and np.any(flat == 0.0):
         raise SingularityError(
             "chi diverges logarithmically at b = 0 for a 1/r core")
-    out = -_z_profile(p, settings)(flat) / (kin.hbar * kin.v)
+    out = -_z_profile(p, settings)(flat)[0] / (kin.hbar * kin.v)
     if isinstance(p, TabulatedRadial):
         # +0.0, not -0.0, beyond the table
         out = np.where(flat < p.r[-1], out, 0.0)
@@ -454,16 +472,23 @@ def phase_profile(p, kin, b_grid, provenance="auto",
     return profile
 
 
-def _phase_function(p, kin, phase, settings):
-    """(chi as a function of b, the bound on what the route's w adds to
-    the Hankel integral of w at q, as a function of q)."""
+def _phase_integrand(p, kin, phase, settings):
+    """e^{i chi(b)} - 1 as a function of b, chi from the chosen route. The
+    quadrature route returns it with a bound on its error from w's bound:
+    |d(e^{i chi} - 1)| <= |d chi| = |dw|/(hbar v)."""
     if phase == "auto":
         phase = "quadrature" if isinstance(p, TabulatedRadial) else "closed"
     if phase == "closed":
-        return (lambda b: chi_closed(p, kin, b)), (lambda q: 0.0)
+        return lambda b: np.exp(1j * chi_closed(p, kin, b)) - 1.0
     if phase == "quadrature":
-        return (lambda b: chi(p, kin, b, settings)), \
-            _z_profile(p, settings).hankel_error
+        profile = _z_profile(p, settings)
+        hv = kin.hbar * kin.v
+
+        def g(b):
+            w, err = profile(b.ravel())
+            return ((np.exp(1j * (-w / hv)) - 1.0).reshape(b.shape),
+                    (err / hv).reshape(b.shape))
+        return g
     raise DomainError("phase must be 'auto', 'closed', or 'quadrature'")
 
 
@@ -478,15 +503,12 @@ def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS, *,
     """
     th = _check_theta(theta)
     q = momentum_transfer(kin.k, th, small_angle=small_angle_q)
-    chi_fn, w_error = _phase_function(p, kin, phase, settings)
-
-    def g(b):
-        return np.exp(1j * np.asarray(chi_fn(b))) - 1.0
-
-    res = hankel0(g, q, settings)
+    g = _phase_integrand(p, kin, phase, settings)
+    reach, tail = _reach(p)
+    res = hankel0(g, q, reach, settings)
     value = -1j * kin.k * np.asarray(res.value, dtype=complex)
-    # |d(e^{i chi} - 1)| <= |d chi| = |dw|/(hbar v)
-    err = kin.k * (res.error_estimate + w_error(q) / (kin.hbar * kin.v))
+    # beyond reach, |e^{i chi} - 1| <= |chi| = |w|/(hbar v)
+    err = kin.k * (res.error_estimate + tail / (kin.hbar * kin.v))
     return _amplitude(theta, th, q, value, err)
 
 

@@ -43,12 +43,10 @@ class ConvergenceError(ScatterError, RuntimeError):
     computation got.
     """
 
-    def __init__(self, message, estimate=None, error_estimate=None,
-                 partial_sums=None):
+    def __init__(self, message, estimate=None, error_estimate=None):
         super().__init__(message)
         self.estimate = estimate
         self.error_estimate = error_estimate
-        self.partial_sums = partial_sums
 
 
 class DivergenceError(ConvergenceError):

@@ -2,7 +2,8 @@
 
 Three models share one informal protocol: construct, then pass to the
 module-level functions. Closed-form transforms exist for the analytic
-models; the tabulated model falls back to quadrature over its support.
+models; the tabulated model falls back to quadrature over its support,
+one partition shared by every q.
 
 Conventions: V has energy units, r length units. fourier3d computes
 Vtilde(q) = integral d^3r e^{-i q.r} V(r) = (4 pi / q) int_0^inf
@@ -17,7 +18,10 @@ import numpy as np
 from ._spline import CubicSpline1D
 from .errors import (ConfigError, DomainError, SingularityError,
                      UnsupportedModelError)
-from .quadrature import DEFAULT_SETTINGS, integrate_adaptive
+from .quadrature import DEFAULT_SETTINGS, integrate_kernel
+# integrate_adaptive is bound here only because perfbench/tracer.py rebinds
+# it in potentials' namespace.
+from .quadrature import integrate_adaptive  # noqa: F401
 
 __all__ = [
     "Yukawa",
@@ -134,32 +138,42 @@ def evaluate(potential, r):
     return float(out[0]) if scalar else out
 
 
-def fourier3d(potential, q, settings=DEFAULT_SETTINGS):
-    """Vtilde(q) = int d^3r e^{-i q.r} V(r), vectorized over q >= 0."""
+def _radial_kernel(q, r):
+    """4 pi r^2 sin(q r)/(q r): the 3-D Fourier kernel of a radial V."""
+    return 4.0 * np.pi * r * r * np.sinc(q * r / np.pi)
+
+
+def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
+    """Vtilde(q) = int d^3r e^{-i q.r} V(r), vectorized over q >= 0.
+
+    A table integrates V over its support for every q on one shared
+    partition that starts from its knots (quadrature.integrate_kernel).
+    with_error=True returns (Vtilde, error estimate), the estimate 0 for
+    the closed forms.
+    """
     q = np.asarray(q, dtype=float)
     scalar = q.ndim == 0
     q = np.atleast_1d(q)
     if np.any(q < 0.0):
         raise DomainError("momentum transfer q must be non-negative")
+    err = np.zeros(q.shape)
     if isinstance(potential, Yukawa):
         out = 4.0 * np.pi * potential.g / (q * q + potential.mu**2)
     elif isinstance(potential, Gauss):
         a = potential.alpha
         out = potential.g * (np.pi / a) ** 1.5 * np.exp(-q * q / (4.0 * a))
     elif isinstance(potential, TabulatedRadial):
-        r_hi = potential.r[-1]
-        out = np.empty(q.shape)
-        for i, qi in enumerate(q):
-            if qi == 0.0:
-                f = lambda r: 4.0 * np.pi * evaluate(potential, r) * r * r
-            else:
-                f = lambda r: (4.0 * np.pi / qi) * np.sin(qi * r) \
-                    * evaluate(potential, r) * r
-            out[i] = integrate_adaptive(f, 0.0, r_hi, settings).value
+        # V is cubic or linear between knots, and v[0] below the first
+        res = integrate_kernel(lambda r: evaluate(potential, r),
+                               _radial_kernel, q,
+                               np.union1d(0.0, potential.r), settings)
+        out, err = res.value, res.error_estimate
     else:
         raise UnsupportedModelError(
             f"unknown potential model {type(potential).__name__!r}")
-    return float(out[0]) if scalar else out
+    if scalar:
+        out, err = float(out[0]), float(err[0])
+    return (out, err) if with_error else out
 
 
 def origin_expansion(potential):

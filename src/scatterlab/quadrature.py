@@ -1,12 +1,13 @@
 """Adaptive quadrature built on a nested Gauss-Kronrod 7/15 rule.
 
-Three entry points:
+Four entry points:
 
     integrate_adaptive       finite interval, worst-interval bisection
     integrate_semi_infinite  [0, inf) via the rational map x = t/(1-t)
-    hankel0                  int_0^inf g(b) J0(q b) b db, block-summed
-                             between consecutive zeros of J0(q b) with Euler
-                             acceleration of the alternating block series
+    integrate_kernel         int g(x) K(q, x) dx over an interval, for many
+                             q on one partition that they share
+    hankel0                  int_0^upper g(b) J0(q b) b db, integrate_kernel
+                             with the Hankel kernel
 
 Integrands must accept ndarray arguments (they are evaluated on 15-point
 node batches) and may return complex values. Error estimation follows the
@@ -31,9 +32,16 @@ error_estimate arrays and the summed evaluation count; the first failing
 row raises the error of a call for that row alone. A scalar call is the
 one-row case of the same loop.
 
-hankel0 batches the same way over a 1-d array of q: each q keeps its own
-block series, and one round integrates the current block of every q in
-one row-batched call. A scalar q is the one-row case of that loop.
+integrate_kernel is global-adaptive over one partition of its interval
+shared by every q (Piessens et al., QUADPACK, 1983): it starts from the
+caller's breakpoints, and g is evaluated once per node and the kernel
+once per (q, node). Each round bisects every panel on which some q whose
+summed error is above its target max(abs_tol, rel_tol |value_q|) has an
+error above that target's share, an equal part of it on each panel.
+max_subdivisions caps the bisections of the partition. A value therefore
+depends, at rounding level, on the q it was computed with. The interval
+is the caller's: a property of the integrand, such as the range of a
+potential, not a setting.
 """
 
 import math
@@ -42,7 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .special_functions import bessel_j0, j0_zeros
+from .special_functions import bessel_j0
+# j0_zeros is bound here only because perfbench/tracer.py rebinds it in
+# quadrature's namespace.
+from .special_functions import j0_zeros  # noqa: F401
 
 __all__ = [
     "QuadratureSettings",
@@ -50,6 +61,7 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "integrate_adaptive",
     "integrate_semi_infinite",
+    "integrate_kernel",
     "hankel0",
 ]
 
@@ -59,22 +71,16 @@ class QuadratureSettings:
     """Tolerances and budgets shared by the integration routines.
 
     rel_tol/abs_tol       target |error| <= max(abs_tol, rel_tol*|value|)
-    max_subdivisions      bisection budget per adaptive call
-    tail_cut              b beyond which semi-infinite tails are presumed
-                          negligible (decay-checked, truncation folded into
-                          the reported error)
-    oscillatory_blocks    hankel0 blocks summed directly before the Euler
-                          transformation takes over
+    max_subdivisions      bisection budget per adaptive call (for
+                          integrate_kernel, of the shared partition)
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 200
-    tail_cut: float = 60.0
-    oscillatory_blocks: int = 6
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "tail_cut"):
+        for name in ("rel_tol", "abs_tol"):
             val = getattr(self, name)
             if not math.isfinite(val):
                 raise DomainError(f"{name} must be finite, got {val!r}",
@@ -86,16 +92,12 @@ class QuadratureSettings:
         if self.max_subdivisions < 8:
             raise DomainError("max_subdivisions must be >= 8",
                               key="max_subdivisions")
-        if self.tail_cut <= 0:
-            raise DomainError("tail_cut must be positive", key="tail_cut")
-        if self.oscillatory_blocks < 1:
-            raise DomainError("oscillatory_blocks must be >= 1",
-                              key="oscillatory_blocks")
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """value and error_estimate are (m,) arrays for a rows=m call."""
+    """value and error_estimate are (m,) arrays for a rows=m call, and for
+    a call with an array of m q."""
 
     value: complex
     error_estimate: float
@@ -307,11 +309,15 @@ def integrate_adaptive(f, a, b, settings=DEFAULT_SETTINGS, *, rows=None,
     return QuadratureResult(value, error, neval)
 
 
+# Where the semi-infinite integrand's decay is probed: fixed points, so an
+# integral does not depend on any other integral's range.
+_DECAY_PROBES = 60.0 * np.array([1.0, 2.0, 4.0])
+
+
 def _check_tail_decay(f, settings, rows, label):
-    # |x f(x)| must shrink along tail_cut * (1, 2, 4); anything flatter makes
-    # the improper integral look divergent (covers 1/x and slower decay).
-    t = settings.tail_cut
-    pts = np.array([t, 2.0 * t, 4.0 * t])
+    # |x f(x)| must shrink along _DECAY_PROBES; anything flatter makes the
+    # improper integral look divergent (covers 1/x and slower decay).
+    pts = _DECAY_PROBES
     y = np.asarray(f(np.arange(rows), np.tile(pts, (rows, 1))))
     s = np.abs(y) * pts
     flat = s[:, 2] > np.maximum(0.9 * s[:, 0], settings.abs_tol)
@@ -319,8 +325,8 @@ def _check_tail_decay(f, settings, rows, label):
         j = np.argmax(flat)
         raise DivergenceError(
             f"integrand tail does not decay: |x f(x)| at x = "
-            f"({t:g}, {2*t:g}, {4*t:g}) is ({s[j, 0]:.3e}, {s[j, 1]:.3e}, "
-            f"{s[j, 2]:.3e}){label(j)}")
+            f"({pts[0]:g}, {pts[1]:g}, {pts[2]:g}) is ({s[j, 0]:.3e}, "
+            f"{s[j, 1]:.3e}, {s[j, 2]:.3e}){label(j)}")
     return 3 * len(s)
 
 
@@ -348,184 +354,136 @@ def integrate_semi_infinite(f, settings=DEFAULT_SETTINGS, *, rows=None,
     return QuadratureResult(val, err, neval + n)
 
 
-def _euler_diagonal(terms):
-    """Apex sequence of the repeated-averaging (Euler) triangle.
-
-    Element k is the accelerated sum estimate using the first k+1 terms; the
-    gap between the last two elements estimates the acceleration error.
-    """
-    row = np.cumsum(np.asarray(terms, dtype=complex))
-    diag = [row[0]]
-    while len(row) > 1:
-        row = 0.5 * (row[:-1] + row[1:])
-        diag.append(row[0])
-    return diag
+# (q, node) pairs per block of panels in _kernel_panels, so the memory a
+# round takes does not grow with the count of q or of panels
+_KERNEL_BLOCK = 1 << 13
 
 
-class _BlockSeries:
-    """hankel0's oscillatory route for one q, fed one block at a time.
-
-    The axis is cut at the zeros of J0(q b). The head block [0, first zero]
-    comes first; the next settings.oscillatory_blocks blocks are summed
-    directly, after which the alternating block series is Euler-accelerated.
-    next_block() names the block to integrate next, or returns None once
-    the series has converged or reached settings.tail_cut.
-    """
-
-    def __init__(self, q, settings):
-        self.q = q
-        self.settings = settings
-        self.zeros = j0_zeros(int(q * settings.tail_cut / 3.0) + 2) / q
-        self.head = None
-        self.blocks = []
-        self.tail_terms = []
-        self.value_direct = 0.0
-        self.tail_value = 0.0
-        self.quad_err = 0.0
-        self.acc_err = 0.0
-        self.trunc_err = 0.0
-        self.small_streak = 0
-        self.done = False
-
-    def next_block(self):
-        if self.head is None:
-            return 0.0, self.zeros[0]
-        s = self.settings
-        i = len(self.blocks)
-        if i + 1 >= len(self.zeros):
-            self.zeros = j0_zeros(len(self.zeros) + 64) / self.q
-        lo, hi = self.zeros[i], self.zeros[i + 1]
-        if lo < s.tail_cut:
-            return lo, hi
-        # Decaying envelope: the untouched alternating tail is bounded by
-        # the last block. If that bound (plus acceleration error) exceeds
-        # the requested tolerance, the cut is refusing work the caller
-        # asked for, so fail loudly instead of degrading. The blocks' own
-        # quadrature error says nothing about the tail: it is reported,
-        # not tested here.
-        last = abs(self.blocks[-1]) if self.blocks else abs(self.head)
-        best = self.value_direct + self.tail_value
-        tol_eff = max(s.abs_tol, s.rel_tol * abs(best))
-        if self.acc_err + last > tol_eff:
-            raise ConvergenceError(
-                f"hankel0 tail beyond b = {s.tail_cut:g} still contributes "
-                f"~{last:.3e} at q = {float(self.q)!r}; raise tail_cut or "
-                f"oscillatory_blocks",
-                estimate=best,
-                error_estimate=self.quad_err + self.acc_err + last,
-                partial_sums=list(np.cumsum([self.head] + self.blocks)))
-        self.trunc_err = last
-        self.done = True
-        return None
-
-    def add(self, val, err):
-        """Fold in the integral of the block next_block() named."""
-        self.quad_err += err
-        if self.head is None:
-            self.head = self.value_direct = val
-            return
-        s = self.settings
-        self.blocks.append(val)
-        if len(self.blocks) <= s.oscillatory_blocks:
-            self.value_direct += val
-        else:
-            self.tail_terms.append(val)
-            diag = _euler_diagonal(self.tail_terms)
-            self.tail_value = diag[-1]
-            if len(diag) >= 2:
-                self.acc_err = abs(diag[-1] - diag[-2])
-        scale = abs(self.value_direct + self.tail_value)
-        tol_eff = max(s.abs_tol, s.rel_tol * scale)
-        if abs(val) <= 0.05 * tol_eff:
-            self.small_streak += 1
-            if self.small_streak >= 2:
-                if self.tail_terms:
-                    self.tail_value = sum(self.tail_terms)
-                    self.acc_err = abs(val)
-                self.done = True
-                return
-        else:
-            self.small_streak = 0
-        if len(self.tail_terms) >= 3 and self.acc_err <= 0.5 * tol_eff:
-            self.done = True
-
-    def result(self):
-        return (self.value_direct + self.tail_value,
-                self.quad_err + self.acc_err + self.trunc_err)
+def _kernel_block(g, kernel, envelope, q, lo, hi):
+    """_kernel_panels on one block of panels."""
+    hw = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi)[:, None] + hw[:, None] * _NODES
+    y = g(x)
+    bound = None
+    if isinstance(y, tuple):
+        y, bound = y
+    y = np.asarray(y)
+    if y.shape != x.shape:
+        raise DomainError("integrand must map an ndarray to an ndarray of "
+                          "the same shape")
+    finite = np.isfinite(np.abs(y)).all(axis=1)
+    if not finite.all():
+        j = np.argmin(finite)
+        raise DomainError(f"integrand returned non-finite values on "
+                          f"[{float(lo[j])!r}, {float(hi[j])!r}]")
+    f = y * kernel(q, x)
+    resk = hw * (f @ _WK)
+    mean = resk / (2.0 * hw)
+    err = _qk_errors(resk.ravel(), (hw * (f[..., 1::2] @ _WG)).ravel(),
+                     (hw * (np.abs(f) @ _WK)).ravel(),
+                     (hw * (np.abs(f - mean[..., None]) @ _WK)).ravel())
+    werr = np.zeros(resk.shape) if bound is None else \
+        hw * ((bound * envelope(q, x)) @ _WK)
+    return resk, err.reshape(resk.shape), werr
 
 
-def hankel0(g, q, settings=DEFAULT_SETTINGS):
-    """Evaluate int_0^inf g(b) J0(q b) b db for a scalar q, or for each q
-    of a 1-d array in one pass.
+def _kernel_panels(g, kernel, envelope, q, lo, hi):
+    """GK15 panels [lo[j], hi[j]] of g(x) kernel(q, x) for every q of the
+    (n, 1, 1) array q, with g evaluated once per node: (K15 values, error
+    estimates, integrals of g's bounds against envelope), each of shape
+    (n, P)."""
+    step = max(1, _KERNEL_BLOCK // (_NODES.size * q.shape[0]))
+    parts = [_kernel_block(g, kernel, envelope, q, lo[j:j + step],
+                           hi[j:j + step]) for j in range(0, lo.size, step)]
+    return tuple(np.concatenate(c, axis=1) for c in zip(*parts))
 
-    For each q the axis is cut at the zeros of J0(q b); blocks are
-    integrated adaptively and summed directly for settings.oscillatory_blocks
-    blocks, after which the alternating block series is Euler-accelerated.
-    Truncation beyond settings.tail_cut assumes a decaying envelope and is
-    folded into the reported error. q at or below 1e-12/tail_cut, and q
-    whose first zero lies beyond tail_cut, are integrated as plain
-    semi-infinite integrals instead.
 
-    g must act elementwise on an ndarray of any shape: each round hands it
-    the nodes of the current block of every q at once. Row j of an array
-    call carries the bits of the scalar call at q[j]; value and
-    error_estimate are then (n,) arrays and evaluations the sum over rows.
-    The first failing q raises the scalar call's error, naming that q.
+def integrate_kernel(g, kernel, q, breaks, settings=DEFAULT_SETTINGS, *,
+                     envelope=None):
+    """int g(x) kernel(q, x) dx over [breaks[0], breaks[-1]] for a scalar
+    q, or for each q of a 1-d array on one partition that they share (see
+    the module docstring).
+
+    The partition starts from the panels between consecutive breaks: the
+    points where g is not smooth, such as a table's knots, belong there,
+    as in QUADPACK's dqagp. kernel(q, x) and envelope(q, x) take q of
+    shape (n, 1, 1) and the nodes x of shape (P, 15). g maps an ndarray
+    to one of the same shape, or to a pair (values, bounds),
+    bounds[j] >= |error of values[j]|; the bounds are then integrated
+    against envelope >= |kernel| on the final panels and added to each
+    q's error_estimate.
     """
     scalar = np.ndim(q) == 0
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     if qs.ndim != 1:
-        raise DomainError("hankel0 takes a scalar q or a 1-d array of q")
-    if not np.all(qs >= 0.0) or not np.all(np.isfinite(qs)):
-        raise DomainError("hankel0 requires finite q >= 0")
-    tiny = qs <= 1e-12 / settings.tail_cut
-
-    def integrand(i, b):
-        y = np.asarray(g(b))
-        osc = ~tiny[i]
-        if osc.all():
-            return y * bessel_j0(qs[i, None] * b) * b
-        # rows with q ~ 0 integrate g(b) b, without J0
-        j0 = np.ones(b.shape)
-        j0[osc] = bessel_j0(qs[i[osc], None] * b[osc])
-        return np.where(osc[:, None], y * j0, y) * b
-
-    def label(i):
-        return f" at q = {float(qs[i])!r}"
-
-    with np.errstate(divide="ignore"):
-        semi = tiny | (j0_zeros(1)[0] / qs >= settings.tail_cut)
-    value = [0.0] * qs.size
-    error = [0.0] * qs.size
-    neval = 0
-
-    rows = np.flatnonzero(semi)
-    if rows.size:
-        res = integrate_semi_infinite(
-            lambda i, b: integrand(rows[i], b), settings, rows=rows.size,
-            label=lambda i: label(rows[i]))
-        for n, j in enumerate(rows):
-            value[j], error[j] = res.value[n], res.error_estimate[n]
-        neval += res.evaluations
-
-    series = {j: _BlockSeries(qs[j], settings) for j in np.flatnonzero(~semi)}
-    block_abs = 0.25 * settings.abs_tol
-    while series:
-        todo = [(j, blk) for j, s in series.items()
-                if (blk := s.next_block()) is not None]
-        live = np.array([j for j, _ in todo], dtype=int)
-        lo, hi = np.reshape([blk for _, blk in todo], (-1, 2)).T
-        val, err, n = _adaptive_rows(integrand, live, lo, hi, block_abs,
-                                     settings.rel_tol,
-                                     settings.max_subdivisions, label)
-        neval += n
-        for m, j in enumerate(live):
-            series[j].add(val[m], err[m])
-        for j in list(series):
-            if series[j].done:
-                value[j], error[j] = series.pop(j).result()
-
+        raise DomainError("integrate_kernel takes a scalar q or a 1-d "
+                          "array of q")
+    if not (np.all(np.isfinite(qs)) and np.all(qs >= 0.0)):
+        raise DomainError("integrate_kernel requires finite q >= 0")
+    edges = np.asarray(breaks, dtype=float)
+    if not (edges.ndim == 1 and edges.size >= 2
+            and np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0.0)):
+        raise DomainError(f"integration limits must be finite and strictly "
+                          f"increasing, got {breaks!r}")
+    q3 = qs[:, None, None]
+    lo, hi = edges[:-1], edges[1:]
+    val, err, werr = _kernel_panels(g, kernel, envelope, q3, lo, hi)
+    neval = 15 * lo.size
+    splits = 0
+    while True:
+        value, total = val.sum(axis=1), err.sum(axis=1)
+        tol = np.maximum(settings.abs_tol, settings.rel_tol * _abs(value))
+        # an open q's share of its target: an equal part on each panel
+        split = (err > (tol / lo.size)[:, None])[total > tol].any(axis=0)
+        n = int(np.count_nonzero(split))
+        if not n:
+            break
+        if splits + n > settings.max_subdivisions:
+            j = np.argmax(total / tol)
+            raise ConvergenceError(
+                f"quadrature budget of {settings.max_subdivisions} "
+                f"subdivisions exhausted at q = {float(qs[j])!r} (error "
+                f"estimate {total[j]:.3e})",
+                estimate=value[j], error_estimate=total[j])
+        mid = 0.5 * (lo[split] + hi[split])
+        new = (np.concatenate([lo[split], mid]),
+               np.concatenate([mid, hi[split]]))
+        parts = _kernel_panels(g, kernel, envelope, q3, *new)
+        lo, hi = (np.concatenate([x[~split], y]) for x, y in zip((lo, hi),
+                                                                 new))
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
+        val, err, werr = (np.concatenate([x[:, ~split], y], axis=1)[:, order]
+                          for x, y in zip((val, err, werr), parts))
+        splits += n
+        neval += 30 * n
+    error = total + werr.sum(axis=1)
     if scalar:
-        return QuadratureResult(value[0], error[0], neval)
-    return QuadratureResult(np.array(value), np.array(error, dtype=float),
-                            neval)
+        return QuadratureResult(value[0], float(error[0]), neval)
+    return QuadratureResult(value, error, neval)
+
+
+def _j0_kernel(q, b):
+    return bessel_j0(q * b) * b
+
+
+def _j0_envelope(q, b):
+    """|J0(q b)| b <= min(1, sqrt(2/(pi q b))) b."""
+    x = np.maximum(q * b, np.finfo(float).tiny)
+    return np.minimum(1.0, np.sqrt(2.0 / (np.pi * x))) * b
+
+
+def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
+    """int_0^upper g(b) J0(q b) b db for a scalar q, or for each q of a 1-d
+    array on one shared partition: integrate_kernel with the Hankel kernel,
+    starting from panels about one period 2 pi/q of J0 wide at the largest
+    q. If g returns (values, bounds), the bounds are integrated against
+    J0's envelope min(1, sqrt(2/(pi q b))) b."""
+    if not (math.isfinite(upper) and upper > 0.0):
+        raise DomainError(f"upper limit must be positive and finite, got "
+                          f"{upper!r}")
+    periods = np.max(q, initial=0.0) * upper / (2.0 * np.pi)
+    panels = int(periods) + 1 if np.isfinite(periods) else 1
+    return integrate_kernel(g, _j0_kernel, q,
+                            np.linspace(0.0, upper, panels + 1), settings,
+                            envelope=_j0_envelope)

@@ -9,7 +9,9 @@ from scatterlab.born import (_lambda_factor, born1_amplitude,
                              born_resummed_amplitude)
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.errors import DomainError
-from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
+from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
+                                   fourier3d)
+from scatterlab.quadrature import QuadratureSettings
 
 KIN1 = Kinematics(mass=1.0, k=1.0)
 KIN10 = Kinematics(mass=1.0, k=10.0)
@@ -62,6 +64,33 @@ class TestBorn1:
         got = born1_amplitude(TabulatedRadial(r, v), KIN10, 0.2)
         assert abs(got.value - ref.value) / abs(ref.value) < 1e-6
 
+    @pytest.mark.parametrize("samples", [600, 3000])
+    def test_tabulated_error_covers_a_tight_reference(self, samples):
+        # the benchmark's table shape on [0, 30]: born1 reports the error
+        # of fourier3d's quadrature, which covers its deviation from a run
+        # at 100x tighter tolerances and from a 20-point Gauss-Legendre sum
+        # over each knot interval, where V is a cubic (a table's born1
+        # once reported 0, 2.5e-11 off)
+        r = np.linspace(0.0, 30.0, samples)
+        v = 0.5 * np.exp(-r) / np.sqrt(r * r + 0.25)
+        v[-1] = 0.0
+        p = TabulatedRadial(r, v)
+        kin = Kinematics(mass=1.0, k=10.0)
+        theta = np.linspace(0.0, 0.6, 64)
+        got = born1_amplitude(p, kin, theta)
+        scale = -kin.mass / (2.0 * np.pi * kin.hbar**2)
+        tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-14,
+                                   max_subdivisions=2000)
+        x, w = np.polynomial.legendre.leggauss(20)
+        h = 0.5 * np.diff(r)[:, None]
+        rr = 0.5 * (r[1:] + r[:-1])[:, None] + h * x
+        vr = (h * w * 4.0 * np.pi * rr * rr * evaluate(p, rr)).ravel()
+        knotwise = scale * np.array(
+            [np.sum(vr * np.sinc(q * rr.ravel() / np.pi)) for q in got.q])
+        for ref in (scale * fourier3d(p, got.q, tight), knotwise):
+            assert np.all(np.abs(got.value - ref) <= got.error_estimate)
+        assert np.all(got.error_estimate < 1e-12 * np.abs(got.value))
+
     @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.8, 0.5)])
     @pytest.mark.parametrize("k", [1.0, 2.0, 5.0, 10.0, 30.0])
     def test_theta_array_equals_per_angle_calls(self, p, k):
@@ -107,9 +136,10 @@ class TestBornResummed:
         each = [born_resummed_amplitude(p, KIN10, float(t), **kw)
                 for t in theta]
         assert got.q.tolist() == [a.q for a in each]
-        assert got.value.tolist() == [a.value for a in each]
-        assert got.error_estimate.tolist() == [a.error_estimate
-                                               for a in each]
+        # one Hankel partition for all angles: rows agree with the
+        # per-angle calls within their errors, not bit for bit
+        for value, err, a in zip(got.value, got.error_estimate, each):
+            assert abs(value - a.value) <= err + a.error_estimate
 
     def test_lambda_numeric_cross_check(self):
         p = Yukawa(0.5, 1.0)

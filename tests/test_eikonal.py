@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from scatterlab.born import born_resummed_amplitude
 from scatterlab.eikonal import (Amplitude, Kinematics, PhaseProfile,
                                 amplitude_eikonal, amplitude_paper_closed,
                                 chi, chi_closed, momentum_transfer,
                                 phase_profile)
-from scatterlab.errors import (ConvergenceError, DomainError, PoleError,
-                               SingularityError, UnsupportedModelError)
+from scatterlab.errors import (DomainError, PoleError, SingularityError,
+                               UnsupportedModelError)
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
 from scatterlab.quadrature import QuadratureSettings
 
@@ -236,8 +237,9 @@ class TestAmplitudeEikonal:
             amplitude_eikonal(Gauss(1.0, 1.0), KIN1, -0.01)
 
     def test_tail_cut_ignores_block_quadrature_error(self):
-        # the blocks' summed quadrature error (9.17e-12) is above the
-        # tolerance here, but the tail beyond b = 60 is only ~3.6e-22
+        # a case the former J0-zero block series refused (its tail check
+        # read the blocks' summed quadrature error, 9.17e-12, not the
+        # ~3.6e-22 tail beyond its cut): the error covers a tight run
         p = Yukawa(0.5, 1.040)
         got = amplitude_eikonal(p, KIN10, 0.0125)
         tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-14,
@@ -245,11 +247,46 @@ class TestAmplitudeEikonal:
         ref = amplitude_eikonal(p, KIN10, 0.0125, tight)
         assert abs(got.value - ref.value) <= got.error_estimate < 1e-9
 
-    def test_tail_cut_refuses_a_live_tail(self):
-        # range ~32: the tail beyond b = 60 still contributes ~1.1e1
-        with pytest.raises(ConvergenceError) as exc:
-            amplitude_eikonal(Gauss(0.5, 0.001), KIN10, 0.01)
-        assert "tail beyond b = 60" in str(exc.value)
+    @pytest.mark.parametrize("k, theta", [(1.0, 0.05), (5.0, 0.01),
+                                          (10.0, 0.01)])
+    def test_long_range_gauss_matches_the_exact_series(self, k, theta):
+        # Gauss(0.5, 1e-3), range ~32: chi = chi0 e^{-alpha b^2}, so
+        # e^{i chi} - 1 = sum_n (i chi0)^n/n! e^{-n alpha b^2} and
+        # f = -i k sum_n (i chi0)^n/n! e^{-q^2/(4 n alpha)}/(2 n alpha),
+        # summed in 60-digit arithmetic (|chi0| = 28 at k = 1)
+        import mpmath as mp
+        p, kin = Gauss(0.5, 1e-3), Kinematics(mass=1.0, k=k)
+        with mp.workdps(60):
+            alpha = mp.mpf(p.alpha)
+            q = mp.mpf(float(momentum_transfer(k, theta)))
+            chi0 = -(mp.mpf(p.g) / (kin.hbar * kin.v)) * mp.sqrt(mp.pi
+                                                                 / alpha)
+            term, total = mp.mpc(1), mp.mpc(0)
+            for n in range(1, 400):
+                term *= 1j * chi0 / n
+                total += term * mp.exp(-q * q / (4 * n * alpha)) \
+                    / (2 * n * alpha)
+            exact = complex(-1j * k * total)
+        for phase in ("closed", "quadrature"):
+            got = amplitude_eikonal(p, kin, theta, phase=phase)
+            assert abs(got.value - exact) <= got.error_estimate
+        got = born_resummed_amplitude(p, kin, theta)
+        assert abs(got.value - exact) <= got.error_estimate
+
+    def test_large_momentum_transfer_fits_the_default_budget(self):
+        # q up to 41 winds J0 through some 250 periods on [0, R]: the
+        # shared partition starts from panels one period wide, so the 200
+        # bisections of the budget go where g needs them
+        kin = Kinematics(mass=1.0, k=30.0)
+        theta = np.linspace(0.0, 1.5, 49)
+        got = amplitude_eikonal(Yukawa(0.5, 1.0), kin, theta)
+        tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-14,
+                                   max_subdivisions=2000)
+        rows = slice(None, None, 6)
+        for t, value, err in zip(theta[rows], got.value[rows],
+                                 got.error_estimate[rows]):
+            ref = amplitude_eikonal(Yukawa(0.5, 1.0), kin, float(t), tight)
+            assert abs(value - ref.value) <= err
 
     def test_error_estimate_reported(self):
         got = amplitude_eikonal(Yukawa(0.5, 1.0), KIN10, 0.1)
@@ -263,15 +300,16 @@ class TestAmplitudeEikonal:
     ])
     def test_theta_array_equals_per_angle_calls(self, p, phase,
                                                 small_angle_q):
+        # all angles share one Hankel partition, so a row agrees with the
+        # call at that angle alone within their errors, not bit for bit
         theta = np.array([0.0, 0.01, 0.05, 0.2, 0.6])
         kw = dict(phase=phase, small_angle_q=small_angle_q)
         got = amplitude_eikonal(p, KIN10, theta, **kw)
         each = [amplitude_eikonal(p, KIN10, float(t), **kw) for t in theta]
         assert got.theta.tolist() == theta.tolist()
         assert got.q.tolist() == [a.q for a in each]
-        assert got.value.tolist() == [a.value for a in each]
-        assert got.error_estimate.tolist() == [a.error_estimate
-                                               for a in each]
+        for value, err, a in zip(got.value, got.error_estimate, each):
+            assert abs(value - a.value) <= err + a.error_estimate
 
     def test_theta_array_domain(self):
         with pytest.raises(DomainError):

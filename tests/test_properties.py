@@ -34,13 +34,6 @@ def potentials(draw):
 @given(p=potentials(), k=st.sampled_from([1.0, 2.0, 5.0]))
 def test_born_resummed_error_covers_the_tight_closed_phase_eikonal(p, k):
     kin = Kinematics(mass=1.0, k=k)
-    # tail_cut is absolute, not scaled with the range: a long-range Yukawa
-    # needs it raised, as hankel0's tail error asks (the tight reference
-    # first, whose smaller abs_tol its tail check reads)
-    cut = max(DEFAULT_SETTINGS.tail_cut, 60.0 / p.mu) \
-        if isinstance(p, Yukawa) else DEFAULT_SETTINGS.tail_cut
-    base = dataclasses.replace(DEFAULT_SETTINGS, tail_cut=cut)
-    tight = dataclasses.replace(TIGHT, tail_cut=cut)
-    got = born_resummed_amplitude(p, kin, THETA, base)
-    tight = amplitude_eikonal(p, kin, THETA, tight, phase="closed")
+    got = born_resummed_amplitude(p, kin, THETA)
+    tight = amplitude_eikonal(p, kin, THETA, TIGHT, phase="closed")
     assert np.all(np.abs(got.value - tight.value) <= got.error_estimate)

@@ -9,7 +9,7 @@ import pytest
 import _oracles
 from _oracles import ESTIMATOR_CORPUS
 from scatterlab import quadrature
-from scatterlab.eikonal import Kinematics, chi, chi_closed
+from scatterlab.eikonal import Kinematics, _phase_integrand, _reach
 from scatterlab.errors import (ConvergenceError, DivergenceError, DomainError,
                                ScatterError)
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa, evaluate
@@ -23,18 +23,14 @@ def test_settings_validation():
         QuadratureSettings(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSettings(max_subdivisions=7)
-    with pytest.raises(DomainError):
-        QuadratureSettings(tail_cut=-1.0)
-    with pytest.raises(DomainError):
-        QuadratureSettings(oscillatory_blocks=0)
     QuadratureSettings(max_subdivisions=8)
 
 
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "tail_cut"])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_settings_reject_non_finite(name, value):
     # a nan or inf tolerance once let integrate_adaptive stop after one
-    # panel, and a nan tail_cut reached int() inside the Hankel transform
+    # panel
     with pytest.raises(DomainError) as err:
         QuadratureSettings(**{name: value})
     assert err.value.key == name
@@ -148,11 +144,22 @@ def test_semi_infinite_divergence_flagged():
             integrate_semi_infinite(f)
 
 
+def test_decay_probes_are_fixed_points():
+    # the probes sit at 60 (1, 2, 4) under any settings, so a z-integral
+    # does not depend on any other integral's range
+    assert quadrature._DECAY_PROBES.tolist() == [60.0, 120.0, 240.0]
+    for settings in (DEFAULT_SETTINGS, QuadratureSettings(rel_tol=1e-6)):
+        with pytest.raises(DivergenceError,
+                           match=r"at x = \(60, 120, 240\) is"):
+            integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), settings)
+
+
 def test_hankel_exponential_envelope():
-    # int_0^inf e^{-a b} J0(q b) b db = a / (a^2 + q^2)^{3/2}
+    # int_0^inf e^{-a b} J0(q b) b db = a / (a^2 + q^2)^{3/2}; e^{-a 40}
+    # is below rounding
     a = 1.3
     for q in (0.2, 1.0, 2.1, 6.0):
-        res = hankel0(lambda b: np.exp(-a * b), q)
+        res = hankel0(lambda b: np.exp(-a * b), q, 40.0)
         exact = a / (a * a + q * q) ** 1.5
         assert abs(res.value - exact) <= max(5e-13, 5.0 * res.error_estimate)
 
@@ -161,34 +168,27 @@ def test_hankel_gaussian_envelope():
     # int_0^inf e^{-alpha b^2} J0(q b) b db = e^{-q^2/(4 alpha)}/(2 alpha)
     alpha = 0.7
     for q in (0.0, 1e-15, 0.3, 3.0, 12.0):
-        res = hankel0(lambda b: np.exp(-alpha * b * b), q)
+        res = hankel0(lambda b: np.exp(-alpha * b * b), q, 10.0)
         exact = np.exp(-q * q / (4.0 * alpha)) / (2.0 * alpha)
         assert abs(res.value - exact) <= max(5e-13, 5.0 * res.error_estimate)
 
 
 def test_hankel_tiny_q_matches_zero_q():
     f = lambda b: np.exp(-0.5 * b * b)
-    r0 = hankel0(f, 0.0)
-    r1 = hankel0(f, 1e-16)
+    r0 = hankel0(f, 0.0, 10.0)
+    r1 = hankel0(f, 1e-16, 10.0)
     assert abs(r0.value - r1.value) < 1e-13
-
-
-def test_hankel_block_count_independence():
-    def g(b):
-        return np.exp(-0.4 * b) * (1.0 + 0.2j)
-
-    vals = []
-    for m in (4, 6, 12):
-        settings = QuadratureSettings(oscillatory_blocks=m)
-        res = hankel0(g, 1.7, settings)
-        vals.append(res.value)
-    for v in vals[1:]:
-        assert abs(v - vals[0]) < 1e-10 * abs(vals[0])
 
 
 def test_hankel_negative_q():
     with pytest.raises(DomainError):
-        hankel0(lambda b: np.exp(-b), -0.5)
+        hankel0(lambda b: np.exp(-b), -0.5, 40.0)
+
+
+@pytest.mark.parametrize("upper", [0.0, -1.0, math.inf, math.nan])
+def test_hankel_upper_limit_must_be_positive_and_finite(upper):
+    with pytest.raises(DomainError, match="upper limit"):
+        hankel0(lambda b: np.exp(-b), 0.5, upper)
 
 
 def test_hankel_linearity():
@@ -196,9 +196,9 @@ def test_hankel_linearity():
     g2 = lambda b: np.exp(-0.5 * b * b)
     a, c = 2.5, -1.25
     q = 1.4
-    lhs = hankel0(lambda b: a * g1(b) + c * g2(b), q)
-    r1 = hankel0(g1, q)
-    r2 = hankel0(g2, q)
+    lhs = hankel0(lambda b: a * g1(b) + c * g2(b), q, 50.0)
+    r1 = hankel0(g1, q, 50.0)
+    r2 = hankel0(g2, q, 50.0)
     combined_err = (lhs.error_estimate + abs(a) * r1.error_estimate
                     + abs(c) * r2.error_estimate)
     assert abs(lhs.value - (a * r1.value + c * r2.value)) <= \
@@ -212,7 +212,7 @@ def test_hankel_gaussian_against_trapezoid_oracle():
     q, alpha = 2.0, 1.0
     b = np.linspace(0.0, 12.0, 1_200_001)
     oracle = np.trapezoid(np.exp(-alpha * b * b) * sp.j0(q * b) * b, b)
-    res = hankel0(lambda x: np.exp(-alpha * x * x), q)
+    res = hankel0(lambda x: np.exp(-alpha * x * x), q, 12.0)
     assert abs(res.value - oracle) < 1e-9
     assert abs(res.value - np.exp(-q * q / 4.0) / 2.0) < 1e-12
 
@@ -232,27 +232,49 @@ def test_hankel_phase_integrand_against_trapezoid_oracle():
     b = np.concatenate([np.geomspace(1e-12, 0.1, 300_000, endpoint=False),
                         np.linspace(0.1, 50.0, 2_500_001)])
     oracle = np.trapezoid(g(b) * sp.j0(q * b) * b, b)
-    res = hankel0(g, q)
+    res = hankel0(g, q, 50.0)
     assert abs(res.value - oracle) < 1e-8
 
 
-def test_hankel_nonconvergent_carries_partial_sums():
-    with pytest.raises(ConvergenceError) as exc:
-        hankel0(lambda b: np.ones_like(np.asarray(b, dtype=float)), 1.0)
-    assert exc.value.partial_sums is not None
-    assert len(exc.value.partial_sums) > 3
+def test_hankel_integrates_pointwise_bounds_against_the_j0_envelope():
+    # g returning (values, bounds): the bounds, integrated against
+    # min(1, sqrt(2/(pi q b))) b on the transform's own panels, join the
+    # error; at q = 0 the envelope is b, and a constant bound e adds
+    # e upper^2 / 2
+    import scipy.special as sp
+    upper, e = 20.0, 1e-9
+    q = np.array([0.0, 0.3, 2.0])
+    f = lambda b: np.exp(-0.5 * b * b)
+    plain = hankel0(f, q, upper)
+    bounded = hankel0(lambda b: (f(b), np.full(b.shape, e)), q, upper)
+    assert bounded.value.tobytes() == plain.value.tobytes()
+    added = bounded.error_estimate - plain.error_estimate
+    assert added[0] == pytest.approx(0.5 * e * upper**2, rel=1e-12)
+    b = np.linspace(0.0, upper, 400_001)
+    for qi, got in zip(q, added):
+        envelope = np.minimum(1.0, np.sqrt(2.0 / (np.pi * np.maximum(
+            qi * b, 1e-300)))) * b
+        assert got == pytest.approx(e * np.trapezoid(envelope, b), rel=1e-3)
+        assert got >= e * np.trapezoid(np.abs(sp.j0(qi * b)) * b, b)
 
 
-def test_hankel_slow_envelope_needs_longer_tail():
-    # int_0^inf J0(q b) b / sqrt(1 + b^2) db = e^{-q}/q: the default tail
-    # cut refuses (bound above tolerance); a longer tail converges.
-    q = 0.8
-    g = lambda b: 1.0 / np.sqrt(1.0 + b * b)
-    with pytest.raises(ConvergenceError):
-        hankel0(g, q)
-    settings = QuadratureSettings(tail_cut=400.0)
-    res = hankel0(g, q, settings)
-    assert abs(res.value - np.exp(-q) / q) < 5e-11
+def test_hankel_evaluates_g_once_per_node_for_every_q():
+    # one partition for all q: g sees each node once, and an array call
+    # evaluates far fewer nodes than the per-angle calls together
+    seen = []
+
+    def g(b):
+        seen.append(b.copy())
+        return np.exp(-0.3 * b)
+
+    q = np.linspace(0.0, 3.0, 16)
+    res = hankel0(g, q, 60.0)
+    nodes = np.concatenate([x.ravel() for x in seen])
+    assert nodes.size == res.evaluations
+    assert np.unique(nodes).size == nodes.size
+    singles = sum(hankel0(lambda b: np.exp(-0.3 * b), float(x),
+                          60.0).evaluations for x in q)
+    assert res.evaluations < singles / 4
 
 
 def test_default_settings_frozen():
@@ -343,15 +365,10 @@ def test_rows_raise_the_scalar_error_types():
         integrate_adaptive(lambda i, x: x, 1.0, np.array([2.0, 0.5]), rows=2)
 
 
-# hankel0 over an array of q: q = 0 and 1e-15 take the non-oscillatory
-# route, 0.03 has its first J0 zero beyond tail_cut = 60, and at 5.9 the
-# series runs well past oscillatory_blocks, so Euler acceleration engages.
+# hankel0 over an array of q, on one partition of [0, R] shared by all
+# of them: from q = 0 (J0 = 1) to q = 5.9, whose J0 winds through some
+# 70 periods on [0, R] for the Yukawa
 HANKEL_Q = np.array([0.0, 1e-15, 0.03, 0.4, 2.0, 5.9])
-
-
-def _eikonal_profile(p, kin, phase):
-    phase_fn = chi_closed if phase == "closed" else chi
-    return lambda b: np.exp(1j * phase_fn(p, kin, b)) - 1.0
 
 
 def _table(r_hi=8.0, n=300):
@@ -367,53 +384,54 @@ def _table(r_hi=8.0, n=300):
     (_table(), 3.0, "quadrature", HANKEL_Q[[0, 2, 4, 5]]),
 ])
 def test_hankel_rows_match_scalar_calls(p, k, phase, q):
-    g = _eikonal_profile(p, Kinematics(1.0, k), phase)
-    scalars = [hankel0(g, float(x)) for x in q]
-    rows = hankel0(g, q)
-    _assert_rows_are_scalar_calls(rows, scalars)
-
-
-def test_hankel_euler_acceleration_engages_at_large_q():
-    # with the Euler stage pushed out of reach the q = 5.9 bits change, so
-    # that row of the test above does exercise it, and the q = 0.4 row not
-    g = _eikonal_profile(Yukawa(0.5, 1.0), Kinematics(1.0, 10.0), "closed")
-    direct = QuadratureSettings(oscillatory_blocks=10_000)
-    assert hankel0(g, 5.9).value != hankel0(g, 5.9, direct).value
-    assert hankel0(g, 0.4).value == hankel0(g, 0.4, direct).value
+    # the array call shares one partition among its q, so a row agrees
+    # with the call at that q alone within their reported errors, not bit
+    # for bit; it evaluates fewer nodes than the calls together. The
+    # table's quadrature phase carries its z-integrals' error estimates.
+    g = _phase_integrand(p, Kinematics(1.0, k), phase, DEFAULT_SETTINGS)
+    upper = _reach(p)[0]
+    scalars = [hankel0(g, float(x), upper) for x in q]
+    rows = hankel0(g, q, upper)
+    for s, value, err in zip(scalars, rows.value, rows.error_estimate):
+        assert abs(value - s.value) <= err + s.error_estimate
+    assert rows.evaluations < sum(s.evaluations for s in scalars)
 
 
 def test_hankel_rows_raise_the_scalar_error_naming_q():
-    # non-finite beyond b = 40: q = 1 stops before it, while q = 0.1
-    # (oscillatory, blocks ~31 wide) and q = 0 (semi-infinite) reach it
+    # non-finite on (43, 47): at largest q = 1 the partition of [0, 60]
+    # starts from 10 panels of one J0 period or less, and a scalar and an
+    # array call alike raise a typed error naming the one that holds them
     def g(b):
-        return np.where(b < 40.0, np.exp(-b), np.nan)
+        return np.where((b > 43.0) & (b < 47.0), np.nan, np.exp(-b))
 
-    hankel0(g, 1.0)
-    for bad in (0.1, 0.0):
-        with pytest.raises(DomainError):
-            hankel0(g, bad)
+    hankel0(g, 1.0, 40.0)
+    for q in (1.0, np.array([1.0, 0.1])):
         with pytest.raises(DomainError) as exc:
-            hankel0(g, np.array([1.0, bad]))
-        assert f"q = {bad!r}" in str(exc.value)
+            hankel0(g, q, 60.0)
+        assert type(exc.value) is DomainError
+        assert "non-finite values on [42.0, 48.0]" in str(exc.value)
 
-    # the tail check of one row: a slow envelope refuses at q = 0.8 first
-    slow = lambda b: 1.0 / np.sqrt(1.0 + b * b)
+    # the budget counts bisections of the shared partition: 8 cannot
+    # resolve q = 40 on [0, 60], and the error names the worst q, with
+    # the estimate so far
+    slow = lambda b: np.exp(-0.1 * b)
     with pytest.raises(ConvergenceError) as exc:
-        hankel0(slow, np.array([3.0, 0.8]))
+        hankel0(slow, np.array([0.5, 40.0]), 60.0,
+                QuadratureSettings(max_subdivisions=8))
     assert type(exc.value) is ConvergenceError
-    assert "q = 0.8" in str(exc.value)
-    assert exc.value.partial_sums is not None
+    assert "8 subdivisions exhausted at q = 40.0" in str(exc.value)
+    assert exc.value.error_estimate > 0.0
 
 
 def test_hankel_array_q_validation():
     g = lambda b: np.exp(-b)
     with pytest.raises(DomainError):
-        hankel0(g, np.array([1.0, -0.5]))
+        hankel0(g, np.array([1.0, -0.5]), 40.0)
     with pytest.raises(DomainError):
-        hankel0(g, np.array([1.0, np.nan]))
+        hankel0(g, np.array([1.0, np.nan]), 40.0)
     with pytest.raises(DomainError):
-        hankel0(g, np.ones((2, 2)))
-    res = hankel0(g, np.array([0.5]))
+        hankel0(g, np.ones((2, 2)), 40.0)
+    res = hankel0(g, np.array([0.5]), 40.0)
     assert res.value.shape == (1,) and res.error_estimate.shape == (1,)
 
 
@@ -490,8 +508,15 @@ def test_kernel_semi_infinite_rows_match_oracle(monkeypatch, p):
 
 
 def test_kernel_hankel_rows_match_oracle(monkeypatch):
-    g = _eikonal_profile(Yukawa(0.5, 1.0), Kinematics(1.0, 10.0), "closed")
-    _assert_kernel_matches_oracle(monkeypatch, lambda: hankel0(g, HANKEL_Q))
+    # a table's quadrature phase integrates its z-profile on the kernel
+    # inside the transform: a fresh table per call integrates it anew
+    def call():
+        p = _table()
+        g = _phase_integrand(p, Kinematics(1.0, 3.0), "quadrature",
+                             DEFAULT_SETTINGS)
+        return hankel0(g, HANKEL_Q, p.r[-1])
+
+    _assert_kernel_matches_oracle(monkeypatch, call)
 
 
 _PATTERN = np.cos(3.0 * np.arange(15.0))

@@ -1,8 +1,9 @@
 """The z-profile: eikonal's quadrature phase and born_resummed read one w(b)
-per potential and setting. Yukawa and Gauss serve b <= tail_cut from a
-piecewise-Chebyshev interpolant within its reported bound; b beyond
-tail_cut, and every b of a table, come from a store of per-b integrals with
-the bits of an uncached integration."""
+per potential and setting, each value with a bound on its error. Yukawa
+and Gauss serve b <= R, the potential's own range, from a
+piecewise-Chebyshev interpolant within its reported bound, and integrate
+b beyond R directly; every b of a table comes from a store of per-b
+integrals with the bits of an uncached integration."""
 
 import filecmp
 import re
@@ -17,15 +18,12 @@ from scatterlab.config import parse_config
 from scatterlab.eikonal import Kinematics, amplitude_eikonal, chi, chi_closed
 from scatterlab.errors import ConvergenceError
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
-from scatterlab.quadrature import QuadratureSettings
+from scatterlab.quadrature import QuadratureSettings, hankel0
 from scatterlab.runner import _quadrature_warning, run_scan
 
 SETTINGS = QuadratureSettings()
-# repeated b, and (for the table) b at and beyond its last radius 4; with
-# CUT, the analytic profiles serve 0.3 and 1.2 from the interpolant and the
-# rest from the store
+# repeated b, and (for the table) b at and beyond its last radius 4
 B = np.array([0.3, 1.2, 0.3, 4.0, 5.5, 1.2, 2.7, 4.0])
-CUT = QuadratureSettings(tail_cut=2.0)
 EPS = np.finfo(float).eps
 ANALYTIC = [Yukawa(0.5, 1.0), Yukawa(-1.2, 0.4), Gauss(0.3, 0.7),
             Gauss(0.01, 1.0)]
@@ -47,6 +45,7 @@ def _soft_core_table(r_hi):
 
 
 def _uncached(p, b, settings):
+    """(w, error estimate) at each b, integrated afresh."""
     return eikonal._integrate_z_profile(p, np.asarray(b, dtype=float),
                                         settings, lambda j: f" in row {j}")
 
@@ -64,23 +63,34 @@ def _piece_bound(profile, b):
                          ids=["yukawa", "gauss", "table"])
 def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
     p = make_p()
-    profile = eikonal._z_profile(p, CUT)
-    cold = profile(B[:3])
-    warm = profile(B)  # hits, misses and repeats
-    again = profile(B[::-1])  # hits only
-    # every value has the bits of asking for that b alone
-    for b, w in zip(B, warm):
-        _same_bits(w, profile(np.array([b]))[0])
-    _same_bits(cold, warm[:3])
-    _same_bits(again, warm[::-1])
-    stored = B > CUT.tail_cut if profile._coef is not None \
-        else np.ones(B.size, dtype=bool)
-    _same_bits(warm[stored], _uncached(p, B[stored], profile._direct))
-    assert set(profile._store) == set(B[stored].tolist())
-    if isinstance(p, TabulatedRadial):
-        beyond = warm[B >= 4.0]
+    profile = eikonal._z_profile(p, SETTINGS)
+    # a table stores every b; Yukawa and Gauss integrate b beyond their
+    # reach afresh, storing nothing
+    table = profile._coef is None
+    b_far = B if table else B + profile.reach
+    cold = profile(b_far[:3])
+    warm = profile(b_far)  # hits, misses and repeats
+    again = profile(b_far[::-1])  # hits only
+    # every value, and its error estimate, has the bits of asking for that
+    # b alone, and of integrating it afresh
+    for b, w, e in zip(b_far, *warm):
+        _same_bits((w, e), [x[0] for x in profile(np.array([b]))])
+    _same_bits(cold, [x[:3] for x in warm])
+    _same_bits(again, [x[::-1] for x in warm])
+    _same_bits(warm, _uncached(p, b_far, profile._direct))
+    assert set(profile._store) == (set(B.tolist()) if table else set())
+    if table:
+        beyond = warm[0][B >= 4.0]
         assert beyond.tolist() == [0.0, 0.0, 0.0]
         assert not np.signbit(beyond).any()
+        assert warm[1][B >= 4.0].tolist() == [0.0, 0.0, 0.0]
+        assert np.all(warm[1][B < 4.0] > 0.0)
+    else:
+        # within reach: the interpolant, with its piece's bound
+        inside = np.concatenate([B, b_far])
+        w, err = profile(inside)
+        _same_bits(err[:B.size], _piece_bound(profile, B))
+        _same_bits((w[B.size:], err[B.size:]), warm)
 
 
 def test_tabulated_run_is_byte_identical_at_one_and_four_threads(tmp_path):
@@ -132,7 +142,7 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
 
         def __init__(self, route, profile):
             self.route, self.profile = route, profile
-            self.hankel_error = profile.hankel_error
+            self.reach, self.tail = profile.reach, profile.tail
 
         def __call__(self, b):
             requested.append((self.route, b.tolist()))
@@ -186,6 +196,7 @@ def test_store_holds_one_potential_and_a_bounded_count(monkeypatch):
     assert held.p is p2
     assert set(held._store) == set(B[:2].tolist())
     _same_bits(w2, _uncached(p2, B[:2], held._direct))
+    assert held._store[B[0]] == (w2[0][0], w2[1][0])
 
     monkeypatch.setattr(eikonal, "_PROFILE_ENTRIES", 4)
     for start in range(0, 8, 3):
@@ -218,8 +229,8 @@ def test_effective_radius_is_computed_once_per_potential(monkeypatch):
 
 
 def _off_grid(p, rng):
-    """Random b on [0, tail_cut], b near tail_cut, and for Yukawa b -> 0."""
-    cut = SETTINGS.tail_cut
+    """Random b on [0, R], b near R, and for Yukawa b -> 0."""
+    cut = eikonal._reach(p)[0]
     b = [rng.uniform(0.0, cut, 40), cut - np.logspace(-12, 0, 7), [cut]]
     if isinstance(p, Yukawa):
         b.append(np.logspace(-10, -1, 10))
@@ -232,8 +243,8 @@ def test_interpolant_is_within_its_bound_of_direct_integrals(p):
     b = _off_grid(p, np.random.default_rng(7))
     tight = QuadratureSettings(rel_tol=1e-13, abs_tol=profile._direct.abs_tol,
                                max_subdivisions=2000)
-    direct = _uncached(p, b, tight)
-    got = profile(b)
+    direct = _uncached(p, b, tight)[0]
+    got = profile(b)[0]
     # the piece's bound, plus rounding of the value itself
     slack = _piece_bound(profile, b) + 8.0 * EPS * np.abs(direct)
     assert np.all(np.abs(got - direct) <= slack)
@@ -244,25 +255,42 @@ def test_j0_envelope():
     assert np.all(np.abs(sps.j0(x)) * np.sqrt(np.pi * x / 2.0) <= 1.0)
 
 
+def _j0_weighted_bounds(profile, q, weight=None):
+    """int_0^R (piece bound) |J0(q b)| b db on a fine midpoint grid, or with
+    weight(q, b) in place of |J0(q b)|."""
+    edges = np.linspace(0.0, profile.reach, 600_001)
+    b = 0.5 * (edges[1:] + edges[:-1])
+    bound = _piece_bound(profile, b) * b * (edges[1] - edges[0])
+    weight = weight or (lambda qi, x: np.abs(sps.j0(qi * x)))
+    return np.array([np.sum(bound * weight(qi, b))
+                     for qi in np.atleast_1d(q)])
+
+
 @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.3, 0.7)], ids=str)
 def test_hankel_error_bounds_the_j0_weighted_piece_bounds(p):
+    # the quadrature phase hands hankel0 each w's piece bound; the error
+    # the transform adds for them is their integral against J0's envelope
+    # min(1, sqrt(2/(pi q b))) b on its own panels, which bounds the
+    # J0-weighted piece bounds, and moves no value
+    kin = Kinematics(mass=1.0, k=2.0)
     profile = eikonal._z_profile(p, SETTINGS)
-    lo, hi, bound = profile._lo, profile._hi, profile._bound
-    at_zero = profile.hankel_error(0.0)
-    assert at_zero == pytest.approx(
-        float(np.sum(bound * 0.5 * (hi * hi - lo * lo))), rel=1e-12)
+    g = eikonal._phase_integrand(p, kin, "quadrature", SETTINGS)
     q = np.array([0.0, 0.01, 0.3, 2.0, 10.0])
-    got = profile.hankel_error(q)
-    # q = 0.01: J0's envelope is 1 out to 2/(pi q) > tail_cut
-    assert got[0] == at_zero == got[1]
-    assert np.all(np.diff(got[1:]) < 0.0)
-    # against int |J0(q b)| times the piecewise bound, on a fine midpoint grid
-    edges = np.linspace(0.0, SETTINGS.tail_cut, 600_001)
-    b = 0.5 * (edges[1:] + edges[:-1])
-    weight = _piece_bound(profile, b) * b * (edges[1] - edges[0])
-    for qi, gi in zip(q, got):
-        # (the grid does not fall on every piece edge: 1e-6 of slack)
-        assert np.sum(weight * np.abs(sps.j0(qi * b))) <= gi * (1.0 + 1e-6)
+    bounded = hankel0(g, q, profile.reach)
+    plain = hankel0(lambda b: g(b)[0], q, profile.reach)
+    _same_bits(bounded.value, plain.value)
+    added = (bounded.error_estimate - plain.error_estimate) \
+        * (kin.hbar * kin.v)
+
+    def envelope(qi, b):
+        return np.minimum(1.0, np.sqrt(2.0 / (np.pi * np.maximum(
+            qi * b, 1e-300))))
+
+    assert added == pytest.approx(_j0_weighted_bounds(profile, q, envelope),
+                                  rel=1e-5)
+    # (the grid does not fall on every piece edge: 1e-6 of slack)
+    assert np.all(added * (1.0 + 1e-6) >= _j0_weighted_bounds(profile, q))
+    assert np.all(np.diff(added[1:]) < 0.0)
 
 
 @pytest.mark.parametrize("p", ANALYTIC, ids=str)
@@ -293,8 +321,8 @@ def test_interpolant_is_built_once_from_a_few_hundred_integrals(monkeypatch):
     born_resummed_amplitude(p, kin, theta, SETTINGS)
     amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
     born_resummed_amplitude(p, Kinematics(mass=1.0, k=5.0), theta, SETTINGS)
-    # one build for every angle, route and k, plus the few b beyond
-    # tail_cut of the q = 0 rows
+    # one build for every angle, route and k: the transforms never ask
+    # beyond the profile's reach
     assert sum(counts) <= 700
     assert len(eikonal._z_profile(p, SETTINGS)._lo) <= 8
     # with the c_1 b^2 log b term subtracted as well as 2 c_m1 log b, the
@@ -310,8 +338,8 @@ def test_failing_node_integral_names_its_b_and_stores_nothing():
         eikonal._z_profile(p, settings)
     assert eikonal._profile is before
     b = float(re.search(r"at b = (\S+) ", str(failed.value)).group(1))
-    # a node of one of the pieces [0, tail_cut / 2^m] bisection makes
-    halves = 0.5 * settings.tail_cut / 2.0 ** np.arange(12)
+    # a node of one of the pieces [0, R / 2^m] bisection makes
+    halves = 0.5 * eikonal._reach(p)[0] / 2.0 ** np.arange(12)
     assert np.any(halves[:, None] + halves[:, None] * eikonal._CHEB_X == b)
     with pytest.raises(ConvergenceError, match="at b = "):
         chi(p, Kinematics(mass=1.0, k=1.0), 1.0, settings)
@@ -386,7 +414,7 @@ def test_amplitude_error_includes_the_interpolation_bound(p):
     res = born_resummed_amplitude(p, kin, theta, SETTINGS)
     eik = amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
     floor = kin.mass / kin.hbar**2 \
-        * eikonal._z_profile(p, SETTINGS).hankel_error(res.q)
+        * _j0_weighted_bounds(eikonal._z_profile(p, SETTINGS), res.q)
     assert np.all(floor > 0.0)
     assert np.all(res.error_estimate >= floor)
     assert np.all(eik.error_estimate >= floor * (1.0 - 1e-12))
@@ -402,3 +430,60 @@ def test_interpolation_bound_keeps_errors_within_the_warning_target():
                                   phase="quadrature")):
         assert _quadrature_warning("source", kin.k, amp.error_estimate,
                                    amp.value, SETTINGS) is None
+
+
+@pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Yukawa(-2.0, 0.05),
+                               Gauss(0.3, 0.7), Gauss(0.5, 1e-3)], ids=str)
+def test_reach_bounds_the_tail_of_the_profile(p):
+    # R is where the closed-form tail bound falls to eps of the whole
+    # int_0^inf |w| b db; the bound it reports covers the exact tail
+    reach, tail = eikonal._reach(p)
+    if isinstance(p, Yukawa):
+        # w = 2 g K0(mu b): int_R^inf |w| b db = 2|g| R K1(mu R)/mu
+        whole = 2.0 * abs(p.g) / p.mu**2
+        exact = 2.0 * abs(p.g) * reach * sps.k1(p.mu * reach) / p.mu
+        assert reach * p.mu == pytest.approx(38.1, abs=0.1)
+    else:
+        # w = g sqrt(pi/alpha) e^{-alpha b^2}
+        whole = abs(p.g) * np.sqrt(np.pi / p.alpha) / (2.0 * p.alpha)
+        exact = whole * np.exp(-p.alpha * reach * reach)
+        assert reach * np.sqrt(p.alpha) == pytest.approx(6.0, abs=0.01)
+    assert exact <= tail * (1.0 + 1e-12) and tail <= 1.2 * exact
+    assert tail == pytest.approx(EPS * whole, rel=1e-6)
+    assert eikonal._reach(_table()) == (4.0, 0.0)
+
+
+@pytest.mark.parametrize("k, theta", [
+    (5.0, np.linspace(0.0, 0.2, 6)),
+    (10.0, np.linspace(0.0, 0.6, 64)),
+])
+def test_tabulated_errors_cover_a_tight_reference(monkeypatch, k, theta):
+    # the benchmark's table: the per-b z-integral errors travel with w
+    # through the Hankel transform, so both routes' errors cover the
+    # deviation from per-angle runs at 100x tighter tolerances (without
+    # them the errors fall below a deviation of ~3.5e-12). Past theta ~
+    # 0.3 at k = 10 they exceed 10x the target, as the z-integrals' own
+    # rel_tol allows: the runner warns there.
+    p = _soft_core_table(30.0)
+    kin = Kinematics(mass=1.0, k=k)
+    tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-14,
+                               max_subdivisions=2000)
+    ref = np.array([amplitude_eikonal(p, kin, float(t), tight).value
+                    for t in theta])
+    stored = []
+    integrate = eikonal._integrate_z_profile
+
+    def counted(p, b, settings, label):
+        stored.append(b.size)
+        return integrate(p, b, settings, label)
+
+    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
+    for amp in (amplitude_eikonal(p, kin, theta, SETTINGS),
+                born_resummed_amplitude(p, kin, theta, SETTINGS)):
+        assert np.all(np.abs(amp.value - ref) <= amp.error_estimate)
+        warning = _quadrature_warning("source", k, amp.error_estimate,
+                                      amp.value, SETTINGS)
+        assert (warning is None) == (k == 5.0)
+    # the angles share their impact parameters: 24,498 distinct b for the
+    # 64 angles at k = 10 when each angle had its own
+    assert sum(stored) <= 1500
