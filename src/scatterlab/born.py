@@ -40,9 +40,6 @@ __all__ = [
     "born_resummed_amplitude",
 ]
 
-# Gauss-Legendre order of the numeric-lambda cross-check mode
-_LAMBDA_NODES = 12
-
 
 def born1_amplitude(p, kin, theta):
     """First Born amplitude at one angle, or at every angle of a 1-d theta
@@ -73,23 +70,9 @@ def _lambda_factor(x):
     return np.where(small, series, direct)
 
 
-def _lambda_factor_numeric(x, nodes):
-    """int_0^1 e^{i lambda x} dlambda by Gauss-Legendre, cross-check mode."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    lam = 0.5 * (t + 1.0)
-    wl = 0.5 * w
-    x = np.asarray(x, dtype=float)
-    return np.sum(wl * np.exp(1j * np.outer(x, lam)), axis=-1)
-
-
-def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS, *,
-                            lambda_numeric=False):
+def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
     """Resummed Born amplitude at one (small) angle, or at every angle of a
-    1-d theta array in one Hankel pass (fields are then arrays).
-
-    lambda_numeric swaps the closed-form lambda integral for an explicit
-    _LAMBDA_NODES-point rule; the two must agree to quadrature accuracy.
-    """
+    1-d theta array in one Hankel pass (fields are then arrays)."""
     th = _check_theta(theta)
     q = momentum_transfer(kin.k, th)
     hv = kin.hbar * kin.v
@@ -98,13 +81,9 @@ def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS, *,
 
     def g(b):
         w, err = profile(b.ravel())
-        x = -w / hv
-        if lambda_numeric:
-            lam = _lambda_factor_numeric(x, _LAMBDA_NODES)
-        else:
-            lam = _lambda_factor(x)
         # d(w Lambda(-w/(hbar v)))/dw = e^{i chi}, of modulus 1
-        return (w * lam).reshape(b.shape), err.reshape(b.shape)
+        return (w * _lambda_factor(-w / hv)).reshape(b.shape), \
+            err.reshape(b.shape)
 
     res = hankel0(g, q, profile.reach, settings)
     value = -(kin.mass / kin.hbar**2) * np.asarray(res.value, dtype=complex)

@@ -260,14 +260,19 @@ def paper_formula_checks(p, kin, theta_max=0.2, n_theta=21):
 
     corrected = paper_forms.total_corrected(p, kin)
     if model == "yukawa":
-        oracle = _born_total_grid(p, kin)
+        oracle = _total_direct(
+            lambda t: differential(born1_amplitude(p, kin, t)), np.sin,
+            np.pi)
         try:
             verbatim = paper_totals(p, kin)
         except PoleError:
             verbatim = float("inf")
         ratio = verbatim / corrected if corrected != 0 else float("nan")
     else:
-        oracle = _gauss_total_direct(p, kin)
+        # the printed total's bracket 1 - e^{-k^2/alpha} corresponds exactly
+        # to cutting the small-angle integration at theta = 2
+        oracle = _total_direct(lambda t: paper_forms.dsigma(p, kin, t, None),
+                               lambda t: t, 2.0)
         verbatim = paper_totals(p, kin)
         ratio = oracle / verbatim if verbatim != 0 else float("nan")
     tot_check = _grade(
@@ -276,23 +281,9 @@ def paper_formula_checks(p, kin, theta_max=0.2, n_theta=21):
     return [amp_check, tot_check]
 
 
-def _born_total_grid(p, kin):
-    """First Born total by quadrature of |f_B|^2 over the full sphere."""
-    theta = np.linspace(0.0, np.pi, 801)
-    vals = differential(born1_amplitude(p, kin, theta))
-    rows = np.column_stack([theta, theta, np.sqrt(vals),
-                            np.zeros_like(theta), vals])
-    return total_integrated(rows, kin.k)
-
-
-def _gauss_total_direct(p, kin):
-    """2 pi int_0^2 (verbatim differential form) theta dtheta.
-
-    The printed total's bracket 1 - e^{-k^2/alpha} corresponds exactly to
-    cutting the small-angle integration at theta = 2.
-    """
+def _total_direct(dsigma, weight, upper):
+    """2 pi int_0^upper dsigma(theta) weight(theta) dtheta, adaptively."""
     settings = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-300)
-    res = integrate_adaptive(
-        lambda t: paper_forms.dsigma(p, kin, t, None) * t, 0.0, 2.0,
-        settings)
+    res = integrate_adaptive(lambda t: dsigma(t) * weight(t), 0.0, upper,
+                             settings)
     return 2.0 * np.pi * res.value

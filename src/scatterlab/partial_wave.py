@@ -5,7 +5,10 @@ origin for every l at once (the per-l integrations are independent; they
 are carried as one vectorized state with deterministic assembly), then
 extracts tan(delta_l) by matching u_l/r against the free combination
 cos(delta) j_l(kr) - sin(delta) n_l(kr) at two radii a quarter local
-wavelength apart.
+wavelength apart, with one row of spherical Bessel values per radius.
+Each wave is swept and matched once: a sweep returns the array of its
+waves' phase shifts, and each pass of the automatic l_max sweeps only the
+waves above the previous pass's top.
 
 The sweep runs Numerov's scheme in summed form: it carries y_n and the
 first difference y_n - y_{n-1} and adds g_n y_n to the difference at each
@@ -27,8 +30,10 @@ from .errors import ConvergenceError, DomainError, RangeError
 from .potentials import TabulatedRadial, evaluate, origin_expansion
 from .quadrature import (QuadratureSettings, integrate_adaptive,
                          integrate_semi_infinite)
-from .special_functions import (legendre_p_row, spherical_bessel,
-                                spherical_bessel_row)
+from .special_functions import legendre_p_row, spherical_bessel_row
+# spherical_bessel is bound here only because perfbench/tracer.py rebinds
+# it in partial_wave's namespace.
+from .special_functions import spherical_bessel  # noqa: F401
 
 __all__ = [
     "PhaseShiftSet",
@@ -199,53 +204,36 @@ def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b):
     return y_a
 
 
-def _matcher(l_arr, k, r_a, r_b, w_a, w_b):
-    """deltas(idx): the phase shifts of l_arr[idx] from u/r at r_a and r_b.
+def _match(l_arr, k, r_a, r_b, w_a, w_b):
+    """The phase shifts of the waves l_arr from u/r at r_a and r_b.
 
     Each wave's pair (w_a, w_b) is scaled by one power of two, which keeps
     the products with n_l finite and leaves the bits of atan2 as they are.
-    The Bessel pairs come from one upward row per radius; only a j_l in
-    the forbidden region x < l + 1 takes the per-l Miller recurrence.
+    The Bessel pairs come from one row per radius. atan2 is libm's, one
+    call per wave: numpy's vectorised arctan2 differs from it in the last
+    bit for some arguments on AVX-512 hosts.
     """
     e = np.frexp(np.maximum(np.abs(w_a), np.abs(w_b)))[1]
-    w_a, w_b = np.ldexp(w_a, -e).tolist(), np.ldexp(w_b, -e).tolist()
-    x_a, x_b = k * r_a, k * r_b
+    w_a, w_b = np.ldexp(w_a, -e), np.ldexp(w_b, -e)
     l_top = int(np.max(l_arr))
-    rows = spherical_bessel_row(l_top, x_a), spherical_bessel_row(l_top, x_b)
-
-    def pair(l, x, row):
-        j, n = row
-        if l < len(j):
-            return j[l], n[l]
-        return spherical_bessel(l, x)
-
-    def deltas(idx):
-        out = np.empty(len(idx))
-        for n, i in enumerate(idx):
-            l = int(l_arr[i])
-            j_a, n_a = pair(l, x_a, rows[0])
-            j_b, n_b = pair(l, x_b, rows[1])
-            num = w_a[i] * j_b - w_b[i] * j_a
-            den = w_a[i] * n_b - w_b[i] * n_a
-            if math.isnan(den):
-                # n_l overflowed at both radii (inf - inf); tan delta is
-                # O(j_l/n_l) there, so delta takes its limit 0
-                out[n] = 0.0
-                continue
-            delta = math.atan2(num, den)
-            if delta > np.pi / 2:
-                delta -= np.pi
-            elif delta <= -np.pi / 2:
-                delta += np.pi
-            out[n] = delta
-        return out
-
-    return deltas
+    j_a, n_a = spherical_bessel_row(l_top, k * r_a)
+    j_b, n_b = spherical_bessel_row(l_top, k * r_b)
+    with np.errstate(invalid="ignore"):
+        num = w_a * j_b[l_arr] - w_b * j_a[l_arr]
+        den = w_a * n_b[l_arr] - w_b * n_a[l_arr]
+        delta = np.array([math.atan2(y, x)
+                          for y, x in zip(num.tolist(), den.tolist())])
+        delta[delta > np.pi / 2] -= np.pi
+        delta[delta <= -np.pi / 2] += np.pi
+    # where n_l overflowed at both radii, den is inf - inf; tan delta is
+    # O(j_l/n_l) there, so delta takes its limit 0
+    delta[np.isnan(den)] = 0.0
+    return delta
 
 
 def _numerov_sweep(p, kin, l_arr, r_max, dr):
-    """Integrate every l of l_arr outward in one radial sweep; return
-    deltas(idx), the phase shifts of l_arr[idx], matched on demand.
+    """Integrate every l of l_arr outward in one radial sweep; return the
+    array of their phase shifts.
 
     Numerov in summed form: with y_n = (1 - h^2 f_n/12) u_n the scheme
     y_{n+1} - 2 y_n + y_{n-1} = h^2 f_n u_n reads d_{n+1} = d_n + g_n y_n,
@@ -277,7 +265,7 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr):
 
     if np.all(base[1:] == -k * k):
         # free equation: nothing scatters
-        return lambda idx: np.zeros(len(idx))
+        return np.zeros(len(l_arr))
 
     la = np.asarray(l_arr, dtype=float)
     ll1 = la * (la + 1.0)
@@ -306,18 +294,19 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr):
             "radial integration overflowed despite rescaling",
             estimate=np.nan, error_estimate=np.inf)
     r_a, r_b = r[i_a], r[i_b]
-    return _matcher(l_arr, k, r_a, r_b, y_a / den_at(i_a) / r_a,
-                    y / den_at(i_b) / r_b)
+    return _match(l_arr, k, r_a, r_b, y_a / den_at(i_a) / r_a,
+                  y / den_at(i_b) / r_b)
 
 
 def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     """Solve for delta_l, l = 0..l_max, with auto defaults for all knobs.
 
     l_max=None cuts the waves at the first l0 + 16 j, l0 = ceil(k r_eff)
-    + 10, whose |delta| is below the tail threshold. It sweeps waves 0..top
-    for top = l0 + 64, l0 + 128, l0 + 256 and l0 + 416 in turn, stopping
-    at the first sweep that holds a converged candidate; past l0 + 416 it
-    raises ConvergenceError. An explicit l_max is one sweep to l_max.
+    + 10, whose |delta| is below the tail threshold. It sweeps up to
+    top = l0 + 64, l0 + 128, l0 + 256 and l0 + 416 in turn, each pass only
+    the waves above the previous top, stopping at the first pass that holds
+    a converged candidate; past l0 + 416 it raises ConvergenceError. An
+    explicit l_max is one sweep to l_max.
     r_max=None places the matching radius where the reduced potential
     falls below 1e-12 k^2; dr=None picks a step that holds the
     discretization error well under the tail threshold.
@@ -357,23 +346,25 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
             raise DomainError("l_max must be an integer >= 0")
         l0 = int(l_max)
         tops = [l0]
-    # Each pass sweeps waves 0..top once and tests the candidates l0 + 16 j
-    # up to top; each l is integrated and matched on its own, so a wave's
-    # bits do not depend on top, and waves beyond the cut are never matched.
-    # An explicit l_max is kept as given; PhaseShiftSet checks its tail.
+    # Each pass sweeps the waves above the previous pass's top and tests the
+    # candidates l0 + 16 j up to its own top; each l is integrated on its
+    # own, so of a wave's bits only the j_l of a wave classically forbidden
+    # at the matching radius depend, at rounding level, on which pass swept
+    # it. An explicit l_max is kept as given; PhaseShiftSet checks its tail.
+    delta = np.empty(0)
     l_cut = l0
     for top in tops:
-        match = _numerov_sweep(p, kin, np.arange(top + 1), r_max, dr)
-        while abs(tail := match([l_cut])[0]) >= _TAIL_TOL and l_cut < top:
+        delta = np.concatenate([delta, _numerov_sweep(
+            p, kin, np.arange(delta.size, top + 1), r_max, dr)])
+        while abs(delta[l_cut]) >= _TAIL_TOL and l_cut < top:
             l_cut += 16
-        if abs(tail) < _TAIL_TOL or l_max is not None:
-            return PhaseShiftSet(k=k, l_max=l_cut,
-                                 delta=match(np.arange(l_cut + 1)),
+        if abs(delta[l_cut]) < _TAIL_TOL or l_max is not None:
+            return PhaseShiftSet(k=k, l_max=l_cut, delta=delta[:l_cut + 1],
                                  r_max=r_max, dr=dr)
     raise ConvergenceError(
         "partial-wave tail refuses to converge; the potential may be too "
         "long-ranged for this oracle",
-        estimate=float(tail), error_estimate=abs(tail))
+        estimate=float(delta[l_cut]), error_estimate=abs(delta[l_cut]))
 
 
 def amplitude_partial_wave(ps, theta):

@@ -163,10 +163,12 @@ def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
         a = potential.alpha
         out = potential.g * (np.pi / a) ** 1.5 * np.exp(-q * q / (4.0 * a))
     elif isinstance(potential, TabulatedRadial):
-        # V is cubic or linear between knots, and v[0] below the first
-        res = integrate_kernel(lambda r: evaluate(potential, r),
-                               _radial_kernel, q,
-                               np.union1d(0.0, potential.r), settings)
+        # V is cubic or linear between knots, and v[0] below the first;
+        # r is validated as >= 0 and strictly increasing
+        r = potential.r
+        breaks = r if r[0] == 0.0 else np.concatenate(([0.0], r))
+        res = integrate_kernel(lambda x: evaluate(potential, x),
+                               _radial_kernel, q, breaks, settings)
         out, err = res.value, res.error_estimate
     else:
         raise UnsupportedModelError(

@@ -36,10 +36,13 @@ integrate_kernel is global-adaptive over one partition of its interval
 shared by every q (Piessens et al., QUADPACK, 1983): it starts from the
 caller's breakpoints, and g is evaluated once per node and the kernel
 once per (q, node). Each round bisects every panel on which some q whose
-summed error is above its target max(abs_tol, rel_tol |value_q|) has an
-error above that target's share, an equal part of it on each panel.
-max_subdivisions caps the bisections of the partition. A value therefore
-depends, at rounding level, on the q it was computed with. The interval
+summed error is above its target max(abs_tol, rel_tol |value_q|,
+100 eps int |g K|) has an error above that target's share, an equal part
+of it on each panel. The last term is the rounding level of the integral,
+twice the floor under every panel's error, so a q asked for less stops
+there instead of exhausting the budget. max_subdivisions caps the
+bisections of the partition. A value therefore depends, at rounding
+level, on the q it was computed with. The interval
 is the caller's: a property of the integrand, such as the range of a
 potential, not a setting.
 """
@@ -378,20 +381,21 @@ def _kernel_block(g, kernel, envelope, q, lo, hi):
                           f"[{float(lo[j])!r}, {float(hi[j])!r}]")
     f = y * kernel(q, x)
     resk = hw * (f @ _WK)
+    resabs = hw * (np.abs(f) @ _WK)
     mean = resk / (2.0 * hw)
     err = _qk_errors(resk.ravel(), (hw * (f[..., 1::2] @ _WG)).ravel(),
-                     (hw * (np.abs(f) @ _WK)).ravel(),
+                     resabs.ravel(),
                      (hw * (np.abs(f - mean[..., None]) @ _WK)).ravel())
     werr = np.zeros(resk.shape) if bound is None else \
         hw * ((bound * envelope(q, x)) @ _WK)
-    return resk, err.reshape(resk.shape), werr
+    return resk, err.reshape(resk.shape), werr, resabs
 
 
 def _kernel_panels(g, kernel, envelope, q, lo, hi):
     """GK15 panels [lo[j], hi[j]] of g(x) kernel(q, x) for every q of the
     (n, 1, 1) array q, with g evaluated once per node: (K15 values, error
-    estimates, integrals of g's bounds against envelope), each of shape
-    (n, P)."""
+    estimates, integrals of g's bounds against envelope, K15 integrals of
+    |g kernel|), each of shape (n, P)."""
     step = max(1, _KERNEL_BLOCK // (_NODES.size * q.shape[0]))
     parts = [_kernel_block(g, kernel, envelope, q, lo[j:j + step],
                            hi[j:j + step]) for j in range(0, lo.size, step)]
@@ -411,7 +415,9 @@ def integrate_kernel(g, kernel, q, breaks, settings=DEFAULT_SETTINGS, *,
     to one of the same shape, or to a pair (values, bounds),
     bounds[j] >= |error of values[j]|; the bounds are then integrated
     against envelope >= |kernel| on the final panels and added to each
-    q's error_estimate.
+    q's error_estimate. A q whose abs_tol and rel_tol ask for less than
+    100 eps int |g kernel| stops at that rounding level, and its
+    error_estimate may exceed the request.
     """
     scalar = np.ndim(q) == 0
     qs = np.atleast_1d(np.asarray(q, dtype=float))
@@ -427,12 +433,16 @@ def integrate_kernel(g, kernel, q, breaks, settings=DEFAULT_SETTINGS, *,
                           f"increasing, got {breaks!r}")
     q3 = qs[:, None, None]
     lo, hi = edges[:-1], edges[1:]
-    val, err, werr = _kernel_panels(g, kernel, envelope, q3, lo, hi)
+    val, err, werr, resabs = _kernel_panels(g, kernel, envelope, q3, lo, hi)
     neval = 15 * lo.size
     splits = 0
     while True:
         value, total = val.sum(axis=1), err.sum(axis=1)
-        tol = np.maximum(settings.abs_tol, settings.rel_tol * _abs(value))
+        # no target below twice the rounding floor _qk_errors puts under
+        # every panel's error: below it a q could only exhaust the budget
+        tol = np.maximum(np.maximum(settings.abs_tol,
+                                    settings.rel_tol * _abs(value)),
+                         100.0 * _EPS * resabs.sum(axis=1))
         # an open q's share of its target: an equal part on each panel
         split = (err > (tol / lo.size)[:, None])[total > tol].any(axis=0)
         n = int(np.count_nonzero(split))
@@ -453,8 +463,9 @@ def integrate_kernel(g, kernel, q, breaks, settings=DEFAULT_SETTINGS, *,
                                                                  new))
         order = np.argsort(lo, kind="stable")
         lo, hi = lo[order], hi[order]
-        val, err, werr = (np.concatenate([x[:, ~split], y], axis=1)[:, order]
-                          for x, y in zip((val, err, werr), parts))
+        val, err, werr, resabs = (
+            np.concatenate([x[:, ~split], y], axis=1)[:, order]
+            for x, y in zip((val, err, werr, resabs), parts))
         splits += n
         neval += 30 * n
     error = total + werr.sum(axis=1)

@@ -7,7 +7,8 @@ references (which live in the tests only):
     bessel_j0        |err| <= max(1e-13, 1e-12*|J0|) for |x| <= 1e4
     bessel_k0        same form, x > 0 up to the underflow point of e^{-x}
     legendre_p       exact recurrence, |x| <= 1
-    spherical_bessel relative 1e-10 class away from zeros, via the Wronskian
+    spherical_bessel relative 1e-10 class away from zeros, via the Wronskian;
+                     j_l past the upward range by one Miller pass per row
 
 Scalar in, scalar out; ndarray in, ndarray out.
 """
@@ -203,13 +204,13 @@ def legendre_p_row(l_max, x):
 
 
 def spherical_bessel_row(l_max, x):
-    """Rows (j, n) of spherical Bessel values at x > 0, from one pass of
-    each upward recurrence.
+    """Rows (j, n) of spherical Bessel values j_l(x), n_l(x) for
+    l = 0..l_max at x > 0.
 
-    n holds n_l(x) for l = 0..l_max; the upward recurrence is always
-    stable for it. j holds j_l(x) for l = 0..l_max as far as the upward
-    recurrence is stable, which is l <= 1 or x >= l + 1; the j_l beyond
-    len(j) come from spherical_bessel's Miller recurrence.
+    n comes from the upward recurrence, which is always stable for it. j
+    goes upward as far as that is stable, which is l <= 1 or x >= l + 1;
+    the rest of the row comes from one pass of Miller's downward
+    recurrence, seeded at l_max + 30 + x and scaled to j_0.
     """
     if l_max < 0 or l_max != int(l_max):
         raise DomainError("spherical Bessel order must be an integer >= 0")
@@ -225,37 +226,28 @@ def spherical_bessel_row(l_max, x):
     j = [sin_x / x, sin_x / (x * x) - cos_x / x]
     for i in range(1, min(l_max, int(x - 1.0))):
         j.append((2 * i + 1) / x * j[i] - j[i - 1])
-    return j[:l_max + 1], n[:l_max + 1]
+    up = len(j)
+    if up <= l_max:
+        # f_i for i = up..l_max, rescaled with the recurrence
+        f = np.zeros(l_max + 1 - up)
+        f_next, f_cur = 0.0, 1e-300
+        for i in range(l_max + 30 + int(x), 0, -1):
+            f_next, f_cur = f_cur, (2 * i + 1) / x * f_cur - f_next
+            if up < i <= l_max + 1:
+                f[i - 1 - up] = f_cur
+            if abs(f_cur) > 1e250:
+                f_cur *= 1e-250
+                f_next *= 1e-250
+                f *= 1e-250
+        j += (f * (j[0] / f_cur)).tolist()
+    return np.array(j[:l_max + 1]), np.array(n[:l_max + 1])
 
 
 def spherical_bessel(l, x):
-    """Spherical Bessel pair (j_l(x), n_l(x)) for x > 0, integer l >= 0.
-
-    n_l uses the always-stable upward recurrence. j_l goes upward when
-    x >= l + 1 and switches to Miller's downward recurrence (normalized
-    against j_0) in the classically forbidden region x < l where the upward
-    direction is unstable.
-    """
+    """Spherical Bessel pair (j_l(x), n_l(x)) for x > 0, integer l >= 0:
+    the last entries of spherical_bessel_row(l, x)."""
     j, n = spherical_bessel_row(l, x)
-    l, x = int(l), float(x)
-    if l < len(j):
-        return j[l], n[l]
-
-    # Miller's algorithm: seed high above l, recur down, scale to j_0.
-    start = l + 30 + int(x)
-    f_next = 0.0
-    f_cur = 1e-300
-    f_l = 0.0
-    for i in range(start, 0, -1):
-        f_prev = (2 * i + 1) / x * f_cur - f_next
-        f_next, f_cur = f_cur, f_prev
-        if i - 1 == l:
-            f_l = f_cur
-        if abs(f_cur) > 1e250:
-            f_cur *= 1e-250
-            f_next *= 1e-250
-            f_l *= 1e-250
-    return f_l * (j[0] / f_cur), n[l]
+    return float(j[-1]), float(n[-1])
 
 
 # ---------------------------------------------------------------------------

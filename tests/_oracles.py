@@ -328,9 +328,11 @@ def effective_radius(p, fraction=0.9999):
 
 # Numerov sweeps that form each step's coefficients inside the step loop:
 # the summed form normalised at every step (reference for
-# partial_wave._numerov_sweep, bit for bit), the classic two-level form
+# partial_wave._numerov_sweep, bit for bit for every wave with l < k r_a - 1,
+# whose j_l goes upward at both matching radii), the classic two-level form
 # that preceded it, and the summed form in any float dtype (in np.longdouble
-# the reference for the rounding error of the other two).
+# the reference for the rounding error of the other two). Each matches
+# every wave with the scalar Bessel pair of its own order.
 
 
 def _sweep_start(p, kin, l_arr, r_max, dr, dtype):
@@ -373,8 +375,9 @@ def _sweep_start(p, kin, l_arr, r_max, dr, dtype):
 
 
 def _match(l_arr, k, r_a, r_b, u_a, u_b):
-    """deltas(idx) from u at r_a and r_b: each wave's pair scaled by one
-    power of two, rounded to float, matched with the scalar Bessel pair."""
+    """The phase shifts of l_arr from u at r_a and r_b: each wave's pair
+    scaled by one power of two, rounded to float, matched with the scalar
+    Bessel pair."""
     if not (np.all(np.isfinite(u_a)) and np.all(np.isfinite(u_b))):
         raise ConvergenceError(
             "radial integration overflowed despite rescaling",
@@ -383,28 +386,19 @@ def _match(l_arr, k, r_a, r_b, u_a, u_b):
     e = np.frexp(np.maximum(np.abs(w_a), np.abs(w_b)))[1]
     w_a = np.ldexp(w_a, -e).astype(float).tolist()
     w_b = np.ldexp(w_b, -e).astype(float).tolist()
-
-    def deltas(idx):
-        out = np.empty(len(idx))
-        for n, i in enumerate(idx):
-            l = int(l_arr[i])
-            j_a, n_a = spherical_bessel(l, k * r_a)
-            j_b, n_b = spherical_bessel(l, k * r_b)
-            num = w_a[i] * j_b - w_b[i] * j_a
-            den = w_a[i] * n_b - w_b[i] * n_a
-            d = math.atan2(num, den)
-            if d > np.pi / 2:
-                d -= np.pi
-            elif d <= -np.pi / 2:
-                d += np.pi
-            out[n] = d
-        return out
-
-    return deltas
-
-
-def _no_shifts(idx):
-    return np.zeros(len(idx))
+    out = np.empty(len(l_arr))
+    for i, l in enumerate(l_arr):
+        j_a, n_a = spherical_bessel(int(l), k * r_a)
+        j_b, n_b = spherical_bessel(int(l), k * r_b)
+        num = w_a[i] * j_b - w_b[i] * j_a
+        den = w_a[i] * n_b - w_b[i] * n_a
+        d = math.atan2(num, den)
+        if d > np.pi / 2:
+            d -= np.pi
+        elif d <= -np.pi / 2:
+            d += np.pi
+        out[i] = d
+    return out
 
 
 def _numerov_sweep(p, kin, l_arr, r_max, dr, dtype=float):
@@ -413,7 +407,7 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr, dtype=float):
     wave's (y, d) is scaled by a power of two at every step."""
     start = _sweep_start(p, kin, l_arr, r_max, dr, dtype)
     if start is None:
-        return _no_shifts
+        return np.zeros(len(l_arr))
     i_a, i_b, r, h2, f, u_1, u_2 = start
 
     def den(n):
@@ -441,7 +435,7 @@ def _numerov_sweep_classic(p, kin, l_arr, r_max, dr, events=None):
     list, receives the grid index of every rescale."""
     start = _sweep_start(p, kin, l_arr, r_max, dr, float)
     if start is None:
-        return _no_shifts
+        return np.zeros(len(l_arr))
     i_a, i_b, r, h2, f, u_prev, u_curr = start
     f_prev, f_curr = f(1), f(2)
     y_prev = (1.0 - h2 / 12.0 * f_prev) * u_prev
@@ -480,25 +474,23 @@ def phase_shifts_by_extension(p, kin, r_max, dr):
     dr phase_shifts resolved; raises the plan's ConvergenceError."""
     tol = partial_wave._TAIL_TOL
     l0 = int(np.ceil(kin.k * partial_wave.effective_radius(p))) + 10
-    match = partial_wave._numerov_sweep(p, kin, np.arange(0, l0 + 65),
-                                        r_max, dr)
+    deltas = partial_wave._numerov_sweep(p, kin, np.arange(0, l0 + 65),
+                                         r_max, dr)
     l_cut = next((l for l in range(l0, l0 + 64, 16)
-                  if abs(match([l])[0]) < tol), l0 + 64)
-    l_arr = np.arange(0, l_cut + 1)
-    deltas = match(l_arr)
+                  if abs(deltas[l]) < tol), l0 + 64)
+    deltas = deltas[:l_cut + 1]
     sweeps = 1
     while abs(deltas[-1]) >= tol:
-        if l_arr[-1] > l0 + 400:
+        if deltas.size - 1 > l0 + 400:
             raise ConvergenceError(
                 "partial-wave tail refuses to converge; the potential may "
                 "be too long-ranged for this oracle",
                 estimate=float(deltas[-1]), error_estimate=abs(deltas[-1]))
-        ext = np.arange(l_arr[-1] + 1, l_arr[-1] + 17)
-        ext_match = partial_wave._numerov_sweep(p, kin, ext, r_max, dr)
-        deltas = np.concatenate([deltas, ext_match(np.arange(16))])
-        l_arr = np.concatenate([l_arr, ext])
+        ext = np.arange(deltas.size, deltas.size + 16)
+        deltas = np.concatenate(
+            [deltas, partial_wave._numerov_sweep(p, kin, ext, r_max, dr)])
         sweeps += 1
-    return int(l_arr[-1]), deltas, sweeps
+    return deltas.size - 1, deltas, sweeps
 
 
 # Legendre polynomial of one order by its own upward recurrence, as

@@ -125,27 +125,16 @@ class TestBornResummed:
         fr = born_resummed_amplitude(p, KIN10, 0.05)
         assert abs(fr.value - fe.value) / abs(fe.value) < 1e-6
 
-    @pytest.mark.parametrize("p, lambda_numeric", [
-        (Yukawa(0.5, 1.0), False),
-        (Gauss(0.8, 0.5), True),
-    ])
-    def test_theta_array_equals_per_angle_calls(self, p, lambda_numeric):
+    @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.8, 0.5)])
+    def test_theta_array_equals_per_angle_calls(self, p):
         theta = np.array([0.0, 0.02, 0.1, 0.3])
-        kw = dict(lambda_numeric=lambda_numeric)
-        got = born_resummed_amplitude(p, KIN10, theta, **kw)
-        each = [born_resummed_amplitude(p, KIN10, float(t), **kw)
-                for t in theta]
+        got = born_resummed_amplitude(p, KIN10, theta)
+        each = [born_resummed_amplitude(p, KIN10, float(t)) for t in theta]
         assert got.q.tolist() == [a.q for a in each]
         # one Hankel partition for all angles: rows agree with the
         # per-angle calls within their errors, not bit for bit
         for value, err, a in zip(got.value, got.error_estimate, each):
             assert abs(value - a.value) <= err + a.error_estimate
-
-    def test_lambda_numeric_cross_check(self):
-        p = Yukawa(0.5, 1.0)
-        f1 = born_resummed_amplitude(p, KIN10, 0.05)
-        f2 = born_resummed_amplitude(p, KIN10, 0.05, lambda_numeric=True)
-        assert abs(f2.value - f1.value) / abs(f1.value) < 1e-10
 
     def test_difference_from_born1_is_second_order(self):
         # |f_resummed - f_born1| must scale as g^2: halving g divides the
@@ -200,5 +189,11 @@ class TestLambdaFactor:
 
     def test_moderate_argument(self):
         x = 2.3
+        want = (np.exp(1j * x) - 1.0) / (1j * x)
+        assert complex(_lambda_factor(x)) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [30.0, -30.0])
+    def test_strong_coupling_argument(self, x):
+        # |chi| reaches about 30 at strong coupling
         want = (np.exp(1j * x) - 1.0) / (1j * x)
         assert complex(_lambda_factor(x)) == pytest.approx(want, rel=1e-15)

@@ -186,6 +186,18 @@ class TestPaperFormulaChecks:
         assert tot.verdict == VERDICT_SUSPECTED_TYPO
         assert tot.corrected_deviation <= 1e-2
 
+    @pytest.mark.parametrize("p, k", [
+        (Yukawa(0.01, 1.0), 1.0), (Yukawa(0.01, 1.0), 5.0),
+        (Yukawa(0.01, 1.0), 10.0), (Yukawa(0.05, 0.3), 5.0),
+    ])
+    def test_yukawa_total_oracle_is_the_exact_born_total(self, p, k):
+        # the oracle integrates born1 over the sphere; the corrected form
+        # is the exact Born total 16 pi (g k)^2/(v^2 mu^2 (mu^2 + 4 k^2))
+        checks = paper_formula_checks(p, Kinematics(mass=1.0, k=k))
+        tot = next(c for c in checks
+                   if c.name == "closed_form_total_yukawa")
+        assert tot.corrected_deviation <= 1e-12
+
     def test_gauss_amplitude_flagged(self):
         checks = paper_formula_checks(Gauss(0.01, 1.0), KIN2)
         amp = next(c for c in checks

@@ -247,13 +247,19 @@ class TestAmplitudeEikonal:
         ref = amplitude_eikonal(p, KIN10, 0.0125, tight)
         assert abs(got.value - ref.value) <= got.error_estimate < 1e-9
 
-    @pytest.mark.parametrize("k, theta", [(1.0, 0.05), (5.0, 0.01),
-                                          (10.0, 0.01)])
+    @pytest.mark.parametrize("k, theta", [
+        (1.0, 0.05), (5.0, 0.01), (10.0, 0.01),
+        # the default tolerance lies below the rounding level of
+        # int |(e^{i chi} - 1) J0 b| here: the transform must stop at that
+        # floor, not exhaust its budget
+        (10.0, 0.05), (10.0, 0.1), (10.0, 0.2), (5.0, 0.3),
+    ])
     def test_long_range_gauss_matches_the_exact_series(self, k, theta):
         # Gauss(0.5, 1e-3), range ~32: chi = chi0 e^{-alpha b^2}, so
         # e^{i chi} - 1 = sum_n (i chi0)^n/n! e^{-n alpha b^2} and
         # f = -i k sum_n (i chi0)^n/n! e^{-q^2/(4 n alpha)}/(2 n alpha),
-        # summed in 60-digit arithmetic (|chi0| = 28 at k = 1)
+        # summed in 60-digit arithmetic: in double precision it cancels
+        # (|chi0| = 28 at k = 1)
         import mpmath as mp
         p, kin = Gauss(0.5, 1e-3), Kinematics(mass=1.0, k=k)
         with mp.workdps(60):

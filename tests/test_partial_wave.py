@@ -34,6 +34,15 @@ def _count_sweeps(monkeypatch):
     return calls
 
 
+def _assert_bits_where_allowed(got, want, l_arr, x_a):
+    """got keeps the bits of want for l < x_a - 1, where j_l goes upward at
+    both matching radii; beyond, a Bessel row's Miller pass depends on the
+    row's top at rounding level."""
+    upward = np.asarray(l_arr) < x_a - 1.0
+    assert got[upward].tobytes() == want[upward].tobytes()
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+
+
 class TestPhaseShiftSet:
     def test_valid_construction(self):
         ps = PhaseShiftSet(k=1.0, l_max=2,
@@ -193,13 +202,16 @@ class TestPhaseShifts:
     def test_auto_l_max_sweeps_once_and_trims(self, monkeypatch, p, k,
                                               sweeps):
         # l_max is the first l0 + 16 j with a converged |delta|, found in
-        # one sweep to l0 + 64; only a longer tail sweeps again, wider
+        # one sweep to l0 + 64; only a longer tail sweeps again, wider, and
+        # only the waves above the previous top
         calls = _count_sweeps(monkeypatch)
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
         assert len(calls) == sweeps
         l0 = math.ceil(k * effective_radius(p)) + 10
-        assert calls == [l0 + w + 1 for w in partial_wave._WIDTHS[:sweeps]]
+        tops = [l0 + w for w in partial_wave._WIDTHS[:sweeps]]
+        assert calls == list(np.diff([-1] + tops))
+        assert sum(calls) == tops[-1] + 1
         assert (ps.l_max - l0) % 16 == 0
         assert all(abs(ps.delta[l]) >= partial_wave._TAIL_TOL
                    for l in range(l0, ps.l_max, 16))
@@ -245,7 +257,8 @@ class TestPhaseShifts:
         with pytest.raises(ConvergenceError) as new:
             phase_shifts(p, kin, r_max=ps.r_max, dr=ps.dr)
         l0 = math.ceil(kin.k * effective_radius(p)) + 10
-        assert len(calls) == 4 and calls[-1] == l0 + 416 + 1
+        assert len(calls) == 4 and calls[-1] == 416 - 256
+        assert sum(calls) == l0 + 416 + 1
         with pytest.raises(ConvergenceError) as ref:
             _oracles.phase_shifts_by_extension(p, kin, ps.r_max, ps.dr)
         assert str(new.value) == str(ref.value)
@@ -287,7 +300,6 @@ class TestPhaseShifts:
                                        redone):
         p, kin, dr = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0), 1e-3
         l_arr = np.array([0, 1, 7, 40, l_top])
-        idx = np.arange(l_arr.size)
         redos = []
         advance = partial_wave._advance
 
@@ -297,11 +309,11 @@ class TestPhaseShifts:
 
         monkeypatch.setattr(partial_wave, "_CHUNK", chunk)
         monkeypatch.setattr(partial_wave, "_advance", counted)
-        new = partial_wave._numerov_sweep(p, kin, l_arr, i_a * dr, dr)(idx)
-        old = _oracles._numerov_sweep(p, kin, l_arr, i_a * dr, dr)(idx)
+        new = partial_wave._numerov_sweep(p, kin, l_arr, i_a * dr, dr)
+        old = _oracles._numerov_sweep(p, kin, l_arr, i_a * dr, dr)
         assert any(redos) == redone
         assert np.all(np.isfinite(new))
-        assert new.tobytes() == old.tobytes()
+        _assert_bits_where_allowed(new, old, l_arr, kin.k * i_a * dr)
 
     @pytest.mark.parametrize("p, k", [
         (Yukawa(0.5, 1.0), 1.0), (Yukawa(0.5, 1.0), 10.0),
@@ -331,9 +343,9 @@ class TestPhaseShifts:
         ps = phase_shifts(p, kin)
         l_arr = np.arange(ps.l_max + 1)
         args = (p, kin, l_arr, ps.r_max, ps.dr)
-        exact = _oracles._numerov_sweep(*args, dtype=np.longdouble)(l_arr)
-        new = partial_wave._numerov_sweep(*args)(l_arr)
-        old = _oracles._numerov_sweep_classic(*args)(l_arr)
+        exact = _oracles._numerov_sweep(*args, dtype=np.longdouble)
+        new = partial_wave._numerov_sweep(*args)
+        old = _oracles._numerov_sweep_classic(*args)
         assert np.max(np.abs(new - exact)) <= np.max(np.abs(old - exact))
 
     @pytest.mark.parametrize("l_max", [81, 200])
@@ -355,7 +367,8 @@ class TestPhaseShifts:
         assert not np.any(ps.delta[first:])
         below = phase_shifts(Gauss(1.0, 1.0), Kinematics(mass=1.0, k=k),
                              l_max=first - 1)
-        assert ps.delta[:first].tobytes() == below.delta.tobytes()
+        _assert_bits_where_allowed(ps.delta[:first], below.delta,
+                                   np.arange(first), k * ps.r_max)
 
     def test_explicit_l_max_accepted_when_converged(self):
         ps_auto = phase_shifts(Yukawa(0.5, 1.0), KIN2)

@@ -1,13 +1,18 @@
 """Potential models, transforms, and table ingestion."""
 
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 import _oracles
+import scatterlab
 from scatterlab._spline import CubicSpline1D
 from scatterlab.errors import (ConfigError, DomainError, SingularityError,
                                UnsupportedModelError)
@@ -117,6 +122,28 @@ def test_fourier3d_against_radial_quadrature_oracle():
             got = fourier3d(p, q)
             want = oracle(p, q, r_hi)
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+
+
+def test_table_transform_does_not_import_numpy_ma():
+    # importing numpy.ma costs a fresh interpreter about a fifth of a
+    # tabulated run; a table's breakpoints are built without it
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from scatterlab.born import born1_amplitude\n"
+        "from scatterlab.eikonal import Kinematics\n"
+        "from scatterlab.potentials import TabulatedRadial\n"
+        "r = np.linspace(0.1, 6.0, 40)\n"
+        "p = TabulatedRadial(r, np.exp(-r * r))\n"
+        "born1_amplitude(p, Kinematics(mass=1.0, k=2.0), "
+        "np.linspace(0.0, 0.2, 5))\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_origin_expansion():

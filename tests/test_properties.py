@@ -1,6 +1,8 @@
-"""Property sweep: the resummed Born amplitude's reported error, which
-includes the z-profile interpolant's bound, covers its deviation from a
-tight reference over model, sign and size of the coupling, and range."""
+"""Property sweeps over model, sign and size of the coupling, and range:
+the resummed Born amplitude's reported error, which includes the z-profile
+interpolant's bound, covers its deviation from a tight reference; the
+partial-wave oracle keeps its phase shifts in (-pi/2, pi/2] and obeys the
+optical theorem."""
 
 import dataclasses
 
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterlab.born import born_resummed_amplitude
+from scatterlab.cross_sections import table_from_amplitudes
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
+from scatterlab.partial_wave import amplitude_partial_wave, phase_shifts
 from scatterlab.potentials import Gauss, Yukawa
 from scatterlab.quadrature import DEFAULT_SETTINGS
 
@@ -37,3 +41,17 @@ def test_born_resummed_error_covers_the_tight_closed_phase_eikonal(p, k):
     got = born_resummed_amplitude(p, kin, THETA)
     tight = amplitude_eikonal(p, kin, THETA, TIGHT, phase="closed")
     assert np.all(np.abs(got.value - tight.value) <= got.error_estimate)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(p=potentials(), k=st.sampled_from([1.0, 2.0, 5.0]))
+def test_partial_wave_oracle_obeys_the_optical_theorem(p, k):
+    # criterion 5's tolerance: total_integrated = total_optical to 0.1%
+    kin = Kinematics(mass=1.0, k=k)
+    ps = phase_shifts(p, kin)
+    assert np.all(np.isfinite(ps.delta))
+    assert np.all((ps.delta > -np.pi / 2) & (ps.delta <= np.pi / 2))
+    amp = amplitude_partial_wave(ps, np.linspace(0.0, np.pi, 801))
+    tab = table_from_amplitudes("partial_wave", amp, k)
+    assert abs(tab.total_integrated - tab.total_optical) \
+        <= 1e-3 * tab.total_optical
