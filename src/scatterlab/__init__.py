@@ -16,8 +16,8 @@ from .errors import (ConfigError, ConvergenceError, DivergenceError,
                      DomainError, PoleError, RangeError, ScatterError,
                      SingularityError, UnsupportedModelError)
 from .partial_wave import (PhaseShiftSet, amplitude_partial_wave,
-                           effective_radius, phase_shifts)
-from .potentials import Gauss, TabulatedRadial, Yukawa
+                           phase_shifts)
+from .potentials import Gauss, TabulatedRadial, Yukawa, effective_radius
 from .quadrature import QuadratureSettings
 from .runner import RunManifest, SourceOutcome, run_scan
 

@@ -21,7 +21,7 @@ otherwise per-b integrals with the bits of integrating at that b alone,
 each w with a bound on its error (see eikonal). So the documented equality
 of the two amplitudes at small angle checks the Lambda algebra and the two
 Hankel integrands against each other. On a table born1_amplitude reports
-the error estimate of fourier3d's quadrature.
+the error estimate of fourier3d's quadrature under the given settings.
 """
 
 import numpy as np
@@ -41,15 +41,16 @@ __all__ = [
 ]
 
 
-def born1_amplitude(p, kin, theta):
+def born1_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
     """First Born amplitude at one angle, or at every angle of a 1-d theta
     array in one fourier3d call (fields are then arrays), q = 2k sin(theta/2).
+    settings govern the quadrature of a table's transform.
     """
     th = np.asarray(theta, dtype=float)
     if th.ndim > 1:
         raise DomainError("theta must be a scalar or a 1-d array")
     q = momentum_transfer(kin.k, th)
-    vt, vt_err = fourier3d(p, q, with_error=True)
+    vt, vt_err = fourier3d(p, q, settings, with_error=True)
     scale = kin.mass / (2.0 * np.pi * kin.hbar**2)
     return _amplitude(theta, th, q, np.asarray(-scale * vt, dtype=complex),
                       scale * np.asarray(vt_err))

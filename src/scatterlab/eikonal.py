@@ -29,8 +29,8 @@ has the bits of integrating at that b alone. Either way a value does not
 depend on which route or call asked for it first. The store is safe to
 call from several threads: two callers may integrate the same b, to the
 same bits. Both amplitudes integrate over [0, R], R the potential's own
-range (_reach), and add the bound on the tail beyond R and the J0-weighted
-integral of w's bounds to their error_estimate.
+range from potentials.reach, and add the bound on the tail beyond R and
+the J0-weighted integral of w's bounds to their error_estimate.
 """
 
 import dataclasses
@@ -44,7 +44,7 @@ from . import paper_forms
 from .errors import (ConvergenceError, DomainError, PoleError,
                      SingularityError, UnsupportedModelError)
 from .potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
-                         origin_expansion)
+                         origin_expansion, reach)
 from .quadrature import (DEFAULT_SETTINGS, hankel0, integrate_adaptive,
                          integrate_semi_infinite)
 from .special_functions import bessel_k0
@@ -210,42 +210,10 @@ def _clenshaw(coef, x):
     return coef[:, 0] + x * b1 - b2
 
 
-def _tail_factor(x):
-    """A bound on int_x^inf K0(t) t dt / e^{-x}, from K0(t) <=
-    sqrt(pi/(2t)) e^{-t} and int_x^inf sqrt(t) e^{-t} dt <=
-    (sqrt(x) + 1/(2 sqrt(x))) e^{-x}."""
-    return math.sqrt(0.5 * math.pi) * (math.sqrt(x) + 0.5 / math.sqrt(x))
-
-
-def _reach(p):
-    """(R, T) of the z-profile w of p: the Hankel transforms of w stop at
-    R, and T bounds int_R^inf |w(b)| b db. A table's w is exactly 0 from
-    its last radius on. For Yukawa and Gauss, R is where the closed-form
-    bound on that tail falls to eps int_0^inf |w| b db: about 38/mu and
-    6/sqrt(alpha)."""
-    if isinstance(p, TabulatedRadial):
-        return float(p.r[-1]), 0.0
-    if isinstance(p, Yukawa):
-        # w = 2 g K0(mu b), and int_0^inf |w| b db = 2|g|/mu^2
-        x = -math.log(_EPS)
-        for _ in range(4):  # the fixed point of _tail_factor(x) e^{-x} = eps
-            x = math.log(_tail_factor(x) / _EPS)
-        return x / p.mu, 2.0 * abs(p.g) / p.mu**2 * _tail_factor(x) \
-            * math.exp(-x)
-    if isinstance(p, Gauss):
-        # w = g sqrt(pi/alpha) e^{-alpha b^2}: the tail beyond R is
-        # e^{-alpha R^2} of int_0^inf |w| b db = |g| sqrt(pi/alpha)/(2 alpha)
-        x = -math.log(_EPS)
-        return math.sqrt(x / p.alpha), abs(p.g) * math.sqrt(
-            math.pi / p.alpha) / (2.0 * p.alpha) * math.exp(-x)
-    raise UnsupportedModelError(
-        f"unknown potential model {type(p).__name__!r}")
-
-
 class _ZProfile:
     """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz of one potential under
     one setting; call it with a 1-d array of b for (w, a bound on the
-    error of each w). reach and tail are _reach(p).
+    error of each w). reach and tail are potentials.reach(p).
 
     For Yukawa and Gauss, b <= reach reads the piecewise-Chebyshev
     interpolant built at construction, with its piece's bound. On pieces
@@ -265,7 +233,7 @@ class _ZProfile:
     def __init__(self, p, settings):
         self.p = p
         self.settings = settings
-        self.reach, self.tail = _reach(p)
+        self.reach, self.tail = reach(p)
         self._store = {}
         if isinstance(p, TabulatedRadial):
             self._coef = None
@@ -504,8 +472,8 @@ def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS, *,
     th = _check_theta(theta)
     q = momentum_transfer(kin.k, th, small_angle=small_angle_q)
     g = _phase_integrand(p, kin, phase, settings)
-    reach, tail = _reach(p)
-    res = hankel0(g, q, reach, settings)
+    upper, tail = reach(p)
+    res = hankel0(g, q, upper, settings)
     value = -1j * kin.k * np.asarray(res.value, dtype=complex)
     # beyond reach, |e^{i chi} - 1| <= |chi| = |w|/(hbar v)
     err = kin.k * (res.error_estimate + tail / (kin.hbar * kin.v))

@@ -27,17 +27,17 @@ import numpy as np
 
 from .eikonal import Amplitude, Kinematics, momentum_transfer
 from .errors import ConvergenceError, DomainError, RangeError
-from .potentials import TabulatedRadial, evaluate, origin_expansion
-from .quadrature import (QuadratureSettings, integrate_adaptive,
+from .potentials import effective_radius, evaluate, origin_expansion
+# The effective radius is integrated in potentials; the two integrators and
+# spherical_bessel are bound here only because perfbench/tracer.py rebinds
+# them in partial_wave's namespace.
+from .quadrature import (integrate_adaptive,  # noqa: F401
                          integrate_semi_infinite)
 from .special_functions import legendre_p_row, spherical_bessel_row
-# spherical_bessel is bound here only because perfbench/tracer.py rebinds
-# it in partial_wave's namespace.
 from .special_functions import spherical_bessel  # noqa: F401
 
 __all__ = [
     "PhaseShiftSet",
-    "effective_radius",
     "phase_shifts",
     "amplitude_partial_wave",
 ]
@@ -77,56 +77,6 @@ class PhaseShiftSet:
                 f"{abs(d[-1]):.3e} >= {_TAIL_TOL:g}; increase l_max")
         if not (self.r_max > 0 and self.dr > 0):
             raise DomainError("r_max and dr must be positive")
-
-
-def effective_radius(p, fraction=0.9999):
-    """Radius enclosing the given fraction of the weight int |V| r^2 dr."""
-    settings = QuadratureSettings(rel_tol=1e-9, abs_tol=1e-300)
-
-    def w(r):
-        return np.abs(evaluate(p, r)) * r * r
-
-    if isinstance(p, TabulatedRadial):
-        r_hi = float(p.r[-1])
-        total = integrate_adaptive(w, 0.0, r_hi, settings).value
-    else:
-        r_hi = 1.0
-        total = integrate_semi_infinite(w, settings).value
-        if total > 0.0:
-            while integrate_adaptive(w, 0.0, r_hi, settings).value \
-                    < fraction * total:
-                r_hi *= 2.0
-                if r_hi > 1e12:
-                    raise RangeError("potential weight does not accumulate; "
-                                     "no effective radius")
-    if total <= 0.0:
-        return 0.0
-    target = fraction * total
-    lo, hi = 0.0, r_hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent floats: no further step can move the bracket
-        if integrate_adaptive(w, 0.0, mid, settings).value < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-# (potential, effective_radius) of the last potential, held by identity so
-# that an energy scan pays it once; one tuple, read and rebound atomically.
-_r_eff = (None, None)
-
-
-def _effective_radius_once(p):
-    """effective_radius(p), computed once per potential object."""
-    global _r_eff
-    held, r = _r_eff
-    if held is not p:
-        r = effective_radius(p)
-        _r_eff = (p, r)
-    return r
 
 
 def _reduced_strength(p, kin, r):
@@ -302,7 +252,8 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     """Solve for delta_l, l = 0..l_max, with auto defaults for all knobs.
 
     l_max=None cuts the waves at the first l0 + 16 j, l0 = ceil(k r_eff)
-    + 10, whose |delta| is below the tail threshold. It sweeps up to
+    + 10, whose |delta| is below the tail threshold, r_eff =
+    potentials.effective_radius(p), found on every call. It sweeps up to
     top = l0 + 64, l0 + 128, l0 + 256 and l0 + 416 in turn, each pass only
     the waves above the previous top, stopping at the first pass that holds
     a converged candidate; past l0 + 416 it raises ConvergenceError. An
@@ -314,7 +265,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     if not isinstance(kin, Kinematics):
         raise DomainError("kin must be a Kinematics instance")
     k = kin.k
-    r_eff = _effective_radius_once(p)
+    r_eff = effective_radius(p)
     if dr is None:
         dr = min(0.01 / k, 0.005)
     else:

@@ -1,9 +1,13 @@
-"""Radial potential models and their momentum-space transforms.
+"""Radial potential models, their range and momentum-space transforms.
 
 Three models share one informal protocol: construct, then pass to the
 module-level functions. Closed-form transforms exist for the analytic
 models; the tabulated model falls back to quadrature over its support,
 one partition shared by every q.
+
+The potential's range lives here too: reach(p), the radius R past which
+the z-profile's tail is below rounding, with a bound on that tail, and
+effective_radius(p), the radius holding 0.9999 of int_0^R |V| r^2 dr.
 
 Conventions: V has energy units, r length units. fourier3d computes
 Vtilde(q) = integral d^3r e^{-i q.r} V(r) = (4 pi / q) int_0^inf
@@ -18,10 +22,8 @@ import numpy as np
 from ._spline import CubicSpline1D
 from .errors import (ConfigError, DomainError, SingularityError,
                      UnsupportedModelError)
-from .quadrature import DEFAULT_SETTINGS, integrate_kernel
-# integrate_adaptive is bound here only because perfbench/tracer.py rebinds
-# it in potentials' namespace.
-from .quadrature import integrate_adaptive  # noqa: F401
+from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
+                         integrate_adaptive, integrate_kernel)
 
 __all__ = [
     "Yukawa",
@@ -30,8 +32,12 @@ __all__ = [
     "evaluate",
     "fourier3d",
     "origin_expansion",
+    "reach",
+    "effective_radius",
     "load_radial_table",
 ]
+
+_EPS = np.finfo(float).eps
 
 
 def _require_finite(name, value):
@@ -129,7 +135,7 @@ def evaluate(potential, r):
     elif isinstance(potential, Gauss):
         out = potential.g * np.exp(-potential.alpha * r * r)
     elif isinstance(potential, TabulatedRadial):
-        inside = np.clip(r, potential.r[0], potential.r[-1])
+        inside = np.maximum(r, potential.r[0])
         out = np.asarray(potential._interp(inside), dtype=float)
         out = np.where(r > potential.r[-1], 0.0, out)
     else:
@@ -163,12 +169,9 @@ def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
         a = potential.alpha
         out = potential.g * (np.pi / a) ** 1.5 * np.exp(-q * q / (4.0 * a))
     elif isinstance(potential, TabulatedRadial):
-        # V is cubic or linear between knots, and v[0] below the first;
-        # r is validated as >= 0 and strictly increasing
-        r = potential.r
-        breaks = r if r[0] == 0.0 else np.concatenate(([0.0], r))
         res = integrate_kernel(lambda x: evaluate(potential, x),
-                               _radial_kernel, q, breaks, settings)
+                               _radial_kernel, q, _breaks(potential),
+                               settings)
         out, err = res.value, res.error_estimate
     else:
         raise UnsupportedModelError(
@@ -191,6 +194,79 @@ def origin_expansion(potential):
         return (0.0, float(potential.v[0]), 0.0)
     raise UnsupportedModelError(
         f"unknown potential model {type(potential).__name__!r}")
+
+
+def _tail_factor(x):
+    """A bound on int_x^inf K0(t) t dt / e^{-x}, from K0(t) <=
+    sqrt(pi/(2t)) e^{-t} and int_x^inf sqrt(t) e^{-t} dt <=
+    (sqrt(x) + 1/(2 sqrt(x))) e^{-x}."""
+    return math.sqrt(0.5 * math.pi) * (math.sqrt(x) + 0.5 / math.sqrt(x))
+
+
+def reach(p):
+    """(R, T) of the z-profile w of p: the Hankel transforms of w stop at
+    R, and T bounds int_R^inf |w(b)| b db. A table's w is exactly 0 from
+    its last radius on. For Yukawa and Gauss, R is where the closed-form
+    bound on that tail falls to eps int_0^inf |w| b db: about 38/mu and
+    6/sqrt(alpha)."""
+    if isinstance(p, TabulatedRadial):
+        return float(p.r[-1]), 0.0
+    if isinstance(p, Yukawa):
+        # w = 2 g K0(mu b), and int_0^inf |w| b db = 2|g|/mu^2
+        x = -math.log(_EPS)
+        for _ in range(4):  # the fixed point of _tail_factor(x) e^{-x} = eps
+            x = math.log(_tail_factor(x) / _EPS)
+        return x / p.mu, 2.0 * abs(p.g) / p.mu**2 * _tail_factor(x) \
+            * math.exp(-x)
+    if isinstance(p, Gauss):
+        # w = g sqrt(pi/alpha) e^{-alpha b^2}: the tail beyond R is
+        # e^{-alpha R^2} of int_0^inf |w| b db = |g| sqrt(pi/alpha)/(2 alpha)
+        x = -math.log(_EPS)
+        return math.sqrt(x / p.alpha), abs(p.g) * math.sqrt(
+            math.pi / p.alpha) / (2.0 * p.alpha) * math.exp(-x)
+    raise UnsupportedModelError(
+        f"unknown potential model {type(p).__name__!r}")
+
+
+_R_EFF_PANELS = 64  # panels of an analytic range, and cuts per round
+_R_EFF_SETTINGS = QuadratureSettings(rel_tol=1e-9, abs_tol=1e-300)
+
+
+def _breaks(p):
+    """Panel edges on [0, reach(p)]: a table's knots, between which V is
+    cubic or linear, with 0 prepended when r[0] > 0 (V is v[0] below it);
+    _R_EFF_PANELS equal panels for Yukawa and Gauss."""
+    if isinstance(p, TabulatedRadial):
+        r = p.r
+        return r if r[0] == 0.0 else np.concatenate(([0.0], r))
+    return np.linspace(0.0, reach(p)[0], _R_EFF_PANELS + 1)
+
+
+def effective_radius(p):
+    """Radius holding 0.9999 of the weight int_0^R |V| r^2 dr, R = reach(p),
+    or 0.0 at zero weight. The panels of _breaks(p) are integrated in one
+    row-batched call; the panel where the running sum first reaches the
+    target is cut _R_EFF_PANELS ways a round, one call a round, until no
+    float lies strictly inside it, and its upper end is returned. Repeated
+    cut points on a bracket of few floats make panels of zero weight."""
+    def running(edges, below):  # below plus the weight up to each edge
+        return below + np.cumsum(np.r_[0.0, integrate_adaptive(
+            lambda i, r: np.abs(evaluate(p, r)) * r * r, edges[:-1],
+            edges[1:], _R_EFF_SETTINGS, rows=edges.size - 1).value])
+
+    edges = _breaks(p)
+    weight = running(edges, 0.0)
+    target = 0.9999 * weight[-1]
+    if target <= 0.0:
+        return 0.0
+    while True:
+        # the first edge reaching the target; the last if rounding falls short
+        i = min(int(np.searchsorted(weight, target)), edges.size - 1)
+        lo, hi = edges[i - 1], edges[i]
+        if np.nextafter(lo, hi) == hi:
+            return float(hi)
+        edges = np.linspace(lo, hi, _R_EFF_PANELS + 1)
+        weight = running(edges, weight[i - 1])
 
 
 def load_radial_table(source, interpolation="cubic"):

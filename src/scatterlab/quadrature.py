@@ -9,14 +9,14 @@ Four entry points:
     hankel0                  int_0^upper g(b) J0(q b) b db, integrate_kernel
                              with the Hankel kernel
 
-Integrands must accept ndarray arguments (they are evaluated on 15-point
-node batches) and may return complex values. Error estimation follows the
-QUADPACK scheme: err = resasc * min(1, (200 |K15 - G7| / resasc)^1.5) with a
-roundoff floor, which the test suite calibrates against a corpus of
-closed-form integrals. It is evaluated with numpy over all panels of a
-round, except the power, which is libm pow on Python floats: numpy's
-vectorised power differs from it in the last bit for some arguments on
-AVX-512 hosts, and so would the bisection that follows.
+A scalar call's integrand f(x) maps a flat ndarray (the nodes of all panels
+of a round) to one of its shape, complex values allowed. Error estimation
+follows the QUADPACK scheme: err = resasc * min(1, (200 |K15 - G7| /
+resasc)^1.5) with a roundoff floor, which the test suite calibrates against
+a corpus of closed-form integrals. It is evaluated with numpy over all
+panels of a round, except the power, which is libm pow on Python floats:
+numpy's vectorised power differs from it in the last bit for some
+arguments on AVX-512 hosts, and so would the bisection that follows.
 
 integrate_adaptive and integrate_semi_infinite also take rows=m: the call
 then computes m independent integrals of a row-batched integrand
@@ -167,13 +167,14 @@ def _no_label(row):
 
 def _one_row(f):
     """The integrand f(x) of a scalar call as the row-batched integrand of
-    a one-row call: f still sees the nodes of one panel at a time."""
+    a one-row call: f sees the nodes of all panels of a round as one flat
+    array."""
     def f_rows(i, x):
-        y = [np.asarray(f(xr)) for xr in x]
-        if any(yr.shape != xr.shape for yr, xr in zip(y, x)):
+        y = np.asarray(f(x.ravel()))
+        if y.shape != (x.size,):
             raise DomainError("integrand must map an ndarray to an ndarray "
                               "of the same shape")
-        return np.array(y)
+        return y.reshape(x.shape)
     return f_rows
 
 

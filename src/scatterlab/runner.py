@@ -23,7 +23,7 @@ from .errors import DomainError, ScatterError
 from .partial_wave import amplitude_partial_wave, phase_shifts
 from .potentials import Gauss, Yukawa
 
-_QUADRATURE_SOURCES = ("eikonal", "born_resummed")
+_QUADRATURE_SOURCES = ("eikonal", "born_resummed", "born1")
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _amplitude_rows(cfg, source, kin, theta):
         return born_resummed_amplitude(p, kin, theta,
                                        settings=cfg.quadrature), []
     if source == "born1":
-        return born1_amplitude(p, kin, theta), []
+        return born1_amplitude(p, kin, theta, settings=cfg.quadrature), []
     amp = amplitude_paper_closed(p, kin, theta)
     return amp, [f"{source} k={_k_tag(kin.k)}: pole at theta={t:.6g}, row "
                  f"recorded as nan" for t in theta[np.isnan(amp.value)]]

@@ -8,8 +8,13 @@ only: the summed form that replaced it rounds differently, and more finely.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
+from scipy.interpolate import CubicSpline, PPoly, make_interp_spline
+from scipy.optimize import brentq
 
 from scatterlab import partial_wave
 from scatterlab.eikonal import Amplitude, momentum_transfer
@@ -292,8 +297,58 @@ class CubicSpline1D:
         return out[0] if scalar else out
 
 
-# Effective radius by a fixed 80 bisection steps. Reference for
-# partial_wave.effective_radius.
+def _kinks(p):
+    """A table's knots and the zeros of its V (from scipy's interpolant of
+    the same kind), where |V| r^2 is not smooth."""
+    if p.interpolation == "cubic":
+        spline = CubicSpline(p.r, p.v, bc_type="natural")
+    else:
+        spline = PPoly.from_spline(make_interp_spline(p.r, p.v, k=1))
+    zeros = spline.roots(extrapolate=False)
+    return np.r_[p.r, zeros[np.isfinite(zeros)]]
+
+
+def weight(p, lo, hi):
+    """int_lo^hi |V(r)| r^2 dr by scipy quad at epsrel 1e-12, one call
+    between each two kinks of a table."""
+    kinks = _kinks(p) if isinstance(p, TabulatedRadial) else np.zeros(0)
+    edges = np.r_[lo, np.sort(kinks[(kinks > lo) & (kinks < hi)]), hi]
+    # a sliver between a knot and a zero of V beside it weighs below 1e-12
+    # of the whole, and there QUADPACK warns of roundoff at epsrel 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return math.fsum(
+            quad(lambda r: abs(evaluate(p, r)) * r * r, a, b, epsabs=0.0,
+                 epsrel=1e-12, limit=200)[0]
+            for a, b in zip(edges[:-1], edges[1:]))
+
+
+def effective_radius_tight(p):
+    """The radius holding 0.9999 of int_0^R |V| r^2 dr: for Yukawa the
+    mpmath root of (1 + x) e^{-x} = 1e-4, x = mu r; for Gauss that of
+    erfc(x) + (2/sqrt(pi)) x e^{-x^2} = 1e-4, x = sqrt(alpha) r (the tails
+    beyond R = reach(p) are below rounding of the target); for a table a
+    root of the weight integrated between kinks, R its last radius."""
+    if isinstance(p, Yukawa):
+        x = mpmath.findroot(lambda x: (1 + x) * mpmath.exp(-x) - 1e-4, 11.8)
+        return float(x / p.mu)
+    if isinstance(p, Gauss):
+        x = mpmath.findroot(lambda x: mpmath.erfc(x) + 2 / mpmath.sqrt(
+            mpmath.pi) * x * mpmath.exp(-x * x) - 1e-4, 3.2)
+        return float(x / mpmath.sqrt(p.alpha))
+    edges = np.r_[0.0, p.r[p.r > 0.0]]
+    below = np.cumsum([weight(p, a, b)
+                       for a, b in zip(edges[:-1], edges[1:])])
+    target = 0.9999 * below[-1]
+    j = int(np.searchsorted(below, target))
+    start = below[j - 1] if j else 0.0
+    return brentq(lambda r: start + weight(p, edges[j], r) - target,
+                  edges[j], edges[j + 1], xtol=1e-300, rtol=4.0 * _EPS)
+
+
+# Effective radius by a fixed 80 bisection steps over a semi-infinite total.
+# Reference for potentials.effective_radius, which is within 1e-11 of it on
+# Yukawa and Gauss.
 
 
 def effective_radius(p, fraction=0.9999):

@@ -8,7 +8,7 @@ import pytest
 from scatterlab.born import (_lambda_factor, born1_amplitude,
                              born_resummed_amplitude)
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
-from scatterlab.errors import DomainError
+from scatterlab.errors import ConvergenceError, DomainError
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
                                    fourier3d)
 from scatterlab.quadrature import QuadratureSettings
@@ -103,6 +103,16 @@ class TestBorn1:
         assert got.q.tolist() == [a.q for a in each]
         assert got.value.tolist() == [a.value for a in each]
         assert not got.error_estimate.any()
+
+    def test_tabulated_transform_takes_the_given_settings(self):
+        r = np.linspace(0.0, 10.0, 6)
+        v = np.exp(-0.3 * r)
+        v[-1] = 0.0
+        with pytest.raises(ConvergenceError, match="budget of 8 subdivisions "
+                                                   r"exhausted at q = 4\.948"):
+            born1_amplitude(TabulatedRadial(r, v), Kinematics(1.0, 10.0),
+                            np.linspace(0.0, 0.5, 11),
+                            QuadratureSettings(max_subdivisions=8))
 
     def test_theta_array_must_be_1d(self):
         with pytest.raises(DomainError):

@@ -124,19 +124,31 @@ def test_fourier3d_against_radial_quadrature_oracle():
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
-def test_table_transform_does_not_import_numpy_ma():
+def test_table_transform_does_not_import_numpy_ma(tmp_path):
     # importing numpy.ma costs a fresh interpreter about a fifth of a
-    # tabulated run; a table's breakpoints are built without it
+    # tabulated run (np.unique and np.union1d import it): one run_scan of
+    # every source on a Yukawa and of every source but the closed forms on
+    # a table never does
+    r = np.linspace(0.1, 6.0, 40)
+    (tmp_path / "table.csv").write_text("".join(
+        f"{float(a)!r}, {float(b)!r}\n" for a, b in zip(r, np.exp(-r * r))))
+    common = ("[kinematics]\nmass = 1.0\nk = 2\n"
+              "[theta_grid]\nmin = 0.0\nmax = 0.2\ncount = 5\n")
+    configs = [
+        "[potential]\nmodel = yukawa\ng = 0.5\nmu = 1.0\n" + common
+        + "[run]\nsources = eikonal, born1, born_resummed, partial_wave, "
+          f"paper_closed\n[output]\ndirectory = {tmp_path / 'yukawa'}\n",
+        f"[potential]\nmodel = tabulated\nfile = {tmp_path / 'table.csv'}\n"
+        + common + "[run]\nsources = eikonal, born1, born_resummed, "
+                   "partial_wave\n[output]\ndirectory = "
+                   f"{tmp_path / 'table'}\n",
+    ]
     script = (
         "import sys\n"
-        "import numpy as np\n"
-        "from scatterlab.born import born1_amplitude\n"
-        "from scatterlab.eikonal import Kinematics\n"
-        "from scatterlab.potentials import TabulatedRadial\n"
-        "r = np.linspace(0.1, 6.0, 40)\n"
-        "p = TabulatedRadial(r, np.exp(-r * r))\n"
-        "born1_amplitude(p, Kinematics(mass=1.0, k=2.0), "
-        "np.linspace(0.0, 0.2, 5))\n"
+        "from scatterlab.config import parse_config\n"
+        "from scatterlab.runner import run_scan\n"
+        f"for text in {configs!r}:\n"
+        "    assert not run_scan(parse_config(text)).failed\n"
         "print('numpy.ma' in sys.modules)\n")
     env = dict(os.environ,
                PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))

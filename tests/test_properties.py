@@ -2,7 +2,8 @@
 the resummed Born amplitude's reported error, which includes the z-profile
 interpolant's bound, covers its deviation from a tight reference; the
 partial-wave oracle keeps its phase shifts in (-pi/2, pi/2] and obeys the
-optical theorem."""
+optical theorem; the effective radius, on random tables too, holds its
+fraction of the weight within the potential's reach."""
 
 import dataclasses
 
@@ -10,11 +11,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from scatterlab.born import born_resummed_amplitude
 from scatterlab.cross_sections import table_from_amplitudes
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.partial_wave import amplitude_partial_wave, phase_shifts
-from scatterlab.potentials import Gauss, Yukawa
+from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa,
+                                   effective_radius, reach)
 from scatterlab.quadrature import DEFAULT_SETTINGS
 
 THETA = np.array([0.0, 0.03, 0.1, 0.25])
@@ -32,6 +35,18 @@ def potentials(draw):
     if draw(st.booleans()):
         return Yukawa(g, 10.0 ** draw(st.floats(-0.5, 0.5)))
     return Gauss(g, 10.0 ** draw(st.floats(-1.0, 0.7)))
+
+
+@st.composite
+def tables(draw):
+    """A table of 4-20 knots from r[0] in [0, 1], gaps in [0.05, 2] and
+    values in [-2, 2], the last 0."""
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=4, max_size=20))
+    r = draw(st.floats(0.0, 1.0)) + np.cumsum(gaps) - gaps[0]
+    v = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(gaps),
+                      max_size=len(gaps)))
+    v[-1] = 0.0
+    return TabulatedRadial(r, v, draw(st.sampled_from(["cubic", "linear"])))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -55,3 +70,14 @@ def test_partial_wave_oracle_obeys_the_optical_theorem(p, k):
     tab = table_from_amplitudes("partial_wave", amp, k)
     assert abs(tab.total_integrated - tab.total_optical) \
         <= 1e-3 * tab.total_optical
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.one_of(potentials(), tables()))
+def test_effective_radius_holds_its_fraction_of_the_weight(p):
+    upper = reach(p)[0]
+    r_eff = effective_radius(p)
+    assert r_eff <= upper
+    whole = _oracles.weight(p, 0.0, upper)
+    assert abs(_oracles.weight(p, 0.0, r_eff) - 0.9999 * whole) \
+        <= 1e-9 * whole

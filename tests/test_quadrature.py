@@ -9,10 +9,11 @@ import pytest
 import _oracles
 from _oracles import ESTIMATOR_CORPUS
 from scatterlab import quadrature
-from scatterlab.eikonal import Kinematics, _phase_integrand, _reach
+from scatterlab.eikonal import Kinematics, _phase_integrand
 from scatterlab.errors import (ConvergenceError, DivergenceError, DomainError,
                                ScatterError)
-from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa, evaluate
+from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
+                                   reach)
 from scatterlab.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
                                    hankel0, integrate_adaptive,
                                    integrate_semi_infinite)
@@ -389,7 +390,7 @@ def test_hankel_rows_match_scalar_calls(p, k, phase, q):
     # for bit; it evaluates fewer nodes than the calls together. The
     # table's quadrature phase carries its z-integrals' error estimates.
     g = _phase_integrand(p, Kinematics(1.0, k), phase, DEFAULT_SETTINGS)
-    upper = _reach(p)[0]
+    upper = reach(p)[0]
     scalars = [hankel0(g, float(x), upper) for x in q]
     rows = hankel0(g, q, upper)
     for s, value, err in zip(scalars, rows.value, rows.error_estimate):

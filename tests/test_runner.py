@@ -173,6 +173,31 @@ class TestErrorsAndWarnings:
         msg = _quadrature_warning("eikonal", 2.0, loose, value, settings)
         assert msg is not None and "above 10x" in msg and "1 angle" in msg
 
+    def test_born1_on_a_table_runs_under_the_quadrature_settings(self,
+                                                                 tmp_path):
+        # a table's fourier3d takes the run's [quadrature]: too small a
+        # budget fails born1, and an estimate looser than asked warns
+        r = np.linspace(0.0, 10.0, 6)
+        v = np.exp(-0.3 * r)
+        v[-1] = 0.0
+        table = tmp_path / "table.csv"
+        table.write_text("".join(f"{float(a)!r}, {float(b)!r}\n"
+                                 for a, b in zip(r, v)))
+        text = FAST.replace("model = yukawa\ng = 0.5\nmu = 1.0",
+                            f"model = tabulated\nfile = {table}").replace(
+            "k = 2", "k = 10").replace("max = 0.2", "max = 0.5").replace(
+            "sources = born1, paper_closed", "sources = born1")
+        small = run_scan(_cfg(text + "\n[quadrature]\nmax_subdivisions = 8",
+                              tmp_path / "small"))
+        assert small.outcomes[0].error.startswith(
+            "ConvergenceError: quadrature budget of 8 subdivisions "
+            "exhausted at q = 4.948")
+        tight = run_scan(_cfg(text + "\n[quadrature]\nrel_tol = 1e-15\n"
+                                     "abs_tol = 1e-300", tmp_path / "tight"))
+        assert tight.outcomes[0].error is None
+        assert any(w.startswith("born1 k=10: ") and "above 10x the "
+                   "tolerance target" in w for w in tight.warnings)
+
     def test_unreachable_tolerance_stops_at_the_rounding_floor(self,
                                                               tmp_path):
         # a tolerance below the transform's rounding level does not spin:

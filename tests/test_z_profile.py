@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from scatterlab import born, eikonal, partial_wave
+import scatterlab
+from scatterlab import born, eikonal, partial_wave, potentials
 from scatterlab.born import born_resummed_amplitude
 from scatterlab.config import parse_config
 from scatterlab.eikonal import Kinematics, amplitude_eikonal, chi, chi_closed
@@ -206,31 +207,32 @@ def test_store_holds_one_potential_and_a_bounded_count(monkeypatch):
     assert eikonal._z_profile(p2, SETTINGS) is held
 
 
-def test_effective_radius_is_computed_once_per_potential(monkeypatch):
+def test_effective_radius_integrates_at_most_12_times(monkeypatch):
+    # one row-batched integral over the panels of [0, reach] and one per
+    # 64-way cut of the panel the target falls in; no semi-infinite total
     calls = []
-    radius = partial_wave.effective_radius
 
-    def counted(p):
-        calls.append(p)
-        return radius(p)
+    def counted(name, integrate):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return integrate(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(partial_wave, "effective_radius", counted)
-    p = Gauss(0.4, 1.0)
-    first = [partial_wave.phase_shifts(p, Kinematics(mass=1.0, k=k))
-             for k in (1.0, 2.0)]
-    assert calls == [p]
-    # an equal but distinct potential pays its own, to the same bits
-    fresh = partial_wave.phase_shifts(Gauss(0.4, 1.0),
-                                      Kinematics(mass=1.0, k=1.0))
-    assert len(calls) == 2
-    _same_bits(fresh.delta, first[0].delta)
-    # only the last potential is held
-    assert partial_wave._r_eff[0] is not p
+    for mod in (potentials, partial_wave):
+        for name in ("integrate_adaptive", "integrate_semi_infinite"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name,
+                                    counted(name, getattr(mod, name)))
+    for p in (Yukawa(0.5, 1.0), Gauss(0.4, 1.0), _table()):
+        calls.clear()
+        assert scatterlab.effective_radius(p) > 0.0
+        assert "integrate_semi_infinite" not in calls
+        assert 1 < len(calls) <= 12
 
 
 def _off_grid(p, rng):
     """Random b on [0, R], b near R, and for Yukawa b -> 0."""
-    cut = eikonal._reach(p)[0]
+    cut = potentials.reach(p)[0]
     b = [rng.uniform(0.0, cut, 40), cut - np.logspace(-12, 0, 7), [cut]]
     if isinstance(p, Yukawa):
         b.append(np.logspace(-10, -1, 10))
@@ -339,7 +341,7 @@ def test_failing_node_integral_names_its_b_and_stores_nothing():
     assert eikonal._profile is before
     b = float(re.search(r"at b = (\S+) ", str(failed.value)).group(1))
     # a node of one of the pieces [0, R / 2^m] bisection makes
-    halves = 0.5 * eikonal._reach(p)[0] / 2.0 ** np.arange(12)
+    halves = 0.5 * potentials.reach(p)[0] / 2.0 ** np.arange(12)
     assert np.any(halves[:, None] + halves[:, None] * eikonal._CHEB_X == b)
     with pytest.raises(ConvergenceError, match="at b = "):
         chi(p, Kinematics(mass=1.0, k=1.0), 1.0, settings)
@@ -437,7 +439,7 @@ def test_interpolation_bound_keeps_errors_within_the_warning_target():
 def test_reach_bounds_the_tail_of_the_profile(p):
     # R is where the closed-form tail bound falls to eps of the whole
     # int_0^inf |w| b db; the bound it reports covers the exact tail
-    reach, tail = eikonal._reach(p)
+    reach, tail = potentials.reach(p)
     if isinstance(p, Yukawa):
         # w = 2 g K0(mu b): int_R^inf |w| b db = 2|g| R K1(mu R)/mu
         whole = 2.0 * abs(p.g) / p.mu**2
@@ -450,7 +452,7 @@ def test_reach_bounds_the_tail_of_the_profile(p):
         assert reach * np.sqrt(p.alpha) == pytest.approx(6.0, abs=0.01)
     assert exact <= tail * (1.0 + 1e-12) and tail <= 1.2 * exact
     assert tail == pytest.approx(EPS * whole, rel=1e-6)
-    assert eikonal._reach(_table()) == (4.0, 0.0)
+    assert potentials.reach(_table()) == (4.0, 0.0)
 
 
 @pytest.mark.parametrize("k, theta", [
