@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
-from scatterlab import partial_wave
+from scatterlab import partial_wave, potentials
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.errors import ConvergenceError, DomainError, RangeError
 from scatterlab.partial_wave import (PhaseShiftSet, amplitude_partial_wave,
@@ -112,6 +112,42 @@ class TestEffectiveRadius:
             assert got == pytest.approx(tight, rel=1e-11, abs=0.0)
             assert got == pytest.approx(_oracles.effective_radius(p),
                                         rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("p", [
+        Yukawa(0.5, 1.0), Gauss(1.0, 1.0),
+        TabulatedRadial(np.linspace(0.0, 6.0, 13),
+                        np.r_[np.exp(-np.linspace(0.0, 5.5, 12) ** 2), 0.0]),
+    ])
+    def test_early_stop_keeps_the_bits_of_80_steps(self, monkeypatch, p):
+        # the search stops once its bracket is two adjacent floats; cutting
+        # on for 14 fixed rounds of 64 (84 bits) must give the same float
+        class FixedRounds:
+            """numpy, whose nextafter ends the search after `left` rounds."""
+            def __init__(self, left):
+                self.left = left
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def nextafter(self, lo, hi):
+                self.left -= 1
+                return hi if self.left == 0 else np.nan
+
+        calls = []
+        integrate = potentials.integrate_adaptive
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "integrate_adaptive", counted)
+        got = effective_radius(p)
+        early = len(calls)
+        calls.clear()
+        monkeypatch.setattr(potentials, "np", FixedRounds(15))
+        assert got == effective_radius(p)
+        assert len(calls) == 15
+        assert early < 15
 
 
 class TestPhaseShifts:
