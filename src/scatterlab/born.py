@@ -16,12 +16,12 @@ impact parameter of w(b) * Lambda(chi(b)), where w(b) = int_-inf^inf V dz,
 chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
 of the lambda integral. w(b) is read from eikonal._z_profile, the one
 profile per potential and setting that the eikonal route's quadrature
-phase reads too: for Yukawa and Gauss a piecewise-Chebyshev interpolant,
-otherwise per-b integrals with the bits of integrating at that b alone,
-each w with a bound on its error (see eikonal). So the documented equality
-of the two amplitudes at small angle checks the Lambda algebra and the two
-Hankel integrands against each other. On a table born1_amplitude reports
-the error estimate of fourier3d's quadrature under the given settings.
+phase reads too: per-b integrals with the bits of integrating at that b
+alone, each w with a bound on its error (see eikonal). So the documented
+equality of the two amplitudes at small angle checks the Lambda algebra
+and the two Hankel integrands against each other. On a table
+born1_amplitude reports the error estimate of fourier3d's quadrature under
+the given settings.
 """
 
 import numpy as np

@@ -20,17 +20,15 @@ one exists unless told otherwise.
 The z-profile w(b) = int V dz of the quadrature route is the one that
 born.born_resummed_amplitude integrates too. _z_profile holds one
 _ZProfile, of the potential and setting last used, so the two routes share
-it across angles and k. Every value comes with a bound on its error. For
-Yukawa and Gauss the profile serves b <= R from piecewise-Chebyshev
-interpolants built once, at rounding level of the profile, each piece
-with its bound. A tabulated potential's b are integrated at that b alone
-and stored by the exact b, with the quadrature's error estimate, so each
-has the bits of integrating at that b alone. Either way a value does not
-depend on which route or call asked for it first. The store is safe to
-call from several threads: two callers may integrate the same b, to the
-same bits. Both amplitudes integrate over [0, R], R the potential's own
-range from potentials.reach, and add the bound on the tail beyond R and
-the J0-weighted integral of w's bounds to their error_estimate.
+it across angles and k. Every model's b are integrated at that b alone
+and stored by the exact b, with the quadrature's error estimate as the
+bound on the error, so each value has the bits of integrating at that b
+alone and does not depend on which route or call asked for it first. The
+store is safe to call from several threads: two callers may integrate the
+same b, to the same bits. Both amplitudes integrate over [0, R], R the
+potential's own range from potentials.reach, and add the bound on the
+tail beyond R and the J0-weighted integral of w's bounds to their
+error_estimate.
 """
 
 import dataclasses
@@ -41,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paper_forms
-from .errors import (ConvergenceError, DomainError, PoleError,
-                     SingularityError, UnsupportedModelError)
-from .potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
-                         origin_expansion, reach)
+from .errors import (DomainError, PoleError, SingularityError,
+                     UnsupportedModelError)
+from .potentials import Gauss, TabulatedRadial, Yukawa, evaluate, reach
 from .quadrature import (DEFAULT_SETTINGS, hankel0, integrate_adaptive,
                          integrate_semi_infinite)
 from .special_functions import bessel_k0
@@ -147,28 +144,6 @@ def momentum_transfer(k, theta, small_angle=False):
     return 2.0 * k * np.sin(0.5 * np.asarray(theta))
 
 
-# Piecewise-Chebyshev z-profile of an analytic potential on [0, R]
-# (Trefethen, Approximation Theory and Approximation Practice, 2013): each
-# piece interpolates w at _CHEB_N first-kind nodes, so b = 0 is never
-# sampled. A piece is accepted when its last three coefficients, and its
-# deviation from a direct integral at two off-grid points, are at most
-# _CHEB_TAIL times max(its largest |w|, W), W the largest |w| of the first
-# round: rounding level of the profile, not rel_tol. Otherwise it is
-# bisected, within the max_subdivisions budget.
-_CHEB_N = 32
-_CHEB_TAIL = 1e-14
-# relative target of the node integrals: at rel_tol = 1e-10 a Yukawa node
-# can be off by 3e-12 relative, a noise no rounding-level tail can pass
-_CHEB_REL_TOL = 1e-13
-_CHEB_X = np.cos((2 * np.arange(_CHEB_N) + 1) * np.pi / (2 * _CHEB_N))
-# values at _CHEB_X (rows) @ _CHEB_T -> Chebyshev coefficients
-_CHEB_T = (2.0 / _CHEB_N) * np.cos(np.outer(np.arccos(_CHEB_X),
-                                            np.arange(_CHEB_N)))
-_CHEB_T[:, 0] *= 0.5
-# halfway, in angle, between the two outermost nodes at either end
-_CHEB_CHECK = np.cos(np.pi / _CHEB_N) * np.array([-1.0, 1.0])
-_EPS = np.finfo(float).eps
-
 # The z-profile held: the _ZProfile of the potential last used. A call for
 # another potential or setting replaces it; a store of per-b values is
 # emptied once it would hold more than _PROFILE_ENTRIES values. Swaps,
@@ -180,8 +155,8 @@ _profile = None
 
 
 def _z_profile(p, settings):
-    """The _ZProfile of p under settings: the one held, or a new one (built
-    before it is held, so a failed build leaves nothing behind)."""
+    """The _ZProfile of p under settings: the one held, or a new one, which
+    is then held."""
     global _profile
     with _profile_lock:
         held = _profile
@@ -193,6 +168,9 @@ def _z_profile(p, settings):
     return held
 
 
+_EPS = np.finfo(float).eps
+
+
 def _floored(settings, scale):
     """settings with an absolute floor at rounding level of a profile whose
     largest value is about scale: w can then hold its relative target where
@@ -201,33 +179,18 @@ def _floored(settings, scale):
         settings, abs_tol=max(_EPS * scale, np.finfo(float).tiny))
 
 
-def _clenshaw(coef, x):
-    """sum_k coef[j, k] T_k(x[j]) for each row j."""
-    b1 = b2 = np.zeros(x.shape)
-    x2 = 2.0 * x
-    for c in coef[:, :0:-1].T:
-        b1, b2 = c + x2 * b1 - b2, b1
-    return coef[:, 0] + x * b1 - b2
-
-
 class _ZProfile:
     """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz of one potential under
     one setting; call it with a 1-d array of b for (w, a bound on the
     error of each w). reach and tail are potentials.reach(p).
 
-    For Yukawa and Gauss, b <= reach reads the piecewise-Chebyshev
-    interpolant built at construction, with its piece's bound. On pieces
-    starting at b = 0 it interpolates w plus the log b terms of w there,
-    (2 c_m1 + c_1 b^2) log b from origin_expansion, which are added back
-    exactly. b beyond reach is integrated directly, uncached, with the
-    absolute floor _EPS * W, W the largest |w| of the build's first round.
-
-    Every b of a tabulated potential, whose w is only C^3 at each knot, is
-    integrated at that b alone and stored by the exact float b with its
-    error estimate, so each has the bits of integrating at that b alone.
-    The absolute floor is _EPS max|v| r[-1]: computed once per profile,
-    never from the b asked for. Rows at or beyond the last radius
-    integrate to 0.
+    Every b is integrated at that b alone and stored by the exact float b
+    with its error estimate, so each has the bits of integrating at that
+    b alone, whichever route or call asked first. The absolute floor is
+    computed once per profile, never from the b asked for: eps max|v|
+    r[-1] for a table, whose rows at or beyond the last radius integrate
+    to 0; the smallest normal float for Yukawa and Gauss, whose
+    integrands keep one sign, so the relative target can always be met.
     """
 
     def __init__(self, p, settings):
@@ -235,102 +198,11 @@ class _ZProfile:
         self.settings = settings
         self.reach, self.tail = reach(p)
         self._store = {}
-        if isinstance(p, TabulatedRadial):
-            self._coef = None
-            scale = float(np.max(np.abs(p.v))) * p.r[-1]
-        else:
-            c_m1, _, c_1 = origin_expansion(p)
-            self._logs = (2.0 * c_m1, c_1) if c_m1 or c_1 else None
-            scale = self._build()
+        scale = float(np.max(np.abs(p.v))) * p.r[-1] \
+            if isinstance(p, TabulatedRadial) else 0.0
         self._direct = _floored(settings, scale)
 
-    def _core(self, b):
-        """The log b terms of w at small b, from V ~ c_m1/r + c_0 + c_1 r."""
-        two_c_m1, c_1 = self._logs
-        return -(two_c_m1 + c_1 * b * b) * np.log(b)
-
-    def _sample(self, lo, hi, x, settings):
-        """(w, w less the core on pieces at b = 0) at the points x of the
-        pieces [lo, hi], one row per piece, in one row-batched quadrature."""
-        b = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x
-        flat = b.ravel()
-        w, _ = _integrate_z_profile(self.p, flat, settings,
-                                    lambda m: f" at b = {float(flat[m])!r}")
-        w = w.reshape(b.shape)
-        if self._logs is None:
-            return w, w
-        at0 = (lo == 0.0)[:, None]
-        return w, w - np.where(at0, self._core(np.where(at0, b, 1.0)), 0.0)
-
-    def _build(self):
-        """Bisect [0, reach] into accepted pieces; return W."""
-        s = self.settings
-        lo, hi = np.array([0.0]), np.array([self.reach])
-        pieces = []
-        big = None
-        splits = 0
-        while lo.size:
-            direct = dataclasses.replace(
-                _floored(s, 0.0 if big is None else big),
-                rel_tol=min(s.rel_tol, _CHEB_REL_TOL))
-            w, f = self._sample(lo, hi, _CHEB_X, direct)
-            if big is None:
-                big = float(np.max(np.abs(w)))
-            coef = f @ _CHEB_T
-            scale = np.maximum(np.max(np.abs(w), axis=1), big)
-            tol = _CHEB_TAIL * scale
-            tail = np.max(np.abs(coef[:, -3:]), axis=1)
-            dev = np.full(lo.size, np.inf)
-            ok = tail <= tol
-            if ok.any():
-                _, f_off = self._sample(lo[ok], hi[ok], _CHEB_CHECK, direct)
-                got = _clenshaw(np.repeat(coef[ok], 2, axis=0),
-                                np.tile(_CHEB_CHECK, int(ok.sum())))
-                dev[ok] = np.max(np.abs(got.reshape(-1, 2) - f_off), axis=1)
-                ok &= dev <= tol
-            # the interpolation error, plus rounding and the quadrature
-            # floor of the node values
-            bound = np.maximum(dev, _CHEB_N * tail) + _CHEB_N * _EPS * scale
-            pieces += zip(lo[ok], hi[ok], coef[ok], bound[ok])
-            lo, hi = lo[~ok], hi[~ok]
-            splits += lo.size
-            if splits > s.max_subdivisions:
-                j = np.argmax(tail[~ok] - tol[~ok])
-                raise ConvergenceError(
-                    f"z-profile interpolant: budget of {s.max_subdivisions} "
-                    f"subdivisions exhausted on [{lo[j]!r}, {hi[j]!r}] "
-                    f"(coefficient tail {tail[~ok][j]:.3e}, off-grid "
-                    f"deviation {dev[~ok][j]:.3e}, target {tol[~ok][j]:.3e})")
-            mid = 0.5 * (lo + hi)
-            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        pieces.sort(key=lambda piece: piece[0])
-        lo, hi, coef, bound = (np.array(c) for c in zip(*pieces))
-        self._lo, self._hi, self._coef, self._bound = lo, hi, coef, bound
-        return big
-
     def __call__(self, b):
-        if self._coef is None:
-            return self._integrated(b)
-        inside = b <= self.reach
-        if inside.all():
-            return self._interpolate(b)
-        w, err = np.empty(b.shape), np.empty(b.shape)
-        w[inside], err[inside] = self._interpolate(b[inside])
-        far = np.flatnonzero(~inside)
-        w[far], err[far] = _integrate_z_profile(
-            self.p, b[far], self._direct, lambda m: f" in row {far[m]}")
-        return w, err
-
-    def _interpolate(self, b):
-        i = np.searchsorted(self._hi, b)
-        lo, hi = self._lo[i], self._hi[i]
-        w = _clenshaw(self._coef[i], (2.0 * b - lo - hi) / (hi - lo))
-        if self._logs is not None:
-            at0 = lo == 0.0
-            w[at0] += self._core(b[at0])
-        return w, self._bound[i]
-
-    def _integrated(self, b):
         """(w, error) at each b from the store, integrating the distinct
         misses in one row-batched quadrature."""
         keys = b.tolist()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eikonal import Amplitude, Kinematics, momentum_transfer
+from .eikonal import Kinematics, _amplitude, momentum_transfer
 from .errors import ConvergenceError, DomainError, RangeError
 from .potentials import effective_radius, evaluate, origin_expansion
 # The effective radius is integrated in potentials; the two integrators and
@@ -321,23 +321,17 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
 def amplitude_partial_wave(ps, theta):
     """f(theta) = (1/2ik) sum (2l+1)(e^{2 i delta_l} - 1) P_l(cos theta).
 
-    theta may be a scalar or an array; array input yields an Amplitude
-    whose fields are arrays over the same grid.
+    theta may be a scalar or a 1-d array in [0, pi]; array input yields an
+    Amplitude whose fields are arrays over the same grid.
     """
-    scalar = np.isscalar(theta)
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if np.any(th < 0.0) or np.any(th > np.pi):
-        raise DomainError("theta must lie in [0, pi]")
-    k = ps.k
+    th = np.asarray(theta, dtype=float)
+    if th.ndim > 1:
+        raise DomainError("theta must be a scalar or a 1-d array")
+    q = momentum_transfer(ps.k, th)  # checks that theta lies in [0, pi]
     s_mat = (2.0 * np.arange(ps.l_max + 1) + 1.0) * (
         np.exp(2j * ps.delta) - 1.0)
     p_rows = legendre_p_row(ps.l_max, np.cos(th))
-    f = np.sum(s_mat[:, None] * p_rows, axis=0) / (2j * k)
-    q = momentum_transfer(k, th)
+    f = np.sum(s_mat[:, None] * p_rows, axis=0) / (2j * ps.k)
     # truncation bound from the last retained partial wave
-    tail = (2.0 * ps.l_max + 1.0) * abs(ps.delta[-1]) / k
-    if scalar:
-        return Amplitude(theta=float(th[0]), q=float(q[0]),
-                         value=complex(f[0]), error_estimate=tail)
-    return Amplitude(theta=th, q=q, value=f,
-                     error_estimate=tail)
+    tail = (2.0 * ps.l_max + 1.0) * abs(ps.delta[-1]) / ps.k
+    return _amplitude(theta, th, q, f.reshape(th.shape), tail)

@@ -454,6 +454,16 @@ class TestAmplitudePartialWave:
         with pytest.raises(DomainError):
             amplitude_partial_wave(ps, np.pi + 0.2)
 
+    def test_theta_is_a_scalar_or_a_1d_array(self):
+        # a 2-d theta is refused, not broadcast against the rows of P_l; a
+        # 0-d array gives the scalar fields of a float
+        ps = phase_shifts(Yukawa(0.5, 1.0), KIN2)
+        with pytest.raises(DomainError, match="scalar or a 1-d array"):
+            amplitude_partial_wave(ps, [[0.1]])
+        f = amplitude_partial_wave(ps, np.array(0.3))
+        assert f == amplitude_partial_wave(ps, 0.3)
+        assert type(f.value) is complex and type(f.q) is float
+
     def test_backward_angle_allowed(self):
         # unlike the small-angle sources, the exact sum covers theta = pi
         ps = phase_shifts(Yukawa(0.5, 1.0), KIN2)

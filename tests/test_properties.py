@@ -1,6 +1,7 @@
 """Property sweeps over model, sign and size of the coupling, and range:
-the resummed Born amplitude's reported error, which includes the z-profile
-interpolant's bound, covers its deviation from a tight reference; the
+the reported errors of the two routes that read the z-profile, resummed
+Born and the quadrature-phase eikonal, which include the bounds of the
+profile's values, cover their deviation from a tight reference; the
 partial-wave oracle keeps its phase shifts in (-pi/2, pi/2] and obeys the
 optical theorem; the effective radius, on random tables too, holds its
 fraction of the weight within the potential's reach."""
@@ -51,11 +52,12 @@ def tables(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(p=potentials(), k=st.sampled_from([1.0, 2.0, 5.0]))
-def test_born_resummed_error_covers_the_tight_closed_phase_eikonal(p, k):
+def test_z_profile_routes_errors_cover_the_tight_closed_phase_eikonal(p, k):
     kin = Kinematics(mass=1.0, k=k)
-    got = born_resummed_amplitude(p, kin, THETA)
     tight = amplitude_eikonal(p, kin, THETA, TIGHT, phase="closed")
-    assert np.all(np.abs(got.value - tight.value) <= got.error_estimate)
+    for got in (born_resummed_amplitude(p, kin, THETA),
+                amplitude_eikonal(p, kin, THETA, phase="quadrature")):
+        assert np.all(np.abs(got.value - tight.value) <= got.error_estimate)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -1,12 +1,10 @@
 """The z-profile: eikonal's quadrature phase and born_resummed read one w(b)
-per potential and setting, each value with a bound on its error. Yukawa
-and Gauss serve b <= R, the potential's own range, from a
-piecewise-Chebyshev interpolant within its reported bound, and integrate
-b beyond R directly; every b of a table comes from a store of per-b
-integrals with the bits of an uncached integration."""
+per potential and setting, each value with a bound on its error. Every b,
+of Yukawa, Gauss or a table, comes from a store of per-b integrals with
+the bits of an uncached integration, within its bound of a tight
+integral."""
 
 import filecmp
-import re
 
 import numpy as np
 import pytest
@@ -55,43 +53,32 @@ def _same_bits(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def _piece_bound(profile, b):
-    return profile._bound[np.searchsorted(profile._hi, b)]
-
-
 @pytest.mark.parametrize("make_p", [lambda: Yukawa(0.5, 1.0),
                                     lambda: Gauss(0.3, 0.7), _table],
                          ids=["yukawa", "gauss", "table"])
 def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
     p = make_p()
     profile = eikonal._z_profile(p, SETTINGS)
-    # a table stores every b; Yukawa and Gauss integrate b beyond their
-    # reach afresh, storing nothing
-    table = profile._coef is None
-    b_far = B if table else B + profile.reach
-    cold = profile(b_far[:3])
-    warm = profile(b_far)  # hits, misses and repeats
-    again = profile(b_far[::-1])  # hits only
+    cold = profile(B[:3])
+    warm = profile(B)  # hits, misses and repeats
+    again = profile(B[::-1])  # hits only
     # every value, and its error estimate, has the bits of asking for that
     # b alone, and of integrating it afresh
-    for b, w, e in zip(b_far, *warm):
+    for b, w, e in zip(B, *warm):
         _same_bits((w, e), [x[0] for x in profile(np.array([b]))])
     _same_bits(cold, [x[:3] for x in warm])
     _same_bits(again, [x[::-1] for x in warm])
-    _same_bits(warm, _uncached(p, b_far, profile._direct))
-    assert set(profile._store) == (set(B.tolist()) if table else set())
-    if table:
+    _same_bits(warm, _uncached(p, B, profile._direct))
+    assert set(profile._store) == set(B.tolist())
+    if isinstance(p, TabulatedRadial):
         beyond = warm[0][B >= 4.0]
         assert beyond.tolist() == [0.0, 0.0, 0.0]
         assert not np.signbit(beyond).any()
         assert warm[1][B >= 4.0].tolist() == [0.0, 0.0, 0.0]
         assert np.all(warm[1][B < 4.0] > 0.0)
     else:
-        # within reach: the interpolant, with its piece's bound
-        inside = np.concatenate([B, b_far])
-        w, err = profile(inside)
-        _same_bits(err[:B.size], _piece_bound(profile, B))
-        _same_bits((w[B.size:], err[B.size:]), warm)
+        # an integrand of one sign: no floor above the smallest normal
+        assert profile._direct.abs_tol == np.finfo(float).tiny
 
 
 def test_tabulated_run_is_byte_identical_at_one_and_four_threads(tmp_path):
@@ -133,7 +120,6 @@ directory = {out}
 
 
 def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
-    p = _table()
     kin = Kinematics(mass=1.0, k=3.0)
     theta = np.array([0.0, 0.1, 0.2])
     requested, integrated = [], []
@@ -152,41 +138,49 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
     def asked(route, z_profile):
         return lambda p, settings: Asked(route, z_profile(p, settings))
 
-    def counted(*args, rows, **kwargs):
-        integrated.append(rows)
-        return integrate(*args, rows=rows, **kwargs)
+    def counted(integrate):
+        def call(*args, rows, **kwargs):
+            integrated.append(rows)
+            return integrate(*args, rows=rows, **kwargs)
+        return call
 
-    integrate = eikonal.integrate_adaptive
     monkeypatch.setattr(eikonal, "_z_profile",
                         asked("eikonal", eikonal._z_profile))
     monkeypatch.setattr(born, "_z_profile", asked("born", born._z_profile))
-    monkeypatch.setattr(eikonal, "integrate_adaptive", counted)
-    amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
-    born_resummed_amplitude(p, kin, theta, SETTINGS)
+    for name in ("integrate_adaptive", "integrate_semi_infinite"):
+        monkeypatch.setattr(eikonal, name, counted(getattr(eikonal, name)))
 
     def distinct(route):
         return {x for r, b in requested if r == route for x in b}
 
-    eik, res = distinct("eikonal"), distinct("born")
-    assert eik and res and eik & res  # the routes share impact parameters
-    assert sum(integrated) == len(eik | res)
+    for p in (_table(), Yukawa(0.5, 1.0), Gauss(0.01, 1.0)):
+        requested.clear()
+        integrated.clear()
+        amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
+        born_resummed_amplitude(p, kin, theta, SETTINGS)
+        eik, res = distinct("eikonal"), distinct("born")
+        # the routes share impact parameters
+        assert eik and res and eik & res, p
+        assert sum(integrated) == len(eik | res), p
 
 
 def test_failing_miss_row_names_the_callers_row():
-    p = _table()
     settings = QuadratureSettings(max_subdivisions=8)
-    b = np.array([0.5, 1.0, 0.05])
-    profile = eikonal._z_profile(p, settings)
-    profile(b[:2])
-    with pytest.raises(ConvergenceError) as cached:
-        profile(b)
-    with pytest.raises(ConvergenceError) as uncached:
-        _uncached(p, b, profile._direct)
-    assert "in row 2 " in str(cached.value)
-    assert str(cached.value) == str(uncached.value)
-    # nothing of the failed row was stored: it fails again
-    with pytest.raises(ConvergenceError, match="in row 1 "):
-        profile(b[1:])
+    # the last b of each input exhausts the budget of 8 subdivisions
+    for p, b in ((_table(), np.array([0.5, 1.0, 0.05])),
+                 (Yukawa(0.5, 1.0), np.array([2.0, 1e-3]))):
+        profile = eikonal._z_profile(p, settings)
+        profile(b[:-1])
+        with pytest.raises(ConvergenceError) as cached:
+            profile(b)
+        with pytest.raises(ConvergenceError) as uncached:
+            _uncached(p, b, profile._direct)
+        assert f"in row {b.size - 1} " in str(cached.value)
+        assert str(cached.value) == str(uncached.value)
+        # nothing of the failed row was stored: it fails again
+        assert set(profile._store) == set(b[:-1].tolist())
+        with pytest.raises(ConvergenceError, match="in row 1 "):
+            profile(b[-2:])
 
 
 def test_store_holds_one_potential_and_a_bounded_count(monkeypatch):
@@ -240,15 +234,15 @@ def _off_grid(p, rng):
 
 
 @pytest.mark.parametrize("p", ANALYTIC, ids=str)
-def test_interpolant_is_within_its_bound_of_direct_integrals(p):
+def test_stored_profile_is_within_its_bound_of_direct_integrals(p):
     profile = eikonal._z_profile(p, SETTINGS)
     b = _off_grid(p, np.random.default_rng(7))
     tight = QuadratureSettings(rel_tol=1e-13, abs_tol=profile._direct.abs_tol,
                                max_subdivisions=2000)
     direct = _uncached(p, b, tight)[0]
-    got = profile(b)[0]
-    # the piece's bound, plus rounding of the value itself
-    slack = _piece_bound(profile, b) + 8.0 * EPS * np.abs(direct)
+    got, bound = profile(b)
+    # the stored bound, plus rounding of the value itself
+    slack = bound + 8.0 * EPS * np.abs(direct)
     assert np.all(np.abs(got - direct) <= slack)
 
 
@@ -257,23 +251,11 @@ def test_j0_envelope():
     assert np.all(np.abs(sps.j0(x)) * np.sqrt(np.pi * x / 2.0) <= 1.0)
 
 
-def _j0_weighted_bounds(profile, q, weight=None):
-    """int_0^R (piece bound) |J0(q b)| b db on a fine midpoint grid, or with
-    weight(q, b) in place of |J0(q b)|."""
-    edges = np.linspace(0.0, profile.reach, 600_001)
-    b = 0.5 * (edges[1:] + edges[:-1])
-    bound = _piece_bound(profile, b) * b * (edges[1] - edges[0])
-    weight = weight or (lambda qi, x: np.abs(sps.j0(qi * x)))
-    return np.array([np.sum(bound * weight(qi, b))
-                     for qi in np.atleast_1d(q)])
-
-
 @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.3, 0.7)], ids=str)
 def test_hankel_error_bounds_the_j0_weighted_piece_bounds(p):
-    # the quadrature phase hands hankel0 each w's piece bound; the error
-    # the transform adds for them is their integral against J0's envelope
-    # min(1, sqrt(2/(pi q b))) b on its own panels, which bounds the
-    # J0-weighted piece bounds, and moves no value
+    # the quadrature phase hands hankel0 each w's bound; the error the
+    # transform adds for them (their integral against J0's envelope, see
+    # test_quadrature) is positive, falls as q grows, and moves no value
     kin = Kinematics(mass=1.0, k=2.0)
     profile = eikonal._z_profile(p, SETTINGS)
     g = eikonal._phase_integrand(p, kin, "quadrature", SETTINGS)
@@ -281,17 +263,8 @@ def test_hankel_error_bounds_the_j0_weighted_piece_bounds(p):
     bounded = hankel0(g, q, profile.reach)
     plain = hankel0(lambda b: g(b)[0], q, profile.reach)
     _same_bits(bounded.value, plain.value)
-    added = (bounded.error_estimate - plain.error_estimate) \
-        * (kin.hbar * kin.v)
-
-    def envelope(qi, b):
-        return np.minimum(1.0, np.sqrt(2.0 / (np.pi * np.maximum(
-            qi * b, 1e-300))))
-
-    assert added == pytest.approx(_j0_weighted_bounds(profile, q, envelope),
-                                  rel=1e-5)
-    # (the grid does not fall on every piece edge: 1e-6 of slack)
-    assert np.all(added * (1.0 + 1e-6) >= _j0_weighted_bounds(profile, q))
+    added = bounded.error_estimate - plain.error_estimate
+    assert np.all(added > 0.0)
     assert np.all(np.diff(added[1:]) < 0.0)
 
 
@@ -302,57 +275,10 @@ def test_quadrature_chi_matches_chi_closed(p):
     profile = eikonal._z_profile(p, SETTINGS)
     closed = chi_closed(p, kin, b)
     hv = kin.hbar * kin.v
-    slack = (_piece_bound(profile, b) + 16.0 * EPS * np.abs(closed * hv)) / hv
+    slack = (profile(b)[1] + 16.0 * EPS * np.abs(closed * hv)) / hv
     dev = np.abs(chi(p, kin, b, SETTINGS) - closed)
     assert np.all(dev <= slack)
     assert np.max(dev) <= 1e-13 * np.max(np.abs(closed))  # rounding level
-
-
-def test_interpolant_is_built_once_from_a_few_hundred_integrals(monkeypatch):
-    counts = []
-    integrate = eikonal._integrate_z_profile
-
-    def counted(p, b, settings, label):
-        counts.append(b.size)
-        return integrate(p, b, settings, label)
-
-    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
-    p = Gauss(0.01, 1.0)
-    kin = Kinematics(mass=1.0, k=2.0)
-    theta = np.linspace(0.0, 0.2, 33)
-    born_resummed_amplitude(p, kin, theta, SETTINGS)
-    amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
-    born_resummed_amplitude(p, Kinematics(mass=1.0, k=5.0), theta, SETTINGS)
-    # one build for every angle, route and k: the transforms never ask
-    # beyond the profile's reach
-    assert sum(counts) <= 700
-    assert len(eikonal._z_profile(p, SETTINGS)._lo) <= 8
-    # with the c_1 b^2 log b term subtracted as well as 2 c_m1 log b, the
-    # piece at 0 for Yukawa(0.5, 1) is 0.47 wide, not 0.0009 (17 pieces)
-    assert len(eikonal._z_profile(Yukawa(0.5, 1.0), SETTINGS)._lo) <= 10
-
-
-def test_failing_node_integral_names_its_b_and_stores_nothing():
-    p = Yukawa(0.5, 1.0)
-    settings = QuadratureSettings(max_subdivisions=8)
-    before = eikonal._profile
-    with pytest.raises(ConvergenceError, match="at b = ") as failed:
-        eikonal._z_profile(p, settings)
-    assert eikonal._profile is before
-    b = float(re.search(r"at b = (\S+) ", str(failed.value)).group(1))
-    # a node of one of the pieces [0, R / 2^m] bisection makes
-    halves = 0.5 * potentials.reach(p)[0] / 2.0 ** np.arange(12)
-    assert np.any(halves[:, None] + halves[:, None] * eikonal._CHEB_X == b)
-    with pytest.raises(ConvergenceError, match="at b = "):
-        chi(p, Kinematics(mass=1.0, k=1.0), 1.0, settings)
-
-
-def test_interpolant_budget_exhaustion_is_typed(monkeypatch):
-    monkeypatch.setattr(eikonal, "_CHEB_TAIL", 0.0)
-    with pytest.raises(ConvergenceError, match="z-profile interpolant: "
-                       "budget of 8 subdivisions exhausted on"):
-        eikonal._z_profile(Gauss(0.3, 0.7),
-                           QuadratureSettings(max_subdivisions=8))
 
 
 @pytest.mark.parametrize("r_hi", [12.0, 30.0])
@@ -394,12 +320,12 @@ directory = {out}
     for name, model in models.items():
         runs = []
         for tag in ("a", "b"):
-            # a fresh parse is a fresh potential object, so a fresh build
+            # a fresh parse is a fresh potential object, so a fresh store
             cfg = parse_config(text.format(model=model,
                                            out=tmp_path / name / tag))
             assert not run_scan(cfg).failed
             runs.append(tmp_path / name / tag)
-        # the same potential again reads the profile already built
+        # the same potential again reads the profile already stored
         assert not run_scan(cfg, out_dir=str(tmp_path / name / "c")).failed
         runs.append(tmp_path / name / "c")
         for csv in ("born_resummed_k2.csv", "born_resummed_k5.csv",
@@ -410,16 +336,23 @@ directory = {out}
 
 
 @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.3, 0.7)], ids=str)
-def test_amplitude_error_includes_the_interpolation_bound(p):
+def test_amplitude_error_includes_the_interpolation_bound(p, monkeypatch):
+    # each amplitude's error exceeds its estimate with w's bounds
+    # dropped, which move no value
     kin = Kinematics(mass=1.0, k=2.0)
     theta = np.array([0.0, 0.1])
-    res = born_resummed_amplitude(p, kin, theta, SETTINGS)
-    eik = amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
-    floor = kin.mass / kin.hbar**2 \
-        * _j0_weighted_bounds(eikonal._z_profile(p, SETTINGS), res.q)
-    assert np.all(floor > 0.0)
-    assert np.all(res.error_estimate >= floor)
-    assert np.all(eik.error_estimate >= floor * (1.0 - 1e-12))
+
+    def amplitudes():
+        return (born_resummed_amplitude(p, kin, theta, SETTINGS),
+                amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature"))
+
+    bounded = amplitudes()
+    call = eikonal._ZProfile.__call__
+    monkeypatch.setattr(eikonal._ZProfile, "__call__",
+                        lambda self, b: (call(self, b)[0], np.zeros(b.size)))
+    for amp, plain in zip(bounded, amplitudes()):
+        _same_bits(amp.value, plain.value)
+        assert np.all(amp.error_estimate > plain.error_estimate)
 
 
 def test_interpolation_bound_keeps_errors_within_the_warning_target():
