@@ -165,22 +165,61 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
 
 
 def test_failing_miss_row_names_the_callers_row():
+    p = _table()
     settings = QuadratureSettings(max_subdivisions=8)
-    # the last b of each input exhausts the budget of 8 subdivisions
-    for p, b in ((_table(), np.array([0.5, 1.0, 0.05])),
-                 (Yukawa(0.5, 1.0), np.array([2.0, 1e-3]))):
-        profile = eikonal._z_profile(p, settings)
-        profile(b[:-1])
-        with pytest.raises(ConvergenceError) as cached:
-            profile(b)
-        with pytest.raises(ConvergenceError) as uncached:
-            _uncached(p, b, profile._direct)
-        assert f"in row {b.size - 1} " in str(cached.value)
-        assert str(cached.value) == str(uncached.value)
-        # nothing of the failed row was stored: it fails again
-        assert set(profile._store) == set(b[:-1].tolist())
-        with pytest.raises(ConvergenceError, match="in row 1 "):
-            profile(b[-2:])
+    b = np.array([0.5, 1.0, 0.05])
+    profile = eikonal._z_profile(p, settings)
+    profile(b[:2])
+    with pytest.raises(ConvergenceError) as cached:
+        profile(b)
+    with pytest.raises(ConvergenceError) as uncached:
+        _uncached(p, b, profile._direct)
+    assert "in row 2 " in str(cached.value)
+    assert str(cached.value) == str(uncached.value)
+    # nothing of the failed row was stored: it fails again
+    assert set(profile._store) == set(b[:2].tolist())
+    with pytest.raises(ConvergenceError, match="in row 1 "):
+        profile(b[1:])
+
+
+def test_failing_node_integral_names_its_b_and_stores_nothing():
+    # Yukawa's integral at b = 1e-3 exhausts a budget of 8 subdivisions;
+    # the error names the row that holds that b, and chi stores nothing
+    p = Yukawa(0.5, 1.0)
+    settings = QuadratureSettings(max_subdivisions=8)
+    kin = Kinematics(mass=1.0, k=1.0)
+    b = np.array([2.0, 1e-3])
+    with pytest.raises(ConvergenceError, match="in row 1 "):
+        chi(p, kin, b, settings)
+    profile = eikonal._z_profile(p, settings)
+    assert profile._store == {}
+    with pytest.raises(ConvergenceError, match="in row 0 "):
+        chi(p, kin, b[1:], settings)
+    assert profile._store == {}
+    assert eikonal._z_profile(p, settings) is profile
+
+
+def test_interpolant_is_built_once_from_a_few_hundred_integrals(monkeypatch):
+    counts = []
+    integrate = eikonal._integrate_z_profile
+
+    def counted(p, b, settings, label):
+        counts.append(b.size)
+        return integrate(p, b, settings, label)
+
+    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
+    p = Gauss(0.01, 1.0)
+    kin = Kinematics(mass=1.0, k=2.0)
+    theta = np.linspace(0.0, 0.2, 33)
+    born_resummed_amplitude(p, kin, theta, SETTINGS)
+    profile = eikonal._z_profile(p, SETTINGS)
+    amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
+    born_resummed_amplitude(p, Kinematics(mass=1.0, k=5.0), theta, SETTINGS)
+    # one store for every angle, route and k, holding each b integrated
+    # once: the transforms never ask beyond the profile's reach
+    assert eikonal._z_profile(p, SETTINGS) is profile
+    assert sum(counts) == len(profile._store)
+    assert sum(counts) <= 700
 
 
 def test_store_holds_one_potential_and_a_bounded_count(monkeypatch):
