@@ -6,9 +6,15 @@ are carried as one vectorized state with deterministic assembly), then
 extracts tan(delta_l) by matching u_l/r against the free combination
 cos(delta) j_l(kr) - sin(delta) n_l(kr) at two radii a quarter local
 wavelength apart, with one row of spherical Bessel values per radius.
-Each wave is swept and matched once: a sweep returns the array of its
-waves' phase shifts, and each pass of the automatic l_max sweeps only the
-waves above the previous pass's top.
+
+Each pass sweeps its waves three times, at steps h, 2h and 4h, between the
+same two matching radii, which lie on the 4h grid. For a smooth potential
+Numerov's error in delta is O(h^4), and the four-term series start keeps
+it so, so Richardson's R(h, 2h) = delta(h) + (delta(h) - delta(2h))/15
+removes the leading term. R(2h, 4h) is kept beside it, and the amplitude
+reports how far the two disagree as its step error. The three sweeps cost
+1 + 1/2 + 1/4 of one sweep at h. Each pass of the automatic l_max sweeps
+only the waves above the previous pass's top.
 
 The sweep runs Numerov's scheme in summed form: it carries y_n and the
 first difference y_n - y_{n-1} and adds g_n y_n to the difference at each
@@ -45,18 +51,26 @@ __all__ = [
 # decay criterion on the reduced potential: |V(r_max)| 2m/hbar^2 <= DECAY k^2
 _DECAY = 1e-12
 _TAIL_TOL = 1e-8  # |delta_{l_max}| below this counts as converged
-# auto l_max: the widths top - l0 of the sweeps, tried in turn
+# auto l_max: the widths top - l0 of the passes, tried in turn
 _WIDTHS = (64, 128, 256, 416)
 _CHUNK = 128  # Numerov steps whose coefficient rows are formed at once
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseShiftSet:
-    """Phase shifts delta_l for l = 0..l_max at one wavenumber."""
+    """Phase shifts delta_l for l = 0..l_max at one wavenumber.
+
+    delta holds Richardson's R(h, 2h) of the sweeps at h and 2h, in
+    (-pi/2, pi/2]; delta_coarse holds R(2h, 4h) on the same branch, which
+    amplitude_partial_wave reads for its step error. dr is the finest step
+    h, and r_max the first matching radius, a point of the 4h grid.
+    """
 
     k: float
     l_max: int
     delta: np.ndarray
+    delta_coarse: np.ndarray
     r_max: float
     dr: float
 
@@ -71,6 +85,11 @@ class PhaseShiftSet:
             raise DomainError("delta must hold l_max + 1 entries")
         if not np.all(np.isfinite(d)):
             raise DomainError("delta must be finite")
+        c = np.asarray(self.delta_coarse, dtype=float)
+        object.__setattr__(self, "delta_coarse", c)
+        if c.shape != d.shape or not np.all(np.isfinite(c)):
+            raise DomainError("delta_coarse must hold l_max + 1 finite "
+                              "entries")
         if abs(d[-1]) >= _TAIL_TOL:
             raise DomainError(
                 f"partial-wave tail not converged: |delta_l_max| = "
@@ -181,9 +200,10 @@ def _match(l_arr, k, r_a, r_b, w_a, w_b):
     return delta
 
 
-def _numerov_sweep(p, kin, l_arr, r_max, dr):
-    """Integrate every l of l_arr outward in one radial sweep; return the
-    array of their phase shifts.
+def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr):
+    """Integrate every l of l_arr outward in one radial sweep of step dr
+    and match at the grid points nearest r_a and r_b; return the array of
+    their phase shifts.
 
     Numerov in summed form: with y_n = (1 - h^2 f_n/12) u_n the scheme
     y_{n+1} - 2 y_n + y_{n-1} = h^2 f_n u_n reads d_{n+1} = d_n + g_n y_n,
@@ -200,11 +220,8 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr):
     h2 = dr * dr
     two_m = 2.0 * kin.mass / kin.hbar**2
 
-    i_a = int(round(r_max / dr))
-    if i_a < 2:
-        raise DomainError("r_max must lie at least 2 dr from the origin")
-    # the last step lands exactly on r_b = i_b dr
-    i_b = i_a + max(1, int(round((np.pi / (2.0 * k)) / dr)))
+    i_a = int(round(r_a / dr))  # at least 2: phase_shifts checks r_max
+    i_b = int(round(r_b / dr))  # the last step lands exactly on i_b dr
 
     r = dr * np.arange(0, i_b + 1, dtype=float)  # r[0] = 0 never used
     base = np.empty(i_b + 1)
@@ -223,17 +240,22 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr):
     def den_at(n):
         return 1.0 - h2 / 12.0 * (base[n] + ll1 * inv_r2[n])
 
-    # series start u = (r/r_2)^{l+1} (1 + c1 r + c2 r^2 + c3 r^3) from the
-    # origin expansion V ~ v_m1/r + v_0 + v_1 r; its power is 1 at r_2 and
-    # 2^-(l+1) at r_1 = r_2/2, so the start is finite at every l
-    v_m1, v_0, v_1 = origin_expansion(p)
-    um1, u0, u1c = two_m * v_m1, two_m * v_0 - k * k, two_m * v_1
+    # series start u = (r/r_2)^{l+1} (1 + c1 r + ... + c4 r^4) from the
+    # origin expansion V ~ v_m1/r + v_0 + v_1 r + v_2 r^2, c_n = (u_m1
+    # c_{n-1} + u_0 c_{n-2} + u_1 c_{n-3} + u_2 c_{n-4}) / (n (2l + n + 1));
+    # without c4 the start leaves an h^5 term in delta, which R(h, 2h) does
+    # not remove. Its power is 1 at r_2 and 2^-(l+1) at r_1 = r_2/2, so the
+    # start is finite at every l
+    v_m1, v_0, v_1, v_2 = origin_expansion(p)
+    um1, u0 = two_m * v_m1, two_m * v_0 - k * k
+    u1c, u2c = two_m * v_1, two_m * v_2
     c1 = um1 / (2.0 * la + 2.0)
     c2 = (um1 * c1 + u0) / (2.0 * (2.0 * la + 3.0))
     c3 = (um1 * c2 + u0 * c1 + u1c) / (3.0 * (2.0 * la + 4.0))
+    c4 = (um1 * c3 + u0 * c2 + u1c * c1 + u2c) / (4.0 * (2.0 * la + 5.0))
 
     def series(rv):
-        return 1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3
+        return 1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3 + c4 * rv**4
 
     y = den_at(2) * series(r[2])
     d = y - den_at(1) * np.ldexp(series(r[1]), -1 - la.astype(int))
@@ -248,46 +270,74 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr):
                   y / den_at(i_b) / r_b)
 
 
+def _extrapolated(p, kin, l_arr, r_a, r_b, dr):
+    """(R(h, 2h), R(2h, 4h)) of the waves l_arr, h = dr, from sweeps at h,
+    2h and 4h between the same matching radii. Each coarse delta is first
+    moved by a multiple of pi next to the fine one; the pair is returned in
+    (-pi/2, pi/2], shifted together."""
+    fine, mid, coarse = (_numerov_sweep(p, kin, l_arr, r_a, r_b, s * dr)
+                         for s in (1.0, 2.0, 4.0))
+    mid += np.pi * np.round((fine - mid) / np.pi)
+    coarse += np.pi * np.round((fine - coarse) / np.pi)
+    best = fine + (fine - mid) / 15.0
+    worse = mid + (mid - coarse) / 15.0
+    up, down = best <= -np.pi / 2, best > np.pi / 2
+    for x in (best, worse):
+        x[up] += np.pi
+        x[down] -= np.pi
+    return best, worse
+
+
 def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     """Solve for delta_l, l = 0..l_max, with auto defaults for all knobs.
 
+    Every pass sweeps its waves at dr, 2 dr and 4 dr and keeps Richardson's
+    R(dr, 2 dr); see PhaseShiftSet.
     l_max=None cuts the waves at the first l0 + 16 j, l0 = ceil(k r_eff)
-    + 10, whose |delta| is below the tail threshold, r_eff =
+    + 10, whose extrapolated |delta| is below the tail threshold, r_eff =
     potentials.effective_radius(p), found on every call. It sweeps up to
     top = l0 + 64, l0 + 128, l0 + 256 and l0 + 416 in turn, each pass only
     the waves above the previous top, stopping at the first pass that holds
     a converged candidate; past l0 + 416 it raises ConvergenceError. An
-    explicit l_max is one sweep to l_max.
-    r_max=None places the matching radius where the reduced potential
-    falls below 1e-12 k^2; dr=None picks a step that holds the
-    discretization error well under the tail threshold.
+    explicit l_max is one pass to l_max.
+    r_max=None takes the first of max(r_eff, 2 pi/k, 1) + 0.25 j where the
+    reduced potential has fallen below 1e-12 k^2 and rounds it up onto the
+    4 dr grid; an explicit r_max is rounded to the nearest point of that
+    grid and must meet the same bound there. The second matching radius
+    lies a quarter wavelength further out, rounded onto the same grid.
+    dr=None takes dr = min(0.04/k, 0.01); an explicit dr is the finest step
+    and must keep k dr below 0.1.
     """
     if not isinstance(kin, Kinematics):
         raise DomainError("kin must be a Kinematics instance")
     k = kin.k
     r_eff = effective_radius(p)
     if dr is None:
-        dr = min(0.01 / k, 0.005)
+        dr = min(0.04 / k, 0.01)
     else:
         dr = float(dr)
         if dr <= 0:
             raise DomainError("dr must be positive")
         if k * dr >= 0.1:
             raise DomainError("k dr must stay below 0.1")
+    step = 4.0 * dr  # the coarsest sweep's step: both radii lie on its grid
 
     if r_max is None:
-        # up onto the dr grid, so that passing the result back is accepted
-        r_max = math.ceil(_auto_r_max(p, kin, r_eff) / dr) * dr
+        # up onto the grid, so that passing the result back is accepted
+        r_max = math.ceil(_auto_r_max(p, kin, r_eff) / step) * step
     else:
         r_max = float(r_max)
         if r_max <= 0:
             raise DomainError("r_max must be positive")
+        r_max = round(r_max / step) * step
+        if r_max < 2.0 * step:
+            raise DomainError("r_max must lie at least 8 dr from the origin")
         if _reduced_strength(p, kin, r_max) > _DECAY * k * k:
             raise RangeError(
-                f"potential has not decayed at r_max = {r_max:g}: "
-                f"|V| 2m/hbar^2 exceeds 1e-12 k^2 there")
-        # keep the matching radius on the grid
-        r_max = round(r_max / dr) * dr
+                f"potential has not decayed at r_max = {r_max:g}, the "
+                f"requested radius on the 4 dr grid: |V| 2m/hbar^2 exceeds "
+                f"1e-12 k^2 there")
+    r_b = r_max + step * max(1, round((np.pi / (2.0 * k)) / step))
 
     if l_max is None:
         l0 = int(np.ceil(k * r_eff)) + 10
@@ -302,15 +352,18 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     # own, so of a wave's bits only the j_l of a wave classically forbidden
     # at the matching radius depend, at rounding level, on which pass swept
     # it. An explicit l_max is kept as given; PhaseShiftSet checks its tail.
-    delta = np.empty(0)
+    delta = coarse = np.empty(0)
     l_cut = l0
     for top in tops:
-        delta = np.concatenate([delta, _numerov_sweep(
-            p, kin, np.arange(delta.size, top + 1), r_max, dr)])
+        best, worse = _extrapolated(p, kin, np.arange(delta.size, top + 1),
+                                    r_max, r_b, dr)
+        delta = np.concatenate([delta, best])
+        coarse = np.concatenate([coarse, worse])
         while abs(delta[l_cut]) >= _TAIL_TOL and l_cut < top:
             l_cut += 16
         if abs(delta[l_cut]) < _TAIL_TOL or l_max is not None:
             return PhaseShiftSet(k=k, l_max=l_cut, delta=delta[:l_cut + 1],
+                                 delta_coarse=coarse[:l_cut + 1],
                                  r_max=r_max, dr=dr)
     raise ConvergenceError(
         "partial-wave tail refuses to converge; the potential may be too "
@@ -322,16 +375,29 @@ def amplitude_partial_wave(ps, theta):
     """f(theta) = (1/2ik) sum (2l+1)(e^{2 i delta_l} - 1) P_l(cos theta).
 
     theta may be a scalar or a 1-d array in [0, pi]; array input yields an
-    Amplitude whose fields are arrays over the same grid.
+    Amplitude whose fields are arrays over the same grid. The error
+    estimate at each angle is sum (2l+1) (|e^{2i delta_l} - e^{2i
+    delta_coarse_l}| + 2 rho) |P_l| / 2k plus the truncation bound
+    (2 l_max + 1) |delta_l_max| / k. The first term bounds |f(delta) -
+    f(delta_coarse)|, the step error the extrapolation leaves, wave by wave,
+    so it does not vanish where the waves' gaps cancel. rho = eps r_max/dr,
+    one rounding per radial step, covers each delta's rounding (under
+    0.1 rho against long-double sweeps of seven cases), which sets the
+    error once the step error falls below it.
     """
     th = np.asarray(theta, dtype=float)
     if th.ndim > 1:
         raise DomainError("theta must be a scalar or a 1-d array")
     q = momentum_transfer(ps.k, th)  # checks that theta lies in [0, pi]
-    s_mat = (2.0 * np.arange(ps.l_max + 1) + 1.0) * (
-        np.exp(2j * ps.delta) - 1.0)
+    weight = 2.0 * np.arange(ps.l_max + 1) + 1.0
+    s_mat = weight * (np.exp(2j * ps.delta) - 1.0)
     p_rows = legendre_p_row(ps.l_max, np.cos(th))
     f = np.sum(s_mat[:, None] * p_rows, axis=0) / (2j * ps.k)
+    rho = _EPS * ps.r_max / ps.dr
+    gap = weight * (np.abs(np.exp(2j * ps.delta)
+                           - np.exp(2j * ps.delta_coarse)) + 2.0 * rho)
+    step = np.sum(gap[:, None] * np.abs(p_rows), axis=0) / (2.0 * ps.k)
     # truncation bound from the last retained partial wave
     tail = (2.0 * ps.l_max + 1.0) * abs(ps.delta[-1]) / ps.k
-    return _amplitude(theta, th, q, f.reshape(th.shape), tail)
+    return _amplitude(theta, th, q, f.reshape(th.shape),
+                      (step + tail).reshape(th.shape))

@@ -182,16 +182,17 @@ def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
 
 
 def origin_expansion(potential):
-    """Coefficients (c_m1, c_0, c_1) of V(r) ~ c_m1/r + c_0 + c_1 r near
-    r = 0, consistent with what evaluate() actually returns there."""
+    """Coefficients (c_m1, c_0, c_1, c_2) of V(r) ~ c_m1/r + c_0 + c_1 r +
+    c_2 r^2 near r = 0, consistent with what evaluate() actually returns
+    there: the Numerov start's series reads them up to r^4 in u."""
     if isinstance(potential, Yukawa):
         g, mu = potential.g, potential.mu
-        return (g, -g * mu, 0.5 * g * mu * mu)
+        return (g, -g * mu, 0.5 * g * mu * mu, -g * mu**3 / 6.0)
     if isinstance(potential, Gauss):
-        return (0.0, potential.g, 0.0)
+        return (0.0, potential.g, 0.0, -potential.g * potential.alpha)
     if isinstance(potential, TabulatedRadial):
         # evaluate() clamps to v[0] below the first sample
-        return (0.0, float(potential.v[0]), 0.0)
+        return (0.0, float(potential.v[0]), 0.0, 0.0)
     raise UnsupportedModelError(
         f"unknown potential model {type(potential).__name__!r}")
 

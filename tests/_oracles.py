@@ -390,16 +390,16 @@ def effective_radius(p, fraction=0.9999):
 # every wave with the scalar Bessel pair of its own order.
 
 
-def _sweep_start(p, kin, l_arr, r_max, dr, dtype):
+def _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype):
     """(i_a, i_b, r, h2, f, u_1, u_2) of a sweep in dtype: the matching
-    indices, the float radii, h^2, f(n) = l(l+1)/r_n^2 + 2mV(r_n)/hbar^2
-    - k^2 for every wave, and the series start at r_1 and r_2; None for the
-    free equation."""
+    indices nearest r_a and r_b, the float radii, h^2, f(n) = l(l+1)/r_n^2
+    + 2mV(r_n)/hbar^2 - k^2 for every wave, and the four-term series start
+    at r_1 and r_2; None for the free equation."""
     k = dtype(kin.k)
     h = dtype(dr)
     two_m = dtype(2.0 * kin.mass / kin.hbar**2)
-    i_a = int(round(r_max / dr))
-    i_b = i_a + max(1, int(round((np.pi / (2.0 * kin.k)) / dr)))
+    i_a = int(round(r_a / dr))
+    i_b = int(round(r_b / dr))
     r = dr * np.arange(0, i_b + 1, dtype=float)
     rd = r.astype(dtype)
     base = np.zeros(i_b + 1, dtype=dtype)
@@ -415,14 +415,17 @@ def _sweep_start(p, kin, l_arr, r_max, dr, dtype):
     def f(n):
         return base[n] + ll1 * inv_r2[n]
 
-    v_m1, v_0, v_1 = origin_expansion(p)
-    um1, u0, u1c = two_m * v_m1, two_m * v_0 - k * k, two_m * v_1
+    v_m1, v_0, v_1, v_2 = origin_expansion(p)
+    um1, u0 = two_m * v_m1, two_m * v_0 - k * k
+    u1c, u2c = two_m * v_1, two_m * v_2
     c1 = um1 / (2.0 * la + 2.0)
     c2 = (um1 * c1 + u0) / (2.0 * (2.0 * la + 3.0))
     c3 = (um1 * c2 + u0 * c1 + u1c) / (3.0 * (2.0 * la + 4.0))
+    c4 = (um1 * c3 + u0 * c2 + u1c * c1 + u2c) / (4.0 * (2.0 * la + 5.0))
 
     def series(rv, scale_pow):
-        return scale_pow * (1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3)
+        return scale_pow * (1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3
+                            + c4 * rv**4)
 
     u_1 = series(rd[1], 1.0)
     u_2 = series(rd[2], 2.0 ** (la + 1.0))
@@ -456,11 +459,11 @@ def _match(l_arr, k, r_a, r_b, u_a, u_b):
     return out
 
 
-def _numerov_sweep(p, kin, l_arr, r_max, dr, dtype=float):
+def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr, dtype=float):
     """Summed-form sweep: d_{n+1} = d_n + g_n y_n, y_{n+1} = y_n + d_{n+1}
     with g_n = h^2 f_n / (1 - h^2 f_n/12); before the matching radius each
     wave's (y, d) is scaled by a power of two at every step."""
-    start = _sweep_start(p, kin, l_arr, r_max, dr, dtype)
+    start = _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype)
     if start is None:
         return np.zeros(len(l_arr))
     i_a, i_b, r, h2, f, u_1, u_2 = start
@@ -484,11 +487,11 @@ def _numerov_sweep(p, kin, l_arr, r_max, dr, dtype=float):
                   y / den(i_b))
 
 
-def _numerov_sweep_classic(p, kin, l_arr, r_max, dr, events=None):
+def _numerov_sweep_classic(p, kin, l_arr, r_a, r_b, dr, events=None):
     """Two-level sweep y_{n+1} = 2 y_n - y_{n-1} + h^2 f_n u_n, u = y/(1 -
     h^2 f/12), rescaled by 1e-250 where |u| passes 1e250. events, if a
     list, receives the grid index of every rescale."""
-    start = _sweep_start(p, kin, l_arr, r_max, dr, float)
+    start = _sweep_start(p, kin, l_arr, r_a, r_b, dr, float)
     if start is None:
         return np.zeros(len(l_arr))
     i_a, i_b, r, h2, f, u_prev, u_curr = start
@@ -519,22 +522,50 @@ def _numerov_sweep_classic(p, kin, l_arr, r_max, dr, events=None):
 
 
 # The automatic l_max plan of partial_wave.phase_shifts before the width
-# schedule: one sweep to l0 + 64 cut at the first converged l0 + 16 j, then
-# one 16-wave sweep per extension up to l0 + 416. Reference for the width
-# schedule, which must keep its l_max and its bits.
+# schedule: one pass to l0 + 64 cut at the first converged l0 + 16 j, then
+# one 16-wave pass per extension up to l0 + 416, each pass three sweeps
+# extrapolated wave by wave. Reference for the width schedule, which must
+# keep its l_max and its bits.
+
+
+def second_radius(kin, r_max, dr):
+    """The second matching radius of phase_shifts at finest step dr: a
+    quarter wavelength beyond r_max, rounded onto the 4 dr grid."""
+    step = 4.0 * dr
+    return r_max + step * max(1, round((math.pi / (2.0 * kin.k)) / step))
+
+
+def extrapolated(p, kin, l_arr, r_max, dr):
+    """(R(h, 2h), R(2h, 4h)) of l_arr, h = dr, from partial_wave's sweeps
+    at h, 2h and 4h between r_max and second_radius, one wave at a time."""
+    r_b = second_radius(kin, r_max, dr)
+    fine, mid, coarse = (
+        partial_wave._numerov_sweep(p, kin, l_arr, r_max, r_b, s * dr)
+        for s in (1.0, 2.0, 4.0))
+    best, worse = np.empty(len(l_arr)), np.empty(len(l_arr))
+    for i, (f, m, c) in enumerate(zip(fine.tolist(), mid.tolist(),
+                                      coarse.tolist())):
+        m += math.pi * round((f - m) / math.pi)
+        c += math.pi * round((f - c) / math.pi)
+        b, w = f + (f - m) / 15.0, m + (m - c) / 15.0
+        if b > math.pi / 2:
+            b, w = b - math.pi, w - math.pi
+        elif b <= -math.pi / 2:
+            b, w = b + math.pi, w + math.pi
+        best[i], worse[i] = b, w
+    return best, worse
 
 
 def phase_shifts_by_extension(p, kin, r_max, dr):
-    """(l_max, delta, sweeps) of the 16-wave extension plan at the r_max and
+    """(l_max, delta, passes) of the 16-wave extension plan at the r_max and
     dr phase_shifts resolved; raises the plan's ConvergenceError."""
     tol = partial_wave._TAIL_TOL
     l0 = int(np.ceil(kin.k * partial_wave.effective_radius(p))) + 10
-    deltas = partial_wave._numerov_sweep(p, kin, np.arange(0, l0 + 65),
-                                         r_max, dr)
+    deltas = extrapolated(p, kin, np.arange(0, l0 + 65), r_max, dr)[0]
     l_cut = next((l for l in range(l0, l0 + 64, 16)
                   if abs(deltas[l]) < tol), l0 + 64)
     deltas = deltas[:l_cut + 1]
-    sweeps = 1
+    passes = 1
     while abs(deltas[-1]) >= tol:
         if deltas.size - 1 > l0 + 400:
             raise ConvergenceError(
@@ -543,9 +574,9 @@ def phase_shifts_by_extension(p, kin, r_max, dr):
                 estimate=float(deltas[-1]), error_estimate=abs(deltas[-1]))
         ext = np.arange(deltas.size, deltas.size + 16)
         deltas = np.concatenate(
-            [deltas, partial_wave._numerov_sweep(p, kin, ext, r_max, dr)])
-        sweeps += 1
-    return deltas.size - 1, deltas, sweeps
+            [deltas, extrapolated(p, kin, ext, r_max, dr)[0]])
+        passes += 1
+    return deltas.size - 1, deltas, passes
 
 
 # Legendre polynomial of one order by its own upward recurrence, as

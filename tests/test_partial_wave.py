@@ -23,7 +23,8 @@ KIN2 = Kinematics(mass=1.0, k=2.0)
 
 
 def _count_sweeps(monkeypatch):
-    """The wave count of every _numerov_sweep call from here on."""
+    """The wave count of every _numerov_sweep call from here on: three
+    equal counts, one per step size, for each pass."""
     calls = []
     sweep = partial_wave._numerov_sweep
 
@@ -44,32 +45,38 @@ def _assert_bits_where_allowed(got, want, l_arr, x_a):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
 
 
+def _shifts(delta, **kw):
+    """A PhaseShiftSet whose coarse extrapolation equals delta."""
+    delta = np.asarray(delta, dtype=float)
+    fields = dict(k=1.0, l_max=delta.size - 1, delta=delta,
+                  delta_coarse=delta, r_max=20.0, dr=0.01)
+    return PhaseShiftSet(**{**fields, **kw})
+
+
 class TestPhaseShiftSet:
     def test_valid_construction(self):
-        ps = PhaseShiftSet(k=1.0, l_max=2,
-                           delta=np.array([0.1, 0.01, 1e-9]),
-                           r_max=20.0, dr=0.01)
-        assert ps.delta.shape == (3,)
+        ps = _shifts([0.1, 0.01, 1e-9])
+        assert ps.delta.shape == ps.delta_coarse.shape == (3,)
 
     def test_tail_must_be_converged(self):
         with pytest.raises(DomainError):
-            PhaseShiftSet(k=1.0, l_max=2,
-                          delta=np.array([0.1, 0.01, 1e-3]),
-                          r_max=20.0, dr=0.01)
+            _shifts([0.1, 0.01, 1e-3])
 
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
-            PhaseShiftSet(k=1.0, l_max=3,
-                          delta=np.array([0.1, 0.01, 0.0]),
-                          r_max=20.0, dr=0.01)
+            _shifts([0.1, 0.01, 0.0], l_max=3)
+
+    def test_coarse_shifts_match_delta(self):
+        with pytest.raises(DomainError, match="delta_coarse"):
+            _shifts([0.1, 0.0], delta_coarse=np.array([0.1]))
+        with pytest.raises(DomainError, match="delta_coarse"):
+            _shifts([0.1, 0.0], delta_coarse=np.array([0.1, np.nan]))
 
     def test_bad_scalars(self):
         with pytest.raises(DomainError):
-            PhaseShiftSet(k=-1.0, l_max=1, delta=np.array([0.1, 0.0]),
-                          r_max=20.0, dr=0.01)
+            _shifts([0.1, 0.0], k=-1.0)
         with pytest.raises(DomainError):
-            PhaseShiftSet(k=1.0, l_max=1, delta=np.array([0.1, 0.0]),
-                          r_max=0.0, dr=0.01)
+            _shifts([0.1, 0.0], r_max=0.0)
 
 
 class TestEffectiveRadius:
@@ -210,6 +217,11 @@ class TestPhaseShifts:
             phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=1.0),
                          r_max=5.0)
 
+    def test_r_max_needs_two_coarse_steps(self):
+        # r_max rounds onto the 4 dr grid, whose sweep needs two steps
+        with pytest.raises(DomainError, match="8 dr"):
+            phase_shifts(Yukawa(0.5, 1.0), KIN2, r_max=0.05, dr=0.01)
+
     def test_step_size_guards(self):
         with pytest.raises(DomainError):
             phase_shifts(Yukawa(0.5, 1.0), KIN2, dr=0.06)  # k dr = 0.12
@@ -232,23 +244,43 @@ class TestPhaseShifts:
         assert again.l_max == ps.l_max
         assert again.delta.tobytes() == ps.delta.tobytes()
 
-    @pytest.mark.parametrize("p, k, sweeps", [
+    def test_explicit_r_max_is_checked_where_it_is_used(self):
+        # r_max is rounded onto the 4 dr grid, here 0.004 wide, and the
+        # decay bound is checked at the rounded radius: 1e-9 beyond the
+        # decay point rounds up and is accepted, and passing the radius
+        # back changes nothing; a radius that rounds below it is refused
+        from scipy.optimize import brentq
+        p, kin, dr = Yukawa(0.52, 1.0), Kinematics(mass=1.0, k=10.0), 1e-3
+        decay = brentq(lambda r: 2.0 * p.g * math.exp(-r) / r - 1e-10,
+                       10.0, 30.0, xtol=1e-14)
+        # the nearest point of the dr grid, 20.066, lies below it
+        assert 20.066 < decay < 20.0661
+        for offset in (-1e-9, 1e-9, 2e-3):
+            ps = phase_shifts(p, kin, r_max=decay + offset, dr=dr)
+            assert ps.r_max == pytest.approx(20.068, abs=1e-12)
+            again = phase_shifts(p, kin, r_max=ps.r_max, dr=ps.dr)
+            assert again.r_max == ps.r_max
+            assert again.delta.tobytes() == ps.delta.tobytes()
+        with pytest.raises(RangeError, match="r_max = 20.064"):
+            phase_shifts(p, kin, r_max=decay - 2e-3, dr=dr)
+
+    @pytest.mark.parametrize("p, k, passes", [
         (Yukawa(0.5, 1.0), 10.0, 1),
         (Yukawa(5.0, 0.5), 10.0, 2),  # tail beyond l0 + 64
     ])
     def test_auto_l_max_sweeps_once_and_trims(self, monkeypatch, p, k,
-                                              sweeps):
+                                              passes):
         # l_max is the first l0 + 16 j with a converged |delta|, found in
-        # one sweep to l0 + 64; only a longer tail sweeps again, wider, and
-        # only the waves above the previous top
+        # one pass to l0 + 64; only a longer tail passes again, wider, and
+        # only over the waves above the previous top; a pass is three sweeps
         calls = _count_sweeps(monkeypatch)
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
-        assert len(calls) == sweeps
+        assert len(calls) == 3 * passes
         l0 = math.ceil(k * effective_radius(p)) + 10
-        tops = [l0 + w for w in partial_wave._WIDTHS[:sweeps]]
-        assert calls == list(np.diff([-1] + tops))
-        assert sum(calls) == tops[-1] + 1
+        tops = [l0 + w for w in partial_wave._WIDTHS[:passes]]
+        assert calls == [n for n in np.diff([-1] + tops) for _ in range(3)]
+        assert sum(calls) == 3 * (tops[-1] + 1)
         assert (ps.l_max - l0) % 16 == 0
         assert all(abs(ps.delta[l]) >= partial_wave._TAIL_TOL
                    for l in range(l0, ps.l_max, 16))
@@ -256,8 +288,9 @@ class TestPhaseShifts:
         same = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
                             dr=ps.dr)
         assert same.delta.tobytes() == ps.delta.tobytes()
+        assert same.delta_coarse.tobytes() == ps.delta_coarse.tobytes()
 
-    @pytest.mark.parametrize("p, k, l_max, sweeps_then, sweeps_now", [
+    @pytest.mark.parametrize("p, k, l_max, passes_then, passes_now", [
         (Yukawa(5.0, 0.5), 10.0, 342, 3, 2),
         (Yukawa(5.0, 0.5), 30.0, 940, 11, 3),
         (Yukawa(5.0, 0.3), 5.0, 302, 3, None),
@@ -268,18 +301,20 @@ class TestPhaseShifts:
         (Yukawa(0.5, 1.0), 30.0, None, None, None),
     ])
     def test_width_schedule_keeps_the_bits_of_16_wave_extensions(
-            self, monkeypatch, p, k, l_max, sweeps_then, sweeps_now):
+            self, monkeypatch, p, k, l_max, passes_then, passes_now):
+        # a pass is three sweeps, at dr, 2 dr and 4 dr
         calls = _count_sweeps(monkeypatch)
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
-        now = len(calls)
+        assert len(calls) % 3 == 0
+        now = len(calls) // 3
         ref_l_max, ref_delta, then = _oracles.phase_shifts_by_extension(
             p, kin, ps.r_max, ps.dr)
         assert ps.l_max == ref_l_max
         assert ps.delta.tobytes() == ref_delta.tobytes()
         assert now <= 4
-        for want, got in ((l_max, ps.l_max), (sweeps_then, then),
-                          (sweeps_now, now)):
+        for want, got in ((l_max, ps.l_max), (passes_then, then),
+                          (passes_now, now)):
             assert want is None or got == want
 
     def test_unconverged_tail_raises_the_estimate_at_the_cap(self,
@@ -294,8 +329,8 @@ class TestPhaseShifts:
         with pytest.raises(ConvergenceError) as new:
             phase_shifts(p, kin, r_max=ps.r_max, dr=ps.dr)
         l0 = math.ceil(kin.k * effective_radius(p)) + 10
-        assert len(calls) == 4 and calls[-1] == 416 - 256
-        assert sum(calls) == l0 + 416 + 1
+        assert len(calls) == 3 * 4 and calls[-1] == 416 - 256
+        assert sum(calls) == 3 * (l0 + 416 + 1)
         with pytest.raises(ConvergenceError) as ref:
             _oracles.phase_shifts_by_extension(p, kin, ps.r_max, ps.dr)
         assert str(new.value) == str(ref.value)
@@ -305,13 +340,15 @@ class TestPhaseShifts:
 
     def test_high_waves_start_finite(self):
         # the start 2^(l+1) at r_2 overflowed for l >~ 1008; l_max is
-        # above 1100 here
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ps = phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=80.0),
-                              dr=0.001)
-        assert ps.l_max > 1100
-        assert np.all(np.isfinite(ps.delta))
+        # above 1100 here at dr and at dr/2, so the waves past 1008 are
+        # live ones, not the step error's (at k = 80 l_max was 999)
+        for dr in (1e-3, 5e-4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ps = phase_shifts(Yukawa(0.5, 1.0),
+                                  Kinematics(mass=1.0, k=95.0), dr=dr)
+            assert ps.l_max > 1100
+            assert np.all(np.isfinite(ps.delta))
 
     @pytest.mark.parametrize("k", [10.0, 30.0])
     def test_sweep_keeps_the_bits_of_the_per_step_summed_form(
@@ -327,6 +364,24 @@ class TestPhaseShifts:
         ref = phase_shifts(p, kin)
         assert ref.l_max == ps.l_max
         assert ref.delta.tobytes() == ps.delta.tobytes()
+        assert ref.delta_coarse.tobytes() == ps.delta_coarse.tobytes()
+
+    @pytest.mark.parametrize("g", [-2.614682499802042, -2.6146824998020426])
+    def test_extrapolation_aligns_branches_at_a_resonance(self, g):
+        # delta_0 sits at pi/2 to rounding: the sweep at h lands on either
+        # side of the branch cut, and the one at 2h at -pi/2 + 2.1e-8; both
+        # extrapolations must come out on one branch in (-pi/2, pi/2], as
+        # the per-wave loop of the oracle computes them
+        kin, l_arr = Kinematics(mass=1.0, k=1.0), np.arange(3)
+        p, r_a, dr = Gauss(g, 1.0), 6.32, 0.01
+        r_b = _oracles.second_radius(kin, r_a, dr)
+        best, worse = partial_wave._extrapolated(p, kin, l_arr, r_a, r_b, dr)
+        ref_best, ref_worse = _oracles.extrapolated(p, kin, l_arr, r_a, dr)
+        assert best.tobytes() == ref_best.tobytes()
+        assert worse.tobytes() == ref_worse.tobytes()
+        assert np.all((best > -np.pi / 2) & (best <= np.pi / 2))
+        assert best[0] == pytest.approx(np.pi / 2, abs=1e-7)
+        assert np.max(np.abs(best - worse)) < 1e-7
 
     @pytest.mark.parametrize("chunk, i_a, l_top, redone", [
         (128, 100, 120, False),  # matching radius inside the first chunk
@@ -346,8 +401,9 @@ class TestPhaseShifts:
 
         monkeypatch.setattr(partial_wave, "_CHUNK", chunk)
         monkeypatch.setattr(partial_wave, "_advance", counted)
-        new = partial_wave._numerov_sweep(p, kin, l_arr, i_a * dr, dr)
-        old = _oracles._numerov_sweep(p, kin, l_arr, i_a * dr, dr)
+        radii = (i_a * dr, (i_a + round(np.pi / (2.0 * kin.k) / dr)) * dr)
+        new = partial_wave._numerov_sweep(p, kin, l_arr, *radii, dr)
+        old = _oracles._numerov_sweep(p, kin, l_arr, *radii, dr)
         assert any(redos) == redone
         assert np.all(np.isfinite(new))
         _assert_bits_where_allowed(new, old, l_arr, kin.k * i_a * dr)
@@ -379,7 +435,8 @@ class TestPhaseShifts:
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
         l_arr = np.arange(ps.l_max + 1)
-        args = (p, kin, l_arr, ps.r_max, ps.dr)
+        args = (p, kin, l_arr, ps.r_max,
+                _oracles.second_radius(kin, ps.r_max, ps.dr), ps.dr)
         exact = _oracles._numerov_sweep(*args, dtype=np.longdouble)
         new = partial_wave._numerov_sweep(*args)
         old = _oracles._numerov_sweep_classic(*args)
@@ -417,18 +474,39 @@ class TestPhaseShifts:
 
 class TestAmplitudePartialWave:
     def test_zero_shifts_give_zero(self):
-        ps = PhaseShiftSet(k=2.0, l_max=3, delta=np.zeros(4),
-                           r_max=20.0, dr=0.01)
-        assert amplitude_partial_wave(ps, 0.3).value == 0.0
+        # the error is the rounding floor alone: rho = eps r_max/dr per wave
+        f = amplitude_partial_wave(_shifts(np.zeros(4), k=2.0), 0.3)
+        assert f.value == 0.0
+        rho = np.finfo(float).eps * 20.0 / 0.01
+        x = math.cos(0.3)
+        p_l = [1.0, x, 1.5 * x * x - 0.5, 2.5 * x**3 - 1.5 * x]
+        want = rho * sum((2 * l + 1) * abs(v) for l, v in enumerate(p_l))
+        assert f.error_estimate == pytest.approx(want / 2.0, rel=1e-12)
 
     def test_unitarity_limit_s_wave(self):
         # delta_0 = pi/2 alone: f = (1/2ik)(-2) = i/k
-        ps = PhaseShiftSet(k=2.0, l_max=3,
-                           delta=np.array([np.pi / 2, 0.0, 0.0, 0.0]),
-                           r_max=20.0, dr=0.01)
+        ps = _shifts([np.pi / 2, 0.0, 0.0, 0.0], k=2.0)
         f = amplitude_partial_wave(ps, 0.7)
         assert f.value == pytest.approx(1j / 2.0, rel=1e-14)
         assert abs(f.value) == pytest.approx(0.5, rel=1e-14)
+
+    def test_error_is_the_extrapolations_gap_plus_the_tail(self):
+        # two waves whose extrapolations disagree, and a live last wave:
+        # sum (2l + 1)|e^{2i delta} - e^{2i delta_coarse}| |P_l| / 2k, plus
+        # (2 l_max + 1)|delta_l_max| / k; at theta = pi/2, where P_1 = 0
+        # and P_2 = -1/2, the two gaps add instead of cancelling
+        delta = np.array([0.3, 0.2, 0.0, 5e-9])
+        moved = np.array([0.0, 1e-6, -2e-6, 0.0])
+        ps = _shifts(delta, k=2.0, delta_coarse=delta + moved)
+        th = np.array([0.0, 0.7, np.pi / 2])
+        f = amplitude_partial_wave(ps, th)
+        x = np.cos(th)
+        gap = (3.0 * 2e-6 * np.abs(x) + 5.0 * 4e-6 * np.abs(1.5 * x * x - 0.5)
+               ) / 4.0
+        assert f.error_estimate == pytest.approx(gap + 7.0 * 5e-9 / 2.0,
+                                                 rel=1e-6)
+        assert amplitude_partial_wave(ps, 0.7).error_estimate \
+            == pytest.approx(f.error_estimate[1], rel=1e-14)
 
     def test_agrees_with_eikonal_at_small_angle(self):
         p = Yukawa(0.5, 1.0)

@@ -160,11 +160,20 @@ def test_table_transform_does_not_import_numpy_ma(tmp_path):
 
 def test_origin_expansion():
     g, mu = 0.5, 1.2
-    cm1, c0, c1 = origin_expansion(Yukawa(g=g, mu=mu))
-    assert (cm1, c0, c1) == (g, -g * mu, 0.5 * g * mu * mu)
-    assert origin_expansion(Gauss(g=2.0, alpha=3.0)) == (0.0, 2.0, 0.0)
+    cm1, c0, c1, c2 = origin_expansion(Yukawa(g=g, mu=mu))
+    assert (cm1, c0, c1, c2) == (g, -g * mu, 0.5 * g * mu * mu,
+                                 -g * mu**3 / 6.0)
+    assert origin_expansion(Gauss(g=2.0, alpha=3.0)) == (0.0, 2.0, 0.0,
+                                                         -6.0)
     tab = TabulatedRadial(r=[0.5, 1.0, 1.5, 2.0], v=[0.9, 0.8, 0.3, 0.0])
-    assert origin_expansion(tab) == (0.0, 0.9, 0.0)
+    assert origin_expansion(tab) == (0.0, 0.9, 0.0, 0.0)
+    # what evaluate() returns leaves an r^3 remainder (r^4 for the even
+    # Gauss): halving r takes 1/8 (1/16) of it
+    for p, ratio in ((Yukawa(g=g, mu=mu), 1 / 8), (Gauss(2.0, 3.0), 1 / 16)):
+        cm1, c0, c1, c2 = origin_expansion(p)
+        r = np.array([0.02, 0.01])
+        rest = evaluate(p, r) - (cm1 / r + c0 + c1 * r + c2 * r * r)
+        assert rest[1] / rest[0] == pytest.approx(ratio, rel=0.05)
     with pytest.raises(UnsupportedModelError):
         origin_expansion("what")
 

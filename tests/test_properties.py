@@ -2,8 +2,9 @@
 the reported errors of the two routes that read the z-profile, resummed
 Born and the quadrature-phase eikonal, which include the bounds of the
 profile's values, cover their deviation from a tight reference; the
-partial-wave oracle keeps its phase shifts in (-pi/2, pi/2] and obeys the
-optical theorem; the effective radius, on random tables too, holds its
+partial-wave oracle keeps its phase shifts in (-pi/2, pi/2], obeys the
+optical theorem and reports an error that covers its move at half the
+radial step; the effective radius, on random tables too, holds its
 fraction of the weight within the potential's reach."""
 
 import dataclasses
@@ -22,6 +23,7 @@ from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa,
 from scatterlab.quadrature import DEFAULT_SETTINGS
 
 THETA = np.array([0.0, 0.03, 0.1, 0.25])
+THETA_ALL = np.linspace(0.0, np.pi, 181)
 # the benchmark's reference: tolerances 100x tighter, 10x the budget
 TIGHT = dataclasses.replace(
     DEFAULT_SETTINGS, rel_tol=DEFAULT_SETTINGS.rel_tol / 100.0,
@@ -72,6 +74,20 @@ def test_partial_wave_oracle_obeys_the_optical_theorem(p, k):
     tab = table_from_amplitudes("partial_wave", amp, k)
     assert abs(tab.total_integrated - tab.total_optical) \
         <= 1e-3 * tab.total_optical
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=potentials(), k=st.sampled_from([1.0, 3.0, 7.0, 12.0]))
+def test_partial_wave_error_covers_the_half_step_oracle(p, k):
+    # the same waves and matching radius at dr/2: the reported step and
+    # truncation error must cover the move at every angle
+    kin = Kinematics(mass=1.0, k=k)
+    ps = phase_shifts(p, kin)
+    fine = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
+                        dr=ps.dr / 2)
+    got = amplitude_partial_wave(ps, THETA_ALL)
+    ref = amplitude_partial_wave(fine, THETA_ALL)
+    assert np.all(np.abs(got.value - ref.value) <= got.error_estimate)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
