@@ -8,11 +8,15 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["CubicSpline1D"]
+__all__ = ["CubicSpline1D", "cubic_roots"]
 
 
 class CubicSpline1D:
-    """Interpolating cubic with natural (zero second derivative) ends."""
+    """Interpolating cubic with natural (zero second derivative) ends.
+
+    On [x[j], x[j+1]] it is y[j] + s (b[j] + s (c[j] + s d[j])),
+    s = x - x[j].
+    """
 
     def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -51,9 +55,9 @@ class CubicSpline1D:
                 m[i + 1] = dp[i] - cp[i] * m[i + 2]
         # per-interval cubic y0 + s (b + s (c + s d)), s = x - x0
         m0, m1 = m[:-1], m[1:]
-        self._b = (y[1:] - y[:-1]) / h - h * (2.0 * m0 + m1) / 6.0
-        self._c = m0 / 2.0
-        self._d = (m1 - m0) / (6.0 * h)
+        self.b = (y[1:] - y[:-1]) / h - h * (2.0 * m0 + m1) / 6.0
+        self.c = m0 / 2.0
+        self.d = (m1 - m0) / (6.0 * h)
 
     def __call__(self, xq):
         xq = np.asarray(xq, dtype=float)
@@ -62,6 +66,42 @@ class CubicSpline1D:
         idx = np.clip(np.searchsorted(self.x, xq, side="right") - 1,
                       0, self.x.size - 2)
         s = xq - self.x[idx]
-        out = self.y[idx] + s * (self._b[idx]
-                                 + s * (self._c[idx] + s * self._d[idx]))
+        out = self.y[idx] + s * (self.b[idx]
+                                 + s * (self.c[idx] + s * self.d[idx]))
         return out[0] if scalar else out
+
+
+def cubic_roots(y0, b, c, d, h):
+    """Real roots strictly inside (0, h[j]) of the cubics y0 + s (b + s (c
+    + s d)), one per interval j: arrays (j, s), s ascending within each j.
+
+    Each interval is cut at its cubic's turning points into parts on which
+    the cubic is monotone; a part whose ends have strictly opposite signs
+    holds one root, bisected until its bracket is at most eps h wide. A
+    root where the cubic touches 0 without changing sign is not one.
+    """
+    y0, b, c, d, h = np.broadcast_arrays(*(np.asarray(e, dtype=float)
+                                           for e in (y0, b, c, d, h)))
+
+    def cubic(j, s):
+        return y0[j] + s * (b[j] + s * (c[j] + s * d[j]))
+
+    # turning points, the roots of b + 2 c s + 3 d s^2, in the form that
+    # does not cancel; nan where there are none
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = c * c - 3.0 * b * d
+        e = -(c + np.copysign(np.sqrt(disc), c))
+        turns = np.where(d != 0.0, np.stack([e / (3.0 * d), b / e]),
+                         np.stack([-0.5 * b / c, np.full(h.shape, np.nan)]))
+    turns = np.where((turns > 0.0) & (turns < h), turns, 0.0)
+    ends = np.sort(np.vstack([np.zeros_like(h), turns, h]), axis=0)
+    j = np.arange(h.size)
+    sign = np.sign(cubic(j, ends))
+    jj, k = np.nonzero((sign[:-1] * sign[1:] < 0.0).T)
+    lo, hi = ends[k, jj], ends[k + 1, jj]
+    up = sign[k, jj] < 0.0
+    while np.any(hi - lo > np.finfo(float).eps * h[jj]):
+        mid = 0.5 * (lo + hi)
+        below = (cubic(jj, mid) < 0.0) == up
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return jj, 0.5 * (lo + hi)

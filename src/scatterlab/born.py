@@ -20,8 +20,8 @@ phase reads too: per-b integrals with the bits of integrating at that b
 alone, each w with a bound on its error (see eikonal). So the documented
 equality of the two amplitudes at small angle checks the Lambda algebra
 and the two Hankel integrands against each other. On a table
-born1_amplitude reports the error estimate of fourier3d's quadrature under
-the given settings.
+born1_amplitude reports the a-priori error bound of fourier3d's fixed
+Gauss rule, whose piece budget is the settings' max_subdivisions.
 """
 
 import numpy as np
@@ -44,7 +44,7 @@ __all__ = [
 def born1_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
     """First Born amplitude at one angle, or at every angle of a 1-d theta
     array in one fourier3d call (fields are then arrays), q = 2k sin(theta/2).
-    settings govern the quadrature of a table's transform.
+    settings.max_subdivisions caps the pieces of a table's transform.
     """
     th = np.asarray(theta, dtype=float)
     if th.ndim > 1:

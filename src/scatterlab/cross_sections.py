@@ -17,14 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paper_forms
-from ._spline import CubicSpline1D
+from ._spline import CubicSpline1D, cubic_roots
 from .born import born1_amplitude
 from .eikonal import Amplitude, momentum_transfer
 from .errors import (ConvergenceError, DomainError, PoleError, RangeError,
                      UnsupportedModelError)
 from .paper_forms import total as paper_totals
 from .potentials import Gauss, Yukawa
-from .quadrature import QuadratureSettings, integrate_adaptive
+from .quadrature import (QuadratureSettings, integrate_adaptive,
+                         integrate_cubic)
 
 __all__ = [
     "SOURCES",
@@ -101,12 +102,44 @@ def total_optical(f0, k):
     return 4.0 * np.pi / k * float(value.imag)
 
 
+def _sin_kernel(q, theta):
+    """sin(q theta): at q = 1 the weight of the total's theta integral."""
+    return np.sin(q * theta)
+
+
+def _sin_kernel_bound(h, theta, j):
+    """h^j |d^j sin(q theta)/dtheta^j| <= (q h)^j <= 1 for q <= 1/h."""
+    return 1.0
+
+
+def _positive_parts(x, coef):
+    """The parts of the intervals [x[j], x[j+1]] on which the cubic of
+    coef[:, j] (in s = theta - x[j]) is positive, the rest being where
+    max(cubic, 0) is 0: each interval is cut at its cubic's roots inside
+    it. Returns (lo, hi, coefficients, origin) of those parts."""
+    j, s = cubic_roots(*coef, np.diff(x))
+    part = np.concatenate((np.arange(x.size - 1), j))
+    start = np.concatenate((np.zeros(x.size - 1), s))
+    order = np.lexsort((start, part))
+    part, start = part[order], start[order]
+    lo = np.minimum(x[part] + start, x[part + 1])
+    last = np.append(part[1:] != part[:-1], True)
+    hi = np.where(last, x[part + 1], np.append(lo[1:], 0.0))
+    y0, b, c, d = coef[:, part]
+    mid = 0.5 * (lo + hi) - x[part]
+    keep = y0 + mid * (b + mid * (c + mid * d)) > 0.0
+    return lo[keep], hi[keep], coef[:, part[keep]], x[part[keep]]
+
+
 def total_integrated(rows, k):
     """2 pi int_0^pi dsigma(theta) sin(theta) dtheta from tabulated rows.
 
-    The rows are interpolated with a cubic spline and integrated
-    adaptively; a second integration on every other row must agree, or
-    the grid is too sparse to trust and a convergence error is raised.
+    The rows are interpolated with a cubic spline, clipped at 0, and each
+    interval's cubic times sin(theta) is integrated on the fixed Gauss
+    rule of quadrature.integrate_cubic; where the spline dips below 0 the
+    interval is cut at the cubic's roots. A second integration on every
+    other row must agree, or the grid is too sparse to trust and a
+    convergence error is raised.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 5:
@@ -123,17 +156,12 @@ def total_integrated(rows, k):
             "too few rows to form a trustworthy interpolant",
             estimate=np.nan, error_estimate=np.inf)
 
-    settings = QuadratureSettings(rel_tol=1e-9, abs_tol=1e-300)
-
     def sigma_from(th, ds):
         spline = CubicSpline1D(th, ds)
-
-        def integrand(t):
-            t = np.clip(t, th[0], th[-1])
-            return np.maximum(spline(t), 0.0) * np.sin(t)
-
-        return 2.0 * np.pi * integrate_adaptive(
-            integrand, th[0], th[-1], settings).value
+        coef = np.array([ds[:-1], spline.b, spline.c, spline.d])
+        return 2.0 * np.pi * integrate_cubic(
+            _sin_kernel, _sin_kernel_bound, 1.0,
+            *_positive_parts(th, coef)).value
 
     sigma = sigma_from(theta, dsig)
     sigma_half = sigma_from(theta[::2], dsig[::2])

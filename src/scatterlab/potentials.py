@@ -2,8 +2,10 @@
 
 Three models share one informal protocol: construct, then pass to the
 module-level functions. Closed-form transforms exist for the analytic
-models; the tabulated model falls back to quadrature over its support,
-one partition shared by every q.
+models. A table's V is a cubic (or, linearly interpolated, a line) on
+each knot interval, so its transform integrates those polynomials times
+the Fourier kernel on quadrature.integrate_cubic's fixed Gauss rule, with
+an a-priori error bound.
 
 The potential's range lives here too: reach(p), the radius R past which
 the z-profile's tail is below rounding, with a bound on that tail, and
@@ -19,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spline import CubicSpline1D
+from ._spline import CubicSpline1D, cubic_roots
 from .errors import (ConfigError, DomainError, SingularityError,
                      UnsupportedModelError)
 from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
-                         integrate_adaptive, integrate_kernel)
+                         integrate_adaptive, integrate_cubic)
 
 __all__ = [
     "Yukawa",
@@ -149,13 +151,42 @@ def _radial_kernel(q, r):
     return 4.0 * np.pi * r * r * np.sinc(q * r / np.pi)
 
 
+def _radial_kernel_bound(h, r, j):
+    """h^j |d^j/dr^j 4 pi r^2 sinc(q r)| for r <= R = r, q <= 1/h, j >= 2:
+    by Leibniz's rule with |sinc^(m)| <= 1/(m + 1), 4 pi (R^2/(j + 1) +
+    2 R h + j h^2)."""
+    return 4.0 * np.pi * (r * r / (j + 1) + 2.0 * r * h + j * h * h)
+
+
+def _cubics(p):
+    """A table's V piece by piece: (edges, coefficients (y0, b, c, d) of
+    shape (4, n)), V = y0 + s (b + s (c + s d)) on [edges[j], edges[j+1]],
+    s = r - edges[j]. A linear table has c = d = 0, and a table starting
+    at r[0] > 0 gains the constant v[0] on [0, r[0]]."""
+    r, v = p.r, p.v
+    if p.interpolation == "cubic":
+        coef = np.array([v[:-1], p._interp.b, p._interp.c, p._interp.d])
+    else:
+        coef = np.zeros((4, r.size - 1))
+        coef[0], coef[1] = v[:-1], np.diff(v) / np.diff(r)
+    if r[0] > 0.0:
+        r = np.concatenate(([0.0], r))
+        coef = np.concatenate((np.array([[v[0]], [0.0], [0.0], [0.0]]),
+                               coef), axis=1)
+    return r, coef
+
+
 def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
     """Vtilde(q) = int d^3r e^{-i q.r} V(r), vectorized over q >= 0.
 
-    A table integrates V over its support for every q on one shared
-    partition that starts from its knots (quadrature.integrate_kernel).
-    with_error=True returns (Vtilde, error estimate), the estimate 0 for
-    the closed forms.
+    A table integrates each knot interval's cubic times 4 pi r^2 sinc(q r)
+    on quadrature.integrate_cubic's fixed rule, q by q: an array call
+    has the bits of calls at each q alone. Its error estimate is the
+    rule's a-priori bound plus the rounding floor; settings give only
+    max_subdivisions, the budget of pieces beyond one a knot interval.
+    rel_tol and abs_tol set no target there: the runner still compares
+    the estimate with them for its loose-error warning. with_error=True
+    returns (Vtilde, error estimate), the estimate 0 for the closed forms.
     """
     q = np.asarray(q, dtype=float)
     scalar = q.ndim == 0
@@ -169,9 +200,10 @@ def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
         a = potential.alpha
         out = potential.g * (np.pi / a) ** 1.5 * np.exp(-q * q / (4.0 * a))
     elif isinstance(potential, TabulatedRadial):
-        res = integrate_kernel(lambda x: evaluate(potential, x),
-                               _radial_kernel, q, _breaks(potential),
-                               settings)
+        edges, coef = _cubics(potential)
+        res = integrate_cubic(_radial_kernel, _radial_kernel_bound, q,
+                              edges[:-1], edges[1:], coef,
+                              max_subdivisions=settings.max_subdivisions)
         out, err = res.value, res.error_estimate
     else:
         raise UnsupportedModelError(
@@ -235,11 +267,15 @@ _R_EFF_SETTINGS = QuadratureSettings(rel_tol=1e-9, abs_tol=1e-300)
 
 def _breaks(p):
     """Panel edges on [0, reach(p)]: a table's knots, between which V is
-    cubic or linear, with 0 prepended when r[0] > 0 (V is v[0] below it);
+    cubic or linear, with 0 prepended when r[0] > 0 (V is v[0] below it),
+    and the zeros of V inside the knot intervals, where |V| has a kink;
     _R_EFF_PANELS equal panels for Yukawa and Gauss."""
     if isinstance(p, TabulatedRadial):
-        r = p.r
-        return r if r[0] == 0.0 else np.concatenate(([0.0], r))
+        edges, coef = _cubics(p)
+        j, s = cubic_roots(*coef, np.diff(edges))
+        zeros = edges[j] + s
+        zeros = zeros[(zeros > edges[j]) & (zeros < edges[j + 1])]
+        return np.sort(np.concatenate((edges, zeros)))
     return np.linspace(0.0, reach(p)[0], _R_EFF_PANELS + 1)
 
 

@@ -1,13 +1,13 @@
-"""Adaptive quadrature built on a nested Gauss-Kronrod 7/15 rule.
+"""Quadrature built on a nested Gauss-Kronrod 7/15 rule.
 
 Four entry points:
 
     integrate_adaptive       finite interval, worst-interval bisection
     integrate_semi_infinite  [0, inf) via the rational map x = t/(1-t)
-    integrate_kernel         int g(x) K(q, x) dx over an interval, for many
-                             q on one partition that they share
-    hankel0                  int_0^upper g(b) J0(q b) b db, integrate_kernel
-                             with the Hankel kernel
+    integrate_cubic          piecewise cubic times a smooth kernel, for many
+                             q, on a fixed rule with an a-priori bound
+    hankel0                  int_0^upper g(b) J0(q b) b db for many q on
+                             one partition that they share
 
 A scalar call's integrand f(x) maps a flat ndarray (the nodes of all panels
 of a round) to one of its shape, complex values allowed. Error estimation
@@ -32,19 +32,32 @@ error_estimate arrays and the summed evaluation count; the first failing
 row raises the error of a call for that row alone. A scalar call is the
 one-row case of the same loop.
 
-integrate_kernel is global-adaptive over one partition of its interval
-shared by every q (Piessens et al., QUADPACK, 1983): it starts from the
-caller's breakpoints, and g is evaluated once per node and the kernel
-once per (q, node). Each round bisects every panel on which some q whose
-summed error is above its target max(abs_tol, rel_tol |value_q|,
-100 eps int |g K|) has an error above that target's share, an equal part
-of it on each panel. The last term is the rounding level of the integral,
-twice the floor under every panel's error, so a q asked for less stops
-there instead of exhausting the budget. max_subdivisions caps the
-bisections of the partition. A value therefore depends, at rounding
-level, on the q it was computed with. The interval
-is the caller's: a property of the integrand, such as the range of a
-potential, not a setting.
+integrate_cubic takes an integrand that is a known cubic between given
+breakpoints times a kernel of frequency q, such as a table's spline times
+the 3-d Fourier kernel. Nothing is adaptive: each interval of width h is
+cut into ceil(q h) equal pieces, so that q H <= 1 on every piece of width
+H, and each piece takes the 7-point Gauss rule embedded in GK15. Its
+remainder, H^15 (7!)^4 / (15 (14!)^3) max |f^(14)| (Davis & Rabinowitz,
+Methods of Numerical Integration, 1984, 2.7), is bounded a priori by
+Leibniz's rule from the cubic's coefficients and the kernel's derivative
+bounds; the reported error is that bound plus the rounding floor 100 eps
+int |f|. A q's partition depends on q alone, so a value has the bits of a
+call at that q alone. Pieces beyond one per interval count against
+max_subdivisions.
+
+hankel0 is global-adaptive over one partition of [0, upper] shared by
+every q (Piessens et al., QUADPACK, 1983): it starts from panels about
+one J0 period wide at the largest q, and g is evaluated once per node and
+J0 once per (q, node). Each round bisects every panel on which some q
+whose summed error is above its target max(abs_tol, rel_tol |value_q|,
+100 eps int |g J0 b|) has an error above that target's share, an equal
+part of it on each panel. The last term is the rounding level of the
+integral, twice the floor under every panel's error, so a q asked for
+less stops there instead of exhausting the budget. max_subdivisions caps
+the bisections of the partition. A value therefore depends, at rounding
+level, on the q it was computed with. The range is the caller's: a
+property of the integrand, such as the reach of a potential, not a
+setting.
 """
 
 import math
@@ -64,7 +77,7 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "integrate_adaptive",
     "integrate_semi_infinite",
-    "integrate_kernel",
+    "integrate_cubic",
     "hankel0",
 ]
 
@@ -75,7 +88,9 @@ class QuadratureSettings:
 
     rel_tol/abs_tol       target |error| <= max(abs_tol, rel_tol*|value|)
     max_subdivisions      bisection budget per adaptive call (for
-                          integrate_kernel, of the shared partition)
+                          hankel0, of the shared partition); a table's
+                          Fourier transform gives it to integrate_cubic
+                          as its budget of pieces beyond one an interval
     """
 
     rel_tol: float = 1e-10
@@ -358,13 +373,125 @@ def integrate_semi_infinite(f, settings=DEFAULT_SETTINGS, *, rows=None,
     return QuadratureResult(val, err, neval + n)
 
 
-# (q, node) pairs per block of panels in _kernel_panels, so the memory a
-# round takes does not grow with the count of q or of panels
+# (q, node) pairs per block, in hankel0's panels and integrate_cubic's
+# kernel products, so the memory a call takes does not grow with the count
+# of q or of panels
 _KERNEL_BLOCK = 1 << 13
 
+# The 7-point Gauss rule embedded in GK15, and the constant of its
+# remainder H^15 (7!)^4 / (15 (14!)^3) f^(14)(xi) on a panel of width H
+_G7_NODES = _NODES[1::2]
+_G7_REMAINDER = math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3)
 
-def _kernel_block(g, kernel, envelope, q, lo, hi):
-    """_kernel_panels on one block of panels."""
+
+def _g7_bound(kernel_bound, lo, hi, origin, coef, pieces):
+    """The G7 remainders of integrate_cubic's integrand summed over the
+    pieces: on each, (P K)^(14) = sum_{m <= 3} C(14, m) P^(m) K^(14-m)
+    by Leibniz's rule, with |P^(m)| bounded from the coefficients over
+    |s| <= S and kernel_bound giving H^j |K^(j)|."""
+    y0, b, c, d = np.abs(coef)
+    S = np.maximum(np.abs(lo - origin), np.abs(hi - origin))
+    H = (hi - lo) / pieces
+    X = np.maximum(np.abs(lo), np.abs(hi))
+    # H^m |P^(m)|, m = 0..3
+    derivs = (y0 + S * (b + S * (c + S * d)), H * (b + S * (2.0 * c
+              + 3.0 * S * d)), H * H * (2.0 * c + 6.0 * S * d),
+              H ** 3 * 6.0 * d)
+    terms = sum(math.comb(14, m) * dm * kernel_bound(H, X, 14 - m)
+                for m, dm in enumerate(derivs))
+    return float(np.sum(pieces * _G7_REMAINDER * H * terms))
+
+
+def integrate_cubic(kernel, kernel_bound, q, lo, hi, coef, origin=None, *,
+                    max_subdivisions=DEFAULT_SETTINGS.max_subdivisions):
+    """sum_j int_{lo[j]}^{hi[j]} P_j(x - origin[j]) kernel(q, x) dx for a
+    scalar q, or for each q of a 1-d array, on the fixed rule of the
+    module docstring. P_j is the cubic y0 + s (b + s (c + s d)) of
+    (y0, b, c, d) = coef[:, j]; origin defaults to lo.
+
+    kernel(q, x) takes q of shape (n, 1) and nodes x of shape (N,), and
+    each interval is cut into ceil(q h) pieces of width H. kernel_bound(H,
+    X, j) bounds H^j |d^j kernel(q, x)/dx^j| over |x| <= X (arrays) for
+    every q <= 1/H. The error estimate is the G7 remainder bound plus 100
+    eps int |f|. More than max_subdivisions pieces beyond one an interval
+    raise ConvergenceError naming the largest q.
+    """
+    scalar = np.ndim(q) == 0
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    if qs.ndim != 1:
+        raise DomainError("integrate_cubic takes a scalar q or a 1-d "
+                          "array of q")
+    if not (np.all(np.isfinite(qs)) and np.all(qs >= 0.0)):
+        raise DomainError("integrate_cubic requires finite q >= 0")
+    lo, hi = (np.asarray(e, dtype=float) for e in (lo, hi))
+    origin = lo if origin is None else np.asarray(origin, dtype=float)
+    coef = np.asarray(coef, dtype=float)
+    width = hi - lo
+    if not (np.all(np.isfinite(width)) and np.all(width >= 0.0)):
+        raise DomainError("integrate_cubic requires finite intervals "
+                          "with lo <= hi")
+    value, absint, error = (np.zeros(qs.size) for _ in range(3))
+    neval = 0
+    if width.size and qs.size:
+        order = np.argsort(qs, kind="stable")
+        counts = np.array([np.maximum(np.ceil(x * width), 1.0).sum()
+                           for x in qs[order]])
+        if counts[-1] - width.size > max_subdivisions:
+            raise ConvergenceError(
+                f"quadrature budget of {max_subdivisions} subdivisions "
+                f"exhausted at q = {float(qs[order[-1]])!r} (the fixed rule "
+                f"needs {int(counts[-1]) - width.size} pieces beyond one an "
+                f"interval)", estimate=float("nan"),
+                error_estimate=float("inf"))
+        # a partition only refines as q grows, so the q of one piece count
+        # share a partition
+        for group in np.split(order, np.flatnonzero(np.diff(counts)) + 1):
+            pieces = np.maximum(np.ceil(qs[group[0]] * width), 1.0)
+            value[group], absint[group], n = _cubic_rule(
+                kernel, qs[group], lo, width, origin, coef, pieces)
+            error[group] = _g7_bound(kernel_bound, lo, hi, origin, coef,
+                                     pieces)
+            neval += n
+    error += 100.0 * _EPS * absint
+    if scalar:
+        return QuadratureResult(float(value[0]), float(error[0]), neval)
+    return QuadratureResult(value, error, neval)
+
+
+def _cubic_rule(kernel, qs, lo, width, origin, coef, pieces):
+    """integrate_cubic's G7 sums on one partition, for every q of qs:
+    (values, integrals of |f|, node count). Nodes go in blocks whose length
+    depends on the partition alone, so each q sums its terms in the same
+    order whatever q it shares them with."""
+    n = pieces.astype(np.int64)
+    j = np.repeat(np.arange(width.size), n)
+    i = np.arange(j.size) - np.repeat(np.cumsum(n) - n, n)
+    hw = 0.5 * (width / pieces)[j]
+    x = (lo[j] + (2.0 * i + 1.0) * hw)[:, None] + hw[:, None] * _G7_NODES
+    s = x - origin[j][:, None]
+    y0, b, c, d = (e[j][:, None] for e in coef)
+    x = x.ravel()
+    wp = (hw[:, None] * _WG * (y0 + s * (b + s * (c + s * d)))).ravel()
+    value, absint = np.zeros(qs.size), np.zeros(qs.size)
+    block = min(x.size, _KERNEL_BLOCK)
+    rows = max(1, _KERNEL_BLOCK // block)
+    for a in range(0, x.size, block):
+        xb, wb = x[a:a + block], wp[a:a + block]
+        for r in range(0, qs.size, rows):
+            f = kernel(qs[r:r + rows, None], xb) * wb
+            value[r:r + rows] += f.sum(axis=1)
+            absint[r:r + rows] += np.abs(f).sum(axis=1)
+    return value, absint, x.size
+
+
+def _j0_envelope(q, b):
+    """|J0(q b)| b <= min(1, sqrt(2/(pi q b))) b."""
+    x = np.maximum(q * b, np.finfo(float).tiny)
+    return np.minimum(1.0, np.sqrt(2.0 / (np.pi * x))) * b
+
+
+def _hankel_block(g, q, lo, hi):
+    """_hankel_panels on one block of panels."""
     hw = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi)[:, None] + hw[:, None] * _NODES
     y = g(x)
@@ -380,7 +507,7 @@ def _kernel_block(g, kernel, envelope, q, lo, hi):
         j = np.argmin(finite)
         raise DomainError(f"integrand returned non-finite values on "
                           f"[{float(lo[j])!r}, {float(hi[j])!r}]")
-    f = y * kernel(q, x)
+    f = y * (bessel_j0(q * x) * x)
     resk = hw * (f @ _WK)
     resabs = hw * (np.abs(f) @ _WK)
     mean = resk / (2.0 * hw)
@@ -388,53 +515,48 @@ def _kernel_block(g, kernel, envelope, q, lo, hi):
                      resabs.ravel(),
                      (hw * (np.abs(f - mean[..., None]) @ _WK)).ravel())
     werr = np.zeros(resk.shape) if bound is None else \
-        hw * ((bound * envelope(q, x)) @ _WK)
+        hw * ((bound * _j0_envelope(q, x)) @ _WK)
     return resk, err.reshape(resk.shape), werr, resabs
 
 
-def _kernel_panels(g, kernel, envelope, q, lo, hi):
-    """GK15 panels [lo[j], hi[j]] of g(x) kernel(q, x) for every q of the
+def _hankel_panels(g, q, lo, hi):
+    """GK15 panels [lo[j], hi[j]] of g(b) J0(q b) b for every q of the
     (n, 1, 1) array q, with g evaluated once per node: (K15 values, error
-    estimates, integrals of g's bounds against envelope, K15 integrals of
-    |g kernel|), each of shape (n, P)."""
+    estimates, integrals of g's bounds against J0's envelope, K15
+    integrals of |g J0 b|), each of shape (n, P)."""
     step = max(1, _KERNEL_BLOCK // (_NODES.size * q.shape[0]))
-    parts = [_kernel_block(g, kernel, envelope, q, lo[j:j + step],
-                           hi[j:j + step]) for j in range(0, lo.size, step)]
+    parts = [_hankel_block(g, q, lo[j:j + step], hi[j:j + step])
+             for j in range(0, lo.size, step)]
     return tuple(np.concatenate(c, axis=1) for c in zip(*parts))
 
 
-def integrate_kernel(g, kernel, q, breaks, settings=DEFAULT_SETTINGS, *,
-                     envelope=None):
-    """int g(x) kernel(q, x) dx over [breaks[0], breaks[-1]] for a scalar
-    q, or for each q of a 1-d array on one partition that they share (see
-    the module docstring).
+def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
+    """int_0^upper g(b) J0(q b) b db for a scalar q, or for each q of a 1-d
+    array on one shared partition (see the module docstring), starting
+    from panels about one period 2 pi/q of J0 wide at the largest q.
 
-    The partition starts from the panels between consecutive breaks: the
-    points where g is not smooth, such as a table's knots, belong there,
-    as in QUADPACK's dqagp. kernel(q, x) and envelope(q, x) take q of
-    shape (n, 1, 1) and the nodes x of shape (P, 15). g maps an ndarray
-    to one of the same shape, or to a pair (values, bounds),
-    bounds[j] >= |error of values[j]|; the bounds are then integrated
-    against envelope >= |kernel| on the final panels and added to each
-    q's error_estimate. A q whose abs_tol and rel_tol ask for less than
-    100 eps int |g kernel| stops at that rounding level, and its
-    error_estimate may exceed the request.
+    g maps an ndarray to one of the same shape, or to a pair (values,
+    bounds), bounds[j] >= |error of values[j]|; the bounds are then
+    integrated against J0's envelope min(1, sqrt(2/(pi q b))) b on the
+    final panels and added to each q's error_estimate. A q whose abs_tol
+    and rel_tol ask for less than 100 eps int |g J0 b| stops at that
+    rounding level, and its error_estimate may exceed the request.
     """
+    if not (math.isfinite(upper) and upper > 0.0):
+        raise DomainError(f"upper limit must be positive and finite, got "
+                          f"{upper!r}")
     scalar = np.ndim(q) == 0
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     if qs.ndim != 1:
-        raise DomainError("integrate_kernel takes a scalar q or a 1-d "
-                          "array of q")
+        raise DomainError("hankel0 takes a scalar q or a 1-d array of q")
     if not (np.all(np.isfinite(qs)) and np.all(qs >= 0.0)):
-        raise DomainError("integrate_kernel requires finite q >= 0")
-    edges = np.asarray(breaks, dtype=float)
-    if not (edges.ndim == 1 and edges.size >= 2
-            and np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0.0)):
-        raise DomainError(f"integration limits must be finite and strictly "
-                          f"increasing, got {breaks!r}")
+        raise DomainError("hankel0 requires finite q >= 0")
+    periods = np.max(qs, initial=0.0) * upper / (2.0 * np.pi)
+    panels = int(periods) + 1 if np.isfinite(periods) else 1
+    edges = np.linspace(0.0, upper, panels + 1)
     q3 = qs[:, None, None]
     lo, hi = edges[:-1], edges[1:]
-    val, err, werr, resabs = _kernel_panels(g, kernel, envelope, q3, lo, hi)
+    val, err, werr, resabs = _hankel_panels(g, q3, lo, hi)
     neval = 15 * lo.size
     splits = 0
     while True:
@@ -459,7 +581,7 @@ def integrate_kernel(g, kernel, q, breaks, settings=DEFAULT_SETTINGS, *,
         mid = 0.5 * (lo[split] + hi[split])
         new = (np.concatenate([lo[split], mid]),
                np.concatenate([mid, hi[split]]))
-        parts = _kernel_panels(g, kernel, envelope, q3, *new)
+        parts = _hankel_panels(g, q3, *new)
         lo, hi = (np.concatenate([x[~split], y]) for x, y in zip((lo, hi),
                                                                  new))
         order = np.argsort(lo, kind="stable")
@@ -473,29 +595,3 @@ def integrate_kernel(g, kernel, q, breaks, settings=DEFAULT_SETTINGS, *,
     if scalar:
         return QuadratureResult(value[0], float(error[0]), neval)
     return QuadratureResult(value, error, neval)
-
-
-def _j0_kernel(q, b):
-    return bessel_j0(q * b) * b
-
-
-def _j0_envelope(q, b):
-    """|J0(q b)| b <= min(1, sqrt(2/(pi q b))) b."""
-    x = np.maximum(q * b, np.finfo(float).tiny)
-    return np.minimum(1.0, np.sqrt(2.0 / (np.pi * x))) * b
-
-
-def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
-    """int_0^upper g(b) J0(q b) b db for a scalar q, or for each q of a 1-d
-    array on one shared partition: integrate_kernel with the Hankel kernel,
-    starting from panels about one period 2 pi/q of J0 wide at the largest
-    q. If g returns (values, bounds), the bounds are integrated against
-    J0's envelope min(1, sqrt(2/(pi q b))) b."""
-    if not (math.isfinite(upper) and upper > 0.0):
-        raise DomainError(f"upper limit must be positive and finite, got "
-                          f"{upper!r}")
-    periods = np.max(q, initial=0.0) * upper / (2.0 * np.pi)
-    panels = int(periods) + 1 if np.isfinite(periods) else 1
-    return integrate_kernel(g, _j0_kernel, q,
-                            np.linspace(0.0, upper, panels + 1), settings,
-                            envelope=_j0_envelope)

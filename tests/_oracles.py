@@ -323,6 +323,37 @@ def weight(p, lo, hi):
             for a, b in zip(edges[:-1], edges[1:]))
 
 
+def spline_total(theta, dsig, clip=True):
+    """2 pi int max(S, 0) sin(theta) dtheta of scipy's natural cubic spline
+    S of the rows, exact: on each interval, split at S's zeros (scipy's
+    roots), the antiderivative -P cos + P' sin + P'' cos - P''' sin of the
+    interval's cubic P at 40 digits. clip=False integrates S itself."""
+    spline = CubicSpline(theta, dsig, bc_type="natural")
+    zeros = spline.roots(extrapolate=False) if clip else np.zeros(0)
+    total = mpmath.mpf(0)
+    with mpmath.workdps(40):
+        for j in range(theta.size - 1):
+            a3, a2, a1, a0 = (mpmath.mpf(float(c)) for c in spline.c[:, j])
+            x0 = mpmath.mpf(float(theta[j]))
+
+            def cubic(s):
+                return a0 + s * (a1 + s * (a2 + s * a3))
+
+            def antiderivative(s):
+                c, si = mpmath.cos(x0 + s), mpmath.sin(x0 + s)
+                return (-cubic(s) * c + (a1 + s * (2 * a2 + 3 * s * a3)) * si
+                        + (2 * a2 + 6 * a3 * s) * c - 6 * a3 * si)
+
+            inside = zeros[(zeros > theta[j]) & (zeros < theta[j + 1])]
+            cuts = [mpmath.mpf(0)] + sorted(
+                mpmath.mpf(float(z)) - x0 for z in inside) + [
+                mpmath.mpf(float(theta[j + 1])) - x0]
+            for u, v in zip(cuts[:-1], cuts[1:]):
+                if not clip or cubic((u + v) / 2) > 0:
+                    total += antiderivative(v) - antiderivative(u)
+        return float(2 * mpmath.pi * total)
+
+
 def effective_radius_tight(p):
     """The radius holding 0.9999 of int_0^R |V| r^2 dr: for Yukawa the
     mpmath root of (1 + x) e^{-x} = 1e-4, x = mu r; for Gauss that of

@@ -9,9 +9,8 @@ from scatterlab.born import (_lambda_factor, born1_amplitude,
                              born_resummed_amplitude)
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.errors import ConvergenceError, DomainError
-from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
-                                   fourier3d)
-from scatterlab.quadrature import QuadratureSettings
+from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa, evaluate
+from scatterlab.quadrature import QuadratureSettings, integrate_adaptive
 
 KIN1 = Kinematics(mass=1.0, k=1.0)
 KIN10 = Kinematics(mass=1.0, k=10.0)
@@ -67,8 +66,10 @@ class TestBorn1:
     @pytest.mark.parametrize("samples", [600, 3000])
     def test_tabulated_error_covers_a_tight_reference(self, samples):
         # the benchmark's table shape on [0, 30]: born1 reports the error
-        # of fourier3d's quadrature, which covers its deviation from a run
-        # at 100x tighter tolerances and from a 20-point Gauss-Legendre sum
+        # of fourier3d's fixed rule, which covers its deviation from the
+        # adaptive GK15 integrator run on each knot interval at rel_tol
+        # 1e-13 (abs_tol 1e-15, the rounding level of an interval on which
+        # sinc(q r) changes sign) and from a 20-point Gauss-Legendre sum
         # over each knot interval, where V is a cubic (a table's born1
         # once reported 0, 2.5e-11 off)
         r = np.linspace(0.0, 30.0, samples)
@@ -79,15 +80,21 @@ class TestBorn1:
         theta = np.linspace(0.0, 0.6, 64)
         got = born1_amplitude(p, kin, theta)
         scale = -kin.mass / (2.0 * np.pi * kin.hbar**2)
-        tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-14,
-                                   max_subdivisions=2000)
+        tight = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-15)
+        adaptive = []
+        for q in got.q:
+            res = integrate_adaptive(
+                lambda i, x: 4.0 * np.pi * x * x * evaluate(p, x)
+                * np.sinc(q * x / np.pi), r[:-1], r[1:], tight,
+                rows=r.size - 1)
+            adaptive.append(scale * math.fsum(res.value))
         x, w = np.polynomial.legendre.leggauss(20)
         h = 0.5 * np.diff(r)[:, None]
         rr = 0.5 * (r[1:] + r[:-1])[:, None] + h * x
         vr = (h * w * 4.0 * np.pi * rr * rr * evaluate(p, rr)).ravel()
         knotwise = scale * np.array(
             [np.sum(vr * np.sinc(q * rr.ravel() / np.pi)) for q in got.q])
-        for ref in (scale * fourier3d(p, got.q, tight), knotwise):
+        for ref in (np.array(adaptive), knotwise):
             assert np.all(np.abs(got.value - ref) <= got.error_estimate)
         assert np.all(got.error_estimate < 1e-12 * np.abs(got.value))
 

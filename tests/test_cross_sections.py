@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import _oracles
+from scatterlab._spline import CubicSpline1D
 from scatterlab.born import born1_amplitude
 from scatterlab.cross_sections import (CrossSectionTable, PaperComparison,
                                        VERDICT_CONSISTENT,
@@ -98,6 +100,33 @@ class TestTotalIntegrated:
                          for t in fine])
         want = 2 * np.pi * simpson(dsig * np.sin(fine), x=fine)
         assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [1.0, 5.0, 10.0])
+    def test_energy_scan_totals_equal_the_exact_spline_integral(self, k):
+        # the shipped energy scan's rows: each interval's cubic times
+        # sin(theta) has a closed form, which the fixed rule meets to
+        # rounding (the adaptive rule it replaced was up to 1.2e-9 off)
+        theta = np.linspace(0.0, 3.1415926, 481)
+        amp = amplitude_partial_wave(
+            phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=k)), theta)
+        rows = _rows_from(theta, amp.value)
+        assert total_integrated(rows, k) == pytest.approx(
+            _oracles.spline_total(theta, rows[:, 4]), rel=1e-14, abs=0.0)
+
+    def test_a_dipping_spline_is_clipped_at_its_roots(self):
+        # dsigma is 0 on a third of the rows, and the spline swings below
+        # 0 beside each such stretch: the total integrates max(spline, 0),
+        # cut at the cubic's roots, to rounding of the exact value
+        theta = np.linspace(0.0, 3.1415926, 481)
+        f = np.maximum(np.cos(3.0 * theta), 0.0) * np.exp(-theta)
+        rows = _rows_from(theta, f)
+        spline = CubicSpline1D(theta, rows[:, 4])
+        assert spline(np.linspace(0.0, theta[-1], 100_001)).min() < -1e-6
+        exact = _oracles.spline_total(theta, rows[:, 4])
+        unclipped = _oracles.spline_total(theta, rows[:, 4], clip=False)
+        assert abs(unclipped - exact) > 1e-7 * exact
+        assert total_integrated(rows, 1.0) == pytest.approx(exact, rel=1e-14,
+                                                            abs=0.0)
 
     def test_coverage_required(self):
         theta = np.linspace(0.0, 0.5, 64)

@@ -109,14 +109,13 @@ class TestEffectiveRadius:
     def test_matches_the_80_step_search_and_a_tight_reference(self, p):
         got = effective_radius(p)
         tight = _oracles.effective_radius_tight(p)
-        if isinstance(p, TabulatedRadial):
-            # the 80-step search is 8e-8 off on this table. The spline
-            # crosses zero at r = 4.4993, and GK15 misses that kink of |V|
-            # by 2.2e-11 of the weight 0.44 at an error estimate of 2e-20;
-            # at r_eff the weight density is 1.5e-4, so r_eff moves 4.5e-8
-            assert got == pytest.approx(tight, rel=1e-7, abs=0.0)
-        else:
-            assert got == pytest.approx(tight, rel=1e-11, abs=0.0)
+        # the table's spline crosses zero four times inside its knot
+        # intervals (r = 4.0125, 4.4993, 5.00002, 5.49999996), kinks of
+        # |V| at which its panels now end: 7e-14 off, where GK15 across
+        # the kink at 4.4993 was 4.5e-8 off. The 80-step search still
+        # integrates across them and is 8e-8 off
+        assert got == pytest.approx(tight, rel=1e-11, abs=0.0)
+        if not isinstance(p, TabulatedRadial):
             assert got == pytest.approx(_oracles.effective_radius(p),
                                         rel=1e-11, abs=0.0)
 

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.interpolate
 
 import _oracles
 import scatterlab
-from scatterlab._spline import CubicSpline1D
+from scatterlab._spline import CubicSpline1D, cubic_roots
 from scatterlab.errors import (ConfigError, DomainError, SingularityError,
                                UnsupportedModelError)
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
@@ -126,9 +127,10 @@ def test_fourier3d_against_radial_quadrature_oracle():
 
 def test_table_transform_does_not_import_numpy_ma(tmp_path):
     # importing numpy.ma costs a fresh interpreter about a fifth of a
-    # tabulated run (np.unique and np.union1d import it): one run_scan of
-    # every source on a Yukawa and of every source but the closed forms on
-    # a table never does
+    # tabulated run (np.unique and np.union1d import it), and
+    # numpy.polynomial a tenth: one run_scan of every source on a Yukawa
+    # and of every source but the closed forms on a table, and a total
+    # integrated over a spline that dips below 0, import neither
     r = np.linspace(0.1, 6.0, 40)
     (tmp_path / "table.csv").write_text("".join(
         f"{float(a)!r}, {float(b)!r}\n" for a, b in zip(r, np.exp(-r * r))))
@@ -145,17 +147,24 @@ def test_table_transform_does_not_import_numpy_ma(tmp_path):
     ]
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "from scatterlab.config import parse_config\n"
+        "from scatterlab.cross_sections import total_integrated\n"
         "from scatterlab.runner import run_scan\n"
         f"for text in {configs!r}:\n"
         "    assert not run_scan(parse_config(text)).failed\n"
-        "print('numpy.ma' in sys.modules)\n")
+        "theta = np.linspace(0.0, np.pi, 241)\n"
+        "f = np.maximum(np.cos(3.0 * theta), 0.0)\n"
+        "rows = np.column_stack([theta, theta, f, 0.0 * f, f * f])\n"
+        "assert total_integrated(rows, 1.0) > 0.0\n"
+        "print('numpy.ma' in sys.modules, "
+        "'numpy.polynomial' in sys.modules)\n")
     env = dict(os.environ,
                PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_origin_expansion():
@@ -222,6 +231,9 @@ def test_scalar_array_round_trip():
     assert evaluate(p, np.array([1.0])).shape == (1,)
     assert isinstance(fourier3d(p, 1.0), float)
     assert fourier3d(p, np.array([0.5, 1.0])).shape == (2,)
+    table = _dense_gauss_table(n=40)
+    assert isinstance(fourier3d(table, 1.0), float)
+    assert fourier3d(table, np.zeros(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n", "# r V\n# nothing yet\n"])
@@ -253,3 +265,23 @@ def test_spline_coefficients_at_construction_keep_the_bits(n, dtype):
     for xs in (x[0], x[-1], 0.5 * (x[0] + x[1]), x[-1] + 1.0):
         assert np.asarray(new(xs)).tobytes() == np.asarray(old(xs)).tobytes()
 
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cubic_roots_match_scipy_on_random_splines(seed):
+    # the zeros strictly inside each knot interval, against scipy's roots
+    # of the same natural spline; a linear table is the case c = d = 0
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.05, 1.0, 40))
+    y = rng.standard_normal(40)
+    spline = CubicSpline1D(x, y)
+    for coef, pp in (
+            ((y[:-1], spline.b, spline.c, spline.d),
+             scipy.interpolate.CubicSpline(x, y, bc_type="natural")),
+            ((y[:-1], np.diff(y) / np.diff(x), 0.0, 0.0),
+             scipy.interpolate.PPoly.from_spline(
+                 scipy.interpolate.make_interp_spline(x, y, k=1)))):
+        j, s = cubic_roots(*coef, np.diff(x))
+        want = pp.roots(extrapolate=False)
+        want = np.sort(want[np.isfinite(want)])
+        assert want.size > 10 and np.all(np.diff(j) >= 0)
+        np.testing.assert_allclose(x[j] + s, want, rtol=0.0, atol=1e-13)

@@ -5,13 +5,18 @@ profile's values, cover their deviation from a tight reference; the
 partial-wave oracle keeps its phase shifts in (-pi/2, pi/2], obeys the
 optical theorem and reports an error that covers its move at half the
 radial step; the effective radius, on random tables too, holds its
-fraction of the weight within the potential's reach."""
+fraction of the weight within the potential's reach; a table's Fourier
+transform, on its fixed rule, reports an error that covers scipy's quad
+and has the bits of a call at each q alone."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 import _oracles
 from scatterlab.born import born_resummed_amplitude
@@ -19,7 +24,8 @@ from scatterlab.cross_sections import table_from_amplitudes
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.partial_wave import amplitude_partial_wave, phase_shifts
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa,
-                                   effective_radius, reach)
+                                   effective_radius, evaluate, fourier3d,
+                                   reach)
 from scatterlab.quadrature import DEFAULT_SETTINGS
 
 THETA = np.array([0.0, 0.03, 0.1, 0.25])
@@ -99,3 +105,24 @@ def test_effective_radius_holds_its_fraction_of_the_weight(p):
     whole = _oracles.weight(p, 0.0, upper)
     assert abs(_oracles.weight(p, 0.0, r_eff) - 0.9999 * whole) \
         <= 1e-9 * whole
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(p=tables(), qh=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=2))
+def test_table_transform_covers_quad_and_keeps_the_bits_of_each_q(p, qh):
+    # q h from 0 up to 24 and more on the widest knot interval, so up to
+    # 25 pieces an interval: the reported error covers scipy's quad split
+    # at the knots, and an array call equals the calls at each q alone
+    edges = np.r_[0.0, p.r] if p.r[0] > 0.0 else p.r
+    q = np.r_[0.0, qh, 24.0] / np.max(np.diff(edges))
+    budget = dataclasses.replace(DEFAULT_SETTINGS, max_subdivisions=2000)
+    value, err = fourier3d(p, q, budget, with_error=True)
+    for x, v, e in zip(q, value, err):
+        assert fourier3d(p, float(x), budget, with_error=True) == (v, e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            ref = math.fsum(quad(
+                lambda r: 4.0 * np.pi * r * r * evaluate(p, r)
+                * np.sinc(x * r / np.pi), a, b, epsabs=0.0, epsrel=1e-13,
+                limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
+        assert abs(v - ref) <= e
