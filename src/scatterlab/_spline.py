@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["CubicSpline1D", "cubic_roots"]
+__all__ = ["CubicSpline1D", "cubic_roots", "split_at_roots"]
 
 
 class CubicSpline1D:
@@ -105,3 +105,15 @@ def cubic_roots(y0, b, c, d, h):
         below = (cubic(jj, mid) < 0.0) == up
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return jj, 0.5 * (lo + hi)
+
+
+def split_at_roots(x, coef):
+    """The knots x of a piecewise cubic, coef[:, j] its cubic in s = t -
+    x[j] on [x[j], x[j+1]], with each cubic's roots inside its interval
+    added: (edges, part), part[i] the interval that holds [edges[i],
+    edges[i+1]]."""
+    j, s = cubic_roots(*coef, np.diff(x))
+    zeros = x[j] + s
+    zeros = zeros[(zeros > x[j]) & (zeros < x[j + 1])]
+    edges = np.sort(np.concatenate((x, zeros)))
+    return edges, np.searchsorted(x, edges[:-1], side="right") - 1

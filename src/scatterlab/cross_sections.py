@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paper_forms
-from ._spline import CubicSpline1D, cubic_roots
+from ._spline import CubicSpline1D, split_at_roots
 from .born import born1_amplitude
 from .eikonal import Amplitude, momentum_transfer
 from .errors import (ConvergenceError, DomainError, PoleError, RangeError,
@@ -107,9 +107,9 @@ def _sin_kernel(q, theta):
     return np.sin(q * theta)
 
 
-def _sin_kernel_bound(h, theta, j):
-    """h^j |d^j sin(q theta)/dtheta^j| <= (q h)^j <= 1 for q <= 1/h."""
-    return 1.0
+def _sin_kernel_bound(t, h, theta, j):
+    """h^j |d^j sin(q theta)/dtheta^j| <= (q h)^j = t^j."""
+    return t ** j
 
 
 def _positive_parts(x, coef):
@@ -117,18 +117,12 @@ def _positive_parts(x, coef):
     coef[:, j] (in s = theta - x[j]) is positive, the rest being where
     max(cubic, 0) is 0: each interval is cut at its cubic's roots inside
     it. Returns (lo, hi, coefficients, origin) of those parts."""
-    j, s = cubic_roots(*coef, np.diff(x))
-    part = np.concatenate((np.arange(x.size - 1), j))
-    start = np.concatenate((np.zeros(x.size - 1), s))
-    order = np.lexsort((start, part))
-    part, start = part[order], start[order]
-    lo = np.minimum(x[part] + start, x[part + 1])
-    last = np.append(part[1:] != part[:-1], True)
-    hi = np.where(last, x[part + 1], np.append(lo[1:], 0.0))
+    edges, part = split_at_roots(x, coef)
+    lo, hi, origin = edges[:-1], edges[1:], x[part]
     y0, b, c, d = coef[:, part]
-    mid = 0.5 * (lo + hi) - x[part]
+    mid = 0.5 * (lo + hi) - origin
     keep = y0 + mid * (b + mid * (c + mid * d)) > 0.0
-    return lo[keep], hi[keep], coef[:, part[keep]], x[part[keep]]
+    return lo[keep], hi[keep], coef[:, part[keep]], origin[keep]
 
 
 def total_integrated(rows, k):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spline import CubicSpline1D, cubic_roots
+from ._spline import CubicSpline1D, split_at_roots
 from .errors import (ConfigError, DomainError, SingularityError,
                      UnsupportedModelError)
 from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
@@ -151,11 +151,12 @@ def _radial_kernel(q, r):
     return 4.0 * np.pi * r * r * np.sinc(q * r / np.pi)
 
 
-def _radial_kernel_bound(h, r, j):
-    """h^j |d^j/dr^j 4 pi r^2 sinc(q r)| for r <= R = r, q <= 1/h, j >= 2:
-    by Leibniz's rule with |sinc^(m)| <= 1/(m + 1), 4 pi (R^2/(j + 1) +
-    2 R h + j h^2)."""
-    return 4.0 * np.pi * (r * r / (j + 1) + 2.0 * r * h + j * h * h)
+def _radial_kernel_bound(t, h, r, j):
+    """h^j |d^j/dr^j 4 pi r^2 sinc(q r)| for r <= R = r, t = q h, j >= 2:
+    by Leibniz's rule with |sinc^(m)| <= 1/(m + 1), 4 pi (R^2 t^j/(j + 1)
+    + 2 R h t^(j-1) + j h^2 t^(j-2))."""
+    return 4.0 * np.pi * t ** (j - 2) * (r * r * t * t / (j + 1)
+                                         + 2.0 * r * h * t + j * h * h)
 
 
 def _cubics(p):
@@ -183,7 +184,7 @@ def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
     on quadrature.integrate_cubic's fixed rule, q by q: an array call
     has the bits of calls at each q alone. Its error estimate is the
     rule's a-priori bound plus the rounding floor; settings give only
-    max_subdivisions, the budget of pieces beyond one a knot interval.
+    max_subdivisions, the budget of pieces beyond two a knot interval.
     rel_tol and abs_tol set no target there: the runner still compares
     the estimate with them for its loose-error warning. with_error=True
     returns (Vtilde, error estimate), the estimate 0 for the closed forms.
@@ -271,11 +272,7 @@ def _breaks(p):
     and the zeros of V inside the knot intervals, where |V| has a kink;
     _R_EFF_PANELS equal panels for Yukawa and Gauss."""
     if isinstance(p, TabulatedRadial):
-        edges, coef = _cubics(p)
-        j, s = cubic_roots(*coef, np.diff(edges))
-        zeros = edges[j] + s
-        zeros = zeros[(zeros > edges[j]) & (zeros < edges[j + 1])]
-        return np.sort(np.concatenate((edges, zeros)))
+        return split_at_roots(*_cubics(p))[0]
     return np.linspace(0.0, reach(p)[0], _R_EFF_PANELS + 1)
 
 

@@ -35,15 +35,17 @@ one-row case of the same loop.
 integrate_cubic takes an integrand that is a known cubic between given
 breakpoints times a kernel of frequency q, such as a table's spline times
 the 3-d Fourier kernel. Nothing is adaptive: each interval of width h is
-cut into ceil(q h) equal pieces, so that q H <= 1 on every piece of width
-H, and each piece takes the 7-point Gauss rule embedded in GK15. Its
-remainder, H^15 (7!)^4 / (15 (14!)^3) max |f^(14)| (Davis & Rabinowitz,
-Methods of Numerical Integration, 1984, 2.7), is bounded a priori by
-Leibniz's rule from the cubic's coefficients and the kernel's derivative
-bounds; the reported error is that bound plus the rounding floor 100 eps
-int |f|. A q's partition depends on q alone, so a value has the bits of a
-call at that q alone. Pieces beyond one per interval count against
-max_subdivisions.
+cut into ceil(q h / 2) equal pieces, so that q H <= 2 on every piece of
+width H, and each piece takes the 7-point Gauss rule embedded in GK15.
+Its remainder, H^15 (7!)^4 / (15 (14!)^3) max |f^(14)| (Davis &
+Rabinowitz, Methods of Numerical Integration, 1984, 2.7), is bounded a
+priori by Leibniz's rule from the cubic's coefficients and the kernel's
+derivative bounds, which scale as (q H)^j: at q H = 2 the bound is at
+the level of rounding. The reported error is the bound plus the rounding
+floor 100 eps int |f|. A q's partition depends on q alone, so a value has
+the bits of a call at that q alone. Two pieces, 14 nodes, cost no more
+than the one GK15 panel an adaptive rule starts an interval with; pieces
+beyond two an interval count against max_subdivisions.
 
 hankel0 is global-adaptive over one partition of [0, upper] shared by
 every q (Piessens et al., QUADPACK, 1983): it starts from panels about
@@ -90,7 +92,7 @@ class QuadratureSettings:
     max_subdivisions      bisection budget per adaptive call (for
                           hankel0, of the shared partition); a table's
                           Fourier transform gives it to integrate_cubic
-                          as its budget of pieces beyond one an interval
+                          as its budget of pieces beyond two an interval
     """
 
     rel_tol: float = 1e-10
@@ -378,17 +380,20 @@ def integrate_semi_infinite(f, settings=DEFAULT_SETTINGS, *, rows=None,
 # of q or of panels
 _KERNEL_BLOCK = 1 << 13
 
-# The 7-point Gauss rule embedded in GK15, and the constant of its
-# remainder H^15 (7!)^4 / (15 (14!)^3) f^(14)(xi) on a panel of width H
+# The 7-point Gauss rule embedded in GK15, the constant of its remainder
+# H^15 (7!)^4 / (15 (14!)^3) f^(14)(xi) on a panel of width H, and the
+# largest q H on a piece of integrate_cubic's partition
 _G7_NODES = _NODES[1::2]
 _G7_REMAINDER = math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3)
+_PIECE_PHASE = 2.0
 
 
-def _g7_bound(kernel_bound, lo, hi, origin, coef, pieces):
+def _g7_bound(kernel_bound, qs, lo, hi, origin, coef, pieces):
     """The G7 remainders of integrate_cubic's integrand summed over the
-    pieces: on each, (P K)^(14) = sum_{m <= 3} C(14, m) P^(m) K^(14-m)
-    by Leibniz's rule, with |P^(m)| bounded from the coefficients over
-    |s| <= S and kernel_bound giving H^j |K^(j)|."""
+    pieces, for each q of qs: on a piece, (P K)^(14) = sum_{m <= 3}
+    C(14, m) P^(m) K^(14-m) by Leibniz's rule, with |P^(m)| bounded from
+    the coefficients over |s| <= S and kernel_bound giving H^j |K^(j)|.
+    Rows of q go in blocks, each q summing over the intervals alone."""
     y0, b, c, d = np.abs(coef)
     S = np.maximum(np.abs(lo - origin), np.abs(hi - origin))
     H = (hi - lo) / pieces
@@ -397,9 +402,15 @@ def _g7_bound(kernel_bound, lo, hi, origin, coef, pieces):
     derivs = (y0 + S * (b + S * (c + S * d)), H * (b + S * (2.0 * c
               + 3.0 * S * d)), H * H * (2.0 * c + 6.0 * S * d),
               H ** 3 * 6.0 * d)
-    terms = sum(math.comb(14, m) * dm * kernel_bound(H, X, 14 - m)
-                for m, dm in enumerate(derivs))
-    return float(np.sum(pieces * _G7_REMAINDER * H * terms))
+    error = np.empty(qs.size)
+    rows = max(1, _KERNEL_BLOCK // H.size)
+    for r in range(0, qs.size, rows):
+        t = qs[r:r + rows, None] * H
+        terms = sum(math.comb(14, m) * dm * kernel_bound(t, H, X, 14 - m)
+                    for m, dm in enumerate(derivs))
+        error[r:r + rows] = np.sum(pieces * _G7_REMAINDER * H * terms,
+                                   axis=1)
+    return error
 
 
 def integrate_cubic(kernel, kernel_bound, q, lo, hi, coef, origin=None, *,
@@ -410,11 +421,12 @@ def integrate_cubic(kernel, kernel_bound, q, lo, hi, coef, origin=None, *,
     (y0, b, c, d) = coef[:, j]; origin defaults to lo.
 
     kernel(q, x) takes q of shape (n, 1) and nodes x of shape (N,), and
-    each interval is cut into ceil(q h) pieces of width H. kernel_bound(H,
-    X, j) bounds H^j |d^j kernel(q, x)/dx^j| over |x| <= X (arrays) for
-    every q <= 1/H. The error estimate is the G7 remainder bound plus 100
-    eps int |f|. More than max_subdivisions pieces beyond one an interval
-    raise ConvergenceError naming the largest q.
+    each interval is cut into ceil(q h / 2) pieces of width H.
+    kernel_bound(t, H, X, j) bounds H^j |d^j kernel(q, x)/dx^j| over
+    |x| <= X at q = t / H, for t = q H of shape (n, intervals) and H, X
+    of shape (intervals,). The error estimate is the G7 remainder bound
+    plus 100 eps int |f|. More than max_subdivisions pieces beyond two an
+    interval raise ConvergenceError naming the largest q.
     """
     scalar = np.ndim(q) == 0
     qs = np.atleast_1d(np.asarray(q, dtype=float))
@@ -434,23 +446,26 @@ def integrate_cubic(kernel, kernel_bound, q, lo, hi, coef, origin=None, *,
     neval = 0
     if width.size and qs.size:
         order = np.argsort(qs, kind="stable")
-        counts = np.array([np.maximum(np.ceil(x * width), 1.0).sum()
-                           for x in qs[order]])
-        if counts[-1] - width.size > max_subdivisions:
+
+        def cut(x):
+            return np.maximum(np.ceil(x * width / _PIECE_PHASE), 1.0)
+
+        counts = np.array([cut(x).sum() for x in qs[order]])
+        extra = int(np.maximum(cut(qs[order[-1]]) - 2.0, 0.0).sum())
+        if extra > max_subdivisions:
             raise ConvergenceError(
                 f"quadrature budget of {max_subdivisions} subdivisions "
                 f"exhausted at q = {float(qs[order[-1]])!r} (the fixed rule "
-                f"needs {int(counts[-1]) - width.size} pieces beyond one an "
-                f"interval)", estimate=float("nan"),
-                error_estimate=float("inf"))
+                f"needs {extra} pieces beyond two an interval)",
+                estimate=float("nan"), error_estimate=float("inf"))
         # a partition only refines as q grows, so the q of one piece count
         # share a partition
         for group in np.split(order, np.flatnonzero(np.diff(counts)) + 1):
-            pieces = np.maximum(np.ceil(qs[group[0]] * width), 1.0)
+            pieces = cut(qs[group[0]])
             value[group], absint[group], n = _cubic_rule(
                 kernel, qs[group], lo, width, origin, coef, pieces)
-            error[group] = _g7_bound(kernel_bound, lo, hi, origin, coef,
-                                     pieces)
+            error[group] = _g7_bound(kernel_bound, qs[group], lo, hi, origin,
+                                     coef, pieces)
             neval += n
     error += 100.0 * _EPS * absint
     if scalar:

@@ -16,6 +16,17 @@ KIN1 = Kinematics(mass=1.0, k=1.0)
 KIN10 = Kinematics(mass=1.0, k=10.0)
 
 
+def _knotwise_transform(p, qs):
+    """fourier3d of the table p at each q of qs as a 20-point
+    Gauss-Legendre sum over each knot interval, where V is a cubic."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    h = 0.5 * np.diff(p.r)[:, None]
+    rr = 0.5 * (p.r[1:] + p.r[:-1])[:, None] + h * x
+    vr = (h * w * 4.0 * np.pi * rr * rr * evaluate(p, rr)).ravel()
+    return np.array([np.sum(vr * np.sinc(q * rr.ravel() / np.pi))
+                     for q in qs])
+
+
 class TestBorn1:
     def test_yukawa_forward_unit_values(self):
         # m = hbar = mu = g = 1 at q = 0: f = -(1/2pi) * 4pi = -2
@@ -88,15 +99,25 @@ class TestBorn1:
                 * np.sinc(q * x / np.pi), r[:-1], r[1:], tight,
                 rows=r.size - 1)
             adaptive.append(scale * math.fsum(res.value))
-        x, w = np.polynomial.legendre.leggauss(20)
-        h = 0.5 * np.diff(r)[:, None]
-        rr = 0.5 * (r[1:] + r[:-1])[:, None] + h * x
-        vr = (h * w * 4.0 * np.pi * rr * rr * evaluate(p, rr)).ravel()
-        knotwise = scale * np.array(
-            [np.sum(vr * np.sinc(q * rr.ravel() / np.pi)) for q in got.q])
+        knotwise = scale * _knotwise_transform(p, got.q)
         for ref in (np.array(adaptive), knotwise):
             assert np.all(np.abs(got.value - ref) <= got.error_estimate)
         assert np.all(got.error_estimate < 1e-12 * np.abs(got.value))
+
+    def test_tabulated_backward_angles_run_at_the_default_budget(self):
+        # the 600-sample table at k = 10 out to theta = pi reaches q h = 1.0
+        # on all 599 knot intervals, one piece each, within the default
+        # budget (a rule cutting every interval there in two once spent
+        # 599 pieces of a budget of 200 and raised ConvergenceError)
+        r = np.linspace(0.0, 30.0, 600)
+        v = 0.5 * np.exp(-r) / np.sqrt(r * r + 0.25)
+        v[-1] = 0.0
+        p = TabulatedRadial(r, v)
+        got = born1_amplitude(p, KIN10, np.linspace(0.0, math.pi, 181))
+        ref = -KIN10.mass / (2.0 * np.pi * KIN10.hbar**2) \
+            * _knotwise_transform(p, got.q)
+        assert np.all(np.abs(got.value - ref) <= got.error_estimate)
+        assert np.all(got.error_estimate < 1e-13)
 
     @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.8, 0.5)])
     @pytest.mark.parametrize("k", [1.0, 2.0, 5.0, 10.0, 30.0])
