@@ -11,7 +11,7 @@ from .cross_sections import (SOURCES, CrossSectionTable, PaperComparison,
                              total_integrated, total_optical)
 from .eikonal import (Amplitude, Kinematics, amplitude_eikonal,
                       amplitude_paper_closed, chi, chi_closed,
-                      momentum_transfer, phase_profile)
+                      momentum_transfer)
 from .errors import (ConfigError, ConvergenceError, DivergenceError,
                      DomainError, PoleError, RangeError, ScatterError,
                      SingularityError, UnsupportedModelError)
@@ -24,7 +24,7 @@ from .runner import RunManifest, SourceOutcome, run_scan
 __all__ = [
     "__version__",
     "Amplitude", "Kinematics", "momentum_transfer", "chi", "chi_closed",
-    "phase_profile", "amplitude_eikonal", "amplitude_paper_closed",
+    "amplitude_eikonal", "amplitude_paper_closed",
     "born1_amplitude", "born_resummed_amplitude",
     "PhaseShiftSet", "phase_shifts", "amplitude_partial_wave",
     "effective_radius",

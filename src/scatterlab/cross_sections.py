@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paper_forms
-from ._spline import CubicSpline1D, split_at_roots
+from ._spline import natural_cubic, split_at_roots
 from .born import born1_amplitude
 from .eikonal import Amplitude, momentum_transfer
 from .errors import (ConvergenceError, DomainError, PoleError, RangeError,
@@ -50,6 +50,9 @@ VERDICT_SUSPECTED_TYPO = "SUSPECTED_TYPO"
 VERDICT_DIVERGES = "DIVERGES"
 
 _VERDICT_TOL = 1e-2  # max relative deviation that still counts as matching
+# the angles on which paper_formula_checks compares the differential form
+_CHECK_THETA_MAX = 0.2
+_CHECK_THETA_COUNT = 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +128,14 @@ def _positive_parts(x, coef):
     return lo[keep], hi[keep], coef[:, part[keep]], origin[keep]
 
 
-def total_integrated(rows, k):
+def total_integrated(rows):
     """2 pi int_0^pi dsigma(theta) sin(theta) dtheta from tabulated rows.
 
-    The rows are interpolated with a cubic spline, clipped at 0, and each
-    interval's cubic times sin(theta) is integrated on the fixed Gauss
-    rule of quadrature.integrate_cubic; where the spline dips below 0 the
-    interval is cut at the cubic's roots. A second integration on every
-    other row must agree, or the grid is too sparse to trust and a
+    The rows are interpolated with a natural cubic spline, clipped at 0,
+    and each interval's cubic times sin(theta) is integrated on the fixed
+    Gauss rule of quadrature.integrate_cubic; where the spline dips below
+    0 the interval is cut at the cubic's roots. A second integration on
+    every other row must agree, or the grid is too sparse to trust and a
     convergence error is raised.
     """
     rows = np.asarray(rows, dtype=float)
@@ -151,11 +154,9 @@ def total_integrated(rows, k):
             estimate=np.nan, error_estimate=np.inf)
 
     def sigma_from(th, ds):
-        spline = CubicSpline1D(th, ds)
-        coef = np.array([ds[:-1], spline.b, spline.c, spline.d])
         return 2.0 * np.pi * integrate_cubic(
             _sin_kernel, _sin_kernel_bound, 1.0,
-            *_positive_parts(th, coef)).value
+            *_positive_parts(th, natural_cubic(th, ds))).value
 
     sigma = sigma_from(theta, dsig)
     sigma_half = sigma_from(theta[::2], dsig[::2])
@@ -187,7 +188,7 @@ def table_from_amplitudes(source, amp, k):
         tot_opt = total_optical(
             Amplitude(theta=0.0, q=0.0, value=complex(v[0])), k)
     try:
-        tot_int = total_integrated(rows, k)
+        tot_int = total_integrated(rows)
     except (RangeError, ConvergenceError, DomainError):
         tot_int = float("nan")
     return CrossSectionTable(rows=rows, total_integrated=tot_int,
@@ -260,19 +261,19 @@ def _max_rel_dev(got, ref):
     return float(np.max(rel))
 
 
-def paper_formula_checks(p, kin, theta_max=0.2, n_theta=21):
+def paper_formula_checks(p, kin):
     """Run the reference-formula checks for one potential.
 
     Returns two PaperComparison records: the differential form against
-    born1 on theta <= theta_max, and the closed-form total against an
-    oracle (the Born total for Yukawa, a direct integration of the printed
-    differential form for Gauss).
+    born1 on theta <= _CHECK_THETA_MAX, and the closed-form total against
+    an oracle (the Born total for Yukawa, a direct integration of the
+    printed differential form for Gauss).
     """
     if not isinstance(p, (Yukawa, Gauss)):
         raise UnsupportedModelError(
             "reference-formula checks exist for Yukawa and Gauss only")
     model = "yukawa" if isinstance(p, Yukawa) else "gauss"
-    theta = np.linspace(0.0, theta_max, n_theta)
+    theta = np.linspace(0.0, _CHECK_THETA_MAX, _CHECK_THETA_COUNT)
     q = momentum_transfer(kin.k, theta)
     born = differential(born1_amplitude(p, kin, theta))
     amp_check = _grade(

@@ -48,12 +48,10 @@ from .special_functions import bessel_k0
 
 __all__ = [
     "Kinematics",
-    "PhaseProfile",
     "Amplitude",
     "momentum_transfer",
     "chi",
     "chi_closed",
-    "phase_profile",
     "amplitude_eikonal",
     "amplitude_paper_closed",
 ]
@@ -85,34 +83,6 @@ class Kinematics:
         return (self.hbar * self.k) ** 2 / (2.0 * self.mass)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseProfile:
-    """chi sampled on an impact-parameter grid.
-
-    provenance records which route produced it: "closed-form" or
-    "quadrature". For decaying potentials the grid must extend far enough
-    that |chi| at the last point is below 1e-8.
-    """
-
-    b_grid: np.ndarray
-    chi: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        b = np.asarray(self.b_grid, dtype=float)
-        c = np.asarray(self.chi, dtype=float)
-        if b.ndim != 1 or b.shape != c.shape:
-            raise DomainError("b_grid and chi must be matching 1-d arrays")
-        if b[0] < 0.0 or not np.all(np.diff(b) > 0.0):
-            raise DomainError("b_grid must be non-negative and strictly "
-                              "increasing")
-        if self.provenance not in ("closed-form", "quadrature"):
-            raise DomainError("provenance must be 'closed-form' or "
-                              "'quadrature'")
-        object.__setattr__(self, "b_grid", b)
-        object.__setattr__(self, "chi", c)
-
-
 @dataclass(frozen=True)
 class Amplitude:
     """Complex scattering amplitude at one angle.
@@ -134,10 +104,10 @@ class Amplitude:
 
 def momentum_transfer(k, theta, small_angle=False):
     """q = 2k sin(theta/2); the small-angle flag switches to k*theta."""
-    if k <= 0.0:
+    if not k > 0.0:
         raise DomainError("wavenumber k must be positive")
     theta_arr = np.asarray(theta, dtype=float)
-    if np.any(theta_arr < 0.0) or np.any(theta_arr > np.pi):
+    if not np.all((theta_arr >= 0.0) & (theta_arr <= np.pi)):
         raise DomainError("theta must lie in [0, pi]")
     if small_angle:
         return k * theta
@@ -287,29 +257,6 @@ def chi_closed(p, kin, b):
         raise UnsupportedModelError(
             f"unknown potential model {type(p).__name__!r}")
     return float(out[0]) if scalar else out
-
-
-def phase_profile(p, kin, b_grid, provenance="auto",
-                  settings=DEFAULT_SETTINGS):
-    """Sample chi on a grid. provenance: "auto" picks "closed-form" for
-    analytic models, else "quadrature"; the explicit names force a route."""
-    if provenance == "auto":
-        provenance = "quadrature" if isinstance(p, TabulatedRadial) \
-            else "closed-form"
-    if provenance == "closed-form":
-        values = chi_closed(p, kin, b_grid)
-    elif provenance == "quadrature":
-        values = chi(p, kin, b_grid, settings)
-    else:
-        raise DomainError("provenance must be 'auto', 'closed-form', or "
-                          "'quadrature'")
-    profile = PhaseProfile(b_grid=np.asarray(b_grid, dtype=float),
-                           chi=np.atleast_1d(values), provenance=provenance)
-    if abs(profile.chi[-1]) > 1e-8:
-        raise DomainError(
-            f"chi({profile.b_grid[-1]:g}) = {profile.chi[-1]:.3e} has not "
-            f"decayed below 1e-8; extend the b grid")
-    return profile
 
 
 def _phase_integrand(p, kin, phase, settings):

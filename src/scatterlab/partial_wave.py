@@ -316,10 +316,10 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
         dr = min(0.04 / k, 0.01)
     else:
         dr = float(dr)
-        if dr <= 0:
-            raise DomainError("dr must be positive")
+        if not (math.isfinite(dr) and dr > 0):
+            raise DomainError("dr must be positive and finite", key="dr")
         if k * dr >= 0.1:
-            raise DomainError("k dr must stay below 0.1")
+            raise DomainError("k dr must stay below 0.1", key="dr")
     step = 4.0 * dr  # the coarsest sweep's step: both radii lie on its grid
 
     if r_max is None:
@@ -327,24 +327,27 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
         r_max = math.ceil(_auto_r_max(p, kin, r_eff) / step) * step
     else:
         r_max = float(r_max)
-        if r_max <= 0:
-            raise DomainError("r_max must be positive")
+        if not (math.isfinite(r_max) and r_max > 0):
+            raise DomainError("r_max must be positive and finite",
+                              key="r_max")
         r_max = round(r_max / step) * step
         if r_max < 2.0 * step:
-            raise DomainError("r_max must lie at least 8 dr from the origin")
+            raise DomainError("r_max must lie at least 8 dr from the origin",
+                              key="r_max")
         if _reduced_strength(p, kin, r_max) > _DECAY * k * k:
             raise RangeError(
                 f"potential has not decayed at r_max = {r_max:g}, the "
                 f"requested radius on the 4 dr grid: |V| 2m/hbar^2 exceeds "
-                f"1e-12 k^2 there")
+                f"1e-12 k^2 there", key="r_max")
     r_b = r_max + step * max(1, round((np.pi / (2.0 * k)) / step))
 
     if l_max is None:
         l0 = int(np.ceil(k * r_eff)) + 10
         tops = [l0 + w for w in _WIDTHS]
     else:
-        if l_max < 0 or l_max != int(l_max):
-            raise DomainError("l_max must be an integer >= 0")
+        if not (math.isfinite(l_max) and l_max >= 0
+                and l_max == int(l_max)):
+            raise DomainError("l_max must be an integer >= 0", key="l_max")
         l0 = int(l_max)
         tops = [l0]
     # Each pass sweeps the waves above the previous pass's top and tests the

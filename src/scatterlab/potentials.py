@@ -2,10 +2,10 @@
 
 Three models share one informal protocol: construct, then pass to the
 module-level functions. Closed-form transforms exist for the analytic
-models. A table's V is a cubic (or, linearly interpolated, a line) on
-each knot interval, so its transform integrates those polynomials times
-the Fourier kernel on quadrature.integrate_cubic's fixed Gauss rule, with
-an a-priori error bound.
+models. A table holds its V as one piecewise cubic, built once from the
+samples; evaluate reads the pieces by Horner's rule, and the transform
+integrates them times the Fourier kernel on quadrature.integrate_cubic's
+fixed Gauss rule, with an a-priori error bound.
 
 The potential's range lives here too: reach(p), the radius R past which
 the z-profile's tail is below rounding, with a bound on that tail, and
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spline import CubicSpline1D, split_at_roots
+from ._spline import natural_cubic, split_at_roots
 from .errors import (ConfigError, DomainError, SingularityError,
                      UnsupportedModelError)
 from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
@@ -81,18 +81,23 @@ class Gauss:
 class TabulatedRadial:
     """Sampled V on strictly increasing radii.
 
-    Below the first sample the value clamps to v[0]; beyond the last it is
-    identically zero (the table is taken to cover the interaction region).
-    interpolation is "cubic" (natural spline) or "linear". file names the
-    path or stream the table was read from, None for a table built in
-    memory.
+    interpolation is "cubic" (natural spline) or "linear". Below the first
+    sample V is v[0]; beyond the last it is identically zero (the table is
+    taken to cover the interaction region). file names the path or stream
+    the table was read from, None for a table built in memory.
+
+    _pieces holds V up to r[-1] as one piecewise cubic, built once: (edges,
+    coefficients (y0, b, c, d) of shape (4, edges.size - 1)), V = y0 + s (b
+    + s (c + s d)) on [edges[j], edges[j+1]], s = r - edges[j]. A linear
+    table has c = d = 0, and a table starting at r[0] > 0 has the constant
+    v[0] on [0, r[0]].
     """
 
     r: np.ndarray
     v: np.ndarray
     interpolation: str = "cubic"
     file: str | None = None
-    _interp: object = field(init=False, repr=False, compare=False)
+    _pieces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -116,10 +121,16 @@ class TabulatedRadial:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "v", v)
         if self.interpolation == "cubic":
-            object.__setattr__(self, "_interp", CubicSpline1D(r, v))
+            coef = natural_cubic(r, v)
         else:
-            object.__setattr__(self, "_interp",
-                               lambda x: np.interp(x, r, v))
+            coef = np.zeros((4, r.size - 1))
+            coef[0], coef[1] = v[:-1], np.diff(v) / np.diff(r)
+        edges = r
+        if r[0] > 0.0:
+            edges = np.concatenate(([0.0], r))
+            coef = np.concatenate((np.array([[v[0]], [0.0], [0.0], [0.0]]),
+                                   coef), axis=1)
+        object.__setattr__(self, "_pieces", (edges, coef))
 
 
 def evaluate(potential, r):
@@ -137,9 +148,12 @@ def evaluate(potential, r):
     elif isinstance(potential, Gauss):
         out = potential.g * np.exp(-potential.alpha * r * r)
     elif isinstance(potential, TabulatedRadial):
-        inside = np.maximum(r, potential.r[0])
-        out = np.asarray(potential._interp(inside), dtype=float)
-        out = np.where(r > potential.r[-1], 0.0, out)
+        edges, coef = potential._pieces
+        j = np.clip(np.searchsorted(edges, r, side="right") - 1, 0,
+                    edges.size - 2)
+        s = r - edges[j]
+        y0, b, c, d = coef.take(j, axis=1)
+        out = np.where(r > edges[-1], 0.0, y0 + s * (b + s * (c + s * d)))
     else:
         raise UnsupportedModelError(
             f"unknown potential model {type(potential).__name__!r}")
@@ -159,29 +173,11 @@ def _radial_kernel_bound(t, h, r, j):
                                          + 2.0 * r * h * t + j * h * h)
 
 
-def _cubics(p):
-    """A table's V piece by piece: (edges, coefficients (y0, b, c, d) of
-    shape (4, n)), V = y0 + s (b + s (c + s d)) on [edges[j], edges[j+1]],
-    s = r - edges[j]. A linear table has c = d = 0, and a table starting
-    at r[0] > 0 gains the constant v[0] on [0, r[0]]."""
-    r, v = p.r, p.v
-    if p.interpolation == "cubic":
-        coef = np.array([v[:-1], p._interp.b, p._interp.c, p._interp.d])
-    else:
-        coef = np.zeros((4, r.size - 1))
-        coef[0], coef[1] = v[:-1], np.diff(v) / np.diff(r)
-    if r[0] > 0.0:
-        r = np.concatenate(([0.0], r))
-        coef = np.concatenate((np.array([[v[0]], [0.0], [0.0], [0.0]]),
-                               coef), axis=1)
-    return r, coef
-
-
 def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
     """Vtilde(q) = int d^3r e^{-i q.r} V(r), vectorized over q >= 0.
 
-    A table integrates each knot interval's cubic times 4 pi r^2 sinc(q r)
-    on quadrature.integrate_cubic's fixed rule, q by q: an array call
+    A table integrates each of its pieces times 4 pi r^2 sinc(q r) on
+    quadrature.integrate_cubic's fixed rule, q by q: an array call
     has the bits of calls at each q alone. Its error estimate is the
     rule's a-priori bound plus the rounding floor; settings give only
     max_subdivisions, the budget of pieces beyond two a knot interval.
@@ -201,7 +197,7 @@ def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
         a = potential.alpha
         out = potential.g * (np.pi / a) ** 1.5 * np.exp(-q * q / (4.0 * a))
     elif isinstance(potential, TabulatedRadial):
-        edges, coef = _cubics(potential)
+        edges, coef = potential._pieces
         res = integrate_cubic(_radial_kernel, _radial_kernel_bound, q,
                               edges[:-1], edges[1:], coef,
                               max_subdivisions=settings.max_subdivisions)
@@ -267,12 +263,11 @@ _R_EFF_SETTINGS = QuadratureSettings(rel_tol=1e-9, abs_tol=1e-300)
 
 
 def _breaks(p):
-    """Panel edges on [0, reach(p)]: a table's knots, between which V is
-    cubic or linear, with 0 prepended when r[0] > 0 (V is v[0] below it),
-    and the zeros of V inside the knot intervals, where |V| has a kink;
-    _R_EFF_PANELS equal panels for Yukawa and Gauss."""
+    """Panel edges on [0, reach(p)]: the edges of a table's pieces and the
+    zeros of V inside them, where |V| has a kink; _R_EFF_PANELS equal
+    panels for Yukawa and Gauss."""
     if isinstance(p, TabulatedRadial):
-        return split_at_roots(*_cubics(p))[0]
+        return split_at_roots(*p._pieces)[0]
     return np.linspace(0.0, reach(p)[0], _R_EFF_PANELS + 1)
 
 

@@ -6,7 +6,7 @@ references (which live in the tests only):
 
     bessel_j0        |err| <= max(1e-13, 1e-12*|J0|) for |x| <= 1e4
     bessel_k0        same form, x > 0 up to the underflow point of e^{-x}
-    legendre_p       exact recurrence, |x| <= 1
+    legendre_p_row   P_0..P_l by the exact upward recurrence, |x| <= 1
     spherical_bessel relative 1e-10 class away from zeros, via the Wronskian;
                      j_l past the upward range by one Miller pass per row
 
@@ -23,7 +23,6 @@ from .errors import DomainError
 __all__ = [
     "bessel_j0",
     "bessel_k0",
-    "legendre_p",
     "legendre_p_row",
     "spherical_bessel",
     "spherical_bessel_row",
@@ -177,18 +176,6 @@ def bessel_k0(x):
 # ---------------------------------------------------------------------------
 # Legendre polynomials and spherical Bessel functions.
 # ---------------------------------------------------------------------------
-
-
-def legendre_p(l, x):
-    """Legendre polynomial P_l(x) for |x| <= 1: row l of legendre_p_row."""
-    if l < 0 or l != int(l):
-        raise DomainError("legendre_p requires integer l >= 0")
-    scalar = np.isscalar(x)
-    xa = np.asarray(x, dtype=float)
-    if (np.abs(xa) > 1.0 + 1e-12).any():
-        raise DomainError("legendre_p requires |x| <= 1")
-    p_l = legendre_p_row(int(l), xa)[int(l)].reshape(xa.shape)
-    return float(p_l) if scalar else p_l
 
 
 def legendre_p_row(l_max, x):

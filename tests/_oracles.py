@@ -233,7 +233,8 @@ def spherical_bessel(l, x):
 
 
 # Natural cubic spline that forms each interval's coefficients at every
-# evaluation. Reference for _spline.CubicSpline1D.
+# evaluation, extrapolating the end cubics. Reference for
+# _spline.natural_cubic and, through table_evaluate, for a table's pieces.
 
 
 class CubicSpline1D:
@@ -295,6 +296,19 @@ class CubicSpline1D:
         s = xq - x0
         out = a + s * (b + s * (c + s * d))
         return out[0] if scalar else out
+
+
+def table_evaluate(r, v, interpolation, rq):
+    """V of a table at the array rq, as potentials.evaluate computed it
+    before a table held its pieces: rq clamped up to r[0], then the
+    spline or np.interp, then 0 beyond r[-1]."""
+    if interpolation == "cubic":
+        interp = CubicSpline1D(r, v)
+    else:
+        def interp(x):
+            return np.interp(x, r, v)
+    out = np.asarray(interp(np.maximum(rq, r[0])), dtype=float)
+    return np.where(rq > r[-1], 0.0, out)
 
 
 def _kinks(p):

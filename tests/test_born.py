@@ -146,6 +146,13 @@ class TestBorn1:
         with pytest.raises(DomainError):
             born1_amplitude(Yukawa(0.5, 1.0), KIN10, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("theta", [math.nan, [0.1, math.nan], -0.1,
+                                       math.pi + 0.1])
+    def test_theta_domain(self, theta):
+        # a NaN angle is refused, not turned into a NaN amplitude
+        with pytest.raises(DomainError, match=r"\[0, pi\]"):
+            born1_amplitude(Yukawa(0.5, 1.0), KIN10, theta)
+
 
 class TestBornResummed:
     def test_matches_eikonal_at_small_angle(self):

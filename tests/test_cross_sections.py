@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import simpson
 
 import _oracles
-from scatterlab._spline import CubicSpline1D
 from scatterlab.born import born1_amplitude
 from scatterlab.cross_sections import (CrossSectionTable, PaperComparison,
                                        VERDICT_CONSISTENT,
@@ -84,7 +83,7 @@ class TestTotalIntegrated:
     def test_constant_amplitude(self):
         theta = np.linspace(0.0, np.pi, 201)
         rows = _rows_from(theta, np.full(theta.shape, 2.0))
-        got = total_integrated(rows, 1.0)
+        got = total_integrated(rows)
         assert got == pytest.approx(16.0 * np.pi, rel=1e-9)
 
     def test_born_gauss_against_simpson(self):
@@ -93,7 +92,7 @@ class TestTotalIntegrated:
         theta = np.linspace(0.0, np.pi, 501)
         vals = np.array([born1_amplitude(p, kin, t).value for t in theta])
         rows = _rows_from(theta, vals)
-        got = total_integrated(rows, kin.k)
+        got = total_integrated(rows)
 
         fine = np.linspace(0.0, np.pi, 40001)
         dsig = np.array([differential(born1_amplitude(p, kin, t))
@@ -110,7 +109,7 @@ class TestTotalIntegrated:
         amp = amplitude_partial_wave(
             phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=k)), theta)
         rows = _rows_from(theta, amp.value)
-        assert total_integrated(rows, k) == pytest.approx(
+        assert total_integrated(rows) == pytest.approx(
             _oracles.spline_total(theta, rows[:, 4]), rel=1e-14, abs=0.0)
 
     def test_a_dipping_spline_is_clipped_at_its_roots(self):
@@ -120,19 +119,19 @@ class TestTotalIntegrated:
         theta = np.linspace(0.0, 3.1415926, 481)
         f = np.maximum(np.cos(3.0 * theta), 0.0) * np.exp(-theta)
         rows = _rows_from(theta, f)
-        spline = CubicSpline1D(theta, rows[:, 4])
+        spline = _oracles.CubicSpline1D(theta, rows[:, 4])
         assert spline(np.linspace(0.0, theta[-1], 100_001)).min() < -1e-6
         exact = _oracles.spline_total(theta, rows[:, 4])
         unclipped = _oracles.spline_total(theta, rows[:, 4], clip=False)
         assert abs(unclipped - exact) > 1e-7 * exact
-        assert total_integrated(rows, 1.0) == pytest.approx(exact, rel=1e-14,
-                                                            abs=0.0)
+        assert total_integrated(rows) == pytest.approx(exact, rel=1e-14,
+                                                       abs=0.0)
 
     def test_coverage_required(self):
         theta = np.linspace(0.0, 0.5, 64)
         rows = _rows_from(theta, np.ones_like(theta))
         with pytest.raises(RangeError):
-            total_integrated(rows, 1.0)
+            total_integrated(rows)
 
     def test_sparse_grid_rejected(self):
         # a forward peak sampled by 15 points cannot be integrated honestly
@@ -142,14 +141,14 @@ class TestTotalIntegrated:
         vals = np.array([born1_amplitude(p, kin, t).value for t in theta])
         rows = _rows_from(theta, vals)
         with pytest.raises(ConvergenceError):
-            total_integrated(rows, kin.k)
+            total_integrated(rows)
 
     def test_nonfinite_rows_rejected(self):
         theta = np.linspace(0.0, np.pi, 64)
         rows = _rows_from(theta, np.ones_like(theta))
         rows[3, 4] = np.nan
         with pytest.raises(DomainError):
-            total_integrated(rows, 1.0)
+            total_integrated(rows)
 
 
 class TestTotalOptical:
@@ -278,7 +277,7 @@ class TestTableAssembly:
                          for t in theta])
         rows = _rows_from(theta, vals)
         rows[:, 1] = 2 * kin.k * np.sin(theta / 2)
-        sigma_eik = total_integrated(rows, kin.k)
+        sigma_eik = total_integrated(rows)
         ps = phase_shifts(p, kin)
         amp = amplitude_partial_wave(ps, np.linspace(0.0, np.pi, 601))
         tab = table_from_amplitudes("partial_wave", amp, kin.k)

@@ -8,10 +8,9 @@ import pytest
 import scipy.special as sps
 
 from scatterlab.born import born_resummed_amplitude
-from scatterlab.eikonal import (Amplitude, Kinematics, PhaseProfile,
-                                amplitude_eikonal, amplitude_paper_closed,
-                                chi, chi_closed, momentum_transfer,
-                                phase_profile)
+from scatterlab.eikonal import (Amplitude, Kinematics, amplitude_eikonal,
+                                amplitude_paper_closed, chi, chi_closed,
+                                momentum_transfer)
 from scatterlab.errors import (DomainError, PoleError, SingularityError,
                                UnsupportedModelError)
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
@@ -55,6 +54,11 @@ class TestMomentumTransfer:
             momentum_transfer(10.0, -0.1)
         with pytest.raises(DomainError):
             momentum_transfer(10.0, np.pi + 0.1)
+        # NaN fails both comparisons, so it must be refused, not passed on
+        for k, theta in ((10.0, np.nan), (10.0, [0.1, np.nan]),
+                         (np.nan, 0.1)):
+            with pytest.raises(DomainError):
+                momentum_transfer(k, theta)
 
     def test_array(self):
         th = np.array([0.0, 0.1, np.pi])
@@ -123,37 +127,6 @@ class TestChi:
         c1 = chi_closed(Yukawa(0.25, 1.0), KIN1, 0.7)
         c2 = chi_closed(Yukawa(0.75, 1.0), KIN1, 0.7)
         assert c2 == pytest.approx(3.0 * c1, rel=1e-14)
-
-
-class TestPhaseProfile:
-    def test_auto_routes_closed_for_models(self):
-        b = np.linspace(0.1, 40.0, 50)
-        prof = phase_profile(Yukawa(0.5, 1.0), KIN10, b)
-        assert prof.provenance == "closed-form"
-        assert np.allclose(prof.chi, chi_closed(Yukawa(0.5, 1.0), KIN10, b))
-
-    def test_auto_routes_quadrature_for_table(self):
-        r = np.linspace(0.0, 12.0, 400)
-        v = np.exp(-(r**2))
-        v[-1] = 0.0
-        p = TabulatedRadial(r, v)
-        b = np.linspace(0.0, 11.0, 12)
-        prof = phase_profile(p, KIN1, b)
-        assert prof.provenance == "quadrature"
-
-    def test_rejects_undecayed_tail(self):
-        # chi at b = 2 for a strong long-ranged profile is far from zero
-        b = np.linspace(0.5, 2.0, 8)
-        with pytest.raises(DomainError):
-            phase_profile(Yukawa(5.0, 0.3), KIN1, b)
-
-    def test_profile_validation(self):
-        with pytest.raises(DomainError):
-            PhaseProfile(b_grid=np.array([0.0, 1.0]),
-                         chi=np.array([1.0]), provenance="closed-form")
-        with pytest.raises(DomainError):
-            PhaseProfile(b_grid=np.array([0.0, 1.0]),
-                         chi=np.array([0.0, 0.0]), provenance="guesswork")
 
 
 class TestAmplitudeEikonal:

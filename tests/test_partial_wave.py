@@ -227,6 +227,13 @@ class TestPhaseShifts:
         with pytest.raises(DomainError):
             phase_shifts(Yukawa(0.5, 1.0), KIN2, dr=-0.001)
 
+    @pytest.mark.parametrize("key", ["dr", "r_max", "l_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_knobs_are_named(self, key, value):
+        with pytest.raises(DomainError) as err:
+            phase_shifts(Yukawa(0.5, 1.0), KIN2, **{key: value})
+        assert err.value.key == key
+
     def test_explicit_l_max_too_small(self):
         # the tail invariant rejects a truncation that cuts live waves
         with pytest.raises(DomainError):
@@ -530,6 +537,9 @@ class TestAmplitudePartialWave:
             amplitude_partial_wave(ps, -0.1)
         with pytest.raises(DomainError):
             amplitude_partial_wave(ps, np.pi + 0.2)
+        for theta in (np.nan, [0.1, np.nan]):
+            with pytest.raises(DomainError):
+                amplitude_partial_wave(ps, theta)
 
     def test_theta_is_a_scalar_or_a_1d_array(self):
         # a 2-d theta is refused, not broadcast against the rows of P_l; a

