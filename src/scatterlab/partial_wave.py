@@ -7,20 +7,26 @@ extracts tan(delta_l) by matching u_l/r against the free combination
 cos(delta) j_l(kr) - sin(delta) n_l(kr) at two radii a quarter local
 wavelength apart, with one row of spherical Bessel values per radius.
 
-Each pass sweeps its waves three times, at steps h, 2h and 4h, between the
-same two matching radii, which lie on the 4h grid. For a smooth potential
-Numerov's error in delta is O(h^4), and the four-term series start keeps
-it so, so Richardson's R(h, 2h) = delta(h) + (delta(h) - delta(2h))/15
-removes the leading term. R(2h, 4h) is kept beside it, and the amplitude
-reports how far the two disagree as its step error. The three sweeps cost
-1 + 1/2 + 1/4 of one sweep at h. Each pass of the automatic l_max sweeps
-only the waves above the previous pass's top.
+Each pass integrates its waves on three grids, of steps h, 2h and 4h,
+between the same two matching radii, which lie on the 4h grid. For a
+smooth potential Numerov's error in delta is O(h^4), and the four-term
+series start keeps it so, so Richardson's R(h, 2h) = delta(h) + (delta(h)
+- delta(2h))/15 removes the leading term. R(2h, 4h) is kept beside it, and
+the amplitude reports how far the two disagree as its step error. One loop
+over the fine grid carries all three grids as one state: every step
+advances the fine waves, every second step the mid ones as well and every
+fourth the coarse ones, so a pass costs as many Python steps as a single
+sweep at h, and 1 + 1/2 + 1/4 of its arithmetic. V, the centrifugal term
+and the Bessel rows at the matching radii are formed once, on the fine
+grid. Each pass of the automatic l_max sweeps only the waves above the
+previous pass's top.
 
 The sweep runs Numerov's scheme in summed form: it carries y_n and the
 first difference y_n - y_{n-1} and adds g_n y_n to the difference at each
-step, three in-place operations on the wave vector. Growth in the
+step, three in-place operations on a prefix of the state. Growth in the
 classically forbidden region is held in range by scaling each wave's
-state by exact powers of two, which cannot change a phase shift's bits.
+state by exact powers of two, which cannot change a phase shift's bits,
+so each grid's phase shifts keep the bits of a sweep of its own.
 
 The reported delta_l live in (-pi/2, pi/2]; the amplitude only ever uses
 e^{2 i delta}, for which the mod-pi reduction is exact.
@@ -33,7 +39,8 @@ import numpy as np
 
 from .eikonal import Kinematics, _amplitude, momentum_transfer
 from .errors import ConvergenceError, DomainError, RangeError
-from .potentials import effective_radius, evaluate, origin_expansion
+from .potentials import (effective_radius, evaluate, origin_expansion,
+                         reach)
 # The effective radius is integrated in potentials; the two integrators and
 # spherical_bessel are bound here only because perfbench/tracer.py rebinds
 # them in partial_wave's namespace.
@@ -51,6 +58,10 @@ __all__ = [
 # decay criterion on the reduced potential: |V(r_max)| 2m/hbar^2 <= DECAY k^2
 _DECAY = 1e-12
 _TAIL_TOL = 1e-8  # |delta_{l_max}| below this counts as converged
+# the automatic r_max search spans this many reaches: over them a Yukawa
+# falls by e^-2400 and a Gauss by more, beyond the ratio of any two floats,
+# and a table's V is 0 beyond one reach
+_RANGES = 64
 # auto l_max: the widths top - l0 of the passes, tried in turn
 _WIDTHS = (64, 128, 256, 416)
 _CHUNK = 128  # Numerov steps whose coefficient rows are formed at once
@@ -61,7 +72,7 @@ _EPS = np.finfo(float).eps
 class PhaseShiftSet:
     """Phase shifts delta_l for l = 0..l_max at one wavenumber.
 
-    delta holds Richardson's R(h, 2h) of the sweeps at h and 2h, in
+    delta holds Richardson's R(h, 2h) of the grids of step h and 2h, in
     (-pi/2, pi/2]; delta_coarse holds R(2h, 4h) on the same branch, which
     amplitude_partial_wave reads for its step error. dr is the finest step
     h, and r_max the first matching radius, a point of the 4h grid.
@@ -103,14 +114,19 @@ def _reduced_strength(p, kin, r):
 
 
 def _auto_r_max(p, kin, r_eff):
+    """The first r = r0 + 0.25 j, r0 = max(r_eff, 2 pi/k, 1), where the
+    reduced potential has fallen below _DECAY k^2, searched up to _RANGES
+    times the potential's reach past r0."""
     bound = _DECAY * kin.k**2
     r = max(r_eff, 2.0 * np.pi / kin.k, 1.0)
-    while _reduced_strength(p, kin, r) > bound:
+    limit = r + _RANGES * reach(p)[0]
+    for _ in range(math.ceil((limit - r) / 0.25) + 1):
+        if _reduced_strength(p, kin, r) <= bound:
+            return r
         r += 0.25
-        if r > 500.0:
-            raise RangeError("potential does not decay below the matching "
-                             "threshold within r = 500")
-    return r
+    raise RangeError(f"potential does not decay below the matching "
+                     f"threshold within r = {limit:g}, {_RANGES} times its "
+                     f"reach past the start of the search", key="r_max")
 
 
 def _normalise(y, d):
@@ -121,75 +137,107 @@ def _normalise(y, d):
     np.ldexp(d, -e, out=d)
 
 
-def _advance(g, y, d, t, every_step=False):
-    """Step (y, d) in place through the rows of g: d += g_n y, y += d.
-    every_step normalises before each step."""
-    for g_n in g:
+def _advance(steps, y, d, every_step=False):
+    """Take the steps (g_n, y_n, d_n, t_n), each a row of g and views of a
+    prefix of the state (y, d) and of a buffer: d_n += g_n y_n, y_n += d_n.
+    every_step normalises the whole state before each step."""
+    multiply, add = np.multiply, np.add
+    for g_n, y_n, d_n, t_n in steps:
         if every_step:
             _normalise(y, d)
-        np.multiply(g_n, y, out=t)
-        np.add(d, t, out=d)
-        np.add(y, d, out=y)
+        multiply(g_n, y_n, t_n)
+        add(d_n, t_n, d_n)
+        add(y_n, d_n, y_n)
 
 
-def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b):
-    """Carry (y, d) in place from grid index 2 to i_b; return y at i_a.
+def _integrate(base, inv_r2, ll1, h2s, y, d, i_a, i_b):
+    """Carry the state (y, d) of the three grids in place from fine index 2
+    to i_b; return y at i_a.
 
-    g_n = h2 f_n / (1 - h2 f_n/12), f_n = base_n + l(l+1)/r_n^2, is formed
-    _CHUNK rows at a time into buffers allocated once. Before i_a each
-    chunk starts from a normalised state; a chunk that still overflows
-    (the steep growth of a high wave near the origin) is redone from its
-    start, normalised at every step. From i_a on nothing is scaled, so y
-    at i_a and at i_b carry one common factor.
+    The state holds w waves per grid, [fine | mid | coarse], at steps h,
+    2h and 4h. Step n of the loop takes the fine grid from r_n to r_{n+1};
+    the mid grid steps with it at odd n from n = 5, and the coarse grid at
+    n = 3 (mod 4) from n = 11, so every grid due at step n lands on
+    r_{n+1}, all three together on each point of the coarse grid, and a
+    step works on a prefix of the state. g = h2 f / (1 - h2 f/12) is
+    formed _CHUNK steps at a time into buffers allocated once, step n in
+    row n - 2 (mod 4), with f = base + l(l+1)/r^2 formed once per fine row:
+    the mid and coarse grids step with the f of rows n - 1 and n - 3.
+    Before i_a each chunk starts from a normalised state; a chunk that still
+    overflows (the steep growth of a high wave near the origin) is redone
+    from its start, normalised at every step. From i_a on nothing is
+    scaled, so y at i_a and at i_b carry one common factor per wave.
     """
+    w = ll1.size
     t = np.empty_like(y)
-    f_buf = np.empty((_CHUNK, y.size))
-    g_buf = np.empty((_CHUNK, y.size))
+    f_buf = np.empty((_CHUNK + 3, w))
+    hf_buf = np.empty((_CHUNK, w))
+    g_buf = np.empty((_CHUNK + 3, 3 * w))
+    views = {m: (y[:m], d[:m], t[:m]) for m in (w, 2 * w, 3 * w)}
+
+    def width(n):
+        return w * (1 + (n % 2 == 1 and n >= 5) + (n % 4 == 3 and n >= 11))
+
+    # row i of g_buf holds a step n = i + 2 (mod 4); from n = 11 on, every
+    # grid has started and a step's width depends on n mod 4 alone
+    plan = [(g_buf[i, :width(i + 14)], *views[width(i + 14)])
+            for i in range(min(_CHUNK + 3, i_b))]
     y_a = None
-    # chunk [n0, n1) takes the state from y_{n0} to y_{n1}; i_a is a cut
+    # chunk [n0, n1) takes the state from r_{n0} to r_{n1}; i_a is a cut
     cuts = sorted({*range(2, i_b, _CHUNK), i_a, i_b})
     # overflow is caught by the finiteness checks, not by numpy
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n0, n1 in zip(cuts, cuts[1:]):
             if n0 == i_a:
                 y_a = y.copy()
-            f, g = f_buf[:n1 - n0], g_buf[:n1 - n0]
-            np.multiply(ll1, inv_r2[n0:n1, None], out=f)
-            np.add(base[n0:n1, None], f, out=f)
-            np.multiply(h2 / 12.0, f, out=g)
-            np.subtract(1.0, g, out=g)
-            np.multiply(h2, f, out=f)
-            np.divide(f, g, out=g)
+            off, lo = (n0 - 2) % 4, max(n0 - 3, 0)
+            f = f_buf[:n1 - lo]
+            np.multiply(ll1, inv_r2[lo:n1, None], out=f)
+            np.add(base[lo:n1, None], f, out=f)
+            for j, (h2, lag, period) in enumerate(zip(h2s, (0, 1, 3),
+                                                      (1, 2, 4))):
+                a = off + (1 - off) % period  # rows = 1 (mod period)
+                g = g_buf[a:off + n1 - n0:period, j * w:(j + 1) * w]
+                f_j = f[n0 + a - off - lag - lo:n1 - lag - lo:period]
+                hf = hf_buf[:g.shape[0]]
+                np.multiply(h2 / 12.0, f_j, out=g)
+                np.subtract(1.0, g, out=g)
+                np.multiply(h2, f_j, out=hf)
+                np.divide(hf, g, out=g)
+            steps = plan[off:off + n1 - n0]
+            if n0 < 11:
+                steps[:11 - n0] = [(g_buf[off + i, :width(n)],
+                                    *views[width(n)]) for i, n in
+                                   enumerate(range(n0, min(n1, 11)))]
             if n0 >= i_a:
-                _advance(g, y, d, t)
+                _advance(steps, y, d)
                 continue
             _normalise(y, d)
             start = y.copy(), d.copy()
-            _advance(g, y, d, t)
+            _advance(steps, y, d)
             if not np.isfinite(y).all():
                 # a non-finite d reaches y in the same step and stays there
                 y[:], d[:] = start
-                _advance(g, y, d, t, every_step=True)
+                _advance(steps, y, d, every_step=True)
     return y_a
 
 
-def _match(l_arr, k, r_a, r_b, w_a, w_b):
-    """The phase shifts of the waves l_arr from u/r at r_a and r_b.
+def _match(l_arr, rows, w_a, w_b):
+    """The phase shifts of the waves l_arr from u/r at the two matching
+    radii, given the rows (j_a, n_a, j_b, n_b) of spherical Bessel values
+    there.
 
     Each wave's pair (w_a, w_b) is scaled by one power of two, which keeps
     the products with n_l finite and leaves the bits of atan2 as they are.
-    The Bessel pairs come from one row per radius. atan2 is libm's, one
-    call per wave: numpy's vectorised arctan2 differs from it in the last
-    bit for some arguments on AVX-512 hosts.
+    atan2 is libm's, one call per wave: numpy's vectorised arctan2 differs
+    from it in the last bit for some arguments on AVX-512 hosts.
     """
+    j_a, n_a, j_b, n_b = (row[l_arr] for row in rows)
     e = np.frexp(np.maximum(np.abs(w_a), np.abs(w_b)))[1]
     w_a, w_b = np.ldexp(w_a, -e), np.ldexp(w_b, -e)
-    l_top = int(np.max(l_arr))
-    j_a, n_a = spherical_bessel_row(l_top, k * r_a)
-    j_b, n_b = spherical_bessel_row(l_top, k * r_b)
     with np.errstate(invalid="ignore"):
-        num = w_a * j_b[l_arr] - w_b * j_a[l_arr]
-        den = w_a * n_b[l_arr] - w_b * n_a[l_arr]
+        num = w_a * j_b - w_b * j_a
+        den = w_a * n_b - w_b * n_a
         delta = np.array([math.atan2(y, x)
                           for y, x in zip(num.tolist(), den.tolist())])
         delta[delta > np.pi / 2] -= np.pi
@@ -200,10 +248,10 @@ def _match(l_arr, k, r_a, r_b, w_a, w_b):
     return delta
 
 
-def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr):
-    """Integrate every l of l_arr outward in one radial sweep of step dr
-    and match at the grid points nearest r_a and r_b; return the array of
-    their phase shifts.
+def _sweep_grids(p, kin, l_arr, r_a, r_b, dr):
+    """Integrate every l of l_arr outward on the grids of step dr, 2 dr and
+    4 dr in one loop and match at r_a and r_b, two points of the 4 dr grid;
+    return the phase shifts on each grid, finest first.
 
     Numerov in summed form: with y_n = (1 - h^2 f_n/12) u_n the scheme
     y_{n+1} - 2 y_n + y_{n-1} = h^2 f_n u_n reads d_{n+1} = d_n + g_n y_n,
@@ -214,14 +262,18 @@ def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr):
     only at the two matching radii. Each wave's state is scaled by exact
     powers of two on the way out, never past the first matching radius;
     the match is homogeneous in (u_a, u_b), so the phase shifts do not
-    depend on when or how often that happens.
+    depend on when or how often that happens, nor on which grids share
+    the loop. V, the radii and the Bessel rows at the matching radii are
+    those of the fine grid, which the coarser grids' points are bit for
+    bit. A grid on which V vanishes scatters nothing.
     """
     k = kin.k
-    h2 = dr * dr
     two_m = 2.0 * kin.mass / kin.hbar**2
+    steps = (dr, 2.0 * dr, 4.0 * dr)
+    h2s = [s * s for s in steps]
 
-    i_a = int(round(r_a / dr))  # at least 2: phase_shifts checks r_max
-    i_b = int(round(r_b / dr))  # the last step lands exactly on i_b dr
+    i_a = 4 * int(round(r_a / steps[2]))  # at least 8: phase_shifts checks
+    i_b = 4 * int(round(r_b / steps[2]))  # the last step lands on i_b dr
 
     r = dr * np.arange(0, i_b + 1, dtype=float)  # r[0] = 0 never used
     base = np.empty(i_b + 1)
@@ -230,15 +282,16 @@ def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr):
     inv_r2 = np.zeros(i_b + 1)
     inv_r2[1:] = 1.0 / (r[1:] * r[1:])
 
-    if np.all(base[1:] == -k * k):
-        # free equation: nothing scatters
-        return np.zeros(len(l_arr))
+    # the free equation on the grid of every s-th point
+    free = [bool(np.all(base[s::s] == -k * k)) for s in (1, 2, 4)]
+    if free[0]:
+        return tuple(np.zeros(len(l_arr)) for _ in steps)
 
     la = np.asarray(l_arr, dtype=float)
     ll1 = la * (la + 1.0)
 
-    def den_at(n):
-        return 1.0 - h2 / 12.0 * (base[n] + ll1 * inv_r2[n])
+    def den_at(j, n):  # 1 - h^2 f/12 on grid j at fine index n
+        return 1.0 - h2s[j] / 12.0 * (base[n] + ll1 * inv_r2[n])
 
     # series start u = (r/r_2)^{l+1} (1 + c1 r + ... + c4 r^4) from the
     # origin expansion V ~ v_m1/r + v_0 + v_1 r + v_2 r^2, c_n = (u_m1
@@ -257,26 +310,35 @@ def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr):
     def series(rv):
         return 1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3 + c4 * rv**4
 
-    y = den_at(2) * series(r[2])
-    d = y - den_at(1) * np.ldexp(series(r[1]), -1 - la.astype(int))
-    y_a = _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b)
+    y = np.concatenate([den_at(j, 2 * s) * series(r[2 * s])
+                        for j, s in enumerate((1, 2, 4))])
+    d = y - np.concatenate([den_at(j, s) * np.ldexp(series(r[s]),
+                                                     -1 - la.astype(int))
+                            for j, s in enumerate((1, 2, 4))])
+    y_a = _integrate(base, inv_r2, ll1, h2s, y, d, i_a, i_b)
 
     if not (np.all(np.isfinite(y_a)) and np.all(np.isfinite(y))):
         raise ConvergenceError(
             "radial integration overflowed despite rescaling",
             estimate=np.nan, error_estimate=np.inf)
     r_a, r_b = r[i_a], r[i_b]
-    return _match(l_arr, k, r_a, r_b, y_a / den_at(i_a) / r_a,
-                  y / den_at(i_b) / r_b)
+    l_top = int(np.max(l_arr))
+    rows = (*spherical_bessel_row(l_top, k * r_a),
+            *spherical_bessel_row(l_top, k * r_b))
+    w = la.size
+    return tuple(
+        np.zeros(w) if free[j] else _match(
+            l_arr, rows, y_a[j * w:(j + 1) * w] / den_at(j, i_a) / r_a,
+            y[j * w:(j + 1) * w] / den_at(j, i_b) / r_b)
+        for j in range(3))
 
 
 def _extrapolated(p, kin, l_arr, r_a, r_b, dr):
-    """(R(h, 2h), R(2h, 4h)) of the waves l_arr, h = dr, from sweeps at h,
-    2h and 4h between the same matching radii. Each coarse delta is first
-    moved by a multiple of pi next to the fine one; the pair is returned in
-    (-pi/2, pi/2], shifted together."""
-    fine, mid, coarse = (_numerov_sweep(p, kin, l_arr, r_a, r_b, s * dr)
-                         for s in (1.0, 2.0, 4.0))
+    """(R(h, 2h), R(2h, 4h)) of the waves l_arr, h = dr, from the phase
+    shifts on the grids of step h, 2h and 4h between the same matching
+    radii. Each coarse delta is first moved by a multiple of pi next to the
+    fine one; the pair is returned in (-pi/2, pi/2], shifted together."""
+    fine, mid, coarse = _sweep_grids(p, kin, l_arr, r_a, r_b, dr)
     mid += np.pi * np.round((fine - mid) / np.pi)
     coarse += np.pi * np.round((fine - coarse) / np.pi)
     best = fine + (fine - mid) / 15.0
@@ -291,8 +353,8 @@ def _extrapolated(p, kin, l_arr, r_a, r_b, dr):
 def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     """Solve for delta_l, l = 0..l_max, with auto defaults for all knobs.
 
-    Every pass sweeps its waves at dr, 2 dr and 4 dr and keeps Richardson's
-    R(dr, 2 dr); see PhaseShiftSet.
+    Every pass carries its waves on the grids of dr, 2 dr and 4 dr in one
+    loop and keeps Richardson's R(dr, 2 dr); see PhaseShiftSet.
     l_max=None cuts the waves at the first l0 + 16 j, l0 = ceil(k r_eff)
     + 10, whose extrapolated |delta| is below the tail threshold, r_eff =
     potentials.effective_radius(p), found on every call. It sweeps up to
@@ -301,7 +363,8 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     a converged candidate; past l0 + 416 it raises ConvergenceError. An
     explicit l_max is one pass to l_max.
     r_max=None takes the first of max(r_eff, 2 pi/k, 1) + 0.25 j where the
-    reduced potential has fallen below 1e-12 k^2 and rounds it up onto the
+    reduced potential has fallen below 1e-12 k^2, searched over 64 times
+    the potential's reach (potentials.reach), and rounds it up onto the
     4 dr grid; an explicit r_max is rounded to the nearest point of that
     grid and must meet the same bound there. The second matching radius
     lies a quarter wavelength further out, rounded onto the same grid.
@@ -320,7 +383,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
             raise DomainError("dr must be positive and finite", key="dr")
         if k * dr >= 0.1:
             raise DomainError("k dr must stay below 0.1", key="dr")
-    step = 4.0 * dr  # the coarsest sweep's step: both radii lie on its grid
+    step = 4.0 * dr  # the coarsest grid's step: both radii lie on its grid
 
     if r_max is None:
         # up onto the grid, so that passing the result back is accepted

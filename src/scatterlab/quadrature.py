@@ -566,6 +566,8 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
         raise DomainError("hankel0 takes a scalar q or a 1-d array of q")
     if not (np.all(np.isfinite(qs)) and np.all(qs >= 0.0)):
         raise DomainError("hankel0 requires finite q >= 0")
+    if not qs.size:
+        return QuadratureResult(np.zeros(0), np.zeros(0), 0)
     periods = np.max(qs, initial=0.0) * upper / (2.0 * np.pi)
     panels = int(periods) + 1 if np.isfinite(periods) else 1
     edges = np.linspace(0.0, upper, panels + 1)

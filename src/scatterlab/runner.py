@@ -150,9 +150,10 @@ def _run_task(cfg, source, k):
 
 
 def _csv_text(table):
+    # one % per row; + 0.0 folds -0.0 as _fmt does
+    row = ",".join(["%.16e"] * table.rows.shape[1])
     lines = ["theta_rad,q,re_f,im_f,dsigma_domega"]
-    for row in table.rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.extend(row % tuple(r) for r in (table.rows + 0.0).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -198,10 +199,11 @@ def _report_text(cfg, tables, verdicts):
                 lines.append(f"  pair: {a} vs {b}")
                 lines.append("    theta_rad      q              "
                              f"{a[:14]:<14} {b[:14]:<14} rel_dev")
-                for n in range(theta.size):
-                    lines.append(
-                        f"    {theta[n]:<14.6e} {q[n]:<14.6e} "
-                        f"{da[n]:<14.6e} {db[n]:<14.6e} {dev[n]:.3e}")
+                lines.extend(
+                    f"    {t:<14.6e} {qn:<14.6e} {x:<14.6e} {y:<14.6e} "
+                    f"{e:.3e}" for t, qn, x, y, e in zip(
+                        theta.tolist(), q.tolist(), da.tolist(), db.tolist(),
+                        dev.tolist()))
                 fwd = (theta <= 0.2) & np.isfinite(dev)
                 if np.any(fwd):
                     worst = float(np.max(dev[fwd]))

@@ -25,6 +25,7 @@ from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
 from scatterlab.quadrature import (_EPS, _NODES, _WG, _WK, QuadratureSettings,
                                    integrate_adaptive,
                                    integrate_semi_infinite)
+from scatterlab.special_functions import spherical_bessel_row
 
 # Corpus for calibrating the quadrature error estimator: (name, f, a, b,
 # exact). b = None marks a semi-infinite integral over [0, inf). Entries mix
@@ -427,8 +428,8 @@ def effective_radius(p, fraction=0.9999):
 
 
 # Numerov sweeps that form each step's coefficients inside the step loop:
-# the summed form normalised at every step (reference for
-# partial_wave._numerov_sweep, bit for bit for every wave with l < k r_a - 1,
+# the summed form normalised at every step (reference for each grid of
+# partial_wave._sweep_grids, bit for bit for every wave with l < k r_a - 1,
 # whose j_l goes upward at both matching radii), the classic two-level form
 # that preceded it, and the summed form in any float dtype (in np.longdouble
 # the reference for the rounding error of the other two). Each matches
@@ -566,6 +567,130 @@ def _numerov_sweep_classic(p, kin, l_arr, r_a, r_b, dr, events=None):
     return _match(l_arr, kin.k, r[i_a], r[i_b], u_a, u_curr)
 
 
+# The three-sweep scheme that phase_shifts ran before its grids shared one
+# loop: one chunked sweep per step size h, 2h and 4h, each forming its
+# coefficient rows _CHUNK steps at a time and normalising each chunk's
+# start before the matching radius. Reference for partial_wave._sweep_grids,
+# which must keep its bits on every grid.
+
+_CHUNK = 128
+
+
+def _normalise(y, d):
+    e = np.frexp(np.maximum(np.abs(y), np.abs(d)))[1]
+    np.ldexp(y, -e, out=y)
+    np.ldexp(d, -e, out=d)
+
+
+def _advance(g, y, d, t, every_step=False):
+    for g_n in g:
+        if every_step:
+            _normalise(y, d)
+        np.multiply(g_n, y, out=t)
+        np.add(d, t, out=d)
+        np.add(y, d, out=y)
+
+
+def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b):
+    t = np.empty_like(y)
+    f_buf = np.empty((_CHUNK, y.size))
+    g_buf = np.empty((_CHUNK, y.size))
+    y_a = None
+    cuts = sorted({*range(2, i_b, _CHUNK), i_a, i_b})
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n0, n1 in zip(cuts, cuts[1:]):
+            if n0 == i_a:
+                y_a = y.copy()
+            f, g = f_buf[:n1 - n0], g_buf[:n1 - n0]
+            np.multiply(ll1, inv_r2[n0:n1, None], out=f)
+            np.add(base[n0:n1, None], f, out=f)
+            np.multiply(h2 / 12.0, f, out=g)
+            np.subtract(1.0, g, out=g)
+            np.multiply(h2, f, out=f)
+            np.divide(f, g, out=g)
+            if n0 >= i_a:
+                _advance(g, y, d, t)
+                continue
+            _normalise(y, d)
+            start = y.copy(), d.copy()
+            _advance(g, y, d, t)
+            if not np.isfinite(y).all():
+                y[:], d[:] = start
+                _advance(g, y, d, t, every_step=True)
+    return y_a
+
+
+def _row_match(l_arr, k, r_a, r_b, w_a, w_b):
+    e = np.frexp(np.maximum(np.abs(w_a), np.abs(w_b)))[1]
+    w_a, w_b = np.ldexp(w_a, -e), np.ldexp(w_b, -e)
+    l_top = int(np.max(l_arr))
+    j_a, n_a = spherical_bessel_row(l_top, k * r_a)
+    j_b, n_b = spherical_bessel_row(l_top, k * r_b)
+    with np.errstate(invalid="ignore"):
+        num = w_a * j_b[l_arr] - w_b * j_a[l_arr]
+        den = w_a * n_b[l_arr] - w_b * n_a[l_arr]
+        delta = np.array([math.atan2(y, x)
+                          for y, x in zip(num.tolist(), den.tolist())])
+        delta[delta > np.pi / 2] -= np.pi
+        delta[delta <= -np.pi / 2] += np.pi
+    delta[np.isnan(den)] = 0.0
+    return delta
+
+
+def chunked_sweep(p, kin, l_arr, r_a, r_b, dr):
+    """The phase shifts of l_arr from one chunked sweep of step dr matched
+    at the grid points nearest r_a and r_b."""
+    k = kin.k
+    h2 = dr * dr
+    two_m = 2.0 * kin.mass / kin.hbar**2
+    i_a = int(round(r_a / dr))
+    i_b = int(round(r_b / dr))
+    r = dr * np.arange(0, i_b + 1, dtype=float)
+    base = np.empty(i_b + 1)
+    base[0] = 0.0
+    base[1:] = two_m * np.asarray(evaluate(p, r[1:]), dtype=float) - k * k
+    inv_r2 = np.zeros(i_b + 1)
+    inv_r2[1:] = 1.0 / (r[1:] * r[1:])
+    if np.all(base[1:] == -k * k):
+        return np.zeros(len(l_arr))
+    la = np.asarray(l_arr, dtype=float)
+    ll1 = la * (la + 1.0)
+
+    def den_at(n):
+        return 1.0 - h2 / 12.0 * (base[n] + ll1 * inv_r2[n])
+
+    v_m1, v_0, v_1, v_2 = origin_expansion(p)
+    um1, u0 = two_m * v_m1, two_m * v_0 - k * k
+    u1c, u2c = two_m * v_1, two_m * v_2
+    c1 = um1 / (2.0 * la + 2.0)
+    c2 = (um1 * c1 + u0) / (2.0 * (2.0 * la + 3.0))
+    c3 = (um1 * c2 + u0 * c1 + u1c) / (3.0 * (2.0 * la + 4.0))
+    c4 = (um1 * c3 + u0 * c2 + u1c * c1 + u2c) / (4.0 * (2.0 * la + 5.0))
+
+    def series(rv):
+        return 1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3 + c4 * rv**4
+
+    y = den_at(2) * series(r[2])
+    d = y - den_at(1) * np.ldexp(series(r[1]), -1 - la.astype(int))
+    y_a = _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b)
+    if not (np.all(np.isfinite(y_a)) and np.all(np.isfinite(y))):
+        raise ConvergenceError(
+            "radial integration overflowed despite rescaling",
+            estimate=np.nan, error_estimate=np.inf)
+    r_a, r_b = r[i_a], r[i_b]
+    return _row_match(l_arr, k, r_a, r_b, y_a / den_at(i_a) / r_a,
+                      y / den_at(i_b) / r_b)
+
+
+def on_three_grids(sweep):
+    """A stand-in for partial_wave._sweep_grids that runs sweep once per
+    step size: at dr, 2 dr and 4 dr."""
+    def grids(p, kin, l_arr, r_a, r_b, dr):
+        return tuple(sweep(p, kin, l_arr, r_a, r_b, s * dr)
+                     for s in (1.0, 2.0, 4.0))
+    return grids
+
+
 # The automatic l_max plan of partial_wave.phase_shifts before the width
 # schedule: one pass to l0 + 64 cut at the first converged l0 + 16 j, then
 # one 16-wave pass per extension up to l0 + 416, each pass three sweeps
@@ -581,12 +706,12 @@ def second_radius(kin, r_max, dr):
 
 
 def extrapolated(p, kin, l_arr, r_max, dr):
-    """(R(h, 2h), R(2h, 4h)) of l_arr, h = dr, from partial_wave's sweeps
-    at h, 2h and 4h between r_max and second_radius, one wave at a time."""
+    """(R(h, 2h), R(2h, 4h)) of l_arr, h = dr, from chunked sweeps at h, 2h
+    and 4h between r_max and second_radius, one wave at a time: the
+    three-sweep partial_wave._extrapolated, bit for bit."""
     r_b = second_radius(kin, r_max, dr)
-    fine, mid, coarse = (
-        partial_wave._numerov_sweep(p, kin, l_arr, r_max, r_b, s * dr)
-        for s in (1.0, 2.0, 4.0))
+    fine, mid, coarse = on_three_grids(chunked_sweep)(p, kin, l_arr, r_max,
+                                                      r_b, dr)
     best, worse = np.empty(len(l_arr)), np.empty(len(l_arr))
     for i, (f, m, c) in enumerate(zip(fine.tolist(), mid.tolist(),
                                       coarse.tolist())):

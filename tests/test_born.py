@@ -180,6 +180,9 @@ class TestBornResummed:
         # per-angle calls within their errors, not bit for bit
         for value, err, a in zip(got.value, got.error_estimate, each):
             assert abs(value - a.value) <= err + a.error_estimate
+        none = born_resummed_amplitude(p, KIN10, np.zeros(0))
+        assert none.value.shape == none.error_estimate.shape == (0,)
+        assert none.q.shape == none.theta.shape == (0,)
 
     def test_difference_from_born1_is_second_order(self):
         # |f_resummed - f_born1| must scale as g^2: halving g divides the

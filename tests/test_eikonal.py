@@ -289,6 +289,9 @@ class TestAmplitudeEikonal:
         assert got.q.tolist() == [a.q for a in each]
         for value, err, a in zip(got.value, got.error_estimate, each):
             assert abs(value - a.value) <= err + a.error_estimate
+        none = amplitude_eikonal(p, KIN10, np.zeros(0), **kw)
+        assert none.value.shape == none.error_estimate.shape == (0,)
+        assert none.q.shape == none.theta.shape == (0,)
 
     def test_theta_array_domain(self):
         with pytest.raises(DomainError):

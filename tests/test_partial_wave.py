@@ -20,19 +20,23 @@ import _oracles
 from _oracles import square_well_delta0
 
 KIN2 = Kinematics(mass=1.0, k=2.0)
+_RIPPLED_R = np.linspace(0.0, 8.0, 200)
+_RIPPLED_TABLE = TabulatedRadial(
+    _RIPPLED_R, np.r_[-1.5 * np.exp(-0.5 * _RIPPLED_R[:-1] ** 2)
+                      * (1.0 + 0.1 * np.sin(7.0 * _RIPPLED_R[:-1])), 0.0])
 
 
 def _count_sweeps(monkeypatch):
-    """The wave count of every _numerov_sweep call from here on: three
-    equal counts, one per step size, for each pass."""
+    """The wave count of every _sweep_grids call from here on: one per
+    pass, which steps its waves on all three grids."""
     calls = []
-    sweep = partial_wave._numerov_sweep
+    sweep = partial_wave._sweep_grids
 
     def counted(*args):
         calls.append(args[2].size)
         return sweep(*args)
 
-    monkeypatch.setattr(partial_wave, "_numerov_sweep", counted)
+    monkeypatch.setattr(partial_wave, "_sweep_grids", counted)
     return calls
 
 
@@ -250,6 +254,24 @@ class TestPhaseShifts:
         assert again.l_max == ps.l_max
         assert again.delta.tobytes() == ps.delta.tobytes()
 
+    def test_auto_r_max_search_spans_the_potential_s_range(self,
+                                                           monkeypatch):
+        # the search stopped at r = 500 and refused Yukawa(0.5, 0.04), whose
+        # reach is 952; the radius it found below 500 stays
+        kin = Kinematics(mass=1.0, k=1.0)
+        near = Yukawa(0.5, 0.045)
+        assert partial_wave._auto_r_max(near, kin, effective_radius(near)) \
+            == 477.0026938329721
+        p = Yukawa(0.5, 0.04)
+        ps = phase_shifts(p, kin)
+        assert 500.0 < ps.r_max < potentials.reach(p)[0]
+        assert abs(ps.delta[-1]) < partial_wave._TAIL_TOL
+        # a search cut short names the knob
+        monkeypatch.setattr(partial_wave, "_RANGES", 0.1)
+        with pytest.raises(RangeError) as err:
+            phase_shifts(p, kin)
+        assert err.value.key == "r_max"
+
     def test_explicit_r_max_is_checked_where_it_is_used(self):
         # r_max is rounded onto the 4 dr grid, here 0.004 wide, and the
         # decay bound is checked at the rounded radius: 1e-9 beyond the
@@ -278,15 +300,15 @@ class TestPhaseShifts:
                                               passes):
         # l_max is the first l0 + 16 j with a converged |delta|, found in
         # one pass to l0 + 64; only a longer tail passes again, wider, and
-        # only over the waves above the previous top; a pass is three sweeps
+        # only over the waves above the previous top; a pass is one sweep
         calls = _count_sweeps(monkeypatch)
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
-        assert len(calls) == 3 * passes
+        assert len(calls) == passes
         l0 = math.ceil(k * effective_radius(p)) + 10
         tops = [l0 + w for w in partial_wave._WIDTHS[:passes]]
-        assert calls == [n for n in np.diff([-1] + tops) for _ in range(3)]
-        assert sum(calls) == 3 * (tops[-1] + 1)
+        assert calls == np.diff([-1] + tops).tolist()
+        assert sum(calls) == tops[-1] + 1
         assert (ps.l_max - l0) % 16 == 0
         assert all(abs(ps.delta[l]) >= partial_wave._TAIL_TOL
                    for l in range(l0, ps.l_max, 16))
@@ -308,12 +330,11 @@ class TestPhaseShifts:
     ])
     def test_width_schedule_keeps_the_bits_of_16_wave_extensions(
             self, monkeypatch, p, k, l_max, passes_then, passes_now):
-        # a pass is three sweeps, at dr, 2 dr and 4 dr
+        # a pass is one sweep, on the grids of dr, 2 dr and 4 dr at once
         calls = _count_sweeps(monkeypatch)
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
-        assert len(calls) % 3 == 0
-        now = len(calls) // 3
+        now = len(calls)
         ref_l_max, ref_delta, then = _oracles.phase_shifts_by_extension(
             p, kin, ps.r_max, ps.dr)
         assert ps.l_max == ref_l_max
@@ -335,8 +356,8 @@ class TestPhaseShifts:
         with pytest.raises(ConvergenceError) as new:
             phase_shifts(p, kin, r_max=ps.r_max, dr=ps.dr)
         l0 = math.ceil(kin.k * effective_radius(p)) + 10
-        assert len(calls) == 3 * 4 and calls[-1] == 416 - 256
-        assert sum(calls) == 3 * (l0 + 416 + 1)
+        assert len(calls) == 4 and calls[-1] == 416 - 256
+        assert sum(calls) == l0 + 416 + 1
         with pytest.raises(ConvergenceError) as ref:
             _oracles.phase_shifts_by_extension(p, kin, ps.r_max, ps.dr)
         assert str(new.value) == str(ref.value)
@@ -361,16 +382,58 @@ class TestPhaseShifts:
             self, monkeypatch, k):
         # against the summed form that forms each step's coefficients in
         # the step loop and normalises at every step before the matching
-        # radius: power-of-two scaling is exact, so the schedule of the
-        # scaling cannot show in the bits
+        # radius, one grid at a time: power-of-two scaling is exact, so the
+        # schedule of the scaling cannot show in the bits
         p, kin = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
-        monkeypatch.setattr(partial_wave, "_numerov_sweep",
-                            _oracles._numerov_sweep)
+        monkeypatch.setattr(partial_wave, "_sweep_grids",
+                            _oracles.on_three_grids(_oracles._numerov_sweep))
         ref = phase_shifts(p, kin)
         assert ref.l_max == ps.l_max
         assert ref.delta.tobytes() == ps.delta.tobytes()
         assert ref.delta_coarse.tobytes() == ps.delta_coarse.tobytes()
+
+    @pytest.mark.parametrize("p, k, l_max, chunk, redone", [
+        (Yukawa(0.5, 1.0), 1.0, None, 128, False),
+        (Yukawa(0.5, 1.0), 5.0, None, 128, False),
+        (Yukawa(0.5, 1.0), 10.0, None, 128, False),
+        (Yukawa(0.5, 1.0), 30.0, None, 128, False),
+        (Yukawa(5.0, 0.5), 10.0, None, 128, False),  # 342 waves, two passes
+        (Yukawa(-2.0, 0.5), 5.0, None, 128, False),
+        (Gauss(-3.0, 2.0), 1.0, None, 128, False),
+        (Gauss(-3.0, 2.0), 10.0, None, 128, False),
+        (Gauss(0.5, 1e-3), 1.0, None, 128, False),
+        (_RIPPLED_TABLE, 5.0, None, 128, False),
+        # V is 0 from r = 2 dr on, so only the fine grid scatters
+        (TabulatedRadial(np.array([0.0, 0.002, 0.004, 0.006]),
+                         np.array([-1.0, -1.0, -1.0, 0.0]),
+                         interpolation="linear"), 10.0, None, 128, False),
+        # l = 300 overflows a chunk that runs from 2 dr to 4.1
+        (Yukawa(0.5, 1.0), 10.0, 300, 4096, True),
+    ])
+    def test_one_loop_keeps_the_bits_of_three_sweeps(self, monkeypatch, p, k,
+                                                     l_max, chunk, redone):
+        # against one chunked sweep per grid, extrapolated wave by wave
+        kin = Kinematics(mass=1.0, k=k)
+        redos = []
+        advance = partial_wave._advance
+
+        def counted(steps, y, d, every_step=False):
+            redos.append(every_step)
+            advance(steps, y, d, every_step)
+
+        monkeypatch.setattr(partial_wave, "_CHUNK", chunk)
+        monkeypatch.setattr(partial_wave, "_advance", counted)
+        ps = phase_shifts(p, kin, l_max=l_max)
+        assert any(redos) == redone
+        monkeypatch.setattr(
+            partial_wave, "_extrapolated",
+            lambda p, kin, l_arr, r_a, r_b, dr:
+            _oracles.extrapolated(p, kin, l_arr, r_a, dr))
+        ref = phase_shifts(p, kin, l_max=l_max)
+        assert (ps.l_max, ps.r_max) == (ref.l_max, ref.r_max)
+        assert ps.delta.tobytes() == ref.delta.tobytes()
+        assert ps.delta_coarse.tobytes() == ref.delta_coarse.tobytes()
 
     @pytest.mark.parametrize("g", [-2.614682499802042, -2.6146824998020426])
     def test_extrapolation_aligns_branches_at_a_resonance(self, g):
@@ -391,28 +454,37 @@ class TestPhaseShifts:
 
     @pytest.mark.parametrize("chunk, i_a, l_top, redone", [
         (128, 100, 120, False),  # matching radius inside the first chunk
-        (128, 2 + 128 + 1, 120, False),  # one step past a chunk boundary
+        # 2 + 128 + 1 rounds up to 132 on the 4 dr grid: two fine steps, one
+        # mid step past a chunk boundary
+        (128, 2 + 128 + 1, 120, False),
+        (126, 2 + 126, 120, False),  # on a chunk boundary
+        # chunks of odd length start on every residue mod 4
+        (129, 2 + 129 + 1, 120, False),
         (4096, 2 + 4096 + 1, 300, True),  # l = 300 overflows the chunk
     ])
     def test_sweep_bits_at_chunk_edges(self, monkeypatch, chunk, i_a, l_top,
                                        redone):
+        # i_a, rounded up onto the 4 dr grid, is the fine index of the first
+        # matching radius; each grid against the per-step summed form
         p, kin, dr = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0), 1e-3
         l_arr = np.array([0, 1, 7, 40, l_top])
         redos = []
         advance = partial_wave._advance
 
-        def counted(g, y, d, t, every_step=False):
+        def counted(steps, y, d, every_step=False):
             redos.append(every_step)
-            advance(g, y, d, t, every_step)
+            advance(steps, y, d, every_step)
 
         monkeypatch.setattr(partial_wave, "_CHUNK", chunk)
         monkeypatch.setattr(partial_wave, "_advance", counted)
-        radii = (i_a * dr, (i_a + round(np.pi / (2.0 * kin.k) / dr)) * dr)
-        new = partial_wave._numerov_sweep(p, kin, l_arr, *radii, dr)
-        old = _oracles._numerov_sweep(p, kin, l_arr, *radii, dr)
+        r_a = -(-i_a // 4) * 4 * dr
+        radii = (r_a, _oracles.second_radius(kin, r_a, dr))
+        new = partial_wave._sweep_grids(p, kin, l_arr, *radii, dr)
         assert any(redos) == redone
-        assert np.all(np.isfinite(new))
-        _assert_bits_where_allowed(new, old, l_arr, kin.k * i_a * dr)
+        for s, got in zip((1.0, 2.0, 4.0), new):
+            old = _oracles._numerov_sweep(p, kin, l_arr, *radii, s * dr)
+            assert np.all(np.isfinite(got))
+            _assert_bits_where_allowed(got, old, l_arr, kin.k * r_a)
 
     @pytest.mark.parametrize("p, k", [
         (Yukawa(0.5, 1.0), 1.0), (Yukawa(0.5, 1.0), 10.0),
@@ -425,8 +497,9 @@ class TestPhaseShifts:
         # against the two-level form it replaced
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
-        monkeypatch.setattr(partial_wave, "_numerov_sweep",
-                            _oracles._numerov_sweep_classic)
+        monkeypatch.setattr(
+            partial_wave, "_sweep_grids",
+            _oracles.on_three_grids(_oracles._numerov_sweep_classic))
         ref = phase_shifts(p, kin)
         assert ref.l_max == ps.l_max
         assert np.max(np.abs(ps.delta - ref.delta)) <= 1e-10
@@ -444,7 +517,7 @@ class TestPhaseShifts:
         args = (p, kin, l_arr, ps.r_max,
                 _oracles.second_radius(kin, ps.r_max, ps.dr), ps.dr)
         exact = _oracles._numerov_sweep(*args, dtype=np.longdouble)
-        new = partial_wave._numerov_sweep(*args)
+        new = partial_wave._sweep_grids(*args)[0]
         old = _oracles._numerov_sweep_classic(*args)
         assert np.max(np.abs(new - exact)) <= np.max(np.abs(old - exact))
 

@@ -434,6 +434,11 @@ def test_hankel_array_q_validation():
         hankel0(g, np.ones((2, 2)), 40.0)
     res = hankel0(g, np.array([0.5]), 40.0)
     assert res.value.shape == (1,) and res.error_estimate.shape == (1,)
+    # no q: empty rows and no evaluation, where the panel blocks divided
+    # by the count of q
+    res = hankel0(g, np.zeros(0), 40.0)
+    assert res.value.shape == res.error_estimate.shape == (0,)
+    assert res.evaluations == 0
 
 
 # The (row, slot) array kernel against the list-based bisection it

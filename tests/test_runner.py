@@ -2,6 +2,7 @@
 
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from scatterlab.config import parse_config
 from scatterlab.eikonal import amplitude_eikonal
 from scatterlab.errors import ConfigError, DomainError, ScatterError
 from scatterlab.quadrature import QuadratureSettings
-from scatterlab.runner import RunManifest, _quadrature_warning, run_scan
+from scatterlab.runner import (RunManifest, _csv_text, _fmt,
+                               _quadrature_warning, run_scan)
 
 FAST = """
 [potential]
@@ -85,6 +87,16 @@ class TestFileEmission:
         cell = line.split(",")[2]
         mantissa = cell.split("e")[0].replace("-", "")
         assert len(mantissa.replace(".", "")) == 17
+
+    def test_csv_rows_keep_the_bytes_of_cell_by_cell_formatting(self):
+        # one % per row against _fmt on each cell: signed zeros, non-finite
+        # values, subnormals and the ends of the float range
+        rows = np.array([[0.0, -0.0, 1.5, -2.25e-300, np.nan],
+                         [np.pi, 1e300, -0.0, np.inf, 5e-324],
+                         [-np.inf, -1.0 / 3.0, 1e-310, -0.0, 2.0]])
+        want = ["theta_rad,q,re_f,im_f,dsigma_domega"]
+        want += [",".join(_fmt(x) for x in row) for row in rows]
+        assert _csv_text(SimpleNamespace(rows=rows)) == "\n".join(want) + "\n"
 
     def test_no_negative_zero(self, tmp_path):
         run_scan(_cfg(FAST, tmp_path / "out"))
