@@ -21,14 +21,18 @@ The z-profile w(b) = int V dz of the quadrature route is the one that
 born.born_resummed_amplitude integrates too. _z_profile holds one
 _ZProfile, of the potential and setting last used, so the two routes share
 it across angles and k. Every model's b are integrated at that b alone
-and stored by the exact b, with the quadrature's error estimate as the
-bound on the error, so each value has the bits of integrating at that b
-alone and does not depend on which route or call asked for it first. The
-store is safe to call from several threads: two callers may integrate the
-same b, to the same bits. Both amplitudes integrate over [0, R], R the
-potential's own range from potentials.reach, and add the bound on the
-tail beyond R and the J0-weighted integral of w's bounds to their
-error_estimate.
+and stored by the exact b with a bound on the error, so each value has
+the bits of integrating at that b alone and does not depend on which
+route or call asked for it first. A table's w is an adaptive quadrature
+over its finite z range, bounded by its error estimate. Yukawa's and
+Gauss's w take a fixed trapezoid rule, Yukawa's in t = asinh(z/b),
+Gauss's in z, with a step and range set per b from a-priori bounds on
+the discretisation and truncation errors; those bounds and a rounding
+floor are w's bound. The store is safe to call from several threads: two
+callers may integrate the same b, to the same bits. Both amplitudes
+integrate over [0, R], R the potential's own range from potentials.reach,
+and add the bound on the tail beyond R and the J0-weighted integral of
+w's bounds to their error_estimate.
 """
 
 import dataclasses
@@ -42,8 +46,11 @@ from . import paper_forms
 from .errors import (DomainError, PoleError, SingularityError,
                      UnsupportedModelError)
 from .potentials import Gauss, TabulatedRadial, Yukawa, evaluate, reach
-from .quadrature import (DEFAULT_SETTINGS, hankel0, integrate_adaptive,
-                         integrate_semi_infinite)
+from .quadrature import (_KERNEL_BLOCK, DEFAULT_SETTINGS, hankel0,
+                         integrate_adaptive)
+# integrate_semi_infinite is bound here only because perfbench/tracer.py
+# rebinds it in eikonal's namespace.
+from .quadrature import integrate_semi_infinite  # noqa: F401
 from .special_functions import bessel_k0
 
 __all__ = [
@@ -155,12 +162,13 @@ class _ZProfile:
     error of each w). reach and tail are potentials.reach(p).
 
     Every b is integrated at that b alone and stored by the exact float b
-    with its error estimate, so each has the bits of integrating at that
-    b alone, whichever route or call asked first. The absolute floor is
-    computed once per profile, never from the b asked for: eps max|v|
-    r[-1] for a table, whose rows at or beyond the last radius integrate
-    to 0; the smallest normal float for Yukawa and Gauss, whose
-    integrands keep one sign, so the relative target can always be met.
+    with the bound on its error, so each has the bits of integrating at
+    that b alone, whichever route or call asked first. Yukawa and Gauss
+    read no setting: their trapezoid rule's bound is a-priori (see
+    _yukawa_rule and _gauss_rule), at the level of rounding. A table's
+    quadrature takes the setting with an absolute floor computed once per
+    profile, never from the b asked for: eps max|v| r[-1], as its rows at
+    or beyond the last radius integrate to 0.
     """
 
     def __init__(self, p, settings):
@@ -174,7 +182,7 @@ class _ZProfile:
 
     def __call__(self, b):
         """(w, error) at each b from the store, integrating the distinct
-        misses in one row-batched quadrature."""
+        misses in one call."""
         keys = b.tolist()
         with _profile_lock:
             got = [self._store.get(x) for x in keys]
@@ -196,22 +204,116 @@ class _ZProfile:
 
 
 def _integrate_z_profile(p, b, settings, label):
-    """(w(b), its error estimate) for each b of the 1-d array b, uncached,
-    in one row-batched quadrature; label(j) names row j in error
-    messages."""
+    """(w(b), a bound on its error) for each b of the 1-d array b, uncached;
+    label(j) names row j in error messages. A table's rows go to one
+    row-batched adaptive quadrature over [0, sqrt(r[-1]^2 - b^2)]; Yukawa
+    and Gauss take the fixed trapezoid rule of _trapezoid_rows, which reads
+    no setting."""
+    if isinstance(p, TabulatedRadial):
+        bb = b * b
+        r_hi = p.r[-1]
+        z_hi = np.sqrt(np.where(b < r_hi, r_hi * r_hi - bb, 0.0))
+        res = integrate_adaptive(
+            lambda i, z: evaluate(p, np.sqrt(bb[i, None] + z * z)), 0.0,
+            z_hi, settings, rows=b.size, label=label)
+        return 2.0 * res.value, 2.0 * res.error_estimate
+    rule = _yukawa_rule if isinstance(p, Yukawa) else _gauss_rule
+    step, nodes, bound, f = rule(p, b)
+    w, absint = _trapezoid_rows(f, step, nodes)
+    if not np.all(np.isfinite(w)):
+        j = int(np.argmin(np.isfinite(w)))
+        raise DomainError(f"z-profile is not finite at b = {float(b[j])!r}"
+                          f"{label(j)}")
+    return w, bound + 50.0 * _EPS * absint
+
+
+# Yukawa's and Gauss's z-profiles take the trapezoid rule h sum_n f(n h)
+# over the real line. For f analytic in the strip |Im u| < a, with
+# int |f(x + i y)| dx <= M there, its error is at most 2 M/(e^{2 pi a/h}
+# - 1) (Trefethen & Weideman, SIAM Review 56, 2014, Thm 5.1). Each step
+# holds that bound to eps times a lower bound on |w|, and each range holds
+# the bound on the two tails beyond it to the same; the error reported is
+# both bounds plus the floor 50 eps h sum |f(n h)| of _qk_errors.
+_LOG_EPS = math.log(_EPS)
+_LOG_2_EPS = math.log(2.0 / _EPS)
+_STRIP_MAX = 0.5 * np.pi * 31.0 / 32.0  # Yukawa's widest strip
+_T_MAX = 700.0  # below the overflow of cosh by more than a step
+
+
+def _yukawa_rule(p, b):
+    """Yukawa in t = asinh(z/b), b > 0: f = g e^{-x cosh t}, x = mu b, is
+    analytic for |Im t| < pi/2 with M = 2|g| K0(x cos a) <= 2|g| sqrt(pi/(2x
+    cos a)) e^{-x cos a}. a = sqrt(2 ln(2/eps)/x), the best strip where
+    1 - cos a ~ a^2/2, up to _STRIP_MAX. Beyond T each tail is at most
+    |g| e^{-x cosh T}/(x sinh T), as cosh t >= cosh T + (t - T) sinh T.
+    Returns (step, node count, bound, row-batched f) of each b."""
+    x = p.mu * b
+    # |w|/(2|g|) = K0(x) >= E1(x) >= e^{-x} ln(1 + 2/x)/2 (Abramowitz &
+    # Stegun 5.1.20); low is the log of that bound times e^x, 2/x held finite
+    low = np.log(0.5 * np.log1p(2.0 / np.maximum(x, 1e-300)))
+    a = np.minimum(_STRIP_MAX, math.sqrt(2.0 * _LOG_2_EPS) / np.sqrt(x))
+    # ln(M e^x/|g|), with x (1 - cos a) = 2 x sin^2(a/2)
+    log_m = math.log(2.0) + 0.5 * (np.log(0.5 * np.pi / np.cos(a))
+                                   - np.log(x)) + 2.0 * x * np.sin(0.5 * a)**2
+    step = 2.0 * np.pi * a / np.logaddexp(0.0, log_m - _LOG_EPS - low)
+    # x cosh T = x + k puts the two tails below eps e^{low - x} 2|g|
+    k = np.maximum(1.0, -_LOG_EPS - low)
+    t_hi = np.minimum(2.0 * np.arcsinh(np.sqrt(0.5 * k) / np.sqrt(x)),
+                      _T_MAX)
+    nodes = np.ceil(t_hi / step)
+    t_hi = nodes * step
+    bound = 2.0 * abs(p.g) * (np.exp(log_m - x)
+                              / np.expm1(2.0 * np.pi * a / step)
+                              + np.exp(-x * np.cosh(t_hi))
+                              / (x * np.sinh(t_hi)))
+
+    def f(i, t):
+        r = b[i, None] * np.cosh(t)
+        return evaluate(p, r) * r
+    return step, nodes, bound, f
+
+
+def _gauss_rule(p, b):
+    """Gauss in z itself, any b >= 0: f = g e^{-alpha (b^2 + z^2)} is
+    entire with M = |w| e^{alpha a^2}. a^2 = C/alpha, C = ln(2/eps), gives
+    h = pi/sqrt(alpha C) and a bound of 2|w| e^C/(e^{2C} - 1); beyond Z
+    each tail is at most |w| e^{-alpha Z^2}/(2 Z sqrt(pi alpha)). One step
+    and node count serve every b. Returns (step, node count, bound,
+    row-batched f) of each b."""
+    alpha = p.alpha
+    h = math.pi / math.sqrt(alpha * _LOG_2_EPS)
+    n = math.ceil(math.sqrt(-_LOG_EPS / alpha) / h)
+    z_hi = n * h
     bb = b * b
+    w_abs = abs(p.g) * math.sqrt(math.pi / alpha) * np.exp(-alpha * bb)
+    bound = w_abs * (2.0 * math.exp(_LOG_2_EPS) / math.expm1(
+        2.0 * _LOG_2_EPS) + math.exp(-alpha * z_hi * z_hi)
+        / (z_hi * math.sqrt(math.pi * alpha)))
 
     def f(i, z):
         return evaluate(p, np.sqrt(bb[i, None] + z * z))
+    return np.full(b.size, h), np.full(b.size, float(n)), bound, f
 
-    if isinstance(p, TabulatedRadial):
-        r_hi = p.r[-1]
-        z_hi = np.sqrt(np.where(b < r_hi, r_hi * r_hi - bb, 0.0))
-        res = integrate_adaptive(f, 0.0, z_hi, settings, rows=b.size,
-                                 label=label)
-    else:
-        res = integrate_semi_infinite(f, settings, rows=b.size, label=label)
-    return 2.0 * res.value, 2.0 * res.error_estimate
+
+def _trapezoid_rows(f, step, nodes):
+    """h (f(0) + 2 sum_{n=1}^{N} f(n h)) and h (|f(0)| + 2 sum |f(n h)|),
+    the trapezoid rule of an even f on the real line, for each row j with
+    h = step[j], N = nodes[j]; f(i, u) is row-batched as in quadrature.
+    Rows of one node count go to f together, in blocks of at most
+    _KERNEL_BLOCK nodes, and each row sums its own nodes alone, so a row
+    has the bits of a call for that row alone."""
+    value, absint = np.empty(step.size), np.empty(step.size)
+    order = np.argsort(nodes, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(nodes[order])) + 1):
+        n = np.arange(int(nodes[group[0]]) + 1)
+        block = max(1, _KERNEL_BLOCK // n.size)
+        for rows in (group[j:j + block]
+                     for j in range(0, group.size, block)):
+            y = f(rows, step[rows, None] * n)
+            y[:, 0] *= 0.5
+            value[rows] = 2.0 * step[rows] * y.sum(axis=1)
+            absint[rows] = 2.0 * step[rows] * np.abs(y).sum(axis=1)
+    return value, absint
 
 
 def chi(p, kin, b, settings=DEFAULT_SETTINGS):

@@ -65,6 +65,9 @@ _RANGES = 64
 # auto l_max: the widths top - l0 of the passes, tried in turn
 _WIDTHS = (64, 128, 256, 416)
 _CHUNK = 128  # Numerov steps whose coefficient rows are formed at once
+# the most points a fine grid may hold: each of its r, V and 1/r^2 arrays
+# then takes 32 MiB; the shipped configs and tests stay below 60,000
+_GRID_POINTS = 1 << 22
 _EPS = np.finfo(float).eps
 
 
@@ -367,7 +370,9 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     the potential's reach (potentials.reach), and rounds it up onto the
     4 dr grid; an explicit r_max is rounded to the nearest point of that
     grid and must meet the same bound there. The second matching radius
-    lies a quarter wavelength further out, rounded onto the same grid.
+    lies a quarter wavelength further out, rounded onto the same grid. A
+    fine grid out to it of more than _GRID_POINTS points raises RangeError
+    naming r_max before anything is swept.
     dr=None takes dr = min(0.04/k, 0.01); an explicit dr is the finest step
     and must keep k dr below 0.1.
     """
@@ -403,6 +408,12 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
                 f"requested radius on the 4 dr grid: |V| 2m/hbar^2 exceeds "
                 f"1e-12 k^2 there", key="r_max")
     r_b = r_max + step * max(1, round((np.pi / (2.0 * k)) / step))
+    points = 4 * round(r_b / step) + 1  # _sweep_grids' fine grid
+    if points > _GRID_POINTS:
+        raise RangeError(
+            f"the radial grid to r = {r_b:g} at dr = {dr:g} would hold "
+            f"{points:,} points, more than the {_GRID_POINTS:,} allowed",
+            key="r_max")
 
     if l_max is None:
         l0 = int(np.ceil(k * r_eff)) + 10

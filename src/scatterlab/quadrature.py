@@ -3,7 +3,12 @@
 Four entry points:
 
     integrate_adaptive       finite interval, worst-interval bisection
-    integrate_semi_infinite  [0, inf) via the rational map x = t/(1-t)
+    integrate_semi_infinite  [0, inf) via the rational map x = t/(1-t); no
+                             library route calls it (the analytic
+                             z-profiles take eikonal's trapezoid rule), it
+                             stays public, and eikonal, born and
+                             partial_wave bind it only for
+                             perfbench/tracer.py
     integrate_cubic          piecewise cubic times a smooth kernel, for many
                              q, on a fixed rule with an a-priori bound
     hankel0                  int_0^upper g(b) J0(q b) b db for many q on

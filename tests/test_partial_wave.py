@@ -220,6 +220,22 @@ class TestPhaseShifts:
             phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=1.0),
                          r_max=5.0)
 
+    def test_grid_beyond_the_limit_fails_before_any_sweep(self,
+                                                          monkeypatch):
+        # Yukawa(0.5, 1e-6) at k = 1 decays only at r_max = 1.18e7: its fine
+        # grid would hold 1.2e9 points, 9.4 GB an array
+        def refused(*args):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(partial_wave, "_sweep_grids", refused)
+        with pytest.raises(RangeError, match=r"1,175,\d{3},\d{3} points") \
+                as err:
+            phase_shifts(Yukawa(0.5, 1e-6), Kinematics(mass=1.0, k=1.0))
+        assert err.value.key == "r_max"
+        with pytest.raises(RangeError, match="points") as err:
+            phase_shifts(Yukawa(0.5, 1.0), KIN2, r_max=1e5)
+        assert err.value.key == "r_max"
+
     def test_r_max_needs_two_coarse_steps(self):
         # r_max rounds onto the 4 dr grid, whose sweep needs two steps
         with pytest.raises(DomainError, match="8 dr"):

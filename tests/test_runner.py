@@ -329,7 +329,8 @@ class TestDeterminism:
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.mark.parametrize("name", ["yukawa_flagship.ini", "gauss_weak.ini"])
+@pytest.mark.parametrize("name", ["yukawa_flagship.ini", "gauss_weak.ini",
+                                  "energy_scan.ini"])
 def test_shipped_configs_raise_no_runtime_warning(tmp_path, name):
     # dead bisection slots hold -inf and Numerov coefficients are formed a
     # chunk at a time: neither may leak a numpy warning into a run

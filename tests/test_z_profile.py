@@ -1,21 +1,23 @@
 """The z-profile: eikonal's quadrature phase and born_resummed read one w(b)
 per potential and setting, each value with a bound on its error. Every b,
 of Yukawa, Gauss or a table, comes from a store of per-b integrals with
-the bits of an uncached integration, within its bound of a tight
-integral."""
+the bits of an uncached integration; Yukawa's and Gauss's lie within
+their bounds of the closed forms."""
 
 import filecmp
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
 
 import scatterlab
-from scatterlab import born, eikonal, partial_wave, potentials
+from scatterlab import born, eikonal, partial_wave, potentials, quadrature
 from scatterlab.born import born_resummed_amplitude
 from scatterlab.config import parse_config
 from scatterlab.eikonal import Kinematics, amplitude_eikonal, chi, chi_closed
-from scatterlab.errors import ConvergenceError
+from scatterlab.errors import ConvergenceError, DomainError
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
 from scatterlab.quadrature import QuadratureSettings, hankel0
 from scatterlab.runner import _quadrature_warning, run_scan
@@ -77,7 +79,7 @@ def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
         assert warm[1][B >= 4.0].tolist() == [0.0, 0.0, 0.0]
         assert np.all(warm[1][B < 4.0] > 0.0)
     else:
-        # an integrand of one sign: no floor above the smallest normal
+        # no floor above the smallest normal; the trapezoid rule reads none
         assert profile._direct.abs_tol == np.finfo(float).tiny
 
 
@@ -138,17 +140,16 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
     def asked(route, z_profile):
         return lambda p, settings: Asked(route, z_profile(p, settings))
 
-    def counted(integrate):
-        def call(*args, rows, **kwargs):
-            integrated.append(rows)
-            return integrate(*args, rows=rows, **kwargs)
-        return call
+    integrate = eikonal._integrate_z_profile
+
+    def counted(p, b, settings, label):
+        integrated.append(b.size)
+        return integrate(p, b, settings, label)
 
     monkeypatch.setattr(eikonal, "_z_profile",
                         asked("eikonal", eikonal._z_profile))
     monkeypatch.setattr(born, "_z_profile", asked("born", born._z_profile))
-    for name in ("integrate_adaptive", "integrate_semi_infinite"):
-        monkeypatch.setattr(eikonal, name, counted(getattr(eikonal, name)))
+    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
 
     def distinct(route):
         return {x for r, b in requested if r == route for x in b}
@@ -183,12 +184,13 @@ def test_failing_miss_row_names_the_callers_row():
 
 
 def test_failing_node_integral_names_its_b_and_stores_nothing():
-    # Yukawa's integral at b = 1e-3 exhausts a budget of 8 subdivisions;
-    # the error names the row that holds that b, and chi stores nothing
-    p = Yukawa(0.5, 1.0)
+    # the table's integral at b = 0.05 exhausts a budget of 8
+    # subdivisions; the error names the row that holds that b, and chi
+    # stores nothing
+    p = _table()
     settings = QuadratureSettings(max_subdivisions=8)
     kin = Kinematics(mass=1.0, k=1.0)
-    b = np.array([2.0, 1e-3])
+    b = np.array([0.5, 0.05])
     with pytest.raises(ConvergenceError, match="in row 1 "):
         chi(p, kin, b, settings)
     profile = eikonal._z_profile(p, settings)
@@ -197,6 +199,16 @@ def test_failing_node_integral_names_its_b_and_stores_nothing():
         chi(p, kin, b[1:], settings)
     assert profile._store == {}
     assert eikonal._z_profile(p, settings) is profile
+
+
+def test_overflowing_profile_names_its_row_and_stores_nothing():
+    # w = 2 g K0(mu b) passes the largest float at b = 1e-10 for g = 1e308
+    p = Yukawa(1e308, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError, match="b = 1e-10 in row 1"):
+            chi(p, Kinematics(mass=1.0, k=1.0), np.array([1.0, 1e-10]))
+    assert eikonal._z_profile(p, SETTINGS)._store == {}
 
 
 def test_interpolant_is_built_once_from_a_few_hundred_integrals(monkeypatch):
@@ -272,17 +284,69 @@ def _off_grid(p, rng):
     return np.concatenate(b)
 
 
+def _closed(p, b):
+    """w(b) in closed form, from scipy's K0 or numpy's exp."""
+    if isinstance(p, Yukawa):
+        return 2.0 * p.g * sps.k0(p.mu * b)
+    return p.g * np.sqrt(np.pi / p.alpha) * np.exp(-p.alpha * b * b)
+
+
 @pytest.mark.parametrize("p", ANALYTIC, ids=str)
 def test_stored_profile_is_within_its_bound_of_direct_integrals(p):
     profile = eikonal._z_profile(p, SETTINGS)
     b = _off_grid(p, np.random.default_rng(7))
-    tight = QuadratureSettings(rel_tol=1e-13, abs_tol=profile._direct.abs_tol,
-                               max_subdivisions=2000)
-    direct = _uncached(p, b, tight)[0]
+    closed = _closed(p, b)
     got, bound = profile(b)
-    # the stored bound, plus rounding of the value itself
-    slack = bound + 8.0 * EPS * np.abs(direct)
-    assert np.all(np.abs(got - direct) <= slack)
+    # the stored bound, plus the rounding of the closed form itself, whose
+    # exponent x = mu b or alpha b^2 carries a relative error of about x eps
+    x = p.mu * b if isinstance(p, Yukawa) else p.alpha * b * b
+    slack = bound + (8.0 + x) * EPS * np.abs(closed)
+    assert np.all(np.abs(got - closed) <= slack)
+
+
+def _mp_closed(p, b):
+    """w(b) in closed form at the float b, by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        if isinstance(p, Yukawa):
+            return float(2 * mpmath.mpf(p.g)
+                         * mpmath.besselk(0, mpmath.mpf(p.mu) * b))
+        return float(mpmath.mpf(p.g) * mpmath.sqrt(mpmath.pi / p.alpha)
+                     * mpmath.exp(-mpmath.mpf(p.alpha) * mpmath.mpf(b)**2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("p", ANALYTIC, ids=str)
+def test_every_stored_bound_covers_the_closed_form(p, seed):
+    # the trapezoid rule's a-priori bound: b uniform on [0, reach], at the
+    # reach, down to 1e-10, and b = 0 for Gauss, with no RuntimeWarning
+    rng = np.random.default_rng(seed)
+    cut = potentials.reach(p)[0]
+    b = np.concatenate([rng.uniform(0.0, cut, 60), [cut],
+                        np.logspace(-10, -1, 10),
+                        [0.0] if isinstance(p, Gauss) else []])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, bound = eikonal._z_profile(p, SETTINGS)(b)
+    exact = np.array([_mp_closed(p, x) for x in b.tolist()])
+    assert np.all(np.abs(got - exact) <= bound)
+    # at rounding level: the floor 50 eps h sum |f| and the a-priori
+    # terms, each at most eps |w|
+    assert np.all(bound <= 60.0 * EPS * np.abs(exact))
+
+
+def test_analytic_born_resummed_runs_no_adaptive_quadrature(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("adaptive quadrature reached")
+
+    for mod in (eikonal, born, potentials, quadrature):
+        for name in ("integrate_semi_infinite", "integrate_adaptive"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refused)
+    kin = Kinematics(mass=1.0, k=2.0)
+    theta = np.linspace(0.0, 0.2, 5)
+    for p in (Gauss(0.01, 1.0), Yukawa(0.5, 1.0)):
+        amp = born_resummed_amplitude(p, kin, theta, SETTINGS)
+        assert np.all(np.isfinite(amp.value))
 
 
 def test_j0_envelope():
