@@ -28,6 +28,7 @@ import numpy as np
 
 from .eikonal import _amplitude, _check_theta, _z_profile, momentum_transfer
 from .errors import DomainError
+from .potentials import reach
 # The z-profile integrals run in eikonal._z_profile; evaluate and the two
 # integrators are bound here only because perfbench/tracer.py rebinds them
 # in born's namespace as well.
@@ -77,17 +78,16 @@ def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
     th = _check_theta(theta)
     q = momentum_transfer(kin.k, th)
     hv = kin.hbar * kin.v
-
+    upper, tail = reach(p)
     profile = _z_profile(p, settings)
 
     def g(b):
-        w, err = profile(b.ravel())
+        w, err = profile(b)
         # d(w Lambda(-w/(hbar v)))/dw = e^{i chi}, of modulus 1
-        return (w * _lambda_factor(-w / hv)).reshape(b.shape), \
-            err.reshape(b.shape)
+        return w * _lambda_factor(-w / hv), err
 
-    res = hankel0(g, q, profile.reach, settings)
+    res = hankel0(g, q, upper, settings)
     value = -(kin.mass / kin.hbar**2) * np.asarray(res.value, dtype=complex)
     # beyond reach, |w Lambda| <= |w|
-    err = (kin.mass / kin.hbar**2) * (res.error_estimate + profile.tail)
+    err = (kin.mass / kin.hbar**2) * (res.error_estimate + tail)
     return _amplitude(theta, th, q, value, err)

@@ -20,19 +20,18 @@ one exists unless told otherwise.
 The z-profile w(b) = int V dz of the quadrature route is the one that
 born.born_resummed_amplitude integrates too. _z_profile holds one
 _ZProfile, of the potential and setting last used, so the two routes share
-it across angles and k. Every model's b are integrated at that b alone
-and stored by the exact b with a bound on the error, so each value has
-the bits of integrating at that b alone and does not depend on which
-route or call asked for it first. A table's w is an adaptive quadrature
-over its finite z range, bounded by its error estimate. Yukawa's and
-Gauss's w take a fixed trapezoid rule, Yukawa's in t = asinh(z/b),
-Gauss's in z, with a step and range set per b from a-priori bounds on
-the discretisation and truncation errors; those bounds and a rounding
-floor are w's bound. The store is safe to call from several threads: two
-callers may integrate the same b, to the same bits. Both amplitudes
-integrate over [0, R], R the potential's own range from potentials.reach,
-and add the bound on the tail beyond R and the J0-weighted integral of
-w's bounds to their error_estimate.
+it across angles and k. It is a plain memo of (w, bound) per exact b, for b
+of any shape, so each value has the bits of integrating at that b alone and
+does not depend on which route or call asked for it first. A table's w is
+an adaptive quadrature over its finite z range with an absolute floor,
+bounded by its error estimate. Yukawa's and Gauss's w take a fixed
+trapezoid rule, Yukawa's in t = asinh(z/b), Gauss's in z, with a step and
+range set per b from a-priori bounds on the discretisation and truncation
+errors; those bounds and a rounding floor are w's bound. The store is safe
+to call from several threads: two callers may integrate the same b, to the
+same bits. Both amplitudes integrate over [0, R], R the potential's own
+range from potentials.reach, and add the bound on the tail beyond R and the
+J0-weighted integral of w's bounds to their error_estimate.
 """
 
 import dataclasses
@@ -148,42 +147,28 @@ def _z_profile(p, settings):
 _EPS = np.finfo(float).eps
 
 
-def _floored(settings, scale):
-    """settings with an absolute floor at rounding level of a profile whose
-    largest value is about scale: w can then hold its relative target where
-    it is large and stop at rounding where it is not."""
-    return dataclasses.replace(
-        settings, abs_tol=max(_EPS * scale, np.finfo(float).tiny))
-
-
 class _ZProfile:
     """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz of one potential under
-    one setting; call it with a 1-d array of b for (w, a bound on the
-    error of each w). reach and tail are potentials.reach(p).
+    one setting; call it with an array b of any shape for (w, a bound on
+    the error of each w), each of b's shape.
 
     Every b is integrated at that b alone and stored by the exact float b
     with the bound on its error, so each has the bits of integrating at
-    that b alone, whichever route or call asked first. Yukawa and Gauss
-    read no setting: their trapezoid rule's bound is a-priori (see
-    _yukawa_rule and _gauss_rule), at the level of rounding. A table's
-    quadrature takes the setting with an absolute floor computed once per
-    profile, never from the b asked for: eps max|v| r[-1], as its rows at
-    or beyond the last radius integrate to 0.
+    that b alone, whichever route or call asked first. The store reads
+    nothing of the model: the table's floor and each rule's bound belong
+    to _integrate_z_profile, the range to potentials.reach.
     """
 
     def __init__(self, p, settings):
         self.p = p
         self.settings = settings
-        self.reach, self.tail = reach(p)
         self._store = {}
-        scale = float(np.max(np.abs(p.v))) * p.r[-1] \
-            if isinstance(p, TabulatedRadial) else 0.0
-        self._direct = _floored(settings, scale)
 
     def __call__(self, b):
         """(w, error) at each b from the store, integrating the distinct
-        misses in one call."""
-        keys = b.tolist()
+        misses in one call; a miss's row is its index in b.ravel()."""
+        flat = b.ravel()
+        keys = flat.tolist()
         with _profile_lock:
             got = [self._store.get(x) for x in keys]
         miss = {}  # b -> index of its first occurrence
@@ -192,7 +177,7 @@ class _ZProfile:
                 miss[x] = j
         if miss:
             rows = np.fromiter(miss.values(), dtype=int, count=len(miss))
-            w, err = _integrate_z_profile(self.p, b[rows], self._direct,
+            w, err = _integrate_z_profile(self.p, flat[rows], self.settings,
                                           lambda m: f" in row {rows[m]}")
             found = dict(zip(miss, zip(w.tolist(), err.tolist())))
             with _profile_lock:
@@ -200,16 +185,20 @@ class _ZProfile:
                     self._store.clear()
                 self._store.update(found)
             got = [found[x] if v is None else v for x, v in zip(keys, got)]
-        return np.array(got, dtype=float).reshape(-1, 2).T
+        return np.moveaxis(np.reshape(got, (*b.shape, 2)), -1, 0)
 
 
 def _integrate_z_profile(p, b, settings, label):
     """(w(b), a bound on its error) for each b of the 1-d array b, uncached;
     label(j) names row j in error messages. A table's rows go to one
-    row-batched adaptive quadrature over [0, sqrt(r[-1]^2 - b^2)]; Yukawa
-    and Gauss take the fixed trapezoid rule of _trapezoid_rows, which reads
-    no setting."""
+    row-batched adaptive quadrature over [0, sqrt(r[-1]^2 - b^2)] whose
+    abs_tol is the floor eps max|v| r[-1], so that w stops at rounding
+    where it is small; Yukawa and Gauss take the fixed trapezoid rule of
+    _trapezoid_rows, which reads no setting."""
     if isinstance(p, TabulatedRadial):
+        scale = float(np.max(np.abs(p.v))) * p.r[-1]
+        settings = dataclasses.replace(
+            settings, abs_tol=max(_EPS * scale, np.finfo(float).tiny))
         bb = b * b
         r_hi = p.r[-1]
         z_hi = np.sqrt(np.where(b < r_hi, r_hi * r_hi - bb, 0.0))
@@ -323,15 +312,14 @@ def chi(p, kin, b, settings=DEFAULT_SETTINGS):
     b_arr = np.asarray(b, dtype=float)
     if np.any(b_arr < 0.0):
         raise DomainError("impact parameter b must be non-negative")
-    flat = b_arr.ravel()
-    if isinstance(p, Yukawa) and np.any(flat == 0.0):
+    if isinstance(p, Yukawa) and np.any(b_arr == 0.0):
         raise SingularityError(
             "chi diverges logarithmically at b = 0 for a 1/r core")
-    out = -_z_profile(p, settings)(flat)[0] / (kin.hbar * kin.v)
+    out = -_z_profile(p, settings)(b_arr)[0] / (kin.hbar * kin.v)
     if isinstance(p, TabulatedRadial):
         # +0.0, not -0.0, beyond the table
-        out = np.where(flat < p.r[-1], out, 0.0)
-    return float(out[0]) if b_arr.ndim == 0 else out.reshape(b_arr.shape)
+        out = np.where(b_arr < p.r[-1], out, 0.0)
+    return float(out) if b_arr.ndim == 0 else out
 
 
 def chi_closed(p, kin, b):
@@ -374,9 +362,8 @@ def _phase_integrand(p, kin, phase, settings):
         hv = kin.hbar * kin.v
 
         def g(b):
-            w, err = profile(b.ravel())
-            return ((np.exp(1j * (-w / hv)) - 1.0).reshape(b.shape),
-                    (err / hv).reshape(b.shape))
+            w, err = profile(b)
+            return np.exp(1j * (-w / hv)) - 1.0, err / hv
         return g
     raise DomainError("phase must be 'auto', 'closed', or 'quadrature'")
 

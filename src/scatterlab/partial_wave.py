@@ -68,6 +68,9 @@ _CHUNK = 128  # Numerov steps whose coefficient rows are formed at once
 # the most points a fine grid may hold: each of its r, V and 1/r^2 arrays
 # then takes 32 MiB; the shipped configs and tests stay below 60,000
 _GRID_POINTS = 1 << 22
+# the most waves times fine-grid points a call may sweep; the tests sweep
+# at most 4.9e7
+_WAVE_POINTS = 1 << 30
 _EPS = np.finfo(float).eps
 
 
@@ -372,7 +375,8 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     grid and must meet the same bound there. The second matching radius
     lies a quarter wavelength further out, rounded onto the same grid. A
     fine grid out to it of more than _GRID_POINTS points raises RangeError
-    naming r_max before anything is swept.
+    naming r_max before anything is swept; so do waves times points past
+    _WAVE_POINTS, naming l_max if it was given.
     dr=None takes dr = min(0.04/k, 0.01); an explicit dr is the finest step
     and must keep k dr below 0.1.
     """
@@ -424,6 +428,11 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
             raise DomainError("l_max must be an integer >= 0", key="l_max")
         l0 = int(l_max)
         tops = [l0]
+    if (tops[-1] + 1) * points > _WAVE_POINTS:
+        raise RangeError(
+            f"up to {tops[-1] + 1:,} waves on {points:,} radial points, to r "
+            f"= {r_b:g}, exceed the {_WAVE_POINTS:,} wave-points allowed",
+            key="r_max" if l_max is None else "l_max")
     # Each pass sweeps the waves above the previous pass's top and tests the
     # candidates l0 + 16 j up to its own top; each l is integrated on its
     # own, so of a wave's bits only the j_l of a wave classically forbidden

@@ -504,6 +504,11 @@ def _cubic_rule(kernel, qs, lo, width, origin, coef, pieces):
     return value, absint, x.size
 
 
+# the most panels hankel0 may start from; the suite, the shipped configs
+# and the benchmark's inputs start from at most 382
+_HANKEL_PANELS = 1 << 15
+
+
 def _j0_envelope(q, b):
     """|J0(q b)| b <= min(1, sqrt(2/(pi q b))) b."""
     x = np.maximum(q * b, np.finfo(float).tiny)
@@ -560,7 +565,8 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
     integrated against J0's envelope min(1, sqrt(2/(pi q b))) b on the
     final panels and added to each q's error_estimate. A q whose abs_tol
     and rel_tol ask for less than 100 eps int |g J0 b| stops at that
-    rounding level, and its error_estimate may exceed the request.
+    rounding level, and its error_estimate may exceed the request. More
+    than _HANKEL_PANELS first panels raise ConvergenceError at once.
     """
     if not (math.isfinite(upper) and upper > 0.0):
         raise DomainError(f"upper limit must be positive and finite, got "
@@ -573,8 +579,13 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
         raise DomainError("hankel0 requires finite q >= 0")
     if not qs.size:
         return QuadratureResult(np.zeros(0), np.zeros(0), 0)
-    periods = np.max(qs, initial=0.0) * upper / (2.0 * np.pi)
-    panels = int(periods) + 1 if np.isfinite(periods) else 1
+    q_max = float(np.max(qs))
+    periods = q_max * upper / (2.0 * np.pi)
+    panels = math.floor(periods) + 1 if math.isfinite(periods) else math.inf
+    if panels > _HANKEL_PANELS:
+        raise ConvergenceError(
+            f"hankel0 at q = {q_max!r} over [0, {upper!r}] would start from "
+            f"{panels:.6g} panels, over {_HANKEL_PANELS:,}")
     edges = np.linspace(0.0, upper, panels + 1)
     q3 = qs[:, None, None]
     lo, hi = edges[:-1], edges[1:]

@@ -9,12 +9,13 @@ references (which live in the tests only):
     legendre_p_row   P_0..P_l by the exact upward recurrence, |x| <= 1
     spherical_bessel relative 1e-10 class away from zeros, via the Wronskian;
                      j_l past the upward range by one Miller pass per row
+    j0_zeros         the first n zeros of J0 by bisection, for
+                     perfbench/tracer.py only: no library route calls it
 
-Scalar in, scalar out; ndarray in, ndarray out.
+Scalar in, scalar out; ndarray in, ndarray out. Nothing is cached.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -100,14 +101,8 @@ def _j0_asymptotic(x):
 
 
 def bessel_j0(x):
-    """Bessel function of the first kind, order zero. Even in x."""
-    if np.isscalar(x):
-        ax = abs(float(x))
-        if not math.isfinite(ax):
-            raise DomainError("bessel_j0 requires finite input")
-        if ax <= _J0_BRANCH:
-            return _j0_rational(ax)
-        return float(_j0_asymptotic(ax))
+    """Bessel function of the first kind, order zero. Even in x. A scalar
+    takes the array path and returns a float."""
     ax = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(ax)):
         raise DomainError("bessel_j0 requires finite input")
@@ -115,7 +110,7 @@ def bessel_j0(x):
     small = ax <= _J0_BRANCH
     out[small] = _j0_rational(ax[small])
     out[~small] = _j0_asymptotic(ax[~small])
-    return out
+    return float(out) if np.isscalar(x) else out
 
 
 # ---------------------------------------------------------------------------
@@ -238,38 +233,25 @@ def spherical_bessel(l, x):
 
 
 # ---------------------------------------------------------------------------
-# Positive zeros of J0, located by bisection. Consecutive gaps increase
-# monotonically from 3.115 toward pi, so [previous + 3.0, previous + 3.2]
-# always brackets the next zero.
+# Positive zeros of J0. McMahon's expansion puts the s-th zero within 0.05
+# of (s - 1/4) pi, and consecutive zeros lie more than 3 apart, so
+# (s - 1/4) pi +- 0.1 brackets the s-th zero and no other.
 # ---------------------------------------------------------------------------
-
-_J0_ZEROS = []
-_J0_ZEROS_LOCK = threading.Lock()
-
-
-def _bisect_j0(lo, hi):
-    flo = bessel_j0(lo)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fmid = bessel_j0(mid)
-        if flo * fmid <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo < 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 def j0_zeros(n):
-    """First n positive zeros of J0, cached across calls."""
+    """First n positive zeros of J0, by one bisection of all n brackets at
+    once; nothing is kept between calls. Each zero depends on its own
+    bracket alone, so j0_zeros(m) is a prefix of j0_zeros(n) for m <= n."""
     if n < 0:
         raise DomainError("j0_zeros requires n >= 0")
-    with _J0_ZEROS_LOCK:
-        while len(_J0_ZEROS) < n:
-            if not _J0_ZEROS:
-                lo, hi = 2.0, 3.0
-            else:
-                lo, hi = _J0_ZEROS[-1] + 3.0, _J0_ZEROS[-1] + 3.2
-            _J0_ZEROS.append(_bisect_j0(lo, hi))
-        return np.array(_J0_ZEROS[:n])
+    guess = (np.arange(1, n + 1) - 0.25) * np.pi
+    lo, hi = guess - 0.1, guess + 0.1
+    f_lo = bessel_j0(lo)
+    for _ in range(60):  # 0.2/2^60 is far below one ulp of 2.4
+        mid = 0.5 * (lo + hi)
+        f_mid = bessel_j0(mid)
+        left = f_lo * f_mid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
+    return 0.5 * (lo + hi)

@@ -236,6 +236,27 @@ class TestPhaseShifts:
             phase_shifts(Yukawa(0.5, 1.0), KIN2, r_max=1e5)
         assert err.value.key == "r_max"
 
+    def test_sweep_work_beyond_the_limit_fails_before_any_sweep(
+            self, monkeypatch):
+        # Yukawa(0.5, 1e-3) at k = 1: 1.8e6 points, within the grid's
+        # limit, but up to 12,184 waves on them, 2.2e10 wave-points
+        def refused(*args):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(partial_wave, "_sweep_grids", refused)
+        p, kin = Yukawa(0.5, 1e-3), Kinematics(mass=1.0, k=1.0)
+        with pytest.raises(RangeError, match="12,184 waves") as err:
+            phase_shifts(p, kin)
+        assert err.value.key == "r_max"
+        with pytest.raises(RangeError, match="20,001 waves") as err:
+            phase_shifts(p, kin, l_max=20000)
+        assert err.value.key == "l_max"
+        # the heaviest inputs below the limit, 3.2e8 and 4.7e8 wave-points,
+        # still sweep
+        for p, k in ((Yukawa(0.5, 0.01), 1.0), (Yukawa(0.5, 0.1), 30.0)):
+            with pytest.raises(AssertionError, match="a sweep started"):
+                phase_shifts(p, Kinematics(mass=1.0, k=k))
+
     def test_r_max_needs_two_coarse_steps(self):
         # r_max rounds onto the 4 dr grid, whose sweep needs two steps
         with pytest.raises(DomainError, match="8 dr"):

@@ -9,7 +9,7 @@ import pytest
 import _oracles
 from _oracles import ESTIMATOR_CORPUS
 from scatterlab import quadrature
-from scatterlab.eikonal import Kinematics, _phase_integrand
+from scatterlab.eikonal import Kinematics, _phase_integrand, amplitude_eikonal
 from scatterlab.errors import (ConvergenceError, DivergenceError, DomainError,
                                ScatterError)
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
@@ -276,6 +276,35 @@ def test_hankel_evaluates_g_once_per_node_for_every_q():
     singles = sum(hankel0(lambda b: np.exp(-0.3 * b), float(x),
                           60.0).evaluations for x in q)
     assert res.evaluations < singles / 4
+
+
+def test_hankel_bounds_its_first_partition_before_evaluating_g():
+    # one panel per J0 period at the largest q: 2^15 panels are allowed,
+    # and one more fails before g sees a node
+    limit = quadrature._HANKEL_PANELS
+    nodes = []
+
+    def g(b):
+        nodes.append(b.size)
+        return np.zeros(b.shape)
+
+    res = hankel0(g, np.array([0.0, limit - 0.5]), 2.0 * np.pi)
+    assert res.evaluations == sum(nodes) == 15 * limit
+
+    def refused(b):
+        raise AssertionError("g evaluated")
+
+    with pytest.raises(ConvergenceError, match=f"{limit + 1} panels"):
+        hankel0(refused, float(limit), 2.0 * np.pi)
+    # numpy could not build the first partition of the Gauss; the Yukawa
+    # would start from 300,063 panels, a cost that grows as 1/mu
+    for p, kin, theta in [
+            (Gauss(0.5, 1e300), Kinematics(mass=1e-300, k=1e300), 0.1),
+            (Yukawa(0.5, 1e-4), Kinematics(mass=1.0, k=10.0),
+             np.linspace(0.0, 0.5, 9))]:
+        with pytest.raises(ConvergenceError, match="panels") as err:
+            amplitude_eikonal(p, kin, theta)
+        assert "q = " in str(err.value)
 
 
 def test_default_settings_frozen():

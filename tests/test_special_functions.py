@@ -244,6 +244,14 @@ def test_j0_zeros_values():
     assert np.all(gaps > 3.0) and np.all(gaps < 3.2)
 
 
+def test_j0_zeros_are_prefixes_of_one_another():
+    # each zero is bisected in its own bracket, whatever n is
+    assert j0_zeros(0).shape == (0,)
+    longest = j0_zeros(300)
+    for m in (1, 7, 64, 299):
+        assert j0_zeros(m).tobytes() == longest[:m].tobytes()
+
+
 def test_j0_zeros_cache_threadsafe():
     def worker(n):
         return j0_zeros(n)[-1]

@@ -23,6 +23,8 @@ from scatterlab.quadrature import QuadratureSettings, hankel0
 from scatterlab.runner import _quadrature_warning, run_scan
 
 SETTINGS = QuadratureSettings()
+# settings no analytic z-profile reads: its trapezoid rule's bound is a-priori
+LOOSE = QuadratureSettings(rel_tol=1e-2, abs_tol=1.0, max_subdivisions=8)
 # repeated b, and (for the table) b at and beyond its last radius 4
 B = np.array([0.3, 1.2, 0.3, 4.0, 5.5, 1.2, 2.7, 4.0])
 EPS = np.finfo(float).eps
@@ -70,7 +72,7 @@ def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
         _same_bits((w, e), [x[0] for x in profile(np.array([b]))])
     _same_bits(cold, [x[:3] for x in warm])
     _same_bits(again, [x[::-1] for x in warm])
-    _same_bits(warm, _uncached(p, B, profile._direct))
+    _same_bits(warm, _uncached(p, B, SETTINGS))
     assert set(profile._store) == set(B.tolist())
     if isinstance(p, TabulatedRadial):
         beyond = warm[0][B >= 4.0]
@@ -79,8 +81,25 @@ def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
         assert warm[1][B >= 4.0].tolist() == [0.0, 0.0, 0.0]
         assert np.all(warm[1][B < 4.0] > 0.0)
     else:
-        # no floor above the smallest normal; the trapezoid rule reads none
-        assert profile._direct.abs_tol == np.finfo(float).tiny
+        # the trapezoid rule reads no setting: loose ones give the same bits
+        _same_bits(warm, _uncached(p, B, LOOSE))
+        _same_bits(warm, eikonal._z_profile(p, LOOSE)(B))
+
+
+@pytest.mark.parametrize("make_p", [lambda: Yukawa(0.5, 1.0),
+                                    lambda: Gauss(0.3, 0.7), _table],
+                         ids=["yukawa", "gauss", "table"])
+def test_store_returns_the_shape_of_b_with_the_bits_of_a_flat_call(make_p):
+    p = make_p()
+    grid = B.reshape(2, 4)
+    w, err = eikonal._z_profile(p, SETTINGS)(grid)
+    assert w.shape == err.shape == grid.shape
+    # a fresh store, so the flat call integrates every b again
+    flat = eikonal._ZProfile(p, SETTINGS)(B)
+    _same_bits((w.ravel(), err.ravel()), flat)
+    w0, err0 = eikonal._z_profile(p, SETTINGS)(np.array(B[1]))
+    assert w0.shape == err0.shape == ()
+    _same_bits((w0, err0), [x[1] for x in flat])
 
 
 def test_tabulated_run_is_byte_identical_at_one_and_four_threads(tmp_path):
@@ -131,10 +150,9 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
 
         def __init__(self, route, profile):
             self.route, self.profile = route, profile
-            self.reach, self.tail = profile.reach, profile.tail
 
         def __call__(self, b):
-            requested.append((self.route, b.tolist()))
+            requested.append((self.route, b.ravel().tolist()))
             return self.profile(b)
 
     def asked(route, z_profile):
@@ -174,7 +192,7 @@ def test_failing_miss_row_names_the_callers_row():
     with pytest.raises(ConvergenceError) as cached:
         profile(b)
     with pytest.raises(ConvergenceError) as uncached:
-        _uncached(p, b, profile._direct)
+        _uncached(p, b, settings)
     assert "in row 2 " in str(cached.value)
     assert str(cached.value) == str(uncached.value)
     # nothing of the failed row was stored: it fails again
@@ -241,13 +259,13 @@ def test_store_holds_one_potential_and_a_bounded_count(monkeypatch):
     held = eikonal._profile
     assert held.p is p2
     assert set(held._store) == set(B[:2].tolist())
-    _same_bits(w2, _uncached(p2, B[:2], held._direct))
+    _same_bits(w2, _uncached(p2, B[:2], SETTINGS))
     assert held._store[B[0]] == (w2[0][0], w2[1][0])
 
     monkeypatch.setattr(eikonal, "_PROFILE_ENTRIES", 4)
     for start in range(0, 8, 3):
         b = np.linspace(1.0, 3.5, 8)[start:start + 3]
-        _same_bits(held(b), _uncached(p2, b, held._direct))
+        _same_bits(held(b), _uncached(p2, b, SETTINGS))
         assert len(held._store) <= 4
     assert eikonal._z_profile(p2, SETTINGS) is held
 
@@ -360,11 +378,11 @@ def test_hankel_error_bounds_the_j0_weighted_piece_bounds(p):
     # transform adds for them (their integral against J0's envelope, see
     # test_quadrature) is positive, falls as q grows, and moves no value
     kin = Kinematics(mass=1.0, k=2.0)
-    profile = eikonal._z_profile(p, SETTINGS)
+    upper = potentials.reach(p)[0]
     g = eikonal._phase_integrand(p, kin, "quadrature", SETTINGS)
     q = np.array([0.0, 0.01, 0.3, 2.0, 10.0])
-    bounded = hankel0(g, q, profile.reach)
-    plain = hankel0(lambda b: g(b)[0], q, profile.reach)
+    bounded = hankel0(g, q, upper)
+    plain = hankel0(lambda b: g(b)[0], q, upper)
     _same_bits(bounded.value, plain.value)
     added = bounded.error_estimate - plain.error_estimate
     assert np.all(added > 0.0)
@@ -385,17 +403,31 @@ def test_quadrature_chi_matches_chi_closed(p):
 
 
 @pytest.mark.parametrize("r_hi", [12.0, 30.0])
-def test_tabulated_chi_converges_near_the_last_radius(r_hi):
+def test_tabulated_chi_converges_near_the_last_radius(r_hi, monkeypatch):
     # with no absolute floor, w ~ 1e-20 there could never reach its
     # relative target and the subdivision budget ran out
     p = _soft_core_table(r_hi)
     b = r_hi - np.logspace(-12, -3, 400)
     kin = Kinematics(mass=1.0, k=5.0)
+    floors = []
+    integrate = eikonal.integrate_adaptive
+
+    def recorded(f, lo, hi, settings, **kwargs):
+        floors.append(settings.abs_tol)
+        return integrate(f, lo, hi, settings, **kwargs)
+
+    monkeypatch.setattr(eikonal, "integrate_adaptive", recorded)
     w = -chi(p, kin, b, SETTINGS) * kin.hbar * kin.v
     # the floor is eps max|v| r[-1], and |w| <= 2 max|v| sqrt(r_hi^2 - b^2)
     big = float(np.max(np.abs(p.v)))
-    assert eikonal._z_profile(p, SETTINGS)._direct.abs_tol == EPS * big * r_hi
+    assert floors == [EPS * big * r_hi]
     assert np.all(np.abs(w) <= 2.0 * big * np.sqrt(r_hi**2 - b * b))
+    # the floor takes the place of whatever abs_tol the run asks for
+    for abs_tol in (1.0, 1e-300):
+        floors.clear()
+        asked = QuadratureSettings(abs_tol=abs_tol)
+        _same_bits(-chi(p, kin, b, asked) * kin.hbar * kin.v, w)
+        assert floors == [EPS * big * r_hi]
 
 
 def test_repeated_runs_give_byte_identical_csvs(tmp_path):
@@ -452,7 +484,7 @@ def test_amplitude_error_includes_the_interpolation_bound(p, monkeypatch):
     bounded = amplitudes()
     call = eikonal._ZProfile.__call__
     monkeypatch.setattr(eikonal._ZProfile, "__call__",
-                        lambda self, b: (call(self, b)[0], np.zeros(b.size)))
+                        lambda self, b: (call(self, b)[0], np.zeros(b.shape)))
     for amp, plain in zip(bounded, amplitudes()):
         _same_bits(amp.value, plain.value)
         assert np.all(amp.error_estimate > plain.error_estimate)
