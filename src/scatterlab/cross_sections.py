@@ -256,7 +256,7 @@ def _max_rel_dev(got, ref):
     if not np.all(np.isfinite(got)):
         return float("inf")
     diff = np.abs(got - ref)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rel = np.where(diff == 0.0, 0.0, diff / np.abs(ref))
     return float(np.max(rel))
 
@@ -275,17 +275,19 @@ def paper_formula_checks(p, kin):
     model = "yukawa" if isinstance(p, Yukawa) else "gauss"
     theta = np.linspace(0.0, _CHECK_THETA_MAX, _CHECK_THETA_COUNT)
     q = momentum_transfer(kin.k, theta)
-    born = differential(born1_amplitude(p, kin, theta))
-    amp_check = _grade(
-        f"closed_form_amplitude_{model}",
-        _max_rel_dev(paper_forms.dsigma(p, kin, theta, q), born),
-        _max_rel_dev(paper_forms.dsigma_corrected(p, kin, q), born))
-
+    # the closed forms first: a factor of theirs out of the float range
+    # raises RangeError naming its parameter before the Born route meets it
+    verbatim_dsigma = paper_forms.dsigma(p, kin, theta, q)
+    corrected_dsigma = paper_forms.dsigma_corrected(p, kin, q)
     corrected = paper_forms.total_corrected(p, kin)
+    born = _born_dsigma(p, kin, theta)
+    amp_check = _grade(f"closed_form_amplitude_{model}",
+                       _max_rel_dev(verbatim_dsigma, born),
+                       _max_rel_dev(corrected_dsigma, born))
+
     if model == "yukawa":
-        oracle = _total_direct(
-            lambda t: differential(born1_amplitude(p, kin, t)), np.sin,
-            np.pi)
+        oracle = _total_direct(lambda t: _born_dsigma(p, kin, t), np.sin,
+                               np.pi)
         try:
             verbatim = paper_totals(p, kin)
         except PoleError:
@@ -304,9 +306,30 @@ def paper_formula_checks(p, kin):
     return [amp_check, tot_check]
 
 
+def _reference(value):
+    """A check's reference cross section, if it is finite in floats; else
+    RangeError naming g, which scales every cross section as g^2. It is
+    formed with numpy's overflow warnings off: inf or nan is what an
+    overflow leaves."""
+    if not np.all(np.isfinite(value)):
+        raise RangeError("g out of range for the reference-formula checks: "
+                         "their reference cross section overflows in "
+                         "floats", key="g")
+    return value
+
+
+def _born_dsigma(p, kin, theta):
+    """|f_B|^2 at each theta, checked by _reference: the Born route's own
+    factors may overflow where its |f|^2 would not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _reference(differential(born1_amplitude(p, kin, theta)))
+
+
 def _total_direct(dsigma, weight, upper):
-    """2 pi int_0^upper dsigma(theta) weight(theta) dtheta, adaptively."""
+    """2 pi int_0^upper dsigma(theta) weight(theta) dtheta, adaptively,
+    checked by _reference."""
     settings = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-300)
-    res = integrate_adaptive(lambda t: dsigma(t) * weight(t), 0.0, upper,
-                             settings)
-    return 2.0 * np.pi * res.value
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = integrate_adaptive(lambda t: dsigma(t) * weight(t), 0.0,
+                                 upper, settings)
+        return _reference(2.0 * np.pi * res.value)

@@ -41,7 +41,7 @@ from .eikonal import Kinematics, _amplitude, momentum_transfer
 from .errors import ConvergenceError, DomainError, RangeError
 from .potentials import (effective_radius, evaluate, origin_expansion,
                          reach)
-# The effective radius is integrated in potentials; the two integrators and
+# The effective radius needs no integrator; the two integrators and
 # spherical_bessel are bound here only because perfbench/tracer.py rebinds
 # them in partial_wave's namespace.
 from .quadrature import (integrate_adaptive,  # noqa: F401

@@ -9,7 +9,8 @@ fixed Gauss rule, with an a-priori error bound.
 
 The potential's range lives here too: reach(p), the radius R past which
 the z-profile's tail is below rounding, with a bound on that tail, and
-effective_radius(p), the radius holding 0.9999 of int_0^R |V| r^2 dr.
+effective_radius(p), the radius holding 0.9999 of int_0^R |V| r^2 dr,
+bisected on that weight in closed form, or exact on a table's pieces.
 
 Conventions: V has energy units, r length units. fourier3d computes
 Vtilde(q) = integral d^3r e^{-i q.r} V(r) = (4 pi / q) int_0^inf
@@ -24,8 +25,9 @@ import numpy as np
 from ._spline import natural_cubic, split_at_roots
 from .errors import (ConfigError, DomainError, SingularityError,
                      UnsupportedModelError)
-from .quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
-                         integrate_adaptive, integrate_cubic)
+from .quadrature import _G7_NODES, _WG, DEFAULT_SETTINGS, integrate_cubic
+# bound here only because perfbench/tracer.py rebinds it in this namespace
+from .quadrature import integrate_adaptive  # noqa: F401
 
 __all__ = [
     "Yukawa",
@@ -258,44 +260,47 @@ def reach(p):
         f"unknown potential model {type(p).__name__!r}")
 
 
-_R_EFF_PANELS = 64  # panels of an analytic range, and cuts per round
-_R_EFF_SETTINGS = QuadratureSettings(rel_tol=1e-9, abs_tol=1e-300)
+def _weight(p):
+    """W(r) = int_0^r |V| s^2 ds, exact but for rounding. Yukawa and Gauss
+    take the closed forms in x = mu r and sqrt(alpha) r, less the factors
+    |g| mu^-2 and |g| (4 alpha^(3/2))^-1, on which r_eff does not depend. A
+    table's |V| r^2 is a quintic between the edges of split_at_roots, and
+    W sums the edges below r and [edge, r] on 7-point Gauss, exact there."""
+    if isinstance(p, Yukawa):
+        return lambda r: -math.expm1(-p.mu * r) \
+            - p.mu * r * math.exp(-p.mu * r)
+    if isinstance(p, Gauss):
+        a = math.sqrt(p.alpha)
+        return lambda r: math.sqrt(math.pi) * math.erf(a * r) \
+            - 2.0 * a * r * math.exp(-(a * r) * (a * r))
+    edges = split_at_roots(*p._pieces)[0]
 
+    def g7(lo, hi):
+        hw = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[..., None] + hw[..., None] * _G7_NODES
+        return hw * (_WG * np.abs(evaluate(p, x)) * x * x).sum(axis=-1)
 
-def _breaks(p):
-    """Panel edges on [0, reach(p)]: the edges of a table's pieces and the
-    zeros of V inside them, where |V| has a kink; _R_EFF_PANELS equal
-    panels for Yukawa and Gauss."""
-    if isinstance(p, TabulatedRadial):
-        return split_at_roots(*p._pieces)[0]
-    return np.linspace(0.0, reach(p)[0], _R_EFF_PANELS + 1)
+    below = np.r_[0.0, np.cumsum(g7(edges[:-1], edges[1:]))]
+
+    def weight(r):
+        i = np.searchsorted(edges[1:-1], r, side="right")
+        return below[i] + g7(edges[i], r)
+    return weight
 
 
 def effective_radius(p):
     """Radius holding 0.9999 of the weight int_0^R |V| r^2 dr, R = reach(p),
-    or 0.0 at zero weight. The panels of _breaks(p) are integrated in one
-    row-batched call; the panel where the running sum first reaches the
-    target is cut _R_EFF_PANELS ways a round, one call a round, until no
-    float lies strictly inside it, and its upper end is returned. Repeated
-    cut points on a bracket of few floats make panels of zero weight."""
-    def running(edges, below):  # below plus the weight up to each edge
-        return below + np.cumsum(np.r_[0.0, integrate_adaptive(
-            lambda i, r: np.abs(evaluate(p, r)) * r * r, edges[:-1],
-            edges[1:], _R_EFF_SETTINGS, rows=edges.size - 1).value])
-
-    edges = _breaks(p)
-    weight = running(edges, 0.0)
-    target = 0.9999 * weight[-1]
-    if target <= 0.0:
+    or 0.0 at zero weight: the least float r at which _weight(p) reaches
+    the target, found by bisecting [0, R] down to adjacent floats."""
+    lo, hi = 0.0, reach(p)[0]
+    weight = _weight(p)
+    target = 0.9999 * weight(hi)
+    if getattr(p, "g", 1.0) == 0.0 or not target > 0.0:
         return 0.0
-    while True:
-        # the first edge reaching the target; the last if rounding falls short
-        i = min(int(np.searchsorted(weight, target)), edges.size - 1)
-        lo, hi = edges[i - 1], edges[i]
-        if np.nextafter(lo, hi) == hi:
-            return float(hi)
-        edges = np.linspace(lo, hi, _R_EFF_PANELS + 1)
-        weight = running(edges, weight[i - 1])
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if weight(mid) >= target else (mid, hi)
+    return hi
 
 
 def load_radial_table(source, interpolation="cubic"):

@@ -2,7 +2,9 @@
 
 Four entry points:
 
-    integrate_adaptive       finite interval, worst-interval bisection
+    integrate_adaptive       finite interval, worst-interval bisection; its
+                             two library callers are a table's z-profile
+                             and cross_sections._total_direct
     integrate_semi_infinite  [0, inf) via the rational map x = t/(1-t); no
                              library route calls it (the analytic
                              z-profiles take eikonal's trapezoid rule), it

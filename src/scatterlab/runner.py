@@ -181,12 +181,15 @@ def _report_text(cfg, tables, verdicts):
 
         columns = {s: tables[(s, k)].rows[:, 4] for s in present}
         if "paper_closed" in present:  # so the model has closed forms
-            lines.append(
-                "  reference_form: closed |f|^2 with q = "
-                "2 k sin(theta/2) substituted (exact-q variant of the "
-                "paper_closed column)")
-            columns["reference_form"] = paper_forms.dsigma(
-                cfg.potential, cfg.kinematics(k), theta, q)
+            try:
+                columns["reference_form"] = paper_forms.dsigma(
+                    cfg.potential, cfg.kinematics(k), theta, q)
+                lines.append(
+                    "  reference_form: closed |f|^2 with q = "
+                    "2 k sin(theta/2) substituted (exact-q variant of the "
+                    "paper_closed column)")
+            except ScatterError as exc:
+                lines.append(f"  reference_form: unavailable: {exc}")
 
         names = list(columns)
         for i in range(len(names)):
@@ -218,7 +221,9 @@ def _report_text(cfg, tables, verdicts):
         lines.append("")
 
     lines.append("reference formula checks")
-    if not verdicts:
+    if not verdicts and isinstance(cfg.potential, (Yukawa, Gauss)):
+        lines.append("  (skipped: see the manifest's warnings)")
+    elif not verdicts:
         lines.append("  (not available for this potential model)")
     for k, comp in verdicts:
         ratio = "" if math.isnan(comp.ratio) else f" ratio={comp.ratio:.9g}"

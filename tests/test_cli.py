@@ -1,7 +1,13 @@
 """Tests for the scatter command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import scatterlab
 from scatterlab import __version__
 from scatterlab.cli import main
 
@@ -125,3 +131,47 @@ class TestExitCodes:
         text += "\n[partial_wave]\nl_max = 3\n"
         f = self._write(tmp_path, text)
         assert main(["run", str(f), "--quiet"]) == 1
+
+
+# inputs whose reference closed forms leave the float range: alpha^3
+# overflows, and g k/(hbar v) does; each with the parameter the skipped
+# checks must name
+OUT_OF_RANGE = {
+    "gauss": ("model = gauss\ng = 0.5\nalpha = 1e300", "1e-300", "1e300",
+              "eikonal", "alpha"),
+    "yukawa": ("model = yukawa\ng = 1e200\nmu = 1.0", "1.0", "1e200",
+               "born1", "g"),
+}
+
+
+@pytest.mark.parametrize("paper_closed", [False, True])
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_closed_forms_skip_their_checks(tmp_path, case,
+                                                      paper_closed):
+    # `scatter run` in a fresh interpreter: no traceback, every file the
+    # manifest lists is written, and the manifest's warning names the
+    # parameter; with paper_closed the report's reference_form column,
+    # which reads the same forms, must not stop report.txt either
+    potential, mass, k, source, key = OUT_OF_RANGE[case]
+    sources = f"{source}, paper_closed" if paper_closed else source
+    config = tmp_path / "scan.ini"
+    config.write_text(f"[potential]\n{potential}\n[kinematics]\n"
+                      f"mass = {mass}\nk = {k}\n[theta_grid]\nmin = 0.0\n"
+                      f"max = 0.2\ncount = 5\n[run]\nsources = {sources}\n")
+    out = tmp_path / "out"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "scatterlab", "run",
+                           str(config), "--out", str(out), "--quiet"],
+                          env=env, capture_output=True, text=True)
+    assert "Traceback" not in proc.stdout + proc.stderr
+    manifest = (out / "manifest.txt").read_text()
+    files = manifest.split("[files]")[1].split()
+    assert {"summary.csv", "report.txt"} <= set(files)
+    assert all((out / name).is_file() for name in files)
+    skipped = [line for line in manifest.splitlines()
+               if "formula checks skipped" in line]
+    assert len(skipped) == 1
+    assert f"{key} out of range" in skipped[0]
+    assert "(skipped: see the manifest's warnings)" in \
+        (out / "report.txt").read_text()

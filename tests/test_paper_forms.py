@@ -8,8 +8,9 @@ import _oracles
 from scatterlab import paper_forms
 from scatterlab.cross_sections import (VERDICT_SUSPECTED_TYPO,
                                        paper_formula_checks, paper_totals)
-from scatterlab.eikonal import Kinematics, amplitude_paper_closed
-from scatterlab.errors import PoleError
+from scatterlab.eikonal import (Kinematics, amplitude_paper_closed,
+                                momentum_transfer)
+from scatterlab.errors import PoleError, RangeError
 from scatterlab.potentials import Gauss, Yukawa
 
 KIN2 = Kinematics(mass=1.0, k=2.0)
@@ -77,3 +78,33 @@ def test_yukawa_dsigma_nan_at_exact_zero_without_warning():
     q = np.array([0.5, 1.0])
     got = paper_forms.dsigma(p, kin, np.zeros(2), q)
     assert np.isfinite(got[0]) and np.isnan(got[1])
+
+
+@pytest.mark.parametrize("p, kin, key", [
+    (Gauss(0.5, 1e300), Kinematics(mass=1e-300, k=1e300), "alpha"),
+    (Gauss(0.5, 1e-120), KIN2, "alpha"),
+    (Yukawa(1e200, 1.0), Kinematics(mass=1.0, k=1e200), "g"),
+    (Yukawa(0.5, 1e200), KIN2, "mu"),
+    (Yukawa(0.5, 1.0), Kinematics(mass=1e-300, k=1e300), "k"),
+])
+def test_out_of_range_prefactors_raise_a_keyed_range_error(p, kin, key):
+    # a float power that overflows or a factor that leaves the float range
+    # is a RangeError naming its parameter, not a raw OverflowError
+    theta = np.linspace(0.0, 0.2, 5)
+    q = momentum_transfer(kin.k, theta)
+    for form in (lambda: paper_forms.dsigma(p, kin, theta, q),
+                 lambda: paper_forms.dsigma_corrected(p, kin, q),
+                 lambda: paper_formula_checks(p, kin)):
+        with pytest.raises(RangeError) as err:
+            form()
+        assert err.value.key == key
+        assert str(err.value).startswith(f"{key} out of range")
+
+
+def test_an_overflowing_k_theta_is_not_a_yukawa_pole():
+    # (k theta)^2 overflows to inf at theta = 0.1: the verbatim denominator
+    # is -inf and the amplitude 0 there, not a pole row of nan
+    kin = Kinematics(mass=1e200, k=1e200)
+    value = paper_forms.amplitude(Yukawa(0.5, 1.0), kin, np.array([0.0, 0.1]))
+    assert value[0] == 1e200
+    assert value[1] == 0.0

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 from scatterlab import partial_wave, potentials
+from scatterlab.config import parse_config
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.errors import ConvergenceError, DomainError, RangeError
 from scatterlab.partial_wave import (PhaseShiftSet, amplitude_partial_wave,
@@ -20,6 +22,20 @@ import _oracles
 from _oracles import square_well_delta0
 
 KIN2 = Kinematics(mass=1.0, k=2.0)
+_R13 = np.linspace(0.0, 6.0, 13)
+# the effective radius's cases: a table whose spline crosses zero inside
+# four knot intervals, one starting at r[0] > 0, a linear one, and one whose
+# samples change sign
+_R_EFF_CASES = [
+    Yukawa(0.5, 1.0), Gauss(1.0, 1.0),
+    TabulatedRadial(_R13, np.r_[np.exp(-np.linspace(0.0, 5.5, 12) ** 2),
+                                0.0]),
+    TabulatedRadial(_R13[1:] + 0.25, np.r_[np.exp(-0.5 * _R13[1:-1]), 0.0]),
+    TabulatedRadial(_R13, np.r_[np.exp(-0.4 * _R13[:-1] ** 2), 0.0],
+                    interpolation="linear"),
+    TabulatedRadial(_R13, np.r_[np.cos(1.5 * _R13[:-1])
+                                * np.exp(-0.5 * _R13[:-1]), 0.0]),
+]
 _RIPPLED_R = np.linspace(0.0, 8.0, 200)
 _RIPPLED_TABLE = TabulatedRadial(
     _RIPPLED_R, np.r_[-1.5 * np.exp(-0.5 * _RIPPLED_R[:-1] ** 2)
@@ -105,59 +121,35 @@ class TestEffectiveRadius:
         got = effective_radius(TabulatedRadial(r, v))
         assert 0.0 < got <= 6.0
 
-    @pytest.mark.parametrize("p", [
-        Yukawa(0.5, 1.0), Gauss(1.0, 1.0),
-        TabulatedRadial(np.linspace(0.0, 6.0, 13),
-                        np.r_[np.exp(-np.linspace(0.0, 5.5, 12) ** 2), 0.0]),
-    ])
+    @pytest.mark.parametrize("p", _R_EFF_CASES)
     def test_matches_the_80_step_search_and_a_tight_reference(self, p):
         got = effective_radius(p)
         tight = _oracles.effective_radius_tight(p)
-        # the table's spline crosses zero four times inside its knot
-        # intervals (r = 4.0125, 4.4993, 5.00002, 5.49999996), kinks of
-        # |V| at which its panels now end: 7e-14 off, where GK15 across
-        # the kink at 4.4993 was 4.5e-8 off. The 80-step search still
-        # integrates across them and is 8e-8 off
+        # the 13-knot table's spline crosses zero four times inside its
+        # knot intervals (r = 4.0125, 4.4993, 5.00002, 5.49999996), kinks
+        # of |V| at which its weight's pieces end: 4e-14 off, where GK15
+        # across the kink at 4.4993 was 4.5e-8 off. The 80-step search
+        # still integrates across them and is 8e-8 off
         assert got == pytest.approx(tight, rel=1e-11, abs=0.0)
         if not isinstance(p, TabulatedRadial):
             assert got == pytest.approx(_oracles.effective_radius(p),
                                         rel=1e-11, abs=0.0)
 
-    @pytest.mark.parametrize("p", [
-        Yukawa(0.5, 1.0), Gauss(1.0, 1.0),
-        TabulatedRadial(np.linspace(0.0, 6.0, 13),
-                        np.r_[np.exp(-np.linspace(0.0, 5.5, 12) ** 2), 0.0]),
-    ])
-    def test_early_stop_keeps_the_bits_of_80_steps(self, monkeypatch, p):
-        # the search stops once its bracket is two adjacent floats; cutting
-        # on for 14 fixed rounds of 64 (84 bits) must give the same float
-        class FixedRounds:
-            """numpy, whose nextafter ends the search after `left` rounds."""
-            def __init__(self, left):
-                self.left = left
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def nextafter(self, lo, hi):
-                self.left -= 1
-                return hi if self.left == 0 else np.nan
-
-        calls = []
-        integrate = potentials.integrate_adaptive
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(potentials, "integrate_adaptive", counted)
-        got = effective_radius(p)
-        early = len(calls)
-        calls.clear()
-        monkeypatch.setattr(potentials, "np", FixedRounds(15))
-        assert got == effective_radius(p)
-        assert len(calls) == 15
-        assert early < 15
+    @pytest.mark.parametrize("p", _R_EFF_CASES)
+    def test_is_the_least_float_whose_weight_reaches_the_target(self, p):
+        # bisection down to adjacent floats on the exact weight W: W(r)
+        # reaches 0.9999 W(R), R = reach(p), and the float below r does not
+        weight = potentials._weight(p)
+        upper = potentials.reach(p)[0]
+        target = 0.9999 * weight(upper)
+        r = effective_radius(p)
+        assert weight(r) >= target > weight(math.nextafter(r, 0.0))
+        # W is exact: up to a constant factor it is scipy's quad between
+        # the kinks of |V|, at any radius
+        whole = _oracles.weight(p, 0.0, upper)
+        for x in (0.3 * r, r, 0.5 * (r + upper)):
+            assert weight(x) / weight(upper) == pytest.approx(
+                _oracles.weight(p, 0.0, x) / whole, rel=0.0, abs=1e-13)
 
 
 class TestPhaseShifts:
@@ -291,6 +283,27 @@ class TestPhaseShifts:
         assert again.l_max == ps.l_max
         assert again.delta.tobytes() == ps.delta.tobytes()
 
+    @pytest.mark.parametrize("k, l_max, r_max", [
+        (1.0, 22, 24.52), (5.0, 85, 21.536), (10.0, 144, 20.272000000000002),
+        (20.0, 278, 18.76), (30.0, 411, 18.010666666666665),
+    ])
+    def test_auto_l_max_and_r_max_stay_pinned(self, k, l_max, r_max):
+        # they set the oracle's cost and the CSV bits of the flagship and
+        # energy-scan runs: a change to r_eff or to the r_max search that
+        # moves them must show here
+        ps = phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=k))
+        assert (ps.l_max, ps.r_max) == (l_max, r_max)
+
+    def test_auto_l_max_and_r_max_of_the_shipped_flagship_stay_pinned(self):
+        path = Path(__file__).resolve().parents[1] / "configs" \
+            / "yukawa_flagship.ini"
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        kin = Kinematics(mass=cfg.mass, k=cfg.k_values[0], hbar=cfg.hbar)
+        opts = cfg.partial_wave
+        ps = phase_shifts(cfg.potential, kin, l_max=opts.l_max,
+                          r_max=opts.r_max, dr=opts.dr)
+        assert (ps.l_max, ps.r_max) == (144, 20.272000000000002)
+
     def test_auto_r_max_search_spans_the_potential_s_range(self,
                                                            monkeypatch):
         # the search stopped at r = 500 and refused Yukawa(0.5, 0.04), whose
@@ -298,7 +311,7 @@ class TestPhaseShifts:
         kin = Kinematics(mass=1.0, k=1.0)
         near = Yukawa(0.5, 0.045)
         assert partial_wave._auto_r_max(near, kin, effective_radius(near)) \
-            == 477.0026938329721
+            == 477.00269383296074
         p = Yukawa(0.5, 0.04)
         ps = phase_shifts(p, kin)
         assert 500.0 < ps.r_max < potentials.reach(p)[0]

@@ -7,7 +7,9 @@ optical theorem and reports an error that covers its move at half the
 radial step; the effective radius, on random tables too, holds its
 fraction of the weight within the potential's reach; a table's Fourier
 transform, on its fixed rule, reports an error that covers scipy's quad
-and has the bits of a call at each q alone."""
+and has the bits of a call at each q alone; the reference closed forms and
+their checks, from 1e-300 to 1e300 in every parameter, return or raise a
+ScatterError."""
 
 import dataclasses
 import math
@@ -19,9 +21,12 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 import _oracles
+from scatterlab import paper_forms
 from scatterlab.born import born_resummed_amplitude
-from scatterlab.cross_sections import table_from_amplitudes
-from scatterlab.eikonal import Kinematics, amplitude_eikonal
+from scatterlab.cross_sections import (paper_formula_checks,
+                                       table_from_amplitudes)
+from scatterlab.eikonal import Kinematics, amplitude_eikonal, momentum_transfer
+from scatterlab.errors import ScatterError
 from scatterlab.partial_wave import amplitude_partial_wave, phase_shifts
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa,
                                    effective_radius, evaluate, fourier3d,
@@ -126,3 +131,36 @@ def test_table_transform_covers_quad_and_keeps_the_bits_of_each_q(p, qh):
                 * np.sinc(x * r / np.pi), a, b, epsabs=0.0, epsrel=1e-13,
                 limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
         assert abs(v - ref) <= e
+
+
+@st.composite
+def extreme_inputs(draw):
+    """Yukawa or Gauss with g of either sign (or 0), and g, the range, the
+    mass and k each anywhere from 1e-300 to 1e300."""
+    def size():
+        return 10.0 ** draw(st.floats(-300.0, 300.0))
+
+    g = draw(st.sampled_from([-1.0, 0.0, 1.0])) * size()
+    model = draw(st.sampled_from([Yukawa, Gauss]))
+    return model(g, size()), Kinematics(mass=size(), k=size())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=extreme_inputs())
+def test_paper_forms_and_checks_return_or_raise_a_scatter_error(case):
+    # under the suite's error::RuntimeWarning filter, so a numpy overflow
+    # warning fails here as a raw OverflowError would; theta runs through
+    # the Yukawa pole k theta = mu when mu < 0.2 k
+    p, kin = case
+    theta = np.linspace(0.0, 0.2, 9)
+    q = momentum_transfer(kin.k, theta)
+    for form in (lambda: paper_forms.amplitude(p, kin, theta),
+                 lambda: paper_forms.dsigma(p, kin, theta, q),
+                 lambda: paper_forms.dsigma_corrected(p, kin, q),
+                 lambda: paper_forms.total(p, kin),
+                 lambda: paper_forms.total_corrected(p, kin),
+                 lambda: paper_formula_checks(p, kin)):
+        try:
+            form()
+        except ScatterError:
+            pass
