@@ -12,6 +12,7 @@ name. Each comparison carries a verdict tag:
     DIVERGES        neither the verbatim nor the edited form matches
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,16 +159,21 @@ def total_integrated(rows):
             _sin_kernel, _sin_kernel_bound, 1.0,
             *_positive_parts(th, natural_cubic(th, ds))).value
 
-    sigma = sigma_from(theta, dsig)
-    sigma_half = sigma_from(theta[::2], dsig[::2])
+    # the spline's products of dsigma leave the float range long before
+    # the total does: the totals are linear in dsigma, so they take
+    # dsigma / unit, its largest in [0.5, 1), and scaling normal floats by
+    # a power of two moves no bit
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(dsig))))[1])
+    sigma = sigma_from(theta, dsig / unit)
+    sigma_half = sigma_from(theta[::2], dsig[::2] / unit)
     scale = max(abs(sigma), 1e-300)
     if abs(sigma - sigma_half) > 5e-4 * scale:
         raise ConvergenceError(
             f"angular grid too sparse: the total moves by "
             f"{abs(sigma - sigma_half) / scale:.2e} relative when half the "
-            f"rows are dropped", estimate=sigma,
-            error_estimate=abs(sigma - sigma_half))
-    return sigma
+            f"rows are dropped", estimate=sigma * unit,
+            error_estimate=abs(sigma - sigma_half) * unit)
+    return sigma * unit
 
 
 def table_from_amplitudes(source, amp, k):
@@ -175,13 +181,16 @@ def table_from_amplitudes(source, amp, k):
 
     Totals that the grid cannot support are stored as nan: the optical
     total needs theta = 0 present, the integrated total needs [0, pi]
-    coverage at workable density and fully finite rows.
+    coverage at workable density and fully finite rows. A |f|^2 past the
+    float range is stored as inf, without a warning.
     """
     theta = np.atleast_1d(np.asarray(amp.theta, dtype=float))
     q = np.atleast_1d(np.asarray(amp.q, dtype=float))
     v = np.atleast_1d(np.asarray(amp.value))
     re, im = v.real.astype(float), v.imag.astype(float)
-    rows = np.column_stack([theta, q, re, im, re * re + im * im])
+    with np.errstate(over="ignore"):
+        dsigma = re * re + im * im
+    rows = np.column_stack([theta, q, re, im, dsigma])
 
     tot_opt = float("nan")
     if theta[0] == 0.0 and np.isfinite(v[0]):

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spline import natural_cubic, split_at_roots
-from .errors import (ConfigError, DomainError, SingularityError,
-                     UnsupportedModelError)
+from .errors import (ConfigError, DomainError, RangeError,
+                     SingularityError, UnsupportedModelError)
 from .quadrature import _G7_NODES, _WG, DEFAULT_SETTINGS, integrate_cubic
 # bound here only because perfbench/tracer.py rebinds it in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
@@ -151,8 +151,8 @@ def evaluate(potential, r):
         out = potential.g * np.exp(-potential.alpha * r * r)
     elif isinstance(potential, TabulatedRadial):
         edges, coef = potential._pieces
-        j = np.clip(np.searchsorted(edges, r, side="right") - 1, 0,
-                    edges.size - 2)
+        # edges[0] = 0 <= r: the piece that holds r, the last beyond it
+        j = np.searchsorted(edges[1:-1], r, side="right")
         s = r - edges[j]
         y0, b, c, d = coef.take(j, axis=1)
         out = np.where(r > edges[-1], 0.0, y0 + s * (b + s * (c + s * d)))
@@ -193,11 +193,14 @@ def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
     if np.any(q < 0.0):
         raise DomainError("momentum transfer q must be non-negative")
     err = np.zeros(q.shape)
+    # q^2 past the float range is inf, and a closed form its limit 0
     if isinstance(potential, Yukawa):
-        out = 4.0 * np.pi * potential.g / (q * q + potential.mu**2)
+        with np.errstate(over="ignore"):
+            out = 4.0 * np.pi * potential.g / (q * q + _scale(potential))
     elif isinstance(potential, Gauss):
         a = potential.alpha
-        out = potential.g * (np.pi / a) ** 1.5 * np.exp(-q * q / (4.0 * a))
+        with np.errstate(over="ignore"):
+            out = potential.g * _scale(potential) * np.exp(-q * q / (4.0 * a))
     elif isinstance(potential, TabulatedRadial):
         edges, coef = potential._pieces
         res = integrate_cubic(_radial_kernel, _radial_kernel_bound, q,
@@ -235,6 +238,23 @@ def _tail_factor(x):
     return math.sqrt(0.5 * math.pi) * (math.sqrt(x) + 0.5 / math.sqrt(x))
 
 
+def _scale(p):
+    """mu^2 of a Yukawa, (pi/alpha)^1.5 of a Gauss, in Python floats: the
+    scale of fourier3d's closed forms and of the bound on the z-profile's
+    tail in reach, which divides by mu^2. RangeError naming mu or alpha if
+    it overflows, or if mu^2 underflows to 0."""
+    yukawa = isinstance(p, Yukawa)
+    try:
+        value = p.mu**2 if yukawa else (math.pi / p.alpha) ** 1.5
+        if value != 0.0 or not yukawa:
+            return value
+    except OverflowError:
+        pass
+    key, what = ("mu", "mu^2") if yukawa else ("alpha", "(pi/alpha)^1.5")
+    raise RangeError(f"{key} = {getattr(p, key)!r} out of range: {what} "
+                     f"leaves the float range", key=key)
+
+
 def reach(p):
     """(R, T) of the z-profile w of p: the Hankel transforms of w stop at
     R, and T bounds int_R^inf |w(b)| b db. A table's w is exactly 0 from
@@ -248,11 +268,12 @@ def reach(p):
         x = -math.log(_EPS)
         for _ in range(4):  # the fixed point of _tail_factor(x) e^{-x} = eps
             x = math.log(_tail_factor(x) / _EPS)
-        return x / p.mu, 2.0 * abs(p.g) / p.mu**2 * _tail_factor(x) \
+        return x / p.mu, 2.0 * abs(p.g) / _scale(p) * _tail_factor(x) \
             * math.exp(-x)
     if isinstance(p, Gauss):
         # w = g sqrt(pi/alpha) e^{-alpha b^2}: the tail beyond R is
         # e^{-alpha R^2} of int_0^inf |w| b db = |g| sqrt(pi/alpha)/(2 alpha)
+        _scale(p)
         x = -math.log(_EPS)
         return math.sqrt(x / p.alpha), abs(p.g) * math.sqrt(
             math.pi / p.alpha) / (2.0 * p.alpha) * math.exp(-x)

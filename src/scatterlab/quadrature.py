@@ -67,6 +67,19 @@ the bisections of the partition. A value therefore depends, at rounding
 level, on the q it was computed with. The range is the caller's: a
 property of the integrand, such as the reach of a potential, not a
 setting.
+
+Where g is not smooth at b = 0, hankel0's last rounds bisect only the
+panel there, as QUADPACK's rules do at an endpoint singularity. Once two
+rounds in a row have bisected it, the ratio of its errors predicts the
+halvings still to come, and g is evaluated at the nodes of those panels
+in the same call as the round's own. The values are kept by their exact
+nodes, and a round that makes such a panel reads them instead of calling
+g. The evaluation runs ahead of the split decisions and never changes
+them: each round forms its panel sums from g's values in the same blocks
+as without it (under BLAS a panel's sums depend at the last bit on its
+block, its g values do not), so every split and every bit of the result
+stay. evaluations counts every node g saw, those of halvings predicted in
+vain included.
 """
 
 import math
@@ -517,10 +530,16 @@ def _j0_envelope(q, b):
     return np.minimum(1.0, np.sqrt(2.0 / (np.pi * x))) * b
 
 
+def _hankel_nodes(lo, hi):
+    """The GK15 nodes of panels [lo[j], hi[j]], a row each, and the panels'
+    half widths."""
+    hw = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi)[:, None] + hw[:, None] * _NODES, hw
+
+
 def _hankel_block(g, q, lo, hi):
     """_hankel_panels on one block of panels."""
-    hw = 0.5 * (hi - lo)
-    x = 0.5 * (lo + hi)[:, None] + hw[:, None] * _NODES
+    x, hw = _hankel_nodes(lo, hi)
     y = g(x)
     bound = None
     if isinstance(y, tuple):
@@ -569,6 +588,9 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
     and rel_tol ask for less than 100 eps int |g J0 b| stops at that
     rounding level, and its error_estimate may exceed the request. More
     than _HANKEL_PANELS first panels raise ConvergenceError at once.
+    g may be evaluated at the nodes of panels at b = 0 rounds before a
+    bisection makes them, which changes no split and no bit of the result
+    (see the module docstring); evaluations counts every node g saw.
     """
     if not (math.isfinite(upper) and upper > 0.0):
         raise DomainError(f"upper limit must be positive and finite, got "
@@ -581,6 +603,26 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
         raise DomainError("hankel0 requires finite q >= 0")
     if not qs.size:
         return QuadratureResult(np.zeros(0), np.zeros(0), 0)
+    value, error, _, neval = _hankel_loop(g, qs, upper, settings)
+    if scalar:
+        return QuadratureResult(value[0], float(error[0]), neval)
+    return QuadratureResult(value, error, neval)
+
+
+def _hankel_loop(g, qs, upper, settings):
+    """hankel0's rounds over the 1-d array qs: (values, error estimates,
+    (lo, hi) of the final partition, nodes g saw).
+
+    When a round bisects the panel [0, h] at b = 0 and the round before
+    bisected the panel there too, each open q's errors on [0, h] and
+    [0, 2h] give a ratio per halving. The nodes of the panels of the
+    halvings that ratio predicts before that q's error falls below its
+    share, at most the budget left, go to g with the round's own (see
+    _Ahead); a later round that makes those panels takes g's values from
+    there. Every bisection is decided as before, from panel sums formed
+    as before, so the prediction moves no bit of the result, only the
+    count of calls to g.
+    """
     q_max = float(np.max(qs))
     periods = q_max * upper / (2.0 * np.pi)
     panels = math.floor(periods) + 1 if math.isfinite(periods) else math.inf
@@ -591,8 +633,9 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
     edges = np.linspace(0.0, upper, panels + 1)
     q3 = qs[:, None, None]
     lo, hi = edges[:-1], edges[1:]
+    g = _Ahead(g)
     val, err, werr, resabs = _hankel_panels(g, q3, lo, hi)
-    neval = 15 * lo.size
+    err0 = None  # the errors on [0, 2h] when the last round bisected it
     splits = 0
     while True:
         value, total = val.sum(axis=1), err.sum(axis=1)
@@ -602,7 +645,9 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
                                     settings.rel_tol * _abs(value)),
                          100.0 * _EPS * resabs.sum(axis=1))
         # an open q's share of its target: an equal part on each panel
-        split = (err > (tol / lo.size)[:, None])[total > tol].any(axis=0)
+        share = (tol / lo.size)[:, None]
+        going = total > tol
+        split = (err > share)[going].any(axis=0)
         n = int(np.count_nonzero(split))
         if not n:
             break
@@ -616,6 +661,13 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
         mid = 0.5 * (lo[split] + hi[split])
         new = (np.concatenate([lo[split], mid]),
                np.concatenate([mid, hi[split]]))
+        g.fetch = None
+        if split[0] and err0 is not None and g.kept is not None:
+            halvings = min(_halvings(err[going, 0], err0[going],
+                                     share[going, 0]),
+                           settings.max_subdivisions - splits - n)
+            g.fetch = _ladder(mid[0], halvings) if halvings else None
+        err0 = err[:, 0] if split[0] else None
         parts = _hankel_panels(g, q3, *new)
         lo, hi = (np.concatenate([x[~split], y]) for x, y in zip((lo, hi),
                                                                  new))
@@ -625,8 +677,94 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
             np.concatenate([x[:, ~split], y], axis=1)[:, order]
             for x, y in zip((val, err, werr, resabs), parts))
         splits += n
-        neval += 30 * n
-    error = total + werr.sum(axis=1)
-    if scalar:
-        return QuadratureResult(value[0], float(error[0]), neval)
-    return QuadratureResult(value, error, neval)
+    return value, total + werr.sum(axis=1), (lo, hi), g.evaluations
+
+
+def _halvings(err, err0, share):
+    """The most halvings of the panel at b = 0 after this one that leave
+    some q's error above its share, if each halving multiplies that q's
+    error by err/err0 as the last one did."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = err / err0
+        falls = (rho < 1.0) & (err > share)
+        count = np.ceil(np.log(share[falls] / err[falls])
+                        / np.log(rho[falls])) - 1.0
+    return int(np.max(count, initial=0.0))
+
+
+def _ladder(h, halvings):
+    """The node rows of the panels that the given count of halvings of
+    [0, h] make, [0, h/2^j] and [h/2^j, h/2^(j-1)], each end halved as
+    the loop halves it; none of zero width."""
+    ends = [h]
+    while len(ends) <= halvings and 0.5 * ends[-1] > 0.0:
+        ends.append(0.5 * ends[-1])
+    lo = np.concatenate([np.zeros(len(ends) - 1), ends[1:]])
+    return _hankel_nodes(lo, np.concatenate([ends[1:], ends[:-1]]))[0]
+
+
+class _Ahead:
+    """hankel0's g, keeping its values at panels evaluated ahead.
+
+    A call takes the rows of x (a panel's nodes each) that are kept, and
+    gives the rest to g in one call with the rows of fetch not kept yet,
+    which are then kept by their exact nodes. The sums of a block are
+    formed from g's values as before, whichever call made them: a panel's
+    sums depend at the last bit on the block it is in (BLAS kernels take
+    rows in groups), its values at a node do not. A call that raises, or
+    returns other than arrays of its rows' shape, is repeated on x alone,
+    as without kept rows, and nothing is kept from then on (kept is
+    None). evaluations counts every node g saw.
+    """
+
+    def __init__(self, g):
+        self.g = g
+        self.kept = {}  # node row bytes -> (values, bounds or None)
+        self.fetch = None
+        self.evaluations = 0
+
+    def __call__(self, x):
+        if self.kept is None or not (self.kept or self.fetch is not None):
+            return self._plain(x)
+        got = [self.kept.pop(row.tobytes(), None) for row in x]
+        todo = [j for j, v in enumerate(got) if v is None]
+        if todo:
+            rows = x[todo]
+            if self.fetch is not None:
+                rows = np.concatenate([rows] + [
+                    r[None] for r in self.fetch
+                    if r.tobytes() not in self.kept])
+                self.fetch = None
+            fresh = self._values(rows)
+            if fresh is None:
+                return self._plain(x)
+            for j, v in zip(todo, fresh):
+                got[j] = v
+            for r, v in zip(rows[len(todo):], fresh[len(todo):]):
+                self.kept[r.tobytes()] = v
+        y = np.stack([v for v, _ in got])
+        return y if got[0][1] is None else (y, np.stack([b for _, b in got]))
+
+    def _values(self, rows):
+        """g's (values, bounds or None) at each row of rows, or None, and
+        nothing kept from then on, if g raises or returns other than
+        arrays of rows' shape."""
+        self.evaluations += rows.size
+        try:
+            y = self.g(rows)
+            y, bound = y if isinstance(y, tuple) else (y, None)
+            y = np.asarray(y)
+            if y.shape == rows.shape and (bound is None or np.shape(bound)
+                                          == rows.shape):
+                bound = [None] * len(y) if bound is None else np.asarray(
+                    bound)
+                return list(zip(y, bound))
+        except Exception:
+            # whatever g raises is for the repeated call to raise, or not
+            pass
+        self.kept = None
+        return None
+
+    def _plain(self, x):
+        self.evaluations += x.size
+        return self.g(x)

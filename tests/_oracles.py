@@ -16,7 +16,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline, PPoly, make_interp_spline
 from scipy.optimize import brentq
 
-from scatterlab import partial_wave
+from scatterlab import partial_wave, quadrature
 from scatterlab.eikonal import Amplitude, momentum_transfer
 from scatterlab.errors import (ConvergenceError, DomainError, PoleError,
                                UnsupportedModelError)
@@ -185,6 +185,59 @@ def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
             total_errs[j] = sum(t[0] for t in iv)
         neval += 30 * len(live)
         splits += 1
+
+
+# hankel0's loop as it was before the panels at b = 0 were evaluated ahead
+# of their rounds: each round evaluates exactly the panels it makes. The
+# panels themselves go through the package's _hankel_panels.
+
+
+def hankel_rounds(g, qs, upper, settings):
+    """(values, error estimates, (lo, hi) of the final partition, nodes
+    evaluated) of hankel0 over the 1-d array qs, round by round."""
+    q_max = float(np.max(qs))
+    periods = q_max * upper / (2.0 * np.pi)
+    panels = math.floor(periods) + 1 if math.isfinite(periods) else math.inf
+    if panels > quadrature._HANKEL_PANELS:
+        raise ConvergenceError(
+            f"hankel0 at q = {q_max!r} over [0, {upper!r}] would start from "
+            f"{panels:.6g} panels, over {quadrature._HANKEL_PANELS:,}")
+    edges = np.linspace(0.0, upper, panels + 1)
+    q3 = qs[:, None, None]
+    lo, hi = edges[:-1], edges[1:]
+    val, err, werr, resabs = quadrature._hankel_panels(g, q3, lo, hi)
+    neval = 15 * lo.size
+    splits = 0
+    while True:
+        value, total = val.sum(axis=1), err.sum(axis=1)
+        tol = np.maximum(np.maximum(settings.abs_tol,
+                                    settings.rel_tol * quadrature._abs(value)),
+                         100.0 * _EPS * resabs.sum(axis=1))
+        split = (err > (tol / lo.size)[:, None])[total > tol].any(axis=0)
+        n = int(np.count_nonzero(split))
+        if not n:
+            break
+        if splits + n > settings.max_subdivisions:
+            j = np.argmax(total / tol)
+            raise ConvergenceError(
+                f"quadrature budget of {settings.max_subdivisions} "
+                f"subdivisions exhausted at q = {float(qs[j])!r} (error "
+                f"estimate {total[j]:.3e})",
+                estimate=value[j], error_estimate=total[j])
+        mid = 0.5 * (lo[split] + hi[split])
+        new = (np.concatenate([lo[split], mid]),
+               np.concatenate([mid, hi[split]]))
+        parts = quadrature._hankel_panels(g, q3, *new)
+        lo, hi = (np.concatenate([x[~split], y]) for x, y in zip((lo, hi),
+                                                                 new))
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
+        val, err, werr, resabs = (
+            np.concatenate([x[:, ~split], y], axis=1)[:, order]
+            for x, y in zip((val, err, werr, resabs), parts))
+        splits += n
+        neval += 30 * n
+    return value, total + werr.sum(axis=1), (lo, hi), neval
 
 
 # Spherical Bessel pair of one order, each recurrence run to that order.

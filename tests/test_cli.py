@@ -175,3 +175,51 @@ def test_out_of_range_closed_forms_skip_their_checks(tmp_path, case,
     assert f"{key} out of range" in skipped[0]
     assert "(skipped: see the manifest's warnings)" in \
         (out / "report.txt").read_text()
+
+
+# FOUND-line inputs, run through `scatter run` with numpy's warnings made
+# errors: ranges whose closed-form scale leaves the float range (mu^2
+# overflows, mu^2 underflows to 0, (pi/alpha)^1.5 overflows) fail their
+# sources with a RangeError naming the parameter; at k = 1e200 q^2
+# overflows, and |f|^2 does at theta = 0 for g = 1e200 (dsigma inf there)
+# or the total's spline products would for g = 1e140, all without a warning
+FLOAT_RANGE = {
+    "mu-large": ("model = yukawa\ng = 0.5\nmu = 1e200", "1.0", "mu"),
+    "mu-small": ("model = yukawa\ng = 0.5\nmu = 1e-170", "1.0", "mu"),
+    "alpha-small": ("model = gauss\ng = 0.5\nalpha = 1e-250", "1.0",
+                    "alpha"),
+    "k-huge": ("model = yukawa\ng = 1e200\nmu = 1.0", "1e200", None),
+    "k-huge-total": ("model = yukawa\ng = 1e140\nmu = 1.0", "1e200", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_RANGE))
+def test_float_range_inputs_end_without_a_traceback_or_warning(tmp_path,
+                                                                case):
+    potential, k, key = FLOAT_RANGE[case]
+    sources = "born1" if key is None else "born1, eikonal"
+    config = tmp_path / "scan.ini"
+    config.write_text(f"[potential]\n{potential}\n[kinematics]\n"
+                      f"mass = 1.0\nk = {k}\n[theta_grid]\nmin = 0.0\n"
+                      f"max = 3.1415925\ncount = 181\n[run]\n"
+                      f"sources = {sources}\n")
+    out = tmp_path / "out"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "scatterlab", "run", str(config), "--out",
+                           str(out), "--quiet"],
+                          env=env, capture_output=True, text=True)
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "Warning" not in proc.stderr
+    manifest = (out / "manifest.txt").read_text()
+    outcomes = manifest.split("[outcomes]")[1].split("[verdicts]")[0]
+    outcomes = outcomes.strip().splitlines()
+    assert len(outcomes) == len(sources.split(","))
+    if key is None:
+        assert proc.returncode == 0
+        assert all(line.endswith(": ok") for line in outcomes)
+    else:
+        assert proc.returncode == 1
+        assert all(f"FAILED (RangeError: {key} = " in line
+                   for line in outcomes)

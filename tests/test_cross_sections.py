@@ -127,6 +127,17 @@ class TestTotalIntegrated:
         assert total_integrated(rows) == pytest.approx(exact, rel=1e-14,
                                                        abs=0.0)
 
+    def test_rows_scaled_by_a_power_of_two_scale_the_total_bit_for_bit(
+            self):
+        # dsigma near 1e280 made the spline's products overflow (c * c in
+        # cubic_roots); the total of rows scaled by 2^930 is the total of
+        # the rows times 2^930, bit for bit and without a warning
+        theta = np.linspace(0.0, 3.1415926, 481)
+        rows = _rows_from(theta, np.exp(-theta) * (1.5 + np.cos(5 * theta)))
+        big = rows.copy()
+        big[:, 4] *= 2.0 ** 930
+        assert total_integrated(big) == total_integrated(rows) * 2.0 ** 930
+
     def test_coverage_required(self):
         theta = np.linspace(0.0, 0.5, 64)
         rows = _rows_from(theta, np.ones_like(theta))

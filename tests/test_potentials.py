@@ -15,11 +15,11 @@ import scipy.interpolate
 import _oracles
 import scatterlab
 from scatterlab._spline import cubic_roots, natural_cubic
-from scatterlab.errors import (ConfigError, DomainError, SingularityError,
-                               UnsupportedModelError)
+from scatterlab.errors import (ConfigError, DomainError, RangeError,
+                               SingularityError, UnsupportedModelError)
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
                                    fourier3d, load_radial_table,
-                                   origin_expansion)
+                                   origin_expansion, reach)
 
 
 def _dense_gauss_table(g=1.0, alpha=1.0, r_hi=9.0, n=3000):
@@ -102,6 +102,33 @@ def test_fourier3d_closed_forms():
     assert abs(fourier3d(Yukawa(g=1.0, mu=2.0), 2.0) - np.pi / 2.0) < 1e-14
     with pytest.raises(DomainError):
         fourier3d(Yukawa(g=1.0, mu=1.0), -0.3)
+
+
+@pytest.mark.parametrize("p, key", [(Yukawa(0.5, 1e200), "mu"),
+                                    (Yukawa(0.5, 1e-170), "mu"),
+                                    (Gauss(0.5, 1e-250), "alpha")])
+def test_scales_past_the_float_range_raise_a_keyed_range_error(p, key):
+    # mu^2 overflows, or underflows to 0 where reach divides by it, and
+    # (pi/alpha)^1.5 overflows: the transform and the reach raise before
+    # any work, naming the parameter (they raised OverflowError and
+    # ZeroDivisionError)
+    for call in (lambda: fourier3d(p, np.array([0.0, 1.0])),
+                 lambda: reach(p)):
+        with pytest.raises(RangeError) as err:
+            call()
+        assert err.value.key == key
+        assert str(err.value).startswith(f"{key} = {getattr(p, key)!r} ")
+
+
+def test_closed_transforms_take_their_limit_past_the_float_range():
+    # q^2 overflows at q = 1e200 and the transforms are 0 there, with no
+    # overflow warning (the suite turns one into an error); a Gauss so
+    # narrow that (pi/alpha)^1.5 underflows has the transform 0 in floats
+    q = np.array([0.0, 1e200])
+    for p in (Yukawa(1e200, 1.0), Gauss(0.5, 1.0)):
+        out = fourier3d(p, q)
+        assert out[0] != 0.0 and out[1] == 0.0
+    assert fourier3d(Gauss(0.5, 1e300), 0.0) == 0.0
 
 
 def test_fourier3d_against_radial_quadrature_oracle():

@@ -470,6 +470,100 @@ def test_hankel_array_q_validation():
     assert res.evaluations == 0
 
 
+# hankel0 against its round-by-round loop (_oracles.hankel_rounds), which
+# evaluates each round's panels when the round makes them: evaluating the
+# panels at b = 0 ahead of their rounds moves no bit of the values, the
+# errors or the final partition. FLAGSHIP_Q is the flagship workload's
+# grid, 49 angles on [0, 0.6] at k = 10.
+FLAGSHIP_Q = 20.0 * np.sin(0.5 * np.linspace(0.0, 0.6, 49))
+YUKAWA_PHASE = _phase_integrand(Yukawa(0.5, 1.0), Kinematics(1.0, 10.0),
+                                "closed", DEFAULT_SETTINGS)
+
+
+def _counted(g):
+    seen = []
+
+    def f(b):
+        seen.append(b.copy())
+        return f.g(b)
+    f.g, f.seen = g, seen
+    return f
+
+
+def _round_by_round(g, q, upper, settings=DEFAULT_SETTINGS):
+    """hankel0's value, error_estimate and final partition next to the
+    round-by-round loop's, as bytes, and the calls g took in each."""
+    old, new = _counted(g), _counted(g)
+    value, error, (lo, hi), _ = _oracles.hankel_rounds(old, q, upper,
+                                                       settings)
+    res = hankel0(new, q, upper, settings)
+    nodes = sum(b.size for b in new.seen)
+    assert res.evaluations == nodes
+    partition = quadrature._hankel_loop(g, q, upper, settings)[2]
+    want = [x.tobytes() for x in (value, error, lo, hi)]
+    got = [x.tobytes() for x in (res.value, res.error_estimate, *partition)]
+    return want, got, len(old.seen), new
+
+
+@pytest.mark.parametrize("p, k, phase, q", [
+    (Yukawa(0.5, 1.0), 10.0, "closed", HANKEL_Q),
+    (Yukawa(0.5, 1.0), 10.0, "closed", FLAGSHIP_Q),
+    (Gauss(0.5, 0.7), 4.0, "closed", HANKEL_Q),
+    (_table(), 3.0, "quadrature", HANKEL_Q[[0, 2, 4, 5]]),
+], ids=["yukawa", "yukawa-flagship", "gauss", "table"])
+def test_hankel_keeps_the_bits_of_the_round_by_round_loop(p, k, phase, q):
+    g = _phase_integrand(p, Kinematics(1.0, k), phase, DEFAULT_SETTINGS)
+    want, got, calls, new = _round_by_round(g, q, reach(p)[0])
+    assert got == want
+    if q is FLAGSHIP_Q:
+        # 13 of the 15 rounds bisect the panel at b = 0 alone
+        assert calls == 19 and len(new.seen) <= 10
+
+
+def test_hankel_never_reads_values_ahead_of_the_partition():
+    # the panels evaluated ahead at b = 0 reach below b = 1e-8, the final
+    # partition's least node is 2.8e-7: g that is NaN, or raises, below
+    # 1e-7 has no effect but on the count of calls
+    def nan_below(b):
+        return np.where(b < 1e-7, np.nan, YUKAWA_PHASE(b))
+
+    def raise_below(b):
+        if np.any(b < 1e-7):
+            raise ValueError("b below 1e-7")
+        return YUKAWA_PHASE(b)
+
+    for g in (nan_below, raise_below):
+        want, got, _, new = _round_by_round(g, FLAGSHIP_Q, reach(
+            Yukawa(0.5, 1.0))[0])
+        assert got == want
+        assert min(b.min() for b in new.seen) < 1e-7
+
+
+def test_hankel_raises_the_round_by_round_loop_s_errors():
+    # a g that raises below 1e-5, where the final partition reaches, and
+    # a budget the partition exhausts: the same type, message and
+    # estimates as the loop that evaluates no panel ahead
+    def fails_below(b):
+        if np.any(b < 1e-5):
+            raise DomainError(f"b = {float(b.min())!r} below 1e-5 in a "
+                              f"call of {b.size} nodes")
+        return YUKAWA_PHASE(b)
+
+    upper = reach(Yukawa(0.5, 1.0))[0]
+    for g, settings in ((fails_below, DEFAULT_SETTINGS),
+                        (YUKAWA_PHASE, QuadratureSettings(
+                            max_subdivisions=12))):
+        raised = []
+        for run in (_oracles.hankel_rounds, hankel0):
+            with pytest.raises(ScatterError) as exc:
+                run(g, FLAGSHIP_Q, upper, settings)
+            raised.append((type(exc.value), str(exc.value),
+                           getattr(exc.value, "estimate", None),
+                           getattr(exc.value, "error_estimate", None)))
+        assert raised[0] == raised[1]
+    assert "12 subdivisions exhausted" in raised[0][1]
+
+
 # The (row, slot) array kernel against the list-based bisection it
 # replaced (_oracles._adaptive_rows): same values, errors, evaluation
 # counts and errors raised, bit for bit.
