@@ -22,7 +22,7 @@ which is the default of the dataclass field it sets:
     [theta_grid]
     min = 0.0
     max = 0.5          # must stay strictly below pi
-    count = 64
+    count = 64         # 2 to 65536
     spacing = linear   # or log
 
     [run]
@@ -65,6 +65,10 @@ from .quadrature import QuadratureSettings
 
 _BOOL_STATES = configparser.ConfigParser.BOOLEAN_STATES
 
+# the most angles a grid may hold, checked before any work starts; the
+# shipped configs and the benchmark's inputs hold at most 961
+_MAX_ANGLES = 1 << 16
+
 
 @dataclass(frozen=True)
 class ThetaGrid:
@@ -91,6 +95,9 @@ class ThetaGrid:
                               key="theta_grid.max")
         if self.count < 2:
             raise ConfigError("theta_grid.count must be >= 2",
+                              key="theta_grid.count")
+        if self.count > _MAX_ANGLES:
+            raise ConfigError(f"theta_grid.count must be <= {_MAX_ANGLES}",
                               key="theta_grid.count")
         if self.spacing not in ("linear", "log"):
             raise ConfigError("theta_grid.spacing must be linear or log",

@@ -17,13 +17,17 @@ Four entry points:
                              one partition that they share
 
 A scalar call's integrand f(x) maps a flat ndarray (the nodes of all panels
-of a round) to one of its shape, complex values allowed. Error estimation
-follows the QUADPACK scheme: err = resasc * min(1, (200 |K15 - G7| /
-resasc)^1.5) with a roundoff floor, which the test suite calibrates against
-a corpus of closed-form integrals. It is evaluated with numpy over all
-panels of a round, except the power, which is libm pow on Python floats:
-numpy's vectorised power differs from it in the last bit for some
-arguments on AVX-512 hosts, and so would the bisection that follows.
+of a round) to one of its shape, complex values allowed. One routine forms
+the GK15 sums of the adaptive integrators and of hankel0, each a
+fixed-order sum over one panel's own 15 values, so a panel's numbers do
+not depend on the panels or the q it is evaluated with, nor on a BLAS
+build or its thread count. Error estimation follows the QUADPACK scheme:
+err = resasc * min(1, (200 |K15 - G7| / resasc)^1.5) with a roundoff
+floor, which the test suite calibrates against a corpus of closed-form
+integrals. It is evaluated with numpy over all panels of a round, except
+the power, which is libm pow on Python floats: numpy's vectorised power
+differs from it in the last bit for some arguments on AVX-512 hosts, and
+so would the bisection that follows.
 
 integrate_adaptive and integrate_semi_infinite also take rows=m: the call
 then computes m independent integrals of a row-batched integrand
@@ -72,14 +76,11 @@ Where g is not smooth at b = 0, hankel0's last rounds bisect only the
 panel there, as QUADPACK's rules do at an endpoint singularity. Once two
 rounds in a row have bisected it, the ratio of its errors predicts the
 halvings still to come, and g is evaluated at the nodes of those panels
-in the same call as the round's own. The values are kept by their exact
-nodes, and a round that makes such a panel reads them instead of calling
-g. The evaluation runs ahead of the split decisions and never changes
-them: each round forms its panel sums from g's values in the same blocks
-as without it (under BLAS a panel's sums depend at the last bit on its
-block, its g values do not), so every split and every bit of the result
-stay. evaluations counts every node g saw, those of halvings predicted in
-vain included.
+in the same call as the round's own. g's values there are kept by each
+panel's ends, and a round that makes such a panel reads them instead of
+calling g. As a panel's sums are its own, the evaluation ahead changes
+no split and no bit of the result. evaluations counts every node g saw,
+those of halvings predicted in vain included.
 """
 
 import math
@@ -182,7 +183,7 @@ def _abs(z):
 
 def _qk_errors(resk, resg, resabs, resasc):
     """QUADPACK error estimates of GK15 panels from their K15 and G7 sums
-    and their |f| and |f - mean| moments (1-d arrays)."""
+    and their |f| and |f - mean| moments (arrays of one shape)."""
     err = _abs(resk - resg)
     scaled = (resasc != 0.0) & (err != 0.0)
     ratio = np.minimum(200.0 * err[scaled] / resasc[scaled], 1.0)
@@ -215,27 +216,47 @@ def _one_row(f):
     return f_rows
 
 
-def _gk15_rows(f, rows, a, b, label=_row_label):
-    """GK15 panels [a[j], b[j]] of the row-batched f, row rows[j], in one
-    call to f: (K15 values, error estimates)."""
-    center = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    y = np.asarray(f(rows, center[:, None] + hw[:, None] * _NODES))
-    if y.shape != (len(a), _NODES.size):
-        raise DomainError("row-batched integrand must map (P, n) points to "
-                          "a (P, n) ndarray")
+def _nodes(lo, hi):
+    """The GK15 nodes of panels [lo[j], hi[j]], a row each, and the panels'
+    half widths."""
+    hw = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi)[:, None] + hw[:, None] * _NODES, hw
+
+
+def _check_finite(y, a, b, label):
+    """Raise DomainError naming the first panel [a[j], b[j]], and label(j),
+    on which y, the integrand's values a row per panel, is not finite."""
     finite = np.isfinite(np.abs(y)).all(axis=1)
     if not finite.all():
         j = np.argmin(finite)
         raise DomainError(f"integrand returned non-finite values on "
-                          f"[{float(a[j])!r}, {float(b[j])!r}]"
-                          f"{label(rows[j])}")
-    resk = hw * (_WK * y).sum(axis=1)
-    resg = hw * (_WG * y[:, 1::2]).sum(axis=1)
-    resabs = np.abs(hw) * (_WK * np.abs(y)).sum(axis=1)
-    mean = np.divide(resk, b - a, out=np.zeros_like(resk), where=b != a)
-    resasc = np.abs(hw) * (_WK * np.abs(y - mean[:, None])).sum(axis=1)
-    return resk, _qk_errors(resk, resg, resabs, resasc)
+                          f"[{float(a[j])!r}, {float(b[j])!r}]{label(j)}")
+
+
+def _gk15(f, hw, width):
+    """GK15 panels of half width hw and width width, from the integrand's
+    values f at their 15 nodes along the last axis: (K15 values, error
+    estimates, K15 integrals of |f|). Every sum runs over one panel's own
+    values in a fixed order, so a panel's numbers do not depend on the
+    panels or the q it is evaluated with."""
+    resk = hw * (_WK * f).sum(axis=-1)
+    resg = hw * (_WG * f[..., 1::2]).sum(axis=-1)
+    resabs = np.abs(hw) * (_WK * np.abs(f)).sum(axis=-1)
+    mean = np.divide(resk, width, out=np.zeros_like(resk), where=width != 0)
+    resasc = np.abs(hw) * (_WK * np.abs(f - mean[..., None])).sum(axis=-1)
+    return resk, _qk_errors(resk, resg, resabs, resasc), resabs
+
+
+def _gk15_rows(f, rows, a, b, label=_row_label):
+    """GK15 panels [a[j], b[j]] of the row-batched f, row rows[j], in one
+    call to f: (K15 values, error estimates)."""
+    x, hw = _nodes(a, b)
+    y = np.asarray(f(rows, x))
+    if y.shape != (len(a), _NODES.size):
+        raise DomainError("row-batched integrand must map (P, n) points to "
+                          "a (P, n) ndarray")
+    _check_finite(y, a, b, lambda j: label(rows[j]))
+    return _gk15(y, hw, b - a)[:2]
 
 
 def _widen(x, fill):
@@ -530,50 +551,45 @@ def _j0_envelope(q, b):
     return np.minimum(1.0, np.sqrt(2.0 / (np.pi * x))) * b
 
 
-def _hankel_nodes(lo, hi):
-    """The GK15 nodes of panels [lo[j], hi[j]], a row each, and the panels'
-    half widths."""
-    hw = 0.5 * (hi - lo)
-    return 0.5 * (lo + hi)[:, None] + hw[:, None] * _NODES, hw
+def _g_values(g, x):
+    """[values] or [values, bounds] of g at the node rows x, g called on
+    blocks of at most _KERNEL_BLOCK nodes."""
+    step = max(1, _KERNEL_BLOCK // _NODES.size)
+    parts = []
+    for j in range(0, len(x), step):
+        y = g(x[j:j + step])
+        parts.append([np.asarray(e) for e in (y if isinstance(y, tuple)
+                                              else (y,))])
+        if any(e.shape != x[j:j + step].shape for e in parts[-1]):
+            raise DomainError("integrand must map an ndarray to an ndarray "
+                              "of the same shape")
+    return [np.concatenate(e) for e in zip(*parts)]
 
 
-def _hankel_block(g, q, lo, hi):
-    """_hankel_panels on one block of panels."""
-    x, hw = _hankel_nodes(lo, hi)
-    y = g(x)
-    bound = None
-    if isinstance(y, tuple):
-        y, bound = y
-    y = np.asarray(y)
-    if y.shape != x.shape:
-        raise DomainError("integrand must map an ndarray to an ndarray of "
-                          "the same shape")
-    finite = np.isfinite(np.abs(y)).all(axis=1)
-    if not finite.all():
-        j = np.argmin(finite)
-        raise DomainError(f"integrand returned non-finite values on "
-                          f"[{float(lo[j])!r}, {float(hi[j])!r}]")
-    f = y * (bessel_j0(q * x) * x)
-    resk = hw * (f @ _WK)
-    resabs = hw * (np.abs(f) @ _WK)
-    mean = resk / (2.0 * hw)
-    err = _qk_errors(resk.ravel(), (hw * (f[..., 1::2] @ _WG)).ravel(),
-                     resabs.ravel(),
-                     (hw * (np.abs(f - mean[..., None]) @ _WK)).ravel())
-    werr = np.zeros(resk.shape) if bound is None else \
-        hw * ((bound * _j0_envelope(q, x)) @ _WK)
-    return resk, err.reshape(resk.shape), werr, resabs
+def _hankel_sums(q, lo, hi, y, bound=None):
+    """GK15 panels [lo[j], hi[j]] of g(b) J0(q b) b for every q of the
+    (n, 1, 1) array q, from g's values y and bounds (None without) at the
+    panels' nodes, a row each: (K15 values, error estimates, integrals of
+    g's bounds against J0's envelope, K15 integrals of |g J0 b|), each of
+    shape (n, P). J0 is formed in blocks of at most _KERNEL_BLOCK (q, node)
+    pairs, which bound the memory and move no bit."""
+    _check_finite(y, lo, hi, _no_label)
+    x, hw = _nodes(lo, hi)
+    step = max(1, _KERNEL_BLOCK // (_NODES.size * q.shape[0]))
+    parts = []
+    for j in range(0, lo.size, step):
+        s = slice(j, j + step)
+        resk, err, resabs = _gk15(y[s] * (bessel_j0(q * x[s]) * x[s]),
+                                  hw[s], hi[s] - lo[s])
+        werr = np.zeros(resk.shape) if bound is None else hw[s] * (
+            _WK * (bound[s] * _j0_envelope(q, x[s]))).sum(axis=-1)
+        parts.append((resk, err, werr, resabs))
+    return tuple(np.concatenate(c, axis=1) for c in zip(*parts))
 
 
 def _hankel_panels(g, q, lo, hi):
-    """GK15 panels [lo[j], hi[j]] of g(b) J0(q b) b for every q of the
-    (n, 1, 1) array q, with g evaluated once per node: (K15 values, error
-    estimates, integrals of g's bounds against J0's envelope, K15
-    integrals of |g J0 b|), each of shape (n, P)."""
-    step = max(1, _KERNEL_BLOCK // (_NODES.size * q.shape[0]))
-    parts = [_hankel_block(g, q, lo[j:j + step], hi[j:j + step])
-             for j in range(0, lo.size, step)]
-    return tuple(np.concatenate(c, axis=1) for c in zip(*parts))
+    """_hankel_sums of panels [lo[j], hi[j]], g evaluated once per node."""
+    return _hankel_sums(q, lo, hi, *_g_values(g, _nodes(lo, hi)[0]))
 
 
 def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
@@ -589,8 +605,10 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
     rounding level, and its error_estimate may exceed the request. More
     than _HANKEL_PANELS first panels raise ConvergenceError at once.
     g may be evaluated at the nodes of panels at b = 0 rounds before a
-    bisection makes them, which changes no split and no bit of the result
-    (see the module docstring); evaluations counts every node g saw.
+    bisection makes them, and its values there are kept; a panel's sums
+    depend on its own values alone, so that changes no split and no bit
+    of the result (see the module docstring). evaluations counts every
+    node g saw.
     """
     if not (math.isfinite(upper) and upper > 0.0):
         raise DomainError(f"upper limit must be positive and finite, got "
@@ -615,13 +633,11 @@ def _hankel_loop(g, qs, upper, settings):
 
     When a round bisects the panel [0, h] at b = 0 and the round before
     bisected the panel there too, each open q's errors on [0, h] and
-    [0, 2h] give a ratio per halving. The nodes of the panels of the
-    halvings that ratio predicts before that q's error falls below its
-    share, at most the budget left, go to g with the round's own (see
-    _Ahead); a later round that makes those panels takes g's values from
-    there. Every bisection is decided as before, from panel sums formed
-    as before, so the prediction moves no bit of the result, only the
-    count of calls to g.
+    [0, 2h] give a ratio per halving. The panels of the halvings that
+    ratio predicts, at most the budget left, go to g with the round's own
+    (_hankel_ahead), and the round that makes one reads its values. A call
+    with such panels that raises is repeated on the round's panels alone,
+    and no panel is evaluated ahead from then on.
     """
     q_max = float(np.max(qs))
     periods = q_max * upper / (2.0 * np.pi)
@@ -633,8 +649,9 @@ def _hankel_loop(g, qs, upper, settings):
     edges = np.linspace(0.0, upper, panels + 1)
     q3 = qs[:, None, None]
     lo, hi = edges[:-1], edges[1:]
-    g = _Ahead(g)
     val, err, werr, resabs = _hankel_panels(g, q3, lo, hi)
+    neval = _NODES.size * lo.size
+    kept = {}  # (lo, hi) of a panel evaluated ahead -> (values, bounds)
     err0 = None  # the errors on [0, 2h] when the last round bisected it
     splits = 0
     while True:
@@ -661,14 +678,20 @@ def _hankel_loop(g, qs, upper, settings):
         mid = 0.5 * (lo[split] + hi[split])
         new = (np.concatenate([lo[split], mid]),
                np.concatenate([mid, hi[split]]))
-        g.fetch = None
-        if split[0] and err0 is not None and g.kept is not None:
-            halvings = min(_halvings(err[going, 0], err0[going],
-                                     share[going, 0]),
-                           settings.max_subdivisions - splits - n)
-            g.fetch = _ladder(mid[0], halvings) if halvings else None
+        ladder = ([], [])
+        if split[0] and err0 is not None and kept is not None:
+            ladder = _ladder(float(mid[0]), min(
+                _halvings(err[going, 0], err0[going], share[going, 0]),
+                settings.max_subdivisions - splits - n))
         err0 = err[:, 0] if split[0] else None
-        parts = _hankel_panels(g, q3, *new)
+        parts = None
+        if kept or ladder[0]:
+            parts, seen = _hankel_ahead(g, q3, *new, ladder, kept)
+            neval += seen
+            kept = None if parts is None else kept
+        if parts is None:
+            parts = _hankel_panels(g, q3, *new)
+            neval += _NODES.size * 2 * n
         lo, hi = (np.concatenate([x[~split], y]) for x, y in zip((lo, hi),
                                                                  new))
         order = np.argsort(lo, kind="stable")
@@ -677,7 +700,7 @@ def _hankel_loop(g, qs, upper, settings):
             np.concatenate([x[:, ~split], y], axis=1)[:, order]
             for x, y in zip((val, err, werr, resabs), parts))
         splits += n
-    return value, total + werr.sum(axis=1), (lo, hi), g.evaluations
+    return value, total + werr.sum(axis=1), (lo, hi), neval
 
 
 def _halvings(err, err0, share):
@@ -693,78 +716,36 @@ def _halvings(err, err0, share):
 
 
 def _ladder(h, halvings):
-    """The node rows of the panels that the given count of halvings of
-    [0, h] make, [0, h/2^j] and [h/2^j, h/2^(j-1)], each end halved as
-    the loop halves it; none of zero width."""
+    """The (lo, hi) ends of the panels that the given count of halvings of
+    [0, h] make, [0, h/2^j] and [h/2^j, h/2^(j-1)], each end halved as the
+    loop halves it; none of zero width."""
     ends = [h]
     while len(ends) <= halvings and 0.5 * ends[-1] > 0.0:
         ends.append(0.5 * ends[-1])
-    lo = np.concatenate([np.zeros(len(ends) - 1), ends[1:]])
-    return _hankel_nodes(lo, np.concatenate([ends[1:], ends[:-1]]))[0]
+    return [0.0] * (len(ends) - 1) + ends[1:], ends[1:] + ends[:-1]
 
 
-class _Ahead:
-    """hankel0's g, keeping its values at panels evaluated ahead.
-
-    A call takes the rows of x (a panel's nodes each) that are kept, and
-    gives the rest to g in one call with the rows of fetch not kept yet,
-    which are then kept by their exact nodes. The sums of a block are
-    formed from g's values as before, whichever call made them: a panel's
-    sums depend at the last bit on the block it is in (BLAS kernels take
-    rows in groups), its values at a node do not. A call that raises, or
-    returns other than arrays of its rows' shape, is repeated on x alone,
-    as without kept rows, and nothing is kept from then on (kept is
-    None). evaluations counts every node g saw.
-    """
-
-    def __init__(self, g):
-        self.g = g
-        self.kept = {}  # node row bytes -> (values, bounds or None)
-        self.fetch = None
-        self.evaluations = 0
-
-    def __call__(self, x):
-        if self.kept is None or not (self.kept or self.fetch is not None):
-            return self._plain(x)
-        got = [self.kept.pop(row.tobytes(), None) for row in x]
-        todo = [j for j, v in enumerate(got) if v is None]
-        if todo:
-            rows = x[todo]
-            if self.fetch is not None:
-                rows = np.concatenate([rows] + [
-                    r[None] for r in self.fetch
-                    if r.tobytes() not in self.kept])
-                self.fetch = None
-            fresh = self._values(rows)
-            if fresh is None:
-                return self._plain(x)
-            for j, v in zip(todo, fresh):
-                got[j] = v
-            for r, v in zip(rows[len(todo):], fresh[len(todo):]):
-                self.kept[r.tobytes()] = v
-        y = np.stack([v for v, _ in got])
-        return y if got[0][1] is None else (y, np.stack([b for _, b in got]))
-
-    def _values(self, rows):
-        """g's (values, bounds or None) at each row of rows, or None, and
-        nothing kept from then on, if g raises or returns other than
-        arrays of rows' shape."""
-        self.evaluations += rows.size
+def _hankel_ahead(g, q, lo, hi, ladder, kept):
+    """_hankel_panels(g, q, lo, hi) that takes g's values at the panels in
+    kept out of it, and evaluates g at the panels of the ladder (lo, hi)
+    lists not kept in the same call, keeping their values: (the panel
+    sums, or None if that call raises, nodes g saw)."""
+    keys = list(zip(lo.tolist(), hi.tolist()))
+    got = [kept.pop(key, None) for key in keys]
+    todo = [j for j, v in enumerate(got) if v is None]
+    ahead = [key for key in zip(*ladder) if key not in kept]
+    seen = 0
+    if todo or ahead:
+        ends = np.array([keys[j] for j in todo] + ahead)
+        x = _nodes(ends[:, 0], ends[:, 1])[0]
+        seen = x.size
         try:
-            y = self.g(rows)
-            y, bound = y if isinstance(y, tuple) else (y, None)
-            y = np.asarray(y)
-            if y.shape == rows.shape and (bound is None or np.shape(bound)
-                                          == rows.shape):
-                bound = [None] * len(y) if bound is None else np.asarray(
-                    bound)
-                return list(zip(y, bound))
+            rows = zip(*_g_values(g, x))
         except Exception:
-            # whatever g raises is for the repeated call to raise, or not
-            pass
-        self.kept = None
-        return None
-
-    def _plain(self, x):
-        self.evaluations += x.size
-        return self.g(x)
+            # whatever g raises is for the call on the round's panels
+            # alone to raise, or not
+            return None, seen
+        for j, v in zip(todo, rows):
+            got[j] = v
+        kept.update(zip(ahead, rows))
+    return _hankel_sums(q, lo, hi, *(np.stack(e) for e in zip(*got))), seen

@@ -223,3 +223,21 @@ def test_float_range_inputs_end_without_a_traceback_or_warning(tmp_path,
         assert proc.returncode == 1
         assert all(f"FAILED (RangeError: {key} = " in line
                    for line in outcomes)
+
+
+def test_an_angle_count_past_the_limit_fails_at_parse_time(tmp_path):
+    # a trillion angles: `validate` and `run` in a fresh interpreter both
+    # refuse the config, naming the key, before any array is built
+    config = tmp_path / "scan.ini"
+    config.write_text(GOOD.replace("count = 9", "count = 1000000000000"))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))
+    for command in (["validate", str(config)],
+                    ["run", str(config), "--out", str(tmp_path / "out"),
+                     "--quiet"]):
+        proc = subprocess.run([sys.executable, "-m", "scatterlab", *command],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "theta_grid.count must be <= 65536" in proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -239,6 +239,8 @@ FAULTS = {
                             "theta_grid.max must exceed theta_grid.min"),
     "count_floor": (_plus("[theta_grid]\ncount = 1"), "theta_grid.count",
                     "theta_grid.count must be >= 2"),
+    "count_ceiling": (_plus("[theta_grid]\ncount = 65537"),
+                      "theta_grid.count", "theta_grid.count must be <= 65536"),
     "bad_spacing": (_plus("[theta_grid]\nspacing = cubic"),
                     "theta_grid.spacing",
                     "theta_grid.spacing must be linear or log"),

@@ -516,8 +516,38 @@ def test_hankel_keeps_the_bits_of_the_round_by_round_loop(p, k, phase, q):
     want, got, calls, new = _round_by_round(g, q, reach(p)[0])
     assert got == want
     if q is FLAGSHIP_Q:
-        # 13 of the 15 rounds bisect the panel at b = 0 alone
-        assert calls == 19 and len(new.seen) <= 10
+        # one call a round; 13 of the 15 bisect the panel at b = 0 alone
+        assert calls == 15 and len(new.seen) <= 10
+
+
+@pytest.mark.parametrize("p, k, phase, q", [
+    (Yukawa(0.5, 1.0), 10.0, "closed", FLAGSHIP_Q),
+    (_table(), 3.0, "quadrature", HANKEL_Q[[0, 2, 4, 5]]),
+], ids=["yukawa", "table"])
+def test_hankel_panel_sums_are_the_panel_s_own(monkeypatch, p, k, phase, q):
+    # each panel's sums run over its own 15 values in a fixed order: 11
+    # panels at flagship's 49 angles give the bits of each prefix of them
+    # and of each panel alone, and hankel0's bytes at q do not depend on
+    # the blocks its g calls and J0 products go in
+    g = _phase_integrand(p, Kinematics(1.0, k), phase, DEFAULT_SETTINGS)
+    upper = reach(p)[0]
+    edges = np.linspace(0.0, upper, 12)
+    lo, hi, q3 = edges[:-1], edges[1:], FLAGSHIP_Q[:, None, None]
+    whole = quadrature._hankel_panels(g, q3, lo, hi)
+    for j in range(1, 11):
+        part = quadrature._hankel_panels(g, q3, lo[:j], hi[:j])
+        assert [x[:, :j].tobytes() for x in whole] == [
+            x.tobytes() for x in part]
+    for j in range(11):
+        alone = quadrature._hankel_panels(g, q3, lo[j:j + 1], hi[j:j + 1])
+        assert [x[:, j].tobytes() for x in whole] == [
+            x.tobytes() for x in alone]
+    got = set()
+    for block in (1 << 9, 1 << 13, 1 << 16):
+        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", block)
+        res = hankel0(g, q, upper)
+        got.add((res.value.tobytes(), res.error_estimate.tobytes()))
+    assert len(got) == 1
 
 
 def test_hankel_never_reads_values_ahead_of_the_partition():
