@@ -16,7 +16,8 @@ which is the default of the dataclass field it sets:
     [kinematics]
     mass = 1.0         # required
     k = 10.0           # required; or a comma- or space-separated list for
-                       # an energy scan
+                       # an energy scan, distinct at the 12 significant
+                       # digits that name its CSVs
     hbar = 1.0
 
     [theta_grid]
@@ -68,6 +69,11 @@ _BOOL_STATES = configparser.ConfigParser.BOOLEAN_STATES
 # the most angles a grid may hold, checked before any work starts; the
 # shipped configs and the benchmark's inputs hold at most 961
 _MAX_ANGLES = 1 << 16
+
+
+def k_tag(k):
+    """k as it appears in file names and messages: 12 significant digits."""
+    return f"{k:.12g}"
 
 
 @dataclass(frozen=True)
@@ -179,6 +185,14 @@ class RunConfig:
             except DomainError as exc:
                 raise ConfigError(f"kinematics: {exc}",
                                   key=f"kinematics.{exc.key}") from exc
+        tagged = {}
+        for kk in self.k_values:
+            other = tagged.setdefault(k_tag(kk), kk)
+            if other != kk:
+                raise ConfigError(
+                    f"k values {other!r} and {kk!r} share the file name tag "
+                    f"k{k_tag(kk)}: k values must differ when rounded to 12 "
+                    f"significant digits", key="kinematics.k")
 
     def kinematics(self, k):
         return Kinematics(mass=self.mass, k=k, hbar=self.hbar)

@@ -4,6 +4,10 @@ Work is split into independent (source, k) tasks, run one after another
 in a fixed canonical order. run.threads is parsed, checked and echoed but
 changes neither speed nor output: the tasks hold the interpreter lock, so
 a thread pool never ran them faster.
+
+Every artifact is built as one string, each number formatted once, and
+written as bytes: the CSVs, summary.csv, report.txt and plot.gp in ASCII,
+manifest.txt in UTF-8, since it echoes paths as given.
 """
 
 import dataclasses
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import __version__, paper_forms
 from .born import born1_amplitude, born_resummed_amplitude
-from .config import echo_lines
+from .config import echo_lines, k_tag
 from .cross_sections import paper_formula_checks, table_from_amplitudes
 from .eikonal import amplitude_eikonal, amplitude_paper_closed
 from .errors import DomainError, ScatterError
@@ -68,12 +72,8 @@ def _fmt(x):
     return "%.16e" % (float(x) + 0.0)
 
 
-def _k_tag(k):
-    return f"{k:.12g}"
-
-
 def _csv_name(source, k):
-    return f"{source}_k{_k_tag(k)}.csv"
+    return f"{source}_k{k_tag(k)}.csv"
 
 
 def _amplitude_rows(cfg, source, kin, theta):
@@ -92,7 +92,7 @@ def _amplitude_rows(cfg, source, kin, theta):
     if source == "born1":
         return born1_amplitude(p, kin, theta, settings=cfg.quadrature), []
     amp = amplitude_paper_closed(p, kin, theta)
-    return amp, [f"{source} k={_k_tag(kin.k)}: pole at theta={t:.6g}, row "
+    return amp, [f"{source} k={k_tag(kin.k)}: pole at theta={t:.6g}, row "
                  f"recorded as nan" for t in theta[np.isnan(amp.value)]]
 
 
@@ -104,7 +104,7 @@ def _quadrature_warning(source, k, err, value, settings):
     loose = np.isfinite(err) & (err > 10.0 * target)
     if not np.any(loose):
         return None
-    return (f"{source} k={_k_tag(k)}: {int(np.count_nonzero(loose))} "
+    return (f"{source} k={k_tag(k)}: {int(np.count_nonzero(loose))} "
             f"angle(s) with quadrature error estimate above 10x the "
             f"tolerance target")
 
@@ -134,11 +134,11 @@ def _run_task(cfg, source, k):
     table = table_from_amplitudes(source, amp, kin.k)
     if math.isnan(table.total_integrated):
         warnings.append(
-            f"{source} k={_k_tag(k)}: total_integrated unavailable "
+            f"{source} k={k_tag(k)}: total_integrated unavailable "
             f"(needs a finite grid spanning [0, pi] densely enough)")
     if math.isnan(table.total_optical):
         warnings.append(
-            f"{source} k={_k_tag(k)}: total_optical unavailable "
+            f"{source} k={k_tag(k)}: total_optical unavailable "
             f"(needs theta = 0 on the grid)")
     wall = time.perf_counter() - start
     outcome = SourceOutcome(source=source, k=k,
@@ -150,11 +150,11 @@ def _run_task(cfg, source, k):
 
 
 def _csv_text(table):
-    # one % per row; + 0.0 folds -0.0 as _fmt does
-    row = ",".join(["%.16e"] * table.rows.shape[1])
-    lines = ["theta_rad,q,re_f,im_f,dsigma_domega"]
-    lines.extend(row % tuple(r) for r in (table.rows + 0.0).tolist())
-    return "\n".join(lines) + "\n"
+    # one % for the whole table; + 0.0 folds -0.0 as _fmt does
+    n, width = table.rows.shape
+    row = ",".join(["%.16e"] * width) + "\n"
+    return ("theta_rad,q,re_f,im_f,dsigma_domega\n"
+            + row * n % tuple((table.rows + 0.0).ravel().tolist()))
 
 
 def _summary_text(outcomes):
@@ -167,11 +167,54 @@ def _summary_text(outcomes):
     return "\n".join(lines) + "\n"
 
 
+def _pair_lines(theta, q, columns):
+    """The report's pair blocks for one k. Each number is formatted once
+    and every pair's rel_dev comes from one array pass, elementwise as
+    |da - db| / max(max(|da|, |db|), 1e-300)."""
+    names = list(columns)
+    if len(names) < 2:
+        return []
+    lead = ["    %-14.6e %-14.6e " % tq
+            for tq in zip(theta.tolist(), q.tolist())]
+    cells = [["%-14.6e " % x for x in col.tolist()]
+             for col in columns.values()]
+    pairs = [(i, j) for i in range(len(names))
+             for j in range(i + 1, len(names))]
+    stacked = np.array(list(columns.values()))
+    da = stacked[[i for i, _ in pairs]]
+    db = stacked[[j for _, j in pairs]]
+    dev = np.abs(da - db) / np.maximum(np.maximum(np.abs(da), np.abs(db)),
+                                       1e-300)
+    finite = np.isfinite(dev)
+    fwd = finite & (theta <= 0.2)
+    fwd_any = fwd.any(axis=1).tolist()
+    fwd_max = np.where(fwd, dev, -np.inf).max(axis=1).tolist()
+    finite_any = finite.any(axis=1).tolist()
+    finite_max = np.where(finite, dev, -np.inf).max(axis=1).tolist()
+
+    lines = []
+    for p, ((i, j), row) in enumerate(zip(pairs, dev.tolist())):
+        a, b = names[i], names[j]
+        lines.append(f"  pair: {a} vs {b}")
+        lines.append("    theta_rad      q              "
+                     f"{a[:14]:<14} {b[:14]:<14} rel_dev")
+        lines.extend(map("".join, zip(lead, cells[i], cells[j],
+                                      ["%.3e" % e for e in row])))
+        if fwd_any[p]:
+            tag = "CONSISTENT" if fwd_max[p] < 2e-2 else "DEVIATES"
+            lines.append(f"    max rel_dev over theta <= 0.2: "
+                         f"{fwd_max[p]:.3e} -> {tag}")
+        if finite_any[p]:
+            lines.append(f"    max rel_dev overall: {finite_max[p]:.3e}")
+        lines.append("")
+    return lines
+
+
 def _report_text(cfg, tables, verdicts):
     lines = ["pairwise comparison of dsigma/dOmega", ""]
     for k in cfg.k_values:
         present = [s for s in cfg.sources if (s, k) in tables]
-        lines.append(f"[k = {_k_tag(k)}]")
+        lines.append(f"[k = {k_tag(k)}]")
         if not present:
             lines.append("  no sources completed")
             lines.append("")
@@ -190,34 +233,7 @@ def _report_text(cfg, tables, verdicts):
                     "paper_closed column)")
             except ScatterError as exc:
                 lines.append(f"  reference_form: unavailable: {exc}")
-
-        names = list(columns)
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                a, b = names[i], names[j]
-                da, db = columns[a], columns[b]
-                scale = np.maximum(np.maximum(np.abs(da), np.abs(db)),
-                                   1e-300)
-                dev = np.abs(da - db) / scale
-                lines.append(f"  pair: {a} vs {b}")
-                lines.append("    theta_rad      q              "
-                             f"{a[:14]:<14} {b[:14]:<14} rel_dev")
-                lines.extend(
-                    f"    {t:<14.6e} {qn:<14.6e} {x:<14.6e} {y:<14.6e} "
-                    f"{e:.3e}" for t, qn, x, y, e in zip(
-                        theta.tolist(), q.tolist(), da.tolist(), db.tolist(),
-                        dev.tolist()))
-                fwd = (theta <= 0.2) & np.isfinite(dev)
-                if np.any(fwd):
-                    worst = float(np.max(dev[fwd]))
-                    tag = "CONSISTENT" if worst < 2e-2 else "DEVIATES"
-                    lines.append(f"    max rel_dev over theta <= 0.2: "
-                                 f"{worst:.3e} -> {tag}")
-                finite = np.isfinite(dev)
-                if np.any(finite):
-                    lines.append(f"    max rel_dev overall: "
-                                 f"{float(np.max(dev[finite])):.3e}")
-                lines.append("")
+        lines.extend(_pair_lines(theta, q, columns))
         lines.append("")
 
     lines.append("reference formula checks")
@@ -228,7 +244,7 @@ def _report_text(cfg, tables, verdicts):
     for k, comp in verdicts:
         ratio = "" if math.isnan(comp.ratio) else f" ratio={comp.ratio:.9g}"
         lines.append(
-            f"  k={_k_tag(k)} {comp.name}: {comp.verdict} "
+            f"  k={k_tag(k)} {comp.name}: {comp.verdict} "
             f"verbatim_dev={comp.verbatim_deviation:.3e} "
             f"corrected_dev={comp.corrected_deviation:.3e}"
             f"{ratio} [{comp.mutation}]")
@@ -272,13 +288,13 @@ def _manifest_text(manifest):
     lines.append("[outcomes]")
     for o in manifest.outcomes:
         status = "ok" if o.error is None else f"FAILED ({o.error})"
-        lines.append(f"  {o.source} k={_k_tag(o.k)}: {status}")
+        lines.append(f"  {o.source} k={k_tag(o.k)}: {status}")
     lines.append("")
     lines.append("[verdicts]")
     if not manifest.verdicts:
         lines.append("  none")
     for k, comp in manifest.verdicts:
-        lines.append(f"  k={_k_tag(k)} {comp.name}: {comp.verdict}")
+        lines.append(f"  k={k_tag(k)} {comp.name}: {comp.verdict}")
     lines.append("")
     lines.append("[warnings]")
     if not manifest.warnings:
@@ -324,7 +340,7 @@ def run_scan(cfg, out_dir=None):
                     verdicts.append((k, comp))
             except ScatterError as exc:
                 warnings.append(f"formula checks skipped at "
-                                f"k={_k_tag(k)}: {exc}")
+                                f"k={k_tag(k)}: {exc}")
 
     csv_files = tuple(o.csv_file for o in outcomes if o.csv_file)
     aux_files = ["summary.csv", "report.txt"]
@@ -341,10 +357,10 @@ def run_scan(cfg, out_dir=None):
 
     os.makedirs(out_dir, exist_ok=True)
 
-    def _write(name, text):
-        with open(os.path.join(out_dir, name), "w", encoding="ascii",
-                  newline="\n") as fh:
-            fh.write(text)
+    def _write(name, text, encoding="ascii"):
+        data = text.encode(encoding)
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(data)
 
     for key in tasks:
         if key in tables:
@@ -353,5 +369,5 @@ def run_scan(cfg, out_dir=None):
     _write("report.txt", _report_text(cfg, tables, verdicts))
     if cfg.output.emit_plot_script and csv_files:
         _write("plot.gp", _plot_text(cfg, csv_files))
-    _write("manifest.txt", _manifest_text(manifest))
+    _write("manifest.txt", _manifest_text(manifest), "utf-8")
     return manifest

@@ -16,10 +16,11 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline, PPoly, make_interp_spline
 from scipy.optimize import brentq
 
-from scatterlab import partial_wave, quadrature
+from scatterlab import paper_forms, partial_wave, quadrature
+from scatterlab.config import k_tag
 from scatterlab.eikonal import Amplitude, momentum_transfer
 from scatterlab.errors import (ConvergenceError, DomainError, PoleError,
-                               UnsupportedModelError)
+                               ScatterError, UnsupportedModelError)
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
                                    origin_expansion)
 from scatterlab.quadrature import (_EPS, _NODES, _WG, _WK, QuadratureSettings,
@@ -854,3 +855,78 @@ def amplitude_paper_closed(p, kin, theta):
             "reference closed forms exist only for Yukawa and Gauss")
     return Amplitude(theta=theta, q=q, value=complex(value),
                      error_estimate=0.0)
+
+
+# The pairwise report as runner._report_text rendered it before each number
+# was formatted once: every pair formats its own theta, q and dsigma cells
+# and computes its rel_dev on its own. Reference for runner._report_text,
+# which must keep its text.
+
+
+def report_text(cfg, tables, verdicts):
+    lines = ["pairwise comparison of dsigma/dOmega", ""]
+    for k in cfg.k_values:
+        present = [s for s in cfg.sources if (s, k) in tables]
+        lines.append(f"[k = {k_tag(k)}]")
+        if not present:
+            lines.append("  no sources completed")
+            lines.append("")
+            continue
+        theta = tables[(present[0], k)].rows[:, 0]
+        q = tables[(present[0], k)].rows[:, 1]
+
+        columns = {s: tables[(s, k)].rows[:, 4] for s in present}
+        if "paper_closed" in present:
+            try:
+                columns["reference_form"] = paper_forms.dsigma(
+                    cfg.potential, cfg.kinematics(k), theta, q)
+                lines.append(
+                    "  reference_form: closed |f|^2 with q = "
+                    "2 k sin(theta/2) substituted (exact-q variant of the "
+                    "paper_closed column)")
+            except ScatterError as exc:
+                lines.append(f"  reference_form: unavailable: {exc}")
+
+        names = list(columns)
+        for i in range(len(names)):
+            for j in range(i + 1, len(names)):
+                a, b = names[i], names[j]
+                da, db = columns[a], columns[b]
+                scale = np.maximum(np.maximum(np.abs(da), np.abs(db)),
+                                   1e-300)
+                dev = np.abs(da - db) / scale
+                lines.append(f"  pair: {a} vs {b}")
+                lines.append("    theta_rad      q              "
+                             f"{a[:14]:<14} {b[:14]:<14} rel_dev")
+                lines.extend(
+                    f"    {t:<14.6e} {qn:<14.6e} {x:<14.6e} {y:<14.6e} "
+                    f"{e:.3e}" for t, qn, x, y, e in zip(
+                        theta.tolist(), q.tolist(), da.tolist(), db.tolist(),
+                        dev.tolist()))
+                fwd = (theta <= 0.2) & np.isfinite(dev)
+                if np.any(fwd):
+                    worst = float(np.max(dev[fwd]))
+                    tag = "CONSISTENT" if worst < 2e-2 else "DEVIATES"
+                    lines.append(f"    max rel_dev over theta <= 0.2: "
+                                 f"{worst:.3e} -> {tag}")
+                finite = np.isfinite(dev)
+                if np.any(finite):
+                    lines.append(f"    max rel_dev overall: "
+                                 f"{float(np.max(dev[finite])):.3e}")
+                lines.append("")
+        lines.append("")
+
+    lines.append("reference formula checks")
+    if not verdicts and isinstance(cfg.potential, (Yukawa, Gauss)):
+        lines.append("  (skipped: see the manifest's warnings)")
+    elif not verdicts:
+        lines.append("  (not available for this potential model)")
+    for k, comp in verdicts:
+        ratio = "" if math.isnan(comp.ratio) else f" ratio={comp.ratio:.9g}"
+        lines.append(
+            f"  k={k_tag(k)} {comp.name}: {comp.verdict} "
+            f"verbatim_dev={comp.verbatim_deviation:.3e} "
+            f"corrected_dev={comp.corrected_deviation:.3e}"
+            f"{ratio} [{comp.mutation}]")
+    lines.append("")
+    return "\n".join(lines)

@@ -241,3 +241,36 @@ def test_an_angle_count_past_the_limit_fails_at_parse_time(tmp_path):
         assert "Traceback" not in proc.stdout + proc.stderr
         assert "theta_grid.count must be <= 65536" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_a_non_ascii_output_path_runs_to_the_end(tmp_path):
+    # `scatter run` from a directory named with a non-ASCII letter: the
+    # manifest echoes that directory, so it is written as UTF-8
+    here = tmp_path / "rés"
+    here.mkdir()
+    (here / "workload.ini").write_text(GOOD, encoding="utf-8")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "scatterlab", "run",
+                           "workload.ini", "--quiet"], cwd=here, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stdout + proc.stderr
+    manifest = (here / "scatter_out" / "manifest.txt").read_text(
+        encoding="utf-8")
+    assert f"directory = {here / 'scatter_out'}" in manifest
+
+
+def test_k_values_sharing_a_file_name_fail_before_any_work(tmp_path,
+                                                           capsys):
+    # 1.0 and 1.0000000000001 are distinct floats but both name their
+    # CSVs _k1: `validate` and `run` refuse the config, and nothing is
+    # written
+    config = tmp_path / "scan.ini"
+    config.write_text(GOOD.replace("k = 2", "k = 1.0, 1.0000000000001")
+                      + f"\n[output]\ndirectory = {tmp_path / 'o'}\n")
+    assert main(["validate", str(config)]) == 1
+    assert main(["run", str(config), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("share the file name tag k1") == 2
+    assert not (tmp_path / "o").exists()

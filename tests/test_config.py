@@ -220,6 +220,11 @@ FAULTS = {
                    "kinematics: k must be positive and finite, got -5.0"),
     "duplicate_k": (_with("k = 5", "k = 5, 5"), "kinematics.k",
                     "k values must not repeat"),
+    "k_tag_collision": (_with("k = 5", "k = 1.0, 1.0000000000001"),
+                        "kinematics.k",
+                        "k values 1.0 and 1.0000000000001 share the file "
+                        "name tag k1: k values must differ when rounded to "
+                        "12 significant digits"),
     "bad_theta_min": (_plus("[theta_grid]\nmin = zero"), "theta_grid.min",
                       "[theta_grid] min: expected a number, got 'zero'"),
     "bad_count": (_plus("[theta_grid]\ncount = 2.5"), "theta_grid.count",

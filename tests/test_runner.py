@@ -1,5 +1,8 @@
 """Tests for scan orchestration, file emission, and determinism."""
 
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,12 +10,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import _oracles
+import scatterlab
 from scatterlab.config import parse_config
 from scatterlab.eikonal import amplitude_eikonal
 from scatterlab.errors import ConfigError, DomainError, ScatterError
 from scatterlab.quadrature import QuadratureSettings
 from scatterlab.runner import (RunManifest, _csv_text, _fmt,
-                               _quadrature_warning, run_scan)
+                               _quadrature_warning, _report_text, run_scan)
 
 FAST = """
 [potential]
@@ -89,11 +94,24 @@ class TestFileEmission:
         assert len(mantissa.replace(".", "")) == 17
 
     def test_csv_rows_keep_the_bytes_of_cell_by_cell_formatting(self):
-        # one % per row against _fmt on each cell: signed zeros, non-finite
-        # values, subnormals and the ends of the float range
-        rows = np.array([[0.0, -0.0, 1.5, -2.25e-300, np.nan],
-                         [np.pi, 1e300, -0.0, np.inf, 5e-324],
-                         [-np.inf, -1.0 / 3.0, 1e-310, -0.0, 2.0]])
+        # one % per table against _fmt on each cell: several rows each of
+        # signed zeros, non-finite values, subnormals and the ends of the
+        # float range, among ordinary ones
+        rows = np.concatenate([
+            [[0.0, -0.0, 1.5, -2.25e-300, np.nan],
+             [np.pi, 1e300, -0.0, np.inf, 5e-324],
+             [-np.inf, -1.0 / 3.0, 1e-310, -0.0, 2.0]],
+            np.full((3, 5), np.nan),
+            np.full((2, 5), -0.0),
+            [[np.inf, -np.inf, np.inf, -np.inf, np.nan],
+             [-np.inf, np.inf, np.nan, np.inf, -np.inf]],
+            [[5e-324, -5e-324, 1e-310, -2.2e-308, 4.9e-320],
+             [1e-320, 2.2250738585072009e-308, -1e-315, 5e-324, -0.0]],
+            [[1e300, -1e300, 1.7976931348623157e308, -1e300, 1e-300],
+             [-1.7976931348623157e308, 1e300, 9.999999999999999e299,
+              1e300, 1e300]],
+            np.random.default_rng(5).standard_normal((4, 5))
+            * 10.0 ** np.arange(-9, 11, 1).reshape(4, 5)])
         want = ["theta_rad,q,re_f,im_f,dsigma_domega"]
         want += [",".join(_fmt(x) for x in row) for row in rows]
         assert _csv_text(SimpleNamespace(rows=rows)) == "\n".join(want) + "\n"
@@ -263,6 +281,61 @@ class TestReport:
         assert "reference_form" in report
         assert "reference formula checks" in report
 
+    @pytest.mark.parametrize("count, closed",
+                             [(n, False) for n in range(1, 5)]
+                             + [(n, True) for n in range(1, 6)])
+    def test_report_keeps_the_text_of_pair_by_pair_rendering(self, count,
+                                                             closed):
+        # the report against a frozen renderer that formats every pair on
+        # its own: 1 to 5 sources, with paper_closed (and so reference_form)
+        # or without, at two k, on rows holding nan, +-inf, -0.0,
+        # subnormals and 1e300; the second k lacks the first source
+        others = ("eikonal", "born1", "born_resummed", "partial_wave")
+        sources = (others[:count - 1] + ("paper_closed",) if closed
+                   else others[:count])
+        cfg = parse_config(FAST.replace("k = 2", "k = 2, 4").replace(
+            "sources = born1, paper_closed",
+            f"sources = {', '.join(sources)}"))
+        rng = np.random.default_rng(count + 10 * closed)
+        theta = np.array([-0.0, 5e-324, 0.05, 0.1, 0.2, np.nan, 0.25, 0.3,
+                          np.inf, 1e300, 0.35, 0.4])
+        odd = [-0.0, np.inf, -np.inf, 5e-324, 1e-310, 1e300, np.nan,
+               1.7976931348623157e308, 0.0]
+        tables = {}
+        for k in cfg.k_values:
+            base = 10.0 ** rng.uniform(-6.0, 2.0, theta.size)
+            for s, source in enumerate(cfg.sources):
+                rows = np.empty((theta.size, 5))
+                rows[:, 0], rows[:, 1] = theta, k * theta
+                rows[:, 2:4] = rng.standard_normal((theta.size, 2))
+                rows[:, 4] = base * (1.0 + 1e-4 * s * rng.standard_normal(
+                    theta.size))
+                if s % 2:  # every other source carries the odd values
+                    rows[(np.arange(len(odd)) + s) % theta.size, 4] = odd
+                rows[0, 4] = 5e-324 * (s + 1)  # below rel_dev's 1e-300 floor
+                if (k, s) == (4.0, 1):  # no finite rel_dev at theta <= 0.2
+                    rows[:5, 4] = np.nan
+                rows[5] = np.nan
+                if (k, s) != (4.0, 0):
+                    tables[(source, k)] = SimpleNamespace(rows=rows)
+        verdicts = [(k, SimpleNamespace(
+            name="closed_form_amplitude_yukawa", verdict="SUSPECTED_TYPO",
+            verbatim_deviation=0.5, corrected_deviation=2e-9,
+            ratio=ratio, mutation="sign of k^2 theta^2"))
+            for k, ratio in zip(cfg.k_values, (float("nan"), 0.5 + 1e-10))
+        ] if closed else []
+
+        def render(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                text = fn(cfg, tables, verdicts)
+            return text, {str(w.message) for w in caught}
+
+        text, warned = render(_report_text)
+        assert (text, warned) == render(_oracles.report_text)
+        if count + closed >= 4:
+            assert "-> CONSISTENT" in text and "-> DEVIATES" in text
+
     def test_weak_coupling_pair_consistent(self, tmp_path):
         text = FAST.replace("k = 2", "k = 10").replace(
             "sources = born1, paper_closed",
@@ -340,3 +413,24 @@ def test_shipped_configs_raise_no_runtime_warning(tmp_path, name):
         manifest = run_scan(cfg, out_dir=str(tmp_path / "out"))
     assert not manifest.failed
 
+
+def test_a_run_imports_no_module(tmp_path):
+    # every module a run needs comes in with the package: one imported
+    # during run_scan (a codec the first text-mode open loads, say) costs
+    # every fresh `scatter run` process its load
+    config = CONFIGS / "gauss_weak.ini"
+    script = "\n".join([
+        "import sys",
+        "from scatterlab.config import parse_config",
+        "from scatterlab.runner import run_scan",
+        f"with open({str(config)!r}, encoding='utf-8') as fh:",
+        f"    cfg = parse_config(fh.read(), base_dir={str(CONFIGS)!r})",
+        "before = set(sys.modules)",
+        f"run_scan(cfg, out_dir={str(tmp_path / 'out')!r})",
+        "print(sorted(set(sys.modules) - before))"])
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
