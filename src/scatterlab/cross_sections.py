@@ -20,7 +20,7 @@ import numpy as np
 from . import paper_forms
 from ._spline import natural_cubic, split_at_roots
 from .born import born1_amplitude
-from .eikonal import Amplitude, momentum_transfer
+from .eikonal import Amplitude, _check_k, momentum_transfer
 from .errors import (ConvergenceError, DomainError, PoleError, RangeError,
                      UnsupportedModelError)
 from .paper_forms import total as paper_totals
@@ -99,6 +99,7 @@ def differential(f):
 
 def total_optical(f0, k):
     """(4 pi / k) Im f(0); f0 must be the forward amplitude."""
+    _check_k(k)
     theta = np.atleast_1d(np.asarray(f0.theta, dtype=float))
     if abs(theta[0]) > 1e-12:
         raise DomainError("total_optical needs the amplitude at theta = 0")
@@ -184,6 +185,7 @@ def table_from_amplitudes(source, amp, k):
     coverage at workable density and fully finite rows. A |f|^2 past the
     float range is stored as inf, without a warning.
     """
+    _check_k(k)
     theta = np.atleast_1d(np.asarray(amp.theta, dtype=float))
     q = np.atleast_1d(np.asarray(amp.q, dtype=float))
     v = np.atleast_1d(np.asarray(amp.value))

@@ -108,16 +108,29 @@ class Amplitude:
             raise DomainError("error_estimate must be >= 0")
 
 
+def _check_k(k):
+    """Raise DomainError keyed to k unless k is a positive finite float."""
+    if not (np.ndim(k) == 0 and 0.0 < k < math.inf):
+        raise DomainError(f"wavenumber k must be positive and finite, got "
+                          f"{k!r}", key="k")
+
+
 def momentum_transfer(k, theta, small_angle=False):
     """q = 2k sin(theta/2); the small-angle flag switches to k*theta."""
-    if not k > 0.0:
-        raise DomainError("wavenumber k must be positive")
-    theta_arr = np.asarray(theta, dtype=float)
-    if not np.all((theta_arr >= 0.0) & (theta_arr <= np.pi)):
-        raise DomainError("theta must lie in [0, pi]")
-    if small_angle:
-        return k * theta
-    return 2.0 * k * np.sin(0.5 * np.asarray(theta))
+    _check_k(k)
+    th = np.asarray(theta, dtype=float)
+    if not np.all((th >= 0.0) & (th <= np.pi)):
+        raise DomainError("theta must lie in [0, pi]", key="theta")
+    return k * th if small_angle else 2.0 * k * np.sin(0.5 * th)
+
+
+def _check_b(b):
+    """b as a float array, checked to be finite and non-negative."""
+    b_arr = np.asarray(b, dtype=float)
+    if not np.all((b_arr >= 0.0) & (b_arr < math.inf)):
+        raise DomainError("impact parameter b must be finite and "
+                          "non-negative", key="b")
+    return b_arr
 
 
 # The z-profile held: the _ZProfile of the potential last used. A call for
@@ -309,9 +322,7 @@ def chi(p, kin, b, settings=DEFAULT_SETTINGS):
     """Eikonal phase -w(b)/(hbar v) from the z-integral (any model); w(b)
     is the z-profile that born_resummed_amplitude reads too, one per
     potential and setting (see _ZProfile)."""
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(b_arr < 0.0):
-        raise DomainError("impact parameter b must be non-negative")
+    b_arr = _check_b(b)
     if isinstance(p, Yukawa) and np.any(b_arr == 0.0):
         raise SingularityError(
             "chi diverges logarithmically at b = 0 for a 1/r core")
@@ -325,11 +336,9 @@ def chi(p, kin, b, settings=DEFAULT_SETTINGS):
 def chi_closed(p, kin, b):
     """Closed-form eikonal phase: -(2g/hbar v) K0(mu b) for Yukawa,
     -(g/hbar v) sqrt(pi/alpha) e^{-alpha b^2} for Gauss."""
-    b_arr = np.asarray(b, dtype=float)
+    b_arr = _check_b(b)
     scalar = b_arr.ndim == 0
     b_arr = np.atleast_1d(b_arr)
-    if np.any(b_arr < 0.0):
-        raise DomainError("impact parameter b must be non-negative")
     hv = kin.hbar * kin.v
     if isinstance(p, Yukawa):
         if np.any(b_arr == 0.0):

@@ -75,12 +75,12 @@ setting.
 Where g is not smooth at b = 0, hankel0's last rounds bisect only the
 panel there, as QUADPACK's rules do at an endpoint singularity. Once two
 rounds in a row have bisected it, the ratio of its errors predicts the
-halvings still to come, and g is evaluated at the nodes of those panels
-in the same call as the round's own. g's values there are kept by each
-panel's ends, and a round that makes such a panel reads them instead of
-calling g. As a panel's sums are its own, the evaluation ahead changes
-no split and no bit of the result. evaluations counts every node g saw,
-those of halvings predicted in vain included.
+halvings still to come, and the round makes them at once: it cuts the
+panel into the panels those halvings leave, evaluates them in its one
+call with its other new panels, and counts each halving against the
+budget. The next bisection there is plain and measures the ratio afresh.
+The count takes libm's log on Python floats, like the error rule's power,
+so the partition does not depend on numpy's SIMD kernels.
 """
 
 import math
@@ -173,6 +173,7 @@ _WK = np.array(list(_WKH) + [_WK_CENTER] + list(reversed(_WKH)))
 _WG = np.array(list(_WGH) + [_WG_CENTER] + list(reversed(_WGH)))
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _abs(z):
@@ -547,7 +548,7 @@ _HANKEL_PANELS = 1 << 15
 
 def _j0_envelope(q, b):
     """|J0(q b)| b <= min(1, sqrt(2/(pi q b))) b."""
-    x = np.maximum(q * b, np.finfo(float).tiny)
+    x = np.maximum(q * b, _TINY)
     return np.minimum(1.0, np.sqrt(2.0 / (np.pi * x))) * b
 
 
@@ -566,30 +567,26 @@ def _g_values(g, x):
     return [np.concatenate(e) for e in zip(*parts)]
 
 
-def _hankel_sums(q, lo, hi, y, bound=None):
+def _hankel_panels(g, q, lo, hi):
     """GK15 panels [lo[j], hi[j]] of g(b) J0(q b) b for every q of the
-    (n, 1, 1) array q, from g's values y and bounds (None without) at the
-    panels' nodes, a row each: (K15 values, error estimates, integrals of
-    g's bounds against J0's envelope, K15 integrals of |g J0 b|), each of
-    shape (n, P). J0 is formed in blocks of at most _KERNEL_BLOCK (q, node)
-    pairs, which bound the memory and move no bit."""
-    _check_finite(y, lo, hi, _no_label)
+    (n, 1, 1) array q, g evaluated once per node: (K15 values, error
+    estimates, integrals of g's bounds against J0's envelope, zero without
+    bounds, K15 integrals of |g J0 b|), each of shape (n, P). J0 is formed
+    in blocks of at most _KERNEL_BLOCK (q, node) pairs, which bound the
+    memory and move no bit."""
     x, hw = _nodes(lo, hi)
+    y, *bound = _g_values(g, x)
+    _check_finite(y, lo, hi, _no_label)
     step = max(1, _KERNEL_BLOCK // (_NODES.size * q.shape[0]))
     parts = []
     for j in range(0, lo.size, step):
         s = slice(j, j + step)
         resk, err, resabs = _gk15(y[s] * (bessel_j0(q * x[s]) * x[s]),
                                   hw[s], hi[s] - lo[s])
-        werr = np.zeros(resk.shape) if bound is None else hw[s] * (
-            _WK * (bound[s] * _j0_envelope(q, x[s]))).sum(axis=-1)
+        werr = hw[s] * (_WK * (bound[0][s] * _j0_envelope(q, x[s]))).sum(
+            axis=-1) if bound else np.zeros(resk.shape)
         parts.append((resk, err, werr, resabs))
     return tuple(np.concatenate(c, axis=1) for c in zip(*parts))
-
-
-def _hankel_panels(g, q, lo, hi):
-    """_hankel_sums of panels [lo[j], hi[j]], g evaluated once per node."""
-    return _hankel_sums(q, lo, hi, *_g_values(g, _nodes(lo, hi)[0]))
 
 
 def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
@@ -604,11 +601,6 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
     and rel_tol ask for less than 100 eps int |g J0 b| stops at that
     rounding level, and its error_estimate may exceed the request. More
     than _HANKEL_PANELS first panels raise ConvergenceError at once.
-    g may be evaluated at the nodes of panels at b = 0 rounds before a
-    bisection makes them, and its values there are kept; a panel's sums
-    depend on its own values alone, so that changes no split and no bit
-    of the result (see the module docstring). evaluations counts every
-    node g saw.
     """
     if not (math.isfinite(upper) and upper > 0.0):
         raise DomainError(f"upper limit must be positive and finite, got "
@@ -633,11 +625,11 @@ def _hankel_loop(g, qs, upper, settings):
 
     When a round bisects the panel [0, h] at b = 0 and the round before
     bisected the panel there too, each open q's errors on [0, h] and
-    [0, 2h] give a ratio per halving. The panels of the halvings that
-    ratio predicts, at most the budget left, go to g with the round's own
-    (_hankel_ahead), and the round that makes one reads its values. A call
-    with such panels that raises is repeated on the round's panels alone,
-    and no panel is evaluated ahead from then on.
+    [0, 2h] give a ratio per halving. The round then makes the m further
+    halvings that ratio predicts, at most the budget left, at once: [0, h]
+    becomes [0, h/2^(m+1)], [h/2^(m+1), h/2^m], ..., [h/2, h], and the m
+    halvings count against the budget. The panel at b = 0 is next bisected
+    plainly, which measures the ratio afresh.
     """
     q_max = float(np.max(qs))
     periods = q_max * upper / (2.0 * np.pi)
@@ -651,7 +643,6 @@ def _hankel_loop(g, qs, upper, settings):
     lo, hi = edges[:-1], edges[1:]
     val, err, werr, resabs = _hankel_panels(g, q3, lo, hi)
     neval = _NODES.size * lo.size
-    kept = {}  # (lo, hi) of a panel evaluated ahead -> (values, bounds)
     err0 = None  # the errors on [0, 2h] when the last round bisected it
     splits = 0
     while True:
@@ -678,20 +669,17 @@ def _hankel_loop(g, qs, upper, settings):
         mid = 0.5 * (lo[split] + hi[split])
         new = (np.concatenate([lo[split], mid]),
                np.concatenate([mid, hi[split]]))
-        ladder = ([], [])
-        if split[0] and err0 is not None and kept is not None:
-            ladder = _ladder(float(mid[0]), min(
+        m = 0
+        if split[0] and err0 is not None:
+            ends = _ladder(float(mid[0]), min(
                 _halvings(err[going, 0], err0[going], share[going, 0]),
                 settings.max_subdivisions - splits - n))
-        err0 = err[:, 0] if split[0] else None
-        parts = None
-        if kept or ladder[0]:
-            parts, seen = _hankel_ahead(g, q3, *new, ladder, kept)
-            neval += seen
-            kept = None if parts is None else kept
-        if parts is None:
-            parts = _hankel_panels(g, q3, *new)
-            neval += _NODES.size * 2 * n
+            m = ends.size - 1
+            new = (np.concatenate([[0.0], ends[:0:-1], new[0][1:]]),
+                   np.concatenate([ends[::-1], new[1][1:]]))
+        err0 = err[:, 0] if split[0] and not m else None
+        parts = _hankel_panels(g, q3, *new)
+        neval += _NODES.size * new[0].size
         lo, hi = (np.concatenate([x[~split], y]) for x, y in zip((lo, hi),
                                                                  new))
         order = np.argsort(lo, kind="stable")
@@ -699,7 +687,7 @@ def _hankel_loop(g, qs, upper, settings):
         val, err, werr, resabs = (
             np.concatenate([x[:, ~split], y], axis=1)[:, order]
             for x, y in zip((val, err, werr, resabs), parts))
-        splits += n
+        splits += n + m
     return value, total + werr.sum(axis=1), (lo, hi), neval
 
 
@@ -708,44 +696,19 @@ def _halvings(err, err0, share):
     some q's error above its share, if each halving multiplies that q's
     error by err/err0 as the last one did."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = err / err0
-        falls = (rho < 1.0) & (err > share)
-        count = np.ceil(np.log(share[falls] / err[falls])
-                        / np.log(rho[falls])) - 1.0
-    return int(np.max(count, initial=0.0))
+        rho, gap = err / err0, share / err
+    falls = (rho < 1.0) & (gap < 1.0) & (gap > 0.0)
+    # libm's log on Python floats, as _qk_errors takes its power: numpy's
+    # log kernel differs in the last bit between SIMD levels, and a ceil
+    # on the boundary would then move the partition between hosts
+    return max((math.ceil(math.log(x) / math.log(r)) - 1 for x, r in
+                zip(gap[falls].tolist(), rho[falls].tolist())), default=0)
 
 
 def _ladder(h, halvings):
-    """The (lo, hi) ends of the panels that the given count of halvings of
-    [0, h] make, [0, h/2^j] and [h/2^j, h/2^(j-1)], each end halved as the
-    loop halves it; none of zero width."""
+    """h and its halvings h/2, ..., h/2^halvings, fewer where one would
+    fall below the smallest normal float."""
     ends = [h]
-    while len(ends) <= halvings and 0.5 * ends[-1] > 0.0:
+    while len(ends) <= halvings and 0.5 * ends[-1] >= _TINY:
         ends.append(0.5 * ends[-1])
-    return [0.0] * (len(ends) - 1) + ends[1:], ends[1:] + ends[:-1]
-
-
-def _hankel_ahead(g, q, lo, hi, ladder, kept):
-    """_hankel_panels(g, q, lo, hi) that takes g's values at the panels in
-    kept out of it, and evaluates g at the panels of the ladder (lo, hi)
-    lists not kept in the same call, keeping their values: (the panel
-    sums, or None if that call raises, nodes g saw)."""
-    keys = list(zip(lo.tolist(), hi.tolist()))
-    got = [kept.pop(key, None) for key in keys]
-    todo = [j for j, v in enumerate(got) if v is None]
-    ahead = [key for key in zip(*ladder) if key not in kept]
-    seen = 0
-    if todo or ahead:
-        ends = np.array([keys[j] for j in todo] + ahead)
-        x = _nodes(ends[:, 0], ends[:, 1])[0]
-        seen = x.size
-        try:
-            rows = zip(*_g_values(g, x))
-        except Exception:
-            # whatever g raises is for the call on the round's panels
-            # alone to raise, or not
-            return None, seen
-        for j, v in zip(todo, rows):
-            got[j] = v
-        kept.update(zip(ahead, rows))
-    return _hankel_sums(q, lo, hi, *(np.stack(e) for e in zip(*got))), seen
+    return np.array(ends)

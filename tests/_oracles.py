@@ -188,9 +188,11 @@ def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
         splits += 1
 
 
-# hankel0's loop as it was before the panels at b = 0 were evaluated ahead
-# of their rounds: each round evaluates exactly the panels it makes. The
-# panels themselves go through the package's _hankel_panels.
+# hankel0's loop with plain bisections only: each round bisects every panel
+# it splits once, where hankel0 makes the halvings predicted at b = 0 in
+# one round, so the two partitions differ and their values agree within
+# the two error estimates. The panels themselves go through the package's
+# _hankel_panels.
 
 
 def hankel_rounds(g, qs, upper, settings):

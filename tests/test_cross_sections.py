@@ -176,6 +176,17 @@ class TestTotalOptical:
         with pytest.raises(DomainError):
             total_optical(Amplitude(theta=0.1, q=0.2, value=1j), 1.0)
 
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.inf, math.nan])
+    def test_k_must_be_positive_and_finite(self, k):
+        # k = 0 divided by zero; the table raises before it assembles
+        f0 = Amplitude(theta=np.array([0.0, 0.1]), q=np.array([0.0, 0.2]),
+                       value=np.array([1j, 0.5j]))
+        for call in (lambda: total_optical(f0, k),
+                     lambda: table_from_amplitudes("eikonal", f0, k)):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert exc.value.key == "k"
+
 
 class TestPaperTotals:
     def test_yukawa_substitution(self):

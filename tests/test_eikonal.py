@@ -60,6 +60,16 @@ class TestMomentumTransfer:
             with pytest.raises(DomainError):
                 momentum_transfer(k, theta)
 
+    def test_small_angle_takes_a_list_and_refuses_a_bad_k(self):
+        # the flag multiplied the list given, not the checked array
+        assert momentum_transfer(2.0, [0.1, 0.3], small_angle=True).tolist() \
+            == [0.2, 0.6]
+        for k in (0.0, -1.0, math.inf, math.nan):
+            for small_angle in (False, True):
+                with pytest.raises(DomainError) as exc:
+                    momentum_transfer(k, [0.1], small_angle=small_angle)
+                assert exc.value.key == "k"
+
     def test_array(self):
         th = np.array([0.0, 0.1, np.pi])
         q = momentum_transfer(2.0, th)
@@ -96,6 +106,17 @@ class TestChi:
     def test_negative_b_rejected(self):
         with pytest.raises(DomainError):
             chi(Gauss(1.0, 1.0), KIN1, -0.5)
+
+    @pytest.mark.parametrize("b", [-0.5, math.nan, math.inf,
+                                   [1.0, math.nan]])
+    def test_both_routes_refuse_a_b_not_finite_and_non_negative(self, b):
+        # the closed Gauss phase returned nan at b = nan, and the
+        # quadrature Yukawa phase raised a raw ValueError
+        for p in (Yukawa(1.0, 1.0), Gauss(1.0, 1.0)):
+            for route in (chi, chi_closed):
+                with pytest.raises(DomainError) as exc:
+                    route(p, KIN1, b)
+                assert exc.value.key == "b"
 
     def test_array_matches_scalars(self):
         p = Gauss(1.0, 1.0)

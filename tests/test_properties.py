@@ -9,10 +9,15 @@ fraction of the weight within the potential's reach; a table's Fourier
 transform, on its fixed rule, reports an error that covers scipy's quad
 and has the bits of a call at each q alone; the reference closed forms and
 their checks, from 1e-300 to 1e300 in every parameter, return or raise a
-ScatterError."""
+ScatterError; and only a ScatterError escapes the public amplitude and
+cross-section functions and run_scan, whatever the model, coupling,
+range, k (0, inf and nan included where it is a float argument) and
+theta (a list or an array)."""
 
 import dataclasses
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -22,16 +27,20 @@ from scipy.integrate import IntegrationWarning, quad
 
 import _oracles
 from scatterlab import paper_forms
-from scatterlab.born import born_resummed_amplitude
+from scatterlab.born import born1_amplitude, born_resummed_amplitude
+from scatterlab.config import parse_config
 from scatterlab.cross_sections import (paper_formula_checks,
-                                       table_from_amplitudes)
-from scatterlab.eikonal import Kinematics, amplitude_eikonal, momentum_transfer
+                                       table_from_amplitudes, total_optical)
+from scatterlab.eikonal import (Kinematics, amplitude_eikonal,
+                                amplitude_paper_closed, chi, chi_closed,
+                                momentum_transfer)
 from scatterlab.errors import ScatterError
 from scatterlab.partial_wave import amplitude_partial_wave, phase_shifts
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa,
                                    effective_radius, evaluate, fourier3d,
                                    reach)
 from scatterlab.quadrature import DEFAULT_SETTINGS
+from scatterlab.runner import run_scan
 
 THETA = np.array([0.0, 0.03, 0.1, 0.25])
 THETA_ALL = np.linspace(0.0, np.pi, 181)
@@ -164,3 +173,112 @@ def test_paper_forms_and_checks_return_or_raise_a_scatter_error(case):
             form()
         except ScatterError:
             pass
+
+
+@st.composite
+def models(draw):
+    """(model, g, size): a Yukawa, a Gauss or a table of the Yukawa's
+    shape, g of either sign from 1e-3 to 3, the range from 0.3 to 3."""
+    g = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0,
+                                                                     0.5))
+    size = 10.0 ** draw(st.floats(-0.5, 0.5))
+    return draw(st.sampled_from(["yukawa", "gauss", "tabulated"])), g, size
+
+
+def _table_samples(g, size):
+    r = np.linspace(0.0, 8.0 * size, 40)
+    v = g * np.exp(-r / size) / np.sqrt(r * r + 0.25 * size * size)
+    v[-1] = 0.0
+    return r, v
+
+
+def _potential(model, g, size):
+    if model == "yukawa":
+        return Yukawa(g, 1.0 / size)
+    if model == "gauss":
+        return Gauss(g, 1.0 / (size * size))
+    return TabulatedRadial(*_table_samples(g, size))
+
+
+# a float argument: the values to refuse, or one in range
+def _floats(lo, hi):
+    return st.one_of(st.sampled_from([0.0, -1.0, math.inf, math.nan]),
+                     st.floats(lo, hi))
+
+
+@st.composite
+def thetas(draw):
+    """1-5 increasing angles in [0, 3], at times from 0 and at times with
+    one out of the domain appended, as a list or an array."""
+    th = sorted(set(draw(st.lists(st.floats(0.0, 3.0), min_size=1,
+                                  max_size=5))))
+    if draw(st.booleans()):
+        th = [0.0] + [x for x in th if x > 0.0]
+    if draw(st.integers(0, 4)) == 0:
+        th.append(draw(st.sampled_from([math.nan, -0.1, math.pi, 4.0])))
+    return th if draw(st.booleans()) else np.array(th)
+
+
+def _value_or_scatter_error(call):
+    """call()'s value, or None where it raises a ScatterError; any other
+    exception, a numpy warning included, fails the test."""
+    try:
+        return call()
+    except ScatterError:
+        return None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=models(), k=st.floats(0.5, 3.0), k_arg=_floats(0.5, 3.0),
+       b=_floats(0.01, 20.0), theta=thetas(), small=st.booleans())
+def test_only_scatter_errors_escape_the_amplitude_and_cross_section_api(
+        model, k, k_arg, b, theta, small):
+    # a returned q or phase is finite: an inf k or a nan b is refused
+    p, kin = _potential(*model), Kinematics(mass=1.0, k=k)
+    q = _value_or_scatter_error(
+        lambda: momentum_transfer(k_arg, theta, small_angle=small))
+    assert q is None or np.all(np.isfinite(q))
+    for route in (chi, chi_closed):
+        x = _value_or_scatter_error(lambda: route(p, kin, b))
+        assert x is None or np.all(np.isfinite(x))
+    _value_or_scatter_error(lambda: Kinematics(mass=1.0, k=k_arg))
+    routes = {
+        "eikonal": lambda: amplitude_eikonal(p, kin, theta),
+        "born1": lambda: born1_amplitude(p, kin, theta),
+        "born_resummed": lambda: born_resummed_amplitude(p, kin, theta),
+        "paper_closed": lambda: amplitude_paper_closed(p, kin, theta),
+        "partial_wave": lambda: amplitude_partial_wave(phase_shifts(p, kin),
+                                                       theta),
+    }
+    for source, route in routes.items():
+        amp = _value_or_scatter_error(route)
+        if amp is not None:
+            _value_or_scatter_error(lambda: total_optical(amp, k_arg))
+            _value_or_scatter_error(
+                lambda: table_from_amplitudes(source, amp, k_arg))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(model=models(), k=_floats(0.5, 3.0), theta_max=st.floats(0.1, 3.0),
+       count=st.integers(2, 9))
+def test_only_scatter_errors_escape_run_scan(model, k, theta_max, count):
+    name, g, size = model
+    with tempfile.TemporaryDirectory() as tmp:
+        if name == "tabulated":
+            r, v = _table_samples(g, size)
+            np.savetxt(os.path.join(tmp, "table.csv"), np.column_stack(
+                [r, v]), delimiter=",")
+            potential = "file = table.csv"
+        else:
+            key, value = ("mu", 1.0 / size) if name == "yukawa" else (
+                "alpha", 1.0 / (size * size))
+            potential = f"g = {g!r}\n{key} = {value!r}"
+        text = (f"[potential]\nmodel = {name}\n{potential}\n"
+                f"[kinematics]\nmass = 1.0\nk = {k!r}\n"
+                f"[theta_grid]\nmin = 0.0\nmax = {theta_max!r}\n"
+                f"count = {count}\n[run]\nsources = eikonal, born1, "
+                f"born_resummed, partial_wave, paper_closed\n")
+        cfg = _value_or_scatter_error(lambda: parse_config(text, tmp))
+        if cfg is not None:
+            _value_or_scatter_error(
+                lambda: run_scan(cfg, os.path.join(tmp, "out")))

@@ -470,11 +470,11 @@ def test_hankel_array_q_validation():
     assert res.evaluations == 0
 
 
-# hankel0 against its round-by-round loop (_oracles.hankel_rounds), which
-# evaluates each round's panels when the round makes them: evaluating the
-# panels at b = 0 ahead of their rounds moves no bit of the values, the
-# errors or the final partition. FLAGSHIP_Q is the flagship workload's
-# grid, 49 angles on [0, 0.6] at k = 10.
+# hankel0 against its round-by-round loop (_oracles.hankel_rounds). The
+# loop bisects the panel at b = 0 once a round; hankel0 makes the halvings
+# predicted there in one round. The partitions differ, and the values
+# agree within the two error estimates. FLAGSHIP_Q is the flagship
+# workload's grid, 49 angles on [0, 0.6] at k = 10.
 FLAGSHIP_Q = 20.0 * np.sin(0.5 * np.linspace(0.0, 0.6, 49))
 YUKAWA_PHASE = _phase_integrand(Yukawa(0.5, 1.0), Kinematics(1.0, 10.0),
                                 "closed", DEFAULT_SETTINGS)
@@ -490,34 +490,92 @@ def _counted(g):
     return f
 
 
-def _round_by_round(g, q, upper, settings=DEFAULT_SETTINGS):
-    """hankel0's value, error_estimate and final partition next to the
-    round-by-round loop's, as bytes, and the calls g took in each."""
-    old, new = _counted(g), _counted(g)
-    value, error, (lo, hi), _ = _oracles.hankel_rounds(old, q, upper,
-                                                       settings)
-    res = hankel0(new, q, upper, settings)
-    nodes = sum(b.size for b in new.seen)
-    assert res.evaluations == nodes
-    partition = quadrature._hankel_loop(g, q, upper, settings)[2]
-    want = [x.tobytes() for x in (value, error, lo, hi)]
-    got = [x.tobytes() for x in (res.value, res.error_estimate, *partition)]
-    return want, got, len(old.seen), new
-
-
 @pytest.mark.parametrize("p, k, phase, q", [
     (Yukawa(0.5, 1.0), 10.0, "closed", HANKEL_Q),
     (Yukawa(0.5, 1.0), 10.0, "closed", FLAGSHIP_Q),
     (Gauss(0.5, 0.7), 4.0, "closed", HANKEL_Q),
     (_table(), 3.0, "quadrature", HANKEL_Q[[0, 2, 4, 5]]),
 ], ids=["yukawa", "yukawa-flagship", "gauss", "table"])
-def test_hankel_keeps_the_bits_of_the_round_by_round_loop(p, k, phase, q):
+def test_hankel_agrees_with_the_round_by_round_loop(monkeypatch, p, k, phase,
+                                                    q):
     g = _phase_integrand(p, Kinematics(1.0, k), phase, DEFAULT_SETTINGS)
-    want, got, calls, new = _round_by_round(g, q, reach(p)[0])
-    assert got == want
+    upper = reach(p)[0]
+    value, error, _, _ = _oracles.hankel_rounds(g, q, upper,
+                                                DEFAULT_SETTINGS)
+    rounds = []
+    panels = quadrature._hankel_panels
+    monkeypatch.setattr(quadrature, "_hankel_panels",
+                        lambda *a: rounds.append(1) or panels(*a))
+    counted = _counted(g)
+    res = hankel0(counted, q, upper)
+    assert np.all(np.abs(res.value - value) <= res.error_estimate + error)
+    nodes = np.concatenate([b.ravel() for b in counted.seen])
+    assert res.evaluations == nodes.size
+    assert np.unique(nodes).size == nodes.size
     if q is FLAGSHIP_Q:
-        # one call a round; 13 of the 15 bisect the panel at b = 0 alone
-        assert calls == 15 and len(new.seen) <= 10
+        # the round-by-round loop takes 15 rounds, 13 of them bisecting
+        # the panel at b = 0 alone
+        assert len(rounds) <= 3
+
+
+def test_hankel_makes_the_predicted_halvings_at_a_tight_tolerance():
+    # a strong Yukawa's phase at k = 1 goes as log b at b = 0; at rel_tol
+    # 1e-13 the round-by-round loop bisects the panel there thousands of
+    # times (7,035 final panels), over a budget of 1000, while the
+    # predicted halvings converge well inside it
+    g = _phase_integrand(Yukawa(-2.0, 0.5), Kinematics(1.0, 1.0), "closed",
+                         DEFAULT_SETTINGS)
+    upper = reach(Yukawa(-2.0, 0.5))[0]
+    tight = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16,
+                               max_subdivisions=1000)
+    res = hankel0(g, FLAGSHIP_Q, upper, tight)
+    value, _, _, _ = _oracles.hankel_rounds(
+        g, FLAGSHIP_Q, upper, dataclasses.replace(tight,
+                                                  max_subdivisions=100000))
+    assert np.all(np.abs(res.value - value) <= res.error_estimate)
+
+
+def test_hankel_measures_the_ratio_afresh_after_predicted_halvings(
+        monkeypatch):
+    # predictions cut to two halvings: after a round that makes predicted
+    # halvings, the panel at b = 0 is bisected plainly before the next
+    # prediction, and the value still agrees with the round-by-round loop
+    upper = reach(Yukawa(0.5, 1.0))[0]
+    value, error, _, _ = _oracles.hankel_rounds(YUKAWA_PHASE, FLAGSHIP_Q,
+                                                upper, DEFAULT_SETTINGS)
+    rounds, made = [], []
+    panels, halvings = quadrature._hankel_panels, quadrature._halvings
+
+    def two(*args):
+        made.append((len(rounds), min(halvings(*args), 2)))
+        return made[-1][1]
+    monkeypatch.setattr(quadrature, "_hankel_panels",
+                        lambda *a: rounds.append(1) or panels(*a))
+    monkeypatch.setattr(quadrature, "_halvings", two)
+    res = hankel0(YUKAWA_PHASE, FLAGSHIP_Q, upper)
+    assert sum(m > 0 for _, m in made) >= 2
+    assert all(b - a >= 2 for (a, m), (b, _) in zip(made, made[1:]) if m)
+    assert np.all(np.abs(res.value - value) <= res.error_estimate + error)
+
+
+def test_hankel_halvings_take_libm_logs_and_stop_at_the_least_normal():
+    # the count of halvings is the ceil of a ratio of libm logs, less
+    # one, the most over the q; a q whose error does not fall, or is met
+    # already, predicts none
+    err = np.array([0.5, 2.0, 1e-3, 0.3])
+    err0 = np.array([1.0, 1.0, 1.0, 0.3])
+    share = np.full(4, 1e-3)
+    assert quadrature._halvings(err, err0, share) == math.ceil(
+        math.log(1e-3 / 0.5) / math.log(0.5)) - 1 == 8
+    assert quadrature._halvings(err[1:], err0[1:], share[1:]) == 0
+    # a share that underflows against the error predicts none either
+    assert quadrature._halvings(err[:1], err0[:1], np.array([5e-324])) > 0
+    assert quadrature._halvings(np.array([1e300]), np.array([2e300]),
+                                np.array([5e-324])) == 0
+    # halvings stop where a panel would be narrower than the least normal
+    ends = quadrature._ladder(1.0, 5000)
+    assert ends.size == 1023 and ends[-1] == np.finfo(float).tiny
+    assert list(quadrature._ladder(0.75, 2)) == [0.75, 0.375, 0.1875]
 
 
 @pytest.mark.parametrize("p, k, phase, q", [
@@ -550,48 +608,29 @@ def test_hankel_panel_sums_are_the_panel_s_own(monkeypatch, p, k, phase, q):
     assert len(got) == 1
 
 
-def test_hankel_never_reads_values_ahead_of_the_partition():
-    # the panels evaluated ahead at b = 0 reach below b = 1e-8, the final
-    # partition's least node is 2.8e-7: g that is NaN, or raises, below
-    # 1e-7 has no effect but on the count of calls
-    def nan_below(b):
-        return np.where(b < 1e-7, np.nan, YUKAWA_PHASE(b))
-
-    def raise_below(b):
-        if np.any(b < 1e-7):
-            raise ValueError("b below 1e-7")
-        return YUKAWA_PHASE(b)
-
-    for g in (nan_below, raise_below):
-        want, got, _, new = _round_by_round(g, FLAGSHIP_Q, reach(
-            Yukawa(0.5, 1.0))[0])
-        assert got == want
-        assert min(b.min() for b in new.seen) < 1e-7
-
-
 def test_hankel_raises_the_round_by_round_loop_s_errors():
-    # a g that raises below 1e-5, where the final partition reaches, and
     # a budget the partition exhausts: the same type, message and
-    # estimates as the loop that evaluates no panel ahead
+    # estimates as the loop that bisects one round at a time; and an
+    # error g raises reaches the caller as it was raised
+    upper = reach(Yukawa(0.5, 1.0))[0]
+    raised = []
+    for run in (_oracles.hankel_rounds, hankel0):
+        with pytest.raises(ConvergenceError) as exc:
+            run(YUKAWA_PHASE, FLAGSHIP_Q, upper,
+                QuadratureSettings(max_subdivisions=12))
+        raised.append((type(exc.value), str(exc.value), exc.value.estimate,
+                       exc.value.error_estimate))
+    assert raised[0] == raised[1]
+    assert "12 subdivisions exhausted" in raised[0][1]
+
     def fails_below(b):
         if np.any(b < 1e-5):
-            raise DomainError(f"b = {float(b.min())!r} below 1e-5 in a "
-                              f"call of {b.size} nodes")
+            raise DomainError("b below 1e-5", key="b")
         return YUKAWA_PHASE(b)
 
-    upper = reach(Yukawa(0.5, 1.0))[0]
-    for g, settings in ((fails_below, DEFAULT_SETTINGS),
-                        (YUKAWA_PHASE, QuadratureSettings(
-                            max_subdivisions=12))):
-        raised = []
-        for run in (_oracles.hankel_rounds, hankel0):
-            with pytest.raises(ScatterError) as exc:
-                run(g, FLAGSHIP_Q, upper, settings)
-            raised.append((type(exc.value), str(exc.value),
-                           getattr(exc.value, "estimate", None),
-                           getattr(exc.value, "error_estimate", None)))
-        assert raised[0] == raised[1]
-    assert "12 subdivisions exhausted" in raised[0][1]
+    with pytest.raises(DomainError, match="b below 1e-5") as exc:
+        hankel0(fails_below, FLAGSHIP_Q, upper)
+    assert exc.value.key == "b"
 
 
 # The (row, slot) array kernel against the list-based bisection it
