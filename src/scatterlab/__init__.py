@@ -12,9 +12,9 @@ from .cross_sections import (SOURCES, CrossSectionTable, PaperComparison,
 from .eikonal import (Amplitude, Kinematics, amplitude_eikonal,
                       amplitude_paper_closed, chi, chi_closed,
                       momentum_transfer)
-from .errors import (ConfigError, ConvergenceError, DivergenceError,
-                     DomainError, PoleError, RangeError, ScatterError,
-                     SingularityError, UnsupportedModelError)
+from .errors import (ConfigError, ConvergenceError, DomainError,
+                     PoleError, RangeError, ScatterError, SingularityError,
+                     UnsupportedModelError)
 from .partial_wave import (PhaseShiftSet, amplitude_partial_wave,
                            phase_shifts)
 from .potentials import Gauss, TabulatedRadial, Yukawa, effective_radius
@@ -38,5 +38,5 @@ __all__ = [
     "RunManifest", "SourceOutcome", "run_scan",
     "ScatterError", "DomainError", "SingularityError", "PoleError",
     "RangeError", "UnsupportedModelError", "ConfigError",
-    "ConvergenceError", "DivergenceError",
+    "ConvergenceError",
 ]

@@ -14,10 +14,12 @@ born_resummed_amplitude evaluates the resummed series
 which for a radial potential collapses to a Hankel integral over the
 impact parameter of w(b) * Lambda(chi(b)), where w(b) = int_-inf^inf V dz,
 chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
-of the lambda integral. w(b) is read from eikonal._z_profile, the one
-profile per potential and setting that the eikonal route's quadrature
-phase reads too: per-b integrals with the bits of integrating at that b
-alone, each w with a bound on its error (see eikonal). So the documented
+of the lambda integral. Its e^{ix} - 1 is special_functions.expm1i, the
+one cancellation-free form that the eikonal and partial-wave amplitudes
+use too. w(b) is read from eikonal._z_profile, the one profile per
+potential and setting that the eikonal route's quadrature phase reads
+too: per-b integrals with the bits of integrating at that b alone, each w
+with a bound on its error (see eikonal). So the documented
 equality of the two amplitudes at small angle checks the Lambda algebra
 and the two Hankel integrands against each other. On a table
 born1_amplitude reports the a-priori error bound of fourier3d's fixed
@@ -35,6 +37,7 @@ from .potentials import reach
 from .potentials import evaluate, fourier3d  # noqa: F401
 from .quadrature import (DEFAULT_SETTINGS, hankel0,  # noqa: F401
                          integrate_adaptive, integrate_semi_infinite)
+from .special_functions import expm1i
 
 __all__ = [
     "born1_amplitude",
@@ -58,18 +61,11 @@ def born1_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
 
 
 def _lambda_factor(x):
-    """Lambda(x) = (e^{ix} - 1)/(ix), the closed-form lambda integral.
-
-    e^{ix} - 1 is written as -2 sin^2(x/2) + i sin(x) so the real part
-    does not cancel; below |x| = 1e-4 the Taylor series takes over.
-    """
+    """Lambda(x) = (e^{ix} - 1)/(ix), the closed-form lambda integral, with
+    its limit 1 at x = 0."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)  # dummy where the series is used
-    num = -2.0 * np.sin(xs / 2.0) ** 2 + 1j * np.sin(xs)
-    direct = num / (1j * xs)
-    series = 1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x**3 / 24.0
-    return np.where(small, series, direct)
+    xs = np.where(x == 0.0, 1.0, x)  # dummy where the limit is used
+    return np.where(x == 0.0, 1.0, expm1i(xs) / (1j * xs))
 
 
 def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):

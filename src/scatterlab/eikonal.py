@@ -5,10 +5,12 @@ The amplitude engine implements
     f(theta) = -i k int_0^inf J0(q b) (e^{i chi(b)} - 1) b db,
     chi(b)   = -(1/(hbar v)) int_{-inf}^{inf} V(sqrt(b^2 + z^2)) dz,
 
-with q = 2 k sin(theta/2). The sign convention is the minus in chi,
-uniformly; reference closed forms that differ are evaluated verbatim (by
-paper_forms, through amplitude_paper_closed) and compared in reports,
-never silently corrected.
+with q = 2 k sin(theta/2). Both phase routes form e^{i chi} - 1 as
+-2 sin^2(chi/2) + i sin chi (special_functions.expm1i), so Im f, of order
+chi^2 in a weak field, keeps its digits. The sign convention is the minus
+in chi, uniformly; reference closed forms that differ are evaluated
+verbatim (by paper_forms, through amplitude_paper_closed) and compared in
+reports, never silently corrected.
 The small-angle substitute q = k theta sits behind a flag so its effect can
 be isolated.
 
@@ -50,7 +52,7 @@ from .quadrature import (_KERNEL_BLOCK, DEFAULT_SETTINGS, hankel0,
 # integrate_semi_infinite is bound here only because perfbench/tracer.py
 # rebinds it in eikonal's namespace.
 from .quadrature import integrate_semi_infinite  # noqa: F401
-from .special_functions import bessel_k0
+from .special_functions import bessel_k0, expm1i
 
 __all__ = [
     "Kinematics",
@@ -365,14 +367,14 @@ def _phase_integrand(p, kin, phase, settings):
     if phase == "auto":
         phase = "quadrature" if isinstance(p, TabulatedRadial) else "closed"
     if phase == "closed":
-        return lambda b: np.exp(1j * chi_closed(p, kin, b)) - 1.0
+        return lambda b: expm1i(chi_closed(p, kin, b))
     if phase == "quadrature":
         profile = _z_profile(p, settings)
         hv = kin.hbar * kin.v
 
         def g(b):
             w, err = profile(b)
-            return np.exp(1j * (-w / hv)) - 1.0, err / hv
+            return expm1i(-w / hv), err / hv
         return g
     raise DomainError("phase must be 'auto', 'closed', or 'quadrature'")
 

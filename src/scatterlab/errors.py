@@ -47,7 +47,3 @@ class ConvergenceError(ScatterError, RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_estimate = error_estimate
-
-
-class DivergenceError(ConvergenceError):
-    """The integrand shows no decay; the improper integral looks divergent."""

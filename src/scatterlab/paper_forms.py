@@ -21,10 +21,7 @@ import numpy as np
 
 from .errors import PoleError, RangeError, UnsupportedModelError
 from .potentials import Gauss, Yukawa
-
-# libm's exp per element: np.exp moves a few percent of the amplitudes by
-# one ulp against the math.exp the paper_closed column was written with
-_libm_exp = np.vectorize(math.exp, otypes=[float])
+from .special_functions import libm_exp
 
 
 def _check(p):
@@ -86,7 +83,7 @@ def amplitude(p, kin, theta):
                      "(1/(2 alpha)) sqrt(pi/alpha)")
         scale = _fit(width * _coupling(p, kin), "g",
                      "the Gauss amplitude at theta = 0", p.g == 0.0)
-        return (scale * _libm_exp(-kt2 / (8.0 * a))).astype(complex)
+        return (scale * libm_exp(-kt2 / (8.0 * a))).astype(complex)
 
 
 def _yukawa_dsigma(p, kin, denom):

@@ -46,7 +46,8 @@ from .potentials import (effective_radius, evaluate, origin_expansion,
 # them in partial_wave's namespace.
 from .quadrature import (integrate_adaptive,  # noqa: F401
                          integrate_semi_infinite)
-from .special_functions import legendre_p_row, spherical_bessel_row
+from .special_functions import (expm1i, legendre_p_row,
+                                spherical_bessel_row)
 from .special_functions import spherical_bessel  # noqa: F401
 
 __all__ = [
@@ -461,27 +462,28 @@ def amplitude_partial_wave(ps, theta):
     """f(theta) = (1/2ik) sum (2l+1)(e^{2 i delta_l} - 1) P_l(cos theta).
 
     theta may be a scalar or a 1-d array in [0, pi]; array input yields an
-    Amplitude whose fields are arrays over the same grid. The error
-    estimate at each angle is sum (2l+1) (|e^{2i delta_l} - e^{2i
-    delta_coarse_l}| + 2 rho) |P_l| / 2k plus the truncation bound
-    (2 l_max + 1) |delta_l_max| / k. The first term bounds |f(delta) -
-    f(delta_coarse)|, the step error the extrapolation leaves, wave by wave,
-    so it does not vanish where the waves' gaps cancel. rho = eps r_max/dr,
-    one rounding per radial step, covers each delta's rounding (under
-    0.1 rho against long-double sweeps of seven cases), which sets the
-    error once the step error falls below it.
+    Amplitude whose fields are arrays over the same grid. S_l - 1 is
+    special_functions.expm1i(2 delta_l). The error estimate at each angle
+    is sum (2l+1) (2 |sin(delta_l - delta_coarse_l)| + 2 rho) |P_l| / 2k
+    plus the truncation bound (2 l_max + 1) |delta_l_max| / k. The first
+    term, |e^{2i delta_l} - e^{2i delta_coarse_l}| without cancellation,
+    bounds |f(delta) - f(delta_coarse)|, the step error the extrapolation
+    leaves, wave by wave, so it does not vanish where the waves' gaps
+    cancel. rho = eps r_max/dr, one rounding per radial step, covers each
+    delta's rounding (under 0.1 rho against long-double sweeps of seven
+    cases), which sets the error once the step error falls below it.
     """
     th = np.asarray(theta, dtype=float)
     if th.ndim > 1:
         raise DomainError("theta must be a scalar or a 1-d array")
     q = momentum_transfer(ps.k, th)  # checks that theta lies in [0, pi]
     weight = 2.0 * np.arange(ps.l_max + 1) + 1.0
-    s_mat = weight * (np.exp(2j * ps.delta) - 1.0)
+    s_mat = weight * expm1i(2.0 * ps.delta)
     p_rows = legendre_p_row(ps.l_max, np.cos(th))
     f = np.sum(s_mat[:, None] * p_rows, axis=0) / (2j * ps.k)
     rho = _EPS * ps.r_max / ps.dr
-    gap = weight * (np.abs(np.exp(2j * ps.delta)
-                           - np.exp(2j * ps.delta_coarse)) + 2.0 * rho)
+    gap = weight * (2.0 * np.abs(np.sin(ps.delta - ps.delta_coarse))
+                    + 2.0 * rho)
     step = np.sum(gap[:, None] * np.abs(p_rows), axis=0) / (2.0 * ps.k)
     # truncation bound from the last retained partial wave
     tail = (2.0 * ps.l_max + 1.0) * abs(ps.delta[-1]) / ps.k

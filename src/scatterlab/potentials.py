@@ -26,6 +26,7 @@ from ._spline import natural_cubic, split_at_roots
 from .errors import (ConfigError, DomainError, RangeError,
                      SingularityError, UnsupportedModelError)
 from .quadrature import _G7_NODES, _WG, DEFAULT_SETTINGS, integrate_cubic
+from .special_functions import libm_exp
 # bound here only because perfbench/tracer.py rebinds it in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
 
@@ -200,7 +201,8 @@ def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
     elif isinstance(potential, Gauss):
         a = potential.alpha
         with np.errstate(over="ignore"):
-            out = potential.g * _scale(potential) * np.exp(-q * q / (4.0 * a))
+            out = potential.g * _scale(potential) * libm_exp(
+                -q * q / (4.0 * a))
     elif isinstance(potential, TabulatedRadial):
         edges, coef = potential._pieces
         res = integrate_cubic(_radial_kernel, _radial_kernel_bound, q,

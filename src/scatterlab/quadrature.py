@@ -5,12 +5,12 @@ Four entry points:
     integrate_adaptive       finite interval, worst-interval bisection; its
                              two library callers are a table's z-profile
                              and cross_sections._total_direct
-    integrate_semi_infinite  [0, inf) via the rational map x = t/(1-t); no
-                             library route calls it (the analytic
-                             z-profiles take eikonal's trapezoid rule), it
-                             stays public, and eikonal, born and
-                             partial_wave bind it only for
-                             perfbench/tracer.py
+    integrate_semi_infinite  [0, inf) as integrate_adaptive of the rational
+                             map x = t/(1-t) onto [0, 1]; no library route
+                             calls it (the analytic z-profiles take
+                             eikonal's trapezoid rule), it stays public,
+                             and eikonal, born and partial_wave bind it
+                             only for perfbench/tracer.py
     integrate_cubic          piecewise cubic times a smooth kernel, for many
                              q, on a fixed rule with an a-priori bound
     hankel0                  int_0^upper g(b) J0(q b) b db for many q on
@@ -29,19 +29,18 @@ the power, which is libm pow on Python floats: numpy's vectorised power
 differs from it in the last bit for some arguments on AVX-512 hosts, and
 so would the bisection that follows.
 
-integrate_adaptive and integrate_semi_infinite also take rows=m: the call
-then computes m independent integrals of a row-batched integrand
-f(i, x) -> y, where i is an int array of row indices of shape (P,) and x,
-y have shape (P, n); row i of y is the integrand of integral i at the
-points in row i of x. The intervals of all rows are held in (row, slot)
-arrays (see _adaptive_rows), and each row is bisected exactly as a call
-for that row alone would bisect it (same worst-interval choice, error
-rule, stopping test, subdivision budget and tail-decay check) and returns
-the same bits, but the new panels of one bisection round, across all
-rows, go to f in one call. The result carries per-row value and
-error_estimate arrays and the summed evaluation count; the first failing
-row raises the error of a call for that row alone. A scalar call is the
-one-row case of the same loop.
+integrate_adaptive also takes rows=m: the call then computes m
+independent integrals of a row-batched integrand f(i, x) -> y, where i is
+an int array of row indices of shape (P,) and x, y have shape (P, n); row
+i of y is the integrand of integral i at the points in row i of x. The
+intervals of all rows are held in (row, slot) arrays (see _adaptive_rows),
+and each row is bisected exactly as a call for that row alone would
+bisect it (same worst-interval choice, error rule, stopping test and
+subdivision budget) and returns the same bits, but the new panels of one
+bisection round, across all rows, go to f in one call. The result
+carries per-row value and error_estimate arrays and the summed evaluation
+count; the first failing row raises the error of a call for that row
+alone. A scalar call is the one-row case of the same loop.
 
 integrate_cubic takes an integrand that is a known cubic between given
 breakpoints times a kernel of frequency q, such as a table's spline times
@@ -88,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .special_functions import bessel_j0
 # j0_zeros is bound here only because perfbench/tracer.py rebinds it in
 # quadrature's namespace.
@@ -372,49 +371,19 @@ def integrate_adaptive(f, a, b, settings=DEFAULT_SETTINGS, *, rows=None,
     return QuadratureResult(value, error, neval)
 
 
-# Where the semi-infinite integrand's decay is probed: fixed points, so an
-# integral does not depend on any other integral's range.
-_DECAY_PROBES = 60.0 * np.array([1.0, 2.0, 4.0])
-
-
-def _check_tail_decay(f, settings, rows, label):
-    # |x f(x)| must shrink along _DECAY_PROBES; anything flatter makes the
-    # improper integral look divergent (covers 1/x and slower decay).
-    pts = _DECAY_PROBES
-    y = np.asarray(f(np.arange(rows), np.tile(pts, (rows, 1))))
-    s = np.abs(y) * pts
-    flat = s[:, 2] > np.maximum(0.9 * s[:, 0], settings.abs_tol)
-    if flat.any():
-        j = np.argmax(flat)
-        raise DivergenceError(
-            f"integrand tail does not decay: |x f(x)| at x = "
-            f"({pts[0]:g}, {pts[1]:g}, {pts[2]:g}) is ({s[j, 0]:.3e}, "
-            f"{s[j, 1]:.3e}, {s[j, 2]:.3e}){label(j)}")
-    return 3 * len(s)
-
-
-def integrate_semi_infinite(f, settings=DEFAULT_SETTINGS, *, rows=None,
-                            label=_row_label):
-    """Integrate f over [0, inf) after mapping x = t/(1-t) onto [0, 1).
-
-    rows=m integrates the row-batched f(i, x) for each i < m; see the
-    module docstring. label(i) names row i in error messages.
-    """
-    if rows is None:
-        res = integrate_semi_infinite(_one_row(f), settings, rows=1,
-                                      label=_no_label)
-        return QuadratureResult(res.value[0], res.error_estimate[0],
-                                res.evaluations)
-    neval = _check_tail_decay(f, settings, rows, label)
-
-    def mapped(i, t):
+def integrate_semi_infinite(f, settings=DEFAULT_SETTINGS):
+    """Integrate f over [0, inf): integrate_adaptive of f(t/u)/u^2, u =
+    1 - t, over [0, 1]. A tail too slow to integrate, such as 1/x, keeps
+    bisecting the panel at t = 1 until a node rounds to 1, or the budget
+    runs out first; either raises ConvergenceError."""
+    def mapped(t):
+        if np.any(t >= 1.0):
+            raise ConvergenceError(
+                "integrand tail does not decay: the panel at x = inf has "
+                "shrunk to the float spacing below t = 1")
         u = 1.0 - t
-        return np.asarray(f(i, t / u)) / (u * u)
-
-    tols = (settings.abs_tol, settings.rel_tol, settings.max_subdivisions)
-    val, err, n = _adaptive_rows(mapped, np.arange(rows), np.zeros(rows),
-                                 np.ones(rows), *tols, label)
-    return QuadratureResult(val, err, neval + n)
+        return np.asarray(f(t / u)) / (u * u)
+    return integrate_adaptive(mapped, 0.0, 1.0, settings)
 
 
 # (q, node) pairs per block, in hankel0's panels and integrate_cubic's

@@ -11,6 +11,11 @@ references (which live in the tests only):
                      j_l past the upward range by one Miller pass per row
     j0_zeros         the first n zeros of J0 by bisection, for
                      perfbench/tracer.py only: no library route calls it
+    expm1i           e^{ix} - 1 for real x without cancellation: the phase
+                     factor of the eikonal, resummed-Born and partial-wave
+                     amplitudes, written here once
+    libm_exp         exp per element in libm, whose bits do not depend on
+                     the SIMD level numpy runs at
 
 Scalar in, scalar out; ndarray in, ndarray out. Nothing is cached.
 """
@@ -28,9 +33,29 @@ __all__ = [
     "spherical_bessel",
     "spherical_bessel_row",
     "j0_zeros",
+    "expm1i",
+    "libm_exp",
 ]
 
 EULER_GAMMA = 0.57721566490153286061
+
+
+# ---------------------------------------------------------------------------
+# Elementary functions whose bits hold on every host. numpy's sin keeps its
+# bits across SIMD levels; its exp does not, so libm's takes its place.
+# ---------------------------------------------------------------------------
+
+
+def expm1i(x):
+    """e^{ix} - 1 for real x, as -2 sin^2(x/2) + i sin x: the real part
+    1 - cos x ~ x^2/2 does not cancel where x is small."""
+    x = np.asarray(x, dtype=float)
+    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(x)
+
+
+# exp per element in libm, which np.exp differs from in the last bit for a
+# few percent of inputs
+libm_exp = np.vectorize(math.exp, otypes=[float])
 
 
 # ---------------------------------------------------------------------------

@@ -229,11 +229,11 @@ class TestLambdaFactor:
         assert complex(_lambda_factor(0.0)) == 1.0 + 0j
 
     def test_series_direct_seam(self):
-        # series takes over below |x| = 1e-4; check both branches against
-        # the cancellation-free form (cos x - 1 + i sin x)/(ix)
-        for x in (9.9e-5, 1.01e-4, -9.9e-5, -1.01e-4):
-            ref = (-2 * math.sin(x / 2) ** 2 + 1j * math.sin(x)) / (1j * x)
-            assert abs(complex(_lambda_factor(x)) - ref) < 1e-14
+        # near |x| = 1e-4 and far below it, where cos x - 1 would cancel,
+        # against the Taylor series 1 + ix/2 - x^2/6 - ix^3/24
+        for x in (9.9e-5, 1.01e-4, -9.9e-5, -1.01e-4, 3e-9, -1e-300):
+            ref = 1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x**3 / 24.0
+            assert abs(complex(_lambda_factor(x)) - ref) < 3e-16
 
     def test_moderate_argument(self):
         x = 2.3

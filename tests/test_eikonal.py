@@ -273,6 +273,23 @@ class TestAmplitudeEikonal:
         got = born_resummed_amplitude(p, kin, theta)
         assert abs(got.value - exact) <= got.error_estimate
 
+    @pytest.mark.parametrize("g", [1e-2, 1e-4, 1e-6])
+    def test_weak_gauss_forward_imaginary_part_keeps_its_digits(self, g):
+        # Im f(0) = k int (1 - cos chi) b db = (k/(2 alpha)) Cin(c), c =
+        # (g/hbar v) sqrt(pi/alpha), Cin(c) = sum_n (-1)^(n+1) c^(2n) /
+        # (2n (2n)!), is of order chi^2: cos chi - 1 cancels it away
+        # unless e^{i chi} - 1 is formed as -2 sin^2(chi/2) + i sin chi
+        import mpmath as mp
+        p, kin = Gauss(g, 1.0), Kinematics(mass=1.0, k=2.0)
+        with mp.workdps(30):
+            c = mp.mpf(g) / (kin.hbar * kin.v) * mp.sqrt(mp.pi / p.alpha)
+            cin = mp.nsum(lambda n: (-1) ** (n + 1) * c ** (2 * n)
+                          / (2 * n * mp.factorial(2 * n)), [1, mp.inf])
+            exact = float(kin.k / (2 * p.alpha) * cin)
+        for phase in ("closed", "quadrature"):
+            got = amplitude_eikonal(p, kin, 0.0, phase=phase)
+            assert abs(got.value.imag - exact) <= 1e-14 * exact
+
     def test_large_momentum_transfer_fits_the_default_budget(self):
         # q up to 41 winds J0 through some 250 periods on [0, R]: the
         # shared partition starts from panels one period wide, so the 200

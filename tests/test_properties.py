@@ -12,7 +12,8 @@ their checks, from 1e-300 to 1e300 in every parameter, return or raise a
 ScatterError; and only a ScatterError escapes the public amplitude and
 cross-section functions and run_scan, whatever the model, coupling,
 range, k (0, inf and nan included where it is a float argument) and
-theta (a list or an array)."""
+theta (a list or an array); and in a weak field the eikonal reduces to
+first Born, its Im f(0) to the closed form of order chi^2."""
 
 import dataclasses
 import math
@@ -21,7 +22,7 @@ import tempfile
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
@@ -80,6 +81,50 @@ def test_z_profile_routes_errors_cover_the_tight_closed_phase_eikonal(p, k):
     for got in (born_resummed_amplitude(p, kin, THETA),
                 amplitude_eikonal(p, kin, THETA, phase="quadrature")):
         assert np.all(np.abs(got.value - tight.value) <= got.error_estimate)
+
+
+@st.composite
+def weak_potentials(draw):
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    g = sign * 10.0 ** draw(st.floats(-8.0, -2.0))
+    size = 10.0 ** draw(st.floats(-0.5, 0.5))
+    return Yukawa(g, size) if draw(st.booleans()) else Gauss(g, size)
+
+
+THETA_WEAK = np.array([0.0, 0.03, 0.3, 1.0, 2.5])
+# the tight eikonal's Im f(0) stays within 1.3e-12 of the chi^2 form
+# beyond its chi^4 term; this bound leaves a hundredfold margin
+WEAK_ROUNDING = 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=weak_potentials(), k=st.sampled_from([0.5, 1.0, 2.0, 5.0]),
+       phase=st.sampled_from(["closed", "quadrature"]))
+@example(p=Gauss(1e-8, 1.0), k=2.0, phase="closed")
+def test_weak_eikonal_reduces_to_first_born(p, k, phase):
+    # chi = -(g/hbar v) sqrt(pi/alpha) e^{-alpha b^2} for Gauss and
+    # -(2g/hbar v) K0(mu b) for Yukawa, c the size of its prefactor.
+    # Re f - f_B = k int J0 (sin chi - chi) b db, which is c^2/18 of
+    # |f_B(0)| for Gauss and under c^2/10 for Yukawa; Im f(0) = k int
+    # (1 - cos chi) b db is k int chi^2/2 b db, k pi g^2/(8 alpha^2 hbar^2
+    # v^2) for Gauss and k g^2/(hbar^2 v^2 mu^2) for Yukawa, to a relative
+    # c^2/24 and 7 zeta(3) c^2/48. abs_tol is tiny so that the transform
+    # resolves Im f, of order c^2 |f|, and not only |f|.
+    kin = Kinematics(mass=1.0, k=k)
+    hv = kin.hbar * kin.v
+    if isinstance(p, Gauss):
+        c = abs(p.g) / hv * math.sqrt(math.pi / p.alpha)
+        im0 = k * math.pi * p.g**2 / (8.0 * p.alpha**2 * hv**2)
+    else:
+        c = 2.0 * abs(p.g) / hv
+        im0 = k * p.g**2 / (hv**2 * p.mu**2)
+    tight = dataclasses.replace(DEFAULT_SETTINGS, abs_tol=1e-300)
+    got = amplitude_eikonal(p, kin, THETA_WEAK, tight, phase=phase)
+    born = born1_amplitude(p, kin, THETA_WEAK)
+    scale = abs(born.value[0])
+    assert np.all(np.abs(got.value.real - born.value.real)
+                  <= c * c * scale + got.error_estimate + born.error_estimate)
+    assert abs(got.value[0].imag - im0) <= (c * c + WEAK_ROUNDING) * im0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

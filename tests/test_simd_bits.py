@@ -60,10 +60,7 @@ def _artifacts(config, out, extra_env=None):
 
 
 @pytest.mark.parametrize("name", [
-    "yukawa_flagship", "energy_scan", "tabulated",
-    pytest.param("gauss_weak", marks=pytest.mark.xfail(
-        strict=True, reason="numpy's exp kernels move the last bits of "
-        "born1_k2.csv")),
+    "yukawa_flagship", "energy_scan", "tabulated", "gauss_weak",
 ])
 def test_artifacts_keep_their_bytes_under_avx2_kernels(avx2_differs,
                                                        tmp_path, name):
