@@ -18,8 +18,7 @@ of the lambda integral. Its e^{ix} - 1 is special_functions.expm1i, the
 one cancellation-free form that the eikonal and partial-wave amplitudes
 use too. w(b) is read from eikonal._z_profile, the one profile per
 potential and setting that the eikonal route's quadrature phase reads
-too: per-b integrals with the bits of integrating at that b alone, each w
-with a bound on its error (see eikonal). So the documented
+too, each w with a bound on its error (see eikonal). So the documented
 equality of the two amplitudes at small angle checks the Lambda algebra
 and the two Hankel integrands against each other. On a table
 born1_amplitude reports the a-priori error bound of fourier3d's fixed

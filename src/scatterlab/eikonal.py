@@ -15,28 +15,26 @@ The small-angle substitute q = k theta sits behind a flag so its effect can
 be isolated.
 
 chi has two routes: chi_closed (K0 / Gaussian closed forms, analytic models
-only) and chi (direct quadrature of the z-integral, any model). They are
+only) and chi (the z-integral of _z_profile, any model). They are
 verified against each other; amplitude_eikonal picks the closed route when
 one exists unless told otherwise.
 
 The z-profile w(b) = int V dz of the quadrature route is the one that
 born.born_resummed_amplitude integrates too. _z_profile holds one
 _ZProfile, of the potential and setting last used, so the two routes share
-it across angles and k. It is a plain memo of (w, bound) per exact b, for b
-of any shape, so each value has the bits of integrating at that b alone and
-does not depend on which route or call asked for it first. A table's w is
-an adaptive quadrature over its finite z range with an absolute floor,
-bounded by its error estimate. Yukawa's and Gauss's w take a fixed
-trapezoid rule, Yukawa's in t = asinh(z/b), Gauss's in z, with a step and
-range set per b from a-priori bounds on the discretisation and truncation
-errors; those bounds and a rounding floor are w's bound. The store is safe
-to call from several threads: two callers may integrate the same b, to the
-same bits. Both amplitudes integrate over [0, R], R the potential's own
-range from potentials.reach, and add the bound on the tail beyond R and the
+it across angles and k: a plain memo of (w, bound) per exact b, each with
+the bits of a call for that b alone, whichever route or call asked first.
+A table's w is the exact Abel transform of its pieces
+(potentials.abel_profile). Yukawa's and Gauss's take a fixed trapezoid
+rule, Yukawa's in t = asinh(z/b), Gauss's in z, whose step and range per b
+hold a-priori bounds on the discretisation and truncation errors; those
+bounds and a rounding floor are w's bound. The store is safe to call from
+several threads: two callers may compute the same b, to the same bits.
+Both amplitudes integrate over [0, R], R the potential's own range from
+potentials.reach, and add the bound on the tail beyond R and the
 J0-weighted integral of w's bounds to their error_estimate.
 """
 
-import dataclasses
 import math
 import threading
 from dataclasses import dataclass
@@ -46,11 +44,12 @@ import numpy as np
 from . import paper_forms
 from .errors import (DomainError, PoleError, SingularityError,
                      UnsupportedModelError)
-from .potentials import Gauss, TabulatedRadial, Yukawa, evaluate, reach
-from .quadrature import (_KERNEL_BLOCK, DEFAULT_SETTINGS, hankel0,
-                         integrate_adaptive)
-# integrate_semi_infinite is bound here only because perfbench/tracer.py
-# rebinds it in eikonal's namespace.
+from .potentials import (Gauss, TabulatedRadial, Yukawa, abel_profile,
+                         evaluate, reach)
+from .quadrature import _KERNEL_BLOCK, DEFAULT_SETTINGS, hankel0
+# integrate_adaptive and integrate_semi_infinite are bound here only because
+# perfbench/tracer.py rebinds them in eikonal's namespace.
+from .quadrature import integrate_adaptive  # noqa: F401
 from .quadrature import integrate_semi_infinite  # noqa: F401
 from .special_functions import bessel_k0, expm1i
 
@@ -167,11 +166,8 @@ class _ZProfile:
     one setting; call it with an array b of any shape for (w, a bound on
     the error of each w), each of b's shape.
 
-    Every b is integrated at that b alone and stored by the exact float b
-    with the bound on its error, so each has the bits of integrating at
-    that b alone, whichever route or call asked first. The store reads
-    nothing of the model: the table's floor and each rule's bound belong
-    to _integrate_z_profile, the range to potentials.reach.
+    Every b is computed alone and stored by the exact float b with the
+    bound on its error; the store reads nothing of the model.
     """
 
     def __init__(self, p, settings):
@@ -180,8 +176,8 @@ class _ZProfile:
         self._store = {}
 
     def __call__(self, b):
-        """(w, error) at each b from the store, integrating the distinct
-        misses in one call; a miss's row is its index in b.ravel()."""
+        """(w, error) at each b from the store, computing the distinct misses
+        in one call; a miss's row is its index in b.ravel()."""
         flat = b.ravel()
         keys = flat.tolist()
         with _profile_lock:
@@ -205,30 +201,20 @@ class _ZProfile:
 
 def _integrate_z_profile(p, b, settings, label):
     """(w(b), a bound on its error) for each b of the 1-d array b, uncached;
-    label(j) names row j in error messages. A table's rows go to one
-    row-batched adaptive quadrature over [0, sqrt(r[-1]^2 - b^2)] whose
-    abs_tol is the floor eps max|v| r[-1], so that w stops at rounding
-    where it is small; Yukawa and Gauss take the fixed trapezoid rule of
-    _trapezoid_rows, which reads no setting."""
+    label(j) names row j in error messages. A table takes abel_profile,
+    Yukawa and Gauss the trapezoid rule; neither reads a setting."""
     if isinstance(p, TabulatedRadial):
-        scale = float(np.max(np.abs(p.v))) * p.r[-1]
-        settings = dataclasses.replace(
-            settings, abs_tol=max(_EPS * scale, np.finfo(float).tiny))
-        bb = b * b
-        r_hi = p.r[-1]
-        z_hi = np.sqrt(np.where(b < r_hi, r_hi * r_hi - bb, 0.0))
-        res = integrate_adaptive(
-            lambda i, z: evaluate(p, np.sqrt(bb[i, None] + z * z)), 0.0,
-            z_hi, settings, rows=b.size, label=label)
-        return 2.0 * res.value, 2.0 * res.error_estimate
-    rule = _yukawa_rule if isinstance(p, Yukawa) else _gauss_rule
-    step, nodes, bound, f = rule(p, b)
-    w, absint = _trapezoid_rows(f, step, nodes)
+        w, bound = abel_profile(p, b)
+    else:
+        rule = _yukawa_rule if isinstance(p, Yukawa) else _gauss_rule
+        step, nodes, bound, f = rule(p, b)
+        w, absint = _trapezoid_rows(f, step, nodes)
+        bound = bound + 50.0 * _EPS * absint
     if not np.all(np.isfinite(w)):
         j = int(np.argmin(np.isfinite(w)))
         raise DomainError(f"z-profile is not finite at b = {float(b[j])!r}"
                           f"{label(j)}")
-    return w, bound + 50.0 * _EPS * absint
+    return w, bound
 
 
 # Yukawa's and Gauss's z-profiles take the trapezoid rule h sum_n f(n h)
@@ -302,7 +288,7 @@ def _gauss_rule(p, b):
 def _trapezoid_rows(f, step, nodes):
     """h (f(0) + 2 sum_{n=1}^{N} f(n h)) and h (|f(0)| + 2 sum |f(n h)|),
     the trapezoid rule of an even f on the real line, for each row j with
-    h = step[j], N = nodes[j]; f(i, u) is row-batched as in quadrature.
+    h = step[j], N = nodes[j]; f(i, u) gives rows i of the integrand at u.
     Rows of one node count go to f together, in blocks of at most
     _KERNEL_BLOCK nodes, and each row sums its own nodes alone, so a row
     has the bits of a call for that row alone."""
@@ -321,17 +307,15 @@ def _trapezoid_rows(f, step, nodes):
 
 
 def chi(p, kin, b, settings=DEFAULT_SETTINGS):
-    """Eikonal phase -w(b)/(hbar v) from the z-integral (any model); w(b)
-    is the z-profile that born_resummed_amplitude reads too, one per
-    potential and setting (see _ZProfile)."""
+    """Eikonal phase -w(b)/(hbar v) from the z-profile (any model) that
+    born_resummed_amplitude reads too, one per potential and setting (see
+    _ZProfile)."""
     b_arr = _check_b(b)
     if isinstance(p, Yukawa) and np.any(b_arr == 0.0):
         raise SingularityError(
             "chi diverges logarithmically at b = 0 for a 1/r core")
-    out = -_z_profile(p, settings)(b_arr)[0] / (kin.hbar * kin.v)
-    if isinstance(p, TabulatedRadial):
-        # +0.0, not -0.0, beyond the table
-        out = np.where(b_arr < p.r[-1], out, 0.0)
+    # 0.0 - w: +0.0, not -0.0, where w is 0, as beyond a table
+    out = (0.0 - _z_profile(p, settings)(b_arr)[0]) / (kin.hbar * kin.v)
     return float(out) if b_arr.ndim == 0 else out
 
 

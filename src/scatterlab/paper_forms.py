@@ -98,7 +98,7 @@ def _gauss_dsigma(p, kin, exponent):
     width = _fit(np.pi / (4.0 * _pow(p.alpha, 3, "alpha", "alpha^3")),
                  "alpha", "pi/(4 alpha^3)")
     return _fit(width * _coupling(p, kin, 2), "g", "|f|^2 at theta = 0",
-                p.g == 0.0) * np.exp(exponent)
+                p.g == 0.0) * libm_exp(exponent)
 
 
 def dsigma(p, kin, theta, q):

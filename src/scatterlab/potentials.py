@@ -10,7 +10,8 @@ fixed Gauss rule, with an a-priori error bound.
 The potential's range lives here too: reach(p), the radius R past which
 the z-profile's tail is below rounding, with a bound on that tail, and
 effective_radius(p), the radius holding 0.9999 of int_0^R |V| r^2 dr,
-bisected on that weight in closed form, or exact on a table's pieces.
+bisected on that weight in closed form, or exact on a table's pieces; and
+a table's z-profile, abel_profile(p, b), the Abel transform of its pieces.
 
 Conventions: V has energy units, r length units. fourier3d computes
 Vtilde(q) = integral d^3r e^{-i q.r} V(r) = (4 pi / q) int_0^inf
@@ -25,8 +26,9 @@ import numpy as np
 from ._spline import natural_cubic, split_at_roots
 from .errors import (ConfigError, DomainError, RangeError,
                      SingularityError, UnsupportedModelError)
-from .quadrature import _G7_NODES, _WG, DEFAULT_SETTINGS, integrate_cubic
-from .special_functions import libm_exp
+from .quadrature import (_G7_NODES, _KERNEL_BLOCK, _WG, DEFAULT_SETTINGS,
+                         integrate_cubic)
+from .special_functions import libm_exp, log
 # bound here only because perfbench/tracer.py rebinds it in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
 
@@ -93,7 +95,7 @@ class TabulatedRadial:
     coefficients (y0, b, c, d) of shape (4, edges.size - 1)), V = y0 + s (b
     + s (c + s d)) on [edges[j], edges[j+1]], s = r - edges[j]. A linear
     table has c = d = 0, and a table starting at r[0] > 0 has the constant
-    v[0] on [0, r[0]].
+    v[0] on [0, r[0]]. _abel holds what abel_profile reads of the pieces.
     """
 
     r: np.ndarray
@@ -101,6 +103,7 @@ class TabulatedRadial:
     interpolation: str = "cubic"
     file: str | None = None
     _pieces: tuple = field(init=False, repr=False, compare=False)
+    _abel: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -134,6 +137,7 @@ class TabulatedRadial:
             coef = np.concatenate((np.array([[v[0]], [0.0], [0.0], [0.0]]),
                                    coef), axis=1)
         object.__setattr__(self, "_pieces", (edges, coef))
+        object.__setattr__(self, "_abel", _abel_knots(edges, coef))
 
 
 def evaluate(potential, r):
@@ -161,6 +165,106 @@ def evaluate(potential, r):
         raise UnsupportedModelError(
             f"unknown potential model {type(potential).__name__!r}")
     return float(out[0]) if scalar else out
+
+
+# A table's z-profile w(b) = 2 int_b^R V r dr/sqrt(r^2 - b^2) in closed form:
+# the pieces' antiderivatives telescope to A s + B acosh(e/b) per knot e > b,
+# s = sqrt((e - b)(e + b)), d_n the jump at e of the coefficient of (r - e)^n
+# (0 right of r[-1]), all in r/S, S the power of two with r[-1]/S in (1/2, 1]:
+#   A = A0 + A2 b^2 = d0 - d1 e/2 + d2 (e^2 + 2b^2)/3 - d3 e (e^2/4 + 13b^2/8),
+#   B = b^2 (B0 + B2 b^2) = b^2 (d1/2 - d2 e + d3 (3e^2/2 + 3b^2/8)).
+# Knots below sqrt(2) b take this term, acosh = log((e + s)/b). Beyond, s/e
+# and acosh = ln 2e - ln b - sum_j C(2j, j)/(2j 4^j) x^j are series in x =
+# b^2/e^2 <= 1/2, summed over the knots once, in suffix sums over blocks.
+_ABEL_TERMS, _ABEL_BLOCK = 50, 32
+# the coefficients of x^n in A0 s/e, A2 b^2 s/e^3, B0 b^2 acosh/e^2, B2 b^4
+# acosh/e^4 but ln 2e/b; past x^49 they leave a tail below eps/150 of G
+_SQRT = [1.0] + [-math.comb(2 * j, j) / ((2 * j - 1) * 4**j) for j in
+                 range(1, _ABEL_TERMS)]
+_ACOSH = [0.0, 0.0] + [-math.comb(2 * j, j) / (2 * j * 4**j) for j in
+                       range(1, _ABEL_TERMS)]
+_FAR_SERIES = np.array([_SQRT, [0.0] + _SQRT[:-1], _ACOSH[:-1],
+                        [0.0] + _ACOSH[:-2]])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # what overflows makes w inf
+def _abel_knots(edges, coef):
+    """(S, rows e, A0, A2, B0, B2 of the knots, first far block, far table:
+    over the knots from block first + j on, column j sums the b^2n, -b^2 ln
+    b and -b^4 ln b coefficients, and G, H with G + |ln b| b^2 H >= the
+    terms' moduli)."""
+    m, p = math.frexp(float(edges[-1]))
+    scale = math.ldexp(1.0, p - (m == 0.5))
+    e, h = edges[1:] / scale, np.diff(edges) / scale
+    y0, c1, c2, c3 = coef[0], coef[1] * scale, coef[2] * scale * scale, \
+        coef[3] * scale * scale * scale
+    d = np.array([y0 + h * (c1 + h * (c2 + h * c3)),
+                  c1 + h * (2.0 * c2 + 3.0 * h * c3), c2 + 3.0 * h * c3, c3])
+    d[:, :-1] -= np.array([y0, c1, c2, c3])[:, 1:]
+    d0, d1, d2, d3 = d
+    knots = np.array([e, d0 - e * (0.5 * d1 - e * (d2 / 3.0 - 0.25 * e * d3)),
+                      2.0 / 3.0 * d2 - 1.625 * e * d3,
+                      0.5 * d1 - e * (d2 - 1.5 * e * d3), 0.375 * d3])
+    # a knot whose coefficients over e^98 might overflow stays near
+    room = 98 * (1 - np.frexp(e)[1])
+    big = np.frexp(np.abs(knots[1:]).max(axis=0))[1] + room
+    bad = np.flatnonzero((room > 1000) | (big > 1000))
+    first = -(-(bad[-1] + 1 if bad.size else 0) // _ABEL_BLOCK)
+    e, a0, a2, g0, g2 = knots[:, first * _ABEL_BLOCK:]
+    ee, ln_2e = e * e, log(e + e)
+    x = np.array([a0 * e, a2 * ee * e, g0 * ee, g2 * ee * ee])
+    ax = np.abs(x)  # far terms' moduli below, as b^2 <= e^2/2
+    starts = np.arange(0, e.size, _ABEL_BLOCK)
+    sums = []
+    for _ in range(_ABEL_TERMS):  # block sums of x e^-2n
+        sums.append(np.add.reduceat(x, starts, axis=1))
+        x /= ee
+    extra = np.add.reduceat([g0 * ln_2e, g2 * ln_2e, g0, g2, ax[0] + ax[1] / 2
+                             + (ax[2] / 2 + ax[3] / 4) * (1 + np.abs(ln_2e)),
+                             (ax[2] + ax[3] / 2) / ee], starts, axis=1)
+    series = (np.array(sums) * _FAR_SERIES.T[:, :, None]).sum(axis=1)
+    series[1:3] += extra[:2]
+    blocks = np.pad(np.concatenate([series, extra[2:]]), ((0, 0), (0, 1)))
+    return scale, knots, first, np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the caller names w = inf
+def abel_profile(p, b):
+    """(w(b), a bound on its error) of the table p at each b >= 0 of a 1-d
+    array, a b with the bits of a call for it alone: (64 + far blocks) eps
+    times a bound on the terms' moduli, plus the series' tail."""
+    scale, knots, first, far = p._abel
+    e, beta = knots[0], b / scale
+    x = beta * beta
+    blk = np.maximum(first, -(-np.searchsorted(e, math.sqrt(2.0) * beta)
+                              // _ABEL_BLOCK))
+    row = far[:, blk - first]
+    value = row[_ABEL_TERMS - 1]
+    for n in range(_ABEL_TERMS - 2, -1, -1):
+        value = value * x + row[n]
+    ln_b = log(np.maximum(beta, 1e-300))  # times b^2 = 0 below
+    value = value - ln_b * x * (row[-4] + x * row[-3])
+    mag = row[-2] + np.abs(ln_b) * x * row[-1]
+    lo = np.searchsorted(e, beta, side="right")
+    count = np.minimum(blk * _ABEL_BLOCK, e.size) - lo
+    has = np.flatnonzero(count > 0)
+    # near knots, about _KERNEL_BLOCK (b, knot) pairs a block, b by b
+    for rows in np.array_split(has, max(1, -(-count[has].sum()
+                                               // _KERNEL_BLOCK))):
+        n = count[rows]
+        at = np.cumsum(n) - n
+        e, a0, a2, g0, g2 = knots.take(
+            np.repeat(lo[rows] - at, n) + np.arange(n.sum()), axis=1)
+        b = np.repeat(beta[rows], n)
+        bb, s = b * b, np.sqrt((e - b) * (e + b))
+        a_s, g = (a0 + bb * a2) * s, bb * (g0 + bb * g2)
+        acosh = log((e + s) / np.maximum(b, 1e-300))
+        value[rows] += np.add.reduceat(a_s + g * acosh, at)
+        # the log's error is eps, not eps acosh, near e = b
+        mag[rows] += np.add.reduceat(np.abs(a_s) + np.abs(g) * (acosh + 1.0),
+                                     at)
+    # 64 + far blocks eps for rounding, and one more for the series' tail
+    return 2.0 * scale * value, 2.0 * scale * (64 + far.shape[1]) * _EPS * mag
 
 
 def _radial_kernel(q, r):

@@ -2,9 +2,8 @@
 
 Four entry points:
 
-    integrate_adaptive       finite interval, worst-interval bisection; its
-                             two library callers are a table's z-profile
-                             and cross_sections._total_direct
+    integrate_adaptive       finite interval, worst-interval bisection, for
+                             cross_sections._total_direct
     integrate_semi_infinite  [0, inf) as integrate_adaptive of the rational
                              map x = t/(1-t) onto [0, 1]; no library route
                              calls it (the analytic z-profiles take
@@ -16,8 +15,8 @@ Four entry points:
     hankel0                  int_0^upper g(b) J0(q b) b db for many q on
                              one partition that they share
 
-A scalar call's integrand f(x) maps a flat ndarray (the nodes of all panels
-of a round) to one of its shape, complex values allowed. One routine forms
+An adaptive integrand f(x) maps a flat ndarray (the nodes of a round's
+panels) to one of its shape, complex values allowed. One routine forms
 the GK15 sums of the adaptive integrators and of hankel0, each a
 fixed-order sum over one panel's own 15 values, so a panel's numbers do
 not depend on the panels or the q it is evaluated with, nor on a BLAS
@@ -28,19 +27,6 @@ integrals. It is evaluated with numpy over all panels of a round, except
 the power, which is libm pow on Python floats: numpy's vectorised power
 differs from it in the last bit for some arguments on AVX-512 hosts, and
 so would the bisection that follows.
-
-integrate_adaptive also takes rows=m: the call then computes m
-independent integrals of a row-batched integrand f(i, x) -> y, where i is
-an int array of row indices of shape (P,) and x, y have shape (P, n); row
-i of y is the integrand of integral i at the points in row i of x. The
-intervals of all rows are held in (row, slot) arrays (see _adaptive_rows),
-and each row is bisected exactly as a call for that row alone would
-bisect it (same worst-interval choice, error rule, stopping test and
-subdivision budget) and returns the same bits, but the new panels of one
-bisection round, across all rows, go to f in one call. The result
-carries per-row value and error_estimate arrays and the summed evaluation
-count; the first failing row raises the error of a call for that row
-alone. A scalar call is the one-row case of the same loop.
 
 integrate_cubic takes an integrand that is a known cubic between given
 breakpoints times a kernel of frequency q, such as a table's spline times
@@ -136,8 +122,8 @@ class QuadratureSettings:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """value and error_estimate are (m,) arrays for a rows=m call, and for
-    a call with an array of m q."""
+    """value and error_estimate are (m,) arrays for a call with an array of
+    m q."""
 
     value: complex
     error_estimate: float
@@ -195,27 +181,6 @@ def _qk_errors(resk, resg, resabs, resasc):
     return np.maximum(err, 50.0 * _EPS * resabs)
 
 
-def _row_label(row):
-    return f" in row {row}"
-
-
-def _no_label(row):
-    return ""
-
-
-def _one_row(f):
-    """The integrand f(x) of a scalar call as the row-batched integrand of
-    a one-row call: f sees the nodes of all panels of a round as one flat
-    array."""
-    def f_rows(i, x):
-        y = np.asarray(f(x.ravel()))
-        if y.shape != (x.size,):
-            raise DomainError("integrand must map an ndarray to an ndarray "
-                              "of the same shape")
-        return y.reshape(x.shape)
-    return f_rows
-
-
 def _nodes(lo, hi):
     """The GK15 nodes of panels [lo[j], hi[j]], a row each, and the panels'
     half widths."""
@@ -223,14 +188,14 @@ def _nodes(lo, hi):
     return 0.5 * (lo + hi)[:, None] + hw[:, None] * _NODES, hw
 
 
-def _check_finite(y, a, b, label):
-    """Raise DomainError naming the first panel [a[j], b[j]], and label(j),
-    on which y, the integrand's values a row per panel, is not finite."""
+def _check_finite(y, a, b):
+    """Raise DomainError naming the first panel [a[j], b[j]] whose row of y
+    is not finite."""
     finite = np.isfinite(np.abs(y)).all(axis=1)
     if not finite.all():
         j = np.argmin(finite)
         raise DomainError(f"integrand returned non-finite values on "
-                          f"[{float(a[j])!r}, {float(b[j])!r}]{label(j)}")
+                          f"[{float(a[j])!r}, {float(b[j])!r}]")
 
 
 def _gk15(f, hw, width):
@@ -247,128 +212,46 @@ def _gk15(f, hw, width):
     return resk, _qk_errors(resk, resg, resabs, resasc), resabs
 
 
-def _gk15_rows(f, rows, a, b, label=_row_label):
-    """GK15 panels [a[j], b[j]] of the row-batched f, row rows[j], in one
-    call to f: (K15 values, error estimates)."""
-    x, hw = _nodes(a, b)
-    y = np.asarray(f(rows, x))
-    if y.shape != (len(a), _NODES.size):
-        raise DomainError("row-batched integrand must map (P, n) points to "
-                          "a (P, n) ndarray")
-    _check_finite(y, a, b, lambda j: label(rows[j]))
-    return _gk15(y, hw, b - a)[:2]
+def _gk15_panels(f, lo, hi):
+    """[(error, lo, hi, K15 value)] of GK15 panels [lo[j], hi[j]] of f."""
+    lo, hi = np.array(lo), np.array(hi)
+    x, hw = _nodes(lo, hi)
+    y = np.asarray(f(x.ravel()))
+    if y.shape != (x.size,):
+        raise DomainError("integrand must map an ndarray to an ndarray of "
+                          "the same shape")
+    _check_finite(y.reshape(x.shape), lo, hi)
+    val, err, _ = _gk15(y.reshape(x.shape), hw, hi - lo)
+    return list(zip(err, lo, hi, val))
 
 
-def _widen(x, fill):
-    """x with twice its slots, the new ones set to fill."""
-    out = np.full((x.shape[0], 2 * x.shape[1]), fill, dtype=x.dtype)
-    out[:, :x.shape[1]] = x
-    return out
-
-
-def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
-                   label=_row_label):
-    """Worst-interval bisection of the row-batched f over [a[j], b[j]] for
-    row rows[j].
-
-    One round bisects the worst interval of every unfinished row,
-    evaluating all new panels in one call. Returns (values, errors,
-    evaluations), the last summed over rows. label(row) names a failing
-    row in the error message.
-
-    The intervals of the unfinished rows live in (row, slot) arrays, one
-    slot per interval in the order it was made; a bisected interval's slot
-    is dead (error -inf, value +0.0). Every unfinished row has made the
-    same number of slots, and arrays grow by doubling. The first slot of
-    largest error is bisected, and a row's totals are the running sum
-    over its slots in order: its live intervals added one by one to +0.0,
-    the dead root slot. So each row is bisected and summed exactly as a
-    call for that row alone would be.
-    """
-    if len(a) == 0:
-        return np.zeros(0), np.zeros(0), 0
-    totals, total_errs = _gk15_rows(f, rows, a, b, label)
-    neval = 15 * len(a)
-    live = np.arange(len(a))
-    err = np.full((len(a), 8), -np.inf)
-    val = np.zeros((len(a), 8), dtype=totals.dtype)
-    lo = np.zeros((len(a), 8))
-    hi = np.zeros((len(a), 8))
-    err[:, 0], val[:, 0], lo[:, 0], hi[:, 0] = total_errs, totals, a, b
-    n = 1
-    splits = 0
-    while True:
-        going = total_errs[live] > np.maximum(
-            abs_tol, rel_tol * _abs(totals[live]))
-        if not going.all():
-            live = live[going]
-            err, val, lo, hi = err[going], val[going], lo[going], hi[going]
-        if not live.size:
-            return totals, total_errs, neval
-        if splits >= max_subdivisions:
-            j = live[0]
-            raise ConvergenceError(
-                f"quadrature budget of {max_subdivisions} subdivisions "
-                f"exhausted{label(rows[j])} (error estimate "
-                f"{total_errs[j]:.3e})",
-                estimate=totals[j], error_estimate=total_errs[j])
-        if n + 2 > err.shape[1]:
-            err = _widen(err, -np.inf)
-            val, lo, hi = (_widen(x, 0.0) for x in (val, lo, hi))
-        k = np.arange(live.size)
-        worst = np.argmax(err[:, :n], axis=1)
-        wa, wb = lo[k, worst], hi[k, worst]
-        mid = 0.5 * (wa + wb)
-        err[k, worst] = -np.inf
-        val[k, worst] = 0.0
-        lo[:, n], hi[:, n], lo[:, n + 1], hi[:, n + 1] = wa, mid, mid, wb
-        v, e = _gk15_rows(f, rows[np.repeat(live, 2)],
-                          lo[:, n:n + 2].ravel(), hi[:, n:n + 2].ravel(),
-                          label)
-        if v.dtype != val.dtype:
-            val = val.astype(np.result_type(val, v))
-            totals = totals.astype(val.dtype)
-        val[:, n:n + 2] = v.reshape(-1, 2)
-        err[:, n:n + 2] = e.reshape(-1, 2)
-        n += 2
-        totals[live] = np.cumsum(val[:, :n], axis=1)[:, -1]
-        total_errs[live] = np.cumsum(np.maximum(err[:, :n], 0.0),
-                                     axis=1)[:, -1]
-        neval += 30 * live.size
-        splits += 1
-
-
-def integrate_adaptive(f, a, b, settings=DEFAULT_SETTINGS, *, rows=None,
-                       label=_row_label):
-    """Integrate f over the finite interval [a, b] (a <= b).
-
-    rows=m integrates the row-batched f(i, x) over [a[i], b[i]] for each
-    i < m, with a and b broadcast to shape (m,); see the module docstring.
-    label(i) names row i in error messages.
-    """
-    if rows is None:
-        res = integrate_adaptive(_one_row(f), a, b, settings, rows=1,
-                                 label=_no_label)
-        return QuadratureResult(res.value[0], res.error_estimate[0],
-                                res.evaluations)
-    a, b = (np.broadcast_to(np.asarray(e, dtype=float), (rows,))
-            for e in (a, b))
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+def integrate_adaptive(f, a, b, settings=DEFAULT_SETTINGS):
+    """Integrate f (flat ndarray to one of its shape, complex allowed) over
+    [a, b], a <= b, bisecting the first interval of largest error; totals
+    are running sums over the intervals in the order made, from +0.0."""
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_adaptive requires finite endpoints")
-    if np.any(a > b):
-        j = np.argmax(a > b)
-        raise DomainError(f"interval endpoints out of order: "
-                          f"{float(a[j])!r} > {float(b[j])!r}{label(j)}")
-    tols = (settings.abs_tol, settings.rel_tol, settings.max_subdivisions)
-    # zero-width rows integrate to 0 without evaluations
-    live = np.flatnonzero(a != b)
-    val, err, neval = _adaptive_rows(f, live, a[live], b[live], *tols,
-                                     label)
-    value = np.zeros(rows, dtype=val.dtype)
-    value[live] = val
-    error = np.zeros(rows)
-    error[live] = err
-    return QuadratureResult(value, error, neval)
+    if a > b:
+        raise DomainError(f"interval endpoints out of order: {a!r} > {b!r}")
+    if a == b:
+        return QuadratureResult(np.float64(0.0), np.float64(0.0), 0)
+    parts = _gk15_panels(f, [a], [b])
+    total_err, _, _, total = parts[0]
+    while total_err > max(settings.abs_tol,
+                          settings.rel_tol * _abs(np.array(total))):
+        if len(parts) > settings.max_subdivisions:
+            raise ConvergenceError(
+                f"quadrature budget of {settings.max_subdivisions} "
+                f"subdivisions exhausted (error estimate {total_err:.3e})",
+                estimate=total, error_estimate=total_err)
+        _, lo, hi, _ = parts.pop(max(range(len(parts)),
+                                     key=lambda j: parts[j][0]))
+        mid = 0.5 * (lo + hi)
+        parts += _gk15_panels(f, [lo, mid], [mid, hi])
+        total = sum((part[3] for part in parts), np.float64(0.0))
+        total_err = sum((part[0] for part in parts), np.float64(0.0))
+    return QuadratureResult(total, total_err, 30 * len(parts) - 15)
 
 
 def integrate_semi_infinite(f, settings=DEFAULT_SETTINGS):
@@ -545,7 +428,7 @@ def _hankel_panels(g, q, lo, hi):
     memory and move no bit."""
     x, hw = _nodes(lo, hi)
     y, *bound = _g_values(g, x)
-    _check_finite(y, lo, hi, _no_label)
+    _check_finite(y, lo, hi)
     step = max(1, _KERNEL_BLOCK // (_NODES.size * q.shape[0]))
     parts = []
     for j in range(0, lo.size, step):

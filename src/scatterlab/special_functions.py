@@ -16,6 +16,8 @@ references (which live in the tests only):
                      amplitudes, written here once
     libm_exp         exp per element in libm, whose bits do not depend on
                      the SIMD level numpy runs at
+    log              natural log of x > 0 from frexp, +, -, * and /, within
+                     1 ulp, whose bits hold at every SIMD level too
 
 Scalar in, scalar out; ndarray in, ndarray out. Nothing is cached.
 """
@@ -35,14 +37,15 @@ __all__ = [
     "j0_zeros",
     "expm1i",
     "libm_exp",
+    "log",
 ]
 
 EULER_GAMMA = 0.57721566490153286061
 
 
 # ---------------------------------------------------------------------------
-# Elementary functions whose bits hold on every host. numpy's sin keeps its
-# bits across SIMD levels; its exp does not, so libm's takes its place.
+# Elementary functions whose bits hold on every host: numpy's sin keeps them
+# across SIMD levels; libm's exp and a log of exact operations replace np's.
 # ---------------------------------------------------------------------------
 
 
@@ -56,6 +59,32 @@ def expm1i(x):
 # exp per element in libm, which np.exp differs from in the last bit for a
 # few percent of inputs
 libm_exp = np.vectorize(math.exp, otypes=[float])
+
+# log(m), m in [sqrt(1/2), sqrt(2)), is f - (f^2/2 - s (f^2/2 + R)), f = m -
+# 1, s = f/(2 + f), R fdlibm's minimax polynomial in s^2 (e_log.c, Sun
+# Microsystems 1993); k ln 2 is split so that k ln2_hi is exact
+_LG = (0.14798198605116586, 0.15313837699209373, 0.1818357216161805,
+       0.22222198432149784, 0.2857142874366239, 0.3999999999940942,
+       0.6666666666666735)
+_LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10
+
+
+def log(x):
+    """Natural log of finite x > 0 from frexp, +, -, * and /, within 1 ulp,
+    with the same bits at every SIMD level."""
+    scalar = np.ndim(x) == 0
+    m, k = np.frexp(np.atleast_1d(np.asarray(x, dtype=float)))
+    low = m < 0.5 * math.sqrt(2.0)
+    f = m * (low + 1.0) - 1.0
+    k = (k - low).astype(float)
+    s = f / (2.0 + f)
+    z = s * s
+    r = _LG[0] * z
+    for c in _LG[1:]:
+        r = (r + c) * z
+    hfsq = 0.5 * f * f
+    r = k * _LN2_HI + (s * (hfsq + r) + k * _LN2_LO - hfsq + f)
+    return float(r[0]) if scalar else r
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,8 @@ def square_well_delta0(k, v0, a, m=1.0, hbar=1.0):
 
 # List-based worst-interval bisection: each row keeps a Python list of
 # (error, a, b, value) intervals, and totals are sum() over that list.
-# Reference for quadrature._adaptive_rows and its vectorised error rule.
+# Reference for quadrature.integrate_adaptive, run on one row, and for its
+# vectorised error rule; test_born's knotwise transform runs it on many.
 
 
 def _qk_error(resk, resg, resabs, resasc):
@@ -186,6 +187,46 @@ def _adaptive_rows(f, rows, a, b, abs_tol, rel_tol, max_subdivisions,
             total_errs[j] = sum(t[0] for t in iv)
         neval += 30 * len(live)
         splits += 1
+
+
+def abel_transform(edges, coef, bs, dps=30):
+    """w(b) = 2 int_b^R V(r) r dr/sqrt(r^2 - b^2) of the piecewise cubic
+    (edges, coef) of potentials.TabulatedRadial._pieces at each float b of
+    bs, in mpmath at dps digits: each piece in powers of r, against the
+    antiderivatives K_n of r^n/sqrt(r^2 - b^2), K_0 = acosh(r/b), K_1 = s,
+    K_n = r^(n-1) s/n + (n-1)/n b^2 K_(n-2), which vanish at r = b. The
+    knot r = e_k closes piece k - 1 and opens piece k, so it adds the
+    difference of their coefficients against its K_1..K_4."""
+    mpf = mpmath.mpf
+    out = []
+    with mpmath.workdps(dps):
+        knots = [mpf(float(x)) for x in edges]
+        powers = [(0, 0, 0, 0)]
+        for j in range(len(knots) - 1):
+            y0, c1, c2, c3 = (mpf(float(x)) for x in coef[:, j])
+            t = knots[j]
+            powers.append((y0 - t * (c1 - t * (c2 - t * c3)),
+                           c1 - t * (2 * c2 - 3 * t * c3), c2 - 3 * t * c3,
+                           c3))
+        powers.append((0, 0, 0, 0))
+        # per knot: r, r^2, r^3 and the jumps, with the factors 1/2, 1/3
+        # and 1/4 of K_2..K_4 taken into them
+        rows = [(r, r * r, r * r * r, x0 - y0, (x1 - y1) / 2, (x2 - y2) / 3,
+                 (x3 - y3) / 4) for r, (x0, x1, x2, x3), (y0, y1, y2, y3)
+                in zip(knots, powers, powers[1:])]
+        for b in bs:
+            b = mpf(float(b))
+            bb = b * b
+            total = mpf(0)
+            for r, rr, rrr, j0, j1, j2, j3 in rows:
+                if r <= b:
+                    continue
+                s = mpmath.sqrt((r - b) * (r + b))
+                k2 = r * s + bb * mpmath.log((r + s) / b) if b else r * s
+                total += j0 * s + j1 * k2 + j2 * s * (rr + 2 * bb) \
+                    + j3 * (rrr * s + bb * 1.5 * k2)
+            out.append(float(2 * total))
+    return np.array(out)
 
 
 # hankel0's loop with plain bisections only: each round bisects every panel

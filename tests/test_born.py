@@ -10,7 +10,9 @@ from scatterlab.born import (_lambda_factor, born1_amplitude,
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.errors import ConvergenceError, DomainError
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa, evaluate
-from scatterlab.quadrature import QuadratureSettings, integrate_adaptive
+from scatterlab.quadrature import DEFAULT_SETTINGS, QuadratureSettings
+
+import _oracles
 
 KIN1 = Kinematics(mass=1.0, k=1.0)
 KIN10 = Kinematics(mass=1.0, k=10.0)
@@ -91,14 +93,13 @@ class TestBorn1:
         theta = np.linspace(0.0, 0.6, 64)
         got = born1_amplitude(p, kin, theta)
         scale = -kin.mass / (2.0 * np.pi * kin.hbar**2)
-        tight = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-15)
         adaptive = []
         for q in got.q:
-            res = integrate_adaptive(
+            value, _, _ = _oracles._adaptive_rows(
                 lambda i, x: 4.0 * np.pi * x * x * evaluate(p, x)
-                * np.sinc(q * x / np.pi), r[:-1], r[1:], tight,
-                rows=r.size - 1)
-            adaptive.append(scale * math.fsum(res.value))
+                * np.sinc(q * x / np.pi), np.arange(r.size - 1), r[:-1],
+                r[1:], 1e-15, 1e-13, DEFAULT_SETTINGS.max_subdivisions)
+            adaptive.append(scale * math.fsum(value))
         knotwise = scale * _knotwise_transform(p, got.q)
         for ref in (np.array(adaptive), knotwise):
             assert np.all(np.abs(got.value - ref) <= got.error_estimate)

@@ -61,3 +61,36 @@ def test_only_special_functions_forms_exp_minus_one():
                     and node.right.value == 1):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# numpy's kernels whose last bit moves with the SIMD level numpy runs at
+SIMD_NAMES = {"exp", "log", "log1p", "expm1", "arccosh", "arcsinh", "cosh",
+              "sinh", "logaddexp", "power"}
+
+
+def _numpy_calls(tree):
+    """(line, name) of each call np.<name>(...) or numpy.<name>(...) in
+    tree whose name is one of SIMD_NAMES."""
+    return [(node.lineno, node.func.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and node.func.attr in SIMD_NAMES]
+
+
+def test_paper_forms_and_the_table_transform_call_no_simd_kernel():
+    # their values reach report.txt and a table's CSVs, which are to keep
+    # their bytes on every host: exp is libm's, log special_functions'
+    package = Path(importlib.util.find_spec("scatterlab").origin).parent
+    found = [("paper_forms.py", *call) for call in _numpy_calls(ast.parse(
+        (package / "paper_forms.py").read_text(encoding="utf-8")))]
+    for name in ("potentials.py", "special_functions.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        functions = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and ("abel" in node.name or node.name == "log")]
+        assert functions, name
+        found += [(name, *call) for f in functions
+                  for call in _numpy_calls(f)]
+    assert found == []

@@ -13,7 +13,9 @@ ScatterError; and only a ScatterError escapes the public amplitude and
 cross-section functions and run_scan, whatever the model, coupling,
 range, k (0, inf and nan included where it is a float argument) and
 theta (a list or an array); and in a weak field the eikonal reduces to
-first Born, its Im f(0) to the closed form of order chi^2."""
+first Born, its Im f(0) to the closed form of order chi^2; and a table's
+z-profile, on random tables and the kink table, lies within its bound of
+a 30-digit Abel transform of its pieces."""
 
 import dataclasses
 import math
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 import _oracles
-from scatterlab import paper_forms
+from scatterlab import eikonal, paper_forms
 from scatterlab.born import born1_amplitude, born_resummed_amplitude
 from scatterlab.config import parse_config
 from scatterlab.cross_sections import (paper_formula_checks,
@@ -185,6 +187,28 @@ def test_table_transform_covers_quad_and_keeps_the_bits_of_each_q(p, qh):
                 * np.sinc(x * r / np.pi), a, b, epsabs=0.0, epsrel=1e-13,
                 limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
         assert abs(v - ref) <= e
+
+
+# the kink table of the partial-wave oracle's known miss
+KINK = TabulatedRadial([0.0, 1.0, 2.0, 3.875], [0.0, 0.0, 1.0, 0.0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=tables(), at=st.lists(st.floats(0.0, 1.05), min_size=1,
+                               max_size=4))
+@example(p=KINK, at=[0.1, 0.5, 0.9])
+@example(p=TabulatedRadial(KINK.r, KINK.v, "linear"), at=[0.26, 0.52])
+def test_table_z_profile_is_within_its_bound_of_the_exact_transform(p, at):
+    # b = 0, random b up to past r[-1], and b at, just below and just
+    # above the first knots: every w within its bound of a 30-digit
+    # transform of the pieces
+    knots = p._pieces[0][1:4]
+    b = np.concatenate([[0.0], np.array(at) * p.r[-1], knots,
+                        np.nextafter(knots, 0.0), np.nextafter(knots, 9.0)])
+    got, bound = eikonal._integrate_z_profile(p, b, DEFAULT_SETTINGS,
+                                              lambda j: "")
+    exact = _oracles.abel_transform(*p._pieces, b)
+    assert np.all(np.abs(got - exact) <= bound)
 
 
 @st.composite

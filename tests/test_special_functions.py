@@ -9,7 +9,8 @@ import scipy.special as sp
 
 from scatterlab.errors import DomainError
 from scatterlab.special_functions import (bessel_j0, bessel_k0, j0_zeros,
-                                          legendre_p_row, spherical_bessel,
+                                          legendre_p_row, log,
+                                          spherical_bessel,
                                           spherical_bessel_row)
 
 import _oracles
@@ -33,6 +34,27 @@ def test_j0_against_mpmath():
     ours = bessel_j0(xs)
     exact = np.array([float(mpmath.besselj(0, float(x))) for x in xs])
     assert np.max(np.abs(ours - exact)) < 1e-13
+
+
+def test_log_within_4_ulp_of_mpmath():
+    # the full float range, subnormals and the largest float included,
+    # dense near 1 and on [1, 4], where a table's acosh takes it; a
+    # scalar gives a float with the bits of the array element
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        np.exp(rng.uniform(-744.0, 709.7, 3000)), rng.uniform(1.0, 4.0, 3000),
+        1.0 + rng.uniform(-1e-8, 1e-8, 500), np.sqrt(0.5) * (1.0 + np.array(
+            [-2e-16, 0.0, 2e-16])),
+        [5e-324, 2.2250738585072014e-308, 0.5, 1.0, 2.0,
+         1.7976931348623157e308]])
+    got = log(x)
+    for xi, yi in zip(x.tolist(), got.tolist()):
+        exact = mpmath.log(mpmath.mpf(xi))
+        ulp = np.spacing(abs(float(exact))) if exact else 0.0
+        assert abs(mpmath.mpf(yi) - exact) <= 4 * ulp, xi
+    assert log(1.0) == 0.0
+    assert isinstance(log(3.0), float)
+    assert log(3.0) == log(np.array([3.0]))[0]
 
 
 def test_j0_seam_and_symmetry():
