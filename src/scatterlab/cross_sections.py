@@ -26,7 +26,7 @@ from .errors import (ConvergenceError, DomainError, PoleError, RangeError,
 from .paper_forms import total as paper_totals
 from .potentials import Gauss, Yukawa
 from .quadrature import (QuadratureSettings, integrate_adaptive,
-                         integrate_cubic)
+                         integrate_sin)
 
 __all__ = [
     "SOURCES",
@@ -107,16 +107,6 @@ def total_optical(f0, k):
     return 4.0 * np.pi / k * float(value.imag)
 
 
-def _sin_kernel(q, theta):
-    """sin(q theta): at q = 1 the weight of the total's theta integral."""
-    return np.sin(q * theta)
-
-
-def _sin_kernel_bound(t, h, theta, j):
-    """h^j |d^j sin(q theta)/dtheta^j| <= (q h)^j = t^j."""
-    return t ** j
-
-
 def _positive_parts(x, coef):
     """The parts of the intervals [x[j], x[j+1]] on which the cubic of
     coef[:, j] (in s = theta - x[j]) is positive, the rest being where
@@ -134,9 +124,9 @@ def total_integrated(rows):
     """2 pi int_0^pi dsigma(theta) sin(theta) dtheta from tabulated rows.
 
     The rows are interpolated with a natural cubic spline, clipped at 0,
-    and each interval's cubic times sin(theta) is integrated on the fixed
-    Gauss rule of quadrature.integrate_cubic; where the spline dips below
-    0 the interval is cut at the cubic's roots. A second integration on
+    and each interval's cubic times sin(theta) is integrated exactly by
+    quadrature.integrate_sin at q = 1; where the spline dips below 0 the
+    interval is cut at the cubic's roots. A second integration on
     every other row must agree, or the grid is too sparse to trust and a
     convergence error is raised.
     """
@@ -156,9 +146,8 @@ def total_integrated(rows):
             estimate=np.nan, error_estimate=np.inf)
 
     def sigma_from(th, ds):
-        return 2.0 * np.pi * integrate_cubic(
-            _sin_kernel, _sin_kernel_bound, 1.0,
-            *_positive_parts(th, natural_cubic(th, ds))).value
+        return 2.0 * np.pi * integrate_sin(
+            1.0, *_positive_parts(th, natural_cubic(th, ds))).value
 
     # the spline's products of dsigma leave the float range long before
     # the total does: the totals are linear in dsigma, so they take

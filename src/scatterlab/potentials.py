@@ -4,8 +4,8 @@ Three models share one informal protocol: construct, then pass to the
 module-level functions. Closed-form transforms exist for the analytic
 models. A table holds its V as one piecewise cubic, built once from the
 samples; evaluate reads the pieces by Horner's rule, and the transform
-integrates them times the Fourier kernel on quadrature.integrate_cubic's
-fixed Gauss rule, with an a-priori error bound.
+integrates each piece times r sin(q r)/q exactly, by the local series of
+quadrature.integrate_sin, with a bound on the series' dropped terms.
 
 The potential's range lives here too: reach(p), the radius R past which
 the z-profile's tail is below rounding, with a bound on that tail, and
@@ -27,7 +27,7 @@ from ._spline import natural_cubic, split_at_roots
 from .errors import (ConfigError, DomainError, RangeError,
                      SingularityError, UnsupportedModelError)
 from .quadrature import (_G7_NODES, _KERNEL_BLOCK, _WG, DEFAULT_SETTINGS,
-                         integrate_cubic)
+                         integrate_sin)
 from .special_functions import libm_exp, log
 # bound here only because perfbench/tracer.py rebinds it in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
@@ -267,26 +267,13 @@ def abel_profile(p, b):
     return 2.0 * scale * value, 2.0 * scale * (64 + far.shape[1]) * _EPS * mag
 
 
-def _radial_kernel(q, r):
-    """4 pi r^2 sin(q r)/(q r): the 3-D Fourier kernel of a radial V."""
-    return 4.0 * np.pi * r * r * np.sinc(q * r / np.pi)
-
-
-def _radial_kernel_bound(t, h, r, j):
-    """h^j |d^j/dr^j 4 pi r^2 sinc(q r)| for r <= R = r, t = q h, j >= 2:
-    by Leibniz's rule with |sinc^(m)| <= 1/(m + 1), 4 pi (R^2 t^j/(j + 1)
-    + 2 R h t^(j-1) + j h^2 t^(j-2))."""
-    return 4.0 * np.pi * t ** (j - 2) * (r * r * t * t / (j + 1)
-                                         + 2.0 * r * h * t + j * h * h)
-
-
 def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
     """Vtilde(q) = int d^3r e^{-i q.r} V(r), vectorized over q >= 0.
 
-    A table integrates each of its pieces times 4 pi r^2 sinc(q r) on
-    quadrature.integrate_cubic's fixed rule, q by q: an array call
-    has the bits of calls at each q alone. Its error estimate is the
-    rule's a-priori bound plus the rounding floor; settings give only
+    A table integrates each of its pieces times 4 pi r sin(q r)/q by the
+    exact local series of quadrature.integrate_sin, q by q: an array call
+    has the bits of calls at each q alone. Its error estimate bounds the
+    series' dropped terms plus the rounding floor; settings give only
     max_subdivisions, the budget of pieces beyond two a knot interval.
     rel_tol and abs_tol set no target there: the runner still compares
     the estimate with them for its loose-error warning. with_error=True
@@ -308,11 +295,14 @@ def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
             out = potential.g * _scale(potential) * libm_exp(
                 -q * q / (4.0 * a))
     elif isinstance(potential, TabulatedRadial):
-        edges, coef = potential._pieces
-        res = integrate_cubic(_radial_kernel, _radial_kernel_bound, q,
-                              edges[:-1], edges[1:], coef,
-                              max_subdivisions=settings.max_subdivisions)
-        out, err = res.value, res.error_estimate
+        # 4 pi int V r sin(q r)/q dr, V r = (o + s) P(s) a quartic in s
+        edges, (y0, b, c, d) = potential._pieces
+        o = edges[:-1]
+        res = integrate_sin(q, o, edges[1:], (o * y0, y0 + o * b, b + o * c,
+                                              c + o * d, d),
+                            max_subdivisions=settings.max_subdivisions)
+        out = 4.0 * np.pi * res.value
+        err = 4.0 * np.pi * res.error_estimate
     else:
         raise UnsupportedModelError(
             f"unknown potential model {type(potential).__name__!r}")

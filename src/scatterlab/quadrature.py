@@ -1,4 +1,5 @@
-"""Quadrature built on a nested Gauss-Kronrod 7/15 rule.
+"""Quadrature built on a nested Gauss-Kronrod 7/15 rule, and an exact
+series for a polynomial times sin(q x).
 
 Four entry points:
 
@@ -10,8 +11,8 @@ Four entry points:
                              eikonal's trapezoid rule), it stays public,
                              and eikonal, born and partial_wave bind it
                              only for perfbench/tracer.py
-    integrate_cubic          piecewise cubic times a smooth kernel, for many
-                             q, on a fixed rule with an a-priori bound
+    integrate_sin            piecewise polynomial times sin(q x)/q, for
+                             many q, by an exact local series
     hankel0                  int_0^upper g(b) J0(q b) b db for many q on
                              one partition that they share
 
@@ -28,20 +29,25 @@ the power, which is libm pow on Python floats: numpy's vectorised power
 differs from it in the last bit for some arguments on AVX-512 hosts, and
 so would the bisection that follows.
 
-integrate_cubic takes an integrand that is a known cubic between given
-breakpoints times a kernel of frequency q, such as a table's spline times
-the 3-d Fourier kernel. Nothing is adaptive: each interval of width h is
-cut into ceil(q h / 2) equal pieces, so that q H <= 2 on every piece of
-width H, and each piece takes the 7-point Gauss rule embedded in GK15.
-Its remainder, H^15 (7!)^4 / (15 (14!)^3) max |f^(14)| (Davis &
-Rabinowitz, Methods of Numerical Integration, 1984, 2.7), is bounded a
-priori by Leibniz's rule from the cubic's coefficients and the kernel's
-derivative bounds, which scale as (q H)^j: at q H = 2 the bound is at
-the level of rounding. The reported error is the bound plus the rounding
-floor 100 eps int |f|. A q's partition depends on q alone, so a value has
-the bits of a call at that q alone. Two pieces, 14 nodes, cost no more
-than the one GK15 panel an adaptive rule starts an interval with; pieces
-beyond two an interval count against max_subdivisions.
+integrate_sin integrates a polynomial times sin(q x)/q between given
+breakpoints, such as a table's spline times the 3-d Fourier kernel, in
+the manner of Filon (Proc. R. Soc. Edinburgh 49, 1928): the polynomial is
+integrated exactly against the kernel's local series. Each interval of
+width h is cut into ceil(q h / 2) equal pieces, so that q H <= 2 on every
+piece of width H. On a piece from x0, with P shifted to powers of u = x -
+x0 and its exact moments mu_n = int_0^H P u^n du,
+
+    int P sin(q x)/q = (sin(q x0)/q) C + cos(q x0) S,
+    C = sum_m (-1)^m q^2m mu_2m/(2m)!, S = sum_m (-1)^m q^2m mu_2m+1/(2m+1)!,
+
+both cut at the first M whose dropped term t^(2M+2)/(2M+2)!, t = q H on
+the partition's widest piece, is below eps/100. A partition's moments
+serve every q that shares it, and each q takes its own M, so a value has
+the bits of a call at that q alone. Only sin and cos are called, whose
+bits do not depend on numpy's SIMD level. The dropped terms are at most
+twice the first, times (|x0| + H) int |P| a piece, and the reported
+error adds the rounding floor 100 eps sum |piece terms|. Pieces beyond
+two an interval count against max_subdivisions.
 
 hankel0 is global-adaptive over one partition of [0, upper] shared by
 every q (Piessens et al., QUADPACK, 1983): it starts from panels about
@@ -70,6 +76,7 @@ so the partition does not depend on numpy's SIMD kernels.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -85,7 +92,7 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "integrate_adaptive",
     "integrate_semi_infinite",
-    "integrate_cubic",
+    "integrate_sin",
     "hankel0",
 ]
 
@@ -97,8 +104,8 @@ class QuadratureSettings:
     rel_tol/abs_tol       target |error| <= max(abs_tol, rel_tol*|value|)
     max_subdivisions      bisection budget per adaptive call (for
                           hankel0, of the shared partition); a table's
-                          Fourier transform gives it to integrate_cubic
-                          as its budget of pieces beyond two an interval
+                          Fourier transform gives it to integrate_sin as
+                          its budget of pieces beyond two an interval
     """
 
     rel_tol: float = 1e-10
@@ -269,75 +276,54 @@ def integrate_semi_infinite(f, settings=DEFAULT_SETTINGS):
     return integrate_adaptive(mapped, 0.0, 1.0, settings)
 
 
-# (q, node) pairs per block, in hankel0's panels and integrate_cubic's
-# kernel products, so the memory a call takes does not grow with the count
-# of q or of panels
+# (q, node) pairs per block in hankel0's panels, so the memory a call takes
+# does not grow with the count of q or of panels
 _KERNEL_BLOCK = 1 << 13
 
-# The 7-point Gauss rule embedded in GK15, the constant of its remainder
-# H^15 (7!)^4 / (15 (14!)^3) f^(14)(xi) on a panel of width H, and the
-# largest q H on a piece of integrate_cubic's partition
+# the 7-point Gauss rule embedded in GK15, which potentials' exact weight
+# sums take, and the largest q H on a piece of integrate_sin's partition
 _G7_NODES = _NODES[1::2]
-_G7_REMAINDER = math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3)
 _PIECE_PHASE = 2.0
 
 
-def _g7_bound(kernel_bound, qs, lo, hi, origin, coef, pieces):
-    """The G7 remainders of integrate_cubic's integrand summed over the
-    pieces, for each q of qs: on a piece, (P K)^(14) = sum_{m <= 3}
-    C(14, m) P^(m) K^(14-m) by Leibniz's rule, with |P^(m)| bounded from
-    the coefficients over |s| <= S and kernel_bound giving H^j |K^(j)|.
-    Rows of q go in blocks, each q summing over the intervals alone."""
-    y0, b, c, d = np.abs(coef)
-    S = np.maximum(np.abs(lo - origin), np.abs(hi - origin))
-    H = (hi - lo) / pieces
-    X = np.maximum(np.abs(lo), np.abs(hi))
-    # H^m |P^(m)|, m = 0..3
-    derivs = (y0 + S * (b + S * (c + S * d)), H * (b + S * (2.0 * c
-              + 3.0 * S * d)), H * H * (2.0 * c + 6.0 * S * d),
-              H ** 3 * 6.0 * d)
-    error = np.empty(qs.size)
-    rows = max(1, _KERNEL_BLOCK // H.size)
-    for r in range(0, qs.size, rows):
-        t = qs[r:r + rows, None] * H
-        terms = sum(math.comb(14, m) * dm * kernel_bound(t, H, X, 14 - m)
-                    for m, dm in enumerate(derivs))
-        error[r:r + rows] = np.sum(pieces * _G7_REMAINDER * H * terms,
-                                   axis=1)
-    return error
+def _series_order(t):
+    """(M, d) for t = q H: the first M whose dropped term d =
+    t^(2M+2)/(2M+2)! of the cos and sin series is below eps/100, from
+    products of Python floats alone."""
+    m, d = 0, 0.5 * t * t
+    while d >= 0.01 * _EPS:
+        m += 1
+        d *= t * t / ((2 * m + 1) * (2 * m + 2))
+    return m, d
 
 
-def integrate_cubic(kernel, kernel_bound, q, lo, hi, coef, origin=None, *,
-                    max_subdivisions=DEFAULT_SETTINGS.max_subdivisions):
-    """sum_j int_{lo[j]}^{hi[j]} P_j(x - origin[j]) kernel(q, x) dx for a
-    scalar q, or for each q of a 1-d array, on the fixed rule of the
-    module docstring. P_j is the cubic y0 + s (b + s (c + s d)) of
-    (y0, b, c, d) = coef[:, j]; origin defaults to lo.
+def integrate_sin(q, lo, hi, coef, origin=None, *,
+                  max_subdivisions=DEFAULT_SETTINGS.max_subdivisions):
+    """sum_j int_{lo[j]}^{hi[j]} P_j(x - origin[j]) sin(q x)/q dx, which is
+    int P_j(x - origin[j]) x dx at q = 0, for a scalar q or for each q of a
+    1-d array, by the exact local series of the module docstring. P_j is
+    sum_k coef[k, j] s^k, of any degree; origin defaults to lo.
 
-    kernel(q, x) takes q of shape (n, 1) and nodes x of shape (N,), and
-    each interval is cut into ceil(q h / 2) pieces of width H.
-    kernel_bound(t, H, X, j) bounds H^j |d^j kernel(q, x)/dx^j| over
-    |x| <= X at q = t / H, for t = q H of shape (n, intervals) and H, X
-    of shape (intervals,). The error estimate is the G7 remainder bound
-    plus 100 eps int |f|. More than max_subdivisions pieces beyond two an
-    interval raise ConvergenceError naming the largest q.
+    The error estimate bounds the series' dropped terms, plus the rounding
+    floor 100 eps sum |piece terms|. More than max_subdivisions pieces
+    beyond two an interval raise ConvergenceError naming the largest q.
     """
     scalar = np.ndim(q) == 0
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     if qs.ndim != 1:
-        raise DomainError("integrate_cubic takes a scalar q or a 1-d "
-                          "array of q")
+        raise DomainError("integrate_sin takes a scalar q or a 1-d array "
+                          "of q")
     if not (np.all(np.isfinite(qs)) and np.all(qs >= 0.0)):
-        raise DomainError("integrate_cubic requires finite q >= 0")
+        raise DomainError("integrate_sin requires finite q >= 0")
     lo, hi = (np.asarray(e, dtype=float) for e in (lo, hi))
     origin = lo if origin is None else np.asarray(origin, dtype=float)
     coef = np.asarray(coef, dtype=float)
     width = hi - lo
     if not (np.all(np.isfinite(width)) and np.all(width >= 0.0)):
-        raise DomainError("integrate_cubic requires finite intervals "
-                          "with lo <= hi")
-    value, absint, error = (np.zeros(qs.size) for _ in range(3))
-    neval = 0
+        raise DomainError("integrate_sin requires finite intervals with "
+                          "lo <= hi")
+    value, error = np.zeros(qs.size), np.zeros(qs.size)
+    pieces_summed = 0
     if width.size and qs.size:
         order = np.argsort(qs, kind="stable")
 
@@ -345,52 +331,68 @@ def integrate_cubic(kernel, kernel_bound, q, lo, hi, coef, origin=None, *,
             return np.maximum(np.ceil(x * width / _PIECE_PHASE), 1.0)
 
         counts = np.array([cut(x).sum() for x in qs[order]])
-        extra = int(np.maximum(cut(qs[order[-1]]) - 2.0, 0.0).sum())
+        extra = float(np.maximum(cut(qs[order[-1]]) - 2.0, 0.0).sum())
         if extra > max_subdivisions:
             raise ConvergenceError(
                 f"quadrature budget of {max_subdivisions} subdivisions "
                 f"exhausted at q = {float(qs[order[-1]])!r} (the fixed rule "
-                f"needs {extra} pieces beyond two an interval)",
+                f"needs {extra:.6g} pieces beyond two an interval)",
                 estimate=float("nan"), error_estimate=float("inf"))
         # a partition only refines as q grows, so the q of one piece count
         # share a partition
         for group in np.split(order, np.flatnonzero(np.diff(counts)) + 1):
-            pieces = cut(qs[group[0]])
-            value[group], absint[group], n = _cubic_rule(
-                kernel, qs[group], lo, width, origin, coef, pieces)
-            error[group] = _g7_bound(kernel_bound, qs[group], lo, hi, origin,
-                                     coef, pieces)
-            neval += n
-    error += 100.0 * _EPS * absint
+            value[group], error[group], n = _sin_series(
+                qs[group], lo, width, origin, coef, cut(qs[group[0]]))
+            pieces_summed += n
     if scalar:
-        return QuadratureResult(float(value[0]), float(error[0]), neval)
-    return QuadratureResult(value, error, neval)
+        return QuadratureResult(float(value[0]), float(error[0]),
+                                pieces_summed)
+    return QuadratureResult(value, error, pieces_summed)
 
 
-def _cubic_rule(kernel, qs, lo, width, origin, coef, pieces):
-    """integrate_cubic's G7 sums on one partition, for every q of qs:
-    (values, integrals of |f|, node count). Nodes go in blocks whose length
-    depends on the partition alone, so each q sums its terms in the same
-    order whatever q it shares them with."""
+def _sin_series(qs, lo, width, origin, coef, pieces):
+    """integrate_sin on one partition, for each q of qs: (values, error
+    estimates, piece count). The moments depend on the partition alone,
+    and each q sums its own terms of them, so its bits are those of a
+    call at that q alone."""
     n = pieces.astype(np.int64)
     j = np.repeat(np.arange(width.size), n)
     i = np.arange(j.size) - np.repeat(np.cumsum(n) - n, n)
-    hw = 0.5 * (width / pieces)[j]
-    x = (lo[j] + (2.0 * i + 1.0) * hw)[:, None] + hw[:, None] * _G7_NODES
-    s = x - origin[j][:, None]
-    y0, b, c, d = (e[j][:, None] for e in coef)
-    x = x.ravel()
-    wp = (hw[:, None] * _WG * (y0 + s * (b + s * (c + s * d)))).ravel()
-    value, absint = np.zeros(qs.size), np.zeros(qs.size)
-    block = min(x.size, _KERNEL_BLOCK)
-    rows = max(1, _KERNEL_BLOCK // block)
-    for a in range(0, x.size, block):
-        xb, wb = x[a:a + block], wp[a:a + block]
-        for r in range(0, qs.size, rows):
-            f = kernel(qs[r:r + rows, None], xb) * wb
-            value[r:r + rows] += f.sum(axis=1)
-            absint[r:r + rows] += np.abs(f).sum(axis=1)
-    return value, absint, x.size
+    H = (width / pieces)[j]
+    x0 = lo[j] + i * H
+    # each P_j shifted to its piece's start by Horner's scheme, and e_k =
+    # c_k H^(k+1), so that mu_n = H^n sum_k e_k / (k + n + 1)
+    c = [row[j] for row in coef]
+    delta = (lo - origin)[j] + i * H
+    for a in range(len(c) - 1):
+        for k in range(len(c) - 2, a - 1, -1):
+            c[k] = c[k] + delta * c[k + 1]
+    e = [ck * hk for ck, hk in zip(c, accumulate([H] * len(c), np.multiply))]
+    # |sin(q x0)/q| <= |x0|, and sum_k |e_k|/(k + 1) >= int |P|
+    tail = float(((np.abs(x0) + H) * sum(
+        np.abs(ek) / (k + 1) for k, ek in enumerate(e))).sum())
+    hmax = float(H.max())
+    orders = [_series_order(float(x) * hmax) for x in qs]
+    # mu_n / (H^n n!), times H for odd n: the terms of C and S at q = 0
+    mu = [sum(ek * (1.0 / ((k + n + 1) * math.factorial(n)))
+              for k, ek in enumerate(e))
+          for n in range(2 * max(m for m, _ in orders) + 2)]
+    mu[1::2] = [H * odd for odd in mu[1::2]]
+    value, error = np.empty(qs.size), np.empty(qs.size)
+    for r, (x, (m, d)) in enumerate(zip(qs, orders)):
+        u = x * H
+        u *= u
+        C, S = mu[2 * m], mu[2 * m + 1]
+        for a in range(2 * m - 2, -1, -2):
+            C = mu[a] - u * C
+            S = mu[a + 1] - u * S
+        arg = x * x0
+        tc = (np.sin(arg) / x if x else x0) * C
+        ts = np.cos(arg) * S
+        value[r] = (tc + ts).sum()
+        error[r] = 2.0 * d * tail + 100.0 * _EPS * (np.abs(tc)
+                                                      + np.abs(ts)).sum()
+    return value, error, H.size
 
 
 # the most panels hankel0 may start from; the suite, the shipped configs

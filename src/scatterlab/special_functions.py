@@ -75,15 +75,31 @@ def log(x):
     scalar = np.ndim(x) == 0
     m, k = np.frexp(np.atleast_1d(np.asarray(x, dtype=float)))
     low = m < 0.5 * math.sqrt(2.0)
-    f = m * (low + 1.0) - 1.0
-    k = (k - low).astype(float)
-    s = f / (2.0 + f)
+    # k ln2_hi + (s (hfsq + R) + k ln2_lo - hfsq + f) for f = m (low + 1) - 1
+    # and s = f / (2 + f), on temporaries updated in place: each operation
+    # is one of the out-of-place form, its operands at most swapped, so the
+    # bits stay
+    f = low + 1.0
+    f *= m
+    f -= 1.0
+    k -= low
+    s = f + 2.0
+    np.divide(f, s, out=s)
     z = s * s
-    r = _LG[0] * z
+    r = z * _LG[0]
     for c in _LG[1:]:
-        r = (r + c) * z
-    hfsq = 0.5 * f * f
-    r = k * _LN2_HI + (s * (hfsq + r) + k * _LN2_LO - hfsq + f)
+        r += c
+        r *= z
+    hfsq = 0.5 * f
+    hfsq *= f
+    r += hfsq
+    r *= s
+    k = k.astype(float)
+    r += np.multiply(k, _LN2_LO, out=z)
+    r -= hfsq
+    r += f
+    k *= _LN2_HI
+    r += k
     return float(r[0]) if scalar else r
 
 

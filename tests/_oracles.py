@@ -229,6 +229,45 @@ def abel_transform(edges, coef, bs, dps=30):
     return np.array(out)
 
 
+def fourier_transform(edges, coef, qs, dps=30):
+    """Vtilde(q) = 4 pi int V r sin(q r)/q dr of the piecewise cubic
+    (edges, coef) of potentials.TabulatedRadial._pieces at each float q of
+    qs, in mpmath at dps digits: on a piece from e, Q(s) = (e + s) P(s)
+    against the antiderivative Im e^{iqr} sum_j (-1)^j Q^(j)/(iq)^(j+1) of
+    Q sin(q r), and at q = 0 int Q (e + s) ds from Q's powers."""
+    mpf = mpmath.mpf
+    out = []
+    with mpmath.workdps(dps):
+        pieces = []
+        for j in range(len(edges) - 1):
+            e = mpf(float(edges[j]))
+            y0, b, c, d = (mpf(float(x)) for x in coef[:, j])
+            pieces.append((e, mpf(float(edges[j + 1])) - e,
+                           [e * y0, y0 + e * b, b + e * c, c + e * d, d]))
+        for q in qs:
+            q = mpf(float(q))
+            total = mpf(0)
+            for e, h, Q in pieces:
+                if not q:
+                    total += sum(c * (e * h ** (n + 1) / (n + 1)
+                                      + h ** (n + 2) / (n + 2))
+                                 for n, c in enumerate(Q))
+                    continue
+
+                def antiderivative(s, e=e, Q=Q):
+                    acc, der = mpmath.mpc(0), Q
+                    for n in range(len(Q)):
+                        acc += (-1) ** n * sum(
+                            c * s ** i for i, c in enumerate(der)) / (
+                            1j * q) ** (n + 1)
+                        der = [i * c for i, c in enumerate(der)][1:]
+                    return (mpmath.expj(q * (e + s)) * acc).imag / q
+
+                total += antiderivative(h) - antiderivative(mpf(0))
+            out.append(float(4 * mpmath.pi * total))
+    return np.array(out)
+
+
 # hankel0's loop with plain bisections only: each round bisects every panel
 # it splits once, where hankel0 makes the halvings predicted at b = 0 in
 # one round, so the two partitions differ and their values agree within
@@ -973,3 +1012,28 @@ def report_text(cfg, tables, verdicts):
             f"{ratio} [{comp.mutation}]")
     lines.append("")
     return "\n".join(lines)
+
+
+# The fdlibm logarithm as special_functions.log formed it with a new array
+# for each operation. Reference for log, which updates its temporaries in
+# place and must keep its bits.
+
+
+def fdlibm_log(x):
+    lg = (0.1479819860511658591, 0.1531383769920937332,
+          0.1818357216161805012, 0.22222198432149784, 0.2857142874366239,
+          0.3999999999940942, 0.6666666666666735)
+    ln2_hi, ln2_lo = 0.6931471803691238, 1.9082149292705877e-10
+    scalar = np.ndim(x) == 0
+    m, k = np.frexp(np.atleast_1d(np.asarray(x, dtype=float)))
+    low = m < 0.5 * math.sqrt(2.0)
+    f = m * (low + 1.0) - 1.0
+    k = (k - low).astype(float)
+    s = f / (2.0 + f)
+    z = s * s
+    r = lg[0] * z
+    for c in lg[1:]:
+        r = (r + c) * z
+    hfsq = 0.5 * f * f
+    r = k * ln2_hi + (s * (hfsq + r) + k * ln2_lo - hfsq + f)
+    return float(r[0]) if scalar else r

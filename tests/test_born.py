@@ -79,7 +79,7 @@ class TestBorn1:
     @pytest.mark.parametrize("samples", [600, 3000])
     def test_tabulated_error_covers_a_tight_reference(self, samples):
         # the benchmark's table shape on [0, 30]: born1 reports the error
-        # of fourier3d's fixed rule, which covers its deviation from the
+        # of fourier3d's exact series, which covers its deviation from the
         # adaptive GK15 integrator run on each knot interval at rel_tol
         # 1e-13 (abs_tol 1e-15, the rounding level of an interval on which
         # sinc(q r) changes sign) and from a 20-point Gauss-Legendre sum

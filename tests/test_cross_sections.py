@@ -86,6 +86,17 @@ class TestTotalIntegrated:
         got = total_integrated(rows)
         assert got == pytest.approx(16.0 * np.pi, rel=1e-9)
 
+    @pytest.mark.parametrize("a, b", [(2.0, 0.5), (1.0, -0.3), (3.0, -0.9)])
+    def test_a_linear_dsigma_integrates_exactly(self, a, b):
+        # the natural spline reproduces a line, and each interval's cubic
+        # times sin(theta) is integrated exactly: 2 pi int (a + b theta)
+        # sin(theta) over [0, pi] is 2 pi (2 a + b pi)
+        theta = np.linspace(0.0, np.pi, 181)
+        rows = np.zeros((theta.size, 5))
+        rows[:, 0], rows[:, 4] = theta, a + b * theta
+        assert total_integrated(rows) == pytest.approx(
+            2.0 * np.pi * (2.0 * a + b * np.pi), rel=1e-14, abs=0.0)
+
     def test_born_gauss_against_simpson(self):
         p = Gauss(0.01, 1.0)
         kin = Kinematics(mass=1.0, k=5.0)
@@ -103,7 +114,7 @@ class TestTotalIntegrated:
     @pytest.mark.parametrize("k", [1.0, 5.0, 10.0])
     def test_energy_scan_totals_equal_the_exact_spline_integral(self, k):
         # the shipped energy scan's rows: each interval's cubic times
-        # sin(theta) has a closed form, which the fixed rule meets to
+        # sin(theta) has a closed form, which the exact series meets to
         # rounding (the adaptive rule it replaced was up to 1.2e-9 off)
         theta = np.linspace(0.0, 3.1415926, 481)
         amp = amplitude_partial_wave(

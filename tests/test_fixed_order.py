@@ -68,15 +68,15 @@ SIMD_NAMES = {"exp", "log", "log1p", "expm1", "arccosh", "arcsinh", "cosh",
               "sinh", "logaddexp", "power"}
 
 
-def _numpy_calls(tree):
+def _numpy_calls(tree, names=SIMD_NAMES):
     """(line, name) of each call np.<name>(...) or numpy.<name>(...) in
-    tree whose name is one of SIMD_NAMES."""
+    tree whose name is one of names."""
     return [(node.lineno, node.func.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id in ("np", "numpy")
-            and node.func.attr in SIMD_NAMES]
+            and node.func.attr in names]
 
 
 def test_paper_forms_and_the_table_transform_call_no_simd_kernel():
@@ -93,4 +93,17 @@ def test_paper_forms_and_the_table_transform_call_no_simd_kernel():
         assert functions, name
         found += [(name, *call) for f in functions
                   for call in _numpy_calls(f)]
+    # a table's transform by quadrature's exact series: sin and cos, and
+    # no other kernel, nor a power
+    tree = ast.parse((package / "quadrature.py").read_text(encoding="utf-8"))
+    rule = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name in ("integrate_sin", "_sin_series",
+                              "_series_order")]
+    assert len(rule) == 3
+    calls = {name for f in rule for _, name in _numpy_calls(
+        f, SIMD_NAMES | {"sin", "cos", "sinc", "tan", "float_power"})}
+    assert calls == {"sin", "cos"}
+    found += [("quadrature.py", node.lineno, "**") for f in rule
+              for node in ast.walk(f) if isinstance(node, ast.BinOp)
+              and isinstance(node.op, ast.Pow)]
     assert found == []

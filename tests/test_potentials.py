@@ -11,15 +11,20 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.interpolate
+from hypothesis import example, given, settings
 
 import _oracles
 import scatterlab
 from scatterlab._spline import cubic_roots, natural_cubic
-from scatterlab.errors import (ConfigError, DomainError, RangeError,
-                               SingularityError, UnsupportedModelError)
+from scatterlab.born import born1_amplitude
+from scatterlab.eikonal import Kinematics
+from scatterlab.errors import (ConfigError, ConvergenceError, DomainError,
+                               RangeError, SingularityError,
+                               UnsupportedModelError)
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
                                    fourier3d, load_radial_table,
                                    origin_expansion, reach)
+from test_properties import KINK, tables
 
 
 def _dense_gauss_table(g=1.0, alpha=1.0, r_hi=9.0, n=3000):
@@ -150,6 +155,46 @@ def test_fourier3d_against_radial_quadrature_oracle():
             got = fourier3d(p, q)
             want = oracle(p, q, r_hi)
             assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=tables())
+@example(p=KINK)
+def test_table_transform_is_within_its_error_of_the_exact_transform(p):
+    # q h from 0 to 24 on the widest knot interval, up to 13 pieces an
+    # interval: every value within its reported error of a 30-digit
+    # transform of the pieces
+    edges, coef = p._pieces
+    q = np.array([0.0, 0.5, 2.0, 10.0, 24.0]) / np.max(np.diff(edges))
+    value, err = fourier3d(p, q, with_error=True)
+    assert np.all(np.abs(value - _oracles.fourier_transform(edges, coef, q))
+                  <= err)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=tables())
+def test_table_transform_at_q_0_is_the_volume_integral(p):
+    # at q = 0 the series is int V r^2 dr itself: on a table of one sign,
+    # where nothing cancels, to 1e-15 relative
+    p = TabulatedRadial(p.r, np.abs(p.v), "linear")
+    exact = _oracles.fourier_transform(*p._pieces, [0.0])[0]
+    assert abs(fourier3d(p, 0.0) - exact) <= 1e-15 * exact
+
+
+def test_an_exhausted_budget_names_the_piece_count_in_six_digits():
+    # the count of pieces beyond two an interval was printed as an integer
+    # of up to 301 digits
+    cases = [(lambda: fourier3d(KINK, 1e17), "1e+17", "1.9375e+17"),
+             (lambda: fourier3d(KINK, 1e300), "1e+300", "1.9375e+300"),
+             (lambda: born1_amplitude(KINK, Kinematics(mass=1.0, k=1e300),
+                                      [0.0, 0.5]),
+              "4.948079185090459e+299", "9.5869e+299")]
+    for call, q, count in cases:
+        with pytest.raises(ConvergenceError) as err:
+            call()
+        assert str(err.value) == (
+            f"quadrature budget of 200 subdivisions exhausted at q = {q} "
+            f"(the fixed rule needs {count} pieces beyond two an interval)")
 
 
 def test_table_transform_does_not_import_numpy_ma(tmp_path):

@@ -1,6 +1,7 @@
 """Special-function kernels against mpmath/scipy oracles."""
 
 import concurrent.futures
+import math
 
 import mpmath
 import numpy as np
@@ -34,6 +35,19 @@ def test_j0_against_mpmath():
     ours = bessel_j0(xs)
     exact = np.array([float(mpmath.besselj(0, float(x))) for x in xs])
     assert np.max(np.abs(ours - exact)) < 1e-13
+
+
+def test_log_keeps_the_bits_of_the_out_of_place_form():
+    # log updates its temporaries in place; every operation is one of the
+    # out-of-place form with its operands at most swapped
+    rng = np.random.default_rng(5)
+    for x in (10.0 ** rng.uniform(-300.0, 300.0, 100_000),
+              rng.uniform(1.0, 2.6, 100_000)):
+        assert log(x).tobytes() == _oracles.fdlibm_log(x).tobytes()
+    for x in (5e-324, 2.2250738585072014e-308, math.sqrt(0.5), 0.7071, 1.0,
+              1.5, 2.6, 1e300, 1.7976931348623157e308):
+        got, want = log(x), _oracles.fdlibm_log(x)
+        assert type(got) is float and got.hex() == want.hex()
 
 
 def test_log_within_4_ulp_of_mpmath():

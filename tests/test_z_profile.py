@@ -287,7 +287,7 @@ def test_effective_radius_calls_no_quadrature_routine(monkeypatch):
 
     for mod in (quadrature, potentials, partial_wave):
         for name in ("integrate_adaptive", "integrate_semi_infinite",
-                     "integrate_cubic", "hankel0"):
+                     "integrate_sin", "hankel0"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
     for p in (Yukawa(0.5, 1.0), Gauss(0.4, 1.0), _table()):
