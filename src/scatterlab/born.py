@@ -17,25 +17,26 @@ chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
 of the lambda integral. Its e^{ix} - 1 is special_functions.expm1i, the
 one cancellation-free form that the eikonal and partial-wave amplitudes
 use too. w(b) is read from eikonal._z_profile, the one profile per
-potential and setting that the eikonal route's quadrature phase reads
-too, each w with a bound on its error (see eikonal). So the documented
-equality of the two amplitudes at small angle checks the Lambda algebra
-and the two Hankel integrands against each other. On a table
-born1_amplitude reports the a-priori error bound of fourier3d's fixed
-Gauss rule, whose piece budget is the settings' max_subdivisions.
+potential that the eikonal route's quadrature phase reads too, each w
+with a bound on its error (see eikonal). So the documented equality of the
+two amplitudes at small angle checks the Lambda algebra and the two Hankel
+integrands against each other. On a table born1_amplitude reports the
+error bound of quadrature.integrate_sin's exact series on each spline
+piece, whose piece budget is the settings' max_subdivisions.
 """
 
 import numpy as np
 
 from .eikonal import _amplitude, _check_theta, _z_profile, momentum_transfer
 from .errors import DomainError
-from .potentials import reach
+from .potentials import fourier3d, reach
+from .quadrature import DEFAULT_SETTINGS, hankel0
 # The z-profile integrals run in eikonal._z_profile; evaluate and the two
 # integrators are bound here only because perfbench/tracer.py rebinds them
 # in born's namespace as well.
-from .potentials import evaluate, fourier3d  # noqa: F401
-from .quadrature import (DEFAULT_SETTINGS, hankel0,  # noqa: F401
-                         integrate_adaptive, integrate_semi_infinite)
+from .potentials import evaluate  # noqa: F401
+from .quadrature import integrate_adaptive  # noqa: F401
+from .quadrature import integrate_semi_infinite  # noqa: F401
 from .special_functions import expm1i
 
 __all__ = [
@@ -74,7 +75,7 @@ def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
     q = momentum_transfer(kin.k, th)
     hv = kin.hbar * kin.v
     upper, tail = reach(p)
-    profile = _z_profile(p, settings)
+    profile = _z_profile(p)
 
     def g(b):
         w, err = profile(b)

@@ -101,7 +101,7 @@ def total_optical(f0, k):
     """(4 pi / k) Im f(0); f0 must be the forward amplitude."""
     _check_k(k)
     theta = np.atleast_1d(np.asarray(f0.theta, dtype=float))
-    if abs(theta[0]) > 1e-12:
+    if theta.size == 0 or abs(theta[0]) > 1e-12:
         raise DomainError("total_optical needs the amplitude at theta = 0")
     value = np.atleast_1d(np.asarray(f0.value))[0]
     return 4.0 * np.pi / k * float(value.imag)
@@ -176,6 +176,9 @@ def table_from_amplitudes(source, amp, k):
     """
     _check_k(k)
     theta = np.atleast_1d(np.asarray(amp.theta, dtype=float))
+    if theta.size == 0:
+        raise DomainError("table_from_amplitudes needs at least one angle",
+                          key="theta")
     q = np.atleast_1d(np.asarray(amp.q, dtype=float))
     v = np.atleast_1d(np.asarray(amp.value))
     re, im = v.real.astype(float), v.imag.astype(float)

@@ -21,8 +21,8 @@ one exists unless told otherwise.
 
 The z-profile w(b) = int V dz of the quadrature route is the one that
 born.born_resummed_amplitude integrates too. _z_profile holds one
-_ZProfile, of the potential and setting last used, so the two routes share
-it across angles and k: a plain memo of (w, bound) per exact b, each with
+_ZProfile, of the potential last used, so the two routes share it across
+angles, k and settings: a plain memo of (w, bound) per exact b, each with
 the bits of a call for that b alone, whichever route or call asked first.
 A table's w is the exact Abel transform of its pieces
 (potentials.abel_profile). Yukawa's and Gauss's take a fixed trapezoid
@@ -135,44 +135,42 @@ def _check_b(b):
 
 
 # The z-profile held: the _ZProfile of the potential last used. A call for
-# another potential or setting replaces it; a store of per-b values is
-# emptied once it would hold more than _PROFILE_ENTRIES values. Swaps,
-# lookups and inserts take the lock; integrating does not, so two threads
-# may integrate the same b, to the same bits.
+# another potential replaces it; a store of per-b values is emptied once it
+# would hold more than _PROFILE_ENTRIES values. Swaps, lookups and inserts
+# take the lock; integrating does not, so two threads may integrate the
+# same b, to the same bits.
 _PROFILE_ENTRIES = 1 << 16
 _profile_lock = threading.Lock()
 _profile = None
 
 
-def _z_profile(p, settings):
-    """The _ZProfile of p under settings: the one held, or a new one, which
-    is then held."""
+def _z_profile(p):
+    """The _ZProfile of p: the one held, or a new one, which is then held.
+    A model with no z-profile raises, and nothing is held."""
     global _profile
+    if not isinstance(p, (TabulatedRadial, Yukawa, Gauss)):
+        raise UnsupportedModelError(
+            f"unknown potential model {type(p).__name__!r}")
     with _profile_lock:
-        held = _profile
-    if held is not None and held.p is p and held.settings == settings:
-        return held
-    held = _ZProfile(p, settings)
-    with _profile_lock:
-        _profile = held
-    return held
+        if _profile is None or _profile.p is not p:
+            _profile = _ZProfile(p)
+        return _profile
 
 
 _EPS = np.finfo(float).eps
 
 
 class _ZProfile:
-    """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz of one potential under
-    one setting; call it with an array b of any shape for (w, a bound on
-    the error of each w), each of b's shape.
+    """w(b) = int_{-inf}^{inf} V(sqrt(b^2+z^2)) dz of one potential; call
+    it with an array b of any shape for (w, a bound on the error of each
+    w), each of b's shape.
 
     Every b is computed alone and stored by the exact float b with the
     bound on its error; the store reads nothing of the model.
     """
 
-    def __init__(self, p, settings):
+    def __init__(self, p):
         self.p = p
-        self.settings = settings
         self._store = {}
 
     def __call__(self, b):
@@ -188,7 +186,7 @@ class _ZProfile:
                 miss[x] = j
         if miss:
             rows = np.fromiter(miss.values(), dtype=int, count=len(miss))
-            w, err = _integrate_z_profile(self.p, flat[rows], self.settings,
+            w, err = _integrate_z_profile(self.p, flat[rows],
                                           lambda m: f" in row {rows[m]}")
             found = dict(zip(miss, zip(w.tolist(), err.tolist())))
             with _profile_lock:
@@ -199,17 +197,20 @@ class _ZProfile:
         return np.moveaxis(np.reshape(got, (*b.shape, 2)), -1, 0)
 
 
-def _integrate_z_profile(p, b, settings, label):
+def _integrate_z_profile(p, b, label):
     """(w(b), a bound on its error) for each b of the 1-d array b, uncached;
     label(j) names row j in error messages. A table takes abel_profile,
-    Yukawa and Gauss the trapezoid rule; neither reads a setting."""
+    Yukawa and Gauss the trapezoid rule; another model raises."""
     if isinstance(p, TabulatedRadial):
         w, bound = abel_profile(p, b)
-    else:
+    elif isinstance(p, (Yukawa, Gauss)):
         rule = _yukawa_rule if isinstance(p, Yukawa) else _gauss_rule
         step, nodes, bound, f = rule(p, b)
         w, absint = _trapezoid_rows(f, step, nodes)
         bound = bound + 50.0 * _EPS * absint
+    else:
+        raise UnsupportedModelError(
+            f"unknown potential model {type(p).__name__!r}")
     if not np.all(np.isfinite(w)):
         j = int(np.argmin(np.isfinite(w)))
         raise DomainError(f"z-profile is not finite at b = {float(b[j])!r}"
@@ -306,16 +307,15 @@ def _trapezoid_rows(f, step, nodes):
     return value, absint
 
 
-def chi(p, kin, b, settings=DEFAULT_SETTINGS):
+def chi(p, kin, b):
     """Eikonal phase -w(b)/(hbar v) from the z-profile (any model) that
-    born_resummed_amplitude reads too, one per potential and setting (see
-    _ZProfile)."""
+    born_resummed_amplitude reads too, one per potential (see _ZProfile)."""
     b_arr = _check_b(b)
     if isinstance(p, Yukawa) and np.any(b_arr == 0.0):
         raise SingularityError(
             "chi diverges logarithmically at b = 0 for a 1/r core")
     # 0.0 - w: +0.0, not -0.0, where w is 0, as beyond a table
-    out = (0.0 - _z_profile(p, settings)(b_arr)[0]) / (kin.hbar * kin.v)
+    out = (0.0 - _z_profile(p)(b_arr)[0]) / (kin.hbar * kin.v)
     return float(out) if b_arr.ndim == 0 else out
 
 
@@ -344,7 +344,7 @@ def chi_closed(p, kin, b):
     return float(out[0]) if scalar else out
 
 
-def _phase_integrand(p, kin, phase, settings):
+def _phase_integrand(p, kin, phase):
     """e^{i chi(b)} - 1 as a function of b, chi from the chosen route. The
     quadrature route returns it with a bound on its error from w's bound:
     |d(e^{i chi} - 1)| <= |d chi| = |dw|/(hbar v)."""
@@ -353,7 +353,7 @@ def _phase_integrand(p, kin, phase, settings):
     if phase == "closed":
         return lambda b: expm1i(chi_closed(p, kin, b))
     if phase == "quadrature":
-        profile = _z_profile(p, settings)
+        profile = _z_profile(p)
         hv = kin.hbar * kin.v
 
         def g(b):
@@ -374,7 +374,7 @@ def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS, *,
     """
     th = _check_theta(theta)
     q = momentum_transfer(kin.k, th, small_angle=small_angle_q)
-    g = _phase_integrand(p, kin, phase, settings)
+    g = _phase_integrand(p, kin, phase)
     upper, tail = reach(p)
     res = hankel0(g, q, upper, settings)
     value = -1j * kin.k * np.asarray(res.value, dtype=complex)

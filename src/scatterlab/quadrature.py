@@ -75,6 +75,7 @@ so the partition does not depend on numpy's SIMD kernels.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -113,7 +114,7 @@ class QuadratureSettings:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
+        for name in ("rel_tol", "abs_tol", "max_subdivisions"):
             val = getattr(self, name)
             if not math.isfinite(val):
                 raise DomainError(f"{name} must be finite, got {val!r}",
@@ -122,6 +123,10 @@ class QuadratureSettings:
             if getattr(self, name) <= 0:
                 raise DomainError("quadrature tolerances must be positive",
                                   key=name)
+        if not isinstance(self.max_subdivisions, numbers.Integral):
+            raise DomainError(f"max_subdivisions must be an integer, got "
+                              f"{self.max_subdivisions!r}",
+                              key="max_subdivisions")
         if self.max_subdivisions < 8:
             raise DomainError("max_subdivisions must be >= 8",
                               key="max_subdivisions")

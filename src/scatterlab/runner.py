@@ -252,7 +252,7 @@ def _report_text(cfg, tables, verdicts):
     return "\n".join(lines)
 
 
-def _plot_text(cfg, csv_files):
+def _plot_text(csv_files):
     lines = [
         "# gnuplot script; run from inside this directory",
         "set datafile separator ','",
@@ -368,6 +368,6 @@ def run_scan(cfg, out_dir=None):
     _write("summary.csv", _summary_text(outcomes))
     _write("report.txt", _report_text(cfg, tables, verdicts))
     if cfg.output.emit_plot_script and csv_files:
-        _write("plot.gp", _plot_text(cfg, csv_files))
+        _write("plot.gp", _plot_text(csv_files))
     _write("manifest.txt", _manifest_text(manifest), "utf-8")
     return manifest

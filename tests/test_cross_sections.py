@@ -186,6 +186,16 @@ class TestTotalOptical:
     def test_needs_forward_angle(self):
         with pytest.raises(DomainError):
             total_optical(Amplitude(theta=0.1, q=0.2, value=1j), 1.0)
+        # an empty theta, as amplitude_eikonal returns for one, raised a
+        # raw IndexError from theta[0]
+        empty = amplitude_eikonal(Gauss(0.1, 1.0), Kinematics(1.0, 2.0),
+                                  np.array([]))
+        assert empty.theta.size == 0
+        with pytest.raises(DomainError):
+            total_optical(empty, 2.0)
+        with pytest.raises(DomainError) as exc:
+            table_from_amplitudes("eikonal", empty, 2.0)
+        assert exc.value.key == "theta"
 
     @pytest.mark.parametrize("k", [0.0, -1.0, math.inf, math.nan])
     def test_k_must_be_positive_and_finite(self, k):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from scatterlab import eikonal
 from scatterlab.born import born_resummed_amplitude
 from scatterlab.eikonal import (Amplitude, Kinematics, amplitude_eikonal,
                                 amplitude_paper_closed, chi, chi_closed,
@@ -125,6 +126,18 @@ class TestChi:
         assert isinstance(arr, np.ndarray)
         for bi, ci in zip(b, arr):
             assert ci == chi(p, KIN1, float(bi))
+
+    def test_an_unknown_model_is_refused_before_a_profile_is_held(self):
+        # it fell through to the Gauss rule's raw AttributeError on alpha
+        held = eikonal._z_profile(Gauss(1.0, 1.0))
+        for b in (1.0, np.array([0.5, 2.0])):
+            with pytest.raises(UnsupportedModelError,
+                               match="unknown potential model 'object'"):
+                chi(object(), KIN1, b)
+        assert eikonal._profile is held
+        with pytest.raises(UnsupportedModelError):
+            eikonal._integrate_z_profile(object(), np.array([1.0]),
+                                         lambda j: "")
 
     def test_tabulated_has_no_closed_form(self):
         r = np.linspace(0.0, 10.0, 200)

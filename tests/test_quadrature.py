@@ -23,14 +23,18 @@ def test_settings_validation():
         QuadratureSettings(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSettings(max_subdivisions=7)
+    # a fractional budget was accepted
+    with pytest.raises(DomainError) as err:
+        QuadratureSettings(max_subdivisions=8.5)
+    assert err.value.key == "max_subdivisions"
     QuadratureSettings(max_subdivisions=8)
 
 
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "max_subdivisions"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_settings_reject_non_finite(name, value):
     # a nan or inf tolerance once let integrate_adaptive stop after one
-    # panel
+    # panel; a nan budget never tripped a budget check
     with pytest.raises(DomainError) as err:
         QuadratureSettings(**{name: value})
     assert err.value.key == name
@@ -363,7 +367,7 @@ def test_hankel_rows_match_scalar_calls(p, k, phase, q):
     # with the call at that q alone within their reported errors, not bit
     # for bit; it evaluates fewer nodes than the calls together. The
     # table's quadrature phase carries its z-integrals' error estimates.
-    g = _phase_integrand(p, Kinematics(1.0, k), phase, DEFAULT_SETTINGS)
+    g = _phase_integrand(p, Kinematics(1.0, k), phase)
     upper = reach(p)[0]
     scalars = [hankel0(g, float(x), upper) for x in q]
     rows = hankel0(g, q, upper)
@@ -422,7 +426,7 @@ def test_hankel_array_q_validation():
 # workload's grid, 49 angles on [0, 0.6] at k = 10.
 FLAGSHIP_Q = 20.0 * np.sin(0.5 * np.linspace(0.0, 0.6, 49))
 YUKAWA_PHASE = _phase_integrand(Yukawa(0.5, 1.0), Kinematics(1.0, 10.0),
-                                "closed", DEFAULT_SETTINGS)
+                                "closed")
 
 
 def _counted(g):
@@ -443,7 +447,7 @@ def _counted(g):
 ], ids=["yukawa", "yukawa-flagship", "gauss", "table"])
 def test_hankel_agrees_with_the_round_by_round_loop(monkeypatch, p, k, phase,
                                                     q):
-    g = _phase_integrand(p, Kinematics(1.0, k), phase, DEFAULT_SETTINGS)
+    g = _phase_integrand(p, Kinematics(1.0, k), phase)
     upper = reach(p)[0]
     value, error, _, _ = _oracles.hankel_rounds(g, q, upper,
                                                 DEFAULT_SETTINGS)
@@ -468,8 +472,7 @@ def test_hankel_makes_the_predicted_halvings_at_a_tight_tolerance():
     # 1e-13 the round-by-round loop bisects the panel there thousands of
     # times (7,035 final panels), over a budget of 1000, while the
     # predicted halvings converge well inside it
-    g = _phase_integrand(Yukawa(-2.0, 0.5), Kinematics(1.0, 1.0), "closed",
-                         DEFAULT_SETTINGS)
+    g = _phase_integrand(Yukawa(-2.0, 0.5), Kinematics(1.0, 1.0), "closed")
     upper = reach(Yukawa(-2.0, 0.5))[0]
     tight = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16,
                                max_subdivisions=1000)
@@ -489,8 +492,7 @@ def test_hankel_converges_on_a_table_s_exact_profile(q):
     # within its error estimate of a run at 10x tighter tolerances (at
     # 100x, q near 3.7-3.9 stall at rounding level in any budget)
     p = _table()
-    g = _phase_integrand(p, Kinematics(1.0, 3.0), "quadrature",
-                         DEFAULT_SETTINGS)
+    g = _phase_integrand(p, Kinematics(1.0, 3.0), "quadrature")
     res = hankel0(g, q, p.r[-1])
     tight = hankel0(g, q, p.r[-1], QuadratureSettings(
         rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=2000))
@@ -549,7 +551,7 @@ def test_hankel_panel_sums_are_the_panel_s_own(monkeypatch, p, k, phase, q):
     # panels at flagship's 49 angles give the bits of each prefix of them
     # and of each panel alone, and hankel0's bytes at q do not depend on
     # the blocks its g calls and J0 products go in
-    g = _phase_integrand(p, Kinematics(1.0, k), phase, DEFAULT_SETTINGS)
+    g = _phase_integrand(p, Kinematics(1.0, k), phase)
     upper = reach(p)[0]
     edges = np.linspace(0.0, upper, 12)
     lo, hi, q3 = edges[:-1], edges[1:], FLAGSHIP_Q[:, None, None]

@@ -1,5 +1,5 @@
 """The z-profile: eikonal's quadrature phase and born_resummed read one w(b)
-per potential and setting, each value with a bound on its error. Every b,
+per potential, each value with a bound on its error. Every b,
 of Yukawa, Gauss or a table, comes from a store of per-b integrals with
 the bits of an uncached integration; Yukawa's and Gauss's lie within
 their bounds of the closed forms."""
@@ -28,8 +28,6 @@ import _oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 SETTINGS = QuadratureSettings()
-# settings no analytic z-profile reads: its trapezoid rule's bound is a-priori
-LOOSE = QuadratureSettings(rel_tol=1e-2, abs_tol=1.0, max_subdivisions=8)
 # repeated b, and (for the table) b at and beyond its last radius 4
 B = np.array([0.3, 1.2, 0.3, 4.0, 5.5, 1.2, 2.7, 4.0])
 EPS = np.finfo(float).eps
@@ -52,10 +50,10 @@ def _soft_core_table(r_hi):
     return TabulatedRadial(r, v)
 
 
-def _uncached(p, b, settings):
+def _uncached(p, b):
     """(w, error estimate) at each b, integrated afresh."""
     return eikonal._integrate_z_profile(p, np.asarray(b, dtype=float),
-                                        settings, lambda j: f" in row {j}")
+                                        lambda j: f" in row {j}")
 
 
 def _same_bits(got, want):
@@ -67,7 +65,7 @@ def _same_bits(got, want):
                          ids=["yukawa", "gauss", "table"])
 def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
     p = make_p()
-    profile = eikonal._z_profile(p, SETTINGS)
+    profile = eikonal._z_profile(p)
     cold = profile(B[:3])
     warm = profile(B)  # hits, misses and repeats
     again = profile(B[::-1])  # hits only
@@ -77,7 +75,7 @@ def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
         _same_bits((w, e), [x[0] for x in profile(np.array([b]))])
     _same_bits(cold, [x[:3] for x in warm])
     _same_bits(again, [x[::-1] for x in warm])
-    _same_bits(warm, _uncached(p, B, SETTINGS))
+    _same_bits(warm, _uncached(p, B))
     assert set(profile._store) == set(B.tolist())
     if isinstance(p, TabulatedRadial):
         beyond = warm[0][B >= 4.0]
@@ -85,10 +83,6 @@ def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
         assert not np.signbit(beyond).any()
         assert warm[1][B >= 4.0].tolist() == [0.0, 0.0, 0.0]
         assert np.all(warm[1][B < 4.0] > 0.0)
-    else:
-        # the trapezoid rule reads no setting: loose ones give the same bits
-        _same_bits(warm, _uncached(p, B, LOOSE))
-        _same_bits(warm, eikonal._z_profile(p, LOOSE)(B))
 
 
 @pytest.mark.parametrize("make_p", [lambda: Yukawa(0.5, 1.0),
@@ -97,12 +91,12 @@ def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
 def test_store_returns_the_shape_of_b_with_the_bits_of_a_flat_call(make_p):
     p = make_p()
     grid = B.reshape(2, 4)
-    w, err = eikonal._z_profile(p, SETTINGS)(grid)
+    w, err = eikonal._z_profile(p)(grid)
     assert w.shape == err.shape == grid.shape
     # a fresh store, so the flat call integrates every b again
-    flat = eikonal._ZProfile(p, SETTINGS)(B)
+    flat = eikonal._ZProfile(p)(B)
     _same_bits((w.ravel(), err.ravel()), flat)
-    w0, err0 = eikonal._z_profile(p, SETTINGS)(np.array(B[1]))
+    w0, err0 = eikonal._z_profile(p)(np.array(B[1]))
     assert w0.shape == err0.shape == ()
     _same_bits((w0, err0), [x[1] for x in flat])
 
@@ -161,13 +155,13 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
             return self.profile(b)
 
     def asked(route, z_profile):
-        return lambda p, settings: Asked(route, z_profile(p, settings))
+        return lambda p: Asked(route, z_profile(p))
 
     integrate = eikonal._integrate_z_profile
 
-    def counted(p, b, settings, label):
+    def counted(p, b, label):
         integrated.append(b.size)
-        return integrate(p, b, settings, label)
+        return integrate(p, b, label)
 
     monkeypatch.setattr(eikonal, "_z_profile",
                         asked("eikonal", eikonal._z_profile))
@@ -188,6 +182,29 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
         assert sum(integrated) == len(eik | res), p
 
 
+def test_one_profile_serves_every_setting(monkeypatch):
+    # a tolerance change no longer throws the stored w(b) away: both routes
+    # under two settings read one profile, and each b is integrated once
+    p = _table()
+    kin = Kinematics(mass=1.0, k=3.0)
+    theta = np.array([0.0, 0.1, 0.2])
+    integrated = []
+    integrate = eikonal._integrate_z_profile
+
+    def counted(p, b, label):
+        integrated.extend(b.tolist())
+        return integrate(p, b, label)
+
+    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
+    profile = eikonal._z_profile(p)
+    for settings in (SETTINGS, QuadratureSettings(rel_tol=1e-8, abs_tol=1e-10,
+                                                  max_subdivisions=400)):
+        amplitude_eikonal(p, kin, theta, settings, phase="quadrature")
+        born_resummed_amplitude(p, kin, theta, settings)
+        assert eikonal._z_profile(p) is profile
+    assert len(integrated) == len(set(integrated)) == len(profile._store)
+
+
 def _overflowing_table():
     # 4e307 out to r = 3, then linear to 0 at 4: w(b) = 2 int V dz passes
     # the largest float below b ~ 3, and is finite at 3.5 and 3.9
@@ -198,12 +215,12 @@ def _overflowing_table():
 def test_failing_miss_row_names_the_callers_row():
     p = _overflowing_table()
     b = np.array([3.9, 3.5, 0.05])
-    profile = eikonal._z_profile(p, SETTINGS)
+    profile = eikonal._z_profile(p)
     profile(b[:2])
     with pytest.raises(DomainError) as cached:
         profile(b)
     with pytest.raises(DomainError) as uncached:
-        _uncached(p, b, SETTINGS)
+        _uncached(p, b)
     assert "b = 0.05 in row 2" in str(cached.value)
     assert str(cached.value) == str(uncached.value)
     # nothing of the failed row was stored: it fails again
@@ -219,13 +236,13 @@ def test_failing_node_integral_names_its_b_and_stores_nothing():
     kin = Kinematics(mass=1.0, k=1.0)
     b = np.array([3.5, 0.05])
     with pytest.raises(DomainError, match="b = 0.05 in row 1"):
-        chi(p, kin, b, SETTINGS)
-    profile = eikonal._z_profile(p, SETTINGS)
+        chi(p, kin, b)
+    profile = eikonal._z_profile(p)
     assert profile._store == {}
     with pytest.raises(DomainError, match="in row 0"):
-        chi(p, kin, b[1:], SETTINGS)
+        chi(p, kin, b[1:])
     assert profile._store == {}
-    assert eikonal._z_profile(p, SETTINGS) is profile
+    assert eikonal._z_profile(p) is profile
 
 
 def test_overflowing_profile_names_its_row_and_stores_nothing():
@@ -235,48 +252,48 @@ def test_overflowing_profile_names_its_row_and_stores_nothing():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(DomainError, match="b = 1e-10 in row 1"):
             chi(p, Kinematics(mass=1.0, k=1.0), np.array([1.0, 1e-10]))
-    assert eikonal._z_profile(p, SETTINGS)._store == {}
+    assert eikonal._z_profile(p)._store == {}
 
 
 def test_interpolant_is_built_once_from_a_few_hundred_integrals(monkeypatch):
     counts = []
     integrate = eikonal._integrate_z_profile
 
-    def counted(p, b, settings, label):
+    def counted(p, b, label):
         counts.append(b.size)
-        return integrate(p, b, settings, label)
+        return integrate(p, b, label)
 
     monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
     p = Gauss(0.01, 1.0)
     kin = Kinematics(mass=1.0, k=2.0)
     theta = np.linspace(0.0, 0.2, 33)
     born_resummed_amplitude(p, kin, theta, SETTINGS)
-    profile = eikonal._z_profile(p, SETTINGS)
+    profile = eikonal._z_profile(p)
     amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
     born_resummed_amplitude(p, Kinematics(mass=1.0, k=5.0), theta, SETTINGS)
     # one store for every angle, route and k, holding each b integrated
     # once: the transforms never ask beyond the profile's reach
-    assert eikonal._z_profile(p, SETTINGS) is profile
+    assert eikonal._z_profile(p) is profile
     assert sum(counts) == len(profile._store)
     assert sum(counts) <= 700
 
 
 def test_store_holds_one_potential_and_a_bounded_count(monkeypatch):
     p1, p2 = _table(), _table()  # equal, not the same
-    eikonal._z_profile(p1, SETTINGS)(B)
-    w2 = eikonal._z_profile(p2, SETTINGS)(B[:2])
+    eikonal._z_profile(p1)(B)
+    w2 = eikonal._z_profile(p2)(B[:2])
     held = eikonal._profile
     assert held.p is p2
     assert set(held._store) == set(B[:2].tolist())
-    _same_bits(w2, _uncached(p2, B[:2], SETTINGS))
+    _same_bits(w2, _uncached(p2, B[:2]))
     assert held._store[B[0]] == (w2[0][0], w2[1][0])
 
     monkeypatch.setattr(eikonal, "_PROFILE_ENTRIES", 4)
     for start in range(0, 8, 3):
         b = np.linspace(1.0, 3.5, 8)[start:start + 3]
-        _same_bits(held(b), _uncached(p2, b, SETTINGS))
+        _same_bits(held(b), _uncached(p2, b))
         assert len(held._store) <= 4
-    assert eikonal._z_profile(p2, SETTINGS) is held
+    assert eikonal._z_profile(p2) is held
 
 
 def test_effective_radius_calls_no_quadrature_routine(monkeypatch):
@@ -312,7 +329,7 @@ def _closed(p, b):
 
 @pytest.mark.parametrize("p", ANALYTIC, ids=str)
 def test_stored_profile_is_within_its_bound_of_direct_integrals(p):
-    profile = eikonal._z_profile(p, SETTINGS)
+    profile = eikonal._z_profile(p)
     b = _off_grid(p, np.random.default_rng(7))
     closed = _closed(p, b)
     got, bound = profile(b)
@@ -345,7 +362,7 @@ def test_every_stored_bound_covers_the_closed_form(p, seed):
                         [0.0] if isinstance(p, Gauss) else []])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, bound = eikonal._z_profile(p, SETTINGS)(b)
+        got, bound = eikonal._z_profile(p)(b)
     exact = np.array([_mp_closed(p, x) for x in b.tolist()])
     assert np.all(np.abs(got - exact) <= bound)
     # at rounding level: the floor 50 eps h sum |f| and the a-priori
@@ -384,7 +401,7 @@ def test_hankel_error_bounds_the_j0_weighted_piece_bounds(p):
     # test_quadrature) is positive, falls as q grows, and moves no value
     kin = Kinematics(mass=1.0, k=2.0)
     upper = potentials.reach(p)[0]
-    g = eikonal._phase_integrand(p, kin, "quadrature", SETTINGS)
+    g = eikonal._phase_integrand(p, kin, "quadrature")
     q = np.array([0.0, 0.01, 0.3, 2.0, 10.0])
     bounded = hankel0(g, q, upper)
     plain = hankel0(lambda b: g(b)[0], q, upper)
@@ -398,30 +415,26 @@ def test_hankel_error_bounds_the_j0_weighted_piece_bounds(p):
 def test_quadrature_chi_matches_chi_closed(p):
     kin = Kinematics(mass=1.0, k=2.0)
     b = _off_grid(p, np.random.default_rng(11))
-    profile = eikonal._z_profile(p, SETTINGS)
+    profile = eikonal._z_profile(p)
     closed = chi_closed(p, kin, b)
     hv = kin.hbar * kin.v
     slack = (profile(b)[1] + 16.0 * EPS * np.abs(closed * hv)) / hv
-    dev = np.abs(chi(p, kin, b, SETTINGS) - closed)
+    dev = np.abs(chi(p, kin, b) - closed)
     assert np.all(dev <= slack)
     assert np.max(dev) <= 1e-13 * np.max(np.abs(closed))  # rounding level
 
 
 @pytest.mark.parametrize("r_hi", [12.0, 30.0])
-def test_tabulated_chi_near_the_last_radius_reads_no_setting(r_hi):
-    # w ~ 1e-20 there: the closed form takes no tolerance, so the profile
-    # has the same bits whatever abs_tol or budget the run asks for, and
-    # it is within its bound of the 30-digit transform
+def test_tabulated_chi_near_the_last_radius_is_within_its_bound(r_hi):
+    # w ~ 1e-20 there: the closed form takes no tolerance, and it is
+    # within its bound of the 30-digit transform
     p = _soft_core_table(r_hi)
     b = r_hi - np.logspace(-12, -3, 400)
     kin = Kinematics(mass=1.0, k=5.0)
-    w = -chi(p, kin, b, SETTINGS) * kin.hbar * kin.v
+    w = -chi(p, kin, b) * kin.hbar * kin.v
     big = float(np.max(np.abs(p.v)))
     assert np.all(np.abs(w) <= 2.0 * big * np.sqrt(r_hi**2 - b * b))
-    for asked in (QuadratureSettings(abs_tol=1.0),
-                  QuadratureSettings(abs_tol=1e-300, max_subdivisions=8)):
-        _same_bits(-chi(p, kin, b, asked) * kin.hbar * kin.v, w)
-    got, bound = eikonal._z_profile(p, SETTINGS)(b[::40])
+    got, bound = eikonal._z_profile(p)(b[::40])
     exact = _oracles.abel_transform(*p._pieces, b[::40])
     assert np.all(np.abs(got - exact) <= bound)
 
@@ -440,7 +453,7 @@ def test_seed_11_table_profile_is_within_its_bound_of_the_exact_transform(
     p = cfg.potential
     amplitude_eikonal(p, cfg.kinematics(5.0), cfg.theta.points(),
                       cfg.quadrature)
-    store = eikonal._z_profile(p, cfg.quadrature)._store
+    store = eikonal._z_profile(p)._store
     b = np.array(sorted(store))[np.linspace(0, len(store) - 1, 30,
                                             dtype=int)]
     got, bound = np.array([store[x] for x in b.tolist()]).T
@@ -556,14 +569,16 @@ def test_tabulated_errors_cover_a_tight_reference(monkeypatch, k, theta):
     kin = Kinematics(mass=1.0, k=k)
     tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-14,
                                max_subdivisions=2000)
-    ref = np.array([amplitude_eikonal(p, kin, float(t), tight).value
-                    for t in theta])
+    # an equal table, not the same object, so the store counted below
+    # starts empty
+    ref = np.array([amplitude_eikonal(_soft_core_table(30.0), kin, float(t),
+                                      tight).value for t in theta])
     stored = []
     integrate = eikonal._integrate_z_profile
 
-    def counted(p, b, settings, label):
+    def counted(p, b, label):
         stored.append(b.size)
-        return integrate(p, b, settings, label)
+        return integrate(p, b, label)
 
     monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
     for amp in (amplitude_eikonal(p, kin, theta, SETTINGS),
