@@ -11,15 +11,16 @@ Each pass integrates its waves on three grids, of steps h, 2h and 4h,
 between the same two matching radii, which lie on the 4h grid. For a
 smooth potential Numerov's error in delta is O(h^4), and the four-term
 series start keeps it so, so Richardson's R(h, 2h) = delta(h) + (delta(h)
-- delta(2h))/15 removes the leading term. R(2h, 4h) is kept beside it, and
-the amplitude reports how far the two disagree as its step error. One loop
-over the fine grid carries all three grids as one state: every step
-advances the fine waves, every second step the mid ones as well and every
-fourth the coarse ones, so a pass costs as many Python steps as a single
-sweep at h, and 1 + 1/2 + 1/4 of its arithmetic. V, the centrifugal term
-and the Bessel rows at the matching radii are formed once, on the fine
-grid. Each pass of the automatic l_max sweeps only the waves above the
-previous pass's top.
+- delta(2h))/15 removes the leading term; a cubic table from r = 0 is
+smooth but at its last knot, which its default h puts on the 4h grid.
+R(2h, 4h) is kept beside it, and the amplitude reports how far the two
+disagree as its step error. One loop over the fine grid carries all three
+grids as one state: every step advances the fine waves, every second step
+the mid ones as well and every fourth the coarse ones, so a pass costs as
+many Python steps as a single sweep at h, and 1 + 1/2 + 1/4 of its
+arithmetic. V, the centrifugal term and the Bessel rows at the matching
+radii are formed once, on the fine grid. Each pass of the automatic l_max
+sweeps only the waves above the previous pass's top.
 
 The sweep runs Numerov's scheme in summed form: it carries y_n and the
 first difference y_n - y_{n-1} and adds g_n y_n to the difference at each
@@ -28,10 +29,18 @@ classically forbidden region is held in range by scaling each wave's
 state by exact powers of two, which cannot change a phase shift's bits,
 so each grid's phase shifts keep the bits of a sweep of its own.
 
+A wave whose forbidden region near the origin is wide starts inside it,
+with u = 0 one step back (Blatt, J. Comput. Phys. 1, 382, 1967), where its
+regular solution then outgrows the irregular one by 1/(eps e^8); see
+_wave_starts. Its coefficients are formed only from there on, which also
+skips the steps near the origin where 1 - h^2 f/12 < 0 and Numerov's step
+is unstable for a high wave.
+
 The reported delta_l live in (-pi/2, pi/2]; the amplitude only ever uses
 e^{2 i delta}, for which the mod-pi reduction is exact.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -39,8 +48,8 @@ import numpy as np
 
 from .eikonal import Kinematics, _amplitude, momentum_transfer
 from .errors import ConvergenceError, DomainError, RangeError
-from .potentials import (effective_radius, evaluate, origin_expansion,
-                         reach)
+from .potentials import (TabulatedRadial, effective_radius, evaluate,
+                         origin_expansion, reach)
 # The effective radius needs no integrator; the two integrators and
 # spherical_bessel are bound here only because perfbench/tracer.py rebinds
 # them in partial_wave's namespace.
@@ -73,6 +82,8 @@ _GRID_POINTS = 1 << 22
 # at most 4.9e7
 _WAVE_POINTS = 1 << 30
 _EPS = np.finfo(float).eps
+_BLOCK = 64  # fine steps per block of the start rule
+_EXPONENT = 0.5 * math.log(1.0 / _EPS) + 4.0  # growth e^22 past a start
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,20 +128,28 @@ class PhaseShiftSet:
 
 
 def _reduced_strength(p, kin, r):
-    return abs(float(evaluate(p, r))) * 2.0 * kin.mass / kin.hbar**2
+    return np.abs(np.asarray(evaluate(p, r), dtype=float)) \
+        * 2.0 * kin.mass / kin.hbar**2
 
 
 def _auto_r_max(p, kin, r_eff):
     """The first r = r0 + 0.25 j, r0 = max(r_eff, 2 pi/k, 1), where the
     reduced potential has fallen below _DECAY k^2, searched up to _RANGES
-    times the potential's reach past r0."""
+    times the potential's reach past r0. The candidates are evaluated 64
+    at a time, each the sum of its predecessor and 0.25."""
     bound = _DECAY * kin.k**2
-    r = max(r_eff, 2.0 * np.pi / kin.k, 1.0)
-    limit = r + _RANGES * reach(p)[0]
-    for _ in range(math.ceil((limit - r) / 0.25) + 1):
-        if _reduced_strength(p, kin, r) <= bound:
-            return r
-        r += 0.25
+    r0 = max(r_eff, 2.0 * np.pi / kin.k, 1.0)
+    limit = r0 + _RANGES * reach(p)[0]
+    left = math.ceil((limit - r0) / 0.25) + 1
+    first = r0
+    while left > 0:
+        r = np.full(min(64, left), 0.25)
+        r[0] = first
+        np.cumsum(r, out=r)
+        hit = np.flatnonzero(_reduced_strength(p, kin, r) <= bound)
+        if hit.size:
+            return float(r[hit[0]])
+        first, left = r[-1] + 0.25, left - r.size
     raise RangeError(f"potential does not decay below the matching "
                      f"threshold within r = {limit:g}, {_RANGES} times its "
                      f"reach past the start of the search", key="r_max")
@@ -157,7 +176,37 @@ def _advance(steps, y, d, every_step=False):
         add(y_n, d_n, y_n)
 
 
-def _integrate(base, inv_r2, ll1, h2s, y, d, i_a, i_b):
+def _wave_starts(base, inv_r2, ll1, i_a, dr):
+    """The fine index at which each wave of ll1 = l(l+1) starts: the last
+    edge 64 b, b >= 1, of a block of 64 fine steps from which a lower bound
+    on the WKB exponent int sqrt(f) dr to the wave's first turning point,
+    or to i_a, reaches _EXPONENT = ln(1/eps)/2 + 4; 2, the series start, if
+    there is none. The start depends on the wave, the grid and V alone.
+
+    Block b, from fine index 64 b to 64 b + 64 <= i_a, adds sqrt(min f) 64
+    dr, min f = min(base) over its points + l(l+1)/r^2 at its end; from the
+    first block with min f <= 0 on, blocks add 0. The bound grows with l,
+    so the starts do not fall as l rises.
+    """
+    starts = np.full(ll1.size, 2)
+    nb = i_a // _BLOCK
+    if nb < 2:
+        return starts
+    ends = _BLOCK * np.arange(1, nb + 1)
+    low = base[1:ends[-1] + 1].reshape(nb, _BLOCK).min(axis=1)
+    low[1:] = np.minimum(low[1:], base[ends[:-1]])
+    f_min = low[:, None] + inv_r2[ends, None] * ll1  # (block, wave)
+    alive = np.logical_and.accumulate(f_min > 0.0)
+    growth = np.where(alive, np.sqrt(np.maximum(f_min, 0.0)), 0.0) \
+        * (_BLOCK * dr)
+    # the exponent from each edge is a sum over the blocks past it
+    exponent = np.cumsum(growth[::-1], axis=0)[::-1]
+    b = np.count_nonzero(exponent[1:] >= _EXPONENT, axis=0)
+    starts[b > 0] = _BLOCK * b[b > 0]
+    return starts
+
+
+def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b, starts):
     """Carry the state (y, d) of the three grids in place from fine index 2
     to i_b; return y at i_a.
 
@@ -166,10 +215,18 @@ def _integrate(base, inv_r2, ll1, h2s, y, d, i_a, i_b):
     the mid grid steps with it at odd n from n = 5, and the coarse grid at
     n = 3 (mod 4) from n = 11, so every grid due at step n lands on
     r_{n+1}, all three together on each point of the coarse grid, and a
-    step works on a prefix of the state. g = h2 f / (1 - h2 f/12) is
-    formed _CHUNK steps at a time into buffers allocated once, step n in
-    row n - 2 (mod 4), with f = base + l(l+1)/r^2 formed once per fine row:
-    the mid and coarse grids step with the f of rows n - 1 and n - 3.
+    step works on a prefix of the state. Wave i starts at fine index
+    starts[i], a point of the coarse grid past the origin or 2, and the
+    starts do not fall as i rises. A wave starting at 2 starts from the
+    series already in (y, d); any other starts from y = d = 1 on every
+    grid, u one step back being 0, and until then its state and its g are
+    0. g = h_j^2 f / (1 - h_j^2 f/12) is formed _CHUNK steps at a time
+    into buffers allocated once, step n in row n - 2 (mod 4), and only for
+    the waves started by the chunk's end; the mid and coarse grids step
+    with the f of rows n - 1 and n - 3. h2 = h^2, and h_j^2 = 4^j h2
+    exactly, so g = h2 f / (4^-j - h2 f/12) with the same bits, from h2 f
+    and h2 f/12 formed once per fine row. The steps of a chunk are cut
+    where waves start.
     Before i_a each chunk starts from a normalised state; a chunk that still
     overflows (the steep growth of a high wave near the origin) is redone
     from its start, normalised at every step. From i_a on nothing is
@@ -177,10 +234,14 @@ def _integrate(base, inv_r2, ll1, h2s, y, d, i_a, i_b):
     """
     w = ll1.size
     t = np.empty_like(y)
-    f_buf = np.empty((_CHUNK + 3, w))
-    hf_buf = np.empty((_CHUNK, w))
-    g_buf = np.empty((_CHUNK + 3, 3 * w))
+    # the temporaries of g are contiguous (rows, waves started) blocks of
+    # flat buffers; only g's rows interleave the three grids
+    hf_buf, hf12_buf = (np.empty((_CHUNK + 3) * w) for _ in range(2))
+    den_buf = np.empty(_CHUNK * w)
+    g_buf = np.zeros((_CHUNK + 3, 3 * w))
     views = {m: (y[:m], d[:m], t[:m]) for m in (w, 2 * w, 3 * w)}
+    # (grid, wave) views of the state and (row, grid, wave) of g
+    y3, d3, g3 = y.reshape(3, w), d.reshape(3, w), g_buf.reshape(-1, 3, w)
 
     def width(n):
         return w * (1 + (n % 2 == 1 and n >= 5) + (n % 4 == 3 and n >= 11))
@@ -192,25 +253,46 @@ def _integrate(base, inv_r2, ll1, h2s, y, d, i_a, i_b):
     y_a = None
     # chunk [n0, n1) takes the state from r_{n0} to r_{n1}; i_a is a cut
     cuts = sorted({*range(2, i_b, _CHUNK), i_a, i_b})
+    # the waves [i0, i1) that start at fine index n > 2, in order of n
+    firsts = starts.tolist()
+    groups = [(n, bisect.bisect_left(firsts, n), bisect.bisect(firsts, n))
+              for n in sorted(set(firsts) - {2})]
+
+    def run(steps, n0, fresh, every_step=False):
+        # the chunk's steps, each wave started before its first step
+        at = n0
+        for n, i0, i1 in fresh:
+            _advance(steps[at - n0:n - n0], y, d, every_step)
+            y3[:, i0:i1] = d3[:, i0:i1] = 1.0
+            at = n
+        _advance(steps[at - n0:], y, d, every_step)
+
     # overflow is caught by the finiteness checks, not by numpy
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n0, n1 in zip(cuts, cuts[1:]):
             if n0 == i_a:
                 y_a = y.copy()
+            fresh = []
+            while groups and groups[0][0] < n1:
+                fresh.append(groups.pop(0))
+            m = bisect.bisect_left(firsts, n1)  # the waves started by n1
             off, lo = (n0 - 2) % 4, max(n0 - 3, 0)
-            f = f_buf[:n1 - lo]
-            np.multiply(ll1, inv_r2[lo:n1, None], out=f)
-            np.add(base[lo:n1, None], f, out=f)
-            for j, (h2, lag, period) in enumerate(zip(h2s, (0, 1, 3),
-                                                      (1, 2, 4))):
+            hf = hf_buf[:(n1 - lo) * m].reshape(n1 - lo, m)
+            hf12 = hf12_buf[:hf.size].reshape(hf.shape)
+            np.multiply(ll1[:m], inv_r2[lo:n1, None], out=hf)
+            np.add(base[lo:n1, None], hf, out=hf)  # f
+            np.multiply(h2 / 12.0, hf, out=hf12)
+            np.multiply(h2, hf, out=hf)
+            for j, (scale, lag, period) in enumerate(zip(
+                    (1.0, 0.25, 0.0625), (0, 1, 3), (1, 2, 4))):
                 a = off + (1 - off) % period  # rows = 1 (mod period)
-                g = g_buf[a:off + n1 - n0:period, j * w:(j + 1) * w]
-                f_j = f[n0 + a - off - lag - lo:n1 - lag - lo:period]
-                hf = hf_buf[:g.shape[0]]
-                np.multiply(h2 / 12.0, f_j, out=g)
-                np.subtract(1.0, g, out=g)
-                np.multiply(h2, f_j, out=hf)
-                np.divide(hf, g, out=g)
+                g = g_buf[a:off + n1 - n0:period, j * w:j * w + m]
+                rows = slice(n0 + a - off - lag - lo, n1 - lag - lo, period)
+                den = den_buf[:g.size].reshape(g.shape)
+                np.subtract(scale, hf12[rows], out=den)
+                np.divide(hf[rows], den, out=g)
+            for n, i0, i1 in fresh:  # g is 0 before a wave starts
+                g3[off:off + n - n0, :, i0:i1] = 0.0
             steps = plan[off:off + n1 - n0]
             if n0 < 11:
                 steps[:11 - n0] = [(g_buf[off + i, :width(n)],
@@ -221,11 +303,11 @@ def _integrate(base, inv_r2, ll1, h2s, y, d, i_a, i_b):
                 continue
             _normalise(y, d)
             start = y.copy(), d.copy()
-            _advance(steps, y, d)
+            run(steps, n0, fresh)
             if not np.isfinite(y).all():
                 # a non-finite d reaches y in the same step and stays there
                 y[:], d[:] = start
-                _advance(steps, y, d, every_step=True)
+                run(steps, n0, fresh, every_step=True)
     return y_a
 
 
@@ -322,7 +404,10 @@ def _sweep_grids(p, kin, l_arr, r_a, r_b, dr):
     d = y - np.concatenate([den_at(j, s) * np.ldexp(series(r[s]),
                                                      -1 - la.astype(int))
                             for j, s in enumerate((1, 2, 4))])
-    y_a = _integrate(base, inv_r2, ll1, h2s, y, d, i_a, i_b)
+    starts = _wave_starts(base, inv_r2, ll1, i_a, dr)
+    late = np.tile(starts > 2, 3)
+    y[late] = d[late] = 0.0
+    y_a = _integrate(base, inv_r2, ll1, h2s[0], y, d, i_a, i_b, starts)
 
     if not (np.all(np.isfinite(y_a)) and np.all(np.isfinite(y))):
         raise ConvergenceError(
@@ -378,8 +463,13 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     fine grid out to it of more than _GRID_POINTS points raises RangeError
     naming r_max before anything is swept; so do waves times points past
     _WAVE_POINTS, naming l_max if it was given.
-    dr=None takes dr = min(0.04/k, 0.01); an explicit dr is the finest step
-    and must keep k dr below 0.1.
+    dr=None takes dr = min(0.04/k, 0.01), and for a cubic table from
+    r[0] = 0 r[-1]/(4 n), n the least integer that keeps it no coarser, so
+    that the table's last knot, its only kink of V, lies on the 4 dr grid
+    (a linear table has a kink at every knot, one from r[0] > 0 one at
+    r[0] as well); an explicit dr is the finest step, kept as given, and
+    must keep k dr below 0.1.
+    Each wave starts at the origin or at its own radius; see _wave_starts.
     """
     if not isinstance(kin, Kinematics):
         raise DomainError("kin must be a Kinematics instance")
@@ -387,6 +477,11 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     r_eff = effective_radius(p)
     if dr is None:
         dr = min(0.04 / k, 0.01)
+        if (isinstance(p, TabulatedRadial) and p.interpolation == "cubic"
+                and p.r[0] == 0.0):
+            # the last knot, this table's only kink of V, on the 4 dr grid
+            end = float(p.r[-1])
+            dr = end / (4.0 * math.ceil(end / (4.0 * dr)))
     else:
         dr = float(dr)
         if not (math.isfinite(dr) and dr > 0):

@@ -20,9 +20,10 @@ from scatterlab import paper_forms, partial_wave, quadrature
 from scatterlab.config import k_tag
 from scatterlab.eikonal import Amplitude, momentum_transfer
 from scatterlab.errors import (ConvergenceError, DomainError, PoleError,
-                               ScatterError, UnsupportedModelError)
+                               RangeError, ScatterError,
+                               UnsupportedModelError)
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
-                                   origin_expansion)
+                                   origin_expansion, reach)
 from scatterlab.quadrature import (_EPS, _NODES, _WG, _WK, QuadratureSettings,
                                    integrate_adaptive,
                                    integrate_semi_infinite)
@@ -563,20 +564,73 @@ def effective_radius(p, fraction=0.9999):
     return hi
 
 
+# The start rule of partial_wave._wave_starts, one wave and one block at a
+# time: where each wave's sweep begins on the fine grid. Reference for the
+# rule, and the start the sweeps below take.
+
+
+def wave_starts(p, kin, l_arr, r_a, r_b, dr):
+    """The radius at which partial_wave starts each wave of l_arr on the
+    grids of finest step dr matched at r_a and r_b, 0 for the origin: the
+    last edge 64 b dr, b >= 1, from which the sum over blocks of 64 steps
+    of sqrt(min f) 64 dr, up to the first block whose min f <= 0 or to
+    r_a, reaches ln(1/eps)/2 + 4; min f is the least 2mV/hbar^2 - k^2 on
+    the block's points plus l(l+1)/r^2 at its end."""
+    two_m = 2.0 * kin.mass / kin.hbar**2
+    i_a = int(round(r_a / dr))
+    i_b = int(round(r_b / dr))
+    r = dr * np.arange(0, i_b + 1, dtype=float)
+    base = np.zeros(i_b + 1)
+    base[1:] = two_m * np.asarray(evaluate(p, r[1:]), dtype=float) \
+        - kin.k * kin.k
+    target = 0.5 * math.log(1.0 / np.finfo(float).eps) + 4.0
+    out = np.zeros(len(l_arr))
+    for i, l in enumerate(l_arr):
+        ll1 = float(l) * (float(l) + 1.0)
+        growth = []
+        for b in range(i_a // 64):
+            end = 64 * b + 64
+            f_min = min(base[max(64 * b, 1):end + 1]) \
+                + ll1 * (1.0 / (r[end] * r[end]))
+            if f_min <= 0.0:
+                break
+            growth.append(math.sqrt(f_min) * (64 * dr))
+        total = 0.0
+        for b in range(len(growth) - 1, 0, -1):
+            total += growth[b]
+            if total >= target:
+                out[i] = r[64 * b]
+                break
+    return out
+
+
+def _first_steps(starts, l_arr, dr):
+    """Each wave's start index on the grid of step dr: 2, for the series,
+    where starts is None or 0."""
+    if starts is None:
+        return np.full(len(l_arr), 2)
+    s = np.asarray(starts, dtype=float)
+    return np.where(s > 0.0, np.rint(s / dr), 2.0).astype(int)
+
+
 # Numerov sweeps that form each step's coefficients inside the step loop:
 # the summed form normalised at every step (reference for each grid of
 # partial_wave._sweep_grids, bit for bit for every wave with l < k r_a - 1,
 # whose j_l goes upward at both matching radii), the classic two-level form
 # that preceded it, and the summed form in any float dtype (in np.longdouble
 # the reference for the rounding error of the other two). Each matches
-# every wave with the scalar Bessel pair of its own order.
+# every wave with the scalar Bessel pair of its own order. Each takes the
+# waves' start radii from wave_starts, or None to start every wave from the
+# origin series; a wave started at r_s has u = 0 one step back and y = 1
+# at r_s, and is 0 before.
 
 
-def _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype):
-    """(i_a, i_b, r, h2, f, u_1, u_2) of a sweep in dtype: the matching
-    indices nearest r_a and r_b, the float radii, h^2, f(n) = l(l+1)/r_n^2
-    + 2mV(r_n)/hbar^2 - k^2 for every wave, and the four-term series start
-    at r_1 and r_2; None for the free equation."""
+def _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype, starts):
+    """(i_a, i_b, r, h2, f, u_1, u_2, first) of a sweep in dtype: the
+    matching indices nearest r_a and r_b, the float radii, h^2, f(n) =
+    l(l+1)/r_n^2 + 2mV(r_n)/hbar^2 - k^2 for every wave, the four-term
+    series start at r_1 and r_2 and each wave's start index; None for the
+    free equation."""
     k = dtype(kin.k)
     h = dtype(dr)
     two_m = dtype(2.0 * kin.mass / kin.hbar**2)
@@ -611,7 +665,8 @@ def _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype):
 
     u_1 = series(rd[1], 1.0)
     u_2 = series(rd[2], 2.0 ** (la + 1.0))
-    return i_a, i_b, r, h * h, f, u_1, u_2
+    return (i_a, i_b, r, h * h, f, u_1, u_2,
+            _first_steps(starts, l_arr, dr))
 
 
 def _match(l_arr, k, r_a, r_b, u_a, u_b):
@@ -641,48 +696,62 @@ def _match(l_arr, k, r_a, r_b, u_a, u_b):
     return out
 
 
-def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr, dtype=float):
+def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr, dtype=float, starts=None):
     """Summed-form sweep: d_{n+1} = d_n + g_n y_n, y_{n+1} = y_n + d_{n+1}
     with g_n = h^2 f_n / (1 - h^2 f_n/12); before the matching radius each
     wave's (y, d) is scaled by a power of two at every step."""
-    start = _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype)
+    start = _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype, starts)
     if start is None:
         return np.zeros(len(l_arr))
-    i_a, i_b, r, h2, f, u_1, u_2 = start
+    i_a, i_b, r, h2, f, u_1, u_2, first = start
 
     def den(n):
         return 1.0 - h2 / 12.0 * f(n)
 
     y = den(2) * u_2
     d = y - den(1) * u_1
+    y[first > 2] = d[first > 2] = 0.0
     y_a = None
-    for n in range(2, i_b):
-        if n == i_a:
-            y_a = y
-        if n < i_a:
-            e = np.frexp(np.maximum(np.abs(y), np.abs(d)))[1]
-            y, d = np.ldexp(y, -e), np.ldexp(d, -e)
-        f_n = f(n)
-        d = d + h2 * f_n / (1.0 - h2 / 12.0 * f_n) * y
-        y = y + d
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(2, i_b):
+            if n == i_a:
+                y_a = y
+            if n > 2:
+                y[first == n] = d[first == n] = 1.0
+            if n < i_a:
+                e = np.frexp(np.maximum(np.abs(y), np.abs(d)))[1]
+                y, d = np.ldexp(y, -e), np.ldexp(d, -e)
+            f_n = f(n)
+            g = h2 * f_n / (1.0 - h2 / 12.0 * f_n)
+            g[first > n] = 0.0
+            d = d + g * y
+            y = y + d
     return _match(l_arr, kin.k, r[i_a], r[i_b], y_a / den(i_a),
                   y / den(i_b))
 
 
-def _numerov_sweep_classic(p, kin, l_arr, r_a, r_b, dr, events=None):
+def _numerov_sweep_classic(p, kin, l_arr, r_a, r_b, dr, events=None,
+                           starts=None):
     """Two-level sweep y_{n+1} = 2 y_n - y_{n-1} + h^2 f_n u_n, u = y/(1 -
     h^2 f/12), rescaled by 1e-250 where |u| passes 1e250. events, if a
     list, receives the grid index of every rescale."""
-    start = _sweep_start(p, kin, l_arr, r_a, r_b, dr, float)
+    start = _sweep_start(p, kin, l_arr, r_a, r_b, dr, float, starts)
     if start is None:
         return np.zeros(len(l_arr))
-    i_a, i_b, r, h2, f, u_prev, u_curr = start
+    i_a, i_b, r, h2, f, u_prev, u_curr, first = start
     f_prev, f_curr = f(1), f(2)
     y_prev = (1.0 - h2 / 12.0 * f_prev) * u_prev
     y_curr = (1.0 - h2 / 12.0 * f_curr) * u_curr
+    late = first > 2
+    y_prev[late] = y_curr[late] = u_curr[late] = 0.0
 
     u_a = None
     for n in range(2, i_b):
+        fresh = first == n
+        if n > 2 and fresh.any():
+            y_prev[fresh] = 0.0
+            y_curr[fresh] = 1.0
+            u_curr[fresh] = 1.0 / (1.0 - h2 / 12.0 * f_curr[fresh])
         y_next = 2.0 * y_curr - y_prev + h2 * f_curr * u_curr
         f_next = f(n + 1)
         u_next = y_next / (1.0 - h2 / 12.0 * f_next)
@@ -705,9 +774,10 @@ def _numerov_sweep_classic(p, kin, l_arr, r_a, r_b, dr, events=None):
 
 # The three-sweep scheme that phase_shifts ran before its grids shared one
 # loop: one chunked sweep per step size h, 2h and 4h, each forming its
-# coefficient rows _CHUNK steps at a time and normalising each chunk's
-# start before the matching radius. Reference for partial_wave._sweep_grids,
-# which must keep its bits on every grid.
+# coefficient rows _CHUNK steps at a time, for every wave, and normalising
+# each chunk's start before the matching radius; a wave's start index is a
+# cut, and its rows are 0 before it. Reference for
+# partial_wave._sweep_grids, which must keep its bits on every grid.
 
 _CHUNK = 128
 
@@ -727,16 +797,18 @@ def _advance(g, y, d, t, every_step=False):
         np.add(y, d, out=y)
 
 
-def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b):
+def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b, first):
     t = np.empty_like(y)
     f_buf = np.empty((_CHUNK, y.size))
     g_buf = np.empty((_CHUNK, y.size))
     y_a = None
-    cuts = sorted({*range(2, i_b, _CHUNK), i_a, i_b})
+    cuts = sorted({*range(2, i_b, _CHUNK), i_a, i_b, *first.tolist()})
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n0, n1 in zip(cuts, cuts[1:]):
             if n0 == i_a:
                 y_a = y.copy()
+            if n0 > 2:
+                y[first == n0] = d[first == n0] = 1.0
             f, g = f_buf[:n1 - n0], g_buf[:n1 - n0]
             np.multiply(ll1, inv_r2[n0:n1, None], out=f)
             np.add(base[n0:n1, None], f, out=f)
@@ -744,6 +816,7 @@ def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b):
             np.subtract(1.0, g, out=g)
             np.multiply(h2, f, out=f)
             np.divide(f, g, out=g)
+            g[:, first > n0] = 0.0
             if n0 >= i_a:
                 _advance(g, y, d, t)
                 continue
@@ -773,7 +846,7 @@ def _row_match(l_arr, k, r_a, r_b, w_a, w_b):
     return delta
 
 
-def chunked_sweep(p, kin, l_arr, r_a, r_b, dr):
+def chunked_sweep(p, kin, l_arr, r_a, r_b, dr, starts=None):
     """The phase shifts of l_arr from one chunked sweep of step dr matched
     at the grid points nearest r_a and r_b."""
     k = kin.k
@@ -808,7 +881,9 @@ def chunked_sweep(p, kin, l_arr, r_a, r_b, dr):
 
     y = den_at(2) * series(r[2])
     d = y - den_at(1) * np.ldexp(series(r[1]), -1 - la.astype(int))
-    y_a = _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b)
+    first = _first_steps(starts, l_arr, dr)
+    y[first > 2] = d[first > 2] = 0.0
+    y_a = _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b, first)
     if not (np.all(np.isfinite(y_a)) and np.all(np.isfinite(y))):
         raise ConvergenceError(
             "radial integration overflowed despite rescaling",
@@ -818,13 +893,35 @@ def chunked_sweep(p, kin, l_arr, r_a, r_b, dr):
                       y / den_at(i_b) / r_b)
 
 
-def on_three_grids(sweep):
+def on_three_grids(sweep, origin=False):
     """A stand-in for partial_wave._sweep_grids that runs sweep once per
-    step size: at dr, 2 dr and 4 dr."""
+    step size: at dr, 2 dr and 4 dr, each wave started where wave_starts
+    puts it on the grid of dr, or, if origin, every wave from the origin."""
     def grids(p, kin, l_arr, r_a, r_b, dr):
-        return tuple(sweep(p, kin, l_arr, r_a, r_b, s * dr)
+        starts = None if origin else wave_starts(p, kin, l_arr, r_a, r_b,
+                                                 dr)
+        return tuple(sweep(p, kin, l_arr, r_a, r_b, s * dr, starts=starts)
                      for s in (1.0, 2.0, 4.0))
     return grids
+
+
+# The automatic r_max search of partial_wave as a scalar loop, one
+# candidate at a time. Reference for partial_wave._auto_r_max, which must
+# return the same radius.
+
+
+def auto_r_max(p, kin, r_eff):
+    """The first r = r0 + 0.25 j, r0 = max(r_eff, 2 pi/k, 1), where
+    2m|V|/hbar^2 <= 1e-12 k^2, searched over 64 reaches past r0."""
+    bound = partial_wave._DECAY * kin.k**2
+    r = max(r_eff, 2.0 * np.pi / kin.k, 1.0)
+    limit = r + partial_wave._RANGES * reach(p)[0]
+    for _ in range(math.ceil((limit - r) / 0.25) + 1):
+        if abs(float(evaluate(p, r))) * 2.0 * kin.mass / kin.hbar**2 \
+                <= bound:
+            return r
+        r += 0.25
+    raise RangeError("potential does not decay", key="r_max")
 
 
 # The automatic l_max plan of partial_wave.phase_shifts before the width
@@ -841,13 +938,14 @@ def second_radius(kin, r_max, dr):
     return r_max + step * max(1, round((math.pi / (2.0 * kin.k)) / step))
 
 
-def extrapolated(p, kin, l_arr, r_max, dr):
+def extrapolated(p, kin, l_arr, r_max, dr, origin=False):
     """(R(h, 2h), R(2h, 4h)) of l_arr, h = dr, from chunked sweeps at h, 2h
     and 4h between r_max and second_radius, one wave at a time: the
-    three-sweep partial_wave._extrapolated, bit for bit."""
+    three-sweep partial_wave._extrapolated, bit for bit; origin starts
+    every wave from the origin series."""
     r_b = second_radius(kin, r_max, dr)
-    fine, mid, coarse = on_three_grids(chunked_sweep)(p, kin, l_arr, r_max,
-                                                      r_b, dr)
+    fine, mid, coarse = on_three_grids(chunked_sweep, origin)(
+        p, kin, l_arr, r_max, r_b, dr)
     best, worse = np.empty(len(l_arr)), np.empty(len(l_arr))
     for i, (f, m, c) in enumerate(zip(fine.tolist(), mid.tolist(),
                                       coarse.tolist())):

@@ -36,6 +36,12 @@ _R_EFF_CASES = [
     TabulatedRadial(_R13, np.r_[np.cos(1.5 * _R13[:-1])
                                 * np.exp(-0.5 * _R13[:-1]), 0.0]),
 ]
+# a narrow well on [2.9, 3.1] deep enough to turn l = 400 back at k = 10:
+# the start rule stops its exponent there, so the wave starts near 2.6, and
+# from the well on it grows by more than e^709 before the matching radius 20
+_WELL_TABLE = TabulatedRadial(np.array([0.0, 2.8, 2.9, 3.1, 3.2, 3.5]),
+                              np.array([0.0, 0.0, -9e3, -9e3, 0.0, 0.0]),
+                              interpolation="linear")
 _RIPPLED_R = np.linspace(0.0, 8.0, 200)
 _RIPPLED_TABLE = TabulatedRadial(
     _RIPPLED_R, np.r_[-1.5 * np.exp(-0.5 * _RIPPLED_R[:-1] ** 2)
@@ -53,6 +59,19 @@ def _count_sweeps(monkeypatch):
         return sweep(*args)
 
     monkeypatch.setattr(partial_wave, "_sweep_grids", counted)
+    return calls
+
+
+def _spy_starts(monkeypatch):
+    """The (arguments, starts) of every _wave_starts call from here on."""
+    calls = []
+    rule = partial_wave._wave_starts
+
+    def spied(*args):
+        calls.append((args, rule(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(partial_wave, "_wave_starts", spied)
     return calls
 
 
@@ -169,6 +188,44 @@ class TestPhaseShifts:
         # the solver reports delta mod pi in (-pi/2, pi/2]
         exact -= math.pi * round(exact / math.pi)
         assert ps.delta[0] == pytest.approx(exact, abs=1e-4)
+
+    @pytest.mark.parametrize("k", [0.3, 1.0, 7.0, 30.0])
+    def test_a_table_s_automatic_step_puts_its_last_knot_on_the_grid(self,
+                                                                      k):
+        # for a cubic table from r = 0, dr = r[-1]/(4 n), the least n with
+        # dr <= min(0.04/k, 0.01); an explicit dr is kept, and so is
+        # min(0.04/k, 0.01) for a linear table or one from r[0] > 0, which
+        # have kinks besides the last knot
+        r, v = np.array([0.0, 1.0, 2.0, 3.875]), np.array([0.0, 0.0, 1.0, 0.0])
+        p = TabulatedRadial(r, v)
+        kin = Kinematics(mass=1.0, k=k)
+        dr0 = min(0.04 / k, 0.01)
+        ps = phase_shifts(p, kin)
+        n = 3.875 / (4.0 * ps.dr)
+        assert ps.dr <= dr0 < 3.875 / (4.0 * (round(n) - 1))
+        assert n == pytest.approx(round(n), abs=1e-9)
+        assert phase_shifts(p, kin, dr=dr0 / 3).dr == dr0 / 3
+        for other in (TabulatedRadial(r, v, interpolation="linear"),
+                      TabulatedRadial(r + 0.5, v)):
+            assert phase_shifts(other, kin).dr == dr0
+
+    def test_the_kink_table_s_error_covers_finer_steps(self):
+        # the cubic table's last knot is a kink of V; on a grid through it
+        # the reported error covers the move at dr/2 and dr/8 (0.20 and
+        # 0.26 of it); with dr = 0.01 the knot fell between grid points and
+        # the move at dr/2 was 1.64 times the error
+        p = TabulatedRadial(np.array([0.0, 1.0, 2.0, 3.875]),
+                            np.array([0.0, 0.0, 1.0, 0.0]))
+        kin = Kinematics(mass=1.0, k=1.0)
+        theta = np.linspace(0.0, np.pi, 241)
+        ps = phase_shifts(p, kin)
+        got = amplitude_partial_wave(ps, theta)
+        for div in (2.0, 8.0):
+            fine = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
+                                dr=ps.dr / div)
+            ref = amplitude_partial_wave(fine, theta)
+            assert np.all(np.abs(got.value - ref.value)
+                          <= got.error_estimate)
 
     def test_weak_coupling_matches_born_integral(self):
         # delta_l ~ -(2mk/hbar^2) int V j_l^2 r^2 dr at weak coupling
@@ -322,6 +379,29 @@ class TestPhaseShifts:
             phase_shifts(p, kin)
         assert err.value.key == "r_max"
 
+    @pytest.mark.parametrize("p, k", [
+        (p, k) for p in (Yukawa(0.5, 1.0), Yukawa(-2.0, 0.5),
+                         Gauss(0.5, 1.0), Gauss(-3.0, 2.0))
+        for k in (1.0, 5.0, 10.0, 30.0)] + [
+        (Yukawa(0.5, 0.045), 1.0), (_RIPPLED_TABLE, 5.0),
+        (Gauss(0.5, 1e-3), 1.0), (Yukawa(0.5, 1.0), 0.3)])
+    def test_auto_r_max_is_the_scalar_search(self, p, k):
+        # 64 candidates at a time, with the bits of the one-at-a-time loop
+        kin = Kinematics(mass=1.0, k=k)
+        r_eff = effective_radius(p)
+        assert partial_wave._auto_r_max(p, kin, r_eff) \
+            == _oracles.auto_r_max(p, kin, r_eff)
+
+    def test_auto_r_max_of_the_shipped_configs_is_the_scalar_search(self):
+        for path in sorted((Path(__file__).resolve().parents[1]
+                            / "configs").glob("*.ini")):
+            cfg = parse_config(path.read_text(encoding="utf-8"))
+            r_eff = effective_radius(cfg.potential)
+            for k in cfg.k_values:
+                kin = Kinematics(mass=cfg.mass, k=k, hbar=cfg.hbar)
+                assert partial_wave._auto_r_max(cfg.potential, kin, r_eff) \
+                    == _oracles.auto_r_max(cfg.potential, kin, r_eff)
+
     def test_explicit_r_max_is_checked_where_it_is_used(self):
         # r_max is rounded onto the 4 dr grid, here 0.004 wide, and the
         # decay bound is checked at the rounded radius: 1e-9 beyond the
@@ -443,26 +523,27 @@ class TestPhaseShifts:
         assert ref.delta.tobytes() == ps.delta.tobytes()
         assert ref.delta_coarse.tobytes() == ps.delta_coarse.tobytes()
 
-    @pytest.mark.parametrize("p, k, l_max, chunk, redone", [
-        (Yukawa(0.5, 1.0), 1.0, None, 128, False),
-        (Yukawa(0.5, 1.0), 5.0, None, 128, False),
-        (Yukawa(0.5, 1.0), 10.0, None, 128, False),
-        (Yukawa(0.5, 1.0), 30.0, None, 128, False),
-        (Yukawa(5.0, 0.5), 10.0, None, 128, False),  # 342 waves, two passes
-        (Yukawa(-2.0, 0.5), 5.0, None, 128, False),
-        (Gauss(-3.0, 2.0), 1.0, None, 128, False),
-        (Gauss(-3.0, 2.0), 10.0, None, 128, False),
-        (Gauss(0.5, 1e-3), 1.0, None, 128, False),
-        (_RIPPLED_TABLE, 5.0, None, 128, False),
+    @pytest.mark.parametrize("p, k, knobs, chunk, redone", [
+        (Yukawa(0.5, 1.0), 1.0, {}, 128, False),
+        (Yukawa(0.5, 1.0), 5.0, {}, 128, False),
+        (Yukawa(0.5, 1.0), 10.0, {}, 128, False),
+        (Yukawa(0.5, 1.0), 30.0, {}, 128, False),
+        (Yukawa(5.0, 0.5), 10.0, {}, 128, False),  # 342 waves, two passes
+        (Yukawa(-2.0, 0.5), 5.0, {}, 128, False),
+        (Gauss(-3.0, 2.0), 1.0, {}, 128, False),
+        (Gauss(-3.0, 2.0), 10.0, {}, 128, False),
+        (Gauss(0.5, 1e-3), 1.0, {}, 128, False),
+        (_RIPPLED_TABLE, 5.0, {}, 128, False),
         # V is 0 from r = 2 dr on, so only the fine grid scatters
         (TabulatedRadial(np.array([0.0, 0.002, 0.004, 0.006]),
                          np.array([-1.0, -1.0, -1.0, 0.0]),
-                         interpolation="linear"), 10.0, None, 128, False),
-        # l = 300 overflows a chunk that runs from 2 dr to 4.1
-        (Yukawa(0.5, 1.0), 10.0, 300, 4096, True),
+                         interpolation="linear"), 10.0, {}, 128, False),
+        # l = 400 overflows the one chunk before r_max, in which the waves
+        # from l = 40 on start
+        (_WELL_TABLE, 10.0, dict(l_max=400, r_max=20.0), 1 << 15, True),
     ])
     def test_one_loop_keeps_the_bits_of_three_sweeps(self, monkeypatch, p, k,
-                                                     l_max, chunk, redone):
+                                                     knobs, chunk, redone):
         # against one chunked sweep per grid, extrapolated wave by wave
         kin = Kinematics(mass=1.0, k=k)
         redos = []
@@ -474,13 +555,13 @@ class TestPhaseShifts:
 
         monkeypatch.setattr(partial_wave, "_CHUNK", chunk)
         monkeypatch.setattr(partial_wave, "_advance", counted)
-        ps = phase_shifts(p, kin, l_max=l_max)
+        ps = phase_shifts(p, kin, **knobs)
         assert any(redos) == redone
         monkeypatch.setattr(
             partial_wave, "_extrapolated",
             lambda p, kin, l_arr, r_a, r_b, dr:
             _oracles.extrapolated(p, kin, l_arr, r_a, dr))
-        ref = phase_shifts(p, kin, l_max=l_max)
+        ref = phase_shifts(p, kin, **knobs)
         assert (ps.l_max, ps.r_max) == (ref.l_max, ref.r_max)
         assert ps.delta.tobytes() == ref.delta.tobytes()
         assert ps.delta_coarse.tobytes() == ref.delta_coarse.tobytes()
@@ -502,21 +583,33 @@ class TestPhaseShifts:
         assert best[0] == pytest.approx(np.pi / 2, abs=1e-7)
         assert np.max(np.abs(best - worse)) < 1e-7
 
-    @pytest.mark.parametrize("chunk, i_a, l_top, redone", [
-        (128, 100, 120, False),  # matching radius inside the first chunk
+    @pytest.mark.parametrize("p, chunk, i_a, l_top, redone", [
+        # matching radius inside the first chunk
+        (Yukawa(0.5, 1.0), 128, 100, 120, False),
         # 2 + 128 + 1 rounds up to 132 on the 4 dr grid: two fine steps, one
         # mid step past a chunk boundary
-        (128, 2 + 128 + 1, 120, False),
-        (126, 2 + 126, 120, False),  # on a chunk boundary
+        (Yukawa(0.5, 1.0), 128, 2 + 128 + 1, 120, False),
+        # on a chunk boundary
+        (Yukawa(0.5, 1.0), 126, 2 + 126, 120, False),
         # chunks of odd length start on every residue mod 4
-        (129, 2 + 129 + 1, 120, False),
-        (4096, 2 + 4096 + 1, 300, True),  # l = 300 overflows the chunk
+        (Yukawa(0.5, 1.0), 129, 2 + 129 + 1, 120, False),
+        # l = 40 and 120 start at 512 and 832, past the origin: inside a
+        # chunk, or on its first step (2 + 5 102 = 512, 2 + 10 83 = 832)
+        (Yukawa(0.5, 1.0), 128, 1024, 120, False),
+        (Yukawa(0.5, 1.0), 126, 1024, 120, False),
+        (Yukawa(0.5, 1.0), 129, 1024, 120, False),
+        (Yukawa(0.5, 1.0), 102, 1024, 120, False),
+        (Yukawa(0.5, 1.0), 83, 1024, 120, False),
+        # l = 400 overflows the chunk, and the redone chunk starts the
+        # waves from l = 40 on again
+        (_WELL_TABLE, 1 << 15, 20000, 400, True),
     ])
-    def test_sweep_bits_at_chunk_edges(self, monkeypatch, chunk, i_a, l_top,
-                                       redone):
+    def test_sweep_bits_at_chunk_edges(self, monkeypatch, p, chunk, i_a,
+                                       l_top, redone):
         # i_a, rounded up onto the 4 dr grid, is the fine index of the first
-        # matching radius; each grid against the per-step summed form
-        p, kin, dr = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0), 1e-3
+        # matching radius; each grid against the per-step summed form, each
+        # wave started where the scalar start rule puts it
+        kin, dr = Kinematics(mass=1.0, k=10.0), 1e-3
         l_arr = np.array([0, 1, 7, 40, l_top])
         redos = []
         advance = partial_wave._advance
@@ -531,10 +624,81 @@ class TestPhaseShifts:
         radii = (r_a, _oracles.second_radius(kin, r_a, dr))
         new = partial_wave._sweep_grids(p, kin, l_arr, *radii, dr)
         assert any(redos) == redone
+        starts = _oracles.wave_starts(p, kin, l_arr, *radii, dr)
         for s, got in zip((1.0, 2.0, 4.0), new):
-            old = _oracles._numerov_sweep(p, kin, l_arr, *radii, s * dr)
+            old = _oracles._numerov_sweep(p, kin, l_arr, *radii, s * dr,
+                                          starts=starts)
             assert np.all(np.isfinite(got))
             _assert_bits_where_allowed(got, old, l_arr, kin.k * r_a)
+
+    @pytest.mark.parametrize("p, k", [
+        (Yukawa(0.5, 1.0), 1.0), (Yukawa(0.5, 1.0), 30.0),
+        (Yukawa(5.0, 0.5), 10.0),  # two passes
+        (Yukawa(-20.0, 2.0), 5.0), (Gauss(-50.0, 1.0), 5.0),
+        (Gauss(5.0, 1.0), 10.0), (_RIPPLED_TABLE, 5.0), (_WELL_TABLE, 10.0),
+    ])
+    def test_each_wave_starts_where_the_scalar_rule_puts_it(self, monkeypatch,
+                                                            p, k):
+        # the start of a wave depends on the wave, the grid and V alone: not
+        # on the other waves of its pass, nor on the chunk; the starts are
+        # edges of 64-step blocks before r_max, or the origin series, and
+        # they do not fall as l rises
+        kin = Kinematics(mass=1.0, k=k)
+        rule = partial_wave._wave_starts
+        calls = _spy_starts(monkeypatch)
+        ps = phase_shifts(p, kin)
+        monkeypatch.setattr(partial_wave, "_CHUNK", 97)
+        again = phase_shifts(p, kin)
+        assert again.delta.tobytes() == ps.delta.tobytes()
+        r_b = _oracles.second_radius(kin, ps.r_max, ps.dr)
+        l_lo = 0
+        for (base, inv_r2, ll1, i_a, dr), starts in calls[:len(calls) // 2]:
+            l_arr = np.arange(l_lo, l_lo + ll1.size)
+            l_lo += ll1.size
+            assert ll1.tolist() == (l_arr * (l_arr + 1.0)).tolist()
+            want = _oracles.wave_starts(p, kin, l_arr, ps.r_max, r_b, dr)
+            assert (np.where(starts > 2, starts * dr, 0.0)).tolist() \
+                == want.tolist()
+            assert np.all(np.diff(starts) >= 0) and starts[-1] < i_a
+            assert np.all((starts == 2) | (starts % 64 == 0))
+            for part in (slice(None, None, 3), slice(ll1.size // 2, None)):
+                assert rule(base, inv_r2, ll1[part], i_a, dr).tolist() \
+                    == starts[part].tolist()
+
+    def test_high_waves_start_past_the_unstable_steps(self, monkeypatch):
+        # near the origin 1 - h^2 f/12 < 0 for a high wave, where Numerov's
+        # step is unstable: for l = 400 at k = 30 the first 114 fine steps.
+        # Every wave from l = 40 on starts past the origin, and each started
+        # wave has 1 - h^2 f/12 > 0 on all three grids from its start on
+        calls = _spy_starts(monkeypatch)
+        phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=30.0))
+        (base, inv_r2, ll1, i_a, dr), starts = calls[0]
+        assert np.all(starts[40:] > 2)
+        late = np.flatnonzero(starts > 2)
+        for i in late:
+            f = base[starts[i]:i_a] + ll1[i] * inv_r2[starts[i]:i_a]
+            assert np.all(1.0 - (4.0 * dr) ** 2 * f / 12.0 > 0.0)
+
+    @pytest.mark.parametrize("p, k", [
+        (p, k) for p in (Yukawa(0.5, 1.0), Yukawa(-2.0, 0.5),
+                         Gauss(0.5, 1.0), Gauss(-3.0, 2.0))
+        for k in (1.0, 5.0, 10.0, 30.0)] + [
+        (p, k) for p in (Yukawa(-20.0, 2.0), Gauss(-50.0, 1.0),
+                         Gauss(5.0, 1.0))
+        for k in (1.0, 5.0, 10.0)])
+    def test_starts_past_the_origin_move_shifts_at_rounding_level(
+            self, monkeypatch, p, k):
+        # against every wave swept from the origin series, one chunked
+        # sweep per grid
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        monkeypatch.setattr(
+            partial_wave, "_sweep_grids",
+            _oracles.on_three_grids(_oracles.chunked_sweep, origin=True))
+        ref = phase_shifts(p, kin)
+        assert (ref.l_max, ref.r_max) == (ps.l_max, ps.r_max)
+        assert np.max(np.abs(ps.delta - ref.delta)) <= 1e-12
+        assert np.max(np.abs(ps.delta_coarse - ref.delta_coarse)) <= 1e-12
 
     @pytest.mark.parametrize("p, k", [
         (Yukawa(0.5, 1.0), 1.0), (Yukawa(0.5, 1.0), 10.0),
@@ -566,9 +730,11 @@ class TestPhaseShifts:
         l_arr = np.arange(ps.l_max + 1)
         args = (p, kin, l_arr, ps.r_max,
                 _oracles.second_radius(kin, ps.r_max, ps.dr), ps.dr)
-        exact = _oracles._numerov_sweep(*args, dtype=np.longdouble)
+        starts = _oracles.wave_starts(*args)
+        exact = _oracles._numerov_sweep(*args, dtype=np.longdouble,
+                                        starts=starts)
         new = partial_wave._sweep_grids(*args)[0]
-        old = _oracles._numerov_sweep_classic(*args)
+        old = _oracles._numerov_sweep_classic(*args, starts=starts)
         assert np.max(np.abs(new - exact)) <= np.max(np.abs(old - exact))
 
     @pytest.mark.parametrize("l_max", [81, 200])

@@ -64,15 +64,15 @@ def potentials(draw):
 
 
 @st.composite
-def tables(draw):
-    """A table of 4-20 knots from r[0] in [0, 1], gaps in [0.05, 2] and
-    values in [-2, 2], the last 0."""
+def tables(draw, interpolations=("cubic", "linear"), first=(0.0, 1.0)):
+    """A table of 4-20 knots from r[0] in [first[0], first[1]], gaps in
+    [0.05, 2] and values in [-2, 2], the last 0."""
     gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=4, max_size=20))
-    r = draw(st.floats(0.0, 1.0)) + np.cumsum(gaps) - gaps[0]
+    r = draw(st.floats(*first)) + np.cumsum(gaps) - gaps[0]
     v = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(gaps),
                       max_size=len(gaps)))
     v[-1] = 0.0
-    return TabulatedRadial(r, v, draw(st.sampled_from(["cubic", "linear"])))
+    return TabulatedRadial(r, v, draw(st.sampled_from(interpolations)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -143,11 +143,15 @@ def test_partial_wave_oracle_obeys_the_optical_theorem(p, k):
         <= 1e-3 * tab.total_optical
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(p=potentials(), k=st.sampled_from([1.0, 3.0, 7.0, 12.0]))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=st.one_of(potentials(), tables(("cubic",), first=(0.0, 0.0))),
+       k=st.sampled_from([1.0, 3.0, 7.0, 12.0]))
 def test_partial_wave_error_covers_the_half_step_oracle(p, k):
     # the same waves and matching radius at dr/2: the reported step and
-    # truncation error must cover the move at every angle
+    # truncation error must cover the move at every angle. A cubic table's
+    # last knot, a kink of V, lies on the grid; linear tables, every knot of
+    # which is a kink, and tables from r[0] > 0, whose V has a kink at r[0]
+    # as well, are left out: the grid misses those kinks
     kin = Kinematics(mass=1.0, k=k)
     ps = phase_shifts(p, kin)
     fine = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
