@@ -20,9 +20,12 @@ use too. w(b) is read from eikonal._z_profile, the one profile per
 potential that the eikonal route's quadrature phase reads too, each w
 with a bound on its error (see eikonal). So the documented equality of the
 two amplitudes at small angle checks the Lambda algebra and the two Hankel
-integrands against each other. On a table born1_amplitude reports the
-error bound of quadrature.integrate_sin's exact series on each spline
-piece, whose piece budget is the settings' max_subdivisions.
+integrands against each other. The closed-phase eikonal takes its term
+first order in chi, the first Born amplitude, from fourier3d and
+transforms only the rest, while born_resummed transforms the whole: the
+equality now also checks that subtraction. On a table born1_amplitude
+reports the error bound of quadrature.integrate_sin's exact series on
+each spline piece, whose piece budget is the settings' max_subdivisions.
 """
 
 import numpy as np

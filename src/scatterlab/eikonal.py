@@ -19,6 +19,16 @@ only) and chi (the z-integral of _z_profile, any model). They are
 verified against each other; amplitude_eikonal picks the closed route when
 one exists unless told otherwise.
 
+The closed route writes e^{i chi} - 1 as i chi + (e^{i chi} - 1 - i chi).
+The transform of i chi is the first Born amplitude -(m/(2 pi hbar^2))
+Vtilde(q) (Glauber 1959), taken in closed form from potentials.fourier3d
+at the same q; hankel0 integrates only the remainder, at most chi^2/2 in
+modulus, over [0, R2], R2 about 18.2/mu or 4.24/sqrt(alpha), where a
+closed-form bound on its tail falls to eps of the whole; k times that
+pass's error and the bound is the error_estimate. The quadrature route and
+born_resummed_amplitude transform the whole phase factor, so they check
+the split.
+
 The z-profile w(b) = int V dz of the quadrature route is the one that
 born.born_resummed_amplitude integrates too. _z_profile holds one
 _ZProfile, of the potential last used, so the two routes share it across
@@ -30,11 +40,13 @@ rule, Yukawa's in t = asinh(z/b), Gauss's in z, whose step and range per b
 hold a-priori bounds on the discretisation and truncation errors; those
 bounds and a rounding floor are w's bound. The store is safe to call from
 several threads: two callers may compute the same b, to the same bits.
-Both amplitudes integrate over [0, R], R the potential's own range from
-potentials.reach, and add the bound on the tail beyond R and the
-J0-weighted integral of w's bounds to their error_estimate.
+The quadrature-phase eikonal and the resummed Born amplitude integrate
+over [0, R], R the potential's own range from potentials.reach, and add
+the bound on the tail beyond R and the J0-weighted integral of w's bounds
+to their error_estimate.
 """
 
+import dataclasses
 import math
 import threading
 from dataclasses import dataclass
@@ -44,14 +56,14 @@ import numpy as np
 from . import paper_forms
 from .errors import (DomainError, PoleError, SingularityError,
                      UnsupportedModelError)
-from .potentials import (Gauss, TabulatedRadial, Yukawa, abel_profile,
-                         evaluate, reach)
+from .potentials import (Gauss, TabulatedRadial, Yukawa, _scale,
+                         abel_profile, evaluate, fourier3d, reach)
 from .quadrature import _KERNEL_BLOCK, DEFAULT_SETTINGS, hankel0
 # integrate_adaptive and integrate_semi_infinite are bound here only because
 # perfbench/tracer.py rebinds them in eikonal's namespace.
 from .quadrature import integrate_adaptive  # noqa: F401
 from .quadrature import integrate_semi_infinite  # noqa: F401
-from .special_functions import bessel_k0, expm1i
+from .special_functions import bessel_k0, expm1i, libm_exp
 
 __all__ = [
     "Kinematics",
@@ -319,48 +331,111 @@ def chi(p, kin, b):
     return float(out) if b_arr.ndim == 0 else out
 
 
+def _chi_factor(p, kin):
+    """chi0 of chi_closed = chi0 K0(mu b) (Yukawa) or chi0 e^{-alpha b^2}
+    (Gauss); a table or another model raises."""
+    hv = kin.hbar * kin.v
+    if isinstance(p, Yukawa):
+        return -(2.0 * p.g / hv)
+    if isinstance(p, Gauss):
+        return -(p.g / hv) * math.sqrt(np.pi / p.alpha)
+    if isinstance(p, TabulatedRadial):
+        raise UnsupportedModelError(
+            "no closed-form phase for tabulated potentials; use chi()")
+    raise UnsupportedModelError(
+        f"unknown potential model {type(p).__name__!r}")
+
+
 def chi_closed(p, kin, b):
     """Closed-form eikonal phase: -(2g/hbar v) K0(mu b) for Yukawa,
-    -(g/hbar v) sqrt(pi/alpha) e^{-alpha b^2} for Gauss."""
+    -(g/hbar v) sqrt(pi/alpha) e^{-alpha b^2} for Gauss, with libm's exp,
+    whose bits hold at every SIMD level."""
     b_arr = _check_b(b)
     scalar = b_arr.ndim == 0
     b_arr = np.atleast_1d(b_arr)
-    hv = kin.hbar * kin.v
+    chi0 = _chi_factor(p, kin)
     if isinstance(p, Yukawa):
         if np.any(b_arr == 0.0):
             raise SingularityError("closed-form chi is singular at b = 0 "
                                    "for the 1/r core")
         out = np.zeros_like(b_arr) if p.g == 0.0 else \
-            -(2.0 * p.g / hv) * bessel_k0(p.mu * b_arr)
-    elif isinstance(p, Gauss):
-        out = -(p.g / hv) * math.sqrt(np.pi / p.alpha) \
-            * np.exp(-p.alpha * b_arr * b_arr)
-    elif isinstance(p, TabulatedRadial):
-        raise UnsupportedModelError(
-            "no closed-form phase for tabulated potentials; use chi()")
+            chi0 * bessel_k0(p.mu * b_arr)
     else:
-        raise UnsupportedModelError(
-            f"unknown potential model {type(p).__name__!r}")
+        out = chi0 * libm_exp(-p.alpha * b_arr * b_arr)
     return float(out[0]) if scalar else out
+
+
+def _resolve_phase(p, phase):
+    """The chi route a phase argument names, "closed" or "quadrature";
+    "auto" is the closed form unless p is a table."""
+    if phase == "auto":
+        return "quadrature" if isinstance(p, TabulatedRadial) else "closed"
+    if phase in ("closed", "quadrature"):
+        return phase
+    raise DomainError("phase must be 'auto', 'closed', or 'quadrature'")
 
 
 def _phase_integrand(p, kin, phase):
     """e^{i chi(b)} - 1 as a function of b, chi from the chosen route. The
     quadrature route returns it with a bound on its error from w's bound:
     |d(e^{i chi} - 1)| <= |d chi| = |dw|/(hbar v)."""
-    if phase == "auto":
-        phase = "quadrature" if isinstance(p, TabulatedRadial) else "closed"
-    if phase == "closed":
+    if _resolve_phase(p, phase) == "closed":
         return lambda b: expm1i(chi_closed(p, kin, b))
-    if phase == "quadrature":
-        profile = _z_profile(p)
-        hv = kin.hbar * kin.v
+    profile = _z_profile(p)
+    hv = kin.hbar * kin.v
 
-        def g(b):
-            w, err = profile(b)
-            return expm1i(-w / hv), err / hv
-        return g
-    raise DomainError("phase must be 'auto', 'closed', or 'quadrature'")
+    def g(b):
+        w, err = profile(b)
+        return expm1i(-w / hv), err / hv
+    return g
+
+
+# The closed route's remainder e^{i chi} - 1 - i chi is at most chi^2/2 in
+# modulus. Its transform stops at R2, where a closed-form bound T2 on
+# int_R2^inf chi^2/2 b db falls to eps times int_0^inf chi^2/2 b db. With
+# c = |chi0| and x = mu b, Yukawa's chi^2/2 is (c^2/2) K0(x)^2, and
+# K0(x)^2 <= pi e^{-2x}/(2x) with int_0^inf x K0(x)^2 dx = 1/2 give T2 =
+# (c^2/(2 mu^2)) (pi/4) e^{-2 mu R2}, eps c^2/(4 mu^2) at mu R2 =
+# ln(pi/(2 eps))/2, about 18.2. Gauss's is (c^2/2) e^{-2 alpha b^2}, so T2
+# = c^2 e^{-2 alpha R2^2}/(8 alpha), eps c^2/(8 alpha) at R2 =
+# sqrt(ln(1/eps)/(2 alpha)), about 4.24/sqrt(alpha).
+_YUKAWA_R2 = 0.5 * math.log(0.5 * np.pi / _EPS)
+
+
+def _remainder_reach(p, c):
+    """(R2, T2) of the remainder of chi_closed with |chi0| = c (above)."""
+    if isinstance(p, Yukawa):
+        return _YUKAWA_R2 / p.mu, c * c / (2.0 * _scale(p)) \
+            * 0.25 * np.pi * math.exp(-2.0 * _YUKAWA_R2)
+    upper = math.sqrt(-_LOG_EPS / (2.0 * p.alpha))
+    return upper, c * c * math.exp(-2.0 * p.alpha * upper * upper) \
+        / (8.0 * p.alpha)
+
+
+def _closed_amplitude(p, kin, q, settings):
+    """(value, error) of the closed-phase amplitude at each q: the first
+    Born amplitude, which is the term of e^{i chi} - 1 first order in chi,
+    plus -i k int_0^R2 J0(q b) (e^{i chi} - 1 - i chi) b db.
+
+    For both models int_0^inf chi^2/2 b db, which bounds the remainder's
+    int |.| b db, is c/4 of int_0^inf |chi| b db; the remainder's pass
+    takes abs_tol min(1, c/4), so that a weak field, whose remainder is of
+    order c^2, keeps the relative digits of Im f(0)."""
+    c = abs(_chi_factor(p, kin))
+    # the closed forms' transforms are exact: fourier3d reports no error
+    born = -kin.mass / (2.0 * np.pi * kin.hbar**2) * fourier3d(p, q)
+    upper, tail = _remainder_reach(p, c)
+
+    def remainder(b):
+        x = chi_closed(p, kin, b)
+        return expm1i(x) - 1j * x
+
+    # the smallest positive float where the product underflows, as at g = 0
+    tight = dataclasses.replace(settings, abs_tol=max(
+        settings.abs_tol * min(1.0, 0.25 * c), math.ulp(0.0)))
+    res = hankel0(remainder, q, upper, tight)
+    value = born - 1j * kin.k * np.asarray(res.value, dtype=complex)
+    return value, kin.k * (res.error_estimate + tail)
 
 
 def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS, *,
@@ -370,10 +445,15 @@ def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS, *,
 
     phase selects the chi route ("auto" prefers the closed form when the
     model has one); small_angle_q switches the J0 argument from
-    2k sin(theta/2) to k*theta for approximation-provenance studies.
+    2k sin(theta/2) to k*theta for approximation-provenance studies, in
+    the closed route's Born term too. The module docstring gives each
+    route's Hankel pass and what its error_estimate holds.
     """
     th = _check_theta(theta)
     q = momentum_transfer(kin.k, th, small_angle=small_angle_q)
+    if _resolve_phase(p, phase) == "closed":
+        return _amplitude(theta, th, q, *_closed_amplitude(p, kin, q,
+                                                           settings))
     g = _phase_integrand(p, kin, phase)
     upper, tail = reach(p)
     res = hankel0(g, q, upper, settings)

@@ -27,7 +27,8 @@ from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
 from scatterlab.quadrature import (_EPS, _NODES, _WG, _WK, QuadratureSettings,
                                    integrate_adaptive,
                                    integrate_semi_infinite)
-from scatterlab.special_functions import spherical_bessel_row
+from scatterlab.special_functions import (bessel_k0, expm1i,
+                                         spherical_bessel_row)
 
 # Corpus for calibrating the quadrature error estimator: (name, f, a, b,
 # exact). b = None marks a semi-infinite integral over [0, inf). Entries mix
@@ -1035,6 +1036,31 @@ def amplitude_paper_closed(p, kin, theta):
             "reference closed forms exist only for Yukawa and Gauss")
     return Amplitude(theta=theta, q=q, value=complex(value),
                      error_estimate=0.0)
+
+
+# The closed-phase eikonal amplitude as one Hankel pass of the whole
+# e^{i chi} - 1 over [0, reach(p)], as eikonal.amplitude_eikonal computed it
+# before its first-order term was taken from the Born transform. Reference
+# for that split.
+
+
+def eikonal_full_transform(p, kin, theta, settings, small_angle_q=False):
+    """(value, error estimate) at each theta of a 1-d array: -i k int_0^R
+    J0(q b) (e^{i chi} - 1) b db plus the bound k T/(hbar v) on the tail
+    beyond R, with chi's closed form (Yukawa or Gauss) and numpy's exp."""
+    hv = kin.hbar * kin.v
+    if isinstance(p, Yukawa):
+        def chi(b):
+            return -(2.0 * p.g / hv) * bessel_k0(p.mu * b)
+    else:
+        def chi(b):
+            return -(p.g / hv) * math.sqrt(np.pi / p.alpha) \
+                * np.exp(-p.alpha * b * b)
+    q = momentum_transfer(kin.k, theta, small_angle=small_angle_q)
+    upper, tail = reach(p)
+    res = quadrature.hankel0(lambda b: expm1i(chi(b)), q, upper, settings)
+    return (-1j * kin.k * np.asarray(res.value, dtype=complex),
+            kin.k * (res.error_estimate + tail / hv))
 
 
 # The pairwise report as runner._report_text rendered it before each number

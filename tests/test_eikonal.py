@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+import _oracles
 from scatterlab import eikonal
 from scatterlab.born import born_resummed_amplitude
 from scatterlab.eikonal import (Amplitude, Kinematics, amplitude_eikonal,
@@ -349,6 +350,99 @@ class TestAmplitudeEikonal:
             amplitude_eikonal(Gauss(1.0, 1.0), KIN1, np.array([0.1, np.pi]))
         with pytest.raises(DomainError):
             amplitude_eikonal(Gauss(1.0, 1.0), KIN1, np.zeros((2, 2)))
+
+
+GRID = [(p, k) for p in (Yukawa(0.5, 1.0), Yukawa(-2.0, 0.5),
+                         Gauss(0.5, 1.0), Gauss(-3.0, 2.0))
+        for k in (1.0, 5.0, 10.0, 30.0)]
+GRID_THETA = np.array([0.0, 0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 1.0])
+TIGHT = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16,
+                           max_subdivisions=2000)
+
+
+def _gauss_series(p, kin, theta):
+    """The closed-phase Gauss amplitude as the series of
+    test_long_range_gauss_matches_the_exact_series, in 40-digit
+    arithmetic, at each theta of a 1-d array."""
+    import mpmath as mp
+    out = []
+    with mp.workdps(40):
+        alpha = mp.mpf(p.alpha)
+        chi0 = -(mp.mpf(p.g) / (kin.hbar * kin.v)) * mp.sqrt(mp.pi / alpha)
+        for q in momentum_transfer(kin.k, theta).tolist():
+            q = mp.mpf(q)
+            term, total = mp.mpc(1), mp.mpc(0)
+            for n in range(1, 200):
+                term *= 1j * chi0 / n
+                total += term * mp.exp(-q * q / (4 * n * alpha)) \
+                    / (2 * n * alpha)
+            out.append(complex(-1j * kin.k * total))
+    return np.array(out)
+
+
+class TestBornSubtraction:
+    # the closed route takes its first order in chi from fourier3d and
+    # transforms only e^{i chi} - 1 - i chi; the full transform of the
+    # whole e^{i chi} - 1 and the quadrature phase, which keeps it too,
+    # are independent checks of the split
+
+    @pytest.mark.parametrize("p, k", GRID)
+    def test_split_matches_the_full_transform_and_the_quadrature_phase(
+            self, p, k):
+        kin = Kinematics(mass=1.0, k=k)
+        got = amplitude_eikonal(p, kin, GRID_THETA)
+        full, full_err = _oracles.eikonal_full_transform(p, kin, GRID_THETA,
+                                                         TIGHT)
+        quad = amplitude_eikonal(p, kin, GRID_THETA, TIGHT,
+                                 phase="quadrature")
+        assert np.all(np.abs(got.value - full)
+                      <= got.error_estimate + full_err)
+        assert np.all(np.abs(got.value - quad.value)
+                      <= got.error_estimate + quad.error_estimate)
+        if isinstance(p, Gauss):
+            exact = _gauss_series(p, kin, GRID_THETA)
+            assert np.all(np.abs(got.value - exact) <= got.error_estimate)
+
+    def test_small_angle_q_reaches_the_born_term_too(self):
+        p, kin = Yukawa(0.5, 1.0), KIN10
+        got = amplitude_eikonal(p, kin, GRID_THETA, small_angle_q=True)
+        full, full_err = _oracles.eikonal_full_transform(
+            p, kin, GRID_THETA, TIGHT, small_angle_q=True)
+        assert got.q.tolist() == (kin.k * GRID_THETA).tolist()
+        assert np.all(np.abs(got.value - full)
+                      <= got.error_estimate + full_err)
+
+    @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Yukawa(-2.0, 0.5),
+                                   Yukawa(1e-3, 7.0), Gauss(0.5, 1.0),
+                                   Gauss(-3.0, 2.0), Gauss(1e-3, 1e-3)])
+    def test_remainder_tail_bound_covers_the_tail(self, p):
+        # T2 against int_R2^inf chi^2/2 b db in 30-digit arithmetic: a
+        # bound for Yukawa, within 2% of the tail, and Gauss's exact tail;
+        # both are eps times int_0^inf chi^2/2 b db
+        import mpmath as mp
+        c = abs(eikonal._chi_factor(p, KIN1))
+        upper, tail = eikonal._remainder_reach(p, c)
+        with mp.workdps(30):
+            if isinstance(p, Yukawa):
+                mu = mp.mpf(p.mu)
+                exact = mp.quad(lambda b: mp.besselk(0, mu * b) ** 2 * b,
+                                [upper, upper + 5 / mu, mp.inf])
+                whole = 1 / (2 * mu * mu)
+            else:
+                alpha = mp.mpf(p.alpha)
+                exact = mp.quad(lambda b: mp.exp(-2 * alpha * b * b) * b,
+                                [upper, mp.inf])
+                whole = 1 / (4 * alpha)
+            exact, whole = (float(c * c / 2 * x) for x in (exact, whole))
+        eps = np.finfo(float).eps
+        if isinstance(p, Yukawa):
+            assert exact <= tail <= 1.02 * exact
+            assert upper * p.mu == pytest.approx(18.25, abs=0.01)
+        else:
+            assert tail == pytest.approx(exact, rel=1e-13)
+            assert upper * math.sqrt(p.alpha) == pytest.approx(4.245,
+                                                               abs=1e-3)
+        assert tail == pytest.approx(eps * whole, rel=1e-13)
 
 
 class TestPaperClosedForms:

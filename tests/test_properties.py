@@ -3,9 +3,10 @@ the reported errors of the two routes that read the z-profile, resummed
 Born and the quadrature-phase eikonal, which include the bounds of the
 profile's values, cover their deviation from a tight reference; the
 partial-wave oracle keeps its phase shifts in (-pi/2, pi/2], obeys the
-optical theorem and reports an error that covers its move at half the
-radial step; the effective radius, on random tables too, holds its
-fraction of the weight within the potential's reach; a table's Fourier
+optical theorem, keeps |S_l| = 1 to rounding at every wave and reports
+an error that covers its move at half the radial step; the effective
+radius, on random tables too, holds its fraction of the weight within the
+potential's reach; a table's Fourier
 transform, on its fixed rule, reports an error that covers scipy's quad
 and has the bits of a call at each q alone; the reference closed forms and
 their checks, from 1e-300 to 1e300 in every parameter, return or raise a
@@ -44,6 +45,7 @@ from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa,
                                    reach)
 from scatterlab.quadrature import DEFAULT_SETTINGS
 from scatterlab.runner import run_scan
+from scatterlab.special_functions import expm1i
 
 THETA = np.array([0.0, 0.03, 0.1, 0.25])
 THETA_ALL = np.linspace(0.0, np.pi, 181)
@@ -159,6 +161,19 @@ def test_partial_wave_error_covers_the_half_step_oracle(p, k):
     got = amplitude_partial_wave(ps, THETA_ALL)
     ref = amplitude_partial_wave(fine, THETA_ALL)
     assert np.all(np.abs(got.value - ref.value) <= got.error_estimate)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.one_of(potentials(), tables(("cubic",), first=(0.0, 0.0))),
+       k=st.sampled_from([0.5, 2.0, 7.0, 20.0]))
+def test_every_wave_s_s_matrix_element_is_unimodular(p, k):
+    # a real potential conserves flux wave by wave: S_l = 1 + (e^{2 i
+    # delta_l} - 1), formed as amplitude_partial_wave forms it, has modulus
+    # 1 to within a few roundings at every wave the oracle keeps
+    ps = phase_shifts(p, Kinematics(mass=1.0, k=k))
+    assert np.all(np.isfinite(ps.delta))
+    s_l = 1.0 + expm1i(2.0 * ps.delta)
+    assert np.all(np.abs(np.abs(s_l) - 1.0) <= 4.0 * np.finfo(float).eps)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -236,7 +236,7 @@ class TestErrorsAndWarnings:
         text = FAST.replace("sources = born1, paper_closed",
                             "sources = eikonal, born1")
         cfg = parse_config(
-            text + "\n[quadrature]\nrel_tol = 1e-15\nabs_tol = 1e-300\n"
+            text + "\n[quadrature]\nrel_tol = 1e-16\nabs_tol = 1e-300\n"
                    f"\n[output]\ndirectory = {tmp_path / 'out'}\n")
         m = run_scan(cfg)
         by_source = {o.source: o for o in m.outcomes}
