@@ -17,21 +17,20 @@ chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
 of the lambda integral. Its e^{ix} - 1 is special_functions.expm1i, the
 one cancellation-free form that the eikonal and partial-wave amplitudes
 use too. w(b) is read from eikonal._z_profile, the one profile per
-potential that the eikonal route's quadrature phase reads too, each w
-with a bound on its error (see eikonal). So the documented equality of the
-two amplitudes at small angle checks the Lambda algebra and the two Hankel
-integrands against each other. The closed-phase eikonal takes its term
-first order in chi, the first Born amplitude, from fourier3d and
-transforms only the rest, while born_resummed transforms the whole: the
-equality now also checks that subtraction. On a table born1_amplitude
-reports the error bound of quadrature.integrate_sin's exact series on
-each spline piece, whose piece budget is the settings' max_subdivisions.
+potential that a table's eikonal reads too, each w with a bound on its
+error (see eikonal). So the documented equality of the two amplitudes at
+small angle checks the Lambda algebra and the two Hankel integrands
+against each other. For Yukawa and Gauss the eikonal takes its first
+order in chi, the first Born amplitude, from fourier3d and its phase in
+closed form, so the equality checks that subtraction too. On a table
+born1_amplitude reports the error bound of quadrature.integrate_sin's
+exact series on each spline piece, whose piece budget is the settings'
+max_subdivisions.
 """
 
 import numpy as np
 
 from .eikonal import _amplitude, _check_theta, _z_profile, momentum_transfer
-from .errors import DomainError
 from .potentials import fourier3d, reach
 from .quadrature import DEFAULT_SETTINGS, hankel0
 # The z-profile integrals run in eikonal._z_profile; evaluate and the two
@@ -54,8 +53,6 @@ def born1_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
     settings.max_subdivisions caps the pieces of a table's transform.
     """
     th = np.asarray(theta, dtype=float)
-    if th.ndim > 1:
-        raise DomainError("theta must be a scalar or a 1-d array")
     q = momentum_transfer(kin.k, th)
     vt, vt_err = fourier3d(p, q, settings, with_error=True)
     scale = kin.mass / (2.0 * np.pi * kin.hbar**2)
@@ -74,8 +71,7 @@ def _lambda_factor(x):
 def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
     """Resummed Born amplitude at one (small) angle, or at every angle of a
     1-d theta array in one Hankel pass (fields are then arrays)."""
-    th = _check_theta(theta)
-    q = momentum_transfer(kin.k, th)
+    th, q = _check_theta(kin.k, theta)
     hv = kin.hbar * kin.v
     upper, tail = reach(p)
     profile = _z_profile(p)

@@ -53,6 +53,7 @@ it.
 import configparser
 import dataclasses
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -99,6 +100,9 @@ class ThetaGrid:
         if self.max <= self.min:
             raise ConfigError("theta_grid.max must exceed theta_grid.min",
                               key="theta_grid.max")
+        if not isinstance(self.count, numbers.Integral):
+            raise ConfigError(f"theta_grid.count must be an integer, got "
+                              f"{self.count!r}", key="theta_grid.count")
         if self.count < 2:
             raise ConfigError("theta_grid.count must be >= 2",
                               key="theta_grid.count")

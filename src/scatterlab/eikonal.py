@@ -11,39 +11,34 @@ chi^2 in a weak field, keeps its digits. The sign convention is the minus
 in chi, uniformly; reference closed forms that differ are evaluated
 verbatim (by paper_forms, through amplitude_paper_closed) and compared in
 reports, never silently corrected.
-The small-angle substitute q = k theta sits behind a flag so its effect can
-be isolated.
 
-chi has two routes: chi_closed (K0 / Gaussian closed forms, analytic models
-only) and chi (the z-integral of _z_profile, any model). They are
-verified against each other; amplitude_eikonal picks the closed route when
-one exists unless told otherwise.
+chi has two routes, verified against each other: chi_closed (K0 /
+Gaussian closed forms, analytic models only) and chi (the z-integral of
+_z_profile, any model). amplitude_eikonal takes its route from the model.
 
-The closed route writes e^{i chi} - 1 as i chi + (e^{i chi} - 1 - i chi).
+Yukawa and Gauss write e^{i chi} - 1 as i chi + (e^{i chi} - 1 - i chi).
 The transform of i chi is the first Born amplitude -(m/(2 pi hbar^2))
 Vtilde(q) (Glauber 1959), taken in closed form from potentials.fourier3d
 at the same q; hankel0 integrates only the remainder, at most chi^2/2 in
 modulus, over [0, R2], R2 about 18.2/mu or 4.24/sqrt(alpha), where a
 closed-form bound on its tail falls to eps of the whole; k times that
-pass's error and the bound is the error_estimate. The quadrature route and
-born_resummed_amplitude transform the whole phase factor, so they check
-the split.
+pass's error and the bound is the error_estimate. born_resummed_amplitude
+transforms the whole phase factor, so it checks the split.
 
-The z-profile w(b) = int V dz of the quadrature route is the one that
-born.born_resummed_amplitude integrates too. _z_profile holds one
-_ZProfile, of the potential last used, so the two routes share it across
-angles, k and settings: a plain memo of (w, bound) per exact b, each with
-the bits of a call for that b alone, whichever route or call asked first.
+A table's phase comes from its z-profile w(b) = int V dz, which
+born.born_resummed_amplitude integrates too, for every model. _z_profile
+holds one _ZProfile, of the potential last used, so its readers share it
+across angles, k and settings: a plain memo of (w, bound) per exact b,
+each with the bits of a call for that b alone, whichever call asked first.
 A table's w is the exact Abel transform of its pieces
 (potentials.abel_profile). Yukawa's and Gauss's take a fixed trapezoid
 rule, Yukawa's in t = asinh(z/b), Gauss's in z, whose step and range per b
 hold a-priori bounds on the discretisation and truncation errors; those
 bounds and a rounding floor are w's bound. The store is safe to call from
 several threads: two callers may compute the same b, to the same bits.
-The quadrature-phase eikonal and the resummed Born amplitude integrate
-over [0, R], R the potential's own range from potentials.reach, and add
-the bound on the tail beyond R and the J0-weighted integral of w's bounds
-to their error_estimate.
+The transforms of w integrate over [0, R], R the potential's own range
+from potentials.reach, and add the bound on the tail beyond R and the
+J0-weighted integral of w's bounds to their error_estimate.
 """
 
 import dataclasses
@@ -106,9 +101,8 @@ class Kinematics:
 class Amplitude:
     """Complex scattering amplitude at one angle.
 
-    q is the momentum transfer actually used (2k sin(theta/2), or k*theta
-    when the small-angle flag was set). error_estimate propagates the
-    quadrature error bound; closed-form evaluations report 0.
+    q is the momentum transfer 2k sin(theta/2). error_estimate propagates
+    the quadrature error bound; closed-form evaluations report 0.
     """
 
     theta: float
@@ -128,13 +122,16 @@ def _check_k(k):
                           f"{k!r}", key="k")
 
 
-def momentum_transfer(k, theta, small_angle=False):
-    """q = 2k sin(theta/2); the small-angle flag switches to k*theta."""
+def momentum_transfer(k, theta):
+    """q = 2k sin(theta/2) for a scalar or 1-d theta in [0, pi]."""
     _check_k(k)
     th = np.asarray(theta, dtype=float)
+    if th.ndim > 1:
+        raise DomainError("theta must be a scalar or a 1-d array",
+                          key="theta")
     if not np.all((th >= 0.0) & (th <= np.pi)):
         raise DomainError("theta must lie in [0, pi]", key="theta")
-    return k * th if small_angle else 2.0 * k * np.sin(0.5 * th)
+    return 2.0 * k * np.sin(0.5 * th)
 
 
 def _check_b(b):
@@ -365,22 +362,9 @@ def chi_closed(p, kin, b):
     return float(out[0]) if scalar else out
 
 
-def _resolve_phase(p, phase):
-    """The chi route a phase argument names, "closed" or "quadrature";
-    "auto" is the closed form unless p is a table."""
-    if phase == "auto":
-        return "quadrature" if isinstance(p, TabulatedRadial) else "closed"
-    if phase in ("closed", "quadrature"):
-        return phase
-    raise DomainError("phase must be 'auto', 'closed', or 'quadrature'")
-
-
-def _phase_integrand(p, kin, phase):
-    """e^{i chi(b)} - 1 as a function of b, chi from the chosen route. The
-    quadrature route returns it with a bound on its error from w's bound:
-    |d(e^{i chi} - 1)| <= |d chi| = |dw|/(hbar v)."""
-    if _resolve_phase(p, phase) == "closed":
-        return lambda b: expm1i(chi_closed(p, kin, b))
+def _phase_integrand(p, kin):
+    """g(b) = (e^{i chi(b)} - 1 from the z-profile, a bound on its error)
+    for hankel0, with |d(e^{i chi} - 1)| <= |d chi| = |dw|/(hbar v)."""
     profile = _z_profile(p)
     hv = kin.hbar * kin.v
 
@@ -420,7 +404,9 @@ def _closed_amplitude(p, kin, q, settings):
     For both models int_0^inf chi^2/2 b db, which bounds the remainder's
     int |.| b db, is c/4 of int_0^inf |chi| b db; the remainder's pass
     takes abs_tol min(1, c/4), so that a weak field, whose remainder is of
-    order c^2, keeps the relative digits of Im f(0)."""
+    order c^2, keeps the relative digits of Im f(0). Its imaginary part,
+    sin chi - chi, is only eps |chi| accurate, so abs_tol stops at 100 eps
+    int_0^inf |chi| b db = 400 T2/c, where finite, like hankel0's floor."""
     c = abs(_chi_factor(p, kin))
     # the closed forms' transforms are exact: fourier3d reports no error
     born = -kin.mass / (2.0 * np.pi * kin.hbar**2) * fourier3d(p, q)
@@ -430,47 +416,40 @@ def _closed_amplitude(p, kin, q, settings):
         x = chi_closed(p, kin, b)
         return expm1i(x) - 1j * x
 
+    rounding = 400.0 * (tail / c) if c > 0.0 else 0.0
     # the smallest positive float where the product underflows, as at g = 0
     tight = dataclasses.replace(settings, abs_tol=max(
-        settings.abs_tol * min(1.0, 0.25 * c), math.ulp(0.0)))
+        settings.abs_tol * min(1.0, 0.25 * c),
+        rounding if rounding < math.inf else 0.0, math.ulp(0.0)))
     res = hankel0(remainder, q, upper, tight)
     value = born - 1j * kin.k * np.asarray(res.value, dtype=complex)
     return value, kin.k * (res.error_estimate + tail)
 
 
-def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS, *,
-                      phase="auto", small_angle_q=False):
+def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS):
     """Glauber amplitude at one angle, or at every angle of a 1-d theta
     array in one Hankel pass (fields are then arrays over the grid).
 
-    phase selects the chi route ("auto" prefers the closed form when the
-    model has one); small_angle_q switches the J0 argument from
-    2k sin(theta/2) to k*theta for approximation-provenance studies, in
-    the closed route's Born term too. The module docstring gives each
-    route's Hankel pass and what its error_estimate holds.
+    Yukawa and Gauss take the closed phase, a table its z-profile (see the
+    module docstring for each route's pass and error_estimate).
     """
-    th = _check_theta(theta)
-    q = momentum_transfer(kin.k, th, small_angle=small_angle_q)
-    if _resolve_phase(p, phase) == "closed":
+    th, q = _check_theta(kin.k, theta)
+    if isinstance(p, (Yukawa, Gauss)):
         return _amplitude(theta, th, q, *_closed_amplitude(p, kin, q,
                                                            settings))
-    g = _phase_integrand(p, kin, phase)
-    upper, tail = reach(p)
-    res = hankel0(g, q, upper, settings)
+    # a table's w, so its phase, is exactly 0 beyond reach: no tail bound
+    res = hankel0(_phase_integrand(p, kin), q, reach(p)[0], settings)
     value = -1j * kin.k * np.asarray(res.value, dtype=complex)
-    # beyond reach, |e^{i chi} - 1| <= |chi| = |w|/(hbar v)
-    err = kin.k * (res.error_estimate + tail / (kin.hbar * kin.v))
-    return _amplitude(theta, th, q, value, err)
+    return _amplitude(theta, th, q, value, kin.k * res.error_estimate)
 
 
-def _check_theta(theta):
-    """theta as a float array, checked to lie in [0, pi)."""
+def _check_theta(k, theta):
+    """(theta as a float array, q) for the routes that refuse theta = pi."""
+    q = momentum_transfer(k, theta)
     th = np.asarray(theta, dtype=float)
-    if th.ndim > 1:
-        raise DomainError("theta must be a scalar or a 1-d array")
-    if not np.all((th >= 0.0) & (th < np.pi)):
-        raise DomainError("theta must lie in [0, pi)")
-    return th
+    if np.any(th == np.pi):
+        raise DomainError("theta must lie in [0, pi)", key="theta")
+    return th, q
 
 
 def _amplitude(theta, th, q, value, error_estimate):
@@ -488,12 +467,11 @@ def amplitude_paper_closed(p, kin, theta):
     The Yukawa form has a pole at k*theta = mu: a scalar theta there raises
     PoleError, an array row there is nan.
     """
-    th = _check_theta(theta)
+    th, q = _check_theta(kin.k, theta)
     value = paper_forms.amplitude(p, kin, th)
     if np.ndim(theta) == 0 and np.isnan(value):
         raise PoleError(
             f"reference Yukawa form has a pole at k*theta = mu "
             f"(theta = {p.mu / kin.k:.6g}); cannot evaluate at "
             f"theta = {float(th):.6g}")
-    return _amplitude(theta, th, momentum_transfer(kin.k, th), value,
-                      np.zeros(th.shape))
+    return _amplitude(theta, th, q, value, np.zeros(th.shape))

@@ -43,7 +43,8 @@ class ConvergenceError(ScatterError, RuntimeError):
     computation got.
     """
 
-    def __init__(self, message, estimate=None, error_estimate=None):
-        super().__init__(message)
+    def __init__(self, message, estimate=None, error_estimate=None,
+                 key=None):
+        super().__init__(message, key)
         self.estimate = estimate
         self.error_estimate = error_estimate

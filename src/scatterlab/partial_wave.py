@@ -122,7 +122,8 @@ class PhaseShiftSet:
         if abs(d[-1]) >= _TAIL_TOL:
             raise DomainError(
                 f"partial-wave tail not converged: |delta_l_max| = "
-                f"{abs(d[-1]):.3e} >= {_TAIL_TOL:g}; increase l_max")
+                f"{abs(d[-1]):.3e} >= {_TAIL_TOL:g}; increase l_max",
+                key="l_max")
         if not (self.r_max > 0 and self.dr > 0):
             raise DomainError("r_max and dr must be positive")
 
@@ -569,8 +570,6 @@ def amplitude_partial_wave(ps, theta):
     cases), which sets the error once the step error falls below it.
     """
     th = np.asarray(theta, dtype=float)
-    if th.ndim > 1:
-        raise DomainError("theta must be a scalar or a 1-d array")
     q = momentum_transfer(ps.k, th)  # checks that theta lies in [0, pi]
     weight = 2.0 * np.arange(ps.l_max + 1) + 1.0
     s_mat = weight * expm1i(2.0 * ps.delta)

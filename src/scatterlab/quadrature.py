@@ -256,7 +256,8 @@ def integrate_adaptive(f, a, b, settings=DEFAULT_SETTINGS):
             raise ConvergenceError(
                 f"quadrature budget of {settings.max_subdivisions} "
                 f"subdivisions exhausted (error estimate {total_err:.3e})",
-                estimate=total, error_estimate=total_err)
+                estimate=total, error_estimate=total_err,
+                key="max_subdivisions")
         _, lo, hi, _ = parts.pop(max(range(len(parts)),
                                      key=lambda j: parts[j][0]))
         mid = 0.5 * (lo + hi)
@@ -342,7 +343,8 @@ def integrate_sin(q, lo, hi, coef, origin=None, *,
                 f"quadrature budget of {max_subdivisions} subdivisions "
                 f"exhausted at q = {float(qs[order[-1]])!r} (the fixed rule "
                 f"needs {extra:.6g} pieces beyond two an interval)",
-                estimate=float("nan"), error_estimate=float("inf"))
+                estimate=float("nan"), error_estimate=float("inf"),
+                key="max_subdivisions")
         # a partition only refines as q grows, so the q of one piece count
         # share a partition
         for group in np.split(order, np.flatnonzero(np.diff(counts)) + 1):
@@ -524,7 +526,8 @@ def _hankel_loop(g, qs, upper, settings):
                 f"quadrature budget of {settings.max_subdivisions} "
                 f"subdivisions exhausted at q = {float(qs[j])!r} (error "
                 f"estimate {total[j]:.3e})",
-                estimate=value[j], error_estimate=total[j])
+                estimate=value[j], error_estimate=total[j],
+                key="max_subdivisions")
         mid = 0.5 * (lo[split] + hi[split])
         new = (np.concatenate([lo[split], mid]),
                np.concatenate([mid, hi[split]]))

@@ -1044,7 +1044,7 @@ def amplitude_paper_closed(p, kin, theta):
 # for that split.
 
 
-def eikonal_full_transform(p, kin, theta, settings, small_angle_q=False):
+def eikonal_full_transform(p, kin, theta, settings):
     """(value, error estimate) at each theta of a 1-d array: -i k int_0^R
     J0(q b) (e^{i chi} - 1) b db plus the bound k T/(hbar v) on the tail
     beyond R, with chi's closed form (Yukawa or Gauss) and numpy's exp."""
@@ -1056,7 +1056,7 @@ def eikonal_full_transform(p, kin, theta, settings, small_angle_q=False):
         def chi(b):
             return -(p.g / hv) * math.sqrt(np.pi / p.alpha) \
                 * np.exp(-p.alpha * b * b)
-    q = momentum_transfer(kin.k, theta, small_angle=small_angle_q)
+    q = momentum_transfer(kin.k, theta)
     upper, tail = reach(p)
     res = quadrature.hankel0(lambda b: expm1i(chi(b)), q, upper, settings)
     return (-1j * kin.k * np.asarray(res.value, dtype=complex),

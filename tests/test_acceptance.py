@@ -64,17 +64,16 @@ def test_criterion_1_eikonal_tracks_oracle_forward():
 def test_criterion_2_weak_coupling_limit_is_first_born():
     with _criterion(2, "lim_{g->0} f_eikonal/g = f_born1/g to 1e-4 "
                        "(Richardson over g, g/2, g/4; both potentials, "
-                       "both phase routes)"):
+                       "closed-phase eikonal and born_resummed)"):
         # the closed route's first order in chi is born1 by construction;
-        # the quadrature phase transforms the whole e^{i chi} - 1
+        # born_resummed transforms the whole e^{i chi} - 1 through w Lambda
         kin = Kinematics(mass=1.0, k=10.0)
         angles = (0.0, 0.05, 0.1, 0.15, 0.2)
         couplings = (1e-2, 5e-3, 2.5e-3)
         for family in (lambda g: Yukawa(g, 1.0), lambda g: Gauss(g, 1.0)):
-            for phase in ("auto", "quadrature"):
+            for route in (amplitude_eikonal, born_resummed_amplitude):
                 for t in angles:
-                    v = [amplitude_eikonal(family(g), kin, t,
-                                           phase=phase).value / g
+                    v = [route(family(g), kin, t).value / g
                          for g in couplings]
                     extrapolated = (8.0 * v[2] - 6.0 * v[1] + v[0]) / 3.0
                     ref = born1_amplitude(family(1e-2), kin, t).value / 1e-2

@@ -531,6 +531,13 @@ class TestRunConfigDirect:
             ThetaGrid(min=0.2, max=0.1)
         with pytest.raises(ConfigError):
             ThetaGrid(min=-0.1, max=0.5)
+        # a fractional or nan count passed, and points() raised numpy's
+        # TypeError
+        for count in (2.5, math.nan):
+            with pytest.raises(ConfigError) as err:
+                ThetaGrid(count=count)
+            assert err.value.key == "theta_grid.count"
+        assert ThetaGrid(count=np.int64(3)).points().size == 3
 
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError):

@@ -9,12 +9,13 @@ import scipy.special as sps
 
 import _oracles
 from scatterlab import eikonal
-from scatterlab.born import born_resummed_amplitude
+from scatterlab.born import born1_amplitude, born_resummed_amplitude
 from scatterlab.eikonal import (Amplitude, Kinematics, amplitude_eikonal,
                                 amplitude_paper_closed, chi, chi_closed,
                                 momentum_transfer)
 from scatterlab.errors import (DomainError, PoleError, SingularityError,
                                UnsupportedModelError)
+from scatterlab.partial_wave import amplitude_partial_wave, phase_shifts
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
 from scatterlab.quadrature import QuadratureSettings
 
@@ -48,9 +49,6 @@ class TestMomentumTransfer:
         assert momentum_transfer(10.0, 0.3) == pytest.approx(
             2 * 10.0 * math.sin(0.15), rel=1e-15)
 
-    def test_small_angle_form(self):
-        assert momentum_transfer(10.0, 0.3, small_angle=True) == 3.0
-
     def test_domain(self):
         with pytest.raises(DomainError):
             momentum_transfer(10.0, -0.1)
@@ -62,20 +60,41 @@ class TestMomentumTransfer:
             with pytest.raises(DomainError):
                 momentum_transfer(k, theta)
 
-    def test_small_angle_takes_a_list_and_refuses_a_bad_k(self):
-        # the flag multiplied the list given, not the checked array
-        assert momentum_transfer(2.0, [0.1, 0.3], small_angle=True).tolist() \
-            == [0.2, 0.6]
+    def test_refuses_a_bad_k(self):
         for k in (0.0, -1.0, math.inf, math.nan):
-            for small_angle in (False, True):
-                with pytest.raises(DomainError) as exc:
-                    momentum_transfer(k, [0.1], small_angle=small_angle)
-                assert exc.value.key == "k"
+            with pytest.raises(DomainError) as exc:
+                momentum_transfer(k, [0.1])
+            assert exc.value.key == "k"
 
     def test_array(self):
         th = np.array([0.0, 0.1, np.pi])
         q = momentum_transfer(2.0, th)
         assert np.allclose(q, 4.0 * np.sin(th / 2), rtol=1e-15)
+
+
+def test_every_route_keys_its_theta_errors_to_theta():
+    # amplitude_eikonal at pi and born1 on a 2-d theta raised with no key;
+    # each route keeps its domain: born1 and partial_wave take theta = pi
+    p = Yukawa(0.5, 1.0)
+    ps = phase_shifts(p, KIN1)
+    routes = {
+        "eikonal": lambda t: amplitude_eikonal(p, KIN1, t),
+        "born1": lambda t: born1_amplitude(p, KIN1, t),
+        "born_resummed": lambda t: born_resummed_amplitude(p, KIN1, t),
+        "paper_closed": lambda t: amplitude_paper_closed(p, KIN1, t),
+        "partial_wave": lambda t: amplitude_partial_wave(ps, t),
+    }
+    for name, route in routes.items():
+        refused = [[[0.1]], np.zeros((2, 2)), math.nan, [0.1, math.nan],
+                   -0.1, 4.0]
+        if name in ("born1", "partial_wave"):
+            assert np.all(np.isfinite(route([0.1, np.pi]).value))
+        else:
+            refused += [np.pi, [0.1, np.pi]]
+        for theta in refused:
+            with pytest.raises(DomainError) as exc:
+                route(theta)
+            assert exc.value.key == "theta", (name, theta)
 
 
 class TestChi:
@@ -191,10 +210,12 @@ class TestAmplitudeEikonal:
         got = amplitude_eikonal(p, kin, theta)
         assert abs(got.value - ref) / abs(ref) < 1e-8
 
-    def test_phase_routes_agree(self):
+    def test_closed_phase_agrees_with_born_resummed(self):
+        # born_resummed transforms the z-profile's w Lambda(chi), which is
+        # i hbar v (e^{i chi} - 1) of the quadrature phase
         p = Gauss(0.8, 0.5)
-        a1 = amplitude_eikonal(p, KIN10, 0.05, phase="closed")
-        a2 = amplitude_eikonal(p, KIN10, 0.05, phase="quadrature")
+        a1 = amplitude_eikonal(p, KIN10, 0.05)
+        a2 = born_resummed_amplitude(p, KIN10, 0.05)
         assert abs(a1.value - a2.value) / abs(a1.value) < 1e-9
 
     def test_tabulated_matches_parent_model(self):
@@ -226,17 +247,6 @@ class TestAmplitudeEikonal:
         a2 = amplitude_eikonal(Yukawa(0.5 / c, 1.0),
                                Kinematics(mass=c, k=10.0), 0.1)
         assert abs(a1.value - a2.value) / abs(a1.value) < 1e-10
-
-    def test_small_angle_q_flag(self):
-        p = Yukawa(0.5, 1.0)
-        theta = 0.1
-        exact = amplitude_eikonal(p, KIN10, theta)
-        approx = amplitude_eikonal(p, KIN10, theta, small_angle_q=True)
-        assert exact.q == pytest.approx(2 * 10 * math.sin(theta / 2))
-        assert approx.q == pytest.approx(10 * theta)
-        # the two prescriptions differ at O(theta^3)
-        assert abs(approx.value - exact.value) / abs(exact.value) < 5e-3
-        assert approx.value != exact.value
 
     def test_theta_domain(self):
         with pytest.raises(DomainError):
@@ -281,11 +291,9 @@ class TestAmplitudeEikonal:
                 total += term * mp.exp(-q * q / (4 * n * alpha)) \
                     / (2 * n * alpha)
             exact = complex(-1j * k * total)
-        for phase in ("closed", "quadrature"):
-            got = amplitude_eikonal(p, kin, theta, phase=phase)
+        for route in (amplitude_eikonal, born_resummed_amplitude):
+            got = route(p, kin, theta)
             assert abs(got.value - exact) <= got.error_estimate
-        got = born_resummed_amplitude(p, kin, theta)
-        assert abs(got.value - exact) <= got.error_estimate
 
     @pytest.mark.parametrize("g", [1e-2, 1e-4, 1e-6])
     def test_weak_gauss_forward_imaginary_part_keeps_its_digits(self, g):
@@ -300,8 +308,8 @@ class TestAmplitudeEikonal:
             cin = mp.nsum(lambda n: (-1) ** (n + 1) * c ** (2 * n)
                           / (2 * n * mp.factorial(2 * n)), [1, mp.inf])
             exact = float(kin.k / (2 * p.alpha) * cin)
-        for phase in ("closed", "quadrature"):
-            got = amplitude_eikonal(p, kin, 0.0, phase=phase)
+        for route in (amplitude_eikonal, born_resummed_amplitude):
+            got = route(p, kin, 0.0)
             assert abs(got.value.imag - exact) <= 1e-14 * exact
 
     def test_large_momentum_transfer_fits_the_default_budget(self):
@@ -324,24 +332,18 @@ class TestAmplitudeEikonal:
         assert got.error_estimate > 0.0
         assert got.error_estimate < 1e-8
 
-    @pytest.mark.parametrize("p, phase, small_angle_q", [
-        (Yukawa(0.5, 1.0), "auto", False),
-        (Yukawa(0.5, 1.0), "auto", True),
-        (Gauss(0.8, 0.5), "quadrature", False),
-    ])
-    def test_theta_array_equals_per_angle_calls(self, p, phase,
-                                                small_angle_q):
+    @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.8, 0.5)])
+    def test_theta_array_equals_per_angle_calls(self, p):
         # all angles share one Hankel partition, so a row agrees with the
         # call at that angle alone within their errors, not bit for bit
         theta = np.array([0.0, 0.01, 0.05, 0.2, 0.6])
-        kw = dict(phase=phase, small_angle_q=small_angle_q)
-        got = amplitude_eikonal(p, KIN10, theta, **kw)
-        each = [amplitude_eikonal(p, KIN10, float(t), **kw) for t in theta]
+        got = amplitude_eikonal(p, KIN10, theta)
+        each = [amplitude_eikonal(p, KIN10, float(t)) for t in theta]
         assert got.theta.tolist() == theta.tolist()
         assert got.q.tolist() == [a.q for a in each]
         for value, err, a in zip(got.value, got.error_estimate, each):
             assert abs(value - a.value) <= err + a.error_estimate
-        none = amplitude_eikonal(p, KIN10, np.zeros(0), **kw)
+        none = amplitude_eikonal(p, KIN10, np.zeros(0))
         assert none.value.shape == none.error_estimate.shape == (0,)
         assert none.q.shape == none.theta.shape == (0,)
 
@@ -358,6 +360,7 @@ GRID = [(p, k) for p in (Yukawa(0.5, 1.0), Yukawa(-2.0, 0.5),
 GRID_THETA = np.array([0.0, 0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 1.0])
 TIGHT = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16,
                            max_subdivisions=2000)
+EPS = np.finfo(float).eps
 
 
 def _gauss_series(p, kin, theta):
@@ -383,18 +386,16 @@ def _gauss_series(p, kin, theta):
 class TestBornSubtraction:
     # the closed route takes its first order in chi from fourier3d and
     # transforms only e^{i chi} - 1 - i chi; the full transform of the
-    # whole e^{i chi} - 1 and the quadrature phase, which keeps it too,
-    # are independent checks of the split
+    # whole e^{i chi} - 1 and born_resummed, which transforms the whole
+    # z-profile integrand, are independent checks of the split
 
     @pytest.mark.parametrize("p, k", GRID)
-    def test_split_matches_the_full_transform_and_the_quadrature_phase(
-            self, p, k):
+    def test_split_matches_the_full_transform_and_born_resummed(self, p, k):
         kin = Kinematics(mass=1.0, k=k)
         got = amplitude_eikonal(p, kin, GRID_THETA)
         full, full_err = _oracles.eikonal_full_transform(p, kin, GRID_THETA,
                                                          TIGHT)
-        quad = amplitude_eikonal(p, kin, GRID_THETA, TIGHT,
-                                 phase="quadrature")
+        quad = born_resummed_amplitude(p, kin, GRID_THETA, TIGHT)
         assert np.all(np.abs(got.value - full)
                       <= got.error_estimate + full_err)
         assert np.all(np.abs(got.value - quad.value)
@@ -403,14 +404,25 @@ class TestBornSubtraction:
             exact = _gauss_series(p, kin, GRID_THETA)
             assert np.all(np.abs(got.value - exact) <= got.error_estimate)
 
-    def test_small_angle_q_reaches_the_born_term_too(self):
-        p, kin = Yukawa(0.5, 1.0), KIN10
-        got = amplitude_eikonal(p, kin, GRID_THETA, small_angle_q=True)
-        full, full_err = _oracles.eikonal_full_transform(
-            p, kin, GRID_THETA, TIGHT, small_angle_q=True)
-        assert got.q.tolist() == (kin.k * GRID_THETA).tolist()
-        assert np.all(np.abs(got.value - full)
-                      <= got.error_estimate + full_err)
+    @pytest.mark.parametrize("p", [Gauss(-1e-5, 1.0), Yukawa(1e-4, 1.0)])
+    def test_remainder_pass_stops_at_the_rounding_of_its_integrand(self, p):
+        # the remainder's sin chi - chi keeps only eps |chi| of absolute
+        # accuracy: at abs_tol 1e-300 the Gauss's pass exhausted its budget
+        # at theta = 2.5 (q = 9.49) on that rounding noise
+        kin = Kinematics(mass=1.0, k=5.0)
+        theta = np.array([0.0, 0.3, 1.0, 2.5])
+        settings = QuadratureSettings(abs_tol=1e-300)
+        got = amplitude_eikonal(p, kin, theta, settings)
+        ref = born_resummed_amplitude(p, kin, theta, settings)
+        assert np.all(np.abs(got.value - ref.value)
+                      <= got.error_estimate + ref.error_estimate)
+        if isinstance(p, Gauss):
+            # the error_estimate leaves out the rounding of the closed-form
+            # Born term, a few ulps of f, far above the 1e-25 the pass
+            # reaches at theta = 0
+            exact = _gauss_series(p, kin, theta)
+            assert np.all(np.abs(got.value - exact)
+                          <= got.error_estimate + 8.0 * EPS * np.abs(exact))
 
     @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Yukawa(-2.0, 0.5),
                                    Yukawa(1e-3, 7.0), Gauss(0.5, 1.0),

@@ -325,10 +325,13 @@ class TestPhaseShifts:
         assert err.value.key == key
 
     def test_explicit_l_max_too_small(self):
-        # the tail invariant rejects a truncation that cuts live waves
-        with pytest.raises(DomainError):
-            phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0),
-                         l_max=20)
+        # the tail invariant rejects a truncation that cuts live waves, and
+        # blames l_max by key, not only in its text
+        for l_max in (5, 20):
+            with pytest.raises(DomainError, match="increase l_max") as err:
+                phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0),
+                             l_max=l_max)
+            assert err.value.key == "l_max"
 
     def test_auto_r_max_round_trips(self):
         # the automatic r_max lands on the dr grid at or beyond the decay

@@ -1,7 +1,7 @@
 """Property sweeps over model, sign and size of the coupling, and range:
-the reported errors of the two routes that read the z-profile, resummed
-Born and the quadrature-phase eikonal, which include the bounds of the
-profile's values, cover their deviation from a tight reference; the
+the reported error of resummed Born, which reads the z-profile and
+includes the bounds of the profile's values, covers its deviation from
+the tight closed-phase eikonal; the
 partial-wave oracle keeps its phase shifts in (-pi/2, pi/2], obeys the
 optical theorem, keeps |S_l| = 1 to rounding at every wave and reports
 an error that covers its move at half the radial step; the effective
@@ -11,10 +11,11 @@ transform, on its fixed rule, reports an error that covers scipy's quad
 and has the bits of a call at each q alone; the reference closed forms and
 their checks, from 1e-300 to 1e300 in every parameter, return or raise a
 ScatterError; and only a ScatterError escapes the public amplitude and
-cross-section functions and run_scan, whatever the model, coupling,
-range, k (0, inf and nan included where it is a float argument) and
-theta (a list or an array); and in a weak field the eikonal reduces to
-first Born, its Im f(0) to the closed form of order chi^2; and a table's
+cross-section functions, the angle grid and run_scan, whatever the model,
+coupling, range, k (0, inf and nan included where it is a float
+argument), theta (a list or an array) and angle count (2.5 and nan
+included); and in a weak field the eikonal and resummed Born reduce to
+first Born, their Im f(0) to the closed form of order chi^2; and a table's
 z-profile, on random tables and the kink table, lies within its bound of
 a 30-digit Abel transform of its pieces."""
 
@@ -32,7 +33,7 @@ from scipy.integrate import IntegrationWarning, quad
 import _oracles
 from scatterlab import eikonal, paper_forms
 from scatterlab.born import born1_amplitude, born_resummed_amplitude
-from scatterlab.config import parse_config
+from scatterlab.config import ThetaGrid, parse_config
 from scatterlab.cross_sections import (paper_formula_checks,
                                        table_from_amplitudes, total_optical)
 from scatterlab.eikonal import (Kinematics, amplitude_eikonal,
@@ -79,12 +80,11 @@ def tables(draw, interpolations=("cubic", "linear"), first=(0.0, 1.0)):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(p=potentials(), k=st.sampled_from([1.0, 2.0, 5.0]))
-def test_z_profile_routes_errors_cover_the_tight_closed_phase_eikonal(p, k):
+def test_born_resummed_errors_cover_the_tight_closed_phase_eikonal(p, k):
     kin = Kinematics(mass=1.0, k=k)
-    tight = amplitude_eikonal(p, kin, THETA, TIGHT, phase="closed")
-    for got in (born_resummed_amplitude(p, kin, THETA),
-                amplitude_eikonal(p, kin, THETA, phase="quadrature")):
-        assert np.all(np.abs(got.value - tight.value) <= got.error_estimate)
+    tight = amplitude_eikonal(p, kin, THETA, TIGHT)
+    got = born_resummed_amplitude(p, kin, THETA)
+    assert np.all(np.abs(got.value - tight.value) <= got.error_estimate)
 
 
 @st.composite
@@ -103,9 +103,9 @@ WEAK_ROUNDING = 1e-10
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(p=weak_potentials(), k=st.sampled_from([0.5, 1.0, 2.0, 5.0]),
-       phase=st.sampled_from(["closed", "quadrature"]))
-@example(p=Gauss(1e-8, 1.0), k=2.0, phase="closed")
-def test_weak_eikonal_reduces_to_first_born(p, k, phase):
+       route=st.sampled_from([amplitude_eikonal, born_resummed_amplitude]))
+@example(p=Gauss(1e-8, 1.0), k=2.0, route=amplitude_eikonal)
+def test_weak_eikonal_reduces_to_first_born(p, k, route):
     # chi = -(g/hbar v) sqrt(pi/alpha) e^{-alpha b^2} for Gauss and
     # -(2g/hbar v) K0(mu b) for Yukawa, c the size of its prefactor.
     # Re f - f_B = k int J0 (sin chi - chi) b db, which is c^2/18 of
@@ -113,7 +113,8 @@ def test_weak_eikonal_reduces_to_first_born(p, k, phase):
     # (1 - cos chi) b db is k int chi^2/2 b db, k pi g^2/(8 alpha^2 hbar^2
     # v^2) for Gauss and k g^2/(hbar^2 v^2 mu^2) for Yukawa, to a relative
     # c^2/24 and 7 zeta(3) c^2/48. abs_tol is tiny so that the transform
-    # resolves Im f, of order c^2 |f|, and not only |f|.
+    # resolves Im f, of order c^2 |f|, and not only |f|. born_resummed,
+    # the same integral through the z-profile, obeys the same bounds.
     kin = Kinematics(mass=1.0, k=k)
     hv = kin.hbar * kin.v
     if isinstance(p, Gauss):
@@ -123,7 +124,7 @@ def test_weak_eikonal_reduces_to_first_born(p, k, phase):
         c = 2.0 * abs(p.g) / hv
         im0 = k * p.g**2 / (hv**2 * p.mu**2)
     tight = dataclasses.replace(DEFAULT_SETTINGS, abs_tol=1e-300)
-    got = amplitude_eikonal(p, kin, THETA_WEAK, tight, phase=phase)
+    got = route(p, kin, THETA_WEAK, tight)
     born = born1_amplitude(p, kin, THETA_WEAK)
     scale = abs(born.value[0])
     assert np.all(np.abs(got.value.real - born.value.real)
@@ -317,14 +318,16 @@ def _value_or_scatter_error(call):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(model=models(), k=st.floats(0.5, 3.0), k_arg=_floats(0.5, 3.0),
-       b=_floats(0.01, 20.0), theta=thetas(), small=st.booleans())
+       b=_floats(0.01, 20.0), theta=thetas(),
+       count=st.one_of(st.integers(2, 9), st.sampled_from([2.5, math.nan])))
 def test_only_scatter_errors_escape_the_amplitude_and_cross_section_api(
-        model, k, k_arg, b, theta, small):
-    # a returned q or phase is finite: an inf k or a nan b is refused
+        model, k, k_arg, b, theta, count):
+    # a returned q or phase is finite: an inf k or a nan b is refused; a
+    # fractional or nan angle count passed ThetaGrid and reached numpy
     p, kin = _potential(*model), Kinematics(mass=1.0, k=k)
-    q = _value_or_scatter_error(
-        lambda: momentum_transfer(k_arg, theta, small_angle=small))
+    q = _value_or_scatter_error(lambda: momentum_transfer(k_arg, theta))
     assert q is None or np.all(np.isfinite(q))
+    _value_or_scatter_error(lambda: ThetaGrid(count=count).points())
     for route in (chi, chi_closed):
         x = _value_or_scatter_error(lambda: route(p, kin, b))
         assert x is None or np.all(np.isfinite(x))

@@ -9,13 +9,15 @@ import pytest
 import _oracles
 from _oracles import ESTIMATOR_CORPUS
 from scatterlab import quadrature
-from scatterlab.eikonal import Kinematics, _phase_integrand, amplitude_eikonal
+from scatterlab.eikonal import (Kinematics, _phase_integrand, amplitude_eikonal,
+                                chi_closed)
 from scatterlab.errors import ConvergenceError, DomainError, ScatterError
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
                                    reach)
 from scatterlab.quadrature import (DEFAULT_SETTINGS, QuadratureSettings,
                                    hankel0, integrate_adaptive,
-                                   integrate_semi_infinite)
+                                   integrate_semi_infinite, integrate_sin)
+from scatterlab.special_functions import expm1i
 
 
 def test_settings_validation():
@@ -357,17 +359,26 @@ def _table(r_hi=8.0, n=300):
     return TabulatedRadial(r, v)
 
 
-@pytest.mark.parametrize("p, k, phase, q", [
-    (Yukawa(0.5, 1.0), 10.0, "closed", HANKEL_Q),
-    (Gauss(0.5, 0.7), 4.0, "closed", HANKEL_Q),
-    (_table(), 3.0, "quadrature", HANKEL_Q[[0, 2, 4, 5]]),
+def _eikonal_integrand(p, k):
+    """e^{i chi(b)} - 1 at m = 1: chi_closed's for Yukawa and Gauss, the
+    z-profile's (with its error bounds) for a table."""
+    kin = Kinematics(1.0, k)
+    if isinstance(p, TabulatedRadial):
+        return _phase_integrand(p, kin)
+    return lambda b: expm1i(chi_closed(p, kin, b))
+
+
+@pytest.mark.parametrize("p, k, q", [
+    (Yukawa(0.5, 1.0), 10.0, HANKEL_Q),
+    (Gauss(0.5, 0.7), 4.0, HANKEL_Q),
+    (_table(), 3.0, HANKEL_Q[[0, 2, 4, 5]]),
 ])
-def test_hankel_rows_match_scalar_calls(p, k, phase, q):
+def test_hankel_rows_match_scalar_calls(p, k, q):
     # the array call shares one partition among its q, so a row agrees
     # with the call at that q alone within their reported errors, not bit
     # for bit; it evaluates fewer nodes than the calls together. The
     # table's quadrature phase carries its z-integrals' error estimates.
-    g = _phase_integrand(p, Kinematics(1.0, k), phase)
+    g = _eikonal_integrand(p, k)
     upper = reach(p)[0]
     scalars = [hankel0(g, float(x), upper) for x in q]
     rows = hankel0(g, q, upper)
@@ -402,6 +413,26 @@ def test_hankel_rows_raise_the_scalar_error_naming_q():
     assert exc.value.error_estimate > 0.0
 
 
+def test_an_exhausted_budget_is_keyed_to_max_subdivisions():
+    # the budget errors named max_subdivisions in their text alone; the
+    # refusal of a first partition over _HANKEL_PANELS blames no setting
+    budget = QuadratureSettings(max_subdivisions=8)
+    for call in (
+            lambda: integrate_adaptive(lambda x: np.sin(1e3 * x), 0.0, 10.0,
+                                       budget),
+            lambda: integrate_sin(1e6, [0.0], [1.0], [[1.0]],
+                                  max_subdivisions=8),
+            lambda: hankel0(lambda b: np.exp(-0.1 * b), 40.0, 60.0, budget)):
+        with pytest.raises(ConvergenceError,
+                           match="budget of 8 subdivisions") as exc:
+            call()
+        assert exc.value.key == "max_subdivisions"
+    limit = quadrature._HANKEL_PANELS
+    with pytest.raises(ConvergenceError, match="panels") as exc:
+        hankel0(lambda b: np.zeros(b.shape), float(limit), 2.0 * np.pi)
+    assert exc.value.key is None
+
+
 def test_hankel_array_q_validation():
     g = lambda b: np.exp(-b)
     with pytest.raises(DomainError):
@@ -425,8 +456,7 @@ def test_hankel_array_q_validation():
 # agree within the two error estimates. FLAGSHIP_Q is the flagship
 # workload's grid, 49 angles on [0, 0.6] at k = 10.
 FLAGSHIP_Q = 20.0 * np.sin(0.5 * np.linspace(0.0, 0.6, 49))
-YUKAWA_PHASE = _phase_integrand(Yukawa(0.5, 1.0), Kinematics(1.0, 10.0),
-                                "closed")
+YUKAWA_PHASE = _eikonal_integrand(Yukawa(0.5, 1.0), 10.0)
 
 
 def _counted(g):
@@ -439,15 +469,14 @@ def _counted(g):
     return f
 
 
-@pytest.mark.parametrize("p, k, phase, q", [
-    (Yukawa(0.5, 1.0), 10.0, "closed", HANKEL_Q),
-    (Yukawa(0.5, 1.0), 10.0, "closed", FLAGSHIP_Q),
-    (Gauss(0.5, 0.7), 4.0, "closed", HANKEL_Q),
-    (_table(), 3.0, "quadrature", HANKEL_Q[[0, 2, 4, 5]]),
+@pytest.mark.parametrize("p, k, q", [
+    (Yukawa(0.5, 1.0), 10.0, HANKEL_Q),
+    (Yukawa(0.5, 1.0), 10.0, FLAGSHIP_Q),
+    (Gauss(0.5, 0.7), 4.0, HANKEL_Q),
+    (_table(), 3.0, HANKEL_Q[[0, 2, 4, 5]]),
 ], ids=["yukawa", "yukawa-flagship", "gauss", "table"])
-def test_hankel_agrees_with_the_round_by_round_loop(monkeypatch, p, k, phase,
-                                                    q):
-    g = _phase_integrand(p, Kinematics(1.0, k), phase)
+def test_hankel_agrees_with_the_round_by_round_loop(monkeypatch, p, k, q):
+    g = _eikonal_integrand(p, k)
     upper = reach(p)[0]
     value, error, _, _ = _oracles.hankel_rounds(g, q, upper,
                                                 DEFAULT_SETTINGS)
@@ -472,7 +501,7 @@ def test_hankel_makes_the_predicted_halvings_at_a_tight_tolerance():
     # 1e-13 the round-by-round loop bisects the panel there thousands of
     # times (7,035 final panels), over a budget of 1000, while the
     # predicted halvings converge well inside it
-    g = _phase_integrand(Yukawa(-2.0, 0.5), Kinematics(1.0, 1.0), "closed")
+    g = _eikonal_integrand(Yukawa(-2.0, 0.5), 1.0)
     upper = reach(Yukawa(-2.0, 0.5))[0]
     tight = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16,
                                max_subdivisions=1000)
@@ -492,7 +521,7 @@ def test_hankel_converges_on_a_table_s_exact_profile(q):
     # within its error estimate of a run at 10x tighter tolerances (at
     # 100x, q near 3.7-3.9 stall at rounding level in any budget)
     p = _table()
-    g = _phase_integrand(p, Kinematics(1.0, 3.0), "quadrature")
+    g = _phase_integrand(p, Kinematics(1.0, 3.0))
     res = hankel0(g, q, p.r[-1])
     tight = hankel0(g, q, p.r[-1], QuadratureSettings(
         rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=2000))
@@ -542,16 +571,16 @@ def test_hankel_halvings_take_libm_logs_and_stop_at_the_least_normal():
     assert list(quadrature._ladder(0.75, 2)) == [0.75, 0.375, 0.1875]
 
 
-@pytest.mark.parametrize("p, k, phase, q", [
-    (Yukawa(0.5, 1.0), 10.0, "closed", FLAGSHIP_Q),
-    (_table(), 3.0, "quadrature", HANKEL_Q[[0, 2, 4, 5]]),
+@pytest.mark.parametrize("p, k, q", [
+    (Yukawa(0.5, 1.0), 10.0, FLAGSHIP_Q),
+    (_table(), 3.0, HANKEL_Q[[0, 2, 4, 5]]),
 ], ids=["yukawa", "table"])
-def test_hankel_panel_sums_are_the_panel_s_own(monkeypatch, p, k, phase, q):
+def test_hankel_panel_sums_are_the_panel_s_own(monkeypatch, p, k, q):
     # each panel's sums run over its own 15 values in a fixed order: 11
     # panels at flagship's 49 angles give the bits of each prefix of them
     # and of each panel alone, and hankel0's bytes at q do not depend on
     # the blocks its g calls and J0 products go in
-    g = _phase_integrand(p, Kinematics(1.0, k), phase)
+    g = _eikonal_integrand(p, k)
     upper = reach(p)[0]
     edges = np.linspace(0.0, upper, 12)
     lo, hi, q3 = edges[:-1], edges[1:], FLAGSHIP_Q[:, None, None]

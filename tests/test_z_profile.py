@@ -1,4 +1,4 @@
-"""The z-profile: eikonal's quadrature phase and born_resummed read one w(b)
+"""The z-profile: chi, a table's eikonal and born_resummed read one w(b)
 per potential, each value with a bound on its error. Every b,
 of Yukawa, Gauss or a table, comes from a store of per-b integrals with
 the bits of an uncached integration; Yukawa's and Gauss's lie within
@@ -139,7 +139,7 @@ directory = {out}
                            shallow=False), name
 
 
-def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
+def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
     kin = Kinematics(mass=1.0, k=3.0)
     theta = np.array([0.0, 0.1, 0.2])
     requested, integrated = [], []
@@ -174,10 +174,17 @@ def test_eikonal_and_born_resummed_integrate_each_b_once(monkeypatch):
     for p in (_table(), Yukawa(0.5, 1.0), Gauss(0.01, 1.0)):
         requested.clear()
         integrated.clear()
-        amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
         born_resummed_amplitude(p, kin, theta, SETTINGS)
-        eik, res = distinct("eikonal"), distinct("born")
-        # the routes share impact parameters
+        res = distinct("born")
+        # a table's eikonal reads the profile; Yukawa's and Gauss's take
+        # the closed phase, so chi is their second reader, at some of
+        # born_resummed's b and at B
+        if isinstance(p, TabulatedRadial):
+            amplitude_eikonal(p, kin, theta, SETTINGS)
+        else:
+            chi(p, kin, np.concatenate([sorted(res)[::7], B]))
+        eik = distinct("eikonal")
+        # the readers share impact parameters
         assert eik and res and eik & res, p
         assert sum(integrated) == len(eik | res), p
 
@@ -199,7 +206,7 @@ def test_one_profile_serves_every_setting(monkeypatch):
     profile = eikonal._z_profile(p)
     for settings in (SETTINGS, QuadratureSettings(rel_tol=1e-8, abs_tol=1e-10,
                                                   max_subdivisions=400)):
-        amplitude_eikonal(p, kin, theta, settings, phase="quadrature")
+        amplitude_eikonal(p, kin, theta, settings)
         born_resummed_amplitude(p, kin, theta, settings)
         assert eikonal._z_profile(p) is profile
     assert len(integrated) == len(set(integrated)) == len(profile._store)
@@ -269,9 +276,9 @@ def test_interpolant_is_built_once_from_a_few_hundred_integrals(monkeypatch):
     theta = np.linspace(0.0, 0.2, 33)
     born_resummed_amplitude(p, kin, theta, SETTINGS)
     profile = eikonal._z_profile(p)
-    amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
+    chi(p, kin, np.array(sorted(profile._store)))
     born_resummed_amplitude(p, Kinematics(mass=1.0, k=5.0), theta, SETTINGS)
-    # one store for every angle, route and k, holding each b integrated
+    # one store for every angle, reader and k, holding each b integrated
     # once: the transforms never ask beyond the profile's reach
     assert eikonal._z_profile(p) is profile
     assert sum(counts) == len(profile._store)
@@ -385,7 +392,7 @@ def test_born_resummed_runs_no_adaptive_quadrature(monkeypatch):
     for p in (Gauss(0.01, 1.0), Yukawa(0.5, 1.0), _table()):
         amp = born_resummed_amplitude(p, kin, theta, SETTINGS)
         assert np.all(np.isfinite(amp.value))
-        amp = amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature")
+        amp = amplitude_eikonal(p, kin, theta, SETTINGS)
         assert np.all(np.isfinite(amp.value))
 
 
@@ -396,12 +403,12 @@ def test_j0_envelope():
 
 @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.3, 0.7)], ids=str)
 def test_hankel_error_bounds_the_j0_weighted_piece_bounds(p):
-    # the quadrature phase hands hankel0 each w's bound; the error the
+    # the z-profile's phase hands hankel0 each w's bound; the error the
     # transform adds for them (their integral against J0's envelope, see
     # test_quadrature) is positive, falls as q grows, and moves no value
     kin = Kinematics(mass=1.0, k=2.0)
     upper = potentials.reach(p)[0]
-    g = eikonal._phase_integrand(p, kin, "quadrature")
+    g = eikonal._phase_integrand(p, kin)
     q = np.array([0.0, 0.01, 0.3, 2.0, 10.0])
     bounded = hankel0(g, q, upper)
     plain = hankel0(lambda b: g(b)[0], q, upper)
@@ -502,16 +509,20 @@ directory = {out}
                                    shallow=False), (name, csv)
 
 
-@pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.3, 0.7)], ids=str)
+@pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.3, 0.7), _table()],
+                         ids=["yukawa", "gauss", "table"])
 def test_amplitude_error_includes_the_interpolation_bound(p, monkeypatch):
-    # each amplitude's error exceeds its estimate with w's bounds
-    # dropped, which move no value
+    # each amplitude that reads the profile, born_resummed and a table's
+    # eikonal, has an error above its estimate with w's bounds dropped,
+    # which move no value
     kin = Kinematics(mass=1.0, k=2.0)
     theta = np.array([0.0, 0.1])
+    routes = [born_resummed_amplitude]
+    if isinstance(p, TabulatedRadial):
+        routes.append(amplitude_eikonal)
 
     def amplitudes():
-        return (born_resummed_amplitude(p, kin, theta, SETTINGS),
-                amplitude_eikonal(p, kin, theta, SETTINGS, phase="quadrature"))
+        return [route(p, kin, theta, SETTINGS) for route in routes]
 
     bounded = amplitudes()
     call = eikonal._ZProfile.__call__
@@ -527,11 +538,9 @@ def test_interpolation_bound_keeps_errors_within_the_warning_target():
     # forward value: the runner warns when an error exceeds 10x its target
     p, kin = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0)
     theta = np.linspace(0.0, 0.6, 13)
-    for amp in (born_resummed_amplitude(p, kin, theta, SETTINGS),
-                amplitude_eikonal(p, kin, theta, SETTINGS,
-                                  phase="quadrature")):
-        assert _quadrature_warning("source", kin.k, amp.error_estimate,
-                                   amp.value, SETTINGS) is None
+    amp = born_resummed_amplitude(p, kin, theta, SETTINGS)
+    assert _quadrature_warning("source", kin.k, amp.error_estimate,
+                               amp.value, SETTINGS) is None
 
 
 @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Yukawa(-2.0, 0.05),
