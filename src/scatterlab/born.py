@@ -16,16 +16,15 @@ impact parameter of w(b) * Lambda(chi(b)), where w(b) = int_-inf^inf V dz,
 chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
 of the lambda integral. Its e^{ix} - 1 is special_functions.expm1i, the
 one cancellation-free form that the eikonal and partial-wave amplitudes
-use too. w(b) is read from eikonal._z_profile, the one profile per
-potential that a table's eikonal reads too, each w with a bound on its
-error (see eikonal). So the documented equality of the two amplitudes at
+use too. w(b) is read from eikonal._z_profile, each w with a bound on its
+error; a table keeps its w in its own memo, which its eikonal reads too
+(see eikonal). So the documented equality of the two amplitudes at
 small angle checks the Lambda algebra and the two Hankel integrands
 against each other. For Yukawa and Gauss the eikonal takes its first
 order in chi, the first Born amplitude, from fourier3d and its phase in
 closed form, so the equality checks that subtraction too. On a table
 born1_amplitude reports the error bound of quadrature.integrate_sin's
-exact series on each spline piece, whose piece budget is the settings'
-max_subdivisions.
+exact series on each spline piece, and reads no setting.
 """
 
 import numpy as np
@@ -47,14 +46,13 @@ __all__ = [
 ]
 
 
-def born1_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
+def born1_amplitude(p, kin, theta):
     """First Born amplitude at one angle, or at every angle of a 1-d theta
     array in one fourier3d call (fields are then arrays), q = 2k sin(theta/2).
-    settings.max_subdivisions caps the pieces of a table's transform.
     """
     th = np.asarray(theta, dtype=float)
     q = momentum_transfer(kin.k, th)
-    vt, vt_err = fourier3d(p, q, settings, with_error=True)
+    vt, vt_err = fourier3d(p, q, with_error=True)
     scale = kin.mass / (2.0 * np.pi * kin.hbar**2)
     return _amplitude(theta, th, q, np.asarray(-scale * vt, dtype=complex),
                       scale * np.asarray(vt_err))
@@ -74,10 +72,9 @@ def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
     th, q = _check_theta(kin.k, theta)
     hv = kin.hbar * kin.v
     upper, tail = reach(p)
-    profile = _z_profile(p)
 
     def g(b):
-        w, err = profile(b)
+        w, err = _z_profile(p, b)
         # d(w Lambda(-w/(hbar v)))/dw = e^{i chi}, of modulus 1
         return w * _lambda_factor(-w / hv), err
 

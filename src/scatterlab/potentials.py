@@ -26,8 +26,7 @@ import numpy as np
 from ._spline import natural_cubic, split_at_roots
 from .errors import (ConfigError, DomainError, RangeError,
                      SingularityError, UnsupportedModelError)
-from .quadrature import (_G7_NODES, _KERNEL_BLOCK, _WG, DEFAULT_SETTINGS,
-                         integrate_sin)
+from .quadrature import _G7_NODES, _KERNEL_BLOCK, _WG, integrate_sin
 from .special_functions import libm_exp, log
 # bound here only because perfbench/tracer.py rebinds it in this namespace
 from .quadrature import integrate_adaptive  # noqa: F401
@@ -95,7 +94,8 @@ class TabulatedRadial:
     coefficients (y0, b, c, d) of shape (4, edges.size - 1)), V = y0 + s (b
     + s (c + s d)) on [edges[j], edges[j+1]], s = r - edges[j]. A linear
     table has c = d = 0, and a table starting at r[0] > 0 has the constant
-    v[0] on [0, r[0]]. _abel holds what abel_profile reads of the pieces.
+    v[0] on [0, r[0]]. _abel holds what abel_profile reads of the pieces,
+    and _w is the memo of eikonal._z_profile: (w, bound) per exact b.
     """
 
     r: np.ndarray
@@ -104,6 +104,7 @@ class TabulatedRadial:
     file: str | None = None
     _pieces: tuple = field(init=False, repr=False, compare=False)
     _abel: tuple = field(init=False, repr=False, compare=False)
+    _w: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -138,6 +139,7 @@ class TabulatedRadial:
                                    coef), axis=1)
         object.__setattr__(self, "_pieces", (edges, coef))
         object.__setattr__(self, "_abel", _abel_knots(edges, coef))
+        object.__setattr__(self, "_w", {})
 
 
 def evaluate(potential, r):
@@ -267,17 +269,16 @@ def abel_profile(p, b):
     return 2.0 * scale * value, 2.0 * scale * (64 + far.shape[1]) * _EPS * mag
 
 
-def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
+def fourier3d(potential, q, *, with_error=False):
     """Vtilde(q) = int d^3r e^{-i q.r} V(r), vectorized over q >= 0.
 
     A table integrates each of its pieces times 4 pi r sin(q r)/q by the
     exact local series of quadrature.integrate_sin, q by q: an array call
     has the bits of calls at each q alone. Its error estimate bounds the
-    series' dropped terms plus the rounding floor; settings give only
-    max_subdivisions, the budget of pieces beyond two a knot interval.
-    rel_tol and abs_tol set no target there: the runner still compares
-    the estimate with them for its loose-error warning. with_error=True
-    returns (Vtilde, error estimate), the estimate 0 for the closed forms.
+    series' dropped terms plus the rounding floor, and reads no setting:
+    the runner still compares the estimate with rel_tol and abs_tol for
+    its loose-error warning. with_error=True returns (Vtilde, error
+    estimate), the estimate 0 for the closed forms.
     """
     q = np.asarray(q, dtype=float)
     scalar = q.ndim == 0
@@ -299,8 +300,7 @@ def fourier3d(potential, q, settings=DEFAULT_SETTINGS, *, with_error=False):
         edges, (y0, b, c, d) = potential._pieces
         o = edges[:-1]
         res = integrate_sin(q, o, edges[1:], (o * y0, y0 + o * b, b + o * c,
-                                              c + o * d, d),
-                            max_subdivisions=settings.max_subdivisions)
+                                              c + o * d, d))
         out = 4.0 * np.pi * res.value
         err = 4.0 * np.pi * res.error_estimate
     else:

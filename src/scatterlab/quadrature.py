@@ -46,8 +46,9 @@ serve every q that shares it, and each q takes its own M, so a value has
 the bits of a call at that q alone. Only sin and cos are called, whose
 bits do not depend on numpy's SIMD level. The dropped terms are at most
 twice the first, times (|x0| + H) int |P| a piece, and the reported
-error adds the rounding floor 100 eps sum |piece terms|. Pieces beyond
-two an interval count against max_subdivisions.
+error adds the rounding floor 100 eps sum |piece terms|. The series is
+exact, so no setting bounds its pieces: only _SIN_PIECES, a cap on the
+memory a call takes, counts those beyond two an interval.
 
 hankel0 is global-adaptive over one partition of [0, upper] shared by
 every q (Piessens et al., QUADPACK, 1983): it starts from panels about
@@ -104,9 +105,7 @@ class QuadratureSettings:
 
     rel_tol/abs_tol       target |error| <= max(abs_tol, rel_tol*|value|)
     max_subdivisions      bisection budget per adaptive call (for
-                          hankel0, of the shared partition); a table's
-                          Fourier transform gives it to integrate_sin as
-                          its budget of pieces beyond two an interval
+                          hankel0, of the shared partition)
     """
 
     rel_tol: float = 1e-10
@@ -290,6 +289,9 @@ _KERNEL_BLOCK = 1 << 13
 # sums take, and the largest q H on a piece of integrate_sin's partition
 _G7_NODES = _NODES[1::2]
 _PIECE_PHASE = 2.0
+# the most pieces beyond two an interval that integrate_sin may cut, a cap
+# on a call's memory; the benchmark's table, at q h <= 1, cuts none
+_SIN_PIECES = 1 << 15
 
 
 def _series_order(t):
@@ -303,16 +305,15 @@ def _series_order(t):
     return m, d
 
 
-def integrate_sin(q, lo, hi, coef, origin=None, *,
-                  max_subdivisions=DEFAULT_SETTINGS.max_subdivisions):
+def integrate_sin(q, lo, hi, coef, origin=None):
     """sum_j int_{lo[j]}^{hi[j]} P_j(x - origin[j]) sin(q x)/q dx, which is
     int P_j(x - origin[j]) x dx at q = 0, for a scalar q or for each q of a
     1-d array, by the exact local series of the module docstring. P_j is
     sum_k coef[k, j] s^k, of any degree; origin defaults to lo.
 
     The error estimate bounds the series' dropped terms, plus the rounding
-    floor 100 eps sum |piece terms|. More than max_subdivisions pieces
-    beyond two an interval raise ConvergenceError naming the largest q.
+    floor 100 eps sum |piece terms|. More than _SIN_PIECES pieces beyond
+    two an interval raise ConvergenceError naming the largest q.
     """
     scalar = np.ndim(q) == 0
     qs = np.atleast_1d(np.asarray(q, dtype=float))
@@ -338,13 +339,11 @@ def integrate_sin(q, lo, hi, coef, origin=None, *,
 
         counts = np.array([cut(x).sum() for x in qs[order]])
         extra = float(np.maximum(cut(qs[order[-1]]) - 2.0, 0.0).sum())
-        if extra > max_subdivisions:
+        if extra > _SIN_PIECES:
             raise ConvergenceError(
-                f"quadrature budget of {max_subdivisions} subdivisions "
-                f"exhausted at q = {float(qs[order[-1]])!r} (the fixed rule "
-                f"needs {extra:.6g} pieces beyond two an interval)",
-                estimate=float("nan"), error_estimate=float("inf"),
-                key="max_subdivisions")
+                f"integrate_sin at q = {float(qs[order[-1]])!r} would cut "
+                f"{extra:.6g} pieces beyond two an interval, over "
+                f"{_SIN_PIECES:,}")
         # a partition only refines as q grows, so the q of one piece count
         # share a partition
         for group in np.split(order, np.flatnonzero(np.diff(counts)) + 1):

@@ -90,7 +90,7 @@ def _amplitude_rows(cfg, source, kin, theta):
         return born_resummed_amplitude(p, kin, theta,
                                        settings=cfg.quadrature), []
     if source == "born1":
-        return born1_amplitude(p, kin, theta, settings=cfg.quadrature), []
+        return born1_amplitude(p, kin, theta), []
     amp = amplitude_paper_closed(p, kin, theta)
     return amp, [f"{source} k={k_tag(kin.k)}: pole at theta={t:.6g}, row "
                  f"recorded as nan" for t in theta[np.isnan(amp.value)]]

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from scatterlab import quadrature
 from scatterlab.born import (_lambda_factor, born1_amplitude,
                              born_resummed_amplitude)
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.errors import ConvergenceError, DomainError
-from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa, evaluate
-from scatterlab.quadrature import DEFAULT_SETTINGS, QuadratureSettings
+from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
+                                   fourier3d)
+from scatterlab.quadrature import DEFAULT_SETTINGS
 
 import _oracles
 
@@ -133,15 +135,19 @@ class TestBorn1:
         assert got.value.tolist() == [a.value for a in each]
         assert not got.error_estimate.any()
 
-    def test_tabulated_transform_takes_the_given_settings(self):
-        r = np.linspace(0.0, 10.0, 6)
-        v = np.exp(-0.3 * r)
-        v[-1] = 0.0
-        with pytest.raises(ConvergenceError, match="budget of 8 subdivisions "
-                                                   r"exhausted at q = 4\.948"):
-            born1_amplitude(TabulatedRadial(r, v), Kinematics(1.0, 10.0),
-                            np.linspace(0.0, 0.5, 11),
-                            QuadratureSettings(max_subdivisions=8))
+    def test_tabulated_transform_cuts_at_most_its_cap_of_pieces(self):
+        # four unit intervals cut into ceil(q/2) pieces each: the cap of
+        # pieces beyond two an interval is reached at q = cap/2 + 4 and
+        # passed just above it, and the refusal blames no setting
+        p = TabulatedRadial(np.arange(5.0), [1.0, 0.5, 0.2, 0.1, 0.0])
+        cap = quadrature._SIN_PIECES
+        q = 0.5 * cap + 4.0
+        value, err = fourier3d(p, q, with_error=True)
+        assert math.isfinite(value) and err < 1e-12
+        with pytest.raises(ConvergenceError, match="pieces beyond two an "
+                                                   "interval") as exc:
+            fourier3d(p, np.array([1.0, np.nextafter(q, 2.0 * q)]))
+        assert exc.value.key is None
 
     def test_theta_array_must_be_1d(self):
         with pytest.raises(DomainError):

@@ -147,17 +147,16 @@ class TestChi:
         for bi, ci in zip(b, arr):
             assert ci == chi(p, KIN1, float(bi))
 
-    def test_an_unknown_model_is_refused_before_a_profile_is_held(self):
+    def test_an_unknown_model_is_refused_before_any_work(self, monkeypatch):
         # it fell through to the Gauss rule's raw AttributeError on alpha
-        held = eikonal._z_profile(Gauss(1.0, 1.0))
-        for b in (1.0, np.array([0.5, 2.0])):
+        def refused(p, b):
+            raise AssertionError("z-profile integrated")
+
+        monkeypatch.setattr(eikonal, "_integrate_z_profile", refused)
+        for b in (1.0, np.array([0.5, 2.0]), np.array([])):
             with pytest.raises(UnsupportedModelError,
                                match="unknown potential model 'object'"):
                 chi(object(), KIN1, b)
-        assert eikonal._profile is held
-        with pytest.raises(UnsupportedModelError):
-            eikonal._integrate_z_profile(object(), np.array([1.0]),
-                                         lambda j: "")
 
     def test_tabulated_has_no_closed_form(self):
         r = np.linspace(0.0, 10.0, 200)
@@ -417,12 +416,11 @@ class TestBornSubtraction:
         assert np.all(np.abs(got.value - ref.value)
                       <= got.error_estimate + ref.error_estimate)
         if isinstance(p, Gauss):
-            # the error_estimate leaves out the rounding of the closed-form
+            # the error_estimate covers the rounding of the closed-form
             # Born term, a few ulps of f, far above the 1e-25 the pass
             # reaches at theta = 0
             exact = _gauss_series(p, kin, theta)
-            assert np.all(np.abs(got.value - exact)
-                          <= got.error_estimate + 8.0 * EPS * np.abs(exact))
+            assert np.all(np.abs(got.value - exact) <= got.error_estimate)
 
     @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Yukawa(-2.0, 0.5),
                                    Yukawa(1e-3, 7.0), Gauss(0.5, 1.0),

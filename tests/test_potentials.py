@@ -181,7 +181,7 @@ def test_table_transform_at_q_0_is_the_volume_integral(p):
     assert abs(fourier3d(p, 0.0) - exact) <= 1e-15 * exact
 
 
-def test_an_exhausted_budget_names_the_piece_count_in_six_digits():
+def test_a_refused_transform_names_the_piece_count_in_six_digits():
     # the count of pieces beyond two an interval was printed as an integer
     # of up to 301 digits
     cases = [(lambda: fourier3d(KINK, 1e17), "1e+17", "1.9375e+17"),
@@ -193,8 +193,9 @@ def test_an_exhausted_budget_names_the_piece_count_in_six_digits():
         with pytest.raises(ConvergenceError) as err:
             call()
         assert str(err.value) == (
-            f"quadrature budget of 200 subdivisions exhausted at q = {q} "
-            f"(the fixed rule needs {count} pieces beyond two an interval)")
+            f"integrate_sin at q = {q} would cut {count} pieces beyond two "
+            f"an interval, over 32,768")
+        assert err.value.key is None
 
 
 def test_table_transform_does_not_import_numpy_ma(tmp_path):

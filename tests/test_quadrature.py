@@ -415,22 +415,26 @@ def test_hankel_rows_raise_the_scalar_error_naming_q():
 
 def test_an_exhausted_budget_is_keyed_to_max_subdivisions():
     # the budget errors named max_subdivisions in their text alone; the
-    # refusal of a first partition over _HANKEL_PANELS blames no setting
+    # refusals of a first partition over _HANKEL_PANELS and of more than
+    # _SIN_PIECES pieces blame no setting
     budget = QuadratureSettings(max_subdivisions=8)
     for call in (
             lambda: integrate_adaptive(lambda x: np.sin(1e3 * x), 0.0, 10.0,
                                        budget),
-            lambda: integrate_sin(1e6, [0.0], [1.0], [[1.0]],
-                                  max_subdivisions=8),
             lambda: hankel0(lambda b: np.exp(-0.1 * b), 40.0, 60.0, budget)):
         with pytest.raises(ConvergenceError,
                            match="budget of 8 subdivisions") as exc:
             call()
         assert exc.value.key == "max_subdivisions"
     limit = quadrature._HANKEL_PANELS
-    with pytest.raises(ConvergenceError, match="panels") as exc:
-        hankel0(lambda b: np.zeros(b.shape), float(limit), 2.0 * np.pi)
-    assert exc.value.key is None
+    for call, match in (
+            (lambda: hankel0(lambda b: np.zeros(b.shape), float(limit),
+                             2.0 * np.pi), "panels"),
+            (lambda: integrate_sin(1e6, [0.0], [1.0], [[1.0]]),
+             "pieces beyond two an interval, over 32,768")):
+        with pytest.raises(ConvergenceError, match=match) as exc:
+            call()
+        assert exc.value.key is None
 
 
 def test_hankel_array_q_validation():

@@ -1,5 +1,6 @@
 """Tests for scan orchestration, file emission, and determinism."""
 
+import filecmp
 import os
 import subprocess
 import sys
@@ -203,10 +204,11 @@ class TestErrorsAndWarnings:
         msg = _quadrature_warning("eikonal", 2.0, loose, value, settings)
         assert msg is not None and "above 10x" in msg and "1 angle" in msg
 
-    def test_born1_on_a_table_runs_under_the_quadrature_settings(self,
-                                                                 tmp_path):
-        # a table's fourier3d takes the run's [quadrature]: too small a
-        # budget fails born1, and an estimate looser than asked warns
+    def test_born1_on_a_table_takes_no_budget_and_warns_on_tolerances(
+            self, tmp_path):
+        # a table's fourier3d reads no setting: a budget of 8, which once
+        # failed born1 at q = 4.948, writes the default run's bits; an
+        # estimate looser than the tolerances ask still warns
         r = np.linspace(0.0, 10.0, 6)
         v = np.exp(-0.3 * r)
         v[-1] = 0.0
@@ -219,9 +221,11 @@ class TestErrorsAndWarnings:
             "sources = born1, paper_closed", "sources = born1")
         small = run_scan(_cfg(text + "\n[quadrature]\nmax_subdivisions = 8",
                               tmp_path / "small"))
-        assert small.outcomes[0].error.startswith(
-            "ConvergenceError: quadrature budget of 8 subdivisions "
-            "exhausted at q = 4.948")
+        default = run_scan(_cfg(text, tmp_path / "default"))
+        assert small.outcomes[0].error is None
+        assert filecmp.cmp(tmp_path / "small" / "born1_k10.csv",
+                           tmp_path / "default" / "born1_k10.csv",
+                           shallow=False)
         tight = run_scan(_cfg(text + "\n[quadrature]\nrel_tol = 1e-15\n"
                                      "abs_tol = 1e-300", tmp_path / "tight"))
         assert tight.outcomes[0].error is None

@@ -288,7 +288,7 @@ def test_j0_zeros_are_prefixes_of_one_another():
         assert j0_zeros(m).tobytes() == longest[:m].tobytes()
 
 
-def test_j0_zeros_cache_threadsafe():
+def test_j0_zeros_agrees_across_threads():
     def worker(n):
         return j0_zeros(n)[-1]
 

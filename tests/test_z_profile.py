@@ -1,8 +1,8 @@
-"""The z-profile: chi, a table's eikonal and born_resummed read one w(b)
-per potential, each value with a bound on its error. Every b,
-of Yukawa, Gauss or a table, comes from a store of per-b integrals with
-the bits of an uncached integration; Yukawa's and Gauss's lie within
-their bounds of the closed forms."""
+"""The z-profile: chi, a table's eikonal and born_resummed read w(b), each
+value with a bound on its error, and with the bits of an uncached
+integration at that b alone. A table keeps its w in its own memo, which
+those readers share; Yukawa's and Gauss's w are integrated afresh, and
+lie within their bounds of the closed forms."""
 
 import filecmp
 import importlib.util
@@ -52,8 +52,7 @@ def _soft_core_table(r_hi):
 
 def _uncached(p, b):
     """(w, error estimate) at each b, integrated afresh."""
-    return eikonal._integrate_z_profile(p, np.asarray(b, dtype=float),
-                                        lambda j: f" in row {j}")
+    return eikonal._integrate_z_profile(p, np.asarray(b, dtype=float))
 
 
 def _same_bits(got, want):
@@ -65,7 +64,10 @@ def _same_bits(got, want):
                          ids=["yukawa", "gauss", "table"])
 def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
     p = make_p()
-    profile = eikonal._z_profile(p)
+
+    def profile(b):
+        return eikonal._z_profile(p, b)
+
     cold = profile(B[:3])
     warm = profile(B)  # hits, misses and repeats
     again = profile(B[::-1])  # hits only
@@ -76,8 +78,8 @@ def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
     _same_bits(cold, [x[:3] for x in warm])
     _same_bits(again, [x[::-1] for x in warm])
     _same_bits(warm, _uncached(p, B))
-    assert set(profile._store) == set(B.tolist())
     if isinstance(p, TabulatedRadial):
+        assert set(p._w) == set(B.tolist())
         beyond = warm[0][B >= 4.0]
         assert beyond.tolist() == [0.0, 0.0, 0.0]
         assert not np.signbit(beyond).any()
@@ -88,15 +90,14 @@ def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
 @pytest.mark.parametrize("make_p", [lambda: Yukawa(0.5, 1.0),
                                     lambda: Gauss(0.3, 0.7), _table],
                          ids=["yukawa", "gauss", "table"])
-def test_store_returns_the_shape_of_b_with_the_bits_of_a_flat_call(make_p):
+def test_profile_returns_the_shape_of_b_with_the_bits_of_a_flat_call(make_p):
     p = make_p()
     grid = B.reshape(2, 4)
-    w, err = eikonal._z_profile(p)(grid)
+    w, err = eikonal._z_profile(p, grid)
     assert w.shape == err.shape == grid.shape
-    # a fresh store, so the flat call integrates every b again
-    flat = eikonal._ZProfile(p)(B)
+    flat = _uncached(p, B)
     _same_bits((w.ravel(), err.ravel()), flat)
-    w0, err0 = eikonal._z_profile(p)(np.array(B[1]))
+    w0, err0 = eikonal._z_profile(p, np.array(B[1]))
     assert w0.shape == err0.shape == ()
     _same_bits((w0, err0), [x[1] for x in flat])
 
@@ -140,28 +141,25 @@ directory = {out}
 
 
 def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
+    # a table's eikonal and born_resummed share impact parameters, and
+    # each distinct b is integrated once
+    p = _table()
     kin = Kinematics(mass=1.0, k=3.0)
     theta = np.array([0.0, 0.1, 0.2])
     requested, integrated = [], []
 
-    class Asked:
-        """A profile that records the b each route asks it for."""
-
-        def __init__(self, route, profile):
-            self.route, self.profile = route, profile
-
-        def __call__(self, b):
-            requested.append((self.route, b.ravel().tolist()))
-            return self.profile(b)
-
     def asked(route, z_profile):
-        return lambda p: Asked(route, z_profile(p))
+        """_z_profile, recording the b each route asks it for."""
+        def ask(p, b):
+            requested.append((route, b.ravel().tolist()))
+            return z_profile(p, b)
+        return ask
 
     integrate = eikonal._integrate_z_profile
 
-    def counted(p, b, label):
+    def counted(p, b):
         integrated.append(b.size)
-        return integrate(p, b, label)
+        return integrate(p, b)
 
     monkeypatch.setattr(eikonal, "_z_profile",
                         asked("eikonal", eikonal._z_profile))
@@ -171,22 +169,11 @@ def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
     def distinct(route):
         return {x for r, b in requested if r == route for x in b}
 
-    for p in (_table(), Yukawa(0.5, 1.0), Gauss(0.01, 1.0)):
-        requested.clear()
-        integrated.clear()
-        born_resummed_amplitude(p, kin, theta, SETTINGS)
-        res = distinct("born")
-        # a table's eikonal reads the profile; Yukawa's and Gauss's take
-        # the closed phase, so chi is their second reader, at some of
-        # born_resummed's b and at B
-        if isinstance(p, TabulatedRadial):
-            amplitude_eikonal(p, kin, theta, SETTINGS)
-        else:
-            chi(p, kin, np.concatenate([sorted(res)[::7], B]))
-        eik = distinct("eikonal")
-        # the readers share impact parameters
-        assert eik and res and eik & res, p
-        assert sum(integrated) == len(eik | res), p
+    born_resummed_amplitude(p, kin, theta, SETTINGS)
+    amplitude_eikonal(p, kin, theta, SETTINGS)
+    res, eik = distinct("born"), distinct("eikonal")
+    assert eik and res and eik & res
+    assert sum(integrated) == len(eik | res) == len(p._w)
 
 
 def test_one_profile_serves_every_setting(monkeypatch):
@@ -198,18 +185,16 @@ def test_one_profile_serves_every_setting(monkeypatch):
     integrated = []
     integrate = eikonal._integrate_z_profile
 
-    def counted(p, b, label):
+    def counted(p, b):
         integrated.extend(b.tolist())
-        return integrate(p, b, label)
+        return integrate(p, b)
 
     monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
-    profile = eikonal._z_profile(p)
     for settings in (SETTINGS, QuadratureSettings(rel_tol=1e-8, abs_tol=1e-10,
                                                   max_subdivisions=400)):
         amplitude_eikonal(p, kin, theta, settings)
         born_resummed_amplitude(p, kin, theta, settings)
-        assert eikonal._z_profile(p) is profile
-    assert len(integrated) == len(set(integrated)) == len(profile._store)
+    assert len(integrated) == len(set(integrated)) == len(p._w)
 
 
 def _overflowing_table():
@@ -222,18 +207,15 @@ def _overflowing_table():
 def test_failing_miss_row_names_the_callers_row():
     p = _overflowing_table()
     b = np.array([3.9, 3.5, 0.05])
-    profile = eikonal._z_profile(p)
-    profile(b[:2])
-    with pytest.raises(DomainError) as cached:
-        profile(b)
-    with pytest.raises(DomainError) as uncached:
-        _uncached(p, b)
-    assert "b = 0.05 in row 2" in str(cached.value)
-    assert str(cached.value) == str(uncached.value)
+    eikonal._z_profile(p, b[:2])
+    # rows 0 and 1 hit the memo; the miss is named by its row in b
+    with pytest.raises(DomainError, match="b = 0.05 in row 2"):
+        eikonal._z_profile(p, b)
+    assert np.isinf(_uncached(p, b)[0][2])
     # nothing of the failed row was stored: it fails again
-    assert set(profile._store) == set(b[:2].tolist())
+    assert set(p._w) == set(b[:2].tolist())
     with pytest.raises(DomainError, match="in row 1"):
-        profile(b[1:])
+        eikonal._z_profile(p, b[1:])
 
 
 def test_failing_node_integral_names_its_b_and_stores_nothing():
@@ -244,63 +226,74 @@ def test_failing_node_integral_names_its_b_and_stores_nothing():
     b = np.array([3.5, 0.05])
     with pytest.raises(DomainError, match="b = 0.05 in row 1"):
         chi(p, kin, b)
-    profile = eikonal._z_profile(p)
-    assert profile._store == {}
+    assert p._w == {}
     with pytest.raises(DomainError, match="in row 0"):
         chi(p, kin, b[1:])
-    assert profile._store == {}
-    assert eikonal._z_profile(p) is profile
+    assert p._w == {}
 
 
-def test_overflowing_profile_names_its_row_and_stores_nothing():
+def test_overflowing_profile_names_its_row():
     # w = 2 g K0(mu b) passes the largest float at b = 1e-10 for g = 1e308
     p = Yukawa(1e308, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(DomainError, match="b = 1e-10 in row 1"):
             chi(p, Kinematics(mass=1.0, k=1.0), np.array([1.0, 1e-10]))
-    assert eikonal._z_profile(p)._store == {}
 
 
-def test_interpolant_is_built_once_from_a_few_hundred_integrals(monkeypatch):
+def test_a_table_s_profile_is_integrated_once_at_a_few_hundred_b(
+        monkeypatch):
     counts = []
     integrate = eikonal._integrate_z_profile
 
-    def counted(p, b, label):
+    def counted(p, b):
         counts.append(b.size)
-        return integrate(p, b, label)
+        return integrate(p, b)
 
     monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
-    p = Gauss(0.01, 1.0)
+    p = _table()
     kin = Kinematics(mass=1.0, k=2.0)
     theta = np.linspace(0.0, 0.2, 33)
     born_resummed_amplitude(p, kin, theta, SETTINGS)
-    profile = eikonal._z_profile(p)
-    chi(p, kin, np.array(sorted(profile._store)))
+    chi(p, kin, np.array(sorted(p._w)))
     born_resummed_amplitude(p, Kinematics(mass=1.0, k=5.0), theta, SETTINGS)
-    # one store for every angle, reader and k, holding each b integrated
+    # one memo for every angle, reader and k, holding each b integrated
     # once: the transforms never ask beyond the profile's reach
-    assert eikonal._z_profile(p) is profile
-    assert sum(counts) == len(profile._store)
+    assert sum(counts) == len(p._w)
     assert sum(counts) <= 700
 
 
-def test_store_holds_one_potential_and_a_bounded_count(monkeypatch):
+def test_tables_used_alternately_keep_their_own_memos(monkeypatch):
+    # a memo held one potential at a time was emptied at every switch
     p1, p2 = _table(), _table()  # equal, not the same
-    eikonal._z_profile(p1)(B)
-    w2 = eikonal._z_profile(p2)(B[:2])
-    held = eikonal._profile
-    assert held.p is p2
-    assert set(held._store) == set(B[:2].tolist())
-    _same_bits(w2, _uncached(p2, B[:2]))
-    assert held._store[B[0]] == (w2[0][0], w2[1][0])
+    integrated = []
+    integrate = eikonal._integrate_z_profile
 
+    def counted(p, b):
+        integrated.extend((id(p), x) for x in b.tolist())
+        return integrate(p, b)
+
+    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
+    kin = Kinematics(mass=1.0, k=3.0)
+    theta = np.array([0.0, 0.1])
+    for _ in range(2):
+        for p in (p1, p2):
+            amplitude_eikonal(p, kin, theta, SETTINGS)
+            born_resummed_amplitude(p, kin, theta, SETTINGS)
+    assert len(integrated) == len(set(integrated)) == len(p1._w) + len(p2._w)
+    assert p1._w == p2._w
+
+
+def test_a_table_s_memo_holds_a_bounded_count(monkeypatch):
+    p = _table()
     monkeypatch.setattr(eikonal, "_PROFILE_ENTRIES", 4)
+    w = eikonal._z_profile(p, B[:2])
+    assert set(p._w) == set(B[:2].tolist())
+    assert p._w[B[0]] == (w[0][0], w[1][0])
     for start in range(0, 8, 3):
         b = np.linspace(1.0, 3.5, 8)[start:start + 3]
-        _same_bits(held(b), _uncached(p2, b))
-        assert len(held._store) <= 4
-    assert eikonal._z_profile(p2) is held
+        _same_bits(eikonal._z_profile(p, b), _uncached(p, b))
+        assert len(p._w) <= 4
 
 
 def test_effective_radius_calls_no_quadrature_routine(monkeypatch):
@@ -335,11 +328,10 @@ def _closed(p, b):
 
 
 @pytest.mark.parametrize("p", ANALYTIC, ids=str)
-def test_stored_profile_is_within_its_bound_of_direct_integrals(p):
-    profile = eikonal._z_profile(p)
+def test_analytic_profile_is_within_its_bound_of_direct_integrals(p):
     b = _off_grid(p, np.random.default_rng(7))
     closed = _closed(p, b)
-    got, bound = profile(b)
+    got, bound = eikonal._z_profile(p, b)
     # the stored bound, plus the rounding of the closed form itself, whose
     # exponent x = mu b or alpha b^2 carries a relative error of about x eps
     x = p.mu * b if isinstance(p, Yukawa) else p.alpha * b * b
@@ -359,7 +351,7 @@ def _mp_closed(p, b):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("p", ANALYTIC, ids=str)
-def test_every_stored_bound_covers_the_closed_form(p, seed):
+def test_every_analytic_profile_bound_covers_the_closed_form(p, seed):
     # the trapezoid rule's a-priori bound: b uniform on [0, reach], at the
     # reach, down to 1e-10, and b = 0 for Gauss, with no RuntimeWarning
     rng = np.random.default_rng(seed)
@@ -369,7 +361,7 @@ def test_every_stored_bound_covers_the_closed_form(p, seed):
                         [0.0] if isinstance(p, Gauss) else []])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, bound = eikonal._z_profile(p)(b)
+        got, bound = eikonal._z_profile(p, b)
     exact = np.array([_mp_closed(p, x) for x in b.tolist()])
     assert np.all(np.abs(got - exact) <= bound)
     # at rounding level: the floor 50 eps h sum |f| and the a-priori
@@ -422,10 +414,10 @@ def test_hankel_error_bounds_the_j0_weighted_piece_bounds(p):
 def test_quadrature_chi_matches_chi_closed(p):
     kin = Kinematics(mass=1.0, k=2.0)
     b = _off_grid(p, np.random.default_rng(11))
-    profile = eikonal._z_profile(p)
     closed = chi_closed(p, kin, b)
     hv = kin.hbar * kin.v
-    slack = (profile(b)[1] + 16.0 * EPS * np.abs(closed * hv)) / hv
+    bound = eikonal._z_profile(p, b)[1]
+    slack = (bound + 16.0 * EPS * np.abs(closed * hv)) / hv
     dev = np.abs(chi(p, kin, b) - closed)
     assert np.all(dev <= slack)
     assert np.max(dev) <= 1e-13 * np.max(np.abs(closed))  # rounding level
@@ -441,7 +433,7 @@ def test_tabulated_chi_near_the_last_radius_is_within_its_bound(r_hi):
     w = -chi(p, kin, b) * kin.hbar * kin.v
     big = float(np.max(np.abs(p.v)))
     assert np.all(np.abs(w) <= 2.0 * big * np.sqrt(r_hi**2 - b * b))
-    got, bound = eikonal._z_profile(p)(b[::40])
+    got, bound = eikonal._z_profile(p, b[::40])
     exact = _oracles.abel_transform(*p._pieces, b[::40])
     assert np.all(np.abs(got - exact) <= bound)
 
@@ -460,7 +452,7 @@ def test_seed_11_table_profile_is_within_its_bound_of_the_exact_transform(
     p = cfg.potential
     amplitude_eikonal(p, cfg.kinematics(5.0), cfg.theta.points(),
                       cfg.quadrature)
-    store = eikonal._z_profile(p)._store
+    store = p._w
     b = np.array(sorted(store))[np.linspace(0, len(store) - 1, 30,
                                             dtype=int)]
     got, bound = np.array([store[x] for x in b.tolist()]).T
@@ -494,12 +486,11 @@ directory = {out}
     for name, model in models.items():
         runs = []
         for tag in ("a", "b"):
-            # a fresh parse is a fresh potential object, so a fresh store
             cfg = parse_config(text.format(model=model,
                                            out=tmp_path / name / tag))
             assert not run_scan(cfg).failed
             runs.append(tmp_path / name / tag)
-        # the same potential again reads the profile already stored
+        # the same potential object again
         assert not run_scan(cfg, out_dir=str(tmp_path / name / "c")).failed
         runs.append(tmp_path / name / "c")
         for csv in ("born_resummed_k2.csv", "born_resummed_k5.csv",
@@ -511,7 +502,7 @@ directory = {out}
 
 @pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.3, 0.7), _table()],
                          ids=["yukawa", "gauss", "table"])
-def test_amplitude_error_includes_the_interpolation_bound(p, monkeypatch):
+def test_amplitude_error_includes_the_profile_bound(p, monkeypatch):
     # each amplitude that reads the profile, born_resummed and a table's
     # eikonal, has an error above its estimate with w's bounds dropped,
     # which move no value
@@ -525,15 +516,16 @@ def test_amplitude_error_includes_the_interpolation_bound(p, monkeypatch):
         return [route(p, kin, theta, SETTINGS) for route in routes]
 
     bounded = amplitudes()
-    call = eikonal._ZProfile.__call__
-    monkeypatch.setattr(eikonal._ZProfile, "__call__",
-                        lambda self, b: (call(self, b)[0], np.zeros(b.shape)))
+    z_profile = eikonal._z_profile
+    for mod in (eikonal, born):
+        monkeypatch.setattr(mod, "_z_profile", lambda p, b: (
+            z_profile(p, b)[0], np.zeros(b.shape)))
     for amp, plain in zip(bounded, amplitudes()):
         _same_bits(amp.value, plain.value)
         assert np.all(amp.error_estimate > plain.error_estimate)
 
 
-def test_interpolation_bound_keeps_errors_within_the_warning_target():
+def test_profile_bound_keeps_errors_within_the_warning_target():
     # Yukawa at k = 10 out to theta = 0.6, where |f| is 30x below its
     # forward value: the runner warns when an error exceeds 10x its target
     p, kin = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0)
@@ -585,9 +577,9 @@ def test_tabulated_errors_cover_a_tight_reference(monkeypatch, k, theta):
     stored = []
     integrate = eikonal._integrate_z_profile
 
-    def counted(p, b, label):
+    def counted(p, b):
         stored.append(b.size)
-        return integrate(p, b, label)
+        return integrate(p, b)
 
     monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
     for amp in (amplitude_eikonal(p, kin, theta, SETTINGS),
