@@ -14,31 +14,29 @@ born_resummed_amplitude evaluates the resummed series
 which for a radial potential collapses to a Hankel integral over the
 impact parameter of w(b) * Lambda(chi(b)), where w(b) = int_-inf^inf V dz,
 chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
-of the lambda integral. Its e^{ix} - 1 is special_functions.expm1i, the
-one cancellation-free form that the eikonal and partial-wave amplitudes
-use too. w(b) is read from eikonal._z_profile, each w with a bound on its
-error; a table keeps its w in its own memo, which its eikonal reads too
-(see eikonal). So the documented equality of the two amplitudes at
-small angle checks the Lambda algebra and the two Hankel integrands
-against each other. For Yukawa and Gauss the eikonal takes its first
-order in chi, the first Born amplitude, from fourier3d and its phase in
-closed form, so the equality checks that subtraction too. On a table
-born1_amplitude reports the error bound of quadrature.integrate_sin's
+of the lambda integral. As w Lambda(chi) = i hbar v (e^{i chi} - 1), that
+is the eikonal's integral, so born_resummed takes the eikonal's z-profile
+pass, eikonal._profile_amplitude, for every model: on a table it is the
+table's eikonal, to the bit. For Yukawa and Gauss the eikonal takes its
+first order in chi, the first Born amplitude, from fourier3d and its phase
+in closed form, so the two amplitudes' equality checks that split. On a
+table born1_amplitude reports the error bound of quadrature.integrate_sin's
 exact series on each spline piece, and reads no setting.
 """
 
 import numpy as np
 
-from .eikonal import _amplitude, _check_theta, _z_profile, momentum_transfer
-from .potentials import fourier3d, reach
-from .quadrature import DEFAULT_SETTINGS, hankel0
-# The z-profile integrals run in eikonal._z_profile; evaluate and the two
-# integrators are bound here only because perfbench/tracer.py rebinds them
-# in born's namespace as well.
+from .eikonal import (_amplitude, _check_theta, _profile_amplitude,
+                      momentum_transfer)
+from .potentials import fourier3d
+from .quadrature import DEFAULT_SETTINGS
+# The z-profile integrals and their Hankel pass run in eikonal; evaluate,
+# hankel0 and the two integrators are bound here only because
+# perfbench/tracer.py rebinds them in born's namespace as well.
 from .potentials import evaluate  # noqa: F401
+from .quadrature import hankel0  # noqa: F401
 from .quadrature import integrate_adaptive  # noqa: F401
 from .quadrature import integrate_semi_infinite  # noqa: F401
-from .special_functions import expm1i
 
 __all__ = [
     "born1_amplitude",
@@ -58,28 +56,8 @@ def born1_amplitude(p, kin, theta):
                       scale * np.asarray(vt_err))
 
 
-def _lambda_factor(x):
-    """Lambda(x) = (e^{ix} - 1)/(ix), the closed-form lambda integral, with
-    its limit 1 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    xs = np.where(x == 0.0, 1.0, x)  # dummy where the limit is used
-    return np.where(x == 0.0, 1.0, expm1i(xs) / (1j * xs))
-
-
 def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):
     """Resummed Born amplitude at one (small) angle, or at every angle of a
     1-d theta array in one Hankel pass (fields are then arrays)."""
     th, q = _check_theta(kin.k, theta)
-    hv = kin.hbar * kin.v
-    upper, tail = reach(p)
-
-    def g(b):
-        w, err = _z_profile(p, b)
-        # d(w Lambda(-w/(hbar v)))/dw = e^{i chi}, of modulus 1
-        return w * _lambda_factor(-w / hv), err
-
-    res = hankel0(g, q, upper, settings)
-    value = -(kin.mass / kin.hbar**2) * np.asarray(res.value, dtype=complex)
-    # beyond reach, |w Lambda| <= |w|
-    err = (kin.mass / kin.hbar**2) * (res.error_estimate + tail)
-    return _amplitude(theta, th, q, value, err)
+    return _amplitude(theta, th, q, *_profile_amplitude(p, kin, q, settings))

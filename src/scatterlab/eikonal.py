@@ -23,14 +23,16 @@ at the same q; hankel0 integrates only the remainder, at most chi^2/2 in
 modulus, over [0, R2], R2 about 18.2/mu or 4.24/sqrt(alpha), where a
 closed-form bound on its tail falls to eps of the whole; k times that
 pass's error and the bound, plus 4 eps of the Born term for its rounding,
-is the error_estimate. born_resummed_amplitude transforms the whole phase
-factor, so it checks the split.
+is the error_estimate.
 
-A table's phase comes from its z-profile w(b) = int V dz, which
-born.born_resummed_amplitude integrates too, for every model. A table's w
+A table's phase comes from its z-profile w(b) = int V dz, in one pass
+over e^{i chi} - 1, _profile_amplitude. born_resummed_amplitude, whose
+w Lambda(chi) is i hbar v (e^{i chi} - 1), takes that pass for every
+model: a table's two routes are one, and for Yukawa and Gauss it checks
+the split. A table's w
 is the exact Abel transform of its pieces (potentials.abel_profile), some
 20 us a b on 3,000 knots, so _z_profile keeps it in the table's own memo,
-which both readers share across angles, k and settings: (w, bound) per
+which the two routes share across angles, k and settings: (w, bound) per
 exact b, each with the bits of a call for that b alone, whichever call
 asked first. The memo is safe to use from several threads: two callers
 may compute the same b, to the same bits. Yukawa's and Gauss's w, a few
@@ -87,6 +89,14 @@ class Kinematics:
             if not math.isfinite(val) or val <= 0.0:
                 raise DomainError(f"{name} must be positive and finite, "
                                   f"got {val!r}", key=name)
+        # the routes divide by hbar^2 and by v; hbar * hbar, unlike
+        # hbar**2, cannot raise, and v = inf is left to the routes
+        if not 0.0 < self.hbar * self.hbar < math.inf:
+            raise DomainError(f"hbar^2 leaves the float range at hbar = "
+                              f"{self.hbar!r}", key="hbar")
+        if self.v == 0.0:
+            raise DomainError(f"v = hbar k/mass underflows to 0 at k = "
+                              f"{self.k!r}", key="k")
 
     @property
     def v(self):
@@ -350,6 +360,17 @@ def _phase_integrand(p, kin):
     return g
 
 
+def _profile_amplitude(p, kin, q, settings):
+    """(value, error) of -i k int_0^R J0(q b) (e^{i chi(b)} - 1) b db at
+    each q, (R, T) = reach(p). The error is k times the pass's error plus
+    T/(hbar v), a bound on the tail as |e^{i chi} - 1| <= |chi|; T is 0 for
+    a table."""
+    upper, tail = reach(p)
+    res = hankel0(_phase_integrand(p, kin), q, upper, settings)
+    value = -1j * kin.k * np.asarray(res.value, dtype=complex)
+    return value, kin.k * (res.error_estimate + tail / (kin.hbar * kin.v))
+
+
 # The closed route's remainder e^{i chi} - 1 - i chi is at most chi^2/2 in
 # modulus. Its transform stops at R2, where a closed-form bound T2 on
 # int_R2^inf chi^2/2 b db falls to eps times int_0^inf chi^2/2 b db. With
@@ -415,13 +436,9 @@ def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS):
     module docstring for each route's pass and error_estimate).
     """
     th, q = _check_theta(kin.k, theta)
-    if isinstance(p, (Yukawa, Gauss)):
-        return _amplitude(theta, th, q, *_closed_amplitude(p, kin, q,
-                                                           settings))
-    # a table's w, so its phase, is exactly 0 beyond reach: no tail bound
-    res = hankel0(_phase_integrand(p, kin), q, reach(p)[0], settings)
-    value = -1j * kin.k * np.asarray(res.value, dtype=complex)
-    return _amplitude(theta, th, q, value, kin.k * res.error_estimate)
+    route = _closed_amplitude if isinstance(p, (Yukawa, Gauss)) \
+        else _profile_amplitude
+    return _amplitude(theta, th, q, *route(p, kin, q, settings))
 
 
 def _check_theta(k, theta):

@@ -473,7 +473,7 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
         raise DomainError("hankel0 requires finite q >= 0")
     if not qs.size:
         return QuadratureResult(np.zeros(0), np.zeros(0), 0)
-    value, error, _, neval = _hankel_loop(g, qs, upper, settings)
+    value, error, neval = _hankel_loop(g, qs, upper, settings)
     if scalar:
         return QuadratureResult(value[0], float(error[0]), neval)
     return QuadratureResult(value, error, neval)
@@ -481,7 +481,7 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
 
 def _hankel_loop(g, qs, upper, settings):
     """hankel0's rounds over the 1-d array qs: (values, error estimates,
-    (lo, hi) of the final partition, nodes g saw).
+    nodes g saw).
 
     When a round bisects the panel [0, h] at b = 0 and the round before
     bisected the panel there too, each open q's errors on [0, h] and
@@ -549,7 +549,7 @@ def _hankel_loop(g, qs, upper, settings):
             np.concatenate([x[:, ~split], y], axis=1)[:, order]
             for x, y in zip((val, err, werr, resabs), parts))
         splits += n + m
-    return value, total + werr.sum(axis=1), (lo, hi), neval
+    return value, total + werr.sum(axis=1), neval
 
 
 def _halvings(err, err0, share):

@@ -270,6 +270,14 @@ def fourier_transform(edges, coef, qs, dps=30):
     return np.array(out)
 
 
+def lambda_factor(x):
+    """Lambda(x) = (e^{ix} - 1)/(ix), the closed-form lambda integral of
+    the resummed Born series, with its limit 1 at x = 0."""
+    x = np.asarray(x, dtype=float)
+    xs = np.where(x == 0.0, 1.0, x)  # dummy where the limit is used
+    return np.where(x == 0.0, 1.0, expm1i(xs) / (1j * xs))
+
+
 # hankel0's loop with plain bisections only: each round bisects every panel
 # it splits once, where hankel0 makes the halvings predicted at b = 0 in
 # one round, so the two partitions differ and their values agree within

@@ -10,6 +10,9 @@ import pytest
 import scatterlab
 from scatterlab import __version__
 from scatterlab.cli import main
+from scatterlab.config import parse_config
+from scatterlab.eikonal import Kinematics
+from scatterlab.errors import ConfigError, DomainError
 
 GOOD = """
 [potential]
@@ -274,3 +277,41 @@ def test_k_values_sharing_a_file_name_fail_before_any_work(tmp_path,
     err = capsys.readouterr().err
     assert err.count("share the file name tag k1") == 2
     assert not (tmp_path / "o").exists()
+
+
+# kinematics whose hbar^2 leaves the float range or whose v = hbar k/mass
+# underflows to 0: the routes' hbar**2 or division by hbar v raised a raw
+# exception mid-run; now Kinematics, and so the config, refuses them
+EXTREME_KINEMATICS = {
+    "hbar-huge": ("1.0", "1.0", "1e200", "hbar"),
+    "hbar-tiny": ("1.0", "1.0", "1e-200", "hbar"),
+    "v-zero": ("1e300", "1e-150", "1.0", "k"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_KINEMATICS))
+def test_kinematics_out_of_float_range_fail_at_parse_time(tmp_path, case):
+    mass, k, hbar, key = EXTREME_KINEMATICS[case]
+    with pytest.raises(DomainError) as exc:
+        Kinematics(mass=float(mass), k=float(k), hbar=float(hbar))
+    assert exc.value.key == key
+    text = (f"[potential]\nmodel = yukawa\ng = 0.5\nmu = 1.0\n"
+            f"[kinematics]\nmass = {mass}\nk = {k}\nhbar = {hbar}\n"
+            f"[theta_grid]\nmin = 0.0\nmax = 0.2\ncount = 5\n[run]\n"
+            f"sources = eikonal, born1, born_resummed\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.key == f"kinematics.{key}"
+    config = tmp_path / "scan.ini"
+    config.write_text(text)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))
+    for command in (["validate", str(config)],
+                    ["run", str(config), "--out", str(tmp_path / "out"),
+                     "--quiet"]):
+        proc = subprocess.run([sys.executable, "-m", "scatterlab", *command],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert f"at {key} = " in proc.stderr
+    assert not (tmp_path / "out").exists()

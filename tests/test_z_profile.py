@@ -141,39 +141,71 @@ directory = {out}
 
 
 def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
-    # a table's eikonal and born_resummed share impact parameters, and
-    # each distinct b is integrated once
+    # a table's eikonal and born_resummed are one pass, so they ask for the
+    # same impact parameters, and each distinct b is integrated once
     p = _table()
     kin = Kinematics(mass=1.0, k=3.0)
     theta = np.array([0.0, 0.1, 0.2])
-    requested, integrated = [], []
+    requested = {"born": set(), "eikonal": set()}
+    route, integrated = [], []
+    z_profile, integrate = eikonal._z_profile, eikonal._integrate_z_profile
 
-    def asked(route, z_profile):
-        """_z_profile, recording the b each route asks it for."""
-        def ask(p, b):
-            requested.append((route, b.ravel().tolist()))
-            return z_profile(p, b)
-        return ask
-
-    integrate = eikonal._integrate_z_profile
+    def asked(p, b):
+        requested[route[-1]].update(b.ravel().tolist())
+        return z_profile(p, b)
 
     def counted(p, b):
         integrated.append(b.size)
         return integrate(p, b)
 
-    monkeypatch.setattr(eikonal, "_z_profile",
-                        asked("eikonal", eikonal._z_profile))
-    monkeypatch.setattr(born, "_z_profile", asked("born", born._z_profile))
+    monkeypatch.setattr(eikonal, "_z_profile", asked)
     monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
-
-    def distinct(route):
-        return {x for r, b in requested if r == route for x in b}
-
+    route.append("born")
     born_resummed_amplitude(p, kin, theta, SETTINGS)
+    route.append("eikonal")
     amplitude_eikonal(p, kin, theta, SETTINGS)
-    res, eik = distinct("born"), distinct("eikonal")
-    assert eik and res and eik & res
-    assert sum(integrated) == len(eik | res) == len(p._w)
+    res, eik = requested["born"], requested["eikonal"]
+    assert eik and res == eik
+    assert sum(integrated) == len(eik) == len(p._w)
+
+
+@pytest.mark.parametrize("theta", [0.1, np.array([0.0, 0.05, 0.1, 0.2])],
+                         ids=["scalar", "array"])
+def test_a_table_s_eikonal_and_born_resummed_have_the_same_bits(theta):
+    # w Lambda(-w/(hbar v)) = i hbar v (e^{i chi} - 1): on a table the two
+    # routes are one z-profile pass, value and error_estimate alike
+    p, kin = _table(), Kinematics(mass=1.0, k=3.0)
+    eik = amplitude_eikonal(p, kin, theta, SETTINGS)
+    res = born_resummed_amplitude(p, kin, theta, SETTINGS)
+    _same_bits(res.value, eik.value)
+    _same_bits(res.error_estimate, eik.error_estimate)
+
+
+@pytest.mark.parametrize("p, theta", [
+    (Yukawa(0.5, 1.0), np.linspace(0.0, 0.3, 7)),
+    (Gauss(0.5, 1.0), np.linspace(0.0, 0.3, 7)),
+    (Gauss(-1e-5, 1.0), 0.0),
+    (_table(), np.linspace(0.0, 0.3, 7)),
+], ids=["yukawa", "gauss", "weak-gauss", "table"])
+def test_born_resummed_matches_a_pass_over_the_lambda_form(p, theta):
+    # the paper's resummed integrand w Lambda(-w/(hbar v)) in a hankel0
+    # pass of its own, -(m/hbar^2) int_0^R J0(q b) w Lambda b db: w's
+    # bounds carry over as they are, d(w Lambda)/dw = e^{i chi} being of
+    # modulus 1, and |w Lambda| <= |w| bounds the tail by reach's T
+    kin = Kinematics(mass=1.0, k=2.0)
+    hv = kin.hbar * kin.v
+    upper, tail = potentials.reach(p)
+
+    def g(b):
+        w, err = eikonal._z_profile(p, b)
+        return w * _oracles.lambda_factor(-w / hv), err
+
+    amp = born_resummed_amplitude(p, kin, theta, SETTINGS)
+    ref = hankel0(g, amp.q, upper, SETTINGS)
+    scale = kin.mass / (kin.hbar * kin.hbar)
+    gap = np.abs(amp.value + scale * np.asarray(ref.value))
+    assert np.all(gap <= amp.error_estimate
+                  + scale * (ref.error_estimate + tail))
 
 
 def test_one_profile_serves_every_setting(monkeypatch):
@@ -517,9 +549,8 @@ def test_amplitude_error_includes_the_profile_bound(p, monkeypatch):
 
     bounded = amplitudes()
     z_profile = eikonal._z_profile
-    for mod in (eikonal, born):
-        monkeypatch.setattr(mod, "_z_profile", lambda p, b: (
-            z_profile(p, b)[0], np.zeros(b.shape)))
+    monkeypatch.setattr(eikonal, "_z_profile", lambda p, b: (
+        z_profile(p, b)[0], np.zeros(b.shape)))
     for amp, plain in zip(bounded, amplitudes()):
         _same_bits(amp.value, plain.value)
         assert np.all(amp.error_estimate > plain.error_estimate)
