@@ -51,9 +51,9 @@ def born1_amplitude(p, kin, theta):
     th = np.asarray(theta, dtype=float)
     q = momentum_transfer(kin.k, th)
     vt, vt_err = fourier3d(p, q, with_error=True)
-    scale = kin.mass / (2.0 * np.pi * kin.hbar**2)
-    return _amplitude(theta, th, q, np.asarray(-scale * vt, dtype=complex),
-                      scale * np.asarray(vt_err))
+    return _amplitude(theta, th, q,
+                      np.asarray(-kin.born_scale * vt, dtype=complex),
+                      kin.born_scale * np.asarray(vt_err))
 
 
 def born_resummed_amplitude(p, kin, theta, settings=DEFAULT_SETTINGS):

@@ -131,12 +131,23 @@ class PartialWaveOptions:
     dr: float | None = None
 
     def __post_init__(self):
-        if self.l_max is not None and self.l_max < 0:
-            raise ConfigError("partial_wave.l_max must be >= 0 or auto",
-                              key="partial_wave.l_max")
+        if self.l_max is not None:
+            if not isinstance(self.l_max, numbers.Integral):
+                raise ConfigError(f"partial_wave.l_max must be an integer or "
+                                  f"auto, got {self.l_max!r}",
+                                  key="partial_wave.l_max")
+            if self.l_max < 0:
+                raise ConfigError("partial_wave.l_max must be >= 0 or auto",
+                                  key="partial_wave.l_max")
         for name in ("r_max", "dr"):
             val = getattr(self, name)
-            if val is not None and not (math.isfinite(val) and val > 0.0):
+            if val is None:
+                continue
+            if not isinstance(val, numbers.Real):
+                raise ConfigError(f"partial_wave.{name} must be a real number "
+                                  f"or auto, got {val!r}",
+                                  key=f"partial_wave.{name}")
+            if not (math.isfinite(val) and val > 0.0):
                 raise ConfigError(f"partial_wave.{name} must be positive",
                                   key=f"partial_wave.{name}")
 

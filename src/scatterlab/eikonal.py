@@ -104,6 +104,11 @@ class Kinematics:
         return self.hbar * self.k / self.mass
 
     @property
+    def born_scale(self):
+        """The first Born factor m/(2 pi hbar^2): f_B = -born_scale Vtilde."""
+        return self.mass / (2.0 * np.pi * self.hbar**2)
+
+    @property
     def E(self):
         """Kinetic energy (hbar*k)^2 / (2*mass)."""
         return (self.hbar * self.k) ** 2 / (2.0 * self.mass)
@@ -408,7 +413,7 @@ def _closed_amplitude(p, kin, q, settings):
     c = abs(_chi_factor(p, kin))
     # fourier3d reports no error for a closed form: its rounding is added
     # to the error below
-    born = -kin.mass / (2.0 * np.pi * kin.hbar**2) * fourier3d(p, q)
+    born = -kin.born_scale * fourier3d(p, q)
     upper, tail = _remainder_reach(p, c)
 
     def remainder(b):

@@ -40,7 +40,6 @@ The reported delta_l live in (-pi/2, pi/2]; the amplitude only ever uses
 e^{2 i delta}, for which the mod-pi reduction is exact.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -82,7 +81,9 @@ _GRID_POINTS = 1 << 22
 # at most 4.9e7
 _WAVE_POINTS = 1 << 30
 _EPS = np.finfo(float).eps
-_BLOCK = 64  # fine steps per block of the start rule
+# fine steps per block of the start rule, so that every start is a chunk
+# edge; bound at import, so a patched _CHUNK moves no start
+_BLOCK = _CHUNK
 _EXPONENT = 0.5 * math.log(1.0 / _EPS) + 4.0  # growth e^22 past a start
 
 
@@ -179,15 +180,16 @@ def _advance(steps, y, d, every_step=False):
 
 def _wave_starts(base, inv_r2, ll1, i_a, dr):
     """The fine index at which each wave of ll1 = l(l+1) starts: the last
-    edge 64 b, b >= 1, of a block of 64 fine steps from which a lower bound
-    on the WKB exponent int sqrt(f) dr to the wave's first turning point,
-    or to i_a, reaches _EXPONENT = ln(1/eps)/2 + 4; 2, the series start, if
-    there is none. The start depends on the wave, the grid and V alone.
+    edge 128 b, b >= 1, of a block of 128 fine steps from which a lower
+    bound on the WKB exponent int sqrt(f) dr to the wave's first turning
+    point, or to i_a, reaches _EXPONENT = ln(1/eps)/2 + 4; 2, the series
+    start, if there is none. The start depends on the wave, the grid and V
+    alone.
 
-    Block b, from fine index 64 b to 64 b + 64 <= i_a, adds sqrt(min f) 64
-    dr, min f = min(base) over its points + l(l+1)/r^2 at its end; from the
-    first block with min f <= 0 on, blocks add 0. The bound grows with l,
-    so the starts do not fall as l rises.
+    Block b, from fine index 128 b to 128 b + 128 <= i_a, adds sqrt(min f)
+    128 dr, min f = min(base) over its points + l(l+1)/r^2 at its end;
+    from the first block with min f <= 0 on, blocks add 0. The bound grows
+    with l, so the starts do not fall as l rises.
     """
     starts = np.full(ll1.size, 2)
     nb = i_a // _BLOCK
@@ -217,17 +219,18 @@ def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b, starts):
     n = 3 (mod 4) from n = 11, so every grid due at step n lands on
     r_{n+1}, all three together on each point of the coarse grid, and a
     step works on a prefix of the state. Wave i starts at fine index
-    starts[i], a point of the coarse grid past the origin or 2, and the
-    starts do not fall as i rises. A wave starting at 2 starts from the
-    series already in (y, d); any other starts from y = d = 1 on every
-    grid, u one step back being 0, and until then its state and its g are
-    0. g = h_j^2 f / (1 - h_j^2 f/12) is formed _CHUNK steps at a time
-    into buffers allocated once, step n in row n - 2 (mod 4), and only for
-    the waves started by the chunk's end; the mid and coarse grids step
-    with the f of rows n - 1 and n - 3. h2 = h^2, and h_j^2 = 4^j h2
-    exactly, so g = h2 f / (4^-j - h2 f/12) with the same bits, from h2 f
-    and h2 f/12 formed once per fine row. The steps of a chunk are cut
-    where waves start.
+    starts[i], 2 or a point of the coarse grid before i_a, and the starts
+    do not fall as i rises. Chunks are cut at 2, at each multiple of
+    _CHUNK, at each start, at i_a and at i_b. A wave starting at 2 starts
+    from the series already in (y, d); any other starts, on a chunk's first
+    step, from y = d = 1 on every grid, u one step back being 0, and until
+    then its state and its g are 0. g = h_j^2 f / (1 - h_j^2 f/12) is
+    formed a chunk at a time into buffers allocated once, step n in row
+    n - 2 (mod 4), and only for the waves started by the chunk's first
+    step; the mid and coarse grids step with the f of rows n - 1 and
+    n - 3. h2 = h^2, and h_j^2 = 4^j h2 exactly, so g = h2 f / (4^-j -
+    h2 f/12) with the same bits, from h2 f and h2 f/12 formed once per
+    fine row.
     Before i_a each chunk starts from a normalised state; a chunk that still
     overflows (the steep growth of a high wave near the origin) is redone
     from its start, normalised at every step. From i_a on nothing is
@@ -241,8 +244,7 @@ def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b, starts):
     den_buf = np.empty(_CHUNK * w)
     g_buf = np.zeros((_CHUNK + 3, 3 * w))
     views = {m: (y[:m], d[:m], t[:m]) for m in (w, 2 * w, 3 * w)}
-    # (grid, wave) views of the state and (row, grid, wave) of g
-    y3, d3, g3 = y.reshape(3, w), d.reshape(3, w), g_buf.reshape(-1, 3, w)
+    y3, d3 = y.reshape(3, w), d.reshape(3, w)  # (grid, wave) views
 
     def width(n):
         return w * (1 + (n % 2 == 1 and n >= 5) + (n % 4 == 3 and n >= 11))
@@ -252,31 +254,17 @@ def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b, starts):
     plan = [(g_buf[i, :width(i + 14)], *views[width(i + 14)])
             for i in range(min(_CHUNK + 3, i_b))]
     y_a = None
-    # chunk [n0, n1) takes the state from r_{n0} to r_{n1}; i_a is a cut
-    cuts = sorted({*range(2, i_b, _CHUNK), i_a, i_b})
-    # the waves [i0, i1) that start at fine index n > 2, in order of n
-    firsts = starts.tolist()
-    groups = [(n, bisect.bisect_left(firsts, n), bisect.bisect(firsts, n))
-              for n in sorted(set(firsts) - {2})]
-
-    def run(steps, n0, fresh, every_step=False):
-        # the chunk's steps, each wave started before its first step
-        at = n0
-        for n, i0, i1 in fresh:
-            _advance(steps[at - n0:n - n0], y, d, every_step)
-            y3[:, i0:i1] = d3[:, i0:i1] = 1.0
-            at = n
-        _advance(steps[at - n0:], y, d, every_step)
-
+    # chunk [n0, n1) takes the state from r_{n0} to r_{n1}; i_a and every
+    # start are cuts
+    cuts = sorted({2, *range(_CHUNK, i_b, _CHUNK), *starts.tolist(), i_a,
+                   i_b})
     # overflow is caught by the finiteness checks, not by numpy
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n0, n1 in zip(cuts, cuts[1:]):
             if n0 == i_a:
                 y_a = y.copy()
-            fresh = []
-            while groups and groups[0][0] < n1:
-                fresh.append(groups.pop(0))
-            m = bisect.bisect_left(firsts, n1)  # the waves started by n1
+            # the waves [i0, m) start at n0, and [0, m) have started by it
+            i0, m = np.searchsorted(starts, (n0, n0 + 1))
             off, lo = (n0 - 2) % 4, max(n0 - 3, 0)
             hf = hf_buf[:(n1 - lo) * m].reshape(n1 - lo, m)
             hf12 = hf12_buf[:hf.size].reshape(hf.shape)
@@ -292,8 +280,6 @@ def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b, starts):
                 den = den_buf[:g.size].reshape(g.shape)
                 np.subtract(scale, hf12[rows], out=den)
                 np.divide(hf[rows], den, out=g)
-            for n, i0, i1 in fresh:  # g is 0 before a wave starts
-                g3[off:off + n - n0, :, i0:i1] = 0.0
             steps = plan[off:off + n1 - n0]
             if n0 < 11:
                 steps[:11 - n0] = [(g_buf[off + i, :width(n)],
@@ -303,12 +289,14 @@ def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b, starts):
                 _advance(steps, y, d)
                 continue
             _normalise(y, d)
+            if n0 > 2:
+                y3[:, i0:m] = d3[:, i0:m] = 1.0
             start = y.copy(), d.copy()
-            run(steps, n0, fresh)
+            _advance(steps, y, d)
             if not np.isfinite(y).all():
                 # a non-finite d reaches y in the same step and stays there
                 y[:], d[:] = start
-                run(steps, n0, fresh, every_step=True)
+                _advance(steps, y, d, every_step=True)
     return y_a
 
 

@@ -143,13 +143,13 @@ class TabulatedRadial:
 
 
 def evaluate(potential, r):
-    """V(r), vectorized over r. Negative r is rejected; r = 0 raises for
-    models singular at the origin."""
+    """V(r), vectorized over r. Negative or NaN r is rejected; r = 0 raises
+    for models singular at the origin."""
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if np.any(r < 0.0):
-        raise DomainError("radius must be non-negative")
+    if not np.all(r >= 0.0):
+        raise DomainError("radius must be non-negative, not nan")
     if isinstance(potential, Yukawa):
         if np.any(r == 0.0):
             raise SingularityError("Yukawa potential is singular at r = 0")
@@ -270,7 +270,8 @@ def abel_profile(p, b):
 
 
 def fourier3d(potential, q, *, with_error=False):
-    """Vtilde(q) = int d^3r e^{-i q.r} V(r), vectorized over q >= 0.
+    """Vtilde(q) = int d^3r e^{-i q.r} V(r), vectorized over q >= 0, NaN
+    refused.
 
     A table integrates each of its pieces times 4 pi r sin(q r)/q by the
     exact local series of quadrature.integrate_sin, q by q: an array call
@@ -283,8 +284,8 @@ def fourier3d(potential, q, *, with_error=False):
     q = np.asarray(q, dtype=float)
     scalar = q.ndim == 0
     q = np.atleast_1d(q)
-    if np.any(q < 0.0):
-        raise DomainError("momentum transfer q must be non-negative")
+    if not np.all(q >= 0.0):
+        raise DomainError("momentum transfer q must be non-negative, not nan")
     err = np.zeros(q.shape)
     # q^2 past the float range is inf, and a closed form its limit 0
     if isinstance(potential, Yukawa):

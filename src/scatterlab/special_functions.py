@@ -23,6 +23,7 @@ Scalar in, scalar out; ndarray in, ndarray out. Nothing is cached.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -243,8 +244,17 @@ def bessel_k0(x):
 # ---------------------------------------------------------------------------
 
 
+def _order(l_max, name):
+    """l_max as an int; a DomainError unless it is an integer >= 0."""
+    if not (isinstance(l_max, numbers.Real) and 0 <= l_max < math.inf
+            and l_max == int(l_max)):
+        raise DomainError(f"{name} order must be an integer >= 0")
+    return int(l_max)
+
+
 def legendre_p_row(l_max, x):
     """All of P_0(x)..P_{l_max}(x) stacked along a leading axis."""
+    l_max = _order(l_max, "Legendre")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((l_max + 1,) + xa.shape)
     out[0] = 1.0
@@ -257,19 +267,18 @@ def legendre_p_row(l_max, x):
 
 def spherical_bessel_row(l_max, x):
     """Rows (j, n) of spherical Bessel values j_l(x), n_l(x) for
-    l = 0..l_max at x > 0.
+    l = 0..l_max at finite x > 0.
 
     n comes from the upward recurrence, which is always stable for it. j
     goes upward as far as that is stable, which is l <= 1 or x >= l + 1;
     the rest of the row comes from one pass of Miller's downward
     recurrence, seeded at l_max + 30 + x and scaled to j_0.
     """
-    if l_max < 0 or l_max != int(l_max):
-        raise DomainError("spherical Bessel order must be an integer >= 0")
-    l_max = int(l_max)
+    l_max = _order(l_max, "spherical Bessel")
     x = float(x)
-    if x <= 0:
-        raise DomainError("spherical Bessel argument x must be > 0")
+    if not 0 < x < math.inf:
+        raise DomainError("spherical Bessel argument x must be positive and "
+                          "finite")
     sin_x = math.sin(x)
     cos_x = math.cos(x)
     n = [-cos_x / x, -cos_x / (x * x) - sin_x / x]

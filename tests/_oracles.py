@@ -581,8 +581,8 @@ def effective_radius(p, fraction=0.9999):
 def wave_starts(p, kin, l_arr, r_a, r_b, dr):
     """The radius at which partial_wave starts each wave of l_arr on the
     grids of finest step dr matched at r_a and r_b, 0 for the origin: the
-    last edge 64 b dr, b >= 1, from which the sum over blocks of 64 steps
-    of sqrt(min f) 64 dr, up to the first block whose min f <= 0 or to
+    last edge 128 b dr, b >= 1, from which the sum over blocks of 128 steps
+    of sqrt(min f) 128 dr, up to the first block whose min f <= 0 or to
     r_a, reaches ln(1/eps)/2 + 4; min f is the least 2mV/hbar^2 - k^2 on
     the block's points plus l(l+1)/r^2 at its end."""
     two_m = 2.0 * kin.mass / kin.hbar**2
@@ -597,18 +597,18 @@ def wave_starts(p, kin, l_arr, r_a, r_b, dr):
     for i, l in enumerate(l_arr):
         ll1 = float(l) * (float(l) + 1.0)
         growth = []
-        for b in range(i_a // 64):
-            end = 64 * b + 64
-            f_min = min(base[max(64 * b, 1):end + 1]) \
+        for b in range(i_a // 128):
+            end = 128 * b + 128
+            f_min = min(base[max(128 * b, 1):end + 1]) \
                 + ll1 * (1.0 / (r[end] * r[end]))
             if f_min <= 0.0:
                 break
-            growth.append(math.sqrt(f_min) * (64 * dr))
+            growth.append(math.sqrt(f_min) * (128 * dr))
         total = 0.0
         for b in range(len(growth) - 1, 0, -1):
             total += growth[b]
             if total >= target:
-                out[i] = r[64 * b]
+                out[i] = r[128 * b]
                 break
     return out
 

@@ -539,6 +539,19 @@ class TestRunConfigDirect:
             assert err.value.key == "theta_grid.count"
         assert ThetaGrid(count=np.int64(3)).points().size == 3
 
+    @pytest.mark.parametrize("name, value", [
+        ("l_max", 2.5),  # was accepted, and the task failed in phase_shifts
+        ("l_max", "2"),  # were raw TypeErrors
+        ("r_max", "25"),
+        ("dr", "0.1"),
+    ])
+    def test_partial_wave_options_check_their_types(self, name, value):
+        with pytest.raises(ConfigError) as err:
+            PartialWaveOptions(**{name: value})
+        assert err.value.key == f"partial_wave.{name}"
+        assert PartialWaveOptions(l_max=np.int64(3), r_max=25,
+                                  dr=np.float64(0.01)).l_max == 3
+
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError):
             RunConfig(potential=Yukawa(1.0, 1.0), mass=1.0, k_values=(),

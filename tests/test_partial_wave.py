@@ -541,8 +541,8 @@ class TestPhaseShifts:
         (TabulatedRadial(np.array([0.0, 0.002, 0.004, 0.006]),
                          np.array([-1.0, -1.0, -1.0, 0.0]),
                          interpolation="linear"), 10.0, {}, 128, False),
-        # l = 400 overflows the one chunk before r_max, in which the waves
-        # from l = 40 on start
+        # l = 400 overflows the last chunk before r_max, which starts at
+        # the last wave's start
         (_WELL_TABLE, 10.0, dict(l_max=400, r_max=20.0), 1 << 15, True),
     ])
     def test_one_loop_keeps_the_bits_of_three_sweeps(self, monkeypatch, p, k,
@@ -589,22 +589,22 @@ class TestPhaseShifts:
     @pytest.mark.parametrize("p, chunk, i_a, l_top, redone", [
         # matching radius inside the first chunk
         (Yukawa(0.5, 1.0), 128, 100, 120, False),
-        # 2 + 128 + 1 rounds up to 132 on the 4 dr grid: two fine steps, one
-        # mid step past a chunk boundary
+        # 2 + 128 + 1 rounds up to 132 on the 4 dr grid: four fine steps,
+        # two mid steps and one coarse step past a chunk boundary
         (Yukawa(0.5, 1.0), 128, 2 + 128 + 1, 120, False),
-        # on a chunk boundary
+        # two fine steps, one mid and one coarse step past a chunk boundary
         (Yukawa(0.5, 1.0), 126, 2 + 126, 120, False),
         # chunks of odd length start on every residue mod 4
         (Yukawa(0.5, 1.0), 129, 2 + 129 + 1, 120, False),
-        # l = 40 and 120 start at 512 and 832, past the origin: inside a
-        # chunk, or on its first step (2 + 5 102 = 512, 2 + 10 83 = 832)
+        # l = 40 and 120 start at 512 and 768, past the origin: on a
+        # multiple of the chunk, or a cut between two
         (Yukawa(0.5, 1.0), 128, 1024, 120, False),
         (Yukawa(0.5, 1.0), 126, 1024, 120, False),
         (Yukawa(0.5, 1.0), 129, 1024, 120, False),
         (Yukawa(0.5, 1.0), 102, 1024, 120, False),
         (Yukawa(0.5, 1.0), 83, 1024, 120, False),
-        # l = 400 overflows the chunk, and the redone chunk starts the
-        # waves from l = 40 on again
+        # l = 400 overflows the chunk from the last start, l = 400's, to
+        # r_max, which is redone from its start
         (_WELL_TABLE, 1 << 15, 20000, 400, True),
     ])
     def test_sweep_bits_at_chunk_edges(self, monkeypatch, p, chunk, i_a,
@@ -644,7 +644,7 @@ class TestPhaseShifts:
                                                             p, k):
         # the start of a wave depends on the wave, the grid and V alone: not
         # on the other waves of its pass, nor on the chunk; the starts are
-        # edges of 64-step blocks before r_max, or the origin series, and
+        # edges of 128-step blocks before r_max, or the origin series, and
         # they do not fall as l rises
         kin = Kinematics(mass=1.0, k=k)
         rule = partial_wave._wave_starts

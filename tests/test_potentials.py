@@ -136,6 +136,24 @@ def test_closed_transforms_take_their_limit_past_the_float_range():
     assert fourier3d(Gauss(0.5, 1e300), 0.0) == 0.0
 
 
+_TABLE = TabulatedRadial(r=[0.5, 1.0, 1.5, 2.0], v=[1.0, 0.8, 0.3, 0.0])
+
+
+@pytest.mark.parametrize("p", [Yukawa(0.5, 1.0), Gauss(0.5, 1.0), _TABLE],
+                         ids=["yukawa", "gauss", "table"])
+def test_a_nan_radius_or_momentum_transfer_is_refused(p):
+    # NaN passed the old r < 0 and q < 0 checks, and V and Vtilde came
+    # out nan; q = inf keeps the closed forms' limit 0
+    for bad in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(DomainError):
+            evaluate(p, bad)
+        with pytest.raises(DomainError):
+            fourier3d(p, bad)
+    assert evaluate(p, np.inf) == 0.0
+    if not isinstance(p, TabulatedRadial):
+        assert fourier3d(p, np.inf) == 0.0
+
+
 def test_fourier3d_against_radial_quadrature_oracle():
     # scipy.integrate.quad of 4 pi int r^2 V(r) sinc(q r) dr, all models
     yuk = Yukawa(g=0.8, mu=1.3)

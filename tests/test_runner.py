@@ -420,21 +420,36 @@ def test_shipped_configs_raise_no_runtime_warning(tmp_path, name):
 
 def test_a_run_imports_no_module(tmp_path):
     # every module a run needs comes in with the package: one imported
-    # during run_scan (a codec the first text-mode open loads, say) costs
-    # every fresh `scatter run` process its load
-    config = CONFIGS / "gauss_weak.ini"
-    script = "\n".join([
-        "import sys",
-        "from scatterlab.config import parse_config",
-        "from scatterlab.runner import run_scan",
-        f"with open({str(config)!r}, encoding='utf-8') as fh:",
-        f"    cfg = parse_config(fh.read(), base_dir={str(CONFIGS)!r})",
-        "before = set(sys.modules)",
-        f"run_scan(cfg, out_dir={str(tmp_path / 'out')!r})",
-        "print(sorted(set(sys.modules) - before))"])
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # during run_scan costs every fresh `scatter run` process its load, as
+    # numpy.ma, which a first np.unique or np.union1d imports, would cost
+    # more than a whole weak-Gauss run. Each config is the first run_scan
+    # of an isolated interpreter: the shipped flagship and weak-Gauss runs,
+    # and a cubic table's
+    r = np.linspace(0.0, 30.0, 300)
+    v = 0.5 * np.exp(-r) / np.sqrt(r * r + 0.25)
+    v[-1] = 0.0
+    table = tmp_path / "table.csv"
+    table.write_text("".join(f"{float(a)!r}, {float(b)!r}\n"
+                             for a, b in zip(r, v)))
+    texts = [(CONFIGS / name).read_text()
+             for name in ("yukawa_flagship.ini", "gauss_weak.ini")]
+    texts.append(f"[potential]\nmodel = tabulated\nfile = {table}\n"
+                 "[kinematics]\nmass = 1.0\nk = 5.0\n"
+                 "[theta_grid]\nmin = 0.0\nmax = 0.2\ncount = 6\n"
+                 "[run]\nsources = eikonal, born_resummed, born1\n")
+    src = str(Path(scatterlab.__file__).parents[1])
+    for i, text in enumerate(texts):
+        script = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {src!r})",
+            "from scatterlab.config import parse_config",
+            "from scatterlab.runner import run_scan",
+            f"cfg = parse_config({text!r}, base_dir={str(CONFIGS)!r})",
+            "before = set(sys.modules)",
+            f"assert not run_scan(cfg, out_dir={str(tmp_path / str(i))!r})"
+            ".failed",
+            "print(sorted(set(sys.modules) - before))"])
+        proc = subprocess.run([sys.executable, "-I", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

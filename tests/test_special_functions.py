@@ -248,6 +248,20 @@ def test_spherical_bessel_domain():
         spherical_bessel_row(-1, 1.0)
 
 
+@pytest.mark.parametrize("row, l_max, x", [
+    (legendre_p_row, -1, 0.5),  # was an IndexError
+    (legendre_p_row, 1.5, 0.5),  # was a TypeError
+    (legendre_p_row, math.inf, 0.5),
+    (spherical_bessel_row, 3, math.nan),  # was a ValueError
+    (spherical_bessel_row, 3, math.inf),
+    (spherical_bessel_row, math.nan, 1.0),
+])
+def test_the_rows_refuse_a_bad_order_or_argument_with_a_domain_error(
+        row, l_max, x):
+    with pytest.raises(DomainError):
+        row(l_max, x)
+
+
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.5, 12.0, 37.3, 60.9, 202.57,
                                204.14])
 @pytest.mark.parametrize("l_max", [0, 1, 60, 192])
