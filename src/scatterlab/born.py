@@ -48,8 +48,8 @@ def born1_amplitude(p, kin, theta):
     """First Born amplitude at one angle, or at every angle of a 1-d theta
     array in one fourier3d call (fields are then arrays), q = 2k sin(theta/2).
     """
+    q = momentum_transfer(kin.k, theta)
     th = np.asarray(theta, dtype=float)
-    q = momentum_transfer(kin.k, th)
     vt, vt_err = fourier3d(p, q, with_error=True)
     return _amplitude(theta, th, q,
                       np.asarray(-kin.born_scale * vt, dtype=complex),

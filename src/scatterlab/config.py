@@ -47,13 +47,13 @@ which is the default of the dataclass field it sets:
 Unknown sections or keys are rejected by name rather than ignored, so a
 typo cannot silently fall back to a default. _SECTIONS below is the one
 table of keys: parse_config, the unknown-key check and echo_lines all read
-it.
+it. A settings type raises DomainError keyed by its own field (count, dr),
+and parse_config names the section: ConfigError keyed theta_grid.count.
 """
 
 import configparser
 import dataclasses
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -61,7 +61,7 @@ import numpy as np
 
 from .cross_sections import SOURCES
 from .eikonal import Kinematics
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, integer, real
 from .potentials import Gauss, TabulatedRadial, Yukawa, load_radial_table
 from .quadrature import QuadratureSettings
 
@@ -87,34 +87,21 @@ class ThetaGrid:
     spacing: str = "linear"
 
     def __post_init__(self):
-        for name in ("min", "max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError("theta_grid bounds must be finite",
-                                  key=f"theta_grid.{name}")
+        real(self.min, "min")
+        real(self.max, "max")
         if self.min < 0.0:
-            raise ConfigError("theta_grid.min must be >= 0",
-                              key="theta_grid.min")
+            raise DomainError("min must be >= 0", key="min")
         if self.max >= math.pi:
-            raise ConfigError("theta_grid.max must be strictly below pi",
-                              key="theta_grid.max")
+            raise DomainError("max must be strictly below pi", key="max")
         if self.max <= self.min:
-            raise ConfigError("theta_grid.max must exceed theta_grid.min",
-                              key="theta_grid.max")
-        if not isinstance(self.count, numbers.Integral):
-            raise ConfigError(f"theta_grid.count must be an integer, got "
-                              f"{self.count!r}", key="theta_grid.count")
-        if self.count < 2:
-            raise ConfigError("theta_grid.count must be >= 2",
-                              key="theta_grid.count")
+            raise DomainError("max must exceed min", key="max")
+        integer(self.count, "count", minimum=2)
         if self.count > _MAX_ANGLES:
-            raise ConfigError(f"theta_grid.count must be <= {_MAX_ANGLES}",
-                              key="theta_grid.count")
+            raise DomainError(f"count must be <= {_MAX_ANGLES}", key="count")
         if self.spacing not in ("linear", "log"):
-            raise ConfigError("theta_grid.spacing must be linear or log",
-                              key="theta_grid.spacing")
+            raise DomainError("spacing must be linear or log", key="spacing")
         if self.spacing == "log" and self.min <= 0.0:
-            raise ConfigError("log spacing needs theta_grid.min > 0",
-                              key="theta_grid.spacing")
+            raise DomainError("log spacing needs min > 0", key="spacing")
 
     def points(self):
         if self.spacing == "log":
@@ -132,24 +119,10 @@ class PartialWaveOptions:
 
     def __post_init__(self):
         if self.l_max is not None:
-            if not isinstance(self.l_max, numbers.Integral):
-                raise ConfigError(f"partial_wave.l_max must be an integer or "
-                                  f"auto, got {self.l_max!r}",
-                                  key="partial_wave.l_max")
-            if self.l_max < 0:
-                raise ConfigError("partial_wave.l_max must be >= 0 or auto",
-                                  key="partial_wave.l_max")
+            integer(self.l_max, "l_max")
         for name in ("r_max", "dr"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            if not isinstance(val, numbers.Real):
-                raise ConfigError(f"partial_wave.{name} must be a real number "
-                                  f"or auto, got {val!r}",
-                                  key=f"partial_wave.{name}")
-            if not (math.isfinite(val) and val > 0.0):
-                raise ConfigError(f"partial_wave.{name} must be positive",
-                                  key=f"partial_wave.{name}")
+            if getattr(self, name) is not None:
+                real(getattr(self, name), name, positive=True)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ import numpy as np
 from . import paper_forms
 from ._spline import natural_cubic, split_at_roots
 from .born import born1_amplitude
-from .eikonal import Amplitude, _check_k, momentum_transfer
+from .eikonal import Amplitude, momentum_transfer
 from .errors import (ConvergenceError, DomainError, PoleError, RangeError,
-                     UnsupportedModelError)
+                     UnsupportedModelError, real)
 from .paper_forms import total as paper_totals
 from .potentials import Gauss, Yukawa
 from .quadrature import (QuadratureSettings, integrate_adaptive,
@@ -99,7 +99,7 @@ def differential(f):
 
 def total_optical(f0, k):
     """(4 pi / k) Im f(0); f0 must be the forward amplitude."""
-    _check_k(k)
+    real(k, "k", positive=True)
     theta = np.atleast_1d(np.asarray(f0.theta, dtype=float))
     if theta.size == 0 or abs(theta[0]) > 1e-12:
         raise DomainError("total_optical needs the amplitude at theta = 0")
@@ -174,7 +174,7 @@ def table_from_amplitudes(source, amp, k):
     coverage at workable density and fully finite rows. A |f|^2 past the
     float range is stored as inf, without a warning.
     """
-    _check_k(k)
+    real(k, "k", positive=True)
     theta = np.atleast_1d(np.asarray(amp.theta, dtype=float))
     if theta.size == 0:
         raise DomainError("table_from_amplitudes needs at least one angle",

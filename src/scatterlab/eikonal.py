@@ -54,7 +54,7 @@ import numpy as np
 
 from . import paper_forms
 from .errors import (DomainError, PoleError, SingularityError,
-                     UnsupportedModelError)
+                     UnsupportedModelError, real, reals)
 from .potentials import (Gauss, TabulatedRadial, Yukawa, _scale,
                          abel_profile, evaluate, fourier3d, reach)
 from .quadrature import _KERNEL_BLOCK, DEFAULT_SETTINGS, hankel0
@@ -85,10 +85,7 @@ class Kinematics:
 
     def __post_init__(self):
         for name in ("mass", "k", "hbar"):
-            val = getattr(self, name)
-            if not math.isfinite(val) or val <= 0.0:
-                raise DomainError(f"{name} must be positive and finite, "
-                                  f"got {val!r}", key=name)
+            real(getattr(self, name), name, positive=True)
         # the routes divide by hbar^2 and by v; hbar * hbar, unlike
         # hbar**2, cannot raise, and v = inf is left to the routes
         if not 0.0 < self.hbar * self.hbar < math.inf:
@@ -132,17 +129,10 @@ class Amplitude:
             raise DomainError("error_estimate must be >= 0")
 
 
-def _check_k(k):
-    """Raise DomainError keyed to k unless k is a positive finite float."""
-    if not (np.ndim(k) == 0 and 0.0 < k < math.inf):
-        raise DomainError(f"wavenumber k must be positive and finite, got "
-                          f"{k!r}", key="k")
-
-
 def momentum_transfer(k, theta):
     """q = 2k sin(theta/2) for a scalar or 1-d theta in [0, pi]."""
-    _check_k(k)
-    th = np.asarray(theta, dtype=float)
+    real(k, "k", positive=True)
+    th = reals(theta, "theta")
     if th.ndim > 1:
         raise DomainError("theta must be a scalar or a 1-d array",
                           key="theta")
@@ -153,7 +143,7 @@ def momentum_transfer(k, theta):
 
 def _check_b(b):
     """b as a float array, checked to be finite and non-negative."""
-    b_arr = np.asarray(b, dtype=float)
+    b_arr = reals(b, "b")
     if not np.all((b_arr >= 0.0) & (b_arr < math.inf)):
         raise DomainError("impact parameter b must be finite and "
                           "non-negative", key="b")

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of numeric
+arguments that raise them."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ScatterError(Exception):
@@ -48,3 +54,43 @@ class ConvergenceError(ScatterError, RuntimeError):
         super().__init__(message, key)
         self.estimate = estimate
         self.error_estimate = error_estimate
+
+
+# The one check of a numeric argument: its type (a bool is not a number),
+# then finiteness, then its bound, each refusal a DomainError keyed by key.
+def _number(value, key, kind, what):
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = number and math.isfinite(value)
+    except OverflowError:  # an int past the floats
+        finite = False
+    if number and not finite:
+        raise DomainError(f"{key} must be finite, got {value!r}", key=key)
+    if not (number and isinstance(value, kind)):
+        raise DomainError(f"{key} must be {what}, got {value!r}", key=key)
+
+
+def real(value, key, positive=False):
+    """value as a float if it is a finite real number, > 0 if positive."""
+    _number(value, key, numbers.Real, "a real number")
+    if positive and not value > 0:
+        raise DomainError(f"{key} must be positive, got {value!r}", key=key)
+    return float(value)
+
+
+def integer(value, key, minimum=0):
+    """value as an int if it is an integer >= minimum."""
+    _number(value, key, numbers.Integral, "an integer")
+    if value < minimum:
+        raise DomainError(f"{key} must be >= {minimum}, got {value!r}",
+                          key=key)
+    return int(value)
+
+
+def reals(value, key):
+    """value as a float ndarray if numpy can convert it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{key} must be real numbers, got {value!r}",
+                          key=key) from None

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eikonal import Kinematics, _amplitude, momentum_transfer
-from .errors import ConvergenceError, DomainError, RangeError
+from .errors import ConvergenceError, DomainError, RangeError, integer, real
 from .potentials import (TabulatedRadial, effective_radius, evaluate,
                          origin_expansion, reach)
 # The effective radius needs no integrator; the two integrators and
@@ -105,10 +105,10 @@ class PhaseShiftSet:
     dr: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.k) and self.k > 0):
-            raise DomainError("k must be positive and finite")
-        if self.l_max < 0 or self.l_max != int(self.l_max):
-            raise DomainError("l_max must be an integer >= 0")
+        real(self.k, "k", positive=True)
+        integer(self.l_max, "l_max")
+        real(self.r_max, "r_max", positive=True)
+        real(self.dr, "dr", positive=True)
         d = np.asarray(self.delta, dtype=float)
         object.__setattr__(self, "delta", d)
         if d.ndim != 1 or d.shape[0] != self.l_max + 1:
@@ -125,8 +125,6 @@ class PhaseShiftSet:
                 f"partial-wave tail not converged: |delta_l_max| = "
                 f"{abs(d[-1]):.3e} >= {_TAIL_TOL:g}; increase l_max",
                 key="l_max")
-        if not (self.r_max > 0 and self.dr > 0):
-            raise DomainError("r_max and dr must be positive")
 
 
 def _reduced_strength(p, kin, r):
@@ -472,9 +470,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
             end = float(p.r[-1])
             dr = end / (4.0 * math.ceil(end / (4.0 * dr)))
     else:
-        dr = float(dr)
-        if not (math.isfinite(dr) and dr > 0):
-            raise DomainError("dr must be positive and finite", key="dr")
+        dr = real(dr, "dr", positive=True)
         if k * dr >= 0.1:
             raise DomainError("k dr must stay below 0.1", key="dr")
     step = 4.0 * dr  # the coarsest grid's step: both radii lie on its grid
@@ -483,11 +479,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
         # up onto the grid, so that passing the result back is accepted
         r_max = math.ceil(_auto_r_max(p, kin, r_eff) / step) * step
     else:
-        r_max = float(r_max)
-        if not (math.isfinite(r_max) and r_max > 0):
-            raise DomainError("r_max must be positive and finite",
-                              key="r_max")
-        r_max = round(r_max / step) * step
+        r_max = round(real(r_max, "r_max", positive=True) / step) * step
         if r_max < 2.0 * step:
             raise DomainError("r_max must lie at least 8 dr from the origin",
                               key="r_max")
@@ -508,10 +500,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
         l0 = int(np.ceil(k * r_eff)) + 10
         tops = [l0 + w for w in _WIDTHS]
     else:
-        if not (math.isfinite(l_max) and l_max >= 0
-                and l_max == int(l_max)):
-            raise DomainError("l_max must be an integer >= 0", key="l_max")
-        l0 = int(l_max)
+        l0 = integer(l_max, "l_max")
         tops = [l0]
     if (tops[-1] + 1) * points > _WAVE_POINTS:
         raise RangeError(
@@ -557,8 +546,8 @@ def amplitude_partial_wave(ps, theta):
     delta's rounding (under 0.1 rho against long-double sweeps of seven
     cases), which sets the error once the step error falls below it.
     """
+    q = momentum_transfer(ps.k, theta)  # checks that theta lies in [0, pi]
     th = np.asarray(theta, dtype=float)
-    q = momentum_transfer(ps.k, th)  # checks that theta lies in [0, pi]
     weight = 2.0 * np.arange(ps.l_max + 1) + 1.0
     s_mat = weight * expm1i(2.0 * ps.delta)
     p_rows = legendre_p_row(ps.l_max, np.cos(th))

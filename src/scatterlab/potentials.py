@@ -25,7 +25,7 @@ import numpy as np
 
 from ._spline import natural_cubic, split_at_roots
 from .errors import (ConfigError, DomainError, RangeError,
-                     SingularityError, UnsupportedModelError)
+                     SingularityError, UnsupportedModelError, real, reals)
 from .quadrature import _G7_NODES, _KERNEL_BLOCK, _WG, integrate_sin
 from .special_functions import libm_exp, log
 # bound here only because perfbench/tracer.py rebinds it in this namespace
@@ -46,11 +46,6 @@ __all__ = [
 _EPS = np.finfo(float).eps
 
 
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}", key=name)
-
-
 @dataclass(frozen=True)
 class Yukawa:
     """V(r) = g exp(-mu r) / r. Coupling g of either sign, range 1/mu."""
@@ -59,11 +54,8 @@ class Yukawa:
     mu: float
 
     def __post_init__(self):
-        _require_finite("g", self.g)
-        _require_finite("mu", self.mu)
-        if self.mu <= 0.0:
-            raise DomainError("Yukawa screening mu must be positive",
-                              key="mu")
+        real(self.g, "g")
+        real(self.mu, "mu", positive=True)
 
 
 @dataclass(frozen=True)
@@ -74,11 +66,8 @@ class Gauss:
     alpha: float
 
     def __post_init__(self):
-        _require_finite("g", self.g)
-        _require_finite("alpha", self.alpha)
-        if self.alpha <= 0.0:
-            raise DomainError("Gauss width alpha must be positive",
-                              key="alpha")
+        real(self.g, "g")
+        real(self.alpha, "alpha", positive=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +96,7 @@ class TabulatedRadial:
     _w: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        r, v = reals(self.r, "r"), reals(self.v, "v")
         if r.ndim != 1 or r.shape != v.shape:
             raise DomainError("table radii and values must be matching "
                               "1-d arrays")

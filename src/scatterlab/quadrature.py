@@ -76,13 +76,12 @@ so the partition does not depend on numpy's SIMD kernels.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, integer, real, reals
 from .special_functions import bessel_j0
 # j0_zeros is bound here only because perfbench/tracer.py rebinds it in
 # quadrature's namespace.
@@ -113,22 +112,9 @@ class QuadratureSettings:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_subdivisions"):
-            val = getattr(self, name)
-            if not math.isfinite(val):
-                raise DomainError(f"{name} must be finite, got {val!r}",
-                                  key=name)
-        for name in ("rel_tol", "abs_tol"):
-            if getattr(self, name) <= 0:
-                raise DomainError("quadrature tolerances must be positive",
-                                  key=name)
-        if not isinstance(self.max_subdivisions, numbers.Integral):
-            raise DomainError(f"max_subdivisions must be an integer, got "
-                              f"{self.max_subdivisions!r}",
-                              key="max_subdivisions")
-        if self.max_subdivisions < 8:
-            raise DomainError("max_subdivisions must be >= 8",
-                              key="max_subdivisions")
+        real(self.rel_tol, "rel_tol", positive=True)
+        real(self.abs_tol, "abs_tol", positive=True)
+        integer(self.max_subdivisions, "max_subdivisions", minimum=8)
 
 
 @dataclass(frozen=True)
@@ -240,9 +226,7 @@ def integrate_adaptive(f, a, b, settings=DEFAULT_SETTINGS):
     """Integrate f (flat ndarray to one of its shape, complex allowed) over
     [a, b], a <= b, bisecting the first interval of largest error; totals
     are running sums over the intervals in the order made, from +0.0."""
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integrate_adaptive requires finite endpoints")
+    a, b = real(a, "a"), real(b, "b")
     if a > b:
         raise DomainError(f"interval endpoints out of order: {a!r} > {b!r}")
     if a == b:
@@ -294,6 +278,17 @@ _PIECE_PHASE = 2.0
 _SIN_PIECES = 1 << 15
 
 
+def _q_array(q, caller):
+    """q, a scalar or 1-d array of finite q >= 0, as a 1-d float array."""
+    qs = np.atleast_1d(reals(q, "q"))
+    if qs.ndim != 1:
+        raise DomainError(f"{caller} takes a scalar q or a 1-d array of q",
+                          key="q")
+    if not (np.all(np.isfinite(qs)) and np.all(qs >= 0.0)):
+        raise DomainError(f"{caller} requires finite q >= 0", key="q")
+    return qs
+
+
 def _series_order(t):
     """(M, d) for t = q H: the first M whose dropped term d =
     t^(2M+2)/(2M+2)! of the cos and sin series is below eps/100, from
@@ -316,12 +311,7 @@ def integrate_sin(q, lo, hi, coef, origin=None):
     two an interval raise ConvergenceError naming the largest q.
     """
     scalar = np.ndim(q) == 0
-    qs = np.atleast_1d(np.asarray(q, dtype=float))
-    if qs.ndim != 1:
-        raise DomainError("integrate_sin takes a scalar q or a 1-d array "
-                          "of q")
-    if not (np.all(np.isfinite(qs)) and np.all(qs >= 0.0)):
-        raise DomainError("integrate_sin requires finite q >= 0")
+    qs = _q_array(q, "integrate_sin")
     lo, hi = (np.asarray(e, dtype=float) for e in (lo, hi))
     origin = lo if origin is None else np.asarray(origin, dtype=float)
     coef = np.asarray(coef, dtype=float)
@@ -462,15 +452,9 @@ def hankel0(g, q, upper, settings=DEFAULT_SETTINGS):
     rounding level, and its error_estimate may exceed the request. More
     than _HANKEL_PANELS first panels raise ConvergenceError at once.
     """
-    if not (math.isfinite(upper) and upper > 0.0):
-        raise DomainError(f"upper limit must be positive and finite, got "
-                          f"{upper!r}")
+    real(upper, "upper", positive=True)
     scalar = np.ndim(q) == 0
-    qs = np.atleast_1d(np.asarray(q, dtype=float))
-    if qs.ndim != 1:
-        raise DomainError("hankel0 takes a scalar q or a 1-d array of q")
-    if not (np.all(np.isfinite(qs)) and np.all(qs >= 0.0)):
-        raise DomainError("hankel0 requires finite q >= 0")
+    qs = _q_array(q, "hankel0")
     if not qs.size:
         return QuadratureResult(np.zeros(0), np.zeros(0), 0)
     value, error, neval = _hankel_loop(g, qs, upper, settings)

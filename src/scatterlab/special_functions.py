@@ -23,11 +23,10 @@ Scalar in, scalar out; ndarray in, ndarray out. Nothing is cached.
 """
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer, real
 
 __all__ = [
     "bessel_j0",
@@ -244,17 +243,9 @@ def bessel_k0(x):
 # ---------------------------------------------------------------------------
 
 
-def _order(l_max, name):
-    """l_max as an int; a DomainError unless it is an integer >= 0."""
-    if not (isinstance(l_max, numbers.Real) and 0 <= l_max < math.inf
-            and l_max == int(l_max)):
-        raise DomainError(f"{name} order must be an integer >= 0")
-    return int(l_max)
-
-
 def legendre_p_row(l_max, x):
     """All of P_0(x)..P_{l_max}(x) stacked along a leading axis."""
-    l_max = _order(l_max, "Legendre")
+    l_max = integer(l_max, "l_max")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((l_max + 1,) + xa.shape)
     out[0] = 1.0
@@ -274,11 +265,8 @@ def spherical_bessel_row(l_max, x):
     the rest of the row comes from one pass of Miller's downward
     recurrence, seeded at l_max + 30 + x and scaled to j_0.
     """
-    l_max = _order(l_max, "spherical Bessel")
-    x = float(x)
-    if not 0 < x < math.inf:
-        raise DomainError("spherical Bessel argument x must be positive and "
-                          "finite")
+    l_max = integer(l_max, "l_max")
+    x = real(x, "x", positive=True)
     sin_x = math.sin(x)
     cos_x = math.cos(x)
     n = [-cos_x / x, -cos_x / (x * x) - sin_x / x]

@@ -242,7 +242,7 @@ def test_an_angle_count_past_the_limit_fails_at_parse_time(tmp_path):
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stdout + proc.stderr
-        assert "theta_grid.count must be <= 65536" in proc.stderr
+        assert "[theta_grid] count must be <= 65536" in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

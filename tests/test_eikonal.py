@@ -72,19 +72,23 @@ class TestMomentumTransfer:
         assert np.allclose(q, 4.0 * np.sin(th / 2), rtol=1e-15)
 
 
-def test_every_route_keys_its_theta_errors_to_theta():
-    # amplitude_eikonal at pi and born1 on a 2-d theta raised with no key;
-    # each route keeps its domain: born1 and partial_wave take theta = pi
+def _routes():
+    """Each amplitude route of a Yukawa potential at k = 1, as theta -> f."""
     p = Yukawa(0.5, 1.0)
     ps = phase_shifts(p, KIN1)
-    routes = {
+    return {
         "eikonal": lambda t: amplitude_eikonal(p, KIN1, t),
         "born1": lambda t: born1_amplitude(p, KIN1, t),
         "born_resummed": lambda t: born_resummed_amplitude(p, KIN1, t),
         "paper_closed": lambda t: amplitude_paper_closed(p, KIN1, t),
         "partial_wave": lambda t: amplitude_partial_wave(ps, t),
     }
-    for name, route in routes.items():
+
+
+def test_every_route_keys_its_theta_errors_to_theta():
+    # amplitude_eikonal at pi and born1 on a 2-d theta raised with no key;
+    # each route keeps its domain: born1 and partial_wave take theta = pi
+    for name, route in _routes().items():
         refused = [[[0.1]], np.zeros((2, 2)), math.nan, [0.1, math.nan],
                    -0.1, 4.0]
         if name in ("born1", "partial_wave"):
@@ -92,6 +96,16 @@ def test_every_route_keys_its_theta_errors_to_theta():
         else:
             refused += [np.pi, [0.1, np.pi]]
         for theta in refused:
+            with pytest.raises(DomainError) as exc:
+                route(theta)
+            assert exc.value.key == "theta", (name, theta)
+
+
+def test_every_route_refuses_a_theta_numpy_cannot_convert():
+    # momentum_transfer, which every route calls first, passed these to
+    # numpy, whose ValueError or TypeError reached the caller
+    for name, route in _routes().items():
+        for theta in ("a", ["0.1", "x"], 1j, [0.1, 1j]):
             with pytest.raises(DomainError) as exc:
                 route(theta)
             assert exc.value.key == "theta", (name, theta)

@@ -54,6 +54,17 @@ def test_model_validation():
     TabulatedRadial(r=[0.0, 1.0, 2.0, 3.0], v=[1.0, 0.5, 0.2, 0.0])
 
 
+def test_a_table_refuses_samples_numpy_cannot_convert():
+    # these raised numpy's ValueError or TypeError
+    for key, r, v in (("r", ["a", "b", "c", "d"], [1, 2, 3, 0]),
+                      ("r", [0, 1j, 2, 3], [1, 2, 3, 0]),
+                      ("v", [0, 1, 2, 3], [1, None, "x", 0]),
+                      ("v", [0, 1, 2, 3], [1, 2, 3, 1j])):
+        with pytest.raises(DomainError) as err:
+            TabulatedRadial(r=r, v=v)
+        assert err.value.key == key
+
+
 def test_evaluate_closed_forms():
     assert abs(evaluate(Yukawa(g=1.0, mu=1.0), 1.0) - np.exp(-1.0)) < 1e-16
     assert evaluate(Gauss(g=2.0, alpha=1.0), 0.0) == 2.0
@@ -216,34 +227,16 @@ def test_a_refused_transform_names_the_piece_count_in_six_digits():
         assert err.value.key is None
 
 
-def test_table_transform_does_not_import_numpy_ma(tmp_path):
+def test_table_transform_does_not_import_numpy_ma():
     # importing numpy.ma costs a fresh interpreter about a fifth of a
     # tabulated run (np.unique and np.union1d import it), and
-    # numpy.polynomial a tenth: one run_scan of every source on a Yukawa
-    # and of every source but the closed forms on a table, and a total
-    # integrated over a spline that dips below 0, import neither
-    r = np.linspace(0.1, 6.0, 40)
-    (tmp_path / "table.csv").write_text("".join(
-        f"{float(a)!r}, {float(b)!r}\n" for a, b in zip(r, np.exp(-r * r))))
-    common = ("[kinematics]\nmass = 1.0\nk = 2\n"
-              "[theta_grid]\nmin = 0.0\nmax = 0.2\ncount = 5\n")
-    configs = [
-        "[potential]\nmodel = yukawa\ng = 0.5\nmu = 1.0\n" + common
-        + "[run]\nsources = eikonal, born1, born_resummed, partial_wave, "
-          f"paper_closed\n[output]\ndirectory = {tmp_path / 'yukawa'}\n",
-        f"[potential]\nmodel = tabulated\nfile = {tmp_path / 'table.csv'}\n"
-        + common + "[run]\nsources = eikonal, born1, born_resummed, "
-                   "partial_wave\n[output]\ndirectory = "
-                   f"{tmp_path / 'table'}\n",
-    ]
+    # numpy.polynomial a tenth: a total integrated over a spline that dips
+    # below 0, cut at its roots, imports neither. A whole run's imports are
+    # test_runner.py::test_a_run_imports_no_module's
     script = (
         "import sys\n"
         "import numpy as np\n"
-        "from scatterlab.config import parse_config\n"
         "from scatterlab.cross_sections import total_integrated\n"
-        "from scatterlab.runner import run_scan\n"
-        f"for text in {configs!r}:\n"
-        "    assert not run_scan(parse_config(text)).failed\n"
         "theta = np.linspace(0.0, np.pi, 241)\n"
         "f = np.maximum(np.cos(3.0 * theta), 0.0)\n"
         "rows = np.column_stack([theta, theta, f, 0.0 * f, f * f])\n"

@@ -424,7 +424,7 @@ def test_a_run_imports_no_module(tmp_path):
     # numpy.ma, which a first np.unique or np.union1d imports, would cost
     # more than a whole weak-Gauss run. Each config is the first run_scan
     # of an isolated interpreter: the shipped flagship and weak-Gauss runs,
-    # and a cubic table's
+    # and every route of a cubic table
     r = np.linspace(0.0, 30.0, 300)
     v = 0.5 * np.exp(-r) / np.sqrt(r * r + 0.25)
     v[-1] = 0.0
@@ -436,7 +436,8 @@ def test_a_run_imports_no_module(tmp_path):
     texts.append(f"[potential]\nmodel = tabulated\nfile = {table}\n"
                  "[kinematics]\nmass = 1.0\nk = 5.0\n"
                  "[theta_grid]\nmin = 0.0\nmax = 0.2\ncount = 6\n"
-                 "[run]\nsources = eikonal, born_resummed, born1\n")
+                 "[run]\nsources = eikonal, born_resummed, born1, "
+                 "partial_wave\n")
     src = str(Path(scatterlab.__file__).parents[1])
     for i, text in enumerate(texts):
         script = "\n".join([
