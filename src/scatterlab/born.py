@@ -2,20 +2,21 @@
 
 born1_amplitude is the plain first-order form
 
-    f_B(q) = -(m/(2 pi hbar^2)) Vtilde(q),
+    f_B(q) = -(m/(2 pi)) Vtilde(q),
 
-always expressed through potentials.fourier3d, never re-derived inline.
+in units with hbar = 1, always expressed through potentials.fourier3d,
+never re-derived inline.
 
 born_resummed_amplitude evaluates the resummed series
 
-    f = -(m/(2 pi hbar^2)) int d^3r e^{-i q.r} V(r)
-        int_0^1 dlambda exp{-(i lambda/(hbar v)) int dz' V(x, y, z')},
+    f = -(m/(2 pi)) int d^3r e^{-i q.r} V(r)
+        int_0^1 dlambda exp{-(i lambda/v) int dz' V(x, y, z')},
 
 which for a radial potential collapses to a Hankel integral over the
 impact parameter of w(b) * Lambda(chi(b)), where w(b) = int_-inf^inf V dz,
-chi(b) = -w(b)/(hbar v), and Lambda(x) = (e^{ix}-1)/(ix) is the closed form
-of the lambda integral. As w Lambda(chi) = i hbar v (e^{i chi} - 1), that
-is the eikonal's integral, so born_resummed takes the eikonal's z-profile
+chi(b) = -w(b)/v with v = k/m, and Lambda(x) = (e^{ix}-1)/(ix) is the
+closed form of the lambda integral. As w Lambda(chi) = i v (e^{i chi} - 1),
+that is the eikonal's integral, so born_resummed takes the eikonal's z-profile
 pass, eikonal._profile_amplitude, for every model: on a table it is the
 table's eikonal, to the bit. For Yukawa and Gauss the eikonal takes its
 first order in chi, the first Born amplitude, from fourier3d and its phase

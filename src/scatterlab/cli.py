@@ -10,8 +10,6 @@ from .config import parse_config, split_list
 from .errors import ConfigError, ScatterError
 from .runner import run_scan
 
-ENV_OUT = "SCATTER_OUT"
-
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -24,8 +22,7 @@ def _build_parser():
     run = sub.add_parser("run", help="execute a scan config")
     run.add_argument("config", help="path to the INI config file")
     run.add_argument("--out", default=None, metavar="DIR",
-                     help=f"output directory (overrides ${ENV_OUT} and "
-                          f"the config)")
+                     help="output directory (overrides the config)")
     run.add_argument("--sources", default=None, metavar="LIST",
                      help="comma-separated source subset overriding the "
                           "config")
@@ -70,9 +67,8 @@ def _cmd_run(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = args.out or os.environ.get(ENV_OUT) or cfg.output.directory
     try:
-        manifest = run_scan(cfg, out_dir=out_dir)
+        manifest = run_scan(cfg, out_dir=args.out or cfg.output.directory)
     except (ScatterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

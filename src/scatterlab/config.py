@@ -18,7 +18,6 @@ which is the default of the dataclass field it sets:
     k = 10.0           # required; or a comma- or space-separated list for
                        # an energy scan, distinct at the 12 significant
                        # digits that name its CSVs
-    hbar = 1.0
 
     [theta_grid]
     min = 0.0
@@ -42,7 +41,6 @@ which is the default of the dataclass field it sets:
 
     [output]
     directory = scatter_out
-    emit_plot_script = true
 
 Unknown sections or keys are rejected by name rather than ignored, so a
 typo cannot silently fall back to a default. _SECTIONS below is the one
@@ -64,8 +62,6 @@ from .eikonal import Kinematics
 from .errors import ConfigError, DomainError, integer, real
 from .potentials import Gauss, TabulatedRadial, Yukawa, load_radial_table
 from .quadrature import QuadratureSettings
-
-_BOOL_STATES = configparser.ConfigParser.BOOLEAN_STATES
 
 # the most angles a grid may hold, checked before any work starts; the
 # shipped configs and the benchmark's inputs hold at most 961
@@ -128,7 +124,6 @@ class PartialWaveOptions:
 @dataclass(frozen=True)
 class OutputOptions:
     directory: str = "scatter_out"
-    emit_plot_script: bool = True
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,6 @@ class RunConfig:
     potential: object
     mass: float
     k_values: tuple
-    hbar: float = 1.0
     theta: ThetaGrid = field(default_factory=ThetaGrid)
     sources: tuple = ("eikonal", "born1")
     quadrature: QuadratureSettings = field(
@@ -165,11 +159,13 @@ class RunConfig:
         if len(set(self.k_values)) != len(self.k_values):
             raise ConfigError("k values must not repeat",
                               key="kinematics.k")
-        if self.threads < 1:
-            raise ConfigError("run.threads must be >= 1", key="run.threads")
+        try:
+            integer(self.threads, "threads", minimum=1)
+        except DomainError as exc:
+            raise ConfigError(f"run: {exc}", key="run.threads") from exc
         for kk in self.k_values:
             try:
-                Kinematics(mass=self.mass, k=kk, hbar=self.hbar)
+                Kinematics(mass=self.mass, k=kk)
             except DomainError as exc:
                 raise ConfigError(f"kinematics: {exc}",
                                   key=f"kinematics.{exc.key}") from exc
@@ -183,7 +179,7 @@ class RunConfig:
                     f"significant digits", key="kinematics.k")
 
     def kinematics(self, k):
-        return Kinematics(mass=self.mass, k=k, hbar=self.hbar)
+        return Kinematics(mass=self.mass, k=k)
 
 
 def split_list(raw):
@@ -208,13 +204,6 @@ def _as_int(section, key, raw):
         return int(raw, 10)
     except ValueError:
         _fail(section, key, "an integer", raw)
-
-
-def _as_bool(section, key, raw):
-    state = _BOOL_STATES.get(raw.lower())
-    if state is None:
-        _fail(section, key, "a boolean", raw)
-    return state
 
 
 def _as_word(section, key, raw):
@@ -258,8 +247,7 @@ def _auto_text(val):
 _SECTIONS = {
     "kinematics": (None, RunConfig, {
         "mass": ("mass", _as_float, repr),
-        "k": ("k_values", _as_floats, lambda ks: ", ".join(map(repr, ks))),
-        "hbar": ("hbar", _as_float, repr)}),
+        "k": ("k_values", _as_floats, lambda ks: ", ".join(map(repr, ks)))}),
     "theta_grid": ("theta", ThetaGrid, {
         "min": ("min", _as_float, repr),
         "max": ("max", _as_float, repr),
@@ -277,9 +265,7 @@ _SECTIONS = {
         "r_max": ("r_max", _auto_or(_as_float), _auto_text),
         "dr": ("dr", _auto_or(_as_float), _auto_text)}),
     "output": ("output", OutputOptions, {
-        "directory": ("directory", _as_text, str),
-        "emit_plot_script": ("emit_plot_script", _as_bool,
-                             lambda b: str(b).lower())}),
+        "directory": ("directory", _as_text, str)}),
 }
 
 # RunConfig fields without a default; their keys must be given
@@ -324,15 +310,9 @@ def _build_potential(sec, base_dir):
         path = sec["file"]
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        if not os.path.exists(path):
-            raise ConfigError(f"[potential] file: {path} does not exist",
-                              key="potential.file")
         options = {}
         if "interpolation" in sec:
-            interp = sec["interpolation"].lower()
-            if interp not in ("cubic", "linear"):
-                _fail("potential", "interpolation", "cubic or linear", interp)
-            options["interpolation"] = interp
+            options["interpolation"] = sec["interpolation"].lower()
         return load_radial_table(path, **options)
     except DomainError as exc:
         key = "potential" if exc.key is None else f"potential.{exc.key}"

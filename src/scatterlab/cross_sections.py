@@ -22,7 +22,7 @@ from ._spline import natural_cubic, split_at_roots
 from .born import born1_amplitude
 from .eikonal import Amplitude, momentum_transfer
 from .errors import (ConvergenceError, DomainError, PoleError, RangeError,
-                     UnsupportedModelError, real)
+                     UnsupportedModelError, real, reals)
 from .paper_forms import total as paper_totals
 from .potentials import Gauss, Yukawa
 from .quadrature import (QuadratureSettings, integrate_adaptive,
@@ -130,7 +130,7 @@ def total_integrated(rows):
     every other row must agree, or the grid is too sparse to trust and a
     convergence error is raised.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = reals(rows, "rows")
     if rows.ndim != 2 or rows.shape[1] != 5:
         raise DomainError("rows must be a (n, 5) array")
     theta = rows[:, 0]

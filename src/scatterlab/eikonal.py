@@ -3,22 +3,22 @@
 The amplitude engine implements
 
     f(theta) = -i k int_0^inf J0(q b) (e^{i chi(b)} - 1) b db,
-    chi(b)   = -(1/(hbar v)) int_{-inf}^{inf} V(sqrt(b^2 + z^2)) dz,
+    chi(b)   = -(1/v) int_{-inf}^{inf} V(sqrt(b^2 + z^2)) dz,
 
-with q = 2 k sin(theta/2). Both phase routes form e^{i chi} - 1 as
--2 sin^2(chi/2) + i sin chi (special_functions.expm1i), so Im f, of order
-chi^2 in a weak field, keeps its digits. The sign convention is the minus
-in chi, uniformly; reference closed forms that differ are evaluated
-verbatim (by paper_forms, through amplitude_paper_closed) and compared in
-reports, never silently corrected.
+with q = 2 k sin(theta/2) and v = k/m, in units with hbar = 1. Both
+phase routes form e^{i chi} - 1 as -2 sin^2(chi/2) + i sin chi
+(special_functions.expm1i), so Im f, of order chi^2 in a weak field, keeps
+its digits. The sign convention is the minus in chi, uniformly; reference
+closed forms that differ are evaluated verbatim (by paper_forms, through
+amplitude_paper_closed) and compared in reports, never silently corrected.
 
 chi has two routes, verified against each other: chi_closed (K0 /
 Gaussian closed forms, analytic models only) and chi (the z-integral of
 _z_profile, any model). amplitude_eikonal takes its route from the model.
 
 Yukawa and Gauss write e^{i chi} - 1 as i chi + (e^{i chi} - 1 - i chi).
-The transform of i chi is the first Born amplitude -(m/(2 pi hbar^2))
-Vtilde(q) (Glauber 1959), taken in closed form from potentials.fourier3d
+The transform of i chi is the first Born amplitude -(m/(2 pi)) Vtilde(q)
+(Glauber 1959), taken in closed form from potentials.fourier3d
 at the same q; hankel0 integrates only the remainder, at most chi^2/2 in
 modulus, over [0, R2], R2 about 18.2/mu or 4.24/sqrt(alpha), where a
 closed-form bound on its tail falls to eps of the whole; k times that
@@ -27,7 +27,7 @@ is the error_estimate.
 
 A table's phase comes from its z-profile w(b) = int V dz, in one pass
 over e^{i chi} - 1, _profile_amplitude. born_resummed_amplitude, whose
-w Lambda(chi) is i hbar v (e^{i chi} - 1), takes that pass for every
+w Lambda(chi) is i v (e^{i chi} - 1), takes that pass for every
 model: a table's two routes are one, and for Yukawa and Gauss it checks
 the split. A table's w
 is the exact Abel transform of its pieces (potentials.abel_profile), some
@@ -77,38 +77,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Kinematics:
-    """Projectile mass and wavenumber; hbar kept symbolic (default 1)."""
+    """Projectile mass and wavenumber, in units with hbar = 1."""
 
     mass: float
     k: float
-    hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("mass", "k", "hbar"):
+        for name in ("mass", "k"):
             real(getattr(self, name), name, positive=True)
-        # the routes divide by hbar^2 and by v; hbar * hbar, unlike
-        # hbar**2, cannot raise, and v = inf is left to the routes
-        if not 0.0 < self.hbar * self.hbar < math.inf:
-            raise DomainError(f"hbar^2 leaves the float range at hbar = "
-                              f"{self.hbar!r}", key="hbar")
+        # the routes divide by v; v = inf is left to them
         if self.v == 0.0:
-            raise DomainError(f"v = hbar k/mass underflows to 0 at k = "
+            raise DomainError(f"v = k/mass underflows to 0 at k = "
                               f"{self.k!r}", key="k")
 
     @property
     def v(self):
-        """Speed hbar*k/mass."""
-        return self.hbar * self.k / self.mass
+        """Speed k/mass."""
+        return self.k / self.mass
 
     @property
     def born_scale(self):
-        """The first Born factor m/(2 pi hbar^2): f_B = -born_scale Vtilde."""
-        return self.mass / (2.0 * np.pi * self.hbar**2)
-
-    @property
-    def E(self):
-        """Kinetic energy (hbar*k)^2 / (2*mass)."""
-        return (self.hbar * self.k) ** 2 / (2.0 * self.mass)
+        """The first Born factor m/(2 pi): f_B = -born_scale Vtilde."""
+        return self.mass / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -299,25 +289,24 @@ def _trapezoid_rows(f, step, nodes):
 
 
 def chi(p, kin, b):
-    """Eikonal phase -w(b)/(hbar v) from the z-profile (any model) that
+    """Eikonal phase -w(b)/v from the z-profile (any model) that
     born_resummed_amplitude reads too (see _z_profile)."""
     b_arr = _check_b(b)
     if isinstance(p, Yukawa) and np.any(b_arr == 0.0):
         raise SingularityError(
             "chi diverges logarithmically at b = 0 for a 1/r core")
     # 0.0 - w: +0.0, not -0.0, where w is 0, as beyond a table
-    out = (0.0 - _z_profile(p, b_arr)[0]) / (kin.hbar * kin.v)
+    out = (0.0 - _z_profile(p, b_arr)[0]) / kin.v
     return float(out) if b_arr.ndim == 0 else out
 
 
 def _chi_factor(p, kin):
     """chi0 of chi_closed = chi0 K0(mu b) (Yukawa) or chi0 e^{-alpha b^2}
     (Gauss); a table or another model raises."""
-    hv = kin.hbar * kin.v
     if isinstance(p, Yukawa):
-        return -(2.0 * p.g / hv)
+        return -(2.0 * p.g / kin.v)
     if isinstance(p, Gauss):
-        return -(p.g / hv) * math.sqrt(np.pi / p.alpha)
+        return -(p.g / kin.v) * math.sqrt(np.pi / p.alpha)
     if isinstance(p, TabulatedRadial):
         raise UnsupportedModelError(
             "no closed-form phase for tabulated potentials; use chi()")
@@ -326,8 +315,8 @@ def _chi_factor(p, kin):
 
 
 def chi_closed(p, kin, b):
-    """Closed-form eikonal phase: -(2g/hbar v) K0(mu b) for Yukawa,
-    -(g/hbar v) sqrt(pi/alpha) e^{-alpha b^2} for Gauss, with libm's exp,
+    """Closed-form eikonal phase: -(2g/v) K0(mu b) for Yukawa,
+    -(g/v) sqrt(pi/alpha) e^{-alpha b^2} for Gauss, with libm's exp,
     whose bits hold at every SIMD level."""
     b_arr = _check_b(b)
     scalar = b_arr.ndim == 0
@@ -346,24 +335,24 @@ def chi_closed(p, kin, b):
 
 def _phase_integrand(p, kin):
     """g(b) = (e^{i chi(b)} - 1 from the z-profile, a bound on its error)
-    for hankel0, with |d(e^{i chi} - 1)| <= |d chi| = |dw|/(hbar v)."""
-    hv = kin.hbar * kin.v
+    for hankel0, with |d(e^{i chi} - 1)| <= |d chi| = |dw|/v."""
+    v = kin.v
 
     def g(b):
         w, err = _z_profile(p, b)
-        return expm1i(-w / hv), err / hv
+        return expm1i(-w / v), err / v
     return g
 
 
 def _profile_amplitude(p, kin, q, settings):
     """(value, error) of -i k int_0^R J0(q b) (e^{i chi(b)} - 1) b db at
     each q, (R, T) = reach(p). The error is k times the pass's error plus
-    T/(hbar v), a bound on the tail as |e^{i chi} - 1| <= |chi|; T is 0 for
+    T/v, a bound on the tail as |e^{i chi} - 1| <= |chi|; T is 0 for
     a table."""
     upper, tail = reach(p)
     res = hankel0(_phase_integrand(p, kin), q, upper, settings)
     value = -1j * kin.k * np.asarray(res.value, dtype=complex)
-    return value, kin.k * (res.error_estimate + tail / (kin.hbar * kin.v))
+    return value, kin.k * (res.error_estimate + tail / kin.v)
 
 
 # The closed route's remainder e^{i chi} - 1 - i chi is at most chi^2/2 in

@@ -7,12 +7,13 @@ and the factor 2 of the Gauss total. They are comparison targets, never
 ground truth. Every form is elementwise over arrays of theta or q.
 
 The forms run in Python floats as written, in the same order, so their
-bits do not move. A prefactor that leaves the float range, overflowing
-or underflowing to 0 while g is not 0, raises RangeError naming the
-parameter it is keyed to (g, mu, alpha, or k for hbar v = hbar^2 k/mass);
-run_scan records that as skipped checks. An angle-dependent term that
-overflows in numpy takes its limit silently: the Yukawa denominator goes
-to inf and the form to 0, and a value beside the Yukawa pole may be inf.
+bits do not move. They are written in units with hbar = 1, v = k/mass.
+A prefactor that leaves the float range, overflowing or underflowing to 0
+while g is not 0, raises RangeError naming the parameter it is keyed to
+(g, mu, alpha, or k for v); run_scan records that as skipped checks. An
+angle-dependent term that overflows in numpy takes its limit silently:
+the Yukawa denominator goes to inf and the form to 0, and a value beside
+the Yukawa pole may be inf.
 """
 
 import math
@@ -48,14 +49,14 @@ def _pow(x, n, key, what):
         return _fit(math.inf, key, what)
 
 
-def _hv(kin):
-    return _fit(kin.hbar * kin.v, "k", "hbar v = hbar^2 k/mass")
+def _v(kin):
+    return _fit(kin.v, "k", "v = k/mass")
 
 
 def _coupling(p, kin, n=1):
-    """(g k/hbar v)^n, checked."""
-    c = _fit(p.g * kin.k / _hv(kin), "g", "g k/(hbar v)", p.g == 0.0)
-    return c if n == 1 else _pow(c, n, "g", f"(g k/(hbar v))^{n}")
+    """(g k/v)^n, checked."""
+    c = _fit(p.g * kin.k / _v(kin), "g", "g k/v", p.g == 0.0)
+    return c if n == 1 else _pow(c, n, "g", f"(g k/v)^{n}")
 
 
 def _yukawa_pole(mu2, x2):
@@ -67,8 +68,8 @@ def _yukawa_pole(mu2, x2):
 
 def amplitude(p, kin, theta):
     """Verbatim amplitude at each theta (small-angle q), complex, nan + nan j
-    at a Yukawa pole. Yukawa: (2 g k/hbar v)/(mu^2 - k^2 theta^2); Gauss:
-    (1/(2 alpha)) sqrt(pi/alpha) (g k/hbar v) exp(-k^2 theta^2/(8 alpha)).
+    at a Yukawa pole. Yukawa: (2 g k/v)/(mu^2 - k^2 theta^2); Gauss:
+    (1/(2 alpha)) sqrt(pi/alpha) (g k/v) exp(-k^2 theta^2/(8 alpha)).
     Out-of-range prefactors raise RangeError (see the module docstring)."""
     _check(p)
     with np.errstate(over="ignore"):
@@ -87,8 +88,8 @@ def amplitude(p, kin, theta):
 
 
 def _yukawa_dsigma(p, kin, denom):
-    """4 (g k/hbar v)^2 / denom^2, nan where denom^2 is 0."""
-    scale = _fit(4.0 * _coupling(p, kin, 2), "g", "4 (g k/(hbar v))^2",
+    """4 (g k/v)^2 / denom^2, nan where denom^2 is 0."""
+    scale = _fit(4.0 * _coupling(p, kin, 2), "g", "4 (g k/v)^2",
                  p.g == 0.0)
     d2 = denom * denom
     return np.where(d2 > 0.0, scale / np.where(d2 > 0.0, d2, 1.0), np.nan)
@@ -127,7 +128,7 @@ def dsigma_corrected(p, kin, q):
 def _yukawa_total(p, kin, denom):
     num = _fit(16.0 * np.pi * _pow(p.g * kin.k, 2, "g", "(g k)^2"), "g",
                "16 pi (g k)^2", p.g == 0.0)
-    den = _fit(_pow(kin.v, 2, "k", "v^2 = (hbar k/mass)^2")
+    den = _fit(_pow(kin.v, 2, "k", "v^2 = (k/mass)^2")
                * _pow(p.mu, 2, "mu", "mu^2") * denom, "mu",
                "v^2 mu^2 (mu^2 -+ 4 k^2)")
     return _fit(num / den, "g", "the Yukawa total", p.g == 0.0)
@@ -140,7 +141,7 @@ def _four_k2(kin):
 def total(p, kin):
     """Verbatim total cross section. Yukawa: 16 pi (g k)^2 /
     (v^2 mu^2 (mu^2 - 4 k^2)), PoleError at mu^2 = 4 k^2; Gauss:
-    (pi^2/(2 alpha^2)) (g/hbar v)^2 (1 - e^{-k^2/alpha}). A total out of
+    (pi^2/(2 alpha^2)) (g/v)^2 (1 - e^{-k^2/alpha}). A total out of
     the float range is a RangeError too."""
     _check(p)
     if isinstance(p, Yukawa):
@@ -151,9 +152,9 @@ def total(p, kin):
         return _yukawa_total(p, kin, mu2 - k2)
     width = _fit(np.pi**2 / (2.0 * _pow(p.alpha, 2, "alpha", "alpha^2")),
                  "alpha", "pi^2/(2 alpha^2)")
-    scale = _fit(width * _pow(_fit(p.g / _hv(kin), "g", "g/(hbar v)",
-                                   p.g == 0.0), 2, "g", "(g/(hbar v))^2"),
-                 "g", "(pi^2/(2 alpha^2)) (g/(hbar v))^2", p.g == 0.0)
+    scale = _fit(width * _pow(_fit(p.g / _v(kin), "g", "g/v", p.g == 0.0),
+                              2, "g", "(g/v)^2"),
+                 "g", "(pi^2/(2 alpha^2)) (g/v)^2", p.g == 0.0)
     # -expm1 keeps the low-k limit finite instead of 0/0 noise
     return _fit(scale * (-math.expm1(-kin.k * kin.k / p.alpha)), "k",
                 "the Gauss total", p.g == 0.0)

@@ -1,11 +1,11 @@
 """Exact partial-wave oracle: radial Schrodinger phase shifts by Numerov.
 
-Solves u_l'' = [l(l+1)/r^2 + 2 m V/hbar^2 - k^2] u_l outward from the
-origin for every l at once (the per-l integrations are independent; they
-are carried as one vectorized state with deterministic assembly), then
-extracts tan(delta_l) by matching u_l/r against the free combination
-cos(delta) j_l(kr) - sin(delta) n_l(kr) at two radii a quarter local
-wavelength apart, with one row of spherical Bessel values per radius.
+Solves u_l'' = [l(l+1)/r^2 + 2 m V - k^2] u_l, in units with hbar = 1,
+outward from the origin for every l at once (the per-l integrations are
+independent; they are carried as one vectorized state with deterministic
+assembly), then extracts tan(delta_l) by matching u_l/r against the free
+combination cos(delta) j_l(kr) - sin(delta) n_l(kr) at two radii a quarter
+local wavelength apart, with one row of spherical Bessel values per radius.
 
 Each pass integrates its waves on three grids, of steps h, 2h and 4h,
 between the same two matching radii, which lie on the 4h grid. For a
@@ -64,7 +64,7 @@ __all__ = [
     "amplitude_partial_wave",
 ]
 
-# decay criterion on the reduced potential: |V(r_max)| 2m/hbar^2 <= DECAY k^2
+# decay criterion on the reduced potential: |V(r_max)| 2m <= DECAY k^2
 _DECAY = 1e-12
 _TAIL_TOL = 1e-8  # |delta_{l_max}| below this counts as converged
 # the automatic r_max search spans this many reaches: over them a Yukawa
@@ -128,8 +128,7 @@ class PhaseShiftSet:
 
 
 def _reduced_strength(p, kin, r):
-    return np.abs(np.asarray(evaluate(p, r), dtype=float)) \
-        * 2.0 * kin.mass / kin.hbar**2
+    return np.abs(np.asarray(evaluate(p, r), dtype=float)) * 2.0 * kin.mass
 
 
 def _auto_r_max(p, kin, r_eff):
@@ -344,7 +343,7 @@ def _sweep_grids(p, kin, l_arr, r_a, r_b, dr):
     bit. A grid on which V vanishes scatters nothing.
     """
     k = kin.k
-    two_m = 2.0 * kin.mass / kin.hbar**2
+    two_m = 2.0 * kin.mass
     steps = (dr, 2.0 * dr, 4.0 * dr)
     h2s = [s * s for s in steps]
 
@@ -486,7 +485,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
         if _reduced_strength(p, kin, r_max) > _DECAY * k * k:
             raise RangeError(
                 f"potential has not decayed at r_max = {r_max:g}, the "
-                f"requested radius on the 4 dr grid: |V| 2m/hbar^2 exceeds "
+                f"requested radius on the 4 dr grid: |V| 2m exceeds "
                 f"1e-12 k^2 there", key="r_max")
     r_b = r_max + step * max(1, round((np.pi / (2.0 * k)) / step))
     points = 4 * round(r_b / step) + 1  # _sweep_grids' fine grid

@@ -112,7 +112,8 @@ class TabulatedRadial:
                               "vanish (V -> 0 beyond range)")
         if self.interpolation not in ("cubic", "linear"):
             raise DomainError("interpolation must be 'cubic' or 'linear', "
-                              f"got {self.interpolation!r}")
+                              f"got {self.interpolation!r}",
+                              key="interpolation")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "v", v)
         if self.interpolation == "cubic":
@@ -133,7 +134,7 @@ class TabulatedRadial:
 def evaluate(potential, r):
     """V(r), vectorized over r. Negative or NaN r is rejected; r = 0 raises
     for models singular at the origin."""
-    r = np.asarray(r, dtype=float)
+    r = reals(r, "r")
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     if not np.all(r >= 0.0):
@@ -269,7 +270,7 @@ def fourier3d(potential, q, *, with_error=False):
     its loose-error warning. with_error=True returns (Vtilde, error
     estimate), the estimate 0 for the closed forms.
     """
-    q = np.asarray(q, dtype=float)
+    q = reals(q, "q")
     scalar = q.ndim == 0
     q = np.atleast_1d(q)
     if not np.all(q >= 0.0):

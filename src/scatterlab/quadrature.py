@@ -312,9 +312,9 @@ def integrate_sin(q, lo, hi, coef, origin=None):
     """
     scalar = np.ndim(q) == 0
     qs = _q_array(q, "integrate_sin")
-    lo, hi = (np.asarray(e, dtype=float) for e in (lo, hi))
-    origin = lo if origin is None else np.asarray(origin, dtype=float)
-    coef = np.asarray(coef, dtype=float)
+    lo, hi = reals(lo, "lo"), reals(hi, "hi")
+    origin = lo if origin is None else reals(origin, "origin")
+    coef = reals(coef, "coef")
     width = hi - lo
     if not (np.all(np.isfinite(width)) and np.all(width >= 0.0)):
         raise DomainError("integrate_sin requires finite intervals with "

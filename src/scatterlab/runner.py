@@ -344,7 +344,7 @@ def run_scan(cfg, out_dir=None):
 
     csv_files = tuple(o.csv_file for o in outcomes if o.csv_file)
     aux_files = ["summary.csv", "report.txt"]
-    if cfg.output.emit_plot_script and csv_files:
+    if csv_files:
         aux_files.append("plot.gp")
     manifest = RunManifest(version=__version__,
                            config_lines=tuple(echo_lines(cfg)),
@@ -367,7 +367,7 @@ def run_scan(cfg, out_dir=None):
             _write(_csv_name(*key), _csv_text(tables[key]))
     _write("summary.csv", _summary_text(outcomes))
     _write("report.txt", _report_text(cfg, tables, verdicts))
-    if cfg.output.emit_plot_script and csv_files:
+    if csv_files:
         _write("plot.gp", _plot_text(csv_files))
     _write("manifest.txt", _manifest_text(manifest), "utf-8")
     return manifest

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, integer, real
+from .errors import DomainError, integer, real, reals
 
 __all__ = [
     "bessel_j0",
@@ -173,7 +173,7 @@ def _j0_asymptotic(x):
 def bessel_j0(x):
     """Bessel function of the first kind, order zero. Even in x. A scalar
     takes the array path and returns a float."""
-    ax = np.abs(np.asarray(x, dtype=float))
+    ax = np.abs(reals(x, "x"))
     if not np.all(np.isfinite(ax)):
         raise DomainError("bessel_j0 requires finite input")
     out = np.empty_like(ax)
@@ -226,7 +226,7 @@ def _k0_scaled_tail(x):
 def bessel_k0(x):
     """Modified Bessel function of the second kind, order zero. x > 0."""
     scalar = np.isscalar(x)
-    xa = np.asarray(x, dtype=float)
+    xa = reals(x, "x")
     if not np.all(np.isfinite(xa)) or (xa <= 0).any():
         raise DomainError("bessel_k0 requires finite x > 0")
     out = np.empty_like(xa)

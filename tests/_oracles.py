@@ -74,14 +74,14 @@ def _estimator_corpus():
 ESTIMATOR_CORPUS = _estimator_corpus()
 
 
-def square_well_delta0(k, v0, a, m=1.0, hbar=1.0):
+def square_well_delta0(k, v0, a, m=1.0):
     """s-wave phase shift for V(r) = -v0 inside r < a, 0 outside.
 
     tan(delta0) = (k tan(Ka) - K tan(ka)) / (K + k tan(ka) tan(Ka)) with
-    K = sqrt(k^2 + 2 m v0 / hbar^2). Standard textbook matching of the
+    K = sqrt(k^2 + 2 m v0), hbar = 1. Standard textbook matching of the
     interior sin(Kr) solution to sin(kr + delta0).
     """
-    kin = np.sqrt(k * k + 2.0 * m * v0 / hbar**2)
+    kin = np.sqrt(k * k + 2.0 * m * v0)
     num = k * np.tan(kin * a) - kin * np.tan(k * a)
     den = kin + k * np.tan(k * a) * np.tan(kin * a)
     return np.arctan2(num, den)
@@ -583,9 +583,9 @@ def wave_starts(p, kin, l_arr, r_a, r_b, dr):
     grids of finest step dr matched at r_a and r_b, 0 for the origin: the
     last edge 128 b dr, b >= 1, from which the sum over blocks of 128 steps
     of sqrt(min f) 128 dr, up to the first block whose min f <= 0 or to
-    r_a, reaches ln(1/eps)/2 + 4; min f is the least 2mV/hbar^2 - k^2 on
+    r_a, reaches ln(1/eps)/2 + 4; min f is the least 2mV - k^2 on
     the block's points plus l(l+1)/r^2 at its end."""
-    two_m = 2.0 * kin.mass / kin.hbar**2
+    two_m = 2.0 * kin.mass
     i_a = int(round(r_a / dr))
     i_b = int(round(r_b / dr))
     r = dr * np.arange(0, i_b + 1, dtype=float)
@@ -637,12 +637,12 @@ def _first_steps(starts, l_arr, dr):
 def _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype, starts):
     """(i_a, i_b, r, h2, f, u_1, u_2, first) of a sweep in dtype: the
     matching indices nearest r_a and r_b, the float radii, h^2, f(n) =
-    l(l+1)/r_n^2 + 2mV(r_n)/hbar^2 - k^2 for every wave, the four-term
+    l(l+1)/r_n^2 + 2mV(r_n) - k^2 for every wave, the four-term
     series start at r_1 and r_2 and each wave's start index; None for the
     free equation."""
     k = dtype(kin.k)
     h = dtype(dr)
-    two_m = dtype(2.0 * kin.mass / kin.hbar**2)
+    two_m = dtype(2.0 * kin.mass)
     i_a = int(round(r_a / dr))
     i_b = int(round(r_b / dr))
     r = dr * np.arange(0, i_b + 1, dtype=float)
@@ -860,7 +860,7 @@ def chunked_sweep(p, kin, l_arr, r_a, r_b, dr, starts=None):
     at the grid points nearest r_a and r_b."""
     k = kin.k
     h2 = dr * dr
-    two_m = 2.0 * kin.mass / kin.hbar**2
+    two_m = 2.0 * kin.mass
     i_a = int(round(r_a / dr))
     i_b = int(round(r_b / dr))
     r = dr * np.arange(0, i_b + 1, dtype=float)
@@ -921,13 +921,12 @@ def on_three_grids(sweep, origin=False):
 
 def auto_r_max(p, kin, r_eff):
     """The first r = r0 + 0.25 j, r0 = max(r_eff, 2 pi/k, 1), where
-    2m|V|/hbar^2 <= 1e-12 k^2, searched over 64 reaches past r0."""
+    2m|V| <= 1e-12 k^2, searched over 64 reaches past r0."""
     bound = partial_wave._DECAY * kin.k**2
     r = max(r_eff, 2.0 * np.pi / kin.k, 1.0)
     limit = r + partial_wave._RANGES * reach(p)[0]
     for _ in range(math.ceil((limit - r) / 0.25) + 1):
-        if abs(float(evaluate(p, r))) * 2.0 * kin.mass / kin.hbar**2 \
-                <= bound:
+        if abs(float(evaluate(p, r))) * 2.0 * kin.mass <= bound:
             return r
         r += 0.25
     raise RangeError("potential does not decay", key="r_max")
@@ -1025,7 +1024,7 @@ def amplitude_paper_closed(p, kin, theta):
     if not 0.0 <= theta < np.pi:
         raise DomainError("theta must lie in [0, pi)")
     q = float(momentum_transfer(kin.k, theta))
-    hv = kin.hbar * kin.v
+    v = kin.v
     kt2 = (kin.k * theta) ** 2
     if isinstance(p, Yukawa):
         denom = p.mu**2 - kt2
@@ -1034,10 +1033,10 @@ def amplitude_paper_closed(p, kin, theta):
                 f"reference Yukawa form has a pole at k*theta = mu "
                 f"(theta = {p.mu / kin.k:.6g}); cannot evaluate at "
                 f"theta = {theta:.6g}")
-        value = (2.0 * p.g * kin.k / hv) / denom
+        value = (2.0 * p.g * kin.k / v) / denom
     elif isinstance(p, Gauss):
         a = p.alpha
-        value = (0.5 / a) * math.sqrt(np.pi / a) * (p.g * kin.k / hv) \
+        value = (0.5 / a) * math.sqrt(np.pi / a) * (p.g * kin.k / v) \
             * math.exp(-kt2 / (8.0 * a))
     else:
         raise UnsupportedModelError(
@@ -1054,21 +1053,21 @@ def amplitude_paper_closed(p, kin, theta):
 
 def eikonal_full_transform(p, kin, theta, settings):
     """(value, error estimate) at each theta of a 1-d array: -i k int_0^R
-    J0(q b) (e^{i chi} - 1) b db plus the bound k T/(hbar v) on the tail
+    J0(q b) (e^{i chi} - 1) b db plus the bound k T/v on the tail
     beyond R, with chi's closed form (Yukawa or Gauss) and numpy's exp."""
-    hv = kin.hbar * kin.v
+    v = kin.v
     if isinstance(p, Yukawa):
         def chi(b):
-            return -(2.0 * p.g / hv) * bessel_k0(p.mu * b)
+            return -(2.0 * p.g / v) * bessel_k0(p.mu * b)
     else:
         def chi(b):
-            return -(p.g / hv) * math.sqrt(np.pi / p.alpha) \
+            return -(p.g / v) * math.sqrt(np.pi / p.alpha) \
                 * np.exp(-p.alpha * b * b)
     q = momentum_transfer(kin.k, theta)
     upper, tail = reach(p)
     res = quadrature.hankel0(lambda b: expm1i(chi(b)), q, upper, settings)
     return (-1j * kin.k * np.asarray(res.value, dtype=complex),
-            kin.k * (res.error_estimate + tail / hv))
+            kin.k * (res.error_estimate + tail / v))
 
 
 # The pairwise report as runner._report_text rendered it before each number

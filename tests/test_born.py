@@ -32,7 +32,7 @@ def _knotwise_transform(p, qs):
 
 class TestBorn1:
     def test_yukawa_forward_unit_values(self):
-        # m = hbar = mu = g = 1 at q = 0: f = -(1/2pi) * 4pi = -2
+        # m = mu = g = 1 at q = 0: f = -(1/2pi) * 4pi = -2
         got = born1_amplitude(Yukawa(1.0, 1.0), KIN1, 0.0)
         assert got.value == pytest.approx(-2.0 + 0j, rel=1e-14)
 
@@ -41,12 +41,12 @@ class TestBorn1:
         assert got.value == 0.0
 
     def test_yukawa_angle_dependence(self):
-        # f_B = -2 g m / (hbar^2 (q^2 + mu^2)) with q = 2k sin(theta/2)
+        # f_B = -2 g m / (q^2 + mu^2) with q = 2k sin(theta/2)
         p = Yukawa(0.7, 1.3)
-        kin = Kinematics(mass=2.0, k=3.0, hbar=0.8)
+        kin = Kinematics(mass=2.0, k=3.0)
         theta = 1.1
         q = 2 * kin.k * math.sin(theta / 2)
-        want = -2 * p.g * kin.mass / (kin.hbar**2 * (q * q + p.mu**2))
+        want = -2 * p.g * kin.mass / (q * q + p.mu**2)
         got = born1_amplitude(p, kin, theta)
         assert got.value == pytest.approx(want, rel=1e-14)
         assert got.q == pytest.approx(q, rel=1e-15)
@@ -93,7 +93,7 @@ class TestBorn1:
         kin = Kinematics(mass=1.0, k=10.0)
         theta = np.linspace(0.0, 0.6, 64)
         got = born1_amplitude(p, kin, theta)
-        scale = -kin.mass / (2.0 * np.pi * kin.hbar**2)
+        scale = -kin.mass / (2.0 * np.pi)
         adaptive = []
         for q in got.q:
             value, _, _ = _oracles._adaptive_rows(
@@ -116,8 +116,7 @@ class TestBorn1:
         v[-1] = 0.0
         p = TabulatedRadial(r, v)
         got = born1_amplitude(p, KIN10, np.linspace(0.0, math.pi, 181))
-        ref = -KIN10.mass / (2.0 * np.pi * KIN10.hbar**2) \
-            * _knotwise_transform(p, got.q)
+        ref = -KIN10.mass / (2.0 * np.pi) * _knotwise_transform(p, got.q)
         assert np.all(np.abs(got.value - ref) <= got.error_estimate)
         assert np.all(got.error_estimate < 1e-13)
 

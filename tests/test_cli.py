@@ -80,16 +80,13 @@ class TestRun:
         assert f"directory = {tmp_path / 'flagged'}" in manifest
         assert "cfgout" not in manifest
 
-    def test_env_var_honored(self, config_file, tmp_path, monkeypatch):
+    def test_environment_names_no_directory(self, config_file, tmp_path,
+                                            monkeypatch):
+        # the output directory is --out, else the config's: a variable
+        # that once named it is not read
         monkeypatch.setenv("SCATTER_OUT", str(tmp_path / "env_out"))
         assert main(["run", str(config_file), "--quiet"]) == 0
-        assert (tmp_path / "env_out" / "summary.csv").exists()
-
-    def test_out_flag_beats_env(self, config_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCATTER_OUT", str(tmp_path / "env_out"))
-        assert main(["run", str(config_file), "--out",
-                     str(tmp_path / "flag_out"), "--quiet"]) == 0
-        assert (tmp_path / "flag_out" / "summary.csv").exists()
+        assert (tmp_path / "cfgout" / "summary.csv").exists()
         assert not (tmp_path / "env_out").exists()
 
     def test_sources_override(self, config_file, tmp_path):
@@ -137,7 +134,7 @@ class TestExitCodes:
 
 
 # inputs whose reference closed forms leave the float range: alpha^3
-# overflows, and g k/(hbar v) does; each with the parameter the skipped
+# overflows, and g k/v does; each with the parameter the skipped
 # checks must name
 OUT_OF_RANGE = {
     "gauss": ("model = gauss\ng = 0.5\nalpha = 1e300", "1e-300", "1e300",
@@ -279,24 +276,22 @@ def test_k_values_sharing_a_file_name_fail_before_any_work(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
-# kinematics whose hbar^2 leaves the float range or whose v = hbar k/mass
-# underflows to 0: the routes' hbar**2 or division by hbar v raised a raw
-# exception mid-run; now Kinematics, and so the config, refuses them
+# kinematics whose v = k/mass underflows to 0: the routes' division by v
+# raised a raw exception mid-run; now Kinematics, and so the config,
+# refuses them
 EXTREME_KINEMATICS = {
-    "hbar-huge": ("1.0", "1.0", "1e200", "hbar"),
-    "hbar-tiny": ("1.0", "1.0", "1e-200", "hbar"),
-    "v-zero": ("1e300", "1e-150", "1.0", "k"),
+    "v-zero": ("1e300", "1e-150", "k"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EXTREME_KINEMATICS))
 def test_kinematics_out_of_float_range_fail_at_parse_time(tmp_path, case):
-    mass, k, hbar, key = EXTREME_KINEMATICS[case]
+    mass, k, key = EXTREME_KINEMATICS[case]
     with pytest.raises(DomainError) as exc:
-        Kinematics(mass=float(mass), k=float(k), hbar=float(hbar))
+        Kinematics(mass=float(mass), k=float(k))
     assert exc.value.key == key
     text = (f"[potential]\nmodel = yukawa\ng = 0.5\nmu = 1.0\n"
-            f"[kinematics]\nmass = {mass}\nk = {k}\nhbar = {hbar}\n"
+            f"[kinematics]\nmass = {mass}\nk = {k}\n"
             f"[theta_grid]\nmin = 0.0\nmax = 0.2\ncount = 5\n[run]\n"
             f"sources = eikonal, born1, born_resummed\n")
     with pytest.raises(ConfigError) as exc:

@@ -2,10 +2,13 @@
 
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from scatterlab import config
 from scatterlab.config import (OutputOptions, PartialWaveOptions, RunConfig,
                                ThetaGrid, echo_lines, parse_config)
 from scatterlab.errors import ConfigError, DomainError
@@ -34,7 +37,6 @@ alpha = 2.0
 [kinematics]
 mass = 2.0
 k = 1 2.5  3
-hbar = 0.5
 
 [theta_grid]
 min = 0.01
@@ -58,7 +60,6 @@ dr = AUTO
 
 [output]
 directory = results
-emit_plot_script = no
 """
 
 
@@ -72,7 +73,6 @@ class TestDefaults:
         assert cfg.sources == ("eikonal", "born1")
         assert cfg.k_values == (5.0,)
         assert cfg.threads == 1
-        assert cfg.output.emit_plot_script is True
         pts = cfg.theta.points()
         assert pts.size == 64 and pts[0] == 0.0
         assert np.allclose(np.diff(pts), pts[1] - pts[0])
@@ -90,7 +90,7 @@ class TestEchoGolden:
     def test_minimal(self):
         assert echo_lines(parse_config(MINIMAL)) == [
             "[potential]", "model = yukawa", "g = 1.0", "mu = 1.0", "",
-            "[kinematics]", "mass = 1.0", "k = 5.0", "hbar = 1.0", "",
+            "[kinematics]", "mass = 1.0", "k = 5.0", "",
             "[theta_grid]", "min = 0.0", "max = 0.5", "count = 64",
             "spacing = linear", "",
             "[run]", "sources = eikonal, born1", "threads = 1", "",
@@ -98,14 +98,13 @@ class TestEchoGolden:
             "max_subdivisions = 200", "",
             "[partial_wave]", "l_max = auto", "r_max = auto", "dr = auto",
             "",
-            "[output]", "directory = scatter_out", "emit_plot_script = true",
+            "[output]", "directory = scatter_out",
         ]
 
     def test_all_keys(self):
         assert echo_lines(parse_config(ALL_KEYS)) == [
             "[potential]", "model = gauss", "g = 0.25", "alpha = 2.0", "",
-            "[kinematics]", "mass = 2.0", "k = 1.0, 2.5, 3.0", "hbar = 0.5",
-            "",
+            "[kinematics]", "mass = 2.0", "k = 1.0, 2.5, 3.0", "",
             "[theta_grid]", "min = 0.01", "max = 1.5", "count = 17",
             "spacing = log", "",
             "[run]", "sources = born1, partial_wave, eikonal", "threads = 3",
@@ -113,7 +112,7 @@ class TestEchoGolden:
             "[quadrature]", "rel_tol = 1e-09", "abs_tol = 1e-11",
             "max_subdivisions = 100", "",
             "[partial_wave]", "l_max = 30", "r_max = 25.0", "dr = auto", "",
-            "[output]", "directory = results", "emit_plot_script = false",
+            "[output]", "directory = results",
         ]
 
     def test_all_keys_round_trip(self):
@@ -188,11 +187,12 @@ FAULTS = {
                          "[potential] alpha must be positive, got -1.0"),
     "no_such_table": (_TABLE.replace("{table}", "nope.csv") % "",
                       "potential.file",
-                      "[potential] file: nope.csv does not exist"),
+                      "radial table nope.csv: [Errno 2] No such file or "
+                      "directory: 'nope.csv'"),
     "bad_interpolation": (_TABLE % "interpolation = quadratic",
                           "potential.interpolation",
-                          "[potential] interpolation: expected cubic or "
-                          "linear, got 'quadratic'"),
+                          "[potential] interpolation must be 'cubic' or "
+                          "'linear', got 'quadratic'"),
     "missing_mass": (_with("mass = 1.0\n", ""), "kinematics.mass",
                      "[kinematics] mass is required"),
     "missing_k": (_with("k = 5\n", ""), "kinematics.k",
@@ -205,16 +205,13 @@ FAULTS = {
                    "[kinematics] k: expected a number, got '2x'"),
     "empty_k": (_with("k = 5", "k = , "), "kinematics.k",
                 "[kinematics] k: no values given"),
-    "bad_hbar": (_with("mass = 1.0", "mass = 1.0\nhbar = one"),
-                 "kinematics.hbar",
-                 "[kinematics] hbar: expected a number, got 'one'"),
+    # units with hbar = 1: there is no hbar key
+    "removed_hbar": (_with("mass = 1.0", "mass = 1.0\nhbar = 1.0"),
+                     "kinematics.hbar", "[kinematics] unknown key 'hbar'"),
     "negative_mass": (_with("mass = 1.0", "mass = -1.0"), "kinematics.mass",
                       "kinematics: mass must be positive, got -1.0"),
     "inf_mass": (_with("mass = 1.0", "mass = inf"), "kinematics.mass",
                  "kinematics: mass must be finite, got inf"),
-    "zero_hbar": (_with("mass = 1.0", "mass = 1.0\nhbar = 0"),
-                  "kinematics.hbar",
-                  "kinematics: hbar must be positive, got 0.0"),
     "negative_k": (_with("k = 5", "k = -5"), "kinematics.k",
                    "kinematics: k must be positive, got -5.0"),
     "duplicate_k": (_with("k = 5", "k = 5, 5"), "kinematics.k",
@@ -262,7 +259,7 @@ FAULTS = {
     "bad_threads": (_plus("[run]\nthreads = two"), "run.threads",
                     "[run] threads: expected an integer, got 'two'"),
     "threads_floor": (_plus("[run]\nthreads = 0"), "run.threads",
-                      "run.threads must be >= 1"),
+                      "run: threads must be >= 1, got 0"),
     "bad_rel_tol": (_plus("[quadrature]\nrel_tol = tight"),
                     "quadrature.rel_tol",
                     "[quadrature] rel_tol: expected a number, got 'tight'"),
@@ -316,10 +313,10 @@ FAULTS = {
                   "[partial_wave] r_max must be finite, got nan"),
     "negative_dr": (_plus("[partial_wave]\ndr = -0.01"), "partial_wave.dr",
                     "[partial_wave] dr must be positive, got -0.01"),
-    "bad_bool": (_plus("[output]\nemit_plot_script = maybe"),
-                 "output.emit_plot_script",
-                 "[output] emit_plot_script: expected a boolean, "
-                 "got 'maybe'"),
+    # plot.gp is written whenever a CSV is: there is no switch
+    "removed_plot_switch": (_plus("[output]\nemit_plot_script = true"),
+                            "output.emit_plot_script",
+                            "[output] unknown key 'emit_plot_script'"),
     "empty_directory": (_plus("[output]\ndirectory ="), "output.directory",
                         "[output] directory must not be empty"),
 }
@@ -414,10 +411,6 @@ class TestValidation:
     def test_negative_dr(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\n[partial_wave]\ndr = -0.01\n")
-
-    def test_bad_bool(self):
-        with pytest.raises(ConfigError):
-            parse_config(MINIMAL + "\n[output]\nemit_plot_script = maybe\n")
 
 
 class TestParsing:
@@ -553,7 +546,46 @@ class TestRunConfigDirect:
         assert PartialWaveOptions(l_max=np.int64(3), r_max=25,
                                   dr=np.float64(0.01)).l_max == 3
 
+    @pytest.mark.parametrize("threads", ["2", True, 1.0])
+    def test_threads_must_be_an_integer(self, threads):
+        # a str was a raw TypeError, and True passed as one thread
+        with pytest.raises(ConfigError) as err:
+            RunConfig(potential=Yukawa(1.0, 1.0), mass=1.0, k_values=(1.0,),
+                      threads=threads)
+        assert err.value.key == "run.threads"
+        assert RunConfig(potential=Yukawa(1.0, 1.0), mass=1.0,
+                         k_values=(1.0,), threads=np.int64(2)).threads == 2
+
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError):
             RunConfig(potential=Yukawa(1.0, 1.0), mass=1.0, k_values=(),
                       output=OutputOptions())
+
+
+def _grammar_keys(text):
+    """The (section, key) pairs of the 'key = value' lines under each
+    '[section]' line of text; a line's comment is not read."""
+    keys, section = set(), None
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        head = re.fullmatch(r"\[(\w+)\]", line)
+        if head:
+            section = head.group(1)
+        elif section and re.match(r"\w+ = ", line):
+            keys.add((section, line.split(" = ", 1)[0]))
+    return keys
+
+
+_ACCEPTED = {("potential", key) for key in config._POTENTIAL_KEYS} | {
+    (section, key) for section, (_, _, keys) in config._SECTIONS.items()
+    for key in keys}
+
+
+def test_readme_config_block_lists_exactly_the_accepted_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert _grammar_keys(block) == _ACCEPTED
+
+
+def test_grammar_docstring_lists_exactly_the_accepted_keys():
+    assert _grammar_keys(config.__doc__) == _ACCEPTED

@@ -40,13 +40,13 @@ class TestDifferential:
             Amplitude(theta=0.1, q=0.2, value=3 + 4j)) == 25.0
 
     def test_gauss_reference_form_at_forward(self):
-        # |f(0)|^2 = (pi / 4 alpha^3)(g k / hbar v)^2 for the reference
+        # |f(0)|^2 = (pi / 4 alpha^3)(g k / v)^2 for the reference
         # closed form
         p = Gauss(1.0, 2.0)
         kin = Kinematics(mass=1.0, k=3.0)
         f0 = amplitude_paper_closed(p, kin, 0.0)
         want = (np.pi / (4 * p.alpha**3)) * (
-            p.g * kin.k / (kin.hbar * kin.v)) ** 2
+            p.g * kin.k / kin.v) ** 2
         assert differential(f0) == pytest.approx(want, rel=1e-14)
 
 
@@ -211,7 +211,7 @@ class TestTotalOptical:
 
 class TestPaperTotals:
     def test_yukawa_substitution(self):
-        # g=1, mu=1, k=0.1 with hbar = v = 1 (mass = k)
+        # g=1, mu=1, k=0.1 with v = 1 (mass = k)
         got = paper_totals(Yukawa(1.0, 1.0), Kinematics(mass=0.1, k=0.1))
         want = 16 * np.pi * 0.01 / (1.0 * (1.0 - 0.04))
         assert got == pytest.approx(want, rel=1e-14)
@@ -221,16 +221,16 @@ class TestPaperTotals:
             paper_totals(Yukawa(1.0, 2.0), Kinematics(mass=1.0, k=1.0))
 
     def test_gauss_low_k_saturates(self):
-        # (g/hbar v)^2 ~ 1/k^2 cancels the bracket's k^2: finite limit
+        # (g/v)^2 ~ 1/k^2 cancels the bracket's k^2: finite limit
         got = paper_totals(Gauss(1.0, 1.0), Kinematics(mass=1.0, k=1e-8))
-        want = (np.pi**2 / 2.0) * 1.0**2  # (pi^2/2 alpha^3)(g m/hbar^2)^2
+        want = (np.pi**2 / 2.0) * 1.0**2  # (pi^2/2 alpha^3)(g m)^2
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_gauss_high_k_saturates(self):
         p = Gauss(1.0, 1.0)
         kin = Kinematics(mass=1.0, k=100.0)
         want = (np.pi**2 / (2 * p.alpha**2)) * (
-            p.g / (kin.hbar * kin.v)) ** 2
+            p.g / kin.v) ** 2
         assert paper_totals(p, kin) == pytest.approx(want, rel=1e-14)
 
     def test_tabulated_unsupported(self):

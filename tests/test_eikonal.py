@@ -25,17 +25,15 @@ KIN10 = Kinematics(mass=1.0, k=10.0)
 
 class TestKinematics:
     def test_derived_quantities(self):
-        kin = Kinematics(mass=2.0, k=3.0, hbar=0.5)
-        assert kin.v == pytest.approx(0.5 * 3.0 / 2.0)
-        assert kin.E == pytest.approx((0.5 * 3.0) ** 2 / (2 * 2.0))
+        kin = Kinematics(mass=2.0, k=3.0)
+        assert kin.v == 3.0 / 2.0
+        assert kin.born_scale == 2.0 / (2.0 * np.pi)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             Kinematics(mass=0.0, k=1.0)
         with pytest.raises(DomainError):
             Kinematics(mass=1.0, k=-2.0)
-        with pytest.raises(DomainError):
-            Kinematics(mass=1.0, k=1.0, hbar=0.0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
@@ -113,12 +111,12 @@ def test_every_route_refuses_a_theta_numpy_cannot_convert():
 
 class TestChi:
     def test_yukawa_closed_form_value(self):
-        # chi(b) = -(2 g / hbar v) K0(mu b); at g=mu=b=1, hbar v = 1
+        # chi(b) = -(2 g / v) K0(mu b); at g=mu=b=1, v = 1
         got = chi_closed(Yukawa(1.0, 1.0), KIN1, 1.0)
         assert got == pytest.approx(-2.0 * sps.k0(1.0), rel=1e-14)
 
     def test_gauss_closed_form_value(self):
-        # chi(0) = -(g / hbar v) sqrt(pi / alpha)
+        # chi(0) = -(g / v) sqrt(pi / alpha)
         got = chi_closed(Gauss(1.0, 1.0), KIN1, 0.0)
         assert got == pytest.approx(-math.sqrt(math.pi), rel=1e-15)
 
@@ -204,7 +202,7 @@ class TestAmplitudeEikonal:
         kin = KIN10
         b = np.concatenate([np.geomspace(1e-12, 0.1, 40000),
                             np.linspace(0.1, 80.0, 400000)])
-        chi_b = -(2 * p.g / (kin.hbar * kin.v)) * sps.k0(p.mu * b)
+        chi_b = -(2 * p.g / kin.v) * sps.k0(p.mu * b)
         integrand = (np.exp(1j * chi_b) - 1.0) * b
         ref = -1j * kin.k * np.trapezoid(integrand, b)
         got = amplitude_eikonal(p, kin, 0.0)
@@ -216,7 +214,7 @@ class TestAmplitudeEikonal:
         theta = 0.1
         q = 2 * kin.k * math.sin(theta / 2)
         b = np.linspace(0.0, 30.0, 1200001)
-        chi_b = -(p.g / (kin.hbar * kin.v)) * math.sqrt(
+        chi_b = -(p.g / kin.v) * math.sqrt(
             math.pi / p.alpha) * np.exp(-p.alpha * b * b)
         integrand = sps.j0(q * b) * (np.exp(1j * chi_b) - 1.0) * b
         ref = -1j * kin.k * np.trapezoid(integrand, b)
@@ -225,7 +223,7 @@ class TestAmplitudeEikonal:
 
     def test_closed_phase_agrees_with_born_resummed(self):
         # born_resummed transforms the z-profile's w Lambda(chi), which is
-        # i hbar v (e^{i chi} - 1) of the quadrature phase
+        # i v (e^{i chi} - 1) of the quadrature phase
         p = Gauss(0.8, 0.5)
         a1 = amplitude_eikonal(p, KIN10, 0.05)
         a2 = born_resummed_amplitude(p, KIN10, 0.05)
@@ -252,7 +250,7 @@ class TestAmplitudeEikonal:
             assert got.value.imag >= 0.0
 
     def test_scaling_invariance(self):
-        # chi depends on g m/(hbar^2 k): (g, m) -> (g/c, c m) at fixed k
+        # chi depends on g m/k: (g, m) -> (g/c, c m) at fixed k
         # leaves the amplitude unchanged
         c = 3.0
         a1 = amplitude_eikonal(Yukawa(0.5, 1.0),
@@ -296,7 +294,7 @@ class TestAmplitudeEikonal:
         with mp.workdps(60):
             alpha = mp.mpf(p.alpha)
             q = mp.mpf(float(momentum_transfer(k, theta)))
-            chi0 = -(mp.mpf(p.g) / (kin.hbar * kin.v)) * mp.sqrt(mp.pi
+            chi0 = -(mp.mpf(p.g) / kin.v) * mp.sqrt(mp.pi
                                                                  / alpha)
             term, total = mp.mpc(1), mp.mpc(0)
             for n in range(1, 400):
@@ -311,13 +309,13 @@ class TestAmplitudeEikonal:
     @pytest.mark.parametrize("g", [1e-2, 1e-4, 1e-6])
     def test_weak_gauss_forward_imaginary_part_keeps_its_digits(self, g):
         # Im f(0) = k int (1 - cos chi) b db = (k/(2 alpha)) Cin(c), c =
-        # (g/hbar v) sqrt(pi/alpha), Cin(c) = sum_n (-1)^(n+1) c^(2n) /
+        # (g/v) sqrt(pi/alpha), Cin(c) = sum_n (-1)^(n+1) c^(2n) /
         # (2n (2n)!), is of order chi^2: cos chi - 1 cancels it away
         # unless e^{i chi} - 1 is formed as -2 sin^2(chi/2) + i sin chi
         import mpmath as mp
         p, kin = Gauss(g, 1.0), Kinematics(mass=1.0, k=2.0)
         with mp.workdps(30):
-            c = mp.mpf(g) / (kin.hbar * kin.v) * mp.sqrt(mp.pi / p.alpha)
+            c = mp.mpf(g) / kin.v * mp.sqrt(mp.pi / p.alpha)
             cin = mp.nsum(lambda n: (-1) ** (n + 1) * c ** (2 * n)
                           / (2 * n * mp.factorial(2 * n)), [1, mp.inf])
             exact = float(kin.k / (2 * p.alpha) * cin)
@@ -384,7 +382,7 @@ def _gauss_series(p, kin, theta):
     out = []
     with mp.workdps(40):
         alpha = mp.mpf(p.alpha)
-        chi0 = -(mp.mpf(p.g) / (kin.hbar * kin.v)) * mp.sqrt(mp.pi / alpha)
+        chi0 = -(mp.mpf(p.g) / kin.v) * mp.sqrt(mp.pi / alpha)
         for q in momentum_transfer(kin.k, theta).tolist():
             q = mp.mpf(q)
             term, total = mp.mpc(1), mp.mpc(0)
@@ -491,7 +489,7 @@ class TestPaperClosedForms:
         theta = 0.05
         kt2 = (kin.k * theta) ** 2
         want = (0.5 / p.alpha) * math.sqrt(math.pi / p.alpha) * (
-            p.g * kin.k / (kin.hbar * kin.v)) * math.exp(-kt2 / (8 * p.alpha))
+            p.g * kin.k / kin.v) * math.exp(-kt2 / (8 * p.alpha))
         got = amplitude_paper_closed(p, kin, theta)
         assert got.value == pytest.approx(want, rel=1e-14)
 

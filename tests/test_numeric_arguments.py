@@ -1,9 +1,12 @@
-"""Every scalar parameter of the physics (g, mu, alpha, mass, k, hbar) and
+"""Every scalar parameter of the physics (g, mu, alpha, mass, k) and
 of the numerics (tolerances, budgets, angle grid, l_max, r_max, dr, a
 Hankel transform's upper limit, a Bessel or Legendre row's order) refuses
 a str, None (where None does not mean auto), a complex, a bool, nan, +-inf
 and a value out of its range with a ScatterError whose key names that
-parameter; through parse_config the key is section.name."""
+parameter; through parse_config the key is section.name. An array argument
+(a radius, a momentum transfer, a Bessel argument, a spline's pieces, a
+cross-section table's rows) refuses what numpy cannot read as floats in
+the same way."""
 
 import math
 
@@ -13,14 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterlab.config import PartialWaveOptions, ThetaGrid, parse_config
-from scatterlab.cross_sections import total_optical
+from scatterlab.cross_sections import total_integrated, total_optical
 from scatterlab.eikonal import Amplitude, Kinematics, momentum_transfer
 from scatterlab.errors import ConfigError, ScatterError
 from scatterlab.partial_wave import PhaseShiftSet, phase_shifts
-from scatterlab.potentials import Gauss, Yukawa
+from scatterlab.potentials import Gauss, Yukawa, evaluate, fourier3d
 from scatterlab.quadrature import (QuadratureSettings, hankel0,
-                                   integrate_adaptive)
-from scatterlab.special_functions import legendre_p_row, spherical_bessel_row
+                                   integrate_adaptive, integrate_sin)
+from scatterlab.special_functions import (bessel_j0, bessel_k0,
+                                          legendre_p_row,
+                                          spherical_bessel_row)
 
 _P, _KIN = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=1.0)
 _F0 = Amplitude(theta=0.0, q=0.0, value=1j)
@@ -55,8 +60,6 @@ CASES = {
                         _NOT_POSITIVE, False),
     "Kinematics.k": (lambda x: Kinematics(mass=1.0, k=x), "k",
                      _NOT_POSITIVE, False),
-    "Kinematics.hbar": (lambda x: Kinematics(mass=1.0, k=1.0, hbar=x),
-                        "hbar", _NOT_POSITIVE, False),
     "momentum_transfer.k": (lambda x: momentum_transfer(x, 0.1), "k",
                             _NOT_POSITIVE, False),
     "total_optical.k": (lambda x: total_optical(_F0, x), "k", _NOT_POSITIVE,
@@ -144,7 +147,6 @@ CONFIG_CASES = {
     "potential.alpha": _NOT_POSITIVE,
     "kinematics.mass": _NOT_POSITIVE,
     "kinematics.k": _NOT_POSITIVE,
-    "kinematics.hbar": _NOT_POSITIVE,
     "theta_grid.min": _NEGATIVE,
     "theta_grid.max": CASES["ThetaGrid.max"][2],
     "theta_grid.count": CASES["ThetaGrid.count"][2],
@@ -182,3 +184,32 @@ def test_a_bad_config_value_is_refused_by_section_and_key(where, data):
         with pytest.raises(ConfigError) as err:
             parse_config(_config(where, raw))
         assert err.value.key == where, (raw, err.value)
+
+
+# name -> (call with the value, key) for an array argument: anything numpy
+# reads as floats is its value, and what it cannot read is refused by key
+ARRAY_CASES = {
+    "evaluate.r": (lambda x: evaluate(_P, x), "r"),
+    "fourier3d.q": (lambda x: fourier3d(_P, x), "q"),
+    "bessel_j0.x": (bessel_j0, "x"),
+    "bessel_k0.x": (bessel_k0, "x"),
+    "integrate_sin.lo": (lambda x: integrate_sin(1.0, x, [1.0], [[1.0]]),
+                         "lo"),
+    "integrate_sin.hi": (lambda x: integrate_sin(1.0, [0.0], x, [[1.0]]),
+                         "hi"),
+    "integrate_sin.coef": (lambda x: integrate_sin(1.0, [0.0], [1.0], x),
+                           "coef"),
+    "integrate_sin.origin": (
+        lambda x: integrate_sin(1.0, [0.0], [1.0], [[1.0]], origin=x),
+        "origin"),
+    "total_integrated.rows": (total_integrated, "rows"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+@pytest.mark.parametrize("value", ["one", ["0.5", "x"], 1 + 1j, object()],
+                         ids=["str", "str-list", "complex", "object"])
+def test_an_array_argument_numpy_cannot_read_is_refused_by_its_key(name,
+                                                                   value):
+    call, key = ARRAY_CASES[name]
+    _assert_refused(call, value, key)

@@ -111,6 +111,11 @@ class TestPhaseShiftSet:
         with pytest.raises(DomainError, match="delta_coarse"):
             _shifts([0.1, 0.0], delta_coarse=np.array([0.1, np.nan]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_delta_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="delta must be finite"):
+            _shifts([0.1, bad, 0.0])
+
     def test_bad_scalars(self):
         with pytest.raises(DomainError):
             _shifts([0.1, 0.0], k=-1.0)
@@ -228,7 +233,7 @@ class TestPhaseShifts:
                           <= got.error_estimate)
 
     def test_weak_coupling_matches_born_integral(self):
-        # delta_l ~ -(2mk/hbar^2) int V j_l^2 r^2 dr at weak coupling
+        # delta_l ~ -2mk int V j_l^2 r^2 dr at weak coupling
         g, mu, k = 0.01, 1.0, 2.0
         ps = phase_shifts(Yukawa(g, mu), KIN2)
         for l in range(9):
@@ -358,7 +363,7 @@ class TestPhaseShifts:
         path = Path(__file__).resolve().parents[1] / "configs" \
             / "yukawa_flagship.ini"
         cfg = parse_config(path.read_text(encoding="utf-8"))
-        kin = Kinematics(mass=cfg.mass, k=cfg.k_values[0], hbar=cfg.hbar)
+        kin = Kinematics(mass=cfg.mass, k=cfg.k_values[0], )
         opts = cfg.partial_wave
         ps = phase_shifts(cfg.potential, kin, l_max=opts.l_max,
                           r_max=opts.r_max, dr=opts.dr)
@@ -401,7 +406,7 @@ class TestPhaseShifts:
             cfg = parse_config(path.read_text(encoding="utf-8"))
             r_eff = effective_radius(cfg.potential)
             for k in cfg.k_values:
-                kin = Kinematics(mass=cfg.mass, k=k, hbar=cfg.hbar)
+                kin = Kinematics(mass=cfg.mass, k=k, )
                 assert partial_wave._auto_r_max(cfg.potential, kin, r_eff) \
                     == _oracles.auto_r_max(cfg.potential, kin, r_eff)
 

@@ -106,23 +106,23 @@ WEAK_ROUNDING = 1e-10
        route=st.sampled_from([amplitude_eikonal, born_resummed_amplitude]))
 @example(p=Gauss(1e-8, 1.0), k=2.0, route=amplitude_eikonal)
 def test_weak_eikonal_reduces_to_first_born(p, k, route):
-    # chi = -(g/hbar v) sqrt(pi/alpha) e^{-alpha b^2} for Gauss and
-    # -(2g/hbar v) K0(mu b) for Yukawa, c the size of its prefactor.
+    # chi = -(g/v) sqrt(pi/alpha) e^{-alpha b^2} for Gauss and
+    # -(2g/v) K0(mu b) for Yukawa, c the size of its prefactor.
     # Re f - f_B = k int J0 (sin chi - chi) b db, which is c^2/18 of
     # |f_B(0)| for Gauss and under c^2/10 for Yukawa; Im f(0) = k int
-    # (1 - cos chi) b db is k int chi^2/2 b db, k pi g^2/(8 alpha^2 hbar^2
-    # v^2) for Gauss and k g^2/(hbar^2 v^2 mu^2) for Yukawa, to a relative
+    # (1 - cos chi) b db is k int chi^2/2 b db, k pi g^2/(8 alpha^2 v^2)
+    # for Gauss and k g^2/(v^2 mu^2) for Yukawa, to a relative
     # c^2/24 and 7 zeta(3) c^2/48. abs_tol is tiny so that the transform
     # resolves Im f, of order c^2 |f|, and not only |f|. born_resummed,
     # the same integral through the z-profile, obeys the same bounds.
     kin = Kinematics(mass=1.0, k=k)
-    hv = kin.hbar * kin.v
+    v = kin.v
     if isinstance(p, Gauss):
-        c = abs(p.g) / hv * math.sqrt(math.pi / p.alpha)
-        im0 = k * math.pi * p.g**2 / (8.0 * p.alpha**2 * hv**2)
+        c = abs(p.g) / v * math.sqrt(math.pi / p.alpha)
+        im0 = k * math.pi * p.g**2 / (8.0 * p.alpha**2 * v**2)
     else:
-        c = 2.0 * abs(p.g) / hv
-        im0 = k * p.g**2 / (hv**2 * p.mu**2)
+        c = 2.0 * abs(p.g) / v
+        im0 = k * p.g**2 / (v**2 * p.mu**2)
     tight = dataclasses.replace(DEFAULT_SETTINGS, abs_tol=1e-300)
     got = route(p, kin, THETA_WEAK, tight)
     born = born1_amplitude(p, kin, THETA_WEAK)
@@ -251,7 +251,7 @@ def test_paper_forms_and_checks_return_or_raise_a_scatter_error(case):
     p, mass, k = case
     try:
         kin = Kinematics(mass=mass, k=k)
-    except ScatterError as exc:  # v = hbar k/mass underflows to 0
+    except ScatterError as exc:  # v = k/mass underflows to 0
         assert exc.key == "k"
         return
     theta = np.linspace(0.0, 0.2, 9)

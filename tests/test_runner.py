@@ -68,13 +68,6 @@ class TestFileEmission:
         listed = set(m.csv_files) | set(m.aux_files)
         assert listed == set(names) - {"manifest.txt"}
 
-    def test_plot_script_optional(self, tmp_path):
-        cfg = parse_config(
-            FAST + f"\n[output]\ndirectory = {tmp_path / 'out'}\n"
-                   "emit_plot_script = false\n")
-        run_scan(cfg)
-        assert not (tmp_path / "out" / "plot.gp").exists()
-
     def test_plot_references_each_csv_once(self, tmp_path):
         run_scan(_cfg(FAST, tmp_path / "out"))
         script = (tmp_path / "out" / "plot.gp").read_text()
@@ -192,6 +185,13 @@ class TestErrorsAndWarnings:
         assert any("total_integrated unavailable" in w for w in m.warnings)
         summary = (tmp_path / "out" / "summary.csv").read_text()
         assert "nan" in summary
+
+    def test_optical_nan_warning_without_theta_zero(self, tmp_path):
+        m = run_scan(_cfg(FAST.replace("min = 0.0", "min = 0.01"),
+                          tmp_path / "out"))
+        assert "born1 k=2: total_optical unavailable (needs theta = 0 on " \
+               "the grid)" in m.warnings
+        assert all(np.isnan(o.total_optical) for o in m.outcomes)
 
     def test_loose_quadrature_flagged(self):
         settings = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-12)

@@ -172,7 +172,7 @@ def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
 @pytest.mark.parametrize("theta", [0.1, np.array([0.0, 0.05, 0.1, 0.2])],
                          ids=["scalar", "array"])
 def test_a_table_s_eikonal_and_born_resummed_have_the_same_bits(theta):
-    # w Lambda(-w/(hbar v)) = i hbar v (e^{i chi} - 1): on a table the two
+    # w Lambda(-w/v) = i v (e^{i chi} - 1): on a table the two
     # routes are one z-profile pass, value and error_estimate alike
     p, kin = _table(), Kinematics(mass=1.0, k=3.0)
     eik = amplitude_eikonal(p, kin, theta, SETTINGS)
@@ -188,21 +188,21 @@ def test_a_table_s_eikonal_and_born_resummed_have_the_same_bits(theta):
     (_table(), np.linspace(0.0, 0.3, 7)),
 ], ids=["yukawa", "gauss", "weak-gauss", "table"])
 def test_born_resummed_matches_a_pass_over_the_lambda_form(p, theta):
-    # the paper's resummed integrand w Lambda(-w/(hbar v)) in a hankel0
-    # pass of its own, -(m/hbar^2) int_0^R J0(q b) w Lambda b db: w's
+    # the paper's resummed integrand w Lambda(-w/v) in a hankel0
+    # pass of its own, -m int_0^R J0(q b) w Lambda b db: w's
     # bounds carry over as they are, d(w Lambda)/dw = e^{i chi} being of
     # modulus 1, and |w Lambda| <= |w| bounds the tail by reach's T
     kin = Kinematics(mass=1.0, k=2.0)
-    hv = kin.hbar * kin.v
+    v = kin.v
     upper, tail = potentials.reach(p)
 
     def g(b):
         w, err = eikonal._z_profile(p, b)
-        return w * _oracles.lambda_factor(-w / hv), err
+        return w * _oracles.lambda_factor(-w / v), err
 
     amp = born_resummed_amplitude(p, kin, theta, SETTINGS)
     ref = hankel0(g, amp.q, upper, SETTINGS)
-    scale = kin.mass / (kin.hbar * kin.hbar)
+    scale = kin.mass
     gap = np.abs(amp.value + scale * np.asarray(ref.value))
     assert np.all(gap <= amp.error_estimate
                   + scale * (ref.error_estimate + tail))
@@ -447,9 +447,9 @@ def test_quadrature_chi_matches_chi_closed(p):
     kin = Kinematics(mass=1.0, k=2.0)
     b = _off_grid(p, np.random.default_rng(11))
     closed = chi_closed(p, kin, b)
-    hv = kin.hbar * kin.v
+    v = kin.v
     bound = eikonal._z_profile(p, b)[1]
-    slack = (bound + 16.0 * EPS * np.abs(closed * hv)) / hv
+    slack = (bound + 16.0 * EPS * np.abs(closed * v)) / v
     dev = np.abs(chi(p, kin, b) - closed)
     assert np.all(dev <= slack)
     assert np.max(dev) <= 1e-13 * np.max(np.abs(closed))  # rounding level
@@ -462,7 +462,7 @@ def test_tabulated_chi_near_the_last_radius_is_within_its_bound(r_hi):
     p = _soft_core_table(r_hi)
     b = r_hi - np.logspace(-12, -3, 400)
     kin = Kinematics(mass=1.0, k=5.0)
-    w = -chi(p, kin, b) * kin.hbar * kin.v
+    w = -chi(p, kin, b) * kin.v
     big = float(np.max(np.abs(p.v)))
     assert np.all(np.abs(w) <= 2.0 * big * np.sqrt(r_hi**2 - b * b))
     got, bound = eikonal._z_profile(p, b[::40])
