@@ -9,18 +9,21 @@ local wavelength apart, with one row of spherical Bessel values per radius.
 
 Each pass integrates its waves on three grids, of steps h, 2h and 4h,
 between the same two matching radii, which lie on the 4h grid. For a
-smooth potential Numerov's error in delta is O(h^4), and the four-term
-series start keeps it so, so Richardson's R(h, 2h) = delta(h) + (delta(h)
-- delta(2h))/15 removes the leading term; a cubic table from r = 0 is
-smooth but at its last knot, which its default h puts on the 4h grid.
-R(2h, 4h) is kept beside it, and the amplitude reports how far the two
-disagree as its step error. One loop over the fine grid carries all three
-grids as one state: every step advances the fine waves, every second step
-the mid ones as well and every fourth the coarse ones, so a pass costs as
-many Python steps as a single sweep at h, and 1 + 1/2 + 1/4 of its
-arithmetic. V, the centrifugal term and the Bessel rows at the matching
-radii are formed once, on the fine grid. Each pass of the automatic l_max
-sweeps only the waves above the previous pass's top.
+smooth potential Numerov's error in delta is a series in even powers from
+h^4 on, and the four-term series start keeps it so but for an h^7 term in
+the s wave. Richardson's R(h, 2h) = delta(h) + (delta(h) - delta(2h))/15
+removes the h^4 term, and R3 = R(h, 2h) + (R(h, 2h) - R(2h, 4h))/63, with
+R(2h, 4h) formed alike, the h^6 term, leaving h^8: the oracle's delta is
+R3, which costs no sweep beyond the three grids. A cubic table from r = 0
+is smooth but at its last knot, which its default h puts on the 4h grid.
+The amplitude reports the gap between R3 and a second extrapolation as
+its step error; see PhaseShiftSet. One loop over the fine grid carries all
+three grids as one state: every step advances the fine waves, every
+second step the mid ones as well and every fourth the coarse ones, so a
+pass costs as many Python steps as a single sweep at h, and 1 + 1/2 + 1/4
+of its arithmetic. V, the centrifugal term and the Bessel rows at the
+matching radii are formed once, on the fine grid. Each pass of the
+automatic l_max sweeps only the waves above the previous pass's top.
 
 The sweep runs Numerov's scheme in summed form: it carries y_n and the
 first difference y_n - y_{n-1} and adds g_n y_n to the difference at each
@@ -47,8 +50,8 @@ import numpy as np
 
 from .eikonal import Kinematics, _amplitude, momentum_transfer
 from .errors import ConvergenceError, DomainError, RangeError, integer, real
-from .potentials import (TabulatedRadial, effective_radius, evaluate,
-                         origin_expansion, reach)
+from .potentials import (TabulatedRadial, Yukawa, effective_radius,
+                         evaluate, origin_expansion, reach)
 # The effective radius needs no integrator; the two integrators and
 # spherical_bessel are bound here only because perfbench/tracer.py rebinds
 # them in partial_wave's namespace.
@@ -91,10 +94,15 @@ _EXPONENT = 0.5 * math.log(1.0 / _EPS) + 4.0  # growth e^22 past a start
 class PhaseShiftSet:
     """Phase shifts delta_l for l = 0..l_max at one wavenumber.
 
-    delta holds Richardson's R(h, 2h) of the grids of step h and 2h, in
-    (-pi/2, pi/2]; delta_coarse holds R(2h, 4h) on the same branch, which
-    amplitude_partial_wave reads for its step error. dr is the finest step
-    h, and r_max the first matching radius, a point of the 4h grid.
+    delta holds R3, the third Richardson level of the grids of step h, 2h
+    and 4h, in (-pi/2, pi/2]. delta_coarse holds, on the same branch, the
+    extrapolation whose gap to delta amplitude_partial_wave reads as the
+    wave's step error: R(h, 2h) where the wave's grids show the h^6
+    expansion, R(2h, 4h) elsewhere (see _extrapolated). dr is the finest
+    step h, and r_max the first matching radius, a point of the 4h grid.
+    tail_ratio, in [0, 1), bounds |delta_{l+1}/delta_l| for l >= l_max
+    from the potential; amplitude_partial_wave bounds the dropped waves
+    with it or with the decay of the last waves kept, whichever is slower.
     """
 
     k: float
@@ -103,12 +111,16 @@ class PhaseShiftSet:
     delta_coarse: np.ndarray
     r_max: float
     dr: float
+    tail_ratio: float = 0.0
 
     def __post_init__(self):
         real(self.k, "k", positive=True)
         integer(self.l_max, "l_max")
         real(self.r_max, "r_max", positive=True)
         real(self.dr, "dr", positive=True)
+        if not 0.0 <= real(self.tail_ratio, "tail_ratio") < 1.0:
+            raise DomainError(f"tail_ratio must lie in [0, 1), got "
+                              f"{self.tail_ratio!r}", key="tail_ratio")
         d = np.asarray(self.delta, dtype=float)
         object.__setattr__(self, "delta", d)
         if d.ndim != 1 or d.shape[0] != self.l_max + 1:
@@ -412,15 +424,28 @@ def _sweep_grids(p, kin, l_arr, r_a, r_b, dr):
 
 
 def _extrapolated(p, kin, l_arr, r_a, r_b, dr):
-    """(R(h, 2h), R(2h, 4h)) of the waves l_arr, h = dr, from the phase
-    shifts on the grids of step h, 2h and 4h between the same matching
-    radii. Each coarse delta is first moved by a multiple of pi next to the
-    fine one; the pair is returned in (-pi/2, pi/2], shifted together."""
+    """(R3, R(h, 2h) or R(2h, 4h)) of the waves l_arr, h = dr, from the
+    phase shifts on the grids of step h, 2h and 4h between the same
+    matching radii. Each coarser delta is first moved by a multiple of pi
+    next to the fine one; the pair is returned in (-pi/2, pi/2], shifted
+    together.
+
+    The second entry is R(h, 2h), 1/63 of |R(h, 2h) - R(2h, 4h)| from R3,
+    where the wave's grids show the h^6 expansion: V is not a table's
+    spline, whose third derivative jumps at every knot; the wave is not
+    the s wave, whose start leaves an h^7 term; and |R(h, 2h) - R(2h, 4h)|
+    <= |delta(h) - delta(2h)|/32, where delta(h) = delta + A h^4 + B h^6
+    makes the left side about 13 |B/A| h^2 of the right. Elsewhere it is
+    R(2h, 4h), 64/63 of |R(h, 2h) - R(2h, 4h)| from R3."""
     fine, mid, coarse = _sweep_grids(p, kin, l_arr, r_a, r_b, dr)
     mid += np.pi * np.round((fine - mid) / np.pi)
     coarse += np.pi * np.round((fine - coarse) / np.pi)
-    best = fine + (fine - mid) / 15.0
-    worse = mid + (mid - coarse) / 15.0
+    near = fine + (fine - mid) / 15.0
+    far = mid + (mid - coarse) / 15.0
+    best = near + (near - far) / 63.0
+    shown = (np.abs(near - far) <= np.abs(fine - mid) / 32.0) \
+        & (np.asarray(l_arr) > 0) & (not isinstance(p, TabulatedRadial))
+    worse = np.where(shown, near, far)
     up, down = best <= -np.pi / 2, best > np.pi / 2
     for x in (best, worse):
         x[up] += np.pi
@@ -428,11 +453,27 @@ def _extrapolated(p, kin, l_arr, r_a, r_b, dr):
     return best, worse
 
 
+def _tail_ratio(p, k):
+    """A bound on |delta_{l+1}/delta_l| in the tail from the potential. For
+    a Yukawa, first Born makes delta_l proportional to the Legendre
+    function Q_l(z), z = 1 + mu^2/(2 k^2), whose ratios rise towards 1/(z +
+    sqrt(z^2 - 1)). A Gauss's and a table's delta_l fall faster than any
+    geometric series, so the decay of the last waves kept bounds the ratios
+    to come, and this is 0."""
+    if not isinstance(p, Yukawa):
+        return 0.0
+    s = 0.5 * (p.mu / k) ** 2  # z - 1
+    return 1.0 / (1.0 + s + math.sqrt(s * (2.0 + s)))
+
+
 def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     """Solve for delta_l, l = 0..l_max, with auto defaults for all knobs.
 
     Every pass carries its waves on the grids of dr, 2 dr and 4 dr in one
-    loop and keeps Richardson's R(dr, 2 dr); see PhaseShiftSet.
+    loop; delta is their third Richardson level R3, delta_coarse the
+    extrapolation the step error is read from, and tail_ratio the
+    potential's bound on the decay of the dropped waves; see PhaseShiftSet
+    and _extrapolated.
     l_max=None cuts the waves at the first l0 + 16 j, l0 = ceil(k r_eff)
     + 10, whose extrapolated |delta| is below the tail threshold, r_eff =
     potentials.effective_radius(p), found on every call. It sweeps up to
@@ -449,7 +490,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     fine grid out to it of more than _GRID_POINTS points raises RangeError
     naming r_max before anything is swept; so do waves times points past
     _WAVE_POINTS, naming l_max if it was given.
-    dr=None takes dr = min(0.04/k, 0.01), and for a cubic table from
+    dr=None takes dr = min(0.06/k, 0.01), and for a cubic table from
     r[0] = 0 r[-1]/(4 n), n the least integer that keeps it no coarser, so
     that the table's last knot, its only kink of V, lies on the 4 dr grid
     (a linear table has a kink at every knot, one from r[0] > 0 one at
@@ -462,7 +503,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     k = kin.k
     r_eff = effective_radius(p)
     if dr is None:
-        dr = min(0.04 / k, 0.01)
+        dr = min(0.06 / k, 0.01)
         if (isinstance(p, TabulatedRadial) and p.interpolation == "cubic"
                 and p.r[0] == 0.0):
             # the last knot, this table's only kink of V, on the 4 dr grid
@@ -523,7 +564,8 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
         if abs(delta[l_cut]) < _TAIL_TOL or l_max is not None:
             return PhaseShiftSet(k=k, l_max=l_cut, delta=delta[:l_cut + 1],
                                  delta_coarse=coarse[:l_cut + 1],
-                                 r_max=r_max, dr=dr)
+                                 r_max=r_max, dr=dr,
+                                 tail_ratio=_tail_ratio(p, k))
     raise ConvergenceError(
         "partial-wave tail refuses to converge; the potential may be too "
         "long-ranged for this oracle",
@@ -537,13 +579,20 @@ def amplitude_partial_wave(ps, theta):
     Amplitude whose fields are arrays over the same grid. S_l - 1 is
     special_functions.expm1i(2 delta_l). The error estimate at each angle
     is sum (2l+1) (2 |sin(delta_l - delta_coarse_l)| + 2 rho) |P_l| / 2k
-    plus the truncation bound (2 l_max + 1) |delta_l_max| / k. The first
-    term, |e^{2i delta_l} - e^{2i delta_coarse_l}| without cancellation,
-    bounds |f(delta) - f(delta_coarse)|, the step error the extrapolation
-    leaves, wave by wave, so it does not vanish where the waves' gaps
-    cancel. rho = eps r_max/dr, one rounding per radial step, covers each
-    delta's rounding (under 0.1 rho against long-double sweeps of seven
-    cases), which sets the error once the step error falls below it.
+    plus a bound on the dropped waves. The first term, |e^{2i delta_l} -
+    e^{2i delta_coarse_l}| without cancellation, bounds |f(delta) -
+    f(delta_coarse)|, the step error the extrapolation leaves, wave by
+    wave, so it does not vanish where the waves' gaps cancel. rho = eps
+    r_max/dr, one rounding per radial step, covers each delta's rounding
+    (under 0.1 rho against long-double sweeps of seven cases), which sets
+    the error once the step error falls below it.
+
+    The dropped waves l = L + j, j >= 1, L = l_max, are taken to fall as
+    |delta_L| r^j, r = max(tail_ratio, (|delta_L|/|delta_{L-m}|)^(1/m)),
+    m = min(16, L): the potential's bound, or the mean decay of the last
+    m waves, which bounds the ratios to come where they fall. Their sum
+    of (2l + 1)|delta_l|/k, a bound on their |f| at every angle, is then
+    ((2L + 1) r/(1 - r) + 2 r/(1 - r)^2) |delta_L|/k; inf where r >= 1.
     """
     q = momentum_transfer(ps.k, theta)  # checks that theta lies in [0, pi]
     th = np.asarray(theta, dtype=float)
@@ -555,7 +604,21 @@ def amplitude_partial_wave(ps, theta):
     gap = weight * (2.0 * np.abs(np.sin(ps.delta - ps.delta_coarse))
                     + 2.0 * rho)
     step = np.sum(gap[:, None] * np.abs(p_rows), axis=0) / (2.0 * ps.k)
-    # truncation bound from the last retained partial wave
-    tail = (2.0 * ps.l_max + 1.0) * abs(ps.delta[-1]) / ps.k
     return _amplitude(theta, th, q, f.reshape(th.shape),
-                      (step + tail).reshape(th.shape))
+                      (step + _dropped_waves(ps)).reshape(th.shape))
+
+
+def _dropped_waves(ps):
+    """The bound on the waves past l_max of amplitude_partial_wave."""
+    last = abs(float(ps.delta[-1]))
+    if last == 0.0:
+        return 0.0
+    m = min(16, ps.l_max)
+    before = abs(float(ps.delta[-1 - m]))
+    if m and not before:
+        return math.inf
+    r = max(ps.tail_ratio, (last / before) ** (1.0 / m) if m else 0.0)
+    if r >= 1.0:
+        return math.inf
+    w = r / (1.0 - r)
+    return ((2.0 * ps.l_max + 1.0) * w + 2.0 * w / (1.0 - r)) * last / ps.k

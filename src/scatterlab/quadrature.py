@@ -41,7 +41,10 @@ x0 and its exact moments mu_n = int_0^H P u^n du,
     C = sum_m (-1)^m q^2m mu_2m/(2m)!, S = sum_m (-1)^m q^2m mu_2m+1/(2m+1)!,
 
 both cut at the first M whose dropped term t^(2M+2)/(2M+2)!, t = q H on
-the partition's widest piece, is below eps/100. A partition's moments
+the partition's widest piece, is below eps/100. Where q |x0| is below
+sqrt(eps) on every piece, sin(q x0)/q takes its q -> 0 limit x0, which
+it equals to rounding: a subnormal q x0 keeps too few bits of x0 to be
+divided by q again. A partition's moments
 serve every q that shares it, and each q takes its own M, so a value has
 the bits of a call at that q alone. Only sin and cos are called, whose
 bits do not depend on numpy's SIMD level. The dropped terms are at most
@@ -156,6 +159,7 @@ _WG = np.array(list(_WGH) + [_WG_CENTER] + list(reversed(_WGH)))
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+_ROOT_EPS = math.sqrt(_EPS)
 
 
 def _abs(z):
@@ -367,7 +371,7 @@ def _sin_series(qs, lo, width, origin, coef, pieces):
     # |sin(q x0)/q| <= |x0|, and sum_k |e_k|/(k + 1) >= int |P|
     tail = float(((np.abs(x0) + H) * sum(
         np.abs(ek) / (k + 1) for k, ek in enumerate(e))).sum())
-    hmax = float(H.max())
+    hmax, x0_max = float(H.max()), float(np.abs(x0).max())
     orders = [_series_order(float(x) * hmax) for x in qs]
     # mu_n / (H^n n!), times H for odd n: the terms of C and S at q = 0
     mu = [sum(ek * (1.0 / ((k + n + 1) * math.factorial(n)))
@@ -383,7 +387,7 @@ def _sin_series(qs, lo, width, origin, coef, pieces):
             C = mu[a] - u * C
             S = mu[a + 1] - u * S
         arg = x * x0
-        tc = (np.sin(arg) / x if x else x0) * C
+        tc = (np.sin(arg) / x if x * x0_max >= _ROOT_EPS else x0) * C
         ts = np.cos(arg) * S
         value[r] = (tc + ts).sum()
         error[r] = 2.0 * d * tail + 100.0 * _EPS * (np.abs(tc)

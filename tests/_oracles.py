@@ -947,19 +947,27 @@ def second_radius(kin, r_max, dr):
 
 
 def extrapolated(p, kin, l_arr, r_max, dr, origin=False):
-    """(R(h, 2h), R(2h, 4h)) of l_arr, h = dr, from chunked sweeps at h, 2h
-    and 4h between r_max and second_radius, one wave at a time: the
+    """(R3, R(h, 2h) or R(2h, 4h)) of l_arr, h = dr, from chunked sweeps at
+    h, 2h and 4h between r_max and second_radius, one wave at a time: the
     three-sweep partial_wave._extrapolated, bit for bit; origin starts
-    every wave from the origin series."""
+    every wave from the origin series. R3 = R(h, 2h) + (R(h, 2h) - R(2h,
+    4h))/63; the second entry is R(h, 2h) for a wave l > 0 of a potential
+    that is not a table whose |R(h, 2h) - R(2h, 4h)| is at most 1/32 of
+    |delta(h) - delta(2h)|, else R(2h, 4h)."""
     r_b = second_radius(kin, r_max, dr)
     fine, mid, coarse = on_three_grids(chunked_sweep, origin)(
         p, kin, l_arr, r_max, r_b, dr)
+    smooth = not isinstance(p, TabulatedRadial)
     best, worse = np.empty(len(l_arr)), np.empty(len(l_arr))
-    for i, (f, m, c) in enumerate(zip(fine.tolist(), mid.tolist(),
-                                      coarse.tolist())):
+    for i, (l, f, m, c) in enumerate(zip(np.asarray(l_arr).tolist(),
+                                         fine.tolist(), mid.tolist(),
+                                         coarse.tolist())):
         m += math.pi * round((f - m) / math.pi)
         c += math.pi * round((f - c) / math.pi)
-        b, w = f + (f - m) / 15.0, m + (m - c) / 15.0
+        r12, r24 = f + (f - m) / 15.0, m + (m - c) / 15.0
+        b = r12 + (r12 - r24) / 63.0
+        shown = smooth and l > 0 and abs(r12 - r24) <= abs(f - m) / 32.0
+        w = r12 if shown else r24
         if b > math.pi / 2:
             b, w = b - math.pi, w - math.pi
         elif b <= -math.pi / 2:

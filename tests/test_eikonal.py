@@ -1,6 +1,5 @@
 """Tests for the eikonal phase and amplitude pipeline."""
 
-import dataclasses
 import math
 
 import numpy as np

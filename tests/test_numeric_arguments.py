@@ -108,6 +108,10 @@ CASES = {
                             _NOT_POSITIVE, False),
     "PhaseShiftSet.dr": (lambda x: _shifts(dr=x), "dr", _NOT_POSITIVE,
                          False),
+    "PhaseShiftSet.tail_ratio": (lambda x: _shifts(tail_ratio=x),
+                                 "tail_ratio",
+                                 st.one_of(_NEGATIVE,
+                                           st.floats(min_value=1.0)), False),
     "legendre_p_row.l_max": (lambda x: legendre_p_row(x, 0.5), "l_max",
                              _not_integer(0), False),
     "spherical_bessel_row.l_max": (lambda x: spherical_bessel_row(x, 1.0),

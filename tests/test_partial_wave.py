@@ -198,13 +198,13 @@ class TestPhaseShifts:
     def test_a_table_s_automatic_step_puts_its_last_knot_on_the_grid(self,
                                                                       k):
         # for a cubic table from r = 0, dr = r[-1]/(4 n), the least n with
-        # dr <= min(0.04/k, 0.01); an explicit dr is kept, and so is
-        # min(0.04/k, 0.01) for a linear table or one from r[0] > 0, which
+        # dr <= min(0.06/k, 0.01); an explicit dr is kept, and so is
+        # min(0.06/k, 0.01) for a linear table or one from r[0] > 0, which
         # have kinks besides the last knot
         r, v = np.array([0.0, 1.0, 2.0, 3.875]), np.array([0.0, 0.0, 1.0, 0.0])
         p = TabulatedRadial(r, v)
         kin = Kinematics(mass=1.0, k=k)
-        dr0 = min(0.04 / k, 0.01)
+        dr0 = min(0.06 / k, 0.01)
         ps = phase_shifts(p, kin)
         n = 3.875 / (4.0 * ps.dr)
         assert ps.dr <= dr0 < 3.875 / (4.0 * (round(n) - 1))
@@ -349,8 +349,8 @@ class TestPhaseShifts:
         assert again.delta.tobytes() == ps.delta.tobytes()
 
     @pytest.mark.parametrize("k, l_max, r_max", [
-        (1.0, 22, 24.52), (5.0, 85, 21.536), (10.0, 144, 20.272000000000002),
-        (20.0, 278, 18.76), (30.0, 411, 18.010666666666665),
+        (1.0, 22, 24.52), (5.0, 85, 21.52), (10.0, 144, 20.28),
+        (20.0, 278, 18.768), (30.0, 411, 18.008),
     ])
     def test_auto_l_max_and_r_max_stay_pinned(self, k, l_max, r_max):
         # they set the oracle's cost and the CSV bits of the flagship and
@@ -367,7 +367,7 @@ class TestPhaseShifts:
         opts = cfg.partial_wave
         ps = phase_shifts(cfg.potential, kin, l_max=opts.l_max,
                           r_max=opts.r_max, dr=opts.dr)
-        assert (ps.l_max, ps.r_max) == (144, 20.272000000000002)
+        assert (ps.l_max, ps.r_max) == (144, 20.28)
 
     def test_auto_r_max_search_spans_the_potential_s_range(self,
                                                            monkeypatch):
@@ -796,20 +796,57 @@ class TestAmplitudePartialWave:
     def test_error_is_the_extrapolations_gap_plus_the_tail(self):
         # two waves whose extrapolations disagree, and a live last wave:
         # sum (2l + 1)|e^{2i delta} - e^{2i delta_coarse}| |P_l| / 2k, plus
-        # (2 l_max + 1)|delta_l_max| / k; at theta = pi/2, where P_1 = 0
-        # and P_2 = -1/2, the two gaps add instead of cancelling
+        # ((2L + 1) r/(1 - r) + 2 r/(1 - r)^2)|delta_L|/k for the waves past
+        # L = 3, r the tail ratio or the mean decay of the last three waves,
+        # whichever is larger; at theta = pi/2, where P_1 = 0 and P_2 =
+        # -1/2, the two gaps add instead of cancelling
         delta = np.array([0.3, 0.2, 0.0, 5e-9])
         moved = np.array([0.0, 1e-6, -2e-6, 0.0])
-        ps = _shifts(delta, k=2.0, delta_coarse=delta + moved)
         th = np.array([0.0, 0.7, np.pi / 2])
-        f = amplitude_partial_wave(ps, th)
         x = np.cos(th)
         gap = (3.0 * 2e-6 * np.abs(x) + 5.0 * 4e-6 * np.abs(1.5 * x * x - 0.5)
                ) / 4.0
-        assert f.error_estimate == pytest.approx(gap + 7.0 * 5e-9 / 2.0,
-                                                 rel=1e-6)
-        assert amplitude_partial_wave(ps, 0.7).error_estimate \
-            == pytest.approx(f.error_estimate[1], rel=1e-14)
+        decay = (5e-9 / 0.3) ** (1.0 / 3.0)
+        for tail_ratio, r in ((0.0, decay), (1e-3, decay), (0.5, 0.5)):
+            ps = _shifts(delta, k=2.0, delta_coarse=delta + moved,
+                         tail_ratio=tail_ratio)
+            f = amplitude_partial_wave(ps, th)
+            dropped = (7.0 * r / (1.0 - r) + 2.0 * r / (1.0 - r) ** 2) \
+                * 5e-9 / 2.0
+            assert f.error_estimate == pytest.approx(gap + dropped, rel=1e-6)
+            assert amplitude_partial_wave(ps, 0.7).error_estimate \
+                == pytest.approx(f.error_estimate[1], rel=1e-14)
+
+    def test_dropped_waves_without_a_decay_are_unbounded(self):
+        # a last wave of 0 drops nothing; a live last wave over a 0
+        # min(16, l_max) waves before it, or above that wave, gives no ratio
+        # below 1 to bound the rest
+        assert amplitude_partial_wave(
+            _shifts([0.3, 0.0, 0.0]), 0.2).error_estimate < 1e-9
+        for delta in ([0.0, 0.3, 5e-9], [1e-9] * 17 + [2e-9]):
+            f = amplitude_partial_wave(_shifts(delta), np.array([0.0, 0.2]))
+            assert np.all(f.error_estimate == np.inf)
+
+    @pytest.mark.parametrize("p, k, bound", [
+        (Yukawa(0.5, 1.0), 1.0, 4e-13), (Yukawa(0.5, 1.0), 5.0, 1e-9),
+        (Yukawa(0.5, 1.0), 10.0, 1e-8), (Gauss(-3.0, 2.0), 1.0, 4e-11),
+        (Gauss(-3.0, 2.0), 5.0, 1.2e-10), (Gauss(-3.0, 2.0), 10.0, 2e-10),
+    ])
+    def test_default_step_keeps_its_digits(self, p, k, bound):
+        # max |f - f_ref| / max |f_ref| over 241 angles up to pi, f_ref at
+        # dr/16 with the same waves and matching radius. With R3 at
+        # min(0.06/k, 0.01) the figures are 2.1e-13, 5.1e-10, 7.5e-9,
+        # 3.2e-11, 1.1e-10 and 8.9e-11; R(h, 2h) at min(0.04/k, 0.01) gave
+        # 4.4e-13, 2.1e-8, 6.7e-8, 3.2e-11, 1.2e-10 and 4.1e-10. At k = 1
+        # the s wave's h^7 term sets Gauss(-3, 2)'s error under both
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        ref = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
+                           dr=ps.dr / 16)
+        theta = np.linspace(0.0, np.pi, 241)
+        got = amplitude_partial_wave(ps, theta).value
+        want = amplitude_partial_wave(ref, theta).value
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
     def test_agrees_with_eikonal_at_small_angle(self):
         p = Yukawa(0.5, 1.0)

@@ -4,11 +4,13 @@ includes the bounds of the profile's values, covers its deviation from
 the tight closed-phase eikonal; the
 partial-wave oracle keeps its phase shifts in (-pi/2, pi/2], obeys the
 optical theorem, keeps |S_l| = 1 to rounding at every wave and reports
-an error that covers its move at half the radial step; the effective
+an error that covers its move at half the radial step and the 300 waves
+past its l_max; the effective
 radius, on random tables too, holds its fraction of the weight within the
 potential's reach; a table's Fourier
 transform, on its fixed rule, reports an error that covers scipy's quad
-and has the bits of a call at each q alone; the reference closed forms and
+and has the bits of a call at each q alone, a subnormal q included; the
+reference closed forms and
 their checks, from 1e-300 to 1e300 in every parameter, return or raise a
 ScatterError; and only a ScatterError escapes the public amplitude and
 cross-section functions, the angle grid and run_scan, whatever the model,
@@ -164,6 +166,24 @@ def test_partial_wave_error_covers_the_half_step_oracle(p, k):
     assert np.all(np.abs(got.value - ref.value) <= got.error_estimate)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(p=potentials(), k=st.sampled_from([0.5, 1.0, 2.0, 5.0]))
+@example(p=Yukawa(0.5, 0.3), k=1.0)
+def test_partial_wave_error_covers_the_waves_past_l_max(p, k):
+    # the same grid with 300 more waves: the reported error must cover the
+    # waves the automatic l_max drops, at the small angles where they add
+    # up. Yukawa(0.5, 0.3) at k = 1 was covered 2.3x short when the bound
+    # was the last wave's, (2 l_max + 1)|delta_l_max|/k
+    kin = Kinematics(mass=1.0, k=k)
+    ps = phase_shifts(p, kin)
+    more = phase_shifts(p, kin, l_max=ps.l_max + 300, r_max=ps.r_max,
+                        dr=ps.dr)
+    theta = np.linspace(0.0, 0.6, 49)
+    got = amplitude_partial_wave(ps, theta)
+    ref = amplitude_partial_wave(more, theta)
+    assert np.all(np.abs(got.value - ref.value) <= got.error_estimate)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(p=st.one_of(potentials(), tables(("cubic",), first=(0.0, 0.0))),
        k=st.sampled_from([0.5, 2.0, 7.0, 20.0]))
@@ -190,6 +210,10 @@ def test_effective_radius_holds_its_fraction_of_the_weight(p):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(p=tables(), qh=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=2))
+# a subnormal q, at which q x0 keeps a few bits of x0: the value is the
+# 107.2 of q = 0, not 96.4
+@example(p=TabulatedRadial([0.0, 1.0, 2.5, 3.5], [0.0, 0.0, 1.0, 0.0]),
+         qh=[5e-324])
 def test_table_transform_covers_quad_and_keeps_the_bits_of_each_q(p, qh):
     # q h from 0 up to 24 and more on the widest knot interval, so up to
     # 13 pieces an interval, under the default budget: the reported error

@@ -1,7 +1,6 @@
 """Tests for scan orchestration, file emission, and determinism."""
 
 import filecmp
-import os
 import subprocess
 import sys
 import warnings
