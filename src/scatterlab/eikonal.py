@@ -29,13 +29,16 @@ A table's phase comes from its z-profile w(b) = int V dz, in one pass
 over e^{i chi} - 1, _profile_amplitude. born_resummed_amplitude, whose
 w Lambda(chi) is i v (e^{i chi} - 1), takes that pass for every
 model: a table's two routes are one, and for Yukawa and Gauss it checks
-the split. A table's w
+the split. A table keeps each pass in a memo of its own, so one pass per
+(k, mass, angles, settings) serves both routes, whichever asks first.
+A table's w
 is the exact Abel transform of its pieces (potentials.abel_profile), some
 20 us a b on 3,000 knots, so _z_profile keeps it in the table's own memo,
 which the two routes share across angles, k and settings: (w, bound) per
 exact b, each with the bits of a call for that b alone, whichever call
-asked first. The memo is safe to use from several threads: two callers
-may compute the same b, to the same bits. Yukawa's and Gauss's w, a few
+asked first. The memos are safe to use from several threads: two callers
+may compute the same b, or the same pass, to the same bits. Yukawa's and
+Gauss's w, a few
 microseconds a b, are kept nowhere: a fixed trapezoid rule, Yukawa's in t
 = asinh(z/b), Gauss's in z, whose step and range per b hold a-priori
 bounds on the discretisation and truncation errors; those bounds and a
@@ -46,6 +49,7 @@ error_estimate.
 """
 
 import dataclasses
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -140,10 +144,12 @@ def _check_b(b):
     return b_arr
 
 
-# A table's memo, p._w, holds (w, bound) per exact b, and is emptied once
-# it would hold more than _PROFILE_ENTRIES values. Lookups and inserts
-# take the lock; integrating does not, so two threads may integrate the
-# same b, to the same bits.
+# A table's two memos, p._w and p._passes, each hold at most
+# _PROFILE_ENTRIES values: one per exact b in p._w, one per angle of each
+# pass in p._passes. A memo that would hold more is emptied first, and
+# what still does not fit is not stored. Lookups and inserts take the
+# lock; integrating does not, so two threads may integrate the same b, or
+# the same pass, to the same bits.
 _PROFILE_ENTRIES = 1 << 16
 _profile_lock = threading.Lock()
 _EPS = np.finfo(float).eps
@@ -183,7 +189,7 @@ def _z_profile(p, b):
         with _profile_lock:
             if len(memo) + len(found) > _PROFILE_ENTRIES:
                 memo.clear()
-            memo.update(found)
+            memo.update(itertools.islice(found.items(), _PROFILE_ENTRIES))
         got = [found[x] if v is None else v for x, v in zip(keys, got)]
     return np.moveaxis(np.reshape(got, (*b.shape, 2)), -1, 0)
 
@@ -348,11 +354,31 @@ def _profile_amplitude(p, kin, q, settings):
     """(value, error) of -i k int_0^R J0(q b) (e^{i chi(b)} - 1) b db at
     each q, (R, T) = reach(p). The error is k times the pass's error plus
     T/v, a bound on the tail as |e^{i chi} - 1| <= |chi|; T is 0 for
-    a table."""
+    a table.
+
+    A table keeps each pass in its memo p._passes, keyed by all the pass
+    reads: k, mass, q's bits and shape, and the settings. The eikonal and
+    born_resummed both read it, and each call gets arrays of its own. A
+    pass that raises stores nothing."""
+    memo = p._passes if isinstance(p, TabulatedRadial) else None
+    if memo is not None:
+        key = (kin, np.asarray(q).tobytes(), np.shape(q), settings)
+        with _profile_lock:
+            got = memo.get(key)
+        if got is not None:
+            return got[0].copy(), got[1].copy()
     upper, tail = reach(p)
     res = hankel0(_phase_integrand(p, kin), q, upper, settings)
     value = -1j * kin.k * np.asarray(res.value, dtype=complex)
-    return value, kin.k * (res.error_estimate + tail / kin.v)
+    error = kin.k * (res.error_estimate + tail / kin.v)
+    if memo is not None:
+        with _profile_lock:
+            held = sum(v.size for v, _ in memo.values())
+            if held + value.size > _PROFILE_ENTRIES:
+                memo.clear()
+            if value.size <= _PROFILE_ENTRIES:
+                memo[key] = value.copy(), np.array(error)
+    return value, error
 
 
 # The closed route's remainder e^{i chi} - 1 - i chi is at most chi^2/2 in

@@ -85,6 +85,9 @@ class TabulatedRadial:
     table has c = d = 0, and a table starting at r[0] > 0 has the constant
     v[0] on [0, r[0]]. _abel holds what abel_profile reads of the pieces,
     and _w is the memo of eikonal._z_profile: (w, bound) per exact b.
+    _passes is the memo of eikonal._profile_amplitude: (value, error) of
+    one Hankel pass per (k, mass, angles, settings), which serves both the
+    eikonal and born_resummed.
     """
 
     r: np.ndarray
@@ -94,6 +97,7 @@ class TabulatedRadial:
     _pieces: tuple = field(init=False, repr=False, compare=False)
     _abel: tuple = field(init=False, repr=False, compare=False)
     _w: dict = field(init=False, repr=False, compare=False)
+    _passes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r, v = reals(self.r, "r"), reals(self.v, "v")
@@ -129,6 +133,7 @@ class TabulatedRadial:
         object.__setattr__(self, "_pieces", (edges, coef))
         object.__setattr__(self, "_abel", _abel_knots(edges, coef))
         object.__setattr__(self, "_w", {})
+        object.__setattr__(self, "_passes", {})
 
 
 def evaluate(potential, r):

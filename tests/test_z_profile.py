@@ -4,8 +4,11 @@ integration at that b alone. A table keeps its w in its own memo, which
 those readers share; Yukawa's and Gauss's w are integrated afresh, and
 lie within their bounds of the closed forms."""
 
+import dataclasses
 import filecmp
 import importlib.util
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from scatterlab import born, eikonal, partial_wave, potentials, quadrature
 from scatterlab.born import born_resummed_amplitude
 from scatterlab.config import parse_config
 from scatterlab.eikonal import Kinematics, amplitude_eikonal, chi, chi_closed
-from scatterlab.errors import DomainError
+from scatterlab.errors import ConvergenceError, DomainError
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
 from scatterlab.quadrature import QuadratureSettings, hankel0
 from scatterlab.runner import _quadrature_warning, run_scan
@@ -140,9 +143,23 @@ directory = {out}
                            shallow=False), name
 
 
+def _counted_passes(monkeypatch):
+    """The q of each hankel0 call the z-profile routes make from now on."""
+    passes = []
+    transform = eikonal.hankel0
+
+    def counted(g, q, upper, settings):
+        passes.append(np.copy(q))
+        return transform(g, q, upper, settings)
+
+    monkeypatch.setattr(eikonal, "hankel0", counted)
+    return passes
+
+
 def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
-    # a table's eikonal and born_resummed are one pass, so they ask for the
-    # same impact parameters, and each distinct b is integrated once
+    # a table's eikonal and born_resummed are one pass: the first route
+    # integrates each distinct b once, and the second asks for no b and
+    # runs no hankel0
     p = _table()
     kin = Kinematics(mass=1.0, k=3.0)
     theta = np.array([0.0, 0.1, 0.2])
@@ -160,25 +177,215 @@ def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
 
     monkeypatch.setattr(eikonal, "_z_profile", asked)
     monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
+    passes = _counted_passes(monkeypatch)
     route.append("born")
     born_resummed_amplitude(p, kin, theta, SETTINGS)
     route.append("eikonal")
     amplitude_eikonal(p, kin, theta, SETTINGS)
     res, eik = requested["born"], requested["eikonal"]
-    assert eik and res == eik
-    assert sum(integrated) == len(eik) == len(p._w)
+    assert res and not eik
+    assert len(passes) == 1
+    assert sum(integrated) == len(res) == len(p._w)
 
 
+@pytest.mark.parametrize("first", [amplitude_eikonal,
+                                   born_resummed_amplitude],
+                         ids=["eikonal-first", "born-first"])
 @pytest.mark.parametrize("theta", [0.1, np.array([0.0, 0.05, 0.1, 0.2])],
                          ids=["scalar", "array"])
-def test_a_table_s_eikonal_and_born_resummed_have_the_same_bits(theta):
-    # w Lambda(-w/v) = i v (e^{i chi} - 1): on a table the two
-    # routes are one z-profile pass, value and error_estimate alike
+def test_a_table_s_eikonal_and_born_resummed_have_the_same_bits(theta, first,
+                                                                monkeypatch):
+    # w Lambda(-w/v) = i v (e^{i chi} - 1): on a table the two routes are
+    # one z-profile pass, value and error_estimate alike, taken once and
+    # looked up by the other route in either order, with the bits and
+    # types of that route on a fresh table
     p, kin = _table(), Kinematics(mass=1.0, k=3.0)
-    eik = amplitude_eikonal(p, kin, theta, SETTINGS)
-    res = born_resummed_amplitude(p, kin, theta, SETTINGS)
-    _same_bits(res.value, eik.value)
-    _same_bits(res.error_estimate, eik.error_estimate)
+    second = born_resummed_amplitude if first is amplitude_eikonal \
+        else amplitude_eikonal
+    passes = _counted_passes(monkeypatch)
+    one = first(p, kin, theta, SETTINGS)
+    other = second(p, kin, theta, SETTINGS)
+    assert len(passes) == len(p._passes) == 1
+    fresh = second(_table(), kin, theta, SETTINGS)
+    for amp in (other, fresh):
+        _same_bits(amp.value, one.value)
+        _same_bits(amp.error_estimate, one.error_estimate)
+        assert type(amp.value) is type(one.value)
+        assert type(amp.error_estimate) is type(one.error_estimate)
+
+
+@pytest.mark.parametrize("base, change", [
+    ({}, {"kin": Kinematics(mass=1.0, k=4.0)}),
+    ({}, {"kin": Kinematics(mass=2.0, k=3.0)}),
+    ({}, {"theta": np.array([0.0, 0.1, 0.25])}),
+    ({}, {"theta": np.array([0.0, 0.1])}),
+    ({"theta": 0.1}, {"theta": np.array([0.1])}),
+    ({"theta": np.array([0.1])}, {"theta": 0.1}),
+    ({}, {"settings": QuadratureSettings(rel_tol=1e-8)}),
+    ({}, {"settings": QuadratureSettings(abs_tol=1e-10)}),
+    ({}, {"settings": QuadratureSettings(max_subdivisions=400)}),
+], ids=["k", "mass", "grid", "fewer-angles", "scalar-then-array",
+        "array-then-scalar", "rel_tol", "abs_tol", "budget"])
+def test_a_pass_that_reads_anything_else_misses_the_memo(base, change,
+                                                         monkeypatch):
+    # the memo's key is all the pass reads, q's shape among its bits: a
+    # call that differs in any of it runs a pass of its own, with the bits
+    # and shapes of a fresh table's
+    p = _table()
+    first = {"kin": Kinematics(mass=1.0, k=3.0),
+             "theta": np.array([0.0, 0.1, 0.2]), "settings": SETTINGS,
+             **base}
+    amplitude_eikonal(p, **first)
+    passes = _counted_passes(monkeypatch)
+    call = {**first, **change}
+    got = born_resummed_amplitude(p, **call)
+    assert len(passes) == 1 and len(p._passes) == 2
+    want = born_resummed_amplitude(_table(), **call)
+    for field in ("value", "error_estimate"):
+        a, b = getattr(got, field), getattr(want, field)
+        _same_bits(a, b)
+        assert type(a) is type(b) and np.shape(a) == np.shape(b)
+
+
+def test_equal_tables_keep_their_own_passes(monkeypatch):
+    p1, p2 = _table(), _table()  # equal, not the same
+    kin, theta = Kinematics(mass=1.0, k=3.0), np.array([0.0, 0.1])
+    passes = _counted_passes(monkeypatch)
+    amplitude_eikonal(p1, kin, theta, SETTINGS)
+    born_resummed_amplitude(p2, kin, theta, SETTINGS)
+    assert len(passes) == 2
+    assert len(p1._passes) == len(p2._passes) == 1
+    born_resummed_amplitude(p1, kin, theta, SETTINGS)
+    amplitude_eikonal(p2, kin, theta, SETTINGS)
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize("first", [amplitude_eikonal,
+                                   born_resummed_amplitude],
+                         ids=["eikonal-first", "born-first"])
+def test_a_pass_that_raises_stores_nothing(first, monkeypatch):
+    p, kin = _table(), Kinematics(mass=1.0, k=3.0)
+    theta = np.array([0.0, 0.1, 0.2])
+    tight = QuadratureSettings(rel_tol=1e-14, abs_tol=1e-16,
+                               max_subdivisions=8)
+    second = born_resummed_amplitude if first is amplitude_eikonal \
+        else amplitude_eikonal
+    passes = _counted_passes(monkeypatch)
+    with pytest.raises(ConvergenceError) as one:
+        first(p, kin, theta, tight)
+    assert p._passes == {}
+    with pytest.raises(ConvergenceError) as other:
+        second(p, kin, theta, tight)
+    assert str(other.value) == str(one.value)
+    assert p._passes == {} and len(passes) == 2
+
+
+def test_changing_a_returned_amplitude_changes_no_later_result():
+    p, kin = _table(), Kinematics(mass=1.0, k=3.0)
+    theta = np.array([0.0, 0.1, 0.2])
+    want = amplitude_eikonal(_table(), kin, theta, SETTINGS)
+    for route in (amplitude_eikonal, born_resummed_amplitude,
+                  amplitude_eikonal):
+        amp = route(p, kin, theta, SETTINGS)
+        _same_bits(amp.value, want.value)
+        _same_bits(amp.error_estimate, want.error_estimate)
+        amp.value[:] = 0.0
+        amp.error_estimate[:] = 0.0
+
+
+def test_a_table_s_pass_memo_holds_a_bounded_count(monkeypatch):
+    # at most _PROFILE_ENTRIES angles in all: a memo that would hold more
+    # is emptied, and a pass of more angles is not stored
+    p, kin = _table(), Kinematics(mass=1.0, k=3.0)
+    monkeypatch.setattr(eikonal, "_PROFILE_ENTRIES", 4)
+    for theta, held in ((np.array([0.0, 0.1]), [2]),
+                        (0.1, [2, 1]),
+                        (np.array([0.0, 0.1, 0.2]), [3]),
+                        (np.linspace(0.0, 0.2, 5), [])):
+        got = born_resummed_amplitude(p, kin, theta, SETTINGS)
+        want = born_resummed_amplitude(_table(), kin, theta, SETTINGS)
+        _same_bits(got.value, want.value)
+        _same_bits(got.error_estimate, want.error_estimate)
+        assert [v.size for v, _ in p._passes.values()] == held
+
+
+def test_threads_sharing_a_table_get_the_bits_of_a_fresh_one():
+    # more threads than cores, switching often, each asking both routes
+    # for the same passes: every result has the bits of a fresh table's,
+    # and the memos end with one pass per grid and one w per b asked for
+    p, kin = _table(), Kinematics(mass=1.0, k=3.0)
+    grids = [np.linspace(0.0, 0.2, n) for n in (3, 4, 5)]
+    want = [amplitude_eikonal(_table(), kin, theta, SETTINGS)
+            for theta in grids]
+    bad, done = [], []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(2 * len(grids))
+        for j in order.tolist():
+            route = (amplitude_eikonal, born_resummed_amplitude)[j % 2]
+            amp = route(p, kin, grids[j // 2], SETTINGS)
+            ref = want[j // 2]
+            if amp.value.tobytes() != ref.value.tobytes() \
+                    or amp.error_estimate.tobytes() \
+                    != ref.error_estimate.tobytes():
+                bad.append((seed, j))
+        done.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(6)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert sorted(done) == list(range(6)) and bad == []
+    assert len(p._passes) == len(grids)
+    fresh = _table()
+    for theta in grids:
+        amplitude_eikonal(fresh, kin, theta, SETTINGS)
+    assert set(p._w) == set(fresh._w)
+
+
+def test_a_table_run_takes_one_pass_a_k(tmp_path, monkeypatch):
+    # the runner calls both routes; the second is a lookup, and the two
+    # CSVs of each k are byte-identical
+    p = _table()
+    lines = ["# r, V"] + [f"{a!r}, {b!r}"
+                          for a, b in zip(p.r.tolist(), p.v.tolist())]
+    (tmp_path / "table.csv").write_text("\n".join(lines) + "\n")
+    text = f"""
+[potential]
+model = tabulated
+file = table.csv
+
+[kinematics]
+mass = 1.0
+k = 2, 3
+
+[theta_grid]
+min = 0.0
+max = 0.2
+count = 5
+
+[run]
+sources = eikonal, born_resummed
+
+[output]
+directory = {tmp_path / "out"}
+"""
+    cfg = parse_config(text, base_dir=str(tmp_path))
+    passes = _counted_passes(monkeypatch)
+    assert not run_scan(cfg).failed
+    assert len(passes) == 2
+    for k in ("2", "3"):
+        assert filecmp.cmp(tmp_path / "out" / f"eikonal_k{k}.csv",
+                           tmp_path / "out" / f"born_resummed_k{k}.csv",
+                           shallow=False), k
 
 
 @pytest.mark.parametrize("p, theta", [
@@ -326,6 +533,10 @@ def test_a_table_s_memo_holds_a_bounded_count(monkeypatch):
         b = np.linspace(1.0, 3.5, 8)[start:start + 3]
         _same_bits(eikonal._z_profile(p, b), _uncached(p, b))
         assert len(p._w) <= 4
+    # one call that misses more b than the bound stores no more than it
+    b = np.linspace(0.5, 3.0, 6)
+    _same_bits(eikonal._z_profile(p, b), _uncached(p, b))
+    assert len(p._w) == 4 and set(p._w) < set(b.tolist())
 
 
 def test_effective_radius_calls_no_quadrature_routine(monkeypatch):
@@ -544,14 +755,15 @@ def test_amplitude_error_includes_the_profile_bound(p, monkeypatch):
     if isinstance(p, TabulatedRadial):
         routes.append(amplitude_eikonal)
 
-    def amplitudes():
+    def amplitudes(p):
         return [route(p, kin, theta, SETTINGS) for route in routes]
 
-    bounded = amplitudes()
+    bounded = amplitudes(p)
     z_profile = eikonal._z_profile
     monkeypatch.setattr(eikonal, "_z_profile", lambda p, b: (
         z_profile(p, b)[0], np.zeros(b.shape)))
-    for amp, plain in zip(bounded, amplitudes()):
+    # an equal potential, so that a table's passes are not looked up
+    for amp, plain in zip(bounded, amplitudes(dataclasses.replace(p))):
         _same_bits(amp.value, plain.value)
         assert np.all(amp.error_estimate > plain.error_estimate)
 
