@@ -30,26 +30,20 @@ over e^{i chi} - 1, _profile_amplitude. born_resummed_amplitude, whose
 w Lambda(chi) is i v (e^{i chi} - 1), takes that pass for every
 model: a table's two routes are one, and for Yukawa and Gauss it checks
 the split. A table keeps each pass in a memo of its own, so one pass per
-(k, mass, angles, settings) serves both routes, whichever asks first.
-A table's w
-is the exact Abel transform of its pieces (potentials.abel_profile), some
-20 us a b on 3,000 knots, so _z_profile keeps it in the table's own memo,
-which the two routes share across angles, k and settings: (w, bound) per
-exact b, each with the bits of a call for that b alone, whichever call
-asked first. The memos are safe to use from several threads: two callers
-may compute the same b, or the same pass, to the same bits. Yukawa's and
-Gauss's w, a few
-microseconds a b, are kept nowhere: a fixed trapezoid rule, Yukawa's in t
-= asinh(z/b), Gauss's in z, whose step and range per b hold a-priori
-bounds on the discretisation and truncation errors; those bounds and a
-rounding floor are w's bound. The transforms of w integrate over [0, R],
-R the potential's own range from potentials.reach, and add the bound on
-the tail beyond R and the J0-weighted integral of w's bounds to their
-error_estimate.
+(k, mass, angles, settings) serves both routes, whichever asks first; the
+memo is safe to use from several threads, two of which may compute the
+same pass to the same bits. _z_profile keeps nothing: each call computes
+w at each b it is given. A table's w is the exact Abel transform of its
+pieces (potentials.abel_profile). Yukawa's and Gauss's w are a fixed
+trapezoid rule, Yukawa's in t = asinh(z/b), Gauss's in z, whose step and
+range per b hold a-priori bounds on the discretisation and truncation
+errors; those bounds and a rounding floor are w's bound. The transforms
+of w integrate over [0, R], R the potential's own range from
+potentials.reach, and add the bound on the tail beyond R and the
+J0-weighted integral of w's bounds to their error_estimate.
 """
 
 import dataclasses
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -144,12 +138,11 @@ def _check_b(b):
     return b_arr
 
 
-# A table's two memos, p._w and p._passes, each hold at most
-# _PROFILE_ENTRIES values: one per exact b in p._w, one per angle of each
-# pass in p._passes. A memo that would hold more is emptied first, and
-# what still does not fit is not stored. Lookups and inserts take the
-# lock; integrating does not, so two threads may integrate the same b, or
-# the same pass, to the same bits.
+# A table's pass memo, p._passes, holds at most _PROFILE_ENTRIES values,
+# one per angle of each pass. A memo that would hold more is emptied
+# first, and a pass that still does not fit is not stored. Lookups and
+# inserts take the lock; a pass does not, so two threads may run the same
+# pass to the same bits.
 _PROFILE_ENTRIES = 1 << 16
 _profile_lock = threading.Lock()
 _EPS = np.finfo(float).eps
@@ -158,51 +151,26 @@ _EPS = np.finfo(float).eps
 def _z_profile(p, b):
     """(w, a bound on the error of each w) at each b of a float array of
     any shape, each of b's shape: w(b) = int_{-inf}^{inf} V(sqrt(b^2 +
-    z^2)) dz. A table reads its memo, p._w, and integrates the distinct
-    misses in one call; Yukawa and Gauss integrate each distinct b afresh;
-    another model raises before any work. Every w has the bits of a call
-    for that b alone; a w that is not finite raises, naming its row in
-    b.ravel(), and nothing of that call is kept."""
+    z^2)) dz. A table takes abel_profile, Yukawa and Gauss the trapezoid
+    rule; another model raises before any work. Every w has the bits of a
+    call for that b alone; a w that is not finite raises, naming its row
+    in b.ravel()."""
+    flat = b.ravel()
     if isinstance(p, TabulatedRadial):
-        memo = p._w
+        w, err = abel_profile(p, flat)
     elif isinstance(p, (Yukawa, Gauss)):
-        memo = {}  # their fixed rule costs a few microseconds a b
+        rule = _yukawa_rule if isinstance(p, Yukawa) else _gauss_rule
+        step, nodes, bound, f = rule(p, flat)
+        w, absint = _trapezoid_rows(f, step, nodes)
+        err = bound + 50.0 * _EPS * absint
     else:
         raise UnsupportedModelError(
             f"unknown potential model {type(p).__name__!r}")
-    flat = b.ravel()
-    keys = flat.tolist()
-    with _profile_lock:
-        got = [memo.get(x) for x in keys]
-    miss = {}  # b -> index of its first occurrence
-    for j, (x, v) in enumerate(zip(keys, got)):
-        if v is None and x not in miss:
-            miss[x] = j
-    if miss:
-        rows = np.fromiter(miss.values(), dtype=int, count=len(miss))
-        w, err = _integrate_z_profile(p, flat[rows])
-        if not np.all(np.isfinite(w)):
-            j = rows[np.argmin(np.isfinite(w))]
-            raise DomainError(f"z-profile is not finite at b = "
-                              f"{float(flat[j])!r} in row {j}")
-        found = dict(zip(miss, zip(w.tolist(), err.tolist())))
-        with _profile_lock:
-            if len(memo) + len(found) > _PROFILE_ENTRIES:
-                memo.clear()
-            memo.update(itertools.islice(found.items(), _PROFILE_ENTRIES))
-        got = [found[x] if v is None else v for x, v in zip(keys, got)]
-    return np.moveaxis(np.reshape(got, (*b.shape, 2)), -1, 0)
-
-
-def _integrate_z_profile(p, b):
-    """(w(b), a bound on its error) for each b of the 1-d array b, uncached:
-    a table takes abel_profile, Yukawa and Gauss the trapezoid rule."""
-    if isinstance(p, TabulatedRadial):
-        return abel_profile(p, b)
-    rule = _yukawa_rule if isinstance(p, Yukawa) else _gauss_rule
-    step, nodes, bound, f = rule(p, b)
-    w, absint = _trapezoid_rows(f, step, nodes)
-    return w, bound + 50.0 * _EPS * absint
+    if not np.all(np.isfinite(w)):
+        j = int(np.argmin(np.isfinite(w)))
+        raise DomainError(f"z-profile is not finite at b = "
+                          f"{float(flat[j])!r} in row {j}")
+    return w.reshape(b.shape), err.reshape(b.shape)
 
 
 # Yukawa's and Gauss's z-profiles take the trapezoid rule h sum_n f(n h)
@@ -279,10 +247,13 @@ def _trapezoid_rows(f, step, nodes):
     h = step[j], N = nodes[j]; f(i, u) gives rows i of the integrand at u.
     Rows of one node count go to f together, in blocks of at most
     _KERNEL_BLOCK nodes, and each row sums its own nodes alone, so a row
-    has the bits of a call for that row alone."""
+    has the bits of a call for that row alone. No rows give empty arrays."""
     value, absint = np.empty(step.size), np.empty(step.size)
     order = np.argsort(nodes, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(nodes[order])) + 1):
+    # np.split makes one group, with no node count, of no rows
+    groups = np.split(order, np.flatnonzero(np.diff(nodes[order])) + 1) \
+        if order.size else []
+    for group in groups:
         n = np.arange(int(nodes[group[0]]) + 1)
         block = max(1, _KERNEL_BLOCK // n.size)
         for rows in (group[j:j + block]

@@ -83,8 +83,7 @@ class TabulatedRadial:
     coefficients (y0, b, c, d) of shape (4, edges.size - 1)), V = y0 + s (b
     + s (c + s d)) on [edges[j], edges[j+1]], s = r - edges[j]. A linear
     table has c = d = 0, and a table starting at r[0] > 0 has the constant
-    v[0] on [0, r[0]]. _abel holds what abel_profile reads of the pieces,
-    and _w is the memo of eikonal._z_profile: (w, bound) per exact b.
+    v[0] on [0, r[0]]. _abel holds what abel_profile reads of the pieces.
     _passes is the memo of eikonal._profile_amplitude: (value, error) of
     one Hankel pass per (k, mass, angles, settings), which serves both the
     eikonal and born_resummed.
@@ -96,7 +95,6 @@ class TabulatedRadial:
     file: str | None = None
     _pieces: tuple = field(init=False, repr=False, compare=False)
     _abel: tuple = field(init=False, repr=False, compare=False)
-    _w: dict = field(init=False, repr=False, compare=False)
     _passes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -132,7 +130,6 @@ class TabulatedRadial:
                                    coef), axis=1)
         object.__setattr__(self, "_pieces", (edges, coef))
         object.__setattr__(self, "_abel", _abel_knots(edges, coef))
-        object.__setattr__(self, "_w", {})
         object.__setattr__(self, "_passes", {})
 
 

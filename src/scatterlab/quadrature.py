@@ -269,8 +269,9 @@ def integrate_semi_infinite(f, settings=DEFAULT_SETTINGS):
     return integrate_adaptive(mapped, 0.0, 1.0, settings)
 
 
-# (q, node) pairs per block in hankel0's panels, so the memory a call takes
-# does not grow with the count of q or of panels
+# pairs per block, so the memory a call takes does not grow with its
+# count of points: (q, node) pairs in hankel0's panels, (b, node) pairs in
+# eikonal._trapezoid_rows and (b, knot) pairs in potentials.abel_profile
 _KERNEL_BLOCK = 1 << 13
 
 # the 7-point Gauss rule embedded in GK15, which potentials' exact weight

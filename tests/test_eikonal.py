@@ -160,10 +160,12 @@ class TestChi:
 
     def test_an_unknown_model_is_refused_before_any_work(self, monkeypatch):
         # it fell through to the Gauss rule's raw AttributeError on alpha
-        def refused(p, b):
+        def refused(*args):
             raise AssertionError("z-profile integrated")
 
-        monkeypatch.setattr(eikonal, "_integrate_z_profile", refused)
+        for name in ("abel_profile", "_yukawa_rule", "_gauss_rule",
+                     "_trapezoid_rows"):
+            monkeypatch.setattr(eikonal, name, refused)
         for b in (1.0, np.array([0.5, 2.0]), np.array([])):
             with pytest.raises(UnsupportedModelError,
                                match="unknown potential model 'object'"):

@@ -1,7 +1,7 @@
 """No library function keeps state in its module: none declares `global`,
 and none changes a module-level dict, list or set. State a call keeps
-lives on the object it belongs to (a table's z-profile and pass memos),
-not in a module name that every caller shares."""
+lives on the object it belongs to (a table's pass memo), not in a
+module name that every caller shares."""
 
 import ast
 import importlib.util

@@ -1,8 +1,8 @@
 """The z-profile: chi, a table's eikonal and born_resummed read w(b), each
-value with a bound on its error, and with the bits of an uncached
-integration at that b alone. A table keeps its w in its own memo, which
-those readers share; Yukawa's and Gauss's w are integrated afresh, and
-lie within their bounds of the closed forms."""
+value with a bound on its error, and with the bits of a call at that b
+alone. The profile keeps nothing: a table's w is its exact Abel
+transform, and Yukawa's and Gauss's w lie within their bounds of the
+closed forms."""
 
 import dataclasses
 import filecmp
@@ -53,11 +53,6 @@ def _soft_core_table(r_hi):
     return TabulatedRadial(r, v)
 
 
-def _uncached(p, b):
-    """(w, error estimate) at each b, integrated afresh."""
-    return eikonal._integrate_z_profile(p, np.asarray(b, dtype=float))
-
-
 def _same_bits(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -65,29 +60,27 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("make_p", [lambda: Yukawa(0.5, 1.0),
                                     lambda: Gauss(0.3, 0.7), _table],
                          ids=["yukawa", "gauss", "table"])
-def test_memoised_profile_has_the_bits_of_an_uncached_integration(make_p):
+def test_profile_has_the_bits_of_a_call_for_each_b_alone(make_p):
     p = make_p()
 
     def profile(b):
         return eikonal._z_profile(p, b)
 
-    cold = profile(B[:3])
-    warm = profile(B)  # hits, misses and repeats
-    again = profile(B[::-1])  # hits only
+    part = profile(B[:3])
+    whole = profile(B)  # with repeats
+    reverse = profile(B[::-1])
     # every value, and its error estimate, has the bits of asking for that
-    # b alone, and of integrating it afresh
-    for b, w, e in zip(B, *warm):
+    # b alone, whatever else the call asks for
+    for b, w, e in zip(B, *whole):
         _same_bits((w, e), [x[0] for x in profile(np.array([b]))])
-    _same_bits(cold, [x[:3] for x in warm])
-    _same_bits(again, [x[::-1] for x in warm])
-    _same_bits(warm, _uncached(p, B))
+    _same_bits(part, [x[:3] for x in whole])
+    _same_bits(reverse, [x[::-1] for x in whole])
     if isinstance(p, TabulatedRadial):
-        assert set(p._w) == set(B.tolist())
-        beyond = warm[0][B >= 4.0]
+        beyond = whole[0][B >= 4.0]
         assert beyond.tolist() == [0.0, 0.0, 0.0]
         assert not np.signbit(beyond).any()
-        assert warm[1][B >= 4.0].tolist() == [0.0, 0.0, 0.0]
-        assert np.all(warm[1][B < 4.0] > 0.0)
+        assert whole[1][B >= 4.0].tolist() == [0.0, 0.0, 0.0]
+        assert np.all(whole[1][B < 4.0] > 0.0)
 
 
 @pytest.mark.parametrize("make_p", [lambda: Yukawa(0.5, 1.0),
@@ -98,11 +91,28 @@ def test_profile_returns_the_shape_of_b_with_the_bits_of_a_flat_call(make_p):
     grid = B.reshape(2, 4)
     w, err = eikonal._z_profile(p, grid)
     assert w.shape == err.shape == grid.shape
-    flat = _uncached(p, B)
+    flat = eikonal._z_profile(p, B)
     _same_bits((w.ravel(), err.ravel()), flat)
     w0, err0 = eikonal._z_profile(p, np.array(B[1]))
     assert w0.shape == err0.shape == ()
     _same_bits((w0, err0), [x[1] for x in flat])
+    # a grid of repeats: each has the bits of a call for its b alone
+    repeats = np.repeat(B[:2], 3).reshape(2, 3)
+    w, err = eikonal._z_profile(p, repeats)
+    for b, wb, eb in zip(repeats.ravel(), w.ravel(), err.ravel()):
+        _same_bits((wb, eb), eikonal._z_profile(p, np.array(b)))
+
+
+@pytest.mark.parametrize("make_p", [lambda: Yukawa(0.5, 1.0),
+                                    lambda: Gauss(0.3, 0.7), _table],
+                         ids=["yukawa", "gauss", "table"])
+@pytest.mark.parametrize("shape", [(0,), (2, 0)], ids=["empty", "2x0"])
+def test_an_empty_b_gives_empty_arrays(make_p, shape):
+    p, kin = make_p(), Kinematics(mass=1.0, k=2.0)
+    b = np.zeros(shape)
+    w, err = eikonal._z_profile(p, b)
+    assert w.shape == err.shape == shape
+    assert chi(p, kin, b).shape == shape
 
 
 def test_tabulated_run_is_byte_identical_at_one_and_four_threads(tmp_path):
@@ -165,7 +175,7 @@ def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
     theta = np.array([0.0, 0.1, 0.2])
     requested = {"born": set(), "eikonal": set()}
     route, integrated = [], []
-    z_profile, integrate = eikonal._z_profile, eikonal._integrate_z_profile
+    z_profile, integrate = eikonal._z_profile, eikonal.abel_profile
 
     def asked(p, b):
         requested[route[-1]].update(b.ravel().tolist())
@@ -176,7 +186,7 @@ def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
         return integrate(p, b)
 
     monkeypatch.setattr(eikonal, "_z_profile", asked)
-    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
+    monkeypatch.setattr(eikonal, "abel_profile", counted)
     passes = _counted_passes(monkeypatch)
     route.append("born")
     born_resummed_amplitude(p, kin, theta, SETTINGS)
@@ -185,7 +195,7 @@ def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
     res, eik = requested["born"], requested["eikonal"]
     assert res and not eik
     assert len(passes) == 1
-    assert sum(integrated) == len(res) == len(p._w)
+    assert sum(integrated) == len(res)
 
 
 @pytest.mark.parametrize("first", [amplitude_eikonal,
@@ -312,7 +322,7 @@ def test_a_table_s_pass_memo_holds_a_bounded_count(monkeypatch):
 def test_threads_sharing_a_table_get_the_bits_of_a_fresh_one():
     # more threads than cores, switching often, each asking both routes
     # for the same passes: every result has the bits of a fresh table's,
-    # and the memos end with one pass per grid and one w per b asked for
+    # and the memo ends with one pass per grid
     p, kin = _table(), Kinematics(mass=1.0, k=3.0)
     grids = [np.linspace(0.0, 0.2, n) for n in (3, 4, 5)]
     want = [amplitude_eikonal(_table(), kin, theta, SETTINGS)
@@ -345,10 +355,6 @@ def test_threads_sharing_a_table_get_the_bits_of_a_fresh_one():
     assert not any(t.is_alive() for t in workers)
     assert sorted(done) == list(range(6)) and bad == []
     assert len(p._passes) == len(grids)
-    fresh = _table()
-    for theta in grids:
-        amplitude_eikonal(fresh, kin, theta, SETTINGS)
-    assert set(p._w) == set(fresh._w)
 
 
 def test_a_table_run_takes_one_pass_a_k(tmp_path, monkeypatch):
@@ -415,27 +421,6 @@ def test_born_resummed_matches_a_pass_over_the_lambda_form(p, theta):
                   + scale * (ref.error_estimate + tail))
 
 
-def test_one_profile_serves_every_setting(monkeypatch):
-    # a tolerance change no longer throws the stored w(b) away: both routes
-    # under two settings read one profile, and each b is integrated once
-    p = _table()
-    kin = Kinematics(mass=1.0, k=3.0)
-    theta = np.array([0.0, 0.1, 0.2])
-    integrated = []
-    integrate = eikonal._integrate_z_profile
-
-    def counted(p, b):
-        integrated.extend(b.tolist())
-        return integrate(p, b)
-
-    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
-    for settings in (SETTINGS, QuadratureSettings(rel_tol=1e-8, abs_tol=1e-10,
-                                                  max_subdivisions=400)):
-        amplitude_eikonal(p, kin, theta, settings)
-        born_resummed_amplitude(p, kin, theta, settings)
-    assert len(integrated) == len(set(integrated)) == len(p._w)
-
-
 def _overflowing_table():
     # 4e307 out to r = 3, then linear to 0 at 4: w(b) = 2 int V dz passes
     # the largest float below b ~ 3, and is finite at 3.5 and 3.9
@@ -443,32 +428,28 @@ def _overflowing_table():
                            interpolation="linear")
 
 
-def test_failing_miss_row_names_the_callers_row():
+def test_failing_row_names_the_callers_row():
     p = _overflowing_table()
     b = np.array([3.9, 3.5, 0.05])
     eikonal._z_profile(p, b[:2])
-    # rows 0 and 1 hit the memo; the miss is named by its row in b
+    # the row whose w is not finite is named by its row in b
     with pytest.raises(DomainError, match="b = 0.05 in row 2"):
         eikonal._z_profile(p, b)
-    assert np.isinf(_uncached(p, b)[0][2])
-    # nothing of the failed row was stored: it fails again
-    assert set(p._w) == set(b[:2].tolist())
+    assert np.isinf(potentials.abel_profile(p, b)[0][2])
     with pytest.raises(DomainError, match="in row 1"):
         eikonal._z_profile(p, b[1:])
 
 
-def test_failing_node_integral_names_its_b_and_stores_nothing():
+def test_failing_node_integral_names_its_b():
     # the table's w overflows at b = 0.05; the error names the row that
-    # holds that b, and chi stores nothing
+    # holds that b
     p = _overflowing_table()
     kin = Kinematics(mass=1.0, k=1.0)
     b = np.array([3.5, 0.05])
     with pytest.raises(DomainError, match="b = 0.05 in row 1"):
         chi(p, kin, b)
-    assert p._w == {}
     with pytest.raises(DomainError, match="in row 0"):
         chi(p, kin, b[1:])
-    assert p._w == {}
 
 
 def test_overflowing_profile_names_its_row():
@@ -482,61 +463,24 @@ def test_overflowing_profile_names_its_row():
 
 def test_a_table_s_profile_is_integrated_once_at_a_few_hundred_b(
         monkeypatch):
-    counts = []
-    integrate = eikonal._integrate_z_profile
-
-    def counted(p, b):
-        counts.append(b.size)
-        return integrate(p, b)
-
-    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
-    p = _table()
-    kin = Kinematics(mass=1.0, k=2.0)
-    theta = np.linspace(0.0, 0.2, 33)
-    born_resummed_amplitude(p, kin, theta, SETTINGS)
-    chi(p, kin, np.array(sorted(p._w)))
-    born_resummed_amplitude(p, Kinematics(mass=1.0, k=5.0), theta, SETTINGS)
-    # one memo for every angle, reader and k, holding each b integrated
-    # once: the transforms never ask beyond the profile's reach
-    assert sum(counts) == len(p._w)
-    assert sum(counts) <= 700
-
-
-def test_tables_used_alternately_keep_their_own_memos(monkeypatch):
-    # a memo held one potential at a time was emptied at every switch
-    p1, p2 = _table(), _table()  # equal, not the same
     integrated = []
-    integrate = eikonal._integrate_z_profile
+    integrate = eikonal.abel_profile
 
     def counted(p, b):
-        integrated.extend((id(p), x) for x in b.tolist())
+        integrated.extend(b.tolist())
         return integrate(p, b)
 
-    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
-    kin = Kinematics(mass=1.0, k=3.0)
-    theta = np.array([0.0, 0.1])
-    for _ in range(2):
-        for p in (p1, p2):
-            amplitude_eikonal(p, kin, theta, SETTINGS)
-            born_resummed_amplitude(p, kin, theta, SETTINGS)
-    assert len(integrated) == len(set(integrated)) == len(p1._w) + len(p2._w)
-    assert p1._w == p2._w
-
-
-def test_a_table_s_memo_holds_a_bounded_count(monkeypatch):
+    monkeypatch.setattr(eikonal, "abel_profile", counted)
     p = _table()
-    monkeypatch.setattr(eikonal, "_PROFILE_ENTRIES", 4)
-    w = eikonal._z_profile(p, B[:2])
-    assert set(p._w) == set(B[:2].tolist())
-    assert p._w[B[0]] == (w[0][0], w[1][0])
-    for start in range(0, 8, 3):
-        b = np.linspace(1.0, 3.5, 8)[start:start + 3]
-        _same_bits(eikonal._z_profile(p, b), _uncached(p, b))
-        assert len(p._w) <= 4
-    # one call that misses more b than the bound stores no more than it
-    b = np.linspace(0.5, 3.0, 6)
-    _same_bits(eikonal._z_profile(p, b), _uncached(p, b))
-    assert len(p._w) == 4 and set(p._w) < set(b.tolist())
+    theta = np.linspace(0.0, 0.2, 33)
+    for k in (2.0, 5.0):
+        start = len(integrated)
+        born_resummed_amplitude(p, Kinematics(mass=1.0, k=k), theta,
+                                SETTINGS)
+        # one pass for every angle, asking for each b once: the transforms
+        # never ask beyond the profile's reach
+        assert len(set(integrated[start:])) == len(integrated) - start
+    assert len(integrated) <= 700
 
 
 def test_effective_radius_calls_no_quadrature_routine(monkeypatch):
@@ -575,7 +519,7 @@ def test_analytic_profile_is_within_its_bound_of_direct_integrals(p):
     b = _off_grid(p, np.random.default_rng(7))
     closed = _closed(p, b)
     got, bound = eikonal._z_profile(p, b)
-    # the stored bound, plus the rounding of the closed form itself, whose
+    # the bound, plus the rounding of the closed form itself, whose
     # exponent x = mu b or alpha b^2 carries a relative error of about x eps
     x = p.mu * b if isinstance(p, Yukawa) else p.alpha * b * b
     slack = bound + (8.0 + x) * EPS * np.abs(closed)
@@ -682,9 +626,9 @@ def test_tabulated_chi_near_the_last_radius_is_within_its_bound(r_hi):
 
 
 def test_seed_11_table_profile_is_within_its_bound_of_the_exact_transform(
-        tmp_path):
+        tmp_path, monkeypatch):
     # the benchmark's seed-11 table at its k: 30 of the b its eikonal
-    # stores, each within its bound of a 30-digit transform of the pieces
+    # asks for, each within its bound of a 30-digit transform of the pieces
     # and within 1e-15 of it (an adaptive z-integral was 2.9e-10 off)
     spec = importlib.util.spec_from_file_location(
         "_workloads", ROOT / "perfbench" / "workloads.py")
@@ -693,12 +637,21 @@ def test_seed_11_table_profile_is_within_its_bound_of_the_exact_transform(
     path = Path(workloads.generate("tabulated", 11, str(tmp_path)))
     cfg = parse_config(path.read_text(), base_dir=str(tmp_path))
     p = cfg.potential
+    asked = {}
+    z_profile = eikonal._z_profile
+
+    def kept(p, b):
+        w, err = z_profile(p, b)
+        asked.update(zip(b.ravel().tolist(), zip(w.ravel().tolist(),
+                                                 err.ravel().tolist())))
+        return w, err
+
+    monkeypatch.setattr(eikonal, "_z_profile", kept)
     amplitude_eikonal(p, cfg.kinematics(5.0), cfg.theta.points(),
                       cfg.quadrature)
-    store = p._w
-    b = np.array(sorted(store))[np.linspace(0, len(store) - 1, 30,
+    b = np.array(sorted(asked))[np.linspace(0, len(asked) - 1, 30,
                                             dtype=int)]
-    got, bound = np.array([store[x] for x in b.tolist()]).T
+    got, bound = np.array([asked[x] for x in b.tolist()]).T
     exact = _oracles.abel_transform(*p._pieces, b)
     assert np.all(np.abs(got - exact) <= bound)
     assert np.max(np.abs(got - exact)) <= 1e-15
@@ -813,18 +766,17 @@ def test_tabulated_errors_cover_a_tight_reference(monkeypatch, k, theta):
     kin = Kinematics(mass=1.0, k=k)
     tight = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-14,
                                max_subdivisions=2000)
-    # an equal table, not the same object, so the store counted below
-    # starts empty
+    # an equal table, not the same object, so that p's passes start empty
     ref = np.array([amplitude_eikonal(_soft_core_table(30.0), kin, float(t),
                                       tight).value for t in theta])
-    stored = []
-    integrate = eikonal._integrate_z_profile
+    integrated = []
+    integrate = eikonal.abel_profile
 
     def counted(p, b):
-        stored.append(b.size)
+        integrated.append(b.size)
         return integrate(p, b)
 
-    monkeypatch.setattr(eikonal, "_integrate_z_profile", counted)
+    monkeypatch.setattr(eikonal, "abel_profile", counted)
     for amp in (amplitude_eikonal(p, kin, theta, SETTINGS),
                 born_resummed_amplitude(p, kin, theta, SETTINGS)):
         assert np.all(np.abs(amp.value - ref) <= amp.error_estimate)
@@ -832,4 +784,4 @@ def test_tabulated_errors_cover_a_tight_reference(monkeypatch, k, theta):
                                    amp.value, SETTINGS) is None
     # the angles share their impact parameters: 24,498 distinct b for the
     # 64 angles at k = 10 when each angle had its own
-    assert sum(stored) <= 1500
+    assert sum(integrated) <= 1500
