@@ -18,12 +18,13 @@ chi(b) = -w(b)/v with v = k/m, and Lambda(x) = (e^{ix}-1)/(ix) is the
 closed form of the lambda integral. As w Lambda(chi) = i v (e^{i chi} - 1),
 that is the eikonal's integral, so born_resummed takes the eikonal's z-profile
 pass, eikonal._profile_amplitude, for every model: on a table it is the
-table's eikonal, to the bit, and one pass per (k, mass, angles, settings),
-kept by the table, serves both. For Yukawa and Gauss the eikonal takes its
-first order in chi, the first Born amplitude, from fourier3d and its phase
-in closed form, so the two amplitudes' equality checks that split. On a
-table born1_amplitude reports the error bound of quadrature.integrate_sin's
-exact series on each spline piece, and reads no setting.
+table's eikonal, to the bit. Each call runs its own pass; a run takes a
+table's pass once per k for both (runner.run_scan). For Yukawa and Gauss
+the eikonal takes its first order in chi, the first Born amplitude, from
+fourier3d and its phase in closed form, so the two amplitudes' equality
+checks that split. On a table born1_amplitude reports the error bound of
+quadrature.integrate_sin's exact series on each spline piece, and reads no
+setting.
 """
 
 import numpy as np

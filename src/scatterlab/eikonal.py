@@ -29,23 +29,21 @@ A table's phase comes from its z-profile w(b) = int V dz, in one pass
 over e^{i chi} - 1, _profile_amplitude. born_resummed_amplitude, whose
 w Lambda(chi) is i v (e^{i chi} - 1), takes that pass for every
 model: a table's two routes are one, and for Yukawa and Gauss it checks
-the split. A table keeps each pass in a memo of its own, so one pass per
-(k, mass, angles, settings) serves both routes, whichever asks first; the
-memo is safe to use from several threads, two of which may compute the
-same pass to the same bits. _z_profile keeps nothing: each call computes
-w at each b it is given. A table's w is the exact Abel transform of its
-pieces (potentials.abel_profile). Yukawa's and Gauss's w are a fixed
-trapezoid rule, Yukawa's in t = asinh(z/b), Gauss's in z, whose step and
-range per b hold a-priori bounds on the discretisation and truncation
-errors; those bounds and a rounding floor are w's bound. The transforms
-of w integrate over [0, R], R the potential's own range from
-potentials.reach, and add the bound on the tail beyond R and the
-J0-weighted integral of w's bounds to their error_estimate.
+the split. Nothing is kept between calls: each call runs its own pass,
+and _z_profile computes w at each b it is given; a run shares a table's
+pass at one k between the two routes (runner.run_scan). A table's w is
+the exact Abel transform of its pieces (potentials.abel_profile).
+Yukawa's and Gauss's w are a fixed trapezoid rule, Yukawa's in t =
+asinh(z/b), Gauss's in z, whose step and range per b hold a-priori
+bounds on the discretisation and truncation errors; those bounds and a
+rounding floor are w's bound. The transforms of w integrate over [0, R],
+R the potential's own range from potentials.reach, and add the bound on
+the tail beyond R and the J0-weighted integral of w's bounds to their
+error_estimate.
 """
 
 import dataclasses
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +136,6 @@ def _check_b(b):
     return b_arr
 
 
-# A table's pass memo, p._passes, holds at most _PROFILE_ENTRIES values,
-# one per angle of each pass. A memo that would hold more is emptied
-# first, and a pass that still does not fit is not stored. Lookups and
-# inserts take the lock; a pass does not, so two threads may run the same
-# pass to the same bits.
-_PROFILE_ENTRIES = 1 << 16
-_profile_lock = threading.Lock()
 _EPS = np.finfo(float).eps
 
 
@@ -325,31 +316,11 @@ def _profile_amplitude(p, kin, q, settings):
     """(value, error) of -i k int_0^R J0(q b) (e^{i chi(b)} - 1) b db at
     each q, (R, T) = reach(p). The error is k times the pass's error plus
     T/v, a bound on the tail as |e^{i chi} - 1| <= |chi|; T is 0 for
-    a table.
-
-    A table keeps each pass in its memo p._passes, keyed by all the pass
-    reads: k, mass, q's bits and shape, and the settings. The eikonal and
-    born_resummed both read it, and each call gets arrays of its own. A
-    pass that raises stores nothing."""
-    memo = p._passes if isinstance(p, TabulatedRadial) else None
-    if memo is not None:
-        key = (kin, np.asarray(q).tobytes(), np.shape(q), settings)
-        with _profile_lock:
-            got = memo.get(key)
-        if got is not None:
-            return got[0].copy(), got[1].copy()
+    a table."""
     upper, tail = reach(p)
     res = hankel0(_phase_integrand(p, kin), q, upper, settings)
-    value = -1j * kin.k * np.asarray(res.value, dtype=complex)
-    error = kin.k * (res.error_estimate + tail / kin.v)
-    if memo is not None:
-        with _profile_lock:
-            held = sum(v.size for v, _ in memo.values())
-            if held + value.size > _PROFILE_ENTRIES:
-                memo.clear()
-            if value.size <= _PROFILE_ENTRIES:
-                memo[key] = value.copy(), np.array(error)
-    return value, error
+    return (-1j * kin.k * np.asarray(res.value, dtype=complex),
+            kin.k * (res.error_estimate + tail / kin.v))
 
 
 # The closed route's remainder e^{i chi} - 1 - i chi is at most chi^2/2 in

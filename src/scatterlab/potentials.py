@@ -84,9 +84,7 @@ class TabulatedRadial:
     + s (c + s d)) on [edges[j], edges[j+1]], s = r - edges[j]. A linear
     table has c = d = 0, and a table starting at r[0] > 0 has the constant
     v[0] on [0, r[0]]. _abel holds what abel_profile reads of the pieces.
-    _passes is the memo of eikonal._profile_amplitude: (value, error) of
-    one Hankel pass per (k, mass, angles, settings), which serves both the
-    eikonal and born_resummed.
+    Both are fixed at construction: a table keeps no state between calls.
     """
 
     r: np.ndarray
@@ -95,7 +93,6 @@ class TabulatedRadial:
     file: str | None = None
     _pieces: tuple = field(init=False, repr=False, compare=False)
     _abel: tuple = field(init=False, repr=False, compare=False)
-    _passes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r, v = reals(self.r, "r"), reals(self.v, "v")
@@ -130,7 +127,6 @@ class TabulatedRadial:
                                    coef), axis=1)
         object.__setattr__(self, "_pieces", (edges, coef))
         object.__setattr__(self, "_abel", _abel_knots(edges, coef))
-        object.__setattr__(self, "_passes", {})
 
 
 def evaluate(potential, r):

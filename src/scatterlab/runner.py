@@ -1,9 +1,15 @@
 """Scan orchestration: one config in, CSV/report/manifest files out.
 
-Work is split into independent (source, k) tasks, run one after another
-in a fixed canonical order. run.threads is parsed, checked and echoed but
-changes neither speed nor output: the tasks hold the interpreter lock, so
-a thread pool never ran them faster.
+Work is split into (source, k) tasks, run one after another in a fixed
+canonical order. run.threads is parsed, checked and echoed but changes
+neither speed nor output: the tasks hold the interpreter lock, so a thread
+pool never ran them faster.
+
+On a table the eikonal and born_resummed are one Hankel pass: the second
+of them at a k takes the first's Amplitude, so its manifest wall clock
+leaves out that pass. A pass that raises is not kept, and the second
+raises the same error. Yukawa's and Gauss's routes stay two passes, the
+closed phase's cross-check.
 
 Every artifact is built as one string, each number formatted once, and
 written as bytes: the CSVs, summary.csv, report.txt and plot.gp in ASCII,
@@ -25,7 +31,7 @@ from .cross_sections import paper_formula_checks, table_from_amplitudes
 from .eikonal import amplitude_eikonal, amplitude_paper_closed
 from .errors import DomainError, ScatterError
 from .partial_wave import amplitude_partial_wave, phase_shifts
-from .potentials import Gauss, Yukawa
+from .potentials import Gauss, TabulatedRadial, Yukawa
 
 _QUADRATURE_SOURCES = ("eikonal", "born_resummed", "born1")
 
@@ -76,19 +82,25 @@ def _csv_name(source, k):
     return f"{source}_k{k_tag(k)}.csv"
 
 
-def _amplitude_rows(cfg, source, kin, theta):
-    """The source's Amplitude over the theta grid, plus row warnings."""
+def _amplitude_rows(cfg, source, kin, theta, passes):
+    """The source's Amplitude over the theta grid, plus row warnings.
+    passes holds a table's one Glauber pass at each k run so far."""
     p = cfg.potential
     if source == "partial_wave":
         ps = phase_shifts(p, kin, l_max=cfg.partial_wave.l_max,
                           r_max=cfg.partial_wave.r_max,
                           dr=cfg.partial_wave.dr)
         return amplitude_partial_wave(ps, theta), []
-    if source == "eikonal":
-        return amplitude_eikonal(p, kin, theta, settings=cfg.quadrature), []
-    if source == "born_resummed":
-        return born_resummed_amplitude(p, kin, theta,
-                                       settings=cfg.quadrature), []
+    if source in ("eikonal", "born_resummed"):
+        shared = isinstance(p, TabulatedRadial)
+        if shared and kin.k in passes:
+            return passes[kin.k], []
+        route = amplitude_eikonal if source == "eikonal" \
+            else born_resummed_amplitude
+        amp = route(p, kin, theta, settings=cfg.quadrature)
+        if shared:
+            passes[kin.k] = amp
+        return amp, []
     if source == "born1":
         return born1_amplitude(p, kin, theta), []
     amp = amplitude_paper_closed(p, kin, theta)
@@ -109,13 +121,13 @@ def _quadrature_warning(source, k, err, value, settings):
             f"tolerance target")
 
 
-def _run_task(cfg, source, k):
+def _run_task(cfg, source, k, passes):
     """Compute one (source, k) table; never raises, reports via outcome."""
     start = time.perf_counter()
     kin = cfg.kinematics(k)
     theta = cfg.theta.points()
     try:
-        amp, warnings = _amplitude_rows(cfg, source, kin, theta)
+        amp, warnings = _amplitude_rows(cfg, source, kin, theta, passes)
     except ScatterError as exc:
         wall = time.perf_counter() - start
         outcome = SourceOutcome(source=source, k=k, csv_file=None,
@@ -323,9 +335,9 @@ def run_scan(cfg, out_dir=None):
         cfg.output, directory=out_dir))
     tasks = [(source, k) for source in cfg.sources for k in cfg.k_values]
 
-    outcomes, tables, warnings = [], {}, []
+    outcomes, tables, warnings, passes = [], {}, [], {}
     for key in tasks:
-        outcome, table, task_warnings = _run_task(cfg, *key)
+        outcome, table, task_warnings = _run_task(cfg, *key, passes)
         outcomes.append(outcome)
         warnings.extend(task_warnings)
         if table is not None:

@@ -1,7 +1,9 @@
-"""No library function keeps state in its module: none declares `global`,
-and none changes a module-level dict, list or set. State a call keeps
-lives on the object it belongs to (a table's pass memo), not in a
-module name that every caller shares."""
+"""The library keeps no state between calls. No function declares
+`global` or changes a module-level dict, list or set, and no dataclass
+holds one: none declares a dict, list or set field, and no
+`__post_init__` stores one through `object.__setattr__`. What a run
+shares between its tasks lives in the run (runner.run_scan), not in a
+module name or an object that every caller shares."""
 
 import ast
 import importlib.util
@@ -23,6 +25,64 @@ def _library_sources():
     assert "eikonal.py" in {path.name for path in paths}
     return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
             for path in paths]
+
+
+def _is_dataclass(node):
+    """Whether a class definition carries a @dataclass decorator, called
+    or not, by name or as an attribute."""
+    for dec in node.decorator_list:
+        if isinstance(dec, ast.Call):
+            dec = dec.func
+        if getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _is_container_type(node):
+    """Whether an annotation names a dict, list or set, bare, subscripted
+    (dict[str, int]) or from typing (typing.Dict)."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    name = getattr(node, "id", getattr(node, "attr", ""))
+    return name.lower() in {c.lower() for c in _CONSTRUCTORS}
+
+
+def _container_fields(tree):
+    """(class name, field name) of each dataclass field that holds a dict,
+    list or set: by its annotation, its default or its default_factory,
+    or through object.__setattr__ in the class's __post_init__."""
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+            continue
+        for node in cls.body:
+            if not (isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)):
+                continue
+            value = node.value
+            factories = [kw.value for kw in getattr(value, "keywords", ())
+                         if kw.arg == "default_factory"]
+            if _is_container_type(node.annotation) \
+                    or (value is not None and _is_container(value)) \
+                    or any(getattr(f, "id", None) in _CONSTRUCTORS
+                           or _is_container(getattr(f, "body", None))
+                           for f in factories):
+                found.append((cls.name, node.target.id))
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef)
+                    and fn.name == "__post_init__"):
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) \
+                        and isinstance(call.func, ast.Attribute) \
+                        and call.func.attr == "__setattr__" \
+                        and len(call.args) == 3 \
+                        and _is_container(call.args[2]):
+                    name = call.args[1]
+                    found.append((cls.name, name.value
+                                  if isinstance(name, ast.Constant)
+                                  else ast.unparse(name)))
+    return found
 
 
 def _globals(tree):
@@ -187,3 +247,44 @@ def test_no_library_function_changes_a_module_container():
                for stem, tree in _library_sources()
                for name, target in _mutations(tree)]
     assert changed == []
+
+
+def test_container_fields_finds_each_dataclass_container():
+    tree = ast.parse("""
+import dataclasses
+from dataclasses import dataclass, field
+
+@dataclass(frozen=True)
+class Table:
+    r: tuple
+    _memo: dict = field(init=False, repr=False)
+    _rows: list[float] = field(default_factory=list)
+    _keys: tuple = field(default_factory=lambda: {"a": 1})
+    _fixed: tuple = (1, 2)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_fixed", (3, 4))
+        object.__setattr__(self, "_more", dict(a=1))
+
+@dataclasses.dataclass
+class Plain:
+    x: float
+    y: typing.Dict[str, int] = None
+
+class NotData:
+    z: dict = {}
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
+""")
+    assert _container_fields(tree) == [
+        ("Table", "_memo"), ("Table", "_rows"), ("Table", "_keys"),
+        ("Table", "_memo"), ("Table", "_more"), ("Plain", "y")]
+
+
+def test_no_library_dataclass_holds_a_container():
+    held = [f"{stem}.{cls}.{name}"
+            for stem, tree in _library_sources()
+            for cls, name in _container_fields(tree)]
+    assert held == []

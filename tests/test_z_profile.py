@@ -4,7 +4,6 @@ alone. The profile keeps nothing: a table's w is its exact Abel
 transform, and Yukawa's and Gauss's w lie within their bounds of the
 closed forms."""
 
-import dataclasses
 import filecmp
 import importlib.util
 import sys
@@ -18,11 +17,13 @@ import pytest
 import scipy.special as sps
 
 import scatterlab
-from scatterlab import born, eikonal, partial_wave, potentials, quadrature
+from scatterlab import (born, eikonal, partial_wave, potentials,
+                        quadrature, runner)
 from scatterlab.born import born_resummed_amplitude
 from scatterlab.config import parse_config
+from scatterlab.cross_sections import table_from_amplitudes
 from scatterlab.eikonal import Kinematics, amplitude_eikonal, chi, chi_closed
-from scatterlab.errors import ConvergenceError, DomainError
+from scatterlab.errors import DomainError
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
 from scatterlab.quadrature import QuadratureSettings, hankel0
 from scatterlab.runner import _quadrature_warning, run_scan
@@ -115,38 +116,46 @@ def test_an_empty_b_gives_empty_arrays(make_p, shape):
     assert chi(p, kin, b).shape == shape
 
 
-def test_tabulated_run_is_byte_identical_at_one_and_four_threads(tmp_path):
-    p = _table()
+def _table_config(tmp_path, p, sources, k="2, 3", count=3, threads=1,
+                  quadrature="", out="out"):
+    """A tabulated run's config: p's samples written to table.csv."""
     lines = ["# r, V"] + [f"{a!r}, {b!r}"
                           for a, b in zip(p.r.tolist(), p.v.tolist())]
     (tmp_path / "table.csv").write_text("\n".join(lines) + "\n")
-    text = """
+    text = f"""
 [potential]
 model = tabulated
 file = table.csv
 
 [kinematics]
 mass = 1.0
-k = 2, 3
+k = {k}
 
 [theta_grid]
 min = 0.0
 max = 0.2
-count = 3
+count = {count}
+
+[quadrature]
+{quadrature}
 
 [run]
-sources = eikonal, born_resummed
+sources = {sources}
 threads = {threads}
 
 [output]
-directory = {out}
+directory = {tmp_path / out}
 """
+    # each parse loads a fresh potential object
+    return parse_config(text, base_dir=str(tmp_path))
+
+
+def test_tabulated_run_is_byte_identical_at_one_and_four_threads(tmp_path):
     names = ["eikonal_k2.csv", "eikonal_k3.csv", "born_resummed_k2.csv",
              "born_resummed_k3.csv", "summary.csv", "report.txt"]
     for tag, threads in (("t1", 1), ("t4", 4)):
-        # each parse loads a fresh potential object, so a fresh store
-        cfg = parse_config(text.format(threads=threads, out=tmp_path / tag),
-                           base_dir=str(tmp_path))
+        cfg = _table_config(tmp_path, _table(), "eikonal, born_resummed",
+                            threads=threads, out=tag)
         assert not run_scan(cfg).failed
     for name in names:
         assert filecmp.cmp(tmp_path / "t1" / name, tmp_path / "t4" / name,
@@ -167,9 +176,9 @@ def _counted_passes(monkeypatch):
 
 
 def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
-    # a table's eikonal and born_resummed are one pass: the first route
-    # integrates each distinct b once, and the second asks for no b and
-    # runs no hankel0
+    # a table's eikonal and born_resummed are one integral: each call's
+    # pass asks for the same b, integrates each of them once, and the two
+    # amplitudes have the same bits
     p = _table()
     kin = Kinematics(mass=1.0, k=3.0)
     theta = np.array([0.0, 0.1, 0.2])
@@ -187,15 +196,15 @@ def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
 
     monkeypatch.setattr(eikonal, "_z_profile", asked)
     monkeypatch.setattr(eikonal, "abel_profile", counted)
-    passes = _counted_passes(monkeypatch)
     route.append("born")
-    born_resummed_amplitude(p, kin, theta, SETTINGS)
+    res_amp = born_resummed_amplitude(p, kin, theta, SETTINGS)
     route.append("eikonal")
-    amplitude_eikonal(p, kin, theta, SETTINGS)
+    eik_amp = amplitude_eikonal(p, kin, theta, SETTINGS)
     res, eik = requested["born"], requested["eikonal"]
-    assert res and not eik
-    assert len(passes) == 1
-    assert sum(integrated) == len(res)
+    assert res and res == eik
+    assert sum(integrated) == len(res) + len(eik)
+    _same_bits(eik_amp.value, res_amp.value)
+    _same_bits(eik_amp.error_estimate, res_amp.error_estimate)
 
 
 @pytest.mark.parametrize("first", [amplitude_eikonal,
@@ -203,19 +212,15 @@ def test_the_profile_s_readers_integrate_each_b_once(monkeypatch):
                          ids=["eikonal-first", "born-first"])
 @pytest.mark.parametrize("theta", [0.1, np.array([0.0, 0.05, 0.1, 0.2])],
                          ids=["scalar", "array"])
-def test_a_table_s_eikonal_and_born_resummed_have_the_same_bits(theta, first,
-                                                                monkeypatch):
+def test_a_table_s_eikonal_and_born_resummed_have_the_same_bits(theta, first):
     # w Lambda(-w/v) = i v (e^{i chi} - 1): on a table the two routes are
-    # one z-profile pass, value and error_estimate alike, taken once and
-    # looked up by the other route in either order, with the bits and
-    # types of that route on a fresh table
+    # one z-profile pass, value and error_estimate alike, in either order,
+    # with the bits and types of that route on a fresh table
     p, kin = _table(), Kinematics(mass=1.0, k=3.0)
     second = born_resummed_amplitude if first is amplitude_eikonal \
         else amplitude_eikonal
-    passes = _counted_passes(monkeypatch)
     one = first(p, kin, theta, SETTINGS)
     other = second(p, kin, theta, SETTINGS)
-    assert len(passes) == len(p._passes) == 1
     fresh = second(_table(), kin, theta, SETTINGS)
     for amp in (other, fresh):
         _same_bits(amp.value, one.value)
@@ -238,9 +243,9 @@ def test_a_table_s_eikonal_and_born_resummed_have_the_same_bits(theta, first,
         "array-then-scalar", "rel_tol", "abs_tol", "budget"])
 def test_a_pass_that_reads_anything_else_misses_the_memo(base, change,
                                                          monkeypatch):
-    # the memo's key is all the pass reads, q's shape among its bits: a
-    # call that differs in any of it runs a pass of its own, with the bits
-    # and shapes of a fresh table's
+    # the library keeps no memo: a call after another on the same table
+    # that differs in anything the pass reads, q's shape among it, runs a
+    # pass of its own, with the bits and shapes of a fresh table's
     p = _table()
     first = {"kin": Kinematics(mass=1.0, k=3.0),
              "theta": np.array([0.0, 0.1, 0.2]), "settings": SETTINGS,
@@ -249,7 +254,7 @@ def test_a_pass_that_reads_anything_else_misses_the_memo(base, change,
     passes = _counted_passes(monkeypatch)
     call = {**first, **change}
     got = born_resummed_amplitude(p, **call)
-    assert len(passes) == 1 and len(p._passes) == 2
+    assert len(passes) == 1
     want = born_resummed_amplitude(_table(), **call)
     for field in ("value", "error_estimate"):
         a, b = getattr(got, field), getattr(want, field)
@@ -258,36 +263,38 @@ def test_a_pass_that_reads_anything_else_misses_the_memo(base, change,
 
 
 def test_equal_tables_keep_their_own_passes(monkeypatch):
+    # direct library calls each run their own pass, on equal tables as on
+    # one: four calls, four passes, and the routes agree bit for bit
     p1, p2 = _table(), _table()  # equal, not the same
     kin, theta = Kinematics(mass=1.0, k=3.0), np.array([0.0, 0.1])
     passes = _counted_passes(monkeypatch)
-    amplitude_eikonal(p1, kin, theta, SETTINGS)
-    born_resummed_amplitude(p2, kin, theta, SETTINGS)
+    eik1 = amplitude_eikonal(p1, kin, theta, SETTINGS)
+    res2 = born_resummed_amplitude(p2, kin, theta, SETTINGS)
     assert len(passes) == 2
-    assert len(p1._passes) == len(p2._passes) == 1
-    born_resummed_amplitude(p1, kin, theta, SETTINGS)
-    amplitude_eikonal(p2, kin, theta, SETTINGS)
-    assert len(passes) == 2
+    res1 = born_resummed_amplitude(p1, kin, theta, SETTINGS)
+    eik2 = amplitude_eikonal(p2, kin, theta, SETTINGS)
+    assert len(passes) == 4
+    for amp in (res2, res1, eik2):
+        _same_bits(amp.value, eik1.value)
+        _same_bits(amp.error_estimate, eik1.error_estimate)
 
 
-@pytest.mark.parametrize("first", [amplitude_eikonal,
-                                   born_resummed_amplitude],
+@pytest.mark.parametrize("sources", ["eikonal, born_resummed",
+                                     "born_resummed, eikonal"],
                          ids=["eikonal-first", "born-first"])
-def test_a_pass_that_raises_stores_nothing(first, monkeypatch):
-    p, kin = _table(), Kinematics(mass=1.0, k=3.0)
-    theta = np.array([0.0, 0.1, 0.2])
-    tight = QuadratureSettings(rel_tol=1e-14, abs_tol=1e-16,
-                               max_subdivisions=8)
-    second = born_resummed_amplitude if first is amplitude_eikonal \
-        else amplitude_eikonal
+def test_a_pass_that_raises_stores_nothing(tmp_path, sources, monkeypatch):
+    # a table run whose pass exceeds its budget: the second route runs the
+    # pass again, and both tasks fail with one message
+    cfg = _table_config(tmp_path, _table(), sources, k="3",
+                        quadrature="rel_tol = 1e-14\nabs_tol = 1e-16\n"
+                                   "max_subdivisions = 8")
     passes = _counted_passes(monkeypatch)
-    with pytest.raises(ConvergenceError) as one:
-        first(p, kin, theta, tight)
-    assert p._passes == {}
-    with pytest.raises(ConvergenceError) as other:
-        second(p, kin, theta, tight)
-    assert str(other.value) == str(one.value)
-    assert p._passes == {} and len(passes) == 2
+    failed = run_scan(cfg).failed
+    assert [o.source for o in failed] == sources.split(", ")
+    assert failed[0].error == failed[1].error
+    assert failed[0].error.startswith("ConvergenceError: ")
+    assert len(passes) == 2
+    assert not (tmp_path / "out" / "eikonal_k3.csv").exists()
 
 
 def test_changing_a_returned_amplitude_changes_no_later_result():
@@ -303,26 +310,9 @@ def test_changing_a_returned_amplitude_changes_no_later_result():
         amp.error_estimate[:] = 0.0
 
 
-def test_a_table_s_pass_memo_holds_a_bounded_count(monkeypatch):
-    # at most _PROFILE_ENTRIES angles in all: a memo that would hold more
-    # is emptied, and a pass of more angles is not stored
-    p, kin = _table(), Kinematics(mass=1.0, k=3.0)
-    monkeypatch.setattr(eikonal, "_PROFILE_ENTRIES", 4)
-    for theta, held in ((np.array([0.0, 0.1]), [2]),
-                        (0.1, [2, 1]),
-                        (np.array([0.0, 0.1, 0.2]), [3]),
-                        (np.linspace(0.0, 0.2, 5), [])):
-        got = born_resummed_amplitude(p, kin, theta, SETTINGS)
-        want = born_resummed_amplitude(_table(), kin, theta, SETTINGS)
-        _same_bits(got.value, want.value)
-        _same_bits(got.error_estimate, want.error_estimate)
-        assert [v.size for v, _ in p._passes.values()] == held
-
-
 def test_threads_sharing_a_table_get_the_bits_of_a_fresh_one():
     # more threads than cores, switching often, each asking both routes
-    # for the same passes: every result has the bits of a fresh table's,
-    # and the memo ends with one pass per grid
+    # for the same passes: every result has the bits of a fresh table's
     p, kin = _table(), Kinematics(mass=1.0, k=3.0)
     grids = [np.linspace(0.0, 0.2, n) for n in (3, 4, 5)]
     want = [amplitude_eikonal(_table(), kin, theta, SETTINGS)
@@ -354,20 +344,57 @@ def test_threads_sharing_a_table_get_the_bits_of_a_fresh_one():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert sorted(done) == list(range(6)) and bad == []
-    assert len(p._passes) == len(grids)
 
 
 def test_a_table_run_takes_one_pass_a_k(tmp_path, monkeypatch):
-    # the runner calls both routes; the second is a lookup, and the two
-    # CSVs of each k are byte-identical
-    p = _table()
-    lines = ["# r, V"] + [f"{a!r}, {b!r}"
-                          for a, b in zip(p.r.tolist(), p.v.tolist())]
-    (tmp_path / "table.csv").write_text("\n".join(lines) + "\n")
-    text = f"""
+    # the runner calls both routes; the second takes the first's pass, and
+    # the two CSVs of each k are byte-identical
+    cfg = _table_config(tmp_path, _table(), "eikonal, born_resummed",
+                        count=5)
+    passes = _counted_passes(monkeypatch)
+    assert not run_scan(cfg).failed
+    assert len(passes) == 2
+    for k in ("2", "3"):
+        assert filecmp.cmp(tmp_path / "out" / f"eikonal_k{k}.csv",
+                           tmp_path / "out" / f"born_resummed_k{k}.csv",
+                           shallow=False), k
+
+
+@pytest.mark.parametrize("sources", ["eikonal, born_resummed",
+                                     "born_resummed, eikonal",
+                                     "born_resummed"])
+def test_a_table_run_takes_one_pass_a_k_in_any_source_order(tmp_path,
+                                                            sources,
+                                                            monkeypatch):
+    # the runner hands the first route's pass at a k to the second: one
+    # hankel0 a k in any source order, and each CSV has the bytes of its
+    # route called directly
+    cfg = _table_config(tmp_path, _table(), sources, count=5)
+    passes = _counted_passes(monkeypatch)
+    assert not run_scan(cfg).failed
+    assert len(passes) == 2
+    routes = {"eikonal": amplitude_eikonal,
+              "born_resummed": born_resummed_amplitude}
+    for source in sources.split(", "):
+        for k in (2.0, 3.0):
+            amp = routes[source](_table(), cfg.kinematics(k),
+                                 cfg.theta.points(), cfg.quadrature)
+            want = runner._csv_text(table_from_amplitudes(source, amp, k))
+            got = (tmp_path / "out" / runner._csv_name(source, k)).read_text()
+            assert got == want, (source, k)
+
+
+@pytest.mark.parametrize("model", ["yukawa\ng = 0.5\nmu = 1.0",
+                                   "gauss\ng = 0.3\nalpha = 0.7"],
+                         ids=["yukawa", "gauss"])
+def test_an_analytic_run_takes_both_routes_passes(tmp_path, model,
+                                                  monkeypatch):
+    # Yukawa's and Gauss's eikonal takes the closed phase and
+    # born_resummed the z-profile: a pass each a k, so a run keeps the
+    # cross-check between them
+    cfg = parse_config(f"""
 [potential]
-model = tabulated
-file = table.csv
+model = {model}
 
 [kinematics]
 mass = 1.0
@@ -376,22 +403,17 @@ k = 2, 3
 [theta_grid]
 min = 0.0
 max = 0.2
-count = 5
+count = 3
 
 [run]
 sources = eikonal, born_resummed
 
 [output]
 directory = {tmp_path / "out"}
-"""
-    cfg = parse_config(text, base_dir=str(tmp_path))
+""")
     passes = _counted_passes(monkeypatch)
     assert not run_scan(cfg).failed
-    assert len(passes) == 2
-    for k in ("2", "3"):
-        assert filecmp.cmp(tmp_path / "out" / f"eikonal_k{k}.csv",
-                           tmp_path / "out" / f"born_resummed_k{k}.csv",
-                           shallow=False), k
+    assert len(passes) == 4
 
 
 @pytest.mark.parametrize("p, theta", [
@@ -715,8 +737,7 @@ def test_amplitude_error_includes_the_profile_bound(p, monkeypatch):
     z_profile = eikonal._z_profile
     monkeypatch.setattr(eikonal, "_z_profile", lambda p, b: (
         z_profile(p, b)[0], np.zeros(b.shape)))
-    # an equal potential, so that a table's passes are not looked up
-    for amp, plain in zip(bounded, amplitudes(dataclasses.replace(p))):
+    for amp, plain in zip(bounded, amplitudes(p)):
         _same_bits(amp.value, plain.value)
         assert np.all(amp.error_estimate > plain.error_estimate)
 
