@@ -8,7 +8,7 @@ caller.
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, reals
 
 __all__ = ["natural_cubic", "cubic_roots", "split_at_roots"]
 
@@ -18,16 +18,16 @@ def natural_cubic(x, y):
     cubic spline with natural (zero second derivative) ends through real
     (x, y): on [x[j], x[j+1]] it is y0[j] + s (b[j] + s (c[j] + s d[j])),
     s = t - x[j]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = reals(x, "x"), reals(y, "y")
     if x.ndim != 1 or x.shape != y.shape:
         raise DomainError("spline knots and values must be matching "
-                          "1-d arrays")
+                          "1-d arrays", key="x" if x.ndim != 1 else "y")
     if x.size < 2:
-        raise DomainError("spline needs at least two knots")
+        raise DomainError("spline needs at least two knots", key="x")
     h = np.diff(x)
     if not np.all(h > 0.0):
-        raise DomainError("spline knots must be strictly increasing")
+        raise DomainError("spline knots must be strictly increasing",
+                          key="x")
     dy = np.diff(y) / h
     # second derivatives m, natural ends pinned at zero: a tridiagonal
     # system, solved by Thomas elimination on Python floats

@@ -21,8 +21,8 @@ from . import paper_forms
 from ._spline import natural_cubic, split_at_roots
 from .born import born1_amplitude
 from .eikonal import Amplitude, momentum_transfer
-from .errors import (ConvergenceError, DomainError, PoleError, RangeError,
-                     UnsupportedModelError, real, reals)
+from .errors import (MAX_FLOAT, ConvergenceError, DomainError, PoleError,
+                     RangeError, UnsupportedModelError, real, reals)
 from .paper_forms import total as paper_totals
 from .potentials import Gauss, Yukawa
 from .quadrature import (QuadratureSettings, integrate_adaptive,
@@ -58,7 +58,7 @@ _CHECK_THETA_COUNT = 21
 
 @dataclass(frozen=True, eq=False)
 class CrossSectionTable:
-    """Angular table for one source: columns theta, q, re_f, im_f, dsigma.
+    """Angular table: columns theta, q, re_f, im_f, dsigma.
 
     Rows at angles where the source has a pole may be nan (they are
     reported, not silently dropped); totals may be nan when the grid does
@@ -68,26 +68,23 @@ class CrossSectionTable:
     rows: np.ndarray
     total_integrated: float
     total_optical: float
-    source: str
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[1] != 5 or rows.shape[0] < 1:
-            raise DomainError("rows must be a (n, 5) array with n >= 1")
+            raise DomainError("rows must be a (n, 5) array, n > 0", key="rows")
         theta = rows[:, 0]
         if not np.all(np.isfinite(theta)) or np.any(np.diff(theta) <= 0):
             raise DomainError("theta column must be finite and strictly "
-                              "increasing")
+                              "increasing", key="rows")
         finite = np.isfinite(rows[:, 4])
         re, im, ds = rows[finite, 2], rows[finite, 3], rows[finite, 4]
         if np.any(ds < 0.0):
-            raise DomainError("dsigma_domega must be >= 0")
+            raise DomainError("dsigma must be >= 0", key="rows")
         scale = np.maximum(ds, 1e-300)
         if np.any(np.abs(ds - (re * re + im * im)) > 1e-14 * scale):
-            raise DomainError("dsigma_domega must equal re_f^2 + im_f^2")
-        if self.source not in SOURCES:
-            raise DomainError(f"unknown source label {self.source!r}")
+            raise DomainError("dsigma must equal re_f^2 + im_f^2", key="rows")
 
 
 def differential(f):
@@ -102,7 +99,7 @@ def total_optical(f0, k):
     real(k, "k", positive=True)
     theta = np.atleast_1d(np.asarray(f0.theta, dtype=float))
     if theta.size == 0 or abs(theta[0]) > 1e-12:
-        raise DomainError("total_optical needs the amplitude at theta = 0")
+        raise DomainError("total_optical needs f at theta = 0", key="f0")
     value = np.atleast_1d(np.asarray(f0.value))[0]
     return 4.0 * np.pi / k * float(value.imag)
 
@@ -130,16 +127,14 @@ def total_integrated(rows):
     every other row must agree, or the grid is too sparse to trust and a
     convergence error is raised.
     """
-    rows = reals(rows, "rows")
-    if rows.ndim != 2 or rows.shape[1] != 5:
-        raise DomainError("rows must be a (n, 5) array")
+    rows = reals(rows, "rows", -MAX_FLOAT, MAX_FLOAT)
+    if rows.ndim != 2 or rows.shape[1] != 5 or rows.shape[0] < 1:
+        raise DomainError("rows must be a (n, 5) array, n > 0", key="rows")
     theta = rows[:, 0]
     dsig = rows[:, 4]
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(dsig))):
-        raise DomainError("total_integrated needs finite rows")
     if theta[0] > 1e-9 or theta[-1] < np.pi - 1e-6:
         raise RangeError("rows must cover [0, pi] to integrate the total "
-                         "cross section")
+                         "cross section", key="rows")
     if theta.shape[0] < 8:
         raise ConvergenceError(
             "too few rows to form a trustworthy interpolant",
@@ -166,7 +161,7 @@ def total_integrated(rows):
     return sigma * unit
 
 
-def table_from_amplitudes(source, amp, k):
+def table_from_amplitudes(amp, k):
     """Assemble a CrossSectionTable from a (vector) Amplitude.
 
     Totals that the grid cannot support are stored as nan: the optical
@@ -195,7 +190,7 @@ def table_from_amplitudes(source, amp, k):
     except (RangeError, ConvergenceError, DomainError):
         tot_int = float("nan")
     return CrossSectionTable(rows=rows, total_integrated=tot_int,
-                             total_optical=tot_opt, source=source)
+                             total_optical=tot_opt)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paper_forms
-from .errors import (DomainError, PoleError, SingularityError,
+from .errors import (MAX_FLOAT, DomainError, PoleError, SingularityError,
                      UnsupportedModelError, real, reals)
 from .potentials import (Gauss, TabulatedRadial, Yukawa, _scale,
                          abel_profile, evaluate, fourier3d, reach)
@@ -112,28 +112,18 @@ class Amplitude:
 
     def __post_init__(self):
         if np.any(np.asarray(self.error_estimate) < 0.0):
-            raise DomainError("error_estimate must be >= 0")
+            raise DomainError("error_estimate must be >= 0",
+                              key="error_estimate")
 
 
 def momentum_transfer(k, theta):
     """q = 2k sin(theta/2) for a scalar or 1-d theta in [0, pi]."""
     real(k, "k", positive=True)
-    th = reals(theta, "theta")
+    th = reals(theta, "theta", 0.0, math.pi)
     if th.ndim > 1:
         raise DomainError("theta must be a scalar or a 1-d array",
                           key="theta")
-    if not np.all((th >= 0.0) & (th <= np.pi)):
-        raise DomainError("theta must lie in [0, pi]", key="theta")
     return 2.0 * k * np.sin(0.5 * th)
-
-
-def _check_b(b):
-    """b as a float array, checked to be finite and non-negative."""
-    b_arr = reals(b, "b")
-    if not np.all((b_arr >= 0.0) & (b_arr < math.inf)):
-        raise DomainError("impact parameter b must be finite and "
-                          "non-negative", key="b")
-    return b_arr
 
 
 _EPS = np.finfo(float).eps
@@ -259,10 +249,10 @@ def _trapezoid_rows(f, step, nodes):
 def chi(p, kin, b):
     """Eikonal phase -w(b)/v from the z-profile (any model) that
     born_resummed_amplitude reads too (see _z_profile)."""
-    b_arr = _check_b(b)
+    b_arr = reals(b, "b", 0.0, MAX_FLOAT)
     if isinstance(p, Yukawa) and np.any(b_arr == 0.0):
         raise SingularityError(
-            "chi diverges logarithmically at b = 0 for a 1/r core")
+            "chi diverges logarithmically at b = 0 for a 1/r core", key="b")
     # 0.0 - w: +0.0, not -0.0, where w is 0, as beyond a table
     out = (0.0 - _z_profile(p, b_arr)[0]) / kin.v
     return float(out) if b_arr.ndim == 0 else out
@@ -286,14 +276,14 @@ def chi_closed(p, kin, b):
     """Closed-form eikonal phase: -(2g/v) K0(mu b) for Yukawa,
     -(g/v) sqrt(pi/alpha) e^{-alpha b^2} for Gauss, with libm's exp,
     whose bits hold at every SIMD level."""
-    b_arr = _check_b(b)
+    b_arr = reals(b, "b", 0.0, MAX_FLOAT)
     scalar = b_arr.ndim == 0
     b_arr = np.atleast_1d(b_arr)
     chi0 = _chi_factor(p, kin)
     if isinstance(p, Yukawa):
         if np.any(b_arr == 0.0):
             raise SingularityError("closed-form chi is singular at b = 0 "
-                                   "for the 1/r core")
+                                   "for the 1/r core", key="b")
         out = np.zeros_like(b_arr) if p.g == 0.0 else \
             chi0 * bessel_k0(p.mu * b_arr)
     else:
@@ -393,13 +383,13 @@ def amplitude_eikonal(p, kin, theta, settings=DEFAULT_SETTINGS):
     return _amplitude(theta, th, q, *route(p, kin, q, settings))
 
 
+_BELOW_PI = math.nextafter(math.pi, 0.0)
+
+
 def _check_theta(k, theta):
     """(theta as a float array, q) for the routes that refuse theta = pi."""
     q = momentum_transfer(k, theta)
-    th = np.asarray(theta, dtype=float)
-    if np.any(th == np.pi):
-        raise DomainError("theta must lie in [0, pi)", key="theta")
-    return th, q
+    return reals(theta, "theta", 0.0, _BELOW_PI), q
 
 
 def _amplitude(theta, th, q, value, error_estimate):
@@ -423,5 +413,5 @@ def amplitude_paper_closed(p, kin, theta):
         raise PoleError(
             f"reference Yukawa form has a pole at k*theta = mu "
             f"(theta = {p.mu / kin.k:.6g}); cannot evaluate at "
-            f"theta = {float(th):.6g}")
+            f"theta = {float(th):.6g}", key="theta")
     return _amplitude(theta, th, q, value, np.zeros(th.shape))

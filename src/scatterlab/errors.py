@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the checks of numeric
-arguments that raise them."""
+arguments that raise them, keyed by the argument: real and integer for a
+scalar, reals for an array within its own bounds (MAX_FLOAT asks for
+finite elements). A caller checks only an array's structure."""
 
 import math
 import numbers
@@ -87,10 +89,20 @@ def integer(value, key, minimum=0):
     return int(value)
 
 
-def reals(value, key):
-    """value as a float ndarray if numpy can convert it."""
+MAX_FLOAT = float(np.finfo(float).max)
+
+
+def reals(value, key, low=-math.inf, high=math.inf):
+    """value as a float ndarray if numpy can convert it and every element
+    lies in [low, high], where no nan lies."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{key} must be real numbers, got {value!r}",
                           key=key) from None
+    # a nan is the min and the max, and fails both comparisons
+    if out.size and not (out.min() >= low and out.max() <= high):
+        bad = out.flat[np.argmin((out >= low) & (out <= high))]
+        raise DomainError(f"{key} must lie in [{float(low)!r}, "
+                          f"{float(high)!r}], got {float(bad)!r}", key=key)
+    return out

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eikonal import Kinematics, _amplitude, momentum_transfer
-from .errors import ConvergenceError, DomainError, RangeError, integer, real
+from .errors import (MAX_FLOAT, ConvergenceError, DomainError, RangeError,
+                     integer, real, reals)
 from .potentials import (TabulatedRadial, Yukawa, effective_radius,
                          evaluate, origin_expansion, reach)
 # The effective radius needs no integrator; the two integrators and
@@ -121,17 +122,15 @@ class PhaseShiftSet:
         if not 0.0 <= real(self.tail_ratio, "tail_ratio") < 1.0:
             raise DomainError(f"tail_ratio must lie in [0, 1), got "
                               f"{self.tail_ratio!r}", key="tail_ratio")
-        d = np.asarray(self.delta, dtype=float)
+        d = reals(self.delta, "delta", -MAX_FLOAT, MAX_FLOAT)
+        if d.shape != (self.l_max + 1,):
+            raise DomainError("delta must hold l_max + 1 entries", key="delta")
+        c = reals(self.delta_coarse, "delta_coarse", -MAX_FLOAT, MAX_FLOAT)
+        if c.shape != d.shape:
+            raise DomainError("delta_coarse must hold l_max + 1 entries",
+                              key="delta_coarse")
         object.__setattr__(self, "delta", d)
-        if d.ndim != 1 or d.shape[0] != self.l_max + 1:
-            raise DomainError("delta must hold l_max + 1 entries")
-        if not np.all(np.isfinite(d)):
-            raise DomainError("delta must be finite")
-        c = np.asarray(self.delta_coarse, dtype=float)
         object.__setattr__(self, "delta_coarse", c)
-        if c.shape != d.shape or not np.all(np.isfinite(c)):
-            raise DomainError("delta_coarse must hold l_max + 1 finite "
-                              "entries")
         if abs(d[-1]) >= _TAIL_TOL:
             raise DomainError(
                 f"partial-wave tail not converged: |delta_l_max| = "
@@ -499,7 +498,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     Each wave starts at the origin or at its own radius; see _wave_starts.
     """
     if not isinstance(kin, Kinematics):
-        raise DomainError("kin must be a Kinematics instance")
+        raise DomainError("kin must be a Kinematics instance", key="kin")
     k = kin.k
     r_eff = effective_radius(p)
     if dr is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spline import natural_cubic, split_at_roots
-from .errors import (ConfigError, DomainError, RangeError,
+from .errors import (MAX_FLOAT, ConfigError, DomainError, RangeError,
                      SingularityError, UnsupportedModelError, real, reals)
 from .quadrature import _G7_NODES, _KERNEL_BLOCK, _WG, integrate_sin
 from .special_functions import libm_exp, log
@@ -95,20 +95,19 @@ class TabulatedRadial:
     _abel: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r, v = reals(self.r, "r"), reals(self.v, "v")
+        r = reals(self.r, "r", 0.0, MAX_FLOAT)
+        v = reals(self.v, "v", -MAX_FLOAT, MAX_FLOAT)
         if r.ndim != 1 or r.shape != v.shape:
             raise DomainError("table radii and values must be matching "
-                              "1-d arrays")
+                              "1-d arrays", key="r" if r.ndim != 1 else "v")
         if r.size < 4:
-            raise DomainError("table needs at least four samples")
-        if r[0] < 0.0 or not np.all(np.diff(r) > 0.0):
-            raise DomainError("table radii must be non-negative and "
-                              "strictly increasing")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
-            raise DomainError("table entries must be finite")
+            raise DomainError("table needs at least four samples", key="r")
+        if not np.all(np.diff(r) > 0.0):
+            raise DomainError("table radii must be strictly increasing",
+                              key="r")
         if abs(v[-1]) > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
             raise DomainError("table must decay: the last sample must "
-                              "vanish (V -> 0 beyond range)")
+                              "vanish (V -> 0 beyond range)", key="v")
         if self.interpolation not in ("cubic", "linear"):
             raise DomainError("interpolation must be 'cubic' or 'linear', "
                               f"got {self.interpolation!r}",
@@ -130,16 +129,15 @@ class TabulatedRadial:
 
 
 def evaluate(potential, r):
-    """V(r), vectorized over r. Negative or NaN r is rejected; r = 0 raises
-    for models singular at the origin."""
-    r = reals(r, "r")
+    """V(r), vectorized over r in [0, inf]; r = 0 raises for models
+    singular at the origin."""
+    r = reals(r, "r", 0.0, math.inf)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if not np.all(r >= 0.0):
-        raise DomainError("radius must be non-negative, not nan")
     if isinstance(potential, Yukawa):
         if np.any(r == 0.0):
-            raise SingularityError("Yukawa potential is singular at r = 0")
+            raise SingularityError("Yukawa potential is singular at r = 0",
+                                   key="r")
         out = potential.g * np.exp(-potential.mu * r) / r
     elif isinstance(potential, Gauss):
         out = potential.g * np.exp(-potential.alpha * r * r)
@@ -257,8 +255,7 @@ def abel_profile(p, b):
 
 
 def fourier3d(potential, q, *, with_error=False):
-    """Vtilde(q) = int d^3r e^{-i q.r} V(r), vectorized over q >= 0, NaN
-    refused.
+    """Vtilde(q) = int d^3r e^{-i q.r} V(r), vectorized over q in [0, inf].
 
     A table integrates each of its pieces times 4 pi r sin(q r)/q by the
     exact local series of quadrature.integrate_sin, q by q: an array call
@@ -268,11 +265,9 @@ def fourier3d(potential, q, *, with_error=False):
     its loose-error warning. with_error=True returns (Vtilde, error
     estimate), the estimate 0 for the closed forms.
     """
-    q = reals(q, "q")
+    q = reals(q, "q", 0.0, math.inf)
     scalar = q.ndim == 0
     q = np.atleast_1d(q)
-    if not np.all(q >= 0.0):
-        raise DomainError("momentum transfer q must be non-negative, not nan")
     err = np.zeros(q.shape)
     # q^2 past the float range is inf, and a closed form its limit 0
     if isinstance(potential, Yukawa):

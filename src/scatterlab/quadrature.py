@@ -84,7 +84,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, integer, real, reals
+from .errors import (MAX_FLOAT, ConvergenceError, DomainError, integer, real,
+                     reals)
 from .special_functions import bessel_j0
 # j0_zeros is bound here only because perfbench/tracer.py rebinds it in
 # quadrature's namespace.
@@ -232,7 +233,8 @@ def integrate_adaptive(f, a, b, settings=DEFAULT_SETTINGS):
     are running sums over the intervals in the order made, from +0.0."""
     a, b = real(a, "a"), real(b, "b")
     if a > b:
-        raise DomainError(f"interval endpoints out of order: {a!r} > {b!r}")
+        raise DomainError(f"interval endpoints out of order: {a!r} > {b!r}",
+                          key="b")
     if a == b:
         return QuadratureResult(np.float64(0.0), np.float64(0.0), 0)
     parts = _gk15_panels(f, [a], [b])
@@ -285,12 +287,10 @@ _SIN_PIECES = 1 << 15
 
 def _q_array(q, caller):
     """q, a scalar or 1-d array of finite q >= 0, as a 1-d float array."""
-    qs = np.atleast_1d(reals(q, "q"))
+    qs = np.atleast_1d(reals(q, "q", 0.0, MAX_FLOAT))
     if qs.ndim != 1:
         raise DomainError(f"{caller} takes a scalar q or a 1-d array of q",
                           key="q")
-    if not (np.all(np.isfinite(qs)) and np.all(qs >= 0.0)):
-        raise DomainError(f"{caller} requires finite q >= 0", key="q")
     return qs
 
 
@@ -317,13 +317,15 @@ def integrate_sin(q, lo, hi, coef, origin=None):
     """
     scalar = np.ndim(q) == 0
     qs = _q_array(q, "integrate_sin")
-    lo, hi = reals(lo, "lo"), reals(hi, "hi")
-    origin = lo if origin is None else reals(origin, "origin")
-    coef = reals(coef, "coef")
+    lo = reals(lo, "lo", -MAX_FLOAT, MAX_FLOAT)
+    hi = reals(hi, "hi", -MAX_FLOAT, MAX_FLOAT)
+    origin = lo if origin is None else \
+        reals(origin, "origin", -MAX_FLOAT, MAX_FLOAT)
+    coef = reals(coef, "coef", -MAX_FLOAT, MAX_FLOAT)
     width = hi - lo
     if not (np.all(np.isfinite(width)) and np.all(width >= 0.0)):
-        raise DomainError("integrate_sin requires finite intervals with "
-                          "lo <= hi")
+        raise DomainError("integrate_sin requires intervals with lo <= hi "
+                          "and a finite width hi - lo", key="hi")
     value, error = np.zeros(qs.size), np.zeros(qs.size)
     pieces_summed = 0
     if width.size and qs.size:

@@ -62,7 +62,8 @@ class RunManifest:
 
     def __post_init__(self):
         if len(set(self.csv_files)) != len(self.csv_files):
-            raise DomainError("each CSV must be referenced exactly once")
+            raise DomainError("each CSV must be referenced exactly once",
+                              key="csv_files")
 
     @property
     def failed(self):
@@ -143,7 +144,7 @@ def _run_task(cfg, source, k, passes):
         if loose is not None:
             warnings.append(loose)
 
-    table = table_from_amplitudes(source, amp, kin.k)
+    table = table_from_amplitudes(amp, kin.k)
     if math.isnan(table.total_integrated):
         warnings.append(
             f"{source} k={k_tag(k)}: total_integrated unavailable "

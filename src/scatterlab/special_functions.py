@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, integer, real, reals
+from .errors import MAX_FLOAT, integer, real, reals
 
 __all__ = [
     "bessel_j0",
@@ -173,9 +173,7 @@ def _j0_asymptotic(x):
 def bessel_j0(x):
     """Bessel function of the first kind, order zero. Even in x. A scalar
     takes the array path and returns a float."""
-    ax = np.abs(reals(x, "x"))
-    if not np.all(np.isfinite(ax)):
-        raise DomainError("bessel_j0 requires finite input")
+    ax = np.abs(reals(x, "x", -MAX_FLOAT, MAX_FLOAT))
     out = np.empty_like(ax)
     small = ax <= _J0_BRANCH
     out[small] = _j0_rational(ax[small])
@@ -193,6 +191,7 @@ def bessel_j0(x):
 # ---------------------------------------------------------------------------
 
 _K0_BRANCH = 2.0
+_TINIEST = math.ulp(0.0)  # the least x > 0
 _K0_H = 0.32
 _K0_S = _K0_H * np.arange(0, int(np.ceil(6.8 / _K0_H)) + 1)
 _K0_EXP = np.exp(-_K0_S * _K0_S)
@@ -224,11 +223,10 @@ def _k0_scaled_tail(x):
 
 
 def bessel_k0(x):
-    """Modified Bessel function of the second kind, order zero. x > 0."""
+    """Modified Bessel function of the second kind, order zero, for finite
+    x > 0."""
     scalar = np.isscalar(x)
-    xa = reals(x, "x")
-    if not np.all(np.isfinite(xa)) or (xa <= 0).any():
-        raise DomainError("bessel_k0 requires finite x > 0")
+    xa = reals(x, "x", _TINIEST, MAX_FLOAT)
     out = np.empty_like(xa)
     small = xa <= _K0_BRANCH
     if small.any():
@@ -310,8 +308,7 @@ def j0_zeros(n):
     """First n positive zeros of J0, by one bisection of all n brackets at
     once; nothing is kept between calls. Each zero depends on its own
     bracket alone, so j0_zeros(m) is a prefix of j0_zeros(n) for m <= n."""
-    if n < 0:
-        raise DomainError("j0_zeros requires n >= 0")
+    n = integer(n, "n")
     guess = (np.arange(1, n + 1) - 0.25) * np.pi
     lo, hi = guess - 0.1, guess + 0.1
     f_lo = bessel_j0(lo)

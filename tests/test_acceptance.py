@@ -112,7 +112,7 @@ def test_criterion_5_optical_theorem_on_oracle():
                 kin = Kinematics(mass=1.0, k=k)
                 ps = phase_shifts(p, kin)
                 amp = amplitude_partial_wave(ps, theta)
-                tab = table_from_amplitudes("partial_wave", amp, k)
+                tab = table_from_amplitudes(amp, k)
                 assert np.isfinite(tab.total_integrated)
                 dev = abs(tab.total_integrated - tab.total_optical) \
                     / tab.total_optical

@@ -155,8 +155,9 @@ class TestBorn1:
                                        math.pi + 0.1])
     def test_theta_domain(self, theta):
         # a NaN angle is refused, not turned into a NaN amplitude
-        with pytest.raises(DomainError, match=r"\[0, pi\]"):
+        with pytest.raises(DomainError) as err:
             born1_amplitude(Yukawa(0.5, 1.0), KIN10, theta)
+        assert err.value.key == "theta"
 
 
 class TestBornResummed:

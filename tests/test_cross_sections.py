@@ -56,26 +56,20 @@ class TestCrossSectionTable:
         rows[1, 4] *= 1.0 + 1e-9  # break dsigma = re^2 + im^2
         with pytest.raises(DomainError):
             CrossSectionTable(rows=rows, total_integrated=1.0,
-                              total_optical=1.0, source="eikonal")
+                              total_optical=1.0)
 
     def test_theta_must_increase(self):
         rows = _rows_from([0.0, 0.2, 0.1], [1.0, 1.0, 1.0])
         with pytest.raises(DomainError):
             CrossSectionTable(rows=rows, total_integrated=1.0,
-                              total_optical=1.0, source="eikonal")
-
-    def test_source_label_checked(self):
-        rows = _rows_from([0.0, 0.1], [1.0, 1.0])
-        with pytest.raises(DomainError):
-            CrossSectionTable(rows=rows, total_integrated=1.0,
-                              total_optical=1.0, source="magic")
+                              total_optical=1.0)
 
     def test_nan_rows_tolerated(self):
         # a pole row is stored as nan, not dropped
         rows = _rows_from([0.0, 0.1, 0.2], [1.0, 1.0, 1.0])
         rows[1, 2:] = np.nan
         t = CrossSectionTable(rows=rows, total_integrated=float("nan"),
-                              total_optical=1.0, source="paper_closed")
+                              total_optical=1.0)
         assert np.isnan(t.rows[1, 4])
 
 
@@ -194,7 +188,7 @@ class TestTotalOptical:
         with pytest.raises(DomainError):
             total_optical(empty, 2.0)
         with pytest.raises(DomainError) as exc:
-            table_from_amplitudes("eikonal", empty, 2.0)
+            table_from_amplitudes(empty, 2.0)
         assert exc.value.key == "theta"
 
     @pytest.mark.parametrize("k", [0.0, -1.0, math.inf, math.nan])
@@ -203,7 +197,7 @@ class TestTotalOptical:
         f0 = Amplitude(theta=np.array([0.0, 0.1]), q=np.array([0.0, 0.2]),
                        value=np.array([1j, 0.5j]))
         for call in (lambda: total_optical(f0, k),
-                     lambda: table_from_amplitudes("eikonal", f0, k)):
+                     lambda: table_from_amplitudes(f0, k)):
             with pytest.raises(DomainError) as exc:
                 call()
             assert exc.value.key == "k"
@@ -297,7 +291,7 @@ class TestTableAssembly:
         ps = phase_shifts(Yukawa(0.5, 1.0), kin)
         theta = np.linspace(0.0, np.pi, 601)
         amp = amplitude_partial_wave(ps, theta)
-        tab = table_from_amplitudes("partial_wave", amp, kin.k)
+        tab = table_from_amplitudes(amp, kin.k)
         assert tab.total_integrated == pytest.approx(
             tab.total_optical, rel=1e-3)
 
@@ -306,7 +300,7 @@ class TestTableAssembly:
         ps = phase_shifts(Yukawa(0.5, 1.0), kin)
         theta = np.linspace(0.0, 0.5, 64)
         amp = amplitude_partial_wave(ps, theta)
-        tab = table_from_amplitudes("partial_wave", amp, kin.k)
+        tab = table_from_amplitudes(amp, kin.k)
         assert math.isnan(tab.total_integrated)
         assert not math.isnan(tab.total_optical)
 
@@ -323,5 +317,5 @@ class TestTableAssembly:
         sigma_eik = total_integrated(rows)
         ps = phase_shifts(p, kin)
         amp = amplitude_partial_wave(ps, np.linspace(0.0, np.pi, 601))
-        tab = table_from_amplitudes("partial_wave", amp, kin.k)
+        tab = table_from_amplitudes(amp, kin.k)
         assert sigma_eik == pytest.approx(tab.total_integrated, rel=5e-2)

@@ -1,12 +1,15 @@
 """Every scalar parameter of the physics (g, mu, alpha, mass, k) and
 of the numerics (tolerances, budgets, angle grid, l_max, r_max, dr, a
 Hankel transform's upper limit, a Bessel or Legendre row's order) refuses
-a str, None (where None does not mean auto), a complex, a bool, nan, +-inf
-and a value out of its range with a ScatterError whose key names that
-parameter; through parse_config the key is section.name. An array argument
-(a radius, a momentum transfer, a Bessel argument, a spline's pieces, a
-cross-section table's rows) refuses what numpy cannot read as floats in
-the same way."""
+a str, None (where None does not mean auto), a complex, a bool, nan, +-inf,
+an int past the float range and a value out of its range with a
+ScatterError whose key names that parameter; through parse_config the key
+is section.name. An array argument (an angle, an impact parameter, a
+radius, a momentum transfer, a Bessel argument, a table's samples, a
+spline's pieces, a cross-section table's rows) refuses in the same way what
+numpy cannot read as floats, and any element outside the bounds it passes
+to errors.reals, nan included. A refusal of an array's structure (its
+shape, its sample count, the order of its elements) names it too."""
 
 import math
 
@@ -15,15 +18,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scatterlab._spline import natural_cubic
 from scatterlab.config import PartialWaveOptions, ThetaGrid, parse_config
-from scatterlab.cross_sections import total_integrated, total_optical
-from scatterlab.eikonal import Amplitude, Kinematics, momentum_transfer
+from scatterlab.cross_sections import (CrossSectionTable, total_integrated,
+                                       total_optical)
+from scatterlab.eikonal import (Amplitude, Kinematics, chi, chi_closed,
+                                momentum_transfer)
 from scatterlab.errors import ConfigError, ScatterError
 from scatterlab.partial_wave import PhaseShiftSet, phase_shifts
-from scatterlab.potentials import Gauss, Yukawa, evaluate, fourier3d
+from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa, evaluate,
+                                   fourier3d)
 from scatterlab.quadrature import (QuadratureSettings, hankel0,
                                    integrate_adaptive, integrate_sin)
-from scatterlab.special_functions import (bessel_j0, bessel_k0,
+from scatterlab.runner import RunManifest
+from scatterlab.special_functions import (bessel_j0, bessel_k0, j0_zeros,
                                           legendre_p_row,
                                           spherical_bessel_row)
 
@@ -32,7 +40,7 @@ _F0 = Amplitude(theta=0.0, q=0.0, value=1j)
 
 # one value of each kind that is not a finite real number
 _WRONG_KINDS = ["1.0", None, 1 + 0j, True, False, math.nan, math.inf,
-                -math.inf]
+                -math.inf, 10**400]
 _NOT_NUMBERS = st.one_of(st.text(max_size=4), st.complex_numbers(),
                          st.booleans(),
                          st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -190,30 +198,151 @@ def test_a_bad_config_value_is_refused_by_section_and_key(where, data):
         assert err.value.key == where, (raw, err.value)
 
 
-# name -> (call with the value, key) for an array argument: anything numpy
-# reads as floats is its value, and what it cannot read is refused by key
+# values out of an array argument's bounds
+_FINITE = [math.nan, math.inf, -math.inf]  # the bounds +-MAX_FLOAT
+_FROM_0 = [math.nan, -1.0, -math.inf]  # the bounds [0, inf]
+_FROM_0_FINITE = _FROM_0 + [math.inf]  # the bounds [0, MAX_FLOAT]
+
+
+def _rows(x):
+    """Rows covering [0, pi] whose row 4 has x for its dsigma."""
+    theta = np.linspace(0.0, math.pi, 9)
+    rows = [[t, 2.0 * math.sin(0.5 * t), 1.0, 0.0, 1.0] for t in theta]
+    rows[4][4] = x
+    return rows
+
+
+_TABLE_R, _TABLE_V = [0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.2, 0.0]
+
+# name -> (call with the value, key, values out of range) for an array
+# argument: anything numpy reads as floats inside its bounds is its value,
+# and the rest is refused by key
 ARRAY_CASES = {
-    "evaluate.r": (lambda x: evaluate(_P, x), "r"),
-    "fourier3d.q": (lambda x: fourier3d(_P, x), "q"),
-    "bessel_j0.x": (bessel_j0, "x"),
-    "bessel_k0.x": (bessel_k0, "x"),
+    "momentum_transfer.theta": (lambda x: momentum_transfer(1.0, x),
+                                "theta",
+                                _FROM_0 + [math.inf, 3.2,
+                                           math.nextafter(math.pi, 4.0)]),
+    "chi.b": (lambda x: chi(_P, _KIN, x), "b", _FROM_0_FINITE),
+    "chi_closed.b": (lambda x: chi_closed(_P, _KIN, x), "b",
+                     _FROM_0_FINITE),
+    "evaluate.r": (lambda x: evaluate(_P, x), "r", _FROM_0),
+    "fourier3d.q": (lambda x: fourier3d(_P, x), "q", _FROM_0),
+    "hankel0.q": (lambda x: hankel0(np.exp, x, 1.0), "q", _FROM_0_FINITE),
+    "bessel_j0.x": (bessel_j0, "x", _FINITE),
+    "bessel_k0.x": (bessel_k0, "x", _FINITE + [-1.0, 0.0, -0.0]),
+    "TabulatedRadial.r": (lambda x: TabulatedRadial(r=[x, *_TABLE_R[1:]],
+                                                    v=_TABLE_V),
+                          "r", _FROM_0_FINITE),
+    "TabulatedRadial.v": (lambda x: TabulatedRadial(
+        r=_TABLE_R, v=[1.0, x, *_TABLE_V[2:]]), "v", _FINITE),
+    "integrate_sin.q": (lambda x: integrate_sin(x, [0.0], [1.0], [[1.0]]),
+                        "q", _FROM_0_FINITE),
     "integrate_sin.lo": (lambda x: integrate_sin(1.0, x, [1.0], [[1.0]]),
-                         "lo"),
+                         "lo", _FINITE),
+    # hi refuses a value below lo too
     "integrate_sin.hi": (lambda x: integrate_sin(1.0, [0.0], x, [[1.0]]),
-                         "hi"),
+                         "hi", _FINITE + [-1.0]),
     "integrate_sin.coef": (lambda x: integrate_sin(1.0, [0.0], [1.0], x),
-                           "coef"),
+                           "coef", _FINITE),
     "integrate_sin.origin": (
         lambda x: integrate_sin(1.0, [0.0], [1.0], [[1.0]], origin=x),
-        "origin"),
-    "total_integrated.rows": (total_integrated, "rows"),
+        "origin", _FINITE),
+    "total_integrated.rows": (lambda x: total_integrated(_rows(x)), "rows",
+                              _FINITE),
+    "PhaseShiftSet.delta": (lambda x: _shifts(delta=[x]), "delta", _FINITE),
+    "PhaseShiftSet.delta_coarse": (lambda x: _shifts(delta_coarse=[x]),
+                                   "delta_coarse", _FINITE),
 }
+
+# the cases whose value may itself be a 1-d array
+_ELEMENTWISE = {"momentum_transfer.theta", "chi.b", "chi_closed.b",
+                "evaluate.r", "fourier3d.q", "hankel0.q", "bessel_j0.x",
+                "bessel_k0.x", "integrate_sin.q"}
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_CASES))
-@pytest.mark.parametrize("value", ["one", ["0.5", "x"], 1 + 1j, object()],
-                         ids=["str", "str-list", "complex", "object"])
+@pytest.mark.parametrize("value", ["one", ["0.5", "x"], 1 + 1j, object(),
+                                   10**400],
+                         ids=["str", "str-list", "complex", "object",
+                              "huge-int"])
 def test_an_array_argument_numpy_cannot_read_is_refused_by_its_key(name,
                                                                    value):
-    call, key = ARRAY_CASES[name]
+    call, key, _ = ARRAY_CASES[name]
     _assert_refused(call, value, key)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+def test_an_array_argument_out_of_its_bounds_is_refused_by_its_key(name):
+    call, key, out_of_range = ARRAY_CASES[name]
+    for value in out_of_range:
+        _assert_refused(call, value, key)
+        if name in _ELEMENTWISE:
+            _assert_refused(call, [0.5, value], key)
+
+
+# name -> (call, key) of a refusal of an argument's structure
+STRUCTURE_CASES = {
+    "natural_cubic.x.ndim": (lambda: natural_cubic([[0.0, 1.0]],
+                                                   [[0.0, 1.0]]), "x"),
+    "natural_cubic.y.shape": (lambda: natural_cubic([0.0, 1.0, 2.0],
+                                                    [0.0, 1.0]), "y"),
+    "natural_cubic.x.size": (lambda: natural_cubic([0.0], [1.0]), "x"),
+    "natural_cubic.x.order": (lambda: natural_cubic([0.0, 2.0, 1.0],
+                                                    [0.0, 1.0, 2.0]), "x"),
+    "TabulatedRadial.r.ndim": (lambda: TabulatedRadial(r=[_TABLE_R],
+                                                       v=[_TABLE_V]), "r"),
+    "TabulatedRadial.v.shape": (lambda: TabulatedRadial(r=_TABLE_R,
+                                                        v=_TABLE_V[:3]),
+                                "v"),
+    "TabulatedRadial.r.size": (lambda: TabulatedRadial(r=_TABLE_R[:3],
+                                                       v=_TABLE_V[:3]), "r"),
+    "TabulatedRadial.r.order": (lambda: TabulatedRadial(
+        r=[0.0, 2.0, 1.0, 3.0], v=_TABLE_V), "r"),
+    "TabulatedRadial.v.decay": (lambda: TabulatedRadial(
+        r=_TABLE_R, v=[1.0, 0.5, 0.2, 0.1]), "v"),
+    "CrossSectionTable.rows.shape": (lambda: _table(np.zeros((3, 4))),
+                                     "rows"),
+    "CrossSectionTable.rows.empty": (lambda: _table(np.zeros((0, 5))),
+                                     "rows"),
+    "CrossSectionTable.rows.order": (lambda: _table(np.array(_rows(1.0))
+                                                    [::-1]), "rows"),
+    "CrossSectionTable.rows.dsigma": (lambda: _table(
+        [[0.0, 0.0, 0.0, 0.0, -1.0]]), "rows"),
+    "CrossSectionTable.rows.invariant": (lambda: _table(
+        [[0.0, 0.0, 1.0, 0.0, 2.0]]), "rows"),
+    "total_integrated.rows.shape": (lambda: total_integrated(
+        np.zeros((9, 4))), "rows"),
+    "total_integrated.rows.empty": (lambda: total_integrated(
+        np.zeros((0, 5))), "rows"),
+    "total_integrated.rows.cover": (lambda: total_integrated(
+        _rows(1.0)[:8]), "rows"),
+    "total_optical.f0": (lambda: total_optical(
+        Amplitude(theta=0.1, q=0.1, value=1j), 1.0), "f0"),
+    "Amplitude.error_estimate": (lambda: Amplitude(
+        theta=0.0, q=0.0, value=1j, error_estimate=-1.0), "error_estimate"),
+    "PhaseShiftSet.delta.shape": (lambda: _shifts(delta=[0.0, 0.0]),
+                                  "delta"),
+    "PhaseShiftSet.delta_coarse.shape": (lambda: _shifts(
+        delta_coarse=[0.0, 0.0]), "delta_coarse"),
+    "phase_shifts.kin": (lambda: phase_shifts(_P, 1.0), "kin"),
+    "integrate_adaptive.b.order": (lambda: integrate_adaptive(np.exp, 1.0,
+                                                              0.0), "b"),
+    "j0_zeros.n": (lambda: j0_zeros(-1), "n"),
+    "RunManifest.csv_files": (lambda: RunManifest(
+        version="0", config_lines=(), outcomes=(), verdicts=(), warnings=(),
+        csv_files=("a.csv", "a.csv"), aux_files=(), output_dir="."),
+        "csv_files"),
+}
+
+
+def _table(rows):
+    return CrossSectionTable(rows=rows, total_integrated=1.0,
+                             total_optical=1.0)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_CASES))
+def test_a_refusal_of_an_argument_s_structure_names_it(name):
+    call, key = STRUCTURE_CASES[name]
+    with pytest.raises(ScatterError) as err:
+        call()
+    assert err.value.key == key, err.value

@@ -143,7 +143,7 @@ def test_partial_wave_oracle_obeys_the_optical_theorem(p, k):
     assert np.all(np.isfinite(ps.delta))
     assert np.all((ps.delta > -np.pi / 2) & (ps.delta <= np.pi / 2))
     amp = amplitude_partial_wave(ps, np.linspace(0.0, np.pi, 801))
-    tab = table_from_amplitudes("partial_wave", amp, k)
+    tab = table_from_amplitudes(amp, k)
     assert abs(tab.total_integrated - tab.total_optical) \
         <= 1e-3 * tab.total_optical
 
@@ -369,12 +369,11 @@ def test_only_scatter_errors_escape_the_amplitude_and_cross_section_api(
         "partial_wave": lambda: amplitude_partial_wave(phase_shifts(p, kin),
                                                        theta),
     }
-    for source, route in routes.items():
+    for route in routes.values():
         amp = _value_or_scatter_error(route)
         if amp is not None:
             _value_or_scatter_error(lambda: total_optical(amp, k_arg))
-            _value_or_scatter_error(
-                lambda: table_from_amplitudes(source, amp, k_arg))
+            _value_or_scatter_error(lambda: table_from_amplitudes(amp, k_arg))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

@@ -379,7 +379,7 @@ def test_a_table_run_takes_one_pass_a_k_in_any_source_order(tmp_path,
         for k in (2.0, 3.0):
             amp = routes[source](_table(), cfg.kinematics(k),
                                  cfg.theta.points(), cfg.quadrature)
-            want = runner._csv_text(table_from_amplitudes(source, amp, k))
+            want = runner._csv_text(table_from_amplitudes(amp, k))
             got = (tmp_path / "out" / runner._csv_name(source, k)).read_text()
             assert got == want, (source, k)
 
