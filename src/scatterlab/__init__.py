@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .born import born1_amplitude, born_resummed_amplitude
-from .config import (OutputOptions, PartialWaveOptions, RunConfig,
-                     ThetaGrid, parse_config)
-from .cross_sections import (SOURCES, CrossSectionTable, PaperComparison,
+from .config import (SOURCES, PartialWaveOptions, RunConfig, ThetaGrid,
+                     parse_config)
+from .cross_sections import (CrossSectionTable, PaperComparison,
                              differential, paper_formula_checks,
                              paper_totals, table_from_amplitudes,
                              total_integrated, total_optical)
@@ -33,8 +33,7 @@ __all__ = [
     "paper_totals", "paper_formula_checks",
     "Yukawa", "Gauss", "TabulatedRadial",
     "QuadratureSettings",
-    "RunConfig", "ThetaGrid", "PartialWaveOptions", "OutputOptions",
-    "parse_config",
+    "RunConfig", "ThetaGrid", "PartialWaveOptions", "parse_config",
     "RunManifest", "SourceOutcome", "run_scan",
     "ScatterError", "DomainError", "SingularityError", "PoleError",
     "RangeError", "UnsupportedModelError", "ConfigError",

@@ -1,12 +1,12 @@
-"""Command-line entry points: scatter run / validate / version."""
+"""Command-line entry points: scatter run / validate / version. A run
+writes into --out, else into out_<config stem> beside the config."""
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from . import __version__
-from .config import parse_config, split_list
+from .config import parse_config
 from .errors import ConfigError, ScatterError
 from .runner import run_scan
 
@@ -22,10 +22,8 @@ def _build_parser():
     run = sub.add_parser("run", help="execute a scan config")
     run.add_argument("config", help="path to the INI config file")
     run.add_argument("--out", default=None, metavar="DIR",
-                     help="output directory (overrides the config)")
-    run.add_argument("--sources", default=None, metavar="LIST",
-                     help="comma-separated source subset overriding the "
-                          "config")
+                     help="output directory (default: out_<config stem> "
+                          "beside the config)")
     run.add_argument("--quiet", action="store_true",
                      help="suppress progress output")
 
@@ -60,15 +58,15 @@ def _cmd_validate(args):
 def _cmd_run(args):
     try:
         cfg = _load_config(args.config)
-        if args.sources is not None:
-            cfg = dataclasses.replace(cfg,
-                                      sources=split_list(args.sources))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    out_dir = args.out or os.path.join(
+        os.path.dirname(os.path.abspath(args.config)),
+        "out_" + os.path.splitext(os.path.basename(args.config))[0])
     try:
-        manifest = run_scan(cfg, out_dir=args.out or cfg.output.directory)
+        manifest = run_scan(cfg, out_dir=out_dir)
     except (ScatterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -39,9 +39,7 @@ which is the default of the dataclass field it sets:
     r_max = auto       # or a positive radius
     dr = auto          # or a positive step
 
-    [output]
-    directory = scatter_out
-
+No key names the output directory: the caller passes it to run_scan.
 Unknown sections or keys are rejected by name rather than ignored, so a
 typo cannot silently fall back to a default. _SECTIONS below is the one
 table of keys: parse_config, the unknown-key check and echo_lines all read
@@ -57,7 +55,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cross_sections import SOURCES
 from .eikonal import Kinematics
 from .errors import ConfigError, DomainError, integer, real
 from .potentials import Gauss, TabulatedRadial, Yukawa, load_radial_table
@@ -66,6 +63,10 @@ from .quadrature import QuadratureSettings
 # the most angles a grid may hold, checked before any work starts; the
 # shipped configs and the benchmark's inputs hold at most 961
 _MAX_ANGLES = 1 << 16
+
+# the routes a run may name in [run] sources
+SOURCES = ("eikonal", "born1", "born_resummed", "partial_wave",
+           "paper_closed")
 
 
 def k_tag(k):
@@ -122,11 +123,6 @@ class PartialWaveOptions:
 
 
 @dataclass(frozen=True)
-class OutputOptions:
-    directory: str = "scatter_out"
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything run_scan needs, defaults filled, invariants checked."""
 
@@ -139,7 +135,6 @@ class RunConfig:
         default_factory=QuadratureSettings)
     partial_wave: PartialWaveOptions = field(
         default_factory=PartialWaveOptions)
-    output: OutputOptions = field(default_factory=OutputOptions)
     threads: int = 1
 
     def __post_init__(self):
@@ -214,13 +209,6 @@ def _as_words(section, key, raw):
     return split_list(raw)
 
 
-def _as_text(section, key, raw):
-    if not raw:
-        raise ConfigError(f"[{section}] {key} must not be empty",
-                          key=f"{section}.{key}")
-    return raw
-
-
 def _as_floats(section, key, raw):
     parts = split_list(raw)
     if not parts:
@@ -264,8 +252,6 @@ _SECTIONS = {
         "l_max": ("l_max", _auto_or(_as_int), _auto_text),
         "r_max": ("r_max", _auto_or(_as_float), _auto_text),
         "dr": ("dr", _auto_or(_as_float), _auto_text)}),
-    "output": ("output", OutputOptions, {
-        "directory": ("directory", _as_text, str)}),
 }
 
 # RunConfig fields without a default; their keys must be given
@@ -372,11 +358,6 @@ def parse_config(text, base_dir=None):
         except DomainError as exc:
             raise ConfigError(f"[{section}] {exc}",
                               key=f"{section}.{exc.key}") from exc
-
-    out = values["output"]
-    if base_dir is not None and not os.path.isabs(out.directory):
-        values["output"] = dataclasses.replace(
-            out, directory=os.path.join(base_dir, out.directory))
     return RunConfig(**values)
 
 

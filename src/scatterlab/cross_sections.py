@@ -22,14 +22,13 @@ from ._spline import natural_cubic, split_at_roots
 from .born import born1_amplitude
 from .eikonal import Amplitude, momentum_transfer
 from .errors import (MAX_FLOAT, ConvergenceError, DomainError, PoleError,
-                     RangeError, UnsupportedModelError, real, reals)
+                     RangeError, UnsupportedModelError, floats, real, reals)
 from .paper_forms import total as paper_totals
 from .potentials import Gauss, Yukawa
 from .quadrature import (QuadratureSettings, integrate_adaptive,
                          integrate_sin)
 
 __all__ = [
-    "SOURCES",
     "CrossSectionTable",
     "PaperComparison",
     "differential",
@@ -42,9 +41,6 @@ __all__ = [
     "VERDICT_SUSPECTED_TYPO",
     "VERDICT_DIVERGES",
 ]
-
-SOURCES = ("eikonal", "born1", "born_resummed", "partial_wave",
-           "paper_closed")
 
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_SUSPECTED_TYPO = "SUSPECTED_TYPO"
@@ -70,7 +66,7 @@ class CrossSectionTable:
     total_optical: float
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = floats(self.rows, "rows")
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[1] != 5 or rows.shape[0] < 1:
             raise DomainError("rows must be a (n, 5) array, n > 0", key="rows")

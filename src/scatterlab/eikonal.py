@@ -101,8 +101,9 @@ class Kinematics:
 class Amplitude:
     """Complex scattering amplitude at one angle.
 
-    q is the momentum transfer 2k sin(theta/2). error_estimate propagates
-    the quadrature error bound; closed-form evaluations report 0.
+    q is the momentum transfer 2k sin(theta/2), theta in [0, pi].
+    error_estimate >= 0 propagates the quadrature error bound (inf where
+    none holds); closed-form evaluations report 0.
     """
 
     theta: float
@@ -111,9 +112,8 @@ class Amplitude:
     error_estimate: float = 0.0
 
     def __post_init__(self):
-        if np.any(np.asarray(self.error_estimate) < 0.0):
-            raise DomainError("error_estimate must be >= 0",
-                              key="error_estimate")
+        reals(self.theta, "theta", 0.0, math.pi)
+        reals(self.error_estimate, "error_estimate", 0.0)
 
 
 def momentum_transfer(k, theta):

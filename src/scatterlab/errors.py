@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the checks of numeric
 arguments that raise them, keyed by the argument: real and integer for a
 scalar, reals for an array within its own bounds (MAX_FLOAT asks for
-finite elements). A caller checks only an array's structure."""
+finite elements), floats for an array that may hold nan. A caller checks
+only an array's structure."""
 
 import math
 import numbers
@@ -92,14 +93,19 @@ def integer(value, key, minimum=0):
 MAX_FLOAT = float(np.finfo(float).max)
 
 
-def reals(value, key, low=-math.inf, high=math.inf):
-    """value as a float ndarray if numpy can convert it and every element
-    lies in [low, high], where no nan lies."""
+def floats(value, key):
+    """value as a float ndarray if numpy can read it as one."""
     try:
-        out = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{key} must be real numbers, got {value!r}",
                           key=key) from None
+
+
+def reals(value, key, low=-math.inf, high=math.inf):
+    """value as a float ndarray if numpy can convert it and every element
+    lies in [low, high], where no nan lies."""
+    out = floats(value, key)
     # a nan is the min and the max, and fails both comparisons
     if out.size and not (out.min() >= low and out.max() <= high):
         bad = out.flat[np.argmin((out >= low) & (out <= high))]

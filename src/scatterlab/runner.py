@@ -16,7 +16,6 @@ written as bytes: the CSVs, summary.csv, report.txt and plot.gp in ASCII,
 manifest.txt in UTF-8, since it echoes paths as given.
 """
 
-import dataclasses
 import math
 import os
 import time
@@ -322,18 +321,13 @@ def _manifest_text(manifest):
     return "\n".join(lines)
 
 
-def run_scan(cfg, out_dir=None):
+def run_scan(cfg, out_dir):
     """Execute every (source, k) task, one after another, and write the
-    artifact files.
+    artifact files into out_dir, made if missing.
 
-    out_dir overrides cfg.output.directory when given; the manifest
-    echoes the directory actually written. Returns the RunManifest;
-    per-source failures are recorded there rather than raised, so partial
-    results still land on disk.
+    Returns the RunManifest; per-source failures are recorded there
+    rather than raised, so partial results still land on disk.
     """
-    out_dir = cfg.output.directory if out_dir is None else out_dir
-    cfg = dataclasses.replace(cfg, output=dataclasses.replace(
-        cfg.output, directory=out_dir))
     tasks = [(source, k) for source in cfg.sources for k in cfg.k_values]
 
     outcomes, tables, warnings, passes = [], {}, [], {}

@@ -178,7 +178,7 @@ def bessel_j0(x):
     small = ax <= _J0_BRANCH
     out[small] = _j0_rational(ax[small])
     out[~small] = _j0_asymptotic(ax[~small])
-    return float(out) if np.isscalar(x) else out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def _k0_scaled_tail(x):
 def bessel_k0(x):
     """Modified Bessel function of the second kind, order zero, for finite
     x > 0."""
-    scalar = np.isscalar(x)
+    scalar = np.ndim(x) == 0
     xa = reals(x, "x", _TINIEST, MAX_FLOAT)
     out = np.empty_like(xa)
     small = xa <= _K0_BRANCH

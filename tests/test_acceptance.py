@@ -177,14 +177,10 @@ count = 10
 [run]
 sources = eikonal, born1, born_resummed, partial_wave, paper_closed
 threads = {threads}
-
-[output]
-directory = {out}
 """
         for tag, threads in (("a1", 1), ("b1", 1), ("c4", 4)):
-            cfg = parse_config(base.format(threads=threads,
-                                           out=tmp_path / tag))
-            manifest = run_scan(cfg)
+            cfg = parse_config(base.format(threads=threads))
+            manifest = run_scan(cfg, str(tmp_path / tag))
             assert not manifest.failed
         names = [p.name for p in (tmp_path / "a1").iterdir()
                  if p.suffix == ".csv"]

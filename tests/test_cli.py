@@ -1,6 +1,8 @@
 """Tests for the scatter command-line interface."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import scatterlab
 from scatterlab import __version__
-from scatterlab.cli import main
+from scatterlab.cli import _build_parser, main
 from scatterlab.config import parse_config
 from scatterlab.eikonal import Kinematics
 from scatterlab.errors import ConfigError, DomainError
@@ -37,7 +39,7 @@ sources = born1, paper_closed
 @pytest.fixture
 def config_file(tmp_path):
     f = tmp_path / "scan.ini"
-    f.write_text(GOOD + f"\n[output]\ndirectory = {tmp_path / 'cfgout'}\n")
+    f.write_text(GOOD)
     return f
 
 
@@ -65,40 +67,41 @@ class TestValidate:
 
 
 class TestRun:
-    def test_run_to_config_directory(self, config_file, tmp_path, capsys):
+    def test_run_beside_the_config(self, config_file, tmp_path, capsys):
+        # no --out: the run goes to out_<config stem> beside the config,
+        # wherever the command runs from
         assert main(["run", str(config_file)]) == 0
-        assert (tmp_path / "cfgout" / "born1_k2.csv").exists()
+        assert (tmp_path / "out_scan" / "born1_k2.csv").exists()
         out = capsys.readouterr().out
         assert "born1 k=2: ok" in out
+        assert f"to {tmp_path / 'out_scan'}" in out
 
-    def test_out_flag_beats_config(self, config_file, tmp_path):
+    def test_out_flag_names_the_directory(self, config_file, tmp_path):
         assert main(["run", str(config_file), "--out",
                      str(tmp_path / "flagged"), "--quiet"]) == 0
         assert (tmp_path / "flagged" / "summary.csv").exists()
-        assert not (tmp_path / "cfgout").exists()
+        assert not (tmp_path / "out_scan").exists()
+        # the manifest echoes the config as parsed, which names no
+        # directory
         manifest = (tmp_path / "flagged" / "manifest.txt").read_text()
-        assert f"directory = {tmp_path / 'flagged'}" in manifest
-        assert "cfgout" not in manifest
+        assert "directory" not in manifest and "[output]" not in manifest
+
+    def test_a_config_output_section_is_refused(self, tmp_path, capsys):
+        f = tmp_path / "scan.ini"
+        f.write_text(GOOD + "\n[output]\ndirectory = elsewhere\n")
+        assert main(["run", str(f), "--quiet"]) == 1
+        assert "unknown section [output]" in capsys.readouterr().err
+        assert not (tmp_path / "elsewhere").exists()
+        assert not (tmp_path / "out_scan").exists()
 
     def test_environment_names_no_directory(self, config_file, tmp_path,
                                             monkeypatch):
-        # the output directory is --out, else the config's: a variable
-        # that once named it is not read
+        # the output directory is --out, else beside the config: a
+        # variable that once named it is not read
         monkeypatch.setenv("SCATTER_OUT", str(tmp_path / "env_out"))
         assert main(["run", str(config_file), "--quiet"]) == 0
-        assert (tmp_path / "cfgout" / "summary.csv").exists()
+        assert (tmp_path / "out_scan" / "summary.csv").exists()
         assert not (tmp_path / "env_out").exists()
-
-    def test_sources_override(self, config_file, tmp_path):
-        out = tmp_path / "sub"
-        assert main(["run", str(config_file), "--out", str(out),
-                     "--sources", "born1", "--quiet"]) == 0
-        assert (out / "born1_k2.csv").exists()
-        assert not (out / "paper_closed_k2.csv").exists()
-
-    def test_bad_sources_override(self, config_file, capsys):
-        assert main(["run", str(config_file), "--sources", "psychic"]) == 1
-        assert "psychic" in capsys.readouterr().err
 
     def test_quiet_silences_stdout(self, config_file, tmp_path, capsys):
         assert main(["run", str(config_file), "--out",
@@ -113,7 +116,7 @@ class TestRun:
 class TestExitCodes:
     def _write(self, tmp_path, text):
         f = tmp_path / "scan.ini"
-        f.write_text(text + f"\n[output]\ndirectory = {tmp_path / 'o'}\n")
+        f.write_text(text)
         return f
 
     def test_partial_failure_exit_2(self, tmp_path, capsys):
@@ -123,7 +126,7 @@ class TestExitCodes:
         text += "\n[partial_wave]\nl_max = 3\n"
         f = self._write(tmp_path, text)
         assert main(["run", str(f), "--quiet"]) == 2
-        assert (tmp_path / "o" / "born1_k10.csv").exists()
+        assert (tmp_path / "out_scan" / "born1_k10.csv").exists()
 
     def test_total_failure_exit_1(self, tmp_path):
         text = GOOD.replace("k = 2", "k = 10").replace(
@@ -243,12 +246,19 @@ def test_an_angle_count_past_the_limit_fails_at_parse_time(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_a_non_ascii_output_path_runs_to_the_end(tmp_path):
-    # `scatter run` from a directory named with a non-ASCII letter: the
-    # manifest echoes that directory, so it is written as UTF-8
+def test_a_non_ascii_path_runs_to_the_end(tmp_path):
+    # `scatter run` on a table in a directory named with a non-ASCII
+    # letter: the manifest echoes the table's resolved path, so it is
+    # written as UTF-8, into out_workload beside the config
     here = tmp_path / "rés"
     here.mkdir()
-    (here / "workload.ini").write_text(GOOD, encoding="utf-8")
+    (here / "table.csv").write_text("0.0, 1.0\n1.0, 0.5\n2.0, 0.1\n"
+                                    "3.0, 0.0\n", encoding="utf-8")
+    (here / "workload.ini").write_text(GOOD.replace(
+        "model = yukawa\ng = 0.5\nmu = 1.0",
+        "model = tabulated\nfile = table.csv").replace(
+        "sources = born1, paper_closed", "sources = born1"),
+        encoding="utf-8")
     env = dict(os.environ,
                PYTHONPATH=str(Path(scatterlab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "scatterlab", "run",
@@ -256,9 +266,9 @@ def test_a_non_ascii_output_path_runs_to_the_end(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Traceback" not in proc.stdout + proc.stderr
-    manifest = (here / "scatter_out" / "manifest.txt").read_text(
+    manifest = (here / "out_workload" / "manifest.txt").read_text(
         encoding="utf-8")
-    assert f"directory = {here / 'scatter_out'}" in manifest
+    assert f"file = {here / 'table.csv'}" in manifest
 
 
 def test_k_values_sharing_a_file_name_fail_before_any_work(tmp_path,
@@ -267,13 +277,12 @@ def test_k_values_sharing_a_file_name_fail_before_any_work(tmp_path,
     # CSVs _k1: `validate` and `run` refuse the config, and nothing is
     # written
     config = tmp_path / "scan.ini"
-    config.write_text(GOOD.replace("k = 2", "k = 1.0, 1.0000000000001")
-                      + f"\n[output]\ndirectory = {tmp_path / 'o'}\n")
+    config.write_text(GOOD.replace("k = 2", "k = 1.0, 1.0000000000001"))
     assert main(["validate", str(config)]) == 1
     assert main(["run", str(config), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.count("share the file name tag k1") == 2
-    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "out_scan").exists()
 
 
 # kinematics whose v = k/mass underflows to 0: the routes' division by v
@@ -310,3 +319,17 @@ def test_kinematics_out_of_float_range_fail_at_parse_time(tmp_path, case):
         assert "Traceback" not in proc.stdout + proc.stderr
         assert f"at {key} = " in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_readme_run_usage_lists_exactly_the_accepted_options():
+    # the README's `scatter run` line names each option the parser takes,
+    # so neither can gain or lose one alone
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = re.search(r"`scatter run <config>((?: \[[^]]+\])*)`", readme)
+    listed = set(re.findall(r"\[(--[\w-]+)", usage.group(1)))
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {opt for action in sub.choices["run"]._actions
+                for opt in action.option_strings
+                if opt.startswith("--") and opt != "--help"}
+    assert listed == accepted

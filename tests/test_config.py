@@ -1,7 +1,6 @@
 """Tests for INI parsing, defaults, and validation messages."""
 
 import math
-import os
 import re
 from pathlib import Path
 
@@ -9,8 +8,8 @@ import numpy as np
 import pytest
 
 from scatterlab import config
-from scatterlab.config import (OutputOptions, PartialWaveOptions, RunConfig,
-                               ThetaGrid, echo_lines, parse_config)
+from scatterlab.config import (PartialWaveOptions, RunConfig, ThetaGrid,
+                               echo_lines, parse_config)
 from scatterlab.errors import ConfigError, DomainError
 from scatterlab.potentials import Gauss, TabulatedRadial, Yukawa
 from scatterlab.quadrature import QuadratureSettings
@@ -57,9 +56,6 @@ max_subdivisions = 100
 l_max = 30
 r_max = 25
 dr = AUTO
-
-[output]
-directory = results
 """
 
 
@@ -97,8 +93,6 @@ class TestEchoGolden:
             "[quadrature]", "rel_tol = 1e-10", "abs_tol = 1e-12",
             "max_subdivisions = 200", "",
             "[partial_wave]", "l_max = auto", "r_max = auto", "dr = auto",
-            "",
-            "[output]", "directory = scatter_out",
         ]
 
     def test_all_keys(self):
@@ -111,8 +105,7 @@ class TestEchoGolden:
             "",
             "[quadrature]", "rel_tol = 1e-09", "abs_tol = 1e-11",
             "max_subdivisions = 100", "",
-            "[partial_wave]", "l_max = 30", "r_max = 25.0", "dr = auto", "",
-            "[output]", "directory = results",
+            "[partial_wave]", "l_max = 30", "r_max = 25.0", "dr = auto",
         ]
 
     def test_all_keys_round_trip(self):
@@ -124,7 +117,6 @@ class TestEchoGolden:
         assert cfg.theta == ThetaGrid()
         assert cfg.quadrature == QuadratureSettings()
         assert cfg.partial_wave == PartialWaveOptions()
-        assert cfg.output == OutputOptions()
 
 
 def _with(old, new):
@@ -313,12 +305,12 @@ FAULTS = {
                   "[partial_wave] r_max must be finite, got nan"),
     "negative_dr": (_plus("[partial_wave]\ndr = -0.01"), "partial_wave.dr",
                     "[partial_wave] dr must be positive, got -0.01"),
-    # plot.gp is written whenever a CSV is: there is no switch
+    # plot.gp is written whenever a CSV is, and the caller names the
+    # output directory: the config has no [output] section
     "removed_plot_switch": (_plus("[output]\nemit_plot_script = true"),
-                            "output.emit_plot_script",
-                            "[output] unknown key 'emit_plot_script'"),
-    "empty_directory": (_plus("[output]\ndirectory ="), "output.directory",
-                        "[output] directory must not be empty"),
+                            "output", "unknown section [output]"),
+    "removed_output_section": (_plus("[output]\ndirectory = results"),
+                               "output", "unknown section [output]"),
 }
 
 
@@ -514,12 +506,6 @@ class TestTabulated:
 
 
 class TestRunConfigDirect:
-    def test_output_dir_joined(self, tmp_path):
-        cfg = parse_config(MINIMAL + "\n[output]\ndirectory = results\n",
-                           base_dir=str(tmp_path))
-        assert cfg.output.directory == os.path.join(str(tmp_path),
-                                                    "results")
-
     def test_grid_type_invariants(self):
         with pytest.raises(DomainError):
             ThetaGrid(min=0.2, max=0.1)
@@ -558,8 +544,7 @@ class TestRunConfigDirect:
 
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError):
-            RunConfig(potential=Yukawa(1.0, 1.0), mass=1.0, k_values=(),
-                      output=OutputOptions())
+            RunConfig(potential=Yukawa(1.0, 1.0), mass=1.0, k_values=())
 
 
 def _grammar_keys(text):

@@ -6,10 +6,12 @@ an int past the float range and a value out of its range with a
 ScatterError whose key names that parameter; through parse_config the key
 is section.name. An array argument (an angle, an impact parameter, a
 radius, a momentum transfer, a Bessel argument, a table's samples, a
-spline's pieces, a cross-section table's rows) refuses in the same way what
-numpy cannot read as floats, and any element outside the bounds it passes
-to errors.reals, nan included. A refusal of an array's structure (its
-shape, its sample count, the order of its elements) names it too."""
+spline's pieces, a cross-section table's rows, an amplitude's angle and
+error estimate) refuses in the same way what numpy cannot read as floats,
+and any element outside the bounds it passes to errors.reals, nan
+included. A refusal of an array's structure (its shape, its sample count,
+the order of its elements) names it too. A function of one array argument
+gives a float for a 0-d array, as for a float."""
 
 import math
 
@@ -32,7 +34,7 @@ from scatterlab.quadrature import (QuadratureSettings, hankel0,
                                    integrate_adaptive, integrate_sin)
 from scatterlab.runner import RunManifest
 from scatterlab.special_functions import (bessel_j0, bessel_k0, j0_zeros,
-                                          legendre_p_row,
+                                          legendre_p_row, log,
                                           spherical_bessel_row)
 
 _P, _KIN = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=1.0)
@@ -252,12 +254,21 @@ ARRAY_CASES = {
     "PhaseShiftSet.delta": (lambda x: _shifts(delta=[x]), "delta", _FINITE),
     "PhaseShiftSet.delta_coarse": (lambda x: _shifts(delta_coarse=[x]),
                                    "delta_coarse", _FINITE),
+    # a table's other cells may be nan, on a pole row
+    "CrossSectionTable.rows": (lambda x: _table([[x, 0.0, 0.0, 0.0, 0.0]]),
+                               "rows", _FINITE),
+    "Amplitude.theta": (lambda x: Amplitude(theta=x, q=0.0, value=1j),
+                        "theta", _FROM_0 + [math.inf, 3.2]),
+    "Amplitude.error_estimate": (lambda x: Amplitude(
+        theta=0.0, q=0.0, value=1j, error_estimate=x), "error_estimate",
+        _FROM_0),
 }
 
 # the cases whose value may itself be a 1-d array
 _ELEMENTWISE = {"momentum_transfer.theta", "chi.b", "chi_closed.b",
                 "evaluate.r", "fourier3d.q", "hankel0.q", "bessel_j0.x",
-                "bessel_k0.x", "integrate_sin.q"}
+                "bessel_k0.x", "integrate_sin.q", "Amplitude.theta",
+                "Amplitude.error_estimate"}
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_CASES))
@@ -304,6 +315,8 @@ STRUCTURE_CASES = {
                                      "rows"),
     "CrossSectionTable.rows.empty": (lambda: _table(np.zeros((0, 5))),
                                      "rows"),
+    "CrossSectionTable.rows.ragged": (lambda: _table(
+        [[0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]), "rows"),
     "CrossSectionTable.rows.order": (lambda: _table(np.array(_rows(1.0))
                                                     [::-1]), "rows"),
     "CrossSectionTable.rows.dsigma": (lambda: _table(
@@ -318,8 +331,6 @@ STRUCTURE_CASES = {
         _rows(1.0)[:8]), "rows"),
     "total_optical.f0": (lambda: total_optical(
         Amplitude(theta=0.1, q=0.1, value=1j), 1.0), "f0"),
-    "Amplitude.error_estimate": (lambda: Amplitude(
-        theta=0.0, q=0.0, value=1j, error_estimate=-1.0), "error_estimate"),
     "PhaseShiftSet.delta.shape": (lambda: _shifts(delta=[0.0, 0.0]),
                                   "delta"),
     "PhaseShiftSet.delta_coarse.shape": (lambda: _shifts(
@@ -346,3 +357,14 @@ def test_a_refusal_of_an_argument_s_structure_names_it(name):
     with pytest.raises(ScatterError) as err:
         call()
     assert err.value.key == key, err.value
+
+
+@pytest.mark.parametrize("call", [
+    bessel_j0, bessel_k0, log, lambda x: evaluate(_P, x),
+    lambda x: fourier3d(_P, x), lambda x: chi(_P, _KIN, x),
+    lambda x: chi_closed(_P, _KIN, x)],
+    ids=["bessel_j0", "bessel_k0", "log", "evaluate", "fourier3d", "chi",
+         "chi_closed"])
+def test_a_0d_array_gives_a_float(call):
+    assert type(call(np.array(0.5))) is float
+    assert call(np.array(0.5)) == call(0.5)

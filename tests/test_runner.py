@@ -12,7 +12,7 @@ import pytest
 
 import _oracles
 import scatterlab
-from scatterlab.config import parse_config
+from scatterlab.config import echo_lines, parse_config
 from scatterlab.eikonal import amplitude_eikonal
 from scatterlab.errors import ConfigError, DomainError, ScatterError
 from scatterlab.quadrature import QuadratureSettings
@@ -39,8 +39,8 @@ sources = born1, paper_closed
 """
 
 
-def _cfg(text, out):
-    return parse_config(text + f"\n[output]\ndirectory = {out}\n")
+def _run(text, out):
+    return run_scan(parse_config(text), str(out))
 
 
 def _read_rows(path):
@@ -49,7 +49,7 @@ def _read_rows(path):
 
 class TestFileEmission:
     def test_csv_schema(self, tmp_path):
-        m = run_scan(_cfg(FAST, tmp_path / "out"))
+        m = _run(FAST, tmp_path / "out")
         csv = tmp_path / "out" / "born1_k2.csv"
         header = csv.read_text().splitlines()[0]
         assert header == "theta_rad,q,re_f,im_f,dsigma_domega"
@@ -59,7 +59,7 @@ class TestFileEmission:
         assert m.output_dir == str(tmp_path / "out")
 
     def test_all_files_present(self, tmp_path):
-        m = run_scan(_cfg(FAST, tmp_path / "out"))
+        m = _run(FAST, tmp_path / "out")
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert names == ["born1_k2.csv", "manifest.txt",
                          "paper_closed_k2.csv", "plot.gp", "report.txt",
@@ -68,19 +68,18 @@ class TestFileEmission:
         assert listed == set(names) - {"manifest.txt"}
 
     def test_plot_references_each_csv_once(self, tmp_path):
-        run_scan(_cfg(FAST, tmp_path / "out"))
+        _run(FAST, tmp_path / "out")
         script = (tmp_path / "out" / "plot.gp").read_text()
         assert script.count("born1_k2.csv") == 1
         assert script.count("paper_closed_k2.csv") == 1
 
     def test_per_k_files(self, tmp_path):
-        m = run_scan(_cfg(FAST.replace("k = 2", "k = 2, 4"),
-                          tmp_path / "out"))
+        m = _run(FAST.replace("k = 2", "k = 2, 4"), tmp_path / "out")
         assert (tmp_path / "out" / "born1_k4.csv").exists()
         assert len(m.csv_files) == 4
 
     def test_seventeen_digit_format(self, tmp_path):
-        run_scan(_cfg(FAST, tmp_path / "out"))
+        _run(FAST, tmp_path / "out")
         line = (tmp_path / "out" / "born1_k2.csv").read_text().splitlines()[2]
         cell = line.split(",")[2]
         mantissa = cell.split("e")[0].replace("-", "")
@@ -110,7 +109,7 @@ class TestFileEmission:
         assert _csv_text(SimpleNamespace(rows=rows)) == "\n".join(want) + "\n"
 
     def test_no_negative_zero(self, tmp_path):
-        run_scan(_cfg(FAST, tmp_path / "out"))
+        _run(FAST, tmp_path / "out")
         for name in ("born1_k2.csv", "summary.csv"):
             assert "-0.0000000000000000e+00" not in \
                 (tmp_path / "out" / name).read_text()
@@ -118,20 +117,29 @@ class TestFileEmission:
 
 class TestManifest:
     def test_csv_referenced_exactly_once(self, tmp_path):
-        m = run_scan(_cfg(FAST, tmp_path / "out"))
+        m = _run(FAST, tmp_path / "out")
         text = (tmp_path / "out" / "manifest.txt").read_text()
         for name in m.csv_files:
             assert text.count(name) == 1
         assert "version: " in text
         assert "[config]" in text
 
-    def test_config_echoes_directory_written(self, tmp_path):
-        cfg = _cfg(FAST, tmp_path / "configured")
+    def test_config_echo_is_the_config_as_parsed(self, tmp_path):
+        # the manifest's [config] block is echo_lines of the config given,
+        # which names no directory; output_dir is the one written
+        cfg = parse_config(FAST)
         m = run_scan(cfg, out_dir=str(tmp_path / "written"))
         text = (tmp_path / "written" / "manifest.txt").read_text()
-        assert f"directory = {tmp_path / 'written'}" in text
-        assert "configured" not in text
+        block = text.split("[config]\n")[1].split("\n\n[wall clock")[0]
+        assert block.splitlines() == ["  " + ln if ln else ""
+                                      for ln in echo_lines(cfg)]
+        assert m.config_lines == tuple(echo_lines(cfg))
+        assert "written" not in text
         assert m.output_dir == str(tmp_path / "written")
+
+    def test_out_dir_has_no_default(self):
+        with pytest.raises(TypeError):
+            run_scan(parse_config(FAST))
 
     def test_duplicate_csv_rejected(self):
         with pytest.raises(DomainError):
@@ -141,7 +149,7 @@ class TestManifest:
                         output_dir=".")
 
     def test_wall_clock_recorded(self, tmp_path):
-        m = run_scan(_cfg(FAST, tmp_path / "out"))
+        m = _run(FAST, tmp_path / "out")
         assert all(o.wall_clock >= 0.0 for o in m.outcomes)
         assert "[wall clock per source]" in \
             (tmp_path / "out" / "manifest.txt").read_text()
@@ -153,10 +161,7 @@ class TestErrorsAndWarnings:
         text = FAST.replace("k = 2", "k = 10").replace(
             "sources = born1, paper_closed",
             "sources = born1, partial_wave")
-        cfg = parse_config(
-            text + "\n[partial_wave]\nl_max = 3\n"
-                   f"\n[output]\ndirectory = {tmp_path / 'out'}\n")
-        m = run_scan(cfg)
+        m = _run(text + "\n[partial_wave]\nl_max = 3\n", tmp_path / "out")
         by_source = {o.source: o for o in m.outcomes}
         assert by_source["partial_wave"].error is not None
         assert by_source["born1"].error is None
@@ -170,8 +175,7 @@ class TestErrorsAndWarnings:
         # yukawa mu/k = 0.5 sits on this grid
         text = FAST.replace("max = 0.2", "max = 0.6").replace(
             "sources = born1, paper_closed", "sources = paper_closed")
-        m = run_scan(_cfg(text.replace("count = 9", "count = 7"),
-                          tmp_path / "out"))
+        m = _run(text.replace("count = 9", "count = 7"), tmp_path / "out")
         rows = _read_rows(tmp_path / "out" / "paper_closed_k2.csv")
         assert np.isnan(rows[5, 2])  # theta = 0.5
         assert np.count_nonzero(np.isnan(rows[:, 2])) == 1
@@ -180,14 +184,13 @@ class TestErrorsAndWarnings:
                          "recorded as nan"]
 
     def test_totals_nan_warning_without_coverage(self, tmp_path):
-        m = run_scan(_cfg(FAST, tmp_path / "out"))
+        m = _run(FAST, tmp_path / "out")
         assert any("total_integrated unavailable" in w for w in m.warnings)
         summary = (tmp_path / "out" / "summary.csv").read_text()
         assert "nan" in summary
 
     def test_optical_nan_warning_without_theta_zero(self, tmp_path):
-        m = run_scan(_cfg(FAST.replace("min = 0.0", "min = 0.01"),
-                          tmp_path / "out"))
+        m = _run(FAST.replace("min = 0.0", "min = 0.01"), tmp_path / "out")
         assert "born1 k=2: total_optical unavailable (needs theta = 0 on " \
                "the grid)" in m.warnings
         assert all(np.isnan(o.total_optical) for o in m.outcomes)
@@ -218,15 +221,15 @@ class TestErrorsAndWarnings:
                             f"model = tabulated\nfile = {table}").replace(
             "k = 2", "k = 10").replace("max = 0.2", "max = 0.5").replace(
             "sources = born1, paper_closed", "sources = born1")
-        small = run_scan(_cfg(text + "\n[quadrature]\nmax_subdivisions = 8",
-                              tmp_path / "small"))
-        default = run_scan(_cfg(text, tmp_path / "default"))
+        small = _run(text + "\n[quadrature]\nmax_subdivisions = 8",
+                     tmp_path / "small")
+        default = _run(text, tmp_path / "default")
         assert small.outcomes[0].error is None
         assert filecmp.cmp(tmp_path / "small" / "born1_k10.csv",
                            tmp_path / "default" / "born1_k10.csv",
                            shallow=False)
-        tight = run_scan(_cfg(text + "\n[quadrature]\nrel_tol = 1e-15\n"
-                                     "abs_tol = 1e-300", tmp_path / "tight"))
+        tight = _run(text + "\n[quadrature]\nrel_tol = 1e-15\n"
+                     "abs_tol = 1e-300", tmp_path / "tight")
         assert tight.outcomes[0].error is None
         assert any(w.startswith("born1 k=10: ") and "above 10x the "
                    "tolerance target" in w for w in tight.warnings)
@@ -239,9 +242,8 @@ class TestErrorsAndWarnings:
         text = FAST.replace("sources = born1, paper_closed",
                             "sources = eikonal, born1")
         cfg = parse_config(
-            text + "\n[quadrature]\nrel_tol = 1e-16\nabs_tol = 1e-300\n"
-                   f"\n[output]\ndirectory = {tmp_path / 'out'}\n")
-        m = run_scan(cfg)
+            text + "\n[quadrature]\nrel_tol = 1e-16\nabs_tol = 1e-300\n")
+        m = run_scan(cfg, str(tmp_path / "out"))
         by_source = {o.source: o for o in m.outcomes}
         assert by_source["eikonal"].error is None
         assert by_source["born1"].error is None
@@ -262,13 +264,12 @@ class TestErrorsAndWarnings:
         text = FAST.replace("sources = born1, paper_closed",
                             "sources = eikonal, born_resummed")
         with pytest.raises(ScatterError) as err:
-            run_scan(_cfg(text + f"\n[quadrature]\n{setting}\n",
-                          tmp_path / "out"))
+            _run(text + f"\n[quadrature]\n{setting}\n", tmp_path / "out")
         assert type(err.value) is ConfigError
         assert err.value.key == "quadrature." + setting.split()[0]
 
     def test_formula_checks_in_manifest(self, tmp_path):
-        m = run_scan(_cfg(FAST, tmp_path / "out"))
+        m = _run(FAST, tmp_path / "out")
         names = [c.name for _, c in m.verdicts]
         assert "closed_form_amplitude_yukawa" in names
         assert "closed_form_total_yukawa" in names
@@ -278,7 +279,7 @@ class TestErrorsAndWarnings:
 
 class TestReport:
     def test_pairwise_and_reference_column(self, tmp_path):
-        run_scan(_cfg(FAST, tmp_path / "out"))
+        _run(FAST, tmp_path / "out")
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "pair: born1 vs paper_closed" in report
         assert "reference_form" in report
@@ -343,7 +344,7 @@ class TestReport:
         text = FAST.replace("k = 2", "k = 10").replace(
             "sources = born1, paper_closed",
             "sources = eikonal, partial_wave")
-        m = run_scan(_cfg(text, tmp_path / "out"))
+        m = _run(text, tmp_path / "out")
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "pair: eikonal vs partial_wave" in report
         block = report.split("pair: eikonal vs partial_wave")[1]
@@ -370,7 +371,7 @@ count = 24
 [run]
 sources = eikonal, born1, partial_wave, paper_closed
 """
-        m = run_scan(_cfg(text, tmp_path / "out"))
+        m = _run(text, tmp_path / "out")
         assert not m.failed
         for o in m.outcomes:
             assert o.total_integrated == 0.0
@@ -381,8 +382,8 @@ sources = eikonal, born1, partial_wave, paper_closed
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
-        run_scan(_cfg(FAST, tmp_path / "a"))
-        run_scan(_cfg(FAST, tmp_path / "b"))
+        _run(FAST, tmp_path / "a")
+        _run(FAST, tmp_path / "b")
         for name in ("born1_k2.csv", "paper_closed_k2.csv", "summary.csv",
                      "report.txt"):
             assert (tmp_path / "a" / name).read_bytes() == \
@@ -390,11 +391,8 @@ class TestDeterminism:
 
     def test_thread_count_invisible(self, tmp_path):
         text = FAST.replace("k = 2", "k = 2, 4")
-        run_scan(_cfg(text, tmp_path / "t1"))
-        cfg4 = parse_config(
-            text + "\nthreads = 4\n"
-                   f"\n[output]\ndirectory = {tmp_path / 't4'}\n")
-        m4 = run_scan(cfg4)
+        _run(text, tmp_path / "t1")
+        m4 = _run(text + "\nthreads = 4\n", tmp_path / "t4")
         assert m4.version
         for name in ("born1_k2.csv", "born1_k4.csv", "paper_closed_k2.csv",
                      "paper_closed_k4.csv", "summary.csv", "report.txt"):

@@ -117,7 +117,7 @@ def test_an_empty_b_gives_empty_arrays(make_p, shape):
 
 
 def _table_config(tmp_path, p, sources, k="2, 3", count=3, threads=1,
-                  quadrature="", out="out"):
+                  quadrature=""):
     """A tabulated run's config: p's samples written to table.csv."""
     lines = ["# r, V"] + [f"{a!r}, {b!r}"
                           for a, b in zip(p.r.tolist(), p.v.tolist())]
@@ -142,9 +142,6 @@ count = {count}
 [run]
 sources = {sources}
 threads = {threads}
-
-[output]
-directory = {tmp_path / out}
 """
     # each parse loads a fresh potential object
     return parse_config(text, base_dir=str(tmp_path))
@@ -155,8 +152,8 @@ def test_tabulated_run_is_byte_identical_at_one_and_four_threads(tmp_path):
              "born_resummed_k3.csv", "summary.csv", "report.txt"]
     for tag, threads in (("t1", 1), ("t4", 4)):
         cfg = _table_config(tmp_path, _table(), "eikonal, born_resummed",
-                            threads=threads, out=tag)
-        assert not run_scan(cfg).failed
+                            threads=threads)
+        assert not run_scan(cfg, str(tmp_path / tag)).failed
     for name in names:
         assert filecmp.cmp(tmp_path / "t1" / name, tmp_path / "t4" / name,
                            shallow=False), name
@@ -241,8 +238,8 @@ def test_a_table_s_eikonal_and_born_resummed_have_the_same_bits(theta, first):
     ({}, {"settings": QuadratureSettings(max_subdivisions=400)}),
 ], ids=["k", "mass", "grid", "fewer-angles", "scalar-then-array",
         "array-then-scalar", "rel_tol", "abs_tol", "budget"])
-def test_a_pass_that_reads_anything_else_misses_the_memo(base, change,
-                                                         monkeypatch):
+def test_a_call_that_differs_in_anything_runs_its_own_pass(base, change,
+                                                           monkeypatch):
     # the library keeps no memo: a call after another on the same table
     # that differs in anything the pass reads, q's shape among it, runs a
     # pass of its own, with the bits and shapes of a fresh table's
@@ -282,14 +279,15 @@ def test_equal_tables_keep_their_own_passes(monkeypatch):
 @pytest.mark.parametrize("sources", ["eikonal, born_resummed",
                                      "born_resummed, eikonal"],
                          ids=["eikonal-first", "born-first"])
-def test_a_pass_that_raises_stores_nothing(tmp_path, sources, monkeypatch):
+def test_a_pass_that_raises_fails_both_routes_alike(tmp_path, sources,
+                                                     monkeypatch):
     # a table run whose pass exceeds its budget: the second route runs the
     # pass again, and both tasks fail with one message
     cfg = _table_config(tmp_path, _table(), sources, k="3",
                         quadrature="rel_tol = 1e-14\nabs_tol = 1e-16\n"
                                    "max_subdivisions = 8")
     passes = _counted_passes(monkeypatch)
-    failed = run_scan(cfg).failed
+    failed = run_scan(cfg, str(tmp_path / "out")).failed
     assert [o.source for o in failed] == sources.split(", ")
     assert failed[0].error == failed[1].error
     assert failed[0].error.startswith("ConvergenceError: ")
@@ -352,7 +350,7 @@ def test_a_table_run_takes_one_pass_a_k(tmp_path, monkeypatch):
     cfg = _table_config(tmp_path, _table(), "eikonal, born_resummed",
                         count=5)
     passes = _counted_passes(monkeypatch)
-    assert not run_scan(cfg).failed
+    assert not run_scan(cfg, str(tmp_path / "out")).failed
     assert len(passes) == 2
     for k in ("2", "3"):
         assert filecmp.cmp(tmp_path / "out" / f"eikonal_k{k}.csv",
@@ -371,7 +369,7 @@ def test_a_table_run_takes_one_pass_a_k_in_any_source_order(tmp_path,
     # route called directly
     cfg = _table_config(tmp_path, _table(), sources, count=5)
     passes = _counted_passes(monkeypatch)
-    assert not run_scan(cfg).failed
+    assert not run_scan(cfg, str(tmp_path / "out")).failed
     assert len(passes) == 2
     routes = {"eikonal": amplitude_eikonal,
               "born_resummed": born_resummed_amplitude}
@@ -407,12 +405,9 @@ count = 3
 
 [run]
 sources = eikonal, born_resummed
-
-[output]
-directory = {tmp_path / "out"}
 """)
     passes = _counted_passes(monkeypatch)
-    assert not run_scan(cfg).failed
+    assert not run_scan(cfg, str(tmp_path / "out")).failed
     assert len(passes) == 4
 
 
@@ -695,18 +690,14 @@ count = 9
 
 [run]
 sources = born_resummed
-
-[output]
-directory = {out}
 """
     models = {"gauss": "gauss\ng = 0.01\nalpha = 1.0",
               "yukawa": "yukawa\ng = -0.5\nmu = 1.0"}
     for name, model in models.items():
         runs = []
         for tag in ("a", "b"):
-            cfg = parse_config(text.format(model=model,
-                                           out=tmp_path / name / tag))
-            assert not run_scan(cfg).failed
+            cfg = parse_config(text.format(model=model))
+            assert not run_scan(cfg, str(tmp_path / name / tag)).failed
             runs.append(tmp_path / name / tag)
         # the same potential object again
         assert not run_scan(cfg, out_dir=str(tmp_path / name / "c")).failed
