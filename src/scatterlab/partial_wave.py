@@ -7,14 +7,26 @@ assembly), then extracts tan(delta_l) by matching u_l/r against the free
 combination cos(delta) j_l(kr) - sin(delta) n_l(kr) at two radii a quarter
 local wavelength apart, with one row of spherical Bessel values per radius.
 
+Numerov works only where V is strong. V = s V + (1 - s) V, s a smooth
+switch from 1 at a split radius R0 to 0 at R0 + 2 (_switch): the sweep
+takes s V and matches past R0 + 2, where s V = 0, and each wave then gains
+the far potential's first-order term of the variable-phase equation
+(Calogero, Variable Phase Approach to Potential Scattering, 1967),
+-(1/k) int U (1 - s) (cos delta j^_l - sin delta n^_l)^2 dr with U = 2mV
+and j^, n^ the Riccati-Bessel functions, by Gauss quadrature past R0
+(_tail_terms). R0 is where T0 = (1/k) int_R0 |U| dr, on which the dropped
+second order depends, meets an a-priori target (_split_radius); where no
+R0 lets the sweep end short of r_max, and for a table, nothing is split.
+The tail adds its own error bound to each wave, PhaseShiftSet.tail_error.
+
 Each pass integrates its waves on three grids, of steps h, 2h and 4h,
 between the same two matching radii, which lie on the 4h grid. For a
 smooth potential Numerov's error in delta is a series in even powers from
-h^4 on, and the four-term series start keeps it so but for an h^7 term in
-the s wave. Richardson's R(h, 2h) = delta(h) + (delta(h) - delta(2h))/15
-removes the h^4 term, and R3 = R(h, 2h) + (R(h, 2h) - R(2h, 4h))/63, with
-R(2h, 4h) formed alike, the h^6 term, leaving h^8: the oracle's delta is
-R3, which costs no sweep beyond the three grids. A cubic table from r = 0
+h^4 on, which the six-term series start keeps. Richardson's R(h, 2h) =
+delta(h) + (delta(h) - delta(2h))/15 removes the h^4 term, and R3 = R(h,
+2h) + (R(h, 2h) - R(2h, 4h))/63, with R(2h, 4h) formed alike, the h^6
+term, leaving h^8: the oracle's delta is R3, which costs no sweep beyond
+the three grids. A cubic table from r = 0
 is smooth but at its last knot, which its default h puts on the 4h grid.
 The amplitude reports the gap between R3 and a second extrapolation as
 its step error; see PhaseShiftSet. One loop over the fine grid carries all
@@ -51,8 +63,8 @@ import numpy as np
 from .eikonal import Kinematics, _amplitude, momentum_transfer
 from .errors import (MAX_FLOAT, ConvergenceError, DomainError, RangeError,
                      integer, real, reals)
-from .potentials import (TabulatedRadial, Yukawa, effective_radius,
-                         evaluate, origin_expansion, reach)
+from .potentials import (Gauss, TabulatedRadial, Yukawa, _analytic,
+                         effective_radius, evaluate, origin_expansion, reach)
 # The effective radius needs no integrator; the two integrators and
 # spherical_bessel are bound here only because perfbench/tracer.py rebinds
 # them in partial_wave's namespace.
@@ -89,6 +101,29 @@ _EPS = np.finfo(float).eps
 # edge; bound at import, so a patched _CHUNK moves no start
 _BLOCK = _CHUNK
 _EXPONENT = 0.5 * math.log(1.0 / _EPS) + 4.0  # growth e^22 past a start
+# the split (_split_radius): T0 = (1/k) int |2mV| dr past R0 at most
+# _SPLIT, above k = 6; the switch s falls from 1 at R0 to 0 at R0 +
+# _SWITCH; and the first-order tail runs on to where |2mV| <= _FAR k^2
+_SPLIT = 1e-5
+_SWITCH = 2.0
+_FAR = 1e-16
+# the tail's panels take the 15-point Gauss-Legendre rule, nodes +-x and
+# weights w below; C = (15!)^4/(31 (30!)^3), and _PANEL the width times
+# the integrand's rate rho that makes C (w rho)^30, the bound on the rule's
+# error over the panel's width times its largest |f|, _QUAD
+_GL_X = (0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+         0.7244177313601701, 0.8482065834104272, 0.937273392400706,
+         0.9879925180204854)
+_GL_W = (0.2025782419255613, 0.19843148532711158, 0.1861610000155622,
+         0.16626920581699392, 0.13957067792615432, 0.10715922046717194,
+         0.07036604748810812, 0.03075324199611727)
+_NODES = np.array([-x for x in _GL_X[:0:-1]] + list(_GL_X))
+_WEIGHTS = np.array(_GL_W[:0:-1] + _GL_W)
+_QUAD = 1e-6
+_GAUSS_C = math.factorial(15) ** 4 / (31 * math.factorial(30) ** 3)
+_PANEL = (_QUAD / _GAUSS_C) ** (1.0 / 30.0)
+# the switch's own rate in that bound
+_SWITCH_RATE = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +131,19 @@ class PhaseShiftSet:
     """Phase shifts delta_l for l = 0..l_max at one wavenumber.
 
     delta holds R3, the third Richardson level of the grids of step h, 2h
-    and 4h, in (-pi/2, pi/2]. delta_coarse holds, on the same branch, the
-    extrapolation whose gap to delta amplitude_partial_wave reads as the
-    wave's step error: R(h, 2h) where the wave's grids show the h^6
-    expansion, R(2h, 4h) elsewhere (see _extrapolated). dr is the finest
-    step h, and r_max the first matching radius, a point of the 4h grid.
-    tail_ratio, in [0, 1), bounds |delta_{l+1}/delta_l| for l >= l_max
-    from the potential; amplitude_partial_wave bounds the dropped waves
-    with it or with the decay of the last waves kept, whichever is slower.
+    and 4h, plus the first-order tail where the pass split V, in (-pi/2,
+    pi/2]. delta_coarse holds, on the same branch, the extrapolation whose
+    gap to delta amplitude_partial_wave reads as the wave's step error:
+    R(h, 2h) where the wave's grids show the h^6 expansion, R(2h, 4h)
+    elsewhere (see _extrapolated), plus its own tail. dr is the finest step
+    h, and r_max, a point of the 4h grid, the radius past which a sweep
+    drops V: the first matching radius where V was not split. tail_ratio,
+    in [0, 1), bounds |delta_{l+1}/delta_l| for l >= l_max from the
+    potential; amplitude_partial_wave bounds the dropped waves with it or
+    with the decay of the last waves kept, whichever is slower. tail_error
+    holds each wave's bound on the error of its tail, 0 where there is
+    none: the Gronwall bound on the dropped second order plus the
+    quadrature's (see _tail_terms); zeros if not given.
     """
 
     k: float
@@ -113,6 +153,7 @@ class PhaseShiftSet:
     r_max: float
     dr: float
     tail_ratio: float = 0.0
+    tail_error: np.ndarray = None
 
     def __post_init__(self):
         real(self.k, "k", positive=True)
@@ -129,8 +170,14 @@ class PhaseShiftSet:
         if c.shape != d.shape:
             raise DomainError("delta_coarse must hold l_max + 1 entries",
                               key="delta_coarse")
+        t = np.zeros(d.shape) if self.tail_error is None else reals(
+            self.tail_error, "tail_error", 0.0, math.inf)
+        if t.shape != d.shape:
+            raise DomainError("tail_error must hold l_max + 1 entries",
+                              key="tail_error")
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "delta_coarse", c)
+        object.__setattr__(self, "tail_error", t)
         if abs(d[-1]) >= _TAIL_TOL:
             raise DomainError(
                 f"partial-wave tail not converged: |delta_l_max| = "
@@ -142,12 +189,12 @@ def _reduced_strength(p, kin, r):
     return np.abs(np.asarray(evaluate(p, r), dtype=float)) * 2.0 * kin.mass
 
 
-def _auto_r_max(p, kin, r_eff):
+def _auto_r_max(p, kin, r_eff, decay=_DECAY):
     """The first r = r0 + 0.25 j, r0 = max(r_eff, 2 pi/k, 1), where the
-    reduced potential has fallen below _DECAY k^2, searched up to _RANGES
+    reduced potential has fallen below decay k^2, searched up to _RANGES
     times the potential's reach past r0. The candidates are evaluated 64
     at a time, each the sum of its predecessor and 0.25."""
-    bound = _DECAY * kin.k**2
+    bound = decay * kin.k**2
     r0 = max(r_eff, 2.0 * np.pi / kin.k, 1.0)
     limit = r0 + _RANGES * reach(p)[0]
     left = math.ceil((limit - r0) / 0.25) + 1
@@ -163,6 +210,171 @@ def _auto_r_max(p, kin, r_eff):
     raise RangeError(f"potential does not decay below the matching "
                      f"threshold within r = {limit:g}, {_RANGES} times its "
                      f"reach past the start of the search", key="r_max")
+
+
+def _split_radius(p, kin, r_max):
+    """R0, where the sweep hands V over to the first-order tail: the first r
+    = r0 + 0.25 j, r0 = max(2 pi/k, 1), whose T0 = (1/k) int_r^r_max |2mV|
+    dr, by the trapezoid rule on those points, is at most _SPLIT min(1,
+    k/6)^4, an a-priori target for the tail's dropped second order, about
+    T0^2. None, for no tail, where R0 + 2 _SWITCH passes r_max, and for a
+    table, whose knots would cut the tail's panels. The points do not
+    depend on dr."""
+    if isinstance(p, TabulatedRadial):
+        return None
+    k = kin.k
+    r0 = max(2.0 * np.pi / k, 1.0)
+    n = math.floor((r_max - r0) / 0.25)
+    if n < 1:
+        return None
+    r = r0 + 0.25 * np.arange(n + 1)
+    u = _reduced_strength(p, kin, r)
+    beyond = np.cumsum((0.125 * (u[1:] + u[:-1]))[::-1])[::-1]
+    # the default step's error falls as (k h)^8 below k = 0.06/0.01, and
+    # the split's, about T0^2, falls with it
+    target = _SPLIT * min(1.0, k * 0.01 / 0.06) ** 4
+    hit = np.flatnonzero(beyond <= target * k)
+    if not hit.size or r[hit[0]] + 2.0 * _SWITCH > r_max:
+        return None
+    return float(r[hit[0]])
+
+
+def _tail_rule(p, kin, r0, r_end):
+    """The nodes x = k r of the tail's 15-point Gauss panels over [r0, r_end]
+    and two rows of weights: U (1 - s) at every node, U = 2mV and s =
+    _switch(r, r0), and |U| s at the nodes of the switch's panels, which
+    lead.
+
+    The panels tile [r0, r0 + _SWITCH] in equal widths, and [r0 + _SWITCH,
+    r_end] in widths w, w rho = _PANEL, but for the last: rho = 2k, the
+    rate of the waves' squares, plus the potential's own rate (mu + 30/(e
+    r0) for a Yukawa, whose 1/r adds m!/r^m to its m-th derivative; 2 alpha
+    r_end + sqrt(60 alpha) for a Gauss), plus _SWITCH_RATE over the
+    switch. With the integrand's 30th derivative at most rho^30 times its
+    largest value, the rule's error on a panel is at most C (w rho)^30 w
+    max|f| <= _QUAD w max|f|. A panel edge at r0 + _SWITCH keeps the
+    switch's kink out of the panels."""
+    k = kin.k
+    if isinstance(p, Yukawa):
+        rate = 2.0 * k + p.mu + 30.0 / (math.e * r0)
+    else:
+        rate = 2.0 * k + 2.0 * p.alpha * r_end + math.sqrt(60.0 * p.alpha)
+    n = math.ceil(_SWITCH * (rate + _SWITCH_RATE) / _PANEL)
+    lo = np.concatenate([r0 + (_SWITCH / n) * np.arange(n),
+                         r0 + _SWITCH + (_PANEL / rate) * np.arange(
+                             math.ceil((r_end - r0 - _SWITCH) * rate
+                                       / _PANEL))])
+    hi = np.append(lo[1:], r_end)
+    hw = 0.5 * (hi - lo)
+    r = (0.5 * (lo + hi)[:, None] + hw[:, None] * _NODES).ravel()
+    weight = (hw[:, None] * _WEIGHTS).ravel()
+    # libm's exp: the last bit of numpy's depends on the SIMD level, and
+    # every bit of U reaches the tail of the high waves
+    u = 2.0 * kin.mass * np.array([_analytic(p, v, math.exp)
+                                   for v in r.tolist()]) * weight
+    s = _switch(r[:n * _NODES.size], r0)
+    return k * r, u * (1.0 - _switch(r, r0)), np.abs(u[:s.size]) * s
+
+
+def _recur(rows, coef, start):
+    """Fill rows[l + 1] = coef[l] rows[l] - rows[l - 1] from l = start on,
+    in place; rows and coef are lists of row views, so a step costs two
+    ufunc calls and no indexing."""
+    multiply, subtract = np.multiply, np.subtract
+    for l in range(start, len(rows) - 1):
+        f = rows[l + 1]
+        multiply(coef[l], rows[l], out=f)
+        subtract(f, rows[l - 1], out=f)
+
+
+def _riccati_rows(lo, top, x, n_top):
+    """Riccati-Bessel rows j^_l(x) = x j_l(x), l = lo..top, and n^_l(x) = x
+    n_l(x), l = lo..n_top, n_top <= top, as (l, node) arrays, at ascending
+    nodes x >= 2.
+
+    n^ comes from its upward recurrence, which is stable. So does j^ at
+    each node up to m = floor(x) - 1, and the upward j^ past m, which may
+    overflow, is set to 0. Past m, Miller's downward recurrence over the
+    window [m, m + W], W = 8 x^(1/3) + 10 at the largest x, started from 1
+    at its top and scaled to the upward j^_m, gives j^: beyond the window
+    j^_l^2 is below eps (the Airy decay past the turning point), and the
+    row is 0 there. The window's growth, at most about e^80, needs no
+    rescaling."""
+    inv = 1.0 / x
+    sin_x, cos_x = np.sin(x), np.cos(x)
+    m = np.minimum(np.floor(x).astype(int) - 1, top)
+    up = max(int(m.max()), 1)
+    coef = list((2.0 * np.arange(max(up, n_top, 1)) + 1.0)[:, None] * inv)
+    j = np.zeros((top + 1, x.size))
+    n = np.empty((max(n_top, 1) + 1, x.size))
+    j[0], j[1] = sin_x, sin_x * inv - cos_x
+    n[0], n[1] = -cos_x, -cos_x * inv - sin_x
+    with np.errstate(over="ignore", invalid="ignore"):
+        _recur(list(j[:up + 1]), coef, 1)
+    _recur(list(n), coef, 1)
+    # the upward j^ past m, on the nodes below the first whose m >= l
+    for l, a in zip(range(2, up + 1),
+                    np.searchsorted(m, np.arange(2, up + 1)).tolist()):
+        j[l, :a] = 0.0
+    width = math.ceil(8.0 * float(x[-1]) ** (1.0 / 3.0)) + 10
+    live = np.flatnonzero(m < top)  # nodes whose window holds rows <= top
+    ms = m[live]
+    down = np.empty((width + 2, live.size))
+    down[width + 1], down[width] = 0.0, 1.0
+    # f_{m+i-1} = (2(m + i) + 1) f_{m+i}/x - f_{m+i+1}, down[i] = f_{m+i}
+    _recur(list(down[::-1]), list((2.0 * (ms + np.arange(
+        width + 1, -1, -1)[:, None]) + 1.0) * inv[live]), 1)
+    down *= j[ms, live] / down[0]
+    ll = ms + np.arange(1, width + 1)[:, None]
+    keep = ll <= top
+    j[ll[keep], np.broadcast_to(live, ll.shape)[keep]] = down[1:-1][keep]
+    return j[lo:], n[lo:n_top + 1]
+
+
+def _tail_terms(rule, k, kr0, l_arr, deltas):
+    """Each wave's first-order tail -(1/k) int U (1 - s) (cos d j^_l - sin
+    d n^_l)^2 dr at each d of deltas, on the rule of _tail_rule, and the
+    bound on its error.
+
+    The variable phase obeys delta' = -(1/k) U A(delta), A = (cos delta
+    j^ - sin delta n^)^2, with |A| and |dA/d delta| at most M = j^^2 +
+    n^^2. Past R0 the phase moves by at most T = (1/k) int_R0 |U| M dr, so
+    taking A at the swept d, not along the way, moves the tail by at most
+    about T^2 (Gronwall): the bound is 2 T^2, plus the quadrature's, 2
+    _QUAD T. A wave classically forbidden at R0, l + 1/2 > k R0, takes
+    j^_l alone: there the n^ terms would multiply the rounding of d by
+    n^_l^2, which grows, while d n^_l stays of the order of T j^_l. Its
+    bound is 2 T_j T0 (plus the quadrature's), T_j its own (1/k) int |U|
+    j^_l^2 and T0 = (1/k) int |U| the bound on the relative change the
+    potential makes to its wave past R0."""
+    x, far, near = rule
+    j, n = _riccati_rows(int(l_arr[0]), int(l_arr[-1]), x,
+                         min(int(l_arr[-1]), math.floor(kr0 - 0.5)))
+    na = n.shape[0]  # the waves allowed at R0 lead l_arr
+
+    def moment(f, w):
+        # a pairwise sum a row, so a wave's bits depend neither on the
+        # other waves of its pass, as a BLAS product's would, nor on the
+        # SIMD level, as einsum's would
+        return (f[:, :w.size] * w).sum(axis=-1) / k
+
+    jj, nn = j * j, n * n
+    mj, mn, mx = moment(jj, far), moment(nn, far), moment(j[:na] * n, far)
+    # U has one sign, so |far| integrates |U| (1 - s), and near adds |U| s
+    size = np.abs(mj) + moment(jj, near)
+    size[:na] += np.abs(mn) + moment(nn, near)
+    gronwall = 2.0 * size * ((abs(far.sum()) + near.sum()) / k)
+    gronwall[:na] = 2.0 * size[:na] ** 2
+    out = []
+    for d in deltas:
+        c, s = np.cos(d), np.sin(d)
+        t = -c * c * mj
+        t[:na] += 2.0 * c[:na] * s[:na] * mx - s[:na] * s[:na] * mn
+        out.append(d + t)
+    # the rule's error on a panel is at most _QUAD w max|f|, which the
+    # envelope j^^2 + n^^2 (j^^2 where forbidden) keeps within twice the
+    # panel's share of size
+    return out, gronwall + 2.0 * _QUAD * size
 
 
 def _normalise(y, d):
@@ -308,6 +520,16 @@ def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b, starts):
     return y_a
 
 
+def _row_top(x):
+    """The top of the Bessel rows at the matching radii, x = k r_b at the
+    second: j_l(y)^2 falls below eps of its peak past l = x + 8 x^(1/3) +
+    10 at every y <= x (the Airy decay past the turning point), and
+    _sweep_grids takes a wave's phase shift as 0 there without sweeping it.
+    It depends on x alone, so a wave's bits do not depend on the other
+    waves of its pass."""
+    return int(x + 8.0 * x ** (1.0 / 3.0)) + 10
+
+
 def _match(l_arr, rows, w_a, w_b):
     """The phase shifts of the waves l_arr from u/r at the two matching
     radii, given the rows (j_a, n_a, j_b, n_b) of spherical Bessel values
@@ -334,10 +556,20 @@ def _match(l_arr, rows, w_a, w_b):
     return delta
 
 
-def _sweep_grids(p, kin, l_arr, r_a, r_b, dr):
+def _switch(r, r0):
+    """s(r): 1 up to r0, 0 from r0 + _SWITCH on, and between them 1 - t^4
+    (35 - 84 t + 70 t^2 - 20 t^3), t = (r - r0)/_SWITCH, the C^3
+    smoothstep; exactly 1 and 0 outside, so s V keeps V's bits below r0."""
+    t = np.clip((r - r0) / _SWITCH, 0.0, 1.0)
+    t2 = t * t  # not t**4: numpy's power takes the SIMD level's kernel
+    return 1.0 - t2 * t2 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
+
+
+def _sweep_grids(p, kin, l_arr, r_a, r_b, dr, r0=math.inf):
     """Integrate every l of l_arr outward on the grids of step dr, 2 dr and
     4 dr in one loop and match at r_a and r_b, two points of the 4 dr grid;
-    return the phase shifts on each grid, finest first.
+    return the phase shifts on each grid, finest first. The potential swept
+    is s V, s = _switch(r, r0): V itself for r0 = inf.
 
     Numerov in summed form: with y_n = (1 - h^2 f_n/12) u_n the scheme
     y_{n+1} - 2 y_n + y_{n-1} = h^2 f_n u_n reads d_{n+1} = d_n + g_n y_n,
@@ -360,18 +592,29 @@ def _sweep_grids(p, kin, l_arr, r_a, r_b, dr):
 
     i_a = 4 * int(round(r_a / steps[2]))  # at least 8: phase_shifts checks
     i_b = 4 * int(round(r_b / steps[2]))  # the last step lands on i_b dr
+    # the waves past the Bessel rows' top scatter nothing: not swept
+    live = np.asarray(l_arr) <= _row_top(k * (dr * i_b))
+    l_arr = np.asarray(l_arr)[live]
+
+    def spread(delta):
+        out = np.zeros(live.size)
+        out[live] = delta
+        return out
 
     r = dr * np.arange(0, i_b + 1, dtype=float)  # r[0] = 0 never used
     base = np.empty(i_b + 1)
     base[0] = 0.0
-    base[1:] = two_m * np.asarray(evaluate(p, r[1:]), dtype=float) - k * k
+    v = np.asarray(evaluate(p, r[1:]), dtype=float)
+    if r0 < r[-1]:
+        v *= _switch(r[1:], r0)
+    base[1:] = two_m * v - k * k
     inv_r2 = np.zeros(i_b + 1)
     inv_r2[1:] = 1.0 / (r[1:] * r[1:])
 
     # the free equation on the grid of every s-th point
     free = [bool(np.all(base[s::s] == -k * k)) for s in (1, 2, 4)]
-    if free[0]:
-        return tuple(np.zeros(len(l_arr)) for _ in steps)
+    if free[0] or not l_arr.size:
+        return tuple(np.zeros(live.size) for _ in steps)
 
     la = np.asarray(l_arr, dtype=float)
     ll1 = la * (la + 1.0)
@@ -379,22 +622,25 @@ def _sweep_grids(p, kin, l_arr, r_a, r_b, dr):
     def den_at(j, n):  # 1 - h^2 f/12 on grid j at fine index n
         return 1.0 - h2s[j] / 12.0 * (base[n] + ll1 * inv_r2[n])
 
-    # series start u = (r/r_2)^{l+1} (1 + c1 r + ... + c4 r^4) from the
-    # origin expansion V ~ v_m1/r + v_0 + v_1 r + v_2 r^2, c_n = (u_m1
-    # c_{n-1} + u_0 c_{n-2} + u_1 c_{n-3} + u_2 c_{n-4}) / (n (2l + n + 1));
-    # without c4 the start leaves an h^5 term in delta, which R(h, 2h) does
-    # not remove. Its power is 1 at r_2 and 2^-(l+1) at r_1 = r_2/2, so the
+    # series start u = (r/r_2)^{l+1} (1 + c_1 r + ... + c_6 r^6) from the
+    # origin expansion 2mV - k^2 ~ u_m1/r + u_0 + u_1 r + ... + u_4 r^4,
+    # c_n = (u_m1 c_{n-1} + u_0 c_{n-2} + ... + u_4 c_{n-6}) / (n (2l + n
+    # + 1)), c_0 = 1; without c4 the start leaves an h^5 term in delta,
+    # which R(h, 2h) does not remove, and without c5 and c6 an h^7 term in
+    # the s wave. Its power is 1 at r_2 and 2^-(l+1) at r_1 = r_2/2, so the
     # start is finite at every l
-    v_m1, v_0, v_1, v_2 = origin_expansion(p)
-    um1, u0 = two_m * v_m1, two_m * v_0 - k * k
-    u1c, u2c = two_m * v_1, two_m * v_2
-    c1 = um1 / (2.0 * la + 2.0)
-    c2 = (um1 * c1 + u0) / (2.0 * (2.0 * la + 3.0))
-    c3 = (um1 * c2 + u0 * c1 + u1c) / (3.0 * (2.0 * la + 4.0))
-    c4 = (um1 * c3 + u0 * c2 + u1c * c1 + u2c) / (4.0 * (2.0 * la + 5.0))
+    u = [two_m * v for v in origin_expansion(p)]
+    u[1] -= k * k
+    c = [np.ones_like(la)]
+    for n in range(1, 7):
+        c.append(sum(u[i] * c[n - 1 - i] for i in range(min(n, 6)))
+                 / (n * (2.0 * la + n + 1.0)))
 
     def series(rv):
-        return 1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3 + c4 * rv**4
+        out = c[6]
+        for cn in c[5::-1]:
+            out = cn + rv * out
+        return out
 
     y = np.concatenate([den_at(j, 2 * s) * series(r[2 * s])
                         for j, s in enumerate((1, 2, 4))])
@@ -411,18 +657,17 @@ def _sweep_grids(p, kin, l_arr, r_a, r_b, dr):
             "radial integration overflowed despite rescaling",
             estimate=np.nan, error_estimate=np.inf)
     r_a, r_b = r[i_a], r[i_b]
-    l_top = int(np.max(l_arr))
-    rows = (*spherical_bessel_row(l_top, k * r_a),
-            *spherical_bessel_row(l_top, k * r_b))
+    rows = (*spherical_bessel_row(_row_top(k * r_b), k * r_a),
+            *spherical_bessel_row(_row_top(k * r_b), k * r_b))
     w = la.size
     return tuple(
-        np.zeros(w) if free[j] else _match(
+        spread(0.0 if free[j] else _match(
             l_arr, rows, y_a[j * w:(j + 1) * w] / den_at(j, i_a) / r_a,
-            y[j * w:(j + 1) * w] / den_at(j, i_b) / r_b)
+            y[j * w:(j + 1) * w] / den_at(j, i_b) / r_b))
         for j in range(3))
 
 
-def _extrapolated(p, kin, l_arr, r_a, r_b, dr):
+def _extrapolated(p, kin, l_arr, r_a, r_b, dr, r0=math.inf):
     """(R3, R(h, 2h) or R(2h, 4h)) of the waves l_arr, h = dr, from the
     phase shifts on the grids of step h, 2h and 4h between the same
     matching radii. Each coarser delta is first moved by a multiple of pi
@@ -431,38 +676,66 @@ def _extrapolated(p, kin, l_arr, r_a, r_b, dr):
 
     The second entry is R(h, 2h), 1/63 of |R(h, 2h) - R(2h, 4h)| from R3,
     where the wave's grids show the h^6 expansion: V is not a table's
-    spline, whose third derivative jumps at every knot; the wave is not
-    the s wave, whose start leaves an h^7 term; and |R(h, 2h) - R(2h, 4h)|
-    <= |delta(h) - delta(2h)|/32, where delta(h) = delta + A h^4 + B h^6
-    makes the left side about 13 |B/A| h^2 of the right. Elsewhere it is
-    R(2h, 4h), 64/63 of |R(h, 2h) - R(2h, 4h)| from R3."""
-    fine, mid, coarse = _sweep_grids(p, kin, l_arr, r_a, r_b, dr)
+    spline, whose third derivative jumps at every knot, and |R(h, 2h) -
+    R(2h, 4h)| <= |delta(h) - delta(2h)|/32, where delta(h) = delta + A
+    h^4 + B h^6 makes the left side about 13 |B/A| h^2 of the right.
+    Elsewhere it is R(2h, 4h), 64/63 of |R(h, 2h) - R(2h, 4h)| from R3.
+    The sweep takes s V, s = _switch(r, r0)."""
+    fine, mid, coarse = _sweep_grids(p, kin, l_arr, r_a, r_b, dr, r0)
     mid += np.pi * np.round((fine - mid) / np.pi)
     coarse += np.pi * np.round((fine - coarse) / np.pi)
     near = fine + (fine - mid) / 15.0
     far = mid + (mid - coarse) / 15.0
     best = near + (near - far) / 63.0
     shown = (np.abs(near - far) <= np.abs(fine - mid) / 32.0) \
-        & (np.asarray(l_arr) > 0) & (not isinstance(p, TabulatedRadial))
+        & (not isinstance(p, TabulatedRadial))
     worse = np.where(shown, near, far)
+    _onto_branch(best, worse)
+    return best, worse
+
+
+def _onto_branch(best, worse):
+    """Shift each pair (best, worse) in place by the multiple of pi that
+    puts best in (-pi/2, pi/2]."""
     up, down = best <= -np.pi / 2, best > np.pi / 2
     for x in (best, worse):
         x[up] += np.pi
         x[down] -= np.pi
-    return best, worse
 
 
-def _tail_ratio(p, k):
-    """A bound on |delta_{l+1}/delta_l| in the tail from the potential. For
-    a Yukawa, first Born makes delta_l proportional to the Legendre
-    function Q_l(z), z = 1 + mu^2/(2 k^2), whose ratios rise towards 1/(z +
-    sqrt(z^2 - 1)). A Gauss's and a table's delta_l fall faster than any
-    geometric series, so the decay of the last waves kept bounds the ratios
-    to come, and this is 0."""
-    if not isinstance(p, Yukawa):
+def _tail_ratio(p, k, l_max):
+    """A bound on |delta_{l+1}/delta_l| for l >= l_max from first Born.
+    For a Yukawa delta_l is proportional to the Legendre function Q_l(z),
+    z = 1 + mu^2/(2 k^2), whose ratios rise towards 1/(z + sqrt(z^2 - 1)).
+    For a Gauss it is proportional to I_{l+1/2}(x), x = k^2/(2 alpha),
+    whose ratios fall as l rises: the bound is I_{L+3/2}(x)/I_{L+1/2}(x),
+    L = l_max, by its continued fraction. A table's V is 0 past R = r[-1],
+    and j_{l+1}(y)/j_l(y) = y/(2l + 3 - y j_{l+2}(y)/j_{l+1}(y)) <= y/(nu +
+    sqrt(nu^2 - y^2)), nu = l + 3/2 > y, where the ratios fall as l rises;
+    it rises with y, so the bound is its square at y = k R, (k R/(2L + 3))^2
+    far past the turning point. Where L + 3/2 <= k R this is 0, and the
+    decay of the last waves kept bounds the ratios to come."""
+    if isinstance(p, Yukawa):
+        s = 0.5 * (p.mu / k) ** 2  # z - 1
+        return 1.0 / (1.0 + s + math.sqrt(s * (2.0 + s)))
+    if isinstance(p, Gauss):
+        return _bessel_i_ratio(l_max + 0.5, 0.5 * k * k / p.alpha)
+    y, nu = k * float(p.r[-1]), l_max + 1.5
+    return (y / (nu + math.sqrt(nu * nu - y * y))) ** 2 if nu > y else 0.0
+
+
+def _bessel_i_ratio(nu, x):
+    """I_{nu+1}(x)/I_nu(x) by the continued fraction 1/r_m = 2(nu + m)/x +
+    r_{m+1}, r_m = I_{nu+m}/I_{nu+m-1}, summed from m = 64 down, with r_65
+    started at x/(d + sqrt(d^2 + x^2)), d = nu + 64.5, its uniform
+    asymptotic form; each step damps the start's error by r_m^2."""
+    if x == 0.0:
         return 0.0
-    s = 0.5 * (p.mu / k) ** 2  # z - 1
-    return 1.0 / (1.0 + s + math.sqrt(s * (2.0 + s)))
+    d = nu + 64.5
+    r = x / (d + math.sqrt(d * d + x * x))
+    for m in range(64, 0, -1):
+        r = x / (2.0 * (nu + m) + x * r)
+    return r
 
 
 def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
@@ -473,6 +746,15 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     extrapolation the step error is read from, and tail_ratio the
     potential's bound on the decay of the dropped waves; see PhaseShiftSet
     and _extrapolated.
+    The pass splits V at R0 where it can (_split_radius): the grids then
+    carry s V and match at the first points of the 4 dr grid past R0 + 2,
+    and every wave adds the first-order tail of (1 - s) V from R0 to where
+    |2mV| <= 1e-16 k^2, past r_max, and records its bound in tail_error.
+    R0 is the first point r0 + 0.25 j, r0 = max(2 pi/k, 1), from which
+    T0 = (1/k) int |2mV| dr to r_max is at most 1e-5 min(1, k/6)^4, the
+    target falling with the default step's own error below k = 6: it
+    depends on k and V, not on dr. Where R0 + 4 passes r_max, and for a
+    table, the pass is not split.
     l_max=None cuts the waves at the first l0 + 16 j, l0 = ceil(k r_eff)
     + 10, whose extrapolated |delta| is below the tail threshold, r_eff =
     potentials.effective_radius(p), found on every call. It sweeps up to
@@ -485,10 +767,10 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     the potential's reach (potentials.reach), and rounds it up onto the
     4 dr grid; an explicit r_max is rounded to the nearest point of that
     grid and must meet the same bound there. The second matching radius
-    lies a quarter wavelength further out, rounded onto the same grid. A
-    fine grid out to it of more than _GRID_POINTS points raises RangeError
-    naming r_max before anything is swept; so do waves times points past
-    _WAVE_POINTS, naming l_max if it was given.
+    lies a quarter wavelength further out, rounded onto the same grid. An
+    unsplit fine grid out to it of more than _GRID_POINTS points raises
+    RangeError naming r_max before anything is swept; so do waves times
+    points past _WAVE_POINTS, naming l_max if it was given.
     dr=None takes dr = min(0.06/k, 0.01), and for a cubic table from
     r[0] = 0 r[-1]/(4 n), n the least integer that keeps it no coarser, so
     that the table's last knot, its only kink of V, lies on the 4 dr grid
@@ -527,8 +809,9 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
                 f"potential has not decayed at r_max = {r_max:g}, the "
                 f"requested radius on the 4 dr grid: |V| 2m exceeds "
                 f"1e-12 k^2 there", key="r_max")
-    r_b = r_max + step * max(1, round((np.pi / (2.0 * k)) / step))
-    points = 4 * round(r_b / step) + 1  # _sweep_grids' fine grid
+    quarter = step * max(1, round((np.pi / (2.0 * k)) / step))
+    r_b = r_max + quarter
+    points = 4 * round(r_b / step) + 1  # the fine grid of an unsplit sweep
     if points > _GRID_POINTS:
         raise RangeError(
             f"the radial grid to r = {r_b:g} at dr = {dr:g} would hold "
@@ -546,25 +829,43 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
             f"up to {tops[-1] + 1:,} waves on {points:,} radial points, to r "
             f"= {r_b:g}, exceed the {_WAVE_POINTS:,} wave-points allowed",
             key="r_max" if l_max is None else "l_max")
+    r0 = _split_radius(p, kin, r_max)
+    if r0 is None:
+        r_a, r0 = r_max, math.inf
+    else:
+        # the first point of the 4 dr grid where s V = 0
+        r_a = math.ceil((r0 + _SWITCH) / step) * step
+        r_b = r_a + quarter
+        # the tail costs no sweep: it runs on past r_max, to where |2mV|
+        # <= _FAR k^2, and so drops far less of V than a sweep to r_max
+        rule = _tail_rule(p, kin, r0, _auto_r_max(p, kin, r_max, _FAR))
     # Each pass sweeps the waves above the previous pass's top and tests the
     # candidates l0 + 16 j up to its own top; each l is integrated on its
-    # own, so of a wave's bits only the j_l of a wave classically forbidden
-    # at the matching radius depend, at rounding level, on which pass swept
-    # it. An explicit l_max is kept as given; PhaseShiftSet checks its tail.
-    delta = coarse = np.empty(0)
+    # own, matched with Bessel rows whose top depends on k r_b alone, and
+    # given its tail by sums of its own row, so a wave's bits do not depend
+    # on which pass swept it. An explicit l_max is kept as given;
+    # PhaseShiftSet checks its tail.
+    delta = coarse = bound = np.empty(0)
     l_cut = l0
     for top in tops:
-        best, worse = _extrapolated(p, kin, np.arange(delta.size, top + 1),
-                                    r_max, r_b, dr)
+        l_arr = np.arange(delta.size, top + 1)
+        best, worse = _extrapolated(p, kin, l_arr, r_a, r_b, dr, r0)
+        err = np.zeros(l_arr.size)
+        if r0 < r_a:
+            (best, worse), err = _tail_terms(rule, k, k * r0, l_arr,
+                                             (best, worse))
+            _onto_branch(best, worse)
         delta = np.concatenate([delta, best])
         coarse = np.concatenate([coarse, worse])
+        bound = np.concatenate([bound, err])
         while abs(delta[l_cut]) >= _TAIL_TOL and l_cut < top:
             l_cut += 16
         if abs(delta[l_cut]) < _TAIL_TOL or l_max is not None:
             return PhaseShiftSet(k=k, l_max=l_cut, delta=delta[:l_cut + 1],
                                  delta_coarse=coarse[:l_cut + 1],
                                  r_max=r_max, dr=dr,
-                                 tail_ratio=_tail_ratio(p, k))
+                                 tail_ratio=_tail_ratio(p, k, l_cut),
+                                 tail_error=bound[:l_cut + 1])
     raise ConvergenceError(
         "partial-wave tail refuses to converge; the potential may be too "
         "long-ranged for this oracle",
@@ -584,7 +885,10 @@ def amplitude_partial_wave(ps, theta):
     wave, so it does not vanish where the waves' gaps cancel. rho = eps
     r_max/dr, one rounding per radial step, covers each delta's rounding
     (under 0.1 rho against long-double sweeps of seven cases), which sets
-    the error once the step error falls below it.
+    the error once the step error falls below it. Where the pass split V,
+    each wave adds 2 tail_error_l to the bracket: the Gronwall bound on
+    the second order its first-order tail drops, and the tail's
+    quadrature error.
 
     The dropped waves l = L + j, j >= 1, L = l_max, are taken to fall as
     |delta_L| r^j, r = max(tail_ratio, (|delta_L|/|delta_{L-m}|)^(1/m)),
@@ -601,7 +905,7 @@ def amplitude_partial_wave(ps, theta):
     f = np.sum(s_mat[:, None] * p_rows, axis=0) / (2j * ps.k)
     rho = _EPS * ps.r_max / ps.dr
     gap = weight * (2.0 * np.abs(np.sin(ps.delta - ps.delta_coarse))
-                    + 2.0 * rho)
+                    + 2.0 * rho + 2.0 * ps.tail_error)
     step = np.sum(gap[:, None] * np.abs(p_rows), axis=0) / (2.0 * ps.k)
     return _amplitude(theta, th, q, f.reshape(th.shape),
                       (step + _dropped_waves(ps)).reshape(th.shape))
@@ -612,12 +916,20 @@ def _dropped_waves(ps):
     last = abs(float(ps.delta[-1]))
     if last == 0.0:
         return 0.0
-    m = min(16, ps.l_max)
-    before = abs(float(ps.delta[-1 - m]))
-    if m and not before:
-        return math.inf
-    r = max(ps.tail_ratio, (last / before) ** (1.0 / m) if m else 0.0)
+    r = _decay(ps)
     if r >= 1.0:
         return math.inf
     w = r / (1.0 - r)
     return ((2.0 * ps.l_max + 1.0) * w + 2.0 * w / (1.0 - r)) * last / ps.k
+
+
+def _decay(ps):
+    """r of _dropped_waves: the larger of tail_ratio and the mean decay of
+    the last min(16, l_max) waves; inf where that decay has no wave to
+    start from."""
+    m = min(16, ps.l_max)
+    before = abs(float(ps.delta[-1 - m]))
+    if m and not before:
+        return math.inf
+    mean = (abs(float(ps.delta[-1])) / before) ** (1.0 / m) if m else 0.0
+    return max(ps.tail_ratio, mean)

@@ -134,13 +134,11 @@ def evaluate(potential, r):
     r = reals(r, "r", 0.0, math.inf)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if isinstance(potential, Yukawa):
-        if np.any(r == 0.0):
-            raise SingularityError("Yukawa potential is singular at r = 0",
-                                   key="r")
-        out = potential.g * np.exp(-potential.mu * r) / r
-    elif isinstance(potential, Gauss):
-        out = potential.g * np.exp(-potential.alpha * r * r)
+    if isinstance(potential, Yukawa) and np.any(r == 0.0):
+        raise SingularityError("Yukawa potential is singular at r = 0",
+                               key="r")
+    if isinstance(potential, (Yukawa, Gauss)):
+        out = _analytic(potential, r)
     elif isinstance(potential, TabulatedRadial):
         edges, coef = potential._pieces
         # edges[0] = 0 <= r: the piece that holds r, the last beyond it
@@ -152,6 +150,15 @@ def evaluate(potential, r):
         raise UnsupportedModelError(
             f"unknown potential model {type(potential).__name__!r}")
     return float(out[0]) if scalar else out
+
+
+def _analytic(potential, r, exp=np.exp):
+    """V(r) of a Yukawa at r > 0 or of a Gauss, with the exp given: numpy's
+    by default, or math.exp on a float, whose bits do not depend on the
+    SIMD level numpy runs at."""
+    if isinstance(potential, Yukawa):
+        return potential.g * exp(-potential.mu * r) / r
+    return potential.g * exp(-potential.alpha * r * r)
 
 
 # A table's z-profile w(b) = 2 int_b^R V r dr/sqrt(r^2 - b^2) in closed form:
@@ -295,17 +302,21 @@ def fourier3d(potential, q, *, with_error=False):
 
 
 def origin_expansion(potential):
-    """Coefficients (c_m1, c_0, c_1, c_2) of V(r) ~ c_m1/r + c_0 + c_1 r +
-    c_2 r^2 near r = 0, consistent with what evaluate() actually returns
-    there: the Numerov start's series reads them up to r^4 in u."""
+    """Coefficients (c_m1, c_0, c_1, c_2, c_3, c_4) of V(r) ~ c_m1/r + c_0 +
+    c_1 r + ... + c_4 r^4 near r = 0, consistent with what evaluate()
+    actually returns there: the Numerov start's series reads them up to r^6
+    in u. A table's are those of its first piece, the cubic that evaluate()
+    takes on [0, r[1]], or the constant v[0] below r[0] > 0."""
     if isinstance(potential, Yukawa):
         g, mu = potential.g, potential.mu
-        return (g, -g * mu, 0.5 * g * mu * mu, -g * mu**3 / 6.0)
+        return (g, -g * mu, 0.5 * g * mu * mu, -g * mu**3 / 6.0,
+                g * mu**4 / 24.0, -g * mu**5 / 120.0)
     if isinstance(potential, Gauss):
-        return (0.0, potential.g, 0.0, -potential.g * potential.alpha)
+        g, a = potential.g, potential.alpha
+        return (0.0, g, 0.0, -g * a, 0.0, 0.5 * g * a * a)
     if isinstance(potential, TabulatedRadial):
-        # evaluate() clamps to v[0] below the first sample
-        return (0.0, float(potential.v[0]), 0.0, 0.0)
+        y0, b, c, d = (float(x) for x in potential._pieces[1][:, 0])
+        return (0.0, y0, b, c, d, 0.0)
     raise UnsupportedModelError(
         f"unknown potential model {type(potential).__name__!r}")
 

@@ -261,7 +261,8 @@ def spherical_bessel_row(l_max, x):
     n comes from the upward recurrence, which is always stable for it. j
     goes upward as far as that is stable, which is l <= 1 or x >= l + 1;
     the rest of the row comes from one pass of Miller's downward
-    recurrence, seeded at l_max + 30 + x and scaled to j_0.
+    recurrence, seeded at l_max + 30 + x and scaled to j_0, or to j_1
+    where that is larger.
     """
     l_max = integer(l_max, "l_max")
     x = real(x, "x", positive=True)
@@ -286,7 +287,10 @@ def spherical_bessel_row(l_max, x):
                 f_cur *= 1e-250
                 f_next *= 1e-250
                 f *= 1e-250
-        j += (f * (j[0] / f_cur)).tolist()
+        # scaled to j_0, or to j_1 where it is larger: j_0 vanishes at n pi
+        scale = (j[0] / f_cur if abs(j[0]) >= abs(j[1])
+                 else j[1] / f_next)
+        j += (f * scale).tolist()
     return np.array(j[:l_max + 1]), np.array(n[:l_max + 1])
 
 

@@ -362,7 +362,8 @@ def spherical_bessel(l, x):
             j_prev, j_cur = j_cur, (2 * i + 1) / x * j_cur - j_prev
         return j_cur, nl
 
-    # Miller's algorithm: seed high above l, recur down, scale to j_0.
+    # Miller's algorithm: seed high above l, recur down, scale to j_0, or
+    # to j_1 where it is larger.
     start = l + 30 + int(x)
     f_next = 0.0
     f_cur = 1e-300
@@ -376,6 +377,8 @@ def spherical_bessel(l, x):
             f_cur *= 1e-250
             f_next *= 1e-250
             f_l *= 1e-250
+    if abs(j0) < abs(j1):
+        return f_l * (j1 / f_next), nl
     return f_l * (j0 / f_cur), nl
 
 
@@ -573,12 +576,19 @@ def effective_radius(p, fraction=0.9999):
     return hi
 
 
+def swept_potential(p, r, r0=math.inf):
+    """V at r, times partial_wave's switch s from r0 on: the potential its
+    sweep takes when it splits V at r0; V itself for r0 = inf."""
+    v = np.asarray(evaluate(p, r), dtype=float)
+    return v * partial_wave._switch(r, r0) if r0 < r[-1] else v
+
+
 # The start rule of partial_wave._wave_starts, one wave and one block at a
 # time: where each wave's sweep begins on the fine grid. Reference for the
 # rule, and the start the sweeps below take.
 
 
-def wave_starts(p, kin, l_arr, r_a, r_b, dr):
+def wave_starts(p, kin, l_arr, r_a, r_b, dr, r0=math.inf):
     """The radius at which partial_wave starts each wave of l_arr on the
     grids of finest step dr matched at r_a and r_b, 0 for the origin: the
     last edge 128 b dr, b >= 1, from which the sum over blocks of 128 steps
@@ -590,8 +600,7 @@ def wave_starts(p, kin, l_arr, r_a, r_b, dr):
     i_b = int(round(r_b / dr))
     r = dr * np.arange(0, i_b + 1, dtype=float)
     base = np.zeros(i_b + 1)
-    base[1:] = two_m * np.asarray(evaluate(p, r[1:]), dtype=float) \
-        - kin.k * kin.k
+    base[1:] = two_m * swept_potential(p, r[1:], r0) - kin.k * kin.k
     target = 0.5 * math.log(1.0 / np.finfo(float).eps) + 4.0
     out = np.zeros(len(l_arr))
     for i, l in enumerate(l_arr):
@@ -634,10 +643,23 @@ def _first_steps(starts, l_arr, dr):
 # at r_s, and is 0 before.
 
 
-def _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype, starts):
+def series_coefficients(p, two_m, k, la):
+    """c_0..c_6 of the origin series u = r^{l+1} sum c_n r^n, each an array
+    over the waves la: c_n n (2l + n + 1) = sum_i u_i c_{n-1-i} over the
+    expansion 2mV - k^2 ~ u_0/r + u_1 + ... + u_5 r^4."""
+    u = [two_m * v for v in origin_expansion(p)]
+    u[1] = u[1] - k * k
+    c = [np.ones_like(la)]
+    for n in range(1, 7):
+        c.append(sum(u[i] * c[n - 1 - i] for i in range(min(n, 6)))
+                 / (n * (2.0 * la + n + 1.0)))
+    return c
+
+
+def _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype, starts, r0):
     """(i_a, i_b, r, h2, f, u_1, u_2, first) of a sweep in dtype: the
     matching indices nearest r_a and r_b, the float radii, h^2, f(n) =
-    l(l+1)/r_n^2 + 2mV(r_n) - k^2 for every wave, the four-term
+    l(l+1)/r_n^2 + 2mV(r_n) - k^2 for every wave, the six-term
     series start at r_1 and r_2 and each wave's start index; None for the
     free equation."""
     k = dtype(kin.k)
@@ -648,8 +670,7 @@ def _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype, starts):
     r = dr * np.arange(0, i_b + 1, dtype=float)
     rd = r.astype(dtype)
     base = np.zeros(i_b + 1, dtype=dtype)
-    base[1:] = two_m * np.asarray(evaluate(p, r[1:]),
-                                  dtype=float).astype(dtype) - k * k
+    base[1:] = two_m * swept_potential(p, r[1:], r0).astype(dtype) - k * k
     if np.all(base[1:] == -k * k):
         return None
     inv_r2 = np.zeros(i_b + 1, dtype=dtype)
@@ -660,17 +681,13 @@ def _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype, starts):
     def f(n):
         return base[n] + ll1 * inv_r2[n]
 
-    v_m1, v_0, v_1, v_2 = origin_expansion(p)
-    um1, u0 = two_m * v_m1, two_m * v_0 - k * k
-    u1c, u2c = two_m * v_1, two_m * v_2
-    c1 = um1 / (2.0 * la + 2.0)
-    c2 = (um1 * c1 + u0) / (2.0 * (2.0 * la + 3.0))
-    c3 = (um1 * c2 + u0 * c1 + u1c) / (3.0 * (2.0 * la + 4.0))
-    c4 = (um1 * c3 + u0 * c2 + u1c * c1 + u2c) / (4.0 * (2.0 * la + 5.0))
+    c = series_coefficients(p, two_m, k, la)
 
     def series(rv, scale_pow):
-        return scale_pow * (1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3
-                            + c4 * rv**4)
+        out = c[6]
+        for cn in c[5::-1]:
+            out = cn + rv * out
+        return scale_pow * out
 
     u_1 = series(rd[1], 1.0)
     u_2 = series(rd[2], 2.0 ** (la + 1.0))
@@ -705,11 +722,12 @@ def _match(l_arr, k, r_a, r_b, u_a, u_b):
     return out
 
 
-def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr, dtype=float, starts=None):
+def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr, dtype=float, starts=None,
+                   r0=math.inf):
     """Summed-form sweep: d_{n+1} = d_n + g_n y_n, y_{n+1} = y_n + d_{n+1}
     with g_n = h^2 f_n / (1 - h^2 f_n/12); before the matching radius each
     wave's (y, d) is scaled by a power of two at every step."""
-    start = _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype, starts)
+    start = _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype, starts, r0)
     if start is None:
         return np.zeros(len(l_arr))
     i_a, i_b, r, h2, f, u_1, u_2, first = start
@@ -740,11 +758,11 @@ def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr, dtype=float, starts=None):
 
 
 def _numerov_sweep_classic(p, kin, l_arr, r_a, r_b, dr, events=None,
-                           starts=None):
+                           starts=None, r0=math.inf):
     """Two-level sweep y_{n+1} = 2 y_n - y_{n-1} + h^2 f_n u_n, u = y/(1 -
     h^2 f/12), rescaled by 1e-250 where |u| passes 1e250. events, if a
     list, receives the grid index of every rescale."""
-    start = _sweep_start(p, kin, l_arr, r_a, r_b, dr, float, starts)
+    start = _sweep_start(p, kin, l_arr, r_a, r_b, dr, float, starts, r0)
     if start is None:
         return np.zeros(len(l_arr))
     i_a, i_b, r, h2, f, u_prev, u_curr, first = start
@@ -841,21 +859,26 @@ def _integrate(base, inv_r2, ll1, h2, y, d, i_a, i_b, first):
 def _row_match(l_arr, k, r_a, r_b, w_a, w_b):
     e = np.frexp(np.maximum(np.abs(w_a), np.abs(w_b)))[1]
     w_a, w_b = np.ldexp(w_a, -e), np.ldexp(w_b, -e)
-    l_top = int(np.max(l_arr))
-    j_a, n_a = spherical_bessel_row(l_top, k * r_a)
-    j_b, n_b = spherical_bessel_row(l_top, k * r_b)
-    with np.errstate(invalid="ignore"):
-        num = w_a * j_b[l_arr] - w_b * j_a[l_arr]
-        den = w_a * n_b[l_arr] - w_b * n_a[l_arr]
-        delta = np.array([math.atan2(y, x)
-                          for y, x in zip(num.tolist(), den.tolist())])
-        delta[delta > np.pi / 2] -= np.pi
-        delta[delta <= -np.pi / 2] += np.pi
-    delta[np.isnan(den)] = 0.0
+    # rows to partial_wave's top, which depends on k r_b alone; 0 past it
+    top = int(k * r_b + 8.0 * (k * r_b) ** (1.0 / 3.0)) + 10
+    j_a, n_a = spherical_bessel_row(top, k * r_a)
+    j_b, n_b = spherical_bessel_row(top, k * r_b)
+    delta = np.zeros(len(l_arr))
+    for i, l in enumerate(np.asarray(l_arr).tolist()):
+        if l > top:
+            continue
+        with np.errstate(invalid="ignore"):
+            num = w_a[i] * j_b[l] - w_b[i] * j_a[l]
+            den = w_a[i] * n_b[l] - w_b[i] * n_a[l]
+        if math.isnan(den):
+            continue
+        d = math.atan2(num, den)
+        delta[i] = d - np.pi if d > np.pi / 2 else (
+            d + np.pi if d <= -np.pi / 2 else d)
     return delta
 
 
-def chunked_sweep(p, kin, l_arr, r_a, r_b, dr, starts=None):
+def chunked_sweep(p, kin, l_arr, r_a, r_b, dr, starts=None, r0=math.inf):
     """The phase shifts of l_arr from one chunked sweep of step dr matched
     at the grid points nearest r_a and r_b."""
     k = kin.k
@@ -866,7 +889,7 @@ def chunked_sweep(p, kin, l_arr, r_a, r_b, dr, starts=None):
     r = dr * np.arange(0, i_b + 1, dtype=float)
     base = np.empty(i_b + 1)
     base[0] = 0.0
-    base[1:] = two_m * np.asarray(evaluate(p, r[1:]), dtype=float) - k * k
+    base[1:] = two_m * swept_potential(p, r[1:], r0) - k * k
     inv_r2 = np.zeros(i_b + 1)
     inv_r2[1:] = 1.0 / (r[1:] * r[1:])
     if np.all(base[1:] == -k * k):
@@ -877,16 +900,13 @@ def chunked_sweep(p, kin, l_arr, r_a, r_b, dr, starts=None):
     def den_at(n):
         return 1.0 - h2 / 12.0 * (base[n] + ll1 * inv_r2[n])
 
-    v_m1, v_0, v_1, v_2 = origin_expansion(p)
-    um1, u0 = two_m * v_m1, two_m * v_0 - k * k
-    u1c, u2c = two_m * v_1, two_m * v_2
-    c1 = um1 / (2.0 * la + 2.0)
-    c2 = (um1 * c1 + u0) / (2.0 * (2.0 * la + 3.0))
-    c3 = (um1 * c2 + u0 * c1 + u1c) / (3.0 * (2.0 * la + 4.0))
-    c4 = (um1 * c3 + u0 * c2 + u1c * c1 + u2c) / (4.0 * (2.0 * la + 5.0))
+    c = series_coefficients(p, two_m, k, la)
 
     def series(rv):
-        return 1.0 + c1 * rv + c2 * rv * rv + c3 * rv**3 + c4 * rv**4
+        out = c[6]
+        for cn in c[5::-1]:
+            out = cn + rv * out
+        return out
 
     y = den_at(2) * series(r[2])
     d = y - den_at(1) * np.ldexp(series(r[1]), -1 - la.astype(int))
@@ -906,10 +926,11 @@ def on_three_grids(sweep, origin=False):
     """A stand-in for partial_wave._sweep_grids that runs sweep once per
     step size: at dr, 2 dr and 4 dr, each wave started where wave_starts
     puts it on the grid of dr, or, if origin, every wave from the origin."""
-    def grids(p, kin, l_arr, r_a, r_b, dr):
+    def grids(p, kin, l_arr, r_a, r_b, dr, r0=math.inf):
         starts = None if origin else wave_starts(p, kin, l_arr, r_a, r_b,
-                                                 dr)
-        return tuple(sweep(p, kin, l_arr, r_a, r_b, s * dr, starts=starts)
+                                                 dr, r0)
+        return tuple(sweep(p, kin, l_arr, r_a, r_b, s * dr, starts=starts,
+                           r0=r0)
                      for s in (1.0, 2.0, 4.0))
     return grids
 
@@ -919,10 +940,11 @@ def on_three_grids(sweep, origin=False):
 # return the same radius.
 
 
-def auto_r_max(p, kin, r_eff):
+def auto_r_max(p, kin, r_eff, decay=partial_wave._DECAY):
     """The first r = r0 + 0.25 j, r0 = max(r_eff, 2 pi/k, 1), where
-    2m|V| <= 1e-12 k^2, searched over 64 reaches past r0."""
-    bound = partial_wave._DECAY * kin.k**2
+    2m|V| <= decay k^2, 1e-12 k^2 by default, searched over 64 reaches past
+    r0."""
+    bound = decay * kin.k**2
     r = max(r_eff, 2.0 * np.pi / kin.k, 1.0)
     limit = r + partial_wave._RANGES * reach(p)[0]
     for _ in range(math.ceil((limit - r) / 0.25) + 1):
@@ -946,27 +968,27 @@ def second_radius(kin, r_max, dr):
     return r_max + step * max(1, round((math.pi / (2.0 * kin.k)) / step))
 
 
-def extrapolated(p, kin, l_arr, r_max, dr, origin=False):
+def extrapolated(p, kin, l_arr, r_max, dr, origin=False, r0=math.inf):
     """(R3, R(h, 2h) or R(2h, 4h)) of l_arr, h = dr, from chunked sweeps at
     h, 2h and 4h between r_max and second_radius, one wave at a time: the
     three-sweep partial_wave._extrapolated, bit for bit; origin starts
-    every wave from the origin series. R3 = R(h, 2h) + (R(h, 2h) - R(2h,
-    4h))/63; the second entry is R(h, 2h) for a wave l > 0 of a potential
-    that is not a table whose |R(h, 2h) - R(2h, 4h)| is at most 1/32 of
-    |delta(h) - delta(2h)|, else R(2h, 4h)."""
+    every wave from the origin series, and r0 switches V off from there on
+    as partial_wave's split does. R3 = R(h, 2h) + (R(h, 2h) - R(2h,
+    4h))/63; the second entry is R(h, 2h) for a potential that is not a
+    table whose |R(h, 2h) - R(2h, 4h)| is at most 1/32 of |delta(h) -
+    delta(2h)|, else R(2h, 4h)."""
     r_b = second_radius(kin, r_max, dr)
     fine, mid, coarse = on_three_grids(chunked_sweep, origin)(
-        p, kin, l_arr, r_max, r_b, dr)
+        p, kin, l_arr, r_max, r_b, dr, r0)
     smooth = not isinstance(p, TabulatedRadial)
     best, worse = np.empty(len(l_arr)), np.empty(len(l_arr))
-    for i, (l, f, m, c) in enumerate(zip(np.asarray(l_arr).tolist(),
-                                         fine.tolist(), mid.tolist(),
-                                         coarse.tolist())):
+    for i, (f, m, c) in enumerate(zip(fine.tolist(), mid.tolist(),
+                                      coarse.tolist())):
         m += math.pi * round((f - m) / math.pi)
         c += math.pi * round((f - c) / math.pi)
         r12, r24 = f + (f - m) / 15.0, m + (m - c) / 15.0
         b = r12 + (r12 - r24) / 63.0
-        shown = smooth and l > 0 and abs(r12 - r24) <= abs(f - m) / 32.0
+        shown = smooth and abs(r12 - r24) <= abs(f - m) / 32.0
         w = r12 if shown else r24
         if b > math.pi / 2:
             b, w = b - math.pi, w - math.pi
@@ -976,12 +998,39 @@ def extrapolated(p, kin, l_arr, r_max, dr, origin=False):
     return best, worse
 
 
+def split(p, kin, r_max, dr):
+    """(R0, r_a) of phase_shifts at r_max and finest step dr: the split
+    radius, inf where it does not split, and the first matching radius."""
+    r0 = partial_wave._split_radius(p, kin, r_max)
+    if r0 is None:
+        return math.inf, r_max
+    step = 4.0 * dr
+    return r0, math.ceil((r0 + partial_wave._SWITCH) / step) * step
+
+
+def split_extrapolated(p, kin, l_arr, r_max, dr):
+    """extrapolated as phase_shifts splits it: swept to the matching radius
+    past R0 + 2 with V switched off from R0, and the first-order tail from
+    R0 to r_max added to both entries by partial_wave._tail_terms."""
+    r0, r_a = split(p, kin, r_max, dr)
+    best, worse = extrapolated(p, kin, l_arr, r_a, dr, r0=r0)
+    if r0 == math.inf:
+        return best, worse
+    rule = partial_wave._tail_rule(p, kin, r0, partial_wave._auto_r_max(
+        p, kin, r_max, partial_wave._FAR))
+    (best, worse), _ = partial_wave._tail_terms(rule, kin.k, kin.k * r0,
+                                                np.asarray(l_arr),
+                                                (best, worse))
+    partial_wave._onto_branch(best, worse)
+    return best, worse
+
+
 def phase_shifts_by_extension(p, kin, r_max, dr):
     """(l_max, delta, passes) of the 16-wave extension plan at the r_max and
     dr phase_shifts resolved; raises the plan's ConvergenceError."""
     tol = partial_wave._TAIL_TOL
     l0 = int(np.ceil(kin.k * partial_wave.effective_radius(p))) + 10
-    deltas = extrapolated(p, kin, np.arange(0, l0 + 65), r_max, dr)[0]
+    deltas = split_extrapolated(p, kin, np.arange(0, l0 + 65), r_max, dr)[0]
     l_cut = next((l for l in range(l0, l0 + 64, 16)
                   if abs(deltas[l]) < tol), l0 + 64)
     deltas = deltas[:l_cut + 1]
@@ -994,7 +1043,7 @@ def phase_shifts_by_extension(p, kin, r_max, dr):
                 estimate=float(deltas[-1]), error_estimate=abs(deltas[-1]))
         ext = np.arange(deltas.size, deltas.size + 16)
         deltas = np.concatenate(
-            [deltas, extrapolated(p, kin, ext, r_max, dr)[0]])
+            [deltas, split_extrapolated(p, kin, ext, r_max, dr)[0]])
         passes += 1
     return deltas.size - 1, deltas, passes
 

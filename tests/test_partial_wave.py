@@ -1,5 +1,6 @@
 """Tests for the partial-wave phase-shift oracle."""
 
+import json
 import math
 import warnings
 from pathlib import Path
@@ -19,6 +20,7 @@ from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa,
                                    effective_radius)
 
 import _oracles
+import _pw_reference
 from _oracles import square_well_delta0
 
 KIN2 = Kinematics(mass=1.0, k=2.0)
@@ -38,7 +40,7 @@ _R_EFF_CASES = [
 ]
 # a narrow well on [2.9, 3.1] deep enough to turn l = 400 back at k = 10:
 # the start rule stops its exponent there, so the wave starts near 2.6, and
-# from the well on it grows by more than e^709 before the matching radius 20
+# from the well on it grows by more than e^709 before a matching radius 34
 _WELL_TABLE = TabulatedRadial(np.array([0.0, 2.8, 2.9, 3.1, 3.2, 3.5]),
                               np.array([0.0, 0.0, -9e3, -9e3, 0.0, 0.0]),
                               interpolation="linear")
@@ -110,6 +112,16 @@ class TestPhaseShiftSet:
             _shifts([0.1, 0.0], delta_coarse=np.array([0.1]))
         with pytest.raises(DomainError, match="delta_coarse"):
             _shifts([0.1, 0.0], delta_coarse=np.array([0.1, np.nan]))
+
+    def test_tail_error_is_one_bound_a_wave(self):
+        # zeros by default; one non-negative finite bound a wave otherwise
+        assert _shifts([0.1, 0.0]).tail_error.tolist() == [0.0, 0.0]
+        ps = _shifts([0.1, 0.0], tail_error=[1e-12, 0.0])
+        assert ps.tail_error.tolist() == [1e-12, 0.0]
+        for bad in ([1e-12], [-1e-12, 0.0], [np.nan, 0.0], "a"):
+            with pytest.raises(DomainError) as err:
+                _shifts([0.1, 0.0], tail_error=bad)
+            assert err.value.key == "tail_error"
 
     def test_bad_scalars(self):
         with pytest.raises(DomainError):
@@ -516,15 +528,19 @@ class TestPhaseShifts:
         # against the summed form that forms each step's coefficients in
         # the step loop and normalises at every step before the matching
         # radius, one grid at a time: power-of-two scaling is exact, so the
-        # schedule of the scaling cannot show in the bits
+        # schedule of the scaling cannot show in the bits. The oracle
+        # matches each wave with the scalar Bessel pair of its own order
         p, kin = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
         monkeypatch.setattr(partial_wave, "_sweep_grids",
                             _oracles.on_three_grids(_oracles._numerov_sweep))
         ref = phase_shifts(p, kin)
         assert ref.l_max == ps.l_max
-        assert ref.delta.tobytes() == ps.delta.tobytes()
-        assert ref.delta_coarse.tobytes() == ps.delta_coarse.tobytes()
+        x_a = k * _oracles.split(p, kin, ps.r_max, ps.dr)[1]
+        l_arr = np.arange(ps.l_max + 1)
+        _assert_bits_where_allowed(ps.delta, ref.delta, l_arr, x_a)
+        _assert_bits_where_allowed(ps.delta_coarse, ref.delta_coarse, l_arr,
+                                   x_a)
 
     @pytest.mark.parametrize("p, k, knobs, chunk, redone", [
         (Yukawa(0.5, 1.0), 1.0, {}, 128, False),
@@ -542,8 +558,9 @@ class TestPhaseShifts:
                          np.array([-1.0, -1.0, -1.0, 0.0]),
                          interpolation="linear"), 10.0, {}, 128, False),
         # l = 400 overflows the last chunk before r_max, which starts at
-        # the last wave's start
-        (_WELL_TABLE, 10.0, dict(l_max=400, r_max=20.0), 1 << 15, True),
+        # the last wave's start; r_max is wide enough that the sweep takes
+        # l = 400, which lies below the Bessel rows' top there
+        (_WELL_TABLE, 10.0, dict(l_max=400, r_max=34.0), 1 << 15, True),
     ])
     def test_one_loop_keeps_the_bits_of_three_sweeps(self, monkeypatch, p, k,
                                                      knobs, chunk, redone):
@@ -562,8 +579,8 @@ class TestPhaseShifts:
         assert any(redos) == redone
         monkeypatch.setattr(
             partial_wave, "_extrapolated",
-            lambda p, kin, l_arr, r_a, r_b, dr:
-            _oracles.extrapolated(p, kin, l_arr, r_a, dr))
+            lambda p, kin, l_arr, r_a, r_b, dr, r0:
+            _oracles.extrapolated(p, kin, l_arr, r_a, dr, r0=r0))
         ref = phase_shifts(p, kin, **knobs)
         assert (ps.l_max, ps.r_max) == (ref.l_max, ref.r_max)
         assert ps.delta.tobytes() == ref.delta.tobytes()
@@ -604,8 +621,9 @@ class TestPhaseShifts:
         (Yukawa(0.5, 1.0), 102, 1024, 120, False),
         (Yukawa(0.5, 1.0), 83, 1024, 120, False),
         # l = 400 overflows the chunk from the last start, l = 400's, to
-        # r_max, which is redone from its start
-        (_WELL_TABLE, 1 << 15, 20000, 400, True),
+        # r_max, which is redone from its start; at i_a = 20000 the sweep
+        # would not take l = 400, past the Bessel rows' top
+        (_WELL_TABLE, 1 << 15, 34000, 400, True),
     ])
     def test_sweep_bits_at_chunk_edges(self, monkeypatch, p, chunk, i_a,
                                        l_top, redone):
@@ -653,13 +671,14 @@ class TestPhaseShifts:
         monkeypatch.setattr(partial_wave, "_CHUNK", 97)
         again = phase_shifts(p, kin)
         assert again.delta.tobytes() == ps.delta.tobytes()
-        r_b = _oracles.second_radius(kin, ps.r_max, ps.dr)
+        r0, r_a = _oracles.split(p, kin, ps.r_max, ps.dr)
+        r_b = _oracles.second_radius(kin, r_a, ps.dr)
         l_lo = 0
         for (base, inv_r2, ll1, i_a, dr), starts in calls[:len(calls) // 2]:
             l_arr = np.arange(l_lo, l_lo + ll1.size)
             l_lo += ll1.size
             assert ll1.tolist() == (l_arr * (l_arr + 1.0)).tolist()
-            want = _oracles.wave_starts(p, kin, l_arr, ps.r_max, r_b, dr)
+            want = _oracles.wave_starts(p, kin, l_arr, r_a, r_b, dr, r0)
             assert (np.where(starts > 2, starts * dr, 0.0)).tolist() \
                 == want.tolist()
             assert np.all(np.diff(starts) >= 0) and starts[-1] < i_a
@@ -751,8 +770,9 @@ class TestPhaseShifts:
     @pytest.mark.parametrize("k, l_max, first", [(2.0, 300, 251),
                                                  (5.0, 360, 326)])
     def test_overflowed_n_l_gives_delta_zero(self, k, l_max, first):
-        # from l = first on, n_l(k r) is inf at both matching radii and the
-        # matching's denominator was inf - inf = nan
+        # from l = first on, n_l(k r) overflowed at both matching radii and
+        # the matching's denominator was inf - inf = nan; these waves now
+        # lie past the Bessel rows' top, and the sweep takes them as 0
         ps = phase_shifts(Gauss(1.0, 1.0), Kinematics(mass=1.0, k=k),
                           l_max=l_max)
         assert np.all(np.isfinite(ps.delta))
@@ -811,6 +831,21 @@ class TestAmplitudePartialWave:
             assert f.error_estimate == pytest.approx(gap + dropped, rel=1e-6)
             assert amplitude_partial_wave(ps, 0.7).error_estimate \
                 == pytest.approx(f.error_estimate[1], rel=1e-14)
+
+    def test_error_adds_each_wave_s_tail_bound(self):
+        # |e^{2i delta} - e^{2i delta'}| <= 2 |delta - delta'|: a wave's tail
+        # bound adds (2l + 1) 2 tail_error |P_l|/2k at every angle
+        delta = np.array([0.3, 0.2, 0.0, 0.0])
+        bound = np.array([1e-9, 0.0, 2e-9, 0.0])
+        th = np.array([0.0, 0.7])
+        x = np.cos(th)
+        plain = amplitude_partial_wave(_shifts(delta, k=2.0), th)
+        tail = amplitude_partial_wave(_shifts(delta, k=2.0,
+                                              tail_error=bound), th)
+        want = (1.0 * 2e-9 + 5.0 * 4e-9 * np.abs(1.5 * x * x - 0.5)) / 4.0
+        assert tail.value.tolist() == plain.value.tolist()
+        assert tail.error_estimate - plain.error_estimate \
+            == pytest.approx(want, rel=1e-9)
 
     def test_dropped_waves_without_a_decay_are_unbounded(self):
         # a last wave of 0 drops nothing; a live last wave over a 0
@@ -885,3 +920,193 @@ class TestAmplitudePartialWave:
         ps = phase_shifts(Yukawa(0.5, 1.0), KIN2)
         f = amplitude_partial_wave(ps, np.pi)
         assert np.isfinite(f.value.real) and np.isfinite(f.value.imag)
+
+
+def _split_rule(p, kin, ps):
+    """(R0, r_a, the tail's rule) of phase_shifts' pass for ps."""
+    r0, r_a = _oracles.split(p, kin, ps.r_max, ps.dr)
+    end = partial_wave._auto_r_max(p, kin, ps.r_max, partial_wave._FAR)
+    return r0, r_a, partial_wave._tail_rule(p, kin, r0, end)
+
+
+class TestSplit:
+    def test_split_sweeps_under_half_the_grid(self, monkeypatch):
+        # counted, not timed: the fine-grid points the sweep evaluates V
+        # on. The unsplit sweep to r_max = 20.28 and its second matching
+        # radius took 3,409 of them for Yukawa(0.5, 1) at k = 10
+        points = []
+        evaluate = partial_wave.evaluate
+
+        def counted(p, r):
+            r = np.asarray(r)
+            if r.size > 1 and r[0] == 0.006 and r[1] == 0.012:
+                points.append(r.size + 1)  # with r = 0
+            return evaluate(p, r)
+
+        monkeypatch.setattr(partial_wave, "evaluate", counted)
+        ps = phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0))
+        assert ps.r_max == pytest.approx(20.28) and ps.dr == 0.006
+        assert len(points) == 1 and points[0] < 3409 / 2
+
+    @pytest.mark.parametrize("p, k, r0", [
+        (Yukawa(0.5, 1.0), 10.0, 7.25), (Yukawa(0.5, 1.0), 30.0, 6.25),
+        (Yukawa(-2.0, 0.5), 10.0, 16.75),
+        (Yukawa(0.5, 1.0), 1.0, 2.0 * np.pi + 9.75),
+        (Gauss(0.5, 1.0), 10.0, None), (Gauss(-3.0, 2.0), 30.0, None),
+        (_RIPPLED_TABLE, 5.0, None),
+    ])
+    def test_split_radius_does_not_depend_on_dr(self, p, k, r0):
+        # R0 is a point of the 0.25 search from max(2 pi/k, 1); the tail is
+        # empty where the sweep could not end a switch width short of r_max,
+        # and for a table
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        for dr in (ps.dr, ps.dr / 2, ps.dr / 3):
+            r_max = phase_shifts(p, kin, dr=dr).r_max
+            got = partial_wave._split_radius(p, kin, r_max)
+            assert got == (None if r0 is None else pytest.approx(r0))
+
+    def test_switch_is_exactly_one_and_zero_outside(self):
+        r = np.array([0.0, 6.9, 7.0, 7.5, 8.0, 8.9999, 9.0, 9.5, 1e3])
+        s = partial_wave._switch(r, 7.0)
+        assert s[:3].tolist() == [1.0, 1.0, 1.0]
+        assert s[-3:].tolist() == [0.0, 0.0, 0.0]
+        assert np.all(np.diff(s) <= 0.0)
+        # the C^3 smoothstep: 1 - s = 35 t^4 - 84 t^5 + 70 t^6 - 20 t^7
+        t = (r[3:6] - 7.0) / 2.0
+        assert s[3:6] == pytest.approx(
+            1.0 - (35 * t**4 - 84 * t**5 + 70 * t**6 - 20 * t**7), abs=1e-14)
+
+    @pytest.mark.parametrize("lo, top, k, r0, r_end", [
+        (0, 192, 10.0, 7.25, 29.03), (17, 192, 10.0, 7.25, 29.03),
+        (0, 40, 1.0, 6.5, 24.5), (300, 876, 30.0, 15.0, 37.3),
+    ])
+    def test_riccati_rows_match_scipy(self, lo, top, k, r0, r_end):
+        from scipy.special import spherical_yn
+        x = partial_wave._tail_rule(Yukawa(0.5, 1.0),
+                                    Kinematics(mass=1.0, k=k), r0, r_end)[0]
+        n_top = min(top, math.floor(k * r0 - 0.5))
+        j, n = partial_wave._riccati_rows(lo, top, x, n_top)
+        l = np.arange(lo, top + 1)[:, None]
+        assert j.shape == (top + 1 - lo, x.size)
+        assert np.max(np.abs(j - x * spherical_jn(l, x))) < 1e-12
+        assert n.shape == (max(n_top + 1 - lo, 0), x.size)
+        if n.size:
+            want = x * spherical_yn(l[:n.shape[0]], x)
+            assert np.max(np.abs(n - want) / np.maximum(1.0, np.abs(want))) \
+                < 1e-12
+
+    @pytest.mark.parametrize("p, k", [
+        (Yukawa(0.5, 1.0), 10.0), (Yukawa(-2.0, 0.5), 1.0),
+        (Yukawa(-2.0, 0.5), 30.0),
+    ])
+    def test_tail_quadrature_error_is_within_its_bound(self, p, k):
+        # against the same tail on panels a third as wide
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        r0, _, rule = _split_rule(p, kin, ps)
+        l_arr = np.arange(ps.l_max + 1)
+        (tail,), bound = partial_wave._tail_terms(rule, k, k * r0, l_arr,
+                                                  (ps.delta,))
+        end = partial_wave._auto_r_max(p, kin, ps.r_max, partial_wave._FAR)
+        fine = partial_wave._PANEL / 3.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partial_wave, "_PANEL", fine)
+            (finer,), _ = partial_wave._tail_terms(
+                partial_wave._tail_rule(p, kin, r0, end), k, k * r0, l_arr,
+                (ps.delta,))
+        assert np.all(np.abs(tail - finer) <= bound)
+
+    @pytest.mark.parametrize("p, k", [
+        (Gauss(-50.0, 1.0), 5.0), (Gauss(-3.0, 2.0), 10.0),
+        (Gauss(-3.0, 2.0), 30.0),
+        (TabulatedRadial(np.linspace(0.0, 3.0, 61),
+                         np.r_[-2.0 * np.exp(-np.linspace(0.0, 3.0, 61)[:-1]),
+                               0.0]), 10.0),
+        (TabulatedRadial(np.linspace(0.0, 2.0, 41),
+                         np.r_[np.exp(-np.linspace(0.0, 2.0, 41)[:-1] ** 2),
+                               0.0]), 20.0),
+    ])
+    def test_tail_ratio_bounds_every_later_ratio(self, p, k):
+        # the first-Born ratio of a Gauss, I_{L+3/2}(x)/I_{L+1/2}(x) with x =
+        # k^2/(2 alpha), and a table's bound from R = r[-1] hold every
+        # |delta_{l+1}/delta_l|, l >= l_max, of the waves above 1e-13 to
+        # l_max + 200; tail_ratio was 0 for both models
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        wide = phase_shifts(p, kin, l_max=ps.l_max + 200, r_max=ps.r_max,
+                            dr=ps.dr)
+        d = np.abs(wide.delta[ps.l_max:])
+        live = (d[1:] > 1e-13) & (d[:-1] > 1e-13)
+        assert live.sum() >= 3
+        assert 0.0 < ps.tail_ratio < 1.0
+        assert np.all(d[1:][live] <= ps.tail_ratio * d[:-1][live])
+
+    @pytest.mark.parametrize("p, k, then", [(Gauss(0.5, 1.0), 10.0, 5.8e-10),
+                                            (Gauss(-3.0, 2.0), 1.0, 3.5e-11)])
+    def test_s_wave_error_falls_as_the_other_waves_do(self, p, k, then):
+        # with the six-term origin series delta_0's R3 error at the default
+        # step h, against the same sweep at h/32, is a fifth of what the
+        # four-term series' h^7 term left (then), and falls by over 100x a
+        # halving down to rounding; at k = 10 it is within 4x of the p
+        # wave's, not 23x
+        kin = Kinematics(mass=1.0, k=k)
+        h, r_max = min(0.06 / k, 0.01), phase_shifts(p, kin).r_max
+        ref = phase_shifts(p, kin, l_max=40, r_max=r_max, dr=h / 32).delta
+        err = [np.abs(phase_shifts(p, kin, l_max=40, r_max=r_max,
+                                   dr=h / f).delta[:2] - ref[:2])
+               for f in (1, 2, 4)]
+        assert err[0][0] < then / 5.0
+        assert err[0][0] > 100.0 * err[1][0]
+        assert err[1][0] > 100.0 * err[2][0] or err[2][0] < 1e-14
+        assert k < 10.0 or err[0][0] < 4.0 * err[0][1]
+
+
+@pytest.fixture(scope="module")
+def reference_shifts():
+    with open(_pw_reference.PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _accuracy(delta, ref, k, scale):
+    """sum over the reference's waves of (2l + 1) |sin(delta_l - ref_l)|/k,
+    delta 0 past its l_max, over scale: the bound on |f - f_ref| at every
+    angle that the waves' errors give, in units of max |f_ref|."""
+    d = np.zeros(ref.size)
+    d[:delta.size] = delta
+    weight = 2.0 * np.arange(ref.size) + 1.0
+    return float(np.sum(weight * np.abs(np.sin(d - ref)))) / k / scale
+
+
+# the accuracy of the oracle before the split (one pass of Numerov to
+# r_max, the four-term origin series), with the same l_max as now
+@pytest.mark.parametrize("name, k, parent", [
+    ("Yukawa(0.5, 1)", 1.0, 1.74e-09), ("Yukawa(0.5, 1)", 5.0, 1.897e-07),
+    ("Yukawa(0.5, 1)", 10.0, 2.502e-06), ("Yukawa(0.5, 1)", 30.0, 5.315e-06),
+    ("Yukawa(-2, 0.5)", 1.0, 3.466e-10), ("Yukawa(-2, 0.5)", 5.0, 1.166e-07),
+    ("Yukawa(-2, 0.5)", 10.0, 4.215e-07),
+    ("Yukawa(-2, 0.5)", 30.0, 2.238e-06),
+    ("Gauss(0.5, 1)", 1.0, 4.141e-13), ("Gauss(0.5, 1)", 5.0, 1.185e-10),
+    ("Gauss(0.5, 1)", 10.0, 1.068e-08), ("Gauss(0.5, 1)", 30.0, 3.426e-08),
+    ("Gauss(-3, 2)", 1.0, 3.248e-11), ("Gauss(-3, 2)", 5.0, 1.146e-10),
+    ("Gauss(-3, 2)", 10.0, 1.057e-09), ("Gauss(-3, 2)", 30.0, 2.094e-09),
+])
+def test_oracle_is_graded_against_an_unsplit_reference(reference_shifts,
+                                                       name, k, parent):
+    # the reference shares neither the split, the first-order tail nor the
+    # cut of the waves (tests/_pw_reference.py). The reported error covers
+    # |f - f_ref| at all 181 angles; the accuracy, with the reference's own
+    # error against its sweep at twice its step added, is no worse than
+    # before the split. The largest |f - f_ref| over the angles would let
+    # the waves' errors cancel, and the dropped waves, the same for both,
+    # would set it
+    kin = Kinematics(mass=1.0, k=k)
+    ps = phase_shifts(_pw_reference.MODELS[name], kin)
+    ref = np.array(reference_shifts[f"{name} k={k:g}"]["delta"])
+    coarse = np.array(reference_shifts[f"{name} k={k:g}"]["delta_8"])
+    want = _pw_reference.amplitude(ref, k)
+    got = amplitude_partial_wave(ps, _pw_reference.THETA)
+    assert np.all(np.abs(got.value - want) <= got.error_estimate)
+    scale = np.max(np.abs(want))
+    assert _accuracy(ps.delta, ref, k, scale) \
+        + _accuracy(coarse, ref, k, scale) <= parent

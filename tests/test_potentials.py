@@ -253,19 +253,36 @@ def test_table_transform_does_not_import_numpy_ma():
 
 def test_origin_expansion():
     g, mu = 0.5, 1.2
-    cm1, c0, c1, c2 = origin_expansion(Yukawa(g=g, mu=mu))
-    assert (cm1, c0, c1, c2) == (g, -g * mu, 0.5 * g * mu * mu,
-                                 -g * mu**3 / 6.0)
+    assert origin_expansion(Yukawa(g=g, mu=mu)) == (
+        g, -g * mu, 0.5 * g * mu * mu, -g * mu**3 / 6.0, g * mu**4 / 24.0,
+        -g * mu**5 / 120.0)
     assert origin_expansion(Gauss(g=2.0, alpha=3.0)) == (0.0, 2.0, 0.0,
-                                                         -6.0)
+                                                         -6.0, 0.0, 9.0)
     tab = TabulatedRadial(r=[0.5, 1.0, 1.5, 2.0], v=[0.9, 0.8, 0.3, 0.0])
-    assert origin_expansion(tab) == (0.0, 0.9, 0.0, 0.0)
-    # what evaluate() returns leaves an r^3 remainder (r^4 for the even
-    # Gauss): halving r takes 1/8 (1/16) of it
-    for p, ratio in ((Yukawa(g=g, mu=mu), 1 / 8), (Gauss(2.0, 3.0), 1 / 16)):
-        cm1, c0, c1, c2 = origin_expansion(p)
-        r = np.array([0.02, 0.01])
-        rest = evaluate(p, r) - (cm1 / r + c0 + c1 * r + c2 * r * r)
+    assert origin_expansion(tab) == (0.0, 0.9, 0.0, 0.0, 0.0, 0.0)
+    # a table from r = 0 starts with its first spline piece, slope and
+    # all: here 1 - 1.073 r - 0.309 r^3, not the constant v[0]
+    r = np.linspace(0.0, 6.0, 25)
+    v = (1.0 - r) * np.exp(-0.5 * r * r)
+    v[-1] = 0.0
+    for interpolation in ("cubic", "linear"):
+        tab = TabulatedRadial(r=r, v=v, interpolation=interpolation)
+        cm1, c0, c1, c2, c3, c4 = origin_expansion(tab)
+        assert (cm1, c0, c4) == (0.0, 1.0, 0.0)
+        x = np.array([0.03, 0.1, 0.2])
+        assert evaluate(tab, x) == pytest.approx(
+            c0 + x * (c1 + x * (c2 + x * c3)), rel=1e-14, abs=0.0)
+    assert (c1, c2, c3) == (float(v[1] - v[0]) / 0.25, 0.0, 0.0)
+    cubic = origin_expansion(TabulatedRadial(r=r, v=v))
+    assert cubic[2] == pytest.approx(-1.073, abs=1e-3)
+    assert cubic[4] == pytest.approx(-0.309, abs=1e-3)
+    # what evaluate() returns leaves an r^5 remainder (r^6 for the even
+    # Gauss): halving r takes 1/32 (1/64) of it
+    for p, ratio in ((Yukawa(g=g, mu=mu), 1 / 32), (Gauss(2.0, 3.0), 1 / 64)):
+        cm1, c0, c1, c2, c3, c4 = origin_expansion(p)
+        r = np.array([0.04, 0.02])
+        rest = evaluate(p, r) - (cm1 / r + c0 + r * (c1 + r * (c2 + r * (
+            c3 + r * c4))))
         assert rest[1] / rest[0] == pytest.approx(ratio, rel=0.05)
     with pytest.raises(UnsupportedModelError):
         origin_expansion("what")
