@@ -536,23 +536,21 @@ def _match(l_arr, rows, w_a, w_b):
     there.
 
     Each wave's pair (w_a, w_b) is scaled by one power of two, which keeps
-    the products with n_l finite and leaves the bits of atan2 as they are.
+    the products with n_l finite and leaves the bits of atan2 as they are;
+    up to the rows' top n_l(k r_b) stays below 1e22 for every k r_b, so den
+    is never inf - inf.
     atan2 is libm's, one call per wave: numpy's vectorised arctan2 differs
     from it in the last bit for some arguments on AVX-512 hosts.
     """
     j_a, n_a, j_b, n_b = (row[l_arr] for row in rows)
     e = np.frexp(np.maximum(np.abs(w_a), np.abs(w_b)))[1]
     w_a, w_b = np.ldexp(w_a, -e), np.ldexp(w_b, -e)
-    with np.errstate(invalid="ignore"):
-        num = w_a * j_b - w_b * j_a
-        den = w_a * n_b - w_b * n_a
-        delta = np.array([math.atan2(y, x)
-                          for y, x in zip(num.tolist(), den.tolist())])
-        delta[delta > np.pi / 2] -= np.pi
-        delta[delta <= -np.pi / 2] += np.pi
-    # where n_l overflowed at both radii, den is inf - inf; tan delta is
-    # O(j_l/n_l) there, so delta takes its limit 0
-    delta[np.isnan(den)] = 0.0
+    num = w_a * j_b - w_b * j_a
+    den = w_a * n_b - w_b * n_a
+    delta = np.array([math.atan2(y, x)
+                      for y, x in zip(num.tolist(), den.tolist())])
+    delta[delta > np.pi / 2] -= np.pi
+    delta[delta <= -np.pi / 2] += np.pi
     return delta
 
 
@@ -916,20 +914,12 @@ def _dropped_waves(ps):
     last = abs(float(ps.delta[-1]))
     if last == 0.0:
         return 0.0
-    r = _decay(ps)
-    if r >= 1.0:
-        return math.inf
-    w = r / (1.0 - r)
-    return ((2.0 * ps.l_max + 1.0) * w + 2.0 * w / (1.0 - r)) * last / ps.k
-
-
-def _decay(ps):
-    """r of _dropped_waves: the larger of tail_ratio and the mean decay of
-    the last min(16, l_max) waves; inf where that decay has no wave to
-    start from."""
     m = min(16, ps.l_max)
     before = abs(float(ps.delta[-1 - m]))
     if m and not before:
         return math.inf
-    mean = (abs(float(ps.delta[-1])) / before) ** (1.0 / m) if m else 0.0
-    return max(ps.tail_ratio, mean)
+    r = max(ps.tail_ratio, (last / before) ** (1.0 / m) if m else 0.0)
+    if r >= 1.0:
+        return math.inf
+    w = r / (1.0 - r)
+    return ((2.0 * ps.l_max + 1.0) * w + 2.0 * w / (1.0 - r)) * last / ps.k

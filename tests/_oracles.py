@@ -633,14 +633,13 @@ def _first_steps(starts, l_arr, dr):
 
 # Numerov sweeps that form each step's coefficients inside the step loop:
 # the summed form normalised at every step (reference for each grid of
-# partial_wave._sweep_grids, bit for bit for every wave with l < k r_a - 1,
-# whose j_l goes upward at both matching radii), the classic two-level form
-# that preceded it, and the summed form in any float dtype (in np.longdouble
-# the reference for the rounding error of the other two). Each matches
-# every wave with the scalar Bessel pair of its own order. Each takes the
-# waves' start radii from wave_starts, or None to start every wave from the
-# origin series; a wave started at r_s has u = 0 one step back and y = 1
-# at r_s, and is 0 before.
+# partial_wave._sweep_grids, bit for bit), the classic two-level form that
+# preceded it, and the summed form in any float dtype (in np.longdouble the
+# reference for the rounding error of the other two). Each matches every
+# wave with the Bessel rows of _row_match, as partial_wave does. Each takes
+# the waves' start radii from wave_starts, or None to start every wave from
+# the origin series; a wave started at r_s has u = 0 one step back and y =
+# 1 at r_s, and is 0 before.
 
 
 def series_coefficients(p, two_m, k, la):
@@ -697,29 +696,15 @@ def _sweep_start(p, kin, l_arr, r_a, r_b, dr, dtype, starts, r0):
 
 def _match(l_arr, k, r_a, r_b, u_a, u_b):
     """The phase shifts of l_arr from u at r_a and r_b: each wave's pair
-    scaled by one power of two, rounded to float, matched with the scalar
-    Bessel pair."""
+    scaled by one power of two, rounded to float, matched by _row_match."""
     if not (np.all(np.isfinite(u_a)) and np.all(np.isfinite(u_b))):
         raise ConvergenceError(
             "radial integration overflowed despite rescaling",
             estimate=np.nan, error_estimate=np.inf)
     w_a, w_b = u_a / r_a, u_b / r_b
     e = np.frexp(np.maximum(np.abs(w_a), np.abs(w_b)))[1]
-    w_a = np.ldexp(w_a, -e).astype(float).tolist()
-    w_b = np.ldexp(w_b, -e).astype(float).tolist()
-    out = np.empty(len(l_arr))
-    for i, l in enumerate(l_arr):
-        j_a, n_a = spherical_bessel(int(l), k * r_a)
-        j_b, n_b = spherical_bessel(int(l), k * r_b)
-        num = w_a[i] * j_b - w_b[i] * j_a
-        den = w_a[i] * n_b - w_b[i] * n_a
-        d = math.atan2(num, den)
-        if d > np.pi / 2:
-            d -= np.pi
-        elif d <= -np.pi / 2:
-            d += np.pi
-        out[i] = d
-    return out
+    return _row_match(l_arr, k, r_a, r_b, np.ldexp(w_a, -e).astype(float),
+                      np.ldexp(w_b, -e).astype(float))
 
 
 def _numerov_sweep(p, kin, l_arr, r_a, r_b, dr, dtype=float, starts=None,
@@ -867,11 +852,8 @@ def _row_match(l_arr, k, r_a, r_b, w_a, w_b):
     for i, l in enumerate(np.asarray(l_arr).tolist()):
         if l > top:
             continue
-        with np.errstate(invalid="ignore"):
-            num = w_a[i] * j_b[l] - w_b[i] * j_a[l]
-            den = w_a[i] * n_b[l] - w_b[i] * n_a[l]
-        if math.isnan(den):
-            continue
+        num = w_a[i] * j_b[l] - w_b[i] * j_a[l]
+        den = w_a[i] * n_b[l] - w_b[i] * n_a[l]
         d = math.atan2(num, den)
         delta[i] = d - np.pi if d > np.pi / 2 else (
             d + np.pi if d <= -np.pi / 2 else d)

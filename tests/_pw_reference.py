@@ -33,7 +33,8 @@ PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
 MODELS = {"Yukawa(0.5, 1)": Yukawa(0.5, 1.0),
           "Yukawa(-2, 0.5)": Yukawa(-2.0, 0.5),
           "Gauss(0.5, 1)": Gauss(0.5, 1.0),
-          "Gauss(-3, 2)": Gauss(-3.0, 2.0)}
+          "Gauss(-3, 2)": Gauss(-3.0, 2.0),
+          "Gauss(0.5, 0.05)": Gauss(0.5, 0.05)}
 KS = (1.0, 5.0, 10.0, 30.0)
 THETA = np.linspace(0.0, math.pi, 181)
 

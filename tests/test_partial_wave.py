@@ -77,15 +77,6 @@ def _spy_starts(monkeypatch):
     return calls
 
 
-def _assert_bits_where_allowed(got, want, l_arr, x_a):
-    """got keeps the bits of want for l < x_a - 1, where j_l goes upward at
-    both matching radii; beyond, a Bessel row's Miller pass depends on the
-    row's top at rounding level."""
-    upward = np.asarray(l_arr) < x_a - 1.0
-    assert got[upward].tobytes() == want[upward].tobytes()
-    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
-
-
 def _shifts(delta, **kw):
     """A PhaseShiftSet whose coarse extrapolation equals delta."""
     delta = np.asarray(delta, dtype=float)
@@ -528,19 +519,15 @@ class TestPhaseShifts:
         # against the summed form that forms each step's coefficients in
         # the step loop and normalises at every step before the matching
         # radius, one grid at a time: power-of-two scaling is exact, so the
-        # schedule of the scaling cannot show in the bits. The oracle
-        # matches each wave with the scalar Bessel pair of its own order
+        # schedule of the scaling cannot show in the bits
         p, kin = Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
         monkeypatch.setattr(partial_wave, "_sweep_grids",
                             _oracles.on_three_grids(_oracles._numerov_sweep))
         ref = phase_shifts(p, kin)
         assert ref.l_max == ps.l_max
-        x_a = k * _oracles.split(p, kin, ps.r_max, ps.dr)[1]
-        l_arr = np.arange(ps.l_max + 1)
-        _assert_bits_where_allowed(ps.delta, ref.delta, l_arr, x_a)
-        _assert_bits_where_allowed(ps.delta_coarse, ref.delta_coarse, l_arr,
-                                   x_a)
+        assert ref.delta.tobytes() == ps.delta.tobytes()
+        assert ref.delta_coarse.tobytes() == ps.delta_coarse.tobytes()
 
     @pytest.mark.parametrize("p, k, knobs, chunk, redone", [
         (Yukawa(0.5, 1.0), 1.0, {}, 128, False),
@@ -650,7 +637,7 @@ class TestPhaseShifts:
             old = _oracles._numerov_sweep(p, kin, l_arr, *radii, s * dr,
                                           starts=starts)
             assert np.all(np.isfinite(got))
-            _assert_bits_where_allowed(got, old, l_arr, kin.k * r_a)
+            assert got.tobytes() == old.tobytes()
 
     @pytest.mark.parametrize("p, k", [
         (Yukawa(0.5, 1.0), 1.0), (Yukawa(0.5, 1.0), 30.0),
@@ -767,20 +754,23 @@ class TestPhaseShifts:
         assert ps.l_max == l_max
         assert np.all(np.isfinite(ps.delta))
 
-    @pytest.mark.parametrize("k, l_max, first", [(2.0, 300, 251),
-                                                 (5.0, 360, 326)])
-    def test_overflowed_n_l_gives_delta_zero(self, k, l_max, first):
-        # from l = first on, n_l(k r) overflowed at both matching radii and
-        # the matching's denominator was inf - inf = nan; these waves now
-        # lie past the Bessel rows' top, and the sweep takes them as 0
-        ps = phase_shifts(Gauss(1.0, 1.0), Kinematics(mass=1.0, k=k),
-                          l_max=l_max)
-        assert np.all(np.isfinite(ps.delta))
-        assert not np.any(ps.delta[first:])
-        below = phase_shifts(Gauss(1.0, 1.0), Kinematics(mass=1.0, k=k),
-                             l_max=first - 1)
-        _assert_bits_where_allowed(ps.delta[:first], below.delta,
-                                   np.arange(first), k * ps.r_max)
+    @pytest.mark.parametrize("k, l_max", [(2.0, 300), (5.0, 360)])
+    def test_waves_past_the_rows_top_are_zero(self, monkeypatch, k, l_max):
+        # the Bessel rows end at _row_top(k r_b), 40 and 62 here: the waves
+        # past it are 0 and not swept, and the waves below keep the bits of
+        # a pass that ends at the top. At the top n_l(k r_b) is finite; up
+        # to l = 300 and 360 it overflowed at both matching radii, where
+        # the matching's denominator was inf - inf = nan
+        p, kin = Gauss(1.0, 1.0), Kinematics(mass=1.0, k=k)
+        calls = _spy_starts(monkeypatch)
+        ps = phase_shifts(p, kin, l_max=l_max)
+        r_b = _oracles.second_radius(kin, ps.r_max, ps.dr)
+        top = partial_wave._row_top(k * r_b)
+        (args, _), = calls  # args[2] holds l(l + 1) of the waves swept
+        assert top < l_max and args[2].size == top + 1
+        assert ps.delta[top] != 0.0 and not np.any(ps.delta[top + 1:])
+        below = phase_shifts(p, kin, l_max=top)
+        assert ps.delta[:top + 1].tobytes() == below.delta.tobytes()
 
     def test_explicit_l_max_accepted_when_converged(self):
         ps_auto = phase_shifts(Yukawa(0.5, 1.0), KIN2)
@@ -953,6 +943,7 @@ class TestSplit:
         (Yukawa(-2.0, 0.5), 10.0, 16.75),
         (Yukawa(0.5, 1.0), 1.0, 2.0 * np.pi + 9.75),
         (Gauss(0.5, 1.0), 10.0, None), (Gauss(-3.0, 2.0), 30.0, None),
+        (Gauss(0.5, 0.05), 10.0, 13.5), (Gauss(0.5, 0.05), 30.0, 12.75),
         (_RIPPLED_TABLE, 5.0, None),
     ])
     def test_split_radius_does_not_depend_on_dr(self, p, k, r0):
@@ -998,7 +989,8 @@ class TestSplit:
 
     @pytest.mark.parametrize("p, k", [
         (Yukawa(0.5, 1.0), 10.0), (Yukawa(-2.0, 0.5), 1.0),
-        (Yukawa(-2.0, 0.5), 30.0),
+        (Yukawa(-2.0, 0.5), 30.0), (Gauss(0.5, 0.05), 10.0),
+        (Gauss(0.5, 0.05), 30.0),
     ])
     def test_tail_quadrature_error_is_within_its_bound(self, p, k):
         # against the same tail on panels a third as wide
@@ -1090,6 +1082,11 @@ def _accuracy(delta, ref, k, scale):
     ("Gauss(0.5, 1)", 10.0, 1.068e-08), ("Gauss(0.5, 1)", 30.0, 3.426e-08),
     ("Gauss(-3, 2)", 1.0, 3.248e-11), ("Gauss(-3, 2)", 5.0, 1.146e-10),
     ("Gauss(-3, 2)", 10.0, 1.057e-09), ("Gauss(-3, 2)", 30.0, 2.094e-09),
+    # a Gauss that splits at every k: R0 = 19.0, 14.5, 13.5 and 12.75
+    ("Gauss(0.5, 0.05)", 1.0, 9.675e-12),
+    ("Gauss(0.5, 0.05)", 5.0, 2.712e-09),
+    ("Gauss(0.5, 0.05)", 10.0, 1.888e-08),
+    ("Gauss(0.5, 0.05)", 30.0, 8.08e-08),
 ])
 def test_oracle_is_graded_against_an_unsplit_reference(reference_shifts,
                                                        name, k, parent):
