@@ -17,7 +17,8 @@ and j^, n^ the Riccati-Bessel functions, by Gauss quadrature past R0
 (_tail_terms). R0 is where T0 = (1/k) int_R0 |U| dr, on which the dropped
 second order depends, meets an a-priori target (_split_radius); where no
 R0 lets the sweep end short of r_max, and for a table, nothing is split.
-The tail adds its own error bound to each wave, PhaseShiftSet.tail_error.
+The tail runs once a wave, and its bound joins the wave's one error bound,
+PhaseShiftSet.error.
 
 Each pass integrates its waves on three grids, of steps h, 2h and 4h,
 between the same two matching radii, which lie on the 4h grid. For a
@@ -28,8 +29,8 @@ delta(h) + (delta(h) - delta(2h))/15 removes the h^4 term, and R3 = R(h,
 term, leaving h^8: the oracle's delta is R3, which costs no sweep beyond
 the three grids. A cubic table from r = 0
 is smooth but at its last knot, which its default h puts on the 4h grid.
-The amplitude reports the gap between R3 and a second extrapolation as
-its step error; see PhaseShiftSet. One loop over the fine grid carries all
+Each wave's error reads the gap between R3 and a second extrapolation as
+its step error; see phase_shifts. One loop over the fine grid carries all
 three grids as one state: every step advances the fine waves, every
 second step the mid ones as well and every fourth the coarse ones, so a
 pass costs as many Python steps as a single sweep at h, and 1 + 1/2 + 1/4
@@ -132,28 +133,23 @@ class PhaseShiftSet:
 
     delta holds R3, the third Richardson level of the grids of step h, 2h
     and 4h, plus the first-order tail where the pass split V, in (-pi/2,
-    pi/2]. delta_coarse holds, on the same branch, the extrapolation whose
-    gap to delta amplitude_partial_wave reads as the wave's step error:
-    R(h, 2h) where the wave's grids show the h^6 expansion, R(2h, 4h)
-    elsewhere (see _extrapolated), plus its own tail. dr is the finest step
+    pi/2]. error holds each wave's bound on |e^{2i delta_l} - e^{2i
+    delta_true}|, which amplitude_partial_wave sums: the step error, the
+    rounding and the tail's error; see phase_shifts. dr is the finest step
     h, and r_max, a point of the 4h grid, the radius past which a sweep
     drops V: the first matching radius where V was not split. tail_ratio,
     in [0, 1), bounds |delta_{l+1}/delta_l| for l >= l_max from the
     potential; amplitude_partial_wave bounds the dropped waves with it or
-    with the decay of the last waves kept, whichever is slower. tail_error
-    holds each wave's bound on the error of its tail, 0 where there is
-    none: the Gronwall bound on the dropped second order plus the
-    quadrature's (see _tail_terms); zeros if not given.
+    with the decay of the last waves kept, whichever is slower.
     """
 
     k: float
     l_max: int
     delta: np.ndarray
-    delta_coarse: np.ndarray
+    error: np.ndarray
     r_max: float
     dr: float
     tail_ratio: float = 0.0
-    tail_error: np.ndarray = None
 
     def __post_init__(self):
         real(self.k, "k", positive=True)
@@ -166,18 +162,11 @@ class PhaseShiftSet:
         d = reals(self.delta, "delta", -MAX_FLOAT, MAX_FLOAT)
         if d.shape != (self.l_max + 1,):
             raise DomainError("delta must hold l_max + 1 entries", key="delta")
-        c = reals(self.delta_coarse, "delta_coarse", -MAX_FLOAT, MAX_FLOAT)
-        if c.shape != d.shape:
-            raise DomainError("delta_coarse must hold l_max + 1 entries",
-                              key="delta_coarse")
-        t = np.zeros(d.shape) if self.tail_error is None else reals(
-            self.tail_error, "tail_error", 0.0, math.inf)
-        if t.shape != d.shape:
-            raise DomainError("tail_error must hold l_max + 1 entries",
-                              key="tail_error")
+        e = reals(self.error, "error", 0.0, math.inf)
+        if e.shape != d.shape:
+            raise DomainError("error must hold l_max + 1 entries", key="error")
         object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "delta_coarse", c)
-        object.__setattr__(self, "tail_error", t)
+        object.__setattr__(self, "error", e)
         if abs(d[-1]) >= _TAIL_TOL:
             raise DomainError(
                 f"partial-wave tail not converged: |delta_l_max| = "
@@ -331,10 +320,11 @@ def _riccati_rows(lo, top, x, n_top):
     return j[lo:], n[lo:n_top + 1]
 
 
-def _tail_terms(rule, k, kr0, l_arr, deltas):
-    """Each wave's first-order tail -(1/k) int U (1 - s) (cos d j^_l - sin
-    d n^_l)^2 dr at each d of deltas, on the rule of _tail_rule, and the
-    bound on its error.
+def _tail_terms(rule, k, kr0, l_arr, d):
+    """(d + t, T, bound): each wave's swept phase d plus its first-order
+    tail t = -(1/k) int U (1 - s) (cos d j^_l - sin d n^_l)^2 dr, on the
+    rule of _tail_rule; T, which bounds |dt/dd|; and the bound on t's
+    error.
 
     The variable phase obeys delta' = -(1/k) U A(delta), A = (cos delta
     j^ - sin delta n^)^2, with |A| and |dA/d delta| at most M = j^^2 +
@@ -344,9 +334,9 @@ def _tail_terms(rule, k, kr0, l_arr, deltas):
     _QUAD T. A wave classically forbidden at R0, l + 1/2 > k R0, takes
     j^_l alone: there the n^ terms would multiply the rounding of d by
     n^_l^2, which grows, while d n^_l stays of the order of T j^_l. Its
-    bound is 2 T_j T0 (plus the quadrature's), T_j its own (1/k) int |U|
-    j^_l^2 and T0 = (1/k) int |U| the bound on the relative change the
-    potential makes to its wave past R0."""
+    T is T_j, its own (1/k) int |U| j^_l^2, and its bound 2 T_j T0 (plus
+    the quadrature's), T0 = (1/k) int |U| the bound on the relative change
+    the potential makes to its wave past R0."""
     x, far, near = rule
     j, n = _riccati_rows(int(l_arr[0]), int(l_arr[-1]), x,
                          min(int(l_arr[-1]), math.floor(kr0 - 0.5)))
@@ -365,16 +355,13 @@ def _tail_terms(rule, k, kr0, l_arr, deltas):
     size[:na] += np.abs(mn) + moment(nn, near)
     gronwall = 2.0 * size * ((abs(far.sum()) + near.sum()) / k)
     gronwall[:na] = 2.0 * size[:na] ** 2
-    out = []
-    for d in deltas:
-        c, s = np.cos(d), np.sin(d)
-        t = -c * c * mj
-        t[:na] += 2.0 * c[:na] * s[:na] * mx - s[:na] * s[:na] * mn
-        out.append(d + t)
+    c, s = np.cos(d), np.sin(d)
+    t = -c * c * mj
+    t[:na] += 2.0 * c[:na] * s[:na] * mx - s[:na] * s[:na] * mn
     # the rule's error on a panel is at most _QUAD w max|f|, which the
     # envelope j^^2 + n^^2 (j^^2 where forbidden) keeps within twice the
     # panel's share of size
-    return out, gronwall + 2.0 * _QUAD * size
+    return d + t, size, gronwall + 2.0 * _QUAD * size
 
 
 def _normalise(y, d):
@@ -549,8 +536,7 @@ def _match(l_arr, rows, w_a, w_b):
     den = w_a * n_b - w_b * n_a
     delta = np.array([math.atan2(y, x)
                       for y, x in zip(num.tolist(), den.tolist())])
-    delta[delta > np.pi / 2] -= np.pi
-    delta[delta <= -np.pi / 2] += np.pi
+    _onto_branch(delta)
     return delta
 
 
@@ -673,12 +659,14 @@ def _extrapolated(p, kin, l_arr, r_a, r_b, dr, r0=math.inf):
     together.
 
     The second entry is R(h, 2h), 1/63 of |R(h, 2h) - R(2h, 4h)| from R3,
-    where the wave's grids show the h^6 expansion: V is not a table's
-    spline, whose third derivative jumps at every knot, and |R(h, 2h) -
-    R(2h, 4h)| <= |delta(h) - delta(2h)|/32, where delta(h) = delta + A
-    h^4 + B h^6 makes the left side about 13 |B/A| h^2 of the right.
+    where the wave's grids show the h^6 expansion: l > 0, V is not a
+    table's spline, whose third derivative jumps at every knot, and |R(h,
+    2h) - R(2h, 4h)| <= |delta(h) - delta(2h)|/32, where delta(h) = delta
+    + A h^4 + B h^6 makes the left side about 13 |B/A| h^2 of the right.
     Elsewhere it is R(2h, 4h), 64/63 of |R(h, 2h) - R(2h, 4h)| from R3.
-    The sweep takes s V, s = _switch(r, r0)."""
+    The s wave is excluded: its R(h, 2h) gap fell short of its error
+    against a sweep at h/16 (Gauss(-3, 2) at k = 5). The sweep takes s V,
+    s = _switch(r, r0)."""
     fine, mid, coarse = _sweep_grids(p, kin, l_arr, r_a, r_b, dr, r0)
     mid += np.pi * np.round((fine - mid) / np.pi)
     coarse += np.pi * np.round((fine - coarse) / np.pi)
@@ -686,17 +674,17 @@ def _extrapolated(p, kin, l_arr, r_a, r_b, dr, r0=math.inf):
     far = mid + (mid - coarse) / 15.0
     best = near + (near - far) / 63.0
     shown = (np.abs(near - far) <= np.abs(fine - mid) / 32.0) \
-        & (not isinstance(p, TabulatedRadial))
+        & (l_arr > 0) & (not isinstance(p, TabulatedRadial))
     worse = np.where(shown, near, far)
     _onto_branch(best, worse)
     return best, worse
 
 
-def _onto_branch(best, worse):
-    """Shift each pair (best, worse) in place by the multiple of pi that
-    puts best in (-pi/2, pi/2]."""
-    up, down = best <= -np.pi / 2, best > np.pi / 2
-    for x in (best, worse):
+def _onto_branch(delta, *others):
+    """Shift delta in place by the multiple of pi that puts it in (-pi/2,
+    pi/2], and each array of others by the same multiple."""
+    up, down = delta <= -np.pi / 2, delta > np.pi / 2
+    for x in (delta, *others):
         x[up] += np.pi
         x[down] -= np.pi
 
@@ -740,14 +728,22 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     """Solve for delta_l, l = 0..l_max, with auto defaults for all knobs.
 
     Every pass carries its waves on the grids of dr, 2 dr and 4 dr in one
-    loop; delta is their third Richardson level R3, delta_coarse the
-    extrapolation the step error is read from, and tail_ratio the
+    loop; delta is their third Richardson level R3, and tail_ratio the
     potential's bound on the decay of the dropped waves; see PhaseShiftSet
     and _extrapolated.
+    Each wave's error is 2 |sin(gap)| + 2 rho, plus 2 (T |gap| + b) where
+    the pass split V. gap is R3 less _extrapolated's second extrapolation,
+    and 2 |sin(gap)|, the distance of their e^{2i delta}, the step error.
+    rho = eps r_max/dr, one rounding per radial step, covers each delta's
+    rounding (under 0.1 rho against long-double sweeps of seven cases). b
+    is the tail's bound, the Gronwall bound on the second order it drops
+    plus its quadrature's. The tail runs once, at R3; T bounds its slope
+    in delta, so the second extrapolation's own tail would move by at
+    most T |gap| (see _tail_terms).
     The pass splits V at R0 where it can (_split_radius): the grids then
     carry s V and match at the first points of the 4 dr grid past R0 + 2,
     and every wave adds the first-order tail of (1 - s) V from R0 to where
-    |2mV| <= 1e-16 k^2, past r_max, and records its bound in tail_error.
+    |2mV| <= 1e-16 k^2, past r_max.
     R0 is the first point r0 + 0.25 j, r0 = max(2 pi/k, 1), from which
     T0 = (1/k) int |2mV| dr to r_max is at most 1e-5 min(1, k/6)^4, the
     target falling with the default step's own error below k = 6: it
@@ -843,27 +839,27 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     # given its tail by sums of its own row, so a wave's bits do not depend
     # on which pass swept it. An explicit l_max is kept as given;
     # PhaseShiftSet checks its tail.
-    delta = coarse = bound = np.empty(0)
+    rho = _EPS * r_max / dr
+    delta = error = np.empty(0)
     l_cut = l0
     for top in tops:
         l_arr = np.arange(delta.size, top + 1)
         best, worse = _extrapolated(p, kin, l_arr, r_a, r_b, dr, r0)
-        err = np.zeros(l_arr.size)
+        gap = best - worse
+        err = 2.0 * np.abs(np.sin(gap)) + 2.0 * rho
         if r0 < r_a:
-            (best, worse), err = _tail_terms(rule, k, k * r0, l_arr,
-                                             (best, worse))
-            _onto_branch(best, worse)
+            best, slope, bound = _tail_terms(rule, k, k * r0, l_arr, best)
+            _onto_branch(best)
+            # worse's own tail would differ from best's by at most slope |gap|
+            err += 2.0 * (slope * np.abs(gap) + bound)
         delta = np.concatenate([delta, best])
-        coarse = np.concatenate([coarse, worse])
-        bound = np.concatenate([bound, err])
+        error = np.concatenate([error, err])
         while abs(delta[l_cut]) >= _TAIL_TOL and l_cut < top:
             l_cut += 16
         if abs(delta[l_cut]) < _TAIL_TOL or l_max is not None:
             return PhaseShiftSet(k=k, l_max=l_cut, delta=delta[:l_cut + 1],
-                                 delta_coarse=coarse[:l_cut + 1],
-                                 r_max=r_max, dr=dr,
-                                 tail_ratio=_tail_ratio(p, k, l_cut),
-                                 tail_error=bound[:l_cut + 1])
+                                 error=error[:l_cut + 1], r_max=r_max,
+                                 dr=dr, tail_ratio=_tail_ratio(p, k, l_cut))
     raise ConvergenceError(
         "partial-wave tail refuses to converge; the potential may be too "
         "long-ranged for this oracle",
@@ -876,17 +872,10 @@ def amplitude_partial_wave(ps, theta):
     theta may be a scalar or a 1-d array in [0, pi]; array input yields an
     Amplitude whose fields are arrays over the same grid. S_l - 1 is
     special_functions.expm1i(2 delta_l). The error estimate at each angle
-    is sum (2l+1) (2 |sin(delta_l - delta_coarse_l)| + 2 rho) |P_l| / 2k
-    plus a bound on the dropped waves. The first term, |e^{2i delta_l} -
-    e^{2i delta_coarse_l}| without cancellation, bounds |f(delta) -
-    f(delta_coarse)|, the step error the extrapolation leaves, wave by
-    wave, so it does not vanish where the waves' gaps cancel. rho = eps
-    r_max/dr, one rounding per radial step, covers each delta's rounding
-    (under 0.1 rho against long-double sweeps of seven cases), which sets
-    the error once the step error falls below it. Where the pass split V,
-    each wave adds 2 tail_error_l to the bracket: the Gronwall bound on
-    the second order its first-order tail drops, and the tail's
-    quadrature error.
+    is sum (2l+1) error_l |P_l| / 2k plus a bound on the dropped waves:
+    error_l bounds the error of e^{2i delta_l} (see phase_shifts), and
+    the sum takes it wave by wave, so it does not vanish where the waves'
+    errors cancel.
 
     The dropped waves l = L + j, j >= 1, L = l_max, are taken to fall as
     |delta_L| r^j, r = max(tail_ratio, (|delta_L|/|delta_{L-m}|)^(1/m)),
@@ -901,10 +890,8 @@ def amplitude_partial_wave(ps, theta):
     s_mat = weight * expm1i(2.0 * ps.delta)
     p_rows = legendre_p_row(ps.l_max, np.cos(th))
     f = np.sum(s_mat[:, None] * p_rows, axis=0) / (2j * ps.k)
-    rho = _EPS * ps.r_max / ps.dr
-    gap = weight * (2.0 * np.abs(np.sin(ps.delta - ps.delta_coarse))
-                    + 2.0 * rho + 2.0 * ps.tail_error)
-    step = np.sum(gap[:, None] * np.abs(p_rows), axis=0) / (2.0 * ps.k)
+    step = np.sum((weight * ps.error)[:, None] * np.abs(p_rows),
+                  axis=0) / (2.0 * ps.k)
     return _amplitude(theta, th, q, f.reshape(th.shape),
                       (step + _dropped_waves(ps)).reshape(th.shape))
 

@@ -262,7 +262,8 @@ def spherical_bessel_row(l_max, x):
     goes upward as far as that is stable, which is l <= 1 or x >= l + 1;
     the rest of the row comes from one pass of Miller's downward
     recurrence, seeded at l_max + 30 + x and scaled to j_0, or to j_1
-    where that is larger.
+    where that is larger. Below x = 0.5, where its closed form cancels,
+    j_1 is its power series.
     """
     l_max = integer(l_max, "l_max")
     x = real(x, "x", positive=True)
@@ -272,6 +273,13 @@ def spherical_bessel_row(l_max, x):
     for i in range(1, l_max):
         n.append((2 * i + 1) / x * n[i] - n[i - 1])
     j = [sin_x / x, sin_x / (x * x) - cos_x / x]
+    if x < 0.5:
+        # the closed form cancels: the series x/3 - x^3/30 + x^5/840 - ...,
+        # whose terms past the eighth fall below 1e-17 of the first
+        term = j[1] = x / 3.0
+        for i in range(1, 8):
+            term *= -x * x / (2 * i * (2 * i + 3))
+            j[1] += term
     for i in range(1, min(l_max, int(x - 1.0))):
         j.append((2 * i + 1) / x * j[i] - j[i - 1])
     up = len(j)

@@ -956,21 +956,22 @@ def extrapolated(p, kin, l_arr, r_max, dr, origin=False, r0=math.inf):
     three-sweep partial_wave._extrapolated, bit for bit; origin starts
     every wave from the origin series, and r0 switches V off from there on
     as partial_wave's split does. R3 = R(h, 2h) + (R(h, 2h) - R(2h,
-    4h))/63; the second entry is R(h, 2h) for a potential that is not a
-    table whose |R(h, 2h) - R(2h, 4h)| is at most 1/32 of |delta(h) -
-    delta(2h)|, else R(2h, 4h)."""
+    4h))/63; the second entry is R(h, 2h) for a wave l > 0 of a potential
+    that is not a table whose |R(h, 2h) - R(2h, 4h)| is at most 1/32 of
+    |delta(h) - delta(2h)|, else R(2h, 4h)."""
     r_b = second_radius(kin, r_max, dr)
     fine, mid, coarse = on_three_grids(chunked_sweep, origin)(
         p, kin, l_arr, r_max, r_b, dr, r0)
     smooth = not isinstance(p, TabulatedRadial)
     best, worse = np.empty(len(l_arr)), np.empty(len(l_arr))
-    for i, (f, m, c) in enumerate(zip(fine.tolist(), mid.tolist(),
-                                      coarse.tolist())):
+    for i, (l, f, m, c) in enumerate(zip(np.asarray(l_arr).tolist(),
+                                         fine.tolist(), mid.tolist(),
+                                         coarse.tolist())):
         m += math.pi * round((f - m) / math.pi)
         c += math.pi * round((f - c) / math.pi)
         r12, r24 = f + (f - m) / 15.0, m + (m - c) / 15.0
         b = r12 + (r12 - r24) / 63.0
-        shown = smooth and abs(r12 - r24) <= abs(f - m) / 32.0
+        shown = smooth and l > 0 and abs(r12 - r24) <= abs(f - m) / 32.0
         w = r12 if shown else r24
         if b > math.pi / 2:
             b, w = b - math.pi, w - math.pi
@@ -991,20 +992,19 @@ def split(p, kin, r_max, dr):
 
 
 def split_extrapolated(p, kin, l_arr, r_max, dr):
-    """extrapolated as phase_shifts splits it: swept to the matching radius
-    past R0 + 2 with V switched off from R0, and the first-order tail from
-    R0 to r_max added to both entries by partial_wave._tail_terms."""
+    """R3 of extrapolated as phase_shifts splits it: swept to the matching
+    radius past R0 + 2 with V switched off from R0, plus the first-order
+    tail past R0 of partial_wave._tail_terms."""
     r0, r_a = split(p, kin, r_max, dr)
-    best, worse = extrapolated(p, kin, l_arr, r_a, dr, r0=r0)
+    best = extrapolated(p, kin, l_arr, r_a, dr, r0=r0)[0]
     if r0 == math.inf:
-        return best, worse
+        return best
     rule = partial_wave._tail_rule(p, kin, r0, partial_wave._auto_r_max(
         p, kin, r_max, partial_wave._FAR))
-    (best, worse), _ = partial_wave._tail_terms(rule, kin.k, kin.k * r0,
-                                                np.asarray(l_arr),
-                                                (best, worse))
-    partial_wave._onto_branch(best, worse)
-    return best, worse
+    best = partial_wave._tail_terms(rule, kin.k, kin.k * r0,
+                                    np.asarray(l_arr), best)[0]
+    partial_wave._onto_branch(best)
+    return best
 
 
 def phase_shifts_by_extension(p, kin, r_max, dr):
@@ -1012,7 +1012,7 @@ def phase_shifts_by_extension(p, kin, r_max, dr):
     dr phase_shifts resolved; raises the plan's ConvergenceError."""
     tol = partial_wave._TAIL_TOL
     l0 = int(np.ceil(kin.k * partial_wave.effective_radius(p))) + 10
-    deltas = split_extrapolated(p, kin, np.arange(0, l0 + 65), r_max, dr)[0]
+    deltas = split_extrapolated(p, kin, np.arange(0, l0 + 65), r_max, dr)
     l_cut = next((l for l in range(l0, l0 + 64, 16)
                   if abs(deltas[l]) < tol), l0 + 64)
     deltas = deltas[:l_cut + 1]
@@ -1025,7 +1025,7 @@ def phase_shifts_by_extension(p, kin, r_max, dr):
                 estimate=float(deltas[-1]), error_estimate=abs(deltas[-1]))
         ext = np.arange(deltas.size, deltas.size + 16)
         deltas = np.concatenate(
-            [deltas, split_extrapolated(p, kin, ext, r_max, dr)[0]])
+            [deltas, split_extrapolated(p, kin, ext, r_max, dr)])
         passes += 1
     return deltas.size - 1, deltas, passes
 

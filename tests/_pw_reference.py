@@ -56,7 +56,7 @@ def reference(p, k, fraction):
 def amplitude(delta, k):
     """The amplitude of the phase shifts delta at wavenumber k over THETA."""
     ps = PhaseShiftSet(k=k, l_max=delta.size - 1, delta=delta,
-                       delta_coarse=delta, r_max=1.0, dr=1.0)
+                       error=np.zeros(delta.size), r_max=1.0, dr=1.0)
     return amplitude_partial_wave(ps, THETA).value
 
 

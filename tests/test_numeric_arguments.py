@@ -59,8 +59,8 @@ def _not_integer(minimum, maximum=None):
 
 
 def _shifts(**kw):
-    fields = dict(k=1.0, l_max=0, delta=[0.0], delta_coarse=[0.0],
-                  r_max=20.0, dr=0.01)
+    fields = dict(k=1.0, l_max=0, delta=[0.0], error=[0.0], r_max=20.0,
+                  dr=0.01)
     return PhaseShiftSet(**{**fields, **kw})
 
 
@@ -252,8 +252,7 @@ ARRAY_CASES = {
     "total_integrated.rows": (lambda x: total_integrated(_rows(x)), "rows",
                               _FINITE),
     "PhaseShiftSet.delta": (lambda x: _shifts(delta=[x]), "delta", _FINITE),
-    "PhaseShiftSet.delta_coarse": (lambda x: _shifts(delta_coarse=[x]),
-                                   "delta_coarse", _FINITE),
+    "PhaseShiftSet.error": (lambda x: _shifts(error=[x]), "error", _FROM_0),
     # a table's other cells may be nan, on a pole row
     "CrossSectionTable.rows": (lambda x: _table([[x, 0.0, 0.0, 0.0, 0.0]]),
                                "rows", _FINITE),
@@ -333,8 +332,8 @@ STRUCTURE_CASES = {
         Amplitude(theta=0.1, q=0.1, value=1j), 1.0), "f0"),
     "PhaseShiftSet.delta.shape": (lambda: _shifts(delta=[0.0, 0.0]),
                                   "delta"),
-    "PhaseShiftSet.delta_coarse.shape": (lambda: _shifts(
-        delta_coarse=[0.0, 0.0]), "delta_coarse"),
+    "PhaseShiftSet.error.shape": (lambda: _shifts(error=[0.0, 0.0]),
+                                  "error"),
     "phase_shifts.kin": (lambda: phase_shifts(_P, 1.0), "kin"),
     "integrate_adaptive.b.order": (lambda: integrate_adaptive(np.exp, 1.0,
                                                               0.0), "b"),

@@ -78,17 +78,17 @@ def _spy_starts(monkeypatch):
 
 
 def _shifts(delta, **kw):
-    """A PhaseShiftSet whose coarse extrapolation equals delta."""
+    """A PhaseShiftSet whose waves carry no error."""
     delta = np.asarray(delta, dtype=float)
     fields = dict(k=1.0, l_max=delta.size - 1, delta=delta,
-                  delta_coarse=delta, r_max=20.0, dr=0.01)
+                  error=np.zeros(delta.size), r_max=20.0, dr=0.01)
     return PhaseShiftSet(**{**fields, **kw})
 
 
 class TestPhaseShiftSet:
     def test_valid_construction(self):
         ps = _shifts([0.1, 0.01, 1e-9])
-        assert ps.delta.shape == ps.delta_coarse.shape == (3,)
+        assert ps.delta.shape == ps.error.shape == (3,)
 
     def test_tail_must_be_converged(self):
         with pytest.raises(DomainError):
@@ -98,21 +98,14 @@ class TestPhaseShiftSet:
         with pytest.raises(DomainError):
             _shifts([0.1, 0.01, 0.0], l_max=3)
 
-    def test_coarse_shifts_match_delta(self):
-        with pytest.raises(DomainError, match="delta_coarse"):
-            _shifts([0.1, 0.0], delta_coarse=np.array([0.1]))
-        with pytest.raises(DomainError, match="delta_coarse"):
-            _shifts([0.1, 0.0], delta_coarse=np.array([0.1, np.nan]))
-
-    def test_tail_error_is_one_bound_a_wave(self):
-        # zeros by default; one non-negative finite bound a wave otherwise
-        assert _shifts([0.1, 0.0]).tail_error.tolist() == [0.0, 0.0]
-        ps = _shifts([0.1, 0.0], tail_error=[1e-12, 0.0])
-        assert ps.tail_error.tolist() == [1e-12, 0.0]
+    def test_error_is_one_bound_a_wave(self):
+        # one non-negative bound a wave
+        ps = _shifts([0.1, 0.0], error=[1e-12, 0.0])
+        assert ps.error.tolist() == [1e-12, 0.0]
         for bad in ([1e-12], [-1e-12, 0.0], [np.nan, 0.0], "a"):
             with pytest.raises(DomainError) as err:
-                _shifts([0.1, 0.0], tail_error=bad)
-            assert err.value.key == "tail_error"
+                _shifts([0.1, 0.0], error=bad)
+            assert err.value.key == "error"
 
     def test_bad_scalars(self):
         with pytest.raises(DomainError):
@@ -452,7 +445,7 @@ class TestPhaseShifts:
         same = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
                             dr=ps.dr)
         assert same.delta.tobytes() == ps.delta.tobytes()
-        assert same.delta_coarse.tobytes() == ps.delta_coarse.tobytes()
+        assert same.error.tobytes() == ps.error.tobytes()
 
     @pytest.mark.parametrize("p, k, l_max, passes_then, passes_now", [
         (Yukawa(5.0, 0.5), 10.0, 342, 3, 2),
@@ -527,7 +520,7 @@ class TestPhaseShifts:
         ref = phase_shifts(p, kin)
         assert ref.l_max == ps.l_max
         assert ref.delta.tobytes() == ps.delta.tobytes()
-        assert ref.delta_coarse.tobytes() == ps.delta_coarse.tobytes()
+        assert ref.error.tobytes() == ps.error.tobytes()
 
     @pytest.mark.parametrize("p, k, knobs, chunk, redone", [
         (Yukawa(0.5, 1.0), 1.0, {}, 128, False),
@@ -571,7 +564,7 @@ class TestPhaseShifts:
         ref = phase_shifts(p, kin, **knobs)
         assert (ps.l_max, ps.r_max) == (ref.l_max, ref.r_max)
         assert ps.delta.tobytes() == ref.delta.tobytes()
-        assert ps.delta_coarse.tobytes() == ref.delta_coarse.tobytes()
+        assert ps.error.tobytes() == ref.error.tobytes()
 
     @pytest.mark.parametrize("g", [-2.614682499802042, -2.6146824998020426])
     def test_extrapolation_aligns_branches_at_a_resonance(self, g):
@@ -707,7 +700,8 @@ class TestPhaseShifts:
         ref = phase_shifts(p, kin)
         assert (ref.l_max, ref.r_max) == (ps.l_max, ps.r_max)
         assert np.max(np.abs(ps.delta - ref.delta)) <= 1e-12
-        assert np.max(np.abs(ps.delta_coarse - ref.delta_coarse)) <= 1e-12
+        # 2 |sin(gap)|, both ends of the gap within 1e-12
+        assert np.max(np.abs(ps.error - ref.error)) <= 4e-12
 
     @pytest.mark.parametrize("p, k", [
         (Yukawa(0.5, 1.0), 1.0), (Yukawa(0.5, 1.0), 10.0),
@@ -782,10 +776,12 @@ class TestPhaseShifts:
 
 class TestAmplitudePartialWave:
     def test_zero_shifts_give_zero(self):
-        # the error is the rounding floor alone: rho = eps r_max/dr per wave
-        f = amplitude_partial_wave(_shifts(np.zeros(4), k=2.0), 0.3)
-        assert f.value == 0.0
+        # the error is the waves' own bounds alone, here a rounding floor
+        # rho = eps r_max/dr a wave, 2 rho on e^{2i delta}
         rho = np.finfo(float).eps * 20.0 / 0.01
+        f = amplitude_partial_wave(_shifts(np.zeros(4), k=2.0,
+                                           error=np.full(4, 2.0 * rho)), 0.3)
+        assert f.value == 0.0
         x = math.cos(0.3)
         p_l = [1.0, x, 1.5 * x * x - 0.5, 2.5 * x**3 - 1.5 * x]
         want = rho * sum((2 * l + 1) * abs(v) for l, v in enumerate(p_l))
@@ -798,44 +794,30 @@ class TestAmplitudePartialWave:
         assert f.value == pytest.approx(1j / 2.0, rel=1e-14)
         assert abs(f.value) == pytest.approx(0.5, rel=1e-14)
 
-    def test_error_is_the_extrapolations_gap_plus_the_tail(self):
-        # two waves whose extrapolations disagree, and a live last wave:
-        # sum (2l + 1)|e^{2i delta} - e^{2i delta_coarse}| |P_l| / 2k, plus
-        # ((2L + 1) r/(1 - r) + 2 r/(1 - r)^2)|delta_L|/k for the waves past
-        # L = 3, r the tail ratio or the mean decay of the last three waves,
-        # whichever is larger; at theta = pi/2, where P_1 = 0 and P_2 =
-        # -1/2, the two gaps add instead of cancelling
+    def test_error_is_each_wave_s_bound_plus_the_dropped_waves(self):
+        # two waves with an error, and a live last wave: sum (2l + 1)
+        # error_l |P_l| / 2k, plus ((2L + 1) r/(1 - r) + 2 r/(1 - r)^2)
+        # |delta_L|/k for the waves past L = 3, r the tail ratio or the mean
+        # decay of the last three waves, whichever is larger; at theta =
+        # pi/2, where P_1 = 0 and P_2 = -1/2, the two errors add instead of
+        # cancelling. The errors leave the amplitude as it is
         delta = np.array([0.3, 0.2, 0.0, 5e-9])
-        moved = np.array([0.0, 1e-6, -2e-6, 0.0])
+        error = np.array([0.0, 2e-6, 4e-6, 0.0])
         th = np.array([0.0, 0.7, np.pi / 2])
         x = np.cos(th)
         gap = (3.0 * 2e-6 * np.abs(x) + 5.0 * 4e-6 * np.abs(1.5 * x * x - 0.5)
                ) / 4.0
         decay = (5e-9 / 0.3) ** (1.0 / 3.0)
         for tail_ratio, r in ((0.0, decay), (1e-3, decay), (0.5, 0.5)):
-            ps = _shifts(delta, k=2.0, delta_coarse=delta + moved,
-                         tail_ratio=tail_ratio)
+            ps = _shifts(delta, k=2.0, error=error, tail_ratio=tail_ratio)
             f = amplitude_partial_wave(ps, th)
             dropped = (7.0 * r / (1.0 - r) + 2.0 * r / (1.0 - r) ** 2) \
                 * 5e-9 / 2.0
             assert f.error_estimate == pytest.approx(gap + dropped, rel=1e-6)
             assert amplitude_partial_wave(ps, 0.7).error_estimate \
                 == pytest.approx(f.error_estimate[1], rel=1e-14)
-
-    def test_error_adds_each_wave_s_tail_bound(self):
-        # |e^{2i delta} - e^{2i delta'}| <= 2 |delta - delta'|: a wave's tail
-        # bound adds (2l + 1) 2 tail_error |P_l|/2k at every angle
-        delta = np.array([0.3, 0.2, 0.0, 0.0])
-        bound = np.array([1e-9, 0.0, 2e-9, 0.0])
-        th = np.array([0.0, 0.7])
-        x = np.cos(th)
         plain = amplitude_partial_wave(_shifts(delta, k=2.0), th)
-        tail = amplitude_partial_wave(_shifts(delta, k=2.0,
-                                              tail_error=bound), th)
-        want = (1.0 * 2e-9 + 5.0 * 4e-9 * np.abs(1.5 * x * x - 0.5)) / 4.0
-        assert tail.value.tolist() == plain.value.tolist()
-        assert tail.error_estimate - plain.error_estimate \
-            == pytest.approx(want, rel=1e-9)
+        assert f.value.tolist() == plain.value.tolist()
 
     def test_dropped_waves_without_a_decay_are_unbounded(self):
         # a last wave of 0 drops nothing; a live last wave over a 0
@@ -998,16 +980,49 @@ class TestSplit:
         ps = phase_shifts(p, kin)
         r0, _, rule = _split_rule(p, kin, ps)
         l_arr = np.arange(ps.l_max + 1)
-        (tail,), bound = partial_wave._tail_terms(rule, k, k * r0, l_arr,
-                                                  (ps.delta,))
+        tail, _, bound = partial_wave._tail_terms(rule, k, k * r0, l_arr,
+                                                  ps.delta)
         end = partial_wave._auto_r_max(p, kin, ps.r_max, partial_wave._FAR)
         fine = partial_wave._PANEL / 3.0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(partial_wave, "_PANEL", fine)
-            (finer,), _ = partial_wave._tail_terms(
+            finer = partial_wave._tail_terms(
                 partial_wave._tail_rule(p, kin, r0, end), k, k * r0, l_arr,
-                (ps.delta,))
+                ps.delta)[0]
         assert np.all(np.abs(tail - finer) <= bound)
+
+    @pytest.mark.parametrize("p, k", [
+        (Yukawa(0.5, 1.0), 10.0), (Yukawa(-2.0, 0.5), 1.0),
+        (Yukawa(-2.0, 0.5), 30.0), (Gauss(0.5, 0.05), 10.0),
+    ])
+    def test_one_tail_a_wave_bounds_the_second_extrapolation_s(self, p, k):
+        # the tail runs at R3 alone: T, the tail's bound on its slope in
+        # delta, bounds how far the second extrapolation's own tail would
+        # move it. The gaps of the pass are below the rounding of d + t for
+        # most waves, so the slope is checked across a gap of 1e-3 (to that
+        # rounding). Each wave's error is 2 |sin(gap)| + 2 rho + 2 (T |gap|
+        # + the tail's bound)
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        r0, r_a, rule = _split_rule(p, kin, ps)
+        l_arr = np.arange(ps.l_max + 1)
+        best, worse = partial_wave._extrapolated(
+            p, kin, l_arr, r_a, _oracles.second_radius(kin, r_a, ps.dr),
+            ps.dr, r0)
+        gap = best - worse
+        tail, slope, bound = partial_wave._tail_terms(rule, k, k * r0, l_arr,
+                                                      best)
+        eps = np.finfo(float).eps
+        for other in (best - 1e-3, best + 1e-3):
+            far = partial_wave._tail_terms(rule, k, k * r0, l_arr, other)[0]
+            moved = np.abs((far - other) - (tail - best))
+            assert np.all(moved <= slope * 1e-3
+                          + eps * (np.abs(tail) + np.abs(far)))
+            assert np.count_nonzero(moved) > ps.l_max // 2
+        rho = eps * ps.r_max / ps.dr
+        want = 2.0 * np.abs(np.sin(gap)) + 2.0 * rho \
+            + 2.0 * (slope * np.abs(gap) + bound)
+        assert ps.error.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p, k", [
         (Gauss(-50.0, 1.0), 5.0), (Gauss(-3.0, 2.0), 10.0),
@@ -1092,11 +1107,12 @@ def test_oracle_is_graded_against_an_unsplit_reference(reference_shifts,
                                                        name, k, parent):
     # the reference shares neither the split, the first-order tail nor the
     # cut of the waves (tests/_pw_reference.py). The reported error covers
-    # |f - f_ref| at all 181 angles; the accuracy, with the reference's own
-    # error against its sweep at twice its step added, is no worse than
-    # before the split. The largest |f - f_ref| over the angles would let
-    # the waves' errors cancel, and the dropped waves, the same for both,
-    # would set it
+    # |f - f_ref| at all 181 angles, and each wave's error covers its own
+    # |e^{2i delta} - e^{2i delta_ref}|, less the reference's own error
+    # against its sweep at twice its step; the accuracy, with that error
+    # added, is no worse than before the split. The largest |f - f_ref|
+    # over the angles would let the waves' errors cancel, and the dropped
+    # waves, the same for both, would set it
     kin = Kinematics(mass=1.0, k=k)
     ps = phase_shifts(_pw_reference.MODELS[name], kin)
     ref = np.array(reference_shifts[f"{name} k={k:g}"]["delta"])
@@ -1104,6 +1120,9 @@ def test_oracle_is_graded_against_an_unsplit_reference(reference_shifts,
     want = _pw_reference.amplitude(ref, k)
     got = amplitude_partial_wave(ps, _pw_reference.THETA)
     assert np.all(np.abs(got.value - want) <= got.error_estimate)
+    kept = slice(0, ps.l_max + 1)
+    assert np.all(2.0 * np.abs(np.sin(ps.delta - ref[kept]))
+                  <= ps.error + 2.0 * np.abs(np.sin(ref[kept] - coarse[kept])))
     scale = np.max(np.abs(want))
     assert _accuracy(ps.delta, ref, k, scale) \
         + _accuracy(coarse, ref, k, scale) <= parent

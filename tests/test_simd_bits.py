@@ -6,7 +6,9 @@ NPY_DISABLE_CPU_FEATURES below makes numpy run its AVX2 kernels: each
 shipped config, the benchmark's seed-11 table, the suite's 300-sample
 table and a linear table starting at r > 0 are run with and without it,
 in fresh interpreters, and every artifact but manifest.txt must have the
-same bytes; so must the reference Gauss cross section of paper_forms. The
+same bytes; so must the reference Gauss cross section of paper_forms, and
+np.sin and np.cos, which the partial-wave tail's Bessel rows, expm1i,
+integrate_sin and momentum_transfer take from numpy. The
 variable's names follow numpy's feature groups and may change with its
 version, so the test first checks that the variable moves the bits of
 np.exp on a fixed vector; where it does not (a host without AVX-512, or
@@ -125,5 +127,22 @@ def test_paper_gauss_dsigma_keeps_its_bits_under_avx2_kernels(avx2_differs):
     # oracle; the form once took numpy's exp
     plain = _python(["-c", GAUSS_DSIGMA])
     avx2 = _python(["-c", GAUSS_DSIGMA], AVX2_ONLY)
+    assert plain.returncode == avx2.returncode == 0, plain.stderr
+    assert plain.stdout == avx2.stdout
+
+
+SIN_COS = (
+    "import hashlib, numpy as np; "
+    "x = np.concatenate([np.linspace(-1000.0, 1000.0, 1000003), "
+    "np.linspace(0.0, 3.2, 1000003)]); "
+    "print(hashlib.sha256(np.sin(x).tobytes()).hexdigest(), "
+    "hashlib.sha256(np.cos(x).tobytes()).hexdigest())")
+
+
+def test_sin_and_cos_keep_their_bits_under_avx2_kernels(avx2_differs):
+    # the variable moves np.exp's bits (avx2_differs), and must leave
+    # np.sin's and np.cos's as they are
+    plain = _python(["-c", SIN_COS])
+    avx2 = _python(["-c", SIN_COS], AVX2_ONLY)
     assert plain.returncode == avx2.returncode == 0, plain.stderr
     assert plain.stdout == avx2.stdout
