@@ -54,6 +54,16 @@ is unstable for a high wave.
 
 The reported delta_l live in (-pi/2, pi/2]; the amplitude only ever uses
 e^{2 i delta}, for which the mod-pi reduction is exact.
+
+For Yukawa and Gauss the amplitude subtracts the first Born series wave by
+wave: f = f_B + sum_{l <= L} (2l + 1) [(e^{2i delta_l} - 1)/(2ik) -
+delta^B_l/k] P_l, with f_B the closed-form first Born amplitude
+(potentials.fourier3d) and delta^B_l = -(1/k) int U j^_l^2 dr the Born
+phase shifts, in closed form (_born_phases). The waves past L then add
+only delta_l - delta^B_l, second order in V, and delta_l^2 (Joachain,
+Quantum Collision Theory, 1975), so L is chosen before any sweep, from
+the closed forms alone (_born_cut). A table has no closed-form Born phases
+and keeps the plain sum, cut where |delta_l| falls below 1e-8.
 """
 
 import math
@@ -64,8 +74,11 @@ import numpy as np
 from .eikonal import Kinematics, _amplitude, momentum_transfer
 from .errors import (MAX_FLOAT, ConvergenceError, DomainError, RangeError,
                      integer, real, reals)
+from ._spline import split_at_roots
 from .potentials import (Gauss, TabulatedRadial, Yukawa, _analytic,
-                         effective_radius, evaluate, origin_expansion, reach)
+                         effective_radius, evaluate, fourier3d,
+                         origin_expansion, reach)
+from .quadrature import _G7_NODES, _WG
 # The effective radius needs no integrator; the two integrators and
 # spherical_bessel are bound here only because perfbench/tracer.py rebinds
 # them in partial_wave's namespace.
@@ -83,12 +96,16 @@ __all__ = [
 
 # decay criterion on the reduced potential: |V(r_max)| 2m <= DECAY k^2
 _DECAY = 1e-12
-_TAIL_TOL = 1e-8  # |delta_{l_max}| below this counts as converged
+_TAIL_TOL = 1e-8  # a table's |delta_{l_max}| below this counts as converged
+# Yukawa and Gauss: the a-priori bound on the dropped waves at most _CUT
+# |f_B(0)| min(1, k/10)^8 (_born_cut)
+_CUT = 1e-9
 # the automatic r_max search spans this many reaches: over them a Yukawa
 # falls by e^-2400 and a Gauss by more, beyond the ratio of any two floats,
 # and a table's V is 0 beyond one reach
 _RANGES = 64
-# auto l_max: the widths top - l0 of the passes, tried in turn
+# auto l_max: the widths top - l0 of a table's passes, tried in turn, and
+# the tops of the search for a Yukawa's or a Gauss's cut
 _WIDTHS = (64, 128, 256, 416)
 _CHUNK = 128  # Numerov steps whose coefficient rows are formed at once
 # the most points a fine grid may hold: each of its r, V and 1/r^2 arrays
@@ -135,12 +152,20 @@ class PhaseShiftSet:
     and 4h, plus the first-order tail where the pass split V, in (-pi/2,
     pi/2]. error holds each wave's bound on |e^{2i delta_l} - e^{2i
     delta_true}|, which amplitude_partial_wave sums: the step error, the
-    rounding and the tail's error; see phase_shifts. dr is the finest step
-    h, and r_max, a point of the 4h grid, the radius past which a sweep
-    drops V: the first matching radius where V was not split. tail_ratio,
-    in [0, 1), bounds |delta_{l+1}/delta_l| for l >= l_max from the
-    potential; amplitude_partial_wave bounds the dropped waves with it or
-    with the decay of the last waves kept, whichever is slower.
+    rounding, the tail's error, and where V was not split the V dropped
+    past r_max; see phase_shifts. dr is the finest step h, and r_max, a
+    point of the 4h grid, the radius past which a sweep drops V: the first
+    matching radius where V was not split. tail_ratio, in [0, 1), bounds
+    |delta^B_{l+1}/delta^B_l| (a table's: |delta_{l+1}/delta_l|) for l >=
+    l_max from the potential.
+
+    potential, a Yukawa or a Gauss, makes the set Born-subtracted:
+    amplitude_partial_wave then adds the closed-form first Born amplitude
+    at mass to the sum of the waves less their Born phases, born, which
+    holds delta^B_l for l = 0..l_max. Without it the set holds a plain sum,
+    whose last wave must lie below 1e-8; a Born-subtracted set bounds its
+    dropped waves instead, and phase_shifts refuses an l_max whose a-priori
+    bound is over its target.
     """
 
     k: float
@@ -150,12 +175,16 @@ class PhaseShiftSet:
     r_max: float
     dr: float
     tail_ratio: float = 0.0
+    potential: Yukawa | Gauss | None = None
+    mass: float = 1.0
+    born: np.ndarray | None = None
 
     def __post_init__(self):
         real(self.k, "k", positive=True)
         integer(self.l_max, "l_max")
         real(self.r_max, "r_max", positive=True)
         real(self.dr, "dr", positive=True)
+        real(self.mass, "mass", positive=True)
         if not 0.0 <= real(self.tail_ratio, "tail_ratio") < 1.0:
             raise DomainError(f"tail_ratio must lie in [0, 1), got "
                               f"{self.tail_ratio!r}", key="tail_ratio")
@@ -167,11 +196,23 @@ class PhaseShiftSet:
             raise DomainError("error must hold l_max + 1 entries", key="error")
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "error", e)
-        if abs(d[-1]) >= _TAIL_TOL:
-            raise DomainError(
-                f"partial-wave tail not converged: |delta_l_max| = "
-                f"{abs(d[-1]):.3e} >= {_TAIL_TOL:g}; increase l_max",
-                key="l_max")
+        if self.potential is None:
+            if self.born is not None:
+                raise DomainError("born needs a potential", key="born")
+            if abs(d[-1]) >= _TAIL_TOL:
+                raise DomainError(
+                    f"partial-wave tail not converged: |delta_l_max| = "
+                    f"{abs(d[-1]):.3e} >= {_TAIL_TOL:g}; increase l_max",
+                    key="l_max")
+            return
+        if not isinstance(self.potential, (Yukawa, Gauss)):
+            raise DomainError("potential must be a Yukawa or a Gauss, the "
+                              "models with closed-form Born phases",
+                              key="potential")
+        b = reals(self.born, "born", -MAX_FLOAT, MAX_FLOAT)
+        if b.shape != d.shape:
+            raise DomainError("born must hold l_max + 1 entries", key="born")
+        object.__setattr__(self, "born", b)
 
 
 def _reduced_strength(p, kin, r):
@@ -294,7 +335,8 @@ def _riccati_rows(lo, top, x, n_top):
     m = np.minimum(np.floor(x).astype(int) - 1, top)
     up = max(int(m.max()), 1)
     coef = list((2.0 * np.arange(max(up, n_top, 1)) + 1.0)[:, None] * inv)
-    j = np.zeros((top + 1, x.size))
+    # at least the rows 0 and 1 that start the recurrences, for top = 0 too
+    j = np.zeros((max(top, 1) + 1, x.size))
     n = np.empty((max(n_top, 1) + 1, x.size))
     j[0], j[1] = sin_x, sin_x * inv - cos_x
     n[0], n[1] = -cos_x, -cos_x * inv - sin_x
@@ -317,7 +359,7 @@ def _riccati_rows(lo, top, x, n_top):
     ll = ms + np.arange(1, width + 1)[:, None]
     keep = ll <= top
     j[ll[keep], np.broadcast_to(live, ll.shape)[keep]] = down[1:-1][keep]
-    return j[lo:], n[lo:n_top + 1]
+    return j[lo:top + 1], n[lo:n_top + 1]
 
 
 def _tail_terms(rule, k, kr0, l_arr, d):
@@ -690,38 +732,159 @@ def _onto_branch(delta, *others):
 
 
 def _tail_ratio(p, k, l_max):
-    """A bound on |delta_{l+1}/delta_l| for l >= l_max from first Born.
-    For a Yukawa delta_l is proportional to the Legendre function Q_l(z),
-    z = 1 + mu^2/(2 k^2), whose ratios rise towards 1/(z + sqrt(z^2 - 1)).
-    For a Gauss it is proportional to I_{l+1/2}(x), x = k^2/(2 alpha),
-    whose ratios fall as l rises: the bound is I_{L+3/2}(x)/I_{L+1/2}(x),
-    L = l_max, by its continued fraction. A table's V is 0 past R = r[-1],
-    and j_{l+1}(y)/j_l(y) = y/(2l + 3 - y j_{l+2}(y)/j_{l+1}(y)) <= y/(nu +
-    sqrt(nu^2 - y^2)), nu = l + 3/2 > y, where the ratios fall as l rises;
-    it rises with y, so the bound is its square at y = k R, (k R/(2L + 3))^2
-    far past the turning point. Where L + 3/2 <= k R this is 0, and the
-    decay of the last waves kept bounds the ratios to come."""
-    if isinstance(p, Yukawa):
-        s = 0.5 * (p.mu / k) ** 2  # z - 1
-        return 1.0 / (1.0 + s + math.sqrt(s * (2.0 + s)))
-    if isinstance(p, Gauss):
-        return _bessel_i_ratio(l_max + 0.5, 0.5 * k * k / p.alpha)
+    """A bound on a table's |delta_{l+1}/delta_l| for l >= l_max from first
+    Born. Its V is 0 past R = r[-1], and j_{l+1}(y)/j_l(y) = y/(2l + 3 - y
+    j_{l+2}(y)/j_{l+1}(y)) <= y/(nu + sqrt(nu^2 - y^2)), nu = l + 3/2 > y,
+    where the ratios fall as l rises; it rises with y, so the bound is its
+    square at y = k R, (k R/(2L + 3))^2 far past the turning point. Where
+    L + 3/2 <= k R this is 0, and the decay of the last waves kept bounds
+    the ratios to come."""
     y, nu = k * float(p.r[-1]), l_max + 1.5
     return (y / (nu + math.sqrt(nu * nu - y * y))) ** 2 if nu > y else 0.0
 
 
-def _bessel_i_ratio(nu, x):
-    """I_{nu+1}(x)/I_nu(x) by the continued fraction 1/r_m = 2(nu + m)/x +
-    r_{m+1}, r_m = I_{nu+m}/I_{nu+m-1}, summed from m = 64 down, with r_65
-    started at x/(d + sqrt(d^2 + x^2)), d = nu + 64.5, its uniform
-    asymptotic form; each step damps the start's error by r_m^2."""
-    if x == 0.0:
-        return 0.0
-    d = nu + 64.5
-    r = x / (d + math.sqrt(d * d + x * x))
-    for m in range(64, 0, -1):
-        r = x / (2.0 * (nu + m) + x * r)
-    return r
+def _born_phases(p, kin, top):
+    """The first Born phase shifts delta^B_l = -(1/k) int U j^_l^2 dr, U =
+    2mV, l = 0..top, in closed form: -(m g/k) Q_l(z), z = 1 + mu^2/(2 k^2),
+    for a Yukawa, and -(pi m g/(2 alpha)) e^{-x} I_{l+1/2}(x), x = k^2/(2
+    alpha), for a Gauss.
+
+    Q_l and I_{l+1/2} are the minimal solutions of their recurrences, (l +
+    1) Q_{l+1} = (2l + 1) z Q_l - l Q_{l-1} and I_{nu-1} = (2 nu/x) I_nu +
+    I_{nu+1}, so Miller's downward recurrence takes them, from 1 at a start
+    N past top, and is scaled to Q_0 = ln(1 + 2/(z - 1))/2 or e^{-x}
+    I_{1/2}(x) = (1 - e^{-2x})/sqrt(2 pi x). The dominant solution's share
+    at top is about the square of the product of the ratios from top to N:
+    N is where that falls below eps/10, the ratios being 1/(z + sqrt(z^2 -
+    1)) and x/(nu + sqrt(nu^2 + x^2)). Values past 1e250 are rescaled."""
+    k, m = kin.k, kin.mass
+    floor = 0.5 * math.log(_EPS / 10.0)
+    if isinstance(p, Yukawa):
+        s = 0.5 * (p.mu / k) ** 2  # z - 1
+        n = top + math.ceil(floor / -math.log1p(s + math.sqrt(s * (2.0 + s))))
+        l = np.arange(1.0, n + 1.0)
+        # row_{l-1} = up row_l + back row_{l+1}
+        up, back = (2.0 * l + 1.0) * (1.0 + s) / l, -(l + 1.0) / l
+        first, scale = 0.5 * math.log1p(2.0 / s), -m * p.g / k
+    else:
+        x = 0.5 * k * k / p.alpha
+        n, log_tail = top, 0.0
+        while log_tail > floor:
+            n += 1
+            log_tail += math.log(x / (n + 0.5 + math.hypot(n + 0.5, x)))
+        up, back = (2.0 * np.arange(1.0, n + 1.0) + 1.0) / x, np.ones(n)
+        first = -math.expm1(-2.0 * x) / math.sqrt(2.0 * math.pi * x)
+        scale = -math.pi * m * p.g / (2.0 * p.alpha)
+    f = [0.0] * (top + 1)
+    a, b = 1.0, 0.0  # the row at l and at l + 1
+    for l, u, v in zip(range(n, 0, -1), up[::-1].tolist(),
+                       back[::-1].tolist()):
+        a, b = u * a + v * b, a
+        if l <= top + 1:
+            f[l - 1] = a
+        if a > 1e250:
+            a, b = a * 1e-250, b * 1e-250
+            f[l - 1:] = [v * 1e-250 for v in f[l - 1:]]
+    return np.array(f) * (scale * first / f[0])
+
+
+def _geometric(l, q):
+    """sum_{j >= 1} (2(l + j) + 1) q^j, at each l of an array and its q in
+    [0, 1)."""
+    w = q / (1.0 - q)
+    return (2.0 * l + 1.0) * w + 2.0 * w / (1.0 - q)
+
+
+def _born_bound(p, kin, top):
+    """(bound, born, ratio, target): the a-priori bound on the dropped
+    waves of a Born-subtracted sum cut at each l = 0..top, the Born phases
+    delta^B_l for l = 0..top + 1, a bound on |delta^B_{j+1}/delta^B_j| for
+    j >= l at each l, and the target the bound must meet. The ratios of a
+    Yukawa's Q_l rise towards 1/(z + sqrt(z^2 - 1)); those of a Gauss's
+    I_{l+1/2} fall as l rises, so the one at l bounds the rest.
+
+    Past the cut each wave adds at most (2l + 1)(|delta_l - delta^B_l| +
+    delta_l^2)/k to |f|. Its second Born term, integrated by parts,
+    is (2/k^2) int U j^_l^2 G dr with G(r) = int_r^inf U j^_l n^_l, and
+    where the waves are classically forbidden j^_l n^_l = -k r/(2l + 1), so
+    |G(r)| <= k W(r)/(2l + 1), W(r) = int_r^inf |U| r' dr' = M s(r). The
+    estimate of |delta_l - delta^B_l| is then (M/(l + 1/2)) |delta^B_l of
+    V s|, s = e^{-mu r} (V s a Yukawa of range 1/(2 mu)) or e^{-alpha r^2}
+    (a Gauss of 2 alpha), M = 2m|g|/mu or m|g|/alpha. Within ten waves of
+    the cut the true difference is 0.1 to 7 times this estimate on the 20
+    cases of tests/data/partial_wave_reference.json, and it falls with l
+    faster than delta^B_l. So the waves past the cut fall at least as the
+    Born ratio r = tail_ratio for the difference and r^2 for delta_l^2 ~
+    (delta^B_l)^2. The target is 1e-9 |f_B(0)|, less by (k/10)^8 below k =
+    10, where the kept waves' own step error falls fast: on those cases it
+    keeps every accuracy within its figure before the subtraction."""
+    k = kin.k
+    born = _born_phases(p, kin, top + 1)
+    # V s, and M/(m |g|)
+    if isinstance(p, Yukawa):
+        near, moment = Yukawa(p.g, 2.0 * p.mu), 2.0 / p.mu
+        s = 0.5 * (p.mu / k) ** 2  # z - 1
+        ratio = np.full(top + 1, 1.0 / (1.0 + s + math.sqrt(s * (2.0 + s))))
+    else:
+        near, moment = Gauss(p.g, 2.0 * p.alpha), 1.0 / p.alpha
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.nan_to_num(np.abs(born[1:] / born[:-1]))
+    l = np.arange(top + 1, dtype=float)
+    second = kin.mass * abs(p.g) * moment \
+        * np.abs(_born_phases(near, kin, top)) / (l + 0.5)
+    first = born[:-1] * born[:-1]
+    bound = (second * _geometric(l, ratio)
+             + first * _geometric(l, ratio * ratio)) / k
+    target = _CUT * kin.born_scale * abs(fourier3d(p, 0.0)) \
+        * min(1.0, k / 10.0) ** 8
+    return bound, born, ratio, target
+
+
+def _born_cut(p, kin, tops, l_max):
+    """(L, delta^B_0..L, the Born ratio at L) of a Yukawa or a Gauss: L the
+    first l <= each top in turn whose a-priori bound on the dropped waves
+    meets its target, or an explicit l_max, refused where its bound does
+    not; see _born_bound. Both depend on k and V alone."""
+    if l_max is not None:
+        bound, born, ratio, target = _born_bound(p, kin, l_max)
+        if bound[-1] > target:
+            raise DomainError(
+                f"partial-wave tail not converged: the dropped waves' bound "
+                f"{bound[-1]:.3e} exceeds its target {target:.3e}; increase "
+                f"l_max", key="l_max")
+        return l_max, born[:-1], float(ratio[-1])
+    for top in tops:
+        bound, born, ratio, target = _born_bound(p, kin, top)
+        hit = np.flatnonzero(bound <= target)
+        if hit.size:
+            cut = int(hit[0])
+            return cut, born[:cut + 1], float(ratio[cut])
+    raise ConvergenceError(
+        "partial-wave tail refuses to converge; the potential may be too "
+        "long-ranged for this oracle",
+        estimate=float(born[-2]), error_estimate=float(bound[-1]))
+
+
+def _far_potential(p, kin, r_max):
+    """(1/k) int_r_max^inf |2mV| dr, which bounds the move of each delta_l by
+    the V a sweep to r_max drops: |g| E1(mu r_max) <= |g| e^{-mu r_max}
+    ln(1 + 1/(mu r_max)) for a Yukawa, |g| sqrt(pi/alpha) erfc(sqrt(alpha)
+    r_max)/2 for a Gauss, and for a table the exact integral of |V| over
+    its pieces past r_max, on 7-point Gauss between the roots of V."""
+    if isinstance(p, Yukawa):
+        x = p.mu * r_max
+        v = abs(p.g) * math.exp(-x) * math.log1p(1.0 / x)
+    elif isinstance(p, Gauss):
+        v = abs(p.g) * 0.5 * math.sqrt(math.pi / p.alpha) \
+            * math.erfc(math.sqrt(p.alpha) * r_max)
+    else:
+        edges = split_at_roots(*p._pieces)[0]
+        edges = np.r_[r_max, edges[edges > r_max]]
+        hw = 0.5 * np.diff(edges)
+        x = (0.5 * (edges[1:] + edges[:-1]))[:, None] + hw[:, None] * _G7_NODES
+        v = float(np.sum(np.abs(hw * (_WG * evaluate(p, x)).sum(axis=-1)))) \
+            if hw.size else 0.0
+    return 2.0 * kin.mass * v / kin.k
 
 
 def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
@@ -732,7 +895,9 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     potential's bound on the decay of the dropped waves; see PhaseShiftSet
     and _extrapolated.
     Each wave's error is 2 |sin(gap)| + 2 rho, plus 2 (T |gap| + b) where
-    the pass split V. gap is R3 less _extrapolated's second extrapolation,
+    the pass split V and 2 F where it did not, F = (1/k) int |2mV| dr past
+    r_max (_far_potential), which bounds the move of delta by the V the
+    sweep drops. gap is R3 less _extrapolated's second extrapolation,
     and 2 |sin(gap)|, the distance of their e^{2i delta}, the step error.
     rho = eps r_max/dr, one rounding per radial step, covers each delta's
     rounding (under 0.1 rho against long-double sweeps of seven cases). b
@@ -749,13 +914,18 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     target falling with the default step's own error below k = 6: it
     depends on k and V, not on dr. Where R0 + 4 passes r_max, and for a
     table, the pass is not split.
-    l_max=None cuts the waves at the first l0 + 16 j, l0 = ceil(k r_eff)
-    + 10, whose extrapolated |delta| is below the tail threshold, r_eff =
-    potentials.effective_radius(p), found on every call. It sweeps up to
+    l_max=None, for a Yukawa or a Gauss, cuts the waves of the
+    Born-subtracted sum at the first l whose a-priori bound on the dropped
+    waves meets its target (_born_bound), searched up to l0 + 64, l0 +
+    128, l0 + 256 and l0 + 416 in turn, l0 = ceil(k r_eff) + 10, r_eff =
+    potentials.effective_radius(p), found on every call; it depends on k
+    and V alone and is chosen before one pass sweeps the waves up to it.
+    An explicit l_max is one pass to l_max, refused with key l_max where
+    its bound is over the target. For a table l_max=None cuts at the first
+    l0 + 16 j whose extrapolated |delta| is below 1e-8: it sweeps up to
     top = l0 + 64, l0 + 128, l0 + 256 and l0 + 416 in turn, each pass only
     the waves above the previous top, stopping at the first pass that holds
-    a converged candidate; past l0 + 416 it raises ConvergenceError. An
-    explicit l_max is one pass to l_max.
+    a converged candidate. Past l0 + 416 both raise ConvergenceError.
     r_max=None takes the first of max(r_eff, 2 pi/k, 1) + 0.25 j where the
     reduced potential has fallen below 1e-12 k^2, searched over 64 times
     the potential's reach (potentials.reach), and rounds it up onto the
@@ -823,22 +993,31 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
             f"up to {tops[-1] + 1:,} waves on {points:,} radial points, to r "
             f"= {r_b:g}, exceed the {_WAVE_POINTS:,} wave-points allowed",
             key="r_max" if l_max is None else "l_max")
+    born = None
+    if isinstance(p, (Yukawa, Gauss)):
+        # the cut, from the closed forms alone: one pass sweeps up to it
+        l0, born, ratio = _born_cut(p, kin, tops, l_max)
+        tops = [l0]
     r0 = _split_radius(p, kin, r_max)
     if r0 is None:
         r_a, r0 = r_max, math.inf
+        # the V past r_max, which an unsplit sweep drops
+        drop = 2.0 * _far_potential(p, kin, r_max)
     else:
+        drop = 0.0
         # the first point of the 4 dr grid where s V = 0
         r_a = math.ceil((r0 + _SWITCH) / step) * step
         r_b = r_a + quarter
         # the tail costs no sweep: it runs on past r_max, to where |2mV|
         # <= _FAR k^2, and so drops far less of V than a sweep to r_max
         rule = _tail_rule(p, kin, r0, _auto_r_max(p, kin, r_max, _FAR))
-    # Each pass sweeps the waves above the previous pass's top and tests the
-    # candidates l0 + 16 j up to its own top; each l is integrated on its
+    # A Yukawa or a Gauss sweeps its one pass to the cut. A table's passes
+    # each sweep the waves above the previous pass's top and test the
+    # candidates l0 + 16 j up to their own top. Each l is integrated on its
     # own, matched with Bessel rows whose top depends on k r_b alone, and
     # given its tail by sums of its own row, so a wave's bits do not depend
     # on which pass swept it. An explicit l_max is kept as given;
-    # PhaseShiftSet checks its tail.
+    # PhaseShiftSet checks a table's tail.
     rho = _EPS * r_max / dr
     delta = error = np.empty(0)
     l_cut = l0
@@ -846,7 +1025,7 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
         l_arr = np.arange(delta.size, top + 1)
         best, worse = _extrapolated(p, kin, l_arr, r_a, r_b, dr, r0)
         gap = best - worse
-        err = 2.0 * np.abs(np.sin(gap)) + 2.0 * rho
+        err = 2.0 * np.abs(np.sin(gap)) + 2.0 * rho + drop
         if r0 < r_a:
             best, slope, bound = _tail_terms(rule, k, k * r0, l_arr, best)
             _onto_branch(best)
@@ -854,6 +1033,10 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
             err += 2.0 * (slope * np.abs(gap) + bound)
         delta = np.concatenate([delta, best])
         error = np.concatenate([error, err])
+        if born is not None:
+            return PhaseShiftSet(k=k, l_max=l_cut, delta=delta, error=error,
+                                 r_max=r_max, dr=dr, tail_ratio=ratio,
+                                 potential=p, mass=kin.mass, born=born)
         while abs(delta[l_cut]) >= _TAIL_TOL and l_cut < top:
             l_cut += 16
         if abs(delta[l_cut]) < _TAIL_TOL or l_max is not None:
@@ -867,7 +1050,10 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
 
 
 def amplitude_partial_wave(ps, theta):
-    """f(theta) = (1/2ik) sum (2l+1)(e^{2 i delta_l} - 1) P_l(cos theta).
+    """f(theta) = (1/2ik) sum (2l+1)(e^{2 i delta_l} - 1) P_l(cos theta),
+    for a Born-subtracted set f_B + sum (2l+1)[(e^{2 i delta_l} - 1)/(2ik)
+    - delta^B_l/k] P_l, f_B = -(m/(2 pi)) Vtilde(q) the first Born
+    amplitude, taken from potentials.fourier3d.
 
     theta may be a scalar or a 1-d array in [0, pi]; array input yields an
     Amplitude whose fields are arrays over the same grid. S_l - 1 is
@@ -875,21 +1061,19 @@ def amplitude_partial_wave(ps, theta):
     is sum (2l+1) error_l |P_l| / 2k plus a bound on the dropped waves:
     error_l bounds the error of e^{2i delta_l} (see phase_shifts), and
     the sum takes it wave by wave, so it does not vanish where the waves'
-    errors cancel.
-
-    The dropped waves l = L + j, j >= 1, L = l_max, are taken to fall as
-    |delta_L| r^j, r = max(tail_ratio, (|delta_L|/|delta_{L-m}|)^(1/m)),
-    m = min(16, L): the potential's bound, or the mean decay of the last
-    m waves, which bounds the ratios to come where they fall. Their sum
-    of (2l + 1)|delta_l|/k, a bound on their |f| at every angle, is then
-    ((2L + 1) r/(1 - r) + 2 r/(1 - r)^2) |delta_L|/k; inf where r >= 1.
+    errors cancel. _dropped_waves bounds the waves past l_max.
     """
     q = momentum_transfer(ps.k, theta)  # checks that theta lies in [0, pi]
     th = np.asarray(theta, dtype=float)
     weight = 2.0 * np.arange(ps.l_max + 1) + 1.0
-    s_mat = weight * expm1i(2.0 * ps.delta)
+    s_mat = expm1i(2.0 * ps.delta)
+    if ps.potential is not None:
+        s_mat -= 2j * ps.born
     p_rows = legendre_p_row(ps.l_max, np.cos(th))
-    f = np.sum(s_mat[:, None] * p_rows, axis=0) / (2j * ps.k)
+    f = np.sum((weight * s_mat)[:, None] * p_rows, axis=0) / (2j * ps.k)
+    if ps.potential is not None:
+        f += -ps.mass / (2.0 * np.pi) * np.asarray(
+            fourier3d(ps.potential, np.atleast_1d(q)))
     step = np.sum((weight * ps.error)[:, None] * np.abs(p_rows),
                   axis=0) / (2.0 * ps.k)
     return _amplitude(theta, th, q, f.reshape(th.shape),
@@ -897,7 +1081,27 @@ def amplitude_partial_wave(ps, theta):
 
 
 def _dropped_waves(ps):
-    """The bound on the waves past l_max of amplitude_partial_wave."""
+    """A bound on sum_{l > L} (2l + 1)|(e^{2i delta_l} - 1)/(2ik) - the
+    wave's Born term| at every angle, L = l_max, the Born term delta^B_l/k
+    in a Born-subtracted set and 0 in a plain one.
+
+    Born-subtracted: |delta_l - delta^B_l| falls as the Born ratio r =
+    tail_ratio (_born_bound), from e = |delta_L - delta^B_L| plus the last
+    wave's own error, and |delta_l| <= |delta^B_l| + that as r, so the
+    bound is (e sum_j (2(L + j) + 1) r^j + (|delta^B_L| + e)^2 sum_j (2(L
+    + j) + 1) r^{2j})/k.
+
+    Plain: the dropped waves are taken to fall as |delta_L| r^j, r =
+    max(tail_ratio, (|delta_L|/|delta_{L-m}|)^(1/m)), m = min(16, L): the
+    potential's bound, or the mean decay of the last m waves, which bounds
+    the ratios to come where they fall. Their sum of (2l + 1)|delta_l|/k
+    is then ((2L + 1) r/(1 - r) + 2 r/(1 - r)^2) |delta_L|/k; inf where r
+    >= 1."""
+    if ps.potential is not None:
+        e = abs(float(ps.delta[-1] - ps.born[-1])) + 0.5 * float(ps.error[-1])
+        r = ps.tail_ratio
+        return (e * _geometric(ps.l_max, r) + (abs(float(ps.born[-1])) + e)
+                ** 2 * _geometric(ps.l_max, r * r)) / ps.k
     last = abs(float(ps.delta[-1]))
     if last == 0.0:
         return 0.0
@@ -908,5 +1112,4 @@ def _dropped_waves(ps):
     r = max(ps.tail_ratio, (last / before) ** (1.0 / m) if m else 0.0)
     if r >= 1.0:
         return math.inf
-    w = r / (1.0 - r)
-    return ((2.0 * ps.l_max + 1.0) * w + 2.0 * w / (1.0 - r)) * last / ps.k
+    return _geometric(ps.l_max, r) * last / ps.k

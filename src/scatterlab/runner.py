@@ -46,6 +46,8 @@ class SourceOutcome:
     total_optical: float
     wall_clock: float
     error: str | None
+    # what an automatic knob resolved to: partial_wave's l_max, r_max, dr
+    resolved: str | None = None
 
 
 @dataclass(frozen=True)
@@ -83,29 +85,31 @@ def _csv_name(source, k):
 
 
 def _amplitude_rows(cfg, source, kin, theta, passes):
-    """The source's Amplitude over the theta grid, plus row warnings.
+    """The source's Amplitude over the theta grid, plus row warnings and
+    the values its automatic knobs resolved to (partial_wave's), or None.
     passes holds a table's one Glauber pass at each k run so far."""
     p = cfg.potential
     if source == "partial_wave":
         ps = phase_shifts(p, kin, l_max=cfg.partial_wave.l_max,
                           r_max=cfg.partial_wave.r_max,
                           dr=cfg.partial_wave.dr)
-        return amplitude_partial_wave(ps, theta), []
+        return amplitude_partial_wave(ps, theta), [], (
+            f"l_max = {ps.l_max}, r_max = {ps.r_max!r}, dr = {ps.dr!r}")
     if source in ("eikonal", "born_resummed"):
         shared = isinstance(p, TabulatedRadial)
         if shared and kin.k in passes:
-            return passes[kin.k], []
+            return passes[kin.k], [], None
         route = amplitude_eikonal if source == "eikonal" \
             else born_resummed_amplitude
         amp = route(p, kin, theta, settings=cfg.quadrature)
         if shared:
             passes[kin.k] = amp
-        return amp, []
+        return amp, [], None
     if source == "born1":
-        return born1_amplitude(p, kin, theta), []
+        return born1_amplitude(p, kin, theta), [], None
     amp = amplitude_paper_closed(p, kin, theta)
     return amp, [f"{source} k={k_tag(kin.k)}: pole at theta={t:.6g}, row "
-                 f"recorded as nan" for t in theta[np.isnan(amp.value)]]
+                 f"recorded as nan" for t in theta[np.isnan(amp.value)]], None
 
 
 def _quadrature_warning(source, k, err, value, settings):
@@ -127,7 +131,8 @@ def _run_task(cfg, source, k, passes):
     kin = cfg.kinematics(k)
     theta = cfg.theta.points()
     try:
-        amp, warnings = _amplitude_rows(cfg, source, kin, theta, passes)
+        amp, warnings, resolved = _amplitude_rows(cfg, source, kin, theta,
+                                                  passes)
     except ScatterError as exc:
         wall = time.perf_counter() - start
         outcome = SourceOutcome(source=source, k=k, csv_file=None,
@@ -157,7 +162,7 @@ def _run_task(cfg, source, k, passes):
                             csv_file=_csv_name(source, k),
                             total_integrated=table.total_integrated,
                             total_optical=table.total_optical,
-                            wall_clock=wall, error=None)
+                            wall_clock=wall, error=None, resolved=resolved)
     return outcome, table, warnings
 
 
@@ -301,6 +306,13 @@ def _manifest_text(manifest):
     for o in manifest.outcomes:
         status = "ok" if o.error is None else f"FAILED ({o.error})"
         lines.append(f"  {o.source} k={k_tag(o.k)}: {status}")
+    lines.append("")
+    lines.append("[resolved]")
+    resolved = [o for o in manifest.outcomes if o.resolved is not None]
+    if not resolved:
+        lines.append("  none")
+    for o in resolved:
+        lines.append(f"  {o.source} k={k_tag(o.k)}: {o.resolved}")
     lines.append("")
     lines.append("[verdicts]")
     if not manifest.verdicts:

@@ -936,11 +936,11 @@ def auto_r_max(p, kin, r_eff, decay=partial_wave._DECAY):
     raise RangeError("potential does not decay", key="r_max")
 
 
-# The automatic l_max plan of partial_wave.phase_shifts before the width
-# schedule: one pass to l0 + 64 cut at the first converged l0 + 16 j, then
-# one 16-wave pass per extension up to l0 + 416, each pass three sweeps
-# extrapolated wave by wave. Reference for the width schedule, which must
-# keep its l_max and its bits.
+# The automatic l_max plan of partial_wave.phase_shifts for a table before
+# the width schedule: one pass to l0 + 64 cut at the first converged l0 +
+# 16 j, then one 16-wave pass per extension up to l0 + 416, each pass three
+# sweeps extrapolated wave by wave. Reference for the width schedule, which
+# must keep its l_max and its bits.
 
 
 def second_radius(kin, r_max, dr):

@@ -2,11 +2,11 @@
 of the partial-wave oracle, and the script that writes them.
 
 Each case is graded against _oracles.extrapolated, the unsplit sweep kept
-in the tests: R3 at a sixteenth of phase_shifts' default step, with l_max
-300 above the l_max phase_shifts chooses and an explicit r_max where
-|2mV| <= 1e-12 k^2, so it shares neither the split, the first-order tail
-nor the cut of the waves. That costs minutes a case, so the amplitudes it
-gives on 181 angles are stored in data/partial_wave_reference.json.
+in the tests: R3 at a sixteenth of phase_shifts' default step, with the
+wave counts of WAVES and an explicit r_max where |2mV| <= 1e-16 k^2, so
+it shares neither the split, the first-order tail nor the cut of the
+waves. That costs minutes a case, so the amplitudes it gives on 181
+angles are stored in data/partial_wave_reference.json.
 
     PYTHONPATH=src python tests/_pw_reference.py
 
@@ -37,20 +37,42 @@ MODELS = {"Yukawa(0.5, 1)": Yukawa(0.5, 1.0),
           "Gauss(0.5, 0.05)": Gauss(0.5, 0.05)}
 KS = (1.0, 5.0, 10.0, 30.0)
 THETA = np.linspace(0.0, math.pi, 181)
+# the waves of each case's reference, l_max + 301 for the l_max of the plain
+# cut at |delta| < 1e-8, as the stored arrays hold them; pinned, so that
+# regenerating after a change to the cut keeps them
+WAVES = {
+    "Gauss(-3, 2) k=1": 314,
+    "Gauss(-3, 2) k=10": 334,
+    "Gauss(-3, 2) k=30": 396,
+    "Gauss(-3, 2) k=5": 323,
+    "Gauss(0.5, 0.05) k=1": 326,
+    "Gauss(0.5, 0.05) k=10": 489,
+    "Gauss(0.5, 0.05) k=30": 843,
+    "Gauss(0.5, 0.05) k=5": 400,
+    "Gauss(0.5, 1) k=1": 315,
+    "Gauss(0.5, 1) k=10": 344,
+    "Gauss(0.5, 1) k=30": 425,
+    "Gauss(0.5, 1) k=5": 328,
+    "Yukawa(-2, 0.5) k=1": 351,
+    "Yukawa(-2, 0.5) k=10": 627,
+    "Yukawa(-2, 0.5) k=30": 1177,
+    "Yukawa(-2, 0.5) k=5": 477,
+    "Yukawa(0.5, 1) k=1": 323,
+    "Yukawa(0.5, 1) k=10": 445,
+    "Yukawa(0.5, 1) k=30": 712,
+    "Yukawa(0.5, 1) k=5": 386}
 
 
-def reference(p, k, fraction):
-    """The reference phase shifts: extrapolated at dr fraction, dr
-    phase_shifts' default step, to its l_max + 300, matched at the first
-    point of the 4 dr fraction grid past the decay radius."""
+def reference(p, k, fraction, waves):
+    """The reference phase shifts of the first waves waves: extrapolated at
+    dr fraction, dr phase_shifts' default step, matched at the first point
+    of the 4 dr fraction grid past the decay radius."""
     kin = Kinematics(mass=1.0, k=k)
-    ps = phase_shifts(p, kin)
-    dr = ps.dr * fraction
+    dr = phase_shifts(p, kin).dr * fraction
     step = 4.0 * dr
     r_max = math.ceil(_oracles.auto_r_max(p, kin, effective_radius(p),
                                           1e-16) / step) * step
-    return _oracles.extrapolated(p, kin, np.arange(ps.l_max + 301), r_max,
-                                 dr)[0]
+    return _oracles.extrapolated(p, kin, np.arange(waves), r_max, dr)[0]
 
 
 def amplitude(delta, k):
@@ -70,8 +92,9 @@ def main(names=None):
             key = f"{name} k={k:g}"
             if names and key not in names:
                 continue
-            data[key] = {"delta": reference(p, k, 1.0 / 16.0).tolist(),
-                         "delta_8": reference(p, k, 1.0 / 8.0).tolist()}
+            data[key] = {
+                "delta": reference(p, k, 1.0 / 16.0, WAVES[key]).tolist(),
+                "delta_8": reference(p, k, 1.0 / 8.0, WAVES[key]).tolist()}
             print(key, flush=True)
             with open(PATH, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, indent=0, sort_keys=True)

@@ -216,7 +216,7 @@ def test_float_range_inputs_end_without_a_traceback_or_warning(tmp_path,
     assert "Traceback" not in proc.stdout + proc.stderr
     assert "Warning" not in proc.stderr
     manifest = (out / "manifest.txt").read_text()
-    outcomes = manifest.split("[outcomes]")[1].split("[verdicts]")[0]
+    outcomes = manifest.split("[outcomes]")[1].split("[resolved]")[0]
     outcomes = outcomes.strip().splitlines()
     assert len(outcomes) == len(sources.split(","))
     if key is None:

@@ -118,6 +118,8 @@ CASES = {
                             _NOT_POSITIVE, False),
     "PhaseShiftSet.dr": (lambda x: _shifts(dr=x), "dr", _NOT_POSITIVE,
                          False),
+    "PhaseShiftSet.mass": (lambda x: _shifts(mass=x), "mass",
+                           _NOT_POSITIVE, False),
     "PhaseShiftSet.tail_ratio": (lambda x: _shifts(tail_ratio=x),
                                  "tail_ratio",
                                  st.one_of(_NEGATIVE,
@@ -253,6 +255,8 @@ ARRAY_CASES = {
                               _FINITE),
     "PhaseShiftSet.delta": (lambda x: _shifts(delta=[x]), "delta", _FINITE),
     "PhaseShiftSet.error": (lambda x: _shifts(error=[x]), "error", _FROM_0),
+    "PhaseShiftSet.born": (lambda x: _shifts(potential=_P, born=[x]), "born",
+                           _FINITE),
     # a table's other cells may be nan, on a pole row
     "CrossSectionTable.rows": (lambda x: _table([[x, 0.0, 0.0, 0.0, 0.0]]),
                                "rows", _FINITE),

@@ -10,7 +10,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
-from scatterlab import partial_wave, potentials
+from scatterlab import _spline, partial_wave, potentials
+from scatterlab.born import born1_amplitude
 from scatterlab.config import parse_config
 from scatterlab.eikonal import Kinematics, amplitude_eikonal
 from scatterlab.errors import ConvergenceError, DomainError, RangeError
@@ -18,6 +19,7 @@ from scatterlab.partial_wave import (PhaseShiftSet, amplitude_partial_wave,
                                      phase_shifts)
 from scatterlab.potentials import (Gauss, TabulatedRadial, Yukawa,
                                    effective_radius)
+from scatterlab.special_functions import expm1i, legendre_p_row
 
 import _oracles
 import _pw_reference
@@ -44,6 +46,12 @@ _R_EFF_CASES = [
 _WELL_TABLE = TabulatedRadial(np.array([0.0, 2.8, 2.9, 3.1, 3.2, 3.5]),
                               np.array([0.0, 0.0, -9e3, -9e3, 0.0, 0.0]),
                               interpolation="linear")
+# Yukawa(5, 0.5)'s values from r = 0.1 to 80: a table whose plain cut needs
+# more than one pass, as that Yukawa's did before its cut was Born-subtracted
+_YUKAWA_R = np.linspace(0.1, 80.0, 800)
+_YUKAWA_TABLE = TabulatedRadial(
+    _YUKAWA_R, np.r_[5.0 * np.exp(-0.5 * _YUKAWA_R[:-1]) / _YUKAWA_R[:-1],
+                     0.0])
 _RIPPLED_R = np.linspace(0.0, 8.0, 200)
 _RIPPLED_TABLE = TabulatedRadial(
     _RIPPLED_R, np.r_[-1.5 * np.exp(-0.5 * _RIPPLED_R[:-1] ** 2)
@@ -297,10 +305,13 @@ class TestPhaseShifts:
             phase_shifts(p, kin, l_max=20000)
         assert err.value.key == "l_max"
         # the heaviest inputs below the limit, 3.2e8 and 4.7e8 wave-points,
-        # still sweep
-        for p, k in ((Yukawa(0.5, 0.01), 1.0), (Yukawa(0.5, 0.1), 30.0)):
-            with pytest.raises(AssertionError, match="a sweep started"):
-                phase_shifts(p, Kinematics(mass=1.0, k=k))
+        # pass it: the first sweeps, and the second's cut, chosen before any
+        # sweep, needs more than l0 + 416 waves and is refused, as the plain
+        # cut was after sweeping 1,607 waves
+        with pytest.raises(AssertionError, match="a sweep started"):
+            phase_shifts(Yukawa(0.5, 0.1), Kinematics(mass=1.0, k=30.0))
+        with pytest.raises(ConvergenceError, match="refuses to converge"):
+            phase_shifts(Yukawa(0.5, 0.01), Kinematics(mass=1.0, k=1.0))
 
     def test_r_max_needs_two_coarse_steps(self):
         # r_max rounds onto the 4 dr grid, whose sweep needs two steps
@@ -340,13 +351,14 @@ class TestPhaseShifts:
         assert again.delta.tobytes() == ps.delta.tobytes()
 
     @pytest.mark.parametrize("k, l_max, r_max", [
-        (1.0, 22, 24.52), (5.0, 85, 21.52), (10.0, 144, 20.28),
-        (20.0, 278, 18.768), (30.0, 411, 18.008),
+        (1.0, 21, 24.52), (5.0, 60, 21.52), (10.0, 90, 20.28),
+        (20.0, 174, 18.768), (30.0, 255, 18.008),
     ])
     def test_auto_l_max_and_r_max_stay_pinned(self, k, l_max, r_max):
         # they set the oracle's cost and the CSV bits of the flagship and
-        # energy-scan runs: a change to r_eff or to the r_max search that
-        # moves them must show here
+        # energy-scan runs: a change to r_eff, to the r_max search or to the
+        # Born-subtracted cut that moves them must show here. The plain cut
+        # at |delta| < 1e-8 kept 22, 85, 144, 278 and 411 waves
         ps = phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=k))
         assert (ps.l_max, ps.r_max) == (l_max, r_max)
 
@@ -358,7 +370,7 @@ class TestPhaseShifts:
         opts = cfg.partial_wave
         ps = phase_shifts(cfg.potential, kin, l_max=opts.l_max,
                           r_max=opts.r_max, dr=opts.dr)
-        assert (ps.l_max, ps.r_max) == (144, 20.28)
+        assert (ps.l_max, ps.r_max) == (90, 20.28)
 
     def test_auto_r_max_search_spans_the_potential_s_range(self,
                                                            monkeypatch):
@@ -422,14 +434,15 @@ class TestPhaseShifts:
             phase_shifts(p, kin, r_max=decay - 2e-3, dr=dr)
 
     @pytest.mark.parametrize("p, k, passes", [
-        (Yukawa(0.5, 1.0), 10.0, 1),
-        (Yukawa(5.0, 0.5), 10.0, 2),  # tail beyond l0 + 64
+        (_RIPPLED_TABLE, 5.0, 1),
+        (_YUKAWA_TABLE, 10.0, 2),  # tail beyond l0 + 64
     ])
     def test_auto_l_max_sweeps_once_and_trims(self, monkeypatch, p, k,
                                               passes):
-        # l_max is the first l0 + 16 j with a converged |delta|, found in
-        # one pass to l0 + 64; only a longer tail passes again, wider, and
-        # only over the waves above the previous top; a pass is one sweep
+        # a table's l_max is the first l0 + 16 j with a converged |delta|,
+        # found in one pass to l0 + 64; only a longer tail passes again,
+        # wider, and only over the waves above the previous top; a pass is
+        # one sweep
         calls = _count_sweeps(monkeypatch)
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
@@ -447,15 +460,40 @@ class TestPhaseShifts:
         assert same.delta.tobytes() == ps.delta.tobytes()
         assert same.error.tobytes() == ps.error.tobytes()
 
+    @pytest.mark.parametrize("p, k", [
+        (Yukawa(0.5, 1.0), 10.0), (Yukawa(5.0, 0.5), 10.0),
+        (Gauss(0.5, 0.05), 10.0), (Gauss(-3.0, 2.0), 5.0),
+    ])
+    def test_born_cut_sweeps_its_waves_once(self, monkeypatch, p, k):
+        # a Yukawa's or a Gauss's cut is chosen before any sweep: one pass of
+        # exactly l_max + 1 waves, whose bits an explicit l_max keeps
+        calls = _count_sweeps(monkeypatch)
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        assert calls == [ps.l_max + 1]
+        same = phase_shifts(p, kin, l_max=ps.l_max, r_max=ps.r_max,
+                            dr=ps.dr)
+        assert same.delta.tobytes() == ps.delta.tobytes()
+        assert same.error.tobytes() == ps.error.tobytes()
+        assert ps.potential is p and ps.born.shape == ps.delta.shape
+
+    @pytest.mark.parametrize("p, k", [
+        (Yukawa(0.5, 1.0), 1.0), (Yukawa(0.5, 1.0), 10.0),
+        (Yukawa(0.5, 1.0), 30.0), (Gauss(0.5, 0.05), 10.0),
+    ])
+    def test_born_cut_keeps_the_bits_of_the_per_wave_sweeps(self, p, k):
+        # each wave kept has the bits of its own chunked sweep and tail
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        ref = _oracles.split_extrapolated(p, kin, np.arange(ps.l_max + 1),
+                                          ps.r_max, ps.dr)
+        assert ps.delta.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("p, k, l_max, passes_then, passes_now", [
-        (Yukawa(5.0, 0.5), 10.0, 342, 3, 2),
-        (Yukawa(5.0, 0.5), 30.0, 940, 11, 3),
-        (Yukawa(5.0, 0.3), 5.0, 302, 3, None),
-        (Yukawa(50.0, 0.5), 5.0, 208, 2, None),
-        (Yukawa(0.5, 1.0), 1.0, None, None, None),
-        (Yukawa(0.5, 1.0), 5.0, None, None, None),
-        (Yukawa(0.5, 1.0), 10.0, None, None, None),
-        (Yukawa(0.5, 1.0), 30.0, None, None, None),
+        (_YUKAWA_TABLE, 10.0, 342, 3, 2),
+        (_YUKAWA_TABLE, 30.0, 940, 11, 3),
+        (_RIPPLED_TABLE, 5.0, 34, 1, 1),
+        (_RIPPLED_TABLE, 20.0, 119, 1, 1),
     ])
     def test_width_schedule_keeps_the_bits_of_16_wave_extensions(
             self, monkeypatch, p, k, l_max, passes_then, passes_now):
@@ -475,10 +513,10 @@ class TestPhaseShifts:
 
     def test_unconverged_tail_raises_the_estimate_at_the_cap(self,
                                                              monkeypatch):
-        # a threshold no |delta| meets: every width is swept, and the error
-        # carries delta at l0 + 416, as the extension plan's did; r_max is
-        # wide enough that n_l(k r_max) stays finite up to there
-        p, kin = Gauss(1.0, 1.0), Kinematics(mass=1.0, k=5.0)
+        # a threshold no table's |delta| meets: every width is swept, and the
+        # error carries delta at l0 + 416, as the extension plan's did;
+        # r_max is wide enough that n_l(k r_max) stays finite up to there
+        p, kin = _RIPPLED_TABLE, Kinematics(mass=1.0, k=5.0)
         ps = phase_shifts(p, kin, r_max=20.0)
         monkeypatch.setattr(partial_wave, "_TAIL_TOL", 0.0)
         calls = _count_sweeps(monkeypatch)
@@ -494,17 +532,27 @@ class TestPhaseShifts:
         assert repr(new.value.estimate) == repr(ref.value.estimate)
         assert new.value.error_estimate == ref.value.error_estimate
 
+    def test_an_unreachable_born_target_is_refused_before_any_sweep(
+            self, monkeypatch):
+        # a target no bound meets: the search runs to l0 + 416 on the
+        # closed forms alone and sweeps nothing
+        monkeypatch.setattr(partial_wave, "_CUT", 0.0)
+        calls = _count_sweeps(monkeypatch)
+        with pytest.raises(ConvergenceError, match="refuses to converge"):
+            phase_shifts(Yukawa(0.5, 1.0), Kinematics(mass=1.0, k=10.0))
+        assert calls == []
+
     def test_high_waves_start_finite(self):
-        # the start 2^(l+1) at r_2 overflowed for l >~ 1008; l_max is
-        # above 1100 here at dr and at dr/2, so the waves past 1008 are
-        # live ones, not the step error's (at k = 80 l_max was 999)
+        # the start 2^(l+1) at r_2 overflowed for l >~ 1008; the waves past
+        # 1008 are live ones here (the cut keeps 755), not the step error's
         for dr in (1e-3, 5e-4):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 ps = phase_shifts(Yukawa(0.5, 1.0),
-                                  Kinematics(mass=1.0, k=95.0), dr=dr)
-            assert ps.l_max > 1100
+                                  Kinematics(mass=1.0, k=95.0), l_max=1101,
+                                  dr=dr)
             assert np.all(np.isfinite(ps.delta))
+            assert np.all(np.abs(ps.delta[1008:]) > 1e-9)
 
     @pytest.mark.parametrize("k", [10.0, 30.0])
     def test_sweep_keeps_the_bits_of_the_per_step_summed_form(
@@ -894,6 +942,174 @@ class TestAmplitudePartialWave:
         assert np.isfinite(f.value.real) and np.isfinite(f.value.imag)
 
 
+class TestBornSubtraction:
+    @pytest.mark.parametrize("p, k", [
+        (Yukawa(0.5, 1.0), 10.0), (Yukawa(-2.0, 0.5), 1.0),
+        (Yukawa(0.5, 1.0), 30.0), (Gauss(0.5, 1.0), 10.0),
+        (Gauss(-3.0, 2.0), 1.0), (Gauss(0.5, 0.05), 30.0),
+    ])
+    def test_born_phases_sum_to_the_born1_amplitude(self, p, k):
+        # sum (2l + 1) delta^B_l P_l/k over enough waves is born1's closed
+        # form to rounding, so a defect in either route shows in the other;
+        # P_l's upward recurrence rounds about l times
+        kin = Kinematics(mass=1.0, k=k)
+        theta = np.linspace(0.0, np.pi, 181)
+        born = partial_wave._born_phases(p, kin, 2500)
+        assert abs(born[-1]) < 1e-30
+        weight = (2.0 * np.arange(born.size) + 1.0) * born / k
+        got = weight @ legendre_p_row(born.size - 1, np.cos(theta))
+        want = born1_amplitude(p, kin, theta).value
+        rounding = np.finfo(float).eps * np.sum(
+            np.abs(weight) * np.arange(1, born.size + 1))
+        assert np.max(np.abs(got - want)) <= 16.0 * rounding
+
+    @pytest.mark.parametrize("p, k, ls", [
+        (Yukawa(0.5, 1.0), 10.0, (0, 7, 90, 400)),
+        (Yukawa(-2.0, 0.5), 30.0, (0, 90, 400)),
+        (Yukawa(0.5, 1.0), 1.0, (0, 7, 90)),
+    ])
+    def test_yukawa_born_phases_match_mpmath_legenq(self, p, k, ls):
+        import mpmath as mp
+        born = partial_wave._born_phases(p, Kinematics(mass=1.0, k=k),
+                                         max(ls))
+        with mp.workdps(30):
+            z = 1 + mp.mpf(p.mu) ** 2 / (2 * k * k)
+            for l in ls:
+                want = -(p.g / k) * mp.legenq(l, 0, z, type=3).real
+                assert born[l] == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("p, k, ls", [
+        (Gauss(0.5, 1.0), 10.0, (0, 7, 25)), (Gauss(-3.0, 2.0), 1.0, (0, 7)),
+        (Gauss(0.5, 0.05), 5.0, (0, 60)),
+    ])
+    def test_gauss_born_phases_match_a_quadrature_of_j_squared(self, p, k,
+                                                               ls):
+        # -(1/k) int 2m V (k r j_l(k r))^2 dr to where e^{-alpha r^2} =
+        # e^{-40}, 30 digits on 12 panels
+        import mpmath as mp
+        born = partial_wave._born_phases(p, Kinematics(mass=1.0, k=k),
+                                         max(ls))
+        with mp.workdps(30):
+            for l in ls:
+                def f(r, l=l):
+                    return 2 * p.g * mp.exp(-p.alpha * r * r) \
+                        * (mp.pi * k * r / 2) \
+                        * mp.besselj(l + mp.mpf(1) / 2, k * r) ** 2
+                edges = mp.linspace(0, mp.sqrt(40 / mp.mpf(p.alpha)), 13)
+                want = -mp.quad(f, edges) / k
+                assert born[l] == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("p, k", [
+        (_pw_reference.MODELS[name], k) for name in _pw_reference.MODELS
+        for k in _pw_reference.KS] + [
+        (Yukawa(g, 1.0), 10.0) for g in (0.475, 0.5, 0.525)])
+    def test_the_cut_does_not_depend_on_dr(self, p, k):
+        # the cut depends on k and V alone, so a pass at dr/2, as the
+        # benchmark's reference takes, keeps the same waves
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        assert phase_shifts(p, kin, dr=ps.dr / 2).l_max == ps.l_max
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 10.0])
+    def test_one_wave_is_refused_by_key_or_swept(self, monkeypatch, k):
+        # l_max = 0 raised a raw IndexError from _riccati_rows' second row
+        kin = Kinematics(mass=1.0, k=k)
+        with pytest.raises(DomainError, match="increase l_max") as err:
+            phase_shifts(Yukawa(0.5, 1.0), kin, l_max=0)
+        assert err.value.key == "l_max"
+        # with no target, the one wave runs, split or not, with its bits
+        auto = phase_shifts(Yukawa(0.5, 1.0), kin)
+        monkeypatch.setattr(partial_wave, "_CUT", math.inf)
+        one = phase_shifts(Yukawa(0.5, 1.0), kin, l_max=0)
+        assert one.delta.tobytes() == auto.delta[:1].tobytes()
+        assert one.error.tobytes() == auto.error[:1].tobytes()
+
+    def test_riccati_rows_of_one_wave_are_the_first_of_many(self):
+        x = np.linspace(2.0, 40.0, 30)
+        j, n = partial_wave._riccati_rows(0, 0, x, 0)
+        wide_j, wide_n = partial_wave._riccati_rows(0, 8, x, 8)
+        assert j.tobytes() == wide_j[:1].tobytes()
+        assert n.tobytes() == wide_n[:1].tobytes()
+
+    def test_dropped_waves_of_a_born_subtracted_set(self):
+        # e = |delta_L - delta^B_L| + error_L/2 falls as the Born ratio r,
+        # delta_l^2 as r^2 from (|delta^B_L| + e)^2: at L = 3, r = 0.5,
+        # sum_j (2(L + j) + 1) r^j = 7 + 4 = 11 and with r^2 29/9
+        delta = np.array([0.3, 0.1, 0.01, 1.1e-3])
+        born = np.array([0.29, 0.1, 0.01, 1e-3])
+        error = np.array([0.0, 0.0, 0.0, 2e-5])
+        ps = _shifts(delta, k=2.0, error=error, tail_ratio=0.5,
+                     potential=Yukawa(0.5, 1.0), born=born)
+        e = 1e-4 + 1e-5
+        want = (11.0 * e + 29.0 / 9.0 * (1e-3 + e) ** 2) / 2.0
+        assert partial_wave._dropped_waves(ps) == pytest.approx(want,
+                                                                rel=1e-12)
+
+    def test_a_born_subtracted_set_checks_its_fields(self):
+        with pytest.raises(DomainError) as err:
+            _shifts([0.3, 0.1], potential=Yukawa(0.5, 1.0))
+        assert err.value.key == "born"
+        with pytest.raises(DomainError) as err:
+            _shifts([0.3, 0.1], born=[0.3, 0.1])
+        assert err.value.key == "born"
+        with pytest.raises(DomainError) as err:
+            _shifts([0.3, 0.1], potential=_RIPPLED_TABLE, born=[0.3, 0.1])
+        assert err.value.key == "potential"
+        # a live last wave is allowed: the amplitude bounds what it drops
+        ps = _shifts([0.3, 0.1], potential=Yukawa(0.5, 1.0), born=[0.3, 0.1],
+                     tail_ratio=0.5)
+        assert amplitude_partial_wave(ps, 0.1).error_estimate > 0.0
+
+
+class TestFarPotential:
+    def test_closed_forms_bound_the_integral(self):
+        from scipy.special import erfc, exp1
+        kin = Kinematics(mass=2.0, k=3.0)
+        for r_max in (5.0, 20.0):
+            got = partial_wave._far_potential(Yukawa(-0.5, 1.0), kin, r_max)
+            want = 2.0 * 2.0 * 0.5 * exp1(r_max) / 3.0
+            assert want <= got <= want * (1.0 + 1.0 / r_max)
+            got = partial_wave._far_potential(Gauss(-0.5, 0.2), kin, r_max)
+            want = 2.0 * 2.0 * 0.5 * 0.5 * math.sqrt(math.pi / 0.2) \
+                * erfc(math.sqrt(0.2) * r_max) / 3.0
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_a_table_s_is_exact_over_its_pieces(self):
+        # scipy's quad between the roots of V, where |V| is smooth
+        kin = Kinematics(mass=1.0, k=2.0)
+        for r_max in (3.3, 5.0, 7.9):
+            edges = np.r_[r_max, _spline.split_at_roots(
+                *_RIPPLED_TABLE._pieces)[0]]
+            edges = np.unique(edges[edges >= r_max])
+            want = sum(abs(quad(lambda r: float(potentials.evaluate(
+                _RIPPLED_TABLE, r)), a, b, epsabs=1e-16, epsrel=1e-13,
+                limit=200)[0]) for a, b in zip(edges[:-1], edges[1:]))
+            got = partial_wave._far_potential(_RIPPLED_TABLE, kin, r_max)
+            assert got == pytest.approx(2.0 * want / 2.0, rel=1e-10)
+        assert partial_wave._far_potential(_RIPPLED_TABLE, kin, 8.0) == 0.0
+
+    @pytest.mark.parametrize("p, k, split", [
+        (Gauss(0.5, 1.0), 10.0, False), (_RIPPLED_TABLE, 5.0, False),
+        (Yukawa(0.5, 1.0), 1.0, True), (Yukawa(0.5, 1.0), 10.0, True),
+    ])
+    def test_an_unsplit_pass_counts_the_v_it_drops(self, monkeypatch, p, k,
+                                                   split):
+        # each wave of an unsplit pass carries 2 (1/k) int_r_max^inf |2mV|;
+        # a split pass's tail runs past r_max and adds none
+        kin = Kinematics(mass=1.0, k=k)
+        ps = phase_shifts(p, kin)
+        far = partial_wave._far_potential(p, kin, ps.r_max)
+        assert far > 0.0
+        monkeypatch.setattr(partial_wave, "_far_potential",
+                            lambda *args: 0.0)
+        without = phase_shifts(p, kin)
+        if split:
+            assert ps.error.tobytes() == without.error.tobytes()
+        else:
+            assert np.all(ps.error - without.error == pytest.approx(
+                2.0 * far, rel=1e-6, abs=0.0))
+
+
 def _split_rule(p, kin, ps):
     """(R0, r_a, the tail's rule) of phase_shifts' pass for ps."""
     r0, r_a = _oracles.split(p, kin, ps.r_max, ps.dr)
@@ -1075,18 +1291,29 @@ def reference_shifts():
         return json.load(fh)
 
 
-def _accuracy(delta, ref, k, scale):
-    """sum over the reference's waves of (2l + 1) |sin(delta_l - ref_l)|/k,
-    delta 0 past its l_max, over scale: the bound on |f - f_ref| at every
-    angle that the waves' errors give, in units of max |f_ref|."""
-    d = np.zeros(ref.size)
-    d[:delta.size] = delta
+def _accuracy(delta, ref, k, scale, born=None):
+    """sum over the reference's waves of (2l + 1) |s_l - s_ref,l|/k over
+    scale, s = (e^{2i delta} - 1)/(2i): the bound on |f - f_ref| at every
+    angle that the waves' errors give, in units of max |f_ref|. Past the
+    waves of delta s_l is born_l, the Born phase that a Born-subtracted sum
+    takes for a wave it drops, or 0 in a plain sum. Where both keep a wave
+    |s_l - s_ref,l| = |sin(delta_l - ref_l)|."""
+    s = np.zeros(ref.size, dtype=complex)
+    if born is not None:
+        s[:] = born
+    s[:delta.size] = expm1i(2.0 * delta) / 2j
     weight = 2.0 * np.arange(ref.size) + 1.0
-    return float(np.sum(weight * np.abs(np.sin(d - ref)))) / k / scale
+    return float(np.sum(weight * np.abs(s - expm1i(2.0 * ref) / 2j))) \
+        / k / scale
 
 
 # the accuracy of the oracle before the split (one pass of Numerov to
-# r_max, the four-term origin series), with the same l_max as now
+# r_max, the four-term origin series), with the plain cut at |delta| <
+# 1e-8; the Born-subtracted sum now reads, in this order: 9.473e-12,
+# 4.365e-10, 2.124e-09, 6.883e-09; 4.566e-12, 1.741e-10, 1.347e-09,
+# 3.561e-09; 3.809e-13, 4.097e-11, 6.565e-10, 2.729e-09; 4.638e-12,
+# 2.547e-11, 2.329e-10, 9.164e-10; 2.178e-13, 2.385e-11, 6.949e-10,
+# 1.272e-09
 @pytest.mark.parametrize("name, k, parent", [
     ("Yukawa(0.5, 1)", 1.0, 1.74e-09), ("Yukawa(0.5, 1)", 5.0, 1.897e-07),
     ("Yukawa(0.5, 1)", 10.0, 2.502e-06), ("Yukawa(0.5, 1)", 30.0, 5.315e-06),
@@ -1110,13 +1337,15 @@ def test_oracle_is_graded_against_an_unsplit_reference(reference_shifts,
     # |f - f_ref| at all 181 angles, and each wave's error covers its own
     # |e^{2i delta} - e^{2i delta_ref}|, less the reference's own error
     # against its sweep at twice its step; the accuracy, with that error
-    # added, is no worse than before the split. The largest |f - f_ref|
-    # over the angles would let the waves' errors cancel, and the dropped
-    # waves, the same for both, would set it
+    # added and the Born phases taken past l_max, is no worse than before
+    # the split. The largest |f - f_ref| over the angles would let the
+    # waves' errors cancel
     kin = Kinematics(mass=1.0, k=k)
-    ps = phase_shifts(_pw_reference.MODELS[name], kin)
+    p = _pw_reference.MODELS[name]
+    ps = phase_shifts(p, kin)
     ref = np.array(reference_shifts[f"{name} k={k:g}"]["delta"])
     coarse = np.array(reference_shifts[f"{name} k={k:g}"]["delta_8"])
+    assert ref.size == coarse.size == _pw_reference.WAVES[f"{name} k={k:g}"]
     want = _pw_reference.amplitude(ref, k)
     got = amplitude_partial_wave(ps, _pw_reference.THETA)
     assert np.all(np.abs(got.value - want) <= got.error_estimate)
@@ -1124,5 +1353,6 @@ def test_oracle_is_graded_against_an_unsplit_reference(reference_shifts,
     assert np.all(2.0 * np.abs(np.sin(ps.delta - ref[kept]))
                   <= ps.error + 2.0 * np.abs(np.sin(ref[kept] - coarse[kept])))
     scale = np.max(np.abs(want))
-    assert _accuracy(ps.delta, ref, k, scale) \
+    born = partial_wave._born_phases(p, kin, ref.size - 1)
+    assert _accuracy(ps.delta, ref, k, scale, born) \
         + _accuracy(coarse, ref, k, scale) <= parent

@@ -14,6 +14,7 @@ import _oracles
 import scatterlab
 from scatterlab.config import echo_lines, parse_config
 from scatterlab.eikonal import amplitude_eikonal
+from scatterlab.partial_wave import phase_shifts
 from scatterlab.errors import ConfigError, DomainError, ScatterError
 from scatterlab.quadrature import QuadratureSettings
 from scatterlab.runner import (RunManifest, _csv_text, _fmt,
@@ -147,6 +148,28 @@ class TestManifest:
                         verdicts=(), warnings=(),
                         csv_files=("a.csv", "a.csv"), aux_files=(),
                         output_dir=".")
+
+    def test_resolved_section_names_each_partial_wave_choice(self, tmp_path):
+        # the values phase_shifts chose for l_max, r_max and dr, per k, and
+        # none for a run without partial_wave; the other files stay as a
+        # run's
+        text = FAST.replace("k = 2", "k = 2, 10").replace(
+            "sources = born1, paper_closed", "sources = born1, partial_wave")
+        cfg = parse_config(text)
+        m = run_scan(cfg, str(tmp_path / "out"))
+        manifest = (tmp_path / "out" / "manifest.txt").read_text()
+        block = manifest.split("[resolved]\n")[1].split("\n\n")[0]
+        lines = []
+        for k in (2.0, 10.0):
+            ps = phase_shifts(cfg.potential, cfg.kinematics(k))
+            lines.append(f"  partial_wave k={k:g}: l_max = {ps.l_max}, "
+                         f"r_max = {ps.r_max!r}, dr = {ps.dr!r}")
+        assert block.splitlines() == lines
+        assert [o.resolved is None for o in m.outcomes] \
+            == [True, True, False, False]
+        _run(FAST, tmp_path / "plain")
+        plain = (tmp_path / "plain" / "manifest.txt").read_text()
+        assert "[resolved]\n  none\n\n[verdicts]" in plain
 
     def test_wall_clock_recorded(self, tmp_path):
         m = _run(FAST, tmp_path / "out")
