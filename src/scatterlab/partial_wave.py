@@ -35,8 +35,8 @@ three grids as one state: every step advances the fine waves, every
 second step the mid ones as well and every fourth the coarse ones, so a
 pass costs as many Python steps as a single sweep at h, and 1 + 1/2 + 1/4
 of its arithmetic. V, the centrifugal term and the Bessel rows at the
-matching radii are formed once, on the fine grid. Each pass of the
-automatic l_max sweeps only the waves above the previous pass's top.
+matching radii are formed once, on the fine grid. Every call sweeps one
+pass, whose top is fixed before it (phase_shifts).
 
 The sweep runs Numerov's scheme in summed form: it carries y_n and the
 first difference y_n - y_{n-1} and adds g_n y_n to the difference at each
@@ -75,10 +75,9 @@ from .eikonal import Kinematics, _amplitude, momentum_transfer
 from .errors import (MAX_FLOAT, ConvergenceError, DomainError, RangeError,
                      integer, real, reals)
 from ._spline import split_at_roots
-from .potentials import (Gauss, TabulatedRadial, Yukawa, _analytic,
-                         effective_radius, evaluate, fourier3d,
+from .potentials import (Gauss, TabulatedRadial, Yukawa, _abs_moment,
+                         _analytic, effective_radius, evaluate, fourier3d,
                          origin_expansion, reach)
-from .quadrature import _G7_NODES, _WG
 # The effective radius needs no integrator; the two integrators and
 # spherical_bessel are bound here only because perfbench/tracer.py rebinds
 # them in partial_wave's namespace.
@@ -104,9 +103,6 @@ _CUT = 1e-9
 # falls by e^-2400 and a Gauss by more, beyond the ratio of any two floats,
 # and a table's V is 0 beyond one reach
 _RANGES = 64
-# auto l_max: the widths top - l0 of a table's passes, tried in turn, and
-# the tops of the search for a Yukawa's or a Gauss's cut
-_WIDTHS = (64, 128, 256, 416)
 _CHUNK = 128  # Numerov steps whose coefficient rows are formed at once
 # the most points a fine grid may hold: each of its r, V and 1/r^2 arrays
 # then takes 32 MiB; the shipped configs and tests stay below 60,000
@@ -166,6 +162,9 @@ class PhaseShiftSet:
     whose last wave must lie below 1e-8; a Born-subtracted set bounds its
     dropped waves instead, and phase_shifts refuses an l_max whose a-priori
     bound is over its target.
+
+    split, where the pass split V, is (R0, r_end): the split radius and the
+    end of the first-order tail, 0 < R0 < r_end; None where it did not.
     """
 
     k: float
@@ -178,9 +177,16 @@ class PhaseShiftSet:
     potential: Yukawa | Gauss | None = None
     mass: float = 1.0
     born: np.ndarray | None = None
+    split: tuple[float, float] | None = None
 
     def __post_init__(self):
         real(self.k, "k", positive=True)
+        if self.split is not None:
+            split = reals(self.split, "split", 0.0, MAX_FLOAT)
+            if split.shape != (2,) or not 0.0 < split[0] < split[1]:
+                raise DomainError("split must be (R0, r_end), 0 < R0 < "
+                                  "r_end", key="split")
+            object.__setattr__(self, "split", tuple(split.tolist()))
         integer(self.l_max, "l_max")
         real(self.r_max, "r_max", positive=True)
         real(self.dr, "dr", positive=True)
@@ -555,7 +561,8 @@ def _row_top(x):
     10 at every y <= x (the Airy decay past the turning point), and
     _sweep_grids takes a wave's phase shift as 0 there without sweeping it.
     It depends on x alone, so a wave's bits do not depend on the other
-    waves of its pass."""
+    waves of its pass. At x = k r, r where the V a pass takes ends, it tops
+    the pass: wave l scatters at impact parameter l/k (Joachain, 1975)."""
     return int(x + 8.0 * x ** (1.0 / 3.0)) + 10
 
 
@@ -840,29 +847,24 @@ def _born_bound(p, kin, top):
     return bound, born, ratio, target
 
 
-def _born_cut(p, kin, tops, l_max):
+def _born_cut(p, kin, top, fixed=False):
     """(L, delta^B_0..L, the Born ratio at L) of a Yukawa or a Gauss: L the
-    first l <= each top in turn whose a-priori bound on the dropped waves
-    meets its target, or an explicit l_max, refused where its bound does
-    not; see _born_bound. Both depend on k and V alone."""
-    if l_max is not None:
-        bound, born, ratio, target = _born_bound(p, kin, l_max)
-        if bound[-1] > target:
-            raise DomainError(
-                f"partial-wave tail not converged: the dropped waves' bound "
-                f"{bound[-1]:.3e} exceeds its target {target:.3e}; increase "
-                f"l_max", key="l_max")
-        return l_max, born[:-1], float(ratio[-1])
-    for top in tops:
-        bound, born, ratio, target = _born_bound(p, kin, top)
-        hit = np.flatnonzero(bound <= target)
-        if hit.size:
-            cut = int(hit[0])
-            return cut, born[:cut + 1], float(ratio[cut])
-    raise ConvergenceError(
-        "partial-wave tail refuses to converge; the potential may be too "
-        "long-ranged for this oracle",
-        estimate=float(born[-2]), error_estimate=float(bound[-1]))
+    first l <= top whose a-priori bound on the dropped waves meets its
+    target (_born_bound), or top where fixed, refused if its bound does not."""
+    bound, born, ratio, target = _born_bound(p, kin, top)
+    if fixed and bound[-1] > target:
+        raise DomainError(
+            f"partial-wave tail not converged: the dropped waves' bound "
+            f"{bound[-1]:.3e} exceeds its target {target:.3e}; increase "
+            f"l_max", key="l_max")
+    hit = np.flatnonzero(bound <= target)
+    if not hit.size:
+        raise ConvergenceError(
+            "partial-wave tail refuses to converge; the potential may be too "
+            "long-ranged for this oracle",
+            estimate=float(born[-2]), error_estimate=float(bound[-1]))
+    cut = top if fixed else int(hit[0])
+    return cut, born[:cut + 1], float(ratio[cut])
 
 
 def _far_potential(p, kin, r_max):
@@ -880,17 +882,14 @@ def _far_potential(p, kin, r_max):
     else:
         edges = split_at_roots(*p._pieces)[0]
         edges = np.r_[r_max, edges[edges > r_max]]
-        hw = 0.5 * np.diff(edges)
-        x = (0.5 * (edges[1:] + edges[:-1]))[:, None] + hw[:, None] * _G7_NODES
-        v = float(np.sum(np.abs(hw * (_WG * evaluate(p, x)).sum(axis=-1)))) \
-            if hw.size else 0.0
+        v = float(np.sum(_abs_moment(p, edges[:-1], edges[1:], 0)))
     return 2.0 * kin.mass * v / kin.k
 
 
 def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     """Solve for delta_l, l = 0..l_max, with auto defaults for all knobs.
 
-    Every pass carries its waves on the grids of dr, 2 dr and 4 dr in one
+    The pass carries its waves on the grids of dr, 2 dr and 4 dr in one
     loop; delta is their third Richardson level R3, and tail_ratio the
     potential's bound on the decay of the dropped waves; see PhaseShiftSet
     and _extrapolated.
@@ -914,18 +913,16 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     target falling with the default step's own error below k = 6: it
     depends on k and V, not on dr. Where R0 + 4 passes r_max, and for a
     table, the pass is not split.
-    l_max=None, for a Yukawa or a Gauss, cuts the waves of the
-    Born-subtracted sum at the first l whose a-priori bound on the dropped
-    waves meets its target (_born_bound), searched up to l0 + 64, l0 +
-    128, l0 + 256 and l0 + 416 in turn, l0 = ceil(k r_eff) + 10, r_eff =
-    potentials.effective_radius(p), found on every call; it depends on k
-    and V alone and is chosen before one pass sweeps the waves up to it.
-    An explicit l_max is one pass to l_max, refused with key l_max where
-    its bound is over the target. For a table l_max=None cuts at the first
-    l0 + 16 j whose extrapolated |delta| is below 1e-8: it sweeps up to
-    top = l0 + 64, l0 + 128, l0 + 256 and l0 + 416 in turn, each pass only
-    the waves above the previous top, stopping at the first pass that holds
-    a converged candidate. Past l0 + 416 both raise ConvergenceError.
+    l_max=None fixes the top T = _row_top(k r), r the far end of the V the
+    pass takes (r_b unsplit, the tail's end split), before any sweep. A
+    Yukawa or a Gauss cuts its Born-subtracted sum at the first l <= T
+    whose a-priori bound on the dropped waves meets its target
+    (_born_bound), or raises ConvergenceError. A table sweeps to the first
+    l0 + 16 j past T, where delta is 0, l0 = ceil(k r_eff) + 10, r_eff =
+    effective_radius(p), and cuts at the first of those l with |delta|
+    below 1e-8. An explicit l_max is one pass to it, refused with key l_max
+    where a Yukawa's or a Gauss's bound is over the target or a table's
+    |delta_l_max| is not below 1e-8.
     r_max=None takes the first of max(r_eff, 2 pi/k, 1) + 0.25 j where the
     reduced potential has fallen below 1e-12 k^2, searched over 64 times
     the potential's reach (potentials.reach), and rounds it up onto the
@@ -933,8 +930,9 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
     grid and must meet the same bound there. The second matching radius
     lies a quarter wavelength further out, rounded onto the same grid. An
     unsplit fine grid out to it of more than _GRID_POINTS points raises
-    RangeError naming r_max before anything is swept; so do waves times
-    points past _WAVE_POINTS, naming l_max if it was given.
+    RangeError naming r_max before anything is swept; so do the pass's
+    waves times the points of its fine grid past _WAVE_POINTS, naming l_max
+    if it was given.
     dr=None takes dr = min(0.06/k, 0.01), and for a cubic table from
     r[0] = 0 r[-1]/(4 n), n the least integer that keeps it no coarser, so
     that the table's last knot, its only kink of V, lies on the 4 dr grid
@@ -982,71 +980,65 @@ def phase_shifts(p, kin, l_max=None, r_max=None, dr=None):
             f"{points:,} points, more than the {_GRID_POINTS:,} allowed",
             key="r_max")
 
-    if l_max is None:
-        l0 = int(np.ceil(k * r_eff)) + 10
-        tops = [l0 + w for w in _WIDTHS]
-    else:
-        l0 = integer(l_max, "l_max")
-        tops = [l0]
-    if (tops[-1] + 1) * points > _WAVE_POINTS:
-        raise RangeError(
-            f"up to {tops[-1] + 1:,} waves on {points:,} radial points, to r "
-            f"= {r_b:g}, exceed the {_WAVE_POINTS:,} wave-points allowed",
-            key="r_max" if l_max is None else "l_max")
-    born = None
-    if isinstance(p, (Yukawa, Gauss)):
-        # the cut, from the closed forms alone: one pass sweeps up to it
-        l0, born, ratio = _born_cut(p, kin, tops, l_max)
-        tops = [l0]
     r0 = _split_radius(p, kin, r_max)
     if r0 is None:
         r_a, r0 = r_max, math.inf
         # the V past r_max, which an unsplit sweep drops
         drop = 2.0 * _far_potential(p, kin, r_max)
+        r_far = dr * (points - 1)  # r_b as the sweep has it
     else:
         drop = 0.0
         # the first point of the 4 dr grid where s V = 0
         r_a = math.ceil((r0 + _SWITCH) / step) * step
         r_b = r_a + quarter
+        points = 4 * round(r_b / step) + 1
         # the tail costs no sweep: it runs on past r_max, to where |2mV|
         # <= _FAR k^2, and so drops far less of V than a sweep to r_max
-        rule = _tail_rule(p, kin, r0, _auto_r_max(p, kin, r_max, _FAR))
-    # A Yukawa or a Gauss sweeps its one pass to the cut. A table's passes
-    # each sweep the waves above the previous pass's top and test the
-    # candidates l0 + 16 j up to their own top. Each l is integrated on its
-    # own, matched with Bessel rows whose top depends on k r_b alone, and
-    # given its tail by sums of its own row, so a wave's bits do not depend
-    # on which pass swept it. An explicit l_max is kept as given;
-    # PhaseShiftSet checks a table's tail.
-    rho = _EPS * r_max / dr
-    delta = error = np.empty(0)
-    l_cut = l0
-    for top in tops:
-        l_arr = np.arange(delta.size, top + 1)
-        best, worse = _extrapolated(p, kin, l_arr, r_a, r_b, dr, r0)
-        gap = best - worse
-        err = 2.0 * np.abs(np.sin(gap)) + 2.0 * rho + drop
-        if r0 < r_a:
-            best, slope, bound = _tail_terms(rule, k, k * r0, l_arr, best)
-            _onto_branch(best)
-            # worse's own tail would differ from best's by at most slope |gap|
-            err += 2.0 * (slope * np.abs(gap) + bound)
-        delta = np.concatenate([delta, best])
-        error = np.concatenate([error, err])
-        if born is not None:
-            return PhaseShiftSet(k=k, l_max=l_cut, delta=delta, error=error,
-                                 r_max=r_max, dr=dr, tail_ratio=ratio,
-                                 potential=p, mass=kin.mass, born=born)
-        while abs(delta[l_cut]) >= _TAIL_TOL and l_cut < top:
-            l_cut += 16
-        if abs(delta[l_cut]) < _TAIL_TOL or l_max is not None:
-            return PhaseShiftSet(k=k, l_max=l_cut, delta=delta[:l_cut + 1],
-                                 error=error[:l_cut + 1], r_max=r_max,
-                                 dr=dr, tail_ratio=_tail_ratio(p, k, l_cut))
-    raise ConvergenceError(
-        "partial-wave tail refuses to converge; the potential may be too "
-        "long-ranged for this oracle",
-        estimate=float(delta[l_cut]), error_estimate=abs(delta[l_cut]))
+        r_far = _auto_r_max(p, kin, r_max, _FAR)
+        rule = _tail_rule(p, kin, r0, r_far)
+    # the waves past the Bessel rows' top where V ends do not reach it
+    top = _row_top(k * r_far)
+    born = None
+    if l_max is not None:
+        top = integer(l_max, "l_max")
+    elif isinstance(p, (Yukawa, Gauss)):
+        top, born, ratio = _born_cut(p, kin, top)
+    else:
+        # the first candidate past the top, whose delta the sweep sets to 0
+        l0 = math.ceil(k * r_eff) + 10
+        top = l0 + 16 * max(0, (top - l0) // 16 + 1)
+    if (top + 1) * points > _WAVE_POINTS:
+        raise RangeError(
+            f"{top + 1:,} waves on {points:,} radial points, to r = {r_b:g}, "
+            f"exceed the {_WAVE_POINTS:,} wave-points allowed",
+            key="r_max" if l_max is None else "l_max")
+    if l_max is not None and isinstance(p, (Yukawa, Gauss)):
+        top, born, ratio = _born_cut(p, kin, top, fixed=True)
+    # Each l is integrated on its own, matched with Bessel rows whose top
+    # depends on k r_b alone and given its tail by sums of its own row, so
+    # a wave's bits do not depend on the other waves of its pass.
+    l_arr = np.arange(top + 1)
+    delta, worse = _extrapolated(p, kin, l_arr, r_a, r_b, dr, r0)
+    gap = delta - worse
+    error = 2.0 * np.abs(np.sin(gap)) + 2.0 * (_EPS * r_max / dr) + drop
+    if r0 < r_a:
+        delta, slope, bound = _tail_terms(rule, k, k * r0, l_arr, delta)
+        _onto_branch(delta)
+        # worse's own tail would differ from delta's by at most slope |gap|
+        error += 2.0 * (slope * np.abs(gap) + bound)
+    if born is None:
+        if l_max is None:
+            # the first l0 + 16 j whose |delta| is converged, at the latest
+            # top; PhaseShiftSet checks it there, as it checks l_max
+            last, top = top, l0
+            while abs(delta[top]) >= _TAIL_TOL and top < last:
+                top += 16
+        ratio = _tail_ratio(p, k, top)
+    return PhaseShiftSet(k=k, l_max=top, delta=delta[:top + 1],
+                         error=error[:top + 1], r_max=r_max, dr=dr,
+                         tail_ratio=ratio, mass=kin.mass, born=born,
+                         potential=None if born is None else p,
+                         split=(r0, r_far) if r0 < r_a else None)
 
 
 def amplitude_partial_wave(ps, theta):

@@ -385,18 +385,23 @@ def _weight(p):
         return lambda r: math.sqrt(math.pi) * math.erf(a * r) \
             - 2.0 * a * r * math.exp(-(a * r) * (a * r))
     edges = split_at_roots(*p._pieces)[0]
-
-    def g7(lo, hi):
-        hw = 0.5 * (hi - lo)
-        x = (0.5 * (lo + hi))[..., None] + hw[..., None] * _G7_NODES
-        return hw * (_WG * np.abs(evaluate(p, x)) * x * x).sum(axis=-1)
-
-    below = np.r_[0.0, np.cumsum(g7(edges[:-1], edges[1:]))]
+    below = np.r_[0.0, np.cumsum(_abs_moment(p, edges[:-1], edges[1:], 2))]
 
     def weight(r):
         i = np.searchsorted(edges[1:-1], r, side="right")
-        return below[i] + g7(edges[i], r)
+        return below[i] + _abs_moment(p, edges[i], r, 2)
     return weight
+
+
+def _abs_moment(p, lo, hi, n):
+    """int_lo^hi |V| r^n dr of a table on 7-point Gauss, exact for n <= 10
+    where [lo, hi] lies between adjacent edges of split_at_roots."""
+    hw = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[..., None] + hw[..., None] * _G7_NODES
+    f = _WG * np.abs(evaluate(p, x))
+    for _ in range(n):
+        f = f * x
+    return hw * f.sum(axis=-1)
 
 
 def effective_radius(p):

@@ -46,7 +46,7 @@ class SourceOutcome:
     total_optical: float
     wall_clock: float
     error: str | None
-    # what an automatic knob resolved to: partial_wave's l_max, r_max, dr
+    # what partial_wave's automatic knobs resolved to, and its split
     resolved: str | None = None
 
 
@@ -93,8 +93,10 @@ def _amplitude_rows(cfg, source, kin, theta, passes):
         ps = phase_shifts(p, kin, l_max=cfg.partial_wave.l_max,
                           r_max=cfg.partial_wave.r_max,
                           dr=cfg.partial_wave.dr)
+        split = "none" if ps.split is None else "%r, tail end = %r" % ps.split
         return amplitude_partial_wave(ps, theta), [], (
-            f"l_max = {ps.l_max}, r_max = {ps.r_max!r}, dr = {ps.dr!r}")
+            f"l_max = {ps.l_max}, r_max = {ps.r_max!r}, dr = {ps.dr!r}, "
+            f"R0 = {split}")
     if source in ("eikonal", "born_resummed"):
         shared = isinstance(p, TabulatedRadial)
         if shared and kin.k in passes:

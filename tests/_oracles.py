@@ -936,11 +936,9 @@ def auto_r_max(p, kin, r_eff, decay=partial_wave._DECAY):
     raise RangeError("potential does not decay", key="r_max")
 
 
-# The automatic l_max plan of partial_wave.phase_shifts for a table before
-# the width schedule: one pass to l0 + 64 cut at the first converged l0 +
-# 16 j, then one 16-wave pass per extension up to l0 + 416, each pass three
-# sweeps extrapolated wave by wave. Reference for the width schedule, which
-# must keep its l_max and its bits.
+# The phase shifts of partial_wave.phase_shifts' pass, one wave at a time:
+# three chunked sweeps extrapolated wave by wave, with the split's tail.
+# Reference for the pass's waves, which must keep their bits.
 
 
 def second_radius(kin, r_max, dr):
@@ -1005,29 +1003,6 @@ def split_extrapolated(p, kin, l_arr, r_max, dr):
                                     np.asarray(l_arr), best)[0]
     partial_wave._onto_branch(best)
     return best
-
-
-def phase_shifts_by_extension(p, kin, r_max, dr):
-    """(l_max, delta, passes) of the 16-wave extension plan at the r_max and
-    dr phase_shifts resolved; raises the plan's ConvergenceError."""
-    tol = partial_wave._TAIL_TOL
-    l0 = int(np.ceil(kin.k * partial_wave.effective_radius(p))) + 10
-    deltas = split_extrapolated(p, kin, np.arange(0, l0 + 65), r_max, dr)
-    l_cut = next((l for l in range(l0, l0 + 64, 16)
-                  if abs(deltas[l]) < tol), l0 + 64)
-    deltas = deltas[:l_cut + 1]
-    passes = 1
-    while abs(deltas[-1]) >= tol:
-        if deltas.size - 1 > l0 + 400:
-            raise ConvergenceError(
-                "partial-wave tail refuses to converge; the potential may "
-                "be too long-ranged for this oracle",
-                estimate=float(deltas[-1]), error_estimate=abs(deltas[-1]))
-        ext = np.arange(deltas.size, deltas.size + 16)
-        deltas = np.concatenate(
-            [deltas, split_extrapolated(p, kin, ext, r_max, dr)])
-        passes += 1
-    return deltas.size - 1, deltas, passes
 
 
 # Legendre polynomial of one order by its own upward recurrence, as

@@ -5,8 +5,10 @@ Each case is graded against _oracles.extrapolated, the unsplit sweep kept
 in the tests: R3 at a sixteenth of phase_shifts' default step, with the
 wave counts of WAVES and an explicit r_max where |2mV| <= 1e-16 k^2, so
 it shares neither the split, the first-order tail nor the cut of the
-waves. That costs minutes a case, so the amplitudes it gives on 181
-angles are stored in data/partial_wave_reference.json.
+waves. That costs minutes a case, so its phase shifts are stored in
+data/partial_wave_reference.json; amplitude sums them on 181 angles,
+Born-subtracted, so that the waves past the stored ones add their Born
+terms (closed forms, graded in the tests against mpmath and quadrature).
 
     PYTHONPATH=src python tests/_pw_reference.py
 
@@ -25,7 +27,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import _oracles  # noqa: E402
 from scatterlab.eikonal import Kinematics  # noqa: E402
 from scatterlab.partial_wave import (PhaseShiftSet,  # noqa: E402
-                                     amplitude_partial_wave, phase_shifts)
+                                     _born_phases, amplitude_partial_wave,
+                                     phase_shifts)
 from scatterlab.potentials import Gauss, Yukawa, effective_radius  # noqa: E402
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -75,10 +78,14 @@ def reference(p, k, fraction, waves):
     return _oracles.extrapolated(p, kin, np.arange(waves), r_max, dr)[0]
 
 
-def amplitude(delta, k):
-    """The amplitude of the phase shifts delta at wavenumber k over THETA."""
+def amplitude(delta, k, p):
+    """The amplitude of p's phase shifts delta at wavenumber k over THETA,
+    Born-subtracted as phase_shifts' sets are: the waves past delta's add
+    their Born terms, not 0."""
+    born = _born_phases(p, Kinematics(mass=1.0, k=k), delta.size - 1)
     ps = PhaseShiftSet(k=k, l_max=delta.size - 1, delta=delta,
-                       error=np.zeros(delta.size), r_max=1.0, dr=1.0)
+                       error=np.zeros(delta.size), r_max=1.0, dr=1.0,
+                       potential=p, born=born)
     return amplitude_partial_wave(ps, THETA).value
 
 

@@ -46,8 +46,8 @@ _R_EFF_CASES = [
 _WELL_TABLE = TabulatedRadial(np.array([0.0, 2.8, 2.9, 3.1, 3.2, 3.5]),
                               np.array([0.0, 0.0, -9e3, -9e3, 0.0, 0.0]),
                               interpolation="linear")
-# Yukawa(5, 0.5)'s values from r = 0.1 to 80: a table whose plain cut needs
-# more than one pass, as that Yukawa's did before its cut was Born-subtracted
+# Yukawa(5, 0.5)'s values from r = 0.1 to 80: a table whose plain cut lies
+# about 100 waves past l0 at k = 10 and 220 at k = 30
 _YUKAWA_R = np.linspace(0.1, 80.0, 800)
 _YUKAWA_TABLE = TabulatedRadial(
     _YUKAWA_R, np.r_[5.0 * np.exp(-0.5 * _YUKAWA_R[:-1]) / _YUKAWA_R[:-1],
@@ -120,6 +120,18 @@ class TestPhaseShiftSet:
             _shifts([0.1, 0.0], k=-1.0)
         with pytest.raises(DomainError):
             _shifts([0.1, 0.0], r_max=0.0)
+
+    def test_split_is_r0_before_the_tail_s_end(self):
+        # (R0, the tail's end), 0 < R0 < end, or None where V was not split
+        assert _shifts([0.1, 0.0]).split is None
+        ps = _shifts([0.1, 0.0], split=np.array([7.25, 29.03]))
+        assert ps.split == (7.25, 29.03)
+        assert all(type(r) is float for r in ps.split)
+        for bad in ((7.25,), (29.03, 7.25), (0.0, 1.0), (1.0, math.inf),
+                    (math.nan, 1.0), "a"):
+            with pytest.raises(DomainError) as err:
+                _shifts([0.1, 0.0], split=bad)
+            assert err.value.key == "split"
 
 
 class TestEffectiveRadius:
@@ -291,27 +303,26 @@ class TestPhaseShifts:
 
     def test_sweep_work_beyond_the_limit_fails_before_any_sweep(
             self, monkeypatch):
-        # Yukawa(0.5, 1e-3) at k = 1: 1.8e6 points, within the grid's
-        # limit, but up to 12,184 waves on them, 2.2e10 wave-points
+        # Yukawa(0.5, 1e-3) at k = 1 splits at R0 = 15,749: its pass's grid
+        # to r_b = 15,752.6 holds 1.6e6 points, within the grid's limit,
+        # but the cut keeps 19,325 waves on them, 3.0e10 wave-points
         def refused(*args):
             raise AssertionError("a sweep started")
 
         monkeypatch.setattr(partial_wave, "_sweep_grids", refused)
         p, kin = Yukawa(0.5, 1e-3), Kinematics(mass=1.0, k=1.0)
-        with pytest.raises(RangeError, match="12,184 waves") as err:
+        with pytest.raises(RangeError, match="19,325 waves on 1,575,261 "
+                           "radial points") as err:
             phase_shifts(p, kin)
         assert err.value.key == "r_max"
         with pytest.raises(RangeError, match="20,001 waves") as err:
             phase_shifts(p, kin, l_max=20000)
         assert err.value.key == "l_max"
-        # the heaviest inputs below the limit, 3.2e8 and 4.7e8 wave-points,
-        # pass it: the first sweeps, and the second's cut, chosen before any
-        # sweep, needs more than l0 + 416 waves and is refused, as the plain
-        # cut was after sweeping 1,607 waves
-        with pytest.raises(AssertionError, match="a sweep started"):
-            phase_shifts(Yukawa(0.5, 0.1), Kinematics(mass=1.0, k=30.0))
-        with pytest.raises(ConvergenceError, match="refuses to converge"):
-            phase_shifts(Yukawa(0.5, 0.01), Kinematics(mass=1.0, k=1.0))
+        # the heaviest inputs below the limit, 8.1e7 and 3.1e8 wave-points
+        # (cuts at L = 2,553 and 1,932), pass it and sweep
+        for p, k in ((Yukawa(0.5, 0.1), 30.0), (Yukawa(0.5, 0.01), 1.0)):
+            with pytest.raises(AssertionError, match="a sweep started"):
+                phase_shifts(p, Kinematics(mass=1.0, k=k))
 
     def test_r_max_needs_two_coarse_steps(self):
         # r_max rounds onto the 4 dr grid, whose sweep needs two steps
@@ -433,24 +444,22 @@ class TestPhaseShifts:
         with pytest.raises(RangeError, match="r_max = 20.064"):
             phase_shifts(p, kin, r_max=decay - 2e-3, dr=dr)
 
-    @pytest.mark.parametrize("p, k, passes", [
-        (_RIPPLED_TABLE, 5.0, 1),
-        (_YUKAWA_TABLE, 10.0, 2),  # tail beyond l0 + 64
+    @pytest.mark.parametrize("p, k", [
+        (_RIPPLED_TABLE, 5.0), (_YUKAWA_TABLE, 10.0), (_WELL_TABLE, 10.0),
     ])
-    def test_auto_l_max_sweeps_once_and_trims(self, monkeypatch, p, k,
-                                              passes):
-        # a table's l_max is the first l0 + 16 j with a converged |delta|,
-        # found in one pass to l0 + 64; only a longer tail passes again,
-        # wider, and only over the waves above the previous top; a pass is
-        # one sweep
+    def test_auto_l_max_sweeps_once_and_trims(self, monkeypatch, p, k):
+        # a table's one pass sweeps up to the first l0 + 16 j past the
+        # Bessel rows' top at the second matching radius, whose delta the
+        # sweep sets to 0, and its l_max is the first l0 + 16 j with a
+        # converged |delta|; a pass is one sweep
         calls = _count_sweeps(monkeypatch)
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
-        assert len(calls) == passes
         l0 = math.ceil(k * effective_radius(p)) + 10
-        tops = [l0 + w for w in partial_wave._WIDTHS[:passes]]
-        assert calls == np.diff([-1] + tops).tolist()
-        assert sum(calls) == tops[-1] + 1
+        r_b = _oracles.second_radius(kin, ps.r_max, ps.dr)
+        top = next(l for l in range(l0, 10 ** 6, 16)
+                   if l > partial_wave._row_top(k * r_b))
+        assert calls == [top + 1]
         assert (ps.l_max - l0) % 16 == 0
         assert all(abs(ps.delta[l]) >= partial_wave._TAIL_TOL
                    for l in range(l0, ps.l_max, 16))
@@ -489,53 +498,75 @@ class TestPhaseShifts:
                                           ps.r_max, ps.dr)
         assert ps.delta.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("p, k, l_max, passes_then, passes_now", [
-        (_YUKAWA_TABLE, 10.0, 342, 3, 2),
-        (_YUKAWA_TABLE, 30.0, 940, 11, 3),
-        (_RIPPLED_TABLE, 5.0, 34, 1, 1),
-        (_RIPPLED_TABLE, 20.0, 119, 1, 1),
+    @pytest.mark.parametrize("p, k, l_max", [
+        (_YUKAWA_TABLE, 10.0, 342), (_YUKAWA_TABLE, 30.0, 940),
+        (_RIPPLED_TABLE, 5.0, 34), (_RIPPLED_TABLE, 20.0, 119),
     ])
-    def test_width_schedule_keeps_the_bits_of_16_wave_extensions(
-            self, monkeypatch, p, k, l_max, passes_then, passes_now):
-        # a pass is one sweep, on the grids of dr, 2 dr and 4 dr at once
-        calls = _count_sweeps(monkeypatch)
+    def test_table_cut_keeps_the_bits_of_the_per_wave_sweeps(self, p, k,
+                                                             l_max):
+        # the cut is the first l0 + 16 j whose |delta| is below 1e-8, and
+        # each wave kept has the bits of its own chunked sweep
         kin = Kinematics(mass=1.0, k=k)
         ps = phase_shifts(p, kin)
-        now = len(calls)
-        ref_l_max, ref_delta, then = _oracles.phase_shifts_by_extension(
-            p, kin, ps.r_max, ps.dr)
-        assert ps.l_max == ref_l_max
-        assert ps.delta.tobytes() == ref_delta.tobytes()
-        assert now <= 4
-        for want, got in ((l_max, ps.l_max), (passes_then, then),
-                          (passes_now, now)):
-            assert want is None or got == want
+        assert ps.l_max == l_max
+        ref = _oracles.extrapolated(p, kin, np.arange(l_max + 1), ps.r_max,
+                                    ps.dr)[0]
+        assert ps.delta.tobytes() == ref.tobytes()
+        l0 = math.ceil(k * effective_radius(p)) + 10
+        converged = [l for l in range(l0, l_max + 1, 16)
+                     if abs(ref[l]) < partial_wave._TAIL_TOL]
+        assert converged[:1] == [l_max]
 
-    def test_unconverged_tail_raises_the_estimate_at_the_cap(self,
-                                                             monkeypatch):
-        # a threshold no table's |delta| meets: every width is swept, and the
-        # error carries delta at l0 + 416, as the extension plan's did;
-        # r_max is wide enough that n_l(k r_max) stays finite up to there
+    def test_unconverged_tail_is_refused_after_one_pass(self, monkeypatch):
+        # a threshold no table's |delta| meets, not even the 0 of the
+        # waves past the Bessel rows' top: the one pass sweeps, and the
+        # set refuses its last wave by key
         p, kin = _RIPPLED_TABLE, Kinematics(mass=1.0, k=5.0)
-        ps = phase_shifts(p, kin, r_max=20.0)
+        ps = phase_shifts(p, kin)
         monkeypatch.setattr(partial_wave, "_TAIL_TOL", 0.0)
         calls = _count_sweeps(monkeypatch)
-        with pytest.raises(ConvergenceError) as new:
-            phase_shifts(p, kin, r_max=ps.r_max, dr=ps.dr)
-        l0 = math.ceil(kin.k * effective_radius(p)) + 10
-        assert len(calls) == 4 and calls[-1] == 416 - 256
-        assert sum(calls) == l0 + 416 + 1
-        with pytest.raises(ConvergenceError) as ref:
-            _oracles.phase_shifts_by_extension(p, kin, ps.r_max, ps.dr)
-        assert str(new.value) == str(ref.value)
-        # signed zeros: the bits tell which wave was reported
-        assert repr(new.value.estimate) == repr(ref.value.estimate)
-        assert new.value.error_estimate == ref.value.error_estimate
+        with pytest.raises(DomainError, match="not converged") as err:
+            phase_shifts(p, kin)
+        assert err.value.key == "l_max"
+        assert len(calls) == 1 and calls[0] > ps.l_max + 1
+
+    @pytest.mark.parametrize("p, k, l_max", [
+        (Yukawa(0.5, 0.1), 10.0, 905), (Yukawa(0.5, 0.1), 30.0, 2553),
+        (Yukawa(0.5, 0.3), 30.0, 851), (Yukawa(0.5, 0.05), 5.0, 1213),
+        (Yukawa(-2.0, 0.2), 30.0, 1379),
+    ])
+    def test_a_split_pass_searches_its_cut_to_the_tail_s_end(
+            self, monkeypatch, p, k, l_max):
+        # nothing is swept: the pass stops at its sweep with its waves and
+        # radii. These cuts, pinned, need waves past the Bessel rows' top
+        # at the pass's second matching radius r_b, where a search stopped
+        # at that top would cut short; the search runs to the top at the
+        # tail's end, past r_b
+        class Swept(Exception):
+            pass
+
+        def refused(p, kin, l_arr, r_a, r_b, dr, r0=math.inf):
+            raise Swept(l_arr.size, r_a, r_b, r0)
+
+        tops = []
+        cut = partial_wave._born_cut
+
+        def spied(p, kin, top, fixed=False):
+            tops.append(top)
+            return cut(p, kin, top, fixed)
+
+        monkeypatch.setattr(partial_wave, "_sweep_grids", refused)
+        monkeypatch.setattr(partial_wave, "_born_cut", spied)
+        with pytest.raises(Swept) as swept:
+            phase_shifts(p, Kinematics(mass=1.0, k=k))
+        waves, r_a, r_b, r0 = swept.value.args
+        assert waves == l_max + 1 and r0 < r_a and len(tops) == 1
+        assert tops[0] > l_max > partial_wave._row_top(k * r_b)
 
     def test_an_unreachable_born_target_is_refused_before_any_sweep(
             self, monkeypatch):
-        # a target no bound meets: the search runs to l0 + 416 on the
-        # closed forms alone and sweeps nothing
+        # a target no bound meets: the search runs to the Bessel rows' top
+        # where V ends on the closed forms alone and sweeps nothing
         monkeypatch.setattr(partial_wave, "_CUT", 0.0)
         calls = _count_sweeps(monkeypatch)
         with pytest.raises(ConvergenceError, match="refuses to converge"):
@@ -1346,7 +1377,7 @@ def test_oracle_is_graded_against_an_unsplit_reference(reference_shifts,
     ref = np.array(reference_shifts[f"{name} k={k:g}"]["delta"])
     coarse = np.array(reference_shifts[f"{name} k={k:g}"]["delta_8"])
     assert ref.size == coarse.size == _pw_reference.WAVES[f"{name} k={k:g}"]
-    want = _pw_reference.amplitude(ref, k)
+    want = _pw_reference.amplitude(ref, k, p)
     got = amplitude_partial_wave(ps, _pw_reference.THETA)
     assert np.all(np.abs(got.value - want) <= got.error_estimate)
     kept = slice(0, ps.l_max + 1)

@@ -14,6 +14,7 @@ import _oracles
 import scatterlab
 from scatterlab.config import echo_lines, parse_config
 from scatterlab.eikonal import amplitude_eikonal
+from scatterlab import partial_wave
 from scatterlab.partial_wave import phase_shifts
 from scatterlab.errors import ConfigError, DomainError, ScatterError
 from scatterlab.quadrature import QuadratureSettings
@@ -150,7 +151,8 @@ class TestManifest:
                         output_dir=".")
 
     def test_resolved_section_names_each_partial_wave_choice(self, tmp_path):
-        # the values phase_shifts chose for l_max, r_max and dr, per k, and
+        # the values phase_shifts chose for l_max, r_max and dr, per k, with
+        # the split radius R0 and the tail's end where the pass split V, and
         # none for a run without partial_wave; the other files stay as a
         # run's
         text = FAST.replace("k = 2", "k = 2, 10").replace(
@@ -161,12 +163,26 @@ class TestManifest:
         block = manifest.split("[resolved]\n")[1].split("\n\n")[0]
         lines = []
         for k in (2.0, 10.0):
-            ps = phase_shifts(cfg.potential, cfg.kinematics(k))
+            kin = cfg.kinematics(k)
+            ps = phase_shifts(cfg.potential, kin)
+            r0 = partial_wave._split_radius(cfg.potential, kin, ps.r_max)
+            end = partial_wave._auto_r_max(cfg.potential, kin, ps.r_max,
+                                           partial_wave._FAR)
+            assert ps.split == (r0, end)
             lines.append(f"  partial_wave k={k:g}: l_max = {ps.l_max}, "
-                         f"r_max = {ps.r_max!r}, dr = {ps.dr!r}")
+                         f"r_max = {ps.r_max!r}, dr = {ps.dr!r}, "
+                         f"R0 = {r0!r}, tail end = {end!r}")
         assert block.splitlines() == lines
+        assert lines[1].endswith("R0 = 7.25, tail end = 29.03")
         assert [o.resolved is None for o in m.outcomes] \
             == [True, True, False, False]
+        # a Gauss(0.5, 1) at k = 10 is not split
+        gauss = text.replace("model = yukawa", "model = gauss").replace(
+            "mu = 1.0", "alpha = 1.0").replace("k = 2, 10", "k = 10")
+        run_scan(parse_config(gauss), str(tmp_path / "gauss"))
+        manifest = (tmp_path / "gauss" / "manifest.txt").read_text()
+        assert manifest.split("[resolved]\n")[1].split("\n")[0].endswith(
+            "dr = 0.006, R0 = none")
         _run(FAST, tmp_path / "plain")
         plain = (tmp_path / "plain" / "manifest.txt").read_text()
         assert "[resolved]\n  none\n\n[verdicts]" in plain
